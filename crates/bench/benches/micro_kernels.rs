@@ -356,8 +356,35 @@ fn bench_queries(c: &mut Criterion) {
     g.finish();
 }
 
+/// CRC32-C, the checksum every store blob, journal line and checkpoint
+/// goes through: the dispatching entry point (the SSE4.2 `crc32`
+/// instruction where the host has it) against the portable slicing-by-8
+/// path, on buffers inside L1, inside L2 and beyond it.
+fn bench_crc(c: &mut Criterion) {
+    use ibis_insitu::crc::{crc32c, crc32c_sw};
+    let mut rng = StdRng::seed_from_u64(14);
+    let mut g = c.benchmark_group("crc32c");
+    g.sample_size(10).measurement_time(Duration::from_secs(1));
+    for (label, len) in [("4KiB", 4 << 10), ("256KiB", 256 << 10), ("4MiB", 4 << 20)] {
+        let buf: Vec<u8> = (0..len).map(|_| rng.gen_range(0u32..256) as u8).collect();
+        assert_eq!(
+            crc32c(&buf),
+            crc32c_sw(0, &buf),
+            "both paths must agree before either is timed"
+        );
+        g.bench_with_input(BenchmarkId::new("dispatch", label), &buf, |bch, buf| {
+            bch.iter(|| black_box(crc32c(black_box(buf))))
+        });
+        g.bench_with_input(BenchmarkId::new("software", label), &buf, |bch, buf| {
+            bch.iter(|| black_box(crc32c_sw(0, black_box(buf))))
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
+    bench_crc,
     bench_build,
     bench_ops,
     bench_metrics,

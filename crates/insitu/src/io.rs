@@ -248,32 +248,18 @@ pub mod codec {
     /// reloaded index remain metric-compatible with in-memory indices.
     pub fn encode_index(index: &BitmapIndex) -> Vec<u8> {
         let mut out = Vec::with_capacity(index.size_bytes() + 64);
-        out.extend_from_slice(INDEX_MAGIC);
-        out.extend_from_slice(&INDEX_VERSION.to_le_bytes());
-        match index.binner().spec() {
-            BinnerSpec::Width { min, width, nbins } => {
-                out.push(0u8);
-                out.extend_from_slice(&min.to_le_bytes());
-                out.extend_from_slice(&width.to_le_bytes());
-                out.extend_from_slice(&(nbins as u64).to_le_bytes());
-            }
-            BinnerSpec::Edges(edges) => {
-                out.push(1u8);
-                out.extend_from_slice(&(edges.len() as u64).to_le_bytes());
-                for e in edges {
-                    out.extend_from_slice(&e.to_le_bytes());
-                }
-            }
-        }
-        out.extend_from_slice(&index.len().to_le_bytes());
-        out.extend_from_slice(&(index.nbins() as u64).to_le_bytes());
+        encode_index_into(&mut out, index);
+        out
+    }
+
+    /// [`encode_index`], appended to `out` (the checkpoint embeds indices
+    /// in its own buffer).
+    pub(crate) fn encode_index_into(out: &mut Vec<u8>, index: &BitmapIndex) {
+        put_index_header(out, INDEX_VERSION, index);
         for bin in index.bins() {
             OBS_ENCODE_BINS.inc();
-            let blob = encode(bin);
-            out.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-            out.extend_from_slice(&blob);
+            put_blob(out, |out| put_wah(out, bin));
         }
-        out
     }
 
     /// Encodes an index under its per-bin codec plan
@@ -291,8 +277,28 @@ pub mod codec {
             return (encode_index(index), plan);
         }
         let mut out = Vec::with_capacity(index.size_bytes() + 64);
+        put_index_header(&mut out, INDEX_VERSION_TAGGED, index);
+        for (bin, &codec) in index.bins().iter().zip(&plan) {
+            OBS_ENCODE_BINS.inc();
+            out.push(codec.tag());
+            put_blob(&mut out, |out| match codec {
+                CodecId::Wah => put_wah(out, bin),
+                CodecId::Bbc => {
+                    let b = BbcVec::from_wah(bin);
+                    out.extend_from_slice(&b.len().to_le_bytes());
+                    out.extend_from_slice(b.encoded_bytes());
+                }
+                CodecId::Roaring => out.extend_from_slice(&RoaringVec::from_wah(bin).serialize()),
+            });
+        }
+        (out, plan)
+    }
+
+    /// The part of an index blob ahead of its bins: magic, layout version,
+    /// binner spec, element count, bin count.
+    fn put_index_header(out: &mut Vec<u8>, version: u32, index: &BitmapIndex) {
         out.extend_from_slice(INDEX_MAGIC);
-        out.extend_from_slice(&INDEX_VERSION_TAGGED.to_le_bytes());
+        out.extend_from_slice(&version.to_le_bytes());
         match index.binner().spec() {
             BinnerSpec::Width { min, width, nbins } => {
                 out.push(0u8);
@@ -310,24 +316,34 @@ pub mod codec {
         }
         out.extend_from_slice(&index.len().to_le_bytes());
         out.extend_from_slice(&(index.nbins() as u64).to_le_bytes());
-        for (bin, &codec) in index.bins().iter().zip(&plan) {
-            OBS_ENCODE_BINS.inc();
-            let blob = match codec {
-                CodecId::Wah => encode(bin),
-                CodecId::Bbc => {
-                    let b = BbcVec::from_wah(bin);
-                    let mut blob = Vec::with_capacity(8 + b.encoded_bytes().len());
-                    blob.extend_from_slice(&b.len().to_le_bytes());
-                    blob.extend_from_slice(b.encoded_bytes());
-                    blob
-                }
-                CodecId::Roaring => RoaringVec::from_wah(bin).serialize(),
-            };
-            out.push(codec.tag());
-            out.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-            out.extend_from_slice(&blob);
+    }
+
+    /// Appends what `body` writes behind its `u64 LE` byte length: the
+    /// length slot is reserved first and patched once the size is known.
+    pub(crate) fn put_blob(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+        let slot = out.len();
+        out.extend_from_slice(&[0u8; 8]);
+        body(out);
+        let len = (out.len() - slot - 8) as u64;
+        out[slot..slot + 8].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// Appends one bitvector in the [`encode`] layout.
+    fn put_wah(out: &mut Vec<u8>, v: &WahVec) {
+        let words = v.words();
+        out.extend_from_slice(&v.len().to_le_bytes());
+        out.extend_from_slice(&(words.len() as u32).to_le_bytes());
+        put_words(out, words);
+    }
+
+    /// Appends `words` as `u32 LE` each — sized once, then filled, which
+    /// compiles to a block copy where a per-word `extend` does not.
+    pub(crate) fn put_words(out: &mut Vec<u8>, words: &[u32]) {
+        let at = out.len();
+        out.resize(at + words.len() * 4, 0);
+        for (dst, w) in out[at..].chunks_exact_mut(4).zip(words) {
+            dst.copy_from_slice(&w.to_le_bytes());
         }
-        (out, plan)
     }
 
     /// Decodes an index blob, reporting exactly how a malformed blob fails
@@ -489,13 +505,8 @@ pub mod codec {
 
     /// Encodes a bitvector.
     pub fn encode(v: &WahVec) -> Vec<u8> {
-        let words = v.words();
-        let mut out = Vec::with_capacity(12 + words.len() * 4);
-        out.extend_from_slice(&v.len().to_le_bytes());
-        out.extend_from_slice(&(words.len() as u32).to_le_bytes());
-        for w in words {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
+        let mut out = Vec::with_capacity(12 + v.words().len() * 4);
+        put_wah(&mut out, v);
         out
     }
 
@@ -684,6 +695,84 @@ mod tests {
                 assert_eq!(back.bin(b), idx.bin(b));
             }
         }
+    }
+
+    /// The documented blob layouts written out longhand, one temporary
+    /// per bin: the encoders' shared header writer and in-place bin
+    /// writers must emit exactly these bytes.
+    #[test]
+    fn index_encoders_emit_the_documented_layout() {
+        use ibis_core::{Binner, BinnerSpec, BitmapIndex, CodecId, RoaringVec};
+        let reference = |idx: &BitmapIndex, plan: Option<&[CodecId]>| {
+            let mut out = b"IBIS".to_vec();
+            out.extend_from_slice(&(if plan.is_some() { 2u32 } else { 1u32 }).to_le_bytes());
+            match idx.binner().spec() {
+                BinnerSpec::Width { min, width, nbins } => {
+                    out.push(0);
+                    out.extend_from_slice(&min.to_le_bytes());
+                    out.extend_from_slice(&width.to_le_bytes());
+                    out.extend_from_slice(&(nbins as u64).to_le_bytes());
+                }
+                BinnerSpec::Edges(edges) => {
+                    out.push(1);
+                    out.extend_from_slice(&(edges.len() as u64).to_le_bytes());
+                    for e in edges {
+                        out.extend_from_slice(&e.to_le_bytes());
+                    }
+                }
+            }
+            out.extend_from_slice(&idx.len().to_le_bytes());
+            out.extend_from_slice(&(idx.nbins() as u64).to_le_bytes());
+            for (b, bin) in idx.bins().iter().enumerate() {
+                let codec = plan.map_or(CodecId::Wah, |p| p[b]);
+                let blob = match codec {
+                    CodecId::Wah => {
+                        let mut blob = bin.len().to_le_bytes().to_vec();
+                        blob.extend_from_slice(&(bin.words().len() as u32).to_le_bytes());
+                        for w in bin.words() {
+                            blob.extend_from_slice(&w.to_le_bytes());
+                        }
+                        assert_eq!(blob, codec::encode(bin));
+                        blob
+                    }
+                    CodecId::Roaring => RoaringVec::from_wah(bin).serialize(),
+                    CodecId::Bbc => panic!("the codec plan never picks BBC"),
+                };
+                if plan.is_some() {
+                    out.push(codec.tag());
+                }
+                out.extend_from_slice(&(blob.len() as u64).to_le_bytes());
+                out.extend_from_slice(&blob);
+            }
+            out
+        };
+        // run-structured data on an edges binner: an all-WAH plan
+        let smooth: Vec<f64> = (0..20_000).map(|i| (i / 500) as f64).collect();
+        let idx = BitmapIndex::build(
+            &smooth,
+            Binner::from_edges((0..=40).map(f64::from).collect()),
+        );
+        assert_eq!(codec::encode_index(&idx), reference(&idx, None));
+        let (auto, plan) = codec::encode_index_auto(&idx);
+        assert!(plan.iter().all(|&c| c == CodecId::Wah));
+        assert_eq!(
+            auto,
+            reference(&idx, None),
+            "an all-WAH plan stays on layout 1"
+        );
+        // scattered residues on a width binner: Roaring bins beside empty
+        // WAH ones, so the tagged layout
+        let scattered: Vec<f64> = (0..500).map(|i| ((i * 4) % 40) as f64).collect();
+        let idx = BitmapIndex::build(&scattered, Binner::distinct_ints(0, 39));
+        assert_eq!(codec::encode_index(&idx), reference(&idx, None));
+        let (auto, plan) = codec::encode_index_auto(&idx);
+        assert!(plan.contains(&CodecId::Roaring) && plan.contains(&CodecId::Wah));
+        assert_eq!(auto, reference(&idx, Some(&plan)));
+        assert_eq!(
+            codec::decode_index(&auto).unwrap().bins(),
+            idx.bins(),
+            "either layout reloads bit-identically"
+        );
     }
 
     #[test]

@@ -46,7 +46,7 @@ use crate::machine::{
 use crate::memory::MemoryTracker;
 use crate::report::{InsituReport, PhaseTimes, StepOutcome};
 use crate::retry::{write_with_retry, RetryPolicy};
-use crate::store::StoreWriter;
+use crate::store::{Store, StoreWriter, ORDER_VARIABLE};
 use ibis_analysis::sampling::{sample, SamplingMethod};
 use ibis_analysis::selection::fixed_intervals;
 use ibis_analysis::{Metric, StepSummary, VarSummary};
@@ -373,7 +373,7 @@ struct StreamingSelector {
     /// The previously selected summary, whether it is degraded, and the
     /// row permutation it was built under (the durable path persists it
     /// next to the winner's indices).
-    prev: Option<(StepSummary, bool, Option<Arc<RowPermutation>>)>,
+    prev: Option<Held>,
     buffer: Vec<(usize, StepSummary, bool, Option<Arc<RowPermutation>>)>,
     selected: Vec<usize>,
     metric: Metric,
@@ -1256,11 +1256,37 @@ fn run_separate<S: Simulation>(
 
 /// Magic prefix of a CHECKPOINT file.
 const CHECKPOINT_MAGIC: &[u8; 4] = b"IBCK";
-/// Checkpoint format version. v2 appends each embedded summary's row
-/// permutation (data-dependent orders cannot recompute it after resume —
-/// the raw step data is gone — and a buffered step may still win its
-/// interval and need its permutation persisted).
-const CHECKPOINT_VERSION: u32 = 2;
+/// Checkpoint format version. v3 embeds only the undecided `buffer`
+/// (each summary with its row permutation — data-dependent orders cannot
+/// recompute it after resume, the raw step data is gone, and a buffered
+/// step may still win its interval). The previous winner is named, not
+/// embedded: `persist_winner` made it durable in the store before the
+/// step's checkpoint was written, so resume reloads it from there.
+const CHECKPOINT_VERSION: u32 = 3;
+
+/// A summary held by the selector: the summary, whether it is degraded,
+/// and the row permutation it was built under.
+type Held = (StepSummary, bool, Option<Arc<RowPermutation>>);
+
+/// The previous winner as a checkpoint records it: where the store holds
+/// it, not what it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PrevRef {
+    /// The store step the winner's entries were persisted under.
+    step: usize,
+    degraded: bool,
+    /// Whether an [`ORDER_VARIABLE`] entry was persisted next to them.
+    has_order: bool,
+}
+
+/// The running totals a durable run carries across a crash.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+struct RunTotals {
+    output_modeled: f64,
+    bytes_written: u64,
+    summary_bytes_total: u64,
+    raw_bytes_per_step: u64,
+}
 
 /// Everything needed to pick a durable run back up after a crash.
 #[derive(Default)]
@@ -1268,13 +1294,10 @@ struct CheckpointState {
     next_step: usize,
     selected: Vec<usize>,
     cur_interval: usize,
-    prev: Option<(StepSummary, bool, Option<Arc<RowPermutation>>)>,
+    prev: Option<PrevRef>,
     buffer: Vec<(usize, StepSummary, bool, Option<Arc<RowPermutation>>)>,
     outcomes: Vec<StepOutcome>,
-    output_modeled: f64,
-    bytes_written: u64,
-    summary_bytes_total: u64,
-    raw_bytes_per_step: u64,
+    totals: RunTotals,
 }
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
@@ -1301,46 +1324,53 @@ fn put_summary(
                 "durable runs persist bitmap summaries only".into(),
             ));
         };
-        let blob = codec::encode_index(idx);
-        put_u64(buf, blob.len() as u64);
-        buf.extend_from_slice(&blob);
+        codec::put_blob(buf, |buf| codec::encode_index_into(buf, idx));
     }
     match perm {
         Some(p) => {
             buf.push(1);
-            let payload = crate::store::encode_perm_payload(p.inv());
-            put_u64(buf, payload.len() as u64);
-            buf.extend_from_slice(&payload);
+            codec::put_blob(buf, |buf| crate::store::put_perm_payload(buf, p.inv()));
         }
         None => buf.push(0),
     }
     Ok(())
 }
 
-fn encode_checkpoint(state: &CheckpointState) -> Result<Vec<u8>> {
-    let mut buf = Vec::new();
+/// Serializes the state after step `next_step - 1` from the borrowed
+/// selector, each embedded index encoded in place in the one output
+/// buffer.
+fn encode_checkpoint(
+    next_step: usize,
+    selector: &StreamingSelector,
+    outcomes: &[StepOutcome],
+    totals: &RunTotals,
+) -> Result<Vec<u8>> {
+    let held: usize = selector.buffer.iter().map(|b| b.1.size_bytes()).sum();
+    let mut buf = Vec::with_capacity(held + 4096);
     buf.extend_from_slice(CHECKPOINT_MAGIC);
     buf.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-    put_u64(&mut buf, state.next_step as u64);
-    put_u64(&mut buf, state.selected.len() as u64);
-    for &s in &state.selected {
+    put_u64(&mut buf, next_step as u64);
+    put_u64(&mut buf, selector.selected.len() as u64);
+    for &s in &selector.selected {
         put_u64(&mut buf, s as u64);
     }
-    put_u64(&mut buf, state.cur_interval as u64);
-    match &state.prev {
-        Some((summary, degraded, perm)) => {
+    put_u64(&mut buf, selector.cur as u64);
+    match (&selector.prev, selector.selected.last()) {
+        (Some((_, degraded, perm)), Some(&step)) => {
             buf.push(1);
-            put_summary(&mut buf, summary, *degraded, perm.as_deref())?;
+            put_u64(&mut buf, step as u64);
+            buf.push(*degraded as u8);
+            buf.push(perm.is_some() as u8);
         }
-        None => buf.push(0),
+        _ => buf.push(0),
     }
-    put_u64(&mut buf, state.buffer.len() as u64);
-    for (idx, summary, degraded, perm) in &state.buffer {
+    put_u64(&mut buf, selector.buffer.len() as u64);
+    for (idx, summary, degraded, perm) in &selector.buffer {
         put_u64(&mut buf, *idx as u64);
         put_summary(&mut buf, summary, *degraded, perm.as_deref())?;
     }
-    put_u64(&mut buf, state.outcomes.len() as u64);
-    for outcome in &state.outcomes {
+    put_u64(&mut buf, outcomes.len() as u64);
+    for outcome in outcomes {
         let (tag, text): (u8, &str) = match outcome {
             StepOutcome::Completed => (0, ""),
             StepOutcome::Skipped { reason } => (1, reason),
@@ -1350,10 +1380,10 @@ fn encode_checkpoint(state: &CheckpointState) -> Result<Vec<u8>> {
         buf.push(tag);
         put_str(&mut buf, text);
     }
-    put_u64(&mut buf, state.output_modeled.to_bits());
-    put_u64(&mut buf, state.bytes_written);
-    put_u64(&mut buf, state.summary_bytes_total);
-    put_u64(&mut buf, state.raw_bytes_per_step);
+    put_u64(&mut buf, totals.output_modeled.to_bits());
+    put_u64(&mut buf, totals.bytes_written);
+    put_u64(&mut buf, totals.summary_bytes_total);
+    put_u64(&mut buf, totals.raw_bytes_per_step);
     buf.extend_from_slice(&crate::crc::crc32c(&buf).to_le_bytes());
     Ok(buf)
 }
@@ -1389,45 +1419,45 @@ impl<'a> CkptReader<'a> {
         usize::try_from(v).map_err(|_| IbisError::BadCheckpoint(format!("value {v} overflows")))
     }
 
-    fn string(&mut self) -> Result<String> {
-        let len = self.usize()?;
-        if len > self.buf.len() {
-            return Err(IbisError::BadCheckpoint("string length overflows".into()));
+    /// An element count whose elements take at least `min` bytes each:
+    /// bounded by the bytes left, so no count can drive an allocation the
+    /// file does not back.
+    fn count(&mut self, min: usize) -> Result<usize> {
+        let n = self.usize()?;
+        if n > (self.buf.len() - self.pos) / min {
+            return Err(IbisError::BadCheckpoint(format!(
+                "count {n} at byte {} overruns the file",
+                self.pos
+            )));
         }
-        String::from_utf8(self.take(len)?.to_vec())
+        Ok(n)
+    }
+
+    /// A `u64 LE` length followed by that many bytes.
+    fn blob(&mut self) -> Result<&'a [u8]> {
+        let len = self.usize()?;
+        self.take(len)
+    }
+
+    fn string(&mut self) -> Result<String> {
+        String::from_utf8(self.blob()?.to_vec())
             .map_err(|_| IbisError::BadCheckpoint("non-UTF-8 string".into()))
     }
 
-    fn summary(&mut self) -> Result<(StepSummary, bool, Option<Arc<RowPermutation>>)> {
+    fn summary(&mut self) -> Result<Held> {
         let step = self.usize()?;
         let degraded = self.u8()? != 0;
-        let nvars = self.usize()?;
-        if nvars > 4096 {
-            return Err(IbisError::BadCheckpoint(format!(
-                "implausible variable count {nvars}"
-            )));
-        }
+        let nvars = self.count(8)?;
         let mut vars = Vec::with_capacity(nvars);
         for _ in 0..nvars {
-            let len = self.usize()?;
-            if len > self.buf.len() {
-                return Err(IbisError::BadCheckpoint("blob length overflows".into()));
-            }
-            let blob = self.take(len)?;
-            let idx = codec::decode_index(blob)
+            let idx = codec::decode_index(self.blob()?)
                 .map_err(|e| IbisError::BadCheckpoint(format!("embedded index: {e}")))?;
             vars.push(VarSummary::Bitmap(idx));
         }
         let perm = match self.u8()? {
             0 => None,
             1 => {
-                let len = self.usize()?;
-                if len > self.buf.len() {
-                    return Err(IbisError::BadCheckpoint(
-                        "permutation length overflows".into(),
-                    ));
-                }
-                let inv = crate::store::decode_perm_payload(self.take(len)?)
+                let inv = crate::store::decode_perm_payload(self.blob()?)
                     .map_err(|e| IbisError::BadCheckpoint(format!("embedded permutation: {e}")))?;
                 let perm = RowPermutation::from_inverse(inv)
                     .map_err(|e| IbisError::BadCheckpoint(format!("embedded permutation: {e}")))?;
@@ -1466,7 +1496,7 @@ fn parse_checkpoint(bytes: &[u8]) -> Result<CheckpointState> {
         )));
     }
     let next_step = r.usize()?;
-    let nselected = r.usize()?;
+    let nselected = r.count(8)?;
     if nselected > next_step.max(1) {
         return Err(IbisError::BadCheckpoint(
             "more selections than completed steps".into(),
@@ -1479,14 +1509,23 @@ fn parse_checkpoint(bytes: &[u8]) -> Result<CheckpointState> {
     let cur_interval = r.usize()?;
     let prev = match r.u8()? {
         0 => None,
-        1 => Some(r.summary()?),
+        1 => Some(PrevRef {
+            step: r.usize()?,
+            degraded: r.u8()? != 0,
+            has_order: r.u8()? != 0,
+        }),
         t => {
             return Err(IbisError::BadCheckpoint(format!(
                 "bad prev-presence tag {t}"
             )))
         }
     };
-    let nbuffer = r.usize()?;
+    if prev.map(|p| p.step) != selected.last().copied() {
+        return Err(IbisError::BadCheckpoint(
+            "previous selection is not the last selected step".into(),
+        ));
+    }
+    let nbuffer = r.count(8)?;
     if nbuffer > next_step.max(1) {
         return Err(IbisError::BadCheckpoint("buffer larger than run".into()));
     }
@@ -1496,7 +1535,7 @@ fn parse_checkpoint(bytes: &[u8]) -> Result<CheckpointState> {
         let (summary, degraded, perm) = r.summary()?;
         buffer.push((idx, summary, degraded, perm));
     }
-    let noutcomes = r.usize()?;
+    let noutcomes = r.count(9)?;
     if noutcomes != next_step {
         return Err(IbisError::BadCheckpoint(format!(
             "{noutcomes} outcomes for {next_step} completed steps"
@@ -1514,10 +1553,12 @@ fn parse_checkpoint(bytes: &[u8]) -> Result<CheckpointState> {
             t => return Err(IbisError::BadCheckpoint(format!("bad outcome tag {t}"))),
         });
     }
-    let output_modeled = f64::from_bits(r.u64()?);
-    let bytes_written = r.u64()?;
-    let summary_bytes_total = r.u64()?;
-    let raw_bytes_per_step = r.u64()?;
+    let totals = RunTotals {
+        output_modeled: f64::from_bits(r.u64()?),
+        bytes_written: r.u64()?,
+        summary_bytes_total: r.u64()?,
+        raw_bytes_per_step: r.u64()?,
+    };
     if r.pos != body.len() {
         return Err(IbisError::BadCheckpoint(format!(
             "{} trailing bytes",
@@ -1531,11 +1572,46 @@ fn parse_checkpoint(bytes: &[u8]) -> Result<CheckpointState> {
         prev,
         buffer,
         outcomes,
-        output_modeled,
-        bytes_written,
-        summary_bytes_total,
-        raw_bytes_per_step,
+        totals,
     })
+}
+
+/// Reloads the previous winner a checkpoint names from the store that
+/// already holds it — every read re-verifies framing and CRC. `names` are
+/// the simulation's field names in field order (the order the winner's
+/// variables were summarized in).
+fn reload_prev(store: &Store, prev: PrevRef, names: &[String]) -> Result<Held> {
+    let lost = |entry: &str, why: &dyn std::fmt::Display| {
+        IbisError::BadCheckpoint(format!(
+            "previous selection (step {}) entry {entry:?} cannot be reloaded: {why}",
+            prev.step
+        ))
+    };
+    let vars = names
+        .iter()
+        .map(|name| {
+            let idx = store.get(prev.step, name).map_err(|e| lost(name, &e))?;
+            Ok(VarSummary::Bitmap(idx))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let perm = if prev.has_order {
+        match store.load_order(prev.step) {
+            Ok(Some((_, perm))) => Some(Arc::new(perm)),
+            Ok(None) => return Err(lost(ORDER_VARIABLE, &"no such durable entry")),
+            Err(e) => return Err(lost(ORDER_VARIABLE, &e)),
+        }
+    } else {
+        None
+    };
+    let summary = StepSummary {
+        step: prev.step,
+        vars,
+    };
+    Ok((summary, prev.degraded, perm))
+}
+
+fn field_names_of(out: &StepOutput) -> Vec<String> {
+    out.fields.iter().map(|f| f.name.to_string()).collect()
 }
 
 /// Runs a durable Shared-Cores bitmaps pipeline: every selected summary is
@@ -1614,8 +1690,10 @@ fn durable_impl<S: Simulation>(
 
     // Replay the completed prefix to restore the deterministic simulation's
     // state (recovery overhead: charged to wall time, not modeled time).
+    let mut field_names: Option<Vec<String>> = None;
     for _ in 0..state.next_step {
-        let _ = pool.install(|| sim.step());
+        let out = pool.install(|| sim.step());
+        field_names.get_or_insert_with(|| field_names_of(&out));
     }
 
     let mem = MemoryTracker::new();
@@ -1624,7 +1702,12 @@ fn durable_impl<S: Simulation>(
     let mut selector = StreamingSelector::new(cfg.steps, cfg.select_k, cfg.metric);
     selector.cur = state.cur_interval;
     selector.selected = state.selected;
-    selector.prev = state.prev;
+    if let Some(prev) = state.prev {
+        let names = field_names.as_deref().ok_or_else(|| {
+            IbisError::BadCheckpoint("a previous selection but no completed step".into())
+        })?;
+        selector.prev = Some(reload_prev(&writer.durable_view(), prev, names)?);
+    }
     selector.buffer = state.buffer;
     if let Some((p, _, _)) = &selector.prev {
         mem.alloc(p.size_bytes() as u64);
@@ -1635,19 +1718,16 @@ fn durable_impl<S: Simulation>(
     let mut outcomes = state.outcomes;
     let mut sim_t = Duration::ZERO;
     let mut reduce_t = Duration::ZERO;
-    let mut output_modeled = state.output_modeled;
-    let mut bytes_written = state.bytes_written;
-    let mut summary_bytes_total = state.summary_bytes_total;
-    let mut raw_bytes_per_step = state.raw_bytes_per_step;
-    let mut field_names: Option<Vec<String>> = None;
+    let mut totals = state.totals;
     let disk_bw = cfg.machine.disk_bw;
 
+    // Makes the winner durable in the store — blobs synced, then their
+    // journal lines synced — before the step's checkpoint names it.
     let persist_winner = |selector: &StreamingSelector,
                           writer: &mut StoreWriter,
                           names: &Option<Vec<String>>,
                           e: &Emitted,
-                          output_modeled: &mut f64,
-                          bytes_written: &mut u64|
+                          totals: &mut RunTotals|
      -> Result<()> {
         let Some(summary) = selector.prev_summary() else {
             return Ok(());
@@ -1670,8 +1750,8 @@ fn durable_impl<S: Simulation>(
             // map selections back to original row ids.
             writer.put_order(e.step, cfg.row_order, perm)?;
         }
-        *output_modeled += e.summary_bytes as f64 / disk_bw;
-        *bytes_written += e.summary_bytes;
+        totals.output_modeled += e.summary_bytes as f64 / disk_bw;
+        totals.bytes_written += e.summary_bytes;
         Ok(())
     };
 
@@ -1690,81 +1770,44 @@ fn durable_impl<S: Simulation>(
             &cfg.robustness.policy,
             &mut sim_t,
         )?;
-        match produced {
+        let emitted = match produced {
             Err(msg) => {
                 outcomes.push(StepOutcome::Skipped {
                     reason: format!("producer panicked: {msg}"),
                 });
-                if let Some(e) = selector.note_skipped(i, &mem) {
-                    persist_winner(
-                        &selector,
-                        &mut writer,
-                        &field_names,
-                        &e,
-                        &mut output_modeled,
-                        &mut bytes_written,
-                    )?;
-                }
+                selector.note_skipped(i, &mem)
             }
             Ok(out) => {
-                if field_names.is_none() {
-                    field_names = Some(out.fields.iter().map(|f| f.name.to_string()).collect());
-                }
+                field_names.get_or_insert_with(|| field_names_of(&out));
                 let raw = out.size_bytes() as u64;
-                raw_bytes_per_step = raw;
+                totals.raw_bytes_per_step = raw;
                 mem.alloc(raw);
-                match contained_summarize(&out, i, cfg, &dims, &pool, &injector, &mut reduce_t)? {
+                let attempt =
+                    contained_summarize(&out, i, cfg, &dims, &pool, &injector, &mut reduce_t)?;
+                drop(out);
+                match attempt {
                     StepAttempt::Kept(summary, perm, degraded, outcome) => {
                         let sbytes = summary.size_bytes() as u64;
-                        summary_bytes_total += sbytes;
+                        totals.summary_bytes_total += sbytes;
                         mem.alloc(sbytes);
-                        drop(out);
                         mem.free(raw);
                         outcomes.push(outcome);
-                        if let Some(e) = selector.offer(i, summary, degraded, perm, &mem) {
-                            persist_winner(
-                                &selector,
-                                &mut writer,
-                                &field_names,
-                                &e,
-                                &mut output_modeled,
-                                &mut bytes_written,
-                            )?;
-                        }
+                        selector.offer(i, summary, degraded, perm, &mem)
                     }
                     StepAttempt::Dropped(outcome) => {
-                        drop(out);
                         mem.free(raw);
                         outcomes.push(outcome);
-                        if let Some(e) = selector.note_skipped(i, &mem) {
-                            persist_winner(
-                                &selector,
-                                &mut writer,
-                                &field_names,
-                                &e,
-                                &mut output_modeled,
-                                &mut bytes_written,
-                            )?;
-                        }
+                        selector.note_skipped(i, &mem)
                     }
                 }
             }
+        };
+        if let Some(e) = emitted {
+            persist_winner(&selector, &mut writer, &field_names, &e, &mut totals)?;
         }
         // Checkpoint the post-step state atomically: a crash between here
         // and the next step resumes exactly at step i+1.
-        let snapshot = CheckpointState {
-            next_step: i + 1,
-            selected: selector.selected.clone(),
-            cur_interval: selector.cur,
-            prev: selector.prev.clone(),
-            buffer: selector.buffer.clone(),
-            outcomes: outcomes.clone(),
-            output_modeled,
-            bytes_written,
-            summary_bytes_total,
-            raw_bytes_per_step,
-        };
-        let bytes = encode_checkpoint(&snapshot)?;
+        let bytes = encode_checkpoint(i + 1, &selector, &outcomes, &totals)?;
         write_atomic(&dir.join(".CHECKPOINT.tmp"), &ckpt_path, &bytes)
             .map_err(|e| IbisError::io("write CHECKPOINT", &e))?;
     }
@@ -1796,7 +1839,7 @@ fn durable_impl<S: Simulation>(
             &ScalingModel::selection(),
             speed,
         ),
-        output: output_modeled,
+        output: totals.output_modeled,
     };
     Ok(InsituReport {
         total_modeled: phases.sum(),
@@ -1804,9 +1847,9 @@ fn durable_impl<S: Simulation>(
         wall_seconds: wall0.elapsed().as_secs_f64(),
         selected,
         peak_memory_bytes: mem.peak(),
-        bytes_written,
-        raw_bytes_per_step,
-        summary_bytes_total,
+        bytes_written: totals.bytes_written,
+        raw_bytes_per_step: totals.raw_bytes_per_step,
+        summary_bytes_total: totals.summary_bytes_total,
         steps: cfg.steps,
         step_outcomes: outcomes,
         fault_events: injector.events(),
@@ -2119,58 +2162,163 @@ mod tests {
         let idx = ibis_core::BitmapIndex::build_permuted(&data, binner, &perm);
         let summary = StepSummary {
             step: 4,
-            vars: vec![VarSummary::Bitmap(idx)],
+            vars: vec![VarSummary::Bitmap(idx.clone())],
         };
-        let state = CheckpointState {
-            next_step: 5,
-            selected: vec![0, 4],
-            cur_interval: 1,
-            prev: Some((summary.clone(), false, None)),
-            buffer: vec![(4, summary, true, Some(Arc::clone(&perm)))],
-            outcomes: vec![
-                StepOutcome::Completed,
-                StepOutcome::Skipped { reason: "x".into() },
-                StepOutcome::FallbackSampled { reason: "y".into() },
-                StepOutcome::Failed { error: "z".into() },
-                StepOutcome::Completed,
-            ],
+        let mut selector = StreamingSelector::new(13, 4, Metric::ConditionalEntropy);
+        selector.cur = 1;
+        selector.selected = vec![0, 3];
+        selector.prev = Some((summary.clone(), false, Some(Arc::clone(&perm))));
+        selector.buffer = vec![(4, summary, true, Some(Arc::clone(&perm)))];
+        let outcomes = vec![
+            StepOutcome::Completed,
+            StepOutcome::Skipped { reason: "x".into() },
+            StepOutcome::FallbackSampled { reason: "y".into() },
+            StepOutcome::Failed { error: "z".into() },
+            StepOutcome::Completed,
+        ];
+        let totals = RunTotals {
             output_modeled: 1.25,
             bytes_written: 777,
             summary_bytes_total: 999,
             raw_bytes_per_step: 4096,
         };
-        let bytes = encode_checkpoint(&state).unwrap();
+        let bytes = encode_checkpoint(5, &selector, &outcomes, &totals).unwrap();
         let back = parse_checkpoint(&bytes).unwrap();
         assert_eq!(back.next_step, 5);
-        assert_eq!(back.selected, vec![0, 4]);
+        assert_eq!(back.selected, vec![0, 3]);
         assert_eq!(back.cur_interval, 1);
-        assert_eq!(back.outcomes, state.outcomes);
-        assert_eq!(back.output_modeled, 1.25);
-        assert_eq!(back.bytes_written, 777);
-        assert!(back.prev.is_some());
+        assert_eq!(back.outcomes, outcomes);
+        assert_eq!(back.totals, totals);
+        let prev = PrevRef {
+            step: 3,
+            degraded: false,
+            has_order: true,
+        };
         assert_eq!(
-            back.prev.as_ref().unwrap().2,
-            None,
-            "identity-layout summaries carry no permutation"
+            back.prev,
+            Some(prev),
+            "the previous winner is named by its store step, not embedded"
         );
         assert_eq!(back.buffer.len(), 1);
         assert!(back.buffer[0].2, "degraded flag survives");
         assert_eq!(
             back.buffer[0].3.as_deref(),
             Some(perm.as_ref()),
-            "v2 checkpoints round-trip the buffered step's permutation"
+            "the buffered step's permutation round-trips"
+        );
+        let VarSummary::Bitmap(embedded) = &back.buffer[0].1.vars[0] else {
+            panic!("bitmap summary expected");
+        };
+        assert_eq!(codec::encode_index(embedded), codec::encode_index(&idx));
+        // only the buffer is embedded: one index and one permutation
+        assert!(bytes.len() < 2 * (codec::encode_index(&idx).len() + 8 + 4 * data.len()));
+
+        // every truncation and every single-bit flip is a typed error
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(
+                    parse_checkpoint(&bytes[..cut]),
+                    Err(IbisError::BadCheckpoint(_))
+                ),
+                "truncated to {cut} bytes"
+            );
+        }
+        for at in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[at] ^= 1 << (at % 8);
+            assert!(
+                matches!(parse_checkpoint(&bad), Err(IbisError::BadCheckpoint(_))),
+                "bit flipped in byte {at}"
+            );
+        }
+
+        // the same damage under a recomputed CRC reaches the parser proper:
+        // a cut body is always an error, a flipped one never a panic
+        let reseal = |mut body: Vec<u8>| {
+            let crc = crate::crc::crc32c(&body);
+            body.extend_from_slice(&crc.to_le_bytes());
+            body
+        };
+        let body = &bytes[..bytes.len() - 4];
+        for cut in 0..body.len() {
+            assert!(
+                matches!(
+                    parse_checkpoint(&reseal(body[..cut].to_vec())),
+                    Err(IbisError::BadCheckpoint(_))
+                ),
+                "resealed body cut to {cut} bytes"
+            );
+        }
+        for at in 0..body.len() {
+            let mut bad = body.to_vec();
+            bad[at] ^= 1 << (at % 8);
+            if let Err(e) = parse_checkpoint(&reseal(bad)) {
+                assert!(matches!(e, IbisError::BadCheckpoint(_)), "byte {at}: {e}");
+            }
+        }
+
+        // a v2 checkpoint (valid CRC, old version word) is refused by name
+        let mut v2 = body.to_vec();
+        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let v2 = reseal(v2);
+        assert_eq!(
+            parse_checkpoint(&v2).err(),
+            Some(IbisError::BadCheckpoint("unsupported version 2".into()))
         );
 
-        // any flipped byte must be rejected
-        let mut bad = bytes.clone();
-        bad[bytes.len() / 2] ^= 0x40;
-        assert!(matches!(
-            parse_checkpoint(&bad),
-            Err(IbisError::BadCheckpoint(_))
-        ));
-        assert!(matches!(
-            parse_checkpoint(&bytes[..bytes.len() - 3]),
-            Err(IbisError::BadCheckpoint(_))
-        ));
+        // reloading the named winner: from the store, in field order
+        let dir = std::env::temp_dir().join(format!("ibis-ckpt-prev-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let names = ["temperature".to_string(), "salinity".to_string()];
+        let persist = |with_order: bool| {
+            let mut w = StoreWriter::create(&dir).unwrap();
+            w.put(3, "temperature", &idx).unwrap();
+            w.put(3, "salinity", &idx.unpermute(&perm)).unwrap();
+            if with_order {
+                w.put_order(3, RowOrder::HistogramSorted, &perm).unwrap();
+            }
+            w
+        };
+        let (summary, degraded, order) =
+            reload_prev(&persist(true).durable_view(), prev, &names).unwrap();
+        assert_eq!((summary.step, summary.vars.len(), degraded), (3, 2, false));
+        assert_eq!(order.as_deref(), Some(perm.as_ref()));
+        let VarSummary::Bitmap(first) = &summary.vars[0] else {
+            panic!("bitmap summary expected");
+        };
+        assert_eq!(codec::encode_index(first), codec::encode_index(&idx));
+
+        // a winner the store cannot produce intact is a typed error naming
+        // the entry — never persisted, torn, bit-flipped or gone, seen
+        // both through the live writer and through a journal-verifying
+        // `StoreWriter::resume` (which drops the damaged entry)
+        let lost = |store: Store, entry: &str| {
+            let err = reload_prev(&store, prev, &names).unwrap_err();
+            let IbisError::BadCheckpoint(msg) = &err else {
+                panic!("expected BadCheckpoint, got {err}");
+            };
+            assert!(msg.contains("step 3") && msg.contains(entry), "{msg}");
+        };
+        lost(persist(false).durable_view(), ORDER_VARIABLE);
+        for entry in ["salinity", ORDER_VARIABLE] {
+            let file = dir.join(format!("s000003_{entry}.ibis"));
+            for damage in 0..3 {
+                let writer = persist(true);
+                let clean = std::fs::read(&file).unwrap();
+                match damage {
+                    0 => std::fs::write(&file, &clean[..clean.len() / 2]).unwrap(),
+                    1 => {
+                        let mut flipped = clean.clone();
+                        flipped[clean.len() / 2] ^= 0x10;
+                        std::fs::write(&file, &flipped).unwrap();
+                    }
+                    _ => std::fs::remove_file(&file).unwrap(),
+                }
+                lost(writer.durable_view(), entry);
+                drop(writer);
+                lost(StoreWriter::resume(&dir).unwrap().durable_view(), entry);
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

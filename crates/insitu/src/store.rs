@@ -84,8 +84,6 @@ pub const ORDER_VARIABLE: &str = "__order";
 pub const LOSSY_PREFIX: &str = "__lossy_";
 /// First line of a v2 manifest.
 const MANIFEST_HEADER: &str = "#IBIS-STORE v2";
-/// Untagged framing overhead: magic + u64 length + u32 CRC.
-const FRAME_OVERHEAD: usize = 4 + 8 + 4;
 /// Tagged framing overhead: magic + codec tag + u64 length + u32 CRC.
 const FRAME_OVERHEAD_TAGGED: usize = 4 + 1 + 8 + 4;
 
@@ -136,49 +134,19 @@ enum FrameTag {
     Lossy(u8),
 }
 
-/// Wraps an encoded index payload in the untagged (all-WAH) frame.
-fn frame_blob(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-    out.extend_from_slice(BLOB_MAGIC);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32c(payload).to_le_bytes());
-    out
-}
-
-/// Wraps an encoded index payload in the codec-tagged frame.
-fn frame_blob_tagged(payload: &[u8], tag: u8) -> Vec<u8> {
+/// Wraps a payload in its frame — `magic | tag (every magic but `IBB2`) |
+/// payload len (u64 LE) | payload | CRC32-C (u32 LE)` — and returns the
+/// frame together with the payload CRC it ends in, so a put checksums its
+/// payload once for both the frame and the entry's journal/manifest record.
+fn frame_blob(magic: &[u8; 4], tag: Option<u8>, payload: &[u8]) -> (Vec<u8>, u32) {
+    let crc = crc32c(payload);
     let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD_TAGGED);
-    out.extend_from_slice(BLOB_MAGIC_TAGGED);
-    out.push(tag);
+    out.extend_from_slice(magic);
+    out.extend(tag);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32c(payload).to_le_bytes());
-    out
-}
-
-/// Wraps an encoded inverse permutation in the `IBP1` frame, tagged with
-/// the [`RowOrder`] that produced it.
-fn frame_blob_perm(payload: &[u8], order_tag: u8) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD_TAGGED);
-    out.extend_from_slice(BLOB_MAGIC_PERM);
-    out.push(order_tag);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32c(payload).to_le_bytes());
-    out
-}
-
-/// Wraps an encoded lossy companion in the `IBL1` frame, tagged with the
-/// FPR class.
-fn frame_blob_lossy(payload: &[u8], class: u8) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD_TAGGED);
-    out.extend_from_slice(BLOB_MAGIC_LOSSY);
-    out.push(class);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32c(payload).to_le_bytes());
-    out
+    out.extend_from_slice(&crc.to_le_bytes());
+    (out, crc)
 }
 
 /// The decade class of a lossy FPR: 1 for (1e-2, 1e-1], 2 for
@@ -222,15 +190,11 @@ fn decode_lossy_payload(payload: &[u8]) -> std::result::Result<(f64, u64, u64, &
     Ok((fpr, dropped, zeros, &payload[24..]))
 }
 
-/// Serializes an inverse permutation (`inv[original] = stored`) as
-/// `u64 LE row count` followed by one `u32 LE` per row.
-pub(crate) fn encode_perm_payload(inv: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + inv.len() * 4);
+/// Appends an inverse permutation (`inv[original] = stored`) as `u64 LE
+/// row count` followed by one `u32 LE` per row.
+pub(crate) fn put_perm_payload(out: &mut Vec<u8>, inv: &[u32]) {
     out.extend_from_slice(&(inv.len() as u64).to_le_bytes());
-    for &s in inv {
-        out.extend_from_slice(&s.to_le_bytes());
-    }
-    out
+    codec::put_words(out, inv);
 }
 
 /// Parses an `IBP1` payload back into the inverse permutation, or a
@@ -267,9 +231,10 @@ fn plan_frame_tag(plan: &[CodecId]) -> u8 {
     }
 }
 
-/// Validates a framed blob and returns its payload plus what the frame
-/// header claims about its codecs, or a description of what is wrong.
-fn unframe_blob(bytes: &[u8]) -> std::result::Result<(&[u8], FrameTag), String> {
+/// Validates a framed blob and returns its payload, the payload's CRC
+/// (computed here, and equal to the frame's) and what the frame header
+/// claims about its codecs, or a description of what is wrong.
+fn unframe_blob(bytes: &[u8]) -> std::result::Result<(&[u8], u32, FrameTag), String> {
     let (tag, header_len) = if bytes.starts_with(BLOB_MAGIC) {
         (FrameTag::Untagged, 12usize)
     } else if bytes.starts_with(BLOB_MAGIC_TAGGED)
@@ -313,7 +278,7 @@ fn unframe_blob(bytes: &[u8]) -> std::result::Result<(&[u8], FrameTag), String> 
         ));
     }
     OBS_CRC_VERIFIED.inc();
-    Ok((payload, tag))
+    Ok((payload, actual, tag))
 }
 
 /// `fsck`'s frame-tag cross-check: the frame header's codec claim must
@@ -432,7 +397,7 @@ impl StoreWriter {
                 .and_then(|bytes| {
                     unframe_blob(&bytes)
                         .ok()
-                        .map(|(payload, _)| crc32c(payload) == meta.crc.unwrap_or(0))
+                        .map(|(_, crc, _)| crc == meta.crc.unwrap_or(0))
                 })
                 .unwrap_or(false)
         };
@@ -503,6 +468,16 @@ impl StoreWriter {
         &self.dir
     }
 
+    /// A read-only view of exactly the entries durable right now; reads
+    /// through it verify framing and CRC like any [`Store`] read. A
+    /// resumed run reloads its previous winner through this.
+    pub(crate) fn durable_view(&self) -> Store {
+        Store {
+            dir: self.dir.clone(),
+            entries: self.entries.clone(),
+        }
+    }
+
     /// Steps with at least one durable entry, ascending.
     pub fn durable_steps(&self) -> Vec<usize> {
         let mut v: Vec<usize> = self.entries.keys().map(|(s, _)| *s).collect();
@@ -534,28 +509,14 @@ impl StoreWriter {
                 "variable names starting with {LOSSY_PREFIX:?} are reserved for lossy companions"
             )));
         }
-        let file = format!("s{step:06}_{variable}.ibis");
         let (payload, plan) = codec::encode_index_auto(index);
-        let framed = if plan.iter().all(|&c| c == CodecId::Wah) {
-            frame_blob(&payload)
+        let (framed, crc) = if plan.iter().all(|&c| c == CodecId::Wah) {
+            frame_blob(BLOB_MAGIC, None, &payload)
         } else {
             OBS_PUT_TAGGED.inc();
-            frame_blob_tagged(&payload, plan_frame_tag(&plan))
+            frame_blob(BLOB_MAGIC_TAGGED, Some(plan_frame_tag(&plan)), &payload)
         };
-        let meta = EntryMeta {
-            file: file.clone(),
-            len: Some(framed.len() as u64),
-            crc: Some(crc32c(&payload)),
-        };
-        self.write_blob_with_faults(&file, &framed)?;
-        OBS_PUT_BLOBS.inc();
-        OBS_PUT_BYTES.add(framed.len() as u64);
-        let line = entry_line(step, variable, &meta);
-        writeln!(self.journal, "{line}\t{:08x}", crc32c(line.as_bytes()))
-            .and_then(|()| self.journal.sync_all())
-            .map_err(|e| IbisError::io("append JOURNAL", &e))?;
-        self.entries.insert((step, variable.to_string()), meta);
-        Ok(())
+        self.commit(step, variable, &framed, crc)
     }
 
     /// Persists the step's row permutation under the reserved
@@ -575,24 +536,11 @@ impl StoreWriter {
                 "identity row orders are never persisted".into(),
             ));
         }
-        let file = format!("s{step:06}_{ORDER_VARIABLE}.ibis");
-        let payload = encode_perm_payload(perm.inv());
-        let framed = frame_blob_perm(&payload, order.tag());
-        let meta = EntryMeta {
-            file: file.clone(),
-            len: Some(framed.len() as u64),
-            crc: Some(crc32c(&payload)),
-        };
-        self.write_blob_with_faults(&file, &framed)?;
+        let mut payload = Vec::with_capacity(8 + perm.inv().len() * 4);
+        put_perm_payload(&mut payload, perm.inv());
+        let (framed, crc) = frame_blob(BLOB_MAGIC_PERM, Some(order.tag()), &payload);
+        self.commit(step, ORDER_VARIABLE, &framed, crc)?;
         OBS_ORDER_PUT.inc();
-        OBS_PUT_BLOBS.inc();
-        OBS_PUT_BYTES.add(framed.len() as u64);
-        let line = entry_line(step, ORDER_VARIABLE, &meta);
-        writeln!(self.journal, "{line}\t{:08x}", crc32c(line.as_bytes()))
-            .and_then(|()| self.journal.sync_all())
-            .map_err(|e| IbisError::io("append JOURNAL", &e))?;
-        self.entries
-            .insert((step, ORDER_VARIABLE.to_string()), meta);
         Ok(())
     }
 
@@ -618,25 +566,31 @@ impl StoreWriter {
                 "lossy FPR {fpr} outside the supported range"
             )));
         }
-        let entry = format!("{LOSSY_PREFIX}{variable}");
-        let file = format!("s{step:06}_{entry}.ibis");
         let (index_payload, _) = codec::encode_index_auto(lossy);
         let payload = encode_lossy_payload(fpr, stats, &index_payload);
-        let framed = frame_blob_lossy(&payload, fpr_class(fpr));
-        let meta = EntryMeta {
-            file: file.clone(),
-            len: Some(framed.len() as u64),
-            crc: Some(crc32c(&payload)),
-        };
-        self.write_blob_with_faults(&file, &framed)?;
+        let (framed, crc) = frame_blob(BLOB_MAGIC_LOSSY, Some(fpr_class(fpr)), &payload);
+        self.commit(step, &format!("{LOSSY_PREFIX}{variable}"), &framed, crc)?;
         OBS_LOSSY_PUT.inc();
+        Ok(())
+    }
+
+    /// Lands one framed blob under `entry`: the atomic blob write first,
+    /// then the journal line (synced) that declares it durable, then the
+    /// in-memory entry. `crc` is the payload CRC [`frame_blob`] computed.
+    fn commit(&mut self, step: usize, entry: &str, framed: &[u8], crc: u32) -> Result<()> {
+        let meta = EntryMeta {
+            file: format!("s{step:06}_{entry}.ibis"),
+            len: Some(framed.len() as u64),
+            crc: Some(crc),
+        };
+        self.write_blob_with_faults(&meta.file, framed)?;
         OBS_PUT_BLOBS.inc();
         OBS_PUT_BYTES.add(framed.len() as u64);
-        let line = entry_line(step, &entry, &meta);
+        let line = entry_line(step, entry, &meta);
         writeln!(self.journal, "{line}\t{:08x}", crc32c(line.as_bytes()))
             .and_then(|()| self.journal.sync_all())
             .map_err(|e| IbisError::io("append JOURNAL", &e))?;
-        self.entries.insert((step, entry), meta);
+        self.entries.insert((step, entry.to_string()), meta);
         Ok(())
     }
 
@@ -883,12 +837,12 @@ impl Store {
             || bytes.starts_with(BLOB_MAGIC_PERM)
             || bytes.starts_with(BLOB_MAGIC_LOSSY)
         {
-            let (payload, tag) = unframe_blob(&bytes).map_err(|detail| IbisError::Corrupt {
-                file: meta.file.clone(),
-                detail,
-            })?;
+            let (payload, actual, tag) =
+                unframe_blob(&bytes).map_err(|detail| IbisError::Corrupt {
+                    file: meta.file.clone(),
+                    detail,
+                })?;
             if let Some(crc) = meta.crc {
-                let actual = crc32c(payload);
                 if actual != crc {
                     return Err(IbisError::Corrupt {
                         file: meta.file.clone(),
@@ -1495,9 +1449,13 @@ mod tests {
         w.finish().unwrap();
         let bytes = std::fs::read(dir.join("s000000_temperature.ibis")).unwrap();
         assert_eq!(&bytes[..4], BLOB_MAGIC, "all-WAH plan must stay on IBB2");
+        let payload = codec::encode_index(&idx);
+        let mut legacy = b"IBB2".to_vec();
+        legacy.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        legacy.extend_from_slice(&payload);
+        legacy.extend_from_slice(&crc32c(&payload).to_le_bytes());
         assert_eq!(
-            bytes,
-            frame_blob(&codec::encode_index(&idx)),
+            bytes, legacy,
             "all-WAH blob bytes must match the legacy framing exactly"
         );
         let store = Store::open(&dir).unwrap();

@@ -54,53 +54,82 @@ fn dir_contents(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     out
 }
 
+/// Runs to completion through a kill at each step of `kills` in turn
+/// (each resume carries the next kill), and returns the final report.
+fn run_through_kills(order: RowOrder, kills: &[usize], dir: &Path) -> ibis_insitu::InsituReport {
+    let cfg_with = |kill: Option<&usize>| {
+        let mut c = cfg();
+        c.row_order = order;
+        if let Some(&step) = kill {
+            c.robustness.faults = FaultPlan::none().with_kill_at_step(step);
+        }
+        c
+    };
+    for (n, kill) in kills.iter().enumerate() {
+        let c = cfg_with(Some(kill));
+        let err = if n == 0 {
+            run_durable(OceanModel::new(ocean()), &c, dir)
+        } else {
+            resume_durable(OceanModel::new(ocean()), &c, dir)
+        }
+        .unwrap_err();
+        assert_eq!(err, IbisError::Killed { step: *kill });
+        assert!(
+            pending_checkpoint(dir).is_some(),
+            "a run killed at step {kill} must leave its checkpoint behind"
+        );
+    }
+    resume_durable(OceanModel::new(ocean()), &cfg_with(None), dir).unwrap()
+}
+
 #[test]
 fn killed_run_resumes_to_byte_identical_store() {
-    let clean_dir = tmp("clean");
-    let crash_dir = tmp("crash");
+    for order in [RowOrder::Identity, RowOrder::GrayBin] {
+        // the uninterrupted reference run
+        let clean_dir = tmp(&format!("clean-{}", order.name()));
+        let clean = run_through_kills(order, &[], &clean_dir);
+        assert_eq!(clean.selected.len(), 4);
+        let reference = dir_contents(&clean_dir);
+        assert!(
+            reference
+                .keys()
+                .all(|f| f == "MANIFEST" || (f.ends_with(".ibis") && !f.starts_with('.'))),
+            "a finished run leaves only blobs and the manifest: {:?}",
+            reference.keys()
+        );
+        assert_eq!(
+            reference.keys().any(|f| f.contains("__order")),
+            order != RowOrder::Identity,
+            "row permutations are persisted exactly under a non-identity order"
+        );
 
-    // the uninterrupted reference run
-    let clean = run_durable(OceanModel::new(ocean()), &cfg(), &clean_dir).unwrap();
-    assert_eq!(clean.selected.len(), 4);
-    assert!(pending_checkpoint(&clean_dir).is_none());
+        // the same run killed at every step in turn, plus one run killed
+        // three times (a resumed run's own checkpoints must resume too)
+        let steps = cfg().steps;
+        let single = (1..steps).map(|k| vec![k]);
+        for kills in single.chain([vec![2, 3, 8]]) {
+            let crash_dir = tmp(&format!("crash-{}-{kills:?}", order.name()));
+            let resumed = run_through_kills(order, &kills, &crash_dir);
+            assert_eq!(
+                resumed.selected, clean.selected,
+                "{order:?}, killed at {kills:?}: selection must survive the crash"
+            );
+            assert_eq!(resumed.bytes_written, clean.bytes_written);
+            assert_eq!(resumed.step_outcomes, clean.step_outcomes);
+            // the store itself — every file, every byte; a surviving
+            // CHECKPOINT, JOURNAL or temp file fails the comparison
+            assert!(
+                dir_contents(&crash_dir) == reference,
+                "{order:?}, killed at {kills:?}: resumed store must be \
+                 byte-identical to the uninterrupted one"
+            );
+            std::fs::remove_dir_all(&crash_dir).ok();
+        }
 
-    // the same run, killed mid-flight by the fault plan
-    let mut killed_cfg = cfg();
-    killed_cfg.robustness.faults = FaultPlan::none().with_kill_at_step(6);
-    let err = run_durable(OceanModel::new(ocean()), &killed_cfg, &crash_dir).unwrap_err();
-    assert_eq!(err, IbisError::Killed { step: 6 });
-    assert!(
-        pending_checkpoint(&crash_dir).is_some(),
-        "a killed run must leave its checkpoint behind"
-    );
-
-    // resume with the kill removed from the plan
-    let resumed = resume_durable(OceanModel::new(ocean()), &cfg(), &crash_dir).unwrap();
-    assert_eq!(
-        resumed.selected, clean.selected,
-        "selection must survive the crash"
-    );
-    assert_eq!(resumed.bytes_written, clean.bytes_written);
-    assert!(
-        pending_checkpoint(&crash_dir).is_none(),
-        "checkpoint must be retired"
-    );
-
-    // the store itself — every file, every byte
-    assert_eq!(
-        dir_contents(&clean_dir),
-        dir_contents(&crash_dir),
-        "resumed store must be byte-identical to the uninterrupted one"
-    );
-
-    // both stores load and agree
-    let a = Store::open(&clean_dir).unwrap();
-    let b = Store::open(&crash_dir).unwrap();
-    assert_eq!(a.steps(), b.steps());
-    assert_eq!(a.steps(), clean.selected);
-
-    std::fs::remove_dir_all(&clean_dir).ok();
-    std::fs::remove_dir_all(&crash_dir).ok();
+        let store = Store::open(&clean_dir).unwrap();
+        assert_eq!(store.steps(), clean.selected);
+        std::fs::remove_dir_all(&clean_dir).ok();
+    }
 }
 
 #[test]

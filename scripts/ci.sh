@@ -44,15 +44,18 @@ test -f target/obs_differential/instrumented.digest
 test -f target/obs_differential/noop.digest
 cmp target/obs_differential/instrumented.digest target/obs_differential/noop.digest
 
-echo "==> cargo test (fault-injection + crash/resume suites, default kernels)"
-cargo test -q -p ibis-insitu --test fault_injection --test crash_resume
+echo "==> cargo test (fault-injection + every-step crash/resume suites, ibis-insitu unit tests incl. the CRC32-C kernel differential; both obs configs)"
+for obs in "" "--no-default-features"; do
+    # shellcheck disable=SC2086
+    cargo test -q -p ibis-insitu $obs --lib --test fault_injection --test crash_resume
+done
 
 echo "==> cargo test (ibis-core with legacy-kernels, for the A/B sweep)"
 cargo test -q -p ibis-core --features legacy-kernels
 
 echo "==> cargo test (fault suite against legacy kernels)"
 cargo test -q -p ibis-insitu --features ibis-core/legacy-kernels \
-    --test fault_injection --test crash_resume
+    --lib --test fault_injection --test crash_resume
 
 echo "==> generation bench smoke (both kernel configs) + report schema"
 # IBIS_GEN_SMOKE=1 shrinks the sweep and writes to target/ so CI never
