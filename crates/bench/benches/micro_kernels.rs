@@ -1,8 +1,11 @@
 //! Criterion micro-benchmarks for the compute kernels — WAH construction,
 //! logical operations, metric kernels, the mining inner loop — plus the
-//! **adaptive-kernel sweep**: density × codec × kernel, adaptive vs the
-//! legacy closure-generic path (`legacy-kernels` feature), persisted to
-//! `BENCH_kernels.json` at the repository root.
+//! **kernel sweep**: density × codec × kernel, written to
+//! `target/BENCH_kernels.sweep.json`. The committed `BENCH_kernels.json`
+//! at the repository root is the historical record of this sweep from
+//! when the pre-adaptive closure-generic kernels still existed (its
+//! `wah_legacy` rows and `adaptive_over_legacy_speedup` table); the sweep
+//! never overwrites it.
 //!
 //! Run with `IBIS_SWEEP_ONLY=1` to emit the JSON without the (slower)
 //! criterion groups.
@@ -29,7 +32,7 @@ fn smooth_field(phase: f64) -> Vec<f64> {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive-kernel sweep: density × codec × kernel, new vs legacy.
+// Kernel sweep: density × codec × kernel.
 // ---------------------------------------------------------------------------
 
 /// Mean seconds per iteration: calibrates an iteration count to ~60 ms per
@@ -115,26 +118,12 @@ fn kernel_sweep() {
                 mean_s,
             });
         };
-        // WAH, adaptive dense-path kernels (this PR's default path).
+        // WAH, adaptive dense-path kernels.
         push("wah_adaptive", "and_count", measure(|| wa.and_count(&wb)));
         push("wah_adaptive", "xor_count", measure(|| wa.xor_count(&wb)));
         push("wah_adaptive", "and", measure(|| wa.and(&wb)));
         push("wah_adaptive", "xor", measure(|| wa.xor(&wb)));
         push("wah_adaptive", "or", measure(|| wa.or(&wb)));
-        // WAH, pre-adaptive closure-generic kernels (A/B baseline).
-        push(
-            "wah_legacy",
-            "and_count",
-            measure(|| wa.and_count_legacy(&wb)),
-        );
-        push(
-            "wah_legacy",
-            "xor_count",
-            measure(|| wa.xor_count_legacy(&wb)),
-        );
-        push("wah_legacy", "and", measure(|| wa.and_legacy(&wb)));
-        push("wah_legacy", "xor", measure(|| wa.xor_legacy(&wb)));
-        push("wah_legacy", "or", measure(|| wa.or_legacy(&wb)));
         // BBC codec (byte-aligned runs) — fused AND-popcount only.
         push("bbc", "and_count", measure(|| ba.and_count(&bb)));
         // Uncompressed baseline (clone + in-place AND + popcount).
@@ -149,19 +138,6 @@ fn kernel_sweep() {
         );
     }
     write_json(&samples);
-}
-
-/// Speedup of the adaptive path over the legacy path for `kernel` on
-/// `pattern` (values > 1 mean the adaptive path is faster).
-fn speedup(samples: &[Sample], pattern: &str, kernel: &str) -> f64 {
-    let time_of = |codec: &str| {
-        samples
-            .iter()
-            .find(|s| s.pattern == pattern && s.codec == codec && s.kernel == kernel)
-            .expect("sample present")
-            .mean_s
-    };
-    time_of("wah_legacy") / time_of("wah_adaptive")
 }
 
 fn write_json(samples: &[Sample]) {
@@ -179,37 +155,12 @@ fn write_json(samples: &[Sample]) {
             if i + 1 == samples.len() { "" } else { "," }
         ));
     }
-    out.push_str("  ],\n  \"adaptive_over_legacy_speedup\": {\n");
-    let patterns: Vec<&str> = {
-        let mut seen = Vec::new();
-        for s in samples {
-            if !seen.contains(&s.pattern) {
-                seen.push(s.pattern);
-            }
-        }
-        seen
-    };
-    for (pi, p) in patterns.iter().enumerate() {
-        out.push_str(&format!("    \"{p}\": {{"));
-        for (ki, k) in ["and_count", "xor_count", "and", "xor", "or"]
-            .iter()
-            .enumerate()
-        {
-            let sp = speedup(samples, p, k);
-            println!("sweep: {p:<16} {k:<10} adaptive/legacy speedup {sp:.2}x");
-            out.push_str(&format!(
-                "\"{k}\": {sp:.3}{}",
-                if ki == 4 { "" } else { ", " }
-            ));
-        }
-        out.push_str(&format!(
-            "}}{}\n",
-            if pi + 1 == patterns.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  }\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    std::fs::write(path, out).expect("write BENCH_kernels.json");
+    out.push_str("  ]\n}\n");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../target/BENCH_kernels.sweep.json"
+    );
+    std::fs::write(path, out).expect("write BENCH_kernels.sweep.json");
     println!("sweep: wrote {path}");
 }
 

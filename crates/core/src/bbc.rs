@@ -194,8 +194,7 @@ impl BbcVec {
     }
 
     /// The pre-merge byte-at-a-time `and_count`, kept callable as the A/B
-    /// baseline the codec shootout reports against (mirroring how
-    /// `legacy-kernels` anchors the WAH kernels).
+    /// baseline the codec shootout reports against.
     pub fn and_count_bytewise(&self, other: &BbcVec) -> u64 {
         assert_eq!(self.len_bits, other.len_bits, "length mismatch");
         let mut total = 0u64;

@@ -106,8 +106,8 @@ impl BitmapIndex {
     }
 
     /// The element-at-a-time reference build (one `bin_of` + one `push` per
-    /// element). Kept as the property-test oracle for the batched fast path
-    /// — mirroring how `legacy-kernels` anchors the query kernels.
+    /// element). Kept as the property-test oracle for the batched fast
+    /// path.
     pub fn build_scalar(data: &[f64], binner: Binner) -> Self {
         let mut mb = MultiWahBuilder::new(binner.nbins());
         for &v in data {

@@ -4,13 +4,7 @@
 //! Distance, OR for range queries and high-level index construction.
 
 use crate::kernels::{self, add_literal_per_unit, lit_mask, DenseBits};
-#[cfg(feature = "legacy-kernels")]
-use crate::runs::SegCursor;
 use crate::wah::WahVec;
-#[cfg(feature = "legacy-kernels")]
-use crate::wah::{LITERAL_MASK, SEG_BITS};
-#[cfg(feature = "legacy-kernels")]
-use crate::WahBuilder;
 
 impl WahVec {
     /// Bitwise AND; both vectors must have the same length.
@@ -264,131 +258,6 @@ impl crate::codec::CodecVec {
     }
 }
 
-/// Pre-adaptive closure-generic kernels, kept callable for A/B
-/// benchmarking against the monomorphized adaptive paths.
-#[cfg(feature = "legacy-kernels")]
-impl WahVec {
-    /// The pre-adaptive closure-generic `and` (segment-at-a-time).
-    pub fn and_legacy(&self, other: &WahVec) -> WahVec {
-        binary(self, other, |a, b| a & b)
-    }
-
-    /// The pre-adaptive closure-generic `or`.
-    pub fn or_legacy(&self, other: &WahVec) -> WahVec {
-        binary(self, other, |a, b| a | b)
-    }
-
-    /// The pre-adaptive closure-generic `xor`.
-    pub fn xor_legacy(&self, other: &WahVec) -> WahVec {
-        binary(self, other, |a, b| a ^ b)
-    }
-
-    /// The pre-adaptive run-merge `and_count`.
-    pub fn and_count_legacy(&self, other: &WahVec) -> u64 {
-        fold_binary(self, other, |a, b| a & b)
-    }
-
-    /// The pre-adaptive run-merge `xor_count`.
-    pub fn xor_count_legacy(&self, other: &WahVec) -> u64 {
-        fold_binary(self, other, |a, b| a ^ b)
-    }
-
-    /// The pre-adaptive `not` (`binary` against an all-ones vector).
-    pub fn not_legacy(&self) -> WahVec {
-        let ones = WahVec::ones(self.len());
-        binary(self, &ones, |a, b| !a & b)
-    }
-}
-
-/// Generic compressed binary operation. Fill×fill stretches are combined in
-/// O(1) per run pair; mixed stretches fall back to 31-bit segments.
-#[cfg(feature = "legacy-kernels")]
-fn binary(a: &WahVec, b: &WahVec, f: impl Fn(u32, u32) -> u32) -> WahVec {
-    assert_eq!(a.len(), b.len(), "binary op on different-length vectors");
-    let mut ca = SegCursor::new(&a.words, a.len_bits);
-    let mut cb = SegCursor::new(&b.words, b.len_bits);
-    let mut out = WahBuilder::new();
-    loop {
-        if let (Some((ba, na)), Some((bb, nb))) = (ca.peek_fill(), cb.peek_fill()) {
-            let n = na.min(nb);
-            let r = f(mask_of(ba), mask_of(bb)) & LITERAL_MASK;
-            debug_assert!(r == 0 || r == LITERAL_MASK, "fill op must yield a fill");
-            out.append_run(r == LITERAL_MASK, n);
-            ca.skip_fill(n);
-            cb.skip_fill(n);
-            continue;
-        }
-        match (ca.next_seg(), cb.next_seg()) {
-            (None, None) => break,
-            (Some((pa, na)), Some((pb, nb))) => {
-                debug_assert_eq!(na, nb, "same-length vectors must stay aligned");
-                let r = f(pa, pb) & LITERAL_MASK;
-                if na as u64 == SEG_BITS {
-                    out.append_seg31(r);
-                } else {
-                    for j in 0..na {
-                        out.push_bit(r & (1 << j) != 0);
-                    }
-                }
-            }
-            _ => unreachable!("cursors of equal-length vectors end together"),
-        }
-    }
-    out.finish()
-}
-
-/// Like [`binary`] but only counts result 1-bits. A run-merge loop: each
-/// literal word costs one match, fill×fill stretches cost O(1) — the hot
-/// kernel behind `and_count` / `xor_count` in metric evaluation and mining.
-#[cfg(feature = "legacy-kernels")]
-fn fold_binary(a: &WahVec, b: &WahVec, f: impl Fn(u32, u32) -> u32) -> u64 {
-    assert_eq!(a.len(), b.len(), "binary op on different-length vectors");
-    let mut ra = a.runs();
-    let mut rb = b.runs();
-    let mut run_a = ra.next();
-    let mut run_b = rb.next();
-    let mut total = 0u64;
-    loop {
-        match (run_a, run_b) {
-            (None, None) => break,
-            (Some(x), Some(y)) => {
-                use crate::runs::Run::*;
-                match (x, y) {
-                    (Fill(fa, na), Fill(fb, nb)) => {
-                        let n = na.min(nb);
-                        if f(mask_of(fa), mask_of(fb)) & LITERAL_MASK != 0 {
-                            total += n;
-                        }
-                        run_a = shrink_fill(fa, na, n, &mut ra);
-                        run_b = shrink_fill(fb, nb, n, &mut rb);
-                    }
-                    (Fill(fa, na), Literal(p, w)) => {
-                        // a literal run is at most 31 bits, a fill at least 31
-                        let mask = lit_mask(w);
-                        total += (f(mask_of(fa), p) & mask).count_ones() as u64;
-                        run_a = shrink_fill(fa, na, w as u64, &mut ra);
-                        run_b = rb.next();
-                    }
-                    (Literal(p, w), Fill(fb, nb)) => {
-                        let mask = lit_mask(w);
-                        total += (f(p, mask_of(fb)) & mask).count_ones() as u64;
-                        run_a = ra.next();
-                        run_b = shrink_fill(fb, nb, w as u64, &mut rb);
-                    }
-                    (Literal(pa, wa), Literal(pb, wb)) => {
-                        debug_assert_eq!(wa, wb, "equal-length vectors stay aligned");
-                        total += (f(pa, pb) & lit_mask(wa)).count_ones() as u64;
-                        run_a = ra.next();
-                        run_b = rb.next();
-                    }
-                }
-            }
-            _ => unreachable!("cursors of equal-length vectors end together"),
-        }
-    }
-    total
-}
-
 /// Consumes `take` bits from a fill run of `n`, returning the remainder (or
 /// the next run when exhausted).
 #[inline]
@@ -403,16 +272,6 @@ fn shrink_fill(
         iter.next()
     } else {
         Some(crate::runs::Run::Fill(bit, n - take))
-    }
-}
-
-#[cfg(feature = "legacy-kernels")]
-#[inline]
-fn mask_of(bit: bool) -> u32 {
-    if bit {
-        LITERAL_MASK
-    } else {
-        0
     }
 }
 

@@ -65,79 +65,6 @@ impl Iterator for RunIter<'_> {
     }
 }
 
-/// A cursor over runs that can hand out 31-bit segments on demand and skip
-/// whole fills; the workhorse behind the legacy closure-generic binary
-/// operations (the adaptive kernels in `kernels.rs` use [`RunIter`] and raw
-/// word loops instead).
-#[cfg_attr(not(any(test, feature = "legacy-kernels")), allow(dead_code))]
-pub(crate) struct SegCursor<'a> {
-    runs: RunIter<'a>,
-    current: Option<Run>,
-}
-
-#[cfg_attr(not(any(test, feature = "legacy-kernels")), allow(dead_code))]
-impl<'a> SegCursor<'a> {
-    pub fn new(words: &'a [u32], len_bits: u64) -> Self {
-        let mut runs = RunIter::new(words, len_bits);
-        let current = runs.next();
-        SegCursor { runs, current }
-    }
-
-    /// If positioned on a fill, returns `(bit, remaining_bits)`.
-    #[inline]
-    pub fn peek_fill(&self) -> Option<(bool, u64)> {
-        match self.current {
-            Some(Run::Fill(bit, n)) => Some((bit, n)),
-            _ => None,
-        }
-    }
-
-    /// Consumes `nbits` from the current fill; `nbits` must be a multiple of
-    /// 31 not exceeding the fill's remaining length.
-    #[inline]
-    pub fn skip_fill(&mut self, nbits: u64) {
-        match self.current {
-            Some(Run::Fill(bit, n)) => {
-                debug_assert!(nbits <= n && nbits.is_multiple_of(SEG_BITS));
-                if nbits == n {
-                    self.current = self.runs.next();
-                } else {
-                    self.current = Some(Run::Fill(bit, n - nbits));
-                }
-            }
-            _ => panic!("skip_fill on a non-fill run"),
-        }
-    }
-
-    /// Produces the next segment as `(payload, nbits)`; fills are expanded to
-    /// 31-bit all-zero / all-one segments. Returns `None` at the end.
-    #[inline]
-    pub fn next_seg(&mut self) -> Option<(u32, u8)> {
-        match self.current {
-            None => None,
-            Some(Run::Literal(payload, nbits)) => {
-                self.current = self.runs.next();
-                Some((payload, nbits))
-            }
-            Some(Run::Fill(bit, n)) => {
-                let payload = if bit { LITERAL_MASK } else { 0 };
-                if n == SEG_BITS {
-                    self.current = self.runs.next();
-                } else {
-                    self.current = Some(Run::Fill(bit, n - SEG_BITS));
-                }
-                Some((payload, SEG_BITS as u8))
-            }
-        }
-    }
-
-    /// `true` once every bit has been consumed.
-    #[cfg(test)]
-    pub fn is_done(&self) -> bool {
-        self.current.is_none()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,36 +99,5 @@ mod tests {
             let total: u64 = runs_of(&v).iter().map(Run::len).sum();
             assert_eq!(total, len);
         }
-    }
-
-    #[test]
-    fn seg_cursor_expands_fills() {
-        let v = WahVec::ones(93);
-        let mut c = SegCursor::new(v.words(), v.len());
-        for _ in 0..3 {
-            assert_eq!(c.next_seg(), Some((LITERAL_MASK, 31)));
-        }
-        assert_eq!(c.next_seg(), None);
-        assert!(c.is_done());
-    }
-
-    #[test]
-    fn seg_cursor_skip_fill() {
-        let v = WahVec::zeros(31 * 10);
-        let mut c = SegCursor::new(v.words(), v.len());
-        assert_eq!(c.peek_fill(), Some((false, 310)));
-        c.skip_fill(31 * 9);
-        assert_eq!(c.peek_fill(), Some((false, 31)));
-        assert_eq!(c.next_seg(), Some((0, 31)));
-        assert!(c.is_done());
-    }
-
-    #[test]
-    fn seg_cursor_tail() {
-        let v = WahVec::from_bits((0..33).map(|_| true));
-        let mut c = SegCursor::new(v.words(), v.len());
-        assert_eq!(c.next_seg(), Some((LITERAL_MASK, 31)));
-        assert_eq!(c.next_seg(), Some((0b11, 2)));
-        assert_eq!(c.next_seg(), None);
     }
 }

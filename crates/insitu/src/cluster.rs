@@ -691,16 +691,34 @@ mod tests {
 
     #[test]
     fn remote_io_is_contended() {
-        // full data over the shared link must cost more output time than
-        // bitmaps over the same link
+        // `phases.output` of two remote runs cannot be compared: a write's
+        // arrival time is its node's *measured* compute clock, and writes
+        // reach the link in host order, so a node whose clock trails the
+        // link's `busy_until` is charged the skew between node clocks as
+        // queueing — milliseconds on a loaded host, against transfers of
+        // microseconds. What each run ships is deterministic, so replay it
+        // on the link at pinned arrival times instead.
         let rb = run_cluster(&base(3, ClusterReduction::Bitmaps, ClusterIo::Remote)).unwrap();
         let rf = run_cluster(&base(3, ClusterReduction::FullData, ClusterIo::Remote)).unwrap();
-        assert!(
-            rf.phases.output > rb.phases.output,
-            "full {} vs bitmaps {}",
-            rf.phases.output,
-            rb.phases.output
+        assert!(rb.bytes_written < rf.bytes_written);
+        // three nodes each arrive with a third of the run's bytes at t = 1
+        let link_seconds = |total: u64| -> Vec<f64> {
+            let link = RemoteLink::new(MachineModel::remote_link_bw());
+            (0..3)
+                .map(|_| link.write(1.0, total / 3).unwrap())
+                .collect()
+        };
+        let (bitmaps, full) = (
+            link_seconds(rb.bytes_written),
+            link_seconds(rf.bytes_written),
         );
+        for waits in [&bitmaps, &full] {
+            // contended: the k-th simultaneous writer waits out k transfers
+            assert!((waits[1] - 2.0 * waits[0]).abs() < 1e-12, "{waits:?}");
+            assert!((waits[2] - 3.0 * waits[0]).abs() < 1e-12, "{waits:?}");
+        }
+        // full data over the shared link costs more link time than bitmaps
+        assert!(full[2] > bitmaps[2], "full {full:?} vs bitmaps {bitmaps:?}");
     }
 
     #[test]

@@ -2,41 +2,58 @@
 //! reduce (bitmaps / sampling / nothing) → select time-steps → write the
 //! selected summaries.
 //!
-//! Two core-allocation strategies are implemented exactly as described:
+//! A run is three parts, and only the first and last come in variants:
 //!
-//! * **Shared Cores** — every phase uses all the cores, phases alternate:
-//!   simulate a step, pause the simulation, build its bitmaps, continue.
-//! * **Separate Cores** — the cores are split into a simulation set and a
-//!   bitmaps set; the simulation streams steps into a bounded **data queue**
-//!   (a crossbeam channel whose capacity models the memory budget) and the
-//!   bitmap cores drain it concurrently.
-//!
-//! Selection is the streaming greedy algorithm of Figure 3 with fixed-length
-//! intervals: the pipeline buffers one interval of summaries, scores each
-//! against the previously selected step when the interval completes, keeps
-//! the most dissimilar one, writes it out, and frees the rest.
+//! * a **producer** makes steps. Under **Shared Cores** it is inline —
+//!   every phase uses all the cores and phases alternate: simulate a step,
+//!   pause the simulation, consume the step, continue. Under **Separate
+//!   Cores** it is the simulation core set on its own thread, streaming
+//!   steps into a bounded **data queue** (a crossbeam channel whose
+//!   capacity models the memory budget) that the bitmap cores drain
+//!   concurrently.
+//! * `StepLoop::consume` is what happens to a produced step, whoever
+//!   produced it: contain the reduction, account its memory, offer the
+//!   summary to the streaming greedy selector of Figure 3 (fixed-length
+//!   intervals: one interval of summaries is buffered, each is scored
+//!   against the previously selected step when the interval completes, the
+//!   most dissimilar one is kept and the rest freed) and hand a winner to
+//!   the sink.
+//! * a **sink** writes winners: the modeled [`Storage`] of
+//!   [`run_pipeline`], or the checksummed [`StoreWriter`] directory of
+//!   [`run_durable`] / [`resume_durable`], which also checkpoints the
+//!   selector after every step so a killed run resumes to a byte-identical
+//!   store. Nothing in `consume` depends on the producer, so durable runs
+//!   accept either allocation and leave the same bytes.
 //!
 //! ## Fault tolerance
 //!
 //! Because the bitmap store *replaces* the raw output, the pipeline must
-//! not lose data silently. Every worker runs its per-step work under
-//! `catch_unwind`; a contained panic is resolved by the configured
-//! [`FailurePolicy`]: abort with a structured [`IbisError`], skip the step
-//! (recorded as a [`StepOutcome`]), or rebuild the summary from the
-//! Section 6 sampling baseline. Under Separate-Cores a dead consumer drops
-//! the queue receiver so the blocked producer unblocks immediately (its
-//! `send` fails) instead of deadlocking, and a dead producer's steps are
-//! reported step-by-step rather than hanging the consumer. Storage writes
-//! go through [`write_with_retry`] with exponential backoff and a
-//! deadline. All fault handling is deterministic: the same
+//! not lose data silently. Every per-step body — the simulation step, the
+//! reduction, the sampling fallback — runs under `catch_unwind`; a
+//! contained panic is resolved by the configured [`FailurePolicy`]: abort
+//! with a structured [`IbisError`], skip the step (recorded as a
+//! [`StepOutcome`]), or rebuild the summary from the Section 6 sampling
+//! baseline. Under Separate-Cores a dead consumer drops the queue receiver
+//! so the blocked producer unblocks immediately (its `send` fails) instead
+//! of deadlocking, and a dead producer's steps are reported step-by-step
+//! rather than hanging the consumer. Modeled writes go through
+//! [`write_with_retry`] with exponential backoff and a deadline. All fault
+//! handling is deterministic: the same
 //! [`FaultPlan`](crate::fault::FaultPlan) produces the same failure report
-//! (same error value, same step outcomes, same event log) on every run.
+//! (same error value, same step outcomes, same event log) on every run and
+//! under either allocation.
 //!
-//! [`run_durable`] / [`resume_durable`] additionally persist each selected
-//! summary to a checksummed [`StoreWriter`] directory and checkpoint the
-//! selector state after every step, so a killed run can resume and produce
-//! a byte-identical store.
-
+//! ## Durable ordering
+//!
+//! Within one step the durable sink makes the winner's blobs durable
+//! (`write` + `fsync` + `rename` each), then their journal lines
+//! (`fsync`ed), and only then rewrites the `CHECKPOINT` (`fsync` +
+//! `rename`) that names the winner. A checkpoint on disk therefore implies
+//! the journal lines of everything it names, which imply the blobs; a
+//! crash in between leaves the older checkpoint, and the re-run step
+//! re-puts its winner idempotently. Resume replays the checkpoint's
+//! completed prefix into a fresh simulation — a Separate-Cores producer's
+//! run-ahead is never persisted.
 use crate::error::{panic_message, IbisError, Result, WorkerRole};
 use crate::fault::{FaultInjector, FaultSite};
 use crate::io::{codec, write_atomic, Storage};
@@ -246,6 +263,24 @@ impl PipelineConfig {
     }
 }
 
+/// The one row permutation a step's bitmaps are built under: computed
+/// from the first field (binned by `first_binner`) and applied to every
+/// field, so cross-variable correlation bitmaps stay row-aligned — which
+/// needs every field on the same grid, so steps whose fields differ in
+/// length keep their original order. `None` is the identity layout.
+pub fn step_permutation(
+    out: &StepOutput,
+    row_order: RowOrder,
+    dims: &[usize],
+    first_binner: &Binner,
+) -> Option<RowPermutation> {
+    let f0 = out.fields.first()?;
+    if out.fields.iter().any(|f| f.data.len() != f0.data.len()) {
+        return None;
+    }
+    row_order.permutation(dims, first_binner, &f0.data)
+}
+
 /// Builds the summary of one step under the configured reduction; returns
 /// the summary plus the row permutation it was built under (`None` for
 /// identity layouts and non-bitmap reductions).
@@ -255,9 +290,8 @@ impl PipelineConfig {
 /// builder scratch — both Shared and Separate allocations stop paying
 /// per-step binning/builder allocations in steady state. Under a
 /// non-identity [`RowOrder`] the same pass runs permuted
-/// ([`build_index_parallel_permuted`]): *one* permutation per step,
-/// computed from the first field, applied to every field, so
-/// cross-variable correlation bitmaps stay row-aligned.
+/// ([`build_index_parallel_permuted`]) under the step's one
+/// [`step_permutation`].
 fn summarize(
     out: &StepOutput,
     reduction: &Reduction,
@@ -266,30 +300,24 @@ fn summarize(
     row_order: RowOrder,
     dims: &[usize],
 ) -> (StepSummary, Option<Arc<RowPermutation>>) {
-    let fit = |f: &ibis_datagen::Field| match per_step_precision {
-        Some(digits) => Binner::fit_precision_anchored(&f.data, digits),
-        None => unreachable!("callers pass binners when precision is unset"),
+    let binners: Vec<Binner> = match per_step_precision {
+        Some(digits) => out
+            .fields
+            .iter()
+            .map(|f| Binner::fit_precision_anchored(&f.data, digits))
+            .collect(),
+        None => {
+            assert_eq!(
+                out.fields.len(),
+                binners.len(),
+                "one binner per field required"
+            );
+            binners.to_vec()
+        }
     };
-    if per_step_precision.is_none() {
-        assert_eq!(
-            out.fields.len(),
-            binners.len(),
-            "one binner per field required"
-        );
-    }
-    let perm = match (reduction, out.fields.first()) {
-        (Reduction::Bitmaps, Some(f0))
-            // a shared per-step permutation needs every field on the
-            // same grid
-            if out.fields.iter().all(|f| f.data.len() == f0.data.len()) =>
-        {
-            let binner0 = match per_step_precision {
-                Some(_) => fit(f0),
-                None => binners[0].clone(),
-            };
-            row_order
-                .permutation(dims, &binner0, &f0.data)
-                .map(Arc::new)
+    let perm = match (reduction, binners.first()) {
+        (Reduction::Bitmaps, Some(first)) => {
+            step_permutation(out, row_order, dims, first).map(Arc::new)
         }
         _ => None,
     };
@@ -299,14 +327,7 @@ fn summarize(
     let vars = out
         .fields
         .iter()
-        .enumerate()
-        .map(|(i, f)| {
-            let binner = match per_step_precision {
-                Some(_) => fit(f),
-                None => binners[i].clone(),
-            };
-            (f, binner)
-        })
+        .zip(binners)
         .map(|(f, binner)| match reduction {
             Reduction::Bitmaps => VarSummary::Bitmap(match &perm {
                 Some(p) => build_index_parallel_permuted(&f.data, binner, p),
@@ -381,6 +402,10 @@ struct StreamingSelector {
     select_time: Duration,
 }
 
+/// A summary held by the selector: the summary, whether it is degraded,
+/// and the row permutation it was built under.
+type Held = (StepSummary, bool, Option<Arc<RowPermutation>>);
+
 /// A summary the selector decided to keep — must be written out.
 struct Emitted {
     step: usize,
@@ -441,18 +466,6 @@ impl StreamingSelector {
             metric,
             select_time: Duration::ZERO,
         }
-    }
-
-    /// The most recently selected summary (the durable path persists it
-    /// right after an emission).
-    fn prev_summary(&self) -> Option<&StepSummary> {
-        self.prev.as_ref().map(|(s, _, _)| s)
-    }
-
-    /// The row permutation of the most recently selected summary, if it
-    /// was built under one.
-    fn prev_order(&self) -> Option<&Arc<RowPermutation>> {
-        self.prev.as_ref().and_then(|(_, _, p)| p.as_ref())
     }
 
     /// Offers the next step's summary; returns a selection event if one was
@@ -574,15 +587,14 @@ pub fn run_pipeline<S: Simulation>(
     storage: &dyn Storage,
 ) -> Result<InsituReport> {
     cfg.validate()?;
-    OBS_RUNS.inc();
-    let _run_span = OBS_RUN_WALL_NS.span();
-    let injector = Arc::new(FaultInjector::new(cfg.robustness.faults.clone()));
-    let mut report = match cfg.allocation {
-        CoreAllocation::Shared => run_shared(sim, cfg, storage, &injector)?,
-        CoreAllocation::Separate { .. } => run_separate(sim, cfg, storage, &injector)?,
-    };
-    report.fault_events = injector.events();
-    Ok(report)
+    let injector = FaultInjector::new(cfg.robustness.faults.clone());
+    run(
+        sim,
+        cfg,
+        &injector,
+        Sink::Modeled(storage),
+        CheckpointState::default(),
+    )
 }
 
 fn reduce_scaling(reduction: &Reduction) -> ScalingModel {
@@ -591,15 +603,6 @@ fn reduce_scaling(reduction: &Reduction) -> ScalingModel {
         Reduction::Bitmaps | Reduction::Sampling { .. } => ScalingModel::bitmap_gen(),
         Reduction::FullData => ScalingModel::new(0.0),
     }
-}
-
-/// What a contained reduction attempt produced.
-enum StepAttempt {
-    /// A usable summary (possibly degraded via the sampling fallback),
-    /// with the row permutation it was built under.
-    Kept(StepSummary, Option<Arc<RowPermutation>>, bool, StepOutcome),
-    /// The step is gone; the outcome says why.
-    Dropped(StepOutcome),
 }
 
 /// Resolves the grid dims a spatial [`RowOrder`] needs, as a typed error
@@ -619,278 +622,443 @@ fn resolve_dims<S: Simulation>(sim: &S, cfg: &PipelineConfig) -> Result<Vec<usiz
     }
 }
 
-/// Runs `summarize` for one step under `catch_unwind`, resolving a panic
-/// per the failure policy. The injected consumer panic (if scheduled for
-/// this step) fires inside the protected region.
-fn contained_summarize(
-    out: &StepOutput,
-    i: usize,
-    cfg: &PipelineConfig,
-    dims: &[usize],
-    pool: &rayon::ThreadPool,
-    injector: &FaultInjector,
-    reduce_t: &mut Duration,
-) -> Result<StepAttempt> {
-    let t0 = Instant::now();
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        pool.install(|| {
-            injector.maybe_panic(FaultSite::Consumer, i);
-            summarize(
-                out,
-                &cfg.reduction,
-                &cfg.binners,
-                cfg.per_step_precision,
-                cfg.row_order,
-                dims,
-            )
-        })
-    }));
-    let spent = t0.elapsed();
-    *reduce_t += spent;
-    OBS_COMPRESS_NS.record(spent.as_nanos() as u64);
-    let payload = match attempt {
-        Ok((summary, perm)) => {
-            return Ok(StepAttempt::Kept(
-                summary,
-                perm,
-                false,
-                StepOutcome::Completed,
-            ))
-        }
-        Err(payload) => payload,
-    };
-    let msg = panic_message(payload.as_ref());
-    match &cfg.robustness.policy {
-        FailurePolicy::Abort => Err(IbisError::WorkerPanic {
-            role: WorkerRole::Consumer,
-            step: Some(i),
-            message: msg,
-        }),
-        FailurePolicy::SkipStep => Ok(StepAttempt::Dropped(StepOutcome::Skipped {
-            reason: format!("summarize panicked: {msg}"),
-        })),
-        FailurePolicy::FallbackSampling { percent, method } => {
-            let (percent, method) = (*percent, *method);
-            let t0 = Instant::now();
-            let fb = catch_unwind(AssertUnwindSafe(|| {
-                pool.install(|| {
-                    fallback_summarize(
-                        out,
-                        &cfg.reduction,
-                        percent,
-                        method,
-                        &cfg.binners,
-                        cfg.per_step_precision,
-                    )
-                })
-            }));
-            *reduce_t += t0.elapsed();
-            match fb {
-                // Fallback summaries cover a sampled subset, so the
-                // step's permutation doesn't apply: stored identity.
-                Ok(summary) => Ok(StepAttempt::Kept(
-                    summary,
-                    None,
-                    true,
-                    StepOutcome::FallbackSampled {
-                        reason: format!("summarize panicked: {msg}"),
-                    },
-                )),
-                Err(payload2) => Ok(StepAttempt::Dropped(StepOutcome::Failed {
-                    error: format!(
-                        "summarize panicked ({msg}); sampling fallback also panicked ({})",
-                        panic_message(payload2.as_ref())
-                    ),
-                })),
-            }
-        }
-    }
+fn field_names_of(out: &StepOutput) -> Vec<String> {
+    out.fields.iter().map(|f| f.name.to_string()).collect()
 }
 
-/// Advances the simulation one step under `catch_unwind`. `Ok(Err(msg))`
-/// means the step panicked but the policy says keep running.
-fn contained_sim_step<S: Simulation>(
+/// Advances the simulation one step under `catch_unwind` — what both
+/// producers do per step. The new raw output is charged to `mem` here and
+/// released by [`StepLoop::consume`]; a contained panic comes back as its
+/// message, for `consume` to resolve per the failure policy.
+fn produce<S: Simulation>(
     sim: &mut S,
     i: usize,
     pool: &rayon::ThreadPool,
     injector: &FaultInjector,
-    policy: &FailurePolicy,
+    mem: &MemoryTracker,
     sim_t: &mut Duration,
-) -> Result<std::result::Result<StepOutput, String>> {
-    let t0 = Instant::now();
+) -> std::result::Result<StepOutput, String> {
     let attempt = catch_unwind(AssertUnwindSafe(|| {
-        pool.install(|| {
+        timed_in_pool(pool, || {
             injector.maybe_panic(FaultSite::Producer, i);
             sim.step()
         })
     }));
-    let spent = t0.elapsed();
-    *sim_t += spent;
-    OBS_PRODUCE_NS.record(spent.as_nanos() as u64);
     match attempt {
-        Ok(out) => Ok(Ok(out)),
-        Err(payload) => {
-            let msg = panic_message(payload.as_ref());
-            match policy {
-                FailurePolicy::Abort => Err(IbisError::WorkerPanic {
+        Ok((out, spent)) => {
+            *sim_t += spent;
+            OBS_PRODUCE_NS.record(spent.as_nanos() as u64);
+            mem.alloc(out.size_bytes() as u64);
+            Ok(out)
+        }
+        Err(payload) => Err(panic_message(payload.as_ref())),
+    }
+}
+
+/// Everything a run carries from step to step, and the one place a
+/// produced step is consumed.
+struct StepLoop<'a> {
+    cfg: &'a PipelineConfig,
+    injector: &'a FaultInjector,
+    dims: Vec<usize>,
+    /// The pool reductions run in: every core under Shared-Cores, the
+    /// bitmap core set under Separate-Cores.
+    pool: &'a rayon::ThreadPool,
+    mem: &'a MemoryTracker,
+    selector: StreamingSelector,
+    outcomes: Vec<StepOutcome>,
+    totals: RunTotals,
+    /// The simulation's field names in field order, known once a step has
+    /// been seen (the durable sink names its blobs by them).
+    field_names: Option<Vec<String>>,
+    /// Reduction time (measured).
+    reduce_t: Duration,
+}
+
+impl StepLoop<'_> {
+    /// Reduces one step under `catch_unwind` and records its outcome,
+    /// resolving a panic per the failure policy; `None` means the step is
+    /// gone. The injected consumer panic (if scheduled for this step)
+    /// fires inside the protected region.
+    fn contained_summarize(&mut self, out: &StepOutput, i: usize) -> Result<Option<Held>> {
+        let (cfg, pool, injector, dims) = (self.cfg, self.pool, self.injector, &self.dims);
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            timed_in_pool(pool, || {
+                injector.maybe_panic(FaultSite::Consumer, i);
+                summarize(
+                    out,
+                    &cfg.reduction,
+                    &cfg.binners,
+                    cfg.per_step_precision,
+                    cfg.row_order,
+                    dims,
+                )
+            })
+        }));
+        let msg = match attempt {
+            Ok(((summary, perm), spent)) => {
+                self.reduce_t += spent;
+                OBS_COMPRESS_NS.record(spent.as_nanos() as u64);
+                self.outcomes.push(StepOutcome::Completed);
+                return Ok(Some((summary, false, perm)));
+            }
+            Err(payload) => panic_message(payload.as_ref()),
+        };
+        let reason = format!("summarize panicked: {msg}");
+        match &cfg.robustness.policy {
+            FailurePolicy::Abort => Err(IbisError::WorkerPanic {
+                role: WorkerRole::Consumer,
+                step: Some(i),
+                message: msg,
+            }),
+            FailurePolicy::SkipStep => {
+                self.outcomes.push(StepOutcome::Skipped { reason });
+                Ok(None)
+            }
+            FailurePolicy::FallbackSampling { percent, method } => {
+                let fallback = catch_unwind(AssertUnwindSafe(|| {
+                    timed_in_pool(pool, || {
+                        fallback_summarize(
+                            out,
+                            &cfg.reduction,
+                            *percent,
+                            *method,
+                            &cfg.binners,
+                            cfg.per_step_precision,
+                        )
+                    })
+                }));
+                match fallback {
+                    // Fallback summaries cover a sampled subset, so the
+                    // step's permutation doesn't apply: stored identity.
+                    Ok((summary, spent)) => {
+                        self.reduce_t += spent;
+                        self.outcomes.push(StepOutcome::FallbackSampled { reason });
+                        Ok(Some((summary, true, None)))
+                    }
+                    Err(payload) => {
+                        self.outcomes.push(StepOutcome::Failed {
+                            error: format!(
+                                "summarize panicked ({msg}); sampling fallback also panicked ({})",
+                                panic_message(payload.as_ref())
+                            ),
+                        });
+                        Ok(None)
+                    }
+                }
+            }
+        }
+    }
+
+    /// Consumes step `i` — a produced output, or the message of the panic
+    /// that ate it: reduce, account memory, offer to the selector, hand a
+    /// winner to the sink, and let the sink close the step. An injected
+    /// kill at `i` fires first, so what the sink last closed is step
+    /// `i - 1`.
+    fn consume(
+        &mut self,
+        i: usize,
+        produced: std::result::Result<StepOutput, String>,
+        sink: &mut Sink<'_>,
+    ) -> Result<()> {
+        if self.injector.should_kill_at(i) {
+            return Err(IbisError::Killed { step: i });
+        }
+        let kept = match produced {
+            Ok(out) => {
+                let raw = out.size_bytes() as u64; // charged by `produce`
+                self.totals.raw_bytes_per_step = raw;
+                self.field_names.get_or_insert_with(|| field_names_of(&out));
+                let kept = self.contained_summarize(&out, i)?;
+                if let Some((summary, _, _)) = &kept {
+                    let sbytes = summary.size_bytes() as u64;
+                    self.totals.summary_bytes_total += sbytes;
+                    self.mem.alloc(sbytes);
+                }
+                drop(out);
+                self.mem.free(raw); // raw data discarded once the summary exists
+                kept
+            }
+            Err(message) if matches!(self.cfg.robustness.policy, FailurePolicy::Abort) => {
+                return Err(IbisError::WorkerPanic {
                     role: WorkerRole::Producer,
                     step: Some(i),
-                    message: msg,
-                }),
-                // no data to fall back on: both lenient policies skip
-                _ => Ok(Err(msg)),
+                    message,
+                });
             }
+            // no data to fall back on: both lenient policies skip
+            Err(msg) => {
+                self.outcomes.push(StepOutcome::Skipped {
+                    reason: format!("producer panicked: {msg}"),
+                });
+                None
+            }
+        };
+        let emitted = match kept {
+            Some((summary, degraded, perm)) => {
+                self.selector.offer(i, summary, degraded, perm, self.mem)
+            }
+            None => self.selector.note_skipped(i, self.mem),
+        };
+        if let Some(e) = emitted {
+            sink.persist(&e, self)?;
+        }
+        sink.close_step(i + 1, self)
+    }
+
+    /// Ends the run: frees what the selector still holds and models the
+    /// phase times. Shared-Cores phases alternate on one pool, so they
+    /// sum; Separate-Cores simulation overlaps reduction + selection (which
+    /// rides the bitmap cores), and a pool wider than one thread was
+    /// measured by wall clock next to the other pool, so it takes the
+    /// host-contention correction (one-thread pools were measured in
+    /// thread CPU time, exact under oversubscription).
+    fn into_report(self, sim_t: Duration, sim_threads: usize, wall0: Instant) -> InsituReport {
+        let cfg = self.cfg;
+        let threads = self.pool.current_num_threads();
+        let (selected, select_t) = self.selector.finish(self.mem);
+        OBS_SELECT_NS.add(select_t.as_nanos() as u64);
+        let (sim_cores, reduce_cores, overlap) = match cfg.allocation {
+            CoreAllocation::Shared => (cfg.cores, cfg.cores, false),
+            CoreAllocation::Separate {
+                sim_cores,
+                bitmap_cores,
+            } => (sim_cores, bitmap_cores, true),
+        };
+        let measured = |t: Duration, width: usize| {
+            if overlap && width > 1 {
+                decontend(t, sim_threads + threads)
+            } else {
+                t
+            }
+        };
+        let speed = cfg.machine.core_speed;
+        let phases = PhaseTimes {
+            simulate: modeled_seconds(
+                measured(sim_t, sim_threads),
+                sim_threads,
+                sim_cores,
+                &cfg.sim_scaling,
+                speed,
+            ),
+            reduce: modeled_seconds(
+                measured(self.reduce_t, threads),
+                threads,
+                reduce_cores,
+                &reduce_scaling(&cfg.reduction),
+                speed,
+            ),
+            select: modeled_seconds(
+                measured(select_t, threads),
+                threads,
+                reduce_cores,
+                &ScalingModel::selection(),
+                speed,
+            ),
+            output: self.totals.output_modeled,
+        };
+        let total_modeled = if overlap {
+            phases.simulate.max(phases.reduce + phases.select) + phases.output
+        } else {
+            phases.sum()
+        };
+        InsituReport {
+            phases,
+            total_modeled,
+            wall_seconds: wall0.elapsed().as_secs_f64(),
+            selected,
+            peak_memory_bytes: self.mem.peak(),
+            bytes_written: self.totals.bytes_written,
+            raw_bytes_per_step: self.totals.raw_bytes_per_step,
+            summary_bytes_total: self.totals.summary_bytes_total,
+            steps: cfg.steps,
+            step_outcomes: self.outcomes,
+            fault_events: self.injector.events(),
         }
     }
 }
 
-/// Ships one emitted summary through the retrying write path.
-fn persist_emitted(
-    e: &Emitted,
-    storage: &dyn Storage,
-    injector: &FaultInjector,
-    retry: &RetryPolicy,
-    output_modeled: &mut f64,
-    bytes_written: &mut u64,
-) -> Result<()> {
-    let receipt = write_with_retry(storage, injector, retry, *output_modeled, e.summary_bytes)?;
-    OBS_STORE_WRITES.inc();
-    OBS_STORE_MODELED_US.add((receipt.seconds * 1e6) as u64);
-    *output_modeled += receipt.seconds;
-    *bytes_written += e.summary_bytes;
-    Ok(())
+/// Where winners go.
+enum Sink<'a> {
+    /// The modeled platform storage: a winner is its size, shipped through
+    /// the retrying write path.
+    Modeled(&'a dyn Storage),
+    /// A checksummed run directory: a winner's indices (and row
+    /// permutation) are put to the store, and every step ends with an
+    /// atomic `CHECKPOINT` of the selector.
+    Durable { writer: StoreWriter, dir: &'a Path },
 }
 
-fn run_shared<S: Simulation>(
+impl Sink<'_> {
+    /// Writes the winner the selector just emitted (it is the selector's
+    /// `prev`) and charges the write to the run's totals.
+    fn persist(&mut self, e: &Emitted, lp: &mut StepLoop<'_>) -> Result<()> {
+        match self {
+            Sink::Modeled(storage) => {
+                let receipt = write_with_retry(
+                    *storage,
+                    lp.injector,
+                    &lp.cfg.robustness.retry,
+                    lp.totals.output_modeled,
+                    e.summary_bytes,
+                )?;
+                OBS_STORE_WRITES.inc();
+                OBS_STORE_MODELED_US.add((receipt.seconds * 1e6) as u64);
+                lp.totals.output_modeled += receipt.seconds;
+            }
+            Sink::Durable { writer, .. } => {
+                let (Some((summary, _, perm)), Some(names)) = (&lp.selector.prev, &lp.field_names)
+                else {
+                    return Err(IbisError::Config(
+                        "selection emitted before any step was summarized".into(),
+                    ));
+                };
+                for (j, var) in summary.vars.iter().enumerate() {
+                    let VarSummary::Bitmap(idx) = var else {
+                        return Err(IbisError::Config(
+                            "durable runs persist bitmap summaries only".into(),
+                        ));
+                    };
+                    let name = names.get(j).map(String::as_str).unwrap_or("field");
+                    writer.put(e.step, name, idx)?;
+                }
+                if let Some(perm) = perm {
+                    // The winner's indices are stored permuted: persist the
+                    // inverse permutation next to them so the query engine
+                    // can map selections back to original row ids.
+                    writer.put_order(e.step, lp.cfg.row_order, perm)?;
+                }
+                lp.totals.output_modeled += e.summary_bytes as f64 / lp.cfg.machine.disk_bw;
+            }
+        }
+        lp.totals.bytes_written += e.summary_bytes;
+        Ok(())
+    }
+
+    /// Closes a step. The durable sink checkpoints the post-step state
+    /// atomically — after `persist` made the step's winner durable — so a
+    /// crash between here and the next step resumes exactly at
+    /// `next_step`.
+    fn close_step(&mut self, next_step: usize, lp: &StepLoop<'_>) -> Result<()> {
+        if let Sink::Durable { dir, .. } = self {
+            let bytes = encode_checkpoint(next_step, &lp.selector, &lp.outcomes, &lp.totals)?;
+            write_atomic(
+                &dir.join(".CHECKPOINT.tmp"),
+                &dir.join("CHECKPOINT"),
+                &bytes,
+            )
+            .map_err(|e| IbisError::io("write CHECKPOINT", &e))?;
+        }
+        Ok(())
+    }
+
+    /// The entries durable right now — what a resumed run reloads its
+    /// previous winner from. Only a durable sink has any.
+    fn durable_view(&self) -> Option<Store> {
+        match self {
+            Sink::Modeled(_) => None,
+            Sink::Durable { writer, .. } => Some(writer.durable_view()),
+        }
+    }
+
+    /// Ends the run: the durable sink seals the store with its manifest,
+    /// then retires the checkpoint.
+    fn finish(self) -> Result<()> {
+        let Sink::Durable { writer, dir } = self else {
+            return Ok(());
+        };
+        writer.finish()?;
+        match std::fs::remove_file(dir.join("CHECKPOINT")) {
+            Ok(()) => Ok(()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+            Err(e) => Err(IbisError::io("remove CHECKPOINT", &e)),
+        }
+    }
+}
+
+/// One run from `state` (empty unless resuming) to its report: restore,
+/// then let the allocation's producer feed [`StepLoop::consume`].
+fn run<S: Simulation>(
     mut sim: S,
     cfg: &PipelineConfig,
-    storage: &dyn Storage,
     injector: &FaultInjector,
+    mut sink: Sink<'_>,
+    state: CheckpointState,
 ) -> Result<InsituReport> {
+    OBS_RUNS.inc();
+    let _run_span = OBS_RUN_WALL_NS.span();
     let wall0 = Instant::now();
     let dims = resolve_dims(&sim, cfg)?;
-    let pool = cfg.machine.pool(cfg.cores);
-    let threads = pool.current_num_threads();
+    let (sim_cores, bitmap_cores) = match cfg.allocation {
+        CoreAllocation::Shared => (cfg.cores, None),
+        CoreAllocation::Separate {
+            sim_cores,
+            bitmap_cores,
+        } => (sim_cores, Some(bitmap_cores)),
+    };
+    let sim_pool = cfg.machine.pool(sim_cores);
+    let bitmap_pool = bitmap_cores.map(|n| cfg.machine.pool(n));
+
+    // Replay the completed prefix to restore the deterministic simulation's
+    // state (recovery overhead: charged to wall time, not modeled time).
+    let mut field_names: Option<Vec<String>> = None;
+    for _ in 0..state.next_step {
+        let out = sim_pool.install(|| sim.step());
+        field_names.get_or_insert_with(|| field_names_of(&out));
+    }
+
     let mem = MemoryTracker::new();
     let sim_resident = sim.resident_bytes() as u64;
     mem.alloc(sim_resident);
     let mut selector = StreamingSelector::new(cfg.steps, cfg.select_k, cfg.metric);
-    let mut outcomes: Vec<StepOutcome> = Vec::with_capacity(cfg.steps);
-    let mut sim_t = Duration::ZERO;
-    let mut reduce_t = Duration::ZERO;
-    let mut output_modeled = 0.0f64;
-    let mut bytes_written = 0u64;
-    let mut summary_bytes_total = 0u64;
-    let mut raw_bytes_per_step = 0u64;
-    let retry = &cfg.robustness.retry;
-
-    for i in 0..cfg.steps {
-        OBS_SHARED_STEPS.inc();
-        if injector.should_kill_at(i) {
-            return Err(IbisError::Killed { step: i });
-        }
-        let out = match contained_sim_step(
-            &mut sim,
-            i,
-            &pool,
-            injector,
-            &cfg.robustness.policy,
-            &mut sim_t,
-        )? {
-            Ok(out) => out,
-            Err(msg) => {
-                outcomes.push(StepOutcome::Skipped {
-                    reason: format!("producer panicked: {msg}"),
-                });
-                if let Some(e) = selector.note_skipped(i, &mem) {
-                    persist_emitted(
-                        &e,
-                        storage,
-                        injector,
-                        retry,
-                        &mut output_modeled,
-                        &mut bytes_written,
-                    )?;
-                }
-                continue;
-            }
-        };
-        let raw = out.size_bytes() as u64;
-        raw_bytes_per_step = raw;
-        mem.alloc(raw);
-
-        match contained_summarize(&out, i, cfg, &dims, &pool, injector, &mut reduce_t)? {
-            StepAttempt::Kept(summary, perm, degraded, outcome) => {
-                let sbytes = summary.size_bytes() as u64;
-                summary_bytes_total += sbytes;
-                mem.alloc(sbytes);
-                drop(out);
-                mem.free(raw); // raw data discarded once the summary exists
-                outcomes.push(outcome);
-                if let Some(e) = selector.offer(i, summary, degraded, perm, &mem) {
-                    persist_emitted(
-                        &e,
-                        storage,
-                        injector,
-                        retry,
-                        &mut output_modeled,
-                        &mut bytes_written,
-                    )?;
-                }
-            }
-            StepAttempt::Dropped(outcome) => {
-                drop(out);
-                mem.free(raw);
-                outcomes.push(outcome);
-                if let Some(e) = selector.note_skipped(i, &mem) {
-                    persist_emitted(
-                        &e,
-                        storage,
-                        injector,
-                        retry,
-                        &mut output_modeled,
-                        &mut bytes_written,
-                    )?;
-                }
-            }
-        }
+    selector.cur = state.cur_interval;
+    selector.selected = state.selected;
+    if let Some(prev) = state.prev {
+        let (names, store) = field_names
+            .as_deref()
+            .zip(sink.durable_view())
+            .ok_or_else(|| {
+                IbisError::BadCheckpoint("a previous selection but no completed step".into())
+            })?;
+        selector.prev = Some(reload_prev(&store, prev, names)?);
     }
-    let (selected, select_t) = selector.finish(&mem);
-    OBS_SELECT_NS.add(select_t.as_nanos() as u64);
-    mem.free(sim_resident);
+    selector.buffer = state.buffer;
+    if let Some((p, _, _)) = &selector.prev {
+        mem.alloc(p.size_bytes() as u64);
+    }
+    for (_, s, _, _) in &selector.buffer {
+        mem.alloc(s.size_bytes() as u64);
+    }
 
-    let speed = cfg.machine.core_speed;
-    let phases = PhaseTimes {
-        simulate: modeled_seconds(sim_t, threads, cfg.cores, &cfg.sim_scaling, speed),
-        reduce: modeled_seconds(
-            reduce_t,
-            threads,
-            cfg.cores,
-            &reduce_scaling(&cfg.reduction),
-            speed,
-        ),
-        select: modeled_seconds(
-            select_t,
-            threads,
-            cfg.cores,
-            &ScalingModel::selection(),
-            speed,
-        ),
-        output: output_modeled,
+    let mut lp = StepLoop {
+        cfg,
+        injector,
+        dims,
+        pool: bitmap_pool.as_ref().unwrap_or(&sim_pool),
+        mem: &mem,
+        selector,
+        outcomes: state.outcomes,
+        totals: state.totals,
+        field_names,
+        reduce_t: Duration::ZERO,
     };
-    Ok(InsituReport {
-        total_modeled: phases.sum(),
-        phases,
-        wall_seconds: wall0.elapsed().as_secs_f64(),
-        selected,
-        peak_memory_bytes: mem.peak(),
-        bytes_written,
-        raw_bytes_per_step,
-        summary_bytes_total,
-        steps: cfg.steps,
-        step_outcomes: outcomes,
-        fault_events: Vec::new(), // filled by run_pipeline
-    })
+    let sim_t = match cfg.allocation {
+        CoreAllocation::Shared => {
+            let mut sim_t = Duration::ZERO;
+            for i in state.next_step..cfg.steps {
+                OBS_SHARED_STEPS.inc();
+                let produced = produce(&mut sim, i, &sim_pool, injector, &mem, &mut sim_t);
+                lp.consume(i, produced, &mut sink)?;
+            }
+            sim_t
+        }
+        CoreAllocation::Separate { .. } => {
+            produce_ahead(sim, state.next_step, &sim_pool, &mut lp, &mut sink)?
+        }
+    };
+    sink.finish()?;
+    mem.free(sim_resident);
+    Ok(lp.into_report(sim_t, sim_pool.current_num_threads(), wall0))
 }
 
 /// One unit of the Separate-Cores data queue: a step's output, or proof
@@ -901,60 +1069,37 @@ struct StepMsg {
     payload: std::result::Result<StepOutput, String>,
 }
 
-fn run_separate<S: Simulation>(
+/// The Separate-Cores producer: the simulation core set on its own thread
+/// runs ahead from step `first`, feeding the bounded data queue; the
+/// calling thread — the bitmap core set — drains the queue head into
+/// [`StepLoop::consume`]. Returns the measured simulation time.
+fn produce_ahead<S: Simulation>(
     mut sim: S,
-    cfg: &PipelineConfig,
-    storage: &dyn Storage,
-    injector: &Arc<FaultInjector>,
-) -> Result<InsituReport> {
-    let CoreAllocation::Separate {
-        sim_cores,
-        bitmap_cores,
-    } = cfg.allocation
-    else {
-        unreachable!("dispatched on allocation");
-    };
-    let wall0 = Instant::now();
-    let dims = resolve_dims(&sim, cfg)?;
-    let mem = MemoryTracker::new();
-    let sim_resident = sim.resident_bytes() as u64;
-    mem.alloc(sim_resident);
-    let (tx, rx) = crossbeam::channel::bounded::<StepMsg>(cfg.queue_capacity);
+    first: usize,
+    sim_pool: &rayon::ThreadPool,
+    lp: &mut StepLoop<'_>,
+    sink: &mut Sink<'_>,
+) -> Result<Duration> {
+    let (mem, injector, steps) = (lp.mem, lp.injector, lp.cfg.steps);
+    let abort_on_panic = matches!(lp.cfg.robustness.policy, FailurePolicy::Abort);
+    let (tx, rx) = crossbeam::channel::bounded::<StepMsg>(lp.cfg.queue_capacity);
     // The in-flight watermark can reach capacity + 1: `queue_capacity`
     // buffered messages plus the one a blocked producer holds in hand-off.
-    OBS_QUEUE_BOUND.set(cfg.queue_capacity as i64 + 1);
-    let sim_pool = cfg.machine.pool(sim_cores);
-    let bm_pool = cfg.machine.pool(bitmap_cores);
-    let sim_threads = sim_pool.current_num_threads();
-    let bm_threads = bm_pool.current_num_threads();
-    let steps = cfg.steps;
-    let abort_on_panic = matches!(cfg.robustness.policy, FailurePolicy::Abort);
-    let retry = &cfg.robustness.retry;
+    OBS_QUEUE_BOUND.set(lp.cfg.queue_capacity as i64 + 1);
 
-    let mut selector = StreamingSelector::new(cfg.steps, cfg.select_k, cfg.metric);
-    let mut outcomes: Vec<StepOutcome> = Vec::with_capacity(cfg.steps);
-    let mut reduce_t = Duration::ZERO;
-    let mut output_modeled = 0.0f64;
-    let mut bytes_written = 0u64;
-    let mut summary_bytes_total = 0u64;
-    let mut raw_bytes_per_step = 0u64;
-
-    let sim_t = std::thread::scope(|scope| -> Result<Duration> {
-        let mem_ref = &mem;
-        let producer_inj = Arc::clone(injector);
-        // Producer: the simulation core set, feeding the bounded data
-        // queue. Every per-step panic is contained here; under Abort the
+    std::thread::scope(|scope| {
+        // Every per-step panic is contained in `produce`; under Abort the
         // producer reports the step and stops, otherwise it reports and
         // keeps simulating. A failed send means the consumer is gone —
         // exit instead of blocking on a dead queue.
         let producer = scope.spawn(move || {
             // Hand-off with backpressure accounting: the in-flight gauge
-            // charges the gauge once a message is actually enqueued (the
-            // consumer side decrements), and a full queue routes through a
-            // timed blocking send so stall time lands on the stall
-            // counter. Observational only — try-then-block has the same
-            // delivery semantics as a plain blocking send, so the no-op
-            // build behaves identically.
+            // is charged once a message is actually enqueued (the consumer
+            // side decrements), and a full queue routes through a timed
+            // blocking send so stall time lands on the stall counter.
+            // Observational only — try-then-block has the same delivery
+            // semantics as a plain blocking send, so the no-op build
+            // behaves identically.
             use crossbeam::channel::{SendError, TrySendError};
             let send_counted = |msg: StepMsg| -> std::result::Result<(), SendError<StepMsg>> {
                 let msg = match tx.try_send(msg) {
@@ -977,276 +1122,47 @@ fn run_separate<S: Simulation>(
                 sent
             };
             let mut sim_t = Duration::ZERO;
-            for i in 0..steps {
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    timed_in_pool(&sim_pool, || {
-                        producer_inj.maybe_panic(FaultSite::Producer, i);
-                        sim.step()
-                    })
-                }));
-                match attempt {
-                    Ok((out, d)) => {
-                        sim_t += d;
-                        OBS_PRODUCE_NS.record(d.as_nanos() as u64);
-                        let raw = out.size_bytes() as u64;
-                        mem_ref.alloc(raw);
-                        // blocks when the queue is full — the paper's
-                        // memory bound; errs when the consumer died
-                        if let Err(e) = send_counted(StepMsg {
-                            step: i,
-                            payload: Ok(out),
-                        }) {
-                            if let Ok(out) = e.0.payload {
-                                mem_ref.free(out.size_bytes() as u64);
-                            }
-                            break;
-                        }
+            for step in first..steps {
+                let payload = produce(&mut sim, step, sim_pool, injector, mem, &mut sim_t);
+                let stop = payload.is_err() && abort_on_panic;
+                // blocks when the queue is full — the paper's memory
+                // bound; errs when the consumer died
+                if let Err(unsent) = send_counted(StepMsg { step, payload }) {
+                    if let Ok(out) = unsent.0.payload {
+                        mem.free(out.size_bytes() as u64);
                     }
-                    Err(payload) => {
-                        let msg = panic_message(payload.as_ref());
-                        let stop = abort_on_panic;
-                        if send_counted(StepMsg {
-                            step: i,
-                            payload: Err(msg),
-                        })
-                        .is_err()
-                            || stop
-                        {
-                            break;
-                        }
-                    }
+                    break;
+                }
+                if stop {
+                    break;
                 }
             }
             sim_t
         });
 
-        // Consumer: the bitmap core set, draining the queue head. A fatal
-        // condition breaks the loop; dropping `rx` afterwards poisons the
-        // queue so the producer's next send fails and it exits promptly —
-        // the structured error below replaces the old deadlock.
-        let mut fatal: Option<IbisError> = None;
+        // A fatal condition breaks the loop; dropping `rx` afterwards
+        // poisons the queue so the producer's next send fails and it exits
+        // promptly — a structured error, not a deadlock.
+        let mut fatal = None;
         for msg in rx.iter() {
             OBS_QUEUE_IN_FLIGHT.dec();
             OBS_SEPARATE_STEPS.inc();
-            let i = msg.step;
-            if injector.should_kill_at(i) {
-                fatal = Some(IbisError::Killed { step: i });
+            if let Err(err) = lp.consume(msg.step, msg.payload, sink) {
+                fatal = Some(err);
                 break;
-            }
-            let out = match msg.payload {
-                Ok(out) => out,
-                Err(msg) => {
-                    if abort_on_panic {
-                        fatal = Some(IbisError::WorkerPanic {
-                            role: WorkerRole::Producer,
-                            step: Some(i),
-                            message: msg,
-                        });
-                        break;
-                    }
-                    outcomes.push(StepOutcome::Skipped {
-                        reason: format!("producer panicked: {msg}"),
-                    });
-                    if let Some(e) = selector.note_skipped(i, &mem) {
-                        if let Err(err) = persist_emitted(
-                            &e,
-                            storage,
-                            injector,
-                            retry,
-                            &mut output_modeled,
-                            &mut bytes_written,
-                        ) {
-                            fatal = Some(err);
-                            break;
-                        }
-                    }
-                    continue;
-                }
-            };
-            let raw = out.size_bytes() as u64;
-            raw_bytes_per_step = raw;
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                timed_in_pool(&bm_pool, || {
-                    injector.maybe_panic(FaultSite::Consumer, i);
-                    summarize(
-                        &out,
-                        &cfg.reduction,
-                        &cfg.binners,
-                        cfg.per_step_precision,
-                        cfg.row_order,
-                        &dims,
-                    )
-                })
-            }));
-            let kept = match attempt {
-                Ok(((summary, perm), d)) => {
-                    reduce_t += d;
-                    OBS_COMPRESS_NS.record(d.as_nanos() as u64);
-                    Some((summary, perm, false, StepOutcome::Completed))
-                }
-                Err(payload) => {
-                    let msg = panic_message(payload.as_ref());
-                    match &cfg.robustness.policy {
-                        FailurePolicy::Abort => {
-                            mem.free(raw);
-                            fatal = Some(IbisError::WorkerPanic {
-                                role: WorkerRole::Consumer,
-                                step: Some(i),
-                                message: msg,
-                            });
-                            break;
-                        }
-                        FailurePolicy::SkipStep => None.or({
-                            outcomes.push(StepOutcome::Skipped {
-                                reason: format!("summarize panicked: {msg}"),
-                            });
-                            None
-                        }),
-                        FailurePolicy::FallbackSampling { percent, method } => {
-                            let (percent, method) = (*percent, *method);
-                            let fb = catch_unwind(AssertUnwindSafe(|| {
-                                timed_in_pool(&bm_pool, || {
-                                    fallback_summarize(
-                                        &out,
-                                        &cfg.reduction,
-                                        percent,
-                                        method,
-                                        &cfg.binners,
-                                        cfg.per_step_precision,
-                                    )
-                                })
-                            }));
-                            match fb {
-                                Ok((summary, d)) => {
-                                    reduce_t += d;
-                                    OBS_COMPRESS_NS.record(d.as_nanos() as u64);
-                                    Some((
-                                        summary,
-                                        None,
-                                        true,
-                                        StepOutcome::FallbackSampled {
-                                            reason: format!("summarize panicked: {msg}"),
-                                        },
-                                    ))
-                                }
-                                Err(payload2) => {
-                                    outcomes.push(StepOutcome::Failed {
-                                        error: format!(
-                                            "summarize panicked ({msg}); sampling fallback also panicked ({})",
-                                            panic_message(payload2.as_ref())
-                                        ),
-                                    });
-                                    None
-                                }
-                            }
-                        }
-                    }
-                }
-            };
-            let emitted = match kept {
-                Some((summary, perm, degraded, outcome)) => {
-                    let sbytes = summary.size_bytes() as u64;
-                    summary_bytes_total += sbytes;
-                    mem.alloc(sbytes);
-                    drop(out);
-                    mem.free(raw);
-                    outcomes.push(outcome);
-                    selector.offer(i, summary, degraded, perm, &mem)
-                }
-                None => {
-                    drop(out);
-                    mem.free(raw);
-                    selector.note_skipped(i, &mem)
-                }
-            };
-            if let Some(e) = emitted {
-                if let Err(err) = persist_emitted(
-                    &e,
-                    storage,
-                    injector,
-                    retry,
-                    &mut output_modeled,
-                    &mut bytes_written,
-                ) {
-                    fatal = Some(err);
-                    break;
-                }
             }
         }
         drop(rx); // unblock a producer stuck on a full queue
-        let sim_t = match producer.join() {
-            Ok(d) => d,
-            Err(payload) => {
-                // a panic that escaped the per-step containment
-                let err = IbisError::WorkerPanic {
-                    role: WorkerRole::Producer,
-                    step: None,
-                    message: panic_message(payload.as_ref()),
-                };
-                return Err(fatal.unwrap_or(err));
-            }
-        };
+        let joined = producer.join().map_err(|payload| IbisError::WorkerPanic {
+            // a panic that escaped the per-step containment
+            role: WorkerRole::Producer,
+            step: None,
+            message: panic_message(payload.as_ref()),
+        });
         match fatal {
             Some(err) => Err(err),
-            None => Ok(sim_t),
+            None => joined,
         }
-    })?;
-    let (selected, select_t) = selector.finish(&mem);
-    OBS_SELECT_NS.add(select_t.as_nanos() as u64);
-    mem.free(sim_resident);
-
-    // One-thread pools were measured in thread CPU time (exact under
-    // oversubscription); wider pools used wall clock and need the
-    // host-contention correction.
-    let active = sim_threads + bm_threads;
-    let sim_t = if sim_threads == 1 {
-        sim_t
-    } else {
-        decontend(sim_t, active)
-    };
-    let reduce_t = if bm_threads == 1 {
-        reduce_t
-    } else {
-        decontend(reduce_t, active)
-    };
-    let select_t = if bm_threads == 1 {
-        select_t
-    } else {
-        decontend(select_t, active)
-    };
-    let speed = cfg.machine.core_speed;
-    let phases = PhaseTimes {
-        simulate: modeled_seconds(sim_t, sim_threads, sim_cores, &cfg.sim_scaling, speed),
-        reduce: modeled_seconds(
-            reduce_t,
-            bm_threads,
-            bitmap_cores,
-            &reduce_scaling(&cfg.reduction),
-            speed,
-        ),
-        select: modeled_seconds(
-            select_t,
-            bm_threads,
-            bitmap_cores,
-            &ScalingModel::selection(),
-            speed,
-        ),
-        output: output_modeled,
-    };
-    // Simulation and reduction overlap; selection rides the bitmap cores.
-    let total_modeled = phases.simulate.max(phases.reduce + phases.select) + phases.output;
-    Ok(InsituReport {
-        phases,
-        total_modeled,
-        wall_seconds: wall0.elapsed().as_secs_f64(),
-        selected,
-        peak_memory_bytes: mem.peak(),
-        bytes_written,
-        raw_bytes_per_step,
-        summary_bytes_total,
-        steps: cfg.steps,
-        step_outcomes: outcomes,
-        fault_events: Vec::new(), // filled by run_pipeline
     })
 }
 
@@ -1263,10 +1179,6 @@ const CHECKPOINT_MAGIC: &[u8; 4] = b"IBCK";
 /// embedded: `persist_winner` made it durable in the store before the
 /// step's checkpoint was written, so resume reloads it from there.
 const CHECKPOINT_VERSION: u32 = 3;
-
-/// A summary held by the selector: the summary, whether it is degraded,
-/// and the row permutation it was built under.
-type Held = (StepSummary, bool, Option<Arc<RowPermutation>>);
 
 /// The previous winner as a checkpoint records it: where the store holds
 /// it, not what it is.
@@ -1610,15 +1522,12 @@ fn reload_prev(store: &Store, prev: PrevRef, names: &[String]) -> Result<Held> {
     Ok((summary, prev.degraded, perm))
 }
 
-fn field_names_of(out: &StepOutput) -> Vec<String> {
-    out.fields.iter().map(|f| f.name.to_string()).collect()
-}
-
-/// Runs a durable Shared-Cores bitmaps pipeline: every selected summary is
-/// persisted to a checksummed store at `dir`, and the selector state is
-/// checkpointed atomically after every step. If the run dies (crash, kill
-/// injection), [`resume_durable`] picks it up where it stopped and the
-/// final store is byte-identical to an uninterrupted run's.
+/// Runs a durable bitmaps pipeline under either core allocation: every
+/// selected summary is persisted to a checksummed store at `dir`, and the
+/// selector state is checkpointed atomically after every step. If the run
+/// dies (crash, kill injection), [`resume_durable`] picks it up where it
+/// stopped and the final store is byte-identical to an uninterrupted
+/// run's.
 pub fn run_durable<S: Simulation>(
     sim: S,
     cfg: &PipelineConfig,
@@ -1640,220 +1549,36 @@ pub fn resume_durable<S: Simulation>(
 }
 
 fn durable_impl<S: Simulation>(
-    mut sim: S,
+    sim: S,
     cfg: &PipelineConfig,
     dir: &Path,
     resume: bool,
 ) -> Result<InsituReport> {
     cfg.validate()?;
-    if !matches!(cfg.allocation, CoreAllocation::Shared) {
-        return Err(IbisError::Config(
-            "durable runs support Shared-Cores only".into(),
-        ));
-    }
     if !matches!(cfg.reduction, Reduction::Bitmaps) {
         return Err(IbisError::Config(
             "durable runs persist bitmap summaries only".into(),
         ));
     }
-    OBS_RUNS.inc();
-    let _run_span = OBS_RUN_WALL_NS.span();
-    let injector = Arc::new(FaultInjector::new(cfg.robustness.faults.clone()));
-    let wall0 = Instant::now();
-    let pool = cfg.machine.pool(cfg.cores);
-    let threads = pool.current_num_threads();
-    let ckpt_path = dir.join("CHECKPOINT");
-
-    let state = if resume {
-        match std::fs::read(&ckpt_path) {
+    let (state, writer) = if resume {
+        let state = match std::fs::read(dir.join("CHECKPOINT")) {
             Ok(bytes) => parse_checkpoint(&bytes)?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => CheckpointState::default(),
             Err(e) => return Err(IbisError::io("read CHECKPOINT", &e)),
-        }
-    } else {
-        CheckpointState::default()
-    };
-    if state.next_step > cfg.steps {
-        return Err(IbisError::BadCheckpoint(format!(
-            "checkpoint is at step {} but the run has only {}",
-            state.next_step, cfg.steps
-        )));
-    }
-    let mut writer = if resume {
-        StoreWriter::resume(dir)?
-    } else {
-        StoreWriter::create(dir)?
-    }
-    .with_fault_injector(Arc::clone(&injector));
-
-    let dims = resolve_dims(&sim, cfg)?;
-
-    // Replay the completed prefix to restore the deterministic simulation's
-    // state (recovery overhead: charged to wall time, not modeled time).
-    let mut field_names: Option<Vec<String>> = None;
-    for _ in 0..state.next_step {
-        let out = pool.install(|| sim.step());
-        field_names.get_or_insert_with(|| field_names_of(&out));
-    }
-
-    let mem = MemoryTracker::new();
-    let sim_resident = sim.resident_bytes() as u64;
-    mem.alloc(sim_resident);
-    let mut selector = StreamingSelector::new(cfg.steps, cfg.select_k, cfg.metric);
-    selector.cur = state.cur_interval;
-    selector.selected = state.selected;
-    if let Some(prev) = state.prev {
-        let names = field_names.as_deref().ok_or_else(|| {
-            IbisError::BadCheckpoint("a previous selection but no completed step".into())
-        })?;
-        selector.prev = Some(reload_prev(&writer.durable_view(), prev, names)?);
-    }
-    selector.buffer = state.buffer;
-    if let Some((p, _, _)) = &selector.prev {
-        mem.alloc(p.size_bytes() as u64);
-    }
-    for (_, s, _, _) in &selector.buffer {
-        mem.alloc(s.size_bytes() as u64);
-    }
-    let mut outcomes = state.outcomes;
-    let mut sim_t = Duration::ZERO;
-    let mut reduce_t = Duration::ZERO;
-    let mut totals = state.totals;
-    let disk_bw = cfg.machine.disk_bw;
-
-    // Makes the winner durable in the store — blobs synced, then their
-    // journal lines synced — before the step's checkpoint names it.
-    let persist_winner = |selector: &StreamingSelector,
-                          writer: &mut StoreWriter,
-                          names: &Option<Vec<String>>,
-                          e: &Emitted,
-                          totals: &mut RunTotals|
-     -> Result<()> {
-        let Some(summary) = selector.prev_summary() else {
-            return Ok(());
         };
-        let names = names.as_ref().ok_or_else(|| {
-            IbisError::Config("selection emitted before any field names were seen".into())
-        })?;
-        for (j, var) in summary.vars.iter().enumerate() {
-            let VarSummary::Bitmap(idx) = var else {
-                return Err(IbisError::Config(
-                    "durable runs persist bitmap summaries only".into(),
-                ));
-            };
-            let name = names.get(j).map(String::as_str).unwrap_or("field");
-            writer.put(e.step, name, idx)?;
+        if state.next_step > cfg.steps {
+            return Err(IbisError::BadCheckpoint(format!(
+                "checkpoint is at step {} but the run has only {}",
+                state.next_step, cfg.steps
+            )));
         }
-        if let Some(perm) = selector.prev_order() {
-            // The winner's indices are stored permuted: persist the
-            // inverse permutation next to them so the query engine can
-            // map selections back to original row ids.
-            writer.put_order(e.step, cfg.row_order, perm)?;
-        }
-        totals.output_modeled += e.summary_bytes as f64 / disk_bw;
-        totals.bytes_written += e.summary_bytes;
-        Ok(())
+        (state, StoreWriter::resume(dir)?)
+    } else {
+        (CheckpointState::default(), StoreWriter::create(dir)?)
     };
-
-    for i in state.next_step..cfg.steps {
-        OBS_SHARED_STEPS.inc();
-        if injector.should_kill_at(i) {
-            // the checkpoint written after step i-1 and the journal make
-            // this recoverable; report the kill as a structured error
-            return Err(IbisError::Killed { step: i });
-        }
-        let produced = contained_sim_step(
-            &mut sim,
-            i,
-            &pool,
-            &injector,
-            &cfg.robustness.policy,
-            &mut sim_t,
-        )?;
-        let emitted = match produced {
-            Err(msg) => {
-                outcomes.push(StepOutcome::Skipped {
-                    reason: format!("producer panicked: {msg}"),
-                });
-                selector.note_skipped(i, &mem)
-            }
-            Ok(out) => {
-                field_names.get_or_insert_with(|| field_names_of(&out));
-                let raw = out.size_bytes() as u64;
-                totals.raw_bytes_per_step = raw;
-                mem.alloc(raw);
-                let attempt =
-                    contained_summarize(&out, i, cfg, &dims, &pool, &injector, &mut reduce_t)?;
-                drop(out);
-                match attempt {
-                    StepAttempt::Kept(summary, perm, degraded, outcome) => {
-                        let sbytes = summary.size_bytes() as u64;
-                        totals.summary_bytes_total += sbytes;
-                        mem.alloc(sbytes);
-                        mem.free(raw);
-                        outcomes.push(outcome);
-                        selector.offer(i, summary, degraded, perm, &mem)
-                    }
-                    StepAttempt::Dropped(outcome) => {
-                        mem.free(raw);
-                        outcomes.push(outcome);
-                        selector.note_skipped(i, &mem)
-                    }
-                }
-            }
-        };
-        if let Some(e) = emitted {
-            persist_winner(&selector, &mut writer, &field_names, &e, &mut totals)?;
-        }
-        // Checkpoint the post-step state atomically: a crash between here
-        // and the next step resumes exactly at step i+1.
-        let bytes = encode_checkpoint(i + 1, &selector, &outcomes, &totals)?;
-        write_atomic(&dir.join(".CHECKPOINT.tmp"), &ckpt_path, &bytes)
-            .map_err(|e| IbisError::io("write CHECKPOINT", &e))?;
-    }
-
-    let (selected, select_t) = selector.finish(&mem);
-    OBS_SELECT_NS.add(select_t.as_nanos() as u64);
-    mem.free(sim_resident);
-    writer.finish()?;
-    match std::fs::remove_file(&ckpt_path) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(IbisError::io("remove CHECKPOINT", &e)),
-    }
-
-    let speed = cfg.machine.core_speed;
-    let phases = PhaseTimes {
-        simulate: modeled_seconds(sim_t, threads, cfg.cores, &cfg.sim_scaling, speed),
-        reduce: modeled_seconds(
-            reduce_t,
-            threads,
-            cfg.cores,
-            &reduce_scaling(&cfg.reduction),
-            speed,
-        ),
-        select: modeled_seconds(
-            select_t,
-            threads,
-            cfg.cores,
-            &ScalingModel::selection(),
-            speed,
-        ),
-        output: totals.output_modeled,
-    };
-    Ok(InsituReport {
-        total_modeled: phases.sum(),
-        phases,
-        wall_seconds: wall0.elapsed().as_secs_f64(),
-        selected,
-        peak_memory_bytes: mem.peak(),
-        bytes_written: totals.bytes_written,
-        raw_bytes_per_step: totals.raw_bytes_per_step,
-        summary_bytes_total: totals.summary_bytes_total,
-        steps: cfg.steps,
-        step_outcomes: outcomes,
-        fault_events: injector.events(),
-    })
+    let injector = Arc::new(FaultInjector::new(cfg.robustness.faults.clone()));
+    let writer = writer.with_fault_injector(Arc::clone(&injector));
+    run(sim, cfg, &injector, Sink::Durable { writer, dir }, state)
 }
 
 /// The durable run directory's checkpoint file, if one is pending (i.e.
@@ -1862,7 +1587,6 @@ pub fn pending_checkpoint(dir: impl AsRef<Path>) -> Option<PathBuf> {
     let p = dir.as_ref().join("CHECKPOINT");
     p.exists().then_some(p)
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;

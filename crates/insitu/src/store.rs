@@ -42,8 +42,9 @@
 //!   …
 //! ```
 //!
-//! v1 directories (plain 3-field manifests, unframed blobs) still open
-//! read-only for back-compat; they simply have no integrity metadata.
+//! There is no unchecked read path: a manifest without the v2 header and a
+//! blob without a frame are refused with a typed error, never opened on
+//! trust.
 
 use crate::crc::crc32c;
 use crate::error::{IbisError, Result};
@@ -91,10 +92,10 @@ const FRAME_OVERHEAD_TAGGED: usize = 4 + 1 + 8 + 4;
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct EntryMeta {
     file: String,
-    /// On-disk (framed) length; `None` for legacy v1 entries.
-    len: Option<u64>,
-    /// CRC32-C of the payload; `None` for legacy v1 entries.
-    crc: Option<u32>,
+    /// On-disk (framed) length.
+    len: u64,
+    /// CRC32-C of the payload.
+    crc: u32,
 }
 
 // Durable-store metrics (family `store`, see DESIGN.md §6e). All no-ops
@@ -120,8 +121,6 @@ static OBS_LOSSY_LOADED: LazyCounter = LazyCounter::new("lossy.store.loaded");
 /// What a blob's frame declares about its payload's codecs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FrameTag {
-    /// Legacy raw v1 blob — no frame (and no integrity metadata) at all.
-    Raw,
     /// `IBB2` frame: implicitly an untagged, all-WAH payload.
     Untagged,
     /// `IBB3` frame: uniform per-bin codec tag, or [`MIXED_TAG`].
@@ -291,7 +290,6 @@ fn check_frame_tag(tag: FrameTag, bins: &[CodecId]) -> std::result::Result<(), S
         _ => None,
     };
     match tag {
-        FrameTag::Raw => Ok(()), // legacy v1 blob: the frame claims nothing
         FrameTag::Untagged => match uniform {
             Some(CodecId::Wah) => Ok(()),
             _ => Err("untagged IBB2 frame over a non-WAH payload".into()),
@@ -340,9 +338,7 @@ fn check_file_name(file: &str) -> std::result::Result<(), String> {
 fn entry_line(step: usize, var: &str, meta: &EntryMeta) -> String {
     format!(
         "{step}\t{var}\t{}\t{}\t{:08x}",
-        meta.file,
-        meta.len.unwrap_or(0),
-        meta.crc.unwrap_or(0)
+        meta.file, meta.len, meta.crc
     )
 }
 
@@ -393,13 +389,8 @@ impl StoreWriter {
         let verify = |meta: &EntryMeta| -> bool {
             std::fs::read(dir.join(&meta.file))
                 .ok()
-                .filter(|bytes| bytes.len() as u64 == meta.len.unwrap_or(0))
-                .and_then(|bytes| {
-                    unframe_blob(&bytes)
-                        .ok()
-                        .map(|(_, crc, _)| crc == meta.crc.unwrap_or(0))
-                })
-                .unwrap_or(false)
+                .filter(|bytes| bytes.len() as u64 == meta.len)
+                .is_some_and(|bytes| unframe_blob(&bytes).is_ok_and(|(_, crc, _)| crc == meta.crc))
         };
         let mut entries = BTreeMap::new();
         let journal_path = dir.join("JOURNAL");
@@ -419,19 +410,10 @@ impl StoreWriter {
             }
         }
         if let Ok(manifest) = std::fs::read_to_string(dir.join("MANIFEST")) {
-            if manifest.starts_with(MANIFEST_HEADER) {
-                if let Ok(seed) = parse_manifest_v2(&manifest) {
-                    for ((step, var), meta) in seed {
-                        // v2 entries only: v1 metas have no len/CRC to
-                        // journal faithfully, and re-verification needs both
-                        if meta.len.is_some()
-                            && meta.crc.is_some()
-                            && check_file_name(&meta.file).is_ok()
-                            && !entries.contains_key(&(step, var.clone()))
-                            && verify(&meta)
-                        {
-                            entries.insert((step, var), meta);
-                        }
+            if let Ok(seed) = parse_manifest(&manifest) {
+                for ((step, var), meta) in seed {
+                    if !entries.contains_key(&(step, var.clone())) && verify(&meta) {
+                        entries.insert((step, var), meta);
                     }
                 }
             }
@@ -580,8 +562,8 @@ impl StoreWriter {
     fn commit(&mut self, step: usize, entry: &str, framed: &[u8], crc: u32) -> Result<()> {
         let meta = EntryMeta {
             file: format!("s{step:06}_{entry}.ibis"),
-            len: Some(framed.len() as u64),
-            crc: Some(crc),
+            len: framed.len() as u64,
+            crc,
         };
         self.write_blob_with_faults(&meta.file, framed)?;
         OBS_PUT_BLOBS.inc();
@@ -691,8 +673,8 @@ fn parse_entry_fields(body: &str) -> Option<(usize, String, EntryMeta)> {
         var.to_string(),
         EntryMeta {
             file: file.to_string(),
-            len: Some(len.parse().ok()?),
-            crc: Some(u32::from_str_radix(crc, 16).ok()?),
+            len: len.parse().ok()?,
+            crc: u32::from_str_radix(crc, 16).ok()?,
         },
     ))
 }
@@ -763,19 +745,14 @@ pub struct Store {
 }
 
 impl Store {
-    /// Opens a run directory; fails without a valid manifest. A v2
-    /// manifest must carry an intact `#END` footer (count + CRC over the
-    /// header and entry lines); legacy 3-field v1 manifests still parse,
-    /// with no integrity metadata.
+    /// Opens a run directory; fails without a valid manifest: the v2
+    /// header, and an intact `#END` footer (count + CRC over the header
+    /// and entry lines).
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         let manifest = std::fs::read_to_string(dir.join("MANIFEST"))
             .map_err(|e| IbisError::io("read MANIFEST", &e))?;
-        let entries = if manifest.starts_with(MANIFEST_HEADER) {
-            parse_manifest_v2(&manifest)?
-        } else {
-            parse_manifest_v1(&manifest)?
-        };
+        let entries = parse_manifest(&manifest)?;
         Ok(Store { dir, entries })
     }
 
@@ -819,48 +796,31 @@ impl Store {
         })
     }
 
-    /// Reads a blob and runs every applicable integrity check, returning
-    /// the (still encoded) payload and the frame's codec claim.
+    /// Reads a blob and runs every integrity check — on-disk length and
+    /// payload CRC against the manifest's, framing and the frame's own CRC
+    /// — returning the (still encoded) payload and the frame's codec claim.
     fn verified_payload(&self, meta: &EntryMeta) -> Result<(Vec<u8>, FrameTag)> {
+        let corrupt = |detail: String| IbisError::Corrupt {
+            file: meta.file.clone(),
+            detail,
+        };
         let bytes = std::fs::read(self.dir.join(&meta.file))
             .map_err(|e| IbisError::io(format!("read blob {}", meta.file), &e))?;
-        if let Some(len) = meta.len {
-            if bytes.len() as u64 != len {
-                return Err(IbisError::Corrupt {
-                    file: meta.file.clone(),
-                    detail: format!("on-disk length {} != manifest's {len}", bytes.len()),
-                });
-            }
+        if bytes.len() as u64 != meta.len {
+            return Err(corrupt(format!(
+                "on-disk length {} != manifest's {}",
+                bytes.len(),
+                meta.len
+            )));
         }
-        if bytes.starts_with(BLOB_MAGIC)
-            || bytes.starts_with(BLOB_MAGIC_TAGGED)
-            || bytes.starts_with(BLOB_MAGIC_PERM)
-            || bytes.starts_with(BLOB_MAGIC_LOSSY)
-        {
-            let (payload, actual, tag) =
-                unframe_blob(&bytes).map_err(|detail| IbisError::Corrupt {
-                    file: meta.file.clone(),
-                    detail,
-                })?;
-            if let Some(crc) = meta.crc {
-                if actual != crc {
-                    return Err(IbisError::Corrupt {
-                        file: meta.file.clone(),
-                        detail: format!("payload CRC {actual:08x} != manifest's {crc:08x}"),
-                    });
-                }
-            }
-            Ok((payload.to_vec(), tag))
-        } else if meta.crc.is_some() {
-            // a v2 entry must be framed; raw bytes mean the blob was
-            // replaced or truncated past its magic
-            Err(IbisError::Corrupt {
-                file: meta.file.clone(),
-                detail: "v2 entry lost its IBB2/IBB3/IBP1/IBL1 framing".into(),
-            })
-        } else {
-            Ok((bytes, FrameTag::Raw)) // legacy v1 blob: payload is the whole file
+        let (payload, actual, tag) = unframe_blob(&bytes).map_err(corrupt)?;
+        if actual != meta.crc {
+            return Err(corrupt(format!(
+                "payload CRC {actual:08x} != manifest's {:08x}",
+                meta.crc
+            )));
         }
+        Ok((payload.to_vec(), tag))
     }
 
     /// Loads `step`'s row permutation, or `None` when the step was stored
@@ -1008,7 +968,13 @@ impl Store {
     }
 }
 
-fn parse_manifest_v2(manifest: &str) -> Result<BTreeMap<(usize, String), EntryMeta>> {
+fn parse_manifest(manifest: &str) -> Result<BTreeMap<(usize, String), EntryMeta>> {
+    if !manifest.starts_with(MANIFEST_HEADER) {
+        return Err(IbisError::Manifest {
+            line: 1,
+            reason: format!("missing the {MANIFEST_HEADER:?} header"),
+        });
+    }
     let footer_start = manifest.rfind("#END ").ok_or(IbisError::Manifest {
         line: 0,
         reason: "v2 manifest has no #END footer (truncated?)".into(),
@@ -1054,38 +1020,6 @@ fn parse_manifest_v2(manifest: &str) -> Result<BTreeMap<(usize, String), EntryMe
             line: 0,
             reason: format!("{} entries != footer's count {count}", entries.len()),
         });
-    }
-    Ok(entries)
-}
-
-fn parse_manifest_v1(manifest: &str) -> Result<BTreeMap<(usize, String), EntryMeta>> {
-    let mut entries = BTreeMap::new();
-    for (lineno, line) in manifest.lines().enumerate() {
-        let mut parts = line.split('\t');
-        let (Some(step), Some(var), Some(file), None) =
-            (parts.next(), parts.next(), parts.next(), parts.next())
-        else {
-            return Err(IbisError::Manifest {
-                line: lineno + 1,
-                reason: "expected 3 tab-separated fields".into(),
-            });
-        };
-        let step: usize = step.parse().map_err(|_| IbisError::Manifest {
-            line: lineno + 1,
-            reason: "bad step number".into(),
-        })?;
-        check_file_name(file).map_err(|reason| IbisError::Manifest {
-            line: lineno + 1,
-            reason,
-        })?;
-        entries.insert(
-            (step, var.to_string()),
-            EntryMeta {
-                file: file.to_string(),
-                len: None,
-                crc: None,
-            },
-        );
     }
     Ok(entries)
 }
@@ -1415,22 +1349,61 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_manifest_still_opens() {
-        let dir = tmp("legacy");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn headerless_manifest_and_unframed_blob_are_refused() {
+        let dir = tmp("unchecked");
+        let mut w = StoreWriter::create(&dir).unwrap();
+        w.put(4, "temperature", &sample_index(4)).unwrap();
+        w.finish().unwrap();
+        let manifest_path = dir.join("MANIFEST");
+        let manifest = std::fs::read_to_string(&manifest_path).unwrap();
+
+        // A pre-v2 three-field manifest, and a v2 manifest whose header
+        // line is damaged or cut off, are refused by name — never parsed
+        // as a format without integrity metadata.
+        let body = manifest.strip_prefix(MANIFEST_HEADER).unwrap();
+        for bad in [
+            "4\ttemperature\ts000004_temperature.ibis\n".to_string(),
+            format!("#IBIS-STORE v1{body}"),
+            body.trim_start().to_string(),
+            String::new(),
+        ] {
+            std::fs::write(&manifest_path, &bad).unwrap();
+            let err = Store::open(&dir).unwrap_err();
+            assert!(
+                matches!(&err, IbisError::Manifest { line: 1, reason } if reason.contains("header")),
+                "{bad:?}: {err}"
+            );
+            // a resumed writer does not trust it either
+            let resumed = StoreWriter::resume(&dir).unwrap();
+            assert!(resumed.durable_steps().is_empty(), "{bad:?}");
+            std::fs::remove_file(dir.join("JOURNAL")).unwrap();
+        }
+
+        // A blob that lost its frame — here the bare payload under a
+        // manifest that records exactly that length and CRC — is Corrupt
+        // on every read path and quarantined by fsck.
         let payload = codec::encode_index(&sample_index(4));
-        std::fs::write(dir.join("s000004_temperature.ibis"), &payload).unwrap();
-        std::fs::write(
-            dir.join("MANIFEST"),
-            "4\ttemperature\ts000004_temperature.ibis\n",
-        )
-        .unwrap();
-        let store = Store::open(&dir).unwrap();
-        assert_eq!(store.steps(), vec![4]);
-        assert_eq!(
-            store.get(4, "temperature").unwrap().counts(),
-            sample_index(4).counts()
+        let blob = "s000004_temperature.ibis";
+        std::fs::write(dir.join(blob), &payload).unwrap();
+        let body = format!(
+            "{MANIFEST_HEADER}\n4\ttemperature\t{blob}\t{}\t{:08x}\n",
+            payload.len(),
+            crc32c(&payload)
         );
+        let sealed = format!("{body}#END 1 {:08x}\n", crc32c(body.as_bytes()));
+        std::fs::write(&manifest_path, sealed).unwrap();
+        let mut store = Store::open(&dir).unwrap();
+        for read in [
+            store.get(4, "temperature").map(|_| ()),
+            store.load_series("temperature").map(|_| ()),
+        ] {
+            let err = read.unwrap_err();
+            assert!(
+                matches!(&err, IbisError::Corrupt { detail, .. } if detail.contains("framing")),
+                "{err}"
+            );
+        }
+        assert_eq!(store.fsck().quarantined.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -7,8 +7,9 @@ use ibis_analysis::Metric;
 use ibis_core::RowOrder;
 use ibis_datagen::{OceanConfig, OceanModel};
 use ibis_insitu::{
-    pipeline::pending_checkpoint, resume_durable, run_durable, CoreAllocation, FaultPlan,
-    IbisError, MachineModel, PipelineConfig, Reduction, RobustnessConfig, ScalingModel, Store,
+    crc::crc32c_append, pipeline::pending_checkpoint, resume_durable, run_durable, CoreAllocation,
+    FaultPlan, IbisError, MachineModel, PipelineConfig, Reduction, RobustnessConfig, ScalingModel,
+    Store,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -54,12 +55,30 @@ fn dir_contents(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     out
 }
 
+/// CRC32-C over the directory's sorted `(name, bytes)` pairs.
+fn dir_digest(contents: &BTreeMap<String, Vec<u8>>) -> u32 {
+    contents.iter().fold(0, |crc, (name, bytes)| {
+        crc32c_append(crc32c_append(crc, name.as_bytes()), bytes)
+    })
+}
+
+const SEPARATE: CoreAllocation = CoreAllocation::Separate {
+    sim_cores: 1,
+    bitmap_cores: 1,
+};
+
 /// Runs to completion through a kill at each step of `kills` in turn
 /// (each resume carries the next kill), and returns the final report.
-fn run_through_kills(order: RowOrder, kills: &[usize], dir: &Path) -> ibis_insitu::InsituReport {
+fn run_through_kills(
+    order: RowOrder,
+    allocation: CoreAllocation,
+    kills: &[usize],
+    dir: &Path,
+) -> ibis_insitu::InsituReport {
     let cfg_with = |kill: Option<&usize>| {
         let mut c = cfg();
         c.row_order = order;
+        c.allocation = allocation;
         if let Some(&step) = kill {
             c.robustness.faults = FaultPlan::none().with_kill_at_step(step);
         }
@@ -84,12 +103,23 @@ fn run_through_kills(order: RowOrder, kills: &[usize], dir: &Path) -> ibis_insit
 
 #[test]
 fn killed_run_resumes_to_byte_identical_store() {
-    for order in [RowOrder::Identity, RowOrder::GrayBin] {
+    // The uninterrupted Shared-Cores stores as commit c2abe78 (the last one
+    // with three separate step loops) wrote them: byte identity holds
+    // across commits, not only between this commit's own runs.
+    for (order, parent_digest) in [
+        (RowOrder::Identity, 0xd9d6_89c4_u32),
+        (RowOrder::GrayBin, 0x509a_f3ac),
+    ] {
         // the uninterrupted reference run
         let clean_dir = tmp(&format!("clean-{}", order.name()));
-        let clean = run_through_kills(order, &[], &clean_dir);
+        let clean = run_through_kills(order, CoreAllocation::Shared, &[], &clean_dir);
         assert_eq!(clean.selected.len(), 4);
         let reference = dir_contents(&clean_dir);
+        assert_eq!(
+            dir_digest(&reference),
+            parent_digest,
+            "{order:?}: the store's bytes changed since the pinned commit"
+        );
         assert!(
             reference
                 .keys()
@@ -103,27 +133,35 @@ fn killed_run_resumes_to_byte_identical_store() {
             "row permutations are persisted exactly under a non-identity order"
         );
 
-        // the same run killed at every step in turn, plus one run killed
-        // three times (a resumed run's own checkpoints must resume too)
+        // under either allocation: the uninterrupted run, the same run
+        // killed at every step in turn, and one run killed three times (a
+        // resumed run's own checkpoints must resume too)
         let steps = cfg().steps;
         let single = (1..steps).map(|k| vec![k]);
-        for kills in single.chain([vec![2, 3, 8]]) {
-            let crash_dir = tmp(&format!("crash-{}-{kills:?}", order.name()));
-            let resumed = run_through_kills(order, &kills, &crash_dir);
-            assert_eq!(
-                resumed.selected, clean.selected,
-                "{order:?}, killed at {kills:?}: selection must survive the crash"
-            );
-            assert_eq!(resumed.bytes_written, clean.bytes_written);
-            assert_eq!(resumed.step_outcomes, clean.step_outcomes);
-            // the store itself — every file, every byte; a surviving
-            // CHECKPOINT, JOURNAL or temp file fails the comparison
-            assert!(
-                dir_contents(&crash_dir) == reference,
-                "{order:?}, killed at {kills:?}: resumed store must be \
-                 byte-identical to the uninterrupted one"
-            );
-            std::fs::remove_dir_all(&crash_dir).ok();
+        let kill_plans: Vec<Vec<usize>> = [vec![]]
+            .into_iter()
+            .chain(single)
+            .chain([vec![2, 3, 8]])
+            .collect();
+        for allocation in [CoreAllocation::Shared, SEPARATE] {
+            for kills in &kill_plans {
+                let crash_dir = tmp(&format!("crash-{}-{allocation:?}-{kills:?}", order.name()));
+                let resumed = run_through_kills(order, allocation, kills, &crash_dir);
+                assert_eq!(
+                    resumed.selected, clean.selected,
+                    "{order:?}, {allocation:?}, killed at {kills:?}: selection must survive the crash"
+                );
+                assert_eq!(resumed.bytes_written, clean.bytes_written);
+                assert_eq!(resumed.step_outcomes, clean.step_outcomes);
+                // the store itself — every file, every byte; a surviving
+                // CHECKPOINT, JOURNAL or temp file fails the comparison
+                assert!(
+                    dir_contents(&crash_dir) == reference,
+                    "{order:?}, {allocation:?}, killed at {kills:?}: the store must be \
+                     byte-identical to the uninterrupted Shared-Cores one"
+                );
+                std::fs::remove_dir_all(&crash_dir).ok();
+            }
         }
 
         let store = Store::open(&clean_dir).unwrap();

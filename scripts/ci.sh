@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints (warnings are errors), and the full
-# workspace test suite — in both kernel configurations and both
-# observability configurations (instrumented and no-op).
+# workspace test suite — in both observability configurations
+# (instrumented and no-op).
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -50,14 +50,7 @@ for obs in "" "--no-default-features"; do
     cargo test -q -p ibis-insitu $obs --lib --test fault_injection --test crash_resume
 done
 
-echo "==> cargo test (ibis-core with legacy-kernels, for the A/B sweep)"
-cargo test -q -p ibis-core --features legacy-kernels
-
-echo "==> cargo test (fault suite against legacy kernels)"
-cargo test -q -p ibis-insitu --features ibis-core/legacy-kernels \
-    --lib --test fault_injection --test crash_resume
-
-echo "==> generation bench smoke (both kernel configs) + report schema"
+echo "==> generation bench smoke (both obs configs) + report schema"
 # IBIS_GEN_SMOKE=1 shrinks the sweep and writes to target/ so CI never
 # clobbers the committed full-size BENCH_generation.json.
 check_generation_report() {

@@ -21,6 +21,7 @@ use ibis::core::{Binner, BitmapIndex, RowOrder, ZOrderLayout};
 use ibis::datagen::{
     Heat3D, Heat3DConfig, LuleshConfig, MiniLulesh, OceanConfig, OceanModel, Simulation,
 };
+use ibis::insitu::pipeline::step_permutation;
 use ibis::insitu::{
     auto_allocate, is_sharded, run_pipeline, suggest_row_order, CachedStore, CoreAllocation,
     EngineBackend, LocalDisk, MachineModel, MaintenanceConfig, PipelineConfig, QueryEngine,
@@ -449,14 +450,8 @@ fn cmd_insitu(flags: &Flags) -> Result<(), String> {
             if !report.selected.contains(&step) {
                 continue;
             }
-            // Same per-step permutation the pipeline would apply: derived
-            // from the first field, shared by every variable of the step.
-            let perm = match out.fields.first() {
-                Some(f0) if out.fields.iter().all(|f| f.data.len() == f0.data.len()) => {
-                    row_order.permutation(&dims, &binners[0], &f0.data)
-                }
-                _ => None,
-            };
+            // the per-step permutation the pipeline applied
+            let perm = step_permutation(&out, row_order, &dims, &binners[0]);
             for (f, binner) in out.fields.iter().zip(&binners) {
                 let idx = match &perm {
                     Some(p) => BitmapIndex::build_permuted(&f.data, binner.clone(), p),
