@@ -155,23 +155,12 @@ pub fn pearson(a: &BitmapIndex, b: &BitmapIndex) -> Option<f64> {
 /// selected positions.
 pub fn pearson_selected(a: &BitmapIndex, b: &BitmapIndex, selection: &WahVec) -> Option<f64> {
     assert_eq!(selection.len(), a.len(), "selection length mismatch");
-    let nb = b.nbins();
-    let mut joint = vec![0u64; a.nbins() * nb];
-    for j in 0..a.nbins() {
-        if a.counts()[j] == 0 {
-            continue;
-        }
-        let masked = a.bin(j).and(selection);
-        if masked.count_ones() == 0 {
-            continue;
-        }
-        for (k, slot) in joint[j * nb..(j + 1) * nb].iter_mut().enumerate() {
-            if b.counts()[k] != 0 {
-                *slot = masked.and_count(b.bin(k));
-            }
-        }
-    }
-    pearson_from_joint_counts(a.binner(), b.binner(), &joint, selection.count_ones())
+    pearson_from_joint_counts(
+        a.binner(),
+        b.binner(),
+        &crate::query::joint_counts_selected(a, b, selection),
+        selection.count_ones(),
+    )
 }
 
 /// The Pearson finisher: joint `(bin_a, bin_b)` counts to an approximate

@@ -165,13 +165,13 @@ impl SubsetQuery {
     /// Evaluates to a selection vector over the index's positions, planning
     /// the value predicate with the single-level strategies.
     pub fn evaluate(&self, index: &BitmapIndex) -> Result<WahVec, QueryError> {
-        self.evaluate_planned(index, None)
+        self.evaluate_whole(index, None, None)
     }
 
     /// Evaluates against a two-level index: wide value ranges additionally
     /// consider the high-level covering strategy.
     pub fn evaluate_ml(&self, index: &MultiLevelIndex) -> Result<WahVec, QueryError> {
-        self.evaluate_planned(index.low(), Some(index))
+        self.evaluate_whole(index.low(), Some(index), None)
     }
 
     /// [`SubsetQuery::evaluate`] against an index built under a row
@@ -186,7 +186,7 @@ impl SubsetQuery {
         index: &BitmapIndex,
         perm: &RowPermutation,
     ) -> Result<WahVec, QueryError> {
-        self.evaluate_with(index, None, Some(perm))
+        self.evaluate_whole(index, None, Some(perm))
     }
 
     /// [`SubsetQuery::evaluate_ml`] under a row reordering (see
@@ -196,50 +196,104 @@ impl SubsetQuery {
         index: &MultiLevelIndex,
         perm: &RowPermutation,
     ) -> Result<WahVec, QueryError> {
-        self.evaluate_with(index.low(), Some(index), Some(perm))
+        self.evaluate_whole(index.low(), Some(index), Some(perm))
     }
 
-    fn evaluate_planned(
-        &self,
-        index: &BitmapIndex,
-        ml: Option<&MultiLevelIndex>,
-    ) -> Result<WahVec, QueryError> {
-        self.evaluate_with(index, ml, None)
-    }
-
-    fn evaluate_with(
+    /// A whole index is the one shard covering rows `0..n` of an `n`-row
+    /// domain.
+    fn evaluate_whole(
         &self,
         index: &BitmapIndex,
         ml: Option<&MultiLevelIndex>,
         perm: Option<&RowPermutation>,
     ) -> Result<WahVec, QueryError> {
         let n = index.len();
+        evaluate_shard(self, index, ml, 0..n, n, perm)
+    }
+
+    /// The region predicate as a mask over the stored rows
+    /// `[rows.start, rows.end)` of one shard (`None` without a region
+    /// predicate) — the only place a region meets a row layout. The
+    /// region names *original* row ids of a `global_len`-row domain and is
+    /// validated against that length, so a malformed query fails
+    /// identically on every shard. Under the identity layout the block is
+    /// clipped to the shard and rebased (O(1) fills); under `perm` (the
+    /// *global* permutation) its stored positions `perm.inv()[i]` are
+    /// gathered, kept when they land in this shard, rebased and sorted so
+    /// the mask is canonical — O(region · log), the price of querying a
+    /// reordered index, measured by the `reorder` bench.
+    pub fn shard_mask(
+        &self,
+        rows: Range<u64>,
+        global_len: u64,
+        perm: Option<&RowPermutation>,
+    ) -> Result<Option<WahVec>, QueryError> {
         if let Some(p) = perm {
-            if p.len() as u64 != n {
+            if p.len() as u64 != global_len {
                 return Err(QueryError::LengthMismatch {
-                    len_a: n,
+                    len_a: global_len,
                     len_b: p.len() as u64,
                 });
             }
         }
-        let mut sel = match self.value_range {
+        let Some(range) = &self.position_range else {
+            return Ok(None);
+        };
+        if range.start > range.end || range.end > global_len {
+            return Err(QueryError::RegionOutOfRange {
+                start: range.start,
+                end: range.end,
+                len: global_len,
+            });
+        }
+        let n = rows.end - rows.start;
+        let mask = match perm {
+            None => {
+                let lo = range.start.clamp(rows.start, rows.end) - rows.start;
+                let hi = range.end.clamp(rows.start, rows.end) - rows.start;
+                region_mask(lo..hi, n)?
+            }
+            Some(p) => {
+                OBS_REGION_MAPPED.inc();
+                let mut ones: Vec<u64> = p.inv()[range.start as usize..range.end as usize]
+                    .iter()
+                    .map(|&s| s as u64)
+                    .filter(|s| rows.contains(s))
+                    .map(|s| s - rows.start)
+                    .collect();
+                ones.sort_unstable();
+                WahVec::from_ones(&ones, n)
+            }
+        };
+        Ok(Some(mask))
+    }
+
+    /// The selection over `index` given the shard's prebuilt region
+    /// `mask` ([`SubsetQuery::shard_mask`]): the planned value predicate
+    /// intersected with it. Split from the mask so a caller evaluating
+    /// several indices over the same rows — a lossy companion, then the
+    /// exact index — builds the mask once.
+    pub fn evaluate_masked(
+        &self,
+        index: &BitmapIndex,
+        ml: Option<&MultiLevelIndex>,
+        mask: Option<&WahVec>,
+    ) -> Result<WahVec, QueryError> {
+        let sel = match self.value_range {
             Some((lo, hi)) => {
                 let plan = plan_value_range(index, ml, lo, hi)?;
                 execute_range_plan(index, ml, &plan)
             }
-            None => WahVec::ones(n),
+            None => WahVec::ones(index.len()),
         };
-        if let Some(range) = &self.position_range {
-            let mask = match perm {
-                None => region_mask(range.clone(), n)?,
-                Some(p) => {
-                    OBS_REGION_MAPPED.inc();
-                    region_mask_mapped(range.clone(), p)?
-                }
-            };
-            sel = sel.and(&mask);
+        match mask {
+            None => Ok(sel),
+            Some(m) if m.len() == index.len() => Ok(sel.and(m)),
+            Some(m) => Err(QueryError::LengthMismatch {
+                len_a: index.len(),
+                len_b: m.len(),
+            }),
         }
-        Ok(sel)
     }
 }
 
@@ -258,29 +312,6 @@ pub fn region_mask(range: Range<u64>, len: u64) -> Result<WahVec, QueryError> {
     b.append_run(true, range.end - range.start);
     b.append_run(false, len - range.end);
     Ok(b.finish())
-}
-
-/// [`region_mask`] under a row reordering: `range` names *original* row
-/// ids, the returned mask has ones at their *stored* positions
-/// (`perm.inv()[i]` for each `i` in the range). The scattered positions
-/// are sorted before building, so the mask is canonical; cost is
-/// O(range length · log) instead of `region_mask`'s O(1) fills — the
-/// price of querying a reordered index, measured by the `reorder` bench.
-pub fn region_mask_mapped(range: Range<u64>, perm: &RowPermutation) -> Result<WahVec, QueryError> {
-    let len = perm.len() as u64;
-    if range.start > range.end || range.end > len {
-        return Err(QueryError::RegionOutOfRange {
-            start: range.start,
-            end: range.end,
-            len,
-        });
-    }
-    let mut ones: Vec<u64> = perm.inv()[range.start as usize..range.end as usize]
-        .iter()
-        .map(|&s| s as u64)
-        .collect();
-    ones.sort_unstable();
-    Ok(WahVec::from_ones(&ones, len))
 }
 
 // ---------------------------------------------------------------------------
@@ -583,7 +614,9 @@ pub fn correlation_query_ml_mapped(
     )
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The four public entry points above are the `rows = 0..n` case of the
+/// shard partial below, finished in place: one selected joint table, one
+/// set of finishers, whatever the shard count.
 fn correlation_query_with(
     a: &BitmapIndex,
     ml_a: Option<&MultiLevelIndex>,
@@ -593,25 +626,9 @@ fn correlation_query_with(
     query_b: &SubsetQuery,
     perm: Option<&RowPermutation>,
 ) -> Result<CorrelationAnswer, QueryError> {
-    if a.len() != b.len() {
-        return Err(QueryError::LengthMismatch {
-            len_a: a.len(),
-            len_b: b.len(),
-        });
-    }
-    let sel = query_a
-        .evaluate_with(a, ml_a, perm)?
-        .and(&query_b.evaluate_with(b, ml_b, perm)?);
-    let selected = sel.count_ones();
-    let joint = joint_counts_selected(a, b, &sel);
-    Ok(CorrelationAnswer {
-        selected,
-        mutual_information: mutual_information_from_counts(&joint, a.nbins(), b.nbins()),
-        conditional_entropy: conditional_entropy_from_counts(&joint, a.nbins(), b.nbins()),
-        pearson: aggregate::pearson_selected(a, b, &sel),
-        mean_a: aggregate::mean_selected(a, &sel),
-        mean_b: aggregate::mean_selected(b, &sel),
-    })
+    let n = a.len();
+    let partial = correlation_partial(a, ml_a, b, ml_b, query_a, query_b, 0..n, n, perm)?;
+    Ok(finish_correlation(a.binner(), b.binner(), &partial))
 }
 
 // ---------------------------------------------------------------------------
@@ -620,7 +637,8 @@ fn correlation_query_with(
 //
 // A spatial shard holds `slice_rows(lo..hi)` of every step's index — the
 // contiguous stored-row range `[lo, hi)` of the global row space. Three
-// facts make scatter-gather answers byte-identical to the unsharded engine:
+// facts make scatter-gather answers byte-identical whatever the shard
+// count (an unsharded index being the one shard `0..n`):
 //
 // 1. *Selections slice.* A value predicate is an OR over a bin span, set
 //    operations distribute over row slices, and the canonical WAH encoding
@@ -643,21 +661,17 @@ fn correlation_query_with(
 /// `[rows.start, rows.end)` of a `global_len`-row domain. The returned
 /// selection is exactly `global_selection.slice(rows)` — the shard-local
 /// canonical piece a coordinator concatenates (or counts) per shard.
-///
 /// `perm` is the *global* row permutation for stores laid out under a row
-/// reordering (region predicates name original row ids; their stored
-/// positions are mapped through `perm.inv()` and kept only when they land
-/// in this shard). Validation matches the unsharded path: region bounds
-/// are checked against `global_len`, so a malformed query fails
-/// identically on every shard.
-pub fn evaluate_ml_shard(
+/// reordering; see [`SubsetQuery::shard_mask`] for how regions map and
+/// validate.
+fn evaluate_shard(
     query: &SubsetQuery,
-    ml: &MultiLevelIndex,
+    index: &BitmapIndex,
+    ml: Option<&MultiLevelIndex>,
     rows: Range<u64>,
     global_len: u64,
     perm: Option<&RowPermutation>,
 ) -> Result<WahVec, QueryError> {
-    let index = ml.low();
     let n = index.len();
     if rows.end.saturating_sub(rows.start) != n || rows.end > global_len {
         return Err(QueryError::LengthMismatch {
@@ -665,59 +679,8 @@ pub fn evaluate_ml_shard(
             len_b: rows.end.saturating_sub(rows.start),
         });
     }
-    if let Some(p) = perm {
-        if p.len() as u64 != global_len {
-            return Err(QueryError::LengthMismatch {
-                len_a: global_len,
-                len_b: p.len() as u64,
-            });
-        }
-    }
-    let mut sel = match query.value_range {
-        Some((lo, hi)) => {
-            let plan = plan_value_range(index, Some(ml), lo, hi)?;
-            execute_range_plan(index, Some(ml), &plan)
-        }
-        None => WahVec::ones(n),
-    };
-    if let Some(range) = &query.position_range {
-        if range.start > range.end || range.end > global_len {
-            return Err(QueryError::RegionOutOfRange {
-                start: range.start,
-                end: range.end,
-                len: global_len,
-            });
-        }
-        let mask = match perm {
-            None => {
-                // Identity layout: the global `[start, end)` block clipped
-                // to this shard and rebased to shard-local positions.
-                let lo = range.start.max(rows.start);
-                let hi = range.end.min(rows.end);
-                let local = if lo < hi {
-                    lo - rows.start..hi - rows.start
-                } else {
-                    0..0
-                };
-                region_mask(local, n)?
-            }
-            Some(p) => {
-                OBS_REGION_MAPPED.inc();
-                // Reordered layout: stored positions of the original-id
-                // block that land inside this shard, rebased and sorted.
-                let mut ones: Vec<u64> = p.inv()[range.start as usize..range.end as usize]
-                    .iter()
-                    .map(|&s| s as u64)
-                    .filter(|s| rows.contains(s))
-                    .map(|s| s - rows.start)
-                    .collect();
-                ones.sort_unstable();
-                WahVec::from_ones(&ones, n)
-            }
-        };
-        sel = sel.and(&mask);
-    }
-    Ok(sel)
+    let mask = query.shard_mask(rows, global_len, perm)?;
+    query.evaluate_masked(index, ml, mask.as_ref())
 }
 
 /// One shard's additive contribution to a correlation query: every term
@@ -773,7 +736,8 @@ impl CorrelationPartial {
 }
 
 /// Computes one shard's [`CorrelationPartial`] for a correlation query
-/// (see [`evaluate_ml_shard`] for the shard-addressing contract).
+/// over stored rows `[rows.start, rows.end)` of a `global_len`-row domain
+/// (`perm`: the *global* row permutation, if any).
 #[allow(clippy::too_many_arguments)]
 pub fn correlation_partial_ml_shard(
     a: &MultiLevelIndex,
@@ -784,29 +748,55 @@ pub fn correlation_partial_ml_shard(
     global_len: u64,
     perm: Option<&RowPermutation>,
 ) -> Result<CorrelationPartial, QueryError> {
-    if a.low().len() != b.low().len() {
+    correlation_partial(
+        a.low(),
+        Some(a),
+        b.low(),
+        Some(b),
+        query_a,
+        query_b,
+        rows,
+        global_len,
+        perm,
+    )
+}
+
+/// The one place the query path builds a selected joint table.
+#[allow(clippy::too_many_arguments)]
+fn correlation_partial(
+    a: &BitmapIndex,
+    ml_a: Option<&MultiLevelIndex>,
+    b: &BitmapIndex,
+    ml_b: Option<&MultiLevelIndex>,
+    query_a: &SubsetQuery,
+    query_b: &SubsetQuery,
+    rows: Range<u64>,
+    global_len: u64,
+    perm: Option<&RowPermutation>,
+) -> Result<CorrelationPartial, QueryError> {
+    if a.len() != b.len() {
         return Err(QueryError::LengthMismatch {
-            len_a: a.low().len(),
-            len_b: b.low().len(),
+            len_a: a.len(),
+            len_b: b.len(),
         });
     }
-    let sel = evaluate_ml_shard(query_a, a, rows.clone(), global_len, perm)?
-        .and(&evaluate_ml_shard(query_b, b, rows, global_len, perm)?);
+    let sel = evaluate_shard(query_a, a, ml_a, rows.clone(), global_len, perm)?
+        .and(&evaluate_shard(query_b, b, ml_b, rows, global_len, perm)?);
     let count_bins = |idx: &BitmapIndex| -> Vec<u64> {
         idx.bins().iter().map(|bin| bin.and_count(&sel)).collect()
     };
     Ok(CorrelationPartial {
         selected: sel.count_ones(),
-        joint: joint_counts_selected(a.low(), b.low(), &sel),
-        counts_a: count_bins(a.low()),
-        counts_b: count_bins(b.low()),
+        joint: joint_counts_selected(a, b, &sel),
+        counts_a: count_bins(a),
+        counts_b: count_bins(b),
     })
 }
 
 /// Runs the metric finishers over merged shard partials. Feeding the sum
-/// of every shard's partial through this yields a [`CorrelationAnswer`]
-/// bit-identical to the unsharded [`correlation_query_ml`] — same integer
-/// counts, same finishers, same accumulation order.
+/// of every shard's partial through this yields the [`CorrelationAnswer`]
+/// of the unsharded index bit for bit — same integer counts, same
+/// finishers, same accumulation order.
 pub fn finish_correlation(
     binner_a: &ibis_core::Binner,
     binner_b: &ibis_core::Binner,
@@ -886,6 +876,10 @@ mod tests {
     fn region_mask_edges() {
         let m = region_mask(0..0, 10).unwrap();
         assert_eq!(m.count_ones(), 0);
+        // an empty block is the canonical zeros wherever it sits
+        for at in [0, 31, 40, 100] {
+            assert_eq!(region_mask(at..at, 100).unwrap(), WahVec::zeros(100));
+        }
         let m = region_mask(0..10, 10).unwrap();
         assert_eq!(m.count_ones(), 10);
         let m = region_mask(3..7, 10).unwrap();
@@ -1187,9 +1181,12 @@ mod tests {
                     .and(&qb.evaluate_ml(&ib).unwrap());
                 let mut bld = ibis_core::WahBuilder::new();
                 for (r, sa, sb) in &shards {
-                    let s = evaluate_ml_shard(qa, sa, r.clone(), n as u64, None)
+                    let s = evaluate_shard(qa, sa.low(), Some(sa), r.clone(), n as u64, None)
                         .unwrap()
-                        .and(&evaluate_ml_shard(qb, sb, r.clone(), n as u64, None).unwrap());
+                        .and(
+                            &evaluate_shard(qb, sb.low(), Some(sb), r.clone(), n as u64, None)
+                                .unwrap(),
+                        );
                     bld.append_wah(&s);
                 }
                 assert_eq!(bld.finish(), global_sel, "selection concat {qa:?}/{qb:?}");
@@ -1249,12 +1246,19 @@ mod tests {
         let ml = MultiLevelIndex::build(&data, Binner::fixed_width(0.0, 10.0, 10), 2);
         // shard range length must match the shard index
         assert!(matches!(
-            evaluate_ml_shard(&SubsetQuery::all(), &ml, 0..50, 200, None),
+            evaluate_shard(&SubsetQuery::all(), ml.low(), Some(&ml), 0..50, 200, None),
             Err(QueryError::LengthMismatch { .. })
         ));
         // region bounds validate against the global length, as unsharded
         assert!(matches!(
-            evaluate_ml_shard(&SubsetQuery::region(150..250), &ml, 0..100, 200, None),
+            evaluate_shard(
+                &SubsetQuery::region(150..250),
+                ml.low(),
+                Some(&ml),
+                0..100,
+                200,
+                None
+            ),
             Err(QueryError::RegionOutOfRange { len: 200, .. })
         ));
     }

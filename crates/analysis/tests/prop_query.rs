@@ -2,14 +2,17 @@
 //! engine against a full-data scan oracle (filter raw values by range and
 //! positions, build the joint histogram directly from data pairs), across
 //! every binner kind — plus the guarantee that multi-level evaluation and
-//! every planner strategy produce byte-identical selections, and that no
-//! generated query (inverted, empty, NaN, out-of-range) ever panics.
+//! every planner strategy produce byte-identical selections, that
+//! `correlation_query` is the pure finisher over the counts a scan fills,
+//! and that no generated query (inverted, empty, NaN, out-of-range) ever
+//! panics.
 
 use ibis_analysis::{
-    correlation_query, correlation_query_ml, joint_counts_selected, joint_counts_selected_naive,
-    QueryError, SubsetQuery,
+    correlation_query, correlation_query_mapped, correlation_query_ml, finish_correlation,
+    joint_counts_selected, joint_counts_selected_naive, CorrelationPartial, QueryError,
+    SubsetQuery,
 };
-use ibis_core::{Binner, BitmapIndex, MultiLevelIndex, WahVec};
+use ibis_core::{Binner, BitmapIndex, MultiLevelIndex, RowOrder, WahVec};
 use proptest::prelude::*;
 
 /// One binner of each kind the crate supports, all covering ±50.
@@ -181,6 +184,60 @@ proptest! {
         prop_assert!(flat.conditional_entropy.is_finite());
         prop_assert!(flat.mutual_information >= -1e-12);
         prop_assert!(flat.conditional_entropy >= -1e-12);
+    }
+
+    #[test]
+    fn correlation_query_equals_finisher_over_scanned_partial(
+        (data_a, binner_a) in data_and_binner(),
+        (data_b, binner_b) in data_and_binner(),
+        qa in subset_query(200),
+        qb in subset_query(200),
+        permuted in any::<bool>(),
+    ) {
+        let n = data_a.len().min(data_b.len());
+        let (a, b) = (&data_a[..n], &data_b[..n]);
+        // regions were drawn against n=200; clamp into this data's range
+        let clamp = |mut q: SubsetQuery| {
+            if let Some(r) = &q.position_range {
+                let end = r.end.min(n as u64);
+                q.position_range = Some(r.start.min(end)..end);
+            }
+            q
+        };
+        let (qa, qb) = (clamp(qa), clamp(qb));
+        let ia = BitmapIndex::build(a, binner_a.clone());
+        let ib = BitmapIndex::build(b, binner_b.clone());
+
+        // the partial a scan of the raw pairs fills, in original row order
+        let (in_a, in_b) = (scan_selection(a, &ia, &qa), scan_selection(b, &ib, &qb));
+        let (na, nb) = (ia.nbins(), ib.nbins());
+        let mut p = CorrelationPartial::zero(na, nb);
+        for row in (0..n).filter(|&row| in_a[row] && in_b[row]) {
+            let (ja, jb) = (binner_a.bin_of(a[row]) as usize, binner_b.bin_of(b[row]) as usize);
+            p.selected += 1;
+            p.joint[ja * nb + jb] += 1;
+            p.counts_a[ja] += 1;
+            p.counts_b[jb] += 1;
+        }
+        let want = finish_correlation(&binner_a, &binner_b, &p);
+
+        // ...equals the bitmap answer bit for bit — Pearson and both
+        // means included — in stored order too: every metric is
+        // row-order invariant and regions map through the inverse
+        let perm = permuted
+            .then(|| RowOrder::HistogramSorted.permutation(&[], &binner_a, a))
+            .flatten();
+        let got = match &perm {
+            Some(perm) => correlation_query_mapped(
+                &BitmapIndex::build_permuted(a, binner_a.clone(), perm),
+                &BitmapIndex::build_permuted(b, binner_b.clone(), perm),
+                &qa,
+                &qb,
+                perm,
+            ),
+            None => correlation_query(&ia, &ib, &qa, &qb),
+        };
+        prop_assert_eq!(got.unwrap(), want);
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub struct CachedStore {
     shards: Vec<Mutex<Shard>>,
     shard_budget: u64,
     // Instance label for per-instance obs gauges (`query.cache.<label>.*`).
-    // `None` publishes only the static `query.cache.stat.*` family.
+    // `None` publishes none.
     label: Option<String>,
     tick: AtomicU64,
     hits: AtomicU64,
@@ -152,12 +152,10 @@ impl CachedStore {
         }
     }
 
-    /// Names this instance for per-instance obs gauges: [`publish_obs`]
-    /// additionally sets `query.cache.<label>.{hits,misses,evictions,`
+    /// Names this instance for per-instance obs gauges: the engine's
+    /// `publish_obs` sets `query.cache.<label>.{hits,misses,evictions,`
     /// `resident_bytes}`, so a process fronting several caches (one per
     /// spatial shard, say) exposes each one's residency separately.
-    ///
-    /// [`publish_obs`]: CachedStore::publish_obs
     pub fn with_label(mut self, label: impl Into<String>) -> Self {
         self.label = Some(label.into());
         self
@@ -335,40 +333,47 @@ impl CachedStore {
         }
     }
 
-    /// Publishes this instance's [`CacheStats`] into the obs registry as
-    /// `query.cache.stat.*` gauges plus `query.cache.hit_ratio_pct`, so a
-    /// server's hit ratio lands in `--obs-json` snapshots (the global
-    /// `query.cache.{hits,misses}` counters aggregate *every* cache in
-    /// the process; these gauges are this instance's view). Call it right
-    /// before snapshotting; a no-op in the no-op obs build.
+    /// Sets `query.cache.<label>.{hits,misses,evictions,resident_bytes}`
+    /// for a labeled instance, registered lazily by name; nothing for an
+    /// unlabeled one. The static family is [`CacheStats::publish_obs`]'s:
+    /// an engine publishes the *sum* over its caches there, once.
+    pub(crate) fn publish_labeled_obs(&self) {
+        // Gated on ENABLED so the no-op obs build registers nothing.
+        if !ibis_obs::ENABLED {
+            return;
+        }
+        let Some(label) = &self.label else { return };
+        let (s, reg) = (self.stats(), ibis_obs::global());
+        reg.gauge(&format!("query.cache.{label}.hits"))
+            .set(s.hits as i64);
+        reg.gauge(&format!("query.cache.{label}.misses"))
+            .set(s.misses as i64);
+        reg.gauge(&format!("query.cache.{label}.evictions"))
+            .set(s.evictions as i64);
+        reg.gauge(&format!("query.cache.{label}.resident_bytes"))
+            .set(s.resident_bytes as i64);
+    }
+}
+
+impl CacheStats {
+    /// Publishes these counters as the `query.cache.stat.*` gauges plus
+    /// `query.cache.hit_ratio_pct`, so a server's hit ratio lands in
+    /// `--obs-json` snapshots (the global `query.cache.{hits,misses}`
+    /// counters aggregate *every* cache in the process; these gauges are
+    /// the publisher's view — one cache, or an engine's sum over shards).
+    /// Call it right before snapshotting; a no-op in the no-op obs build.
     pub fn publish_obs(&self) {
         static OBS_STAT_HITS: LazyGauge = LazyGauge::new("query.cache.stat.hits");
         static OBS_STAT_MISSES: LazyGauge = LazyGauge::new("query.cache.stat.misses");
         static OBS_STAT_EVICTIONS: LazyGauge = LazyGauge::new("query.cache.stat.evictions");
         static OBS_STAT_RESIDENT: LazyGauge = LazyGauge::new("query.cache.stat.resident_bytes");
         static OBS_HIT_RATIO: LazyGauge = LazyGauge::new("query.cache.hit_ratio_pct");
-        let s = self.stats();
-        OBS_STAT_HITS.set(s.hits as i64);
-        OBS_STAT_MISSES.set(s.misses as i64);
-        OBS_STAT_EVICTIONS.set(s.evictions as i64);
-        OBS_STAT_RESIDENT.set(s.resident_bytes as i64);
-        if let Some(pct) = (s.hits * 100).checked_div(s.hits + s.misses) {
+        OBS_STAT_HITS.set(self.hits as i64);
+        OBS_STAT_MISSES.set(self.misses as i64);
+        OBS_STAT_EVICTIONS.set(self.evictions as i64);
+        OBS_STAT_RESIDENT.set(self.resident_bytes as i64);
+        if let Some(pct) = (self.hits * 100).checked_div(self.hits + self.misses) {
             OBS_HIT_RATIO.set(pct as i64);
-        }
-        // Per-instance gauges under the label, registered lazily by name.
-        // Gated on ENABLED so the no-op obs build registers nothing.
-        if ibis_obs::ENABLED {
-            if let Some(label) = &self.label {
-                let reg = ibis_obs::global();
-                reg.gauge(&format!("query.cache.{label}.hits"))
-                    .set(s.hits as i64);
-                reg.gauge(&format!("query.cache.{label}.misses"))
-                    .set(s.misses as i64);
-                reg.gauge(&format!("query.cache.{label}.evictions"))
-                    .set(s.evictions as i64);
-                reg.gauge(&format!("query.cache.{label}.resident_bytes"))
-                    .set(s.resident_bytes as i64);
-            }
         }
     }
 }
@@ -448,7 +453,7 @@ mod tests {
         cache.get("temperature", 0).unwrap();
         cache.get("temperature", 0).unwrap();
         cache.get("temperature", 1).unwrap();
-        cache.publish_obs();
+        cache.stats().publish_obs();
         if ibis_obs::ENABLED {
             let snap = ibis_obs::global().snapshot();
             let gauge = |name: &str| match snap.get(name) {
@@ -456,8 +461,8 @@ mod tests {
                 other => panic!("{name}: expected gauge, got {other:?}"),
             };
             // Other parallel tests share the global registry, but these
-            // gauges are only set by publish_obs on *this* instance (the
-            // only caller in the lib test binary), so values are exact.
+            // gauges are only set by publish_obs on *this* instance's stats
+            // (the only caller in the lib test binary), so values are exact.
             assert_eq!(gauge("query.cache.stat.hits"), 1);
             assert_eq!(gauge("query.cache.stat.misses"), 2);
             assert_eq!(gauge("query.cache.stat.evictions"), 0);
@@ -591,7 +596,8 @@ mod tests {
         assert_eq!(cache.label(), Some("shard007"));
         cache.get("temperature", 0).unwrap();
         cache.get("temperature", 0).unwrap();
-        cache.publish_obs();
+        // only the labeled half: the static family belongs to the test above
+        cache.publish_labeled_obs();
         if ibis_obs::ENABLED {
             let snap = ibis_obs::global().snapshot();
             let gauge = |name: &str| match snap.get(name) {

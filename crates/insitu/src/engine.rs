@@ -1,18 +1,45 @@
 //! The query engine: subset and correlation queries served from a durable
-//! store through the [`CachedStore`], with a JSON batch protocol for the
-//! `ibis query` CLI.
+//! store of `K ≥ 1` spatial shards through per-shard [`CachedStore`]s,
+//! with a JSON batch protocol for the `ibis query` CLI (DESIGN.md §6k).
 //!
-//! This is the read path the ROADMAP's "serve heavy traffic" goal needs:
-//! open a finished run directory once, then answer any number of queries
+//! There is one engine and one query path — scatter, evaluate per shard,
+//! gather. A flat run directory is the 1-shard store rooted at the
+//! directory itself ([`QueryEngine::new`], or [`QueryEngine::open`] on a
+//! directory without a `SHARDS` file); a sharded one fans the same
+//! per-shard step out over its `shard-NNN/` stores. Answers are
+//! **byte-identical** for every `K`:
+//!
+//! * a shard's canonical WAH selection is exactly
+//!   `global_selection.slice(rows)` (canonical-form uniqueness), so
+//!   selection *counts* sum and selections *concatenate* to the global
+//!   vector word-for-word ([`QueryEngine::selection`]);
+//! * correlation metrics reduce over additive integer partials
+//!   ([`ibis_analysis::CorrelationPartial`], merged in ascending shard
+//!   order) and finish through the same pure float finishers — the merged
+//!   counts equal the global counts exactly, so the floats match bit for
+//!   bit;
+//! * region predicates prune: with an identity row layout, a query whose
+//!   region misses a shard's row range contributes an empty partial by
+//!   construction, so that shard is neither loaded nor evaluated — on a
+//!   spatially-local workload a `K`-shard store does ~`1/K` of the decode
+//!   and popcount work per query.
+//!
+//! Open a finished run directory once, then answer any number of queries
 //! against it, decoding each `(variable, step)` blob at most once per cache
-//! residency. The engine is `&self` throughout and the cache is sharded,
-//! so one engine instance serves concurrent reader threads.
+//! residency. The engine is `&self` throughout and the caches are
+//! lock-sharded, so one engine instance serves concurrent reader threads.
 //!
 //! Every failure — unknown variable, malformed region, NaN bound, corrupt
 //! blob, bad JSON — is a structured [`IbisError`]; no query input can panic
 //! the process (the adversarial corpus in `tests/query_engine.rs` holds
 //! this line). A batch keeps going after a failed query: each request gets
 //! its own `Result`, so one typo doesn't void an expensive batch.
+//!
+//! Counters: `query.engine.{ok,rejected}`, `shard.query.{fanout,pruned}`,
+//! `lossy.filter.{used,empty}` / `lossy.refine.rows`,
+//! `shard.maintenance.{runs,evicted_bytes}`; each shard's cache publishes
+//! per-instance `query.cache.shard<i>.{…}` gauges next to the summed
+//! `query.cache.stat.*` family.
 //!
 //! # Batch protocol
 //!
@@ -29,22 +56,35 @@
 //! Answers come back in request order as `{"answers": [...]}`, each either
 //! `{"ok": {...}}` or `{"error": "..."}`.
 
-use crate::cache::{CacheStats, CachedStore};
-use crate::error::{IbisError, Result};
+use crate::cache::{CacheStats, CachedStore, StoredOrder};
+use crate::error::{panic_message, IbisError, Result, WorkerRole};
 use crate::json::{self, Json};
-use ibis_analysis::{
-    correlation_query_ml, correlation_query_ml_mapped, CorrelationAnswer, SubsetQuery,
+use crate::shard::{
+    compact_dirs, CompactReport, MaintenanceConfig, MaintenanceReport, ShardedStore,
 };
+use crate::store::LossyCompanion;
+use ibis_analysis::{
+    correlation_partial_ml_shard, finish_correlation, CorrelationAnswer, QueryError, SubsetQuery,
+};
+use ibis_core::{MultiLevelIndex, RowPermutation, WahBuilder, WahVec};
 use ibis_obs::LazyCounter;
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::ops::Range;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 static OBS_QUERIES_OK: LazyCounter = LazyCounter::new("query.engine.ok");
 static OBS_QUERIES_REJECTED: LazyCounter = LazyCounter::new("query.engine.rejected");
+static OBS_SHARD_FANOUT: LazyCounter = LazyCounter::new("shard.query.fanout");
+static OBS_SHARD_PRUNED: LazyCounter = LazyCounter::new("shard.query.pruned");
 // Lossy filter + exact refine path (family `lossy`, see DESIGN.md §6l).
 static OBS_LOSSY_FILTER_USED: LazyCounter = LazyCounter::new("lossy.filter.used");
 static OBS_LOSSY_FILTER_EMPTY: LazyCounter = LazyCounter::new("lossy.filter.empty");
 static OBS_LOSSY_REFINE_ROWS: LazyCounter = LazyCounter::new("lossy.refine.rows");
+static OBS_MAINT_RUNS: LazyCounter = LazyCounter::new("shard.maintenance.runs");
+static OBS_MAINT_EVICTED: LazyCounter = LazyCounter::new("shard.maintenance.evicted_bytes");
 
 /// One query against the store.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,30 +127,92 @@ pub enum QueryAnswer {
     Correlation(CorrelationAnswer),
 }
 
-/// A query-serving session over one finished run directory.
+/// Memoized prefix row cuts, keyed by `(step, variable)`: `cuts[i]` is
+/// shard `i`'s first global row, `cuts[K]` the global length.
+type CutsMemo = Mutex<HashMap<(usize, String), Arc<Vec<u64>>>>;
+
+/// Where `(step, variable)`'s rows sit across the shards, plus whatever
+/// exact indices had to be decoded to learn it: the evaluation that
+/// follows reuses those instead of asking the cache twice.
+struct Layout {
+    cuts: Arc<Vec<u64>>,
+    loaded: Vec<Option<Arc<MultiLevelIndex>>>,
+}
+
+impl Layout {
+    fn rows(&self, shard: usize) -> Range<u64> {
+        self.cuts[shard]..self.cuts[shard + 1]
+    }
+
+    fn global_len(&self) -> u64 {
+        self.cuts[self.cuts.len() - 1]
+    }
+}
+
+/// A query-serving session over one finished run directory of `K ≥ 1`
+/// shards: each shard serves from its own byte-budgeted [`CachedStore`],
+/// partials merge in ascending shard order, and answers do not depend on
+/// `K` (see the module docs for the argument).
 #[derive(Debug)]
 pub struct QueryEngine {
-    cache: CachedStore,
+    dir: PathBuf,
+    caches: Vec<CachedStore>,
+    /// Whether fan-out uses threads (more than one core available) or
+    /// runs shards sequentially (identical results either way; the merge
+    /// order is always ascending shard index).
+    parallel: bool,
+    /// Per-`(step, variable)` prefix row cuts, learned on first touch —
+    /// later region queries prune shards without touching them.
+    cuts: CutsMemo,
     /// Largest companion FPR subset queries may consult as a pre-filter;
     /// `None` answers everything from the exact indices alone.
     lossy_fpr: Option<f64>,
 }
 
 impl QueryEngine {
-    /// Serves queries from `cache`.
+    /// Serves queries from `cache`: the one-shard engine over a flat store.
     pub fn new(cache: CachedStore) -> Self {
+        Self::over(cache.store().dir().to_path_buf(), vec![cache])
+    }
+
+    /// Opens the run directory `dir` — `K` shards under a `SHARDS` file,
+    /// or the single shard rooted at `dir` without one — and splits
+    /// `budget_bytes` of decoded-index cache evenly across the shards.
+    pub fn open(dir: impl AsRef<Path>, budget_bytes: u64) -> Result<Self> {
+        Ok(Self::from_store(ShardedStore::open(dir)?, budget_bytes))
+    }
+
+    /// Wraps an already-open [`ShardedStore`], splitting `budget_bytes`
+    /// evenly across per-shard caches labeled `shard000`, `shard001`, …
+    /// (their residency gauges publish per shard, not pooled).
+    pub fn from_store(store: ShardedStore, budget_bytes: u64) -> Self {
+        let dir = store.dir().to_path_buf();
+        let shards = store.into_shards();
+        let per_shard = budget_bytes / shards.len() as u64;
+        let caches = shards
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| CachedStore::new(s, per_shard).with_label(format!("shard{i:03}")))
+            .collect();
+        Self::over(dir, caches)
+    }
+
+    fn over(dir: PathBuf, caches: Vec<CachedStore>) -> Self {
         QueryEngine {
-            cache,
+            dir,
+            caches,
+            parallel: std::thread::available_parallelism().is_ok_and(|n| n.get() > 1),
+            cuts: Mutex::new(HashMap::new()),
             lossy_fpr: None,
         }
     }
 
-    /// Lets subset queries consult a step's stored lossy superset
+    /// Lets subset queries consult each shard's stored lossy superset
     /// companion (of FPR at most `fpr`) as a cheap pre-filter before the
     /// exact index. Answers stay byte-identical to the exact engine: the
     /// companion only ever *admits* extra rows, the exact refine removes
-    /// them, and an empty filter result proves the exact answer empty
-    /// without loading the exact index at all.
+    /// them, and an empty filter result proves the shard's exact answer
+    /// empty without loading its exact index at all.
     ///
     /// # Panics
     /// When `fpr` is outside the supported range (see
@@ -129,14 +231,221 @@ impl QueryEngine {
         self.lossy_fpr
     }
 
-    /// The cache behind this engine (stats, catalog).
-    pub fn cache(&self) -> &CachedStore {
-        &self.cache
+    /// The shard count.
+    pub fn nshards(&self) -> usize {
+        self.caches.len()
     }
 
-    /// This engine's cache counters.
+    /// The per-shard caches, in shard order (stats, catalog).
+    pub fn shard_caches(&self) -> &[CachedStore] {
+        &self.caches
+    }
+
+    /// Cache counters summed over every shard.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        let mut total = CacheStats::default();
+        for c in &self.caches {
+            let s = c.stats();
+            total.hits += s.hits;
+            total.misses += s.misses;
+            total.evictions += s.evictions;
+            total.resident_bytes += s.resident_bytes;
+        }
+        total
+    }
+
+    /// Publishes the summed [`QueryEngine::cache_stats`] as the static
+    /// `query.cache.stat.*` / `query.cache.hit_ratio_pct` gauges and every
+    /// labeled shard cache's per-instance gauges.
+    pub fn publish_obs(&self) {
+        self.cache_stats().publish_obs();
+        for c in &self.caches {
+            c.publish_labeled_obs();
+        }
+    }
+
+    /// Runs `f(shard_index)` for the given shards and returns results in
+    /// the same order — threaded when more than one core is available,
+    /// sequential otherwise. A panicking task is contained as
+    /// [`IbisError::WorkerPanic`].
+    fn fanout<T, F>(&self, ids: &[usize], f: F) -> Vec<Result<T>>
+    where
+        T: Send,
+        F: Fn(usize) -> Result<T> + Sync,
+    {
+        if !self.parallel || ids.len() <= 1 {
+            return ids.iter().map(|&i| f(i)).collect();
+        }
+        OBS_SHARD_FANOUT.add(ids.len() as u64);
+        std::thread::scope(|s| {
+            let f = &f;
+            let handles: Vec<_> = ids.iter().map(|&i| s.spawn(move || f(i))).collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join().unwrap_or_else(|payload| {
+                        Err(IbisError::WorkerPanic {
+                            role: WorkerRole::Node,
+                            step: None,
+                            message: panic_message(payload.as_ref()),
+                        })
+                    })
+                })
+                .collect()
+        })
+    }
+
+    /// The step's stored row permutation, shared by every shard (each
+    /// holds the same global copy; shard 0's is authoritative). Region
+    /// predicates arrive in *original* row ids and are routed through its
+    /// inverse; value ranges are order-invariant.
+    fn order_of(&self, step: usize) -> Result<Option<StoredOrder>> {
+        self.caches[0].get_order(step)
+    }
+
+    /// Shard `shard`'s lossy companion for `(variable, step)`, when the
+    /// engine has a ceiling and the companion's FPR is at or below it.
+    fn filter_of(
+        &self,
+        shard: usize,
+        variable: &str,
+        step: usize,
+    ) -> Result<Option<Arc<LossyCompanion>>> {
+        let Some(ceiling) = self.lossy_fpr else {
+            return Ok(None);
+        };
+        Ok(self.caches[shard]
+            .get_lossy(variable, step)?
+            .filter(|c| c.fpr <= ceiling))
+    }
+
+    /// The prefix row cuts of `(step, variable)`: memoized, else learned
+    /// from every shard's row count. A shard whose lossy companion the
+    /// ceiling admits reports its row count from the companion, so a
+    /// filter that then comes back empty never decodes the exact index;
+    /// every other shard decodes it and hands it on in [`Layout::loaded`].
+    fn layout(&self, step: usize, variable: &str, deadline: Option<Instant>) -> Result<Layout> {
+        let key = (step, variable.to_string());
+        if let Some(cuts) = self.cuts.lock().get(&key).cloned() {
+            return Ok(Layout {
+                cuts,
+                loaded: vec![None; self.caches.len()],
+            });
+        }
+        let ids: Vec<usize> = (0..self.caches.len()).collect();
+        let mut cuts = vec![0u64];
+        let mut loaded = Vec::with_capacity(ids.len());
+        for shard in self.fanout(&ids, |i| {
+            if let Some(companion) = self.filter_of(i, variable, step)? {
+                return Ok((companion.index.len(), None));
+            }
+            deadline_check(deadline, "shard load")?;
+            let ml = self.caches[i].get(variable, step)?;
+            Ok((ml.low().len(), Some(ml)))
+        }) {
+            let (len, ml) = shard?;
+            cuts.push(cuts[cuts.len() - 1] + len);
+            loaded.push(ml);
+        }
+        let cuts = Arc::new(cuts);
+        self.cuts.lock().insert(key, Arc::clone(&cuts));
+        Ok(Layout { cuts, loaded })
+    }
+
+    /// Shard `shard`'s exact index: the one [`QueryEngine::layout`]
+    /// already decoded, else a cache read — refused once the request's
+    /// budget has expired.
+    fn exact(
+        &self,
+        layout: &Layout,
+        shard: usize,
+        variable: &str,
+        step: usize,
+        deadline: Option<Instant>,
+    ) -> Result<Arc<MultiLevelIndex>> {
+        if let Some(ml) = &layout.loaded[shard] {
+            return Ok(Arc::clone(ml));
+        }
+        deadline_check(deadline, "shard load")?;
+        self.caches[shard].get(variable, step)
+    }
+
+    /// The shards a query must visit. Under the identity layout a shard
+    /// whose rows miss `region` contributes an empty partial by
+    /// construction and is skipped; a permuted layout scatters the region
+    /// over every shard. An empty intersection keeps shard 0 so
+    /// validation errors (and the empty answer) surface like any other
+    /// query's.
+    fn wanted(
+        &self,
+        cuts: &[u64],
+        perm: Option<&RowPermutation>,
+        region: Option<&Range<u64>>,
+    ) -> Vec<usize> {
+        let all = 0..self.caches.len();
+        let (None, Some(region)) = (perm, region) else {
+            return all.collect();
+        };
+        let mut hit: Vec<usize> = all
+            .filter(|&i| cuts[i] < region.end && cuts[i + 1] > region.start)
+            .collect();
+        if hit.is_empty() {
+            hit.push(0);
+        }
+        OBS_SHARD_PRUNED.add((self.caches.len() - hit.len()) as u64);
+        hit
+    }
+
+    /// The one place a subset query meets a shard: build the region mask
+    /// once, run the shard's lossy companion as a filter when the ceiling
+    /// admits it — empty proves the shard's answer empty and the exact
+    /// index is never touched — then evaluate the exact index. The result
+    /// is the shard-local canonical selection,
+    /// `global_selection.slice(rows)`.
+    #[allow(clippy::too_many_arguments)]
+    fn evaluate_shard(
+        &self,
+        shard: usize,
+        step: usize,
+        variable: &str,
+        query: &SubsetQuery,
+        layout: &Layout,
+        perm: Option<&RowPermutation>,
+        deadline: Option<Instant>,
+    ) -> Result<WahVec> {
+        let rows = layout.rows(shard);
+        let nrows = rows.end - rows.start;
+        let mask = query
+            .shard_mask(rows, layout.global_len(), perm)
+            .map_err(IbisError::Query)?;
+        let filter = self.filter_of(shard, variable, step)?;
+        let admitted = match &filter {
+            Some(companion) => {
+                let lsel = query
+                    .evaluate_masked(&companion.index, None, mask.as_ref())
+                    .map_err(IbisError::Query)?;
+                OBS_LOSSY_FILTER_USED.inc();
+                let admitted_rows = lsel.count_ones();
+                if admitted_rows == 0 {
+                    OBS_LOSSY_FILTER_EMPTY.inc();
+                    return Ok(WahVec::zeros(nrows));
+                }
+                OBS_LOSSY_REFINE_ROWS.add(admitted_rows);
+                Some(lsel)
+            }
+            None => None,
+        };
+        let ml = self.exact(layout, shard, variable, step, deadline)?;
+        let sel = query
+            .evaluate_masked(ml.low(), Some(&ml), mask.as_ref())
+            .map_err(IbisError::Query)?;
+        // The refine is a no-op by the superset invariant: every exact
+        // row was admitted, so the exact selection *is* the answer.
+        debug_assert!(
+            admitted.is_none_or(|lsel| sel.and(&lsel) == sel),
+            "companion admitted fewer rows than exact"
+        );
+        Ok(sel)
     }
 
     /// Answers one query. Total: every malformed or unanswerable request
@@ -156,7 +465,20 @@ impl QueryEngine {
         request: &QueryRequest,
         deadline: Option<Instant>,
     ) -> Result<QueryAnswer> {
-        let result = self.run_inner(request, deadline);
+        let result = match request {
+            QueryRequest::Subset {
+                step,
+                variable,
+                query,
+            } => self.run_subset(*step, variable, query, deadline),
+            QueryRequest::Correlation {
+                step,
+                var_a,
+                var_b,
+                query_a,
+                query_b,
+            } => self.run_correlation(*step, var_a, var_b, query_a, query_b, deadline),
+        };
         match &result {
             Ok(_) => OBS_QUERIES_OK.inc(),
             Err(_) => OBS_QUERIES_REJECTED.inc(),
@@ -164,95 +486,98 @@ impl QueryEngine {
         result
     }
 
-    fn run_inner(&self, request: &QueryRequest, deadline: Option<Instant>) -> Result<QueryAnswer> {
-        match request {
-            QueryRequest::Subset {
-                step,
-                variable,
-                query,
-            } => {
-                deadline_check(deadline, "subset load")?;
-                // A step ingested under a non-identity row order stores
-                // rows permuted; region predicates arrive in *original*
-                // row ids, so route them through the step's inverse
-                // permutation (value ranges are order-invariant).
-                let order = self.cache.get_order(*step)?;
-                // Lossy fast path: evaluate the (much smaller) superset
-                // companion first. Empty means provably-empty — the exact
-                // index is never touched; otherwise the exact selection is
-                // refined to the admitted rows, a no-op by the superset
-                // invariant, so the answer is byte-identical either way.
-                let filter = match self.lossy_fpr {
-                    Some(ceiling) => self
-                        .cache
-                        .get_lossy(variable, *step)?
-                        .filter(|c| c.fpr <= ceiling),
-                    None => None,
-                };
-                if let Some(companion) = &filter {
-                    let lsel = match order.as_deref() {
-                        Some((_, perm)) => query.evaluate_mapped(&companion.index, perm),
-                        None => query.evaluate(&companion.index),
-                    }
-                    .map_err(IbisError::Query)?;
-                    OBS_LOSSY_FILTER_USED.inc();
-                    let admitted = lsel.count_ones();
-                    if admitted == 0 {
-                        OBS_LOSSY_FILTER_EMPTY.inc();
-                        return Ok(QueryAnswer::Subset {
-                            selected: 0,
-                            of: companion.index.len(),
-                        });
-                    }
-                    OBS_LOSSY_REFINE_ROWS.add(admitted);
-                    deadline_check(deadline, "subset refine load")?;
-                    let ml = self.cache.get(variable, *step)?;
-                    let sel = match order.as_deref() {
-                        Some((_, perm)) => query.evaluate_ml_mapped(&ml, perm),
-                        None => query.evaluate_ml(&ml),
-                    }
-                    .map_err(IbisError::Query)?;
-                    let refined = sel.and(&lsel);
-                    debug_assert_eq!(refined, sel, "companion admitted fewer rows than exact");
-                    return Ok(QueryAnswer::Subset {
-                        selected: refined.count_ones(),
-                        of: ml.low().len(),
-                    });
-                }
-                let ml = self.cache.get(variable, *step)?;
-                let sel = match order.as_deref() {
-                    Some((_, perm)) => query.evaluate_ml_mapped(&ml, perm),
-                    None => query.evaluate_ml(&ml),
-                }
-                .map_err(IbisError::Query)?;
-                Ok(QueryAnswer::Subset {
-                    selected: sel.count_ones(),
-                    of: ml.low().len(),
-                })
-            }
-            QueryRequest::Correlation {
-                step,
-                var_a,
-                var_b,
-                query_a,
-                query_b,
-            } => {
-                deadline_check(deadline, "correlation load a")?;
-                let a = self.cache.get(var_a, *step)?;
-                deadline_check(deadline, "correlation load b")?;
-                let b = self.cache.get(var_b, *step)?;
-                // Both operands of one step share the step's permutation
-                // (orders are per step, not per variable), so their
-                // selections stay row-aligned under the AND.
-                let order = self.cache.get_order(*step)?;
-                match order.as_deref() {
-                    Some((_, perm)) => correlation_query_ml_mapped(&a, &b, query_a, query_b, perm),
-                    None => correlation_query_ml(&a, &b, query_a, query_b),
-                }
-                .map(QueryAnswer::Correlation)
-                .map_err(IbisError::Query)
-            }
+    fn run_subset(
+        &self,
+        step: usize,
+        variable: &str,
+        query: &SubsetQuery,
+        deadline: Option<Instant>,
+    ) -> Result<QueryAnswer> {
+        let order = self.order_of(step)?;
+        let perm = order.as_deref().map(|(_, p)| p);
+        let layout = self.layout(step, variable, deadline)?;
+        let wanted = self.wanted(&layout.cuts, perm, query.position_range.as_ref());
+        let counts = self.fanout(&wanted, |i| {
+            self.evaluate_shard(i, step, variable, query, &layout, perm, deadline)
+                .map(|sel| sel.count_ones())
+        });
+        Ok(QueryAnswer::Subset {
+            selected: counts.into_iter().sum::<Result<u64>>()?,
+            of: layout.global_len(),
+        })
+    }
+
+    fn run_correlation(
+        &self,
+        step: usize,
+        var_a: &str,
+        var_b: &str,
+        query_a: &SubsetQuery,
+        query_b: &SubsetQuery,
+        deadline: Option<Instant>,
+    ) -> Result<QueryAnswer> {
+        // Both operands of one step share the step's permutation (orders
+        // are per step, not per variable), so their selections stay
+        // row-aligned under the AND.
+        let order = self.order_of(step)?;
+        let perm = order.as_deref().map(|(_, p)| p);
+        let layout_a = self.layout(step, var_a, deadline)?;
+        let layout_b = self.layout(step, var_b, deadline)?;
+        let global_len = layout_a.global_len();
+        if global_len != layout_b.global_len() {
+            return Err(IbisError::Query(QueryError::LengthMismatch {
+                len_a: global_len,
+                len_b: layout_b.global_len(),
+            }));
         }
+        // The joint selection is AND of both predicates, so a shard
+        // contributes a non-empty partial only where *both* regions (when
+        // present) intersect its rows.
+        let region = match (&query_a.position_range, &query_b.position_range) {
+            (Some(a), Some(b)) => Some(a.start.max(b.start)..a.end.min(b.end)),
+            (Some(r), None) | (None, Some(r)) => Some(r.clone()),
+            (None, None) => None,
+        };
+        let wanted = self.wanted(&layout_a.cuts, perm, region.as_ref());
+        let partials = self.fanout(&wanted, |i| {
+            let a = self.exact(&layout_a, i, var_a, step, deadline)?;
+            let b = self.exact(&layout_b, i, var_b, step, deadline)?;
+            let rows = layout_a.rows(i);
+            correlation_partial_ml_shard(&a, &b, query_a, query_b, rows, global_len, perm)
+                .map(|p| (p, a, b))
+                .map_err(IbisError::Query)
+        });
+        // Gather: merge integer partials in ascending shard order, then
+        // run the pure finishers once — the same answer for every K
+        // (module docs).
+        let mut parts = partials.into_iter();
+        let Some(first) = parts.next() else {
+            return Err(IbisError::Config("store has no shards".into()));
+        };
+        let (mut total, a, b) = first?;
+        for part in parts {
+            total.merge(&part?.0);
+        }
+        Ok(QueryAnswer::Correlation(finish_correlation(
+            a.low().binner(),
+            b.low().binner(),
+            &total,
+        )))
+    }
+
+    /// The full canonical selection for a subset query, concatenated from
+    /// the per-shard canonical pieces in shard order — word-identical for
+    /// every shard count (the byte-identity witness tests and benches
+    /// assert against).
+    pub fn selection(&self, step: usize, variable: &str, query: &SubsetQuery) -> Result<WahVec> {
+        let order = self.order_of(step)?;
+        let perm = order.as_deref().map(|(_, p)| p);
+        let layout = self.layout(step, variable, None)?;
+        let mut b = WahBuilder::new();
+        for i in 0..self.caches.len() {
+            b.append_wah(&self.evaluate_shard(i, step, variable, query, &layout, perm, None)?);
+        }
+        Ok(b.finish())
     }
 
     /// Answers every query of a batch, in order. Failures are per-request;
@@ -269,11 +594,40 @@ impl QueryEngine {
         let answers = self.run_batch(&requests);
         Ok(render_answers(&answers))
     }
+
+    /// One background-maintenance pass: compact durable debris in the run
+    /// directory and every shard, evict cached steps that left the hot
+    /// set, squeeze residency to an idle target — each tier opt-in via
+    /// [`MaintenanceConfig`], at any shard count.
+    pub fn maintenance_once(&self, cfg: &MaintenanceConfig) -> Result<MaintenanceReport> {
+        OBS_MAINT_RUNS.inc();
+        let mut report = MaintenanceReport::default();
+        if cfg.compact {
+            let mut debris = CompactReport::default();
+            let shard_dirs = self.caches.iter().map(|c| c.store().dir());
+            compact_dirs(&self.dir, shard_dirs, &mut debris)?;
+            report.debris_files = debris.files_removed;
+            report.debris_bytes = debris.bytes_reclaimed;
+        }
+        if let Some(hot) = &cfg.hot_steps {
+            for c in &self.caches {
+                report.evicted_bytes += c.evict_retain(|step| hot.contains(&step));
+            }
+        }
+        if let Some(total) = cfg.cache_target_bytes {
+            let per_shard = total / self.caches.len() as u64;
+            for c in &self.caches {
+                report.evicted_bytes += c.evict_to(per_shard);
+            }
+        }
+        OBS_MAINT_EVICTED.add(report.evicted_bytes);
+        Ok(report)
+    }
 }
 
 /// Fails fast when a request's wall-clock budget has expired; `site`
 /// names the load about to be skipped.
-pub(crate) fn deadline_check(deadline: Option<Instant>, site: &str) -> Result<()> {
+fn deadline_check(deadline: Option<Instant>, site: &str) -> Result<()> {
     let Some(d) = deadline else { return Ok(()) };
     let now = Instant::now();
     if now >= d {

@@ -20,18 +20,19 @@
 //! * [`io`] / [`memory`] / [`report`] — storage cost models (plus a real
 //!   file sink and WAH codec), the Figure 11 memory accounting, and result
 //!   records.
-//! * [`store`] / [`cache`] / [`engine`] — the durable run-directory store,
-//!   its sharded byte-budgeted LRU read cache, and the panic-free
-//!   query-serving layer (subset/correlation queries, JSON batch protocol
-//!   for `ibis query`).
+//! * [`store`] / [`shard`] / [`cache`] / [`engine`] — the durable
+//!   run-directory store; its split into `K ≥ 1` spatial shards (per-shard
+//!   durable stores with independent crash-resume; a flat directory is the
+//!   1-shard case); the lock-sharded byte-budgeted LRU read cache; and the
+//!   one panic-free query engine over them — scatter-gather
+//!   subset/correlation queries with byte-identical answers for every `K`,
+//!   region-based shard pruning, lossy filter + exact refine, background
+//!   compaction/eviction maintenance, and the JSON batch protocol for
+//!   `ibis query`.
 //! * [`serving`] — the overload-control shell around the engine: bounded
 //!   admission with typed sheds, per-request deadlines, duplicate
 //!   coalescing, a respawning worker pool, and a split-frame-safe TCP
 //!   front end (`ibis serve`).
-//! * [`shard`] — the sharded distributed store: per-shard durable stores
-//!   with independent crash-resume, scatter-gather query execution with
-//!   byte-identical merged answers, region-based shard pruning, and
-//!   background compaction/eviction maintenance.
 
 pub mod cache;
 pub mod calibrate;

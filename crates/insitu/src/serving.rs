@@ -668,8 +668,8 @@ impl fmt::Debug for QueryServer {
 }
 
 impl QueryServer {
-    /// Starts the worker pool over `engine` — a plain [`QueryEngine`](crate::engine::QueryEngine), a
-    /// [`crate::shard::ShardedEngine`], or an [`EngineBackend`] directly.
+    /// Starts the worker pool over `engine` — a [`QueryEngine`](crate::engine::QueryEngine) of
+    /// any shard count (or the compatibility [`EngineBackend`] around one).
     pub fn start(
         engine: impl Into<EngineBackend>,
         cfg: ServeConfig,
@@ -696,8 +696,9 @@ impl QueryServer {
         Ok(QueryServer { core })
     }
 
-    /// The engine backend this server answers from (cache stats,
-    /// catalog, maintenance).
+    /// The engine this server answers from (cache stats, catalog,
+    /// maintenance) — derefs to [`QueryEngine`](crate::engine::QueryEngine); the wrapper type
+    /// is compatibility-only (see [`EngineBackend`]).
     pub fn engine(&self) -> &EngineBackend {
         &self.core.engine
     }

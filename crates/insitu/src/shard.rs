@@ -1,95 +1,51 @@
-//! Sharded distributed store with scatter-gather query execution and
-//! background maintenance (DESIGN.md §6k).
+//! The sharded durable store: `K ≥ 1` spatial shards behind one writer
+//! and one reader (DESIGN.md §6k). The engine that queries it is
+//! [`crate::engine::QueryEngine`].
 //!
 //! One step's index is split into `K` spatial shards over contiguous
 //! stored-row ranges. Each shard is a first-class durable [`Store`]: its
 //! own journal, CRC'd blobs, fsck/repair, and crash-resume — a killed
-//! node resumes from *its* shard directory alone. On top, a scatter-
-//! gather [`ShardedEngine`] fans value-range and region queries out per
-//! shard, evaluates them against per-shard [`CachedStore`]s, and merges
-//! with a deterministic reduction order, so answers are **byte-identical**
-//! to the unsharded [`QueryEngine`]:
-//!
-//! * a shard's canonical WAH selection is exactly
-//!   `global_selection.slice(rows)` (canonical-form uniqueness), so
-//!   selection *counts* sum and selections *concatenate* to the global
-//!   vector word-for-word ([`ShardedEngine::selection`]);
-//! * correlation metrics reduce over additive integer partials
-//!   ([`ibis_analysis::CorrelationPartial`], merged in ascending shard
-//!   order) and finish through the same pure float finishers — the merged
-//!   counts equal the global counts exactly, so the floats match bit for
-//!   bit;
-//! * region predicates prune: with an identity row layout, a query whose
-//!   region misses a shard's row range contributes an empty partial by
-//!   construction, so that shard is neither loaded nor evaluated — on a
-//!   spatially-local workload a `K`-shard store does ~`1/K` of the decode
-//!   and popcount work per query.
+//! node resumes from *its* shard directory alone.
 //!
 //! Row split: shard `i` of `K` covers stored rows
 //! `[(i*n)/K, ((i+1)*n)/K)` — a pure function of `(n, K)`, so no per-step
 //! cut manifest is needed; at query time the per-shard index lengths
-//! prefix-sum back into the row ranges. The top-level `SHARDS` file
-//! records `K` (with a CRC footer) so a silently-missing shard directory
-//! is a hard open error rather than a plausible-but-wrong answer.
+//! prefix-sum back into the row ranges.
 //!
-//! Background maintenance ([`ShardedEngine::maintenance_once`]) compacts
+//! Directory layout: a `K > 1` run keeps its shards in `shard-NNN/` under
+//! a top-level `SHARDS` file recording `K` (with a CRC footer), so a
+//! silently-missing shard directory is a hard open error rather than a
+//! plausible-but-wrong answer. The 1-shard run *is* the flat store: no
+//! `SHARDS` file, the single shard rooted at the run directory, the same
+//! bytes [`StoreWriter`] writes — and a directory without a `SHARDS` file
+//! opens as exactly that. A `K`-shard directory that lost its `SHARDS`
+//! file still fails hard: its root holds no `MANIFEST`.
+//!
+//! Background maintenance ([`QueryEngine::maintenance_once`]) compacts
 //! durable debris (quarantined blobs, orphaned temp files, stale
 //! journals) and applies tiered cache eviction — drop steps that fell out
 //! of the hot set, then squeeze to an idle byte target — per shard.
 //!
-//! Counters (family `shard`): `shard.query.{ok,rejected,fanout,pruned}`,
-//! `shard.compact.{files,bytes}`,
-//! `shard.maintenance.{runs,evicted_bytes}`; each shard's cache also
-//! publishes per-instance `query.cache.shard<i>.{…}` gauges.
+//! Counters (family `shard`): `shard.compact.{files,bytes}` here; the
+//! engine owns `shard.query.*` and `shard.maintenance.*`.
 
-use crate::cache::{CacheStats, CachedStore};
 use crate::crc::crc32c;
-use crate::engine::{
-    deadline_check, parse_batch, render_answers, QueryAnswer, QueryEngine, QueryRequest,
-};
-use crate::error::{panic_message, IbisError, Result, WorkerRole};
+use crate::engine::QueryEngine;
+use crate::error::{IbisError, Result};
 use crate::io::write_atomic;
 use crate::store::{FsckReport, Store, StoreWriter};
-use ibis_analysis::{
-    correlation_partial_ml_shard, evaluate_ml_shard, finish_correlation, CorrelationPartial,
-    QueryError, SubsetQuery,
-};
-use ibis_core::{BitmapIndex, MultiLevelIndex, RowOrder, RowPermutation, WahBuilder, WahVec};
+use ibis_core::{valid_fpr, BitmapIndex, RowOrder, RowPermutation};
 use ibis_obs::LazyCounter;
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use std::time::Instant;
 
-/// Memoized prefix row cuts, keyed by `(step, variable)`: `cuts[i]` is
-/// shard `i`'s first global row, `cuts[K]` the global length.
-type CutsMemo = Mutex<HashMap<(usize, String), Arc<Vec<u64>>>>;
-
-/// A full fan-out load: every shard's decoded index plus the prefix row
-/// cuts derived from their lengths.
-type LoadedShards = (Vec<Arc<MultiLevelIndex>>, Arc<Vec<u64>>);
-
-static OBS_SHARD_OK: LazyCounter = LazyCounter::new("shard.query.ok");
-static OBS_SHARD_REJECTED: LazyCounter = LazyCounter::new("shard.query.rejected");
-static OBS_SHARD_FANOUT: LazyCounter = LazyCounter::new("shard.query.fanout");
-static OBS_SHARD_PRUNED: LazyCounter = LazyCounter::new("shard.query.pruned");
 static OBS_COMPACT_FILES: LazyCounter = LazyCounter::new("shard.compact.files");
 static OBS_COMPACT_BYTES: LazyCounter = LazyCounter::new("shard.compact.bytes");
-static OBS_MAINT_RUNS: LazyCounter = LazyCounter::new("shard.maintenance.runs");
-static OBS_MAINT_EVICTED: LazyCounter = LazyCounter::new("shard.maintenance.evicted_bytes");
 
 /// The top-level file naming the shard count.
 pub const SHARDS_FILE: &str = "SHARDS";
 const SHARDS_HEADER: &str = "#IBIS-SHARDS v1";
 /// Hard ceiling on the shard count (file-name and sanity bound).
 pub const MAX_SHARDS: usize = 256;
-
-/// `shard-000`, `shard-001`, …
-fn shard_dir_name(i: usize) -> String {
-    format!("shard-{i:03}")
-}
 
 /// Whether `dir` holds a sharded store (has a `SHARDS` file).
 pub fn is_sharded(dir: impl AsRef<Path>) -> bool {
@@ -194,12 +150,49 @@ fn compact_dir(dir: &Path, report: &mut CompactReport) -> Result<()> {
     Ok(())
 }
 
-/// Writes one logical run as `K` spatial shards, each a fully durable
-/// [`StoreWriter`] under `dir/shard-000..`: journaled blobs, atomic
-/// writes, per-shard crash-resume. [`ShardedWriter::put`] slices the
-/// step's index on the deterministic even-split row cuts; the global row
-/// permutation (if any) is stored whole in every shard so each one can
-/// answer region queries independently.
+/// [`compact_dir`] over a run directory and its shard directories. The
+/// 1-shard store is rooted at the run directory itself and is swept once.
+pub(crate) fn compact_dirs<'a>(
+    root: &Path,
+    shards: impl Iterator<Item = &'a Path>,
+    report: &mut CompactReport,
+) -> Result<()> {
+    compact_dir(root, report)?;
+    for dir in shards.filter(|dir| *dir != root) {
+        compact_dir(dir, report)?;
+    }
+    Ok(())
+}
+
+/// The shard directories of run directory `dir`, in shard order: the
+/// `shard-NNN/` children a `SHARDS` file names, or — without one — `dir`
+/// itself, the single shard of a flat store.
+fn shard_dirs(dir: &Path) -> Result<Vec<PathBuf>> {
+    if !is_sharded(dir) {
+        return Ok(vec![dir.to_path_buf()]);
+    }
+    let nshards = read_shards_file(dir)?;
+    Ok((0..nshards)
+        .map(|i| dir.join(format!("shard-{i:03}")))
+        .collect())
+}
+
+/// The steps every shard holds, ascending.
+fn common_steps(mut per_shard: impl Iterator<Item = Vec<usize>>) -> Vec<usize> {
+    let mut common = per_shard.next().unwrap_or_default();
+    for steps in per_shard {
+        common.retain(|s| steps.contains(s));
+    }
+    common
+}
+
+/// Writes one logical run as `K ≥ 1` spatial shards, each a fully durable
+/// [`StoreWriter`]: journaled blobs, atomic writes, per-shard
+/// crash-resume. [`ShardedWriter::put`] slices the step's index on the
+/// deterministic even-split row cuts; the global row permutation (if any)
+/// is stored whole in every shard so each one can answer region queries
+/// independently. `K = 1` writes the flat store, byte for byte what a
+/// bare [`StoreWriter`] writes (module docs).
 #[derive(Debug)]
 pub struct ShardedWriter {
     dir: PathBuf,
@@ -207,8 +200,8 @@ pub struct ShardedWriter {
 }
 
 impl ShardedWriter {
-    /// Creates the run directory, its `SHARDS` file, and `nshards` fresh
-    /// shard writers.
+    /// Creates the run directory and `nshards` fresh shard writers — under
+    /// a `SHARDS` file for `nshards > 1`, rooted at `dir` itself for 1.
     pub fn create(dir: impl AsRef<Path>, nshards: usize) -> Result<Self> {
         if nshards == 0 || nshards > MAX_SHARDS {
             return Err(IbisError::Config(format!(
@@ -218,22 +211,32 @@ impl ShardedWriter {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)
             .map_err(|e| IbisError::io(format!("create run dir {}", dir.display()), &e))?;
-        write_shards_file(&dir, nshards)?;
-        let writers = (0..nshards)
-            .map(|i| StoreWriter::create(dir.join(shard_dir_name(i))))
+        if nshards > 1 {
+            write_shards_file(&dir, nshards)?;
+        } else if let Err(e) = std::fs::remove_file(dir.join(SHARDS_FILE)) {
+            // a SHARDS file left by an earlier sharded run in this
+            // directory would make readers open its stale shards instead
+            if e.kind() != std::io::ErrorKind::NotFound {
+                return Err(IbisError::io("remove stale SHARDS", &e));
+            }
+        }
+        let writers = shard_dirs(&dir)?
+            .into_iter()
+            .map(StoreWriter::create)
             .collect::<Result<Vec<_>>>()?;
         Ok(ShardedWriter { dir, writers })
     }
 
-    /// Reopens an interrupted (or finished) sharded run: reads the shard
-    /// count back from `SHARDS` and crash-resumes every shard from its
-    /// own journal/manifest — the whole point of per-shard durability is
-    /// that a killed node recovers from its shard directory alone.
+    /// Reopens an interrupted (or finished) run: reads the shard count
+    /// back from `SHARDS` (absent: the one flat shard) and crash-resumes
+    /// every shard from its own journal/manifest — the whole point of
+    /// per-shard durability is that a killed node recovers from its shard
+    /// directory alone.
     pub fn resume(dir: impl AsRef<Path>) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
-        let nshards = read_shards_file(&dir)?;
-        let writers = (0..nshards)
-            .map(|i| StoreWriter::resume(dir.join(shard_dir_name(i))))
+        let writers = shard_dirs(&dir)?
+            .into_iter()
+            .map(StoreWriter::resume)
             .collect::<Result<Vec<_>>>()?;
         Ok(ShardedWriter { dir, writers })
     }
@@ -248,12 +251,6 @@ impl ShardedWriter {
         self.writers.len()
     }
 
-    /// One shard's writer — tests use this to kill or inspect a single
-    /// node's durable state.
-    pub fn shard_writer(&mut self, i: usize) -> &mut StoreWriter {
-        &mut self.writers[i]
-    }
-
     /// Whether `(step, variable)` is durable in **every** shard.
     pub fn contains(&self, step: usize, variable: &str) -> bool {
         self.writers.iter().all(|w| w.contains(step, variable))
@@ -262,14 +259,7 @@ impl ShardedWriter {
     /// Steps durable in every shard, ascending — a step some shard lost
     /// (torn journal, killed node) is not globally durable until re-put.
     pub fn durable_steps(&self) -> Vec<usize> {
-        let Some((first, rest)) = self.writers.split_first() else {
-            return Vec::new();
-        };
-        first
-            .durable_steps()
-            .into_iter()
-            .filter(|&s| rest.iter().all(|w| w.durable_steps().contains(&s)))
-            .collect()
+        common_steps(self.writers.iter().map(StoreWriter::durable_steps))
     }
 
     /// Splits `index` on the even-split row cuts and puts each slice into
@@ -278,8 +268,34 @@ impl ShardedWriter {
     pub fn put(&mut self, step: usize, variable: &str, index: &BitmapIndex) -> Result<()> {
         let cuts = shard_cuts(index.len(), self.writers.len());
         for (i, w) in self.writers.iter_mut().enumerate() {
-            let slice = index.slice_rows(cuts[i]..cuts[i + 1]);
-            w.put(step, variable, &slice)?;
+            w.put(step, variable, &index.slice_rows(cuts[i]..cuts[i + 1]))?;
+        }
+        Ok(())
+    }
+
+    /// Persists `variable`'s lossy superset companion in every shard,
+    /// each derived from the shard's own slice of the `exact` index
+    /// (`slice.lossy(fpr)`): the FPR bound — and the budget check on
+    /// decode — then hold per shard, which is what the per-shard filter
+    /// relies on. See [`StoreWriter::put_lossy`] for the blob itself.
+    pub fn put_lossy(
+        &mut self,
+        step: usize,
+        variable: &str,
+        exact: &BitmapIndex,
+        fpr: f64,
+    ) -> Result<()> {
+        // `BitmapIndex::lossy` asserts the range; outside input gets a
+        // typed error instead.
+        if !valid_fpr(fpr) || fpr == 0.0 {
+            return Err(IbisError::Config(format!(
+                "lossy FPR {fpr} outside the supported range"
+            )));
+        }
+        let cuts = shard_cuts(exact.len(), self.writers.len());
+        for (i, w) in self.writers.iter_mut().enumerate() {
+            let (lossy, stats) = exact.slice_rows(cuts[i]..cuts[i + 1]).lossy(fpr);
+            w.put_lossy(step, variable, &lossy, fpr, &stats)?;
         }
         Ok(())
     }
@@ -287,7 +303,7 @@ impl ShardedWriter {
     /// Stores the step's **global** row permutation in every shard (each
     /// shard maps region predicates through the global inverse
     /// permutation, filtered to its own row range — see
-    /// [`ibis_analysis::evaluate_ml_shard`]).
+    /// [`ibis_analysis::SubsetQuery::shard_mask`]).
     pub fn put_order(&mut self, step: usize, order: RowOrder, perm: &RowPermutation) -> Result<()> {
         for w in &mut self.writers {
             w.put_order(step, order, perm)?;
@@ -305,9 +321,9 @@ impl ShardedWriter {
     }
 }
 
-/// A read-only view of a finished sharded run: the `SHARDS` file names
-/// `K`, and every `shard-…` directory must open as a valid [`Store`] — a
-/// missing shard is a hard error, never a silently partial answer.
+/// A read-only view of a finished run of `K ≥ 1` shards: every shard
+/// directory ([`ShardedWriter`]'s layout) must open as a valid [`Store`]
+/// — a missing shard is a hard error, never a silently partial answer.
 #[derive(Debug)]
 pub struct ShardedStore {
     dir: PathBuf,
@@ -315,12 +331,13 @@ pub struct ShardedStore {
 }
 
 impl ShardedStore {
-    /// Opens a sharded run directory.
+    /// Opens a run directory: `K` shards under a `SHARDS` file, the one
+    /// flat store without.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
-        let nshards = read_shards_file(&dir)?;
-        let shards = (0..nshards)
-            .map(|i| Store::open(dir.join(shard_dir_name(i))))
+        let shards = shard_dirs(&dir)?
+            .into_iter()
+            .map(Store::open)
             .collect::<Result<Vec<_>>>()?;
         Ok(ShardedStore { dir, shards })
     }
@@ -342,14 +359,7 @@ impl ShardedStore {
 
     /// Steps present in **every** shard, ascending.
     pub fn steps(&self) -> Vec<usize> {
-        let Some((first, rest)) = self.shards.split_first() else {
-            return Vec::new();
-        };
-        first
-            .steps()
-            .into_iter()
-            .filter(|&s| rest.iter().all(|sh| sh.steps().contains(&s)))
-            .collect()
+        common_steps(self.shards.iter().map(Store::steps))
     }
 
     /// Variables present for `step` (from shard 0; [`ShardedWriter::put`]
@@ -372,10 +382,7 @@ impl ShardedStore {
     /// stale journals) in the run directory and every shard.
     pub fn compact(&self) -> Result<CompactReport> {
         let mut report = CompactReport::default();
-        compact_dir(&self.dir, &mut report)?;
-        for i in 0..self.shards.len() {
-            compact_dir(&self.dir.join(shard_dir_name(i)), &mut report)?;
-        }
+        compact_dirs(&self.dir, self.shards.iter().map(Store::dir), &mut report)?;
         Ok(report)
     }
 
@@ -386,7 +393,7 @@ impl ShardedStore {
     }
 }
 
-/// What [`ShardedEngine::maintenance_once`] should do.
+/// What [`QueryEngine::maintenance_once`] should do.
 #[derive(Debug, Clone, Default)]
 pub struct MaintenanceConfig {
     /// Remove durable debris (quarantined/temp/stale-journal files).
@@ -412,535 +419,44 @@ pub struct MaintenanceReport {
     pub evicted_bytes: u64,
 }
 
-/// Scatter-gather query execution over a [`ShardedStore`]: each shard
-/// serves from its own byte-budgeted [`CachedStore`], partials merge in
-/// ascending shard order, answers are byte-identical to the unsharded
-/// [`QueryEngine`] (see the module docs for the argument).
-#[derive(Debug)]
-pub struct ShardedEngine {
-    dir: PathBuf,
-    caches: Vec<CachedStore>,
-    /// Whether fan-out uses threads (more than one core available) or
-    /// runs shards sequentially (identical results either way; the merge
-    /// order is always ascending shard index).
-    parallel: bool,
-    /// Per-`(step, variable)` prefix row cuts, learned on the first full
-    /// load — later region queries prune shards without touching them.
-    cuts: CutsMemo,
-}
+// ---------------------------------------------------------------------------
+// Compatibility facade
+// ---------------------------------------------------------------------------
+//
+// There is one engine ([`QueryEngine`]); these two names survive only
+// because the `ibis-e2e` harness (`benchmark/`, editable by `[benchmark]`
+// PRs alone) spells them. Slated for removal in the `[benchmark]` PR of
+// ROADMAP item 7 — write new code against `QueryEngine`.
 
-impl ShardedEngine {
-    /// Opens `dir` and splits `budget_bytes` of decoded-index cache
-    /// evenly across its shards.
-    pub fn open(dir: impl AsRef<Path>, budget_bytes: u64) -> Result<Self> {
-        Self::from_store(ShardedStore::open(dir)?, budget_bytes)
-    }
+/// Compatibility alias: the scatter-gather engine *is* [`QueryEngine`].
+pub type ShardedEngine = QueryEngine;
 
-    /// Wraps an already-open [`ShardedStore`], splitting `budget_bytes`
-    /// evenly across per-shard caches labeled `shard000`, `shard001`, …
-    /// (their residency gauges publish per shard, not pooled).
-    pub fn from_store(store: ShardedStore, budget_bytes: u64) -> Result<Self> {
-        let dir = store.dir().to_path_buf();
-        let shards = store.into_shards();
-        if shards.is_empty() {
-            return Err(IbisError::Config("sharded store has no shards".into()));
-        }
-        let per_shard = budget_bytes / shards.len() as u64;
-        let caches = shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| CachedStore::new(s, per_shard).with_label(format!("shard{i:03}")))
-            .collect();
-        let parallel = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            > 1;
-        Ok(ShardedEngine {
-            dir,
-            caches,
-            parallel,
-            cuts: Mutex::new(HashMap::new()),
-        })
-    }
-
-    /// The run directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The shard count.
-    pub fn nshards(&self) -> usize {
-        self.caches.len()
-    }
-
-    /// The per-shard caches, in shard order.
-    pub fn shard_caches(&self) -> &[CachedStore] {
-        &self.caches
-    }
-
-    /// Cache counters summed over every shard.
-    pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for c in &self.caches {
-            let s = c.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.evictions += s.evictions;
-            total.resident_bytes += s.resident_bytes;
-        }
-        total
-    }
-
-    /// Publishes every shard cache's per-instance gauges (plus the
-    /// static `query.cache.stat.*` family, which ends up reflecting the
-    /// last shard — use the labeled gauges for per-shard views).
-    pub fn publish_obs(&self) {
-        for c in &self.caches {
-            c.publish_obs();
-        }
-    }
-
-    /// Runs `f(shard_index)` for the given shards and returns results in
-    /// the same order — threaded when more than one core is available,
-    /// sequential otherwise. A panicking task is contained as
-    /// [`IbisError::WorkerPanic`].
-    fn fanout<T, F>(&self, ids: &[usize], f: F) -> Vec<Result<T>>
-    where
-        T: Send,
-        F: Fn(usize) -> Result<T> + Sync,
-    {
-        if !self.parallel || ids.len() <= 1 {
-            return ids.iter().map(|&i| f(i)).collect();
-        }
-        OBS_SHARD_FANOUT.add(ids.len() as u64);
-        std::thread::scope(|s| {
-            let f = &f;
-            let handles: Vec<_> = ids.iter().map(|&i| s.spawn(move || f(i))).collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|payload| {
-                        Err(IbisError::WorkerPanic {
-                            role: WorkerRole::Node,
-                            step: None,
-                            message: panic_message(payload.as_ref()),
-                        })
-                    })
-                })
-                .collect()
-        })
-    }
-
-    /// The step's stored row permutation, shared by every shard (each
-    /// holds the same global copy; shard 0's is authoritative).
-    fn order_of(&self, step: usize) -> Result<Option<Arc<(RowOrder, RowPermutation)>>> {
-        self.caches[0].get_order(step)
-    }
-
-    /// Memoized prefix cuts for `(step, variable)`, if a full load has
-    /// happened already.
-    fn known_cuts(&self, step: usize, variable: &str) -> Option<Arc<Vec<u64>>> {
-        self.cuts.lock().get(&(step, variable.to_string())).cloned()
-    }
-
-    /// Loads every shard's index for `(variable, step)` and returns them
-    /// with the prefix row cuts (`cuts[i]..cuts[i+1]` is shard `i`'s row
-    /// range; `cuts[K]` the global length), memoizing the cuts for later
-    /// pruning.
-    fn load_all(
-        &self,
-        variable: &str,
-        step: usize,
-        deadline: Option<Instant>,
-    ) -> Result<LoadedShards> {
-        let ids: Vec<usize> = (0..self.caches.len()).collect();
-        let mls = self
-            .fanout(&ids, |i| {
-                deadline_check(deadline, "shard load")?;
-                self.caches[i].get(variable, step)
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>>>()?;
-        let mut cuts = Vec::with_capacity(mls.len() + 1);
-        cuts.push(0u64);
-        for ml in &mls {
-            cuts.push(cuts[cuts.len() - 1] + ml.low().len());
-        }
-        let cuts = Arc::new(cuts);
-        self.cuts
-            .lock()
-            .insert((step, variable.to_string()), Arc::clone(&cuts));
-        Ok((mls, cuts))
-    }
-
-    /// Shards whose row range intersects `region`, per `cuts`; an empty
-    /// intersection keeps shard 0 so validation errors (and the empty
-    /// answer) still surface exactly like the unsharded path.
-    fn overlapping(cuts: &[u64], region: &Range<u64>) -> Vec<usize> {
-        let hit: Vec<usize> = (0..cuts.len().saturating_sub(1))
-            .filter(|&i| cuts[i] < region.end && cuts[i + 1] > region.start)
-            .collect();
-        if hit.is_empty() {
-            vec![0]
-        } else {
-            hit
-        }
-    }
-
-    /// Answers one query (scatter, evaluate, gather — see
-    /// [`ShardedEngine::run_with_deadline`] for the budgeted form).
-    pub fn run(&self, request: &QueryRequest) -> Result<QueryAnswer> {
-        self.run_with_deadline(request, None)
-    }
-
-    /// [`ShardedEngine::run`] under a wall-clock budget, re-checked
-    /// before every per-shard load exactly like the unsharded engine.
-    pub fn run_with_deadline(
-        &self,
-        request: &QueryRequest,
-        deadline: Option<Instant>,
-    ) -> Result<QueryAnswer> {
-        let result = self.run_inner(request, deadline);
-        match &result {
-            Ok(_) => OBS_SHARD_OK.inc(),
-            Err(_) => OBS_SHARD_REJECTED.inc(),
-        }
-        result
-    }
-
-    fn run_inner(&self, request: &QueryRequest, deadline: Option<Instant>) -> Result<QueryAnswer> {
-        match request {
-            QueryRequest::Subset {
-                step,
-                variable,
-                query,
-            } => self.run_subset(*step, variable, query, deadline),
-            QueryRequest::Correlation {
-                step,
-                var_a,
-                var_b,
-                query_a,
-                query_b,
-            } => self.run_correlation(*step, var_a, var_b, query_a, query_b, deadline),
-        }
-    }
-
-    fn run_subset(
-        &self,
-        step: usize,
-        variable: &str,
-        query: &SubsetQuery,
-        deadline: Option<Instant>,
-    ) -> Result<QueryAnswer> {
-        let order = self.order_of(step)?;
-        let perm = order.as_deref().map(|(_, p)| p);
-        // Pruned path: identity layout, a region predicate, and known
-        // cuts — only shards the region touches are loaded or evaluated
-        // (a missed shard's partial is empty by construction).
-        let pruned = if perm.is_none() {
-            query
-                .position_range
-                .clone()
-                .zip(self.known_cuts(step, variable))
-        } else {
-            None
-        };
-        if let Some((region, cuts)) = pruned {
-            let wanted = Self::overlapping(&cuts, &region);
-            if wanted.len() < self.caches.len() {
-                OBS_SHARD_PRUNED.add((self.caches.len() - wanted.len()) as u64);
-            }
-            let global_len = cuts[cuts.len() - 1];
-            let counts = self.fanout(&wanted, |i| {
-                deadline_check(deadline, "shard subset load")?;
-                let ml = self.caches[i].get(variable, step)?;
-                evaluate_ml_shard(query, &ml, cuts[i]..cuts[i + 1], global_len, None)
-                    .map(|sel| sel.count_ones())
-                    .map_err(IbisError::Query)
-            });
-            let mut selected = 0u64;
-            for c in counts {
-                selected += c?;
-            }
-            return Ok(QueryAnswer::Subset {
-                selected,
-                of: global_len,
-            });
-        }
-        let (mls, cuts) = self.load_all(variable, step, deadline)?;
-        let global_len = cuts[cuts.len() - 1];
-        let ids: Vec<usize> = (0..mls.len()).collect();
-        let counts = self.fanout(&ids, |i| {
-            evaluate_ml_shard(query, &mls[i], cuts[i]..cuts[i + 1], global_len, perm)
-                .map(|sel| sel.count_ones())
-                .map_err(IbisError::Query)
-        });
-        let mut selected = 0u64;
-        for c in counts {
-            selected += c?;
-        }
-        Ok(QueryAnswer::Subset {
-            selected,
-            of: global_len,
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_correlation(
-        &self,
-        step: usize,
-        var_a: &str,
-        var_b: &str,
-        query_a: &SubsetQuery,
-        query_b: &SubsetQuery,
-        deadline: Option<Instant>,
-    ) -> Result<QueryAnswer> {
-        let order = self.order_of(step)?;
-        let perm = order.as_deref().map(|(_, p)| p);
-        // The joint selection is AND of both predicates, so a shard
-        // contributes a non-empty partial only where *both* regions (when
-        // present) intersect its rows.
-        let prune_region = match (&query_a.position_range, &query_b.position_range) {
-            (Some(a), Some(b)) => Some(a.start.max(b.start)..a.end.min(b.end)),
-            (Some(a), None) => Some(a.clone()),
-            (None, Some(b)) => Some(b.clone()),
-            (None, None) => None,
-        };
-        let pruned_cuts = if perm.is_none() {
-            match (
-                prune_region,
-                self.known_cuts(step, var_a),
-                self.known_cuts(step, var_b),
-            ) {
-                (Some(region), Some(ca), Some(cb)) if ca == cb => Some((region, ca)),
-                _ => None,
-            }
-        } else {
-            None
-        };
-        let (wanted, cuts, mls): (Vec<usize>, Arc<Vec<u64>>, Option<Vec<_>>) =
-            if let Some((region, cuts)) = pruned_cuts {
-                let wanted = Self::overlapping(&cuts, &region);
-                if wanted.len() < self.caches.len() {
-                    OBS_SHARD_PRUNED.add((self.caches.len() - wanted.len()) as u64);
-                }
-                (wanted, cuts, None)
-            } else {
-                let (mls_a, cuts_a) = self.load_all(var_a, step, deadline)?;
-                let (mls_b, cuts_b) = self.load_all(var_b, step, deadline)?;
-                let (gl_a, gl_b) = (cuts_a[cuts_a.len() - 1], cuts_b[cuts_b.len() - 1]);
-                if gl_a != gl_b {
-                    return Err(IbisError::Query(QueryError::LengthMismatch {
-                        len_a: gl_a,
-                        len_b: gl_b,
-                    }));
-                }
-                let ids: Vec<usize> = (0..mls_a.len()).collect();
-                let pairs: Vec<_> = mls_a.into_iter().zip(mls_b).collect();
-                (ids, cuts_a, Some(pairs))
-            };
-        let global_len = cuts[cuts.len() - 1];
-        let partials = match &mls {
-            Some(pairs) => self.fanout(&wanted, |i| {
-                let (a, b) = &pairs[i];
-                correlation_partial_ml_shard(
-                    a,
-                    b,
-                    query_a,
-                    query_b,
-                    cuts[i]..cuts[i + 1],
-                    global_len,
-                    perm,
-                )
-                .map(|p| (p, Arc::clone(a), Arc::clone(b)))
-                .map_err(IbisError::Query)
-            }),
-            None => self.fanout(&wanted, |i| {
-                deadline_check(deadline, "shard correlation load a")?;
-                let a = self.caches[i].get(var_a, step)?;
-                deadline_check(deadline, "shard correlation load b")?;
-                let b = self.caches[i].get(var_b, step)?;
-                correlation_partial_ml_shard(
-                    &a,
-                    &b,
-                    query_a,
-                    query_b,
-                    cuts[i]..cuts[i + 1],
-                    global_len,
-                    None,
-                )
-                .map(|p| (p, a, b))
-                .map_err(IbisError::Query)
-            }),
-        };
-        // Gather: merge integer partials in ascending shard order, then
-        // run the pure finishers once — bit-identical to the unsharded
-        // answer (module docs).
-        let mut merged: Option<(
-            CorrelationPartial,
-            Arc<MultiLevelIndex>,
-            Arc<MultiLevelIndex>,
-        )> = None;
-        for part in partials {
-            let (p, a, b) = part?;
-            match &mut merged {
-                Some((total, _, _)) => total.merge(&p),
-                None => merged = Some((p, a, b)),
-            }
-        }
-        let Some((total, a, b)) = merged else {
-            return Err(IbisError::Config("sharded store has no shards".into()));
-        };
-        Ok(QueryAnswer::Correlation(finish_correlation(
-            a.low().binner(),
-            b.low().binner(),
-            &total,
-        )))
-    }
-
-    /// The full canonical selection for a subset query, concatenated from
-    /// the per-shard canonical pieces in shard order — word-identical to
-    /// the unsharded engine's selection (the byte-identity witness tests
-    /// and benches assert against).
-    pub fn selection(&self, step: usize, variable: &str, query: &SubsetQuery) -> Result<WahVec> {
-        let order = self.order_of(step)?;
-        let perm = order.as_deref().map(|(_, p)| p);
-        let (mls, cuts) = self.load_all(variable, step, None)?;
-        let global_len = cuts[cuts.len() - 1];
-        let mut b = WahBuilder::new();
-        for (i, ml) in mls.iter().enumerate() {
-            let sel = evaluate_ml_shard(query, ml, cuts[i]..cuts[i + 1], global_len, perm)
-                .map_err(IbisError::Query)?;
-            b.append_wah(&sel);
-        }
-        Ok(b.finish())
-    }
-
-    /// Answers every query of a batch, in order; failures are
-    /// per-request.
-    pub fn run_batch(&self, requests: &[QueryRequest]) -> Vec<Result<QueryAnswer>> {
-        requests.iter().map(|r| self.run(r)).collect()
-    }
-
-    /// Parses a JSON batch document, runs it, renders the answers —
-    /// the same wire format as [`QueryEngine::run_batch_json`].
-    pub fn run_batch_json(&self, text: &str) -> Result<String> {
-        let requests = parse_batch(text)?;
-        let answers = self.run_batch(&requests);
-        Ok(render_answers(&answers))
-    }
-
-    /// One background-maintenance pass: compact durable debris in every
-    /// shard (and the run directory), evict cached steps that left the
-    /// hot set, squeeze residency to an idle target — each tier opt-in
-    /// via [`MaintenanceConfig`].
-    pub fn maintenance_once(&self, cfg: &MaintenanceConfig) -> Result<MaintenanceReport> {
-        OBS_MAINT_RUNS.inc();
-        let mut report = MaintenanceReport::default();
-        if cfg.compact {
-            let mut debris = CompactReport::default();
-            compact_dir(&self.dir, &mut debris)?;
-            for c in &self.caches {
-                compact_dir(c.store().dir(), &mut debris)?;
-            }
-            report.debris_files = debris.files_removed;
-            report.debris_bytes = debris.bytes_reclaimed;
-        }
-        if let Some(hot) = &cfg.hot_steps {
-            for c in &self.caches {
-                report.evicted_bytes += c.evict_retain(|step| hot.contains(&step));
-            }
-        }
-        if let Some(total) = cfg.cache_target_bytes {
-            let per_shard = total / self.caches.len() as u64;
-            for c in &self.caches {
-                report.evicted_bytes += c.evict_to(per_shard);
-            }
-        }
-        OBS_MAINT_EVICTED.add(report.evicted_bytes);
-        Ok(report)
-    }
-}
-
-/// The engine behind a query server: one flat store or a sharded
-/// scatter-gather tier, same request/answer surface either way (the
-/// serving layer and CLI stay backend-agnostic).
+/// Compatibility wrapper around the single [`QueryEngine`]; both variants
+/// hold the same type and everything goes through [`std::ops::Deref`].
 #[derive(Debug)]
 pub enum EngineBackend {
-    /// The unsharded [`QueryEngine`].
+    /// An engine over one shard (a flat store).
     Single(QueryEngine),
-    /// The scatter-gather [`ShardedEngine`].
+    /// An engine over `K > 1` shards.
     Sharded(ShardedEngine),
+}
+
+impl std::ops::Deref for EngineBackend {
+    type Target = QueryEngine;
+
+    fn deref(&self) -> &QueryEngine {
+        match self {
+            EngineBackend::Single(e) | EngineBackend::Sharded(e) => e,
+        }
+    }
 }
 
 impl From<QueryEngine> for EngineBackend {
     fn from(engine: QueryEngine) -> Self {
-        EngineBackend::Single(engine)
-    }
-}
-
-impl From<ShardedEngine> for EngineBackend {
-    fn from(engine: ShardedEngine) -> Self {
-        EngineBackend::Sharded(engine)
-    }
-}
-
-impl EngineBackend {
-    /// Answers one query.
-    pub fn run(&self, request: &QueryRequest) -> Result<QueryAnswer> {
-        self.run_with_deadline(request, None)
-    }
-
-    /// Answers one query under a wall-clock budget.
-    pub fn run_with_deadline(
-        &self,
-        request: &QueryRequest,
-        deadline: Option<Instant>,
-    ) -> Result<QueryAnswer> {
-        match self {
-            EngineBackend::Single(e) => e.run_with_deadline(request, deadline),
-            EngineBackend::Sharded(e) => e.run_with_deadline(request, deadline),
-        }
-    }
-
-    /// Parses, runs, and renders a JSON batch document.
-    pub fn run_batch_json(&self, text: &str) -> Result<String> {
-        match self {
-            EngineBackend::Single(e) => e.run_batch_json(text),
-            EngineBackend::Sharded(e) => e.run_batch_json(text),
-        }
-    }
-
-    /// Cache counters (summed over shards for the sharded backend).
-    pub fn cache_stats(&self) -> CacheStats {
-        match self {
-            EngineBackend::Single(e) => e.cache_stats(),
-            EngineBackend::Sharded(e) => e.cache_stats(),
-        }
-    }
-
-    /// How many stores serve behind this backend.
-    pub fn nshards(&self) -> usize {
-        match self {
-            EngineBackend::Single(_) => 1,
-            EngineBackend::Sharded(e) => e.nshards(),
-        }
-    }
-
-    /// Publishes per-instance cache gauges.
-    pub fn publish_obs(&self) {
-        match self {
-            EngineBackend::Single(e) => e.cache().publish_obs(),
-            EngineBackend::Sharded(e) => e.publish_obs(),
-        }
-    }
-
-    /// One maintenance pass; `None` for the single backend (nothing to
-    /// compact or tier — its cache already self-evicts).
-    pub fn maintenance_once(&self, cfg: &MaintenanceConfig) -> Result<Option<MaintenanceReport>> {
-        match self {
-            EngineBackend::Single(_) => Ok(None),
-            EngineBackend::Sharded(e) => e.maintenance_once(cfg).map(Some),
+        if engine.nshards() > 1 {
+            EngineBackend::Sharded(engine)
+        } else {
+            EngineBackend::Single(engine)
         }
     }
 }
@@ -949,7 +465,9 @@ impl EngineBackend {
 mod tests {
     use super::*;
     use crate::cache::CachedStore;
-    use ibis_core::Binner;
+    use crate::engine::QueryRequest;
+    use ibis_analysis::SubsetQuery;
+    use ibis_core::{Binner, MultiLevelIndex};
 
     fn tmp(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("ibis-shard-{name}"));
@@ -1070,6 +588,9 @@ mod tests {
             read_shards_file(&dir),
             Err(IbisError::Corrupt { .. })
         ));
+        // a 1-shard run created over it is flat: the stale file is gone
+        ShardedWriter::create(&dir, 1).expect("flat writer");
+        assert!(!is_sharded(&dir));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1083,6 +604,10 @@ mod tests {
         w.finish().expect("finish");
         std::fs::remove_dir_all(dir.join("shard-001")).expect("drop a shard");
         assert!(ShardedStore::open(&dir).is_err());
+        // ...and so is a K-shard directory that lost its SHARDS file: it
+        // reads as a flat store, whose root holds no MANIFEST
+        std::fs::remove_file(dir.join(SHARDS_FILE)).expect("drop SHARDS");
+        assert!(ShardedStore::open(&dir).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1091,11 +616,13 @@ mod tests {
         for k in [1usize, 2, 4] {
             let rows = 3000;
             let (flat, sharded) = twin_stores(&format!("oracle-{k}"), rows, k);
+            // the 1-shard run is the flat layout: no SHARDS file
+            assert_eq!(is_sharded(&sharded), k > 1);
             let oracle = QueryEngine::new(CachedStore::new(
                 Store::open(&flat).expect("open"),
                 64 << 20,
             ));
-            let engine = ShardedEngine::open(&sharded, 64 << 20).expect("open sharded");
+            let engine = QueryEngine::open(&sharded, 64 << 20).expect("open sharded");
             for req in queries(rows as u64) {
                 let want = oracle.run(&req).expect("oracle answers");
                 // twice: the second run exercises the pruned warm path
@@ -1114,7 +641,7 @@ mod tests {
         let rows = 2500;
         let (flat, sharded) = twin_stores("ident", rows, 4);
         let store = Store::open(&flat).expect("open flat");
-        let engine = ShardedEngine::open(&sharded, 64 << 20).expect("open sharded");
+        let engine = QueryEngine::open(&sharded, 64 << 20).expect("open sharded");
         let query = SubsetQuery {
             value_range: Some((1.5, 7.0)),
             position_range: Some(100..2100),
@@ -1136,7 +663,7 @@ mod tests {
         let rows = 1200;
         let (flat, sharded) = twin_stores("invalid", rows, 3);
         let oracle = QueryEngine::new(CachedStore::new(Store::open(&flat).expect("open"), 1 << 20));
-        let engine = ShardedEngine::open(&sharded, 1 << 20).expect("open sharded");
+        let engine = QueryEngine::open(&sharded, 1 << 20).expect("open sharded");
         let bad = [
             SubsetQuery {
                 value_range: Some((f64::NAN, 2.0)),
@@ -1180,7 +707,7 @@ mod tests {
     fn region_pruning_skips_untouched_shards() {
         let rows = 4000u64;
         let (_flat, sharded) = twin_stores("prune", rows as usize, 4);
-        let engine = ShardedEngine::open(&sharded, 64 << 20).expect("open");
+        let engine = QueryEngine::open(&sharded, 64 << 20).expect("open");
         let region_q = QueryRequest::Subset {
             step: 0,
             variable: "temperature".into(),
@@ -1261,7 +788,7 @@ mod tests {
     fn maintenance_tiers_evict_and_compact() {
         let rows = 2000;
         let (_flat, sharded) = twin_stores("maint", rows, 2);
-        let engine = ShardedEngine::open(&sharded, 64 << 20).expect("open");
+        let engine = QueryEngine::open(&sharded, 64 << 20).expect("open");
         for step in [0usize, 1] {
             for var in ["temperature", "salinity"] {
                 for i in 0..engine.nshards() {
@@ -1300,9 +827,10 @@ mod tests {
     fn backend_dispatches_both_engines() {
         let rows = 800;
         let (flat, sharded) = twin_stores("backend", rows, 2);
-        let single: EngineBackend =
-            QueryEngine::new(CachedStore::new(Store::open(&flat).expect("open"), 1 << 20)).into();
-        let shard: EngineBackend = ShardedEngine::open(&sharded, 1 << 20).expect("open").into();
+        let single: EngineBackend = QueryEngine::open(&flat, 1 << 20).expect("open").into();
+        let shard: EngineBackend = QueryEngine::open(&sharded, 1 << 20).expect("open").into();
+        assert!(matches!(single, EngineBackend::Single(_)));
+        assert!(matches!(shard, EngineBackend::Sharded(_)));
         assert_eq!(single.nshards(), 1);
         assert_eq!(shard.nshards(), 2);
         let req = QueryRequest::Subset {
@@ -1317,14 +845,16 @@ mod tests {
             single.run(&req).expect("single"),
             shard.run(&req).expect("sharded")
         );
-        assert!(single
-            .maintenance_once(&MaintenanceConfig::default())
-            .expect("noop")
-            .is_none());
-        assert!(shard
-            .maintenance_once(&MaintenanceConfig::default())
-            .expect("runs")
-            .is_some());
+        // maintenance applies at any shard count: a planted temp file is
+        // swept from the flat store's root exactly once
+        std::fs::write(flat.join(".x.tmp"), b"torn").expect("debris");
+        let compact = MaintenanceConfig {
+            compact: true,
+            ..MaintenanceConfig::default()
+        };
+        let rep = single.maintenance_once(&compact).expect("runs");
+        assert_eq!((rep.debris_files, rep.debris_bytes), (1, 4));
+        shard.maintenance_once(&compact).expect("runs");
         assert!(single.cache_stats().misses >= 1);
         assert!(shard.cache_stats().misses >= 2);
         std::fs::remove_dir_all(&flat).ok();

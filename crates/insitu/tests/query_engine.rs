@@ -12,7 +12,7 @@ use ibis_insitu::engine::parse_batch;
 use ibis_insitu::{
     pipeline::pending_checkpoint, resume_durable, run_durable, CachedStore, CoreAllocation,
     FaultPlan, IbisError, MachineModel, PipelineConfig, QueryAnswer, QueryEngine, QueryRequest,
-    Reduction, RobustnessConfig, ScalingModel, Store, StoreWriter, ORDER_VARIABLE,
+    Reduction, RobustnessConfig, ScalingModel, ShardedWriter, Store, StoreWriter, ORDER_VARIABLE,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -214,16 +214,15 @@ fn reordered_store_matches_identity_store_through_engine() {
         // raw selections: the reordered store's selection, mapped through
         // the persisted inverse permutation, is *byte-identical* to the
         // identity store's (same WAH words, not just the same count)
-        let loaded = reordered
-            .cache()
+        let loaded = reordered.shard_caches()[0]
             .get_order(step)
             .unwrap()
             .expect("order blob");
         let (stored_order, perm) = loaded.as_ref();
         assert_eq!(*stored_order, RowOrder::HistogramSorted);
         for var in ["temperature", "salinity"] {
-            let ml_r = reordered.cache().get(var, step).unwrap();
-            let ml_i = identity.cache().get(var, step).unwrap();
+            let ml_r = reordered.shard_caches()[0].get(var, step).unwrap();
+            let ml_i = identity.shard_caches()[0].get(var, step).unwrap();
             let q = SubsetQuery::value(5.0, 30.0).with_region(7..3001);
             let sel_r = q.evaluate_ml_mapped(&ml_r, perm).unwrap();
             let sel_i = q.evaluate_ml(&ml_i).unwrap();
@@ -234,33 +233,35 @@ fn reordered_store_matches_identity_store_through_engine() {
     std::fs::remove_dir_all(&dir_r).ok();
 }
 
-/// Builds a durable store like [`build_store`] plus a lossy superset
-/// companion for every `(step, variable)`.
-fn build_lossy_store(name: &str, fpr: f64) -> (PathBuf, Store) {
-    let dir = std::env::temp_dir().join(format!("ibis-qe-{name}"));
+/// Builds a durable store like [`build_store`], split over `shards`
+/// shards, plus a lossy superset companion for every `(step, variable)`,
+/// and opens an engine over it with FPR ceiling `ceiling`.
+fn lossy_engine(name: &str, shards: usize, fpr: f64, ceiling: f64) -> (PathBuf, QueryEngine) {
+    let dir = std::env::temp_dir().join(format!("ibis-qe-{name}-k{shards}"));
     std::fs::remove_dir_all(&dir).ok();
-    let mut w = StoreWriter::create(&dir).unwrap();
+    let mut w = ShardedWriter::create(&dir, shards).unwrap();
     for step in [0usize, 4, 9] {
         for (phase, var) in ["temperature", "salinity"].iter().enumerate() {
             let idx = BitmapIndex::build(&field(step, phase), Binner::fixed_width(0.0, 40.0, 64));
-            let (lossy, stats) = idx.lossy(fpr);
             w.put(step, var, &idx).unwrap();
-            w.put_lossy(step, var, &lossy, fpr, &stats).unwrap();
+            w.put_lossy(step, var, &idx, fpr).unwrap();
         }
     }
     w.finish().unwrap();
-    let store = Store::open(&dir).unwrap();
-    (dir, store)
+    let engine = QueryEngine::open(&dir, 64 << 20)
+        .unwrap()
+        .with_lossy_fpr(ceiling);
+    (dir, engine)
 }
+
+/// The shard counts the lossy tests run over: the flat store and a
+/// sharded one.
+const LOSSY_SHARDS: [usize; 2] = [1, 4];
 
 #[test]
 fn lossy_filtered_engine_is_byte_identical_to_exact_engine() {
-    let (dir_l, store_l) = build_lossy_store("lossy-oracle", 1e-2);
     let (dir_e, store_e) = build_store("lossy-oracle-exact");
-    let lossy = QueryEngine::new(CachedStore::new(store_l, 64 << 20)).with_lossy_fpr(1e-2);
-    assert_eq!(lossy.lossy_fpr(), Some(1e-2));
     let exact = QueryEngine::new(CachedStore::new(store_e, 64 << 20));
-
     let queries = [
         SubsetQuery::value(3.0, 17.0),
         SubsetQuery::value(0.0, 40.0),
@@ -270,82 +271,90 @@ fn lossy_filtered_engine_is_byte_identical_to_exact_engine() {
         SubsetQuery::value(5.0, 30.0).with_region(7..3001),
         SubsetQuery::value(12.25, 12.5).with_region(0..64),
     ];
-    for step in [0usize, 4, 9] {
-        for var in ["temperature", "salinity"] {
-            for q in &queries {
-                let req = QueryRequest::Subset {
-                    step,
-                    variable: var.into(),
-                    query: q.clone(),
-                };
-                assert_eq!(
-                    lossy.run(&req).unwrap(),
-                    exact.run(&req).unwrap(),
-                    "step {step} {var} {q:?} diverged"
-                );
+    for shards in LOSSY_SHARDS {
+        let (dir_l, lossy) = lossy_engine("lossy-oracle", shards, 1e-2, 1e-2);
+        assert_eq!(lossy.lossy_fpr(), Some(1e-2));
+        for step in [0usize, 4, 9] {
+            for var in ["temperature", "salinity"] {
+                for q in &queries {
+                    let req = QueryRequest::Subset {
+                        step,
+                        variable: var.into(),
+                        query: q.clone(),
+                    };
+                    assert_eq!(
+                        lossy.run(&req).unwrap(),
+                        exact.run(&req).unwrap(),
+                        "k={shards} step {step} {var} {q:?} diverged"
+                    );
+                }
             }
         }
+        std::fs::remove_dir_all(&dir_l).ok();
     }
-    std::fs::remove_dir_all(&dir_l).ok();
     std::fs::remove_dir_all(&dir_e).ok();
 }
 
 #[test]
 fn empty_lossy_filter_skips_the_exact_load() {
-    let (dir, store) = build_lossy_store("lossy-shortcircuit", 1e-2);
-    let engine = QueryEngine::new(CachedStore::new(store, 64 << 20)).with_lossy_fpr(1e-2);
-    // a predicate no row can match: the companion proves the answer empty
-    let answer = engine
-        .run(&QueryRequest::Subset {
-            step: 0,
-            variable: "temperature".into(),
-            query: SubsetQuery::value(17.0, 3.0), // inverted → empty
-        })
-        .unwrap();
-    assert_eq!(
-        answer,
-        QueryAnswer::Subset {
-            selected: 0,
-            of: N as u64
-        }
-    );
-    let stats = engine.cache_stats();
-    assert_eq!(
-        (stats.hits, stats.misses),
-        (0, 0),
-        "exact index must never be loaded for a provably-empty answer"
-    );
-    // a matching predicate then loads the exact index exactly once
-    engine
-        .run(&QueryRequest::Subset {
-            step: 0,
-            variable: "temperature".into(),
-            query: SubsetQuery::value(3.0, 17.0),
-        })
-        .unwrap();
-    assert_eq!(engine.cache_stats().misses, 1);
-    std::fs::remove_dir_all(&dir).ok();
+    for shards in LOSSY_SHARDS {
+        let (dir, engine) = lossy_engine("lossy-shortcircuit", shards, 1e-2, 1e-2);
+        // a predicate no row can match: every shard's companion proves
+        // its share of the answer empty
+        let answer = engine
+            .run(&QueryRequest::Subset {
+                step: 0,
+                variable: "temperature".into(),
+                query: SubsetQuery::value(17.0, 3.0), // inverted → empty
+            })
+            .unwrap();
+        assert_eq!(
+            answer,
+            QueryAnswer::Subset {
+                selected: 0,
+                of: N as u64
+            }
+        );
+        let stats = engine.cache_stats();
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (0, 0),
+            "k={shards}: exact index must never be loaded for a provably-empty answer"
+        );
+        // a matching predicate then loads each shard's exact index
+        // exactly once
+        engine
+            .run(&QueryRequest::Subset {
+                step: 0,
+                variable: "temperature".into(),
+                query: SubsetQuery::value(3.0, 17.0),
+            })
+            .unwrap();
+        assert_eq!(engine.cache_stats().misses, shards as u64);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
 fn lossy_engine_ignores_companions_above_its_fpr_ceiling() {
-    let (dir, store) = build_lossy_store("lossy-ceiling", 1e-1);
-    // engine ceiling 1e-3 < stored 1e-1: the companion must be ignored,
-    // every answer comes from the exact path
-    let engine = QueryEngine::new(CachedStore::new(store, 64 << 20)).with_lossy_fpr(1e-3);
-    engine
-        .run(&QueryRequest::Subset {
-            step: 0,
-            variable: "temperature".into(),
-            query: SubsetQuery::value(-10.0, -5.0),
-        })
-        .unwrap();
-    assert_eq!(
-        engine.cache_stats().misses,
-        1,
-        "an over-ceiling companion must not filter"
-    );
-    std::fs::remove_dir_all(&dir).ok();
+    for shards in LOSSY_SHARDS {
+        // engine ceiling 1e-3 < stored 1e-1: the companions must be
+        // ignored, every answer comes from the exact path
+        let (dir, engine) = lossy_engine("lossy-ceiling", shards, 1e-1, 1e-3);
+        engine
+            .run(&QueryRequest::Subset {
+                step: 0,
+                variable: "temperature".into(),
+                query: SubsetQuery::value(-10.0, -5.0),
+            })
+            .unwrap();
+        assert_eq!(
+            engine.cache_stats().misses,
+            shards as u64,
+            "k={shards}: an over-ceiling companion must not filter"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
@@ -429,15 +438,18 @@ fn reordered_durable_run_resumes_byte_identical_and_answers_like_identity() {
     let reordered = QueryEngine::new(CachedStore::new(Store::open(&crash_dir).unwrap(), 64 << 20));
     let identity = QueryEngine::new(CachedStore::new(Store::open(&ident_dir).unwrap(), 64 << 20));
     for &step in &clean.selected {
-        let vars: Vec<String> = identity
-            .cache()
+        let vars: Vec<String> = identity.shard_caches()[0]
             .store()
             .variables(step)
             .iter()
             .map(|v| v.to_string())
             .collect();
         for var in &vars {
-            let n = identity.cache().get(var, step).unwrap().low().len();
+            let n = identity.shard_caches()[0]
+                .get(var, step)
+                .unwrap()
+                .low()
+                .len();
             for q in [
                 SubsetQuery::value(1.0, 20.0),
                 SubsetQuery::region(0..n / 2),
@@ -552,11 +564,11 @@ fn concurrent_readers_share_one_cache_safely() {
 
     let st = engine.cache_stats();
     let total = st.hits + st.misses;
-    // 3 cache reads per round (2 for the correlation, 1 for the subset,
-    // whose region check runs after the fetch) plus 2 for the final probe
+    // 2 cache reads per round — the correlation's; the subset's region is
+    // rejected before any fetch — plus 2 for the final probe
     assert_eq!(
         total,
-        (nthreads * rounds * 3 + 2) as u64,
+        (nthreads * rounds * 2 + 2) as u64,
         "every cache access accounted for: {st:?}"
     );
     assert!(st.evictions > 0, "tiny budget must churn: {st:?}");

@@ -1,22 +1,27 @@
 //! Integration tests for the sharded distributed store: scatter-gather
-//! answers must be indistinguishable from the single-store engine (the
-//! oracle) across shard counts, bin widths, and persisted row orders;
-//! a corrupted shard must quarantine locally — the *other* shards'
-//! selections stay byte-identical — and repair through the normal
-//! resume + re-put path; a writer killed mid-ingest must resume from
-//! whatever each shard made durable.
+//! answers must be indistinguishable from a verbatim scan of the raw data
+//! (the reference model — it shares no code with the engine) across shard
+//! counts, bin widths, persisted row orders and lossy companions; a
+//! 1-shard run must be the flat store byte for byte; a corrupted shard
+//! must quarantine locally — the *other* shards' selections stay
+//! byte-identical — and repair through the normal resume + re-put path;
+//! a writer killed mid-ingest must resume from whatever each shard made
+//! durable.
 
-use ibis_analysis::SubsetQuery;
-use ibis_core::{Binner, BitmapIndex, RowOrder};
+use ibis_analysis::{finish_correlation, CorrelationPartial, QueryError, SubsetQuery};
+use ibis_core::{Binner, BitmapIndex, MultiLevelIndex, RowOrder, RowPermutation, WahVec};
 use ibis_insitu::{
-    CachedStore, IbisError, MaintenanceConfig, QueryEngine, QueryRequest, ShardedEngine,
-    ShardedStore, ShardedWriter, Store, StoreWriter,
+    IbisError, MaintenanceConfig, QueryAnswer, QueryEngine, QueryRequest, ShardedStore,
+    ShardedWriter, StoreWriter,
 };
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 const ROWS: usize = 2500;
 const BUDGET: u64 = 256 << 20;
+const STEPS: [usize; 2] = [0, 1];
+const VARS: [&str; 2] = ["temperature", "salinity"];
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ibis-shard-it-{}-{name}", std::process::id()));
@@ -36,40 +41,232 @@ fn field(rows: usize, step: usize, phase: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Builds the same 2-steps × 2-variables dataset twice: once flat, once
-/// split over `k` shards, optionally stored under a row order whose
-/// permutation is persisted.
-fn twin_stores(
-    name: &str,
-    k: usize,
-    binner: &Binner,
-    order: RowOrder,
-) -> (PathBuf, PathBuf, Store, ShardedStore) {
-    let flat_dir = tmp(&format!("{name}-flat"));
-    let shard_dir = tmp(&format!("{name}-k{k}"));
-    let mut fw = StoreWriter::create(&flat_dir).unwrap();
-    let mut sw = ShardedWriter::create(&shard_dir, k).unwrap();
-    for step in [0usize, 1] {
-        let perm = order.permutation(&[], binner, &field(ROWS, step, 0));
-        for (phase, var) in ["temperature", "salinity"].iter().enumerate() {
-            let data = field(ROWS, step, phase);
-            let idx = match &perm {
-                Some(p) => BitmapIndex::build_permuted(&data, binner.clone(), p),
-                None => BitmapIndex::build(&data, binner.clone()),
-            };
-            fw.put(step, var, &idx).unwrap();
-            sw.put(step, var, &idx).unwrap();
+/// The reference model: the raw values, in original row order, answered
+/// by scanning them. It knows nothing of bitmaps, shards, permutations or
+/// companions — only the [`Binner`] that defines a bin and the pure
+/// [`finish_correlation`] finisher over scan-built integer counts (the
+/// construction `benchmark/src/oracle.rs` uses).
+struct Model {
+    binner: Binner,
+    raw: BTreeMap<(usize, String), Vec<f64>>,
+}
+
+impl Model {
+    fn of_fields(binner: &Binner) -> Model {
+        let mut raw = BTreeMap::new();
+        for step in STEPS {
+            for (phase, var) in VARS.iter().enumerate() {
+                raw.insert((step, var.to_string()), field(ROWS, step, phase));
+            }
         }
-        if let Some(p) = &perm {
-            fw.put_order(step, order, p).unwrap();
-            sw.put_order(step, order, p).unwrap();
+        Model {
+            binner: binner.clone(),
+            raw,
         }
     }
-    fw.finish().unwrap();
-    sw.finish().unwrap();
-    let flat = Store::open(&flat_dir).unwrap();
-    let sharded = ShardedStore::open(&shard_dir).unwrap();
-    (flat_dir, shard_dir, flat, sharded)
+
+    fn values(&self, step: usize, variable: &str) -> Result<&[f64], IbisError> {
+        self.raw
+            .get(&(step, variable.to_string()))
+            .map(Vec::as_slice)
+            .ok_or_else(|| IbisError::NotFound {
+                step,
+                variable: variable.to_string(),
+            })
+    }
+
+    /// Row-by-row admission under `q`: the region names original rows; a
+    /// value is admitted when its bin's range intersects `[lo, hi)`.
+    fn admitted(&self, q: &SubsetQuery, values: &[f64]) -> Result<Vec<bool>, IbisError> {
+        let n = values.len() as u64;
+        let region = match &q.position_range {
+            Some(r) if r.start > r.end || r.end > n => {
+                return Err(IbisError::Query(QueryError::RegionOutOfRange {
+                    start: r.start,
+                    end: r.end,
+                    len: n,
+                }))
+            }
+            Some(r) => r.clone(),
+            None => 0..n,
+        };
+        let bins = match q.value_range {
+            Some((lo, hi)) if lo.is_nan() || hi.is_nan() => {
+                return Err(IbisError::Query(QueryError::NanBound { lo, hi }))
+            }
+            Some((lo, hi)) if hi > lo => {
+                let b0 = self.binner.bin_of(lo);
+                let mut b1 = self.binner.bin_of(hi);
+                // hi is exclusive: a bin starting at hi is not touched
+                if b1 > b0 && self.binner.bin_range(b1 as usize).0 >= hi {
+                    b1 -= 1;
+                }
+                Some(b0..=b1)
+            }
+            Some(_) => None, // inverted or empty interval selects nothing
+            None => Some(0..=u32::MAX),
+        };
+        Ok((0u64..)
+            .zip(values)
+            .map(|(row, &v)| {
+                region.contains(&row)
+                    && bins
+                        .as_ref()
+                        .is_some_and(|b| b.contains(&self.binner.bin_of(v)))
+            })
+            .collect())
+    }
+
+    fn run(&self, request: &QueryRequest) -> Result<QueryAnswer, IbisError> {
+        match request {
+            QueryRequest::Subset {
+                step,
+                variable,
+                query,
+            } => {
+                let values = self.values(*step, variable)?;
+                let admitted = self.admitted(query, values)?;
+                Ok(QueryAnswer::Subset {
+                    selected: admitted.iter().filter(|&&a| a).count() as u64,
+                    of: values.len() as u64,
+                })
+            }
+            QueryRequest::Correlation {
+                step,
+                var_a,
+                var_b,
+                query_a,
+                query_b,
+            } => {
+                let (a, b) = (self.values(*step, var_a)?, self.values(*step, var_b)?);
+                let (in_a, in_b) = (self.admitted(query_a, a)?, self.admitted(query_b, b)?);
+                let nbins = self.binner.nbins();
+                let mut p = CorrelationPartial::zero(nbins, nbins);
+                for row in (0..a.len()).filter(|&row| in_a[row] && in_b[row]) {
+                    let (ja, jb) = (
+                        self.binner.bin_of(a[row]) as usize,
+                        self.binner.bin_of(b[row]) as usize,
+                    );
+                    p.selected += 1;
+                    p.joint[ja * nbins + jb] += 1;
+                    p.counts_a[ja] += 1;
+                    p.counts_b[jb] += 1;
+                }
+                Ok(QueryAnswer::Correlation(finish_correlation(
+                    &self.binner,
+                    &self.binner,
+                    &p,
+                )))
+            }
+        }
+    }
+
+    /// The canonical selection over original rows.
+    fn selection(&self, step: usize, variable: &str, q: &SubsetQuery) -> WahVec {
+        let admitted = self.admitted(q, self.values(step, variable).unwrap());
+        WahVec::from_bits(admitted.unwrap())
+    }
+}
+
+/// What one store of the matrix is built under.
+#[derive(Clone, Copy)]
+struct Build<'a> {
+    shards: usize,
+    binner: &'a Binner,
+    order: RowOrder,
+    /// FPR of the lossy companions stored next to every exact index.
+    lossy: Option<f64>,
+}
+
+/// One step of the 2-steps × 2-variables dataset as the writers see it:
+/// each variable's index (built under the step's permutation, if any) and
+/// that permutation.
+struct StepData {
+    step: usize,
+    vars: Vec<(&'static str, BitmapIndex)>,
+    perm: Option<RowPermutation>,
+}
+
+fn dataset(b: Build<'_>) -> Vec<StepData> {
+    STEPS
+        .into_iter()
+        .map(|step| {
+            let perm = b.order.permutation(&[], b.binner, &field(ROWS, step, 0));
+            let vars = (0..)
+                .zip(VARS)
+                .map(|(phase, var)| {
+                    let data = field(ROWS, step, phase);
+                    let idx = match &perm {
+                        Some(p) => BitmapIndex::build_permuted(&data, b.binner.clone(), p),
+                        None => BitmapIndex::build(&data, b.binner.clone()),
+                    };
+                    (var, idx)
+                })
+                .collect();
+            StepData { step, vars, perm }
+        })
+        .collect()
+}
+
+/// Builds the dataset as a `b.shards`-shard store and returns its
+/// directory.
+fn build_store(name: &str, b: Build<'_>) -> PathBuf {
+    let dir = tmp(name);
+    let mut w = ShardedWriter::create(&dir, b.shards).unwrap();
+    for s in dataset(b) {
+        for (var, idx) in &s.vars {
+            w.put(s.step, var, idx).unwrap();
+            if let Some(fpr) = b.lossy {
+                w.put_lossy(s.step, var, idx, fpr).unwrap();
+            }
+        }
+        if let Some(p) = &s.perm {
+            w.put_order(s.step, b.order, p).unwrap();
+        }
+    }
+    w.finish().unwrap();
+    dir
+}
+
+/// The same dataset through a bare [`StoreWriter`] — what a 1-shard
+/// [`ShardedWriter`] must reproduce file for file.
+fn build_flat_store(name: &str, b: Build<'_>) -> PathBuf {
+    let dir = tmp(name);
+    let mut w = StoreWriter::create(&dir).unwrap();
+    for s in dataset(b) {
+        for (var, idx) in &s.vars {
+            w.put(s.step, var, idx).unwrap();
+            if let Some(fpr) = b.lossy {
+                let (lossy, stats) = idx.lossy(fpr);
+                w.put_lossy(s.step, var, &lossy, fpr, &stats).unwrap();
+            }
+        }
+        if let Some(p) = &s.perm {
+            w.put_order(s.step, b.order, p).unwrap();
+        }
+    }
+    w.finish().unwrap();
+    dir
+}
+
+/// Every file of `dir` (non-recursive: a flat store has no
+/// subdirectories), by name.
+fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .map(|e| {
+            let name = e.file_name().into_string().unwrap();
+            assert!(e.file_type().unwrap().is_file(), "{name} is not a file");
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect()
+}
+
+fn open(dir: &Path, lossy: Option<f64>) -> QueryEngine {
+    QueryEngine::open(dir, BUDGET)
+        .unwrap()
+        .with_lossy_fpr(lossy.unwrap_or(0.0))
 }
 
 /// The query battery: every request shape the engine serves.
@@ -89,6 +286,12 @@ fn battery(rows: u64) -> Vec<QueryRequest> {
             step: 0,
             variable: "salinity".into(),
             query: SubsetQuery::value(1.0, 6.0).with_region(7..rows - 3),
+        },
+        QueryRequest::Subset {
+            step: 1,
+            variable: "temperature".into(),
+            // nothing lives up there: an empty lossy filter short-circuits
+            query: SubsetQuery::value(11.0, 12.0).with_region(0..rows / 3),
         },
         QueryRequest::Correlation {
             step: 1,
@@ -110,39 +313,53 @@ fn battery(rows: u64) -> Vec<QueryRequest> {
 #[test]
 fn sharded_equals_oracle_across_shards_bins_and_row_orders() {
     // Bin counts pick different container codecs downstream; row orders
-    // exercise the permutation-aware (prune-disabled) path.
+    // exercise the permutation-aware (prune-disabled) path; the lossy
+    // dimension puts a filter in front of every shard's exact index.
     for nbins in [16usize, 64] {
         let binner = Binner::fixed_width(0.0, 10.0, nbins);
+        let model = Model::of_fields(&binner);
         for order in [
             RowOrder::Identity,
             RowOrder::GrayBin,
             RowOrder::HistogramSorted,
         ] {
-            for k in [1usize, 2, 3, 4] {
-                let name = format!("oracle-b{nbins}-{order:?}-{k}");
-                let (fd, sd, flat, sharded) = twin_stores(&name, k, &binner, order);
-                let oracle = QueryEngine::new(CachedStore::new(flat, BUDGET));
-                let engine = ShardedEngine::from_store(sharded, BUDGET).unwrap();
-                // two passes: the second hits the warm (possibly pruned) path
-                for pass in 0..2 {
-                    for req in battery(ROWS as u64) {
-                        assert_eq!(
-                            engine.run(&req).unwrap(),
-                            oracle.run(&req).unwrap(),
-                            "nbins={nbins} order={order:?} k={k} pass={pass} {req:?}"
-                        );
+            for lossy in [None, Some(1e-2)] {
+                for shards in [1usize, 2, 3, 4] {
+                    let b = Build {
+                        shards,
+                        binner: &binner,
+                        order,
+                        lossy,
+                    };
+                    let tag = format!("b{nbins}-{order:?}-l{}-k{shards}", lossy.is_some());
+                    let dir = build_store(&format!("oracle-{tag}"), b);
+                    if shards == 1 {
+                        let flat = build_flat_store(&format!("oracle-flat-{tag}"), b);
+                        assert_eq!(dir_files(&dir), dir_files(&flat), "{tag}");
+                        std::fs::remove_dir_all(&flat).ok();
                     }
+                    let engine = open(&dir, lossy);
+                    // two passes: the second finds the cuts memoized
+                    for pass in 0..2 {
+                        for req in battery(ROWS as u64) {
+                            assert_eq!(
+                                engine.run(&req).unwrap(),
+                                model.run(&req).unwrap(),
+                                "{tag} pass={pass} {req:?}"
+                            );
+                        }
+                    }
+                    // raw selections are byte-identical, not just equinumerous
+                    if order == RowOrder::Identity {
+                        let q = SubsetQuery::value(2.0, 7.5).with_region(100..ROWS as u64 - 50);
+                        let sel = engine.selection(0, "temperature", &q).unwrap();
+                        assert_eq!(sel, model.selection(0, "temperature", &q), "{tag}");
+                        let whole = BitmapIndex::build(&field(ROWS, 0, 0), binner.clone());
+                        let ml = MultiLevelIndex::from_low(whole, 8);
+                        assert_eq!(sel, q.evaluate_ml(&ml).unwrap(), "{tag}");
+                    }
+                    std::fs::remove_dir_all(&dir).ok();
                 }
-                // raw selections are byte-identical, not just equinumerous
-                if order == RowOrder::Identity {
-                    let q = SubsetQuery::value(2.0, 7.5).with_region(100..ROWS as u64 - 50);
-                    let sel_s = engine.selection(0, "temperature", &q).unwrap();
-                    let ml = oracle.cache().get("temperature", 0).unwrap();
-                    let sel_f = q.evaluate_ml(&ml).unwrap();
-                    assert_eq!(sel_s, sel_f, "nbins={nbins} k={k}");
-                }
-                std::fs::remove_dir_all(&fd).ok();
-                std::fs::remove_dir_all(&sd).ok();
             }
         }
     }
@@ -151,8 +368,8 @@ fn sharded_equals_oracle_across_shards_bins_and_row_orders() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
     /// Randomised oracle check: arbitrary data, shard count, value bounds
-    /// and region — the scatter-gather answer always matches the flat
-    /// engine, including when both return errors.
+    /// and region — the scatter-gather answer always matches the scan
+    /// model, including when both return errors.
     #[test]
     fn random_queries_match_oracle(
         data in proptest::collection::vec(0.0f64..10.0, 64..400),
@@ -163,25 +380,24 @@ proptest! {
         rlen in 0u64..400,
     ) {
         let dir = tmp(&format!("prop-{k}-{}", data.len()));
-        let flat_dir = tmp(&format!("prop-flat-{k}-{}", data.len()));
         let binner = Binner::fixed_width(0.0, 10.0, 24);
-        let idx = BitmapIndex::build(&data, binner);
+        let idx = BitmapIndex::build(&data, binner.clone());
         let mut sw = ShardedWriter::create(&dir, k).unwrap();
         sw.put(0, "v", &idx).unwrap();
         sw.finish().unwrap();
-        let mut fw = StoreWriter::create(&flat_dir).unwrap();
-        fw.put(0, "v", &idx).unwrap();
-        fw.finish().unwrap();
 
-        let engine = ShardedEngine::open(&dir, BUDGET).unwrap();
-        let oracle = QueryEngine::new(CachedStore::new(Store::open(&flat_dir).unwrap(), BUDGET));
+        let engine = open(&dir, None);
+        let model = Model {
+            binner,
+            raw: BTreeMap::from([((0, "v".to_string()), data)]),
+        };
         let req = QueryRequest::Subset {
             step: 0,
             variable: "v".into(),
             query: SubsetQuery::value(lo, lo + span).with_region(r0..r0 + rlen),
         };
         for _pass in 0..2 {
-            match (engine.run(&req), oracle.run(&req)) {
+            match (engine.run(&req), model.run(&req)) {
                 (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
                 (Err(a), Err(b)) => prop_assert_eq!(
                     std::mem::discriminant(&a),
@@ -191,15 +407,25 @@ proptest! {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
-        std::fs::remove_dir_all(&flat_dir).ok();
     }
+}
+
+/// An exact, identity-order store of the dataset over `shards` shards.
+fn plain_store(name: &str, shards: usize, binner: &Binner) -> PathBuf {
+    let b = Build {
+        shards,
+        binner,
+        order: RowOrder::Identity,
+        lossy: None,
+    };
+    build_store(name, b)
 }
 
 #[test]
 fn corrupt_shard_quarantines_locally_and_repairs() {
     let binner = Binner::fixed_width(0.0, 10.0, 48);
-    let (fd, sd, flat, _) = twin_stores("fsck", 3, &binner, RowOrder::Identity);
-    let oracle = QueryEngine::new(CachedStore::new(flat, BUDGET));
+    let sd = plain_store("fsck", 3, &binner);
+    let model = Model::of_fields(&binner);
 
     // flip bytes in the middle of shard-001's step-1 temperature blob
     let blob = sd.join("shard-001").join("s000001_temperature.ibis");
@@ -219,8 +445,8 @@ fn corrupt_shard_quarantines_locally_and_repairs() {
     assert!(blob.with_extension("ibis.quarantined").exists());
 
     // the damaged pair is now a structured miss; every other pair's
-    // selection is byte-identical to the oracle
-    let engine = ShardedEngine::from_store(store, BUDGET).unwrap();
+    // selection is byte-identical to the model's
+    let engine = QueryEngine::from_store(store, BUDGET);
     let dead = QueryRequest::Subset {
         step: 1,
         variable: "temperature".into(),
@@ -233,13 +459,12 @@ fn corrupt_shard_quarantines_locally_and_repairs() {
     for (step, var) in [(0usize, "temperature"), (0, "salinity"), (1, "salinity")] {
         let q = SubsetQuery::value(1.5, 8.0).with_region(40..(ROWS as u64) - 9);
         let sel = engine.selection(step, var, &q).unwrap();
-        let ml = oracle.cache().get(var, step).unwrap();
-        assert_eq!(sel, q.evaluate_ml(&ml).unwrap(), "step {step} {var}");
+        assert_eq!(sel, model.selection(step, var, &q), "step {step} {var}");
     }
     drop(engine);
 
     // repair = the ordinary durable path: resume the writer, re-put the
-    // lost step, finish; the sharded tier then matches the oracle again
+    // lost step, finish; the sharded tier then matches the model again
     let mut w = ShardedWriter::resume(&sd).unwrap();
     assert!(!w.contains(1, "temperature"));
     let idx = BitmapIndex::build(&field(ROWS, 1, 0), binner.clone());
@@ -250,11 +475,10 @@ fn corrupt_shard_quarantines_locally_and_repairs() {
     let compacted = store.compact().unwrap();
     assert!(compacted.files_removed >= 1);
     assert!(!blob.with_extension("ibis.quarantined").exists());
-    let engine = ShardedEngine::from_store(store, BUDGET).unwrap();
+    let engine = QueryEngine::from_store(store, BUDGET);
     for req in battery(ROWS as u64) {
-        assert_eq!(engine.run(&req).unwrap(), oracle.run(&req).unwrap());
+        assert_eq!(engine.run(&req).unwrap(), model.run(&req).unwrap());
     }
-    std::fs::remove_dir_all(&fd).ok();
     std::fs::remove_dir_all(&sd).ok();
 }
 
@@ -268,7 +492,7 @@ fn killed_writer_resumes_from_each_shards_durable_state() {
     // the "node" dies after step 0 is fully durable and step 1 partially so
     {
         let mut w = ShardedWriter::create(&dir, 3).unwrap();
-        for (phase, var) in ["temperature", "salinity"].iter().enumerate() {
+        for (phase, var) in VARS.iter().enumerate() {
             w.put(0, var, &step_idx(0, phase)).unwrap();
         }
         w.put(1, "temperature", &step_idx(1, 0)).unwrap();
@@ -285,27 +509,18 @@ fn killed_writer_resumes_from_each_shards_durable_state() {
     assert!(!w.contains(1, "temperature"), "torn shard-002 lost step 1");
 
     // idempotent re-put repairs the stragglers, then the run completes
-    for (phase, var) in ["temperature", "salinity"].iter().enumerate() {
+    for (phase, var) in VARS.iter().enumerate() {
         w.put(1, var, &step_idx(1, phase)).unwrap();
     }
     w.finish().unwrap();
 
-    // the recovered store answers exactly like a never-killed flat run
-    let flat_dir = tmp("nodekill-flat");
-    let mut fw = StoreWriter::create(&flat_dir).unwrap();
-    for step in [0usize, 1] {
-        for (phase, var) in ["temperature", "salinity"].iter().enumerate() {
-            fw.put(step, var, &step_idx(step, phase)).unwrap();
-        }
-    }
-    fw.finish().unwrap();
-    let engine = ShardedEngine::open(&dir, BUDGET).unwrap();
-    let oracle = QueryEngine::new(CachedStore::new(Store::open(&flat_dir).unwrap(), BUDGET));
+    // the recovered store answers exactly like the data it was fed
+    let engine = open(&dir, None);
+    let model = Model::of_fields(&binner);
     for req in battery(ROWS as u64) {
-        assert_eq!(engine.run(&req).unwrap(), oracle.run(&req).unwrap());
+        assert_eq!(engine.run(&req).unwrap(), model.run(&req).unwrap());
     }
     std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_dir_all(&flat_dir).ok();
 }
 
 #[test]
@@ -314,24 +529,39 @@ fn per_shard_cache_gauges_reach_the_registry() {
         return; // metrics compiled out in this configuration
     }
     let binner = Binner::fixed_width(0.0, 10.0, 48);
-    let (fd, sd, _flat, sharded) = twin_stores("obs", 2, &binner, RowOrder::Identity);
-    let engine = ShardedEngine::from_store(sharded, BUDGET).unwrap();
+    let sd = plain_store("obs", 2, &binner);
+    let engine = open(&sd, None);
     for req in battery(ROWS as u64) {
         engine.run(&req).unwrap();
     }
     engine.publish_obs();
     let snap = ibis_obs::global().snapshot();
+    let gauge = |name: &str| match snap.get(name) {
+        Some(ibis_obs::MetricValue::Gauge { value, .. }) => *value,
+        other => panic!("missing gauge {name}: {other:?}"),
+    };
     for shard in ["shard000", "shard001"] {
-        match snap.get(&format!("query.cache.{shard}.resident_bytes")) {
-            Some(ibis_obs::MetricValue::Gauge { value, .. }) => {
-                assert!(*value > 0, "{shard} must hold decoded bytes");
-            }
-            other => panic!("missing per-shard gauge for {shard}: {other:?}"),
-        }
-        match snap.get(&format!("query.cache.{shard}.misses")) {
-            Some(ibis_obs::MetricValue::Gauge { value, .. }) => assert!(*value > 0),
-            other => panic!("missing per-shard miss gauge for {shard}: {other:?}"),
-        }
+        assert!(
+            gauge(&format!("query.cache.{shard}.resident_bytes")) > 0,
+            "{shard} must hold decoded bytes"
+        );
+        assert!(gauge(&format!("query.cache.{shard}.misses")) > 0);
+    }
+    // the static family is the engine's sum over shards, not whichever
+    // shard published last (this test is the binary's only publisher)
+    let total = engine.cache_stats();
+    for (stat, want) in [
+        ("hits", total.hits),
+        ("misses", total.misses),
+        ("evictions", total.evictions),
+        ("resident_bytes", total.resident_bytes),
+    ] {
+        assert_eq!(gauge(&format!("query.cache.stat.{stat}")), want as i64);
+        let per_shard: i64 = ["shard000", "shard001"]
+            .iter()
+            .map(|shard| gauge(&format!("query.cache.{shard}.{stat}")))
+            .sum();
+        assert_eq!(per_shard, want as i64, "{stat} must sum over shards");
     }
     // maintenance on a quiesced engine publishes its counters too
     let rep = engine
@@ -345,6 +575,5 @@ fn per_shard_cache_gauges_reach_the_registry() {
         rep.evicted_bytes > 0,
         "cache_target 0 must evict everything"
     );
-    std::fs::remove_dir_all(&fd).ok();
     std::fs::remove_dir_all(&sd).ok();
 }

@@ -77,12 +77,14 @@ check_generation_report target/BENCH_generation.smoke.json
 echo "==> committed BENCH_generation.json present with full-size sweep"
 check_generation_report BENCH_generation.json
 
-echo "==> query suites in the no-op observability build"
+echo "==> query + sharded store suites in the no-op observability build"
 # The workspace run above covers the instrumented config; re-run the query
-# proptests, adversarial corpus, and multi-threaded cache stress with the
-# obs counters const-folded away — neither config may panic or diverge.
+# proptests, adversarial corpus, multi-threaded cache stress, and the
+# reference-model identity across shard counts/bins/row orders/lossy
+# (plus shard-local fsck/repair and killed-writer resume) with the obs
+# counters const-folded away — neither config may panic or diverge.
 cargo test -q -p ibis-analysis --no-default-features --test prop_query
-cargo test -q -p ibis-insitu --no-default-features --test query_engine
+cargo test -q -p ibis-insitu --no-default-features --test query_engine --test shard
 
 echo "==> serving suite in the no-op observability build"
 # Socket protocol adversaries, fault determinism, coalescing accounting,
@@ -239,12 +241,6 @@ check_serving_report target/BENCH_serving.smoke.json
 echo "==> committed BENCH_serving.json present with full-size sweep"
 check_serving_report BENCH_serving.json
 
-echo "==> sharded store suite in the no-op observability build"
-# Oracle identity across shard counts/bins/row orders, shard-local
-# fsck/repair, and killed-writer resume — the instrumented run is
-# covered by the workspace tests above.
-cargo test -q -p ibis-insitu --no-default-features --test shard
-
 echo "==> shard bench smoke (both obs configs) + report schema"
 # IBIS_SHARD_SMOKE=1 shrinks the sweep and writes to target/ so CI never
 # clobbers the committed full-size BENCH_shard.json. The bench asserts
@@ -279,25 +275,30 @@ grep -q '"scaling_target_met": true' BENCH_shard.json || {
     exit 1
 }
 
-echo "==> ibis serve + loadgen end-to-end smoke (both obs configs)"
-# Build a tiny store once, then drive a live server with the zipf load
-# generator for a few hundred requests in each obs config. --conns 1
-# makes the server exit cleanly after the load generator disconnects.
+echo "==> ibis serve + loadgen end-to-end smoke (1 and 4 shards, both obs configs)"
+# Build a tiny store, then drive a live server with the zipf load
+# generator for a few hundred requests. Every leg ingests under
+# --row-order graybin with --lossy-fpr companions, so the served store
+# carries inverse permutations the engine must apply and filters it must
+# refine, at either shard count, with background maintenance running.
 serve_smoke() {
+    local shards="$1"
+    shift
     local features=("$@")
-    local store=target/ci_serve_store
+    local store="target/ci_serve_store_k$shards"
     rm -rf "$store"
-    # --row-order exercises the reordered-store read path end to end:
-    # the served store carries inverse permutations the engine must apply.
     cargo run -q --release "${features[@]}" --bin ibis -- insitu \
-        --sim heat3d --steps 2 --select 2 --cores 2 \
-        --row-order graybin --out "$store" >/dev/null
+        --sim heat3d --steps 2 --select 2 --cores 2 --row-order graybin \
+        --lossy-fpr 1e-2 --shards "$shards" --out "$store" >/dev/null
+    # one shard is the flat layout; more live under a SHARDS file
+    if [ "$shards" -gt 1 ]; then test -f "$store/SHARDS"; else test -f "$store/MANIFEST"; fi
     local port=$((20000 + RANDOM % 20000))
     # --conns 2: the readiness probe below counts as one completed
     # connection, the load generator's single client is the second; the
     # server exits cleanly once both have disconnected.
     cargo run -q --release "${features[@]}" --bin ibis -- serve \
-        --store "$store" --addr "127.0.0.1:$port" --workers 2 --queue 16 \
+        --store "$store" --shards "$shards" --lossy-fpr 1e-2 \
+        --addr "127.0.0.1:$port" --workers 2 --queue 16 --maintain-ms 200 \
         --conns 2 &
     local serve_pid=$!
     # Wait for the listener to come up before pointing the clients at it.
@@ -312,38 +313,9 @@ serve_smoke() {
         --clients 1 --deadline-ms 2000 --seed 7
     wait "$serve_pid"
 }
-serve_smoke
-serve_smoke --no-default-features
-
-echo "==> sharded ibis serve + loadgen end-to-end smoke (both obs configs)"
-# Same live drill against a 4-shard store: sharded ingest via --shards,
-# scatter-gather serving with background maintenance, and the load
-# generator reading its catalog from a shard. --conns 2 as above.
-shard_serve_smoke() {
-    local features=("$@")
-    local store=target/ci_shard_store
-    rm -rf "$store"
-    cargo run -q --release "${features[@]}" --bin ibis -- insitu \
-        --sim heat3d --steps 2 --select 2 --cores 2 \
-        --out "$store" --shards 4 >/dev/null
-    test -f "$store/SHARDS"
-    local port=$((20000 + RANDOM % 20000))
-    cargo run -q --release "${features[@]}" --bin ibis -- serve \
-        --store "$store" --shards 4 --addr "127.0.0.1:$port" --workers 2 \
-        --queue 16 --maintain-ms 200 --conns 2 &
-    local serve_pid=$!
-    for _ in $(seq 1 100); do
-        if (exec 3<>"/dev/tcp/127.0.0.1/$port") 2>/dev/null; then
-            break
-        fi
-        sleep 0.1
-    done
-    cargo run -q --release "${features[@]}" --bin ibis -- loadgen \
-        --addr "127.0.0.1:$port" --store "$store" --requests 300 \
-        --clients 1 --deadline-ms 2000 --seed 7
-    wait "$serve_pid"
-}
-shard_serve_smoke
-shard_serve_smoke --no-default-features
+for shards in 1 4; do
+    serve_smoke "$shards"
+    serve_smoke "$shards" --no-default-features
+done
 
 echo "CI OK"

@@ -23,10 +23,9 @@ use ibis::datagen::{
 };
 use ibis::insitu::pipeline::step_permutation;
 use ibis::insitu::{
-    auto_allocate, is_sharded, run_pipeline, suggest_row_order, CachedStore, CoreAllocation,
-    EngineBackend, LocalDisk, MachineModel, MaintenanceConfig, PipelineConfig, QueryEngine,
-    QueryServer, Reduction, RobustnessConfig, ScalingModel, ServeConfig, ShardedEngine,
-    ShardedWriter, SocketServer, Store, StoreWriter,
+    auto_allocate, run_pipeline, suggest_row_order, CoreAllocation, LocalDisk, MachineModel,
+    MaintenanceConfig, PipelineConfig, QueryEngine, QueryServer, Reduction, RobustnessConfig,
+    ScalingModel, ServeConfig, ShardedStore, ShardedWriter, SocketServer,
 };
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -106,13 +105,14 @@ USAGE:
   ibis help
 
 `--out DIR --shards K` persists each selected step as K spatial shards
-(each its own durable store); `query --store` and `serve --store` detect
-a sharded directory automatically and run scatter-gather execution.
+(each its own durable store; K = 1, the default, is the flat store);
+`query --store` and `serve --store` read the shard count from the
+directory and run the same scatter-gather execution for any K.
 `serve --shards K` asserts the expected shard count; `--maintain-ms N`
 runs background compaction/eviction maintenance every N ms.
 
 `--lossy-fpr X` (X in [1e-4, 1e-1]): on `insitu --out`, also persist each
-variable's lossy superset companion (flat stores only); on `query --store`,
+variable's lossy superset companion; on `query --store` and `serve`,
 answer subset queries as cheap lossy filter + exact refine when a
 companion at or below X is present — answers stay byte-identical.
 
@@ -215,60 +215,6 @@ fn get_grid(
     let dims: Result<Vec<usize>, _> = parts.iter().map(|p| p.parse()).collect();
     let dims = dims.map_err(|_| format!("--grid: bad dimensions {v:?}"))?;
     Ok((dims[0], dims[1], dims[2]))
-}
-
-/// `--out` destination: one flat durable store, or K spatial shards.
-enum OutWriter {
-    Flat(StoreWriter),
-    Sharded(ShardedWriter),
-}
-
-impl OutWriter {
-    fn put(
-        &mut self,
-        step: usize,
-        variable: &str,
-        index: &BitmapIndex,
-    ) -> ibis::insitu::Result<()> {
-        match self {
-            OutWriter::Flat(w) => w.put(step, variable, index),
-            OutWriter::Sharded(w) => w.put(step, variable, index),
-        }
-    }
-
-    fn put_order(
-        &mut self,
-        step: usize,
-        order: RowOrder,
-        perm: &ibis::core::RowPermutation,
-    ) -> ibis::insitu::Result<()> {
-        match self {
-            OutWriter::Flat(w) => w.put_order(step, order, perm),
-            OutWriter::Sharded(w) => w.put_order(step, order, perm),
-        }
-    }
-
-    fn put_lossy(
-        &mut self,
-        step: usize,
-        variable: &str,
-        lossy: &BitmapIndex,
-        fpr: f64,
-        stats: &ibis::core::LossyStats,
-    ) -> ibis::insitu::Result<()> {
-        match self {
-            OutWriter::Flat(w) => w.put_lossy(step, variable, lossy, fpr, stats),
-            // cmd_insitu rejects --lossy-fpr with --shards > 1 up front
-            OutWriter::Sharded(_) => unreachable!("lossy companions need a flat store"),
-        }
-    }
-
-    fn finish(self) -> ibis::insitu::Result<std::path::PathBuf> {
-        match self {
-            OutWriter::Flat(w) => w.finish(),
-            OutWriter::Sharded(w) => w.finish(),
-        }
-    }
 }
 
 fn cmd_insitu(flags: &Flags) -> Result<(), String> {
@@ -421,23 +367,15 @@ fn cmd_insitu(flags: &Flags) -> Result<(), String> {
     );
 
     // Optionally persist the selected steps' bitmaps for post-analysis,
-    // flat or split into K spatial shards (each its own durable store).
+    // split into K spatial shards (each its own durable store; K = 1 is
+    // the flat store).
     if let Some(dir) = flags.get("out") {
         if !matches!(cfg.reduction, Reduction::Bitmaps) {
             return Err("--out requires --method bitmaps".into());
         }
         let shards = get_usize(flags, "shards", 1)?;
         let lossy_fpr = get_lossy_fpr(flags)?;
-        if lossy_fpr > 0.0 && shards > 1 {
-            return Err("--lossy-fpr: lossy companions need a flat store (--shards 1)".into());
-        }
-        let mut store = if shards > 1 {
-            OutWriter::Sharded(
-                ShardedWriter::create(dir, shards).map_err(|e| format!("--out: {e}"))?,
-            )
-        } else {
-            OutWriter::Flat(StoreWriter::create(dir).map_err(|e| format!("--out: {e}"))?)
-        };
+        let mut store = ShardedWriter::create(dir, shards).map_err(|e| format!("--out: {e}"))?;
         // re-simulate the selected steps to materialize their indices
         // (the pipeline freed them after writing the modeled bytes)
         let mut sim2: Box<dyn Simulation> = match sim_name {
@@ -461,9 +399,8 @@ fn cmd_insitu(flags: &Flags) -> Result<(), String> {
                     .put(step, f.name, &idx)
                     .map_err(|e| format!("--out: {e}"))?;
                 if lossy_fpr > 0.0 {
-                    let (lossy, stats) = idx.lossy(lossy_fpr);
                     store
-                        .put_lossy(step, f.name, &lossy, lossy_fpr, &stats)
+                        .put_lossy(step, f.name, &idx, lossy_fpr)
                         .map_err(|e| format!("--out: {e}"))?;
                 }
             }
@@ -604,24 +541,13 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Opens `dir` as the right engine backend: scatter-gather over shards
-/// when the directory holds a `SHARDS` file, the flat engine otherwise.
-fn open_backend(dir: &str, cache_bytes: u64, lossy_fpr: f64) -> Result<EngineBackend, String> {
-    if is_sharded(dir) {
-        if lossy_fpr > 0.0 {
-            return Err("--lossy-fpr: sharded stores carry no lossy companions".into());
-        }
-        let engine =
-            ShardedEngine::open(dir, cache_bytes).map_err(|e| format!("--store {dir}: {e}"))?;
-        Ok(engine.into())
-    } else {
-        let store = Store::open(dir).map_err(|e| format!("--store {dir}: {e}"))?;
-        let mut engine = QueryEngine::new(CachedStore::new(store, cache_bytes));
-        if lossy_fpr > 0.0 {
-            engine = engine.with_lossy_fpr(lossy_fpr);
-        }
-        Ok(engine.into())
-    }
+/// Opens run directory `dir` (any shard count) behind `--cache-mb` of
+/// decoded-index cache, with the lossy filter enabled by `--lossy-fpr`.
+fn open_engine(flags: &Flags, dir: &str) -> Result<QueryEngine, String> {
+    let cache_mb = get_usize(flags, "cache-mb", 256)? as u64;
+    let engine =
+        QueryEngine::open(dir, cache_mb << 20).map_err(|e| format!("--store {dir}: {e}"))?;
+    Ok(engine.with_lossy_fpr(get_lossy_fpr(flags)?))
 }
 
 /// `ibis query --store DIR --batch FILE`: run a JSON batch of
@@ -633,9 +559,8 @@ fn open_backend(dir: &str, cache_bytes: u64, lossy_fpr: f64) -> Result<EngineBac
 fn cmd_query_store(flags: &Flags) -> Result<(), String> {
     let dir = flags.get("store").ok_or("--store DIR is required")?;
     let batch = flags.get("batch").ok_or("--batch FILE is required")?;
-    let cache_mb = get_usize(flags, "cache-mb", 256)?;
     let text = std::fs::read_to_string(batch).map_err(|e| format!("--batch {batch}: {e}"))?;
-    let engine = open_backend(dir, (cache_mb as u64) << 20, get_lossy_fpr(flags)?)?;
+    let engine = open_engine(flags, dir)?;
     let answers = engine.run_batch_json(&text).map_err(|e| e.to_string())?;
     match flags.get("json-out") {
         Some(path) => {
@@ -666,7 +591,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         .get("addr")
         .map(String::as_str)
         .unwrap_or("127.0.0.1:7171");
-    let cache_mb = get_usize(flags, "cache-mb", 256)?;
     let mut cfg = ServeConfig {
         workers: get_usize(flags, "workers", 4)?,
         queue_capacity: get_usize(flags, "queue", 64)?,
@@ -680,7 +604,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let stop_after = get_usize(flags, "conns", 0)? as u64;
     let maintain_ms = get_usize(flags, "maintain-ms", 0)? as u64;
 
-    let engine = open_backend(dir, (cache_mb as u64) << 20, get_lossy_fpr(flags)?)?;
+    let engine = open_engine(flags, dir)?;
     let want_shards = get_usize(flags, "shards", 0)?;
     if want_shards > 0 && engine.nshards() != want_shards {
         return Err(format!(
@@ -688,17 +612,16 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             engine.nshards()
         ));
     }
-    let tier = if engine.nshards() > 1 {
-        format!(" ({}-shard scatter-gather)", engine.nshards())
-    } else {
-        String::new()
-    };
+    let nshards = engine.nshards();
     let server = Arc::new(QueryServer::start(engine, cfg).map_err(|e| e.to_string())?);
     let socket = SocketServer::bind(Arc::clone(&server), addr).map_err(|e| e.to_string())?;
-    println!("serving {dir}{tier} on {}", socket.local_addr());
+    println!(
+        "serving {dir} ({nshards} shard(s)) on {}",
+        socket.local_addr()
+    );
 
-    // Background maintenance for the sharded tier: compact durable
-    // debris and keep each shard's cache under its serving budget.
+    // Background maintenance: compact durable debris and keep each
+    // shard's cache under its serving budget.
     let maintenance = MaintenanceConfig {
         compact: true,
         hot_steps: None,
@@ -709,7 +632,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         std::thread::sleep(Duration::from_millis(50));
         if maintain_ms > 0 && last_maintain.elapsed() >= Duration::from_millis(maintain_ms) {
             last_maintain = Instant::now();
-            if let Ok(Some(rep)) = server.engine().maintenance_once(&maintenance) {
+            if let Ok(rep) = server.engine().maintenance_once(&maintenance) {
                 if rep.debris_files > 0 || rep.evicted_bytes > 0 {
                     eprintln!(
                         "maintenance: {} debris files ({} B), {} B evicted",
@@ -764,7 +687,7 @@ impl Mix64 {
 /// Builds the zipf-skewed frame catalog for a store: subset queries with
 /// varying value windows per (step, variable), plus correlations where a
 /// step has two variables. Rank-0 frames are the hot head of the skew.
-fn loadgen_catalog(store: &Store) -> Result<Vec<String>, String> {
+fn loadgen_catalog(store: &ShardedStore) -> Result<Vec<String>, String> {
     let mut frames = Vec::new();
     let steps = store.steps();
     if steps.is_empty() {
@@ -809,14 +732,7 @@ fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
     let deadline_ms = get_usize(flags, "deadline-ms", 0)?;
     let seed = get_usize(flags, "seed", 42)? as u64;
 
-    // A sharded store has the same steps/variables in every shard; the
-    // first shard's manifest is enough to build the request catalog.
-    let catalog_dir = if is_sharded(dir) {
-        std::path::Path::new(dir).join("shard-000")
-    } else {
-        std::path::PathBuf::from(dir)
-    };
-    let store = Store::open(&catalog_dir).map_err(|e| format!("--store {dir}: {e}"))?;
+    let store = ShardedStore::open(dir).map_err(|e| format!("--store {dir}: {e}"))?;
     let mut frames = loadgen_catalog(&store)?;
     if deadline_ms > 0 {
         for f in &mut frames {

@@ -127,3 +127,64 @@ fn insitu_rejects_out_without_bitmaps() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--out requires"));
 }
+
+#[test]
+fn lossy_companions_compose_with_shards_and_row_order() {
+    let root = std::env::temp_dir().join(format!("ibis-cli-lossy-k-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::create_dir_all(&root).expect("mkdir");
+    let batch = root.join("batch.json");
+    std::fs::write(
+        &batch,
+        r#"{"queries": [
+            {"kind": "subset", "step": 0, "variable": "temperature", "value_range": [40.0, 80.0]},
+            {"kind": "subset", "step": 0, "variable": "temperature", "value_range": [-50.0, -40.0]},
+            {"kind": "subset", "step": 0, "variable": "temperature",
+             "value_range": [10.0, 60.0], "region": [1000, 30000]},
+            {"kind": "subset", "step": 0, "variable": "temperature", "region": [0, 99999999]}
+        ]}"#,
+    )
+    .expect("write batch");
+    let mut replies = Vec::new();
+    for shards in ["4", "1"] {
+        let dir = root.join(format!("k{shards}"));
+        let out = ibis()
+            .args(["insitu", "--sim", "heat3d", "--steps", "4", "--select", "2"])
+            .args([
+                "--cores",
+                "2",
+                "--row-order",
+                "graybin",
+                "--lossy-fpr",
+                "1e-2",
+            ])
+            .args(["--shards", shards, "--out"])
+            .arg(&dir)
+            .output()
+            .expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "insitu --shards {shards}: {err}");
+        for lossy in [Some("1e-2"), None] {
+            let mut query = ibis();
+            query.args(["query", "--store"]).arg(&dir);
+            query.arg("--batch").arg(&batch);
+            if let Some(fpr) = lossy {
+                query.args(["--lossy-fpr", fpr]);
+            }
+            let out = query.output().expect("spawn");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "query --shards {shards}: {err}");
+            replies.push(out.stdout);
+        }
+    }
+    let text = String::from_utf8_lossy(&replies[0]);
+    assert_eq!(text.matches("\"ok\"").count(), 3, "{text}");
+    assert_eq!(text.matches("\"error\"").count(), 1, "{text}");
+    for (i, reply) in replies.iter().enumerate() {
+        assert_eq!(
+            reply, &replies[0],
+            "reply {i} differs from the 4-shard lossy one"
+        );
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
