@@ -1,8 +1,8 @@
 //! Cross-codec shootout (CBitmapCompetition-style): pattern × density ×
 //! codec × kernel, persisted to `BENCH_codecs.json` at the repository
 //! root. Compares WAH (adaptive kernels), the Roaring-style container
-//! codec, BBC (header-merge vs bytewise A/B), the per-bin auto-selected
-//! [`CodecVec`], and the uncompressed verbatim baseline — with
+//! codec, the per-bin auto-selected [`CodecVec`], and the uncompressed
+//! verbatim baseline — with
 //! bytes-per-bitmap for the compression side of the trade and every
 //! timed operation asserted identical to the verbatim oracle before it
 //! is measured.
@@ -11,7 +11,7 @@
 //! `target/BENCH_codecs.smoke.json` instead, so CI can schema-check the
 //! report without paying for the full sweep.
 
-use ibis_core::{BbcVec, Bitset, CodecVec, RoaringVec, WahVec};
+use ibis_core::{Bitset, CodecVec, RoaringVec, WahVec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -96,8 +96,6 @@ fn main() {
         let wb = WahVec::from_bits(bits_b.iter().copied());
         let ra = RoaringVec::from_wah(&wa);
         let rb = RoaringVec::from_wah(&wb);
-        let ba = BbcVec::from_bits(bits_a.iter().copied());
-        let bb = BbcVec::from_bits(bits_b.iter().copied());
         let va = Bitset::from_bits(bits_a.iter().copied());
         let vb = Bitset::from_bits(bits_b.iter().copied());
         let aa = CodecVec::from_wah_auto(&wa);
@@ -165,8 +163,6 @@ fn main() {
             ("wah", wa.and_count(&wb), wa.xor_count(&wb)),
             ("roaring", ra.and_count(&rb), ra.xor_count(&rb)),
             ("auto", aa.and_count(&ab), aa.xor_count(&ab)),
-            ("bbc", ba.and_count(&bb), count_of("xor")),
-            ("bbc_bytewise", ba.and_count_bytewise(&bb), count_of("xor")),
         ] {
             assert_eq!(and_n, count_of("and"), "{pattern}/{codec}/and_count");
             assert_eq!(xor_n, count_of("xor"), "{pattern}/{codec}/xor_count");
@@ -207,12 +203,6 @@ fn main() {
         push("auto", "xor", measure(|| aa.xor(&ab)));
         push("auto", "andnot", measure(|| aa.andnot(&ab)));
 
-        push("bbc", "and_count", measure(|| ba.and_count(&bb)));
-        push(
-            "bbc_bytewise",
-            "and_count",
-            measure(|| ba.and_count_bytewise(&bb)),
-        );
         push(
             "verbatim",
             "and_count",
@@ -225,11 +215,10 @@ fn main() {
 
         let sep = if pi + 1 == patterns.len() { "" } else { "," };
         bytes_rows.push_str(&format!(
-            "    \"{pattern}\": {{\"wah_adaptive\": {}, \"roaring\": {}, \"bbc\": {}, \
+            "    \"{pattern}\": {{\"wah_adaptive\": {}, \"roaring\": {}, \
              \"auto\": {}, \"verbatim\": {}}}{sep}\n",
             wa.size_bytes(),
             ra.size_bytes(),
-            ba.size_bytes(),
             aa.size_bytes(),
             va.size_bytes(),
         ));
@@ -288,17 +277,6 @@ fn write_json(samples: &[Sample], bytes_rows: &str, auto_rows: &str, n: usize, s
         }
         out.push_str(&format!(
             "}}{}\n",
-            if pi + 1 == patterns.len() { "" } else { "," }
-        ));
-    }
-
-    out.push_str("  },\n  \"bbc_header_merge_over_bytewise_speedup\": {\n");
-    for (pi, p) in patterns.iter().enumerate() {
-        let sp = time_of(samples, p, "bbc_bytewise", "and_count")
-            / time_of(samples, p, "bbc", "and_count");
-        println!("codecs: {p:<16} bbc header-merge/bytewise speedup {sp:.2}x");
-        out.push_str(&format!(
-            "    \"{p}\": {sp:.3}{}\n",
             if pi + 1 == patterns.len() { "" } else { "," }
         ));
     }

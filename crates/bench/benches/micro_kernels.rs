@@ -16,7 +16,7 @@ use ibis_analysis::entropy::{conditional_entropy_full, conditional_entropy_index
 use ibis_analysis::{
     aggregate, correlation_query, mine_full, mine_index, MiningConfig, SubsetQuery,
 };
-use ibis_core::{BbcVec, Binner, BitmapIndex, Bitset, MultiWahBuilder, WahVec};
+use ibis_core::{Binner, BitmapIndex, Bitset, MultiWahBuilder, WahVec};
 use ibis_datagen::{OceanConfig, OceanModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,8 +99,6 @@ fn kernel_sweep() {
         let bits_b = pattern_bits(pattern, density, 2);
         let wa = WahVec::from_bits(bits_a.iter().copied());
         let wb = WahVec::from_bits(bits_b.iter().copied());
-        let ba = BbcVec::from_bits(bits_a.iter().copied());
-        let bb = BbcVec::from_bits(bits_b.iter().copied());
         let va = Bitset::from_bits(bits_a.iter().copied());
         let vb = Bitset::from_bits(bits_b.iter().copied());
         let wah_dense = wa.is_dense() || wb.is_dense();
@@ -124,8 +122,6 @@ fn kernel_sweep() {
         push("wah_adaptive", "and", measure(|| wa.and(&wb)));
         push("wah_adaptive", "xor", measure(|| wa.xor(&wb)));
         push("wah_adaptive", "or", measure(|| wa.or(&wb)));
-        // BBC codec (byte-aligned runs) — fused AND-popcount only.
-        push("bbc", "and_count", measure(|| ba.and_count(&bb)));
         // Uncompressed baseline (clone + in-place AND + popcount).
         push(
             "verbatim",

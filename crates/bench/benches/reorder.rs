@@ -20,7 +20,7 @@
 //! to assert at smoke sizes; the size criterion and all identity checks
 //! still run).
 
-use ibis_core::{BbcVec, Binner, BitmapIndex, Codec, CodecVec, RoaringVec, RowOrder, WahVec};
+use ibis_core::{Binner, BitmapIndex, CodecVec, RoaringVec, RowOrder, WahVec};
 use ibis_datagen::{
     Heat3D, Heat3DConfig, LuleshConfig, MiniLulesh, OceanConfig, OceanModel, Simulation,
 };
@@ -118,8 +118,7 @@ struct Sample {
     order: &'static str,
     codec: &'static str,
     bytes: usize,
-    /// Value-range OR + count (the asserted query kernel); `None` for
-    /// codecs without a full OR (BBC is count-only).
+    /// Value-range OR + count (the asserted query kernel).
     value_or_s: Option<f64>,
     /// Region AND against a stored-order region bitmap (WAH only).
     region_and_s: Option<f64>,
@@ -205,7 +204,6 @@ fn main() {
             let wah: Vec<WahVec> = (0..nbins).map(|b| idx.bin(b).clone()).collect();
             let roaring: Vec<RoaringVec> = wah.iter().map(RoaringVec::from_wah).collect();
             let auto: Vec<CodecVec> = wah.iter().map(CodecVec::from_wah_auto).collect();
-            let bbc_bytes: usize = wah.iter().map(|v| BbcVec::from_wah(v).size_bytes()).sum();
             // cross-codec identity on one representative OR
             let want = wah[blo].or(&wah[blo + 1]);
             assert_eq!(
@@ -287,7 +285,6 @@ fn main() {
                 None,
                 None,
             );
-            push("bbc", bbc_bytes, None, None, None);
         }
         println!("reorder: {} identity checks passed", set.name);
     }
@@ -295,7 +292,7 @@ fn main() {
 }
 
 fn write_json(samples: &[Sample], sets: &[Dataset], elements: &str, smoke: bool) {
-    const CODECS: [&str; 4] = ["wah", "roaring", "auto", "bbc"];
+    const CODECS: [&str; 3] = ["wah", "roaring", "auto"];
     let orders: Vec<&str> = RowOrder::ALL.iter().map(|o| o.name()).collect();
     let mut out = format!(
         "{{\n  \"smoke\": {smoke},\n  \"identity_checked\": true,\n  \"elements\": {{\n{elements}  }},\n  \"samples\": [\n"

@@ -5,7 +5,7 @@ use crate::{heat3d_binner, heat3d_config, secs, speedup, Figure};
 use ibis_analysis::selection::{chain_score, select_dp, select_greedy, Partitioning};
 use ibis_analysis::{mine_index, mine_multilevel, Metric, MiningConfig, StepSummary, VarSummary};
 use ibis_core::{
-    bbc::BbcVec, build_index_two_phase, Binner, BitmapIndex, Bitset, MultiLevelIndex, ZOrderLayout,
+    build_index_two_phase, Binner, BitmapIndex, Bitset, MultiLevelIndex, RoaringVec, ZOrderLayout,
 };
 use ibis_datagen::{Heat3D, OceanConfig, OceanModel, Simulation};
 use std::time::Instant;
@@ -296,8 +296,8 @@ pub fn ablation_multilevel() {
     fig.finish();
 }
 
-/// Ablation E: compression codecs — WAH (word-aligned, the paper's choice)
-/// vs a BBC-style byte-aligned code vs uncompressed bitsets: index size and
+/// Ablation E: the codecs the store ships — WAH (word-aligned, the paper's
+/// choice) vs Roaring containers — vs uncompressed bitsets: index size and
 /// AND+popcount throughput on a real Heat3D time-step's bitvectors.
 pub fn ablation_codec() {
     let mut fig = Figure::new(
@@ -336,25 +336,23 @@ pub fn ablation_codec() {
         &secs(wah_t),
     ]);
 
-    // BBC-style
-    let bbc: Vec<BbcVec> = (0..index.nbins())
-        .map(|b| BbcVec::from_bits(index.bin(b).iter_bits()))
-        .collect();
-    let bbc_kb = bbc.iter().map(BbcVec::size_bytes).sum::<usize>() as f64 / 1024.0;
+    // Roaring
+    let roaring: Vec<RoaringVec> = index.bins().iter().map(RoaringVec::from_wah).collect();
+    let roaring_kb = roaring.iter().map(RoaringVec::size_bytes).sum::<usize>() as f64 / 1024.0;
     let t0 = Instant::now();
     let mut acc2 = 0u64;
     for &j in &nonempty {
         for &k in &nonempty {
-            acc2 += bbc[j].and_count(&bbc[k]);
+            acc2 += roaring[j].and_count(&roaring[k]);
         }
     }
-    let bbc_t = t0.elapsed().as_secs_f64();
+    let roaring_t = t0.elapsed().as_secs_f64();
     assert_eq!(acc, acc2, "codecs must agree");
     fig.row(&[
-        &"bbc-style",
-        &format!("{bbc_kb:.1}"),
-        &format!("{:.1}%", 100.0 * bbc_kb / raw_kb),
-        &secs(bbc_t),
+        &"roaring",
+        &format!("{roaring_kb:.1}"),
+        &format!("{:.1}%", 100.0 * roaring_kb / raw_kb),
+        &secs(roaring_t),
     ]);
 
     // uncompressed

@@ -1,6 +1,6 @@
-//! One roof over the three bitmap codecs — WAH ([`WahVec`]), BBC
-//! ([`BbcVec`]), and Roaring ([`RoaringVec`]) — plus the per-bin selection
-//! policy the index uses to pick between them.
+//! One roof over the two bitmap codecs — WAH ([`WahVec`]) and Roaring
+//! ([`RoaringVec`]) — plus the per-bin selection policy the index uses to
+//! pick between them.
 //!
 //! The [`Codec`] trait is **sealed**: the codec set is part of the on-disk
 //! blob format (each codec owns a stable wire tag via [`CodecId`]), so new
@@ -17,11 +17,8 @@
 //! actually compresses) stay WAH; scattered sparse bins and dense noise —
 //! where WAH degenerates to one literal word per 31 bits — go to Roaring,
 //! whose array/bitset containers are exactly the forms those populations
-//! want. BBC is never auto-selected (strictly slower than WAH on every
-//! swept pattern, see `BENCH_codecs.json`); it stays available as an
-//! explicit choice and an A/B baseline.
+//! want.
 
-use crate::bbc::BbcVec;
 use crate::kernels::WahStats;
 use crate::roaring::RoaringVec;
 use crate::wah::WahVec;
@@ -35,28 +32,26 @@ static OBS_SELECT_ROARING: LazyCounter = LazyCounter::new("codec.select.roaring"
 mod sealed {
     pub trait Sealed {}
     impl Sealed for crate::wah::WahVec {}
-    impl Sealed for crate::bbc::BbcVec {}
     impl Sealed for crate::roaring::RoaringVec {}
 }
 
 /// Identity of a bitmap codec — the unit of per-bin selection and the
-/// stable wire tag written into store blob frames.
+/// stable wire tag written ahead of each bin of a v2 index payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CodecId {
     /// 31-bit word-aligned hybrid run-length code (the paper's codec).
     Wah,
-    /// Byte-aligned bitmap code.
-    Bbc,
     /// Roaring-style 64Ki containers (array / bitset / runs).
     Roaring,
 }
 
 impl CodecId {
-    /// The stable on-disk tag (`IBB3` frame header, v2 index payload).
+    /// The stable on-disk tag (v2 index payload). Tag 1 belonged to a
+    /// byte-aligned codec no writer ever selected; it stays unassigned so
+    /// Roaring payload bytes do not move.
     pub fn tag(self) -> u8 {
         match self {
             CodecId::Wah => 0,
-            CodecId::Bbc => 1,
             CodecId::Roaring => 2,
         }
     }
@@ -65,7 +60,6 @@ impl CodecId {
     pub fn from_tag(tag: u8) -> Option<CodecId> {
         match tag {
             0 => Some(CodecId::Wah),
-            1 => Some(CodecId::Bbc),
             2 => Some(CodecId::Roaring),
             _ => None,
         }
@@ -75,13 +69,12 @@ impl CodecId {
     pub fn name(self) -> &'static str {
         match self {
             CodecId::Wah => "wah",
-            CodecId::Bbc => "bbc",
             CodecId::Roaring => "roaring",
         }
     }
 }
 
-/// The sealed common surface of the three codecs. WAH is the interchange
+/// The sealed common surface of the codecs. WAH is the interchange
 /// form: every codec converts to and from it exactly (round-trip identity
 /// is property-tested in `prop_codecs.rs`), which is what makes cross-codec
 /// operations and the v2-compatible store format possible.
@@ -107,25 +100,6 @@ impl Codec for WahVec {
     }
     fn to_wah(&self) -> WahVec {
         self.clone()
-    }
-    fn len_bits(&self) -> u64 {
-        self.len()
-    }
-    fn ones(&self) -> u64 {
-        self.count_ones()
-    }
-    fn bytes(&self) -> usize {
-        self.size_bytes()
-    }
-}
-
-impl Codec for BbcVec {
-    const ID: CodecId = CodecId::Bbc;
-    fn from_wah(v: &WahVec) -> Self {
-        BbcVec::from_bits(v.iter_bits())
-    }
-    fn to_wah(&self) -> WahVec {
-        WahVec::from_bits(self.to_bools())
     }
     fn len_bits(&self) -> u64 {
         self.len()
@@ -175,8 +149,6 @@ const WAH_MAX_COMPRESSION: f64 = 0.5;
 /// * everything else — scattered sparse bins (low-occupancy outer bins →
 ///   array containers) and dense noise (middle bins → bitset containers) —
 ///   goes to **Roaring**.
-///
-/// BBC is never auto-selected; see the module docs.
 pub fn select_codec(stats: &WahStats, len_bits: u64) -> CodecId {
     if len_bits == 0 || stats.ones == 0 {
         OBS_SELECT_WAH.inc();
@@ -198,8 +170,6 @@ pub fn select_codec(stats: &WahStats, len_bits: u64) -> CodecId {
 pub enum CodecVec {
     /// WAH-coded.
     Wah(WahVec),
-    /// BBC-coded.
-    Bbc(BbcVec),
     /// Roaring-coded.
     Roaring(RoaringVec),
 }
@@ -211,9 +181,6 @@ impl CodecVec {
         match select_codec(v.stats(), v.len()) {
             CodecId::Wah => CodecVec::Wah(v.clone()),
             CodecId::Roaring => CodecVec::Roaring(RoaringVec::from_wah(v)),
-            // select_codec never picks BBC; explicit choices go through
-            // `with_codec`.
-            CodecId::Bbc => unreachable!("BBC is never auto-selected"),
         }
     }
 
@@ -223,7 +190,7 @@ impl CodecVec {
     pub fn from_wah_auto_owned(v: WahVec) -> CodecVec {
         match select_codec(v.stats(), v.len()) {
             CodecId::Wah => CodecVec::Wah(v),
-            _ => CodecVec::Roaring(RoaringVec::from_wah(&v)),
+            CodecId::Roaring => CodecVec::Roaring(RoaringVec::from_wah(&v)),
         }
     }
 
@@ -231,7 +198,6 @@ impl CodecVec {
     pub fn with_codec(v: &WahVec, id: CodecId) -> CodecVec {
         match id {
             CodecId::Wah => CodecVec::Wah(v.clone()),
-            CodecId::Bbc => CodecVec::Bbc(BbcVec::from_bits(v.iter_bits())),
             CodecId::Roaring => CodecVec::Roaring(RoaringVec::from_wah(v)),
         }
     }
@@ -240,7 +206,6 @@ impl CodecVec {
     pub fn id(&self) -> CodecId {
         match self {
             CodecVec::Wah(_) => CodecId::Wah,
-            CodecVec::Bbc(_) => CodecId::Bbc,
             CodecVec::Roaring(_) => CodecId::Roaring,
         }
     }
@@ -249,7 +214,6 @@ impl CodecVec {
     pub fn len(&self) -> u64 {
         match self {
             CodecVec::Wah(v) => v.len(),
-            CodecVec::Bbc(v) => v.len(),
             CodecVec::Roaring(v) => v.len(),
         }
     }
@@ -263,7 +227,6 @@ impl CodecVec {
     pub fn count_ones(&self) -> u64 {
         match self {
             CodecVec::Wah(v) => v.count_ones(),
-            CodecVec::Bbc(v) => v.count_ones(),
             CodecVec::Roaring(v) => v.count_ones(),
         }
     }
@@ -272,7 +235,6 @@ impl CodecVec {
     pub fn size_bytes(&self) -> usize {
         match self {
             CodecVec::Wah(v) => v.size_bytes(),
-            CodecVec::Bbc(v) => v.size_bytes(),
             CodecVec::Roaring(v) => v.size_bytes(),
         }
     }
@@ -281,7 +243,6 @@ impl CodecVec {
     pub fn to_wah(&self) -> WahVec {
         match self {
             CodecVec::Wah(v) => v.clone(),
-            CodecVec::Bbc(v) => WahVec::from_bits(v.to_bools()),
             CodecVec::Roaring(v) => v.to_wah(),
         }
     }
@@ -313,9 +274,10 @@ mod tests {
 
     #[test]
     fn tags_roundtrip_and_unknown_rejected() {
-        for id in [CodecId::Wah, CodecId::Bbc, CodecId::Roaring] {
+        for id in [CodecId::Wah, CodecId::Roaring] {
             assert_eq!(CodecId::from_tag(id.tag()), Some(id));
         }
+        assert_eq!(CodecId::from_tag(1), None, "the retired BBC tag");
         assert_eq!(CodecId::from_tag(3), None);
         assert_eq!(CodecId::from_tag(0xFF), None);
     }
@@ -360,7 +322,7 @@ mod tests {
     fn with_codec_roundtrips_every_codec() {
         let bits: Vec<bool> = (0..70_000).map(|i| i % 7 < 2).collect();
         let w = wah_of(bits.iter().copied());
-        for id in [CodecId::Wah, CodecId::Bbc, CodecId::Roaring] {
+        for id in [CodecId::Wah, CodecId::Roaring] {
             let cv = CodecVec::with_codec(&w, id);
             assert_eq!(cv.id(), id);
             assert_eq!(cv.to_wah(), w, "{}", id.name());
@@ -378,7 +340,6 @@ mod tests {
         }
         let w = wah_of((0..100_000).map(|i| i % 97 == 0));
         probe(&WahVec::from_wah(&w), &w);
-        probe(&BbcVec::from_wah(&w), &w);
         probe(&RoaringVec::from_wah(&w), &w);
     }
 }

@@ -216,8 +216,6 @@ impl BitmapIndex {
                 let one_runs = (s.runs as u64).div_ceil(2);
                 8 * nchunks + (2 * s.ones).min(8192 * nchunks).min(4 * one_runs)
             }
-            // never auto-selected; charge the byte-aligned analogue of WAH
-            CodecId::Bbc => 4 * v.words().len() as u64,
         }
     }
 

@@ -27,7 +27,6 @@
 //!   bitmaps plus per-bin codec auto-selection ([`select_codec`]), for the
 //!   scattered-bit patterns where WAH degenerates to literal words.
 
-pub mod bbc;
 mod binning;
 mod builder;
 pub mod codec;
@@ -44,7 +43,6 @@ mod verbatim;
 pub mod wah;
 pub mod zorder;
 
-pub use bbc::BbcVec;
 pub use binning::{Binner, BinnerSpec};
 pub use builder::{MultiWahBuilder, WahBuilder};
 pub use codec::{select_codec, Codec, CodecId, CodecVec};

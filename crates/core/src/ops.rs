@@ -186,12 +186,10 @@ impl WahVec {
 
 /// Cross-codec set operations over the sealed codec roof: same-codec pairs
 /// run their native kernels (WAH's adaptive paths, Roaring's container-pair
-/// dispatch, BBC's byte merge for `and_count`); mixed pairs convert through
-/// the cheapest bridge — a WAH operand joins a Roaring operand by exact
+/// dispatch); in a mixed pair the WAH operand joins the Roaring one by exact
 /// `from_wah` conversion (runs → ranges, literals → scattered bits, no bit
-/// expansion), while BBC bridges through WAH. The result codec is Roaring
-/// when either operand is Roaring, WAH otherwise, so op chains stay in the
-/// faster codec of their inputs.
+/// expansion). The result codec is Roaring when either operand is Roaring,
+/// WAH otherwise, so op chains stay in the faster codec of their inputs.
 impl crate::codec::CodecVec {
     /// Bitwise AND; both vectors must have the same length.
     pub fn and(&self, other: &Self) -> Self {
@@ -220,10 +218,8 @@ impl crate::codec::CodecVec {
         match (self, other) {
             (Wah(a), Wah(b)) => a.and_count(b),
             (Roaring(a), Roaring(b)) => a.and_count(b),
-            (Bbc(a), Bbc(b)) => a.and_count(b),
-            (Roaring(a), b) => a.and_count(&crate::RoaringVec::from_wah(&b.to_wah())),
-            (a, Roaring(b)) => crate::RoaringVec::from_wah(&a.to_wah()).and_count(b),
-            (a, b) => a.to_wah().and_count(&b.to_wah()),
+            (Roaring(a), Wah(b)) => a.and_count(&crate::RoaringVec::from_wah(b)),
+            (Wah(a), Roaring(b)) => crate::RoaringVec::from_wah(a).and_count(b),
         }
     }
 
@@ -251,9 +247,8 @@ impl crate::codec::CodecVec {
         match (self, other) {
             (Wah(a), Wah(b)) => Wah(wah_op(a, b)),
             (Roaring(a), Roaring(b)) => Roaring(roaring_op(a, b)),
-            (Roaring(a), b) => Roaring(roaring_op(a, &crate::RoaringVec::from_wah(&b.to_wah()))),
-            (a, Roaring(b)) => Roaring(roaring_op(&crate::RoaringVec::from_wah(&a.to_wah()), b)),
-            (a, b) => Wah(wah_op(&a.to_wah(), &b.to_wah())),
+            (Roaring(a), Wah(b)) => Roaring(roaring_op(a, &crate::RoaringVec::from_wah(b))),
+            (Wah(a), Roaring(b)) => Roaring(roaring_op(&crate::RoaringVec::from_wah(a), b)),
         }
     }
 }
@@ -338,7 +333,7 @@ mod tests {
         let b_bits: Vec<bool> = (0..80_000).map(|i| i % 101 == 0 || i > 60_000).collect();
         let wa = WahVec::from_bits(a_bits.iter().copied());
         let wb = WahVec::from_bits(b_bits.iter().copied());
-        let ids = [CodecId::Wah, CodecId::Bbc, CodecId::Roaring];
+        let ids = [CodecId::Wah, CodecId::Roaring];
         for ia in ids {
             for ib in ids {
                 let ca = CodecVec::with_codec(&wa, ia);

@@ -1,7 +1,7 @@
 //! Pluggable row orders — compression-aware permutations of the ingest
 //! row order, chosen at generation time.
 //!
-//! WAH/BBC/Roaring sizes (and every downstream kernel) are dominated by
+//! WAH/Roaring sizes (and every downstream kernel) are dominated by
 //! run structure, which is a function of *row order*; the in-situ setting
 //! lets us pick that order for free while the data is still in memory
 //! (*Sorting improves word-aligned bitmap indexes*, Lemire et al.). A
@@ -73,7 +73,7 @@ impl RowOrder {
         RowOrder::HistogramSorted,
     ];
 
-    /// Stable one-byte tag, persisted in the store's permutation frame.
+    /// Stable one-byte tag, the first byte of the store's row-order payload.
     pub fn tag(self) -> u8 {
         match self {
             RowOrder::Identity => 0,

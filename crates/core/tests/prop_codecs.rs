@@ -6,15 +6,14 @@
 //! operations.
 
 use ibis_core::{
-    BbcVec, Bitset, Codec, CodecId, CodecVec, ContainerForm, RoaringVec, WahVec, ARRAY_MAX,
-    CONTAINER_BITS,
+    Bitset, CodecId, CodecVec, ContainerForm, RoaringVec, WahVec, ARRAY_MAX, CONTAINER_BITS,
 };
 use proptest::prelude::*;
 
-const CODECS: [CodecId; 3] = [CodecId::Wah, CodecId::Bbc, CodecId::Roaring];
+const CODECS: [CodecId; 2] = [CodecId::Wah, CodecId::Roaring];
 
 /// Bit patterns spanning every codec's sweet and sour spots: long fills
-/// (WAH/BBC territory), scattered singletons (Roaring arrays), dense
+/// (WAH territory), scattered singletons (Roaring arrays), dense
 /// noise (Roaring bitsets), and container-boundary-straddling runs.
 fn codec_bits() -> impl Strategy<Value = Vec<bool>> {
     prop_oneof![
@@ -56,8 +55,8 @@ fn oracle(bits: &[bool]) -> Bitset {
 }
 
 proptest! {
-    /// WAH → codec → WAH is the identity for every codec, and the
-    /// serialized byte forms round-trip too.
+    /// WAH → codec → WAH is the identity for every codec, and Roaring's
+    /// serialized byte form round-trips too.
     #[test]
     fn every_codec_round_trips_exactly(bits in codec_bits()) {
         let wah = WahVec::from_bits(bits.iter().copied());
@@ -71,17 +70,12 @@ proptest! {
             prop_assert_eq!(back.words(), wah.words(), "codec {}", id.name());
         }
 
-        // byte-level round-trips
+        // byte-level round-trip
         let r = RoaringVec::from_wah(&wah);
         let r2 = RoaringVec::deserialize(&r.serialize()).unwrap();
         let r2w = r2.to_wah();
         prop_assert_eq!(r2w.words(), wah.words());
         prop_assert_eq!(r2.container_forms(), r.container_forms());
-
-        let b = <BbcVec as Codec>::from_wah(&wah);
-        let b2 = BbcVec::from_encoded(b.encoded_bytes().to_vec(), Codec::len_bits(&b)).unwrap();
-        let b2w = <BbcVec as Codec>::to_wah(&b2);
-        prop_assert_eq!(b2w.words(), wah.words());
     }
 
     /// Every (codec, codec) operand pairing agrees with the uncompressed

@@ -4,7 +4,7 @@
 //! width in `1..31`. Each pair is exercised on both sides of the density
 //! cutover, and all materialized results are checked for canonical form.
 
-use ibis_core::{BbcVec, Bitset, DenseBits, WahVec};
+use ibis_core::{Bitset, DenseBits, WahVec};
 use proptest::prelude::*;
 
 /// Adversarial bit patterns for the kernel sweep.
@@ -191,37 +191,6 @@ proptest! {
         for (i, _) in a_bits.iter().enumerate() {
             prop_assert_eq!(scratch.get(i as u64), want.get(i as u64), "bit {}", i);
         }
-    }
-
-    #[test]
-    fn bbc_and_count_handles_trailing_partial_bytes(
-        (a_bits, b_bits) in kernel_pair(),
-        tail in 1usize..8,
-        ta in any::<bool>(),
-        tb in any::<bool>(),
-    ) {
-        // Force a length that is NOT a multiple of 8, so the last byte of
-        // each BBC vector is partial — the classic masking bug site.
-        let mut a_bits = a_bits;
-        let mut b_bits = b_bits;
-        let aligned = a_bits.len() - a_bits.len() % 8;
-        a_bits.truncate(aligned);
-        b_bits.truncate(aligned);
-        a_bits.extend(std::iter::repeat_n(ta, tail));
-        b_bits.extend(std::iter::repeat_n(tb, tail));
-
-        let a = BbcVec::from_bits(a_bits.iter().copied());
-        let b = BbcVec::from_bits(b_bits.iter().copied());
-        prop_assert_eq!(a.len() % 8, tail as u64 % 8);
-        prop_assert_eq!(a.to_bools(), a_bits.clone());
-
-        let want = a_bits.iter().zip(&b_bits).filter(|(x, y)| **x && **y).count() as u64;
-        prop_assert_eq!(a.and_count(&b), want);
-        prop_assert_eq!(b.and_count(&a), want);
-        prop_assert_eq!(
-            a.count_ones(),
-            a_bits.iter().filter(|&&x| x).count() as u64
-        );
     }
 
     #[test]

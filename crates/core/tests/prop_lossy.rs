@@ -81,7 +81,7 @@ proptest! {
                 // Codec dimension: the lossy bin survives every codec
                 // round-trip bit-exactly, so the superset guarantee is
                 // codec-independent.
-                for id in [CodecId::Wah, CodecId::Bbc, CodecId::Roaring] {
+                for id in [CodecId::Wah, CodecId::Roaring] {
                     let rt = CodecVec::with_codec(l, id).to_wah();
                     prop_assert_eq!(&rt, l, "{:?} round-trip changed the lossy bin", id);
                 }

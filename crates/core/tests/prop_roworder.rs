@@ -6,7 +6,7 @@
 //! binner kinds and with the reordered bin patterns surviving every codec
 //! round-trip byte-identically.
 
-use ibis_core::{BbcVec, Binner, BitmapIndex, Codec, RoaringVec, RowOrder, RowPermutation, WahVec};
+use ibis_core::{Binner, BitmapIndex, Codec, RoaringVec, RowOrder, RowPermutation, WahVec};
 use proptest::prelude::*;
 
 /// Values laced with NaN and out-of-range extremes (the clamp paths).
@@ -128,7 +128,6 @@ proptest! {
                 // and the reordered bit pattern survives every codec
                 // round-trip exactly (WAH is the interchange form)
                 prop_assert_eq!(&WahVec::from_wah(stored).to_wah(), stored);
-                prop_assert_eq!(&BbcVec::from_wah(stored).to_wah(), stored);
                 prop_assert_eq!(&RoaringVec::from_wah(stored).to_wah(), stored);
             }
         }

@@ -1,7 +1,6 @@
 //! Property-based tests for the WAH bitvector and builders, checked against
 //! the uncompressed [`Bitset`] oracle.
 
-use ibis_core::bbc::BbcVec;
 use ibis_core::{
     Binner, BitmapIndex, Bitset, MultiLevelIndex, MultiWahBuilder, WahBuilder, WahVec,
 };
@@ -184,24 +183,6 @@ proptest! {
         for b in 0..25 {
             prop_assert_eq!(seq.bin(b), par.bin(b));
         }
-    }
-
-    #[test]
-    fn bbc_roundtrip_and_counts(bits in bit_vec()) {
-        let v = BbcVec::from_bits(bits.iter().copied());
-        prop_assert_eq!(v.len(), bits.len() as u64);
-        prop_assert_eq!(v.to_bools(), bits.clone());
-        let ones = bits.iter().filter(|&&b| b).count() as u64;
-        prop_assert_eq!(v.count_ones(), ones);
-    }
-
-    #[test]
-    fn bbc_and_count_matches_wah((a_bits, b_bits) in pair_same_len()) {
-        let ba = BbcVec::from_bits(a_bits.iter().copied());
-        let bb = BbcVec::from_bits(b_bits.iter().copied());
-        let wa = WahVec::from_bits(a_bits.iter().copied());
-        let wb = WahVec::from_bits(b_bits.iter().copied());
-        prop_assert_eq!(ba.and_count(&bb), wa.and_count(&wb));
     }
 
     #[test]

@@ -250,7 +250,7 @@ impl CachedStore {
         self.misses.fetch_add(1, Ordering::Relaxed);
         OBS_CACHE_MISSES.inc();
         // Decode with no lock held: a cold blob stalls only this reader.
-        let low = self.store.load_bitmap(variable, step)?;
+        let low = self.store.get(step, variable)?;
         let group = (low.nbins() as f64).sqrt().ceil().max(1.0) as usize;
         let ml = Arc::new(MultiLevelIndex::from_low(low, group));
         let bytes = ml.size_bytes() as u64;
@@ -483,9 +483,9 @@ mod tests {
 
     #[test]
     fn serves_tagged_and_untagged_blobs_alike() {
-        // Scattered data stores under the tagged IBB3 frame (per-bin
-        // Roaring/mixed plans), smooth data under the legacy IBB2 frame —
-        // the cache's decode path must serve both transparently.
+        // Scattered data stores as a tagged v2 payload (per-bin
+        // Roaring/mixed plans), smooth data as the untagged all-WAH v1
+        // payload — the cache's decode path must serve both transparently.
         let dir = std::env::temp_dir().join("ibis-cache-codecs");
         std::fs::remove_dir_all(&dir).ok();
         let scattered = sample_index(0);
@@ -497,10 +497,11 @@ mod tests {
         w.put(0, "temperature", &scattered).unwrap();
         w.put(1, "temperature", &smooth).unwrap();
         w.finish().unwrap();
-        let blob0 = std::fs::read(dir.join("s000000_temperature.ibis")).unwrap();
-        let blob1 = std::fs::read(dir.join("s000001_temperature.ibis")).unwrap();
-        assert_eq!(&blob0[..4], b"IBB3", "scattered bins must store tagged");
-        assert_eq!(&blob1[..4], b"IBB2", "smooth bins must stay untagged");
+        // the payload's layout version sits behind the 12-byte frame
+        // header and the payload's own 4-byte magic
+        let version = |file: &str| std::fs::read(dir.join(file)).unwrap()[16];
+        assert_eq!(version("s000000_temperature.ibis"), 2, "scattered → tagged");
+        assert_eq!(version("s000001_temperature.ibis"), 1, "smooth → untagged");
 
         let cache = CachedStore::new(Store::open(&dir).unwrap(), 64 << 20);
         assert_eq!(

@@ -76,8 +76,8 @@ pub enum DecodeError {
         /// Bins the blob carries.
         got: usize,
     },
-    /// A non-WAH codec payload (BBC stream, Roaring containers) is
-    /// malformed, or a bin carries an unknown codec tag.
+    /// A non-WAH codec payload (Roaring containers) is malformed, or a bin
+    /// carries an unknown codec tag.
     BadCodec {
         /// Bin the payload belongs to.
         bin: usize,
@@ -134,7 +134,8 @@ pub enum IbisError {
         /// The typed decode failure.
         source: DecodeError,
     },
-    /// A stored blob failed its integrity check (CRC/framing mismatch).
+    /// A stored blob failed its integrity check (framing, kind or CRC
+    /// mismatch, or a payload that breaks its own invariants).
     Corrupt {
         /// The offending file.
         file: String,

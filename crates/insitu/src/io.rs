@@ -1,23 +1,20 @@
-//! Storage cost models and a real file sink.
+//! Storage cost models and the index payload codec.
 //!
 //! The paper's win comes from writing compressed bitmaps instead of raw
 //! arrays. We model write time as `bytes / bandwidth` for the local-disk
 //! case, and for the cluster's shared remote data server we serialize
 //! transfers through a single contended link ([`RemoteLink`]), which is
-//! what produces the Figure 13 remote-case speedups. [`FileSink`] writes
-//! real bytes for the examples — atomically (temp file + rename), so a
-//! crash mid-write never leaves a half-written blob under its final name.
+//! what produces the Figure 13 remote-case speedups. Real bytes go to disk
+//! through [`crate::store`], which frames what [`codec`] encodes.
 //!
-//! All writes are fallible: [`Storage::write`] returns a typed
+//! All modeled writes are fallible: [`Storage::write`] returns a typed
 //! [`StorageError`] instead of panicking, and the pipeline routes every
 //! write through [`crate::retry::write_with_retry`].
 
 use crate::error::DecodeError;
-use crate::fault::{FaultInjector, WriteFault};
 use parking_lot::Mutex;
 use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::path::Path;
 
 /// Why a storage target rejected a write.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,84 +131,9 @@ impl Storage for RemoteLink {
     }
 }
 
-/// A real on-disk sink (used by the examples to demonstrate that selected
-/// bitmaps are genuinely persisted and reloadable).
-///
-/// Writes are atomic — bytes land in `<name>.tmp` first and are renamed
-/// over the final name only when complete — and transient failures
-/// (injected or real) are retried up to a small fixed budget. Retries do
-/// not sleep: backoff is a property of the *modeled* pipeline clock, not
-/// of the host.
-#[derive(Debug)]
-pub struct FileSink {
-    dir: PathBuf,
-    written: Mutex<u64>,
-    injector: Option<Arc<FaultInjector>>,
-    max_attempts: u32,
-}
-
-impl FileSink {
-    /// Creates (if needed) `dir` and sinks files into it.
-    pub fn new(dir: impl AsRef<Path>) -> std::io::Result<Self> {
-        std::fs::create_dir_all(dir.as_ref())?;
-        Ok(FileSink {
-            dir: dir.as_ref().to_path_buf(),
-            written: Mutex::new(0),
-            injector: None,
-            max_attempts: 4,
-        })
-    }
-
-    /// Routes this sink's writes through a fault injector (testing).
-    pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
-        self.injector = Some(injector);
-        self
-    }
-
-    /// Writes one named blob atomically; returns its path. Transient
-    /// failures are retried; a torn write leaves at most a `.tmp` file,
-    /// never a truncated blob under the final name.
-    pub fn write_blob(&self, name: &str, bytes: &[u8]) -> std::io::Result<PathBuf> {
-        let path = self.dir.join(name);
-        let tmp = self.dir.join(format!("{name}.tmp"));
-        let op = self.injector.as_ref().map(|i| i.begin_write());
-        let mut last_err: Option<std::io::Error> = None;
-        for attempt in 0..self.max_attempts {
-            if let (Some(inj), Some(op)) = (self.injector.as_deref(), op) {
-                match inj.write_fault_for(op, attempt) {
-                    Some(WriteFault::IoError) => {
-                        last_err = Some(std::io::Error::other("injected I/O error"));
-                        continue;
-                    }
-                    Some(WriteFault::Torn) => {
-                        // a real torn transfer: half the bytes, then death
-                        let _ = std::fs::write(&tmp, &bytes[..bytes.len() / 2]);
-                        last_err = Some(std::io::Error::other("injected torn write"));
-                        continue;
-                    }
-                    Some(WriteFault::DelayedAck(_)) | None => {}
-                }
-            }
-            match write_atomic(&tmp, &path, bytes) {
-                Ok(()) => {
-                    *self.written.lock() += bytes.len() as u64;
-                    return Ok(path);
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.unwrap_or_else(|| std::io::Error::other("write failed")))
-    }
-
-    /// Total bytes physically written.
-    pub fn bytes_written(&self) -> u64 {
-        *self.written.lock()
-    }
-}
-
 /// Writes `bytes` to `tmp`, syncs, and renames onto `path` — the atomic
-/// write primitive the sink and the store share. On any failure the final
-/// name is untouched.
+/// write primitive behind every blob, manifest and checkpoint. On any
+/// failure the final name is untouched.
 pub(crate) fn write_atomic(tmp: &Path, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut f = std::fs::File::create(tmp)?;
     f.write_all(bytes)?;
@@ -228,7 +150,7 @@ pub(crate) fn write_atomic(tmp: &Path, path: &Path, bytes: &[u8]) -> std::io::Re
 /// adversarial property tests feed it arbitrary mutations of valid blobs).
 pub mod codec {
     use super::DecodeError;
-    use ibis_core::{BbcVec, Binner, BinnerSpec, BitmapIndex, Codec, CodecId, RoaringVec, WahVec};
+    use ibis_core::{Binner, BinnerSpec, BitmapIndex, CodecId, RoaringVec, WahVec};
     use ibis_obs::LazyCounter;
 
     const INDEX_MAGIC: &[u8; 4] = b"IBIS";
@@ -268,9 +190,8 @@ pub mod codec {
     /// — coherent data costs nothing and stays readable by version-1
     /// readers. Any non-WAH bin switches the payload to version 2, where
     /// each bin carries a codec tag (`u8`, [`CodecId::tag`]) ahead of its
-    /// length-prefixed blob: WAH bins keep the [`encode`] layout, BBC bins
-    /// store `len u64 LE` + header stream, Roaring bins store
-    /// [`RoaringVec::serialize`].
+    /// length-prefixed blob: WAH bins keep the [`encode`] layout, Roaring
+    /// bins store [`RoaringVec::serialize`].
     pub fn encode_index_auto(index: &BitmapIndex) -> (Vec<u8>, Vec<CodecId>) {
         let plan = index.codec_plan();
         if plan.iter().all(|&c| c == CodecId::Wah) {
@@ -283,11 +204,6 @@ pub mod codec {
             out.push(codec.tag());
             put_blob(&mut out, |out| match codec {
                 CodecId::Wah => put_wah(out, bin),
-                CodecId::Bbc => {
-                    let b = BbcVec::from_wah(bin);
-                    out.extend_from_slice(&b.len().to_le_bytes());
-                    out.extend_from_slice(b.encoded_bytes());
-                }
                 CodecId::Roaring => out.extend_from_slice(&RoaringVec::from_wah(bin).serialize()),
             });
         }
@@ -349,20 +265,12 @@ pub mod codec {
     /// Decodes an index blob, reporting exactly how a malformed blob fails
     /// (bad magic / version / truncation / bad binner / malformed
     /// bitvectors / trailing bytes). Accepts both the untagged version-1
-    /// layout (all bins WAH) and the tagged version-2 layout.
+    /// layout (all bins WAH) and the tagged version-2 layout, whose
+    /// non-WAH bins are converted back to canonical WAH in memory — the
+    /// conversions are exact inverses, so a reloaded index is bit-identical
+    /// regardless of the at-rest codec.
     pub fn decode_index(bytes: &[u8]) -> Result<BitmapIndex, DecodeError> {
-        decode_index_with_tags(bytes).map(|(index, _)| index)
-    }
-
-    /// [`decode_index`], also returning the codec tag each bin was stored
-    /// under (version-1 blobs report all-WAH). Non-WAH bins are converted
-    /// back to canonical WAH in memory — the conversions are exact
-    /// inverses, so a reloaded index is bit-identical regardless of the
-    /// at-rest codec. `fsck` uses the tags to cross-check the frame header.
-    pub fn decode_index_with_tags(
-        bytes: &[u8],
-    ) -> Result<(BitmapIndex, Vec<CodecId>), DecodeError> {
-        let mut r = Reader { bytes, pos: 0 };
+        let mut r = Reader::new(bytes);
         if r.take(4)? != INDEX_MAGIC.as_slice() {
             return Err(DecodeError::BadMagic);
         }
@@ -410,7 +318,6 @@ pub mod codec {
             });
         }
         let mut bins = Vec::with_capacity(nbins);
-        let mut tags = Vec::with_capacity(nbins);
         for b in 0..nbins {
             let codec = if tagged {
                 let tag = r.u8()?;
@@ -421,25 +328,10 @@ pub mod codec {
             } else {
                 CodecId::Wah
             };
-            let blen = r.u64()? as usize;
-            let blob = r.take(blen)?;
+            let blob = r.blob()?;
             OBS_DECODE_BINS.inc();
             let v = match codec {
                 CodecId::Wah => decode(blob)?,
-                CodecId::Bbc => {
-                    OBS_DECODE_NONWAH.inc();
-                    if blob.len() < 8 {
-                        return Err(DecodeError::Truncated { at: r.pos });
-                    }
-                    let blen_bits = u64::from_le_bytes(
-                        blob[..8]
-                            .try_into()
-                            .map_err(|_| DecodeError::Truncated { at: r.pos })?,
-                    );
-                    BbcVec::from_encoded(blob[8..].to_vec(), blen_bits)
-                        .map_err(|detail| DecodeError::BadCodec { bin: b, detail })?
-                        .to_wah()
-                }
                 CodecId::Roaring => {
                     OBS_DECODE_NONWAH.inc();
                     RoaringVec::deserialize(blob)
@@ -454,23 +346,24 @@ pub mod codec {
                 });
             }
             bins.push(v);
-            tags.push(codec);
         }
-        if r.pos != bytes.len() {
-            return Err(DecodeError::TrailingBytes {
-                extra: bytes.len() - r.pos,
-            });
-        }
-        Ok((BitmapIndex::from_bins(binner, bins), tags))
+        r.finish()?;
+        Ok(BitmapIndex::from_bins(binner, bins))
     }
 
-    struct Reader<'a> {
+    /// The one bounds-checked cursor every decoder of stored bytes reads
+    /// through (index payloads here, the pipeline's checkpoint payload).
+    pub(crate) struct Reader<'a> {
         bytes: &'a [u8],
         pos: usize,
     }
 
     impl<'a> Reader<'a> {
-        fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        pub(crate) fn new(bytes: &'a [u8]) -> Self {
+            Reader { bytes, pos: 0 }
+        }
+
+        pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
             let truncated = DecodeError::Truncated { at: self.pos };
             let end = self.pos.checked_add(n).ok_or(truncated.clone())?;
             let s = self.bytes.get(self.pos..end).ok_or(truncated)?;
@@ -478,28 +371,53 @@ pub mod codec {
             Ok(s)
         }
 
-        fn u8(&mut self) -> Result<u8, DecodeError> {
+        pub(crate) fn u8(&mut self) -> Result<u8, DecodeError> {
             Ok(self.take(1)?[0])
         }
 
-        fn u32(&mut self) -> Result<u32, DecodeError> {
-            let at = self.pos;
-            let b = self.take(4)?;
-            b.try_into()
-                .map(u32::from_le_bytes)
-                .map_err(|_| DecodeError::Truncated { at })
+        pub(crate) fn u32(&mut self) -> Result<u32, DecodeError> {
+            Ok(crate::crc::le_u32(self.take(4)?))
         }
 
-        fn u64(&mut self) -> Result<u64, DecodeError> {
-            let at = self.pos;
-            let b = self.take(8)?;
-            b.try_into()
-                .map(u64::from_le_bytes)
-                .map_err(|_| DecodeError::Truncated { at })
+        pub(crate) fn u64(&mut self) -> Result<u64, DecodeError> {
+            Ok(crate::crc::le_u64(self.take(8)?))
         }
 
         fn f64(&mut self) -> Result<f64, DecodeError> {
             Ok(f64::from_bits(self.u64()?))
+        }
+
+        /// A `u64 LE` this host can index with; one it cannot is reported
+        /// as the truncation any use of it would run into.
+        pub(crate) fn usize(&mut self) -> Result<usize, DecodeError> {
+            let at = self.pos;
+            usize::try_from(self.u64()?).map_err(|_| DecodeError::Truncated { at })
+        }
+
+        /// An element count whose elements take at least `min` bytes each:
+        /// bounded by the bytes left, so no count can drive an allocation
+        /// the input does not back.
+        pub(crate) fn count(&mut self, min: usize) -> Result<usize, DecodeError> {
+            let at = self.pos;
+            let n = self.usize()?;
+            if n > (self.bytes.len() - self.pos) / min {
+                return Err(DecodeError::Truncated { at });
+            }
+            Ok(n)
+        }
+
+        /// A `u64 LE` length followed by that many bytes.
+        pub(crate) fn blob(&mut self) -> Result<&'a [u8], DecodeError> {
+            let len = self.usize()?;
+            self.take(len)
+        }
+
+        /// Fails unless every byte was consumed.
+        pub(crate) fn finish(self) -> Result<(), DecodeError> {
+            match self.bytes.len() - self.pos {
+                0 => Ok(()),
+                extra => Err(DecodeError::TrailingBytes { extra }),
+            }
         }
     }
 
@@ -577,59 +495,6 @@ mod tests {
         let t3 = l.write(20.0, 100).unwrap();
         assert_eq!(t3, 1.0);
         assert_eq!(l.bytes_written(), 1100);
-    }
-
-    #[test]
-    fn file_sink_round_trip() {
-        let dir = std::env::temp_dir().join("ibis-test-sink");
-        let sink = FileSink::new(&dir).unwrap();
-        let v = WahVec::from_bits((0..1000).map(|i| i % 17 == 0));
-        let blob = codec::encode(&v);
-        let path = sink.write_blob("step0_bin3.wah", &blob).unwrap();
-        let read = std::fs::read(&path).unwrap();
-        let back = codec::decode(&read).unwrap();
-        assert_eq!(back, v);
-        assert_eq!(sink.bytes_written(), blob.len() as u64);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn file_sink_survives_torn_write_via_retry() {
-        use crate::fault::{FaultInjector, FaultPlan};
-        let dir = std::env::temp_dir().join("ibis-test-sink-torn");
-        std::fs::remove_dir_all(&dir).ok();
-        let inj = std::sync::Arc::new(FaultInjector::new(FaultPlan::none().with_torn_write_at(0)));
-        let sink = FileSink::new(&dir)
-            .unwrap()
-            .with_fault_injector(inj.clone());
-        let v = WahVec::from_bits((0..4000).map(|i| i % 13 == 0));
-        let blob = codec::encode(&v);
-        let path = sink.write_blob("step0.wah", &blob).unwrap();
-        // the retry rewrote the blob fully; the final name is complete
-        let back = codec::decode(&std::fs::read(&path).unwrap()).unwrap();
-        assert_eq!(back, v);
-        assert!(!inj.events().is_empty(), "the tear fired and was recorded");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn file_sink_exhausts_on_persistent_faults() {
-        use crate::fault::{FaultInjector, FaultPlan};
-        let dir = std::env::temp_dir().join("ibis-test-sink-persistent");
-        std::fs::remove_dir_all(&dir).ok();
-        let inj = std::sync::Arc::new(FaultInjector::new(
-            FaultPlan::none()
-                .with_io_error_at(0)
-                .with_persistent_write_faults(),
-        ));
-        let sink = FileSink::new(&dir).unwrap().with_fault_injector(inj);
-        let err = sink.write_blob("doomed.wah", b"payload").unwrap_err();
-        assert!(err.to_string().contains("injected"));
-        assert!(
-            !dir.join("doomed.wah").exists(),
-            "no partial blob under the final name"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -736,7 +601,6 @@ mod tests {
                         blob
                     }
                     CodecId::Roaring => RoaringVec::from_wah(bin).serialize(),
-                    CodecId::Bbc => panic!("the codec plan never picks BBC"),
                 };
                 if plan.is_some() {
                     out.push(codec.tag());
@@ -813,18 +677,29 @@ mod tests {
             codec::decode_index(&[]),
             Err(DecodeError::Truncated { .. })
         ));
+        // a v2 bin under the retired BBC tag (1): no writer emits it, no
+        // reader accepts it
+        let scattered: Vec<f64> = (0..500).map(|i| ((i * 4) % 40) as f64).collect();
+        let idx = BitmapIndex::build(&scattered, Binner::distinct_ints(0, 39));
+        let (mut tagged, plan) = codec::encode_index_auto(&idx);
+        let first_tag = 4 + 4 + (1 + 8 + 8 + 8) + 8 + 8; // magic, version, width binner, len, nbins
+        assert_eq!(tagged[first_tag], plan[0].tag());
+        tagged[first_tag] = 1;
+        assert!(matches!(
+            codec::decode_index(&tagged),
+            Err(DecodeError::BadCodec { bin: 0, .. })
+        ));
     }
 
     #[test]
     fn index_codec_file_round_trip() {
         use ibis_core::{Binner, BitmapIndex};
         let dir = std::env::temp_dir().join("ibis-test-index-sink");
-        let sink = FileSink::new(&dir).unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
         let data: Vec<f64> = (0..500).map(|i| (i % 40) as f64).collect();
         let idx = BitmapIndex::build(&data, Binner::fixed_width(0.0, 40.0, 40));
-        let path = sink
-            .write_blob("step7.ibis", &codec::encode_index(&idx))
-            .unwrap();
+        let path = dir.join("step7.ibis");
+        std::fs::write(&path, codec::encode_index(&idx)).unwrap();
         let back = codec::decode_index(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(back.counts(), idx.counts());
         std::fs::remove_dir_all(&dir).ok();

@@ -17,8 +17,8 @@
 //! * [`cluster`] — threads-as-nodes Heat3D with halo exchange, global
 //!   selection via additive joint counts, and local vs contended-remote
 //!   storage (Figure 13).
-//! * [`io`] / [`memory`] / [`report`] — storage cost models (plus a real
-//!   file sink and WAH codec), the Figure 11 memory accounting, and result
+//! * [`io`] / [`memory`] / [`report`] — storage cost models (plus the
+//!   index payload codec), the Figure 11 memory accounting, and result
 //!   records.
 //! * [`store`] / [`shard`] / [`cache`] / [`engine`] — the durable
 //!   run-directory store; its split into `K ≥ 1` spatial shards (per-shard
@@ -59,7 +59,7 @@ pub use calibrate::{auto_allocate, calibrate, suggest_row_order, Calibration};
 pub use cluster::{run_cluster, ClusterConfig, ClusterIo, ClusterReduction, ClusterReport};
 pub use error::{DecodeError, IbisError, Result, WorkerRole};
 pub use fault::{FaultInjector, FaultPlan, FaultSite, WriteFault};
-pub use io::{codec, FileSink, LocalDisk, RemoteLink, Storage, StorageError};
+pub use io::{codec, LocalDisk, RemoteLink, Storage, StorageError};
 pub use machine::{host_parallelism, modeled_seconds, MachineModel, ScalingModel};
 pub use memory::MemoryTracker;
 pub use pipeline::{

@@ -63,7 +63,7 @@ use crate::machine::{
 use crate::memory::MemoryTracker;
 use crate::report::{InsituReport, PhaseTimes, StepOutcome};
 use crate::retry::{write_with_retry, RetryPolicy};
-use crate::store::{Store, StoreWriter, ORDER_VARIABLE};
+use crate::store::{frame, unframe, Kind, Store, StoreWriter, ORDER_VARIABLE};
 use ibis_analysis::sampling::{sample, SamplingMethod};
 use ibis_analysis::selection::fixed_intervals;
 use ibis_analysis::{Metric, StepSummary, VarSummary};
@@ -1170,10 +1170,9 @@ fn produce_ahead<S: Simulation>(
 // Durable runs: checkpointed, resumable, persisted to a checksummed store
 // ---------------------------------------------------------------------------
 
-/// Magic prefix of a CHECKPOINT file.
-const CHECKPOINT_MAGIC: &[u8; 4] = b"IBCK";
-/// Checkpoint format version. v3 embeds only the undecided `buffer`
-/// (each summary with its row permutation — data-dependent orders cannot
+/// Checkpoint payload version — the payload's first `u32 LE`; the file is
+/// that payload in a [`Kind::Checkpoint`] frame. v3 embeds only the
+/// undecided `buffer` (each summary with its row permutation — data-dependent orders cannot
 /// recompute it after resume, the raw step data is gone, and a buffered
 /// step may still win its interval). The previous winner is named, not
 /// embedded: `persist_winner` made it durable in the store before the
@@ -1259,7 +1258,6 @@ fn encode_checkpoint(
 ) -> Result<Vec<u8>> {
     let held: usize = selector.buffer.iter().map(|b| b.1.size_bytes()).sum();
     let mut buf = Vec::with_capacity(held + 4096);
-    buf.extend_from_slice(CHECKPOINT_MAGIC);
     buf.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
     put_u64(&mut buf, next_step as u64);
     put_u64(&mut buf, selector.selected.len() as u64);
@@ -1296,112 +1294,52 @@ fn encode_checkpoint(
     put_u64(&mut buf, totals.bytes_written);
     put_u64(&mut buf, totals.summary_bytes_total);
     put_u64(&mut buf, totals.raw_bytes_per_step);
-    buf.extend_from_slice(&crate::crc::crc32c(&buf).to_le_bytes());
-    Ok(buf)
+    Ok(frame(Kind::Checkpoint, &buf).0)
 }
 
-/// A minimal cursor over checkpoint bytes; every read is bounds-checked.
-struct CkptReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> CkptReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| IbisError::BadCheckpoint(format!("truncated at byte {}", self.pos)))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
+/// One buffered step as [`put_summary`] wrote it.
+fn read_summary(r: &mut codec::Reader) -> Result<Held> {
+    let bad = |what: &str, e: &dyn std::fmt::Display| {
+        IbisError::BadCheckpoint(format!("embedded {what}: {e}"))
+    };
+    let step = r.usize()?;
+    let degraded = r.u8()? != 0;
+    let nvars = r.count(8)?;
+    let mut vars = Vec::with_capacity(nvars);
+    for _ in 0..nvars {
+        let idx = codec::decode_index(r.blob()?).map_err(|e| bad("index", &e))?;
+        vars.push(VarSummary::Bitmap(idx));
     }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(crate::crc::le_u64(self.take(8)?))
-    }
-
-    fn usize(&mut self) -> Result<usize> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| IbisError::BadCheckpoint(format!("value {v} overflows")))
-    }
-
-    /// An element count whose elements take at least `min` bytes each:
-    /// bounded by the bytes left, so no count can drive an allocation the
-    /// file does not back.
-    fn count(&mut self, min: usize) -> Result<usize> {
-        let n = self.usize()?;
-        if n > (self.buf.len() - self.pos) / min {
+    let perm = match r.u8()? {
+        0 => None,
+        1 => {
+            let perm = crate::store::decode_perm_payload(r.blob()?)
+                .and_then(RowPermutation::from_inverse)
+                .map_err(|e| bad("permutation", &e))?;
+            Some(Arc::new(perm))
+        }
+        t => {
             return Err(IbisError::BadCheckpoint(format!(
-                "count {n} at byte {} overruns the file",
-                self.pos
-            )));
+                "bad permutation-presence tag {t}"
+            )))
         }
-        Ok(n)
-    }
-
-    /// A `u64 LE` length followed by that many bytes.
-    fn blob(&mut self) -> Result<&'a [u8]> {
-        let len = self.usize()?;
-        self.take(len)
-    }
-
-    fn string(&mut self) -> Result<String> {
-        String::from_utf8(self.blob()?.to_vec())
-            .map_err(|_| IbisError::BadCheckpoint("non-UTF-8 string".into()))
-    }
-
-    fn summary(&mut self) -> Result<Held> {
-        let step = self.usize()?;
-        let degraded = self.u8()? != 0;
-        let nvars = self.count(8)?;
-        let mut vars = Vec::with_capacity(nvars);
-        for _ in 0..nvars {
-            let idx = codec::decode_index(self.blob()?)
-                .map_err(|e| IbisError::BadCheckpoint(format!("embedded index: {e}")))?;
-            vars.push(VarSummary::Bitmap(idx));
-        }
-        let perm = match self.u8()? {
-            0 => None,
-            1 => {
-                let inv = crate::store::decode_perm_payload(self.blob()?)
-                    .map_err(|e| IbisError::BadCheckpoint(format!("embedded permutation: {e}")))?;
-                let perm = RowPermutation::from_inverse(inv)
-                    .map_err(|e| IbisError::BadCheckpoint(format!("embedded permutation: {e}")))?;
-                Some(Arc::new(perm))
-            }
-            t => {
-                return Err(IbisError::BadCheckpoint(format!(
-                    "bad permutation-presence tag {t}"
-                )))
-            }
-        };
-        Ok((StepSummary { step, vars }, degraded, perm))
-    }
+    };
+    Ok((StepSummary { step, vars }, degraded, perm))
 }
 
+/// Opens a `CHECKPOINT` file: the frame check (magic, kind, length, CRC),
+/// then the payload. Every failure is [`IbisError::BadCheckpoint`].
 fn parse_checkpoint(bytes: &[u8]) -> Result<CheckpointState> {
-    if bytes.len() < 12 {
-        return Err(IbisError::BadCheckpoint("file too short".into()));
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let stored = crate::crc::le_u32(crc_bytes);
-    let actual = crate::crc::crc32c(body);
-    if stored != actual {
-        return Err(IbisError::BadCheckpoint(format!(
-            "CRC mismatch: stored {stored:08x}, computed {actual:08x}"
-        )));
-    }
-    let mut r = CkptReader { buf: body, pos: 0 };
-    if r.take(4)? != CHECKPOINT_MAGIC {
-        return Err(IbisError::BadCheckpoint("bad magic".into()));
-    }
-    let version = crate::crc::le_u32(r.take(4)?);
+    let (payload, _) = unframe(bytes, Kind::Checkpoint).map_err(IbisError::BadCheckpoint)?;
+    parse_checkpoint_payload(payload).map_err(|e| match e {
+        IbisError::Decode { source, .. } => IbisError::BadCheckpoint(source.to_string()),
+        e => e,
+    })
+}
+
+fn parse_checkpoint_payload(payload: &[u8]) -> Result<CheckpointState> {
+    let mut r = codec::Reader::new(payload);
+    let version = r.u32()?;
     if version != CHECKPOINT_VERSION {
         return Err(IbisError::BadCheckpoint(format!(
             "unsupported version {version}"
@@ -1444,7 +1382,7 @@ fn parse_checkpoint(bytes: &[u8]) -> Result<CheckpointState> {
     let mut buffer = Vec::with_capacity(nbuffer);
     for _ in 0..nbuffer {
         let idx = r.usize()?;
-        let (summary, degraded, perm) = r.summary()?;
+        let (summary, degraded, perm) = read_summary(&mut r)?;
         buffer.push((idx, summary, degraded, perm));
     }
     let noutcomes = r.count(9)?;
@@ -1456,7 +1394,8 @@ fn parse_checkpoint(bytes: &[u8]) -> Result<CheckpointState> {
     let mut outcomes = Vec::with_capacity(noutcomes);
     for _ in 0..noutcomes {
         let tag = r.u8()?;
-        let text = r.string()?;
+        let text = String::from_utf8(r.blob()?.to_vec())
+            .map_err(|_| IbisError::BadCheckpoint("non-UTF-8 string".into()))?;
         outcomes.push(match tag {
             0 => StepOutcome::Completed,
             1 => StepOutcome::Skipped { reason: text },
@@ -1471,12 +1410,7 @@ fn parse_checkpoint(bytes: &[u8]) -> Result<CheckpointState> {
         summary_bytes_total: r.u64()?,
         raw_bytes_per_step: r.u64()?,
     };
-    if r.pos != body.len() {
-        return Err(IbisError::BadCheckpoint(format!(
-            "{} trailing bytes",
-            body.len() - r.pos
-        )));
-    }
+    r.finish()?;
     Ok(CheckpointState {
         next_step,
         selected,
@@ -1937,57 +1871,43 @@ mod tests {
         // only the buffer is embedded: one index and one permutation
         assert!(bytes.len() < 2 * (codec::encode_index(&idx).len() + 8 + 4 * data.len()));
 
-        // every truncation and every single-bit flip is a typed error
-        for cut in 0..bytes.len() {
+        // damage under a recomputed frame CRC reaches the parser proper (the
+        // frame's own defences are `every_corruption_of_every_frame_kind…`):
+        // a cut payload is always an error, a flipped one never a panic
+        let reseal = |payload: &[u8]| frame(Kind::Checkpoint, payload).0;
+        let payload = &bytes[12..bytes.len() - 4];
+        assert_eq!(reseal(payload), bytes);
+        for cut in 0..payload.len() {
             assert!(
                 matches!(
-                    parse_checkpoint(&bytes[..cut]),
+                    parse_checkpoint(&reseal(&payload[..cut])),
                     Err(IbisError::BadCheckpoint(_))
                 ),
-                "truncated to {cut} bytes"
+                "resealed payload cut to {cut} bytes"
             );
         }
-        for at in 0..bytes.len() {
-            let mut bad = bytes.clone();
+        for at in 0..payload.len() {
+            let mut bad = payload.to_vec();
             bad[at] ^= 1 << (at % 8);
-            assert!(
-                matches!(parse_checkpoint(&bad), Err(IbisError::BadCheckpoint(_))),
-                "bit flipped in byte {at}"
-            );
-        }
-
-        // the same damage under a recomputed CRC reaches the parser proper:
-        // a cut body is always an error, a flipped one never a panic
-        let reseal = |mut body: Vec<u8>| {
-            let crc = crate::crc::crc32c(&body);
-            body.extend_from_slice(&crc.to_le_bytes());
-            body
-        };
-        let body = &bytes[..bytes.len() - 4];
-        for cut in 0..body.len() {
-            assert!(
-                matches!(
-                    parse_checkpoint(&reseal(body[..cut].to_vec())),
-                    Err(IbisError::BadCheckpoint(_))
-                ),
-                "resealed body cut to {cut} bytes"
-            );
-        }
-        for at in 0..body.len() {
-            let mut bad = body.to_vec();
-            bad[at] ^= 1 << (at % 8);
-            if let Err(e) = parse_checkpoint(&reseal(bad)) {
+            if let Err(e) = parse_checkpoint(&reseal(&bad)) {
                 assert!(matches!(e, IbisError::BadCheckpoint(_)), "byte {at}: {e}");
             }
         }
 
-        // a v2 checkpoint (valid CRC, old version word) is refused by name
-        let mut v2 = body.to_vec();
-        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
-        let v2 = reseal(v2);
+        // a v2 checkpoint payload (intact frame, old version word) and a
+        // pre-frame checkpoint file are refused by name
+        let mut v2 = payload.to_vec();
+        v2[..4].copy_from_slice(&2u32.to_le_bytes());
         assert_eq!(
-            parse_checkpoint(&v2).err(),
+            parse_checkpoint(&reseal(&v2)).err(),
             Some(IbisError::BadCheckpoint("unsupported version 2".into()))
+        );
+        let mut ibck = b"IBCK".to_vec();
+        ibck.extend_from_slice(payload);
+        ibck.extend_from_slice(&crate::crc::crc32c(&ibck).to_le_bytes());
+        assert!(
+            matches!(parse_checkpoint(&ibck), Err(IbisError::BadCheckpoint(m)) if m.contains("framing")),
+            "an old-format checkpoint must be refused for its framing"
         );
 
         // reloading the named winner: from the store, in field order
@@ -2042,6 +1962,95 @@ mod tests {
                 drop(writer);
                 lost(StoreWriter::resume(&dir).unwrap().durable_view(), entry);
             }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every way one stored file can be damaged in place: each byte flipped
+    /// under three masks, every strict prefix, and one byte appended.
+    fn corruptions(clean: &[u8]) -> Vec<(String, Vec<u8>)> {
+        let mut out = Vec::new();
+        for at in 0..clean.len() {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut bad = clean.to_vec();
+                bad[at] ^= mask;
+                out.push((format!("byte {at} ^ {mask:#04x}"), bad));
+            }
+            out.push((format!("cut to {at} bytes"), clean[..at].to_vec()));
+        }
+        out.push(("one byte appended".into(), [clean, &[0]].concat()));
+        out
+    }
+
+    #[test]
+    fn every_corruption_of_every_frame_kind_is_a_typed_error() {
+        let dir = std::env::temp_dir().join(format!("ibis-frame-fuzz-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        // one small blob of each kind: an all-WAH index, a mixed-plan index
+        // with its lossy companion, a row order — and a checkpoint
+        let runs: Vec<f64> = (0..496).map(|i| (i / 124) as f64).collect();
+        let smooth = ibis_core::BitmapIndex::build(&runs, Binner::distinct_ints(0, 3));
+        let noise: Vec<f64> = (0..64).map(|i| ((i * 4) % 8) as f64).collect();
+        let binner = Binner::distinct_ints(0, 7);
+        let mixed = ibis_core::BitmapIndex::build(&noise, binner.clone());
+        let plan = |idx: &ibis_core::BitmapIndex| codec::encode_index_auto(idx).1;
+        assert!(plan(&smooth).iter().all(|&c| c == ibis_core::CodecId::Wah));
+        assert!(plan(&mixed).contains(&ibis_core::CodecId::Wah));
+        assert!(plan(&mixed).contains(&ibis_core::CodecId::Roaring));
+        let (lossy, stats) = mixed.lossy(1e-1);
+        let order = RowOrder::HistogramSorted;
+        let perm = order.permutation(&[], &binner, &noise).unwrap();
+        let mut w = StoreWriter::create(&dir).unwrap();
+        w.put(0, "smooth", &smooth).unwrap();
+        w.put(0, "mixed", &mixed).unwrap();
+        w.put_lossy(0, "mixed", &lossy, 1e-1, &stats).unwrap();
+        w.put_order(0, order, &perm).unwrap();
+        w.finish().unwrap();
+
+        type Read = fn(&Store) -> Result<()>;
+        let blobs: [(&str, Read); 4] = [
+            ("smooth", |s| s.get(0, "smooth").map(drop)),
+            ("mixed", |s| s.get(0, "mixed").map(drop)),
+            (ORDER_VARIABLE, |s| s.load_order(0).map(drop)),
+            ("__lossy_mixed", |s| s.load_lossy(0, "mixed").map(drop)),
+        ];
+        for (entry, read) in blobs {
+            let file = dir.join(format!("s000000_{entry}.ibis"));
+            let clean = std::fs::read(&file).unwrap();
+            for (damage, bad) in corruptions(&clean) {
+                std::fs::write(&file, &bad).unwrap();
+                let err = read(&Store::open(&dir).unwrap()).expect_err(&damage);
+                assert!(
+                    matches!(err, IbisError::Corrupt { .. }),
+                    "{entry}, {damage}: {err}"
+                );
+                let resumed = StoreWriter::resume(&dir).unwrap();
+                for (other, _) in blobs {
+                    assert_eq!(
+                        resumed.contains(0, other),
+                        other != entry,
+                        "{entry}, {damage}"
+                    );
+                }
+            }
+            std::fs::write(&file, &clean).unwrap();
+            read(&Store::open(&dir).unwrap()).unwrap();
+        }
+
+        let mut selector = StreamingSelector::new(13, 4, Metric::ConditionalEntropy);
+        let summary = StepSummary {
+            step: 1,
+            vars: vec![VarSummary::Bitmap(mixed)],
+        };
+        selector.buffer = vec![(1, summary, false, Some(Arc::new(perm)))];
+        let outcomes = [StepOutcome::Completed, StepOutcome::Completed];
+        let clean = encode_checkpoint(2, &selector, &outcomes, &RunTotals::default()).unwrap();
+        assert_eq!(parse_checkpoint(&clean).unwrap().buffer.len(), 1);
+        for (damage, bad) in corruptions(&clean) {
+            assert!(
+                matches!(parse_checkpoint(&bad), Err(IbisError::BadCheckpoint(_))),
+                "checkpoint, {damage}"
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -2,7 +2,7 @@
 //!
 //! The paper's remote data server is a single contended ~100 MB/s link;
 //! at production scale such links drop and stall. Every pipeline write
-//! (local disk, remote link, real file sink) therefore goes through
+//! (local disk, remote link) therefore goes through
 //! [`write_with_retry`]: a transient failure is retried with exponentially
 //! growing backoff, a persistent failure exhausts the attempt budget, and
 //! a cumulative-delay deadline bounds how long one write may stall the

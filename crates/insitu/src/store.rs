@@ -6,30 +6,25 @@
 //! Because this store *replaces* the raw data, format v2 treats silent
 //! corruption and partial writes as first-class failure modes:
 //!
-//! * every blob is framed and written via temp-file + rename, so a
-//!   crashed writer never leaves a half-written blob under its final
-//!   name. All-WAH indices keep the v2 frame `IBB2 | payload len (u64
-//!   LE) | payload | CRC32-C (u32 LE)` byte-identically; indices whose
-//!   codec plan includes a non-WAH bin use the tagged v3 frame `IBB3 |
-//!   codec tag (u8) | payload len (u64 LE) | payload | CRC32-C (u32
-//!   LE)`, where the tag is the uniform per-bin [`CodecId::tag`] or
-//!   `0xFF` for a mixed plan; a step ingested under a non-identity
-//!   [`RowOrder`] additionally persists its inverse permutation under the
-//!   reserved [`ORDER_VARIABLE`] entry in the analogous `IBP1` frame
-//!   (order tag in the `IBB3` tag position, outside the payload CRC);
+//! * every blob is one CRC-sealed frame — `"IBF" | kind (u8) |
+//!   payload len (u64 LE) | payload | CRC32-C (u32 LE) of kind, len and
+//!   payload` — written via temp-file + rename, so a crashed writer never
+//!   leaves a half-written blob under its final name. The kind says what
+//!   the payload is (index, row order, lossy companion; the pipeline's
+//!   `CHECKPOINT` is a fourth), and nothing a reader acts on sits outside
+//!   the CRC: per-bin codec tags live in the index payload, the
+//!   [`RowOrder`] tag is the first byte of the order payload, the FPR the
+//!   first field of the lossy payload;
 //! * a `JOURNAL` records each durable blob as it lands (each line carries
 //!   its own CRC, so a torn journal tail is detected and ignored) — an
 //!   interrupted run can [`StoreWriter::resume`] and re-put idempotently;
 //! * the `MANIFEST` carries a format header, per-entry length + CRC, and
 //!   a whole-file CRC footer, all written atomically; [`Store::open`]
 //!   refuses a manifest whose footer does not check out;
-//! * [`Store::fsck`] verifies every blob end-to-end — framing, CRC,
-//!   decode, and that an `IBB3` frame's codec tag matches the codecs
-//!   actually present in the payload (the tag sits outside the payload
-//!   CRC, so only this cross-check catches a tampered tag byte) — and
-//!   quarantines the corrupt ones (renamed to `*.quarantined`), so
-//!   [`Store::load_series`] afterwards returns exactly the uncorrupted
-//!   steps.
+//! * [`Store::fsck`] runs every entry's ordinary typed load — framing,
+//!   kind, CRC, decode — and quarantines the ones that fail (renamed to
+//!   `*.quarantined`), so [`Store::load_series`] afterwards returns exactly
+//!   the uncorrupted steps.
 //!
 //! Layout:
 //!
@@ -50,28 +45,17 @@ use crate::crc::crc32c;
 use crate::error::{IbisError, Result};
 use crate::fault::{FaultInjector, WriteFault};
 use crate::io::{codec, write_atomic};
-use ibis_core::{valid_fpr, BitmapIndex, CodecId, LossyStats, RowOrder, RowPermutation};
+use ibis_core::{valid_fpr, BitmapIndex, LossyStats, RowOrder, RowPermutation};
 use ibis_obs::LazyCounter;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Magic prefix of an untagged (all-WAH) framed blob.
-const BLOB_MAGIC: &[u8; 4] = b"IBB2";
-/// Magic prefix of a codec-tagged framed blob.
-const BLOB_MAGIC_TAGGED: &[u8; 4] = b"IBB3";
-/// Magic prefix of a row-permutation framed blob (`IBP1 | order tag (u8) |
-/// payload len (u64 LE) | payload | CRC32-C (u32 LE)`, the tag outside the
-/// payload CRC exactly like `IBB3`'s codec tag).
-const BLOB_MAGIC_PERM: &[u8; 4] = b"IBP1";
-/// Magic prefix of a lossy-companion framed blob (`IBL1 | FPR class (u8) |
-/// payload len (u64 LE) | payload | CRC32-C (u32 LE)`; the class byte sits
-/// outside the payload CRC exactly like `IBB3`'s codec tag, so fsck
-/// cross-checks it against the FPR recorded inside the payload).
-const BLOB_MAGIC_LOSSY: &[u8; 4] = b"IBL1";
-/// Frame codec tag meaning "bins use more than one codec".
-const MIXED_TAG: u8 = 0xFF;
+/// Magic prefix of every frame.
+const FRAME_MAGIC: &[u8; 3] = b"IBF";
+/// Framing overhead: magic + kind + u64 length + u32 CRC.
+const FRAME_OVERHEAD: usize = 3 + 1 + 8 + 4;
 /// Reserved variable name a step's row permutation stores under. Passes
 /// [`check_variable_name`] so the blob rides the ordinary entry / journal /
 /// manifest machinery, but is hidden from [`Store::variables`] and refused
@@ -85,8 +69,32 @@ pub const ORDER_VARIABLE: &str = "__order";
 pub const LOSSY_PREFIX: &str = "__lossy_";
 /// First line of a v2 manifest.
 const MANIFEST_HEADER: &str = "#IBIS-STORE v2";
-/// Tagged framing overhead: magic + codec tag + u64 length + u32 CRC.
-const FRAME_OVERHEAD_TAGGED: usize = 4 + 1 + 8 + 4;
+
+/// What a frame's payload is; the discriminant is the frame's kind byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// A bitmap index ([`codec::encode_index_auto`]).
+    Index = 1,
+    /// A row permutation: `RowOrder` tag (u8), then [`put_perm_payload`].
+    Order = 2,
+    /// A lossy companion ([`encode_lossy_payload`]).
+    Lossy = 3,
+    /// The durable pipeline's selector checkpoint.
+    Checkpoint = 4,
+}
+
+impl Kind {
+    /// The kind of blob the store entry named `entry` holds.
+    fn of(entry: &str) -> Kind {
+        if entry == ORDER_VARIABLE {
+            Kind::Order
+        } else if entry.starts_with(LOSSY_PREFIX) {
+            Kind::Lossy
+        } else {
+            Kind::Index
+        }
+    }
+}
 
 /// What the store knows about one blob.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,7 +102,7 @@ struct EntryMeta {
     file: String,
     /// On-disk (framed) length.
     len: u64,
-    /// CRC32-C of the payload.
+    /// The frame's CRC32-C.
     crc: u32,
 }
 
@@ -107,8 +115,6 @@ static OBS_CRC_FAILED: LazyCounter = LazyCounter::new("store.crc.failed");
 static OBS_FSCK_RUNS: LazyCounter = LazyCounter::new("store.fsck.runs");
 static OBS_FSCK_QUARANTINED: LazyCounter = LazyCounter::new("store.fsck.quarantined");
 static OBS_MANIFEST_WRITES: LazyCounter = LazyCounter::new("store.manifest.writes");
-static OBS_PUT_TAGGED: LazyCounter = LazyCounter::new("store.put.tagged_blobs");
-static OBS_FSCK_TAG_MISMATCH: LazyCounter = LazyCounter::new("store.fsck.tag_mismatch");
 // Row-permutation blobs written and read back (family `reorder`, see
 // DESIGN.md §6j).
 static OBS_ORDER_PUT: LazyCounter = LazyCounter::new("reorder.store.put");
@@ -118,48 +124,62 @@ static OBS_ORDER_LOADED: LazyCounter = LazyCounter::new("reorder.store.loaded");
 static OBS_LOSSY_PUT: LazyCounter = LazyCounter::new("lossy.store.put");
 static OBS_LOSSY_LOADED: LazyCounter = LazyCounter::new("lossy.store.loaded");
 
-/// What a blob's frame declares about its payload's codecs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FrameTag {
-    /// `IBB2` frame: implicitly an untagged, all-WAH payload.
-    Untagged,
-    /// `IBB3` frame: uniform per-bin codec tag, or [`MIXED_TAG`].
-    Tagged(u8),
-    /// `IBP1` frame: a row permutation, tagged with its
-    /// [`RowOrder::tag`].
-    Perm(u8),
-    /// `IBL1` frame: a lossy companion index, tagged with its
-    /// [FPR class](fpr_class).
-    Lossy(u8),
-}
-
-/// Wraps a payload in its frame — `magic | tag (every magic but `IBB2`) |
-/// payload len (u64 LE) | payload | CRC32-C (u32 LE)` — and returns the
-/// frame together with the payload CRC it ends in, so a put checksums its
-/// payload once for both the frame and the entry's journal/manifest record.
-fn frame_blob(magic: &[u8; 4], tag: Option<u8>, payload: &[u8]) -> (Vec<u8>, u32) {
-    let crc = crc32c(payload);
-    let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD_TAGGED);
-    out.extend_from_slice(magic);
-    out.extend(tag);
+/// Wraps a payload in the one frame — `"IBF" | kind | payload len (u64
+/// LE) | payload | CRC32-C (u32 LE)` with the CRC over kind, length and
+/// payload — and returns the frame together with that CRC, so a put
+/// checksums its bytes once for both the frame and the entry's
+/// journal/manifest record.
+pub(crate) fn frame(kind: Kind, payload: &[u8]) -> (Vec<u8>, u32) {
+    let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
+    out.extend_from_slice(FRAME_MAGIC);
+    out.push(kind as u8);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
+    let crc = crc32c(&out[FRAME_MAGIC.len()..]);
     out.extend_from_slice(&crc.to_le_bytes());
     (out, crc)
 }
 
-/// The decade class of a lossy FPR: 1 for (1e-2, 1e-1], 2 for
-/// (1e-3, 1e-2], … 4 for [1e-4, 1e-3]. This is the `IBL1` frame tag, a
-/// coarse claim cross-checkable against the exact FPR stored inside the
-/// payload CRC.
-fn fpr_class(fpr: f64) -> u8 {
-    (-fpr.log10()).ceil().clamp(1.0, 4.0) as u8
+/// Validates a frame that must hold a `want` payload and returns the
+/// payload and the frame's CRC (computed here, and equal to the stored
+/// one), or a description of what is wrong.
+pub(crate) fn unframe(bytes: &[u8], want: Kind) -> std::result::Result<(&[u8], u32), String> {
+    if !bytes.starts_with(FRAME_MAGIC) {
+        return Err("missing IBF framing magic".into());
+    }
+    if bytes.len() < FRAME_OVERHEAD {
+        return Err(format!("framed blob too short ({} bytes)", bytes.len()));
+    }
+    let payload_len = bytes.len() - FRAME_OVERHEAD;
+    let declared = crate::crc::le_u64(&bytes[4..12]);
+    if payload_len as u64 != declared {
+        return Err(format!(
+            "framed length {} != declared payload {declared} + {FRAME_OVERHEAD}",
+            bytes.len()
+        ));
+    }
+    // everything the CRC covers: kind (1) | len (8) | payload
+    let (sealed, stored) = bytes[FRAME_MAGIC.len()..].split_at(9 + payload_len);
+    let stored = crate::crc::le_u32(stored);
+    let actual = crc32c(sealed);
+    if stored != actual {
+        OBS_CRC_FAILED.inc();
+        return Err(format!(
+            "CRC mismatch: stored {stored:08x}, computed {actual:08x}"
+        ));
+    }
+    OBS_CRC_VERIFIED.inc();
+    if sealed[0] != want as u8 {
+        return Err(format!(
+            "framing holds a kind-{} payload where kind {} ({want:?}) belongs",
+            sealed[0], want as u8
+        ));
+    }
+    Ok((&sealed[9..], actual))
 }
 
 /// Serializes a lossy companion: `fpr (f64 LE) | bits dropped (u64 LE) |
-/// zeros of the exact index (u64 LE) | encoded index`. All of it — the
-/// lossy meta included — sits inside the payload CRC; only the class byte
-/// in the frame is outside it.
+/// zeros of the exact index (u64 LE) | encoded index`.
 fn encode_lossy_payload(fpr: f64, stats: &LossyStats, index_payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(24 + index_payload.len());
     out.extend_from_slice(&fpr.to_le_bytes());
@@ -169,7 +189,7 @@ fn encode_lossy_payload(fpr: f64, stats: &LossyStats, index_payload: &[u8]) -> V
     out
 }
 
-/// Parses an `IBL1` payload into `(fpr, bits dropped, zeros, encoded
+/// Parses a lossy payload into `(fpr, bits dropped, zeros, encoded
 /// index)`, or a description of what is wrong.
 fn decode_lossy_payload(payload: &[u8]) -> std::result::Result<(f64, u64, u64, &[u8]), String> {
     if payload.len() < 24 {
@@ -196,122 +216,17 @@ pub(crate) fn put_perm_payload(out: &mut Vec<u8>, inv: &[u32]) {
     codec::put_words(out, inv);
 }
 
-/// Parses an `IBP1` payload back into the inverse permutation, or a
-/// description of what is wrong.
+/// Parses [`put_perm_payload`]'s bytes back into the inverse permutation,
+/// or a description of what is wrong.
 pub(crate) fn decode_perm_payload(payload: &[u8]) -> std::result::Result<Vec<u32>, String> {
-    if payload.len() < 8 {
-        return Err(format!(
-            "permutation payload too short ({} bytes)",
-            payload.len()
-        ));
-    }
-    let n = crate::crc::le_u64(&payload[..8]) as usize;
-    let want = n
-        .checked_mul(4)
-        .and_then(|b| b.checked_add(8))
-        .ok_or_else(|| "declared row count overflows".to_string())?;
-    if payload.len() != want {
-        return Err(format!(
-            "permutation payload {} bytes != declared {want}",
-            payload.len()
-        ));
-    }
-    Ok(payload[8..]
-        .chunks_exact(4)
-        .map(crate::crc::le_u32)
-        .collect())
-}
-
-/// The frame tag summarizing a per-bin codec plan.
-fn plan_frame_tag(plan: &[CodecId]) -> u8 {
-    match plan.first() {
-        Some(&first) if plan.iter().all(|&c| c == first) => first.tag(),
-        _ => MIXED_TAG,
-    }
-}
-
-/// Validates a framed blob and returns its payload, the payload's CRC
-/// (computed here, and equal to the frame's) and what the frame header
-/// claims about its codecs, or a description of what is wrong.
-fn unframe_blob(bytes: &[u8]) -> std::result::Result<(&[u8], u32, FrameTag), String> {
-    let (tag, header_len) = if bytes.starts_with(BLOB_MAGIC) {
-        (FrameTag::Untagged, 12usize)
-    } else if bytes.starts_with(BLOB_MAGIC_TAGGED)
-        || bytes.starts_with(BLOB_MAGIC_PERM)
-        || bytes.starts_with(BLOB_MAGIC_LOSSY)
-    {
-        if bytes.len() < FRAME_OVERHEAD_TAGGED {
-            return Err(format!("framed blob too short ({} bytes)", bytes.len()));
-        }
-        if bytes.starts_with(BLOB_MAGIC_PERM) {
-            (FrameTag::Perm(bytes[4]), 13usize)
-        } else if bytes.starts_with(BLOB_MAGIC_LOSSY) {
-            (FrameTag::Lossy(bytes[4]), 13usize)
-        } else {
-            (FrameTag::Tagged(bytes[4]), 13usize)
-        }
-    } else {
-        return Err("missing IBB2/IBB3/IBP1/IBL1 framing magic".into());
+    let parse = || -> std::result::Result<Vec<u32>, crate::error::DecodeError> {
+        let mut r = codec::Reader::new(payload);
+        let rows = r.count(4)?;
+        let inv = r.take(rows * 4)?;
+        r.finish()?;
+        Ok(inv.chunks_exact(4).map(crate::crc::le_u32).collect())
     };
-    if bytes.len() < header_len + 4 {
-        return Err(format!("framed blob too short ({} bytes)", bytes.len()));
-    }
-    let len = crate::crc::le_u64(&bytes[header_len - 8..header_len]) as usize;
-    let expected_total = len
-        .checked_add(header_len + 4)
-        .ok_or_else(|| "declared payload length overflows".to_string())?;
-    if bytes.len() != expected_total {
-        return Err(format!(
-            "framed length {} != declared {}",
-            bytes.len(),
-            expected_total
-        ));
-    }
-    let payload = &bytes[header_len..header_len + len];
-    let stored = crate::crc::le_u32(&bytes[header_len + len..]);
-    let actual = crc32c(payload);
-    if stored != actual {
-        OBS_CRC_FAILED.inc();
-        return Err(format!(
-            "CRC mismatch: stored {stored:08x}, computed {actual:08x}"
-        ));
-    }
-    OBS_CRC_VERIFIED.inc();
-    Ok((payload, actual, tag))
-}
-
-/// `fsck`'s frame-tag cross-check: the frame header's codec claim must
-/// match the codecs actually present in the decoded payload. The tag
-/// byte sits outside the payload CRC, so this is the only check that
-/// catches a tampered or stale tag.
-fn check_frame_tag(tag: FrameTag, bins: &[CodecId]) -> std::result::Result<(), String> {
-    let uniform = match bins.first() {
-        Some(&first) if bins.iter().all(|&c| c == first) => Some(first),
-        _ => None,
-    };
-    match tag {
-        FrameTag::Untagged => match uniform {
-            Some(CodecId::Wah) => Ok(()),
-            _ => Err("untagged IBB2 frame over a non-WAH payload".into()),
-        },
-        FrameTag::Tagged(MIXED_TAG) => {
-            if uniform.is_none() {
-                Ok(())
-            } else {
-                Err("frame tag claims mixed codecs but the payload is uniform".into())
-            }
-        }
-        FrameTag::Tagged(t) => match CodecId::from_tag(t) {
-            Some(c) if uniform == Some(c) => Ok(()),
-            Some(c) => Err(format!(
-                "frame tag {} does not match the payload's codecs",
-                c.name()
-            )),
-            None => Err(format!("unknown frame codec tag {t:#04x}")),
-        },
-        FrameTag::Perm(_) => Err("IBP1 permutation frame over an index entry".into()),
-        FrameTag::Lossy(_) => Err("IBL1 lossy frame over an exact index entry".into()),
-    }
+    parse().map_err(|e| format!("permutation payload: {e}"))
 }
 
 fn check_variable_name(variable: &str) -> Result<()> {
@@ -373,7 +288,7 @@ impl StoreWriter {
 
     /// Reopens an interrupted *or finished* run directory, recovering
     /// every blob proven durable. Journal lines are trusted first (line
-    /// CRC valid, blob present, framing and payload CRC intact; a torn
+    /// CRC valid, blob present, framing, kind and CRC intact; a torn
     /// tail drops everything after it). A valid v2 `MANIFEST` then seeds
     /// any entries the journal didn't cover, each re-verified against its
     /// blob the same way — so resuming a finished store keeps its
@@ -386,11 +301,13 @@ impl StoreWriter {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)
             .map_err(|e| IbisError::io(format!("create run dir {}", dir.display()), &e))?;
-        let verify = |meta: &EntryMeta| -> bool {
+        let verify = |var: &str, meta: &EntryMeta| -> bool {
             std::fs::read(dir.join(&meta.file))
                 .ok()
                 .filter(|bytes| bytes.len() as u64 == meta.len)
-                .is_some_and(|bytes| unframe_blob(&bytes).is_ok_and(|(_, crc, _)| crc == meta.crc))
+                .is_some_and(|bytes| {
+                    unframe(&bytes, Kind::of(var)).is_ok_and(|(_, crc)| crc == meta.crc)
+                })
         };
         let mut entries = BTreeMap::new();
         let journal_path = dir.join("JOURNAL");
@@ -404,7 +321,7 @@ impl StoreWriter {
                 if check_file_name(&meta.file).is_err() {
                     break;
                 }
-                if verify(&meta) {
+                if verify(&var, &meta) {
                     entries.insert((step, var), meta);
                 }
             }
@@ -412,7 +329,7 @@ impl StoreWriter {
         if let Ok(manifest) = std::fs::read_to_string(dir.join("MANIFEST")) {
             if let Ok(seed) = parse_manifest(&manifest) {
                 for ((step, var), meta) in seed {
-                    if !entries.contains_key(&(step, var.clone())) && verify(&meta) {
+                    if !entries.contains_key(&(step, var.clone())) && verify(&var, &meta) {
                         entries.insert((step, var), meta);
                     }
                 }
@@ -474,40 +391,27 @@ impl StoreWriter {
 
     /// Persists one step's index for one variable: encoded under its
     /// per-bin codec plan, framed, checksummed, written atomically, then
-    /// journaled. An all-WAH plan keeps the legacy untagged `IBB2` frame
-    /// byte-identically; any non-WAH bin switches to the tagged `IBB3`
-    /// frame carrying the plan's uniform codec tag (or [`MIXED_TAG`]).
-    /// Re-putting an existing entry is idempotent (same payload → same
-    /// bytes, entry overwritten).
+    /// journaled. Re-putting an existing entry is idempotent (same payload
+    /// → same bytes, entry overwritten).
     pub fn put(&mut self, step: usize, variable: &str, index: &BitmapIndex) -> Result<()> {
         check_variable_name(variable)?;
-        if variable == ORDER_VARIABLE {
+        if Kind::of(variable) != Kind::Index {
             return Err(IbisError::Config(format!(
-                "variable name {ORDER_VARIABLE:?} is reserved for row permutations"
+                "variable name {variable:?} is reserved ({ORDER_VARIABLE:?} holds row \
+                 permutations, {LOSSY_PREFIX:?}… lossy companions)"
             )));
         }
-        if variable.starts_with(LOSSY_PREFIX) {
-            return Err(IbisError::Config(format!(
-                "variable names starting with {LOSSY_PREFIX:?} are reserved for lossy companions"
-            )));
-        }
-        let (payload, plan) = codec::encode_index_auto(index);
-        let (framed, crc) = if plan.iter().all(|&c| c == CodecId::Wah) {
-            frame_blob(BLOB_MAGIC, None, &payload)
-        } else {
-            OBS_PUT_TAGGED.inc();
-            frame_blob(BLOB_MAGIC_TAGGED, Some(plan_frame_tag(&plan)), &payload)
-        };
-        self.commit(step, variable, &framed, crc)
+        let (payload, _) = codec::encode_index_auto(index);
+        self.commit(step, variable, &payload)
     }
 
     /// Persists the step's row permutation under the reserved
-    /// [`ORDER_VARIABLE`] entry: the inverse permutation
-    /// (`inv[original] = stored`) framed as `IBP1` with `order`'s tag,
-    /// CRC-checked, written atomically and journaled exactly like an
-    /// index blob — so crash/resume and fsck cover it. One permutation
-    /// per step: every variable of the step shares it, keeping
-    /// cross-variable (correlation) bitmaps row-aligned.
+    /// [`ORDER_VARIABLE`] entry: `order`'s tag, then the inverse
+    /// permutation (`inv[original] = stored`), framed, CRC-checked,
+    /// written atomically and journaled exactly like an index blob — so
+    /// crash/resume and fsck cover it. One permutation per step: every
+    /// variable of the step shares it, keeping cross-variable
+    /// (correlation) bitmaps row-aligned.
     ///
     /// Identity orders (or identity permutations) have nothing to map;
     /// callers skip this call for them, and passing one is a config
@@ -518,10 +422,10 @@ impl StoreWriter {
                 "identity row orders are never persisted".into(),
             ));
         }
-        let mut payload = Vec::with_capacity(8 + perm.inv().len() * 4);
+        let mut payload = Vec::with_capacity(9 + perm.inv().len() * 4);
+        payload.push(order.tag());
         put_perm_payload(&mut payload, perm.inv());
-        let (framed, crc) = frame_blob(BLOB_MAGIC_PERM, Some(order.tag()), &payload);
-        self.commit(step, ORDER_VARIABLE, &framed, crc)?;
+        self.commit(step, ORDER_VARIABLE, &payload)?;
         OBS_ORDER_PUT.inc();
         Ok(())
     }
@@ -529,11 +433,11 @@ impl StoreWriter {
     /// Persists `variable`'s lossy superset companion for `step` under
     /// the reserved `__lossy_<variable>` entry: the lossy index (encoded
     /// under its codec plan) prefixed by its FPR and drop accounting,
-    /// framed as `IBL1` with the FPR class in the tag byte, CRC-checked,
-    /// written atomically and journaled exactly like an index blob — so
-    /// crash/resume and fsck cover it. The companion is self-describing;
-    /// it does not require the exact entry to exist first, but readers
-    /// only ever use it as a filter in front of the exact index.
+    /// framed, CRC-checked, written atomically and journaled exactly like
+    /// an index blob — so crash/resume and fsck cover it. The companion is
+    /// self-describing; it does not require the exact entry to exist
+    /// first, but readers only ever use it as a filter in front of the
+    /// exact index.
     pub fn put_lossy(
         &mut self,
         step: usize,
@@ -550,22 +454,22 @@ impl StoreWriter {
         }
         let (index_payload, _) = codec::encode_index_auto(lossy);
         let payload = encode_lossy_payload(fpr, stats, &index_payload);
-        let (framed, crc) = frame_blob(BLOB_MAGIC_LOSSY, Some(fpr_class(fpr)), &payload);
-        self.commit(step, &format!("{LOSSY_PREFIX}{variable}"), &framed, crc)?;
+        self.commit(step, &format!("{LOSSY_PREFIX}{variable}"), &payload)?;
         OBS_LOSSY_PUT.inc();
         Ok(())
     }
 
-    /// Lands one framed blob under `entry`: the atomic blob write first,
-    /// then the journal line (synced) that declares it durable, then the
-    /// in-memory entry. `crc` is the payload CRC [`frame_blob`] computed.
-    fn commit(&mut self, step: usize, entry: &str, framed: &[u8], crc: u32) -> Result<()> {
+    /// Lands `payload` under `entry`, framed as the entry's [`Kind`]: the
+    /// atomic blob write first, then the journal line (synced) that
+    /// declares it durable, then the in-memory entry.
+    fn commit(&mut self, step: usize, entry: &str, payload: &[u8]) -> Result<()> {
+        let (framed, crc) = frame(Kind::of(entry), payload);
         let meta = EntryMeta {
             file: format!("s{step:06}_{entry}.ibis"),
             len: framed.len() as u64,
             crc,
         };
-        self.write_blob_with_faults(&meta.file, framed)?;
+        self.write_blob_with_faults(&meta.file, &framed)?;
         OBS_PUT_BLOBS.inc();
         OBS_PUT_BYTES.add(framed.len() as u64);
         let line = entry_line(step, entry, &meta);
@@ -679,7 +583,7 @@ fn parse_entry_fields(body: &str) -> Option<(usize, String, EntryMeta)> {
     ))
 }
 
-/// A variable's lossy superset companion, as loaded from its `IBL1` blob.
+/// A variable's lossy superset companion, as loaded from its blob.
 ///
 /// The index admits every row the exact index admits (plus at most
 /// `fpr × zeros` false positives), so readers use it as a cheap filter in
@@ -774,22 +678,24 @@ impl Store {
     pub fn variables(&self, step: usize) -> Vec<&str> {
         self.entries
             .iter()
-            .filter(|((s, v), _)| *s == step && v != ORDER_VARIABLE && !v.starts_with(LOSSY_PREFIX))
+            .filter(|((s, v), _)| *s == step && Kind::of(v) == Kind::Index)
             .map(|((_, v), _)| v.as_str())
             .collect()
     }
 
-    /// Loads one index, verifying framing and checksum on the way.
+    /// Loads one index, verifying framing and checksum on the way — the
+    /// per-blob read the query cache ([`crate::cache::CachedStore`]) builds
+    /// on.
     pub fn get(&self, step: usize, variable: &str) -> Result<BitmapIndex> {
         let meta = self
             .entries
             .get(&(step, variable.to_string()))
-            .filter(|_| variable != ORDER_VARIABLE && !variable.starts_with(LOSSY_PREFIX))
+            .filter(|_| Kind::of(variable) == Kind::Index)
             .ok_or_else(|| IbisError::NotFound {
                 step,
                 variable: variable.to_string(),
             })?;
-        let (payload, _) = self.verified_payload(meta)?;
+        let payload = self.verified_payload(meta, Kind::Index)?;
         codec::decode_index(&payload).map_err(|source| IbisError::Decode {
             file: Some(meta.file.clone()),
             source,
@@ -797,9 +703,10 @@ impl Store {
     }
 
     /// Reads a blob and runs every integrity check — on-disk length and
-    /// payload CRC against the manifest's, framing and the frame's own CRC
-    /// — returning the (still encoded) payload and the frame's codec claim.
-    fn verified_payload(&self, meta: &EntryMeta) -> Result<(Vec<u8>, FrameTag)> {
+    /// CRC against the manifest's, framing, the frame's own CRC, and that
+    /// the frame holds a `kind` payload — returning the (still encoded)
+    /// payload.
+    fn verified_payload(&self, meta: &EntryMeta, kind: Kind) -> Result<Vec<u8>> {
         let corrupt = |detail: String| IbisError::Corrupt {
             file: meta.file.clone(),
             detail,
@@ -813,20 +720,20 @@ impl Store {
                 meta.len
             )));
         }
-        let (payload, actual, tag) = unframe_blob(&bytes).map_err(corrupt)?;
+        let (payload, actual) = unframe(&bytes, kind).map_err(corrupt)?;
         if actual != meta.crc {
             return Err(corrupt(format!(
-                "payload CRC {actual:08x} != manifest's {:08x}",
+                "frame CRC {actual:08x} != manifest's {:08x}",
                 meta.crc
             )));
         }
-        Ok((payload.to_vec(), tag))
+        Ok(payload.to_vec())
     }
 
     /// Loads `step`'s row permutation, or `None` when the step was stored
-    /// in its original order. Verifies the `IBP1` framing and payload CRC
-    /// like any blob, that the frame's order tag names a known
-    /// non-identity [`RowOrder`], and that the payload is a bijection
+    /// in its original order. Verifies framing, kind and CRC like any
+    /// blob, that the payload's order tag names a known non-identity
+    /// [`RowOrder`], and that the rest of it is a bijection
     /// ([`RowPermutation::from_inverse`]) — a corrupt permutation would
     /// silently misroute region queries, so every failure is a typed
     /// [`IbisError::Corrupt`].
@@ -834,18 +741,18 @@ impl Store {
         let Some(meta) = self.entries.get(&(step, ORDER_VARIABLE.to_string())) else {
             return Ok(None);
         };
-        let (payload, tag) = self.verified_payload(meta)?;
+        let payload = self.verified_payload(meta, Kind::Order)?;
         let corrupt = |detail: String| IbisError::Corrupt {
             file: meta.file.clone(),
             detail,
         };
-        let FrameTag::Perm(order_tag) = tag else {
-            return Err(corrupt("permutation blob lost its IBP1 framing".into()));
-        };
+        let (&order_tag, inv) = payload
+            .split_first()
+            .ok_or_else(|| corrupt("empty row-order payload".into()))?;
         let order = RowOrder::from_tag(order_tag)
             .filter(|&o| o != RowOrder::Identity)
             .ok_or_else(|| corrupt(format!("unknown row-order tag {order_tag:#04x}")))?;
-        let inv = decode_perm_payload(&payload).map_err(corrupt)?;
+        let inv = decode_perm_payload(inv).map_err(corrupt)?;
         let perm = RowPermutation::from_inverse(inv)
             .map_err(|detail| corrupt(format!("permutation is not a bijection: {detail}")))?;
         OBS_ORDER_LOADED.inc();
@@ -853,34 +760,22 @@ impl Store {
     }
 
     /// Loads `step`/`variable`'s lossy superset companion, or `None` when
-    /// the run stored no companion for it. Verifies the `IBL1` framing and
-    /// payload CRC like any blob, that the frame's FPR-class byte (outside
-    /// the payload CRC) matches the exact FPR recorded inside the payload,
-    /// that the FPR is in the supported range, and that the recorded drop
-    /// accounting respects the FPR budget — a corrupt companion would
-    /// silently widen or (worse) narrow the filter, so every failure is a
-    /// typed [`IbisError::Corrupt`].
+    /// the run stored no companion for it. Verifies framing, kind and CRC
+    /// like any blob, that the FPR is in the supported range, and that the
+    /// recorded drop accounting respects the FPR budget — a corrupt
+    /// companion would silently widen or (worse) narrow the filter, so
+    /// every failure is a typed [`IbisError::Corrupt`].
     pub fn load_lossy(&self, step: usize, variable: &str) -> Result<Option<LossyCompanion>> {
         let entry = format!("{LOSSY_PREFIX}{variable}");
         let Some(meta) = self.entries.get(&(step, entry)) else {
             return Ok(None);
         };
-        let (payload, tag) = self.verified_payload(meta)?;
-        let corrupt = |detail: String| IbisError::Corrupt {
-            file: meta.file.clone(),
-            detail,
-        };
-        let FrameTag::Lossy(class) = tag else {
-            return Err(corrupt("lossy companion lost its IBL1 framing".into()));
-        };
+        let payload = self.verified_payload(meta, Kind::Lossy)?;
         let (fpr, bits_dropped, zeros, index_payload) =
-            decode_lossy_payload(&payload).map_err(&corrupt)?;
-        if fpr_class(fpr) != class {
-            return Err(corrupt(format!(
-                "frame FPR class {class} does not match the payload FPR {fpr} (class {})",
-                fpr_class(fpr)
-            )));
-        }
+            decode_lossy_payload(&payload).map_err(|detail| IbisError::Corrupt {
+                file: meta.file.clone(),
+                detail,
+            })?;
         let index = codec::decode_index(index_payload).map_err(|source| IbisError::Decode {
             file: Some(meta.file.clone()),
             source,
@@ -894,10 +789,11 @@ impl Store {
         }))
     }
 
-    /// Verifies every blob end-to-end (framing, CRC, decode, frame codec
-    /// tag vs the codecs actually present in the payload) and quarantines
-    /// the ones that fail: the file is renamed to `<file>.quarantined`
-    /// and the entry removed, so subsequent reads see only intact data.
+    /// Verifies every blob end-to-end by running its entry's ordinary
+    /// typed load (framing, kind, CRC, decode and the payload's own
+    /// checks) and quarantines the ones that fail: the file is renamed to
+    /// `<file>.quarantined` and the entry removed, so subsequent reads see
+    /// only intact data.
     pub fn fsck(&mut self) -> FsckReport {
         OBS_FSCK_RUNS.inc();
         let mut report = FsckReport::default();
@@ -905,33 +801,12 @@ impl Store {
         for (step, variable) in keys {
             report.checked += 1;
             let meta = self.entries[&(step, variable.clone())].clone();
-            let verdict = if variable == ORDER_VARIABLE {
-                // Permutation entry: the full IBP1 check load_order runs
-                // (framing, CRC, known order tag, bijection).
-                self.load_order(step).map(|_| ())
-            } else if let Some(base) = variable.strip_prefix(LOSSY_PREFIX) {
-                // Lossy companion: the full IBL1 check load_lossy runs
-                // (framing, CRC, FPR range + budget, class cross-check).
-                self.load_lossy(step, base).map(|_| ())
-            } else {
-                self.verified_payload(&meta)
-                    .and_then(|(payload, tag)| {
-                        let (_, bin_tags) =
-                            codec::decode_index_with_tags(&payload).map_err(|source| {
-                                IbisError::Decode {
-                                    file: Some(meta.file.clone()),
-                                    source,
-                                }
-                            })?;
-                        check_frame_tag(tag, &bin_tags).map_err(|detail| {
-                            OBS_FSCK_TAG_MISMATCH.inc();
-                            IbisError::Corrupt {
-                                file: meta.file.clone(),
-                                detail,
-                            }
-                        })
-                    })
-                    .map(|_| ())
+            let verdict = match Kind::of(&variable) {
+                Kind::Order => self.load_order(step).map(|_| ()),
+                Kind::Lossy => self
+                    .load_lossy(step, &variable[LOSSY_PREFIX.len()..])
+                    .map(|_| ()),
+                _ => self.get(step, &variable).map(|_| ()),
             };
             if let Err(err) = verdict {
                 OBS_FSCK_QUARANTINED.inc();
@@ -947,15 +822,6 @@ impl Store {
             }
         }
         report
-    }
-
-    /// Lazily loads one variable's index at one step — the per-blob read
-    /// the query cache ([`crate::cache::CachedStore`]) builds on, so a
-    /// query touching one `(variable, step)` pays for one blob instead of a
-    /// whole [`Store::load_series`] scan. Verifies framing and checksum
-    /// exactly like [`Store::get`].
-    pub fn load_bitmap(&self, variable: &str, step: usize) -> Result<BitmapIndex> {
-        self.get(step, variable)
     }
 
     /// Loads every step of one variable, in step order.
@@ -1105,20 +971,34 @@ mod tests {
     fn single_flipped_byte_is_detected() {
         let dir = tmp("bitflip");
         let mut w = StoreWriter::create(&dir).unwrap();
+        // a mixed codec plan: the blob whose frame used to keep a codec
+        // tag at byte 4, outside the CRC, where only fsck looked
         w.put(3, "temperature", &sample_index(3)).unwrap();
         let finished = w.finish().unwrap();
         let f = finished.join("s000003_temperature.ibis");
-        let mut bytes = std::fs::read(&f).unwrap();
-        let mid = bytes.len() / 2; // somewhere inside the payload
-        bytes[mid] ^= 0x01;
-        std::fs::write(&f, &bytes).unwrap();
-        let store = Store::open(&dir).unwrap();
-        let err = store.get(3, "temperature").unwrap_err();
-        match err {
-            IbisError::Corrupt { detail, .. } => {
-                assert!(detail.contains("CRC"), "flip must fail the CRC: {detail}")
+        let clean = std::fs::read(&f).unwrap();
+        // byte 4 of the header, and somewhere inside the payload
+        for at in [4, clean.len() / 2] {
+            let mut bytes = clean.clone();
+            bytes[at] ^= 0x01;
+            std::fs::write(&f, &bytes).unwrap();
+            let mut store = Store::open(&dir).unwrap();
+            let cached = crate::cache::CachedStore::new(Store::open(&dir).unwrap(), 1 << 20);
+            for read in [
+                store.get(3, "temperature").map(drop),
+                store.load_series("temperature").map(drop),
+                cached.get("temperature", 3).map(drop),
+            ] {
+                match read.unwrap_err() {
+                    IbisError::Corrupt { detail, .. } => assert!(
+                        at == 4 || detail.contains("CRC"),
+                        "a payload flip must fail the CRC: {detail}"
+                    ),
+                    other => panic!("byte {at}: expected Corrupt, got {other}"),
+                }
             }
-            other => panic!("expected Corrupt, got {other}"),
+            assert_eq!(store.fsck().quarantined.len(), 1, "byte {at}");
+            std::fs::remove_file(f.with_extension("ibis.quarantined")).unwrap();
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1379,31 +1259,57 @@ mod tests {
             std::fs::remove_file(dir.join("JOURNAL")).unwrap();
         }
 
-        // A blob that lost its frame — here the bare payload under a
-        // manifest that records exactly that length and CRC — is Corrupt
-        // on every read path and quarantined by fsck.
+        // A blob without the frame — the bare payload, each of the four
+        // retired framings around it, and an intact frame of another kind —
+        // under a manifest that records exactly its length and CRC is
+        // Corrupt on every read path, dropped by resume and quarantined by
+        // fsck: never decoded on trust.
         let payload = codec::encode_index(&sample_index(4));
+        let old_frame = |magic: &[u8; 4], tag: Option<u8>| {
+            let mut out = magic.to_vec();
+            out.extend(tag);
+            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            out.extend_from_slice(&payload);
+            out.extend_from_slice(&crc32c(&payload).to_le_bytes());
+            out
+        };
         let blob = "s000004_temperature.ibis";
-        std::fs::write(dir.join(blob), &payload).unwrap();
-        let body = format!(
-            "{MANIFEST_HEADER}\n4\ttemperature\t{blob}\t{}\t{:08x}\n",
-            payload.len(),
-            crc32c(&payload)
-        );
-        let sealed = format!("{body}#END 1 {:08x}\n", crc32c(body.as_bytes()));
-        std::fs::write(&manifest_path, sealed).unwrap();
-        let mut store = Store::open(&dir).unwrap();
-        for read in [
-            store.get(4, "temperature").map(|_| ()),
-            store.load_series("temperature").map(|_| ()),
+        let bare_crc = crc32c(&payload);
+        let (foreign, foreign_crc) = frame(Kind::Order, &payload);
+        for (what, bytes, crc) in [
+            ("framing", payload.clone(), bare_crc),
+            ("framing", old_frame(b"IBB2", None), bare_crc),
+            ("framing", old_frame(b"IBB3", Some(0xFF)), bare_crc),
+            ("framing", old_frame(b"IBP1", Some(1)), bare_crc),
+            ("framing", old_frame(b"IBL1", Some(2)), bare_crc),
+            ("kind", foreign, foreign_crc),
         ] {
-            let err = read.unwrap_err();
-            assert!(
-                matches!(&err, IbisError::Corrupt { detail, .. } if detail.contains("framing")),
-                "{err}"
+            std::fs::write(dir.join(blob), &bytes).unwrap();
+            let body = format!(
+                "{MANIFEST_HEADER}\n4\ttemperature\t{blob}\t{}\t{crc:08x}\n",
+                bytes.len()
             );
+            let sealed = format!("{body}#END 1 {:08x}\n", crc32c(body.as_bytes()));
+            std::fs::write(&manifest_path, sealed).unwrap();
+            let mut store = Store::open(&dir).unwrap();
+            let cached = crate::cache::CachedStore::new(Store::open(&dir).unwrap(), 1 << 20);
+            for read in [
+                store.get(4, "temperature").map(drop),
+                store.load_series("temperature").map(drop),
+                cached.get("temperature", 4).map(drop),
+            ] {
+                let err = read.unwrap_err();
+                assert!(
+                    matches!(&err, IbisError::Corrupt { detail, .. } if detail.contains(what)),
+                    "{:?}…: {err}",
+                    &bytes[..4]
+                );
+            }
+            assert!(!StoreWriter::resume(&dir)
+                .unwrap()
+                .contains(4, "temperature"));
+            assert_eq!(store.fsck().quarantined.len(), 1);
         }
-        assert_eq!(store.fsck().quarantined.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1414,30 +1320,31 @@ mod tests {
     }
 
     #[test]
-    fn all_wah_blob_keeps_legacy_ibb2_frame() {
+    fn blob_is_the_documented_frame_around_its_payload() {
         let dir = tmp("wahframe");
         let idx = smooth_index();
         let mut w = StoreWriter::create(&dir).unwrap();
         w.put(0, "temperature", &idx).unwrap();
         w.finish().unwrap();
         let bytes = std::fs::read(dir.join("s000000_temperature.ibis")).unwrap();
-        assert_eq!(&bytes[..4], BLOB_MAGIC, "all-WAH plan must stay on IBB2");
+        // the frame grammar, longhand: an all-WAH plan's payload is the
+        // untagged layout, and the CRC seals kind, length and payload
         let payload = codec::encode_index(&idx);
-        let mut legacy = b"IBB2".to_vec();
-        legacy.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        legacy.extend_from_slice(&payload);
-        legacy.extend_from_slice(&crc32c(&payload).to_le_bytes());
-        assert_eq!(
-            bytes, legacy,
-            "all-WAH blob bytes must match the legacy framing exactly"
-        );
+        let mut sealed = vec![1u8];
+        sealed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        sealed.extend_from_slice(&payload);
+        let mut want = b"IBF".to_vec();
+        want.extend_from_slice(&sealed);
+        want.extend_from_slice(&crc32c(&sealed).to_le_bytes());
+        assert_eq!(bytes, want);
+        assert_eq!(bytes.len(), payload.len() + 16, "16 bytes of framing");
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.get(0, "temperature").unwrap().counts(), idx.counts());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn non_wah_blobs_use_tagged_frame_and_round_trip() {
+    fn non_wah_blobs_round_trip_and_pass_fsck() {
         let dir = tmp("tagframe");
         let mut w = StoreWriter::create(&dir).unwrap();
         // seed 0: every residue mod 40 hit, all bins scattered → uniform
@@ -1447,68 +1354,15 @@ mod tests {
         w.put(1, "temperature", &sample_index(1)).unwrap();
         w.finish().unwrap();
 
-        let uniform = std::fs::read(dir.join("s000000_temperature.ibis")).unwrap();
-        assert_eq!(&uniform[..4], BLOB_MAGIC_TAGGED);
-        assert_eq!(
-            uniform[4],
-            ibis_core::CodecId::Roaring.tag(),
-            "uniform plan must carry its codec's tag"
-        );
-        let mixed = std::fs::read(dir.join("s000001_temperature.ibis")).unwrap();
-        assert_eq!(&mixed[..4], BLOB_MAGIC_TAGGED);
-        assert_eq!(mixed[4], MIXED_TAG, "mixed plan must carry the mixed tag");
-
         let mut store = Store::open(&dir).unwrap();
         for step in [0usize, 1] {
             assert_eq!(
                 store.get(step, "temperature").unwrap().counts(),
                 sample_index(step).counts(),
-                "tagged blob must decode back to the same index"
+                "a per-bin-tagged payload must decode back to the same index"
             );
         }
-        assert!(store.fsck().is_clean(), "honest tags must pass fsck");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn fsck_quarantines_frame_tag_payload_mismatch() {
-        let dir = tmp("tagmismatch");
-        let mut w = StoreWriter::create(&dir).unwrap();
-        w.put(0, "temperature", &sample_index(0)).unwrap(); // uniform Roaring
-        w.put(1, "temperature", &sample_index(1)).unwrap(); // mixed
-        w.finish().unwrap();
-
-        // The tag byte sits outside the payload CRC, so neither the frame
-        // CRC nor the manifest notices a flipped tag — only fsck's
-        // cross-check against the decoded payload does.
-        let f0 = dir.join("s000000_temperature.ibis");
-        let mut bytes = std::fs::read(&f0).unwrap();
-        bytes[4] = MIXED_TAG; // claim mixed over a uniform payload
-        std::fs::write(&f0, &bytes).unwrap();
-        let f1 = dir.join("s000001_temperature.ibis");
-        let mut bytes = std::fs::read(&f1).unwrap();
-        bytes[4] = ibis_core::CodecId::Wah.tag(); // claim WAH over mixed
-        std::fs::write(&f1, &bytes).unwrap();
-
-        let store = Store::open(&dir).unwrap();
-        // plain reads ignore the tag and still verify + decode
-        assert_eq!(
-            store.get(0, "temperature").unwrap().counts(),
-            sample_index(0).counts()
-        );
-        drop(store);
-
-        let mut store = Store::open(&dir).unwrap();
-        let report = store.fsck();
-        assert_eq!(report.checked, 2);
-        assert_eq!(report.quarantined.len(), 2, "{report:?}");
-        for q in &report.quarantined {
-            assert!(
-                q.reason.contains("tag") || q.reason.contains("mixed"),
-                "reason must name the tag mismatch: {}",
-                q.reason
-            );
-        }
+        assert!(store.fsck().is_clean());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1530,8 +1384,12 @@ mod tests {
         w.finish().unwrap();
 
         let bytes = std::fs::read(dir.join("s000003___order.ibis")).unwrap();
-        assert_eq!(&bytes[..4], BLOB_MAGIC_PERM);
-        assert_eq!(bytes[4], order.tag());
+        assert_eq!(bytes[3], Kind::Order as u8);
+        assert_eq!(
+            bytes[12],
+            order.tag(),
+            "the payload leads with the order tag"
+        );
 
         let mut store = Store::open(&dir).unwrap();
         // hidden from the data catalog, unreadable as an index
@@ -1561,27 +1419,26 @@ mod tests {
         w.put_order(0, order, &perm).unwrap();
         w.finish().unwrap();
 
-        // An unknown order tag sits outside the payload CRC — only the
-        // load/fsck tag check catches it.
+        // The order tag is the payload's first byte, inside the CRC: an
+        // unknown one is caught before anything interprets it.
         let f = dir.join("s000000___order.ibis");
         let clean = std::fs::read(&f).unwrap();
+        let payload_at = 12usize; // IBF + kind + u64 len
         let mut bytes = clean.clone();
-        bytes[4] = 0x7E;
+        bytes[payload_at] = 0x7E;
         std::fs::write(&f, &bytes).unwrap();
         let store = Store::open(&dir).unwrap();
         let err = store.load_order(0).unwrap_err();
         assert!(matches!(err, IbisError::Corrupt { .. }), "{err}");
 
         // A payload edit with a fixed-up frame CRC still trips the
-        // manifest's independent payload CRC, and fsck quarantines it.
-        let payload_at = 13usize; // IBP1 + tag + u64 len
+        // manifest's record of that CRC, and fsck quarantines it.
         let mut bytes = clean.clone();
-        for b in &mut bytes[payload_at + 8..payload_at + 16] {
-            *b = 0;
+        for b in &mut bytes[payload_at + 9..payload_at + 17] {
+            *b = 0; // the first two rows both map to stored row 0
         }
-        let payload_len = bytes.len() - payload_at - 4;
-        let crc = crc32c(&bytes[payload_at..payload_at + payload_len]);
         let at = bytes.len() - 4;
+        let crc = crc32c(&bytes[3..at]);
         bytes[at..].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&f, &bytes).unwrap();
         let mut store = Store::open(&dir).unwrap();
@@ -1674,9 +1531,7 @@ mod tests {
     }
 
     #[test]
-    fn fsck_cross_checks_lossy_class_byte() {
-        // the FPR class in the frame tag sits outside the payload CRC, so
-        // only fsck's cross-check against the payload FPR catches it
+    fn fsck_quarantines_corrupt_lossy_companion() {
         let dir = tmp("lossytag");
         let exact = sample_index(3);
         let (lossy, stats) = exact.lossy(1e-1);
@@ -1685,11 +1540,12 @@ mod tests {
         w.put_lossy(0, "temperature", &lossy, 1e-1, &stats).unwrap();
         let finished = w.finish().unwrap();
 
+        // claim a stricter FPR than the companion was built for: the FPR is
+        // the payload's first field, inside the CRC
         let f = finished.join("s000000___lossy_temperature.ibis");
         let mut bytes = std::fs::read(&f).unwrap();
-        assert_eq!(&bytes[..4], BLOB_MAGIC_LOSSY);
-        assert_eq!(bytes[4], 1, "1e-1 is class 1");
-        bytes[4] = 3; // claim class 3 (≤1e-3): a stricter FPR than real
+        assert_eq!(bytes[3], Kind::Lossy as u8);
+        bytes[12..20].copy_from_slice(&1e-3f64.to_le_bytes());
         std::fs::write(&f, &bytes).unwrap();
 
         let mut store = Store::open(&dir).unwrap();

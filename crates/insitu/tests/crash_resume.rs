@@ -7,9 +7,9 @@ use ibis_analysis::Metric;
 use ibis_core::RowOrder;
 use ibis_datagen::{OceanConfig, OceanModel};
 use ibis_insitu::{
-    crc::crc32c_append, pipeline::pending_checkpoint, resume_durable, run_durable, CoreAllocation,
-    FaultPlan, IbisError, MachineModel, PipelineConfig, Reduction, RobustnessConfig, ScalingModel,
-    Store,
+    codec, crc::crc32c_append, pipeline::pending_checkpoint, resume_durable, run_durable,
+    CoreAllocation, FaultPlan, IbisError, MachineModel, PipelineConfig, Reduction,
+    RobustnessConfig, ScalingModel, Store, ORDER_VARIABLE,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -62,6 +62,34 @@ fn dir_digest(contents: &BTreeMap<String, Vec<u8>>) -> u32 {
     })
 }
 
+/// CRC32-C over what the store *decodes to*, independent of how blobs are
+/// framed: for every manifest entry in order its step and entry name, then
+/// the canonical all-WAH encoding of an index entry, or the order tag and
+/// inverse permutation of a row-order entry.
+fn content_digest(dir: &Path) -> u32 {
+    let store = Store::open(dir).unwrap();
+    let manifest = std::fs::read_to_string(dir.join("MANIFEST")).unwrap();
+    let mut crc = 0;
+    for line in manifest.lines().filter(|l| !l.starts_with('#')) {
+        let mut fields = line.split('\t');
+        let step: usize = fields.next().unwrap().parse().unwrap();
+        let entry = fields.next().unwrap();
+        crc = crc32c_append(crc, &(step as u64).to_le_bytes());
+        crc = crc32c_append(crc, entry.as_bytes());
+        if entry == ORDER_VARIABLE {
+            let (order, perm) = store.load_order(step).unwrap().unwrap();
+            crc = crc32c_append(crc, &[order.tag()]);
+            for row in perm.inv() {
+                crc = crc32c_append(crc, &row.to_le_bytes());
+            }
+        } else {
+            let index = store.get(step, entry).unwrap();
+            crc = crc32c_append(crc, &codec::encode_index(&index));
+        }
+    }
+    crc
+}
+
 const SEPARATE: CoreAllocation = CoreAllocation::Separate {
     sim_cores: 1,
     bitmap_cores: 1,
@@ -103,12 +131,15 @@ fn run_through_kills(
 
 #[test]
 fn killed_run_resumes_to_byte_identical_store() {
-    // The uninterrupted Shared-Cores stores as commit c2abe78 (the last one
-    // with three separate step loops) wrote them: byte identity holds
-    // across commits, not only between this commit's own runs.
-    for (order, parent_digest) in [
-        (RowOrder::Identity, 0xd9d6_89c4_u32),
-        (RowOrder::GrayBin, 0x509a_f3ac),
+    // Two digests pinned across commits, not only between this commit's
+    // own runs. The byte digest is of the uninterrupted Shared-Cores
+    // directory; PR 17 (one `IBF` frame for every blob) re-pinned it, from
+    // 0xd9d6_89c4 / 0x509a_f3ac at commit 00a759e. The content digest — what
+    // the store decodes to — was recorded at 00a759e, before the frame
+    // changed, and did not move.
+    for (order, parent_digest, parent_content) in [
+        (RowOrder::Identity, 0x789d_fa5e_u32, 0x03e3_a341_u32),
+        (RowOrder::GrayBin, 0x1efe_399d, 0x0d26_42bb),
     ] {
         // the uninterrupted reference run
         let clean_dir = tmp(&format!("clean-{}", order.name()));
@@ -119,6 +150,11 @@ fn killed_run_resumes_to_byte_identical_store() {
             dir_digest(&reference),
             parent_digest,
             "{order:?}: the store's bytes changed since the pinned commit"
+        );
+        assert_eq!(
+            content_digest(&clean_dir),
+            parent_content,
+            "{order:?}: what the store decodes to changed since the pinned commit"
         );
         assert!(
             reference

@@ -3,7 +3,7 @@
 //! compressed indices; later (possibly on another machine), analysts reload
 //! those files and keep working *without ever having had the raw data*.
 //!
-//! This example runs the in-situ phase with a real file sink, then reloads
+//! This example runs the in-situ phase into a real store, then reloads
 //! the `.ibis` files and performs range queries, aggregation with
 //! guaranteed error bounds, and cross-step comparisons on the reloaded
 //! indices.
