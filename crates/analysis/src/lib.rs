@@ -47,8 +47,8 @@ pub use mining::{
 pub use query::{
     correlation_partial_ml_shard, correlation_query, correlation_query_mapped,
     correlation_query_ml, correlation_query_ml_mapped, execute_range_plan, finish_correlation,
-    joint_counts_selected, joint_counts_selected_naive, plan_value_range, region_mask,
-    CorrelationAnswer, CorrelationPartial, QueryError, RangePlan, SubsetQuery,
+    joint_counts_selected, joint_counts_selected_naive, plan_value_range, region_mask, shard_mask,
+    stored_ranges, CorrelationAnswer, CorrelationPartial, QueryError, RangePlan, SubsetQuery,
 };
 pub use sampling::{lossy_summaries, sample, SamplingMethod};
 pub use selection::{

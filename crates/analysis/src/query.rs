@@ -53,9 +53,10 @@ static OBS_PLAN_MULTILEVEL: LazyCounter = LazyCounter::new("query.plan.multileve
 static OBS_PLAN_EMPTY: LazyCounter = LazyCounter::new("query.plan.empty");
 static OBS_JOINT_PREPARED: LazyCounter = LazyCounter::new("query.joint.prepared");
 static OBS_JOINT_COMPRESSED: LazyCounter = LazyCounter::new("query.joint.compressed");
-// Region predicates evaluated through an inverse permutation (family
-// `reorder`, see DESIGN.md §6j).
-static OBS_REGION_MAPPED: LazyCounter = LazyCounter::new("reorder.query.region_mapped");
+// Region predicates resolved against a row permutation, by the path taken
+// (family `reorder`, see DESIGN.md §6j).
+static OBS_REGION_SEGMENTS: LazyCounter = LazyCounter::new("reorder.query.region_mapped.segments");
+static OBS_REGION_GATHER: LazyCounter = LazyCounter::new("reorder.query.region_mapped.gather");
 
 /// A malformed subset or correlation query. Every variant is `Clone +
 /// PartialEq` so query failures are comparable across runs, mirroring
@@ -208,68 +209,12 @@ impl SubsetQuery {
         perm: Option<&RowPermutation>,
     ) -> Result<WahVec, QueryError> {
         let n = index.len();
-        evaluate_shard(self, index, ml, 0..n, n, perm)
-    }
-
-    /// The region predicate as a mask over the stored rows
-    /// `[rows.start, rows.end)` of one shard (`None` without a region
-    /// predicate) — the only place a region meets a row layout. The
-    /// region names *original* row ids of a `global_len`-row domain and is
-    /// validated against that length, so a malformed query fails
-    /// identically on every shard. Under the identity layout the block is
-    /// clipped to the shard and rebased (O(1) fills); under `perm` (the
-    /// *global* permutation) its stored positions `perm.inv()[i]` are
-    /// gathered, kept when they land in this shard, rebased and sorted so
-    /// the mask is canonical — O(region · log), the price of querying a
-    /// reordered index, measured by the `reorder` bench.
-    pub fn shard_mask(
-        &self,
-        rows: Range<u64>,
-        global_len: u64,
-        perm: Option<&RowPermutation>,
-    ) -> Result<Option<WahVec>, QueryError> {
-        if let Some(p) = perm {
-            if p.len() as u64 != global_len {
-                return Err(QueryError::LengthMismatch {
-                    len_a: global_len,
-                    len_b: p.len() as u64,
-                });
-            }
-        }
-        let Some(range) = &self.position_range else {
-            return Ok(None);
-        };
-        if range.start > range.end || range.end > global_len {
-            return Err(QueryError::RegionOutOfRange {
-                start: range.start,
-                end: range.end,
-                len: global_len,
-            });
-        }
-        let n = rows.end - rows.start;
-        let mask = match perm {
-            None => {
-                let lo = range.start.clamp(rows.start, rows.end) - rows.start;
-                let hi = range.end.clamp(rows.start, rows.end) - rows.start;
-                region_mask(lo..hi, n)?
-            }
-            Some(p) => {
-                OBS_REGION_MAPPED.inc();
-                let mut ones: Vec<u64> = p.inv()[range.start as usize..range.end as usize]
-                    .iter()
-                    .map(|&s| s as u64)
-                    .filter(|s| rows.contains(s))
-                    .map(|s| s - rows.start)
-                    .collect();
-                ones.sort_unstable();
-                WahVec::from_ones(&ones, n)
-            }
-        };
-        Ok(Some(mask))
+        let ranges = stored_ranges(&[self], n, perm)?;
+        evaluate_shard(self, index, ml, 0..n, ranges.as_deref())
     }
 
     /// The selection over `index` given the shard's prebuilt region
-    /// `mask` ([`SubsetQuery::shard_mask`]): the planned value predicate
+    /// `mask` ([`shard_mask`]): the planned value predicate
     /// intersected with it. Split from the mask so a caller evaluating
     /// several indices over the same rows — a lossy companion, then the
     /// exact index — builds the mask once.
@@ -297,21 +242,103 @@ impl SubsetQuery {
     }
 }
 
+/// Where the rows that pass every region predicate of `queries` (one
+/// subset query, or the two sides of a correlation, whose selections are
+/// ANDed) sit in a store: sorted, disjoint ranges of *stored* positions —
+/// `None` when no query has a region. The only place a region meets a row
+/// layout, computed once per query. Regions name *original* row ids of a
+/// `global_len`-row domain and are validated against it, as is `perm`
+/// (the *global* permutation), so a malformed query fails identically
+/// whatever the shard count.
+///
+/// The identity layout is the one-range case. Under `perm`, original ids
+/// ascend within each of its segments, so the block is one stored stretch
+/// per segment — two binary searches, no per-row work. A permutation with
+/// more segments than the block has rows (a space-filling curve) gathers
+/// the block's stored positions and sorts them instead.
+pub fn stored_ranges(
+    queries: &[&SubsetQuery],
+    global_len: u64,
+    perm: Option<&RowPermutation>,
+) -> Result<Option<Vec<Range<u64>>>, QueryError> {
+    if let Some(p) = perm.filter(|p| p.len() as u64 != global_len) {
+        return Err(QueryError::LengthMismatch {
+            len_a: global_len,
+            len_b: p.len() as u64,
+        });
+    }
+    let mut region: Option<Range<u64>> = None;
+    for r in queries.iter().filter_map(|q| q.position_range.as_ref()) {
+        if r.start > r.end || r.end > global_len {
+            return Err(QueryError::RegionOutOfRange {
+                start: r.start,
+                end: r.end,
+                len: global_len,
+            });
+        }
+        region = Some(match region {
+            None => r.clone(),
+            Some(x) => {
+                let lo = x.start.max(r.start);
+                lo..x.end.min(r.end).max(lo)
+            }
+        });
+    }
+    let (Some(region), Some(p)) = (region.clone(), perm) else {
+        return Ok(region.map(|r| vec![r]));
+    };
+    // in range for `u32`: the block lies inside the permutation's rows
+    let (lo, hi) = (region.start as u32, region.end as u32);
+    let segments = p.segments();
+    if segments.len() as u64 <= region.end - region.start {
+        OBS_REGION_SEGMENTS.inc();
+        let ends = segments.iter().skip(1).copied().chain([p.len() as u32]);
+        let stretches = segments.iter().zip(ends).filter_map(|(&start, end)| {
+            let ids = &p.perm()[start as usize..end as usize];
+            let a = start as u64 + ids.partition_point(|&o| o < lo) as u64;
+            let b = start as u64 + ids.partition_point(|&o| o < hi) as u64;
+            (a < b).then_some(a..b)
+        });
+        return Ok(Some(stretches.collect()));
+    }
+    OBS_REGION_GATHER.inc();
+    let mut stored = p.inv()[lo as usize..hi as usize].to_vec();
+    stored.sort_unstable();
+    let stretches = stored.chunk_by(|a, b| a + 1 == *b);
+    Ok(Some(
+        stretches
+            .map(|s| s[0] as u64..s[s.len() - 1] as u64 + 1)
+            .collect(),
+    ))
+}
+
+/// The mask of `ranges` ([`stored_ranges`]) over the stored rows
+/// `[rows.start, rows.end)` of one shard: each range clipped to the shard,
+/// rebased, and appended as a run — canonical, whatever produced the
+/// ranges.
+pub fn shard_mask(ranges: &[Range<u64>], rows: Range<u64>) -> WahVec {
+    let mut b = ibis_core::WahBuilder::new();
+    let mut at = rows.start;
+    for r in ranges {
+        let (lo, hi) = (r.start.clamp(at, rows.end), r.end.clamp(at, rows.end));
+        b.append_run(false, lo - at);
+        if hi - lo == 1 {
+            // a space-filling curve scatters a block into mostly lone rows
+            b.push_bit(true);
+        } else {
+            b.append_run(true, hi - lo);
+        }
+        at = hi;
+    }
+    b.append_run(false, rows.end - at);
+    b.finish()
+}
+
 /// A compressed mask with ones exactly in `range`, or a typed error when
 /// the range is inverted or exceeds `len`.
 pub fn region_mask(range: Range<u64>, len: u64) -> Result<WahVec, QueryError> {
-    if range.start > range.end || range.end > len {
-        return Err(QueryError::RegionOutOfRange {
-            start: range.start,
-            end: range.end,
-            len,
-        });
-    }
-    let mut b = ibis_core::WahBuilder::new();
-    b.append_run(false, range.start);
-    b.append_run(true, range.end - range.start);
-    b.append_run(false, len - range.end);
-    Ok(b.finish())
+    let ranges = stored_ranges(&[&SubsetQuery::region(range)], len, None)?;
+    Ok(shard_mask(&ranges.unwrap_or_default(), 0..len))
 }
 
 // ---------------------------------------------------------------------------
@@ -627,7 +654,8 @@ fn correlation_query_with(
     perm: Option<&RowPermutation>,
 ) -> Result<CorrelationAnswer, QueryError> {
     let n = a.len();
-    let partial = correlation_partial(a, ml_a, b, ml_b, query_a, query_b, 0..n, n, perm)?;
+    let ranges = stored_ranges(&[query_a, query_b], n, perm)?;
+    let partial = correlation_partial(a, ml_a, b, ml_b, query_a, query_b, 0..n, ranges.as_deref())?;
     Ok(finish_correlation(a.binner(), b.binner(), &partial))
 }
 
@@ -658,28 +686,25 @@ fn correlation_query_with(
 //    same finisher give bit-identical floats.
 
 /// Evaluates a query against one spatial shard covering stored rows
-/// `[rows.start, rows.end)` of a `global_len`-row domain. The returned
-/// selection is exactly `global_selection.slice(rows)` — the shard-local
-/// canonical piece a coordinator concatenates (or counts) per shard.
-/// `perm` is the *global* row permutation for stores laid out under a row
-/// reordering; see [`SubsetQuery::shard_mask`] for how regions map and
-/// validate.
+/// `[rows.start, rows.end)`. The returned selection is exactly
+/// `global_selection.slice(rows)` — the shard-local canonical piece a
+/// coordinator concatenates (or counts) per shard. `ranges` is the
+/// query's region over the whole store ([`stored_ranges`]).
 fn evaluate_shard(
     query: &SubsetQuery,
     index: &BitmapIndex,
     ml: Option<&MultiLevelIndex>,
     rows: Range<u64>,
-    global_len: u64,
-    perm: Option<&RowPermutation>,
+    ranges: Option<&[Range<u64>]>,
 ) -> Result<WahVec, QueryError> {
     let n = index.len();
-    if rows.end.saturating_sub(rows.start) != n || rows.end > global_len {
+    if rows.end.saturating_sub(rows.start) != n {
         return Err(QueryError::LengthMismatch {
             len_a: n,
             len_b: rows.end.saturating_sub(rows.start),
         });
     }
-    let mask = query.shard_mask(rows, global_len, perm)?;
+    let mask = ranges.map(|r| shard_mask(r, rows));
     query.evaluate_masked(index, ml, mask.as_ref())
 }
 
@@ -736,17 +761,15 @@ impl CorrelationPartial {
 }
 
 /// Computes one shard's [`CorrelationPartial`] for a correlation query
-/// over stored rows `[rows.start, rows.end)` of a `global_len`-row domain
-/// (`perm`: the *global* row permutation, if any).
-#[allow(clippy::too_many_arguments)]
+/// over stored rows `[rows.start, rows.end)`; `ranges` is
+/// [`stored_ranges`] of both queries over the whole store.
 pub fn correlation_partial_ml_shard(
     a: &MultiLevelIndex,
     b: &MultiLevelIndex,
     query_a: &SubsetQuery,
     query_b: &SubsetQuery,
     rows: Range<u64>,
-    global_len: u64,
-    perm: Option<&RowPermutation>,
+    ranges: Option<&[Range<u64>]>,
 ) -> Result<CorrelationPartial, QueryError> {
     correlation_partial(
         a.low(),
@@ -756,12 +779,13 @@ pub fn correlation_partial_ml_shard(
         query_a,
         query_b,
         rows,
-        global_len,
-        perm,
+        ranges,
     )
 }
 
-/// The one place the query path builds a selected joint table.
+/// The one place the query path builds a selected joint table. Both
+/// selections are taken under the one joint region `ranges`: they are
+/// ANDed, so a row outside either query's region is dropped either way.
 #[allow(clippy::too_many_arguments)]
 fn correlation_partial(
     a: &BitmapIndex,
@@ -771,8 +795,7 @@ fn correlation_partial(
     query_a: &SubsetQuery,
     query_b: &SubsetQuery,
     rows: Range<u64>,
-    global_len: u64,
-    perm: Option<&RowPermutation>,
+    ranges: Option<&[Range<u64>]>,
 ) -> Result<CorrelationPartial, QueryError> {
     if a.len() != b.len() {
         return Err(QueryError::LengthMismatch {
@@ -780,8 +803,8 @@ fn correlation_partial(
             len_b: b.len(),
         });
     }
-    let sel = evaluate_shard(query_a, a, ml_a, rows.clone(), global_len, perm)?
-        .and(&evaluate_shard(query_b, b, ml_b, rows, global_len, perm)?);
+    let sel = evaluate_shard(query_a, a, ml_a, rows.clone(), ranges)?
+        .and(&evaluate_shard(query_b, b, ml_b, rows, ranges)?);
     let count_bins = |idx: &BitmapIndex| -> Vec<u64> {
         idx.bins().iter().map(|bin| bin.and_count(&sel)).collect()
     };
@@ -1181,10 +1204,11 @@ mod tests {
                     .and(&qb.evaluate_ml(&ib).unwrap());
                 let mut bld = ibis_core::WahBuilder::new();
                 for (r, sa, sb) in &shards {
-                    let s = evaluate_shard(qa, sa.low(), Some(sa), r.clone(), n as u64, None)
+                    let of = |q| stored_ranges(&[q], n as u64, None).unwrap();
+                    let s = evaluate_shard(qa, sa.low(), Some(sa), r.clone(), of(qa).as_deref())
                         .unwrap()
                         .and(
-                            &evaluate_shard(qb, sb.low(), Some(sb), r.clone(), n as u64, None)
+                            &evaluate_shard(qb, sb.low(), Some(sb), r.clone(), of(qb).as_deref())
                                 .unwrap(),
                         );
                     bld.append_wah(&s);
@@ -1193,9 +1217,11 @@ mod tests {
                 // merged partials finish to the exact unsharded answer
                 let oracle = correlation_query_ml(&ia, &ib, qa, qb).unwrap();
                 let mut acc = CorrelationPartial::zero(48, 48);
+                let joint = stored_ranges(&[qa, qb], n as u64, None).unwrap();
                 for (r, sa, sb) in &shards {
-                    let p = correlation_partial_ml_shard(sa, sb, qa, qb, r.clone(), n as u64, None)
-                        .unwrap();
+                    let p =
+                        correlation_partial_ml_shard(sa, sb, qa, qb, r.clone(), joint.as_deref())
+                            .unwrap();
                     acc.merge(&p);
                 }
                 let merged = finish_correlation(&binner, &binner, &acc);
@@ -1228,12 +1254,12 @@ mod tests {
         let oracle = correlation_query_ml_mapped(&ia, &ib, &qa, &qb, &perm).unwrap();
         let cuts = [0u64, 500, 1024, n as u64];
         let mut acc = CorrelationPartial::zero(30, 30);
+        let joint = stored_ranges(&[&qa, &qb], n as u64, Some(&perm)).unwrap();
         for w in cuts.windows(2) {
             let r = w[0]..w[1];
             let sa = MultiLevelIndex::from_low(ia.low().slice_rows(r.clone()), 6);
             let sb = MultiLevelIndex::from_low(ib.low().slice_rows(r.clone()), 6);
-            let p =
-                correlation_partial_ml_shard(&sa, &sb, &qa, &qb, r, n as u64, Some(&perm)).unwrap();
+            let p = correlation_partial_ml_shard(&sa, &sb, &qa, &qb, r, joint.as_deref()).unwrap();
             acc.merge(&p);
         }
         assert_eq!(finish_correlation(&binner, &binner, &acc), oracle);
@@ -1246,19 +1272,12 @@ mod tests {
         let ml = MultiLevelIndex::build(&data, Binner::fixed_width(0.0, 10.0, 10), 2);
         // shard range length must match the shard index
         assert!(matches!(
-            evaluate_shard(&SubsetQuery::all(), ml.low(), Some(&ml), 0..50, 200, None),
+            evaluate_shard(&SubsetQuery::all(), ml.low(), Some(&ml), 0..50, None),
             Err(QueryError::LengthMismatch { .. })
         ));
         // region bounds validate against the global length, as unsharded
         assert!(matches!(
-            evaluate_shard(
-                &SubsetQuery::region(150..250),
-                ml.low(),
-                Some(&ml),
-                0..100,
-                200,
-                None
-            ),
+            stored_ranges(&[&SubsetQuery::region(150..250)], 200, None),
             Err(QueryError::RegionOutOfRange { len: 200, .. })
         ));
     }

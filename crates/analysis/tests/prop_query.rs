@@ -9,11 +9,12 @@
 
 use ibis_analysis::{
     correlation_query, correlation_query_mapped, correlation_query_ml, finish_correlation,
-    joint_counts_selected, joint_counts_selected_naive, CorrelationPartial, QueryError,
-    SubsetQuery,
+    joint_counts_selected, joint_counts_selected_naive, shard_mask, stored_ranges,
+    CorrelationPartial, QueryError, SubsetQuery,
 };
-use ibis_core::{Binner, BitmapIndex, MultiLevelIndex, RowOrder, WahVec};
+use ibis_core::{Binner, BitmapIndex, MultiLevelIndex, RowOrder, RowPermutation, WahVec};
 use proptest::prelude::*;
+use std::ops::Range;
 
 /// One binner of each kind the crate supports, all covering ±50.
 fn any_binner() -> impl Strategy<Value = Binner> {
@@ -88,6 +89,47 @@ fn scan_selection(data: &[f64], index: &BitmapIndex, q: &SubsetQuery) -> Vec<boo
             value_ok && region_ok
         })
         .collect()
+}
+
+/// The region mask as the query path built it before stored ranges —
+/// validate, then gather the block's stored positions through the inverse
+/// permutation, keep the shard's, rebase, sort, `from_ones` — kept word
+/// for word as the oracle for [`stored_ranges`] + [`shard_mask`].
+fn gathered_mask(
+    region: &Range<u64>,
+    rows: Range<u64>,
+    global_len: u64,
+    perm: Option<&RowPermutation>,
+) -> Result<WahVec, QueryError> {
+    if let Some(p) = perm {
+        if p.len() as u64 != global_len {
+            return Err(QueryError::LengthMismatch {
+                len_a: global_len,
+                len_b: p.len() as u64,
+            });
+        }
+    }
+    if region.start > region.end || region.end > global_len {
+        return Err(QueryError::RegionOutOfRange {
+            start: region.start,
+            end: region.end,
+            len: global_len,
+        });
+    }
+    let stored: Vec<u64> = match perm {
+        None => (region.start..region.end).collect(),
+        Some(p) => p.inv()[region.start as usize..region.end as usize]
+            .iter()
+            .map(|&s| s as u64)
+            .collect(),
+    };
+    let mut ones: Vec<u64> = stored
+        .into_iter()
+        .filter(|s| rows.contains(s))
+        .map(|s| s - rows.start)
+        .collect();
+    ones.sort_unstable();
+    Ok(WahVec::from_ones(&ones, rows.end - rows.start))
 }
 
 fn has_nan(q: &SubsetQuery) -> bool {
@@ -238,6 +280,64 @@ proptest! {
             None => correlation_query(&ia, &ib, &qa, &qb),
         };
         prop_assert_eq!(got.unwrap(), want);
+    }
+
+    #[test]
+    fn stored_range_masks_equal_gathered_masks_word_for_word(
+        (w, h) in (2usize..20, 2usize..20),
+        values in proptest::collection::vec(-50.0f64..50.0, 400),
+        binner in any_binner(),
+        picks in proptest::collection::vec((0u64..401, 0u64..401), 3),
+        cuts in proptest::collection::vec(0u64..401, 0..4),
+    ) {
+        let n = (w * h) as u64;
+        let data = &values[..n as usize];
+        let mut cuts: Vec<u64> = cuts.into_iter().map(|c| c % (n + 1)).chain([0, n]).collect();
+        cuts.sort_unstable(); // repeated cuts make empty shards, on purpose
+        let mut regions: Vec<Range<u64>> = picks
+            .iter()
+            .map(|&(a, b)| (a % (n + 1)).min(b % (n + 1))..(a % (n + 1)).max(b % (n + 1)))
+            .collect();
+        let at = picks[0].0 % n;
+        regions.extend([at..at, 0..n, at..at + 1, 0..0, n..n]);
+        for order in RowOrder::ALL {
+            let perm = order.permutation(&[w, h], &binner, data);
+            let perm = perm.as_ref();
+            for region in &regions {
+                let q = SubsetQuery::region(region.clone());
+                let ranges = stored_ranges(&[&q], n, perm).unwrap().unwrap();
+                prop_assert!(ranges.windows(2).all(|r| r[0].end <= r[1].start), "{:?}", ranges);
+                if let Some(p) = perm {
+                    prop_assert!(ranges.iter().all(|r| r.start < r.end), "{:?}", ranges);
+                    let rows = region.end - region.start;
+                    prop_assert!(ranges.len() as u64 <= rows.min(p.segments().len() as u64));
+                }
+                for shard in cuts.windows(2) {
+                    let rows = shard[0]..shard[1];
+                    let got = shard_mask(&ranges, rows.clone());
+                    let want = gathered_mask(region, rows, n, perm).unwrap();
+                    prop_assert_eq!(got.len(), want.len());
+                    prop_assert_eq!(
+                        got.words(), want.words(),
+                        "{} region {:?} shard {:?}", order.name(), region, shard
+                    );
+                }
+                // a correlation's two regions resolve to their common rows
+                let other = SubsetQuery::region(regions[0].clone());
+                let joint = stored_ranges(&[&q, &other], n, perm).unwrap().unwrap();
+                let both = gathered_mask(region, 0..n, n, perm)
+                    .unwrap()
+                    .and(&gathered_mask(&regions[0], 0..n, n, perm).unwrap());
+                prop_assert_eq!(shard_mask(&joint, 0..n), both);
+            }
+            // malformed input fails as it always did, before any mapping
+            #[allow(clippy::reversed_empty_ranges)]
+            for (bad, len) in [(0..n + 1, n), (n + 2..n + 3, n), (5..2, n), (0..1, n + 1)] {
+                let got = stored_ranges(&[&SubsetQuery::region(bad.clone())], len, perm);
+                let want = gathered_mask(&bad, 0..len, len, perm);
+                prop_assert_eq!(got.err(), want.err(), "{:?} of {}", bad, len);
+            }
+        }
     }
 
     #[test]

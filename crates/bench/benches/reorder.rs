@@ -9,6 +9,13 @@
 //! translation a selection query pays, reported separately so the cost is
 //! visible rather than buried).
 //!
+//! A reordered index is only readable with its permutation, so the
+//! `orders` table charges every order what the bins alone never paid:
+//! the `__order` blob the store writes next to them, the time to build
+//! the permutation, and the time to turn a region into a stored-order
+//! mask — through the library ([`stored_ranges`] + [`shard_mask`]), next
+//! to the gather-sort-rebuild it replaced, timed in the same run.
+//!
 //! Every timed point is first asserted byte-identical to the
 //! identity-order oracle (mapped through the inverse permutation), and the
 //! issue's acceptance criterion — some non-identity order achieving ≥15%
@@ -20,11 +27,14 @@
 //! to assert at smoke sizes; the size criterion and all identity checks
 //! still run).
 
-use ibis_core::{Binner, BitmapIndex, CodecVec, RoaringVec, RowOrder, WahVec};
+use ibis_analysis::{shard_mask, stored_ranges, SubsetQuery};
+use ibis_core::{Binner, BitmapIndex, CodecVec, RoaringVec, RowOrder, RowPermutation, WahVec};
 use ibis_datagen::{
     Heat3D, Heat3DConfig, LuleshConfig, MiniLulesh, OceanConfig, OceanModel, Simulation,
 };
+use ibis_insitu::StoreWriter;
 use std::hint::black_box;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Mean seconds per iteration (same calibration scheme as the codec and
@@ -127,6 +137,47 @@ struct Sample {
     map_back_s: Option<f64>,
 }
 
+/// What an order costs beyond its bins, per dataset.
+struct OrderCost {
+    dataset: &'static str,
+    order: &'static str,
+    /// The `__order` blob as the store writes it (frame and tag
+    /// included); 0 under identity, which stores none.
+    order_payload_bytes: u64,
+    /// The bins under the store's per-bin codec plan plus that blob.
+    bytes_with_order: u64,
+    /// Building the permutation from the raw field.
+    perm_build_s: Option<f64>,
+    /// Region → stored-order mask through the library.
+    region_mask_s: f64,
+    /// The same mask by gathering the inverse permutation over the
+    /// region, sorting and rebuilding — what the library did before.
+    region_gather_s: Option<f64>,
+    /// Ascending segments of the gather order (what the library's choice
+    /// between the two rests on, with the region's row count).
+    segments: usize,
+}
+
+/// Bytes of the `__order` blob a store writes for `perm`.
+fn order_blob_bytes(order: RowOrder, perm: &RowPermutation) -> u64 {
+    let dir = std::env::temp_dir().join(format!("ibis-bench-reorder-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut w = StoreWriter::create(&dir).expect("create scratch store");
+    w.put_order(0, order, perm).expect("put order");
+    let bytes = std::fs::metadata(dir.join("s000000___order.ibis"))
+        .expect("order blob")
+        .len();
+    std::fs::remove_dir_all(&dir).ok();
+    bytes
+}
+
+/// The region mask as the query path built it before stored ranges.
+fn gathered_mask(perm: &RowPermutation, region: Range<u64>) -> WahVec {
+    let mut ones: Vec<u64> = region.map(|r| perm.inv()[r as usize] as u64).collect();
+    ones.sort_unstable();
+    WahVec::from_ones(&ones, perm.len() as u64)
+}
+
 fn find<'a>(samples: &'a [Sample], dataset: &str, order: &str, codec: &str) -> &'a Sample {
     samples
         .iter()
@@ -138,6 +189,7 @@ fn find<'a>(samples: &'a [Sample], dataset: &str, order: &str, codec: &str) -> &
 fn main() {
     let smoke = std::env::var("IBIS_ORDER_SMOKE").is_ok_and(|v| v == "1");
     let mut samples: Vec<Sample> = Vec::new();
+    let mut costs: Vec<OrderCost> = Vec::new();
     let mut elements = String::new();
     let sets = datasets(smoke);
     for (di, set) in sets.iter().enumerate() {
@@ -177,16 +229,20 @@ fn main() {
                     );
                 }
             }
-            // stored-order region bitmap (built once per order, as the
-            // engine would cache it per store)
-            let region = match &perm {
-                Some(p) => {
-                    let mut ones: Vec<u64> = (r0..r1).map(|r| p.inv()[r as usize] as u64).collect();
-                    ones.sort_unstable();
-                    WahVec::from_ones(&ones, n as u64)
-                }
-                None => region_orig.clone(),
+            // stored-order region bitmap, through the library — and word
+            // for word what gathering the inverse permutation gives
+            let region_query = SubsetQuery::region(r0..r1);
+            let library_mask = || {
+                let ranges = stored_ranges(&[&region_query], n as u64, perm.as_ref())
+                    .expect("region in range")
+                    .expect("a region predicate");
+                shard_mask(&ranges, 0..n as u64)
             };
+            let region = library_mask();
+            match &perm {
+                Some(p) => assert_eq!(region, gathered_mask(p, r0..r1)),
+                None => assert_eq!(region, region_orig),
+            }
             let stored_or = (blo..bhi).fold(WahVec::zeros(n as u64), |acc, b| acc.or(idx.bin(b)));
             assert_eq!(stored_or.count_ones(), oracle_or.count_ones());
             if let Some(p) = &perm {
@@ -237,6 +293,20 @@ fn main() {
                     .count_ones()
             });
             let region_and = measure(|| stored_or.and_count(&region));
+            let auto_bytes: usize = auto.iter().map(CodecVec::size_bytes).sum();
+            let order_payload_bytes = perm.as_ref().map_or(0, |p| order_blob_bytes(order, p));
+            costs.push(OrderCost {
+                dataset: set.name,
+                order: order.name(),
+                order_payload_bytes,
+                bytes_with_order: auto_bytes as u64 + order_payload_bytes,
+                perm_build_s: perm
+                    .as_ref()
+                    .map(|_| measure(|| order.permutation(&set.dims, &binner, &set.data))),
+                region_mask_s: measure(library_mask),
+                region_gather_s: perm.as_ref().map(|p| measure(|| gathered_mask(p, r0..r1))),
+                segments: perm.as_ref().map_or(1, |p| p.segments().len()),
+            });
             let map_back = perm
                 .as_ref()
                 .map(|p| measure(|| p.map_selection_to_original(&stored_or)));
@@ -278,20 +348,20 @@ fn main() {
                 None,
                 None,
             );
-            push(
-                "auto",
-                auto.iter().map(CodecVec::size_bytes).sum(),
-                Some(auto_or),
-                None,
-                None,
-            );
+            push("auto", auto_bytes, Some(auto_or), None, None);
         }
         println!("reorder: {} identity checks passed", set.name);
     }
-    write_json(&samples, &sets, &elements, smoke);
+    write_json(&samples, &costs, &sets, &elements, smoke);
 }
 
-fn write_json(samples: &[Sample], sets: &[Dataset], elements: &str, smoke: bool) {
+fn write_json(
+    samples: &[Sample],
+    costs: &[OrderCost],
+    sets: &[Dataset],
+    elements: &str,
+    smoke: bool,
+) {
     const CODECS: [&str; 3] = ["wah", "roaring", "auto"];
     let orders: Vec<&str> = RowOrder::ALL.iter().map(|o| o.name()).collect();
     let mut out = format!(
@@ -310,6 +380,50 @@ fn write_json(samples: &[Sample], sets: &[Dataset], elements: &str, smoke: bool)
             opt(s.region_and_s),
             opt(s.map_back_s),
             if i + 1 == samples.len() { "" } else { "," }
+        ));
+    }
+
+    // what each order costs beyond its bins; `with_order_ratio` is the
+    // bins under the store's codec plan plus the order blob, over the same
+    // under identity — the size ratio a store actually sees
+    out.push_str("  ],\n  \"orders\": [\n");
+    let mut best_with_order = ("none".to_string(), f64::INFINITY);
+    for (i, c) in costs.iter().enumerate() {
+        let opt = |v: Option<f64>| v.map_or("null".to_string(), |t| format!("{t:e}"));
+        let base = costs
+            .iter()
+            .find(|b| b.dataset == c.dataset && b.order == "identity")
+            .expect("identity row present");
+        let ratio = c.bytes_with_order as f64 / base.bytes_with_order as f64;
+        if c.order != "identity" && ratio < best_with_order.1 {
+            best_with_order = (format!("{}/{}", c.dataset, c.order), ratio);
+        }
+        println!(
+            "reorder: {:<7} {:<11} order blob {:>8} B  with order x{ratio:.3}  perm {:>9} us  \
+             region mask {:>9.3} us (gather {:>9} us, {} segments)",
+            c.dataset,
+            c.order,
+            c.order_payload_bytes,
+            c.perm_build_s
+                .map_or("n/a".into(), |t| format!("{:.1}", t * 1e6)),
+            c.region_mask_s * 1e6,
+            c.region_gather_s
+                .map_or("n/a".into(), |t| format!("{:.3}", t * 1e6)),
+            c.segments,
+        );
+        out.push_str(&format!(
+            "    {{\"dataset\": \"{}\", \"order\": \"{}\", \"order_payload_bytes\": {}, \
+             \"bytes_with_order\": {}, \"with_order_ratio\": {ratio:.4}, \"perm_build_s\": {}, \
+             \"region_mask_s\": {:e}, \"region_gather_s\": {}, \"segments\": {}}}{}\n",
+            c.dataset,
+            c.order,
+            c.order_payload_bytes,
+            c.bytes_with_order,
+            opt(c.perm_build_s),
+            c.region_mask_s,
+            opt(c.region_gather_s),
+            c.segments,
+            if i + 1 == costs.len() { "" } else { "," }
         ));
     }
 
@@ -383,10 +497,13 @@ fn write_json(samples: &[Sample], sets: &[Dataset], elements: &str, smoke: bool)
         // must hold both halves of the criterion
         assert!(best.2 <= 1.10, "winner exceeded the latency budget");
     }
+    // the criterion above is the bins alone, as it was first recorded; the
+    // best ratio that pays for its permutation is reported next to it
     out.push_str(&format!(
         "  }},\n  \"criterion\": {{\"best_point\": \"{}\", \"size_ratio\": {:.4}, \
-         \"latency_ratio\": {:.4}, \"size_win_15pct_within_latency_10pct\": {met}}}\n}}\n",
-        best.0, best.1, best.2
+         \"latency_ratio\": {:.4}, \"size_win_15pct_within_latency_10pct\": {met}, \
+         \"best_point_with_order\": \"{}\", \"best_with_order_ratio\": {:.4}}}\n}}\n",
+        best.0, best.1, best.2, best_with_order.0, best_with_order.1
     ));
 
     let path = if smoke {

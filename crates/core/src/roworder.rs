@@ -24,8 +24,9 @@
 //!   persisted next to the index (see `ibis-insitu`'s store).
 //!
 //! Queries over a reordered index stay transparent: value predicates are
-//! order-invariant, and position predicates map through the inverse
-//! permutation ([`RowPermutation::inv`]); a stored-order selection maps
+//! order-invariant, and a position predicate becomes a few stretches of
+//! stored rows — one binary search pair per ascending run of the gather
+//! order ([`RowPermutation::segments`]); a stored-order selection maps
 //! back to original row ids with
 //! [`RowPermutation::map_selection_to_original`].
 //!
@@ -149,24 +150,13 @@ impl RowOrder {
             RowOrder::Identity => return None,
             RowOrder::ZOrder => spatial_perm(dims, data.len(), morton_key)?,
             RowOrder::Hilbert => spatial_perm(dims, data.len(), hilbert_key)?,
-            RowOrder::GrayBin => sort_perm(data.len(), |i| {
-                let b = binner.bin_of(data[i]) as u64;
-                b ^ (b >> 1)
+            RowOrder::GrayBin => bin_sorted_perm(binner, data, |bins, _| {
+                bins.sort_unstable_by_key(|&b| b ^ (b >> 1));
             }),
-            RowOrder::HistogramSorted => {
-                let mut counts = vec![0u64; binner.nbins()];
-                for &v in data {
-                    counts[binner.bin_of(v) as usize] += 1;
-                }
-                let mut bins: Vec<usize> = (0..counts.len()).collect();
-                // Descending frequency, ties by bin id — deterministic.
+            // Descending frequency, ties by bin id — deterministic.
+            RowOrder::HistogramSorted => bin_sorted_perm(binner, data, |bins, counts| {
                 bins.sort_unstable_by_key(|&b| (std::cmp::Reverse(counts[b]), b));
-                let mut rank = vec![0u64; counts.len()];
-                for (r, &b) in bins.iter().enumerate() {
-                    rank[b] = r as u64;
-                }
-                sort_perm(data.len(), |i| rank[binner.bin_of(data[i]) as usize])
-            }
+            }),
         };
         let perm = RowPermutation::from_gather(perm);
         if perm.is_identity() {
@@ -180,11 +170,36 @@ impl RowOrder {
     }
 }
 
-/// Stable sort of `0..n` by `key(i)`: `sort_unstable` on `(key, i)` is
-/// deterministic and equal to a stable sort on the key alone.
-fn sort_perm(n: usize, key: impl Fn(usize) -> u64) -> Vec<u32> {
-    let mut perm: Vec<u32> = (0..n as u32).collect();
-    perm.sort_unstable_by_key(|&i| (key(i as usize), i));
+/// Stable sort of the rows by bin — the bins taken in the order
+/// `rank_bins` leaves their ids in, given the histogram — as a counting
+/// sort: one binning pass gives every row's bin and the histogram, the
+/// histogram gives each bin's first stored position, and one placement
+/// pass fills the gather order. O(n + m), and the rows of one bin stay in
+/// ascending original order.
+fn bin_sorted_perm(
+    binner: &Binner,
+    data: &[f64],
+    rank_bins: impl FnOnce(&mut Vec<usize>, &[u32]),
+) -> Vec<u32> {
+    let ids = binner.bin_all(data);
+    let mut counts = vec![0u32; binner.nbins()];
+    for &b in &ids {
+        counts[b as usize] += 1;
+    }
+    let mut bins: Vec<usize> = (0..counts.len()).collect();
+    rank_bins(&mut bins, &counts);
+    let mut next = vec![0u32; counts.len()];
+    let mut start = 0;
+    for b in bins {
+        next[b] = start;
+        start += counts[b];
+    }
+    let mut perm = vec![0u32; data.len()];
+    for (i, &b) in ids.iter().enumerate() {
+        let slot = &mut next[b as usize];
+        perm[*slot as usize] = i as u32;
+        *slot += 1;
+    }
     perm
 }
 
@@ -296,13 +311,17 @@ fn hilbert_key(c: &[u32]) -> u64 {
 /// A checked bijection between original row ids and stored positions.
 ///
 /// `perm[stored] = original` (the gather order applied at ingest) and
-/// `inv[original] = stored` (the map queries use). Constructed by
-/// [`RowOrder::permutation`] or, on the read path, from a persisted
-/// inverse via [`RowPermutation::from_inverse`].
+/// `inv[original] = stored` (the map queries use). `segments` are the
+/// stored positions where a maximal ascending run of `perm` starts: a
+/// stable sort by bin is at most one run per bin, and within a run a
+/// block of original rows is one stretch of stored rows, found by binary
+/// search. Constructed by [`RowOrder::permutation`] or, on the read path,
+/// from the store's decoded runs ([`RowPermutation::from_runs`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowPermutation {
     perm: Vec<u32>,
     inv: Vec<u32>,
+    segments: Vec<u32>,
 }
 
 impl RowPermutation {
@@ -313,6 +332,7 @@ impl RowPermutation {
     /// a bug in an order implementation, which the property suite pins.
     pub fn from_gather(perm: Vec<u32>) -> Self {
         let mut inv = vec![u32::MAX; perm.len()];
+        let mut segments = Vec::new();
         for (stored, &original) in perm.iter().enumerate() {
             let slot = &mut inv[original as usize];
             assert_eq!(
@@ -321,29 +341,53 @@ impl RowPermutation {
                 "duplicate row id {original} in permutation"
             );
             *slot = stored as u32;
+            if stored == 0 || original < perm[stored - 1] {
+                segments.push(stored as u32);
+            }
         }
-        RowPermutation { perm, inv }
+        RowPermutation {
+            perm,
+            inv,
+            segments,
+        }
     }
 
-    /// Builds from a persisted inverse (`inv[original] = stored`),
-    /// validating it is a bijection — the store's decode path, where a
-    /// corrupt blob must surface as an error, not a panic.
-    pub fn from_inverse(inv: Vec<u32>) -> Result<Self, String> {
-        let n = inv.len();
-        let mut perm = vec![u32::MAX; n];
-        for (original, &stored) in inv.iter().enumerate() {
-            if stored as usize >= n {
-                return Err(format!(
-                    "stored position {stored} out of range for {n} rows"
-                ));
+    /// Builds from the gather order's runs — `(first original id, length)`
+    /// of each stretch of consecutive ids, in stored order ([`Self::runs`])
+    /// — a run at a time, with no per-row scatter: the store's read path.
+    ///
+    /// # Panics
+    /// When the runs are not a permutation of `0..rows`. The store's
+    /// decoder validates them before it calls this.
+    pub fn from_runs(runs: &[(u32, u32)]) -> Self {
+        let rows: usize = runs.iter().map(|r| r.1 as usize).sum();
+        assert!(rows <= u32::MAX as usize, "at most 2^32-1 rows");
+        let mut perm = Vec::with_capacity(rows);
+        let mut inv = vec![u32::MAX; rows];
+        let mut segments = Vec::new();
+        for &(first, len) in runs {
+            let stored = perm.len() as u32;
+            let slots = &mut inv[first as usize..][..len as usize];
+            slots
+                .iter_mut()
+                .zip(stored..)
+                .for_each(|(slot, s)| *slot = s);
+            if perm.last().is_none_or(|&last| first < last) {
+                segments.push(stored);
             }
-            let slot = &mut perm[stored as usize];
-            if *slot != u32::MAX {
-                return Err(format!("stored position {stored} claimed twice"));
-            }
-            *slot = original as u32;
+            perm.extend(first..first + len);
         }
-        Ok(RowPermutation { perm, inv })
+        // `rows` ids over `rows` slots: an id gathered twice leaves another
+        // never gathered
+        assert!(
+            !inv.contains(&u32::MAX),
+            "runs are not a permutation of 0..{rows}"
+        );
+        RowPermutation {
+            perm,
+            inv,
+            segments,
+        }
     }
 
     /// Rows covered.
@@ -357,9 +401,9 @@ impl RowPermutation {
     }
 
     /// True when this is the identity permutation (nothing to apply or
-    /// persist).
+    /// persist): the only ascending arrangement of `0..len`.
     pub fn is_identity(&self) -> bool {
-        self.perm.iter().enumerate().all(|(i, &p)| p as usize == i)
+        self.segments.len() <= 1
     }
 
     /// The gather order: `perm()[stored] = original`.
@@ -367,10 +411,22 @@ impl RowPermutation {
         &self.perm
     }
 
-    /// The inverse: `inv()[original] = stored` — what the store persists
-    /// and position queries map through.
+    /// The inverse: `inv()[original] = stored`.
     pub fn inv(&self) -> &[u32] {
         &self.inv
+    }
+
+    /// The gather order as its maximal runs of consecutive original ids,
+    /// `(first id, length)` in stored order — the form the store persists.
+    pub fn runs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let runs = self.perm.chunk_by(|a, b| a + 1 == *b);
+        runs.map(|run| (run[0], run.len() as u32))
+    }
+
+    /// Stored positions where a maximal ascending run of [`Self::perm`]
+    /// starts, ascending; run `k` ends where run `k + 1` starts.
+    pub fn segments(&self) -> &[u32] {
+        &self.segments
     }
 
     /// Applies the order: `out[stored] = data[perm[stored]]`, O(n).
@@ -516,16 +572,78 @@ mod tests {
             };
             let stored = p.reorder(&data);
             assert_eq!(p.restore(&stored), data);
-            let back = RowPermutation::from_inverse(p.inv().to_vec()).unwrap();
-            assert_eq!(&back, &p);
+            // segments: exactly the stored positions where the gather
+            // order stops ascending
+            let starts: Vec<u32> = (0..p.len())
+                .filter(|&s| s == 0 || p.perm()[s] < p.perm()[s - 1])
+                .map(|s| s as u32)
+                .collect();
+            assert_eq!(p.segments(), starts);
+            assert!(starts.len() > 1, "a non-identity order has a descent");
+            // the runs rebuild the whole structure, as the store's reader does
+            let runs: Vec<(u32, u32)> = p.runs().collect();
+            assert_eq!(RowPermutation::from_runs(&runs), p);
         }
     }
 
     #[test]
-    fn from_inverse_rejects_non_bijections() {
-        assert!(RowPermutation::from_inverse(vec![0, 0]).is_err());
-        assert!(RowPermutation::from_inverse(vec![2, 0]).is_err());
-        assert!(RowPermutation::from_inverse(vec![0, 1, 2]).is_ok());
+    #[should_panic(expected = "not a permutation")]
+    fn overlapping_runs_are_not_a_permutation() {
+        RowPermutation::from_runs(&[(2, 3), (0, 3)]);
+    }
+
+    /// The build this module shipped before the counting sort — a
+    /// comparison sort on `(key, i)`, `bin_of` inside every comparison —
+    /// kept as the oracle the counting sort must equal bit for bit.
+    fn sort_perm(n: usize, key: impl Fn(usize) -> u64) -> Vec<u32> {
+        let mut perm: Vec<u32> = (0..n as u32).collect();
+        perm.sort_unstable_by_key(|&i| (key(i as usize), i));
+        perm
+    }
+
+    #[test]
+    fn counting_sort_equals_the_comparison_sort() {
+        let binners = [
+            Binner::fixed_width(-100.0, 100.0, 37),
+            Binner::precision(-100.0, 100.0, 0),
+            Binner::distinct_ints(-100, 100),
+            Binner::from_edges(vec![-100.0, -20.0, -1.0, 0.5, 30.0, 100.0]),
+        ];
+        let noisy: Vec<f64> = (0..997)
+            .map(|i| match i % 53 {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => 1e30,
+                _ => ((i * 7919) % 2411) as f64 / 10.0 - 120.0,
+            })
+            .collect();
+        let sorted: Vec<f64> = (0..500).map(|i| i as f64 * 0.4 - 100.0).collect();
+        let datasets = [noisy, sorted, vec![4.2; 300], vec![f64::NAN; 9], vec![]];
+        for binner in &binners {
+            for data in &datasets {
+                let bin = |i: usize| binner.bin_of(data[i]) as u64;
+                let gray = sort_perm(data.len(), |i| bin(i) ^ (bin(i) >> 1));
+                let mut counts = vec![0u64; binner.nbins()];
+                (0..data.len()).for_each(|i| counts[bin(i) as usize] += 1);
+                let mut by_freq: Vec<usize> = (0..counts.len()).collect();
+                by_freq.sort_unstable_by_key(|&b| (std::cmp::Reverse(counts[b]), b));
+                let mut rank = vec![0u64; counts.len()];
+                for (r, &b) in by_freq.iter().enumerate() {
+                    rank[b] = r as u64;
+                }
+                let hist = sort_perm(data.len(), |i| rank[bin(i) as usize]);
+                for (order, oracle) in
+                    [(RowOrder::GrayBin, gray), (RowOrder::HistogramSorted, hist)]
+                {
+                    let oracle = RowPermutation::from_gather(oracle);
+                    let built = order.permutation(&[], binner, data);
+                    // an identity result normalizes to `None`, as before
+                    let expect = (!oracle.is_identity()).then_some(oracle);
+                    assert_eq!(built, expect, "{} over {binner:?}", order.name());
+                }
+            }
+        }
     }
 
     #[test]

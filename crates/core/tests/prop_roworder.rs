@@ -94,9 +94,62 @@ proptest! {
             // reorder ∘ inverse == identity, on a payload that tells every
             // row apart regardless of the field's values
             prop_assert_eq!(&p.restore(&p.reorder(&row_ids)), &row_ids);
-            // the persisted form round-trips through the checked decoder
-            let back = RowPermutation::from_inverse(p.inv().to_vec()).unwrap();
-            prop_assert_eq!(&back, &p);
+            // the gather order alone — whole, or as the runs the store
+            // persists — rebuilds the structure, and the segments are
+            // exactly where it stops ascending, which the query path's
+            // binary searches rely on
+            prop_assert_eq!(&RowPermutation::from_gather(p.perm().to_vec()), &p);
+            let runs: Vec<(u32, u32)> = p.runs().collect();
+            prop_assert!(runs.windows(2).all(|r| r[0].0 + r[0].1 != r[1].0), "maximal runs");
+            prop_assert_eq!(&RowPermutation::from_runs(&runs), &p);
+            let mut bounds = p.segments().to_vec();
+            bounds.push(p.len() as u32);
+            prop_assert_eq!(bounds[0], 0);
+            for w in bounds.windows(2) {
+                let run = &p.perm()[w[0] as usize..w[1] as usize];
+                prop_assert!(run.windows(2).all(|ids| ids[0] < ids[1]), "segment {:?}", w);
+                prop_assert!(
+                    w[0] == 0 || p.perm()[w[0] as usize] < p.perm()[w[0] as usize - 1],
+                    "segment {:?} is not maximal", w
+                );
+            }
+        }
+    }
+
+    /// The data-dependent orders are built by a counting sort; the
+    /// comparison sort they replaced — written here as the *stable* sort
+    /// by key it always was — stays the oracle, over every binner kind and
+    /// over data that is noisy (NaN and ±inf included), constant, already
+    /// sorted, or empty.
+    #[test]
+    fn counting_sort_equals_the_stable_sort_by_key(
+        noisy in proptest::collection::vec(value(), 0..300),
+        binner in binner(),
+    ) {
+        let mut sorted: Vec<f64> = noisy.iter().copied().filter(|v| !v.is_nan()).collect();
+        sorted.sort_by(f64::total_cmp);
+        let constant = vec![noisy.first().copied().unwrap_or(0.0); noisy.len()];
+        for data in [noisy, sorted, constant, vec![]] {
+            let bins: Vec<usize> = data.iter().map(|&v| binner.bin_of(v) as usize).collect();
+            let mut counts = vec![0usize; binner.nbins()];
+            bins.iter().for_each(|&b| counts[b] += 1);
+            let mut by_freq: Vec<usize> = (0..counts.len()).collect();
+            by_freq.sort_by_key(|&b| (std::cmp::Reverse(counts[b]), b));
+            let rank = |b: usize| by_freq.iter().position(|&x| x == b).unwrap();
+            let stable = |key: &dyn Fn(usize) -> usize| {
+                let mut perm: Vec<u32> = (0..data.len() as u32).collect();
+                perm.sort_by_key(|&i| key(bins[i as usize]));
+                RowPermutation::from_gather(perm)
+            };
+            for (order, oracle) in [
+                (RowOrder::GrayBin, stable(&|b| b ^ (b >> 1))),
+                (RowOrder::HistogramSorted, stable(&rank)),
+            ] {
+                let built = order.permutation(&[], &binner, &data);
+                // an identity result normalizes to `None`
+                let expect = (!oracle.is_identity()).then_some(oracle);
+                prop_assert_eq!(built, expect, "{}", order.name());
+            }
         }
     }
 

@@ -87,9 +87,12 @@ pub struct CachedStore {
     evictions: AtomicU64,
     // Row permutations, memoized per step (`None` = step stored in its
     // original order, also memoized so absence costs one store probe
-    // total). Deliberately outside the byte budget: a permutation is 4
-    // bytes/row — dwarfed by any decoded index over the same rows — and
-    // evicting it would break in-flight queries' row mapping.
+    // total). Deliberately outside the byte budget although a decoded
+    // permutation is 8 bytes/row (gather order and inverse) plus its
+    // segment starts, which under a sorting order is far *more* than the
+    // index it orders (a fill or two a bin): every region query of the
+    // step resolves against it, and evicting it would break in-flight
+    // queries' row mapping.
     orders: Mutex<HashMap<usize, Option<StoredOrder>>>,
     // Lossy superset companions, memoized per (variable, step) exactly
     // like `orders` (`None` = no companion stored, also memoized). Outside

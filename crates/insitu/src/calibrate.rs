@@ -11,7 +11,7 @@
 //! neither starves nor overflows.
 
 use crate::machine::MachineModel;
-use crate::pipeline::{CoreAllocation, Reduction};
+use crate::pipeline::{step_permutation, CoreAllocation, Reduction};
 use ibis_core::{Binner, BitmapIndex, RowOrder};
 use ibis_datagen::{Simulation, StepOutput};
 use std::time::{Duration, Instant};
@@ -87,27 +87,40 @@ pub fn default_reduction() -> Reduction {
     Reduction::Bitmaps
 }
 
-/// Suggests the [`RowOrder`] whose reordered index of the probe step's
-/// first field is smallest — the same bin histogram the probed index
-/// caches drives the data-dependent orders, so the probe costs one index
-/// build per candidate. Spatial orders are only candidates when `dims`
-/// is known; [`RowOrder::Identity`] wins ties (nothing extra to persist
-/// or map at query time).
-pub fn suggest_row_order(out: &StepOutput, binner: &Binner, dims: Option<[usize; 3]>) -> RowOrder {
-    let Some(f0) = out.fields.first() else {
+/// Suggests the [`RowOrder`] under which the store of the probe step
+/// comes out smallest: every field's index built under the order's one
+/// permutation (computed from the first field, as the pipeline does —
+/// [`step_permutation`]) plus the order blob that permutation costs. An
+/// order that sorts the first field always shrinks that field; it wins
+/// only if it pays for its permutation and for what it does to the
+/// others. Spatial orders are only candidates when `dims` is known;
+/// [`RowOrder::Identity`] wins ties (nothing extra to persist or map at
+/// query time).
+pub fn suggest_row_order(
+    out: &StepOutput,
+    binners: &[Binner],
+    dims: Option<[usize; 3]>,
+) -> RowOrder {
+    let Some(first) = binners.first() else {
         return RowOrder::Identity;
     };
-    let identity_bytes = BitmapIndex::build(&f0.data, binner.clone()).size_bytes();
-    let mut best = (RowOrder::Identity, identity_bytes);
+    let d: Vec<usize> = dims.map(|a| a.to_vec()).unwrap_or_default();
+    // `Identity` is scored first, so a tie keeps it
+    let mut best = (RowOrder::Identity, usize::MAX);
     for order in RowOrder::ALL {
-        if order == RowOrder::Identity || (order.is_spatial() && dims.is_none()) {
+        if order.is_spatial() && dims.is_none() {
             continue;
         }
-        let d: Vec<usize> = dims.map(|a| a.to_vec()).unwrap_or_default();
-        let Some(perm) = order.permutation(&d, binner, &f0.data) else {
-            continue;
-        };
-        let size = BitmapIndex::build_permuted(&f0.data, binner.clone(), &perm).size_bytes();
+        let perm = step_permutation(out, order, &d, first);
+        let mut order_blob = Vec::new();
+        if let Some(p) = &perm {
+            crate::store::put_perm_payload(&mut order_blob, p);
+        }
+        let indices = out.fields.iter().zip(binners).map(|(f, b)| match &perm {
+            Some(p) => BitmapIndex::build_permuted(&f.data, b.clone(), p).size_bytes(),
+            None => BitmapIndex::build(&f.data, b.clone()).size_bytes(),
+        });
+        let size = order_blob.len() + indices.sum::<usize>();
         if size < best.1 {
             best = (order, size);
         }
@@ -219,12 +232,30 @@ mod tests {
             fields: vec![ibis_datagen::Field::new("temperature", data)],
         };
         let binner = Binner::distinct_ints(0, 49);
-        let suggested = suggest_row_order(&out, &binner, None);
+        let suggested = suggest_row_order(&out, std::slice::from_ref(&binner), None);
         assert!(
             suggested.is_data_dependent(),
             "expected a data-dependent order, got {}",
             suggested.name()
         );
+
+        // A coherent field: sorting it still shrinks its index (one fill a
+        // bin), but the index was a few KB to begin with and the
+        // permutation costs more than it saves — `auto` must count it.
+        let mut sim = Heat3D::new(Heat3DConfig::tiny());
+        let dims = sim.grid_dims();
+        let heat = (0..6).map(|_| sim.step()).last().unwrap();
+        let binners = [Binner::precision(-1.0, 101.0, 0)];
+        let f0 = &heat.fields[0].data;
+        let sorted = RowOrder::GrayBin
+            .permutation(&[], &binners[0], f0)
+            .expect("heat is not sorted by bin");
+        assert!(
+            BitmapIndex::build_permuted(f0, binners[0].clone(), &sorted).size_bytes()
+                < BitmapIndex::build(f0, binners[0].clone()).size_bytes(),
+            "the first field alone still says graybin"
+        );
+        assert_eq!(suggest_row_order(&heat, &binners, dims), RowOrder::Identity);
 
         // Constant data: every order ties with identity, identity wins.
         let flat = StepOutput {
@@ -232,7 +263,7 @@ mod tests {
             fields: vec![ibis_datagen::Field::new("temperature", vec![1.0; 4096])],
         };
         assert_eq!(
-            suggest_row_order(&flat, &binner, Some([16, 16, 16])),
+            suggest_row_order(&flat, &[binner], Some([16, 16, 16])),
             RowOrder::Identity
         );
     }

@@ -18,11 +18,13 @@
 //!   order) and finish through the same pure float finishers — the merged
 //!   counts equal the global counts exactly, so the floats match bit for
 //!   bit;
-//! * region predicates prune: with an identity row layout, a query whose
-//!   region misses a shard's row range contributes an empty partial by
-//!   construction, so that shard is neither loaded nor evaluated — on a
-//!   spatially-local workload a `K`-shard store does ~`1/K` of the decode
-//!   and popcount work per query.
+//! * region predicates prune: a region is resolved once per query into
+//!   ranges of stored rows ([`ibis_analysis::stored_ranges`] — one range
+//!   under the identity layout, one per ascending segment under a row
+//!   permutation), and a shard none of them reaches contributes an empty
+//!   partial by construction, so it is neither loaded nor evaluated — on
+//!   a spatially-local workload a `K`-shard store does ~`1/K` of the
+//!   decode and popcount work per query.
 //!
 //! Open a finished run directory once, then answer any number of queries
 //! against it, decoding each `(variable, step)` blob at most once per cache
@@ -56,7 +58,7 @@
 //! Answers come back in request order as `{"answers": [...]}`, each either
 //! `{"ok": {...}}` or `{"error": "..."}`.
 
-use crate::cache::{CacheStats, CachedStore, StoredOrder};
+use crate::cache::{CacheStats, CachedStore};
 use crate::error::{panic_message, IbisError, Result, WorkerRole};
 use crate::json::{self, Json};
 use crate::shard::{
@@ -64,9 +66,10 @@ use crate::shard::{
 };
 use crate::store::LossyCompanion;
 use ibis_analysis::{
-    correlation_partial_ml_shard, finish_correlation, CorrelationAnswer, QueryError, SubsetQuery,
+    correlation_partial_ml_shard, finish_correlation, shard_mask, stored_ranges, CorrelationAnswer,
+    QueryError, SubsetQuery,
 };
-use ibis_core::{MultiLevelIndex, RowPermutation, WahBuilder, WahVec};
+use ibis_core::{MultiLevelIndex, WahBuilder, WahVec};
 use ibis_obs::LazyCounter;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -295,12 +298,21 @@ impl QueryEngine {
         })
     }
 
-    /// The step's stored row permutation, shared by every shard (each
-    /// holds the same global copy; shard 0's is authoritative). Region
-    /// predicates arrive in *original* row ids and are routed through its
-    /// inverse; value ranges are order-invariant.
-    fn order_of(&self, step: usize) -> Result<Option<StoredOrder>> {
-        self.caches[0].get_order(step)
+    /// Where the rows passing every region predicate of `queries` sit
+    /// among `global_len` stored rows of `step` ([`stored_ranges`]):
+    /// regions arrive in *original* row ids and are resolved, once per
+    /// query, against the step's stored row permutation — shared by every
+    /// shard (each holds the same global copy; shard 0's is
+    /// authoritative). Value ranges are order-invariant.
+    fn ranges_of(
+        &self,
+        step: usize,
+        queries: &[&SubsetQuery],
+        global_len: u64,
+    ) -> Result<Option<Vec<Range<u64>>>> {
+        let order = self.caches[0].get_order(step)?;
+        let perm = order.as_deref().map(|(_, p)| p);
+        stored_ranges(queries, global_len, perm).map_err(IbisError::Query)
     }
 
     /// Shard `shard`'s lossy companion for `(variable, step)`, when the
@@ -370,24 +382,22 @@ impl QueryEngine {
         self.caches[shard].get(variable, step)
     }
 
-    /// The shards a query must visit. Under the identity layout a shard
-    /// whose rows miss `region` contributes an empty partial by
-    /// construction and is skipped; a permuted layout scatters the region
-    /// over every shard. An empty intersection keeps shard 0 so
-    /// validation errors (and the empty answer) surface like any other
-    /// query's.
-    fn wanted(
-        &self,
-        cuts: &[u64],
-        perm: Option<&RowPermutation>,
-        region: Option<&Range<u64>>,
-    ) -> Vec<usize> {
+    /// The shards a query must visit: those whose rows meet one of the
+    /// region's stored `ranges` — any other contributes an empty partial
+    /// by construction, whatever the row layout. An empty intersection
+    /// keeps shard 0 so the empty answer surfaces like any other query's.
+    fn wanted(&self, cuts: &[u64], ranges: Option<&[Range<u64>]>) -> Vec<usize> {
         let all = 0..self.caches.len();
-        let (None, Some(region)) = (perm, region) else {
+        let Some(ranges) = ranges else {
             return all.collect();
         };
         let mut hit: Vec<usize> = all
-            .filter(|&i| cuts[i] < region.end && cuts[i + 1] > region.start)
+            .filter(|&i| {
+                // sorted and disjoint: the first range ending past the
+                // shard's first row is the only one that can reach it
+                let k = ranges.partition_point(|r| r.end <= cuts[i]);
+                ranges.get(k).is_some_and(|r| r.start < cuts[i + 1])
+            })
             .collect();
         if hit.is_empty() {
             hit.push(0);
@@ -396,12 +406,12 @@ impl QueryEngine {
         hit
     }
 
-    /// The one place a subset query meets a shard: build the region mask
-    /// once, run the shard's lossy companion as a filter when the ceiling
-    /// admits it — empty proves the shard's answer empty and the exact
-    /// index is never touched — then evaluate the exact index. The result
-    /// is the shard-local canonical selection,
-    /// `global_selection.slice(rows)`.
+    /// The one place a subset query meets a shard: build the mask of the
+    /// region's `ranges` once, run the shard's lossy companion as a
+    /// filter when the ceiling admits it — empty proves the shard's
+    /// answer empty and the exact index is never touched — then evaluate
+    /// the exact index. The result is the shard-local canonical
+    /// selection, `global_selection.slice(rows)`.
     #[allow(clippy::too_many_arguments)]
     fn evaluate_shard(
         &self,
@@ -410,14 +420,12 @@ impl QueryEngine {
         variable: &str,
         query: &SubsetQuery,
         layout: &Layout,
-        perm: Option<&RowPermutation>,
+        ranges: Option<&[Range<u64>]>,
         deadline: Option<Instant>,
     ) -> Result<WahVec> {
         let rows = layout.rows(shard);
         let nrows = rows.end - rows.start;
-        let mask = query
-            .shard_mask(rows, layout.global_len(), perm)
-            .map_err(IbisError::Query)?;
+        let mask = ranges.map(|r| shard_mask(r, rows));
         let filter = self.filter_of(shard, variable, step)?;
         let admitted = match &filter {
             Some(companion) => {
@@ -493,12 +501,12 @@ impl QueryEngine {
         query: &SubsetQuery,
         deadline: Option<Instant>,
     ) -> Result<QueryAnswer> {
-        let order = self.order_of(step)?;
-        let perm = order.as_deref().map(|(_, p)| p);
         let layout = self.layout(step, variable, deadline)?;
-        let wanted = self.wanted(&layout.cuts, perm, query.position_range.as_ref());
+        let ranges = self.ranges_of(step, &[query], layout.global_len())?;
+        let ranges = ranges.as_deref();
+        let wanted = self.wanted(&layout.cuts, ranges);
         let counts = self.fanout(&wanted, |i| {
-            self.evaluate_shard(i, step, variable, query, &layout, perm, deadline)
+            self.evaluate_shard(i, step, variable, query, &layout, ranges, deadline)
                 .map(|sel| sel.count_ones())
         });
         Ok(QueryAnswer::Subset {
@@ -516,11 +524,6 @@ impl QueryEngine {
         query_b: &SubsetQuery,
         deadline: Option<Instant>,
     ) -> Result<QueryAnswer> {
-        // Both operands of one step share the step's permutation (orders
-        // are per step, not per variable), so their selections stay
-        // row-aligned under the AND.
-        let order = self.order_of(step)?;
-        let perm = order.as_deref().map(|(_, p)| p);
         let layout_a = self.layout(step, var_a, deadline)?;
         let layout_b = self.layout(step, var_b, deadline)?;
         let global_len = layout_a.global_len();
@@ -530,20 +533,18 @@ impl QueryEngine {
                 len_b: layout_b.global_len(),
             }));
         }
-        // The joint selection is AND of both predicates, so a shard
-        // contributes a non-empty partial only where *both* regions (when
-        // present) intersect its rows.
-        let region = match (&query_a.position_range, &query_b.position_range) {
-            (Some(a), Some(b)) => Some(a.start.max(b.start)..a.end.min(b.end)),
-            (Some(r), None) | (None, Some(r)) => Some(r.clone()),
-            (None, None) => None,
-        };
-        let wanted = self.wanted(&layout_a.cuts, perm, region.as_ref());
+        // Both operands of one step share the step's permutation (orders
+        // are per step, not per variable), so their selections stay
+        // row-aligned under the AND — and the joint selection is empty
+        // outside the rows *both* regions (when present) keep.
+        let ranges = self.ranges_of(step, &[query_a, query_b], global_len)?;
+        let ranges = ranges.as_deref();
+        let wanted = self.wanted(&layout_a.cuts, ranges);
         let partials = self.fanout(&wanted, |i| {
             let a = self.exact(&layout_a, i, var_a, step, deadline)?;
             let b = self.exact(&layout_b, i, var_b, step, deadline)?;
             let rows = layout_a.rows(i);
-            correlation_partial_ml_shard(&a, &b, query_a, query_b, rows, global_len, perm)
+            correlation_partial_ml_shard(&a, &b, query_a, query_b, rows, ranges)
                 .map(|p| (p, a, b))
                 .map_err(IbisError::Query)
         });
@@ -570,12 +571,12 @@ impl QueryEngine {
     /// every shard count (the byte-identity witness tests and benches
     /// assert against).
     pub fn selection(&self, step: usize, variable: &str, query: &SubsetQuery) -> Result<WahVec> {
-        let order = self.order_of(step)?;
-        let perm = order.as_deref().map(|(_, p)| p);
         let layout = self.layout(step, variable, None)?;
+        let ranges = self.ranges_of(step, &[query], layout.global_len())?;
+        let ranges = ranges.as_deref();
         let mut b = WahBuilder::new();
         for i in 0..self.caches.len() {
-            b.append_wah(&self.evaluate_shard(i, step, variable, query, &layout, perm, None)?);
+            b.append_wah(&self.evaluate_shard(i, step, variable, query, &layout, ranges, None)?);
         }
         Ok(b.finish())
     }

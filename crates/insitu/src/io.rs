@@ -262,6 +262,16 @@ pub mod codec {
         }
     }
 
+    /// Appends `v` as an unsigned LEB128 varint: seven bits a byte, least
+    /// significant first, the high bit set on every byte but the last.
+    pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+
     /// Decodes an index blob, reporting exactly how a malformed blob fails
     /// (bad magic / version / truncation / bad binner / malformed
     /// bitvectors / trailing bytes). Accepts both the untagged version-1
@@ -385,6 +395,25 @@ pub mod codec {
 
         fn f64(&mut self) -> Result<f64, DecodeError> {
             Ok(f64::from_bits(self.u64()?))
+        }
+
+        /// A [`put_varint`] value; one that does not end, or does not fit
+        /// 64 bits, is reported as a truncation where it starts.
+        pub(crate) fn varint(&mut self) -> Result<u64, DecodeError> {
+            let at = self.pos;
+            let mut v = 0u64;
+            for shift in (0..64).step_by(7) {
+                let byte = self.u8()?;
+                let bits = (byte & 0x7f) as u64;
+                if bits << shift >> shift != bits {
+                    break;
+                }
+                v |= bits << shift;
+                if byte < 0x80 {
+                    return Ok(v);
+                }
+            }
+            Err(DecodeError::Truncated { at })
         }
 
         /// A `u64 LE` this host can index with; one it cannot is reported

@@ -46,14 +46,15 @@
 //! ## Durable ordering
 //!
 //! Within one step the durable sink makes the winner's blobs durable
-//! (`write` + `fsync` + `rename` each), then their journal lines
-//! (`fsync`ed), and only then rewrites the `CHECKPOINT` (`fsync` +
-//! `rename`) that names the winner. A checkpoint on disk therefore implies
-//! the journal lines of everything it names, which imply the blobs; a
-//! crash in between leaves the older checkpoint, and the re-run step
-//! re-puts its winner idempotently. Resume replays the checkpoint's
-//! completed prefix into a fresh simulation — a Separate-Cores producer's
-//! run-ahead is never persisted.
+//! (`write` + `fsync` + `rename` each — the row permutation before the
+//! indices built under it, which mean nothing without it), then their
+//! journal lines (`fsync`ed), and only then rewrites the `CHECKPOINT`
+//! (`fsync` + `rename`) that names the winner. A checkpoint on disk
+//! therefore implies the journal lines of everything it names, which
+//! imply the blobs; a crash in between leaves the older checkpoint, and
+//! the re-run step re-puts its winner idempotently. Resume replays the
+//! checkpoint's completed prefix into a fresh simulation — a
+//! Separate-Cores producer's run-ahead is never persisted.
 use crate::error::{panic_message, IbisError, Result, WorkerRole};
 use crate::fault::{FaultInjector, FaultSite};
 use crate::io::{codec, write_atomic, Storage};
@@ -913,6 +914,13 @@ impl Sink<'_> {
                         "selection emitted before any step was summarized".into(),
                     ));
                 };
+                if let Some(perm) = perm {
+                    // The winner's indices are stored permuted and mean
+                    // nothing without the permutation: it goes first, so a
+                    // kill between the puts leaves an unused order, never
+                    // an index that reads as if it were unpermuted.
+                    writer.put_order(e.step, lp.cfg.row_order, perm)?;
+                }
                 for (j, var) in summary.vars.iter().enumerate() {
                     let VarSummary::Bitmap(idx) = var else {
                         return Err(IbisError::Config(
@@ -921,12 +929,6 @@ impl Sink<'_> {
                     };
                     let name = names.get(j).map(String::as_str).unwrap_or("field");
                     writer.put(e.step, name, idx)?;
-                }
-                if let Some(perm) = perm {
-                    // The winner's indices are stored permuted: persist the
-                    // inverse permutation next to them so the query engine
-                    // can map selections back to original row ids.
-                    writer.put_order(e.step, lp.cfg.row_order, perm)?;
                 }
                 lp.totals.output_modeled += e.summary_bytes as f64 / lp.cfg.machine.disk_bw;
             }
@@ -1171,13 +1173,14 @@ fn produce_ahead<S: Simulation>(
 // ---------------------------------------------------------------------------
 
 /// Checkpoint payload version — the payload's first `u32 LE`; the file is
-/// that payload in a [`Kind::Checkpoint`] frame. v3 embeds only the
-/// undecided `buffer` (each summary with its row permutation — data-dependent orders cannot
+/// that payload in a [`Kind::Checkpoint`] frame. It embeds only the
+/// undecided `buffer` (each summary with its row permutation, run-coded
+/// as the store's order blobs are since v4 — data-dependent orders cannot
 /// recompute it after resume, the raw step data is gone, and a buffered
 /// step may still win its interval). The previous winner is named, not
 /// embedded: `persist_winner` made it durable in the store before the
 /// step's checkpoint was written, so resume reloads it from there.
-const CHECKPOINT_VERSION: u32 = 3;
+const CHECKPOINT_VERSION: u32 = 4;
 
 /// The previous winner as a checkpoint records it: where the store holds
 /// it, not what it is.
@@ -1240,7 +1243,7 @@ fn put_summary(
     match perm {
         Some(p) => {
             buf.push(1);
-            codec::put_blob(buf, |buf| crate::store::put_perm_payload(buf, p.inv()));
+            codec::put_blob(buf, |buf| crate::store::put_perm_payload(buf, p));
         }
         None => buf.push(0),
     }
@@ -1313,9 +1316,8 @@ fn read_summary(r: &mut codec::Reader) -> Result<Held> {
     let perm = match r.u8()? {
         0 => None,
         1 => {
-            let perm = crate::store::decode_perm_payload(r.blob()?)
-                .and_then(RowPermutation::from_inverse)
-                .map_err(|e| bad("permutation", &e))?;
+            let perm =
+                crate::store::decode_perm_payload(r.blob()?).map_err(|e| bad("permutation", &e))?;
             Some(Arc::new(perm))
         }
         t => {
@@ -1894,14 +1896,19 @@ mod tests {
             }
         }
 
-        // a v2 checkpoint payload (intact frame, old version word) and a
-        // pre-frame checkpoint file are refused by name
-        let mut v2 = payload.to_vec();
-        v2[..4].copy_from_slice(&2u32.to_le_bytes());
-        assert_eq!(
-            parse_checkpoint(&reseal(&v2)).err(),
-            Some(IbisError::BadCheckpoint("unsupported version 2".into()))
-        );
+        // a v2 or v3 checkpoint payload (intact frame, old version word —
+        // v3 embedded permutations four bytes a row) and a pre-frame
+        // checkpoint file are refused by name
+        for old in [2u32, 3] {
+            let mut stale = payload.to_vec();
+            stale[..4].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                parse_checkpoint(&reseal(&stale)).err(),
+                Some(IbisError::BadCheckpoint(format!(
+                    "unsupported version {old}"
+                )))
+            );
+        }
         let mut ibck = b"IBCK".to_vec();
         ibck.extend_from_slice(payload);
         ibck.extend_from_slice(&crate::crc::crc32c(&ibck).to_le_bytes());
@@ -1987,7 +1994,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ibis-frame-fuzz-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         // one small blob of each kind: an all-WAH index, a mixed-plan index
-        // with its lossy companion, a row order — and a checkpoint
+        // with its lossy companion, a sorted row order (few long runs) and
+        // a space-filling one (a run a row or two) — and a checkpoint
         let runs: Vec<f64> = (0..496).map(|i| (i / 124) as f64).collect();
         let smooth = ibis_core::BitmapIndex::build(&runs, Binner::distinct_ints(0, 3));
         let noise: Vec<f64> = (0..64).map(|i| ((i * 4) % 8) as f64).collect();
@@ -2000,22 +2008,28 @@ mod tests {
         let (lossy, stats) = mixed.lossy(1e-1);
         let order = RowOrder::HistogramSorted;
         let perm = order.permutation(&[], &binner, &noise).unwrap();
+        let curve = RowOrder::Hilbert
+            .permutation(&[8, 8], &binner, &noise)
+            .unwrap();
+        assert!(curve.segments().len() > 4 * perm.segments().len());
         let mut w = StoreWriter::create(&dir).unwrap();
         w.put(0, "smooth", &smooth).unwrap();
         w.put(0, "mixed", &mixed).unwrap();
         w.put_lossy(0, "mixed", &lossy, 1e-1, &stats).unwrap();
         w.put_order(0, order, &perm).unwrap();
+        w.put_order(1, RowOrder::Hilbert, &curve).unwrap();
         w.finish().unwrap();
 
         type Read = fn(&Store) -> Result<()>;
-        let blobs: [(&str, Read); 4] = [
-            ("smooth", |s| s.get(0, "smooth").map(drop)),
-            ("mixed", |s| s.get(0, "mixed").map(drop)),
-            (ORDER_VARIABLE, |s| s.load_order(0).map(drop)),
-            ("__lossy_mixed", |s| s.load_lossy(0, "mixed").map(drop)),
+        let blobs: [(usize, &str, Read); 5] = [
+            (0, "smooth", |s| s.get(0, "smooth").map(drop)),
+            (0, "mixed", |s| s.get(0, "mixed").map(drop)),
+            (0, ORDER_VARIABLE, |s| s.load_order(0).map(drop)),
+            (1, ORDER_VARIABLE, |s| s.load_order(1).map(drop)),
+            (0, "__lossy_mixed", |s| s.load_lossy(0, "mixed").map(drop)),
         ];
-        for (entry, read) in blobs {
-            let file = dir.join(format!("s000000_{entry}.ibis"));
+        for (step, entry, read) in blobs {
+            let file = dir.join(format!("s{step:06}_{entry}.ibis"));
             let clean = std::fs::read(&file).unwrap();
             for (damage, bad) in corruptions(&clean) {
                 std::fs::write(&file, &bad).unwrap();
@@ -2025,10 +2039,10 @@ mod tests {
                     "{entry}, {damage}: {err}"
                 );
                 let resumed = StoreWriter::resume(&dir).unwrap();
-                for (other, _) in blobs {
+                for (at, other, _) in blobs {
                     assert_eq!(
-                        resumed.contains(0, other),
-                        other != entry,
+                        resumed.contains(at, other),
+                        (at, other) != (step, entry),
                         "{entry}, {damage}"
                     );
                 }
@@ -2038,14 +2052,17 @@ mod tests {
         }
 
         let mut selector = StreamingSelector::new(13, 4, Metric::ConditionalEntropy);
-        let summary = StepSummary {
-            step: 1,
-            vars: vec![VarSummary::Bitmap(mixed)],
+        let summary = |step| StepSummary {
+            step,
+            vars: vec![VarSummary::Bitmap(mixed.clone())],
         };
-        selector.buffer = vec![(1, summary, false, Some(Arc::new(perm)))];
+        selector.buffer = vec![
+            (0, summary(0), false, Some(Arc::new(perm))),
+            (1, summary(1), false, Some(Arc::new(curve))),
+        ];
         let outcomes = [StepOutcome::Completed, StepOutcome::Completed];
         let clean = encode_checkpoint(2, &selector, &outcomes, &RunTotals::default()).unwrap();
-        assert_eq!(parse_checkpoint(&clean).unwrap().buffer.len(), 1);
+        assert_eq!(parse_checkpoint(&clean).unwrap().buffer.len(), 2);
         for (damage, bad) in corruptions(&clean) {
             assert!(
                 matches!(parse_checkpoint(&bad), Err(IbisError::BadCheckpoint(_))),

@@ -300,10 +300,10 @@ impl ShardedWriter {
         Ok(())
     }
 
-    /// Stores the step's **global** row permutation in every shard (each
-    /// shard maps region predicates through the global inverse
-    /// permutation, filtered to its own row range — see
-    /// [`ibis_analysis::SubsetQuery::shard_mask`]).
+    /// Stores the step's **global** row permutation in every shard (a
+    /// region resolves against it into ranges of global stored rows, which
+    /// each shard clips to its own — see [`ibis_analysis::stored_ranges`]).
+    /// Call it before the step's `put`s ([`StoreWriter::put_order`]).
     pub fn put_order(&mut self, step: usize, order: RowOrder, perm: &RowPermutation) -> Result<()> {
         for w in &mut self.writers {
             w.put_order(step, order, perm)?;

@@ -209,24 +209,80 @@ fn decode_lossy_payload(payload: &[u8]) -> std::result::Result<(f64, u64, u64, &
     Ok((fpr, dropped, zeros, &payload[24..]))
 }
 
-/// Appends an inverse permutation (`inv[original] = stored`) as `u64 LE
-/// row count` followed by one `u32 LE` per row.
-pub(crate) fn put_perm_payload(out: &mut Vec<u8>, inv: &[u32]) {
-    out.extend_from_slice(&(inv.len() as u64).to_le_bytes());
-    codec::put_words(out, inv);
+/// Appends a permutation as its gather order's runs of consecutive
+/// original row ids ([`RowPermutation::runs`]): `rows | nruns | nruns ×
+/// (zigzag(first − previous run's end) | len)`, every field a varint. A
+/// stable sort by bin leaves long runs wherever the data is coherent, so
+/// this is a few bits a row where the ids themselves are 32.
+pub(crate) fn put_perm_payload(out: &mut Vec<u8>, perm: &RowPermutation) {
+    let runs: Vec<(u32, u32)> = perm.runs().collect();
+    codec::put_varint(out, perm.len() as u64);
+    codec::put_varint(out, runs.len() as u64);
+    let mut end = 0i64;
+    for (first, len) in runs {
+        let delta = first as i64 - end;
+        codec::put_varint(out, ((delta << 1) ^ (delta >> 63)) as u64);
+        codec::put_varint(out, len as u64);
+        end = first as i64 + len as i64;
+    }
 }
 
-/// Parses [`put_perm_payload`]'s bytes back into the inverse permutation,
-/// or a description of what is wrong.
-pub(crate) fn decode_perm_payload(payload: &[u8]) -> std::result::Result<Vec<u32>, String> {
-    let parse = || -> std::result::Result<Vec<u32>, crate::error::DecodeError> {
-        let mut r = codec::Reader::new(payload);
-        let rows = r.count(4)?;
-        let inv = r.take(rows * 4)?;
-        r.finish()?;
-        Ok(inv.chunks_exact(4).map(crate::crc::le_u32).collect())
-    };
-    parse().map_err(|e| format!("permutation payload: {e}"))
+/// Parses [`put_perm_payload`]'s bytes back into the permutation, or a
+/// description of what is wrong. Everything is checked on the runs, whose
+/// count the payload's own length bounds, before anything is allocated
+/// per row: a run outside `0..rows`, runs that do not add up to `rows`,
+/// overlap or leave a gap, two runs that are one, and the identity (never
+/// persisted) are all refused.
+pub(crate) fn decode_perm_payload(payload: &[u8]) -> std::result::Result<RowPermutation, String> {
+    let bad = |e: crate::error::DecodeError| format!("permutation payload: {e}");
+    let mut r = codec::Reader::new(payload);
+    let (rows, nruns) = (r.varint().map_err(bad)?, r.varint().map_err(bad)?);
+    if rows > u32::MAX as u64 || nruns > payload.len() as u64 / 2 {
+        return Err(format!(
+            "{rows} rows in {nruns} runs cannot come from {} bytes",
+            payload.len()
+        ));
+    }
+    let mut runs: Vec<(u32, u32)> = Vec::with_capacity(nruns as usize);
+    let (mut end, mut total) = (0u64, 0u64);
+    for k in 0..nruns {
+        let (zigzag, len) = (r.varint().map_err(bad)?, r.varint().map_err(bad)?);
+        let delta = (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
+        let first = (end as i64)
+            .checked_add(delta)
+            .and_then(|s| u64::try_from(s).ok())
+            .filter(|&s| (1..=rows - total).contains(&len) && s <= rows - len);
+        let Some(first) = first else {
+            return Err(format!("run {k} does not fit the {rows} rows"));
+        };
+        if k > 0 && delta == 0 {
+            return Err(format!("runs {} and {k} are one run", k - 1));
+        }
+        runs.push((first as u32, len as u32));
+        end = first + len;
+        total += len;
+    }
+    r.finish().map_err(bad)?;
+    if total != rows {
+        return Err(format!("runs cover {total} of {rows} rows"));
+    }
+    if nruns < 2 {
+        return Err("the identity permutation is never persisted".into());
+    }
+    // sorted by first id (one integer compare a pair), the runs must tile
+    let mut by_first: Vec<u64> = runs
+        .iter()
+        .map(|&(first, len)| (first as u64) << 32 | len as u64)
+        .collect();
+    by_first.sort_unstable();
+    let mut at = 0;
+    for (first, len) in by_first.iter().map(|run| (run >> 32, run & 0xffff_ffff)) {
+        if first != at {
+            return Err(format!("row {} is gathered twice or never", first.min(at)));
+        }
+        at = first + len;
+    }
+    Ok(RowPermutation::from_runs(&runs))
 }
 
 fn check_variable_name(variable: &str) -> Result<()> {
@@ -406,12 +462,19 @@ impl StoreWriter {
     }
 
     /// Persists the step's row permutation under the reserved
-    /// [`ORDER_VARIABLE`] entry: `order`'s tag, then the inverse
-    /// permutation (`inv[original] = stored`), framed, CRC-checked,
-    /// written atomically and journaled exactly like an index blob — so
+    /// [`ORDER_VARIABLE`] entry: `order`'s tag, then the run-coded gather
+    /// order ([`put_perm_payload`]), framed, CRC-checked, written
+    /// atomically and journaled exactly like an index blob — so
     /// crash/resume and fsck cover it. One permutation per step: every
     /// variable of the step shares it, keeping cross-variable
     /// (correlation) bitmaps row-aligned.
+    ///
+    /// A permuted index read without its permutation answers region
+    /// queries and cross-step metrics in the wrong row space, silently.
+    /// Put the order *before* the step's permuted indices, so that a
+    /// crash between the puts leaves an unused order rather than an
+    /// orphaned index; [`Store::fsck`] holds up the other end and
+    /// quarantines a step's indices with a lost order.
     ///
     /// Identity orders (or identity permutations) have nothing to map;
     /// callers skip this call for them, and passing one is a config
@@ -422,9 +485,8 @@ impl StoreWriter {
                 "identity row orders are never persisted".into(),
             ));
         }
-        let mut payload = Vec::with_capacity(9 + perm.inv().len() * 4);
-        payload.push(order.tag());
-        put_perm_payload(&mut payload, perm.inv());
+        let mut payload = vec![order.tag()];
+        put_perm_payload(&mut payload, perm);
         self.commit(step, ORDER_VARIABLE, &payload)?;
         OBS_ORDER_PUT.inc();
         Ok(())
@@ -734,8 +796,8 @@ impl Store {
     /// in its original order. Verifies framing, kind and CRC like any
     /// blob, that the payload's order tag names a known non-identity
     /// [`RowOrder`], and that the rest of it is a bijection
-    /// ([`RowPermutation::from_inverse`]) — a corrupt permutation would
-    /// silently misroute region queries, so every failure is a typed
+    /// ([`decode_perm_payload`]) — a corrupt permutation would silently
+    /// misroute region queries, so every failure is a typed
     /// [`IbisError::Corrupt`].
     pub fn load_order(&self, step: usize) -> Result<Option<(RowOrder, RowPermutation)>> {
         let Some(meta) = self.entries.get(&(step, ORDER_VARIABLE.to_string())) else {
@@ -746,15 +808,13 @@ impl Store {
             file: meta.file.clone(),
             detail,
         };
-        let (&order_tag, inv) = payload
+        let (&order_tag, runs) = payload
             .split_first()
             .ok_or_else(|| corrupt("empty row-order payload".into()))?;
         let order = RowOrder::from_tag(order_tag)
             .filter(|&o| o != RowOrder::Identity)
             .ok_or_else(|| corrupt(format!("unknown row-order tag {order_tag:#04x}")))?;
-        let inv = decode_perm_payload(inv).map_err(corrupt)?;
-        let perm = RowPermutation::from_inverse(inv)
-            .map_err(|detail| corrupt(format!("permutation is not a bijection: {detail}")))?;
+        let perm = decode_perm_payload(runs).map_err(corrupt)?;
         OBS_ORDER_LOADED.inc();
         Ok(Some((order, perm)))
     }
@@ -793,33 +853,50 @@ impl Store {
     /// typed load (framing, kind, CRC, decode and the payload's own
     /// checks) and quarantines the ones that fail: the file is renamed to
     /// `<file>.quarantined` and the entry removed, so subsequent reads see
-    /// only intact data.
+    /// only intact data. A step that loses its [`ORDER_VARIABLE`] entry
+    /// loses its indices and companions with it — they are permuted, and
+    /// read as if they were not they would answer in the wrong row space.
     pub fn fsck(&mut self) -> FsckReport {
         OBS_FSCK_RUNS.inc();
-        let mut report = FsckReport::default();
-        let keys: Vec<(usize, String)> = self.entries.keys().cloned().collect();
-        for (step, variable) in keys {
-            report.checked += 1;
-            let meta = self.entries[&(step, variable.clone())].clone();
-            let verdict = match Kind::of(&variable) {
-                Kind::Order => self.load_order(step).map(|_| ()),
+        let mut bad: BTreeMap<(usize, String), String> = BTreeMap::new();
+        for (step, variable) in self.entries.keys() {
+            let verdict = match Kind::of(variable) {
+                Kind::Order => self.load_order(*step).map(|_| ()),
                 Kind::Lossy => self
-                    .load_lossy(step, &variable[LOSSY_PREFIX.len()..])
+                    .load_lossy(*step, &variable[LOSSY_PREFIX.len()..])
                     .map(|_| ()),
-                _ => self.get(step, &variable).map(|_| ()),
+                _ => self.get(*step, variable).map(|_| ()),
             };
             if let Err(err) = verdict {
-                OBS_FSCK_QUARANTINED.inc();
-                let from = self.dir.join(&meta.file);
-                let _ = std::fs::rename(&from, self.dir.join(format!("{}.quarantined", meta.file)));
-                self.entries.remove(&(step, variable.clone()));
-                report.quarantined.push(QuarantinedBlob {
-                    step,
-                    variable,
-                    file: meta.file,
-                    reason: err.to_string(),
-                });
+                bad.insert((*step, variable.clone()), err.to_string());
             }
+        }
+        let lost = |step| bad.contains_key(&(step, ORDER_VARIABLE.to_string()));
+        let orphans: Vec<_> = self.entries.keys().filter(|k| lost(k.0)).cloned().collect();
+        for key in orphans {
+            let reason = format!(
+                "step {}'s row order is lost, its rows cannot be mapped",
+                key.0
+            );
+            bad.entry(key).or_insert(reason);
+        }
+        let mut report = FsckReport {
+            checked: self.entries.len(),
+            quarantined: Vec::new(),
+        };
+        for ((step, variable), reason) in bad {
+            let Some(meta) = self.entries.remove(&(step, variable.clone())) else {
+                continue;
+            };
+            OBS_FSCK_QUARANTINED.inc();
+            let from = self.dir.join(&meta.file);
+            let _ = std::fs::rename(&from, self.dir.join(format!("{}.quarantined", meta.file)));
+            report.quarantined.push(QuarantinedBlob {
+                step,
+                variable,
+                file: meta.file,
+                reason,
+            });
         }
         report
     }
@@ -1415,8 +1492,9 @@ mod tests {
         let order = ibis_core::RowOrder::GrayBin;
         let perm = order.permutation(&[], &binner, &data).unwrap();
         let mut w = StoreWriter::create(&dir).unwrap();
-        w.put(0, "temperature", &sample_index(0)).unwrap();
         w.put_order(0, order, &perm).unwrap();
+        w.put(0, "temperature", &sample_index(0)).unwrap();
+        w.put(1, "temperature", &sample_index(1)).unwrap();
         w.finish().unwrap();
 
         // The order tag is the payload's first byte, inside the CRC: an
@@ -1432,26 +1510,210 @@ mod tests {
         assert!(matches!(err, IbisError::Corrupt { .. }), "{err}");
 
         // A payload edit with a fixed-up frame CRC still trips the
-        // manifest's record of that CRC, and fsck quarantines it.
+        // manifest's record of that CRC, and fsck quarantines it — and
+        // with it the step's index: it is stored permuted, and read as if
+        // it were not it would answer in the wrong row space.
         let mut bytes = clean.clone();
-        for b in &mut bytes[payload_at + 9..payload_at + 17] {
-            *b = 0; // the first two rows both map to stored row 0
-        }
         let at = bytes.len() - 4;
+        bytes[at - 1] ^= 1; // the last run's length: the runs miss `rows`
         let crc = crc32c(&bytes[3..at]);
         bytes[at..].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&f, &bytes).unwrap();
         let mut store = Store::open(&dir).unwrap();
         let report = store.fsck();
-        assert_eq!(report.quarantined.len(), 1, "{report:?}");
-        assert_eq!(report.quarantined[0].variable, ORDER_VARIABLE);
+        assert_eq!(report.checked, 3);
+        let gone: Vec<&str> = report
+            .quarantined
+            .iter()
+            .map(|q| q.variable.as_str())
+            .collect();
+        assert_eq!(gone, [ORDER_VARIABLE, "temperature"], "{report:?}");
+        assert!(
+            report.quarantined[1].reason.contains("row order is lost"),
+            "{report:?}"
+        );
         assert!(dir.join("s000000___order.ibis.quarantined").exists());
-        // the data entry survives and still reads
+        assert!(dir.join("s000000_temperature.ibis.quarantined").exists());
+        assert!(matches!(
+            store.get(0, "temperature"),
+            Err(IbisError::NotFound { .. })
+        ));
+        assert_eq!(store.load_series("temperature").unwrap().len(), 1);
+        assert_eq!(store.load_order(0).unwrap(), None);
+        // an intact step next to it is untouched
+        assert_eq!(
+            store.get(1, "temperature").unwrap().counts(),
+            sample_index(1).counts()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Varint-encodes `fields` behind a GrayBin order tag.
+    fn order_payload(fields: &[u64]) -> Vec<u8> {
+        let mut out = vec![ibis_core::RowOrder::GrayBin.tag()];
+        for &f in fields {
+            codec::put_varint(&mut out, f);
+        }
+        out
+    }
+
+    /// Zigzag of a run's start relative to the previous run's end.
+    fn zz(delta: i64) -> u64 {
+        ((delta << 1) ^ (delta >> 63)) as u64
+    }
+
+    #[test]
+    fn order_payload_round_trips_every_order_and_is_small() {
+        let dims = [16usize, 24];
+        let data: Vec<f64> = (0..384).map(|i| ((i / 16) * 3 % 40) as f64).collect();
+        let binner = Binner::distinct_ints(0, 39);
+        for order in ibis_core::RowOrder::ALL {
+            let Some(perm) = order.permutation(&dims, &binner, &data) else {
+                assert_eq!(order, ibis_core::RowOrder::Identity);
+                continue;
+            };
+            let mut payload = Vec::new();
+            put_perm_payload(&mut payload, &perm);
+            assert_eq!(decode_perm_payload(&payload).unwrap(), perm, "{order:?}");
+            if order.is_data_dependent() {
+                // 16-row runs of consecutive ids: far under 4 bytes a row
+                assert!(payload.len() < perm.len(), "{order:?}: {}", payload.len());
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_order_payloads_are_typed_errors() {
+        // Every payload sits in an intact frame under the CRC the manifest
+        // records, so nothing but the payload's own checks stands between
+        // it and a permutation. Each fails on the runs, before the
+        // `rows`-sized buffers exist (most claim rows no test could hold).
+        const BIG: u64 = u32::MAX as u64;
+        let mut pr17 = vec![ibis_core::RowOrder::GrayBin.tag()];
+        pr17.extend_from_slice(&6u64.to_le_bytes());
+        codec::put_words(&mut pr17, &[3, 4, 5, 0, 1, 2]);
+        let mut trailing = order_payload(&[10, 2, zz(5), 5, zz(-10), 5]);
+        trailing.push(0);
+        let mut unending = order_payload(&[10, 2, zz(5), 5]);
+        unending.push(0x80);
+        let mut overlong = order_payload(&[]);
+        overlong.extend_from_slice(&[0xff; 10]);
+        let table: Vec<(&str, Vec<u8>, &str)> = vec![
+            ("valid", order_payload(&[10, 2, zz(5), 5, zz(-10), 5]), ""),
+            (
+                "run past rows",
+                order_payload(&[BIG, 2, zz(5), BIG - 5, zz(0), 6]),
+                "run 1 does not fit",
+            ),
+            (
+                "run starts below zero",
+                order_payload(&[BIG, 2, zz(-1), 5, zz(0), BIG - 5]),
+                "run 0 does not fit",
+            ),
+            (
+                "empty run",
+                order_payload(&[BIG, 2, zz(5), 0, zz(-5), BIG]),
+                "run 0 does not fit",
+            ),
+            (
+                "overlapping runs",
+                order_payload(&[BIG, 2, zz(5), BIG - 5, zz(-(BIG as i64) + 1), 5]),
+                "row 0 is gathered twice or never",
+            ),
+            (
+                "runs short of rows",
+                order_payload(&[BIG, 2, zz(5), BIG - 5, zz(-(BIG as i64)), 4]),
+                "runs cover 4294967294 of 4294967295 rows",
+            ),
+            (
+                "two runs claiming 2^32 rows",
+                order_payload(&[BIG + 1, 2, zz(1 << 31), 1 << 31, zz(-(1 << 32)), 1 << 31]),
+                "cannot come from",
+            ),
+            (
+                "runs summing past rows",
+                order_payload(&[
+                    BIG,
+                    2,
+                    zz((1 << 31) - 1),
+                    1 << 31,
+                    zz(-(BIG as i64)),
+                    1 << 31,
+                ]),
+                "run 1 does not fit",
+            ),
+            (
+                "more runs than bytes",
+                order_payload(&[BIG, 1 << 40]),
+                "cannot come from",
+            ),
+            ("truncated varint", unending, "truncated"),
+            ("varint past 64 bits", overlong, "truncated"),
+            ("bytes after the runs", trailing, "trailing"),
+            (
+                "identity",
+                order_payload(&[BIG, 1, zz(0), BIG]),
+                "identity permutation",
+            ),
+            (
+                "two runs that are one",
+                order_payload(&[BIG, 2, zz(0), 5, zz(0), BIG - 5]),
+                "runs 0 and 1 are one run",
+            ),
+            // `rows:u64le | inv:u32le[rows]` reads as 6 rows in 0 runs
+            ("the PR-17 layout", pr17, "trailing"),
+        ];
+        let dir = tmp("orderhostile");
+        let mut w = StoreWriter::create(&dir).unwrap();
+        for (step, (_, payload, _)) in table.iter().enumerate() {
+            w.commit(step, ORDER_VARIABLE, payload).unwrap();
+        }
+        w.finish().unwrap();
+        let store = Store::open(&dir).unwrap();
+        for (step, (what, _, want)) in table.iter().enumerate() {
+            match store.load_order(step) {
+                Ok(Some((_, perm))) => {
+                    assert_eq!(*what, "valid");
+                    assert_eq!(perm.perm(), [5, 6, 7, 8, 9, 0, 1, 2, 3, 4]);
+                }
+                Err(IbisError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains(want), "{what}: {detail}")
+                }
+                other => panic!("{what}: {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_after_a_kill_between_order_and_index_keeps_the_unused_order() {
+        // The writer's rule is order first: the crash window between the
+        // two puts holds an order nothing uses yet, never a permuted index
+        // that reads as if it were unpermuted.
+        let dir = tmp("orderresume");
+        let data: Vec<f64> = (0..400).map(|i| ((i * 3) % 40) as f64).collect();
+        let binner = Binner::distinct_ints(0, 39);
+        let order = ibis_core::RowOrder::GrayBin;
+        let perm = order.permutation(&[], &binner, &data).unwrap();
+        let index = BitmapIndex::build_permuted(&data, binner, &perm);
+        let mut w = StoreWriter::create(&dir).unwrap();
+        w.put_order(0, order, &perm).unwrap();
+        drop(w); // killed before the index landed
+
+        let mut w = StoreWriter::resume(&dir).unwrap();
+        assert!(w.contains(0, ORDER_VARIABLE));
+        assert_eq!(w.durable_view().variables(0), Vec::<&str>::new());
+        // the re-run step re-puts both, idempotently
+        w.put_order(0, order, &perm).unwrap();
+        w.put(0, "temperature", &index).unwrap();
+        w.finish().unwrap();
+        let mut store = Store::open(&dir).unwrap();
+        assert_eq!(store.load_order(0).unwrap().unwrap().1, perm);
         assert_eq!(
             store.get(0, "temperature").unwrap().counts(),
-            sample_index(0).counts()
+            index.counts()
         );
-        assert_eq!(store.load_order(0).unwrap(), None);
+        assert!(store.fsck().is_clean());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1461,7 +1723,7 @@ mod tests {
         let mut w = StoreWriter::create(&dir).unwrap();
         let err = w.put(0, ORDER_VARIABLE, &sample_index(0)).unwrap_err();
         assert!(matches!(err, IbisError::Config(_)), "{err}");
-        let identity = ibis_core::RowPermutation::from_inverse(vec![0, 1, 2]).unwrap();
+        let identity = ibis_core::RowPermutation::from_gather(vec![0, 1, 2]);
         let err = w
             .put_order(0, ibis_core::RowOrder::GrayBin, &identity)
             .unwrap_err();

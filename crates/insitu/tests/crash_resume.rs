@@ -134,12 +134,16 @@ fn killed_run_resumes_to_byte_identical_store() {
     // Two digests pinned across commits, not only between this commit's
     // own runs. The byte digest is of the uninterrupted Shared-Cores
     // directory; PR 17 (one `IBF` frame for every blob) re-pinned it, from
-    // 0xd9d6_89c4 / 0x509a_f3ac at commit 00a759e. The content digest — what
-    // the store decodes to — was recorded at 00a759e, before the frame
-    // changed, and did not move.
+    // 0xd9d6_89c4 / 0x509a_f3ac at commit 00a759e, and PR 18 (run-coded
+    // `__order` payloads) re-pinned GrayBin's once more, from 0x1efe_399d
+    // at commit 12dab24 — Identity's, which stores no order, did not move.
+    // The content digest — what the store decodes to: every index, and
+    // every order's tag and inverse permutation — was recorded at 00a759e
+    // and has moved under neither: the counting sort builds the
+    // permutation the comparison sort built.
     for (order, parent_digest, parent_content) in [
         (RowOrder::Identity, 0x789d_fa5e_u32, 0x03e3_a341_u32),
-        (RowOrder::GrayBin, 0x1efe_399d, 0x0d26_42bb),
+        (RowOrder::GrayBin, 0x10f2_13bc, 0x0d26_42bb),
     ] {
         // the uninterrupted reference run
         let clean_dir = tmp(&format!("clean-{}", order.name()));

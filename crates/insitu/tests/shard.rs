@@ -214,14 +214,14 @@ fn build_store(name: &str, b: Build<'_>) -> PathBuf {
     let dir = tmp(name);
     let mut w = ShardedWriter::create(&dir, b.shards).unwrap();
     for s in dataset(b) {
+        if let Some(p) = &s.perm {
+            w.put_order(s.step, b.order, p).unwrap();
+        }
         for (var, idx) in &s.vars {
             w.put(s.step, var, idx).unwrap();
             if let Some(fpr) = b.lossy {
                 w.put_lossy(s.step, var, idx, fpr).unwrap();
             }
-        }
-        if let Some(p) = &s.perm {
-            w.put_order(s.step, b.order, p).unwrap();
         }
     }
     w.finish().unwrap();
@@ -234,15 +234,15 @@ fn build_flat_store(name: &str, b: Build<'_>) -> PathBuf {
     let dir = tmp(name);
     let mut w = StoreWriter::create(&dir).unwrap();
     for s in dataset(b) {
+        if let Some(p) = &s.perm {
+            w.put_order(s.step, b.order, p).unwrap();
+        }
         for (var, idx) in &s.vars {
             w.put(s.step, var, idx).unwrap();
             if let Some(fpr) = b.lossy {
                 let (lossy, stats) = idx.lossy(fpr);
                 w.put_lossy(s.step, var, &lossy, fpr, &stats).unwrap();
             }
-        }
-        if let Some(p) = &s.perm {
-            w.put_order(s.step, b.order, p).unwrap();
         }
     }
     w.finish().unwrap();
@@ -313,7 +313,7 @@ fn battery(rows: u64) -> Vec<QueryRequest> {
 #[test]
 fn sharded_equals_oracle_across_shards_bins_and_row_orders() {
     // Bin counts pick different container codecs downstream; row orders
-    // exercise the permutation-aware (prune-disabled) path; the lossy
+    // exercise region mapping and pruning under a permutation; the lossy
     // dimension puts a filter in front of every shard's exact index.
     for nbins in [16usize, 64] {
         let binner = Binner::fixed_width(0.0, 10.0, nbins);
@@ -349,6 +349,9 @@ fn sharded_equals_oracle_across_shards_bins_and_row_orders() {
                             );
                         }
                     }
+                    if order == RowOrder::GrayBin && shards == 4 {
+                        assert_prunes_under_permutation(&engine, &model, b, &tag);
+                    }
                     // raw selections are byte-identical, not just equinumerous
                     if order == RowOrder::Identity {
                         let q = SubsetQuery::value(2.0, 7.5).with_region(100..ROWS as u64 - 50);
@@ -362,6 +365,59 @@ fn sharded_equals_oracle_across_shards_bins_and_row_orders() {
                 }
             }
         }
+    }
+}
+
+/// A block of original rows lands, under a sorting order, in the few
+/// shards that hold its bins. The engine must visit exactly those — read
+/// off the inverse permutation here, not off the engine — and answer like
+/// the model; before stored ranges a permuted region went to every shard.
+fn assert_prunes_under_permutation(engine: &QueryEngine, model: &Model, b: Build<'_>, tag: &str) {
+    let perm = dataset(b).swap_remove(0).perm.expect("a sorting order");
+    let caches = engine.shard_caches();
+    let mut cuts = vec![0u64];
+    for c in caches {
+        let rows = c.get("temperature", 0).unwrap().low().len();
+        cuts.push(cuts[cuts.len() - 1] + rows);
+    }
+    let region = 100..140u64;
+    let home: Vec<usize> = (0..caches.len())
+        .filter(|&i| {
+            let stored = region.clone().map(|r| perm.inv()[r as usize] as u64);
+            stored
+                .into_iter()
+                .any(|s| (cuts[i]..cuts[i + 1]).contains(&s))
+        })
+        .collect();
+    assert!(home.len() < caches.len(), "{tag}: {home:?} is every shard");
+    let reads = || -> Vec<u64> {
+        let stats = caches.iter().map(|c| c.stats());
+        stats.map(|s| s.hits + s.misses).collect()
+    };
+    let pruned = || match ibis_obs::global().snapshot().get("shard.query.pruned") {
+        Some(ibis_obs::MetricValue::Counter(v)) => *v,
+        _ => 0,
+    };
+    let (reads_before, pruned_before) = (reads(), pruned());
+    let req = QueryRequest::Subset {
+        step: 0,
+        variable: "temperature".into(),
+        query: SubsetQuery::region(region),
+    };
+    assert_eq!(engine.run(&req).unwrap(), model.run(&req).unwrap(), "{tag}");
+    let reads_after = reads();
+    let visited: Vec<usize> = (0..caches.len())
+        .filter(|&i| reads_after[i] != reads_before[i])
+        .collect();
+    assert_eq!(visited, home, "{tag}: shards read for an in-shard region");
+    if ibis_obs::ENABLED {
+        // other tests of this binary prune too: the counter moved by at
+        // least this query's share
+        let moved = pruned() - pruned_before;
+        assert!(
+            moved >= (caches.len() - home.len()) as u64,
+            "{tag}: {moved}"
+        );
     }
 }
 

@@ -88,7 +88,8 @@ bench_smoke lossy IBIS_LOSSY_SMOKE '"samples"' '"identity_checked"' \
     '"size_reduction_ge_1p5x_at_fpr_le_1e-2"' '"all_fpr_bounds_met": true'
 bench_smoke reorder IBIS_ORDER_SMOKE '"samples"' '"elements"' '"vs_identity"' \
     '"criterion"' '"identity_checked"' '"size_ratio"' '"latency_ratio"' \
-    '"size_win_15pct_within_latency_10pct"'
+    '"size_win_15pct_within_latency_10pct"' '"order_payload_bytes"' \
+    '"bytes_with_order"' '"perm_build_s"' '"region_mask_s"'
 bench_smoke serving IBIS_SERVE_SMOKE '"samples"' '"fault_free_p99_ms"' \
     '"saturation_qps"' '"faulted_p99_ms"' '"faulted_p99_within_5x"' '"shed"' \
     '"coalesce_hits"' '"coalesce_decodes"' '"queue_peak"' \

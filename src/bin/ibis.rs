@@ -318,14 +318,14 @@ fn cmd_insitu(flags: &Flags) -> Result<(), String> {
         Some(order) => order,
         None => {
             // `auto`: probe one step of a fresh simulation and keep the
-            // order whose reordered index comes out smallest.
+            // order under which the store comes out smallest.
             let mut probe: Box<dyn Simulation> = match sim_name {
                 "heat3d" => Box::new(Heat3D::new(Heat3DConfig::default())),
                 _ => Box::new(MiniLulesh::new(LuleshConfig::default())),
             };
             let dims = probe.grid_dims();
             let out = probe.step();
-            let order = suggest_row_order(&out, &binners[0], dims);
+            let order = suggest_row_order(&out, &binners, dims);
             println!("row order (auto): {}", order.name());
             order
         }
@@ -390,6 +390,12 @@ fn cmd_insitu(flags: &Flags) -> Result<(), String> {
             }
             // the per-step permutation the pipeline applied
             let perm = step_permutation(&out, row_order, &dims, &binners[0]);
+            if let Some(p) = &perm {
+                // before the indices it permutes (`StoreWriter::put_order`)
+                store
+                    .put_order(step, row_order, p)
+                    .map_err(|e| format!("--out: {e}"))?;
+            }
             for (f, binner) in out.fields.iter().zip(&binners) {
                 let idx = match &perm {
                     Some(p) => BitmapIndex::build_permuted(&f.data, binner.clone(), p),
@@ -403,11 +409,6 @@ fn cmd_insitu(flags: &Flags) -> Result<(), String> {
                         .put_lossy(step, f.name, &idx, lossy_fpr)
                         .map_err(|e| format!("--out: {e}"))?;
                 }
-            }
-            if let Some(p) = &perm {
-                store
-                    .put_order(step, row_order, p)
-                    .map_err(|e| format!("--out: {e}"))?;
             }
         }
         let dir = store.finish().map_err(|e| format!("--out: {e}"))?;
