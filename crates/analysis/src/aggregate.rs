@@ -146,7 +146,7 @@ pub fn pearson(a: &BitmapIndex, b: &BitmapIndex) -> Option<f64> {
     pearson_from_joint_counts(
         a.binner(),
         b.binner(),
-        &crate::histogram::joint_counts_adaptive(a, b),
+        &crate::histogram::joint_counts(a, b, None),
         a.len(),
     )
 }
@@ -158,7 +158,7 @@ pub fn pearson_selected(a: &BitmapIndex, b: &BitmapIndex, selection: &WahVec) ->
     pearson_from_joint_counts(
         a.binner(),
         b.binner(),
-        &crate::query::joint_counts_selected(a, b, selection),
+        &crate::histogram::joint_counts(a, b, Some(selection)),
         selection.count_ones(),
     )
 }

@@ -6,9 +6,7 @@
 //! popcounts + compressed ANDs) produces bit-identical values to the
 //! full-data path under the same binning.
 
-use crate::histogram::{
-    histogram, joint_counts_from_indexes, joint_histogram, marginal_a, marginal_b,
-};
+use crate::histogram::{histogram, joint_counts, joint_histogram, marginal_a, marginal_b};
 use ibis_core::{Binner, BitmapIndex};
 
 /// Shannon entropy (bits) of a count vector — Equation 4.
@@ -96,16 +94,17 @@ pub fn shannon_entropy_index(index: &BitmapIndex) -> f64 {
     shannon_entropy_from_counts(index.counts())
 }
 
-/// Mutual information of two indexed variables: `m × n` compressed ANDs +
-/// popcounts produce the joint distribution (Figure 5).
+/// Mutual information of two indexed variables, from the joint
+/// distribution the bitmaps alone give ([`joint_counts`]; the paper's
+/// Figure 5 gets it from `m × n` compressed ANDs).
 pub fn mutual_information_index(a: &BitmapIndex, b: &BitmapIndex) -> f64 {
-    let joint = joint_counts_from_indexes(a, b);
+    let joint = joint_counts(a, b, None);
     mutual_information_from_counts(&joint, a.nbins(), b.nbins())
 }
 
 /// Conditional entropy `H(A|B)` of two indexed variables.
 pub fn conditional_entropy_index(a: &BitmapIndex, b: &BitmapIndex) -> f64 {
-    let joint = joint_counts_from_indexes(a, b);
+    let joint = joint_counts(a, b, None);
     conditional_entropy_from_counts(&joint, a.nbins(), b.nbins())
 }
 

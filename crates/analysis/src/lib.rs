@@ -39,6 +39,7 @@ pub mod summary;
 
 pub use aggregate::Estimate;
 pub use cfp::Cfp;
+pub use histogram::{joint_counts, joint_counts_and_table};
 pub use impute::{impute_from, ImputeStrategy, Imputed, MaskedIndex};
 pub use mining::{
     mine_full, mine_index, mine_index_serial, mine_multilevel, MinedSubset, MiningConfig,
@@ -47,8 +48,8 @@ pub use mining::{
 pub use query::{
     correlation_partial_ml_shard, correlation_query, correlation_query_mapped,
     correlation_query_ml, correlation_query_ml_mapped, execute_range_plan, finish_correlation,
-    joint_counts_selected, joint_counts_selected_naive, plan_value_range, region_mask, shard_mask,
-    stored_ranges, CorrelationAnswer, CorrelationPartial, QueryError, RangePlan, SubsetQuery,
+    plan_value_range, region_mask, shard_mask, stored_ranges, CorrelationAnswer,
+    CorrelationPartial, QueryError, RangePlan, SubsetQuery,
 };
 pub use sampling::{lossy_summaries, sample, SamplingMethod};
 pub use selection::{

@@ -142,10 +142,8 @@ pub fn mine_index(a: &BitmapIndex, b: &BitmapIndex, cfg: &MiningConfig) -> Minin
     if n == 0 {
         return result;
     }
-    // Step 1: the whole joint table via compressed ANDs, with the exact
-    // row-completion early exit (a row stops once its counts reach the
-    // bin's total — every further pair has an empty joint bitvector).
-    let joint = crate::histogram::joint_counts_adaptive(a, b);
+    // Step 1: the whole joint table, in one pass over the bitmaps.
+    let joint = crate::histogram::joint_counts(a, b, None);
     let nb_bins = b.nbins();
     // Step 2: value pruning — pure float scoring of the joint table, cheap
     // and serial. Survivors are grouped by row for the spatial fan-out.
@@ -238,7 +236,7 @@ pub fn mine_index_serial(a: &BitmapIndex, b: &BitmapIndex, cfg: &MiningConfig) -
     if n == 0 {
         return result;
     }
-    let joint = crate::histogram::joint_counts_adaptive(a, b);
+    let joint = crate::histogram::joint_counts(a, b, None);
     // Per-unit marginal counts, computed lazily per bin (cached).
     let mut units_a: Vec<Option<Vec<u64>>> = vec![None; a.nbins()];
     let mut units_b: Vec<Option<Vec<u64>>> = vec![None; b.nbins()];

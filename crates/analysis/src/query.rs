@@ -40,7 +40,8 @@
 
 use crate::aggregate::{self, Estimate};
 use crate::entropy::{conditional_entropy_from_counts, mutual_information_from_counts};
-use ibis_core::{BitmapIndex, DenseBits, MultiLevelIndex, PreparedOperand, RowPermutation, WahVec};
+use crate::histogram::{joint_counts, marginal_a, marginal_b};
+use ibis_core::{BitmapIndex, MultiLevelIndex, RowPermutation, WahVec};
 use ibis_obs::LazyCounter;
 use std::fmt;
 use std::ops::Range;
@@ -51,8 +52,6 @@ static OBS_PLAN_OR: LazyCounter = LazyCounter::new("query.plan.or_bins");
 static OBS_PLAN_COMPLEMENT: LazyCounter = LazyCounter::new("query.plan.complement");
 static OBS_PLAN_MULTILEVEL: LazyCounter = LazyCounter::new("query.plan.multilevel");
 static OBS_PLAN_EMPTY: LazyCounter = LazyCounter::new("query.plan.empty");
-static OBS_JOINT_PREPARED: LazyCounter = LazyCounter::new("query.joint.prepared");
-static OBS_JOINT_COMPRESSED: LazyCounter = LazyCounter::new("query.joint.compressed");
 // Region predicates resolved against a row permutation, by the path taken
 // (family `reorder`, see DESIGN.md §6j).
 static OBS_REGION_SEGMENTS: LazyCounter = LazyCounter::new("reorder.query.region_mapped.segments");
@@ -410,8 +409,7 @@ pub fn plan_value_range(
     let mut best = RangePlan::OrBins { lo: b0, hi: b1 };
 
     // Complement: valid only when bins partition the positions.
-    let partitions = index.counts().iter().sum::<u64>() == index.len();
-    if partitions {
+    if index.partitions() {
         let outside = cost_of(index, (0..b0).chain(b1 + 1..index.nbins()));
         // The complement pass re-reads its OR result once; weight it 3/2.
         let cost = outside + outside / 2;
@@ -506,76 +504,6 @@ pub struct CorrelationAnswer {
     pub mean_a: Option<Estimate>,
     /// Approximate mean of variable B within the selection.
     pub mean_b: Option<Estimate>,
-}
-
-/// Joint `(bin_a, bin_b)` counts restricted to a selection, preparing the
-/// selection once: above the density cutover the selection is decoded a
-/// single time and each `a`-row is masked into a reused dense scratch
-/// buffer (`O(row words + n/64)` per row), instead of re-decoding the
-/// selection for every `a.bin(j).and(&sel)` as the naive loop does.
-pub fn joint_counts_selected(a: &BitmapIndex, b: &BitmapIndex, sel: &WahVec) -> Vec<u64> {
-    let nb = b.nbins();
-    let mut joint = vec![0u64; a.nbins() * nb];
-    if sel.count_ones() == 0 {
-        return joint;
-    }
-    match sel.prepare() {
-        PreparedOperand::Dense { bits, .. } => {
-            OBS_JOINT_PREPARED.inc();
-            let mut masked = DenseBits::zeros(sel.len());
-            for j in 0..a.nbins() {
-                if a.counts()[j] == 0 {
-                    continue;
-                }
-                bits.and_wah_into(a.bin(j), &mut masked);
-                if masked.count_ones() == 0 {
-                    continue;
-                }
-                for (k, slot) in joint[j * nb..(j + 1) * nb].iter_mut().enumerate() {
-                    if b.counts()[k] != 0 {
-                        *slot = masked.and_count_wah(b.bin(k));
-                    }
-                }
-            }
-        }
-        PreparedOperand::Compressed(sel) => {
-            // A sparse selection stays cheap on the compressed path: the
-            // per-row AND reads only the selection's few words.
-            OBS_JOINT_COMPRESSED.inc();
-            fill_joint_naive(a, b, sel, &mut joint);
-        }
-    }
-    joint
-}
-
-/// The per-pair re-decode reference loop: `a.bin(j).and(&sel)` for every
-/// row, exactly as the pre-planner implementation computed it. Kept
-/// callable as the oracle and baseline the prepared loop is benchmarked
-/// and property-tested against (mirroring `BitmapIndex::build_scalar`).
-pub fn joint_counts_selected_naive(a: &BitmapIndex, b: &BitmapIndex, sel: &WahVec) -> Vec<u64> {
-    let mut joint = vec![0u64; a.nbins() * b.nbins()];
-    if sel.count_ones() > 0 {
-        fill_joint_naive(a, b, sel, &mut joint);
-    }
-    joint
-}
-
-fn fill_joint_naive(a: &BitmapIndex, b: &BitmapIndex, sel: &WahVec, joint: &mut [u64]) {
-    let nb = b.nbins();
-    for j in 0..a.nbins() {
-        if a.counts()[j] == 0 {
-            continue;
-        }
-        let masked = a.bin(j).and(sel);
-        if masked.count_ones() == 0 {
-            continue;
-        }
-        for (k, slot) in joint[j * nb..(j + 1) * nb].iter_mut().enumerate() {
-            if b.counts()[k] != 0 {
-                *slot = masked.and_count(b.bin(k));
-            }
-        }
-    }
 }
 
 /// Computes the relationship of two variables restricted to the
@@ -719,10 +647,12 @@ pub struct CorrelationPartial {
     /// row-major over `nbins_a × nbins_b`.
     pub joint: Vec<u64>,
     /// Per-bin selection counts of variable A (`bin ∧ selection`), the sum
-    /// finisher's input — *not* derivable from `joint`'s marginals in
-    /// general, so carried explicitly.
+    /// finisher's input. They are `joint`'s row sums whenever B's bins
+    /// partition the rows — every index built from data — and carried
+    /// explicitly because a lossy superset B breaks that.
     pub counts_a: Vec<u64>,
-    /// Per-bin selection counts of variable B.
+    /// Per-bin selection counts of variable B (`joint`'s column sums when
+    /// A partitions).
     pub counts_b: Vec<u64>,
 }
 
@@ -805,14 +735,19 @@ fn correlation_partial(
     }
     let sel = evaluate_shard(query_a, a, ml_a, rows.clone(), ranges)?
         .and(&evaluate_shard(query_b, b, ml_b, rows, ranges)?);
-    let count_bins = |idx: &BitmapIndex| -> Vec<u64> {
-        idx.bins().iter().map(|bin| bin.and_count(&sel)).collect()
+    let joint = joint_counts(a, b, Some(&sel));
+    let (na, nb) = (a.nbins(), b.nbins());
+    // A row of the table sums to `bin ∧ sel` when the *other* operand's
+    // bins partition the rows; only a lossy superset index's do not.
+    let counts = |idx: &BitmapIndex, other: &BitmapIndex, marginal| match other.partitions() {
+        true => marginal,
+        false => idx.bins().iter().map(|bin| bin.and_count(&sel)).collect(),
     };
     Ok(CorrelationPartial {
         selected: sel.count_ones(),
-        joint: joint_counts_selected(a, b, &sel),
-        counts_a: count_bins(a),
-        counts_b: count_bins(b),
+        counts_a: counts(a, b, marginal_a(&joint, na, nb)),
+        counts_b: counts(b, a, marginal_b(&joint, na, nb)),
+        joint,
     })
 }
 
@@ -1022,27 +957,6 @@ mod tests {
         // A one-bin span stays naive.
         let plan = plan_value_range(ml.low(), Some(&ml), 5.0, 5.05).unwrap();
         assert!(matches!(plan, RangePlan::OrBins { .. }), "{plan:?}");
-    }
-
-    #[test]
-    fn prepared_joint_counts_match_naive() {
-        let n = 3000usize;
-        let a: Vec<f64> = (0..n).map(|i| ((i * 7) % 90) as f64 / 10.0).collect();
-        let b: Vec<f64> = (0..n).map(|i| ((i * 13 + 5) % 90) as f64 / 10.0).collect();
-        let ia = index(&a);
-        let ib = index(&b);
-        for sel in [
-            WahVec::ones(n as u64),
-            WahVec::zeros(n as u64),
-            region_mask(100..2900, n as u64).unwrap(), // dense
-            WahVec::from_ones(&[5, 700, 2999], n as u64), // sparse
-            WahVec::from_bits((0..n).map(|i| i % 2 == 0)), // incompressible
-        ] {
-            assert_eq!(
-                joint_counts_selected(&ia, &ib, &sel),
-                joint_counts_selected_naive(&ia, &ib, &sel)
-            );
-        }
     }
 
     #[test]

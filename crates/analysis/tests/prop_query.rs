@@ -1,20 +1,37 @@
-//! Property tests for the query layer: the planner + prepared-selection
-//! engine against a full-data scan oracle (filter raw values by range and
+//! Property tests for the query layer: the planner and the joint-table
+//! kernel against a full-data scan oracle (filter raw values by range and
 //! positions, build the joint histogram directly from data pairs), across
 //! every binner kind — plus the guarantee that multi-level evaluation and
-//! every planner strategy produce byte-identical selections, that
-//! `correlation_query` is the pure finisher over the counts a scan fills,
+//! every planner strategy produce byte-identical selections, that the
+//! one-pass joint table equals the AND table and the scan on every chunk
+//! and 31-bit edge, that `correlation_query` is the pure finisher over the
+//! counts a scan fills,
 //! and that no generated query (inverted, empty, NaN, out-of-range) ever
 //! panics.
 
+use ibis_analysis::histogram::{marginal_a, marginal_b, CHUNK_ROWS};
 use ibis_analysis::{
     correlation_query, correlation_query_mapped, correlation_query_ml, finish_correlation,
-    joint_counts_selected, joint_counts_selected_naive, shard_mask, stored_ranges,
-    CorrelationPartial, QueryError, SubsetQuery,
+    joint_counts, joint_counts_and_table, shard_mask, stored_ranges, CorrelationPartial,
+    QueryError, SubsetQuery,
 };
-use ibis_core::{Binner, BitmapIndex, MultiLevelIndex, RowOrder, RowPermutation, WahVec};
+use ibis_core::{
+    build_lossy_index, Binner, BitmapIndex, MultiLevelIndex, RowOrder, RowPermutation, WahVec,
+};
 use proptest::prelude::*;
 use std::ops::Range;
+
+/// A binner over 1–11 explicit integer edges inside ±50.
+fn edges_binner() -> impl Strategy<Value = Binner> {
+    proptest::collection::vec(-50i32..50, 2..12).prop_map(|mut edges| {
+        edges.sort_unstable();
+        edges.dedup();
+        if edges.len() < 2 {
+            edges = vec![-50, 50];
+        }
+        Binner::from_edges(edges.into_iter().map(f64::from).collect())
+    })
+}
 
 /// One binner of each kind the crate supports, all covering ±50.
 fn any_binner() -> impl Strategy<Value = Binner> {
@@ -23,14 +40,7 @@ fn any_binner() -> impl Strategy<Value = Binner> {
         Just(Binner::precision(-50.0, 50.0, 0)),
         Just(Binner::precision(-50.0, 50.0, -1)),
         Just(Binner::distinct_ints(-50, 50)),
-        proptest::collection::vec(-50i32..50, 2..12).prop_map(|mut edges| {
-            edges.sort_unstable();
-            edges.dedup();
-            if edges.len() < 2 {
-                edges = vec![-50, 50];
-            }
-            Binner::from_edges(edges.into_iter().map(f64::from).collect())
-        }),
+        edges_binner(),
     ]
 }
 
@@ -132,6 +142,80 @@ fn gathered_mask(
     Ok(WahVec::from_ones(&ones, rows.end - rows.start))
 }
 
+/// One binner of each kind with at most 24 bins, so the AND table stays
+/// cheap on the multi-chunk arrays below.
+fn small_binner() -> impl Strategy<Value = Binner> {
+    prop_oneof![
+        (1usize..24).prop_map(|n| Binner::fixed_width(-50.0, 50.0, n)),
+        Just(Binner::precision(-50.0, 50.0, -1)),
+        Just(Binner::distinct_ints(-9, 9)),
+        edges_binner(),
+    ]
+}
+
+/// `n` values of one data regime: 0 Heat3D-like plateaus, 1 noise,
+/// 2 constant, 3 noise salted with NaN and ±inf.
+fn regime_data(regime: usize, n: usize, seed: u64) -> Vec<f64> {
+    let mut state = seed | 1;
+    let mut noise = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64 * 100.0 - 50.0
+    };
+    let plateau = 40 + seed as usize % 400;
+    (0..n)
+        .map(|i| match (regime, i % 11) {
+            (0, _) => {
+                ((i / plateau * 37 + seed as usize) % 100) as f64 - 50.0 + (i % 3) as f64 * 1e-3
+            }
+            (2, _) => 3.0,
+            (3, 2) => f64::NAN,
+            (3, 5) => f64::INFINITY,
+            (3, 7) => f64::NEG_INFINITY,
+            _ => noise(),
+        })
+        .collect()
+}
+
+/// The selections the joint kernel's edges hide behind, over `n` rows:
+/// all rows (`None`), none, all, one row, a run across the first chunk
+/// edge, runs ending on and one past a 31-bit edge, a run to the last row,
+/// and scattered rows (literal selection words).
+fn edge_selections(n: u64) -> Vec<Option<WahVec>> {
+    let runs = |ranges: &[(u64, u64)]| {
+        let ranges: Vec<Range<u64>> = ranges.iter().map(|&(lo, hi)| lo..hi).collect();
+        Some(shard_mask(&ranges, 0..n))
+    };
+    let c = CHUNK_ROWS;
+    vec![
+        None,
+        runs(&[]),
+        runs(&[(0, n)]),
+        runs(&[(n / 2, n / 2 + 1)]),
+        runs(&[(c - 40, c + 40)]),
+        runs(&[(5, 62), (70, 94), (2 * c + 3, 2 * c + 31)]),
+        runs(&[(n.saturating_sub(45), n)]),
+        Some(WahVec::from_bits((0..n).map(|i| i * i % 7 < 2))),
+    ]
+}
+
+/// `[d, n / d]` for the largest `d² <= n` dividing `n`.
+fn grid_of(n: usize) -> [usize; 2] {
+    let d = (1..=n)
+        .take_while(|d| d * d <= n)
+        .filter(|&d| n.is_multiple_of(d))
+        .last();
+    [d.unwrap_or(0), n / d.unwrap_or(1)]
+}
+
+fn counter(name: &str) -> u64 {
+    match ibis_obs::global().snapshot().get(name) {
+        Some(ibis_obs::MetricValue::Counter(v)) => *v,
+        _ => 0,
+    }
+}
+
 fn has_nan(q: &SubsetQuery) -> bool {
     matches!(q.value_range, Some((lo, hi)) if lo.is_nan() || hi.is_nan())
 }
@@ -201,8 +285,8 @@ proptest! {
             let jb = ib.binner().bin_of(b[i as usize]) as usize;
             want[ja * ib.nbins() + jb] += 1;
         }
-        prop_assert_eq!(&joint_counts_selected(&ia, &ib, &sel), &want);
-        prop_assert_eq!(&joint_counts_selected_naive(&ia, &ib, &sel), &want);
+        prop_assert_eq!(&joint_counts(&ia, &ib, Some(&sel)), &want);
+        prop_assert_eq!(&joint_counts_and_table(&ia, &ib, Some(&sel)), &want);
     }
 
     #[test]
@@ -399,5 +483,108 @@ proptest! {
                 Err(other) => prop_assert!(false, "unexpected error {}", other),
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The one-pass joint table equals the paper's AND table and a scan of
+    /// the raw arrays on every chunk and 31-bit boundary, under every row
+    /// order, and its marginals are the per-bin selected counts.
+    #[test]
+    fn joint_counts_equal_and_table_and_scan(
+        (binner_a, binner_b) in (small_binner(), small_binner()),
+        (regime_a, regime_b) in (0usize..4, 0usize..4),
+        seed in any::<u64>(),
+    ) {
+        let c = CHUNK_ROWS as usize;
+        let orders = [RowOrder::Identity, RowOrder::GrayBin, RowOrder::HistogramSorted, RowOrder::Hilbert];
+        for (n, order) in [0, 1, 30, 31, 32, c - 1, c, c + 1, 3 * c + 17]
+            .into_iter()
+            .flat_map(|n| orders.map(|order| (n, order)))
+        {
+            let a = regime_data(regime_a, n, seed);
+            let b = regime_data(regime_b, n, seed.rotate_left(17));
+            let perm = order.permutation(&grid_of(n), &binner_a, &a);
+            let build = |data: &[f64], binner: &Binner| match &perm {
+                Some(perm) => BitmapIndex::build_permuted(data, binner.clone(), perm),
+                None => BitmapIndex::build(data, binner.clone()),
+            };
+            let (ia, ib) = (build(&a, &binner_a), build(&b, &binner_b));
+            // every stored row's pair of bins, from the raw values
+            let stored = |row: usize| perm.as_ref().map_or(row, |p| p.perm()[row] as usize);
+            let bins: Vec<(usize, usize)> = (0..n)
+                .map(|row| (binner_a.bin_of(a[stored(row)]) as usize, binner_b.bin_of(b[stored(row)]) as usize))
+                .collect();
+            for sel in edge_selections(n as u64) {
+                let sel = sel.as_ref();
+                let all = WahVec::ones(n as u64);
+                let kept: Vec<usize> = sel.unwrap_or(&all).iter_ones().map(|row| row as usize).collect();
+                for (ix, iy, same) in [(&ia, &ib, false), (&ia, &ia, true)] {
+                    let ny = iy.nbins();
+                    let mut scan = vec![0u64; ix.nbins() * ny];
+                    for &(ja, kb) in kept.iter().map(|&row| &bins[row]) {
+                        scan[ja * ny + if same { ja } else { kb }] += 1;
+                    }
+                    let got = joint_counts(ix, iy, sel);
+                    prop_assert_eq!(&got, &scan, "{} n={} same={} sel={:?}", order.name(), n, same, sel);
+                    prop_assert_eq!(&got, &joint_counts_and_table(ix, iy, sel));
+                    let per_bin = |idx: &BitmapIndex| -> Vec<u64> {
+                        idx.bins().iter().map(|bin| bin.and_count(sel.unwrap_or(&all))).collect()
+                    };
+                    prop_assert_eq!(marginal_a(&got, ix.nbins(), ny), per_bin(ix));
+                    prop_assert_eq!(marginal_b(&got, ix.nbins(), ny), per_bin(iy));
+                }
+            }
+        }
+    }
+
+    /// An operand the labels cannot describe — a lossy superset index
+    /// (overlapping bins) or more bins than a label can name — gets the AND
+    /// table's answer, from the AND table.
+    #[test]
+    fn joint_counts_fall_back_to_the_and_table(
+        binner in small_binner(),
+        seed in any::<u64>(),
+        n in 1usize..3000,
+    ) {
+        let a = regime_data(0, n, seed);
+        let b = regime_data(1, n, seed);
+        let exact = BitmapIndex::build(&b, binner.clone());
+        let (lossy, _) = build_lossy_index(&a, binner.clone(), 0.1);
+        let wide_binner = Binner::distinct_ints(0, u16::MAX as i64 + 7);
+        let short = &a[..n.min(40)];
+        let wide = BitmapIndex::build(short, wide_binner.clone());
+        let narrow = BitmapIndex::build(short, binner.clone());
+        let sel = WahVec::from_bits((0..n).map(|i| i % 5 != 0));
+        let short_sel = sel.slice(0..short.len() as u64);
+        let mut fallbacks = 0;
+        for (x, y, sel) in [
+            (&lossy, &exact, &sel),
+            (&exact, &lossy, &sel),
+            (&lossy, &lossy, &sel),
+            (&wide, &narrow, &short_sel),
+            (&narrow, &wide, &short_sel),
+        ] {
+            if x.partitions() && y.partitions() && x.nbins().max(y.nbins()) <= u16::MAX as usize {
+                continue; // nothing was promoted: the lossy index is exact
+            }
+            for sel in [None, Some(sel)] {
+                let before = counter("query.joint.and_table");
+                let got = joint_counts(x, y, sel);
+                // other tests only ever add to the process-wide counter
+                prop_assert!(!cfg!(feature = "obs") || counter("query.joint.and_table") > before);
+                prop_assert_eq!(got, joint_counts_and_table(x, y, sel));
+                fallbacks += 1;
+            }
+        }
+        prop_assert!(fallbacks >= 4, "the over-wide pairs always fall back");
+        // the wide table against the raw values: no id was truncated
+        let mut scan = vec![0u64; wide.nbins() * narrow.nbins()];
+        for &v in short {
+            scan[wide_binner.bin_of(v) as usize * narrow.nbins() + binner.bin_of(v) as usize] += 1;
+        }
+        prop_assert_eq!(joint_counts(&wide, &narrow, None), scan);
     }
 }

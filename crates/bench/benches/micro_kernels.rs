@@ -14,7 +14,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use ibis_analysis::emd::{emd_spatial_full, emd_spatial_index};
 use ibis_analysis::entropy::{conditional_entropy_full, conditional_entropy_index};
 use ibis_analysis::{
-    aggregate, correlation_query, mine_full, mine_index, MiningConfig, SubsetQuery,
+    aggregate, correlation_query, joint_counts, mine_full, mine_index, MiningConfig, SubsetQuery,
 };
 use ibis_core::{Binner, BitmapIndex, Bitset, MultiWahBuilder, WahVec};
 use ibis_datagen::{OceanConfig, OceanModel};
@@ -303,6 +303,21 @@ fn bench_queries(c: &mut Criterion) {
     g.finish();
 }
 
+/// The one-pass joint table over all rows of each data shape it serves
+/// (`benches/query.rs` holds the record against the AND table).
+fn bench_joint(c: &mut Criterion) {
+    let mut g = c.benchmark_group("joint");
+    g.sample_size(10).measurement_time(Duration::from_secs(1));
+    for regime in ibis_bench::joint_regimes(64, [96, 64, 16]) {
+        g.bench_with_input(
+            BenchmarkId::new("partition", regime.name),
+            &regime,
+            |bch, r| bch.iter(|| black_box(joint_counts(black_box(&r.a), black_box(&r.b), None))),
+        );
+    }
+    g.finish();
+}
+
 /// CRC32-C, the checksum every store blob, journal line and checkpoint
 /// goes through: the dispatching entry point (the SSE4.2 `crc32`
 /// instruction where the host has it) against the portable slicing-by-8
@@ -357,7 +372,8 @@ criterion_group!(
     bench_ops,
     bench_metrics,
     bench_mining,
-    bench_queries
+    bench_queries,
+    bench_joint
 );
 
 fn main() {

@@ -1,8 +1,9 @@
 //! Query-serving sweep for the cached engine and the planner: warm-cache
 //! repeated correlation queries vs the cold `load_series`-per-query
-//! baseline, the prepared-selection joint loop vs the per-pair `and`
-//! re-decode on a 64-bin index, and an in-bench byte-identity sweep of
-//! every planner strategy against the naive per-bin OR. Written to
+//! baseline, the one-pass partition joint table vs the paper's AND table
+//! (three data regimes × four selections, results asserted equal before
+//! either is timed), and an in-bench byte-identity sweep of every planner
+//! strategy against the naive per-bin OR. Written to
 //! `BENCH_query.json` at the repository root.
 //!
 //!     cargo bench -p ibis-bench --bench query
@@ -12,9 +13,10 @@
 //! report without clobbering the committed full-size numbers.
 
 use ibis_analysis::{
-    correlation_query, joint_counts_selected, joint_counts_selected_naive, plan_value_range,
-    RangePlan, SubsetQuery,
+    correlation_query, joint_counts, joint_counts_and_table, plan_value_range, RangePlan,
+    SubsetQuery,
 };
+use ibis_bench::joint_regimes;
 use ibis_core::{Binner, BitmapIndex, MultiLevelIndex};
 use ibis_insitu::{CachedStore, QueryAnswer, QueryEngine, QueryRequest, Store, StoreWriter};
 use std::hint::black_box;
@@ -152,46 +154,57 @@ fn main() {
         stats.misses,
     );
 
-    // --- prepared joint loop vs per-pair and() re-decode, 64-bin index ---
-    // The selection comes from a *noisy* diagnostic variable, so its bitmap
-    // is dense and incompressible — the regime where the naive loop's
-    // per-pair merges drag the full selection through every `and`, and the
-    // prepared path's one-time decode pays off.
-    let t0 = temperature(0, n);
-    let s0 = salinity(&t0);
-    let ia = BitmapIndex::build(&t0, binner.clone());
-    let ib = BitmapIndex::build(&s0, binner.clone());
-    let noise: Vec<f64> = {
-        let mut state = 0x9e3779b97f4a7c15u64;
-        (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (state >> 11) as f64 / (1u64 << 53) as f64 * 66.0
-            })
-            .collect()
+    // --- partition kernel vs AND table: the identical op, equal results
+    // asserted before either is timed ---
+    let regimes = if smoke {
+        joint_regimes(32, [32, 24, 8])
+    } else {
+        joint_regimes(96, [96, 64, 16])
     };
-    let inoise = BitmapIndex::build(&noise, binner.clone());
-    let sel = SubsetQuery::value(4.0, 62.0)
-        .evaluate(&inoise)
-        .expect("selection");
-    assert_eq!(
-        joint_counts_selected(&ia, &ib, &sel),
-        joint_counts_selected_naive(&ia, &ib, &sel),
-        "prepared joint loop diverged from naive"
-    );
-    let prepared_s = measure(|| joint_counts_selected(black_box(&ia), black_box(&ib), &sel));
-    let naive_s = measure(|| joint_counts_selected_naive(black_box(&ia), black_box(&ib), &sel));
-    let joint_speedup = naive_s / prepared_s;
-    let joint_ok = joint_speedup > 1.0;
-    println!(
-        "query: joint loop {NBINS}x{NBINS} bins  naive {:.2} ms  prepared {:.2} ms  ({joint_speedup:.1}x, >1x: {joint_ok})",
-        naive_s * 1e3,
-        prepared_s * 1e3,
-    );
+    let mut joint_samples = Vec::new();
+    let (mut partition_s, mut and_table_s) = (0.0, 0.0);
+    let mut joint_speedup = f64::INFINITY;
+    let mut never_slower = true;
+    for regime in &regimes {
+        let (a, b) = (&regime.a, &regime.b);
+        let (mut fast_s, mut slow_s) = (0.0, 0.0);
+        for (name, sel) in regime.selections() {
+            let sel = sel.as_ref();
+            assert_eq!(
+                joint_counts(a, b, sel),
+                joint_counts_and_table(a, b, sel),
+                "{}/{name}: partition kernel diverged from the AND table",
+                regime.name
+            );
+            let fast = measure(|| joint_counts(black_box(a), black_box(b), sel));
+            let slow = measure(|| joint_counts_and_table(black_box(a), black_box(b), sel));
+            never_slower &= fast <= slow;
+            fast_s += fast;
+            slow_s += slow;
+            let share = sel.map_or(1.0, |s| s.count_ones() as f64 / a.len().max(1) as f64);
+            joint_samples.push(format!(
+                "    {{\"regime\": \"{}\", \"selection\": \"{name}\", \"rows\": {}, \"selected_share\": {share:.4}, \
+                 \"partition_s\": {fast:e}, \"and_table_s\": {slow:e}, \"speedup\": {:.3}}}",
+                regime.name,
+                a.len(),
+                slow / fast
+            ));
+        }
+        println!(
+            "query: joint table {:8} {} rows  AND table {:.3} ms  partition {:.3} ms  ({:.1}x)",
+            regime.name,
+            a.len(),
+            slow_s * 1e3,
+            fast_s * 1e3,
+            slow_s / fast_s
+        );
+        joint_speedup = joint_speedup.min(slow_s / fast_s);
+        partition_s += fast_s;
+        and_table_s += slow_s;
+    }
 
     // --- planner byte-identity sweep: every strategy == naive per-bin OR ---
+    let ia = BitmapIndex::build(&temperature(0, n), binner.clone());
     let ml = MultiLevelIndex::from_low(ia.clone(), 8);
     let mut plan_counts = [0usize; 4]; // empty, or_bins, complement, multilevel
     let mut identity_checks = 0usize;
@@ -238,16 +251,18 @@ fn main() {
          \"warm_over_cold_speedup\": {warm_speedup:.3},\n  \
          \"warm_over_5x_target\": {warm_ok},\n  \
          \"cache_hits\": {},\n  \"cache_misses\": {},\n  \
-         \"joint_naive_s\": {naive_s:e},\n  \
-         \"joint_prepared_s\": {prepared_s:e},\n  \
-         \"prepared_over_naive_speedup\": {joint_speedup:.3},\n  \
-         \"prepared_beats_naive\": {joint_ok},\n  \
+         \"joint_partition_s\": {partition_s:e},\n  \
+         \"joint_and_table_s\": {and_table_s:e},\n  \
+         \"partition_over_and_table_speedup\": {joint_speedup:.3},\n  \
+         \"partition_never_slower\": {never_slower},\n  \
+         \"joint\": [\n{}\n  ],\n  \
          \"planner_identity_ranges_checked\": {identity_checks},\n  \
          \"planner_strategies_all_byte_identical\": true,\n  \
          \"planner_all_strategies_exercised\": {all_strategies_used}\n}}\n",
         workload.len(),
         stats.hits,
         stats.misses,
+        joint_samples.join(",\n"),
     );
     let path = if smoke {
         concat!(

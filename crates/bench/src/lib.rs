@@ -16,8 +16,10 @@
 pub mod ablations;
 pub mod figures;
 
-use ibis_core::Binner;
-use ibis_datagen::{Heat3DConfig, LuleshConfig, MiniLulesh, Simulation};
+use ibis_core::{Binner, BitmapIndex, RowOrder, RowPermutation, WahVec};
+use ibis_datagen::{
+    Heat3D, Heat3DConfig, LuleshConfig, MiniLulesh, OceanConfig, OceanModel, Simulation,
+};
 use std::fmt::Display;
 use std::io::Write;
 use std::path::PathBuf;
@@ -62,6 +64,113 @@ pub fn heat3d_config() -> Heat3DConfig {
 /// range at integer precision lands in the same regime (103 bins).
 pub fn heat3d_binner() -> Binner {
     Binner::precision(-1.0, 101.0, 0)
+}
+
+/// One operand pair of the joint-table benches (`benches/query.rs` and
+/// `micro_kernels`' `joint/partition/*`).
+pub struct JointRegime {
+    /// `heat3d`, `ocean` or `graybin`.
+    pub name: &'static str,
+    /// First operand; selections are drawn from its bins.
+    pub a: BitmapIndex,
+    /// Second operand, over the same stored rows.
+    pub b: BitmapIndex,
+    /// The stored row order both were built under, when not the identity.
+    pub perm: Option<RowPermutation>,
+}
+
+/// The three data shapes the one-pass joint table has to serve, at the
+/// `ibis-e2e` workloads' binning scales: two consecutive Heat3D steps of a
+/// `heat`³ mesh (long fills broken by literal words), ocean temperature ×
+/// salinity (noise: literal words throughout), and the same Heat3D steps
+/// under the first one's GrayBin order (every bin of `a` a single fill —
+/// where the paper's AND table is already cheap).
+pub fn joint_regimes(heat: usize, ocean: [usize; 3]) -> Vec<JointRegime> {
+    let mut sim = Heat3D::new(Heat3DConfig {
+        nx: heat,
+        ny: heat,
+        nz: heat,
+        sweeps_per_step: 2,
+        ..Default::default()
+    });
+    for _ in 0..24 {
+        sim.step(); // let the field diffuse
+    }
+    let t0 = sim.temperature().to_vec();
+    sim.step();
+    let t1 = sim.temperature().to_vec();
+    let degrees = heat3d_binner();
+    let perm = RowOrder::GrayBin.permutation(&[], &degrees, &t0);
+    let sorted = |data: &[f64]| match &perm {
+        Some(perm) => BitmapIndex::build_permuted(data, degrees.clone(), perm),
+        None => BitmapIndex::build(data, degrees.clone()),
+    };
+    let model = OceanModel::new(OceanConfig {
+        nlon: ocean[0],
+        nlat: ocean[1],
+        ndepth: ocean[2],
+        ..Default::default()
+    });
+    let fitted = |name: &str| {
+        let data = model.variable(name);
+        let binner = Binner::fit(&data, 64);
+        BitmapIndex::build(&data, binner)
+    };
+    vec![
+        JointRegime {
+            name: "heat3d",
+            a: BitmapIndex::build(&t0, degrees.clone()),
+            b: BitmapIndex::build(&t1, degrees.clone()),
+            perm: None,
+        },
+        JointRegime {
+            name: "ocean",
+            a: fitted("temperature"),
+            b: fitted("salinity"),
+            perm: None,
+        },
+        JointRegime {
+            name: "graybin",
+            a: sorted(&t0),
+            b: sorted(&t1),
+            perm,
+        },
+    ]
+}
+
+impl JointRegime {
+    /// The selections a correlation query brings: every row, the value
+    /// ranges of `a` (runs of adjacent bins) holding closest to 70 % and
+    /// 10 % of the rows, and one spatial block of 1/64 of the grid.
+    pub fn selections(&self) -> Vec<(&'static str, Option<WahVec>)> {
+        let n = self.a.len();
+        let value_range = |share: f64| {
+            let counts = self.a.counts();
+            let held = |&(lo, hi): &(usize, usize)| counts[lo..=hi].iter().sum::<u64>() as f64;
+            let (lo, hi) = (0..counts.len())
+                .flat_map(|lo| (lo..counts.len()).map(move |hi| (lo, hi)))
+                .min_by(|x, y| {
+                    let miss = |w| (held(w) - share * n as f64).abs();
+                    miss(x).total_cmp(&miss(y))
+                })
+                .expect("an index has bins");
+            self.a.query_bins(lo..=hi)
+        };
+        let block = ibis_analysis::SubsetQuery::region(n / 2..n / 2 + n / 64);
+        let region = match &self.perm {
+            Some(perm) => block.evaluate_mapped(&self.a, perm),
+            None => block.evaluate(&self.a),
+        };
+        vec![
+            ("all", None),
+            ("70pct", Some(value_range(0.7))),
+            ("10pct", Some(value_range(0.1))),
+            (
+                "region_1_64",
+                Some(region.expect("block lies inside the grid")),
+            ),
+        ]
+    }
 }
 
 /// The benchmark mini-LULESH problem.

@@ -53,6 +53,8 @@ pub struct BitmapIndex {
     bins: Vec<WahVec>,
     counts: Vec<u64>,
     len: u64,
+    /// `Σ counts == len`, computed once in [`BitmapIndex::from_bins`].
+    partitions: bool,
 }
 
 impl BitmapIndex {
@@ -98,8 +100,9 @@ impl BitmapIndex {
         let mut ids = vec![0u32; perm.len()];
         let gather = perm.perm();
         for (b, bits) in self.bins.iter().enumerate() {
-            for s in bits.iter_ones() {
-                ids[gather[s as usize] as usize] = b as u32;
+            let mut ones = bits.ones_cursor();
+            while let Some(run) = ones.next_before(self.len) {
+                run.for_each(|s| ids[gather[s as usize] as usize] = b as u32);
             }
         }
         Self::build_from_ids(&ids, self.binner.clone())
@@ -135,10 +138,11 @@ impl BitmapIndex {
             bins.iter().all(|b| b.len() == len),
             "bins must share a length"
         );
-        let counts = bins.iter().map(WahVec::count_ones).collect();
+        let counts: Vec<u64> = bins.iter().map(WahVec::count_ones).collect();
         BitmapIndex {
             binner,
             bins,
+            partitions: counts.iter().sum::<u64>() == len,
             counts,
             len,
         }
@@ -177,6 +181,14 @@ impl BitmapIndex {
     /// Per-bin 1-bit counts — the exact value histogram of the indexed data.
     pub fn counts(&self) -> &[u64] {
         &self.counts
+    }
+
+    /// Whether the bins partition the rows — every row set in exactly one
+    /// bin — as any index built from data does and a lossy superset index
+    /// (overlapping bins) does not. Tested as `Σ counts == len`: the
+    /// complement plan and the one-pass joint table both rest on it.
+    pub fn partitions(&self) -> bool {
+        self.partitions
     }
 
     /// Compressed size in bytes of all bitvectors — what the in-situ pipeline

@@ -53,6 +53,7 @@ pub use multilevel::MultiLevelIndex;
 pub use parallel::{aligned_partition, build_index_parallel, build_index_parallel_permuted};
 pub use roaring::{ContainerForm, RoaringVec, ARRAY_MAX, CONTAINER_BITS};
 pub use roworder::{RowOrder, RowPermutation};
+pub use runs::{Ones, OnesCursor};
 pub use verbatim::{build_index_two_phase, Bitset};
 pub use wah::{RawWahError, WahVec};
 pub use zorder::ZOrderLayout;

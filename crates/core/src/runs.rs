@@ -65,6 +65,98 @@ impl Iterator for RunIter<'_> {
     }
 }
 
+/// One stretch of 1-bits reported by a [`OnesCursor`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ones {
+    /// Every bit of `[start, end)` is set (a 1-fill, clipped to the window
+    /// it was asked in): both ends sit on 31-bit boundaries.
+    Fill(u64, u64),
+    /// A literal segment starting at bit `.0` with the non-zero payload `.1`
+    /// (LSB-first).
+    Literal(u64, u32),
+}
+
+impl Ones {
+    /// Calls `f` with every set position, ascending.
+    #[inline]
+    pub fn for_each(self, mut f: impl FnMut(u64)) {
+        match self {
+            Ones::Fill(start, end) => (start..end).for_each(f),
+            Ones::Literal(base, mut bits) => {
+                while bits != 0 {
+                    f(base + bits.trailing_zeros() as u64);
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
+}
+
+/// A forward cursor over the 1-bits of a WAH word stream, read one window
+/// at a time: O(words in the window), no allocation, no bit materialized.
+/// Window ends must sit on 31-bit boundaries (or be the vector's length),
+/// so a literal never straddles one; a fill that does is clipped and stays
+/// current for the next window.
+#[derive(Debug, Clone)]
+pub struct OnesCursor<'a> {
+    words: &'a [u32],
+    /// Next word to open.
+    idx: usize,
+    /// First bit not yet reported or skipped.
+    pos: u64,
+    /// End of the fill being consumed (`== pos` when none is open).
+    fill_end: u64,
+    /// Whether that fill is a 1-fill.
+    fill_bit: bool,
+}
+
+impl<'a> OnesCursor<'a> {
+    pub(crate) fn new(words: &'a [u32]) -> Self {
+        OnesCursor {
+            words,
+            idx: 0,
+            pos: 0,
+            fill_end: 0,
+            fill_bit: false,
+        }
+    }
+
+    /// The next stretch of ones that starts below `hi`, clipped to it, or
+    /// `None` once everything below `hi` is consumed.
+    #[inline]
+    pub fn next_before(&mut self, hi: u64) -> Option<Ones> {
+        while self.pos < hi {
+            if self.pos == self.fill_end {
+                let w = *self.words.get(self.idx)?;
+                self.idx += 1;
+                if !is_fill(w) {
+                    let base = self.pos;
+                    self.pos += SEG_BITS;
+                    self.fill_end = self.pos;
+                    if w != 0 {
+                        return Some(Ones::Literal(base, w));
+                    }
+                    continue;
+                }
+                self.fill_end = self.pos + fill_bits(w);
+                self.fill_bit = is_one_fill(w);
+            }
+            let start = self.pos;
+            self.pos = self.fill_end.min(hi);
+            if self.fill_bit {
+                return Some(Ones::Fill(start, self.pos));
+            }
+        }
+        None
+    }
+
+    /// Discards everything below `lo` (a window start).
+    #[inline]
+    pub fn skip_to(&mut self, lo: u64) {
+        while self.next_before(lo).is_some() {}
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,7 +23,7 @@ use std::sync::OnceLock;
 
 use crate::builder::WahBuilder;
 use crate::kernels::WahStats;
-use crate::runs::{Run, RunIter};
+use crate::runs::{Ones, OnesCursor, Run, RunIter};
 
 /// Number of payload bits per literal word / per fill increment.
 pub const SEG_BITS: u64 = 31;
@@ -522,22 +522,29 @@ impl WahVec {
         })
     }
 
+    /// A windowed cursor over the 1-bits ([`OnesCursor`]).
+    #[inline]
+    pub fn ones_cursor(&self) -> OnesCursor<'_> {
+        OnesCursor::new(&self.words)
+    }
+
     /// Iterates the positions of 1-bits in increasing order.
     pub fn iter_ones(&self) -> impl Iterator<Item = u64> + '_ {
-        let mut pos = 0u64;
-        self.runs().flat_map(move |run| {
-            let base = pos;
-            pos += run.len();
-            let iter: Box<dyn Iterator<Item = u64>> = match run {
-                Run::Fill(true, n) => Box::new(base..base + n),
-                Run::Fill(false, _) => Box::new(std::iter::empty()),
-                Run::Literal(payload, _) => Box::new(
-                    (0..31u64)
-                        .filter(move |j| payload & (1 << j) != 0)
-                        .map(move |j| base + j),
-                ),
-            };
-            iter
+        let mut cursor = self.ones_cursor();
+        let (mut fill, mut base, mut bits) = (0..0, 0u64, 0u32);
+        std::iter::from_fn(move || loop {
+            if let Some(pos) = fill.next() {
+                return Some(pos);
+            }
+            if bits != 0 {
+                let pos = base + bits.trailing_zeros() as u64;
+                bits &= bits - 1;
+                return Some(pos);
+            }
+            match cursor.next_before(u64::MAX)? {
+                Ones::Fill(start, end) => fill = start..end,
+                Ones::Literal(at, payload) => (base, bits) = (at, payload),
+            }
         })
     }
 

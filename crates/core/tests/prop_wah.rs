@@ -2,7 +2,7 @@
 //! the uncompressed [`Bitset`] oracle.
 
 use ibis_core::{
-    Binner, BitmapIndex, Bitset, MultiLevelIndex, MultiWahBuilder, WahBuilder, WahVec,
+    Binner, BitmapIndex, Bitset, MultiLevelIndex, MultiWahBuilder, Ones, WahBuilder, WahVec,
 };
 use proptest::prelude::*;
 
@@ -69,6 +69,56 @@ proptest! {
         let want: Vec<u64> = bits.iter().enumerate()
             .filter_map(|(i, &b)| b.then_some(i as u64)).collect();
         prop_assert_eq!(v.iter_ones().collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn cursor_windows_concatenate_to_iter_ones(
+        bits in bit_vec(),
+        cuts in proptest::collection::vec(0u64..80, 0..8),
+    ) {
+        // every vector twice: as drawn (partial tail word included), and
+        // behind a 1-fill that the fixed cuts at 31, 62 and 93 split over
+        // four windows
+        let mut long = vec![true; 31 * 7];
+        long.extend(&bits);
+        for bits in [bits, long] {
+            let v = WahVec::from_bits(bits.iter().copied());
+            // 31-aligned window ends, ascending, then the vector's length
+            let mut ends: Vec<u64> = cuts.iter().map(|c| c * 31).filter(|&e| e < v.len()).collect();
+            ends.extend([31, 62, 93].iter().filter(|&&e| e < v.len()));
+            ends.sort_unstable();
+            ends.push(v.len());
+            let mut cursor = v.ones_cursor();
+            let mut got = Vec::new();
+            let mut lo = 0;
+            for hi in ends {
+                while let Some(run) = cursor.next_before(hi) {
+                    match run {
+                        Ones::Fill(start, end) => {
+                            prop_assert!(lo <= start && start < end && end <= hi, "{:?}", run);
+                            prop_assert!(start % 31 == 0 && end % 31 == 0, "{:?}", run);
+                        }
+                        Ones::Literal(base, payload) => {
+                            prop_assert!(lo <= base && base < hi && base % 31 == 0, "{:?}", run);
+                            prop_assert!(payload != 0 && payload >> 31 == 0, "{:?}", run);
+                        }
+                    }
+                    run.for_each(|pos| got.push(pos));
+                }
+                lo = hi;
+            }
+            prop_assert_eq!(&got, &v.iter_ones().collect::<Vec<_>>());
+            // skipping a prefix drops exactly the ones below it
+            let lo = v.len() / 62 * 31;
+            let mut cursor = v.ones_cursor();
+            cursor.skip_to(lo);
+            let mut tail = Vec::new();
+            while let Some(run) = cursor.next_before(v.len()) {
+                run.for_each(|pos| tail.push(pos));
+            }
+            got.retain(|&pos| pos >= lo);
+            prop_assert_eq!(tail, got);
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::report::PhaseTimes;
 use crate::retry::write_with_retry;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use ibis_analysis::entropy::conditional_entropy_from_counts;
-use ibis_analysis::histogram::{joint_counts_from_indexes, joint_histogram};
+use ibis_analysis::histogram::{joint_counts, joint_histogram};
 use ibis_analysis::selection::fixed_intervals;
 use ibis_core::{Binner, BitmapIndex};
 use ibis_datagen::{Heat3DConfig, Heat3DPartition};
@@ -148,7 +148,7 @@ impl LocalSummary {
     /// Joint bin counts of (self = candidate, prev) over this node's slab.
     fn joint_counts(&self, prev: &LocalSummary, binner: &Binner) -> Vec<u64> {
         match (self, prev) {
-            (LocalSummary::Bitmap(a), LocalSummary::Bitmap(b)) => joint_counts_from_indexes(a, b),
+            (LocalSummary::Bitmap(a), LocalSummary::Bitmap(b)) => joint_counts(a, b, None),
             (LocalSummary::Full(a), LocalSummary::Full(b)) => joint_histogram(a, b, binner, binner),
             _ => unreachable!("a run uses one reduction throughout"),
         }

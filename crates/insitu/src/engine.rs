@@ -524,14 +524,21 @@ impl QueryEngine {
         query_b: &SubsetQuery,
         deadline: Option<Instant>,
     ) -> Result<QueryAnswer> {
+        // A variable correlated with itself is one layout and one read per
+        // shard: two could be two decodes of one blob under an evicting
+        // cache, and one allocation lets the joint kernel label once.
         let layout_a = self.layout(step, var_a, deadline)?;
-        let layout_b = self.layout(step, var_b, deadline)?;
+        let layout_b = (var_a != var_b)
+            .then(|| self.layout(step, var_b, deadline))
+            .transpose()?;
         let global_len = layout_a.global_len();
-        if global_len != layout_b.global_len() {
-            return Err(IbisError::Query(QueryError::LengthMismatch {
-                len_a: global_len,
-                len_b: layout_b.global_len(),
-            }));
+        if let Some(len_b) = layout_b.as_ref().map(Layout::global_len) {
+            if global_len != len_b {
+                return Err(IbisError::Query(QueryError::LengthMismatch {
+                    len_a: global_len,
+                    len_b,
+                }));
+            }
         }
         // Both operands of one step share the step's permutation (orders
         // are per step, not per variable), so their selections stay
@@ -542,7 +549,10 @@ impl QueryEngine {
         let wanted = self.wanted(&layout_a.cuts, ranges);
         let partials = self.fanout(&wanted, |i| {
             let a = self.exact(&layout_a, i, var_a, step, deadline)?;
-            let b = self.exact(&layout_b, i, var_b, step, deadline)?;
+            let b = match &layout_b {
+                Some(layout_b) => self.exact(layout_b, i, var_b, step, deadline)?,
+                None => Arc::clone(&a),
+            };
             let rows = layout_a.rows(i);
             correlation_partial_ml_shard(&a, &b, query_a, query_b, rows, ranges)
                 .map(|p| (p, a, b))

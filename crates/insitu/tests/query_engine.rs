@@ -336,6 +336,42 @@ fn empty_lossy_filter_skips_the_exact_load() {
 }
 
 #[test]
+fn self_correlation_reads_each_shard_once_and_answers_like_two_names() {
+    for shards in LOSSY_SHARDS {
+        let dir = std::env::temp_dir().join(format!("ibis-qe-selfcorr-k{shards}"));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut w = ShardedWriter::create(&dir, shards).unwrap();
+        let idx = BitmapIndex::build(&field(0, 0), Binner::fixed_width(0.0, 40.0, 64));
+        for var in ["temperature", "twin"] {
+            w.put(0, var, &idx).unwrap();
+        }
+        w.finish().unwrap();
+        let engine = QueryEngine::open(&dir, 64 << 20).unwrap();
+        let request = |var_b: &str| QueryRequest::Correlation {
+            step: 0,
+            var_a: "temperature".into(),
+            var_b: var_b.into(),
+            query_a: SubsetQuery::value(3.0, 30.0).with_region(100..4000),
+            query_b: SubsetQuery::value(10.0, 36.0),
+        };
+        let reads = || {
+            let stats = engine.cache_stats();
+            stats.hits + stats.misses
+        };
+        // cold (the layout decodes) and warm (the cache serves): one read
+        // per shard either way, not one per operand
+        let cold = engine.run(&request("temperature")).unwrap();
+        assert_eq!(reads(), shards as u64, "k={shards} cold");
+        assert_eq!(engine.run(&request("temperature")).unwrap(), cold);
+        assert_eq!(reads(), 2 * shards as u64, "k={shards} warm");
+        // the same bitmaps under a second name take the two-operand path
+        assert_eq!(engine.run(&request("twin")).unwrap(), cold, "k={shards}");
+        assert_eq!(reads(), 4 * shards as u64, "k={shards} two names");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
 fn lossy_engine_ignores_companions_above_its_fpr_ceiling() {
     for shards in LOSSY_SHARDS {
         // engine ceiling 1e-3 < stored 1e-1: the companions must be

@@ -77,8 +77,9 @@ bench_smoke generation IBIS_GEN_SMOKE '"samples"' \
     '"batched_over_scalar_speedup"' '"parallel_over_scalar_speedup"' \
     '"min_coherent_batched_speedup"' '"uniform_random_within_5pct_target"'
 bench_smoke query IBIS_QUERY_SMOKE '"warm_over_cold_speedup"' \
-    '"warm_over_5x_target"' '"prepared_over_naive_speedup"' \
-    '"prepared_beats_naive"' '"planner_identity_ranges_checked"' \
+    '"warm_over_5x_target"' '"joint_partition_s"' '"joint_and_table_s"' \
+    '"partition_over_and_table_speedup"' '"partition_never_slower"' \
+    '"planner_identity_ranges_checked"' \
     '"planner_strategies_all_byte_identical"' '"planner_all_strategies_exercised"'
 bench_smoke codecs IBIS_CODEC_SMOKE '"samples"' '"bytes_per_bitmap"' \
     '"auto_selected"' '"roaring_over_wah_speedup"' '"auto_over_best_ratio"' \
@@ -98,6 +99,15 @@ bench_smoke shard IBIS_SHARD_SMOKE '"samples"' '"shards"' '"throughput_qps"' \
     '"speedup_4x_over_1"' '"scaling_target_met"' '"identity_checked"' \
     '"ocean_over_budget"' '"ocean_p99_ms"' '"ocean_p99_interactive"' \
     '"cache_evictions"' '"nodekill_resumed"'
+
+echo "==> ibis-e2e smoke: every reply of every workload against the full-data-scan oracle"
+# The end-to-end harness (its own workspace under benchmark/) refuses to
+# print a metric unless every catalog reply equals the oracle's, so a
+# kernel that changes an answer fails here. About two seconds in all.
+for workload in heat3d_flat_batch ocean_flat_batch ocean_shard_evict heat3d_reorder_lossy_tcp; do
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+        --smoke --workload "$workload" >/dev/null
+done
 
 echo "==> ibis serve + loadgen end-to-end smoke (1 and 4 shards, both obs configs)"
 # Build a tiny store, then drive a live server with the zipf load
