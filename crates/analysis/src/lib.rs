@@ -47,9 +47,9 @@ pub use mining::{
 };
 pub use query::{
     correlation_partial_ml_shard, correlation_query, correlation_query_mapped,
-    correlation_query_ml, correlation_query_ml_mapped, execute_range_plan, finish_correlation,
-    plan_value_range, region_mask, shard_mask, stored_ranges, CorrelationAnswer,
-    CorrelationPartial, QueryError, RangePlan, SubsetQuery,
+    correlation_query_ml, correlation_query_ml_mapped, count_range_plan, execute_range_plan,
+    finish_correlation, plan_value_range, region_mask, shard_mask, shard_ranges, stored_ranges,
+    CorrelationAnswer, CorrelationPartial, QueryError, RangePlan, SubsetQuery,
 };
 pub use sampling::{lossy_summaries, sample, SamplingMethod};
 pub use selection::{

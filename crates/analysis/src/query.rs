@@ -36,7 +36,10 @@
 //! The planner costs each strategy by the bytes it would read under each
 //! bin's at-rest codec plan ([`BitmapIndex::bin_cost_bytes`]) — a WAH bin
 //! costs its compressed words, a Roaring bin its container bytes — and
-//! picks the cheapest; [`execute_range_plan`] runs any of them.
+//! picks the cheapest. [`execute_range_plan`] *materialises* a plan into a
+//! selection vector; [`SubsetQuery::count`] *counts* it — the bins
+//! partition the rows, so a plan's operands are disjoint and their
+//! popcounts add: no vector is built to answer "how many".
 
 use crate::aggregate::{self, Estimate};
 use crate::entropy::{conditional_entropy_from_counts, mutual_information_from_counts};
@@ -52,6 +55,9 @@ static OBS_PLAN_OR: LazyCounter = LazyCounter::new("query.plan.or_bins");
 static OBS_PLAN_COMPLEMENT: LazyCounter = LazyCounter::new("query.plan.complement");
 static OBS_PLAN_MULTILEVEL: LazyCounter = LazyCounter::new("query.plan.multilevel");
 static OBS_PLAN_EMPTY: LazyCounter = LazyCounter::new("query.plan.empty");
+// How a subset count was answered (the second: a non-partitioning index).
+static OBS_SUBSET_COUNTED: LazyCounter = LazyCounter::new("query.subset.counted");
+static OBS_SUBSET_MATERIALIZED: LazyCounter = LazyCounter::new("query.subset.materialized");
 // Region predicates resolved against a row permutation, by the path taken
 // (family `reorder`, see DESIGN.md §6j).
 static OBS_REGION_SEGMENTS: LazyCounter = LazyCounter::new("reorder.query.region_mapped.segments");
@@ -239,6 +245,75 @@ impl SubsetQuery {
             }),
         }
     }
+
+    /// How many rows of `index` inside `ranges` — sorted, disjoint ranges
+    /// of its rows ([`shard_ranges`]); `None` is every row — pass the value
+    /// predicate: `evaluate_masked(..).count_ones()` without the selection.
+    /// The predicate is planned as ever ([`plan_value_range`]) and the plan
+    /// counted ([`count_range_plan`]) — on the precondition that the bins
+    /// partition the rows; an index whose bins do not (a lossy superset)
+    /// materialises its value selection and counts that.
+    pub fn count(
+        &self,
+        index: &BitmapIndex,
+        ml: Option<&MultiLevelIndex>,
+        ranges: Option<&[Range<u64>]>,
+    ) -> Result<u64, QueryError> {
+        check_ranges(index, ranges)?;
+        if !index.partitions() {
+            OBS_SUBSET_MATERIALIZED.inc();
+            let sel = self.evaluate_masked(index, ml, None)?;
+            return Ok(ranges.map_or_else(|| sel.count_ones(), |r| sel.count_ones_in_ranges(r)));
+        }
+        OBS_SUBSET_COUNTED.inc();
+        match self.value_range {
+            Some((lo, hi)) => {
+                let plan = plan_value_range(index, ml, lo, hi)?;
+                Ok(count_range_plan(index, ml, &plan, ranges))
+            }
+            None => Ok(ranges.map_or(index.len(), rows_in)),
+        }
+    }
+
+    /// Whether *any* row of `index` inside `ranges` passes the value
+    /// predicate: some touched bin has a 1 there. An OR is non-empty iff
+    /// an operand is, so this needs no partition — on a lossy superset
+    /// index `false` proves the exact answer empty — and it stops at the
+    /// first row found.
+    pub fn intersects(
+        &self,
+        index: &BitmapIndex,
+        ranges: Option<&[Range<u64>]>,
+    ) -> Result<bool, QueryError> {
+        check_ranges(index, ranges)?;
+        let hit = |b: usize| {
+            index.counts()[b] > 0 && ranges.is_none_or(|r| index.bin(b).intersects_ranges(r))
+        };
+        match self.value_range {
+            Some((lo, hi)) if lo.is_nan() || hi.is_nan() => Err(QueryError::NanBound { lo, hi }),
+            Some((lo, hi)) => Ok(index
+                .bin_span(lo, hi)
+                .is_some_and(|(b0, b1)| (b0..=b1).any(hit))),
+            None => Ok(ranges.map_or(index.len(), rows_in) > 0),
+        }
+    }
+}
+
+/// Rows covered by sorted, disjoint `ranges`.
+fn rows_in(ranges: &[Range<u64>]) -> u64 {
+    ranges.iter().map(|r| r.end - r.start).sum()
+}
+
+/// Ranges handed to a count must lie inside the index's rows: a typed
+/// error here, not the kernel's bounds panic.
+fn check_ranges(index: &BitmapIndex, ranges: Option<&[Range<u64>]>) -> Result<(), QueryError> {
+    let len = index.len();
+    match ranges.and_then(|r| r.last()) {
+        Some(&Range { start, end }) if end > len => {
+            Err(QueryError::RegionOutOfRange { start, end, len })
+        }
+        _ => Ok(()),
+    }
 }
 
 /// Where the rows that pass every region predicate of `queries` (one
@@ -311,25 +386,35 @@ pub fn stored_ranges(
     ))
 }
 
+/// `ranges` ([`stored_ranges`]) as the shard holding stored rows
+/// `[rows.start, rows.end)` sees them: those that reach it, clipped to it
+/// and rebased to its first row — still sorted and disjoint. The one
+/// clip-and-rebase, for [`SubsetQuery::count`] and [`shard_mask`] alike.
+pub fn shard_ranges(ranges: &[Range<u64>], rows: Range<u64>) -> Vec<Range<u64>> {
+    let reach = &ranges[ranges.partition_point(|r| r.end <= rows.start)..];
+    let reach = &reach[..reach.partition_point(|r| r.start < rows.end)];
+    let rebased =
+        |r: &Range<u64>| r.start.max(rows.start) - rows.start..r.end.min(rows.end) - rows.start;
+    reach.iter().map(rebased).collect()
+}
+
 /// The mask of `ranges` ([`stored_ranges`]) over the stored rows
-/// `[rows.start, rows.end)` of one shard: each range clipped to the shard,
-/// rebased, and appended as a run — canonical, whatever produced the
-/// ranges.
+/// `[rows.start, rows.end)` of one shard: [`shard_ranges`], each appended
+/// as a run — canonical, whatever produced the ranges.
 pub fn shard_mask(ranges: &[Range<u64>], rows: Range<u64>) -> WahVec {
     let mut b = ibis_core::WahBuilder::new();
-    let mut at = rows.start;
-    for r in ranges {
-        let (lo, hi) = (r.start.clamp(at, rows.end), r.end.clamp(at, rows.end));
-        b.append_run(false, lo - at);
-        if hi - lo == 1 {
+    let mut at = 0;
+    for r in shard_ranges(ranges, rows.clone()) {
+        b.append_run(false, r.start - at);
+        if r.end - r.start == 1 {
             // a space-filling curve scatters a block into mostly lone rows
             b.push_bit(true);
         } else {
-            b.append_run(true, hi - lo);
+            b.append_run(true, r.end - r.start);
         }
-        at = hi;
+        at = r.end;
     }
-    b.append_run(false, rows.end - at);
+    b.append_run(false, rows.end - rows.start - at);
     b.finish()
 }
 
@@ -375,19 +460,13 @@ pub enum RangePlan {
     },
 }
 
-/// Estimated read cost of a set of bins, in bytes under each bin's
-/// at-rest codec ([`BitmapIndex::bin_cost_bytes`]) — the planner's cost
-/// unit. For an all-WAH index this is exactly `4 ×` the old
-/// compressed-word count, so relative strategy orderings are preserved.
-fn cost_of<I: IntoIterator<Item = usize>>(index: &BitmapIndex, bins: I) -> u64 {
-    bins.into_iter().map(|b| index.bin_cost_bytes(b)).sum()
-}
-
 /// Chooses the cheapest strategy for a `[lo, hi)` value query. NaN bounds
 /// are rejected; inverted and empty intervals plan to [`RangePlan::Empty`].
 ///
 /// Strategy costs are measured in bytes read under each bin's at-rest
-/// codec. The complement trick is only considered when the index
+/// codec ([`BitmapIndex::bins_cost_bytes`], a prefix-sum table built with
+/// the index — for an all-WAH index `4 ×` the compressed-word count). The
+/// complement trick is only considered when the index
 /// partitions positions across bins (true for any index built from
 /// data), since `OR(outside).not() == OR(inside)` needs every position
 /// set in exactly one bin.
@@ -404,13 +483,13 @@ pub fn plan_value_range(
         OBS_PLAN_EMPTY.inc();
         return Ok(RangePlan::Empty);
     };
-    let inside = cost_of(index, b0..=b1);
+    let inside = index.bins_cost_bytes(b0..b1 + 1);
     let mut best_cost = inside;
     let mut best = RangePlan::OrBins { lo: b0, hi: b1 };
 
     // Complement: valid only when bins partition the positions.
     if index.partitions() {
-        let outside = cost_of(index, (0..b0).chain(b1 + 1..index.nbins()));
+        let outside = index.bins_cost_bytes(0..index.nbins()) - inside;
         // The complement pass re-reads its OR result once; weight it 3/2.
         let cost = outside + outside / 2;
         if cost < best_cost {
@@ -423,21 +502,16 @@ pub fn plan_value_range(
         let mut high = Vec::new();
         let mut low_edges = Vec::new();
         let mut cost = 0u64;
-        for h in 0..ml.high().nbins() {
+        // only the groups the span reaches
+        for h in b0 / ml.group()..=b1 / ml.group() {
             let ch = ml.children(h);
-            if ch.start > b1 || ch.end <= b0 {
-                continue; // group entirely outside the span
-            }
             if ch.start >= b0 && ch.end <= b1 + 1 {
                 cost += ml.high().bin_cost_bytes(h);
                 high.push(h);
             } else {
-                for b in ch.clone() {
-                    if (b0..=b1).contains(&b) {
-                        cost += index.bin_cost_bytes(b);
-                        low_edges.push(b);
-                    }
-                }
+                let edge = ch.start.max(b0)..ch.end.min(b1 + 1);
+                cost += index.bins_cost_bytes(edge.clone());
+                low_edges.extend(edge);
             }
         }
         if cost < best_cost && !high.is_empty() {
@@ -482,6 +556,37 @@ pub fn execute_range_plan(
                 .filter_map(|&h| ml.map(|ml| ml.high().bin(h)))
                 .chain(low_edges.iter().map(|&b| index.bin(b)));
             nonempty(WahVec::or_many(operands))
+        }
+    }
+}
+
+/// Counts a plan instead of running it: the rows of `ranges` (sorted and
+/// disjoint; `None` is every row) that `execute_range_plan` would select,
+/// with no vector built. Requires `index.partitions()`: the operands of
+/// every plan are then pairwise disjoint, so their popcounts add — cached
+/// [`BitmapIndex::counts`] without a region (no word is read),
+/// [`WahVec::count_ones_in_ranges`] under one — and the complement is
+/// `rows in ranges − Σ outside`.
+pub fn count_range_plan(
+    index: &BitmapIndex,
+    ml: Option<&MultiLevelIndex>,
+    plan: &RangePlan,
+    ranges: Option<&[Range<u64>]>,
+) -> u64 {
+    let ones = |idx: &BitmapIndex, b: usize| match ranges {
+        Some(r) if idx.counts()[b] > 0 => idx.bin(b).count_ones_in_ranges(r),
+        _ => idx.counts()[b],
+    };
+    match plan {
+        RangePlan::Empty => 0,
+        RangePlan::OrBins { lo, hi } => (*lo..=*hi).map(|b| ones(index, b)).sum(),
+        RangePlan::Complement { lo, hi } => {
+            let outside = (0..*lo).chain(hi + 1..index.nbins());
+            ranges.map_or(index.len(), rows_in) - outside.map(|b| ones(index, b)).sum::<u64>()
+        }
+        RangePlan::MultiLevel { high, low_edges } => {
+            let high = high.iter().filter_map(|&h| ml.map(|ml| ones(ml.high(), h)));
+            high.chain(low_edges.iter().map(|&b| ones(index, b))).sum()
         }
     }
 }

@@ -5,15 +5,18 @@
 //! every planner strategy produce byte-identical selections, that the
 //! one-pass joint table equals the AND table and the scan on every chunk
 //! and 31-bit edge, that `correlation_query` is the pure finisher over the
-//! counts a scan fills,
+//! counts a scan fills, that counting a plan (`SubsetQuery::count`,
+//! `count_range_plan`, `intersects`) equals materialising it and counting,
+//! and a scan, under every plan variant forced,
 //! and that no generated query (inverted, empty, NaN, out-of-range) ever
 //! panics.
 
 use ibis_analysis::histogram::{marginal_a, marginal_b, CHUNK_ROWS};
 use ibis_analysis::{
-    correlation_query, correlation_query_mapped, correlation_query_ml, finish_correlation,
-    joint_counts, joint_counts_and_table, shard_mask, stored_ranges, CorrelationPartial,
-    QueryError, SubsetQuery,
+    correlation_query, correlation_query_mapped, correlation_query_ml, count_range_plan,
+    execute_range_plan, finish_correlation, joint_counts, joint_counts_and_table, plan_value_range,
+    shard_mask, shard_ranges, stored_ranges, CorrelationPartial, QueryError, RangePlan,
+    SubsetQuery,
 };
 use ibis_core::{
     build_lossy_index, Binner, BitmapIndex, MultiLevelIndex, RowOrder, RowPermutation, WahVec,
@@ -214,6 +217,51 @@ fn counter(name: &str) -> u64 {
         Some(ibis_obs::MetricValue::Counter(v)) => *v,
         _ => 0,
     }
+}
+
+/// Every way to evaluate the bin span `b0..=b1`, whatever the planner
+/// would choose: the naive OR, the complement, and the multi-level
+/// covering (high bins for whole groups, low bins for the ragged edges).
+fn forced_plans(ml: &MultiLevelIndex, b0: usize, b1: usize) -> [RangePlan; 3] {
+    let (mut high, mut low_edges) = (Vec::new(), Vec::new());
+    for h in 0..ml.high().nbins() {
+        let ch = ml.children(h);
+        if ch.start >= b0 && ch.end <= b1 + 1 {
+            high.push(h);
+        } else {
+            low_edges.extend(ch.filter(|b| (b0..=b1).contains(b)));
+        }
+    }
+    [
+        RangePlan::OrBins { lo: b0, hi: b1 },
+        RangePlan::Complement { lo: b0, hi: b1 },
+        RangePlan::MultiLevel { high, low_edges },
+    ]
+}
+
+/// Sorted, disjoint range lists over `n` rows: none (`None`), no range,
+/// every row, `picks` as (gap, length) steps, a single row, ranges on and
+/// around the first 31-bit edges, and the last rows.
+fn range_lists(n: u64, picks: &[(u64, u64)]) -> Vec<Option<Vec<Range<u64>>>> {
+    let mut at = 0;
+    let stepped = picks.iter().map(|&(gap, len)| {
+        let r = at + gap..at + gap + len;
+        at = r.end;
+        r
+    });
+    let lists = vec![
+        vec![],
+        vec![0..n],
+        stepped.collect(),
+        vec![n / 2..n / 2 + 1],
+        vec![5..31, 31..40, 61..63, 93..124],
+        vec![n.saturating_sub(9)..n],
+    ];
+    let clip = |r: Range<u64>| r.start.min(n)..r.end.min(n);
+    let lists = lists
+        .into_iter()
+        .map(|l: Vec<Range<u64>>| Some(l.into_iter().map(clip).collect()));
+    std::iter::once(None).chain(lists).collect()
 }
 
 fn has_nan(q: &SubsetQuery) -> bool {
@@ -586,5 +634,138 @@ proptest! {
             scan[wide_binner.bin_of(v) as usize * narrow.nbins() + binner.bin_of(v) as usize] += 1;
         }
         prop_assert_eq!(joint_counts(&wide, &narrow, None), scan);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Counting a plan equals materialising it and counting, and a scan of
+    /// the raw values — for the planner's own choice and for every plan
+    /// variant forced, with and without the high level, on every binner
+    /// kind and data regime (NaN and ±inf rows included), under every kind
+    /// of range list; the probe agrees with the count.
+    #[test]
+    fn count_equals_materialise_then_count_and_scan(
+        binner in any_binner(),
+        regime in 0usize..4,
+        seed in any::<u64>(),
+        n in 1usize..700,
+        group in 1usize..9,
+        value in (-55.0f64..55.0, -55.0f64..55.0),
+        picks in proptest::collection::vec((0u64..200, 0u64..150), 0..6),
+    ) {
+        let data = regime_data(regime, n, seed);
+        let ml = MultiLevelIndex::build(&data, binner, group);
+        let idx = ml.low();
+        let queries = [
+            SubsetQuery::all(),
+            SubsetQuery::value(value.0, value.1),
+            SubsetQuery::value(value.0.min(value.1), value.0.max(value.1) + 1.0),
+            SubsetQuery::value(-60.0, 60.0),
+            SubsetQuery::value(f64::NEG_INFINITY, f64::INFINITY),
+            SubsetQuery::value(5.0, 2.0),
+            SubsetQuery::value(3.0, 3.0),
+        ];
+        for ranges in range_lists(n as u64, &picks) {
+            let ranges = ranges.as_deref();
+            let mask = ranges.map(|r| shard_mask(r, 0..n as u64));
+            let kept = |row: usize| {
+                ranges.is_none_or(|r| r.iter().any(|r| r.contains(&(row as u64))))
+            };
+            for q in &queries {
+                let scan = scan_selection(&data, idx, q);
+                let want = (0..n).filter(|&row| scan[row] && kept(row)).count() as u64;
+                for ml in [None, Some(&ml)] {
+                    let sel = q.evaluate_masked(idx, ml, mask.as_ref()).unwrap();
+                    prop_assert_eq!(sel.count_ones(), want, "{:?} {:?}", q, ranges);
+                    prop_assert_eq!(q.count(idx, ml, ranges), Ok(want), "{:?} {:?}", q, ranges);
+                    prop_assert_eq!(q.intersects(idx, ranges), Ok(want > 0), "{:?}", q);
+                }
+                let Some((lo, hi)) = q.value_range else { continue };
+                let Some((b0, b1)) = idx.bin_span(lo, hi) else {
+                    let plan = plan_value_range(idx, Some(&ml), lo, hi).unwrap();
+                    prop_assert_eq!(&plan, &RangePlan::Empty);
+                    prop_assert_eq!(count_range_plan(idx, Some(&ml), &plan, ranges), 0);
+                    continue;
+                };
+                for plan in forced_plans(&ml, b0, b1) {
+                    let got = count_range_plan(idx, Some(&ml), &plan, ranges);
+                    prop_assert_eq!(got, want, "{:?} {:?}", &plan, ranges);
+                    let sel = execute_range_plan(idx, Some(&ml), &plan);
+                    let sel = mask.as_ref().map_or(sel.clone(), |m| sel.and(m));
+                    prop_assert_eq!(sel.count_ones(), want, "{:?} {:?}", &plan, ranges);
+                }
+            }
+            // a NaN bound is the same typed error, with the same message,
+            // on every path
+            for (lo, hi) in [(f64::NAN, 1.0), (1.0, f64::NAN)] {
+                let q = SubsetQuery::value(lo, hi);
+                let err = q.evaluate_masked(idx, Some(&ml), mask.as_ref()).unwrap_err();
+                prop_assert!(matches!(err, QueryError::NanBound { .. }));
+                let counted = q.count(idx, Some(&ml), ranges).unwrap_err();
+                let probed = q.intersects(idx, ranges).unwrap_err();
+                prop_assert_eq!(counted.to_string(), err.to_string());
+                prop_assert_eq!(probed.to_string(), err.to_string());
+            }
+        }
+        // ranges past the index's rows are a typed error, not a panic
+        let n = n as u64;
+        let err = QueryError::RegionOutOfRange { start: 1, end: n + 1, len: n };
+        let past = [0..1, 1..n + 1];
+        prop_assert_eq!(SubsetQuery::all().count(idx, None, Some(&past)), Err(err.clone()));
+        prop_assert_eq!(SubsetQuery::all().intersects(idx, Some(&past)), Err(err));
+    }
+
+    /// A lossy superset index does not partition its rows: `count` takes
+    /// the materialising fallback and still equals materialise-then-count,
+    /// and the probe — which needs no partition — agrees with it. On the
+    /// exact index, per-shard counts over [`shard_ranges`] add up to the
+    /// whole.
+    #[test]
+    fn lossy_index_counts_through_the_fallback(
+        binner in small_binner(),
+        seed in any::<u64>(),
+        n in 64usize..3000,
+        value in (-55.0f64..55.0, 0.0f64..60.0),
+        picks in proptest::collection::vec((0u64..400, 0u64..300), 0..6),
+        cut in 0.0f64..1.0,
+    ) {
+        // plateaus behind a stretch of one value broken by lone rows of
+        // another: short interior 0-runs, which the lossy pass absorbs
+        let mut data = regime_data(0, n, seed);
+        for (i, v) in data.iter_mut().enumerate().take(n / 2) {
+            *v = if i % 13 == 5 { 20.0 } else { -20.0 };
+        }
+        let (lossy, _) = build_lossy_index(&data, binner.clone(), 0.1);
+        let exact = BitmapIndex::build(&data, binner);
+        let n = n as u64;
+        let q = SubsetQuery::value(value.0, value.0 + value.1);
+        // which path a count of the lossy index must take, by its counter
+        let path = match lossy.partitions() {
+            true => "query.subset.counted",
+            false => "query.subset.materialized",
+        };
+        for ranges in range_lists(n, &picks) {
+            let ranges = ranges.as_deref();
+            let mask = ranges.map(|r| shard_mask(r, 0..n));
+            let want = q.evaluate_masked(&lossy, None, mask.as_ref()).unwrap().count_ones();
+            let before = counter(path);
+            prop_assert_eq!(q.count(&lossy, None, ranges), Ok(want));
+            // other tests only ever add to the process-wide counters
+            prop_assert!(!cfg!(feature = "obs") || counter(path) > before, "{}", path);
+            prop_assert_eq!(q.intersects(&lossy, ranges), Ok(want > 0));
+            // the superset never hides an exact row from the probe
+            let exact_rows = q.count(&exact, None, ranges).unwrap();
+            prop_assert!(exact_rows <= want);
+            // each shard's share, counted in its own row numbers
+            let Some(r) = ranges else { continue };
+            let at = (cut * n as f64) as u64;
+            let shares = [0..at, at..n].map(|rows| {
+                let local = shard_ranges(r, rows.clone());
+                q.count(&exact.slice_rows(rows), None, Some(&local)).unwrap()
+            });
+            prop_assert_eq!(shares[0] + shares[1], exact_rows, "cut at {}", at);
+        }
     }
 }

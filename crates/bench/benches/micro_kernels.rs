@@ -14,7 +14,8 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use ibis_analysis::emd::{emd_spatial_full, emd_spatial_index};
 use ibis_analysis::entropy::{conditional_entropy_full, conditional_entropy_index};
 use ibis_analysis::{
-    aggregate, correlation_query, joint_counts, mine_full, mine_index, MiningConfig, SubsetQuery,
+    aggregate, correlation_query, joint_counts, mine_full, mine_index, stored_ranges, MiningConfig,
+    SubsetQuery,
 };
 use ibis_core::{Binner, BitmapIndex, Bitset, MultiWahBuilder, WahVec};
 use ibis_datagen::{OceanConfig, OceanModel};
@@ -318,6 +319,29 @@ fn bench_joint(c: &mut Criterion) {
     g.finish();
 }
 
+/// A subset count — the value range holding 40 % of a block of 1/64 of the
+/// grid — over each data shape and row order it has to serve
+/// (`benches/query.rs` holds the record against materialise-then-count).
+fn bench_count(c: &mut Criterion) {
+    let mut g = c.benchmark_group("count_in_ranges");
+    g.sample_size(10).measurement_time(Duration::from_secs(1));
+    for regime in ibis_bench::count_regimes(64, [96, 64, 16]) {
+        let (idx, rows) = (&regime.a, regime.a.len());
+        let block = SubsetQuery::region(0..rows / 64); // Heat3D's heated face
+        let ranges = stored_ranges(&[&block], rows, regime.perm.as_ref())
+            .expect("the block lies inside the grid")
+            .expect("a region resolves to ranges");
+        let in_block = |b: &WahVec| b.count_ones_in_ranges(&ranges);
+        let held: Vec<u64> = idx.bins().iter().map(in_block).collect();
+        let (b0, b1) = ibis_bench::span_holding(&held, 0.4);
+        let q = block.with_value(idx.binner().bin_range(b0).0, idx.binner().bin_range(b1).1);
+        g.bench_function(regime.name, |bch| {
+            bch.iter(|| black_box(q.count(black_box(idx), None, Some(&ranges))))
+        });
+    }
+    g.finish();
+}
+
 /// CRC32-C, the checksum every store blob, journal line and checkpoint
 /// goes through: the dispatching entry point (the SSE4.2 `crc32`
 /// instruction where the host has it) against the portable slicing-by-8
@@ -373,7 +397,8 @@ criterion_group!(
     bench_metrics,
     bench_mining,
     bench_queries,
-    bench_joint
+    bench_joint,
+    bench_count
 );
 
 fn main() {

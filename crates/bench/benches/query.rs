@@ -2,8 +2,11 @@
 //! repeated correlation queries vs the cold `load_series`-per-query
 //! baseline, the one-pass partition joint table vs the paper's AND table
 //! (three data regimes × four selections, results asserted equal before
-//! either is timed), and an in-bench byte-identity sweep of every planner
-//! strategy against the naive per-bin OR. Written to
+//! either is timed), counting a subset query's plan vs materialising its
+//! selection and counting that (four regimes — Hilbert's thousands of
+//! stored ranges among them — × three regions × three widths, equality
+//! asserted before timing), and an in-bench byte-identity sweep of every
+//! planner strategy against the naive per-bin OR. Written to
 //! `BENCH_query.json` at the repository root.
 //!
 //!     cargo bench -p ibis-bench --bench query
@@ -13,11 +16,11 @@
 //! report without clobbering the committed full-size numbers.
 
 use ibis_analysis::{
-    correlation_query, joint_counts, joint_counts_and_table, plan_value_range, RangePlan,
-    SubsetQuery,
+    correlation_query, joint_counts, joint_counts_and_table, plan_value_range, shard_mask,
+    shard_ranges, stored_ranges, RangePlan, SubsetQuery,
 };
-use ibis_bench::joint_regimes;
-use ibis_core::{Binner, BitmapIndex, MultiLevelIndex};
+use ibis_bench::{count_regimes, joint_regimes, span_holding};
+use ibis_core::{Binner, BitmapIndex, MultiLevelIndex, WahVec};
 use ibis_insitu::{CachedStore, QueryAnswer, QueryEngine, QueryRequest, Store, StoreWriter};
 use std::hint::black_box;
 use std::time::Instant;
@@ -203,6 +206,86 @@ fn main() {
         and_table_s += slow_s;
     }
 
+    // --- subset count: count the plan vs materialise-then-count, the
+    // identical per-shard step (the region's stored ranges resolved once,
+    // outside both), equal results asserted before either is timed ---
+    let regimes = if smoke {
+        count_regimes(32, [32, 24, 8])
+    } else {
+        count_regimes(96, [96, 64, 16])
+    };
+    let mut count_samples = Vec::new();
+    let (mut subset_count_s, mut subset_materialize_s) = (0.0, 0.0);
+    let mut count_speedup = f64::INFINITY;
+    let mut count_never_slower = true;
+    for regime in &regimes {
+        let ml = MultiLevelIndex::from_low(regime.a.clone(), 8);
+        let (idx, rows) = (ml.low(), ml.low().len());
+        let (mut fast_s, mut slow_s) = (0.0, 0.0);
+        // blocks from row 0: Heat3D's heated face, where its values vary
+        for (region_name, region) in [
+            ("none", None),
+            ("1_64", Some(0..rows / 64)),
+            ("1_4", Some(0..rows / 4)),
+        ] {
+            let block = region.map_or(SubsetQuery::all(), SubsetQuery::region);
+            let t0 = Instant::now();
+            let ranges = stored_ranges(&[&block], rows, regime.perm.as_ref());
+            let resolve_s = t0.elapsed().as_secs_f64();
+            let ranges = ranges.expect("the block lies inside the grid");
+            let ranges = ranges.as_deref();
+            // value ranges holding 5, 40 and 70 % of the region's own rows
+            let in_region =
+                |b: &WahVec| ranges.map_or(b.count_ones(), |r| b.count_ones_in_ranges(r));
+            let held: Vec<u64> = idx.bins().iter().map(in_region).collect();
+            for width in [0.05, 0.4, 0.7] {
+                let (b0, b1) = span_holding(&held, width);
+                let (lo, hi) = (idx.binner().bin_range(b0).0, idx.binner().bin_range(b1).1);
+                let q = block.clone().with_value(lo, hi);
+                let count = || {
+                    let local = ranges.map(|r| shard_ranges(r, 0..rows));
+                    q.count(idx, Some(&ml), local.as_deref())
+                };
+                let materialize = || {
+                    let mask = ranges.map(|r| shard_mask(r, 0..rows));
+                    q.evaluate_masked(idx, Some(&ml), mask.as_ref())
+                        .map(|sel| sel.count_ones())
+                };
+                let selected = count().expect("finite bounds");
+                assert_eq!(
+                    Ok(selected),
+                    materialize(),
+                    "{}/{region_name}/{width}: count diverged from materialise-then-count",
+                    regime.name
+                );
+                let fast = measure(count);
+                let slow = measure(materialize);
+                count_never_slower &= fast <= slow;
+                fast_s += fast;
+                slow_s += slow;
+                count_samples.push(format!(
+                    "    {{\"regime\": \"{}\", \"region\": \"{region_name}\", \"width\": {width}, \
+                     \"rows\": {rows}, \"stored_ranges\": {}, \"stored_ranges_s\": {resolve_s:e}, \
+                     \"selected\": {selected}, \"count_s\": {fast:e}, \"materialize_s\": {slow:e}, \
+                     \"speedup\": {:.3}}}",
+                    regime.name,
+                    ranges.map_or(0, <[_]>::len),
+                    slow / fast
+                ));
+            }
+        }
+        println!(
+            "query: subset count {:8} {rows} rows  materialise {:.3} ms  count {:.3} ms  ({:.1}x)",
+            regime.name,
+            slow_s * 1e3,
+            fast_s * 1e3,
+            slow_s / fast_s
+        );
+        count_speedup = count_speedup.min(slow_s / fast_s);
+        subset_count_s += fast_s;
+        subset_materialize_s += slow_s;
+    }
+
     // --- planner byte-identity sweep: every strategy == naive per-bin OR ---
     let ia = BitmapIndex::build(&temperature(0, n), binner.clone());
     let ml = MultiLevelIndex::from_low(ia.clone(), 8);
@@ -256,6 +339,12 @@ fn main() {
          \"partition_over_and_table_speedup\": {joint_speedup:.3},\n  \
          \"partition_never_slower\": {never_slower},\n  \
          \"joint\": [\n{}\n  ],\n  \
+         \"subset_count_s\": {subset_count_s:e},\n  \
+         \"subset_materialize_s\": {subset_materialize_s:e},\n  \
+         \"count_over_materialize_speedup\": {count_speedup:.3},\n  \
+         \"count_never_slower\": {count_never_slower},\n  \
+         \"count_equals_materialized\": true,\n  \
+         \"subset_count\": [\n{}\n  ],\n  \
          \"planner_identity_ranges_checked\": {identity_checks},\n  \
          \"planner_strategies_all_byte_identical\": true,\n  \
          \"planner_all_strategies_exercised\": {all_strategies_used}\n}}\n",
@@ -263,6 +352,7 @@ fn main() {
         stats.hits,
         stats.misses,
         joint_samples.join(",\n"),
+        count_samples.join(",\n"),
     );
     let path = if smoke {
         concat!(

@@ -66,10 +66,11 @@ pub fn heat3d_binner() -> Binner {
     Binner::precision(-1.0, 101.0, 0)
 }
 
-/// One operand pair of the joint-table benches (`benches/query.rs` and
-/// `micro_kernels`' `joint/partition/*`).
+/// One operand pair of the joint-table and subset-count benches
+/// (`benches/query.rs`, `micro_kernels`' `joint/partition/*` and
+/// `count_in_ranges/*`).
 pub struct JointRegime {
-    /// `heat3d`, `ocean` or `graybin`.
+    /// `heat3d`, `ocean`, `graybin` or `hilbert`.
     pub name: &'static str,
     /// First operand; selections are drawn from its bins.
     pub a: BitmapIndex,
@@ -79,13 +80,8 @@ pub struct JointRegime {
     pub perm: Option<RowPermutation>,
 }
 
-/// The three data shapes the one-pass joint table has to serve, at the
-/// `ibis-e2e` workloads' binning scales: two consecutive Heat3D steps of a
-/// `heat`³ mesh (long fills broken by literal words), ocean temperature ×
-/// salinity (noise: literal words throughout), and the same Heat3D steps
-/// under the first one's GrayBin order (every bin of `a` a single fill —
-/// where the paper's AND table is already cheap).
-pub fn joint_regimes(heat: usize, ocean: [usize; 3]) -> Vec<JointRegime> {
+/// Two consecutive steps of a diffused `heat`³ Heat3D mesh.
+fn heat3d_steps(heat: usize) -> [Vec<f64>; 2] {
     let mut sim = Heat3D::new(Heat3DConfig {
         nx: heat,
         ny: heat,
@@ -98,13 +94,48 @@ pub fn joint_regimes(heat: usize, ocean: [usize; 3]) -> Vec<JointRegime> {
     }
     let t0 = sim.temperature().to_vec();
     sim.step();
-    let t1 = sim.temperature().to_vec();
-    let degrees = heat3d_binner();
-    let perm = RowOrder::GrayBin.permutation(&[], &degrees, &t0);
-    let sorted = |data: &[f64]| match &perm {
-        Some(perm) => BitmapIndex::build_permuted(data, degrees.clone(), perm),
-        None => BitmapIndex::build(data, degrees.clone()),
+    [t0, sim.temperature().to_vec()]
+}
+
+/// Both Heat3D steps indexed under `perm` (the identity when `None`).
+fn heat3d_regime(
+    name: &'static str,
+    steps: &[Vec<f64>; 2],
+    perm: Option<RowPermutation>,
+) -> JointRegime {
+    let stored = |data: &[f64]| match &perm {
+        Some(perm) => BitmapIndex::build_permuted(data, heat3d_binner(), perm),
+        None => BitmapIndex::build(data, heat3d_binner()),
     };
+    JointRegime {
+        name,
+        a: stored(&steps[0]),
+        b: stored(&steps[1]),
+        perm,
+    }
+}
+
+/// The three data shapes the one-pass joint table has to serve, at the
+/// `ibis-e2e` workloads' binning scales: two consecutive Heat3D steps of a
+/// `heat`³ mesh (long fills broken by literal words), ocean temperature ×
+/// salinity (noise: literal words throughout), and the same Heat3D steps
+/// under the first one's GrayBin order (every bin of `a` a single fill —
+/// where the paper's AND table is already cheap).
+pub fn joint_regimes(heat: usize, ocean: [usize; 3]) -> Vec<JointRegime> {
+    regimes(heat, ocean, false)
+}
+
+/// [`joint_regimes`] and `hilbert` — the Heat3D steps stored along a
+/// Hilbert curve, where a spatial block is thousands of stored ranges: the
+/// regimes a subset count has to serve (`benches/query.rs`' `subset_count`
+/// and `micro_kernels`' `count_in_ranges/*`).
+pub fn count_regimes(heat: usize, ocean: [usize; 3]) -> Vec<JointRegime> {
+    regimes(heat, ocean, true)
+}
+
+fn regimes(heat: usize, ocean: [usize; 3], with_hilbert: bool) -> Vec<JointRegime> {
+    let steps = heat3d_steps(heat);
+    let order = |order: RowOrder| order.permutation(&[heat; 3], &heat3d_binner(), &steps[0]);
     let model = OceanModel::new(OceanConfig {
         nlon: ocean[0],
         nlat: ocean[1],
@@ -116,26 +147,32 @@ pub fn joint_regimes(heat: usize, ocean: [usize; 3]) -> Vec<JointRegime> {
         let binner = Binner::fit(&data, 64);
         BitmapIndex::build(&data, binner)
     };
-    vec![
-        JointRegime {
-            name: "heat3d",
-            a: BitmapIndex::build(&t0, degrees.clone()),
-            b: BitmapIndex::build(&t1, degrees.clone()),
-            perm: None,
-        },
+    let mut regimes = vec![
+        heat3d_regime("heat3d", &steps, None),
         JointRegime {
             name: "ocean",
             a: fitted("temperature"),
             b: fitted("salinity"),
             perm: None,
         },
-        JointRegime {
-            name: "graybin",
-            a: sorted(&t0),
-            b: sorted(&t1),
-            perm,
-        },
-    ]
+        heat3d_regime("graybin", &steps, order(RowOrder::GrayBin)),
+    ];
+    if with_hilbert {
+        regimes.push(heat3d_regime("hilbert", &steps, order(RowOrder::Hilbert)));
+    }
+    regimes
+}
+
+/// The run of adjacent bins holding closest to `share` of the rows that
+/// `counts` (rows per bin) add up to.
+pub fn span_holding(counts: &[u64], share: f64) -> (usize, usize) {
+    let want = share * counts.iter().sum::<u64>() as f64;
+    let miss =
+        |&(lo, hi): &(usize, usize)| (counts[lo..=hi].iter().sum::<u64>() as f64 - want).abs();
+    (0..counts.len())
+        .flat_map(|lo| (lo..counts.len()).map(move |hi| (lo, hi)))
+        .min_by(|x, y| miss(x).total_cmp(&miss(y)))
+        .expect("an index has bins")
 }
 
 impl JointRegime {
@@ -145,15 +182,7 @@ impl JointRegime {
     pub fn selections(&self) -> Vec<(&'static str, Option<WahVec>)> {
         let n = self.a.len();
         let value_range = |share: f64| {
-            let counts = self.a.counts();
-            let held = |&(lo, hi): &(usize, usize)| counts[lo..=hi].iter().sum::<u64>() as f64;
-            let (lo, hi) = (0..counts.len())
-                .flat_map(|lo| (lo..counts.len()).map(move |hi| (lo, hi)))
-                .min_by(|x, y| {
-                    let miss = |w| (held(w) - share * n as f64).abs();
-                    miss(x).total_cmp(&miss(y))
-                })
-                .expect("an index has bins");
+            let (lo, hi) = span_holding(self.a.counts(), share);
             self.a.query_bins(lo..=hi)
         };
         let block = ibis_analysis::SubsetQuery::region(n / 2..n / 2 + n / 64);

@@ -150,16 +150,24 @@ const WAH_MAX_COMPRESSION: f64 = 0.5;
 ///   array containers) and dense noise (middle bins → bitset containers) —
 ///   goes to **Roaring**.
 pub fn select_codec(stats: &WahStats, len_bits: u64) -> CodecId {
+    let id = codec_for(stats, len_bits);
+    match id {
+        CodecId::Wah => OBS_SELECT_WAH.inc(),
+        CodecId::Roaring => OBS_SELECT_ROARING.inc(),
+    }
+    id
+}
+
+/// [`select_codec`]'s policy without its tally — for costing a bin the
+/// caller is not routing (the index's planner cost table).
+pub(crate) fn codec_for(stats: &WahStats, len_bits: u64) -> CodecId {
     if len_bits == 0 || stats.ones == 0 {
-        OBS_SELECT_WAH.inc();
         return CodecId::Wah;
     }
     let compression = stats.words as f64 * 31.0 / len_bits as f64;
     if stats.mean_run_bits() >= WAH_MIN_MEAN_RUN && compression <= WAH_MAX_COMPRESSION {
-        OBS_SELECT_WAH.inc();
         CodecId::Wah
     } else {
-        OBS_SELECT_ROARING.inc();
         CodecId::Roaring
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::binning::Binner;
 use crate::builder::MultiWahBuilder;
-use crate::codec::{select_codec, CodecId, CodecVec};
+use crate::codec::{codec_for, select_codec, CodecId, CodecVec};
 use crate::wah::WahVec;
 use std::fmt;
 
@@ -55,6 +55,10 @@ pub struct BitmapIndex {
     len: u64,
     /// `Σ counts == len`, computed once in [`BitmapIndex::from_bins`].
     partitions: bool,
+    /// `cost_prefix[b]` is the at-rest cost of bins `0..b`, computed once
+    /// in [`BitmapIndex::from_bins`]: the planner costs a span of bins
+    /// with two reads ([`BitmapIndex::bins_cost_bytes`]).
+    cost_prefix: Vec<u64>,
 }
 
 impl BitmapIndex {
@@ -139,12 +143,17 @@ impl BitmapIndex {
             "bins must share a length"
         );
         let counts: Vec<u64> = bins.iter().map(WahVec::count_ones).collect();
+        let mut cost_prefix = vec![0u64; bins.len() + 1];
+        for (b, v) in bins.iter().enumerate() {
+            cost_prefix[b + 1] = cost_prefix[b] + at_rest_bytes(v, len);
+        }
         BitmapIndex {
             binner,
             bins,
             partitions: counts.iter().sum::<u64>() == len,
             counts,
             len,
+            cost_prefix,
         }
     }
 
@@ -217,18 +226,12 @@ impl BitmapIndex {
     /// overhead plus the cheapest of array / bitset / run forms) without
     /// materializing the conversion.
     pub fn bin_cost_bytes(&self, b: usize) -> u64 {
-        let v = &self.bins[b];
-        match self.bin_codec(b) {
-            CodecId::Wah => 4 * v.words().len() as u64,
-            CodecId::Roaring => {
-                let nchunks = self.len.div_ceil(crate::roaring::CONTAINER_BITS).max(1);
-                let s = v.stats();
-                // roughly half of a WAH run count are 1-runs, at 4 bytes
-                // per run container interval
-                let one_runs = (s.runs as u64).div_ceil(2);
-                8 * nchunks + (2 * s.ones).min(8192 * nchunks).min(4 * one_runs)
-            }
-        }
+        self.bins_cost_bytes(b..b + 1)
+    }
+
+    /// Summed [`BitmapIndex::bin_cost_bytes`] of the adjacent bins `bins`.
+    pub fn bins_cost_bytes(&self, bins: std::ops::Range<usize>) -> u64 {
+        self.cost_prefix[bins.end] - self.cost_prefix[bins.start]
     }
 
     /// Converts every bin into its auto-selected codec (exact; all-WAH
@@ -330,6 +333,21 @@ impl BitmapIndex {
             return Err(format!("counts sum to {total}, expected {}", self.len));
         }
         Ok(())
+    }
+}
+
+/// One bin's [`BitmapIndex::bin_cost_bytes`], from its cached stats.
+fn at_rest_bytes(v: &WahVec, len: u64) -> u64 {
+    let s = v.stats();
+    match codec_for(s, len) {
+        CodecId::Wah => 4 * s.words as u64,
+        CodecId::Roaring => {
+            let nchunks = len.div_ceil(crate::roaring::CONTAINER_BITS).max(1);
+            // roughly half of a WAH run count are 1-runs, at 4 bytes
+            // per run container interval
+            let one_runs = (s.runs as u64).div_ceil(2);
+            8 * nchunks + (2 * s.ones).min(8192 * nchunks).min(4 * one_runs)
+        }
     }
 }
 

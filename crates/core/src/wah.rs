@@ -19,6 +19,7 @@
 //! segment in a trailing literal word holding `len % 31` bits; everything
 //! before the tail covers whole 31-bit segments.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::builder::WahBuilder;
@@ -373,32 +374,65 @@ impl WahVec {
 
     /// Number of 1-bits in the half-open bit range `[start, end)`.
     pub fn count_ones_in_range(&self, start: u64, end: u64) -> u64 {
-        assert!(start <= end && end <= self.len_bits, "range out of bounds");
-        let mut total = 0u64;
-        let mut pos = 0u64;
-        for run in self.runs() {
-            if pos >= end {
+        assert!(start <= end, "range out of bounds");
+        self.count_ones_in_ranges(std::slice::from_ref(&(start..end)))
+    }
+
+    /// Number of 1-bits inside `ranges` — half-open, sorted and disjoint —
+    /// in one forward pass over the compressed words that stops at the
+    /// last range's end. The ranges a 0-fill covers are skipped by binary
+    /// search: the cost follows this vector's words, not the range count.
+    ///
+    /// # Panics
+    /// Panics when the last range ends past the vector's length.
+    pub fn count_ones_in_ranges(&self, ranges: &[Range<u64>]) -> u64 {
+        self.ones_in_ranges::<false>(ranges)
+    }
+
+    /// Whether any 1-bit lies inside `ranges`:
+    /// [`WahVec::count_ones_in_ranges`] stopping at the first one it meets.
+    pub fn intersects_ranges(&self, ranges: &[Range<u64>]) -> bool {
+        self.ones_in_ranges::<true>(ranges) > 0
+    }
+
+    /// The one range-count kernel; `PROBE` returns at the first non-zero
+    /// total instead of finishing the pass.
+    fn ones_in_ranges<const PROBE: bool>(&self, ranges: &[Range<u64>]) -> u64 {
+        let inside = ranges.last().is_none_or(|r| r.end <= self.len_bits);
+        assert!(inside, "range out of bounds");
+        debug_assert!(
+            ranges.iter().all(|r| r.start <= r.end)
+                && ranges.windows(2).all(|w| w[0].end <= w[1].start),
+            "ranges must be sorted and disjoint"
+        );
+        // `k` is the first range not yet behind the pass, `end` the bit
+        // after the current word.
+        let (mut total, mut k, mut end) = (0u64, 0usize, 0u64);
+        for &w in &self.words {
+            if k == ranges.len() || (PROBE && total > 0) {
                 break;
             }
-            let n = run.len();
-            let (lo, hi) = (start.max(pos), end.min(pos + n));
-            if lo < hi {
-                match run {
-                    Run::Fill(true, _) => total += hi - lo,
-                    Run::Fill(false, _) => {}
-                    Run::Literal(payload, _) => {
-                        let off = (lo - pos) as u32;
-                        let width = (hi - lo) as u32;
-                        let mask = if width == 32 {
-                            u32::MAX
-                        } else {
-                            ((1u32 << width) - 1) << off
-                        };
-                        total += (payload & mask).count_ones() as u64;
-                    }
-                }
+            let pos = end;
+            // A partial tail literal passes as a whole segment: its unused
+            // bits are zero and no range reaches past the length.
+            end += if is_fill(w) { fill_bits(w) } else { SEG_BITS };
+            if is_zero_fill(w) {
+                k += ranges[k..].partition_point(|r| r.end <= end);
+                continue;
             }
-            pos += n;
+            while let Some(r) = ranges.get(k).filter(|r| r.start < end) {
+                let (lo, hi) = (r.start.max(pos), r.end.min(end));
+                total += if is_fill(w) {
+                    hi - lo
+                } else {
+                    // at most 31 bits wide: the shift cannot overflow
+                    (w & (((1u32 << (hi - lo)) - 1) << (lo - pos))).count_ones() as u64
+                };
+                if r.end > end {
+                    break; // the range runs on into the next word
+                }
+                k += 1;
+            }
         }
         total
     }

@@ -5,6 +5,7 @@ use ibis_core::{
     Binner, BitmapIndex, Bitset, MultiLevelIndex, MultiWahBuilder, Ones, WahBuilder, WahVec,
 };
 use proptest::prelude::*;
+use std::ops::Range;
 
 /// Bit patterns biased toward runs (the regime WAH targets) as well as noise.
 fn bit_vec() -> impl Strategy<Value = Vec<bool>> {
@@ -28,6 +29,43 @@ fn bit_vec() -> impl Strategy<Value = Vec<bool>> {
             v
         }),
     ]
+}
+
+/// The range lists the range-count kernel's edges hide behind, over `n`
+/// bits: none, one (whole, empty at either end), `picks` as (gap, length)
+/// steps, adjacent thirds, two ranges inside one literal word, ranges
+/// starting and ending on and one past a 31-bit edge, one spanning several
+/// words, one ending at `len` inside a partial tail, and every other row
+/// as a range of its own. Each list is sorted and disjoint.
+fn edge_range_lists(n: u64, picks: &[(u64, u64)]) -> Vec<Vec<Range<u64>>> {
+    let mut at = 0;
+    let stepped = picks.iter().map(|&(gap, len)| {
+        let r = at + gap..at + gap + len;
+        at = r.end;
+        r
+    });
+    let lists: Vec<Vec<Range<u64>>> = vec![
+        vec![],
+        vec![0..n],
+        vec![0..0],
+        vec![n..n],
+        stepped.collect(),
+        vec![0..n / 3, n / 3..2 * n / 3, 2 * n / 3..n],
+        vec![33..35, 36..40],
+        vec![30..31, 31..32, 61..62],
+        vec![31..62],
+        vec![30..63, 93..124],
+        vec![0..31, 62..94],
+        vec![3..31 * 6 + 2],
+        vec![n.saturating_sub(7)..n],
+        (0..n).step_by(2).map(|i| i..i + 1).collect(),
+    ];
+    // clipping to the length keeps a list sorted and disjoint
+    let clip = |r: Range<u64>| r.start.min(n)..r.end.min(n);
+    lists
+        .into_iter()
+        .map(|l| l.into_iter().map(clip).collect())
+        .collect()
 }
 
 fn pair_same_len() -> impl Strategy<Value = (Vec<bool>, Vec<bool>)> {
@@ -157,6 +195,30 @@ proptest! {
     }
 
     #[test]
+    fn counts_in_ranges_match_the_verbatim_scan(
+        bits in bit_vec(),
+        picks in proptest::collection::vec((0u64..300, 0u64..120), 0..8),
+    ) {
+        // every vector three times: as drawn (partial tail word included),
+        // and behind a 1-fill and a 0-fill of several words
+        let behind = |bit: bool| [vec![bit; 31 * 5], bits.clone()].concat();
+        for bits in [bits.clone(), behind(true), behind(false)] {
+            let v = WahVec::from_bits(bits.iter().copied());
+            let oracle = Bitset::from_bits(bits.iter().copied());
+            for ranges in edge_range_lists(v.len(), &picks) {
+                let rows = ranges.iter().flat_map(|r| r.clone());
+                let want = rows.filter(|&i| oracle.get(i)).count() as u64;
+                prop_assert_eq!(v.count_ones_in_ranges(&ranges), want, "{:?}", &ranges);
+                prop_assert_eq!(v.intersects_ranges(&ranges), want > 0, "{:?}", &ranges);
+                if let [r] = &ranges[..] {
+                    prop_assert_eq!(v.count_ones_in_range(r.start, r.end), want);
+                    prop_assert_eq!(v.rank(r.end) - v.rank(r.start), want);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn per_unit_counts_sum(bits in bit_vec(), unit in 1u64..100) {
         let v = WahVec::from_bits(bits.iter().copied());
         let per = v.count_ones_per_unit(unit);
@@ -259,6 +321,54 @@ proptest! {
         match fold {
             None => prop_assert_eq!(many.len(), 0),
             Some(f) => prop_assert_eq!(many, f),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Thousands of single-row ranges over a vector of long fills and
+    /// noise: the regime a space-filling row order hands the kernel.
+    #[test]
+    fn thousands_of_single_row_ranges_match_the_scan(
+        runs in proptest::collection::vec((0u8..3, 1usize..900), 8..40),
+        stride in 2u64..9,
+        seed in any::<u64>(),
+    ) {
+        let mut state = seed | 1;
+        let bits: Vec<bool> = runs
+            .iter()
+            .flat_map(|&(kind, n)| (0..n).map(move |_| kind))
+            .map(|kind| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                match kind { 0 => false, 1 => true, _ => state >> 61 < 3 }
+            })
+            .collect();
+        let v = WahVec::from_bits(bits.iter().copied());
+        let lone: Vec<Range<u64>> = (seed % stride..v.len())
+            .step_by(stride as usize)
+            .map(|i| i..i + 1)
+            .collect();
+        // lone rows, and the same rows with every third range widened
+        // over a 31-bit edge or two
+        let widened: Vec<Range<u64>> = lone
+            .chunks(3)
+            .map(|c| c[0].start..c[c.len() - 1].end)
+            .collect();
+        for ranges in [lone, widened] {
+            let rows = ranges.iter().flat_map(|r| r.clone());
+            let want = rows.filter(|&i| bits[i as usize]).count() as u64;
+            prop_assert_eq!(v.count_ones_in_ranges(&ranges), want);
+            prop_assert_eq!(v.intersects_ranges(&ranges), want > 0);
+            // a probe over ranges that hold no 1 at all is false
+            let zeros: Vec<Range<u64>> = ranges
+                .iter()
+                .filter(|&r| r.clone().all(|i| !bits[i as usize]))
+                .cloned()
+                .collect();
+            prop_assert!(!v.intersects_ranges(&zeros));
+            prop_assert_eq!(v.count_ones_in_ranges(&zeros), 0);
         }
     }
 }

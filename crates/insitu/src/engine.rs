@@ -37,11 +37,11 @@
 //! this line). A batch keeps going after a failed query: each request gets
 //! its own `Result`, so one typo doesn't void an expensive batch.
 //!
-//! Counters: `query.engine.{ok,rejected}`, `shard.query.{fanout,pruned}`,
-//! `lossy.filter.{used,empty}` / `lossy.refine.rows`,
-//! `shard.maintenance.{runs,evicted_bytes}`; each shard's cache publishes
-//! per-instance `query.cache.shard<i>.{…}` gauges next to the summed
-//! `query.cache.stat.*` family.
+//! Counters: `query.engine.{ok,rejected}`, `shard.query.{fanout,pruned}`
+//! (shards visited / skipped: they sum to `K` per query),
+//! `lossy.filter.{used,empty}`, `shard.maintenance.{runs,evicted_bytes}`;
+//! each shard's cache publishes per-instance `query.cache.shard<i>.{…}`
+//! gauges next to the summed `query.cache.stat.*` family.
 //!
 //! # Batch protocol
 //!
@@ -66,8 +66,8 @@ use crate::shard::{
 };
 use crate::store::LossyCompanion;
 use ibis_analysis::{
-    correlation_partial_ml_shard, finish_correlation, shard_mask, stored_ranges, CorrelationAnswer,
-    QueryError, SubsetQuery,
+    correlation_partial_ml_shard, finish_correlation, shard_mask, shard_ranges, stored_ranges,
+    CorrelationAnswer, QueryError, SubsetQuery,
 };
 use ibis_core::{MultiLevelIndex, WahBuilder, WahVec};
 use ibis_obs::LazyCounter;
@@ -82,10 +82,10 @@ static OBS_QUERIES_OK: LazyCounter = LazyCounter::new("query.engine.ok");
 static OBS_QUERIES_REJECTED: LazyCounter = LazyCounter::new("query.engine.rejected");
 static OBS_SHARD_FANOUT: LazyCounter = LazyCounter::new("shard.query.fanout");
 static OBS_SHARD_PRUNED: LazyCounter = LazyCounter::new("shard.query.pruned");
-// Lossy filter + exact refine path (family `lossy`, see DESIGN.md §6l).
+// Lossy emptiness probe in front of the exact index (family `lossy`, see
+// DESIGN.md §6l).
 static OBS_LOSSY_FILTER_USED: LazyCounter = LazyCounter::new("lossy.filter.used");
 static OBS_LOSSY_FILTER_EMPTY: LazyCounter = LazyCounter::new("lossy.filter.empty");
-static OBS_LOSSY_REFINE_ROWS: LazyCounter = LazyCounter::new("lossy.refine.rows");
 static OBS_MAINT_RUNS: LazyCounter = LazyCounter::new("shard.maintenance.runs");
 static OBS_MAINT_EVICTED: LazyCounter = LazyCounter::new("shard.maintenance.evicted_bytes");
 
@@ -133,6 +133,11 @@ pub enum QueryAnswer {
 /// Memoized prefix row cuts, keyed by `(step, variable)`: `cuts[i]` is
 /// shard `i`'s first global row, `cuts[K]` the global length.
 type CutsMemo = Mutex<HashMap<(usize, String), Arc<Vec<u64>>>>;
+
+/// What a subset query is counted (or materialised) over on one shard:
+/// the shard's exact index and the region's ranges as that shard sees them
+/// ([`shard_ranges`]; `None` without a region).
+type ShardOperand = (Arc<MultiLevelIndex>, Option<Vec<Range<u64>>>);
 
 /// Where `(step, variable)`'s rows sit across the shards, plus whatever
 /// exact indices had to be decoded to learn it: the evaluation that
@@ -210,12 +215,13 @@ impl QueryEngine {
         }
     }
 
-    /// Lets subset queries consult each shard's stored lossy superset
-    /// companion (of FPR at most `fpr`) as a cheap pre-filter before the
-    /// exact index. Answers stay byte-identical to the exact engine: the
-    /// companion only ever *admits* extra rows, the exact refine removes
-    /// them, and an empty filter result proves the shard's exact answer
-    /// empty without loading its exact index at all.
+    /// Lets subset queries probe each shard's stored lossy superset
+    /// companion (of FPR at most `fpr`) before the exact index. Answers
+    /// stay byte-identical to the exact engine: the companion only ever
+    /// *admits* extra rows, so finding none of the query's rows in it
+    /// proves the shard's exact answer empty without loading its exact
+    /// index at all; any other outcome is answered by the exact index
+    /// alone.
     ///
     /// # Panics
     /// When `fpr` is outside the supported range (see
@@ -279,7 +285,6 @@ impl QueryEngine {
         if !self.parallel || ids.len() <= 1 {
             return ids.iter().map(|&i| f(i)).collect();
         }
-        OBS_SHARD_FANOUT.add(ids.len() as u64);
         std::thread::scope(|s| {
             let f = &f;
             let handles: Vec<_> = ids.iter().map(|&i| s.spawn(move || f(i))).collect();
@@ -387,33 +392,34 @@ impl QueryEngine {
     /// by construction, whatever the row layout. An empty intersection
     /// keeps shard 0 so the empty answer surfaces like any other query's.
     fn wanted(&self, cuts: &[u64], ranges: Option<&[Range<u64>]>) -> Vec<usize> {
-        let all = 0..self.caches.len();
-        let Some(ranges) = ranges else {
-            return all.collect();
-        };
-        let mut hit: Vec<usize> = all
+        let mut hit: Vec<usize> = (0..self.caches.len())
             .filter(|&i| {
                 // sorted and disjoint: the first range ending past the
                 // shard's first row is the only one that can reach it
-                let k = ranges.partition_point(|r| r.end <= cuts[i]);
-                ranges.get(k).is_some_and(|r| r.start < cuts[i + 1])
+                ranges.is_none_or(|ranges| {
+                    let k = ranges.partition_point(|r| r.end <= cuts[i]);
+                    ranges.get(k).is_some_and(|r| r.start < cuts[i + 1])
+                })
             })
             .collect();
         if hit.is_empty() {
             hit.push(0);
         }
+        // visited + pruned = K for every query, threaded or not
+        OBS_SHARD_FANOUT.add(hit.len() as u64);
         OBS_SHARD_PRUNED.add((self.caches.len() - hit.len()) as u64);
         hit
     }
 
-    /// The one place a subset query meets a shard: build the mask of the
-    /// region's `ranges` once, run the shard's lossy companion as a
-    /// filter when the ceiling admits it — empty proves the shard's
-    /// answer empty and the exact index is never touched — then evaluate
-    /// the exact index. The result is the shard-local canonical
-    /// selection, `global_selection.slice(rows)`.
+    /// The one place a subset query meets a shard, whatever is asked of
+    /// it: clip the region's `ranges` to the shard's rows, probe the lossy
+    /// companion when the ceiling admits it — no row there proves the
+    /// shard's answer empty, `None`, and the exact index is never touched
+    /// — then fetch the exact index under the deadline and check it holds
+    /// the rows the layout says. [`QueryEngine::run_subset`] counts on the
+    /// result; only [`QueryEngine::selection`] materialises.
     #[allow(clippy::too_many_arguments)]
-    fn evaluate_shard(
+    fn shard_operand(
         &self,
         shard: usize,
         step: usize,
@@ -422,38 +428,26 @@ impl QueryEngine {
         layout: &Layout,
         ranges: Option<&[Range<u64>]>,
         deadline: Option<Instant>,
-    ) -> Result<WahVec> {
+    ) -> Result<Option<ShardOperand>> {
         let rows = layout.rows(shard);
         let nrows = rows.end - rows.start;
-        let mask = ranges.map(|r| shard_mask(r, rows));
-        let filter = self.filter_of(shard, variable, step)?;
-        let admitted = match &filter {
-            Some(companion) => {
-                let lsel = query
-                    .evaluate_masked(&companion.index, None, mask.as_ref())
-                    .map_err(IbisError::Query)?;
-                OBS_LOSSY_FILTER_USED.inc();
-                let admitted_rows = lsel.count_ones();
-                if admitted_rows == 0 {
-                    OBS_LOSSY_FILTER_EMPTY.inc();
-                    return Ok(WahVec::zeros(nrows));
-                }
-                OBS_LOSSY_REFINE_ROWS.add(admitted_rows);
-                Some(lsel)
+        let local = ranges.map(|r| shard_ranges(r, rows));
+        if let Some(companion) = self.filter_of(shard, variable, step)? {
+            OBS_LOSSY_FILTER_USED.inc();
+            let probe = query.intersects(&companion.index, local.as_deref());
+            if !probe.map_err(IbisError::Query)? {
+                OBS_LOSSY_FILTER_EMPTY.inc();
+                return Ok(None);
             }
-            None => None,
-        };
+        }
         let ml = self.exact(layout, shard, variable, step, deadline)?;
-        let sel = query
-            .evaluate_masked(ml.low(), Some(&ml), mask.as_ref())
-            .map_err(IbisError::Query)?;
-        // The refine is a no-op by the superset invariant: every exact
-        // row was admitted, so the exact selection *is* the answer.
-        debug_assert!(
-            admitted.is_none_or(|lsel| sel.and(&lsel) == sel),
-            "companion admitted fewer rows than exact"
-        );
-        Ok(sel)
+        if ml.low().len() != nrows {
+            return Err(IbisError::Query(QueryError::LengthMismatch {
+                len_a: ml.low().len(),
+                len_b: nrows,
+            }));
+        }
+        Ok(Some((ml, local)))
     }
 
     /// Answers one query. Total: every malformed or unanswerable request
@@ -506,8 +500,12 @@ impl QueryEngine {
         let ranges = ranges.as_deref();
         let wanted = self.wanted(&layout.cuts, ranges);
         let counts = self.fanout(&wanted, |i| {
-            self.evaluate_shard(i, step, variable, query, &layout, ranges, deadline)
-                .map(|sel| sel.count_ones())
+            match self.shard_operand(i, step, variable, query, &layout, ranges, deadline)? {
+                Some((ml, local)) => query
+                    .count(ml.low(), Some(&ml), local.as_deref())
+                    .map_err(IbisError::Query),
+                None => Ok(0),
+            }
         });
         Ok(QueryAnswer::Subset {
             selected: counts.into_iter().sum::<Result<u64>>()?,
@@ -586,7 +584,16 @@ impl QueryEngine {
         let ranges = ranges.as_deref();
         let mut b = WahBuilder::new();
         for i in 0..self.caches.len() {
-            b.append_wah(&self.evaluate_shard(i, step, variable, query, &layout, ranges, None)?);
+            let rows = layout.rows(i);
+            let nrows = rows.end - rows.start;
+            match self.shard_operand(i, step, variable, query, &layout, ranges, None)? {
+                Some((ml, local)) => {
+                    let mask = local.map(|r| shard_mask(&r, 0..nrows));
+                    let sel = query.evaluate_masked(ml.low(), Some(&ml), mask.as_ref());
+                    b.append_wah(&sel.map_err(IbisError::Query)?);
+                }
+                None => b.append_run(false, nrows),
+            }
         }
         Ok(b.finish())
     }

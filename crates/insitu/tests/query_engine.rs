@@ -335,6 +335,91 @@ fn empty_lossy_filter_skips_the_exact_load() {
     }
 }
 
+/// The counting path keeps the materialising path's failures: the same
+/// variant and the same message for every malformed subset query, on the
+/// exact engine and behind the lossy probe, flat and sharded — and an
+/// expired deadline still stops before the exact load.
+#[test]
+fn malformed_subset_queries_keep_their_typed_errors_and_messages() {
+    let subset = |step: usize, var: &str, query: SubsetQuery| QueryRequest::Subset {
+        step,
+        variable: var.into(),
+        query,
+    };
+    #[allow(clippy::reversed_empty_ranges)]
+    let corpus = [
+        (
+            subset(0, "temperature", SubsetQuery::value(f64::NAN, 5.0)),
+            "invalid query: value range [NaN, 5) has a NaN bound",
+        ),
+        (
+            subset(
+                0,
+                "temperature",
+                SubsetQuery::value(1.0, f64::NAN).with_region(0..64),
+            ),
+            "invalid query: value range [1, NaN) has a NaN bound",
+        ),
+        (
+            subset(
+                4,
+                "salinity",
+                SubsetQuery::value(2.0, 9.0).with_region(4000..100),
+            ),
+            "invalid query: region 4000..100 out of range for 4096 positions",
+        ),
+        (
+            subset(0, "temperature", SubsetQuery::region(0..4097)),
+            "invalid query: region 0..4097 out of range for 4096 positions",
+        ),
+        (
+            subset(0, "vorticity", SubsetQuery::value(2.0, 9.0)),
+            "no entry for step 0 variable \"vorticity\"",
+        ),
+        (
+            subset(3, "temperature", SubsetQuery::all()),
+            "no entry for step 3 variable \"temperature\"",
+        ),
+    ];
+    for shards in LOSSY_SHARDS {
+        for ceiling in [0.0, 1e-2] {
+            let (dir, engine) = lossy_engine("typed-errors", shards, 1e-2, ceiling);
+            for (request, message) in &corpus {
+                let err = engine.run(request).unwrap_err();
+                assert_eq!(&err.to_string(), message, "k={shards} ceiling={ceiling}");
+                let typed = matches!(
+                    &err,
+                    IbisError::NotFound { .. }
+                        | IbisError::Query(QueryError::NanBound { .. })
+                        | IbisError::Query(QueryError::RegionOutOfRange { len: 4096, .. })
+                );
+                assert!(typed, "{err:?}");
+            }
+            // nothing above decoded an exact index it did not need: a
+            // region error is raised before any shard is visited, and a
+            // NaN bound by the probe when there is one
+            let past = std::time::Instant::now() - std::time::Duration::from_millis(5);
+            let fresh = subset(
+                9,
+                "salinity",
+                SubsetQuery::value(3.0, 17.0).with_region(7..3001),
+            );
+            let misses = engine.cache_stats().misses;
+            let err = engine.run_with_deadline(&fresh, Some(past)).unwrap_err();
+            assert!(
+                matches!(&err, IbisError::DeadlineExceeded { site, .. } if site == "shard load"),
+                "k={shards} ceiling={ceiling}: {err}"
+            );
+            assert_eq!(
+                engine.cache_stats().misses,
+                misses,
+                "expired before the load"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+}
+
 #[test]
 fn self_correlation_reads_each_shard_once_and_answers_like_two_names() {
     for shards in LOSSY_SHARDS {

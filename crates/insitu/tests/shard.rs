@@ -19,9 +19,16 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 const ROWS: usize = 2500;
+/// The rows as a grid, for the space-filling row orders.
+const GRID: [usize; 2] = [50, 50];
 const BUDGET: u64 = 256 << 20;
 const STEPS: [usize; 2] = [0, 1];
 const VARS: [&str; 2] = ["temperature", "salinity"];
+
+/// The obs counters are process-wide and the tests of this binary run in
+/// parallel: every test that runs queries holds this for reading, the one
+/// that asserts exact counter deltas for writing.
+static COUNTERS: std::sync::RwLock<()> = std::sync::RwLock::new(());
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ibis-shard-it-{}-{name}", std::process::id()));
@@ -191,7 +198,7 @@ fn dataset(b: Build<'_>) -> Vec<StepData> {
     STEPS
         .into_iter()
         .map(|step| {
-            let perm = b.order.permutation(&[], b.binner, &field(ROWS, step, 0));
+            let perm = b.order.permutation(&GRID, b.binner, &field(ROWS, step, 0));
             let vars = (0..)
                 .zip(VARS)
                 .map(|(phase, var)| {
@@ -312,9 +319,11 @@ fn battery(rows: u64) -> Vec<QueryRequest> {
 
 #[test]
 fn sharded_equals_oracle_across_shards_bins_and_row_orders() {
+    let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
     // Bin counts pick different container codecs downstream; row orders
-    // exercise region mapping and pruning under a permutation; the lossy
-    // dimension puts a filter in front of every shard's exact index.
+    // exercise region mapping and pruning under a permutation — Hilbert
+    // scatters a region over hundreds of stored ranges; the lossy
+    // dimension puts a probe in front of every shard's exact index.
     for nbins in [16usize, 64] {
         let binner = Binner::fixed_width(0.0, 10.0, nbins);
         let model = Model::of_fields(&binner);
@@ -322,6 +331,7 @@ fn sharded_equals_oracle_across_shards_bins_and_row_orders() {
             RowOrder::Identity,
             RowOrder::GrayBin,
             RowOrder::HistogramSorted,
+            RowOrder::Hilbert,
         ] {
             for lossy in [None, Some(1e-2)] {
                 for shards in [1usize, 2, 3, 4] {
@@ -342,11 +352,13 @@ fn sharded_equals_oracle_across_shards_bins_and_row_orders() {
                     // two passes: the second finds the cuts memoized
                     for pass in 0..2 {
                         for req in battery(ROWS as u64) {
+                            let answer = engine.run(&req).unwrap();
                             assert_eq!(
-                                engine.run(&req).unwrap(),
+                                answer,
                                 model.run(&req).unwrap(),
                                 "{tag} pass={pass} {req:?}"
                             );
+                            assert_counts_the_selection(&engine, &req, &answer, &tag);
                         }
                     }
                     if order == RowOrder::GrayBin && shards == 4 {
@@ -366,6 +378,32 @@ fn sharded_equals_oracle_across_shards_bins_and_row_orders() {
             }
         }
     }
+}
+
+/// A subset count never built a selection: it must still be the size of
+/// the one the engine can build.
+fn assert_counts_the_selection(
+    engine: &QueryEngine,
+    req: &QueryRequest,
+    answer: &QueryAnswer,
+    tag: &str,
+) {
+    let QueryRequest::Subset {
+        step,
+        variable,
+        query,
+    } = req
+    else {
+        return;
+    };
+    let sel = engine.selection(*step, variable, query).unwrap();
+    let of = sel.len();
+    let selected = sel.count_ones();
+    assert_eq!(
+        answer,
+        &QueryAnswer::Subset { selected, of },
+        "{tag} {req:?}"
+    );
 }
 
 /// A block of original rows lands, under a sorting order, in the few
@@ -435,6 +473,7 @@ proptest! {
         r0 in 0u64..400,
         rlen in 0u64..400,
     ) {
+        let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
         let dir = tmp(&format!("prop-{k}-{}", data.len()));
         let binner = Binner::fixed_width(0.0, 10.0, 24);
         let idx = BitmapIndex::build(&data, binner.clone());
@@ -479,6 +518,7 @@ fn plain_store(name: &str, shards: usize, binner: &Binner) -> PathBuf {
 
 #[test]
 fn corrupt_shard_quarantines_locally_and_repairs() {
+    let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
     let binner = Binner::fixed_width(0.0, 10.0, 48);
     let sd = plain_store("fsck", 3, &binner);
     let model = Model::of_fields(&binner);
@@ -540,6 +580,7 @@ fn corrupt_shard_quarantines_locally_and_repairs() {
 
 #[test]
 fn killed_writer_resumes_from_each_shards_durable_state() {
+    let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
     let dir = tmp("nodekill");
     let binner = Binner::fixed_width(0.0, 10.0, 48);
     let step_idx =
@@ -579,8 +620,47 @@ fn killed_writer_resumes_from_each_shards_durable_state() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every query either visits or prunes each of the `K` shards, and says
+/// so: `shard.query.fanout + shard.query.pruned` moves by exactly `K` per
+/// query — threaded or not, one shard or several, answered or rejected
+/// after the shards were chosen.
+#[test]
+fn fanout_and_pruned_account_for_every_shard_of_every_query() {
+    if !ibis_obs::ENABLED {
+        return; // metrics compiled out in this configuration
+    }
+    let _alone = COUNTERS.write().unwrap_or_else(|e| e.into_inner());
+    let counter = |name: &str| match ibis_obs::global().snapshot().get(name) {
+        Some(ibis_obs::MetricValue::Counter(v)) => *v,
+        _ => 0,
+    };
+    let binner = Binner::fixed_width(0.0, 10.0, 48);
+    for shards in [1usize, 4] {
+        let dir = plain_store(&format!("fanout-k{shards}"), shards, &binner);
+        let engine = open(&dir, None);
+        let queries = battery(ROWS as u64);
+        let before = (counter("shard.query.fanout"), counter("shard.query.pruned"));
+        for req in &queries {
+            engine.run(req).unwrap();
+        }
+        let fanout = counter("shard.query.fanout") - before.0;
+        let pruned = counter("shard.query.pruned") - before.1;
+        assert_eq!(
+            fanout + pruned,
+            (shards * queries.len()) as u64,
+            "k={shards}"
+        );
+        // every query visits at least one shard; only regions prune, and
+        // one shard leaves nothing to prune
+        assert!(fanout >= queries.len() as u64, "k={shards}: {fanout}");
+        assert_eq!(pruned > 0, shards > 1, "k={shards}: {pruned}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 #[test]
 fn per_shard_cache_gauges_reach_the_registry() {
+    let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
     if !ibis_obs::ENABLED {
         return; // metrics compiled out in this configuration
     }

@@ -79,7 +79,9 @@ bench_smoke generation IBIS_GEN_SMOKE '"samples"' \
 bench_smoke query IBIS_QUERY_SMOKE '"warm_over_cold_speedup"' \
     '"warm_over_5x_target"' '"joint_partition_s"' '"joint_and_table_s"' \
     '"partition_over_and_table_speedup"' '"partition_never_slower"' \
-    '"planner_identity_ranges_checked"' \
+    '"subset_count_s"' '"subset_materialize_s"' \
+    '"count_over_materialize_speedup"' '"count_never_slower"' \
+    '"count_equals_materialized"' '"planner_identity_ranges_checked"' \
     '"planner_strategies_all_byte_identical"' '"planner_all_strategies_exercised"'
 bench_smoke codecs IBIS_CODEC_SMOKE '"samples"' '"bytes_per_bitmap"' \
     '"auto_selected"' '"roaring_over_wah_speedup"' '"auto_over_best_ratio"' \
