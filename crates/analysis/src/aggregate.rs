@@ -45,11 +45,7 @@ pub fn sum(index: &BitmapIndex) -> Estimate {
 /// Approximate sum restricted to a selection vector (positions with a 1).
 pub fn sum_selected(index: &BitmapIndex, selection: &WahVec) -> Estimate {
     assert_eq!(selection.len(), index.len(), "selection length mismatch");
-    let counts: Vec<u64> = index
-        .bins()
-        .iter()
-        .map(|bin| bin.and_count(selection))
-        .collect();
+    let counts: Vec<u64> = index.bins().map(|bin| bin.and_count(selection)).collect();
     sum_from_bin_counts(index.binner(), &counts)
 }
 

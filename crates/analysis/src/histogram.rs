@@ -11,7 +11,7 @@
 //! bit-for-bit.
 
 use ibis_core::wah::LITERAL_MASK;
-use ibis_core::{Binner, BitmapIndex, Ones, OnesCursor, WahVec};
+use ibis_core::{Binner, BitmapIndex, CodecVec, Ones, OnesCursor, RoaringVec, WahVec};
 use ibis_obs::LazyCounter;
 use rayon::prelude::*;
 
@@ -94,10 +94,16 @@ pub const CHUNK_ROWS: u64 = (SEG * 512) as u64;
 /// labels. Also why a bin id must stay below it.
 const MIXED: u16 = u16::MAX;
 
+/// The rows of one bin, walked on the form the bin is held in.
+enum BinRows<'a> {
+    Wah(OnesCursor<'a>),
+    Roaring(&'a RoaringVec),
+}
+
 /// One operand's bin labels over the chunk being counted.
 struct Labels<'a> {
-    /// A cursor per non-empty bin, with the bin's id.
-    bins: Vec<(u16, OnesCursor<'a>)>,
+    /// The rows of each non-empty bin, with the bin's id.
+    bins: Vec<(u16, BinRows<'a>)>,
     /// Per 31-row segment: the one bin holding all its rows, or [`MIXED`].
     seg: Vec<u16>,
     /// Per row; current inside [`MIXED`] segments only.
@@ -107,31 +113,26 @@ struct Labels<'a> {
 impl<'a> Labels<'a> {
     fn new(index: &'a BitmapIndex, rows: usize) -> Self {
         let live = (0..index.nbins()).filter(|&id| index.counts()[id] != 0);
+        let rows_of = |id| match index.stored_bin(id) {
+            CodecVec::Wah(v) => BinRows::Wah(v.ones_cursor()),
+            CodecVec::Roaring(v) => BinRows::Roaring(v),
+        };
         Labels {
-            bins: live
-                .map(|id| (id as u16, index.bin(id).ones_cursor()))
-                .collect(),
+            bins: live.map(|id| (id as u16, rows_of(id))).collect(),
             seg: vec![MIXED; rows.div_ceil(SEG)],
             row: vec![0; rows],
         }
     }
 
-    /// Labels rows `[lo, hi)`. The bins partition them, so every segment
-    /// is either one bin's 1-fill or made of literals that between them
-    /// name every row.
+    /// Labels rows `[lo, hi)`, `lo` a multiple of 31. The bins partition
+    /// them, so every segment is either inside one bin's run of rows — a
+    /// WAH 1-fill, or the whole segments a Roaring run covers — or made of
+    /// pieces that between them name every row.
     fn label(&mut self, lo: u64, hi: u64) {
-        for (id, ones) in &mut self.bins {
-            ones.skip_to(lo);
-            while let Some(run) = ones.next_before(hi) {
-                match run {
-                    Ones::Fill(start, end) => {
-                        self.seg[(start - lo) as usize / SEG..(end - lo) as usize / SEG].fill(*id)
-                    }
-                    Ones::Literal(base, _) => {
-                        self.seg[(base - lo) as usize / SEG] = MIXED;
-                        run.for_each(|r| self.row[(r - lo) as usize] = *id);
-                    }
-                }
+        for (id, rows) in &mut self.bins {
+            match rows {
+                BinRows::Wah(ones) => label_wah(&mut self.seg, &mut self.row, *id, ones, lo, hi),
+                BinRows::Roaring(v) => label_roaring(&mut self.seg, &mut self.row, *id, v, lo, hi),
             }
         }
     }
@@ -144,6 +145,50 @@ impl<'a> Labels<'a> {
             id => id as usize,
         }
     }
+}
+
+/// [`Labels::label`] for a bin held as WAH: one label per segment under a
+/// 1-fill, one per row inside literal words. (A function of its own, like
+/// its Roaring twin: inlined into one loop the two arms slow each other.)
+fn label_wah(seg: &mut [u16], row: &mut [u16], id: u16, ones: &mut OnesCursor, lo: u64, hi: u64) {
+    let at = |r: u64| (r - lo) as usize;
+    ones.skip_to(lo);
+    while let Some(run) = ones.next_before(hi) {
+        match run {
+            Ones::Fill(start, end) => seg[at(start) / SEG..at(end) / SEG].fill(id),
+            Ones::Literal(base, _) => {
+                seg[at(base) / SEG] = MIXED;
+                run.for_each(|r| row[at(r)] = id);
+            }
+        }
+    }
+}
+
+/// [`Labels::label`] for a bin held as Roaring, read where it lies: a
+/// scattered bit is one row label, a run labels the whole segments it
+/// covers and its rows in the segment at either end.
+fn label_roaring(seg: &mut [u16], row: &mut [u16], id: u16, v: &RoaringVec, lo: u64, hi: u64) {
+    let at = |r: u64| (r - lo) as usize;
+    v.for_each_run_in(lo..hi, |mut start, end| {
+        if end - start == 1 {
+            let r = at(start);
+            seg[r / SEG] = MIXED;
+            row[r] = id;
+            return;
+        }
+        while start < end {
+            let (s, whole) = (at(start) / SEG, at(end) / SEG);
+            if at(start) % SEG == 0 && s < whole {
+                seg[s..whole].fill(id);
+                start = lo + (whole * SEG) as u64;
+            } else {
+                let stop = end.min(lo + ((s + 1) * SEG) as u64);
+                seg[s] = MIXED;
+                row[at(start)..at(stop)].fill(id);
+                start = stop;
+            }
+        }
+    });
 }
 
 /// Joint bin counts of two indices over the rows `sel` keeps (`None`: all
@@ -253,7 +298,7 @@ pub fn joint_counts_and_table(a: &BitmapIndex, b: &BitmapIndex, sel: Option<&Wah
 /// building, O(words + n). Purely a bitmap computation (no raw data).
 pub fn decode_bin_ids(index: &BitmapIndex) -> Vec<u32> {
     let mut ids = vec![0u32; index.len() as usize];
-    for (b, vec) in index.bins().iter().enumerate().skip(1) {
+    for (b, vec) in index.bins().enumerate().skip(1) {
         // bin 0 is the default value; only scatter the others
         let mut ones = vec.ones_cursor();
         while let Some(run) = ones.next_before(index.len()) {

@@ -249,27 +249,29 @@ impl SubsetQuery {
     /// How many rows of `index` inside `ranges` — sorted, disjoint ranges
     /// of its rows ([`shard_ranges`]); `None` is every row — pass the value
     /// predicate: `evaluate_masked(..).count_ones()` without the selection.
-    /// The predicate is planned as ever ([`plan_value_range`]) and the plan
-    /// counted ([`count_range_plan`]) — on the precondition that the bins
+    /// The predicate is planned over the low level alone
+    /// ([`plan_value_range`]) and the plan counted ([`count_range_plan`])
+    /// on each bin in the form it is held in — a count needs no high
+    /// level: it reads a cached cardinality or searches a bin's rows, where
+    /// an OR reads every word — on the precondition that the bins
     /// partition the rows; an index whose bins do not (a lossy superset)
     /// materialises its value selection and counts that.
     pub fn count(
         &self,
         index: &BitmapIndex,
-        ml: Option<&MultiLevelIndex>,
         ranges: Option<&[Range<u64>]>,
     ) -> Result<u64, QueryError> {
         check_ranges(index, ranges)?;
         if !index.partitions() {
             OBS_SUBSET_MATERIALIZED.inc();
-            let sel = self.evaluate_masked(index, ml, None)?;
+            let sel = self.evaluate_masked(index, None, None)?;
             return Ok(ranges.map_or_else(|| sel.count_ones(), |r| sel.count_ones_in_ranges(r)));
         }
         OBS_SUBSET_COUNTED.inc();
         match self.value_range {
             Some((lo, hi)) => {
-                let plan = plan_value_range(index, ml, lo, hi)?;
-                Ok(count_range_plan(index, ml, &plan, ranges))
+                let plan = plan_value_range(index, None, lo, hi)?;
+                Ok(count_range_plan(index, None, &plan, ranges))
             }
             None => Ok(ranges.map_or(index.len(), rows_in)),
         }
@@ -287,7 +289,7 @@ impl SubsetQuery {
     ) -> Result<bool, QueryError> {
         check_ranges(index, ranges)?;
         let hit = |b: usize| {
-            index.counts()[b] > 0 && ranges.is_none_or(|r| index.bin(b).intersects_ranges(r))
+            index.counts()[b] > 0 && ranges.is_none_or(|r| index.stored_bin(b).intersects_ranges(r))
         };
         match self.value_range {
             Some((lo, hi)) if lo.is_nan() || hi.is_nan() => Err(QueryError::NanBound { lo, hi }),
@@ -469,7 +471,10 @@ pub enum RangePlan {
 /// complement trick is only considered when the index
 /// partitions positions across bins (true for any index built from
 /// data), since `OR(outside).not() == OR(inside)` needs every position
-/// set in exactly one bin.
+/// set in exactly one bin. With `ml`, a group of low bins wholly inside
+/// the span is costed as its high bin, which is built then if it never
+/// was ([`MultiLevelIndex::high_bin`]): plans do not depend on what has
+/// been asked of the index before.
 pub fn plan_value_range(
     index: &BitmapIndex,
     ml: Option<&MultiLevelIndex>,
@@ -505,11 +510,11 @@ pub fn plan_value_range(
         // only the groups the span reaches
         for h in b0 / ml.group()..=b1 / ml.group() {
             let ch = ml.children(h);
-            if ch.start >= b0 && ch.end <= b1 + 1 {
-                cost += ml.high().bin_cost_bytes(h);
+            let edge = ch.start.max(b0)..ch.end.min(b1 + 1);
+            if edge == ch {
+                cost += ml.high_bin(h).at_rest_bytes();
                 high.push(h);
             } else {
-                let edge = ch.start.max(b0)..ch.end.min(b1 + 1);
                 cost += index.bins_cost_bytes(edge.clone());
                 low_edges.extend(edge);
             }
@@ -536,26 +541,16 @@ pub fn execute_range_plan(
     ml: Option<&MultiLevelIndex>,
     plan: &RangePlan,
 ) -> WahVec {
-    let n = index.len();
-    let nonempty = |v: WahVec| if v.is_empty() { WahVec::zeros(n) } else { v };
     match plan {
-        RangePlan::Empty => WahVec::zeros(n),
+        RangePlan::Empty => WahVec::zeros(index.len()),
         RangePlan::OrBins { lo, hi } => index.query_bins(*lo..=*hi),
         RangePlan::Complement { lo, hi } => {
-            let outside = index
-                .bins()
-                .iter()
-                .enumerate()
-                .filter(|(b, _)| b < lo || b > hi)
-                .map(|(_, v)| v);
-            nonempty(WahVec::or_many(outside)).not()
+            index.or_bins((0..*lo).chain(hi + 1..index.nbins())).not()
         }
         RangePlan::MultiLevel { high, low_edges } => {
-            let operands = high
-                .iter()
-                .filter_map(|&h| ml.map(|ml| ml.high().bin(h)))
-                .chain(low_edges.iter().map(|&b| index.bin(b)));
-            nonempty(WahVec::or_many(operands))
+            let edges = index.or_bins(low_edges.iter().copied());
+            let high = high.iter().filter_map(|&h| ml.map(|ml| ml.high_bin(h)));
+            WahVec::or_many(high.chain([&edges]))
         }
     }
 }
@@ -573,20 +568,22 @@ pub fn count_range_plan(
     plan: &RangePlan,
     ranges: Option<&[Range<u64>]>,
 ) -> u64 {
-    let ones = |idx: &BitmapIndex, b: usize| match ranges {
-        Some(r) if idx.counts()[b] > 0 => idx.bin(b).count_ones_in_ranges(r),
-        _ => idx.counts()[b],
+    let ones = |b: usize| match ranges {
+        Some(r) if index.counts()[b] > 0 => index.stored_bin(b).count_ones_in_ranges(r),
+        _ => index.counts()[b],
     };
     match plan {
         RangePlan::Empty => 0,
-        RangePlan::OrBins { lo, hi } => (*lo..=*hi).map(|b| ones(index, b)).sum(),
+        RangePlan::OrBins { lo, hi } => (*lo..=*hi).map(ones).sum(),
         RangePlan::Complement { lo, hi } => {
             let outside = (0..*lo).chain(hi + 1..index.nbins());
-            ranges.map_or(index.len(), rows_in) - outside.map(|b| ones(index, b)).sum::<u64>()
+            ranges.map_or(index.len(), rows_in) - outside.map(ones).sum::<u64>()
         }
         RangePlan::MultiLevel { high, low_edges } => {
-            let high = high.iter().filter_map(|&h| ml.map(|ml| ones(ml.high(), h)));
-            high.chain(low_edges.iter().map(|&b| ones(index, b))).sum()
+            let high = high.iter().filter_map(|&h| ml.map(|ml| ml.high_bin(h)));
+            let high =
+                high.map(|v| ranges.map_or_else(|| v.count_ones(), |r| v.count_ones_in_ranges(r)));
+            high.chain(low_edges.iter().map(|&b| ones(b))).sum()
         }
     }
 }
@@ -846,7 +843,7 @@ fn correlation_partial(
     // bins partition the rows; only a lossy superset index's do not.
     let counts = |idx: &BitmapIndex, other: &BitmapIndex, marginal| match other.partitions() {
         true => marginal,
-        false => idx.bins().iter().map(|bin| bin.and_count(&sel)).collect(),
+        false => idx.bins().map(|bin| bin.and_count(&sel)).collect(),
     };
     Ok(CorrelationPartial {
         selected: sel.count_ones(),

@@ -579,7 +579,7 @@ proptest! {
                     prop_assert_eq!(&got, &scan, "{} n={} same={} sel={:?}", order.name(), n, same, sel);
                     prop_assert_eq!(&got, &joint_counts_and_table(ix, iy, sel));
                     let per_bin = |idx: &BitmapIndex| -> Vec<u64> {
-                        idx.bins().iter().map(|bin| bin.and_count(sel.unwrap_or(&all))).collect()
+                        idx.bins().map(|bin| bin.and_count(sel.unwrap_or(&all))).collect()
                     };
                     prop_assert_eq!(marginal_a(&got, ix.nbins(), ny), per_bin(ix));
                     prop_assert_eq!(marginal_b(&got, ix.nbins(), ny), per_bin(iy));
@@ -679,9 +679,9 @@ proptest! {
                 for ml in [None, Some(&ml)] {
                     let sel = q.evaluate_masked(idx, ml, mask.as_ref()).unwrap();
                     prop_assert_eq!(sel.count_ones(), want, "{:?} {:?}", q, ranges);
-                    prop_assert_eq!(q.count(idx, ml, ranges), Ok(want), "{:?} {:?}", q, ranges);
-                    prop_assert_eq!(q.intersects(idx, ranges), Ok(want > 0), "{:?}", q);
                 }
+                prop_assert_eq!(q.count(idx, ranges), Ok(want), "{:?} {:?}", q, ranges);
+                prop_assert_eq!(q.intersects(idx, ranges), Ok(want > 0), "{:?}", q);
                 let Some((lo, hi)) = q.value_range else { continue };
                 let Some((b0, b1)) = idx.bin_span(lo, hi) else {
                     let plan = plan_value_range(idx, Some(&ml), lo, hi).unwrap();
@@ -703,7 +703,7 @@ proptest! {
                 let q = SubsetQuery::value(lo, hi);
                 let err = q.evaluate_masked(idx, Some(&ml), mask.as_ref()).unwrap_err();
                 prop_assert!(matches!(err, QueryError::NanBound { .. }));
-                let counted = q.count(idx, Some(&ml), ranges).unwrap_err();
+                let counted = q.count(idx, ranges).unwrap_err();
                 let probed = q.intersects(idx, ranges).unwrap_err();
                 prop_assert_eq!(counted.to_string(), err.to_string());
                 prop_assert_eq!(probed.to_string(), err.to_string());
@@ -713,7 +713,7 @@ proptest! {
         let n = n as u64;
         let err = QueryError::RegionOutOfRange { start: 1, end: n + 1, len: n };
         let past = [0..1, 1..n + 1];
-        prop_assert_eq!(SubsetQuery::all().count(idx, None, Some(&past)), Err(err.clone()));
+        prop_assert_eq!(SubsetQuery::all().count(idx, Some(&past)), Err(err.clone()));
         prop_assert_eq!(SubsetQuery::all().intersects(idx, Some(&past)), Err(err));
     }
 
@@ -751,19 +751,19 @@ proptest! {
             let mask = ranges.map(|r| shard_mask(r, 0..n));
             let want = q.evaluate_masked(&lossy, None, mask.as_ref()).unwrap().count_ones();
             let before = counter(path);
-            prop_assert_eq!(q.count(&lossy, None, ranges), Ok(want));
+            prop_assert_eq!(q.count(&lossy, ranges), Ok(want));
             // other tests only ever add to the process-wide counters
             prop_assert!(!cfg!(feature = "obs") || counter(path) > before, "{}", path);
             prop_assert_eq!(q.intersects(&lossy, ranges), Ok(want > 0));
             // the superset never hides an exact row from the probe
-            let exact_rows = q.count(&exact, None, ranges).unwrap();
+            let exact_rows = q.count(&exact, ranges).unwrap();
             prop_assert!(exact_rows <= want);
             // each shard's share, counted in its own row numbers
             let Some(r) = ranges else { continue };
             let at = (cut * n as f64) as u64;
             let shares = [0..at, at..n].map(|rows| {
                 let local = shard_ranges(r, rows.clone());
-                q.count(&exact.slice_rows(rows), None, Some(&local)).unwrap()
+                q.count(&exact.slice_rows(rows), Some(&local)).unwrap()
             });
             prop_assert_eq!(shares[0] + shares[1], exact_rows, "cut at {}", at);
         }

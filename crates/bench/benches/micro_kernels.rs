@@ -332,11 +332,11 @@ fn bench_count(c: &mut Criterion) {
             .expect("the block lies inside the grid")
             .expect("a region resolves to ranges");
         let in_block = |b: &WahVec| b.count_ones_in_ranges(&ranges);
-        let held: Vec<u64> = idx.bins().iter().map(in_block).collect();
+        let held: Vec<u64> = idx.bins().map(in_block).collect();
         let (b0, b1) = ibis_bench::span_holding(&held, 0.4);
         let q = block.with_value(idx.binner().bin_range(b0).0, idx.binner().bin_range(b1).1);
         g.bench_function(regime.name, |bch| {
-            bch.iter(|| black_box(q.count(black_box(idx), None, Some(&ranges))))
+            bch.iter(|| black_box(q.count(black_box(idx), Some(&ranges))))
         });
     }
     g.finish();

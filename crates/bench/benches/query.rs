@@ -5,7 +5,11 @@
 //! either is timed), counting a subset query's plan vs materialising its
 //! selection and counting that (four regimes — Hilbert's thousands of
 //! stored ranges among them — × three regions × three widths, equality
-//! asserted before timing), and an in-bench byte-identity sweep of every
+//! asserted before timing), the layers of a cache miss on the ocean fields
+//! stored flat and in four shards (read, CRC, verify, then what a lazily
+//! materialised index pays for a plan against what forcing every bin and
+//! deriving the whole high level costs; the lazy index asserted equal to
+//! the forced one first), and an in-bench byte-identity sweep of every
 //! planner strategy against the naive per-bin OR. Written to
 //! `BENCH_query.json` at the repository root.
 //!
@@ -21,7 +25,10 @@ use ibis_analysis::{
 };
 use ibis_bench::{count_regimes, joint_regimes, span_holding};
 use ibis_core::{Binner, BitmapIndex, MultiLevelIndex, WahVec};
-use ibis_insitu::{CachedStore, QueryAnswer, QueryEngine, QueryRequest, Store, StoreWriter};
+use ibis_insitu::{
+    codec, CachedStore, QueryAnswer, QueryEngine, QueryRequest, ShardedStore, ShardedWriter, Store,
+    StoreWriter,
+};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -62,6 +69,144 @@ fn salinity(temp: &[f64]) -> Vec<f64> {
 }
 
 const NBINS: usize = 64;
+
+/// Fastest of a few runs of `f` over a fresh `setup()` each, in µs: the
+/// layers of a miss are one-shot costs, and a blob is microseconds.
+fn floor_us<S, O>(mut setup: impl FnMut() -> S, mut f: impl FnMut(S) -> O) -> f64 {
+    (0..15)
+        .map(|_| {
+            let input = setup();
+            let t0 = Instant::now();
+            black_box(f(input));
+            t0.elapsed().as_secs_f64() * 1e6
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The layers of one cache miss, summed over every index blob of the
+/// ocean temperature and salinity fields stored under `nshards`, as a JSON
+/// object. What the engine pays now is read + CRC + verify, then nothing
+/// for a ranged count (`count_touched_us`) and an OR where the bins lie for
+/// a selection (`select_touched_us`); `transcode_touched_us` is what
+/// asking the same plan's bins for their WAH form costs, `transcode_all_us`
+/// and `high_level_us` what forcing every bin and deriving every high bin
+/// do — together the eager miss this bench is the record of.
+fn miss_path(nshards: usize, ocean: [usize; 3]) -> String {
+    let regime = joint_regimes(8, ocean).swap_remove(1);
+    assert_eq!(regime.name, "ocean");
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join(format!("../../target/bench-query-miss-k{nshards}"));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut w = ShardedWriter::create(&dir, nshards).expect("create miss store");
+    w.put(0, "temperature", &regime.a).expect("put temperature");
+    w.put(0, "salinity", &regime.b).expect("put salinity");
+    w.finish().expect("finish miss store");
+
+    let mut us = [0.0f64; 9];
+    let (mut blobs, mut bytes, mut bins, mut roaring) = (0, 0, 0, 0);
+    for store in ShardedStore::open(&dir)
+        .expect("open miss store")
+        .into_shards()
+    {
+        for var in ["temperature", "salinity"] {
+            let eager = store.get(0, var).expect("stored index");
+            let file = store.dir().join(format!("s000000_{var}.ibis"));
+            let framed = std::fs::read(&file).expect("read blob");
+            let payload = &framed[12..framed.len() - 4];
+            let decode = || codec::decode_index(payload).expect("stored payload");
+            let group = (eager.nbins() as f64).sqrt().ceil() as usize;
+            // the plan of record: the value range holding 40 % of the rows,
+            // inside the first quarter of them
+            let rows = eager.len();
+            let (b0, b1) = span_holding(eager.counts(), 0.4);
+            let binner = eager.binner();
+            let q = SubsetQuery::value(binner.bin_range(b0).0, binner.bin_range(b1).1);
+            let region = 0..rows / 4;
+            let region = std::slice::from_ref(&region);
+            // identity gate: the lazy index is the forced one
+            let lazy = decode();
+            let forced = decode();
+            assert_eq!(forced.bins().count(), eager.nbins());
+            assert_eq!(q.count(&lazy, Some(region)), q.count(&forced, Some(region)));
+            assert_eq!(lazy.query_bins(b0..=b1), forced.query_bins(b0..=b1));
+            assert!(lazy.bins().eq(eager.bins()), "lazy bins diverged");
+            assert_eq!(
+                codec::encode_index_auto(&lazy).0,
+                payload,
+                "re-encode moved a byte"
+            );
+
+            let layers: [f64; 9] = [
+                floor_us(|| (), |()| std::fs::read(&file).expect("read blob")),
+                floor_us(
+                    || (),
+                    |()| ibis_insitu::crc::crc32c(&framed[3..framed.len() - 4]),
+                ),
+                floor_us(|| (), |()| decode()),
+                floor_us(decode, |idx| q.count(&idx, Some(region))),
+                floor_us(decode, |idx| idx.query_bins(b0..=b1)),
+                floor_us(decode, |idx| {
+                    (b0..=b1).map(|b| idx.bin(b).len()).sum::<u64>()
+                }),
+                floor_us(decode, |idx| idx.bins().count()),
+                floor_us(
+                    || {
+                        let idx = decode();
+                        assert_eq!(idx.bins().count(), idx.nbins());
+                        MultiLevelIndex::from_low(idx, group)
+                    },
+                    |ml| ml.high().nbins(),
+                ),
+                floor_us(
+                    || MultiLevelIndex::from_low(decode(), group),
+                    |ml| {
+                        (0..ml.low().nbins().div_ceil(group))
+                            .map(|h| ml.high_bin(h).len())
+                            .sum::<u64>()
+                    },
+                ),
+            ];
+            for (total, layer) in us.iter_mut().zip(layers) {
+                *total += layer;
+            }
+            blobs += 1;
+            bytes += framed.len();
+            bins += eager.nbins();
+            roaring += eager
+                .codec_plan()
+                .iter()
+                .filter(|c| c.name() == "roaring")
+                .count();
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    let per_blob = |k: usize| us[k] / blobs as f64;
+    let eager_miss = (0..3).chain(6..8).map(per_blob).sum::<f64>();
+    let lazy_miss = (0..4).map(per_blob).sum::<f64>();
+    println!(
+        "query: miss path k={nshards}  {blobs} blobs x {:.0} B, {roaring}/{bins} bins roaring  eager {eager_miss:.1} us  verify-only + count {lazy_miss:.1} us  ({:.1}x)",
+        bytes as f64 / blobs as f64,
+        eager_miss / lazy_miss
+    );
+    format!(
+        "    {{\"shards\": {nshards}, \"blobs\": {blobs}, \"blob_bytes\": {:.0}, \"bins\": {bins}, \"roaring_bins\": {roaring}, \
+         \"read_us\": {:.3}, \"crc_us\": {:.3}, \"verify_us\": {:.3}, \"count_touched_us\": {:.3}, \
+         \"select_touched_us\": {:.3}, \"transcode_touched_us\": {:.3}, \"transcode_all_us\": {:.3}, \
+         \"high_level_us\": {:.3}, \"high_level_where_bins_lie_us\": {:.3}, \
+         \"eager_miss_us\": {eager_miss:.3}, \"lazy_miss_us\": {lazy_miss:.3}, \"eager_over_lazy\": {:.3}}}",
+        bytes as f64 / blobs as f64,
+        per_blob(0),
+        per_blob(1),
+        per_blob(2),
+        per_blob(3),
+        per_blob(4),
+        per_blob(5),
+        per_blob(6),
+        per_blob(7),
+        per_blob(8),
+        eager_miss / lazy_miss,
+    )
+}
 
 fn main() {
     let smoke = std::env::var("IBIS_QUERY_SMOKE").is_ok_and(|v| v == "1");
@@ -237,14 +382,14 @@ fn main() {
             // value ranges holding 5, 40 and 70 % of the region's own rows
             let in_region =
                 |b: &WahVec| ranges.map_or(b.count_ones(), |r| b.count_ones_in_ranges(r));
-            let held: Vec<u64> = idx.bins().iter().map(in_region).collect();
+            let held: Vec<u64> = idx.bins().map(in_region).collect();
             for width in [0.05, 0.4, 0.7] {
                 let (b0, b1) = span_holding(&held, width);
                 let (lo, hi) = (idx.binner().bin_range(b0).0, idx.binner().bin_range(b1).1);
                 let q = block.clone().with_value(lo, hi);
                 let count = || {
                     let local = ranges.map(|r| shard_ranges(r, 0..rows));
-                    q.count(idx, Some(&ml), local.as_deref())
+                    q.count(idx, local.as_deref())
                 };
                 let materialize = || {
                     let mask = ranges.map(|r| shard_mask(r, 0..rows));
@@ -285,6 +430,10 @@ fn main() {
         subset_count_s += fast_s;
         subset_materialize_s += slow_s;
     }
+
+    // --- the layers of a miss, on the ocean fields flat and in 4 shards ---
+    let ocean = if smoke { [32, 24, 8] } else { [96, 64, 16] };
+    let miss_samples = [miss_path(1, ocean), miss_path(4, ocean)];
 
     // --- planner byte-identity sweep: every strategy == naive per-bin OR ---
     let ia = BitmapIndex::build(&temperature(0, n), binner.clone());
@@ -345,6 +494,8 @@ fn main() {
          \"count_never_slower\": {count_never_slower},\n  \
          \"count_equals_materialized\": true,\n  \
          \"subset_count\": [\n{}\n  ],\n  \
+         \"lazy_equals_eager\": true,\n  \
+         \"miss_path\": [\n{}\n  ],\n  \
          \"planner_identity_ranges_checked\": {identity_checks},\n  \
          \"planner_strategies_all_byte_identical\": true,\n  \
          \"planner_all_strategies_exercised\": {all_strategies_used}\n}}\n",
@@ -353,6 +504,7 @@ fn main() {
         stats.misses,
         joint_samples.join(",\n"),
         count_samples.join(",\n"),
+        miss_samples.join(",\n"),
     );
     let path = if smoke {
         concat!(

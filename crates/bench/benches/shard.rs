@@ -197,7 +197,7 @@ fn main() {
         let mut total = 0u64;
         for (step, vars) in indexes.iter().enumerate() {
             for (var, _) in vars {
-                total += probe.get(var, step).expect("decode probe").size_bytes() as u64;
+                total += probe.get(var, step).expect("decode probe").resident_bytes() as u64;
             }
         }
         total

@@ -337,7 +337,7 @@ pub fn ablation_codec() {
     ]);
 
     // Roaring
-    let roaring: Vec<RoaringVec> = index.bins().iter().map(RoaringVec::from_wah).collect();
+    let roaring: Vec<RoaringVec> = index.bins().map(RoaringVec::from_wah).collect();
     let roaring_kb = roaring.iter().map(RoaringVec::size_bytes).sum::<usize>() as f64 / 1024.0;
     let t0 = Instant::now();
     let mut acc2 = 0u64;

@@ -23,6 +23,7 @@ use crate::kernels::WahStats;
 use crate::roaring::RoaringVec;
 use crate::wah::WahVec;
 use ibis_obs::LazyCounter;
+use std::ops::Range;
 
 // Selection tallies: how many bins the policy routed to each codec.
 // Const-folded to no-ops when ibis-obs is built without its `obs` feature.
@@ -172,6 +173,27 @@ pub(crate) fn codec_for(stats: &WahStats, len_bits: u64) -> CodecId {
     }
 }
 
+impl WahVec {
+    /// Estimated at-rest cost in bytes under the codec [`select_codec`]
+    /// picks for this vector, from its cached stats — the query planner's
+    /// cost unit. A WAH vector costs its word payload; a Roaring one is
+    /// estimated (container overhead plus the cheapest of array / bitset /
+    /// run forms) without materializing the conversion.
+    pub fn at_rest_bytes(&self) -> u64 {
+        let s = self.stats();
+        match codec_for(s, self.len()) {
+            CodecId::Wah => 4 * s.words as u64,
+            CodecId::Roaring => {
+                let nchunks = self.len().div_ceil(crate::roaring::CONTAINER_BITS).max(1);
+                // roughly half of a WAH run count are 1-runs, at 4 bytes
+                // per run container interval
+                let one_runs = (s.runs as u64).div_ceil(2);
+                8 * nchunks + (2 * s.ones).min(8192 * nchunks).min(4 * one_runs)
+            }
+        }
+    }
+}
+
 /// A bitvector in whichever codec its bin selected — the runtime side of
 /// the sealed [`Codec`] roof. Set operations live in `ops.rs`.
 #[derive(Debug, Clone)]
@@ -244,6 +266,23 @@ impl CodecVec {
         match self {
             CodecVec::Wah(v) => v.size_bytes(),
             CodecVec::Roaring(v) => v.size_bytes(),
+        }
+    }
+
+    /// Number of set bits inside `ranges` (half-open, sorted, disjoint),
+    /// counted on the form the vector is in.
+    pub fn count_ones_in_ranges(&self, ranges: &[Range<u64>]) -> u64 {
+        match self {
+            CodecVec::Wah(v) => v.count_ones_in_ranges(ranges),
+            CodecVec::Roaring(v) => v.count_ones_in_ranges(ranges),
+        }
+    }
+
+    /// Whether any set bit lies inside `ranges`.
+    pub fn intersects_ranges(&self, ranges: &[Range<u64>]) -> bool {
+        match self {
+            CodecVec::Wah(v) => v.intersects_ranges(ranges),
+            CodecVec::Roaring(v) => v.intersects_ranges(ranges),
         }
     }
 

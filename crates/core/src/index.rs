@@ -9,9 +9,17 @@
 
 use crate::binning::Binner;
 use crate::builder::MultiWahBuilder;
-use crate::codec::{codec_for, select_codec, CodecId, CodecVec};
+use crate::codec::{select_codec, CodecId, CodecVec};
+use crate::kernels::DenseBits;
 use crate::wah::WahVec;
+use ibis_obs::LazyCounter;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+// Roaring bins an index transcoded to WAH because something asked for them
+// (a no-op without `obs`).
+static OBS_TRANSCODED: LazyCounter = LazyCounter::new("codec.decode.transcoded_bins");
 
 /// A malformed value-range query ([`BitmapIndex::try_query_range`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,15 +58,40 @@ impl std::error::Error for RangeQueryError {}
 #[derive(Debug, Clone)]
 pub struct BitmapIndex {
     binner: Binner,
-    bins: Vec<WahVec>,
+    bins: Vec<Bin>,
     counts: Vec<u64>,
     len: u64,
-    /// `Σ counts == len`, computed once in [`BitmapIndex::from_bins`].
+    /// `Σ counts == len`, computed once in
+    /// [`BitmapIndex::from_codec_bins`].
     partitions: bool,
     /// `cost_prefix[b]` is the at-rest cost of bins `0..b`, computed once
-    /// in [`BitmapIndex::from_bins`]: the planner costs a span of bins
-    /// with two reads ([`BitmapIndex::bins_cost_bytes`]).
+    /// in [`BitmapIndex::from_codec_bins`]: the planner costs a span of
+    /// bins with two reads ([`BitmapIndex::bins_cost_bytes`]).
     cost_prefix: Vec<u64>,
+    /// [`BitmapIndex::size_bytes`], summed once.
+    size: usize,
+    /// Bytes of the WAH forms made since ([`BitmapIndex::resident_bytes`]).
+    grown: Tally,
+}
+
+/// One bin: the form it arrived in and, for a bin that arrived as Roaring
+/// — the form the selector judged right for it — the WAH form made the
+/// first time [`BitmapIndex::bin`] asks.
+#[derive(Debug, Clone)]
+struct Bin {
+    stored: CodecVec,
+    wah: OnceLock<WahVec>,
+}
+
+/// A byte count that grows behind `&self`. It publishes nothing but
+/// itself, hence relaxed.
+#[derive(Debug, Default)]
+struct Tally(AtomicUsize);
+
+impl Clone for Tally {
+    fn clone(&self) -> Self {
+        Tally(AtomicUsize::new(self.0.load(Ordering::Relaxed)))
+    }
 }
 
 impl BitmapIndex {
@@ -103,7 +136,7 @@ impl BitmapIndex {
         assert_eq!(perm.len() as u64, self.len, "permutation length mismatch");
         let mut ids = vec![0u32; perm.len()];
         let gather = perm.perm();
-        for (b, bits) in self.bins.iter().enumerate() {
+        for (b, bits) in self.bins().enumerate() {
             let mut ones = bits.ones_cursor();
             while let Some(run) = ones.next_before(self.len) {
                 run.for_each(|s| ids[gather[s as usize] as usize] = b as u32);
@@ -136,24 +169,48 @@ impl BitmapIndex {
     /// # Panics
     /// Panics if bin count mismatches the binner or lengths differ.
     pub fn from_bins(binner: Binner, bins: Vec<WahVec>) -> Self {
+        Self::from_codec_bins(binner, bins.into_iter().map(CodecVec::Wah).collect())
+    }
+
+    /// Assembles an index from bins in whichever codec each arrives in —
+    /// what a decoder holds once a stored payload is verified. Nothing is
+    /// converted here: counts come from each form's own cardinality, a
+    /// Roaring bin costs the planner its serialized length (the true
+    /// at-rest bytes the WAH-side formula estimates), and its WAH form is
+    /// made the first time [`BitmapIndex::bin`] asks for it.
+    ///
+    /// # Panics
+    /// Panics if bin count mismatches the binner or lengths differ.
+    pub fn from_codec_bins(binner: Binner, bins: Vec<CodecVec>) -> Self {
         assert_eq!(bins.len(), binner.nbins(), "bin count mismatch");
-        let len = bins.first().map_or(0, WahVec::len);
+        let len = bins.first().map_or(0, CodecVec::len);
         assert!(
             bins.iter().all(|b| b.len() == len),
             "bins must share a length"
         );
-        let counts: Vec<u64> = bins.iter().map(WahVec::count_ones).collect();
+        let counts: Vec<u64> = bins.iter().map(CodecVec::count_ones).collect();
         let mut cost_prefix = vec![0u64; bins.len() + 1];
         for (b, v) in bins.iter().enumerate() {
-            cost_prefix[b + 1] = cost_prefix[b] + at_rest_bytes(v, len);
+            cost_prefix[b + 1] = cost_prefix[b]
+                + match v {
+                    CodecVec::Wah(v) => v.at_rest_bytes(),
+                    CodecVec::Roaring(v) => v.serialized_bytes() as u64,
+                };
         }
+        let size = bins.iter().map(CodecVec::size_bytes).sum();
+        let bins = bins.into_iter().map(|stored| Bin {
+            stored,
+            wah: OnceLock::new(),
+        });
         BitmapIndex {
             binner,
-            bins,
+            bins: bins.collect(),
             partitions: counts.iter().sum::<u64>() == len,
             counts,
             len,
             cost_prefix,
+            size,
+            grown: Tally::default(),
         }
     }
 
@@ -177,14 +234,37 @@ impl BitmapIndex {
         self.len == 0
     }
 
-    /// The bitvector of bin `b`.
+    /// The bitvector of bin `b`. The first call on a bin that arrived in
+    /// Roaring form transcodes it, once whatever the number of callers.
     pub fn bin(&self, b: usize) -> &WahVec {
-        &self.bins[b]
+        let bin = &self.bins[b];
+        match &bin.stored {
+            CodecVec::Wah(v) => v,
+            CodecVec::Roaring(r) => bin.wah.get_or_init(|| {
+                OBS_TRANSCODED.inc();
+                let v = r.to_wah();
+                self.grown.0.fetch_add(v.size_bytes(), Ordering::Relaxed);
+                v
+            }),
+        }
     }
 
-    /// All bitvectors.
-    pub fn bins(&self) -> &[WahVec] {
-        &self.bins
+    /// Bin `b` if its WAH form is already there — [`BitmapIndex::bin`]
+    /// without the transcode.
+    pub fn resident_bin(&self, b: usize) -> Option<&WahVec> {
+        let bin = &self.bins[b];
+        bin.stored.as_wah().or_else(|| bin.wah.get())
+    }
+
+    /// Bin `b` in the form it arrived in. What only counts or walks a
+    /// bin's rows reads this and never causes a transcode.
+    pub fn stored_bin(&self, b: usize) -> &CodecVec {
+        &self.bins[b].stored
+    }
+
+    /// All bitvectors, in bin order ([`BitmapIndex::bin`] of each).
+    pub fn bins(&self) -> impl ExactSizeIterator<Item = &WahVec> + '_ {
+        (0..self.bins.len()).map(|b| self.bin(b))
     }
 
     /// Per-bin 1-bit counts — the exact value histogram of the indexed data.
@@ -200,10 +280,18 @@ impl BitmapIndex {
         self.partitions
     }
 
-    /// Compressed size in bytes of all bitvectors — what the in-situ pipeline
-    /// charges to memory and writes to storage instead of the raw data.
+    /// Compressed size in bytes of all bitvectors, each in the form it
+    /// arrived in — what the in-situ pipeline charges to memory and writes
+    /// to storage instead of the raw data. Fixed for the index's life.
     pub fn size_bytes(&self) -> usize {
-        self.bins.iter().map(WahVec::size_bytes).sum()
+        self.size
+    }
+
+    /// Bytes held right now: [`BitmapIndex::size_bytes`] plus the WAH form
+    /// of every Roaring bin [`BitmapIndex::bin`] has been asked for — what
+    /// a cache charges the index, and it grows as the index is used.
+    pub fn resident_bytes(&self) -> usize {
+        self.size + self.grown.0.load(Ordering::Relaxed)
     }
 
     /// The codec [`select_codec`] picks for bin `b` from its cached
@@ -211,7 +299,7 @@ impl BitmapIndex {
     /// Roaring arrays, dense middle bins Roaring bitsets, coherent bins
     /// stay WAH. Free after the first call per bin (stats are cached).
     pub fn bin_codec(&self, b: usize) -> CodecId {
-        select_codec(self.bins[b].stats(), self.len)
+        select_codec(self.bin(b).stats(), self.len)
     }
 
     /// The full per-bin codec plan, in bin order — what the store writes
@@ -220,11 +308,9 @@ impl BitmapIndex {
         (0..self.bins.len()).map(|b| self.bin_codec(b)).collect()
     }
 
-    /// Estimated at-rest cost in bytes of bin `b` under its selected codec
-    /// — the query planner's per-bin cost unit. WAH bins cost their word
-    /// payload; Roaring bins are estimated from the cached stats (container
-    /// overhead plus the cheapest of array / bitset / run forms) without
-    /// materializing the conversion.
+    /// At-rest cost in bytes of bin `b` — the query planner's per-bin
+    /// cost unit: [`WahVec::at_rest_bytes`] of a bin that arrived as WAH,
+    /// the serialized length of one that arrived as Roaring.
     pub fn bin_cost_bytes(&self, b: usize) -> u64 {
         self.bins_cost_bytes(b..b + 1)
     }
@@ -238,7 +324,7 @@ impl BitmapIndex {
     /// plans just clone). This is what `CachedStore` serves and the store
     /// persists under per-blob codec tags.
     pub fn to_codec_bins(&self) -> Vec<CodecVec> {
-        self.bins.iter().map(CodecVec::from_wah_auto).collect()
+        self.bins().map(CodecVec::from_wah_auto).collect()
     }
 
     /// The inclusive range of bins a `[lo, hi)` value query touches, or
@@ -289,12 +375,35 @@ impl BitmapIndex {
 
     /// OR of an inclusive range of bins.
     pub fn query_bins(&self, bins: std::ops::RangeInclusive<usize>) -> WahVec {
-        let slice = &self.bins[*bins.start()..=*bins.end()];
-        let mut result = WahVec::or_many(slice.iter());
-        if result.is_empty() {
-            result = WahVec::zeros(self.len);
+        self.or_bins(bins)
+    }
+
+    /// OR of the given bins — the canonical vector [`WahVec::or_many`]
+    /// gives over [`BitmapIndex::bin`] of each — all zeros for none. When
+    /// a bin held as Roaring is among them and the operands are heavy
+    /// enough that `or_many` would accumulate densely anyway, each is ORed
+    /// into that accumulator from the form it is held in: no bin is
+    /// transcoded to be read once.
+    pub fn or_bins(&self, bins: impl IntoIterator<Item = usize>) -> WahVec {
+        let bins: Vec<usize> = bins.into_iter().collect();
+        let all_wah = bins.iter().all(|&b| self.resident_bin(b).is_some());
+        let words = bins.iter().map(|&b| self.bin_cost_bytes(b)).sum::<u64>() / 4;
+        let or = if all_wah || words <= self.len / 64 {
+            WahVec::or_many(bins.iter().map(|&b| self.bin(b)))
+        } else {
+            let mut acc = DenseBits::zeros(self.len);
+            for &b in &bins {
+                match self.stored_bin(b) {
+                    CodecVec::Wah(v) => acc.or_wah(v),
+                    CodecVec::Roaring(v) => acc.or_roaring(v),
+                }
+            }
+            acc.to_wah()
+        };
+        match or.is_empty() {
+            true => WahVec::zeros(self.len),
+            false => or,
         }
-        result
     }
 
     /// The index restricted to the half-open row range `[start, end)`: every
@@ -309,8 +418,7 @@ impl BitmapIndex {
     /// Panics when the range is inverted or exceeds the row count.
     pub fn slice_rows(&self, range: std::ops::Range<u64>) -> Self {
         let bins = self
-            .bins
-            .iter()
+            .bins()
             .map(|b| b.slice(range.clone()))
             .collect::<Vec<_>>();
         Self::from_bins(self.binner.clone(), bins)
@@ -319,7 +427,7 @@ impl BitmapIndex {
     /// Verifies structural invariants (tests / debugging): per-bin lengths,
     /// cached counts, each position set in exactly one bin.
     pub fn check_consistent(&self) -> Result<(), String> {
-        for (i, b) in self.bins.iter().enumerate() {
+        for (i, b) in self.bins().enumerate() {
             if b.len() != self.len {
                 return Err(format!("bin {i} has length {} != {}", b.len(), self.len));
             }
@@ -333,21 +441,6 @@ impl BitmapIndex {
             return Err(format!("counts sum to {total}, expected {}", self.len));
         }
         Ok(())
-    }
-}
-
-/// One bin's [`BitmapIndex::bin_cost_bytes`], from its cached stats.
-fn at_rest_bytes(v: &WahVec, len: u64) -> u64 {
-    let s = v.stats();
-    match codec_for(s, len) {
-        CodecId::Wah => 4 * s.words as u64,
-        CodecId::Roaring => {
-            let nchunks = len.div_ceil(crate::roaring::CONTAINER_BITS).max(1);
-            // roughly half of a WAH run count are 1-runs, at 4 bytes
-            // per run container interval
-            let one_runs = (s.runs as u64).div_ceil(2);
-            8 * nchunks + (2 * s.ones).min(8192 * nchunks).min(4 * one_runs)
-        }
     }
 }
 

@@ -256,6 +256,17 @@ impl DenseBits {
         }
     }
 
+    /// ORs a same-length Roaring vector into the buffer, read where it
+    /// lies: [`DenseBits::or_wah`] for an operand held in the other codec.
+    pub fn or_roaring(&mut self, v: &crate::RoaringVec) {
+        assert_eq!(
+            self.len_bits,
+            v.len(),
+            "binary op on different-length vectors"
+        );
+        v.or_into(&mut self.words);
+    }
+
     /// Rebuilds `out` as `self AND v` without re-decoding `self`: the
     /// buffer is copied word-parallel, then `v`'s runs stream over it —
     /// 0-fills clear ranges, 1-fills keep, literals clear their complement

@@ -211,7 +211,6 @@ impl BitmapIndex {
         let mut stats = LossyStats::default();
         let bins: Vec<WahVec> = self
             .bins()
-            .iter()
             .map(|bin| {
                 let (lossy, s) = bin.lossy_superset(fpr);
                 stats.merge(&s);

@@ -8,13 +8,26 @@
 use crate::binning::Binner;
 use crate::index::BitmapIndex;
 use crate::wah::WahVec;
+use ibis_obs::LazyCounter;
+use std::sync::OnceLock;
+
+// High bins built because a plan could use them (a no-op without `obs`).
+static OBS_HIGH_BUILT: LazyCounter = LazyCounter::new("query.cache.high_bins_built");
 
 /// A two-level bitmap index over one array.
+///
+/// The high level grows with use: deriving all of it costs an OR over
+/// every low bin, which a plan that names a handful of them should not
+/// pay. [`MultiLevelIndex::high_bin`] — the planner's view — builds the
+/// one bin asked for, once, from its children in whatever form they are
+/// held ([`BitmapIndex::or_bins`]: no transcode); [`MultiLevelIndex::high`]
+/// — the whole level as an index, for mining — builds all of it.
 #[derive(Debug, Clone)]
 pub struct MultiLevelIndex {
     low: BitmapIndex,
-    high: BitmapIndex,
     group: usize,
+    grown: Vec<OnceLock<WahVec>>,
+    high: OnceLock<BitmapIndex>,
 }
 
 impl MultiLevelIndex {
@@ -26,23 +39,17 @@ impl MultiLevelIndex {
         Self::from_low(low, group)
     }
 
-    /// Derives the high level from an existing low-level index.
+    /// Puts a high level over an existing low-level index, `group` low bins
+    /// to a high bin. None of it is built yet.
     pub fn from_low(low: BitmapIndex, group: usize) -> Self {
         assert!(group >= 1, "group must be at least 1");
-        let high_binner = low.binner().coarsen(group);
-        let n_high = high_binner.nbins();
-        let mut high_bins = Vec::with_capacity(n_high);
-        for h in 0..n_high {
-            let lo = h * group;
-            let hi = (lo + group).min(low.nbins());
-            let mut v = WahVec::or_many(low.bins()[lo..hi].iter());
-            if v.is_empty() {
-                v = WahVec::zeros(low.len());
-            }
-            high_bins.push(v);
+        let grown = vec![OnceLock::new(); low.nbins().div_ceil(group)];
+        MultiLevelIndex {
+            low,
+            group,
+            grown,
+            high: OnceLock::new(),
         }
-        let high = BitmapIndex::from_bins(high_binner, high_bins);
-        MultiLevelIndex { low, high, group }
     }
 
     /// The low (fine) level.
@@ -50,9 +57,21 @@ impl MultiLevelIndex {
         &self.low
     }
 
-    /// The high (coarse) level.
+    /// The high (coarse) level, whole.
     pub fn high(&self) -> &BitmapIndex {
-        &self.high
+        self.high.get_or_init(|| {
+            let bins = (0..self.grown.len()).map(|h| self.high_bin(h).clone());
+            BitmapIndex::from_bins(self.low.binner().coarsen(self.group), bins.collect())
+        })
+    }
+
+    /// High bin `h`: the OR of its children, built the first time it is
+    /// asked for.
+    pub fn high_bin(&self, h: usize) -> &WahVec {
+        self.grown[h].get_or_init(|| {
+            OBS_HIGH_BUILT.inc();
+            self.low.or_bins(self.children(h))
+        })
     }
 
     /// Low bins grouped under each high bin.
@@ -62,14 +81,19 @@ impl MultiLevelIndex {
 
     /// The low-bin range belonging to high bin `h`.
     pub fn children(&self, h: usize) -> std::ops::Range<usize> {
-        assert!(h < self.high.nbins(), "high bin {h} out of range");
+        assert!(h < self.grown.len(), "high bin {h} out of range");
         let lo = h * self.group;
         lo..(lo + self.group).min(self.low.nbins())
     }
 
-    /// Total compressed bytes across both levels.
-    pub fn size_bytes(&self) -> usize {
-        self.low.size_bytes() + self.high.size_bytes()
+    /// Bytes held right now across both levels: the low level as it
+    /// stands ([`BitmapIndex::resident_bytes`]) and what has been built of
+    /// the high one — it grows as the index is used.
+    pub fn resident_bytes(&self) -> usize {
+        let grown = self.grown.iter().filter_map(OnceLock::get);
+        self.low.resident_bytes()
+            + grown.map(WahVec::size_bytes).sum::<usize>()
+            + self.high.get().map_or(0, BitmapIndex::size_bytes)
     }
 
     /// Verifies that each high bitvector equals the OR of its children and
@@ -78,13 +102,13 @@ impl MultiLevelIndex {
         self.low
             .check_consistent()
             .map_err(|e| format!("low: {e}"))?;
-        self.high
+        self.high()
             .check_consistent()
             .map_err(|e| format!("high: {e}"))?;
-        for h in 0..self.high.nbins() {
+        for h in 0..self.grown.len() {
             let children = self.children(h);
-            let or = WahVec::or_many(self.low.bins()[children.clone()].iter());
-            if &or != self.high.bin(h) {
+            let or = WahVec::or_many(children.clone().map(|b| self.low.bin(b)));
+            if &or != self.high().bin(h) {
                 return Err(format!("high bin {h} != OR of low bins {children:?}"));
             }
         }

@@ -22,6 +22,7 @@ use crate::runs::{Run, RunIter};
 use crate::wah::WahVec;
 use crate::WahBuilder;
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Bits covered by one container.
 pub const CONTAINER_BITS: u64 = 1 << 16;
@@ -119,6 +120,61 @@ impl Container {
         }
     }
 
+    /// Visits the set bits inside `[lo, hi]` in order, as inclusive
+    /// stretches: a run container's intervals clipped to the window, any
+    /// other container's bits one at a time — by selection they are
+    /// scattered, and a caller that wants maximal runs has
+    /// [`Container::for_each_run`]. Starts at `lo`, not at the container's
+    /// first bit.
+    fn for_each_run_in(&self, lo: u16, hi: u16, mut f: impl FnMut(u16, u16)) {
+        match self {
+            Container::Array(a) => {
+                let from = a.partition_point(|&v| v < lo);
+                for &v in &a[from..a.partition_point(|&v| v <= hi)] {
+                    f(v, v);
+                }
+            }
+            Container::Bits { words, .. } => {
+                for wi in lo as usize >> 6..=hi as usize >> 6 {
+                    let mut w = words[wi];
+                    if wi == lo as usize >> 6 {
+                        w &= !0u64 << (lo & 63);
+                    }
+                    if wi == hi as usize >> 6 {
+                        w &= !0u64 >> (63 - (hi & 63));
+                    }
+                    while w != 0 {
+                        let v = (wi * 64) as u16 + w.trailing_zeros() as u16;
+                        f(v, v);
+                        w &= w - 1;
+                    }
+                }
+            }
+            Container::Runs(rs) => {
+                let from = rs.partition_point(|&(_, e)| e < lo);
+                for &(s, e) in rs[from..].iter().take_while(|&&(s, _)| s <= hi) {
+                    f(s.max(lo), e.min(hi));
+                }
+            }
+        }
+    }
+
+    /// Set bits inside `[lo, hi]`.
+    fn ones_in(&self, lo: u16, hi: u16) -> u64 {
+        match self {
+            _ if (lo, hi) == (0, u16::MAX) => self.ones(),
+            Container::Array(a) => {
+                (a.partition_point(|&v| v <= hi) - a.partition_point(|&v| v < lo)) as u64
+            }
+            Container::Bits { words, .. } => count_range(words.as_ref(), lo, hi),
+            Container::Runs(_) => {
+                let mut total = 0;
+                self.for_each_run_in(lo, hi, |s, e| total += (e - s) as u64 + 1);
+                total
+            }
+        }
+    }
+
     /// Expands into a packed scratch bitset (scratch is fully overwritten).
     fn write_bits(&self, out: &mut [u64; BITS_WORDS]) {
         match self {
@@ -132,7 +188,7 @@ impl Container {
 }
 
 /// Sets inclusive bit range `[s, e]` in a packed word buffer.
-fn set_bits_range(words: &mut [u64; BITS_WORDS], s: u16, e: u16) {
+fn set_bits_range(words: &mut [u64], s: u16, e: u16) {
     let (s, e) = (s as usize, e as usize);
     let (ws, we) = (s >> 6, e >> 6);
     let head = !0u64 << (s & 63);
@@ -432,12 +488,94 @@ impl RoaringVec {
         self.count_ones() + other.count_ones() - 2 * self.and_count(other)
     }
 
+    /// Visits the set bits inside the half-open `rows` in order, as
+    /// half-open `(start, end)` stretches: the intervals of a run
+    /// container clipped to `rows`, the bits of any other container one
+    /// at a time.
+    ///
+    /// # Panics
+    /// Panics when `rows` ends past the vector's length.
+    pub fn for_each_run_in(&self, rows: Range<u64>, mut f: impl FnMut(u64, u64)) {
+        for (base, c, lo, hi) in self.windows(&rows) {
+            c.for_each_run_in(lo, hi, |s, e| f(base + s as u64, base + e as u64 + 1));
+        }
+    }
+
+    /// The containers the half-open `rows` reaches: each with its first
+    /// bit's position and the inclusive stretch of it inside `rows`.
+    fn windows(&self, rows: &Range<u64>) -> impl Iterator<Item = (u64, &Container, u16, u16)> {
+        assert!(rows.end <= self.len_bits, "range out of bounds");
+        let chunks = match rows.is_empty() {
+            true => 0..0,
+            false => rows.start / CONTAINER_BITS..(rows.end - 1) / CONTAINER_BITS + 1,
+        };
+        let (start, end) = (rows.start, rows.end);
+        chunks.map(move |ci| {
+            let base = ci * CONTAINER_BITS;
+            let lo = start.max(base) - base;
+            let hi = end.min(base + CONTAINER_BITS) - 1 - base;
+            (base, &self.containers[ci as usize], lo as u16, hi as u16)
+        })
+    }
+
+    /// ORs the set bits into `words`, a packed buffer of the vector's
+    /// length (`len.div_ceil(64)` words): a scattered bit is one store, a
+    /// bitset container a word-parallel OR — nothing is transcoded.
+    pub(crate) fn or_into(&self, words: &mut [u64]) {
+        for (c, out) in self.containers.iter().zip(words.chunks_mut(BITS_WORDS)) {
+            match c {
+                Container::Array(a) => {
+                    for &v in a {
+                        out[v as usize >> 6] |= 1u64 << (v & 63);
+                    }
+                }
+                Container::Bits { words, .. } => {
+                    for (o, w) in out.iter_mut().zip(words.iter()) {
+                        *o |= w;
+                    }
+                }
+                Container::Runs(rs) => {
+                    for &(s, e) in rs {
+                        set_bits_range(out, s, e);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Number of set bits inside `ranges` — half-open, sorted and
+    /// disjoint, as [`WahVec::count_ones_in_ranges`] takes them. Each
+    /// range costs a binary search or a word-range popcount per container
+    /// it reaches: no pass over the vector, and no WAH form needed.
+    ///
+    /// # Panics
+    /// Panics when a range ends past the vector's length.
+    pub fn count_ones_in_ranges(&self, ranges: &[Range<u64>]) -> u64 {
+        let windows = ranges.iter().flat_map(|r| self.windows(r));
+        windows.map(|(_, c, lo, hi)| c.ones_in(lo, hi)).sum()
+    }
+
+    /// Whether any set bit lies inside `ranges`.
+    pub fn intersects_ranges(&self, ranges: &[Range<u64>]) -> bool {
+        let mut windows = ranges.iter().flat_map(|r| self.windows(r));
+        windows.any(|(_, c, lo, hi)| c.ones_in(lo, hi) > 0)
+    }
+
+    /// Length in bytes of what [`RoaringVec::serialize`] writes.
+    pub fn serialized_bytes(&self) -> usize {
+        8 + self
+            .containers
+            .iter()
+            .map(|c| 5 + c.heap_bytes())
+            .sum::<usize>()
+    }
+
     /// Serializes to the store blob payload format: `len_bits u64 LE`,
     /// then one record per container — form tag `u8`, element count
     /// `u32 LE`, payload (`u16` values, raw `u64` words, or `(u16, u16)`
     /// inclusive intervals, all LE).
     pub fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.size_bytes());
+        let mut out = Vec::with_capacity(self.serialized_bytes());
         out.extend_from_slice(&self.len_bits.to_le_bytes());
         for c in &self.containers {
             match c {
@@ -474,30 +612,23 @@ impl RoaringVec {
     /// ordering/overlap, and the cached bitset popcount.
     pub fn deserialize(bytes: &[u8]) -> Result<RoaringVec, String> {
         let mut r = bytes;
-        let take = |r: &mut &[u8], n: usize, what: &str| -> Result<Vec<u8>, String> {
-            if r.len() < n {
-                return Err(format!(
-                    "roaring: truncated {what}: need {n}, have {}",
-                    r.len()
-                ));
-            }
-            let (head, rest) = r.split_at(n);
-            *r = rest;
-            Ok(head.to_vec())
+        // the one bounds-checked cursor: a borrowed field, or what is missing
+        let mut take = |n: usize, what: &str| -> Result<&[u8], String> {
+            let (head, rest) = r
+                .split_at_checked(n)
+                .ok_or_else(|| format!("roaring: truncated {what}: need {n}, have {}", r.len()))?;
+            r = rest;
+            Ok(head)
         };
-        let len_bits = u64::from_le_bytes(
-            take(&mut r, 8, "length")?
-                .try_into()
-                .map_err(|_| "roaring: bad length".to_string())?,
-        );
+        let len_bits = u64::from_le_bytes(take(8, "length")?.try_into().expect("took 8"));
         let nchunks = len_bits.div_ceil(CONTAINER_BITS) as usize;
-        let mut containers = Vec::with_capacity(nchunks);
+        // a container is at least its 5-byte header: no stored length can
+        // reserve more than the bytes behind it back
+        let mut containers = Vec::with_capacity(nchunks.min(bytes.len() / 5));
         for ci in 0..nchunks {
-            let tag = take(&mut r, 1, "container tag")?[0];
-            let count_bytes: [u8; 4] = take(&mut r, 4, "container count")?
-                .try_into()
-                .map_err(|_| "roaring: bad count".to_string())?;
-            let count = u32::from_le_bytes(count_bytes) as usize;
+            let tag = take(1, "container tag")?[0];
+            let count = u32::from_le_bytes(take(4, "container count")?.try_into().expect("took 4"))
+                as usize;
             let limit = if ci + 1 == nchunks && !len_bits.is_multiple_of(CONTAINER_BITS) {
                 len_bits % CONTAINER_BITS
             } else {
@@ -505,8 +636,7 @@ impl RoaringVec {
             };
             containers.push(match tag {
                 0 => {
-                    let raw = take(&mut r, count * 2, "array payload")?;
-                    let a: Vec<u16> = raw
+                    let a: Vec<u16> = take(count * 2, "array payload")?
                         .chunks_exact(2)
                         .map(|p| u16::from_le_bytes([p[0], p[1]]))
                         .collect();
@@ -521,7 +651,7 @@ impl RoaringVec {
                     Container::Array(a)
                 }
                 1 => {
-                    let raw = take(&mut r, BITS_WORDS * 8, "bitset payload")?;
+                    let raw = take(BITS_WORDS * 8, "bitset payload")?;
                     let mut words = Box::new([0u64; BITS_WORDS]);
                     for (w, p) in words.iter_mut().zip(raw.chunks_exact(8)) {
                         *w = u64::from_le_bytes(p.try_into().expect("chunks_exact(8)"));
@@ -545,8 +675,7 @@ impl RoaringVec {
                     }
                 }
                 2 => {
-                    let raw = take(&mut r, count * 4, "runs payload")?;
-                    let rs: Vec<(u16, u16)> = raw
+                    let rs: Vec<(u16, u16)> = take(count * 4, "runs payload")?
                         .chunks_exact(4)
                         .map(|p| {
                             (
@@ -700,18 +829,9 @@ fn and_count_pair(a: &Container, b: &Container) -> u64 {
             }
             total
         }
-        (Runs(rs), Array(x)) | (Array(x), Runs(rs)) => {
-            // per run, count array members inside it via partition points
-            rs.iter()
-                .map(|&(s, e)| {
-                    (x.partition_point(|&v| v <= e) - x.partition_point(|&v| v < s)) as u64
-                })
-                .sum()
-        }
-        (Runs(rs), Bits { words, .. }) | (Bits { words, .. }, Runs(rs)) => rs
-            .iter()
-            .map(|&(s, e)| count_range(words.as_ref(), s, e))
-            .sum(),
+        // per run, the other side's members inside it: partition points in
+        // an array, a word-range popcount in a bitset
+        (Runs(rs), c) | (c, Runs(rs)) => rs.iter().map(|&(s, e)| c.ones_in(s, e)).sum(),
     }
 }
 
@@ -829,7 +949,7 @@ impl RoaringAppender {
             }
             let lo = self.pos % CONTAINER_BITS;
             let take = n.min(CONTAINER_BITS - lo);
-            set_bits_range(&mut self.scratch, lo as u16, (lo + take - 1) as u16);
+            set_bits_range(&mut self.scratch[..], lo as u16, (lo + take - 1) as u16);
             self.scratch_ones += take;
             self.pos += take;
             n -= take;

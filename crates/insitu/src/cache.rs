@@ -1,23 +1,43 @@
 //! A sharded, byte-budgeted LRU cache of decoded indices over a durable
 //! [`Store`] — the warm read path of the query engine.
 //!
-//! [`Store::get`] re-reads, re-verifies, and re-decodes a blob on every
-//! call; an interactive query session hits the same few `(variable, step)`
-//! pairs over and over, so [`CachedStore`] keeps the decoded form resident:
+//! [`Store::get`] re-reads and re-verifies a blob on every call; an
+//! interactive query session hits the same few `(variable, step)` pairs
+//! over and over, so [`CachedStore`] keeps the verified form resident:
 //!
-//! * each entry is an `Arc<MultiLevelIndex>` (low level = the stored index,
-//!   high level derived once at `⌈√nbins⌉` grouping), so the planner's
-//!   high-bin covering strategy is available on every cached read and
-//!   concurrent readers share one decoded copy;
+//! * a miss *verifies* everything and *materialises* nothing: the blob is
+//!   read once, its length, frame and CRC checked, every bin decoded or —
+//!   a Roaring bin — deserialized with all of its checks, so a malformed
+//!   payload is a typed error from [`CachedStore::get`] and never from a
+//!   later query. What the entry then holds is each bin in its at-rest
+//!   form. Counts, probes, the joint table's label walk and the OR behind
+//!   a selection read a Roaring bin where it lies; it is transcoded to WAH
+//!   only for a caller that asks for that form
+//!   ([`ibis_core::BitmapIndex::bin`]), the first time, and no other bin
+//!   with it;
+//! * each entry is an `Arc<MultiLevelIndex>` at `⌈√nbins⌉` grouping whose
+//!   high level starts empty: a high bin is built — one OR over its
+//!   children as they are held — the first time a plan's span holds its
+//!   whole group ([`ibis_core::MultiLevelIndex::high_bin`]), so a miss
+//!   pays for none of it and a plan never depends on what was asked
+//!   before. Concurrent readers share one copy and one materialisation;
+//! * an entry is charged what it holds — every bin's at-rest form, the
+//!   WAH forms made so far, the high bins built so far
+//!   ([`MultiLevelIndex::resident_bytes`]) — so it *grows* while it is
+//!   used. The accounting catches up whenever the cache looks: a hit
+//!   re-measures the entry it returns, a miss and [`CachedStore::stats`]
+//!   re-measure the whole lock shard, and `resident_bytes` is then exactly
+//!   the sum of the resident entries' sizes;
 //! * entries are spread over fixed shards (key-hashed), each behind its own
 //!   [`parking_lot::Mutex`] — readers of different shards never contend,
 //!   and the underlying catalog is an `Arc<Store>` that is never mutated;
-//! * decode happens *outside* any lock (a slow blob read stalls only the
+//! * the read happens *outside* any lock (a slow blob read stalls only the
 //!   requesting thread), with a double-check on insert so a racing thread's
 //!   copy wins and the loser's work is dropped;
-//! * the byte budget is enforced per shard by last-used eviction; the entry
-//!   just inserted is never evicted, so a single oversized index still
-//!   serves (the budget is a high-water target, not a hard allocator).
+//! * the byte budget is enforced per shard by last-used eviction, on a
+//!   miss and on a hit that finds its entry grown; the entry being
+//!   returned is never evicted, so a single oversized index still serves
+//!   (the budget is a high-water target, not a hard allocator).
 //!
 //! Counters (family `query.cache`, see DESIGN.md §6g):
 //! `query.cache.{hits,misses,evictions}` and the gauge
@@ -47,9 +67,11 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted to respect the byte budget.
     pub evictions: u64,
-    /// Decoded bytes currently resident across all shards.
+    /// Bytes the resident entries hold, across all shards.
     pub resident_bytes: u64,
 }
+
+type Key = (usize, String);
 
 struct Entry {
     index: Arc<MultiLevelIndex>,
@@ -67,8 +89,18 @@ type LossyMemo = HashMap<(String, usize), Option<Arc<LossyCompanion>>>;
 
 #[derive(Default)]
 struct Shard {
-    map: HashMap<(usize, String), Entry>,
+    map: HashMap<Key, Entry>,
     resident: u64,
+}
+
+impl Entry {
+    /// Charges the entry what it holds now and returns the growth since
+    /// it was last measured (bins are materialised, never dropped).
+    fn remeasure(&mut self) -> u64 {
+        let grown = self.index.resident_bytes() as u64 - self.bytes;
+        self.bytes += grown;
+        grown
+    }
 }
 
 /// A read-through cache of decoded two-level indices over a [`Store`],
@@ -212,59 +244,79 @@ impl CachedStore {
     /// cache below its serving budget.
     pub fn evict_to(&self, target_bytes: u64) -> u64 {
         let per_shard = target_bytes / self.shards.len() as u64;
-        let mut freed = 0u64;
-        for shard in &self.shards {
-            let mut s = shard.lock();
-            while s.resident > per_shard {
-                let victim = s
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| k.clone());
-                let Some(victim) = victim else { break };
-                if let Some(e) = s.map.remove(&victim) {
-                    s.resident -= e.bytes;
-                    freed += e.bytes;
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    OBS_CACHE_EVICTIONS.inc();
-                }
-            }
-        }
+        let freed = self
+            .shards
+            .iter()
+            .map(|shard| self.evict_lru(&mut shard.lock(), per_shard, None))
+            .sum();
         OBS_CACHE_RESIDENT.add(-(freed as i64));
         freed
     }
 
+    /// Evicts `s`'s least-recently-used entries, sparing `keep`, until it
+    /// holds at most `target` bytes or nothing else is left; returns the
+    /// bytes freed.
+    fn evict_lru(&self, s: &mut Shard, target: u64, keep: Option<&Key>) -> u64 {
+        let mut freed = 0;
+        while s.resident > target {
+            let victim = s
+                .map
+                .iter()
+                .filter(|(k, _)| Some(*k) != keep)
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone());
+            let Some(e) = victim.and_then(|k| s.map.remove(&k)) else {
+                break;
+            };
+            s.resident -= e.bytes;
+            freed += e.bytes;
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            OBS_CACHE_EVICTIONS.inc();
+        }
+        freed
+    }
+
     /// Reads `(variable, step)` through the cache: a resident entry is
-    /// shared via `Arc`, a miss decodes outside the shard lock and then
-    /// inserts (first racer wins), evicting least-recently-used entries
-    /// past the shard's byte budget.
+    /// shared via `Arc`, a miss reads and verifies outside the shard lock
+    /// and then inserts (first racer wins). Either way the shard's
+    /// accounting catches up with what its entries have grown to, and
+    /// least-recently-used entries past the byte budget are evicted.
     pub fn get(&self, variable: &str, step: usize) -> Result<Arc<MultiLevelIndex>> {
         let key = (step, variable.to_string());
         let shard = &self.shards[shard_of(step, variable, self.shards.len())];
-        {
-            let mut s = shard.lock();
-            if let Some(e) = s.map.get_mut(&key) {
-                e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                OBS_CACHE_HITS.inc();
-                return Ok(Arc::clone(&e.index));
+        // a hit re-measures the entry it returns and nothing else
+        let hit = |s: &mut Shard| {
+            let e = s.map.get_mut(&key)?;
+            e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
+            let (index, grown) = (Arc::clone(&e.index), e.remeasure());
+            if grown > 0 {
+                s.resident += grown;
+                let freed = self.evict_lru(s, self.shard_budget, Some(&key));
+                OBS_CACHE_RESIDENT.add(grown as i64 - freed as i64);
             }
+            Some(index)
+        };
+        if let Some(index) = hit(&mut shard.lock()) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            OBS_CACHE_HITS.inc();
+            return Ok(index);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         OBS_CACHE_MISSES.inc();
-        // Decode with no lock held: a cold blob stalls only this reader.
+        // Read and verify with no lock held: a cold blob stalls only this
+        // reader.
         let low = self.store.get(step, variable)?;
         let group = (low.nbins() as f64).sqrt().ceil().max(1.0) as usize;
         let ml = Arc::new(MultiLevelIndex::from_low(low, group));
-        let bytes = ml.size_bytes() as u64;
 
         let mut s = shard.lock();
-        if let Some(e) = s.map.get_mut(&key) {
-            // Another thread decoded the same blob while we did; its copy
-            // is already shared — drop ours.
-            e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(&e.index));
+        if let Some(index) = hit(&mut s) {
+            // Another thread read the same blob while we did; its copy is
+            // already shared — drop ours.
+            return Ok(index);
         }
+        let bytes = ml.resident_bytes() as u64;
+        let grown: u64 = s.map.values_mut().map(Entry::remeasure).sum();
         s.map.insert(
             key.clone(),
             Entry {
@@ -273,24 +325,9 @@ impl CachedStore {
                 last_used: self.tick.fetch_add(1, Ordering::Relaxed),
             },
         );
-        s.resident += bytes;
-        let mut delta = bytes as i64;
-        while s.resident > self.shard_budget && s.map.len() > 1 {
-            let victim = s
-                .map
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            let Some(victim) = victim else { break };
-            if let Some(e) = s.map.remove(&victim) {
-                s.resident -= e.bytes;
-                delta -= e.bytes as i64;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                OBS_CACHE_EVICTIONS.inc();
-            }
-        }
-        OBS_CACHE_RESIDENT.add(delta);
+        s.resident += grown + bytes;
+        let freed = self.evict_lru(&mut s, self.shard_budget, Some(&key));
+        OBS_CACHE_RESIDENT.add((grown + bytes) as i64 - freed as i64);
         Ok(ml)
     }
 
@@ -301,11 +338,21 @@ impl CachedStore {
     /// on every call rather than being cached — the caller decides whether
     /// to fsck.
     pub fn get_order(&self, step: usize) -> Result<Option<StoredOrder>> {
+        self.get_order_over(step, None)
+    }
+
+    /// [`CachedStore::get_order`] by a caller that knows how many `rows`
+    /// the order must cover ([`Store::load_order_over`]).
+    pub(crate) fn get_order_over(
+        &self,
+        step: usize,
+        rows: Option<u64>,
+    ) -> Result<Option<StoredOrder>> {
         if let Some(cached) = self.orders.lock().get(&step) {
             return Ok(cached.clone());
         }
         // Load outside the lock; a racing thread's copy wins below.
-        let loaded = self.store.load_order(step)?.map(Arc::new);
+        let loaded = self.store.load_order_over(step, rows)?.map(Arc::new);
         Ok(self.orders.lock().entry(step).or_insert(loaded).clone())
     }
 
@@ -326,13 +373,22 @@ impl CachedStore {
     }
 
     /// This instance's counters (independent of the global obs registry,
-    /// so tests running in parallel see only their own cache).
+    /// so tests running in parallel see only their own cache). Every entry
+    /// is re-measured first, so `resident_bytes` is what the entries hold
+    /// now, not what they held when last read through the cache.
     pub fn stats(&self) -> CacheStats {
+        let resident = |shard: &Mutex<Shard>| {
+            let mut s = shard.lock();
+            let grown: u64 = s.map.values_mut().map(Entry::remeasure).sum();
+            s.resident += grown;
+            OBS_CACHE_RESIDENT.add(grown as i64);
+            s.resident
+        };
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            resident_bytes: self.shards.iter().map(|s| s.lock().resident).sum(),
+            resident_bytes: self.shards.iter().map(resident).sum(),
         }
     }
 
@@ -424,10 +480,8 @@ mod tests {
     #[test]
     fn byte_budget_evicts_least_recently_used() {
         let (dir, store) = store_with("evict", &[0, 1, 2, 3], &["temperature"]);
-        let one = {
-            let low = sample_index(0);
-            MultiLevelIndex::from_low(low, 7).size_bytes() as u64
-        };
+        // what an entry is charged on arrival: its bins as they are stored
+        let one = store.get(0, "temperature").unwrap().resident_bytes() as u64;
         // one shard, room for ~2 entries
         let cache = CachedStore::with_shards(store, 2 * one + one / 2, 1);
         for s in [0usize, 1, 2, 3] {
@@ -481,6 +535,56 @@ mod tests {
         let cache = CachedStore::with_shards(store, 1, 1); // 1-byte budget
         let idx = cache.get("temperature", 0).unwrap();
         assert_eq!(idx.low().counts(), sample_index(0).counts());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_growing_entry_is_charged_and_evicts_its_neighbours() {
+        let (dir, store) = store_with("grow", &[0, 1, 2], &["temperature"]);
+        let cold: u64 = (0..3)
+            .map(|s| store.get(s, "temperature").unwrap().resident_bytes() as u64)
+            .sum();
+        // one lock shard, room for the three entries as they arrive
+        let cache = CachedStore::with_shards(store, cold + cold / 6, 1);
+        let held: Vec<_> = (0..3)
+            .map(|s| cache.get("temperature", s).unwrap())
+            .collect();
+        let sum = |held: &[Arc<MultiLevelIndex>]| -> u64 {
+            held.iter().map(|ml| ml.resident_bytes() as u64).sum()
+        };
+        assert_eq!(cache.stats().resident_bytes, cold);
+        assert_eq!(sum(&held), cold, "a miss materialises nothing");
+
+        // a plan over step 1 builds a high bin — from its children as they
+        // are held — and something else asks two of its bins for their WAH
+        // form
+        held[1].high_bin(0);
+        let low = held[1].low();
+        assert_eq!(
+            low.resident_bytes(),
+            low.size_bytes(),
+            "no child was transcoded"
+        );
+        for b in held[1].children(1).take(2) {
+            held[1].low().bin(b);
+        }
+        let st = cache.stats();
+        assert!(st.resident_bytes > cold, "{st:?}");
+        assert_eq!(st.resident_bytes, sum(&held), "charged what is held");
+        assert_eq!(st.evictions, 0, "still inside the budget");
+
+        // step 0 is forced whole: on the next access the shard is over
+        // budget and the least recently used neighbour goes
+        let forced = held[0].low().bins().count();
+        assert_eq!(forced, held[0].low().nbins());
+        held[0].high();
+        cache.get("temperature", 0).unwrap();
+        let st = cache.stats();
+        assert!(st.evictions >= 1, "growth past the budget evicts: {st:?}");
+        assert!(st.resident_bytes <= cache.budget_bytes().max(sum(&held[..1])));
+        let hits = st.hits;
+        cache.get("temperature", 0).unwrap();
+        assert_eq!(cache.stats().hits, hits + 1, "the grown entry stays");
         std::fs::remove_dir_all(&dir).ok();
     }
 

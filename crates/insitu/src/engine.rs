@@ -315,7 +315,7 @@ impl QueryEngine {
         queries: &[&SubsetQuery],
         global_len: u64,
     ) -> Result<Option<Vec<Range<u64>>>> {
-        let order = self.caches[0].get_order(step)?;
+        let order = self.caches[0].get_order_over(step, Some(global_len))?;
         let perm = order.as_deref().map(|(_, p)| p);
         stored_ranges(queries, global_len, perm).map_err(IbisError::Query)
     }
@@ -502,7 +502,7 @@ impl QueryEngine {
         let counts = self.fanout(&wanted, |i| {
             match self.shard_operand(i, step, variable, query, &layout, ranges, deadline)? {
                 Some((ml, local)) => query
-                    .count(ml.low(), Some(&ml), local.as_deref())
+                    .count(ml.low(), local.as_deref())
                     .map_err(IbisError::Query),
                 None => Ok(0),
             }

@@ -150,7 +150,7 @@ pub(crate) fn write_atomic(tmp: &Path, path: &Path, bytes: &[u8]) -> std::io::Re
 /// adversarial property tests feed it arbitrary mutations of valid blobs).
 pub mod codec {
     use super::DecodeError;
-    use ibis_core::{Binner, BinnerSpec, BitmapIndex, CodecId, RoaringVec, WahVec};
+    use ibis_core::{Binner, BinnerSpec, BitmapIndex, CodecId, CodecVec, RoaringVec, WahVec};
     use ibis_obs::LazyCounter;
 
     const INDEX_MAGIC: &[u8; 4] = b"IBIS";
@@ -163,7 +163,9 @@ pub mod codec {
     // no-ops when ibis-obs is built without its `obs` feature.
     static OBS_ENCODE_BINS: LazyCounter = LazyCounter::new("codec.encode.bins");
     static OBS_DECODE_BINS: LazyCounter = LazyCounter::new("codec.decode.bins");
-    static OBS_DECODE_NONWAH: LazyCounter = LazyCounter::new("codec.decode.nonwah_bins");
+    // bins left in their at-rest Roaring form, for `BitmapIndex::bin` to
+    // transcode if anything ever asks (`codec.decode.transcoded_bins`)
+    static OBS_DECODE_DEFERRED: LazyCounter = LazyCounter::new("codec.decode.deferred_bins");
 
     /// Encodes a complete index — binner, element count, every bitvector —
     /// into one blob. The binner round-trips exactly, so analyses on a
@@ -199,7 +201,7 @@ pub mod codec {
         }
         let mut out = Vec::with_capacity(index.size_bytes() + 64);
         put_index_header(&mut out, INDEX_VERSION_TAGGED, index);
-        for (bin, &codec) in index.bins().iter().zip(&plan) {
+        for (bin, &codec) in index.bins().zip(&plan) {
             OBS_ENCODE_BINS.inc();
             out.push(codec.tag());
             put_blob(&mut out, |out| match codec {
@@ -275,12 +277,64 @@ pub mod codec {
     /// Decodes an index blob, reporting exactly how a malformed blob fails
     /// (bad magic / version / truncation / bad binner / malformed
     /// bitvectors / trailing bytes). Accepts both the untagged version-1
-    /// layout (all bins WAH) and the tagged version-2 layout, whose
-    /// non-WAH bins are converted back to canonical WAH in memory — the
+    /// layout (all bins WAH) and the tagged version-2 layout.
+    ///
+    /// Verification is eager and total — every WAH bin is decoded, every
+    /// Roaring bin deserialized with all of its checks — so a payload this
+    /// accepts cannot fail later. Materialisation is lazy: a Roaring bin
+    /// stays in its validated at-rest form and is converted to canonical
+    /// WAH the first time [`BitmapIndex::bin`] asks for it. The
     /// conversions are exact inverses, so a reloaded index is bit-identical
-    /// regardless of the at-rest codec.
+    /// regardless of the at-rest codec, and a miss pays only for the bins
+    /// its plan touches.
     pub fn decode_index(bytes: &[u8]) -> Result<BitmapIndex, DecodeError> {
         let mut r = Reader::new(bytes);
+        let (tagged, binner, len) = read_index_header(&mut r)?;
+        // a bin is at least its 8-byte blob length: no declared count can
+        // reserve more than the payload backs
+        let mut bins = Vec::with_capacity(binner.nbins().min(bytes.len() / 8));
+        for b in 0..binner.nbins() {
+            let codec = if tagged {
+                let tag = r.u8()?;
+                CodecId::from_tag(tag).ok_or_else(|| DecodeError::BadCodec {
+                    bin: b,
+                    detail: format!("unknown codec tag {tag}"),
+                })?
+            } else {
+                CodecId::Wah
+            };
+            let blob = r.blob()?;
+            OBS_DECODE_BINS.inc();
+            let v = match codec {
+                CodecId::Wah => CodecVec::Wah(decode(blob)?),
+                CodecId::Roaring => {
+                    OBS_DECODE_DEFERRED.inc();
+                    CodecVec::Roaring(
+                        RoaringVec::deserialize(blob)
+                            .map_err(|detail| DecodeError::BadCodec { bin: b, detail })?,
+                    )
+                }
+            };
+            if v.len() != len {
+                return Err(DecodeError::LengthMismatch {
+                    expected: len,
+                    got: v.len(),
+                });
+            }
+            bins.push(v);
+        }
+        r.finish()?;
+        Ok(BitmapIndex::from_codec_bins(binner, bins))
+    }
+
+    /// The element count an index blob declares, from its header alone.
+    pub(crate) fn index_rows(bytes: &[u8]) -> Result<u64, DecodeError> {
+        Ok(read_index_header(&mut Reader::new(bytes))?.2)
+    }
+
+    /// The part of an index blob ahead of its bins ([`put_index_header`]):
+    /// whether the bins are tagged, the binner, the element count.
+    fn read_index_header(r: &mut Reader<'_>) -> Result<(bool, Binner, u64), DecodeError> {
         if r.take(4)? != INDEX_MAGIC.as_slice() {
             return Err(DecodeError::BadMagic);
         }
@@ -288,7 +342,6 @@ pub mod codec {
         if version != INDEX_VERSION && version != INDEX_VERSION_TAGGED {
             return Err(DecodeError::BadVersion(version));
         }
-        let tagged = version == INDEX_VERSION_TAGGED;
         let spec = match r.u8()? {
             0 => BinnerSpec::Width {
                 min: r.f64()?,
@@ -297,7 +350,7 @@ pub mod codec {
             },
             1 => {
                 let count = r.u64()? as usize;
-                if count < 2 || count > bytes.len() / 8 + 2 {
+                if count < 2 || count > r.bytes.len() / 8 + 2 {
                     return Err(DecodeError::BadBinner);
                 }
                 let mut edges = Vec::with_capacity(count);
@@ -327,38 +380,7 @@ pub mod codec {
                 got: nbins,
             });
         }
-        let mut bins = Vec::with_capacity(nbins);
-        for b in 0..nbins {
-            let codec = if tagged {
-                let tag = r.u8()?;
-                CodecId::from_tag(tag).ok_or_else(|| DecodeError::BadCodec {
-                    bin: b,
-                    detail: format!("unknown codec tag {tag}"),
-                })?
-            } else {
-                CodecId::Wah
-            };
-            let blob = r.blob()?;
-            OBS_DECODE_BINS.inc();
-            let v = match codec {
-                CodecId::Wah => decode(blob)?,
-                CodecId::Roaring => {
-                    OBS_DECODE_NONWAH.inc();
-                    RoaringVec::deserialize(blob)
-                        .map_err(|detail| DecodeError::BadCodec { bin: b, detail })?
-                        .to_wah()
-                }
-            };
-            if v.len() != len {
-                return Err(DecodeError::LengthMismatch {
-                    expected: len,
-                    got: v.len(),
-                });
-            }
-            bins.push(v);
-        }
-        r.finish()?;
-        Ok(BitmapIndex::from_bins(binner, bins))
+        Ok((version == INDEX_VERSION_TAGGED, binner, len))
     }
 
     /// The one bounds-checked cursor every decoder of stored bytes reads
@@ -617,7 +639,7 @@ mod tests {
             }
             out.extend_from_slice(&idx.len().to_le_bytes());
             out.extend_from_slice(&(idx.nbins() as u64).to_le_bytes());
-            for (b, bin) in idx.bins().iter().enumerate() {
+            for (b, bin) in idx.bins().enumerate() {
                 let codec = plan.map_or(CodecId::Wah, |p| p[b]);
                 let blob = match codec {
                     CodecId::Wah => {
@@ -661,9 +683,8 @@ mod tests {
         let (auto, plan) = codec::encode_index_auto(&idx);
         assert!(plan.contains(&CodecId::Roaring) && plan.contains(&CodecId::Wah));
         assert_eq!(auto, reference(&idx, Some(&plan)));
-        assert_eq!(
-            codec::decode_index(&auto).unwrap().bins(),
-            idx.bins(),
+        assert!(
+            codec::decode_index(&auto).unwrap().bins().eq(idx.bins()),
             "either layout reloads bit-identically"
         );
     }

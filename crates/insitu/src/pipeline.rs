@@ -1309,15 +1309,17 @@ fn read_summary(r: &mut codec::Reader) -> Result<Held> {
     let degraded = r.u8()? != 0;
     let nvars = r.count(8)?;
     let mut vars = Vec::with_capacity(nvars);
+    let mut rows = None;
     for _ in 0..nvars {
         let idx = codec::decode_index(r.blob()?).map_err(|e| bad("index", &e))?;
+        rows = Some(idx.len());
         vars.push(VarSummary::Bitmap(idx));
     }
     let perm = match r.u8()? {
         0 => None,
         1 => {
-            let perm =
-                crate::store::decode_perm_payload(r.blob()?).map_err(|e| bad("permutation", &e))?;
+            let perm = crate::store::decode_perm_payload(r.blob()?, rows.map(|n| n..=n))
+                .map_err(|e| bad("permutation", &e))?;
             Some(Arc::new(perm))
         }
         t => {
@@ -2037,6 +2039,16 @@ mod tests {
                 assert!(
                     matches!(err, IbisError::Corrupt { .. }),
                     "{entry}, {damage}: {err}"
+                );
+                // the cache refuses it at `get`, with nothing left to fail
+                // once a bin is asked for
+                let cache = crate::cache::CachedStore::new(Store::open(&dir).unwrap(), 1 << 20);
+                let cached = cache.get(entry, step).map(drop).expect_err(&damage);
+                let want_corrupt = !entry.starts_with("__");
+                assert_eq!(
+                    matches!(cached, IbisError::Corrupt { .. }),
+                    want_corrupt,
+                    "{entry}, {damage}: {cached}"
                 );
                 let resumed = StoreWriter::resume(&dir).unwrap();
                 for (at, other, _) in blobs {

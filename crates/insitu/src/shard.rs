@@ -335,9 +335,11 @@ impl ShardedStore {
     /// flat store without.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
-        let shards = shard_dirs(&dir)?
+        let dirs = shard_dirs(&dir)?;
+        let part = dirs.len() > 1;
+        let shards = dirs
             .into_iter()
-            .map(Store::open)
+            .map(|d| Store::open(d).map(|s| if part { s.into_part() } else { s }))
             .collect::<Result<Vec<_>>>()?;
         Ok(ShardedStore { dir, shards })
     }

@@ -49,6 +49,7 @@ use ibis_core::{valid_fpr, BitmapIndex, LossyStats, RowOrder, RowPermutation};
 use ibis_obs::LazyCounter;
 use std::collections::BTreeMap;
 use std::io::Write;
+use std::ops::{Range, RangeInclusive};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -231,9 +232,13 @@ pub(crate) fn put_perm_payload(out: &mut Vec<u8>, perm: &RowPermutation) {
 /// description of what is wrong. Everything is checked on the runs, whose
 /// count the payload's own length bounds, before anything is allocated
 /// per row: a run outside `0..rows`, runs that do not add up to `rows`,
-/// overlap or leave a gap, two runs that are one, and the identity (never
-/// persisted) are all refused.
-pub(crate) fn decode_perm_payload(payload: &[u8]) -> std::result::Result<RowPermutation, String> {
+/// overlap or leave a gap, two runs that are one, the identity (never
+/// persisted), and a row count outside `want_rows` — what the indices it
+/// orders allow, when the caller knows them — are all refused.
+pub(crate) fn decode_perm_payload(
+    payload: &[u8],
+    want_rows: Option<RangeInclusive<u64>>,
+) -> std::result::Result<RowPermutation, String> {
     let bad = |e: crate::error::DecodeError| format!("permutation payload: {e}");
     let mut r = codec::Reader::new(payload);
     let (rows, nruns) = (r.varint().map_err(bad)?, r.varint().map_err(bad)?);
@@ -242,6 +247,10 @@ pub(crate) fn decode_perm_payload(payload: &[u8]) -> std::result::Result<RowPerm
             "{rows} rows in {nruns} runs cannot come from {} bytes",
             payload.len()
         ));
+    }
+    if let Some(want) = want_rows.filter(|want| !want.contains(&rows)) {
+        let n = want.start();
+        return Err(format!("orders {rows} rows, the step's index holds {n}"));
     }
     let mut runs: Vec<(u32, u32)> = Vec::with_capacity(nruns as usize);
     let (mut end, mut total) = (0u64, 0u64);
@@ -430,6 +439,7 @@ impl StoreWriter {
         Store {
             dir: self.dir.clone(),
             entries: self.entries.clone(),
+            part: false,
         }
     }
 
@@ -708,6 +718,8 @@ pub struct Store {
     dir: PathBuf,
     /// `(step, variable) -> entry`, ordered by step then variable.
     entries: BTreeMap<(usize, String), EntryMeta>,
+    /// One shard of several ([`Store::into_part`]).
+    part: bool,
 }
 
 impl Store {
@@ -719,7 +731,20 @@ impl Store {
         let manifest = std::fs::read_to_string(dir.join("MANIFEST"))
             .map_err(|e| IbisError::io("read MANIFEST", &e))?;
         let entries = parse_manifest(&manifest)?;
-        Ok(Store { dir, entries })
+        Ok(Store {
+            dir,
+            entries,
+            part: false,
+        })
+    }
+
+    /// Marks this store as one shard of several: its indices hold a slice
+    /// of each step's rows while its row order is the whole step's, so
+    /// [`Store::load_order`] expects the order to cover *at least* an
+    /// index's rows where a whole store expects exactly them.
+    pub(crate) fn into_part(mut self) -> Self {
+        self.part = true;
+        self
     }
 
     /// The run directory this store reads from.
@@ -757,8 +782,8 @@ impl Store {
                 step,
                 variable: variable.to_string(),
             })?;
-        let payload = self.verified_payload(meta, Kind::Index)?;
-        codec::decode_index(&payload).map_err(|source| IbisError::Decode {
+        let (bytes, payload) = self.verified_payload(meta, Kind::Index)?;
+        codec::decode_index(&bytes[payload]).map_err(|source| IbisError::Decode {
             file: Some(meta.file.clone()),
             source,
         })
@@ -766,9 +791,9 @@ impl Store {
 
     /// Reads a blob and runs every integrity check — on-disk length and
     /// CRC against the manifest's, framing, the frame's own CRC, and that
-    /// the frame holds a `kind` payload — returning the (still encoded)
-    /// payload.
-    fn verified_payload(&self, meta: &EntryMeta, kind: Kind) -> Result<Vec<u8>> {
+    /// the frame holds a `kind` payload — returning the file's bytes and
+    /// where in them the (still encoded) payload sits.
+    fn verified_payload(&self, meta: &EntryMeta, kind: Kind) -> Result<(Vec<u8>, Range<usize>)> {
         let corrupt = |detail: String| IbisError::Corrupt {
             file: meta.file.clone(),
             detail,
@@ -782,39 +807,69 @@ impl Store {
                 meta.len
             )));
         }
-        let (payload, actual) = unframe(&bytes, kind).map_err(corrupt)?;
+        let (_, actual) = unframe(&bytes, kind).map_err(corrupt)?;
         if actual != meta.crc {
             return Err(corrupt(format!(
                 "frame CRC {actual:08x} != manifest's {:08x}",
                 meta.crc
             )));
         }
-        Ok(payload.to_vec())
+        // the frame is `magic kind len | payload | crc`, as unframe checked
+        let payload = FRAME_OVERHEAD - 4..bytes.len() - 4;
+        Ok((bytes, payload))
     }
 
     /// Loads `step`'s row permutation, or `None` when the step was stored
     /// in its original order. Verifies framing, kind and CRC like any
     /// blob, that the payload's order tag names a known non-identity
     /// [`RowOrder`], and that the rest of it is a bijection
-    /// ([`decode_perm_payload`]) — a corrupt permutation would silently
-    /// misroute region queries, so every failure is a typed
+    /// ([`decode_perm_payload`]) over the rows the step's index holds —
+    /// exactly as many, or at least as many in one shard of several (as
+    /// [`crate::shard::ShardedStore`] opens them); the first index that
+    /// verifies is asked, and a step with none yet has nothing to check
+    /// against — before a row is allocated. A corrupt permutation would
+    /// silently misroute region queries, so every failure is a typed
     /// [`IbisError::Corrupt`].
     pub fn load_order(&self, step: usize) -> Result<Option<(RowOrder, RowPermutation)>> {
+        self.load_order_over(step, None)
+    }
+
+    /// [`Store::load_order`] by a caller that knows how many `rows` the
+    /// order must cover (the engine: every shard's rows of the step) —
+    /// checked in place of what this store's own index allows.
+    pub(crate) fn load_order_over(
+        &self,
+        step: usize,
+        rows: Option<u64>,
+    ) -> Result<Option<(RowOrder, RowPermutation)>> {
         let Some(meta) = self.entries.get(&(step, ORDER_VARIABLE.to_string())) else {
             return Ok(None);
         };
-        let payload = self.verified_payload(meta, Kind::Order)?;
+        let (bytes, payload) = self.verified_payload(meta, Kind::Order)?;
         let corrupt = |detail: String| IbisError::Corrupt {
             file: meta.file.clone(),
             detail,
         };
-        let (&order_tag, runs) = payload
+        let (&order_tag, runs) = bytes[payload]
             .split_first()
             .ok_or_else(|| corrupt("empty row-order payload".into()))?;
         let order = RowOrder::from_tag(order_tag)
             .filter(|&o| o != RowOrder::Identity)
             .ok_or_else(|| corrupt(format!("unknown row-order tag {order_tag:#04x}")))?;
-        let perm = decode_perm_payload(runs).map_err(corrupt)?;
+        let own_rows = || {
+            let indices = self
+                .entries
+                .range((step, String::new())..(step + 1, String::new()))
+                .filter(|(key, _)| Kind::of(&key.1) == Kind::Index);
+            let mut rows = indices.filter_map(|(_, index)| {
+                let (bytes, payload) = self.verified_payload(index, Kind::Index).ok()?;
+                codec::index_rows(&bytes[payload]).ok()
+            });
+            rows.next()
+                .map(|n| n..=if self.part { u64::MAX } else { n })
+        };
+        let want_rows = rows.map(|n| n..=n).or_else(own_rows);
+        let perm = decode_perm_payload(runs, want_rows).map_err(corrupt)?;
         OBS_ORDER_LOADED.inc();
         Ok(Some((order, perm)))
     }
@@ -830,9 +885,9 @@ impl Store {
         let Some(meta) = self.entries.get(&(step, entry)) else {
             return Ok(None);
         };
-        let payload = self.verified_payload(meta, Kind::Lossy)?;
-        let (fpr, bits_dropped, zeros, index_payload) =
-            decode_lossy_payload(&payload).map_err(|detail| IbisError::Corrupt {
+        let (bytes, payload) = self.verified_payload(meta, Kind::Lossy)?;
+        let (fpr, bits_dropped, zeros, index_payload) = decode_lossy_payload(&bytes[payload])
+            .map_err(|detail| IbisError::Corrupt {
                 file: meta.file.clone(),
                 detail,
             })?;
@@ -859,13 +914,24 @@ impl Store {
     pub fn fsck(&mut self) -> FsckReport {
         OBS_FSCK_RUNS.inc();
         let mut bad: BTreeMap<(usize, String), String> = BTreeMap::new();
-        for (step, variable) in self.entries.keys() {
+        for ((step, variable), meta) in &self.entries {
             let verdict = match Kind::of(variable) {
                 Kind::Order => self.load_order(*step).map(|_| ()),
                 Kind::Lossy => self
                     .load_lossy(*step, &variable[LOSSY_PREFIX.len()..])
                     .map(|_| ()),
-                _ => self.get(*step, variable).map(|_| ()),
+                // a query may never ask an index for a bin's WAH form;
+                // fsck asks for every one
+                _ => self.get(*step, variable).and_then(|index| {
+                    let forced = index.bins().map(|bin| bin.count_ones());
+                    match forced.eq(index.counts().iter().copied()) {
+                        true => Ok(()),
+                        false => Err(IbisError::Corrupt {
+                            file: meta.file.clone(),
+                            detail: "a bin's rows disagree with its cardinality".into(),
+                        }),
+                    }
+                }),
             };
             if let Err(err) = verdict {
                 bad.insert((*step, variable.clone()), err.to_string());
@@ -1574,7 +1640,11 @@ mod tests {
             };
             let mut payload = Vec::new();
             put_perm_payload(&mut payload, &perm);
-            assert_eq!(decode_perm_payload(&payload).unwrap(), perm, "{order:?}");
+            assert_eq!(
+                decode_perm_payload(&payload, None).unwrap(),
+                perm,
+                "{order:?}"
+            );
             if order.is_data_dependent() {
                 // 16-row runs of consecutive ids: far under 4 bytes a row
                 assert!(payload.len() < perm.len(), "{order:?}: {}", payload.len());
@@ -1678,6 +1748,129 @@ mod tests {
                 }
                 Err(IbisError::Corrupt { detail, .. }) => {
                     assert!(detail.contains(want), "{what}: {detail}")
+                }
+                other => panic!("{what}: {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn hostile_index_payloads_fail_at_get_or_answer_for_their_counts() {
+        // Every single-byte mutation of a mixed-plan index payload, each
+        // re-sealed in an intact frame under the CRC the manifest records:
+        // nothing but the payload's own checks stands between it and a
+        // query. Verification is eager and total, so whatever is wrong
+        // with a Roaring bin is a typed error from `CachedStore::get` —
+        // never from the first `bin(b)`, which cannot fail — and a payload
+        // `get` accepts answers, forced or not, for the counts it declared.
+        let noise: Vec<f64> = (0..200).map(|i| ((i * 7) % 16) as f64).collect();
+        let idx = BitmapIndex::build(&noise, Binner::distinct_ints(0, 19));
+        let (clean, plan) = codec::encode_index_auto(&idx);
+        assert!(
+            plan.contains(&ibis_core::CodecId::Roaring) && plan.contains(&ibis_core::CodecId::Wah)
+        );
+        let dir = tmp("indexhostile");
+        let mut w = StoreWriter::create(&dir).unwrap();
+        let mut steps = 0;
+        for at in 0..clean.len() {
+            for mask in [0x01, 0x80, 0xFF] {
+                let mut payload = clean.clone();
+                payload[at] ^= mask;
+                w.commit(steps, "noise", &payload).unwrap();
+                steps += 1;
+            }
+        }
+        w.finish().unwrap();
+        let cache = crate::cache::CachedStore::new(Store::open(&dir).unwrap(), 1 << 30);
+        let (mut refused, mut served) = (0, 0);
+        for step in 0..steps {
+            let ml = match cache.get("noise", step) {
+                Ok(ml) => ml,
+                Err(IbisError::Decode { .. }) => {
+                    refused += 1;
+                    continue;
+                }
+                Err(other) => panic!("step {step}: {other}"),
+            };
+            served += 1;
+            let low = ml.low();
+            let every_row = 0..low.len();
+            let every_row = std::slice::from_ref(&every_row);
+            for b in 0..low.nbins() {
+                let want = low.counts()[b];
+                assert_eq!(low.stored_bin(b).count_ones_in_ranges(every_row), want);
+                assert_eq!(low.bin(b).count_ones(), want, "step {step} bin {b}");
+                assert_eq!(low.bin(b).len(), low.len());
+                low.bin(b).check_canonical().unwrap();
+            }
+            let forced = codec::decode_index(&codec::encode_index_auto(low).0).unwrap();
+            assert_eq!(forced.counts(), low.counts(), "step {step}");
+        }
+        // a bit flipped inside an array container moves a row and is
+        // served; one in a tag, a length or a count is refused
+        assert!(
+            refused > steps / 3 && served > steps / 10,
+            "{refused} / {served}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_order_over_the_wrong_row_count_is_refused_before_it_is_built() {
+        // A well-formed permutation, sealed under a valid frame and manifest
+        // CRC, that orders a row count the step's index does not hold. It
+        // tiles its own rows, so only the cross-check stands between it and
+        // two `rows`-sized buffers — here 2³²−1 rows from eleven bytes.
+        const BIG: u64 = u32::MAX as u64;
+        let data: Vec<f64> = (0..400).map(|i| ((i * 3) % 40) as f64).collect();
+        let index = BitmapIndex::build(&data, Binner::distinct_ints(0, 39));
+        let table = [
+            (
+                "too many",
+                order_payload(&[BIG, 2, zz(5), BIG - 5, zz(-(BIG as i64)), 5]),
+            ),
+            ("too few", order_payload(&[10, 2, zz(5), 5, zz(-10), 5])),
+            ("as many", order_payload(&[400, 2, zz(5), 395, zz(-400), 5])),
+        ];
+        let dir = tmp("orderrows");
+        let mut w = StoreWriter::create(&dir).unwrap();
+        for (step, (_, payload)) in table.iter().enumerate() {
+            w.commit(step, ORDER_VARIABLE, payload).unwrap();
+            w.put(step, "temperature", &index).unwrap();
+        }
+        w.finish().unwrap();
+        let whole = Store::open(&dir).unwrap();
+        let part = Store::open(&dir).unwrap().into_part();
+        for (step, (what, _)) in table.iter().enumerate() {
+            let wrong = |store: &Store| match store.load_order(step) {
+                Err(IbisError::Corrupt { file, detail }) => {
+                    assert_eq!(file, format!("s{step:06}___order.ibis"), "{what}");
+                    assert!(
+                        detail.contains("rows, the step's index holds 400"),
+                        "{detail}"
+                    );
+                    true
+                }
+                Ok(Some((_, perm))) => {
+                    assert_eq!(perm.len(), 400, "{what}");
+                    false
+                }
+                other => panic!("{what}: {other:?}"),
+            };
+            // a whole store's order covers exactly its rows; one shard's
+            // covers every shard's — at least its own, and exactly what
+            // the engine says the shards hold between them
+            assert_eq!(wrong(&whole), *what != "as many", "{what}");
+            if *what != "too many" {
+                assert_eq!(wrong(&part), *what == "too few", "{what} in a shard");
+            }
+            match part.load_order_over(step, Some(1200)) {
+                Err(IbisError::Corrupt { detail, .. }) => {
+                    assert!(
+                        detail.contains("rows, the step's index holds 1200"),
+                        "{detail}"
+                    )
                 }
                 other => panic!("{what}: {other:?}"),
             }

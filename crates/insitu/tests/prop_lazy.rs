@@ -1,0 +1,286 @@
+//! Differential tests for lazy materialisation: `decode_index` verifies a
+//! payload and hands back an index whose Roaring bins stay Roaring until
+//! something asks for their WAH form. Whatever is asked of that index, in
+//! whatever order and from however many threads, must equal what the index
+//! it was encoded from answers — and must encode back to the same bytes.
+
+use ibis_analysis::{
+    execute_range_plan, joint_counts, plan_value_range, shard_mask, RangePlan, SubsetQuery,
+};
+use ibis_core::{Binner, BitmapIndex, CodecId, MultiLevelIndex, WahVec};
+use ibis_insitu::codec;
+use proptest::prelude::*;
+use std::ops::Range;
+use std::sync::{Arc, Barrier};
+
+const NBINS: usize = 24;
+
+/// Per-row bin ids under the codec plans `prop_codecs` exercises bin by
+/// bin: long runs (every bin WAH), scattered noise (every bin Roaring), and
+/// a run-structured half beside a noisy half (a mixed plan, with bins left
+/// empty). Some cases cross the 64Ki container boundary.
+fn bin_ids() -> impl Strategy<Value = Vec<u32>> {
+    let nbins = NBINS as u32;
+    let runs = move || {
+        proptest::collection::vec((0..nbins, 40usize..900), 1..12).prop_map(|runs| {
+            runs.into_iter()
+                .flat_map(|(b, n)| std::iter::repeat_n(b, n))
+                .collect::<Vec<u32>>()
+        })
+    };
+    let mix = |i: u64, seed: u64| (i ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33;
+    let noise = move || {
+        (1usize..4000, any::<u64>()).prop_map(move |(n, seed)| {
+            (0..n as u64)
+                .map(|i| (mix(i, seed) % nbins as u64) as u32)
+                .collect::<Vec<u32>>()
+        })
+    };
+    let long_noise = any::<u64>().prop_map(move |seed| {
+        (0..70_000u64)
+            .map(|i| (mix(i, seed) % 6) as u32 * 3)
+            .collect::<Vec<u32>>()
+    });
+    prop_oneof![
+        runs(),
+        noise(),
+        (runs(), noise()).prop_map(|(mut r, n)| {
+            r.extend(n.into_iter().map(|b| b / 2));
+            r
+        }),
+        long_noise,
+    ]
+}
+
+fn build(ids: &[u32]) -> BitmapIndex {
+    BitmapIndex::build_from_ids(ids, Binner::distinct_ints(0, NBINS as i64 - 1))
+}
+
+/// `idx` through the store's codec: the payload and what it decodes to.
+fn reload(idx: &BitmapIndex) -> (Vec<u8>, Vec<CodecId>, BitmapIndex) {
+    let (payload, plan) = codec::encode_index_auto(idx);
+    let back = codec::decode_index(&payload).expect("own encoding decodes");
+    (payload, plan, back)
+}
+
+/// Sorted, disjoint range lists over `n` rows cut at the given points.
+fn range_lists(n: u64, cuts: &[u64]) -> Vec<Option<Vec<Range<u64>>>> {
+    let mut at: Vec<u64> = cuts.iter().map(|c| c % (n + 1)).collect();
+    at.sort_unstable();
+    at.dedup();
+    let every_other = at.chunks_exact(2).map(|w| w[0]..w[1]).collect();
+    let lists: Vec<Vec<Range<u64>>> = vec![vec![], vec![0..n], vec![n / 3..n - n / 3], every_other];
+    std::iter::once(None)
+        .chain(lists.into_iter().map(Some))
+        .collect()
+}
+
+fn queries(picks: &[u64]) -> Vec<SubsetQuery> {
+    let bin = |k: usize| (picks[k % picks.len()] % NBINS as u64) as f64;
+    vec![
+        SubsetQuery::all(),
+        SubsetQuery::value(bin(0), bin(0) + 1.0),
+        SubsetQuery::value(bin(1).min(bin(2)), bin(1).max(bin(2)) + 1.0),
+        SubsetQuery::value(0.0, NBINS as f64),
+        SubsetQuery::value(2.0, NBINS as f64 - 1.0),
+        SubsetQuery::value(bin(3), bin(3)),
+    ]
+}
+
+proptest! {
+    /// Everything a decoded index can be asked equals the index it was
+    /// encoded from, counting and probing never transcode, a bin asked for
+    /// is charged once, and the bytes come back.
+    #[test]
+    fn a_decoded_index_answers_like_the_index_it_encodes(
+        ids in bin_ids(),
+        picks in proptest::collection::vec(any::<u64>(), 8..9),
+    ) {
+        let idx = build(&ids);
+        let n = idx.len();
+        let (payload, plan, back) = reload(&idx);
+        prop_assert_eq!(back.len(), n);
+        prop_assert_eq!(back.binner(), idx.binner());
+        prop_assert_eq!(back.counts(), idx.counts());
+        prop_assert_eq!(back.partitions(), idx.partitions());
+        for (b, &codec) in plan.iter().enumerate() {
+            prop_assert_eq!(back.resident_bin(b).is_none(), codec == CodecId::Roaring, "bin {}", b);
+            prop_assert_eq!(back.stored_bin(b).id(), codec);
+        }
+        prop_assert_eq!(back.resident_bytes(), back.size_bytes());
+
+        // counts and probes, bin by bin and query by query, on the form
+        // each bin is held in
+        for ranges in range_lists(n, &picks) {
+            let ranges = ranges.as_deref();
+            for b in 0..NBINS {
+                let stored = back.stored_bin(b);
+                let want = ranges.map_or(idx.counts()[b], |r| idx.bin(b).count_ones_in_ranges(r));
+                prop_assert_eq!(ranges.map_or(stored.count_ones(), |r| stored.count_ones_in_ranges(r)), want);
+                if let Some(r) = ranges {
+                    prop_assert_eq!(stored.intersects_ranges(r), want > 0, "bin {} {:?}", b, r);
+                }
+            }
+            for q in queries(&picks) {
+                prop_assert_eq!(q.count(&back, ranges), q.count(&idx, ranges), "{:?} {:?}", &q, ranges);
+                prop_assert_eq!(q.intersects(&back, ranges), q.intersects(&idx, ranges), "{:?}", &q);
+            }
+        }
+        prop_assert_eq!(back.resident_bytes(), back.size_bytes(), "a count transcoded a bin");
+
+        // the label walk and the OR read Roaring bins where they lie
+        let (_, _, other) = reload(&build(&ids.iter().rev().copied().collect::<Vec<_>>()));
+        let sel = idx.query_bins(0..=NBINS / 2);
+        for sel in [None, Some(&sel)] {
+            prop_assert_eq!(joint_counts(&back, &other, sel), joint_counts(&idx, &other, sel));
+            prop_assert_eq!(joint_counts(&back, &back, sel), joint_counts(&idx, &idx, sel));
+        }
+        let (lo, hi) = ((picks[0] % NBINS as u64) as usize, NBINS - 1);
+        let ored = back.query_bins(lo..=hi);
+        prop_assert_eq!(&ored, &idx.query_bins(lo..=hi));
+        ored.check_canonical().unwrap();
+        prop_assert_eq!(back.or_bins([]), WahVec::zeros(n));
+
+        // selections, under every region
+        for ranges in range_lists(n, &picks) {
+            let mask = ranges.as_deref().map(|r| shard_mask(r, 0..n));
+            for q in queries(&picks) {
+                let want = q.evaluate_masked(&idx, None, mask.as_ref()).unwrap();
+                let got = q.evaluate_masked(&back, None, mask.as_ref()).unwrap();
+                prop_assert_eq!(got.words(), want.words(), "{:?} {:?}", &q, &ranges);
+            }
+        }
+
+        // every bin, in a drawn order; each transcode is charged once
+        let mut order: Vec<usize> = (0..NBINS).collect();
+        for i in (1..NBINS).rev() {
+            order.swap(i, (picks[i % picks.len()] >> 8) as usize % (i + 1));
+        }
+        for &b in &order {
+            let before = back.resident_bytes();
+            let deferred = back.resident_bin(b).is_none();
+            prop_assert_eq!(back.bin(b).words(), idx.bin(b).words(), "bin {}", b);
+            prop_assert_eq!(back.bin(b).len(), n);
+            let grew = if deferred { back.bin(b).size_bytes() } else { 0 };
+            prop_assert_eq!(back.resident_bytes(), before + grew, "bin {}", b);
+            back.bin(b);
+            prop_assert_eq!(back.resident_bytes(), before + grew, "bin {} charged twice", b);
+        }
+        back.check_consistent().unwrap();
+
+        // and back to the bytes it came from, forced or fresh
+        prop_assert_eq!(&codec::encode_index_auto(&back).0, &payload);
+        let (_, _, fresh) = reload(&idx);
+        prop_assert_eq!(&codec::encode_index_auto(&fresh).0, &payload);
+        prop_assert_eq!(codec::encode_index(&fresh), codec::encode_index(&idx));
+        prop_assert!(fresh.clone().bins().eq(idx.bins()), "a clone forgot a bin");
+    }
+
+    /// A cold copy, a half-touched copy and a fully forced copy of one
+    /// stored index plan every value range the same way and count and
+    /// select the same rows; where the payload holds no Roaring bin the
+    /// plan is the one the index it was built from picks.
+    #[test]
+    fn plans_do_not_depend_on_what_has_been_touched(
+        ids in bin_ids(),
+        picks in proptest::collection::vec(any::<u64>(), 8..9),
+    ) {
+        let idx = build(&ids);
+        let n = idx.len();
+        let group = (NBINS as f64).sqrt().ceil() as usize;
+        let built = MultiLevelIndex::from_low(idx.clone(), group);
+        let copy = || MultiLevelIndex::from_low(reload(&idx).2, group);
+        let (cold, half, forced) = (copy(), copy(), copy());
+        for b in (0..NBINS).step_by(2) {
+            half.low().bin(b);
+        }
+        half.high_bin(0);
+        prop_assert_eq!(forced.low().bins().count(), NBINS);
+        prop_assert_eq!(forced.high().nbins(), built.high().nbins());
+        forced.check_consistent().unwrap();
+        let all_wah = reload(&idx).1.iter().all(|&c| c == CodecId::Wah);
+
+        for q in queries(&picks) {
+            let Some((lo, hi)) = q.value_range else { continue };
+            let plan = plan_value_range(forced.low(), Some(&forced), lo, hi).unwrap();
+            let want = idx.query_range(lo, hi);
+            for ml in [&cold, &half, &forced] {
+                let got = plan_value_range(ml.low(), Some(ml), lo, hi).unwrap();
+                prop_assert_eq!(&got, &plan, "{:?}", &q);
+                let sel = execute_range_plan(ml.low(), Some(ml), &got);
+                prop_assert_eq!(sel.words(), want.words(), "{:?} {:?}", &q, &got);
+                for ranges in range_lists(n, &picks) {
+                    let ranges = ranges.as_deref();
+                    let rows = ranges.map_or(want.count_ones(), |r| want.count_ones_in_ranges(r));
+                    prop_assert_eq!(q.count(ml.low(), ranges), Ok(rows), "{:?} {:?}", &q, ranges);
+                }
+            }
+            if all_wah {
+                let todays = plan_value_range(built.low(), Some(&built), lo, hi).unwrap();
+                prop_assert_eq!(&plan, &todays, "{:?}", &q);
+            }
+            if let RangePlan::MultiLevel { high, .. } = &plan {
+                for &h in high {
+                    prop_assert_eq!(cold.high_bin(h).words(), built.high().bin(h).words());
+                }
+            }
+        }
+    }
+}
+
+/// Eight threads asking one shared index for the same bins at once see one
+/// materialisation of each: the same allocation, charged once.
+#[test]
+fn racing_threads_share_one_materialisation() {
+    let ids: Vec<u32> = (0..9000u64)
+        .map(|i| ((i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33) % NBINS as u64) as u32)
+        .collect();
+    let idx = build(&ids);
+    let (_, plan, back) = reload(&idx);
+    let deferred: Vec<usize> = (0..NBINS)
+        .filter(|&b| plan[b] == CodecId::Roaring)
+        .collect();
+    assert!(
+        deferred.len() > NBINS / 2,
+        "the noise must store as Roaring"
+    );
+    let back = Arc::new(MultiLevelIndex::from_low(back, 5));
+    let start = Arc::new(Barrier::new(8));
+    let handles: Vec<_> = (0..8)
+        .map(|t| {
+            let (back, start) = (Arc::clone(&back), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                // every thread in its own order, all of them at once
+                let mut seen = vec![(0usize, 0usize); NBINS + 5];
+                for k in 0..NBINS {
+                    let b = (k * 7 + t * 3) % NBINS;
+                    seen[b] = (back.low().bin(b) as *const WahVec as usize, 0);
+                }
+                for h in 0..5 {
+                    seen[NBINS + h] = (back.high_bin(h) as *const WahVec as usize, 0);
+                }
+                seen
+            })
+        })
+        .collect();
+    let seen: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("no thread may panic"))
+        .collect();
+    for other in &seen[1..] {
+        assert_eq!(other, &seen[0], "two threads saw two materialisations");
+    }
+    let grown: usize = deferred.iter().map(|&b| idx.bin(b).size_bytes()).sum();
+    let low = back.low();
+    assert_eq!(
+        low.resident_bytes(),
+        low.size_bytes() + grown,
+        "each transcode charged once"
+    );
+    let high: usize = (0..5).map(|h| back.high_bin(h).size_bytes()).sum();
+    assert_eq!(back.resident_bytes(), low.resident_bytes() + high);
+    for b in 0..NBINS {
+        assert_eq!(low.bin(b), idx.bin(b));
+    }
+}

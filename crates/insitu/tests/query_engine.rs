@@ -622,7 +622,7 @@ fn concurrent_readers_share_one_cache_safely() {
     let one = CachedStore::new(Store::open(&dir).unwrap(), u64::MAX)
         .get("temperature", 0)
         .unwrap()
-        .size_bytes() as u64;
+        .resident_bytes() as u64;
     let engine = Arc::new(QueryEngine::new(CachedStore::with_shards(
         store,
         3 * one,

@@ -42,12 +42,12 @@ echo "==> obs differential: no-op build must match the instrumented run byte-for
 cargo test -q -p ibis --no-default-features --test obs_differential
 cmp target/obs_differential/instrumented.digest target/obs_differential/noop.digest
 
-echo "==> no-op observability build: ibis-insitu unit tests (frame corruption table, CRC32-C kernel differential), fault-injection, every-step crash/resume, query, shard and serving suites"
+echo "==> no-op observability build: ibis-insitu unit tests (frame corruption table, CRC32-C kernel differential), fault-injection, every-step crash/resume, query, lazy-materialisation, shard and serving suites"
 # The workspace run above covers the instrumented config; neither config
 # may panic or diverge with the obs counters const-folded away.
 cargo test -q -p ibis-analysis --no-default-features --test prop_query
 cargo test -q -p ibis-insitu --no-default-features --lib --test fault_injection \
-    --test crash_resume --test query_engine --test shard --test serving
+    --test crash_resume --test query_engine --test prop_lazy --test shard --test serving
 
 # bench_smoke <bench> <ENV_VAR> <keys…>: runs one bench's shrunken sweep in
 # both obs configs and checks that its report carries every key.
@@ -81,7 +81,10 @@ bench_smoke query IBIS_QUERY_SMOKE '"warm_over_cold_speedup"' \
     '"partition_over_and_table_speedup"' '"partition_never_slower"' \
     '"subset_count_s"' '"subset_materialize_s"' \
     '"count_over_materialize_speedup"' '"count_never_slower"' \
-    '"count_equals_materialized"' '"planner_identity_ranges_checked"' \
+    '"count_equals_materialized"' '"lazy_equals_eager": true' '"miss_path"' \
+    '"read_us"' '"crc_us"' '"verify_us"' '"count_touched_us"' \
+    '"select_touched_us"' '"transcode_touched_us"' '"transcode_all_us"' \
+    '"high_level_us"' '"eager_over_lazy"' '"planner_identity_ranges_checked"' \
     '"planner_strategies_all_byte_identical"' '"planner_all_strategies_exercised"'
 bench_smoke codecs IBIS_CODEC_SMOKE '"samples"' '"bytes_per_bitmap"' \
     '"auto_selected"' '"roaring_over_wah_speedup"' '"auto_over_best_ratio"' \

@@ -127,7 +127,7 @@ fn persisted_bitmaps_round_trip_and_stay_exact() {
     let dir = std::env::temp_dir().join("ibis-integration-sink");
     std::fs::create_dir_all(&dir).unwrap();
     let mut paths = Vec::new();
-    for (bin, vec) in ib.bins().iter().enumerate() {
+    for (bin, vec) in ib.bins().enumerate() {
         let path = dir.join(format!("step1_bin{bin}.wah"));
         std::fs::write(&path, codec::encode(vec)).unwrap();
         paths.push(path);
