@@ -9,7 +9,7 @@
 //! its bin midpoint by at most half the bin width, so sums/means carry a
 //! guaranteed interval.
 
-use ibis_core::{Binner, BitmapIndex, WahVec};
+use ibis_core::{Binner, BitmapIndex};
 
 /// An aggregate estimate with its guaranteed absolute error bound.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,27 +32,15 @@ pub fn count(index: &BitmapIndex) -> u64 {
     index.len()
 }
 
-/// Number of elements selected by a selection vector (exact).
-pub fn count_selected(selection: &WahVec) -> u64 {
-    selection.count_ones()
-}
-
 /// Approximate sum of the indexed variable.
 pub fn sum(index: &BitmapIndex) -> Estimate {
     sum_from_bin_counts(index.binner(), index.counts())
 }
 
-/// Approximate sum restricted to a selection vector (positions with a 1).
-pub fn sum_selected(index: &BitmapIndex, selection: &WahVec) -> Estimate {
-    assert_eq!(selection.len(), index.len(), "selection length mismatch");
-    let counts: Vec<u64> = index.bins().map(|bin| bin.and_count(selection)).collect();
-    sum_from_bin_counts(index.binner(), &counts)
-}
-
 /// The sum finisher: per-bin selection counts to a bounded estimate. Pure
 /// in the integer counts and the binning scale, so per-shard counts summed
 /// at a coordinator and fed through this produce the exact float sequence
-/// the unsharded [`sum_selected`] computes.
+/// an unsharded sum over the same selection computes.
 pub fn sum_from_bin_counts(binner: &Binner, counts: &[u64]) -> Estimate {
     let mut value = 0.0;
     let mut bound = 0.0;
@@ -70,11 +58,6 @@ pub fn sum_from_bin_counts(binner: &Binner, counts: &[u64]) -> Estimate {
 /// Approximate mean of the indexed variable; `None` for an empty index.
 pub fn mean(index: &BitmapIndex) -> Option<Estimate> {
     mean_from_sum(sum(index), index.len())
-}
-
-/// Approximate mean over a selection.
-pub fn mean_selected(index: &BitmapIndex, selection: &WahVec) -> Option<Estimate> {
-    mean_from_sum(sum_selected(index, selection), selection.count_ones())
 }
 
 /// The mean finisher: a sum estimate over `n` selected elements. `None`
@@ -147,23 +130,11 @@ pub fn pearson(a: &BitmapIndex, b: &BitmapIndex) -> Option<f64> {
     )
 }
 
-/// Pearson correlation over a selection: joint counts restricted to the
-/// selected positions.
-pub fn pearson_selected(a: &BitmapIndex, b: &BitmapIndex, selection: &WahVec) -> Option<f64> {
-    assert_eq!(selection.len(), a.len(), "selection length mismatch");
-    pearson_from_joint_counts(
-        a.binner(),
-        b.binner(),
-        &crate::histogram::joint_counts(a, b, Some(selection)),
-        selection.count_ones(),
-    )
-}
-
 /// The Pearson finisher: joint `(bin_a, bin_b)` counts to an approximate
 /// correlation with bin-midpoint values. Pure in the integer counts, the
 /// two binning scales, and `n`, with a fixed accumulation order — so a
 /// coordinator summing per-shard joint tables reproduces the unsharded
-/// [`pearson_selected`] float for float.
+/// correlation float for float.
 pub fn pearson_from_joint_counts(
     binner_a: &Binner,
     binner_b: &Binner,
@@ -270,18 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn selected_aggregates() {
-        let data = linear_data(100); // values 0.0 .. 9.9
-        let idx = BitmapIndex::build(&data, Binner::fixed_width(0.0, 10.0, 100));
-        // select the first 50 positions
-        let sel = ibis_core::WahVec::from_bits((0..100).map(|i| i < 50));
-        assert_eq!(count_selected(&sel), 50);
-        let true_sum: f64 = data[..50].iter().sum();
-        assert!(sum_selected(&idx, &sel).contains(true_sum));
-        assert!(mean_selected(&idx, &sel).unwrap().contains(true_sum / 50.0));
-    }
-
-    #[test]
     fn pearson_tracks_true_correlation() {
         let a: Vec<f64> = (0..2000).map(|i| (i as f64 * 0.01).sin() * 10.0).collect();
         let pos: Vec<f64> = a.iter().map(|v| v * 2.0 + 1.0).collect();
@@ -301,30 +260,5 @@ mod tests {
         let ia = BitmapIndex::build(&a, Binner::fixed_width(0.0, 2.0, 4));
         let ib = BitmapIndex::build(&b, Binner::fixed_width(0.0, 100.0, 10));
         assert!(pearson(&ia, &ib).is_none());
-    }
-
-    #[test]
-    fn pearson_selected_isolates_region() {
-        // correlated in the first half, anti-correlated in the second
-        let n = 2000;
-        let a: Vec<f64> = (0..n).map(|i| ((i % 97) as f64) / 10.0).collect();
-        let b: Vec<f64> = (0..n)
-            .map(|i| {
-                let v = (i % 97) as f64 / 10.0;
-                if i < n / 2 {
-                    v
-                } else {
-                    10.0 - v
-                }
-            })
-            .collect();
-        let ia = BitmapIndex::build(&a, Binner::fixed_width(0.0, 10.0, 50));
-        let ib = BitmapIndex::build(&b, Binner::fixed_width(0.0, 10.0, 50));
-        let first = ibis_core::WahVec::from_bits((0..n).map(|i| i < n / 2));
-        let second = first.not();
-        assert!(pearson_selected(&ia, &ib, &first).unwrap() > 0.99);
-        assert!(pearson_selected(&ia, &ib, &second).unwrap() < -0.99);
-        // the whole-domain correlation washes out
-        assert!(pearson(&ia, &ib).unwrap().abs() < 0.2);
     }
 }

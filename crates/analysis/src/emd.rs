@@ -97,75 +97,6 @@ pub fn emd_spatial_index(a: &BitmapIndex, b: &BitmapIndex) -> f64 {
     emd_spatial_from_diffs(&diffs)
 }
 
-/// Pairwise count-based EMD table over a sequence of indexed steps:
-/// `table[i][j] = emd_counts_index(steps[i], steps[j])`, with rows filled on
-/// the rayon pool. Only the lower triangle is computed (the metric is
-/// exactly symmetric — a sum of absolute integer flows), then mirrored, so
-/// the table equals [`emd_counts_pairwise_serial`] byte-for-byte.
-pub fn emd_counts_pairwise(steps: &[BitmapIndex]) -> Vec<Vec<f64>> {
-    let lower: Vec<Vec<f64>> = (0..steps.len())
-        .into_par_iter()
-        .map(|i| {
-            (0..i)
-                .map(|j| emd_counts_index(&steps[i], &steps[j]))
-                .collect()
-        })
-        .collect();
-    mirror_lower(lower)
-}
-
-/// Serial baseline for [`emd_counts_pairwise`].
-pub fn emd_counts_pairwise_serial(steps: &[BitmapIndex]) -> Vec<Vec<f64>> {
-    let lower: Vec<Vec<f64>> = (0..steps.len())
-        .map(|i| {
-            (0..i)
-                .map(|j| emd_counts_index(&steps[i], &steps[j]))
-                .collect()
-        })
-        .collect();
-    mirror_lower(lower)
-}
-
-/// Pairwise spatial EMD table over a sequence of indexed steps — the
-/// all-pairs form of Figure 4's kernel, one row per step on the rayon pool.
-pub fn emd_spatial_pairwise(steps: &[BitmapIndex]) -> Vec<Vec<f64>> {
-    let lower: Vec<Vec<f64>> = (0..steps.len())
-        .into_par_iter()
-        .map(|i| {
-            (0..i)
-                .map(|j| emd_spatial_index(&steps[i], &steps[j]))
-                .collect()
-        })
-        .collect();
-    mirror_lower(lower)
-}
-
-/// Serial baseline for [`emd_spatial_pairwise`].
-pub fn emd_spatial_pairwise_serial(steps: &[BitmapIndex]) -> Vec<Vec<f64>> {
-    let lower: Vec<Vec<f64>> = (0..steps.len())
-        .map(|i| {
-            (0..i)
-                .map(|j| emd_spatial_index(&steps[i], &steps[j]))
-                .collect()
-        })
-        .collect();
-    mirror_lower(lower)
-}
-
-/// Expands a lower-triangular distance table into a full square matrix with
-/// a zero diagonal.
-fn mirror_lower(lower: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-    let n = lower.len();
-    let mut full = vec![vec![0.0; n]; n];
-    for (i, row) in lower.into_iter().enumerate() {
-        for (j, d) in row.into_iter().enumerate() {
-            full[i][j] = d;
-            full[j][i] = d;
-        }
-    }
-    full
-}
-
 // ---------------------------------------------------------------------------
 // Lattice-aligned variants: the paper's per-step precision binning gives each
 // time-step its own bin *range* (64–206 bitvectors in their Heat3D runs) on a
@@ -432,33 +363,6 @@ mod tests {
         let c = emd_counts_index_aligned(&ia, &ib).unwrap();
         // all 62 elements must travel 80 lattice cells: EMD = 62 * 80
         assert_eq!(c, 62.0 * 80.0);
-    }
-
-    #[test]
-    fn pairwise_tables_match_direct_and_serial() {
-        let binner = Binner::fixed_width(-21.0, 21.0, 30);
-        let steps: Vec<BitmapIndex> = (0..6)
-            .map(|s| {
-                let data: Vec<f64> = (0..2000)
-                    .map(|i| (i as f64 * 0.003 + s as f64 * 0.3).sin() * 20.0)
-                    .collect();
-                BitmapIndex::build(&data, binner.clone())
-            })
-            .collect();
-        let counts = emd_counts_pairwise(&steps);
-        let spatial = emd_spatial_pairwise(&steps);
-        assert_eq!(counts, emd_counts_pairwise_serial(&steps));
-        assert_eq!(spatial, emd_spatial_pairwise_serial(&steps));
-        for i in 0..steps.len() {
-            assert_eq!(counts[i][i], 0.0);
-            assert_eq!(spatial[i][i], 0.0);
-            for j in 0..i {
-                assert_eq!(counts[i][j], emd_counts_index(&steps[i], &steps[j]));
-                assert_eq!(spatial[i][j], emd_spatial_index(&steps[i], &steps[j]));
-                assert_eq!(counts[i][j], counts[j][i]);
-                assert_eq!(spatial[i][j], spatial[j][i]);
-            }
-        }
     }
 
     #[test]

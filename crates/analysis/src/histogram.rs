@@ -13,7 +13,6 @@
 use ibis_core::wah::LITERAL_MASK;
 use ibis_core::{Binner, BitmapIndex, CodecVec, Ones, OnesCursor, RoaringVec, WahVec};
 use ibis_obs::LazyCounter;
-use rayon::prelude::*;
 
 /// Per-bin counts of `data` under `binner` (sequential scan).
 pub fn histogram(data: &[f64], binner: &Binner) -> Vec<u64> {
@@ -22,22 +21,6 @@ pub fn histogram(data: &[f64], binner: &Binner) -> Vec<u64> {
         h[binner.bin_of(v) as usize] += 1;
     }
     h
-}
-
-/// Per-bin counts computed in parallel on the current rayon pool.
-pub fn histogram_par(data: &[f64], binner: &Binner) -> Vec<u64> {
-    let nbins = binner.nbins();
-    data.par_chunks(64 * 1024)
-        .map(|chunk| histogram(chunk, binner))
-        .reduce(
-            || vec![0u64; nbins],
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                a
-            },
-        )
 }
 
 /// Joint bin counts of two equal-length arrays, flattened row-major
@@ -54,28 +37,6 @@ pub fn joint_histogram(a: &[f64], b: &[f64], binner_a: &Binner, binner_b: &Binne
         h[binner_a.bin_of(x) as usize * nb + binner_b.bin_of(y) as usize] += 1;
     }
     h
-}
-
-/// Parallel joint histogram.
-pub fn joint_histogram_par(a: &[f64], b: &[f64], binner_a: &Binner, binner_b: &Binner) -> Vec<u64> {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "joint histogram needs equal-length arrays"
-    );
-    let (na, nb) = (binner_a.nbins(), binner_b.nbins());
-    a.par_chunks(64 * 1024)
-        .zip(b.par_chunks(64 * 1024))
-        .map(|(ca, cb)| joint_histogram(ca, cb, binner_a, binner_b))
-        .reduce(
-            || vec![0u64; na * nb],
-            |mut x, y| {
-                for (p, q) in x.iter_mut().zip(y) {
-                    *p += q;
-                }
-                x
-            },
-        )
 }
 
 // Which joint-table kernel ran, and how many chunks the partition kernel
@@ -294,23 +255,6 @@ pub fn joint_counts_and_table(a: &BitmapIndex, b: &BitmapIndex, sel: Option<&Wah
     joint
 }
 
-/// Decodes an index back into per-element bin ids — the inverse of
-/// building, O(words + n). Purely a bitmap computation (no raw data).
-pub fn decode_bin_ids(index: &BitmapIndex) -> Vec<u32> {
-    let mut ids = vec![0u32; index.len() as usize];
-    for (b, vec) in index.bins().enumerate().skip(1) {
-        // bin 0 is the default value; only scatter the others
-        let mut ones = vec.ones_cursor();
-        while let Some(run) = ones.next_before(index.len()) {
-            match run {
-                Ones::Fill(start, end) => ids[start as usize..end as usize].fill(b as u32),
-                Ones::Literal(..) => run.for_each(|pos| ids[pos as usize] = b as u32),
-            }
-        }
-    }
-    ids
-}
-
 /// Row sums of a flattened joint table (marginal of the first variable).
 pub fn marginal_a(joint: &[u64], na: usize, nb: usize) -> Vec<u64> {
     assert_eq!(joint.len(), na * nb);
@@ -347,28 +291,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_histogram_identical() {
-        let b = Binner::fixed_width(0.0, 100.0, 16);
-        assert_eq!(histogram(&data_a(), &b), histogram_par(&data_a(), &b));
-    }
-
-    #[test]
     fn joint_marginals_match_individual_histograms() {
         let ba = Binner::fixed_width(0.0, 100.0, 12);
         let bb = Binner::fixed_width(0.0, 90.0, 9);
         let j = joint_histogram(&data_a(), &data_b(), &ba, &bb);
         assert_eq!(marginal_a(&j, 12, 9), histogram(&data_a(), &ba));
         assert_eq!(marginal_b(&j, 12, 9), histogram(&data_b(), &bb));
-    }
-
-    #[test]
-    fn parallel_joint_identical() {
-        let ba = Binner::fixed_width(0.0, 100.0, 12);
-        let bb = Binner::fixed_width(0.0, 90.0, 9);
-        assert_eq!(
-            joint_histogram(&data_a(), &data_b(), &ba, &bb),
-            joint_histogram_par(&data_a(), &data_b(), &ba, &bb)
-        );
     }
 
     #[test]
@@ -380,14 +308,6 @@ mod tests {
         let want = joint_histogram(&data_a(), &data_b(), &ba, &bb);
         assert_eq!(joint_counts(&ia, &ib, None), want);
         assert_eq!(joint_counts_and_table(&ia, &ib, None), want);
-    }
-
-    #[test]
-    fn decode_bin_ids_inverts_build() {
-        let data: Vec<f64> = (0..1234).map(|i| ((i * 11) % 30) as f64).collect();
-        let binner = Binner::distinct_ints(0, 29);
-        let idx = BitmapIndex::build(&data, binner.clone());
-        assert_eq!(decode_bin_ids(&idx), binner.bin_all(&data));
     }
 
     #[test]

@@ -29,22 +29,16 @@ pub mod cfp;
 pub mod emd;
 pub mod entropy;
 pub mod histogram;
-pub mod impute;
 pub mod mining;
 pub mod query;
 pub mod sampling;
 pub mod selection;
-pub mod subgroup;
 pub mod summary;
 
 pub use aggregate::Estimate;
 pub use cfp::Cfp;
 pub use histogram::{joint_counts, joint_counts_and_table};
-pub use impute::{impute_from, ImputeStrategy, Imputed, MaskedIndex};
-pub use mining::{
-    mine_full, mine_index, mine_index_serial, mine_multilevel, MinedSubset, MiningConfig,
-    MiningResult,
-};
+pub use mining::{mine_full, mine_index, mine_multilevel, MinedSubset, MiningConfig, MiningResult};
 pub use query::{
     correlation_partial_ml_shard, correlation_query, correlation_query_mapped,
     correlation_query_ml, correlation_query_ml_mapped, count_range_plan, execute_range_plan,
@@ -52,9 +46,5 @@ pub use query::{
     CorrelationAnswer, CorrelationPartial, QueryError, RangePlan, SubsetQuery,
 };
 pub use sampling::{lossy_summaries, sample, SamplingMethod};
-pub use selection::{
-    select_dp, select_dp_serial, select_greedy, select_greedy_lossy, select_greedy_serial,
-    Partitioning, Selection,
-};
-pub use subgroup::{discover_subgroups, Subgroup, SubgroupConfig};
+pub use selection::{select_dp, select_greedy, select_greedy_lossy, Partitioning, Selection};
 pub use summary::{Metric, StepSummary, VarSummary};

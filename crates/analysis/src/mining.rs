@@ -133,7 +133,8 @@ fn unit_len(u: usize, unit_size: u64, n: u64) -> u64 {
 /// row [`prepare`](ibis_core::WahVec::prepare)s its bitvector once so a
 /// dense row pays the decode a single time across all its ANDs. Per-row
 /// outputs are concatenated in row order, so the result — subsets, ordering
-/// and work counters — is byte-identical to [`mine_index_serial`] (tested).
+/// and work counters — is byte-identical at every pool width (tested
+/// against a one-thread pool, which runs every drive inline).
 pub fn mine_index(a: &BitmapIndex, b: &BitmapIndex, cfg: &MiningConfig) -> MiningResult {
     assert_eq!(a.len(), b.len(), "variables must cover the same elements");
     assert!(cfg.unit_size > 0, "unit_size must be positive");
@@ -220,69 +221,6 @@ pub fn mine_index(a: &BitmapIndex, b: &BitmapIndex, cfg: &MiningConfig) -> Minin
     for (units_evaluated, subsets) in row_results {
         result.units_evaluated += units_evaluated;
         result.subsets.extend(subsets);
-    }
-    sort_subsets(&mut result.subsets);
-    result
-}
-
-/// Algorithm 2 on bitmap indices, strictly serial — the regression baseline
-/// for [`mine_index`]'s fan-out and the shape closest to the paper's
-/// pseudocode.
-pub fn mine_index_serial(a: &BitmapIndex, b: &BitmapIndex, cfg: &MiningConfig) -> MiningResult {
-    assert_eq!(a.len(), b.len(), "variables must cover the same elements");
-    assert!(cfg.unit_size > 0, "unit_size must be positive");
-    let n = a.len();
-    let mut result = MiningResult::default();
-    if n == 0 {
-        return result;
-    }
-    let joint = crate::histogram::joint_counts(a, b, None);
-    // Per-unit marginal counts, computed lazily per bin (cached).
-    let mut units_a: Vec<Option<Vec<u64>>> = vec![None; a.nbins()];
-    let mut units_b: Vec<Option<Vec<u64>>> = vec![None; b.nbins()];
-    let nb_bins = b.nbins();
-    for j in 0..a.nbins() {
-        let ca = a.counts()[j];
-        if ca == 0 {
-            continue;
-        }
-        // Decoded (if dense) once per row, shared by all its ANDs.
-        let mut row = None;
-        for k in 0..nb_bins {
-            let cb = b.counts()[k];
-            if cb == 0 {
-                continue;
-            }
-            result.pairs_evaluated += 1;
-            let c_ab = joint[j * nb_bins + k];
-            let value_mi = joint_pair_score(n, ca, cb, c_ab);
-            if value_mi < cfg.value_threshold {
-                result.pairs_pruned += 1;
-                continue;
-            }
-            // Step 3: spatial units of the joint bitvector (fused AND +
-            // per-unit popcount; the intersection is never materialized).
-            let row = row.get_or_insert_with(|| a.bin(j).prepare());
-            let per_unit_ab = row.and_count_per_unit(b.bin(k), cfg.unit_size);
-            let per_unit_a =
-                units_a[j].get_or_insert_with(|| a.bin(j).count_ones_per_unit(cfg.unit_size));
-            let per_unit_b =
-                units_b[k].get_or_insert_with(|| b.bin(k).count_ones_per_unit(cfg.unit_size));
-            for (u, &c_ab_u) in per_unit_ab.iter().enumerate() {
-                result.units_evaluated += 1;
-                let nu = unit_len(u, cfg.unit_size, n);
-                let spatial_mi = indicator_mi(nu, per_unit_a[u], per_unit_b[u], c_ab_u);
-                if spatial_mi >= cfg.spatial_threshold {
-                    result.subsets.push(MinedSubset {
-                        bin_a: j,
-                        bin_b: k,
-                        unit: u,
-                        value_mi,
-                        spatial_mi,
-                    });
-                }
-            }
-        }
     }
     sort_subsets(&mut result.subsets);
     result
@@ -553,8 +491,13 @@ mod tests {
         let (a, b) = planted(4096);
         let ia = BitmapIndex::build(&a, binner());
         let ib = BitmapIndex::build(&b, binner());
-        let par = mine_index(&ia, &ib, &cfg());
-        let ser = mine_index_serial(&ia, &ib, &cfg());
+        let at = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads);
+            pool.build()
+                .unwrap()
+                .install(|| mine_index(&ia, &ib, &cfg()))
+        };
+        let (par, ser) = (at(4), at(1));
         assert_eq!(par.subsets, ser.subsets, "fan-out must not change results");
         assert_eq!(par.pairs_evaluated, ser.pairs_evaluated);
         assert_eq!(par.pairs_pruned, ser.pairs_pruned);

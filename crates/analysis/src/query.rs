@@ -58,10 +58,9 @@ static OBS_PLAN_EMPTY: LazyCounter = LazyCounter::new("query.plan.empty");
 // How a subset count was answered (the second: a non-partitioning index).
 static OBS_SUBSET_COUNTED: LazyCounter = LazyCounter::new("query.subset.counted");
 static OBS_SUBSET_MATERIALIZED: LazyCounter = LazyCounter::new("query.subset.materialized");
-// Region predicates resolved against a row permutation, by the path taken
-// (family `reorder`, see DESIGN.md §6j).
+// Region predicates resolved against a row permutation (family `reorder`,
+// see DESIGN.md §6j).
 static OBS_REGION_SEGMENTS: LazyCounter = LazyCounter::new("reorder.query.region_mapped.segments");
-static OBS_REGION_GATHER: LazyCounter = LazyCounter::new("reorder.query.region_mapped.gather");
 
 /// A malformed subset or correlation query. Every variant is `Clone +
 /// PartialEq` so query failures are comparable across runs, mirroring
@@ -329,9 +328,8 @@ fn check_ranges(index: &BitmapIndex, ranges: Option<&[Range<u64>]>) -> Result<()
 ///
 /// The identity layout is the one-range case. Under `perm`, original ids
 /// ascend within each of its segments, so the block is one stored stretch
-/// per segment — two binary searches, no per-row work. A permutation with
-/// more segments than the block has rows (a space-filling curve) gathers
-/// the block's stored positions and sorts them instead.
+/// per segment — two binary searches, no per-row work, whatever the
+/// permutation.
 pub fn stored_ranges(
     queries: &[&SubsetQuery],
     global_len: u64,
@@ -365,27 +363,16 @@ pub fn stored_ranges(
     };
     // in range for `u32`: the block lies inside the permutation's rows
     let (lo, hi) = (region.start as u32, region.end as u32);
+    OBS_REGION_SEGMENTS.inc();
     let segments = p.segments();
-    if segments.len() as u64 <= region.end - region.start {
-        OBS_REGION_SEGMENTS.inc();
-        let ends = segments.iter().skip(1).copied().chain([p.len() as u32]);
-        let stretches = segments.iter().zip(ends).filter_map(|(&start, end)| {
-            let ids = &p.perm()[start as usize..end as usize];
-            let a = start as u64 + ids.partition_point(|&o| o < lo) as u64;
-            let b = start as u64 + ids.partition_point(|&o| o < hi) as u64;
-            (a < b).then_some(a..b)
-        });
-        return Ok(Some(stretches.collect()));
-    }
-    OBS_REGION_GATHER.inc();
-    let mut stored = p.inv()[lo as usize..hi as usize].to_vec();
-    stored.sort_unstable();
-    let stretches = stored.chunk_by(|a, b| a + 1 == *b);
-    Ok(Some(
-        stretches
-            .map(|s| s[0] as u64..s[s.len() - 1] as u64 + 1)
-            .collect(),
-    ))
+    let ends = segments.iter().skip(1).copied().chain([p.len() as u32]);
+    let stretches = segments.iter().zip(ends).filter_map(|(&start, end)| {
+        let ids = &p.perm()[start as usize..end as usize];
+        let a = start as u64 + ids.partition_point(|&o| o < lo) as u64;
+        let b = start as u64 + ids.partition_point(|&o| o < hi) as u64;
+        (a < b).then_some(a..b)
+    });
+    Ok(Some(stretches.collect()))
 }
 
 /// `ranges` ([`stored_ranges`]) as the shard holding stored rows
@@ -408,12 +395,7 @@ pub fn shard_mask(ranges: &[Range<u64>], rows: Range<u64>) -> WahVec {
     let mut at = 0;
     for r in shard_ranges(ranges, rows.clone()) {
         b.append_run(false, r.start - at);
-        if r.end - r.start == 1 {
-            // a space-filling curve scatters a block into mostly lone rows
-            b.push_bit(true);
-        } else {
-            b.append_run(true, r.end - r.start);
-        }
+        b.append_run(true, r.end - r.start);
         at = r.end;
     }
     b.append_run(false, rows.end - rows.start - at);

@@ -97,7 +97,7 @@ pub fn fixed_intervals(n: usize, parts: usize) -> Vec<Range<usize>> {
 /// evaluated on the rayon pool and collected in interval order; the argmax
 /// then runs serially over that ordered table with the same last-maximum
 /// tie-breaking as [`Iterator::max_by`], so the selected set is
-/// byte-identical to [`select_greedy_serial`] (tested).
+/// byte-identical at every pool width (tested against a one-thread pool).
 ///
 /// Returns `k` indices in increasing order.
 ///
@@ -126,37 +126,6 @@ pub fn select_greedy(
             .map(|i| steps[i].metric(&steps[prev], metric))
             .collect();
         let best = interval.start + argmax_last(&scores);
-        selected.push(best);
-        prev = best;
-    }
-    Selection { selected }
-}
-
-/// Greedy selection evaluated strictly serially — the regression baseline
-/// for [`select_greedy`]'s parallel candidate scoring.
-pub fn select_greedy_serial(
-    steps: &[StepSummary],
-    k: usize,
-    metric: Metric,
-    partitioning: Partitioning,
-) -> Selection {
-    let n = steps.len();
-    assert!(k >= 1 && k <= n, "cannot select {k} of {n} steps");
-    let mut selected = vec![0usize];
-    if k == 1 || n == 1 {
-        return Selection { selected };
-    }
-    let intervals = partition(steps, k, partitioning);
-    let mut prev = 0usize;
-    for interval in intervals {
-        let best = interval
-            .clone()
-            .max_by(|&a, &b| {
-                let ma = steps[a].metric(&steps[prev], metric);
-                let mb = steps[b].metric(&steps[prev], metric);
-                ma.partial_cmp(&mb).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .expect("intervals are non-empty");
         selected.push(best);
         prev = best;
     }
@@ -209,7 +178,7 @@ fn partition(steps: &[StepSummary], k: usize, partitioning: Partitioning) -> Vec
 
 /// Index of the maximum score, taking the **last** of equal maxima —
 /// exactly [`Iterator::max_by`]'s tie-breaking (incomparable pairs compare
-/// equal, as in the serial selector).
+/// equal).
 fn argmax_last(scores: &[f64]) -> usize {
     let mut best = 0usize;
     for (i, s) in scores.iter().enumerate().skip(1) {
@@ -245,25 +214,6 @@ pub fn select_dp(steps: &[StepSummary], k: usize, metric: Metric) -> Selection {
         .into_par_iter()
         .map(|i| (0..i).map(|p| steps[i].metric(&steps[p], metric)).collect())
         .collect();
-    dp_solve(&pair, n, k)
-}
-
-/// [`select_dp`] with a serially-filled pairwise table — the regression
-/// baseline for the parallel table build.
-pub fn select_dp_serial(steps: &[StepSummary], k: usize, metric: Metric) -> Selection {
-    let n = steps.len();
-    assert!(k >= 1 && k <= n, "cannot select {k} of {n} steps");
-    if k == 1 {
-        return Selection { selected: vec![0] };
-    }
-    let pair: Vec<Vec<f64>> = (0..n)
-        .map(|i| (0..i).map(|p| steps[i].metric(&steps[p], metric)).collect())
-        .collect();
-    dp_solve(&pair, n, k)
-}
-
-/// The chain DP over a lower-triangular pairwise dissimilarity table.
-fn dp_solve(pair: &[Vec<f64>], n: usize, k: usize) -> Selection {
     const NEG: f64 = f64::NEG_INFINITY;
     // dp[j][i]: best chain value selecting j+1 steps, first = 0, last = i
     let mut dp = vec![vec![NEG; n]; k];
@@ -420,17 +370,21 @@ mod tests {
     #[test]
     fn parallel_and_serial_selectors_identical() {
         let steps = make_steps(18, true);
+        let pool = |threads| rayon::ThreadPoolBuilder::new().num_threads(threads).build();
+        let (wide, one) = (pool(4).unwrap(), pool(1).unwrap());
         for metric in [Metric::ConditionalEntropy, Metric::Emd, Metric::EmdSpatial] {
             for part in [Partitioning::FixedLength, Partitioning::InfoVolume] {
                 for k in [2usize, 5, 9] {
-                    let par = select_greedy(&steps, k, metric, part);
-                    let ser = select_greedy_serial(&steps, k, metric, part);
-                    assert_eq!(par, ser, "{metric:?} {part:?} k={k}");
+                    let greedy = || select_greedy(&steps, k, metric, part);
+                    assert_eq!(
+                        wide.install(greedy),
+                        one.install(greedy),
+                        "{metric:?} {part:?} k={k}"
+                    );
                 }
             }
-            let par = select_dp(&steps, 5, metric);
-            let ser = select_dp_serial(&steps, 5, metric);
-            assert_eq!(par, ser, "{metric:?} dp");
+            let dp = || select_dp(&steps, 5, metric);
+            assert_eq!(wide.install(dp), one.install(dp), "{metric:?} dp");
         }
     }
 

@@ -1,15 +1,25 @@
 //! Regression: the parallel analytics fan-outs (mining rows, greedy
 //! candidate scoring, DP pairwise tables) must produce **byte-identical**
-//! results — same values, same ordering — as their serial baselines, on the
+//! results — same values, same ordering — at every pool width, on the
 //! Ocean ground-truth dataset whose planted temperature–salinity
-//! correlation makes the outputs non-trivial.
+//! correlation makes the outputs non-trivial. The serial side is the same
+//! function under a one-thread pool, which runs every drive inline on the
+//! calling thread (`vendor/rayon`'s own tests pin that).
 
 use ibis_analysis::{
-    mine_index, mine_index_serial, select_dp, select_dp_serial, select_greedy,
-    select_greedy_serial, Metric, MiningConfig, Partitioning, StepSummary, VarSummary,
+    mine_index, select_dp, select_greedy, Metric, MiningConfig, Partitioning, StepSummary,
+    VarSummary,
 };
 use ibis_core::{Binner, BitmapIndex, ZOrderLayout};
 use ibis_datagen::{OceanConfig, OceanModel, Simulation};
+use rayon::{ThreadPool, ThreadPoolBuilder};
+
+/// A four-thread pool (spawns four workers per drive whatever the host
+/// has) and the one-thread pool it is compared against.
+fn pools() -> (ThreadPool, ThreadPool) {
+    let pool = |threads| ThreadPoolBuilder::new().num_threads(threads).build();
+    (pool(4).unwrap(), pool(1).unwrap())
+}
 
 fn ocean_cfg() -> OceanConfig {
     OceanConfig {
@@ -34,8 +44,9 @@ fn parallel_mining_identical_to_serial_on_ocean() {
         spatial_threshold: 0.08,
         unit_size: 256,
     };
-    let par = mine_index(&it, &is, &mining);
-    let ser = mine_index_serial(&it, &is, &mining);
+    let (wide, one) = pools();
+    let mine = || mine_index(&it, &is, &mining);
+    let (par, ser) = (wide.install(mine), one.install(mine));
     assert!(
         !ser.subsets.is_empty(),
         "planted correlation must produce subsets"
@@ -68,14 +79,14 @@ fn parallel_selection_identical_to_serial_on_ocean() {
             }
         })
         .collect();
+    let (wide, one) = pools();
     for metric in [Metric::ConditionalEntropy, Metric::Emd, Metric::EmdSpatial] {
         for part in [Partitioning::FixedLength, Partitioning::InfoVolume] {
-            let par = select_greedy(&steps, 5, metric, part);
-            let ser = select_greedy_serial(&steps, 5, metric, part);
+            let greedy = || select_greedy(&steps, 5, metric, part);
+            let (par, ser) = (wide.install(greedy), one.install(greedy));
             assert_eq!(par, ser, "greedy {metric:?} {part:?}");
         }
-        let par = select_dp(&steps, 5, metric);
-        let ser = select_dp_serial(&steps, 5, metric);
-        assert_eq!(par, ser, "dp {metric:?}");
+        let dp = || select_dp(&steps, 5, metric);
+        assert_eq!(wide.install(dp), one.install(dp), "dp {metric:?}");
     }
 }

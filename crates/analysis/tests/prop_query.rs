@@ -203,13 +203,37 @@ fn edge_selections(n: u64) -> Vec<Option<WahVec>> {
     ]
 }
 
-/// `[d, n / d]` for the largest `d² <= n` dividing `n`.
-fn grid_of(n: usize) -> [usize; 2] {
-    let d = (1..=n)
-        .take_while(|d| d * d <= n)
-        .filter(|&d| n.is_multiple_of(d))
-        .last();
-    [d.unwrap_or(0), n / d.unwrap_or(1)]
+/// The gather of the first stride from `stride` up that is coprime to `n`
+/// — about that many short ascending segments, so a region scatters over
+/// many stored ranges — and the stride taken. `None` below three rows.
+fn strided(n: usize, stride: usize) -> Option<(usize, RowPermutation)> {
+    let gcd = |mut a: usize, mut b: usize| {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    };
+    // `n - 1` is coprime to `n`, so the search ends whenever it starts
+    let s = (stride.max(2)..n).find(|&s| gcd(s, n) == 1)?;
+    let gather = (0..n).map(|i| (i * s % n) as u32).collect();
+    Some((s, RowPermutation::from_gather(gather)))
+}
+
+/// The layouts a store can be in, by name: ingest order, `GrayBin` over
+/// `data` (a few long segments; left out when it comes out as the
+/// identity) and [`strided`].
+fn layouts(data: &[f64], binner: &Binner, stride: usize) -> Vec<(String, Option<RowPermutation>)> {
+    let sorted = RowOrder::GrayBin.permutation(&[], binner, data);
+    let strided = strided(data.len(), stride).map(|(s, p)| (format!("stride {s}"), p));
+    let permuted = sorted
+        .map(|p| ("graybin".to_string(), p))
+        .into_iter()
+        .chain(strided);
+    let identity = ("identity".to_string(), None);
+    [identity]
+        .into_iter()
+        .chain(permuted.map(|(name, p)| (name, Some(p))))
+        .collect()
 }
 
 fn counter(name: &str) -> u64 {
@@ -399,7 +423,7 @@ proptest! {
         // means included — in stored order too: every metric is
         // row-order invariant and regions map through the inverse
         let perm = permuted
-            .then(|| RowOrder::HistogramSorted.permutation(&[], &binner_a, a))
+            .then(|| RowOrder::GrayBin.permutation(&[], &binner_a, a))
             .flatten();
         let got = match &perm {
             Some(perm) => correlation_query_mapped(
@@ -416,13 +440,12 @@ proptest! {
 
     #[test]
     fn stored_range_masks_equal_gathered_masks_word_for_word(
-        (w, h) in (2usize..20, 2usize..20),
+        (n, stride) in (4u64..400, 2usize..60),
         values in proptest::collection::vec(-50.0f64..50.0, 400),
         binner in any_binner(),
         picks in proptest::collection::vec((0u64..401, 0u64..401), 3),
         cuts in proptest::collection::vec(0u64..401, 0..4),
     ) {
-        let n = (w * h) as u64;
         let data = &values[..n as usize];
         let mut cuts: Vec<u64> = cuts.into_iter().map(|c| c % (n + 1)).chain([0, n]).collect();
         cuts.sort_unstable(); // repeated cuts make empty shards, on purpose
@@ -432,8 +455,7 @@ proptest! {
             .collect();
         let at = picks[0].0 % n;
         regions.extend([at..at, 0..n, at..at + 1, 0..0, n..n]);
-        for order in RowOrder::ALL {
-            let perm = order.permutation(&[w, h], &binner, data);
+        for (layout, perm) in layouts(data, &binner, stride) {
             let perm = perm.as_ref();
             for region in &regions {
                 let q = SubsetQuery::region(region.clone());
@@ -451,7 +473,7 @@ proptest! {
                     prop_assert_eq!(got.len(), want.len());
                     prop_assert_eq!(
                         got.words(), want.words(),
-                        "{} region {:?} shard {:?}", order.name(), region, shard
+                        "{} region {:?} shard {:?}", layout, region, shard
                     );
                 }
                 // a correlation's two regions resolve to their common rows
@@ -470,6 +492,30 @@ proptest! {
                 prop_assert_eq!(got.err(), want.err(), "{:?} of {}", bad, len);
             }
         }
+    }
+
+    /// Regions shorter than the layout's segment count — where most
+    /// segments contribute nothing and the rest a row or two — resolve to
+    /// exactly the stored rows the inverse permutation gathers.
+    #[test]
+    fn stored_ranges_equal_the_inverse_gather_under_many_segments(
+        (n, stride) in (50usize..400, 20usize..200),
+        start_frac in 0.0f64..1.0,
+        rows in 0u64..20,
+    ) {
+        let (_, p) = strided(n, stride.min(n / 2)).expect("a coprime stride below n");
+        let rows = rows.min(p.segments().len() as u64 - 1);
+        let lo = (start_frac * (n as u64 - rows) as f64) as u64;
+        let q = SubsetQuery::region(lo..lo + rows);
+        let ranges = stored_ranges(&[&q], n as u64, Some(&p)).unwrap().unwrap();
+        prop_assert!(ranges.windows(2).all(|r| r[0].end <= r[1].start), "{:?}", ranges);
+        let got: Vec<u64> = ranges.into_iter().flatten().collect();
+        let mut want: Vec<u64> = p.inv()[lo as usize..(lo + rows) as usize]
+            .iter()
+            .map(|&s| s as u64)
+            .collect();
+        want.sort_unstable();
+        prop_assert_eq!(got, want, "stride {} region {:?}", stride, q.position_range);
     }
 
     #[test]
@@ -547,14 +593,13 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let c = CHUNK_ROWS as usize;
-        let orders = [RowOrder::Identity, RowOrder::GrayBin, RowOrder::HistogramSorted, RowOrder::Hilbert];
-        for (n, order) in [0, 1, 30, 31, 32, c - 1, c, c + 1, 3 * c + 17]
-            .into_iter()
-            .flat_map(|n| orders.map(|order| (n, order)))
-        {
+        let sizes = [0, 1, 30, 31, 32, c - 1, c, c + 1, 3 * c + 17];
+        for (n, (layout, perm)) in sizes.into_iter().flat_map(|n| {
+            let a = regime_data(regime_a, n, seed);
+            layouts(&a, &binner_a, 37).into_iter().map(move |l| (n, l))
+        }) {
             let a = regime_data(regime_a, n, seed);
             let b = regime_data(regime_b, n, seed.rotate_left(17));
-            let perm = order.permutation(&grid_of(n), &binner_a, &a);
             let build = |data: &[f64], binner: &Binner| match &perm {
                 Some(perm) => BitmapIndex::build_permuted(data, binner.clone(), perm),
                 None => BitmapIndex::build(data, binner.clone()),
@@ -576,7 +621,7 @@ proptest! {
                         scan[ja * ny + if same { ja } else { kb }] += 1;
                     }
                     let got = joint_counts(ix, iy, sel);
-                    prop_assert_eq!(&got, &scan, "{} n={} same={} sel={:?}", order.name(), n, same, sel);
+                    prop_assert_eq!(&got, &scan, "{} n={} same={} sel={:?}", layout, n, same, sel);
                     prop_assert_eq!(&got, &joint_counts_and_table(ix, iy, sel));
                     let per_bin = |idx: &BitmapIndex| -> Vec<u64> {
                         idx.bins().map(|bin| bin.and_count(sel.unwrap_or(&all))).collect()

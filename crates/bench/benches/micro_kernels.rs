@@ -368,7 +368,7 @@ fn bench_crc(c: &mut Criterion) {
     g.finish();
 }
 
-/// The data-dependent row orders' permutation build — one binning pass
+/// `GrayBin`'s permutation build — one binning pass
 /// and a counting sort — on a 1M-row field: noise, where the sort moves
 /// every row, since a smooth field is nearly sorted already.
 fn bench_roworder(c: &mut Criterion) {
@@ -378,13 +378,12 @@ fn bench_roworder(c: &mut Criterion) {
     let binner = Binner::fixed_width(-51.0, 51.0, 100);
     let mut g = c.benchmark_group("roworder");
     g.sample_size(10).measurement_time(Duration::from_secs(2));
-    for order in [RowOrder::GrayBin, RowOrder::HistogramSorted] {
-        g.bench_with_input(
-            BenchmarkId::new("perm", order.name()),
-            &data,
-            |bch, data| bch.iter(|| black_box(order.permutation(&[], &binner, black_box(data)))),
-        );
-    }
+    let order = RowOrder::GrayBin;
+    g.bench_with_input(
+        BenchmarkId::new("perm", order.name()),
+        &data,
+        |bch, data| bch.iter(|| black_box(order.permutation(&[], &binner, black_box(data)))),
+    );
     g.finish();
 }
 

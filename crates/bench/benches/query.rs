@@ -3,8 +3,8 @@
 //! baseline, the one-pass partition joint table vs the paper's AND table
 //! (three data regimes × four selections, results asserted equal before
 //! either is timed), counting a subset query's plan vs materialising its
-//! selection and counting that (four regimes — Hilbert's thousands of
-//! stored ranges among them — × three regions × three widths, equality
+//! selection and counting that (four regimes — a strided layout's thousands
+//! of stored ranges among them — × three regions × three widths, equality
 //! asserted before timing), the layers of a cache miss on the ocean fields
 //! stored flat and in four shards (read, CRC, verify, then what a lazily
 //! materialised index pays for a plan against what forcing every bin and

@@ -1,7 +1,7 @@
 //! Row-order sweep: order × dataset × codec, persisted to
 //! `BENCH_reorder.json` at the repository root. For each simulation field
 //! (Heat3D temperature, mini-LULESH velocity, Ocean surface field) every
-//! [`RowOrder`] builds the reordered index, every codec reports bytes for
+//! [`RowOrder`] builds the (re)ordered index, every codec reports bytes for
 //! the resulting bins, and the serving-side kernels are timed: the
 //! value-range OR (the core of a range/count query — order-invariant, no
 //! inverse mapping needed), the region AND against a stored-order region
@@ -13,8 +13,7 @@
 //! `orders` table charges every order what the bins alone never paid:
 //! the `__order` blob the store writes next to them, the time to build
 //! the permutation, and the time to turn a region into a stored-order
-//! mask — through the library ([`stored_ranges`] + [`shard_mask`]), next
-//! to the gather-sort-rebuild it replaced, timed in the same run.
+//! mask through the library ([`stored_ranges`] + [`shard_mask`]).
 //!
 //! Every timed point is first asserted byte-identical to the
 //! identity-order oracle (mapped through the inverse permutation), and the
@@ -56,26 +55,21 @@ fn measure<O>(mut f: impl FnMut() -> O) -> f64 {
     total / samples as f64
 }
 
-/// One dataset of the sweep: a simulation field plus its grid shape.
+/// One dataset of the sweep: a simulation field.
 struct Dataset {
     name: &'static str,
-    dims: Vec<usize>,
     data: Vec<f64>,
 }
 
 /// Steps a simulation `steps` times and keeps field `field` of the last
 /// output (mid-run states have developed structure; step 0 is mostly the
 /// initial condition).
-fn evolve(mut sim: impl Simulation, steps: usize, field: usize) -> (Vec<usize>, Vec<f64>) {
-    let dims = sim
-        .grid_dims()
-        .expect("bench simulations expose grid dims")
-        .to_vec();
+fn evolve(mut sim: impl Simulation, steps: usize, field: usize) -> Vec<f64> {
     let mut out = sim.step();
     for _ in 1..steps {
         out = sim.step();
     }
-    (dims, out.fields.swap_remove(field).data)
+    out.fields.swap_remove(field).data
 }
 
 fn datasets(smoke: bool) -> Vec<Dataset> {
@@ -85,13 +79,13 @@ fn datasets(smoke: bool) -> Vec<Dataset> {
         nz: if smoke { 12 } else { 40 },
         ..Heat3DConfig::tiny()
     };
-    let (hdims, hdata) = evolve(Heat3D::new(heat), 5, 0);
+    let hdata = evolve(Heat3D::new(heat), 5, 0);
     let lulesh = LuleshConfig {
         edge: if smoke { 6 } else { 20 },
         ..LuleshConfig::tiny()
     };
     // field 6 = velocity_x: node-centered, spatially coherent blast wave
-    let (ldims, ldata) = evolve(MiniLulesh::new(lulesh), 4, 6);
+    let ldata = evolve(MiniLulesh::new(lulesh), 4, 6);
     let ocean = if smoke {
         OceanConfig::tiny()
     } else {
@@ -102,21 +96,18 @@ fn datasets(smoke: bool) -> Vec<Dataset> {
             ..OceanConfig::tiny()
         }
     };
-    let (odims, odata) = evolve(OceanModel::new(ocean), 3, 0);
+    let odata = evolve(OceanModel::new(ocean), 3, 0);
     vec![
         Dataset {
             name: "heat3d",
-            dims: hdims,
             data: hdata,
         },
         Dataset {
             name: "lulesh",
-            dims: ldims,
             data: ldata,
         },
         Dataset {
             name: "ocean",
-            dims: odims,
             data: odata,
         },
     ]
@@ -150,11 +141,8 @@ struct OrderCost {
     perm_build_s: Option<f64>,
     /// Region → stored-order mask through the library.
     region_mask_s: f64,
-    /// The same mask by gathering the inverse permutation over the
-    /// region, sorting and rebuilding — what the library did before.
-    region_gather_s: Option<f64>,
-    /// Ascending segments of the gather order (what the library's choice
-    /// between the two rests on, with the region's row count).
+    /// Ascending segments of the gather order: a region is at most one
+    /// stored range per segment.
     segments: usize,
 }
 
@@ -171,7 +159,8 @@ fn order_blob_bytes(order: RowOrder, perm: &RowPermutation) -> u64 {
     bytes
 }
 
-/// The region mask as the query path built it before stored ranges.
+/// The region mask by gathering the inverse permutation over the region,
+/// sorting and rebuilding: the oracle for the library's.
 fn gathered_mask(perm: &RowPermutation, region: Range<u64>) -> WahVec {
     let mut ones: Vec<u64> = region.map(|r| perm.inv()[r as usize] as u64).collect();
     ones.sort_unstable();
@@ -211,7 +200,7 @@ fn main() {
         let oracle_region_count = oracle_or.and_count(&region_orig);
 
         for order in RowOrder::ALL {
-            let perm = order.permutation(&set.dims, &binner, &set.data);
+            let perm = order.permutation(&[], &binner, &set.data);
             let idx = match &perm {
                 Some(p) => BitmapIndex::build_permuted(&set.data, binner.clone(), p),
                 None => identity.clone(),
@@ -302,9 +291,8 @@ fn main() {
                 bytes_with_order: auto_bytes as u64 + order_payload_bytes,
                 perm_build_s: perm
                     .as_ref()
-                    .map(|_| measure(|| order.permutation(&set.dims, &binner, &set.data))),
+                    .map(|_| measure(|| order.permutation(&[], &binner, &set.data))),
                 region_mask_s: measure(library_mask),
-                region_gather_s: perm.as_ref().map(|p| measure(|| gathered_mask(p, r0..r1))),
                 segments: perm.as_ref().map_or(1, |p| p.segments().len()),
             });
             let map_back = perm
@@ -400,28 +388,25 @@ fn write_json(
         }
         println!(
             "reorder: {:<7} {:<11} order blob {:>8} B  with order x{ratio:.3}  perm {:>9} us  \
-             region mask {:>9.3} us (gather {:>9} us, {} segments)",
+             region mask {:>9.3} us ({} segments)",
             c.dataset,
             c.order,
             c.order_payload_bytes,
             c.perm_build_s
                 .map_or("n/a".into(), |t| format!("{:.1}", t * 1e6)),
             c.region_mask_s * 1e6,
-            c.region_gather_s
-                .map_or("n/a".into(), |t| format!("{:.3}", t * 1e6)),
             c.segments,
         );
         out.push_str(&format!(
             "    {{\"dataset\": \"{}\", \"order\": \"{}\", \"order_payload_bytes\": {}, \
              \"bytes_with_order\": {}, \"with_order_ratio\": {ratio:.4}, \"perm_build_s\": {}, \
-             \"region_mask_s\": {:e}, \"region_gather_s\": {}, \"segments\": {}}}{}\n",
+             \"region_mask_s\": {:e}, \"segments\": {}}}{}\n",
             c.dataset,
             c.order,
             c.order_payload_bytes,
             c.bytes_with_order,
             opt(c.perm_build_s),
             c.region_mask_s,
-            opt(c.region_gather_s),
             c.segments,
             if i + 1 == costs.len() { "" } else { "," }
         ));

@@ -70,7 +70,7 @@ pub fn heat3d_binner() -> Binner {
 /// (`benches/query.rs`, `micro_kernels`' `joint/partition/*` and
 /// `count_in_ranges/*`).
 pub struct JointRegime {
-    /// `heat3d`, `ocean`, `graybin` or `hilbert`.
+    /// `heat3d`, `ocean`, `graybin` or `scattered`.
     pub name: &'static str,
     /// First operand; selections are drawn from its bins.
     pub a: BitmapIndex,
@@ -125,17 +125,22 @@ pub fn joint_regimes(heat: usize, ocean: [usize; 3]) -> Vec<JointRegime> {
     regimes(heat, ocean, false)
 }
 
-/// [`joint_regimes`] and `hilbert` — the Heat3D steps stored along a
-/// Hilbert curve, where a spatial block is thousands of stored ranges: the
-/// regimes a subset count has to serve (`benches/query.rs`' `subset_count`
-/// and `micro_kernels`' `count_in_ranges/*`).
+/// [`joint_regimes`] and `scattered` — the Heat3D steps stored under a
+/// gather of stride [`SCATTER_STRIDE`], that many short ascending segments,
+/// where a spatial block is thousands of stored ranges (what a multi-field
+/// sort will produce): the regimes a subset count has to serve
+/// (`benches/query.rs`' `subset_count` and `micro_kernels`'
+/// `count_in_ranges/*`).
 pub fn count_regimes(heat: usize, ocean: [usize; 3]) -> Vec<JointRegime> {
     regimes(heat, ocean, true)
 }
 
-fn regimes(heat: usize, ocean: [usize; 3], with_hilbert: bool) -> Vec<JointRegime> {
+/// A prime, so coprime to the rows of every `heat`³ mesh benched.
+const SCATTER_STRIDE: u64 = 2237;
+
+fn regimes(heat: usize, ocean: [usize; 3], with_scattered: bool) -> Vec<JointRegime> {
     let steps = heat3d_steps(heat);
-    let order = |order: RowOrder| order.permutation(&[heat; 3], &heat3d_binner(), &steps[0]);
+    let sorted = RowOrder::GrayBin.permutation(&[], &heat3d_binner(), &steps[0]);
     let model = OceanModel::new(OceanConfig {
         nlon: ocean[0],
         nlat: ocean[1],
@@ -155,10 +160,13 @@ fn regimes(heat: usize, ocean: [usize; 3], with_hilbert: bool) -> Vec<JointRegim
             b: fitted("salinity"),
             perm: None,
         },
-        heat3d_regime("graybin", &steps, order(RowOrder::GrayBin)),
+        heat3d_regime("graybin", &steps, sorted),
     ];
-    if with_hilbert {
-        regimes.push(heat3d_regime("hilbert", &steps, order(RowOrder::Hilbert)));
+    if with_scattered {
+        let n = steps[0].len() as u64;
+        let gather = (0..n).map(|i| (i * SCATTER_STRIDE % n) as u32).collect();
+        let scattered = RowPermutation::from_gather(gather);
+        regimes.push(heat3d_regime("scattered", &steps, Some(scattered)));
     }
     regimes
 }

@@ -267,47 +267,6 @@ impl DenseBits {
         v.or_into(&mut self.words);
     }
 
-    /// Rebuilds `out` as `self AND v` without re-decoding `self`: the
-    /// buffer is copied word-parallel, then `v`'s runs stream over it —
-    /// 0-fills clear ranges, 1-fills keep, literals clear their complement
-    /// bits. This is the per-row step of the prepared-selection joint loop:
-    /// the selection (`self`) is decoded once, each bin row costs only the
-    /// row's own compressed words plus one memcpy.
-    pub fn and_wah_into(&self, v: &WahVec, out: &mut DenseBits) {
-        assert_eq!(
-            self.len_bits,
-            v.len(),
-            "binary op on different-length vectors"
-        );
-        out.words.clear();
-        out.words.extend_from_slice(&self.words);
-        out.len_bits = self.len_bits;
-        let mut pos = 0u64;
-        for run in v.runs() {
-            match run {
-                Run::Fill(true, n) => pos += n,
-                Run::Fill(false, n) => {
-                    out.clear_range(pos, n);
-                    pos += n;
-                }
-                Run::Literal(p, w) => {
-                    let drop = (!p & lit_mask(w)) as u64;
-                    if drop != 0 {
-                        out.clear_bits(pos, drop);
-                    }
-                    pos += w as u64;
-                }
-            }
-        }
-    }
-
-    /// `self AND v` as a fresh dense buffer (see [`DenseBits::and_wah_into`]).
-    pub fn and_wah(&self, v: &WahVec) -> DenseBits {
-        let mut out = DenseBits::zeros(self.len_bits);
-        self.and_wah_into(v, &mut out);
-        out
-    }
-
     /// Sets `n` consecutive bits starting at `pos`.
     fn set_range(&mut self, pos: u64, n: u64) {
         if n == 0 {
@@ -326,41 +285,6 @@ impl DenseBits {
                 *w = u64::MAX;
             }
             self.words[ew] |= emask;
-        }
-    }
-
-    /// Clears `n` consecutive bits starting at `pos`.
-    fn clear_range(&mut self, pos: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let end = pos + n;
-        let sw = (pos / 64) as usize;
-        let ew = ((end - 1) / 64) as usize;
-        let smask = u64::MAX << (pos % 64);
-        let emask = u64::MAX >> (63 - (end - 1) % 64);
-        if sw == ew {
-            self.words[sw] &= !(smask & emask);
-        } else {
-            self.words[sw] &= !smask;
-            for w in &mut self.words[sw + 1..ew] {
-                *w = 0;
-            }
-            self.words[ew] &= !emask;
-        }
-    }
-
-    /// Clears the bits of `mask` (≤ 31 significant bits) at `pos`.
-    #[inline]
-    fn clear_bits(&mut self, pos: u64, mask: u64) {
-        let wi = (pos / 64) as usize;
-        let off = pos % 64;
-        self.words[wi] &= !(mask << off);
-        if off != 0 {
-            let hi = mask >> (64 - off);
-            if hi != 0 {
-                self.words[wi + 1] &= !hi;
-            }
         }
     }
 
@@ -1206,27 +1130,6 @@ mod tests {
         assert!(!q.is_dense());
         assert_eq!(q.and_count(&dense), dense.and_count(&sparse));
         assert_eq!(q.source().len(), 5000);
-    }
-
-    #[test]
-    fn and_wah_into_matches_materialized_and() {
-        let pats = patterns();
-        for a_bits in &pats {
-            for b_bits in &pats {
-                if a_bits.len() != b_bits.len() {
-                    continue;
-                }
-                let a = WahVec::from_bits(a_bits.iter().copied());
-                let b = WahVec::from_bits(b_bits.iter().copied());
-                let da = DenseBits::from_wah(&a);
-                let want = DenseBits::from_wah(&a.and(&b));
-                assert_eq!(da.and_wah(&b), want);
-                // reuse path: a dirty scratch buffer must be fully rebuilt
-                let mut scratch = DenseBits::from_wah(&b);
-                da.and_wah_into(&b, &mut scratch);
-                assert_eq!(scratch, want);
-            }
-        }
     }
 
     #[test]

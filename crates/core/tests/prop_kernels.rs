@@ -176,24 +176,6 @@ proptest! {
     }
 
     #[test]
-    fn and_wah_into_reuses_scratch_correctly((a_bits, b_bits) in kernel_pair()) {
-        let a = WahVec::from_bits(a_bits.iter().copied());
-        let b = WahVec::from_bits(b_bits.iter().copied());
-        let da = DenseBits::from_wah(&a);
-        let mut want = oracle(&a_bits);
-        want.and_assign(&oracle(&b_bits));
-
-        prop_assert_eq!(da.and_wah(&b).count_ones(), want.count_ones());
-        // the into-variant must fully rebuild a dirty scratch buffer
-        let mut scratch = DenseBits::from_wah(&WahVec::ones(a.len()));
-        da.and_wah_into(&b, &mut scratch);
-        prop_assert_eq!(scratch.count_ones(), want.count_ones());
-        for (i, _) in a_bits.iter().enumerate() {
-            prop_assert_eq!(scratch.get(i as u64), want.get(i as u64), "bit {}", i);
-        }
-    }
-
-    #[test]
     fn or_many_matches_fold(vecs in proptest::collection::vec(kernel_bits(), 1..6)) {
         // Truncate all inputs to the shortest length so they are unionable.
         let n = vecs.iter().map(Vec::len).min().unwrap_or(0);

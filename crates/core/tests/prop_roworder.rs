@@ -1,10 +1,10 @@
-//! Property suite for the pluggable row-order layer: every [`RowOrder`]
-//! over every grid shape (ragged, non-power-of-two, degenerate `1×1×N`)
-//! must produce a checked bijection whose `reorder ∘ inverse` is the
-//! identity, and an index built from reordered data must select exactly
-//! the inverse-mapped row set of the identity-order index — across all
-//! binner kinds and with the reordered bin patterns surviving every codec
-//! round-trip byte-identically.
+//! Property suite for the row-order layer: every [`RowOrder`] — and a
+//! coprime-stride gather standing in for the many-segment layouts a
+//! multi-field sort will produce — must be a checked bijection whose
+//! `reorder ∘ inverse` is the identity, and an index built from reordered
+//! data must select exactly the inverse-mapped row set of the
+//! identity-order index — across all binner kinds and with the reordered
+//! bin patterns surviving every codec round-trip byte-identically.
 
 use ibis_core::{Binner, BitmapIndex, Codec, RoaringVec, RowOrder, RowPermutation, WahVec};
 use proptest::prelude::*;
@@ -25,28 +25,42 @@ fn value() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// Grid shapes spanning the spatial orders' regimes: ragged 2-D and 3-D
-/// (non-power-of-two on purpose), degenerate `1×1×N`, and size-1 middle
-/// axes that exercise the axis-dropping path.
-fn dims() -> impl Strategy<Value = Vec<usize>> {
-    prop_oneof![
-        (2usize..14, 2usize..14).prop_map(|(a, b)| vec![a, b]),
-        (2usize..7, 2usize..7, 2usize..7).prop_map(|(a, b, c)| vec![a, b, c]),
-        (1usize..120).prop_map(|n| vec![1, 1, n]),
-        (2usize..10, 2usize..10).prop_map(|(a, c)| vec![a, 1, c]),
-    ]
-}
-
-/// A grid plus a field covering it. Fields are drawn both as pure noise
-/// and as spatially smooth ramps (where the spatial curves actually pay).
-fn grid() -> impl Strategy<Value = (Vec<usize>, Vec<f64>)> {
-    dims().prop_flat_map(|d| {
-        let n: usize = d.iter().product();
+/// A field drawn both as pure noise and as a smooth ramp (few, long
+/// bin runs).
+fn field() -> impl Strategy<Value = Vec<f64>> {
+    (1usize..220).prop_flat_map(|n| {
         let smooth = (0.0f64..0.3)
             .prop_map(move |slope| (0..n).map(|i| (slope * i as f64).sin() * 90.0).collect());
-        let noisy = proptest::collection::vec(value(), n);
-        (Just(d), prop_oneof![noisy, smooth])
+        prop_oneof![proptest::collection::vec(value(), n), smooth]
     })
+}
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+/// The permutations under test: what each [`RowOrder`] builds (an order
+/// that comes out as the identity materializes nothing), plus a gather of
+/// a stride coprime to `n`, which scatters the rows over about `stride`
+/// ascending segments whatever the values are.
+fn permutations(binner: &Binner, data: &[f64], stride: usize) -> Vec<(String, RowPermutation)> {
+    let n = data.len();
+    let mut perms: Vec<(String, RowPermutation)> = RowOrder::ALL
+        .into_iter()
+        .filter_map(|o| Some((o.name().to_string(), o.permutation(&[], binner, data)?)))
+        .collect();
+    if let Some(stride) = (stride..n).find(|s| gcd(*s, n) == 1) {
+        let gather = (0..n).map(|i| (i * stride % n) as u32).collect();
+        perms.push((
+            format!("stride {stride}"),
+            RowPermutation::from_gather(gather),
+        ));
+    }
+    perms
 }
 
 /// All binner kinds: fixed-width, decimal precision, distinct ints, and
@@ -81,14 +95,12 @@ fn assert_bijection(p: &RowPermutation, n: usize) -> Result<(), TestCaseError> {
 
 proptest! {
     #[test]
-    fn every_order_is_an_invertible_reorder((dims, data) in grid(), binner in binner()) {
+    fn every_order_is_an_invertible_reorder(
+        data in field(), binner in binner(), stride in 2usize..40
+    ) {
         let row_ids: Vec<u32> = (0..data.len() as u32).collect();
-        for order in RowOrder::ALL {
-            let Some(p) = order.permutation(&dims, &binner, &data) else {
-                // Identity, a degenerate grid, or an already-ordered field:
-                // the order *is* the identity and nothing is materialized.
-                continue;
-            };
+        prop_assert!(RowOrder::Identity.permutation(&[], &binner, &data).is_none());
+        for (_, p) in permutations(&binner, &data, stride) {
             assert_bijection(&p, data.len())?;
             prop_assert!(!p.is_identity(), "identity perms must normalize to None");
             // reorder ∘ inverse == identity, on a payload that tells every
@@ -116,11 +128,10 @@ proptest! {
         }
     }
 
-    /// The data-dependent orders are built by a counting sort; the
-    /// comparison sort they replaced — written here as the *stable* sort
-    /// by key it always was — stays the oracle, over every binner kind and
-    /// over data that is noisy (NaN and ±inf included), constant, already
-    /// sorted, or empty.
+    /// `GrayBin` is built by a counting sort; the comparison sort it
+    /// replaced — written here as the *stable* sort by key it always was —
+    /// stays the oracle, over every binner kind and over data that is
+    /// noisy (NaN and ±inf included), constant, already sorted, or empty.
     #[test]
     fn counting_sort_equals_the_stable_sort_by_key(
         noisy in proptest::collection::vec(value(), 0..300),
@@ -131,35 +142,21 @@ proptest! {
         let constant = vec![noisy.first().copied().unwrap_or(0.0); noisy.len()];
         for data in [noisy, sorted, constant, vec![]] {
             let bins: Vec<usize> = data.iter().map(|&v| binner.bin_of(v) as usize).collect();
-            let mut counts = vec![0usize; binner.nbins()];
-            bins.iter().for_each(|&b| counts[b] += 1);
-            let mut by_freq: Vec<usize> = (0..counts.len()).collect();
-            by_freq.sort_by_key(|&b| (std::cmp::Reverse(counts[b]), b));
-            let rank = |b: usize| by_freq.iter().position(|&x| x == b).unwrap();
-            let stable = |key: &dyn Fn(usize) -> usize| {
-                let mut perm: Vec<u32> = (0..data.len() as u32).collect();
-                perm.sort_by_key(|&i| key(bins[i as usize]));
-                RowPermutation::from_gather(perm)
-            };
-            for (order, oracle) in [
-                (RowOrder::GrayBin, stable(&|b| b ^ (b >> 1))),
-                (RowOrder::HistogramSorted, stable(&rank)),
-            ] {
-                let built = order.permutation(&[], &binner, &data);
-                // an identity result normalizes to `None`
-                let expect = (!oracle.is_identity()).then_some(oracle);
-                prop_assert_eq!(built, expect, "{}", order.name());
-            }
+            let mut perm: Vec<u32> = (0..data.len() as u32).collect();
+            perm.sort_by_key(|&i| bins[i as usize] ^ (bins[i as usize] >> 1));
+            let oracle = RowPermutation::from_gather(perm);
+            let built = RowOrder::GrayBin.permutation(&[], &binner, &data);
+            // an identity result normalizes to `None`
+            prop_assert_eq!(built, (!oracle.is_identity()).then_some(oracle));
         }
     }
 
     #[test]
-    fn reordered_index_selects_inverse_mapped_rows((dims, data) in grid(), binner in binner()) {
+    fn reordered_index_selects_inverse_mapped_rows(
+        data in field(), binner in binner(), stride in 2usize..40
+    ) {
         let identity = BitmapIndex::build(&data, binner.clone());
-        for order in RowOrder::ALL {
-            let Some(p) = order.permutation(&dims, &binner, &data) else {
-                continue;
-            };
+        for (name, p) in permutations(&binner, &data, stride) {
             let permuted = BitmapIndex::build_permuted(&data, binner.clone(), &p);
             prop_assert_eq!(permuted.nbins(), identity.nbins());
             // the whole-index inverse: unpermute must reproduce the
@@ -176,33 +173,13 @@ proptest! {
                 let mapped = p.map_selection_to_original(stored);
                 prop_assert_eq!(
                     &mapped, identity.bin(b),
-                    "bin {} differs under {}", b, order.name()
+                    "bin {} differs under {}", b, name
                 );
                 // and the reordered bit pattern survives every codec
                 // round-trip exactly (WAH is the interchange form)
                 prop_assert_eq!(&WahVec::from_wah(stored).to_wah(), stored);
                 prop_assert_eq!(&RoaringVec::from_wah(stored).to_wah(), stored);
             }
-        }
-    }
-}
-
-/// Degenerate grids have exactly one locality-preserving traversal — the
-/// one we already have — so spatial orders must normalize to identity
-/// rather than persisting a useless permutation.
-#[test]
-fn degenerate_grids_stay_identity() {
-    let binner = Binner::distinct_ints(0, 9);
-    for dims in [vec![1, 1, 37], vec![37], vec![1, 37, 1], vec![1, 1, 1]] {
-        let n: usize = dims.iter().product();
-        let data: Vec<f64> = (0..n).map(|i| ((i * 7) % 10) as f64).collect();
-        for order in [RowOrder::ZOrder, RowOrder::Hilbert] {
-            assert!(
-                order.permutation(&dims, &binner, &data).is_none(),
-                "{} must fall back to identity on {:?}",
-                order.name(),
-                dims
-            );
         }
     }
 }

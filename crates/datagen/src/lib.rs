@@ -51,9 +51,9 @@ pub trait Simulation: Send {
 
     /// The structured-grid shape of each output array as `[d0, d1, d2]`
     /// with the last axis fastest (row-major), or `None` for unstructured
-    /// or mesh-based outputs. Spatial row orders (Z-order, Hilbert) need
-    /// this to interleave coordinates; data-ordered and identity layouts
-    /// don't.
+    /// or mesh-based outputs. Nothing in the workspace reads it any more
+    /// (no row order depends on the grid shape); it stays on the trait
+    /// because the `ibis-e2e` harness implements it (ROADMAP item 2b).
     fn grid_dims(&self) -> Option<[usize; 3]> {
         None
     }

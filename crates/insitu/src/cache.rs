@@ -632,7 +632,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let data: Vec<f64> = (0..2000).map(|i| ((i * 3) % 40) as f64).collect();
         let binner = Binner::distinct_ints(0, 39);
-        let order = RowOrder::HistogramSorted;
+        let order = RowOrder::GrayBin;
         let perm = order.permutation(&[], &binner, &data).unwrap();
         let mut w = StoreWriter::create(&dir).unwrap();
         w.put(

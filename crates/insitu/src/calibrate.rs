@@ -88,44 +88,30 @@ pub fn default_reduction() -> Reduction {
 }
 
 /// Suggests the [`RowOrder`] under which the store of the probe step
-/// comes out smallest: every field's index built under the order's one
-/// permutation (computed from the first field, as the pipeline does —
-/// [`step_permutation`]) plus the order blob that permutation costs. An
-/// order that sorts the first field always shrinks that field; it wins
-/// only if it pays for its permutation and for what it does to the
-/// others. Spatial orders are only candidates when `dims` is known;
-/// [`RowOrder::Identity`] wins ties (nothing extra to persist or map at
-/// query time).
-pub fn suggest_row_order(
-    out: &StepOutput,
-    binners: &[Binner],
-    dims: Option<[usize; 3]>,
-) -> RowOrder {
-    let Some(first) = binners.first() else {
+/// comes out smaller: does [`RowOrder::GrayBin`] pay for its order blob?
+/// Every field's index is built under the order's one permutation
+/// (computed from the first field, as the pipeline does —
+/// [`step_permutation`]) and in ingest order. Sorting the first field
+/// always shrinks that field; it wins only if it pays for its permutation
+/// and for what it does to the others. [`RowOrder::Identity`] wins ties
+/// (nothing extra to persist or map at query time).
+pub fn suggest_row_order(out: &StepOutput, binners: &[Binner]) -> RowOrder {
+    let first = binners.first();
+    let Some(perm) = first.and_then(|b| step_permutation(out, RowOrder::GrayBin, b)) else {
         return RowOrder::Identity;
     };
-    let d: Vec<usize> = dims.map(|a| a.to_vec()).unwrap_or_default();
-    // `Identity` is scored first, so a tie keeps it
-    let mut best = (RowOrder::Identity, usize::MAX);
-    for order in RowOrder::ALL {
-        if order.is_spatial() && dims.is_none() {
-            continue;
-        }
-        let perm = step_permutation(out, order, &d, first);
-        let mut order_blob = Vec::new();
-        if let Some(p) = &perm {
-            crate::store::put_perm_payload(&mut order_blob, p);
-        }
-        let indices = out.fields.iter().zip(binners).map(|(f, b)| match &perm {
-            Some(p) => BitmapIndex::build_permuted(&f.data, b.clone(), p).size_bytes(),
-            None => BitmapIndex::build(&f.data, b.clone()).size_bytes(),
-        });
-        let size = order_blob.len() + indices.sum::<usize>();
-        if size < best.1 {
-            best = (order, size);
-        }
+    let mut order_blob = Vec::new();
+    crate::store::put_perm_payload(&mut order_blob, &perm);
+    let (mut sorted, mut ingest) = (order_blob.len(), 0);
+    for (f, b) in out.fields.iter().zip(binners) {
+        sorted += BitmapIndex::build_permuted(&f.data, b.clone(), &perm).size_bytes();
+        ingest += BitmapIndex::build(&f.data, b.clone()).size_bytes();
     }
-    best.0
+    if sorted < ingest {
+        RowOrder::GrayBin
+    } else {
+        RowOrder::Identity
+    }
 }
 
 #[cfg(test)]
@@ -223,27 +209,22 @@ mod tests {
 
     #[test]
     fn suggests_a_size_winning_order() {
-        // Scattered-by-position but heavily skewed values: sorting rows by
-        // bin frequency turns the bitmaps into near-pure runs, so a
-        // data-dependent order must beat identity.
+        // Scattered-by-position values: sorting rows by bin turns the
+        // bitmaps into near-pure runs, so the sorted order must beat
+        // identity.
         let data: Vec<f64> = (0..20_000).map(|i| ((i * 37) % 50) as f64).collect();
         let out = StepOutput {
             step: 0,
             fields: vec![ibis_datagen::Field::new("temperature", data)],
         };
         let binner = Binner::distinct_ints(0, 49);
-        let suggested = suggest_row_order(&out, std::slice::from_ref(&binner), None);
-        assert!(
-            suggested.is_data_dependent(),
-            "expected a data-dependent order, got {}",
-            suggested.name()
-        );
+        let suggested = suggest_row_order(&out, std::slice::from_ref(&binner));
+        assert_eq!(suggested, RowOrder::GrayBin);
 
         // A coherent field: sorting it still shrinks its index (one fill a
         // bin), but the index was a few KB to begin with and the
         // permutation costs more than it saves — `auto` must count it.
         let mut sim = Heat3D::new(Heat3DConfig::tiny());
-        let dims = sim.grid_dims();
         let heat = (0..6).map(|_| sim.step()).last().unwrap();
         let binners = [Binner::precision(-1.0, 101.0, 0)];
         let f0 = &heat.fields[0].data;
@@ -255,17 +236,14 @@ mod tests {
                 < BitmapIndex::build(f0, binners[0].clone()).size_bytes(),
             "the first field alone still says graybin"
         );
-        assert_eq!(suggest_row_order(&heat, &binners, dims), RowOrder::Identity);
+        assert_eq!(suggest_row_order(&heat, &binners), RowOrder::Identity);
 
-        // Constant data: every order ties with identity, identity wins.
+        // Constant data: sorting is the identity, nothing to weigh.
         let flat = StepOutput {
             step: 0,
             fields: vec![ibis_datagen::Field::new("temperature", vec![1.0; 4096])],
         };
-        assert_eq!(
-            suggest_row_order(&flat, &[binner], Some([16, 16, 16])),
-            RowOrder::Identity
-        );
+        assert_eq!(suggest_row_order(&flat, &[binner]), RowOrder::Identity);
     }
 
     #[test]

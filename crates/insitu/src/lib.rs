@@ -13,7 +13,7 @@
 //! * [`pipeline`] — the Shared-Cores and Separate-Cores strategies
 //!   (Section 2.3), streaming greedy time-steps selection (Figure 3), and
 //!   the three reductions: bitmaps, full data, sampling.
-//! * [`calibrate`] — the Equations 1–2 automatic core split.
+//! * [`mod@calibrate`] — the Equations 1–2 automatic core split.
 //! * [`cluster`] — threads-as-nodes Heat3D with halo exchange, global
 //!   selection via additive joint counts, and local vs contended-remote
 //!   storage (Figure 13).

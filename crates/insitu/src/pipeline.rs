@@ -272,14 +272,13 @@ impl PipelineConfig {
 pub fn step_permutation(
     out: &StepOutput,
     row_order: RowOrder,
-    dims: &[usize],
     first_binner: &Binner,
 ) -> Option<RowPermutation> {
     let f0 = out.fields.first()?;
     if out.fields.iter().any(|f| f.data.len() != f0.data.len()) {
         return None;
     }
-    row_order.permutation(dims, first_binner, &f0.data)
+    row_order.permutation(&[], first_binner, &f0.data)
 }
 
 /// Builds the summary of one step under the configured reduction; returns
@@ -299,7 +298,6 @@ fn summarize(
     binners: &[Binner],
     per_step_precision: Option<i32>,
     row_order: RowOrder,
-    dims: &[usize],
 ) -> (StepSummary, Option<Arc<RowPermutation>>) {
     let binners: Vec<Binner> = match per_step_precision {
         Some(digits) => out
@@ -317,9 +315,7 @@ fn summarize(
         }
     };
     let perm = match (reduction, binners.first()) {
-        (Reduction::Bitmaps, Some(first)) => {
-            step_permutation(out, row_order, dims, first).map(Arc::new)
-        }
+        (Reduction::Bitmaps, Some(first)) => step_permutation(out, row_order, first).map(Arc::new),
         _ => None,
     };
     if perm.is_some() {
@@ -606,23 +602,6 @@ fn reduce_scaling(reduction: &Reduction) -> ScalingModel {
     }
 }
 
-/// Resolves the grid dims a spatial [`RowOrder`] needs, as a typed error
-/// when the simulation has none (a mesh workload under `zorder`/`hilbert`
-/// should fail loudly, not silently keep the identity layout).
-fn resolve_dims<S: Simulation>(sim: &S, cfg: &PipelineConfig) -> Result<Vec<usize>> {
-    if !cfg.row_order.is_spatial() {
-        return Ok(Vec::new());
-    }
-    match sim.grid_dims() {
-        Some(d) => Ok(d.to_vec()),
-        None => Err(IbisError::Config(format!(
-            "row order '{}' needs a structured grid, but {} reports no grid dims",
-            cfg.row_order.name(),
-            sim.name()
-        ))),
-    }
-}
-
 fn field_names_of(out: &StepOutput) -> Vec<String> {
     out.fields.iter().map(|f| f.name.to_string()).collect()
 }
@@ -661,7 +640,6 @@ fn produce<S: Simulation>(
 struct StepLoop<'a> {
     cfg: &'a PipelineConfig,
     injector: &'a FaultInjector,
-    dims: Vec<usize>,
     /// The pool reductions run in: every core under Shared-Cores, the
     /// bitmap core set under Separate-Cores.
     pool: &'a rayon::ThreadPool,
@@ -682,7 +660,7 @@ impl StepLoop<'_> {
     /// gone. The injected consumer panic (if scheduled for this step)
     /// fires inside the protected region.
     fn contained_summarize(&mut self, out: &StepOutput, i: usize) -> Result<Option<Held>> {
-        let (cfg, pool, injector, dims) = (self.cfg, self.pool, self.injector, &self.dims);
+        let (cfg, pool, injector) = (self.cfg, self.pool, self.injector);
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             timed_in_pool(pool, || {
                 injector.maybe_panic(FaultSite::Consumer, i);
@@ -692,7 +670,6 @@ impl StepLoop<'_> {
                     &cfg.binners,
                     cfg.per_step_precision,
                     cfg.row_order,
-                    dims,
                 )
             })
         }));
@@ -990,7 +967,6 @@ fn run<S: Simulation>(
     OBS_RUNS.inc();
     let _run_span = OBS_RUN_WALL_NS.span();
     let wall0 = Instant::now();
-    let dims = resolve_dims(&sim, cfg)?;
     let (sim_cores, bitmap_cores) = match cfg.allocation {
         CoreAllocation::Shared => (cfg.cores, None),
         CoreAllocation::Separate {
@@ -1035,7 +1011,6 @@ fn run<S: Simulation>(
     let mut lp = StepLoop {
         cfg,
         injector,
-        dims,
         pool: bitmap_pool.as_ref().unwrap_or(&sim_pool),
         mem: &mem,
         selector,
@@ -1816,11 +1791,7 @@ mod tests {
     fn checkpoint_round_trips() {
         let data: Vec<f64> = (0..200).map(|i| (i % 30) as f64).collect();
         let binner = Binner::distinct_ints(0, 29);
-        let perm = Arc::new(
-            RowOrder::HistogramSorted
-                .permutation(&[], &binner, &data)
-                .unwrap(),
-        );
+        let perm = Arc::new(RowOrder::GrayBin.permutation(&[], &binner, &data).unwrap());
         let idx = ibis_core::BitmapIndex::build_permuted(&data, binner, &perm);
         let summary = StepSummary {
             step: 4,
@@ -1911,6 +1882,24 @@ mod tests {
                 )))
             );
         }
+        // the buffered step's order is a presence byte and the runs: the
+        // run's configuration names the order, so no order tag is embedded
+        // that could be a retired one — a 2 or a 4 there is refused
+        let mut runs = Vec::new();
+        crate::store::put_perm_payload(&mut runs, &perm);
+        let runs_at = payload.windows(runs.len()).position(|w| w == runs);
+        let presence_at = runs_at.expect("the runs are embedded") - 9; // u64 length first
+        assert_eq!(payload[presence_at], 1);
+        for tag in [2u8, 4] {
+            let mut bad = payload.to_vec();
+            bad[presence_at] = tag;
+            assert_eq!(
+                parse_checkpoint(&reseal(&bad)).err(),
+                Some(IbisError::BadCheckpoint(format!(
+                    "bad permutation-presence tag {tag}"
+                )))
+            );
+        }
         let mut ibck = b"IBCK".to_vec();
         ibck.extend_from_slice(payload);
         ibck.extend_from_slice(&crate::crc::crc32c(&ibck).to_le_bytes());
@@ -1928,7 +1917,7 @@ mod tests {
             w.put(3, "temperature", &idx).unwrap();
             w.put(3, "salinity", &idx.unpermute(&perm)).unwrap();
             if with_order {
-                w.put_order(3, RowOrder::HistogramSorted, &perm).unwrap();
+                w.put_order(3, RowOrder::GrayBin, &perm).unwrap();
             }
             w
         };
@@ -1997,7 +1986,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         // one small blob of each kind: an all-WAH index, a mixed-plan index
         // with its lossy companion, a sorted row order (few long runs) and
-        // a space-filling one (a run a row or two) — and a checkpoint
+        // a scattered one (every run a single row) — and a checkpoint
         let runs: Vec<f64> = (0..496).map(|i| (i / 124) as f64).collect();
         let smooth = ibis_core::BitmapIndex::build(&runs, Binner::distinct_ints(0, 3));
         let noise: Vec<f64> = (0..64).map(|i| ((i * 4) % 8) as f64).collect();
@@ -2008,18 +1997,16 @@ mod tests {
         assert!(plan(&mixed).contains(&ibis_core::CodecId::Wah));
         assert!(plan(&mixed).contains(&ibis_core::CodecId::Roaring));
         let (lossy, stats) = mixed.lossy(1e-1);
-        let order = RowOrder::HistogramSorted;
+        let order = RowOrder::GrayBin;
         let perm = order.permutation(&[], &binner, &noise).unwrap();
-        let curve = RowOrder::Hilbert
-            .permutation(&[8, 8], &binner, &noise)
-            .unwrap();
-        assert!(curve.segments().len() > 4 * perm.segments().len());
+        let scattered = RowPermutation::from_gather((0..64).map(|s| s * 27 % 64).collect());
+        assert!(scattered.segments().len() > 4 * perm.segments().len());
         let mut w = StoreWriter::create(&dir).unwrap();
         w.put(0, "smooth", &smooth).unwrap();
         w.put(0, "mixed", &mixed).unwrap();
         w.put_lossy(0, "mixed", &lossy, 1e-1, &stats).unwrap();
         w.put_order(0, order, &perm).unwrap();
-        w.put_order(1, RowOrder::Hilbert, &curve).unwrap();
+        w.put_order(1, order, &scattered).unwrap();
         w.finish().unwrap();
 
         type Read = fn(&Store) -> Result<()>;
@@ -2070,7 +2057,7 @@ mod tests {
         };
         selector.buffer = vec![
             (0, summary(0), false, Some(Arc::new(perm))),
-            (1, summary(1), false, Some(Arc::new(curve))),
+            (1, summary(1), false, Some(Arc::new(scattered))),
         ];
         let outcomes = [StepOutcome::Completed, StepOutcome::Completed];
         let clean = encode_checkpoint(2, &selector, &outcomes, &RunTotals::default()).unwrap();

@@ -1514,7 +1514,7 @@ mod tests {
         let dir = tmp("orderblob");
         let data: Vec<f64> = (0..500).map(|i| ((i * 7) % 40) as f64).collect();
         let binner = Binner::distinct_ints(0, 39);
-        let order = ibis_core::RowOrder::HistogramSorted;
+        let order = ibis_core::RowOrder::GrayBin;
         let perm = order.permutation(&[], &binner, &data).unwrap();
         let mut w = StoreWriter::create(&dir).unwrap();
         w.put(
@@ -1630,26 +1630,78 @@ mod tests {
 
     #[test]
     fn order_payload_round_trips_every_order_and_is_small() {
-        let dims = [16usize, 24];
         let data: Vec<f64> = (0..384).map(|i| ((i / 16) * 3 % 40) as f64).collect();
         let binner = Binner::distinct_ints(0, 39);
-        for order in ibis_core::RowOrder::ALL {
-            let Some(perm) = order.permutation(&dims, &binner, &data) else {
-                assert_eq!(order, ibis_core::RowOrder::Identity);
-                continue;
-            };
+        let sorted = ibis_core::RowOrder::GrayBin
+            .permutation(&[], &binner, &data)
+            .unwrap();
+        // a stride coprime to the rows: every run is one row long
+        let scattered = RowPermutation::from_gather((0..384).map(|s| s * 85 % 384).collect());
+        assert!(scattered.segments().len() > 4 * sorted.segments().len());
+        for perm in [&sorted, &scattered] {
             let mut payload = Vec::new();
-            put_perm_payload(&mut payload, &perm);
-            assert_eq!(
-                decode_perm_payload(&payload, None).unwrap(),
-                perm,
-                "{order:?}"
-            );
-            if order.is_data_dependent() {
-                // 16-row runs of consecutive ids: far under 4 bytes a row
-                assert!(payload.len() < perm.len(), "{order:?}: {}", payload.len());
-            }
+            put_perm_payload(&mut payload, perm);
+            assert_eq!(&decode_perm_payload(&payload, None).unwrap(), perm);
         }
+        // 16-row runs of consecutive ids: far under 4 bytes a row
+        let mut payload = Vec::new();
+        put_perm_payload(&mut payload, &sorted);
+        assert!(payload.len() < sorted.len(), "{}", payload.len());
+    }
+
+    /// Tags 1, 2 and 4 named orders that are no longer offered. A blob
+    /// carrying one — sealed under a valid frame CRC that the manifest
+    /// records, so only the tag check stands in the way — is refused
+    /// exactly as a never-assigned tag is: no panic, no identity layout.
+    #[test]
+    fn retired_order_tags_are_refused_like_unknown_ones() {
+        let data: Vec<f64> = (0..400).map(|i| ((i * 3) % 40) as f64).collect();
+        let binner = Binner::distinct_ints(0, 39);
+        let order = ibis_core::RowOrder::GrayBin;
+        let perm = order.permutation(&[], &binner, &data).unwrap();
+        let index = BitmapIndex::build_permuted(&data, binner, &perm);
+        for tag in [1u8, 2, 4, 0x7E] {
+            let dir = tmp(&format!("retiredtag{tag}"));
+            let mut w = StoreWriter::create(&dir).unwrap();
+            let mut payload = vec![tag];
+            put_perm_payload(&mut payload, &perm);
+            w.commit(0, ORDER_VARIABLE, &payload).unwrap();
+            w.put(0, "temperature", &index).unwrap();
+            w.finish().unwrap();
+
+            let refused = |err: IbisError| match err {
+                IbisError::Corrupt { file, detail } => {
+                    assert_eq!(file, "s000000___order.ibis");
+                    assert_eq!(detail, format!("unknown row-order tag {tag:#04x}"));
+                }
+                other => panic!("tag {tag}: {other}"),
+            };
+            refused(Store::open(&dir).unwrap().load_order(0).unwrap_err());
+            let cache = crate::cache::CachedStore::new(Store::open(&dir).unwrap(), 1 << 20);
+            refused(cache.get_order_over(0, Some(400)).unwrap_err());
+            refused(cache.get_order_over(0, None).unwrap_err());
+            // fsck sets the order aside, and the index whose rows it mapped
+            let mut store = Store::open(&dir).unwrap();
+            let report = store.fsck();
+            let gone: Vec<&str> = report
+                .quarantined
+                .iter()
+                .map(|q| q.variable.as_str())
+                .collect();
+            assert_eq!(gone, [ORDER_VARIABLE, "temperature"], "{report:?}");
+            assert!(report.quarantined[0]
+                .reason
+                .contains("unknown row-order tag"));
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        // the tag every stored blob carries still opens
+        let dir = tmp("retiredtag-graybin");
+        let mut w = StoreWriter::create(&dir).unwrap();
+        w.put_order(0, order, &perm).unwrap();
+        w.finish().unwrap();
+        let loaded = Store::open(&dir).unwrap().load_order(0).unwrap();
+        assert_eq!(loaded, Some((order, perm)));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

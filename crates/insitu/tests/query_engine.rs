@@ -175,7 +175,7 @@ fn build_reordered_store(name: &str, order: RowOrder) -> (PathBuf, Store) {
 #[test]
 fn reordered_store_matches_identity_store_through_engine() {
     let (dir_i, store_i) = build_store("order-identity");
-    let (dir_r, store_r) = build_reordered_store("order-histsorted", RowOrder::HistogramSorted);
+    let (dir_r, store_r) = build_reordered_store("order-graybin", RowOrder::GrayBin);
     let identity = QueryEngine::new(CachedStore::new(store_i, 64 << 20));
     let reordered = QueryEngine::new(CachedStore::new(store_r, 64 << 20));
 
@@ -219,7 +219,7 @@ fn reordered_store_matches_identity_store_through_engine() {
             .unwrap()
             .expect("order blob");
         let (stored_order, perm) = loaded.as_ref();
-        assert_eq!(*stored_order, RowOrder::HistogramSorted);
+        assert_eq!(*stored_order, RowOrder::GrayBin);
         for var in ["temperature", "salinity"] {
             let ml_r = reordered.shard_caches()[0].get(var, step).unwrap();
             let ml_i = identity.shard_caches()[0].get(var, step).unwrap();
@@ -515,7 +515,7 @@ fn reordered_durable_run_resumes_byte_identical_and_answers_like_identity() {
     let clean_dir = tmp("ord-clean");
     let crash_dir = tmp("ord-crash");
     let ident_dir = tmp("ord-ident");
-    let order = RowOrder::HistogramSorted;
+    let order = RowOrder::GrayBin;
 
     let clean = run_durable(
         OceanModel::new(OceanConfig::tiny()),
@@ -529,7 +529,7 @@ fn reordered_durable_run_resumes_byte_identical_and_answers_like_identity() {
         contents(&clean_dir)
             .keys()
             .any(|f| f.contains(ORDER_VARIABLE)),
-        "a data-dependent order must leave permutation blobs behind"
+        "a sorting order must leave permutation blobs behind"
     );
 
     // killed mid-run, then resumed: byte-identical, order blobs included —

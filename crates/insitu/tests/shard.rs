@@ -1,7 +1,7 @@
 //! Integration tests for the sharded distributed store: scatter-gather
 //! answers must be indistinguishable from a verbatim scan of the raw data
 //! (the reference model — it shares no code with the engine) across shard
-//! counts, bin widths, persisted row orders and lossy companions; a
+//! counts, bin widths, stored row layouts and lossy companions; a
 //! 1-shard run must be the flat store byte for byte; a corrupted shard
 //! must quarantine locally — the *other* shards' selections stay
 //! byte-identical — and repair through the normal resume + re-put path;
@@ -19,8 +19,6 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 const ROWS: usize = 2500;
-/// The rows as a grid, for the space-filling row orders.
-const GRID: [usize; 2] = [50, 50];
 const BUDGET: u64 = 256 << 20;
 const STEPS: [usize; 2] = [0, 1];
 const VARS: [&str; 2] = ["temperature", "salinity"];
@@ -175,12 +173,40 @@ impl Model {
     }
 }
 
+/// How a step's rows are laid out in the store.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Layout {
+    /// Ingest order: no `__order` blob.
+    Identity,
+    /// [`RowOrder::GrayBin`] of the step's first field: a few long
+    /// ascending segments.
+    Sorted,
+    /// The gather of a stride coprime to [`ROWS`] — 333 ascending segments
+    /// of seven or eight rows, so a region scatters over hundreds of
+    /// stored ranges — stored, like any permutation, under the one
+    /// sorting order's tag.
+    Scattered,
+}
+
+impl Layout {
+    fn permutation(self, binner: &Binner, first_field: &[f64]) -> Option<RowPermutation> {
+        match self {
+            Layout::Identity => None,
+            Layout::Sorted => RowOrder::GrayBin.permutation(&[], binner, first_field),
+            Layout::Scattered => {
+                let gather = (0..ROWS).map(|i| (i * 333 % ROWS) as u32).collect();
+                Some(RowPermutation::from_gather(gather))
+            }
+        }
+    }
+}
+
 /// What one store of the matrix is built under.
 #[derive(Clone, Copy)]
 struct Build<'a> {
     shards: usize,
     binner: &'a Binner,
-    order: RowOrder,
+    layout: Layout,
     /// FPR of the lossy companions stored next to every exact index.
     lossy: Option<f64>,
 }
@@ -198,7 +224,7 @@ fn dataset(b: Build<'_>) -> Vec<StepData> {
     STEPS
         .into_iter()
         .map(|step| {
-            let perm = b.order.permutation(&GRID, b.binner, &field(ROWS, step, 0));
+            let perm = b.layout.permutation(b.binner, &field(ROWS, step, 0));
             let vars = (0..)
                 .zip(VARS)
                 .map(|(phase, var)| {
@@ -222,7 +248,7 @@ fn build_store(name: &str, b: Build<'_>) -> PathBuf {
     let mut w = ShardedWriter::create(&dir, b.shards).unwrap();
     for s in dataset(b) {
         if let Some(p) = &s.perm {
-            w.put_order(s.step, b.order, p).unwrap();
+            w.put_order(s.step, RowOrder::GrayBin, p).unwrap();
         }
         for (var, idx) in &s.vars {
             w.put(s.step, var, idx).unwrap();
@@ -242,7 +268,7 @@ fn build_flat_store(name: &str, b: Build<'_>) -> PathBuf {
     let mut w = StoreWriter::create(&dir).unwrap();
     for s in dataset(b) {
         if let Some(p) = &s.perm {
-            w.put_order(s.step, b.order, p).unwrap();
+            w.put_order(s.step, RowOrder::GrayBin, p).unwrap();
         }
         for (var, idx) in &s.vars {
             w.put(s.step, var, idx).unwrap();
@@ -320,28 +346,23 @@ fn battery(rows: u64) -> Vec<QueryRequest> {
 #[test]
 fn sharded_equals_oracle_across_shards_bins_and_row_orders() {
     let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
-    // Bin counts pick different container codecs downstream; row orders
-    // exercise region mapping and pruning under a permutation — Hilbert
-    // scatters a region over hundreds of stored ranges; the lossy
+    // Bin counts pick different container codecs downstream; row layouts
+    // exercise region mapping and pruning under a permutation — the
+    // scattered one spreads a region over hundreds of stored ranges; the lossy
     // dimension puts a probe in front of every shard's exact index.
     for nbins in [16usize, 64] {
         let binner = Binner::fixed_width(0.0, 10.0, nbins);
         let model = Model::of_fields(&binner);
-        for order in [
-            RowOrder::Identity,
-            RowOrder::GrayBin,
-            RowOrder::HistogramSorted,
-            RowOrder::Hilbert,
-        ] {
+        for layout in [Layout::Identity, Layout::Sorted, Layout::Scattered] {
             for lossy in [None, Some(1e-2)] {
                 for shards in [1usize, 2, 3, 4] {
                     let b = Build {
                         shards,
                         binner: &binner,
-                        order,
+                        layout,
                         lossy,
                     };
-                    let tag = format!("b{nbins}-{order:?}-l{}-k{shards}", lossy.is_some());
+                    let tag = format!("b{nbins}-{layout:?}-l{}-k{shards}", lossy.is_some());
                     let dir = build_store(&format!("oracle-{tag}"), b);
                     if shards == 1 {
                         let flat = build_flat_store(&format!("oracle-flat-{tag}"), b);
@@ -361,11 +382,11 @@ fn sharded_equals_oracle_across_shards_bins_and_row_orders() {
                             assert_counts_the_selection(&engine, &req, &answer, &tag);
                         }
                     }
-                    if order == RowOrder::GrayBin && shards == 4 {
+                    if layout == Layout::Sorted && shards == 4 {
                         assert_prunes_under_permutation(&engine, &model, b, &tag);
                     }
                     // raw selections are byte-identical, not just equinumerous
-                    if order == RowOrder::Identity {
+                    if layout == Layout::Identity {
                         let q = SubsetQuery::value(2.0, 7.5).with_region(100..ROWS as u64 - 50);
                         let sel = engine.selection(0, "temperature", &q).unwrap();
                         assert_eq!(sel, model.selection(0, "temperature", &q), "{tag}");
@@ -510,7 +531,7 @@ fn plain_store(name: &str, shards: usize, binner: &Binner) -> PathBuf {
     let b = Build {
         shards,
         binner,
-        order: RowOrder::Identity,
+        layout: Layout::Identity,
         lossy: None,
     };
     build_store(name, b)
@@ -635,11 +656,32 @@ fn fanout_and_pruned_account_for_every_shard_of_every_query() {
         _ => 0,
     };
     let binner = Binner::fixed_width(0.0, 10.0, 48);
-    for shards in [1usize, 4] {
-        let dir = plain_store(&format!("fanout-k{shards}"), shards, &binner);
+    let has_region = |req: &QueryRequest| match req {
+        QueryRequest::Subset { query, .. } => query.position_range.is_some(),
+        QueryRequest::Correlation {
+            query_a, query_b, ..
+        } => query_a.position_range.is_some() || query_b.position_range.is_some(),
+    };
+    let segments = "reorder.query.region_mapped.segments";
+    for (shards, layout) in [
+        (1usize, Layout::Identity),
+        (4, Layout::Identity),
+        (4, Layout::Scattered),
+    ] {
+        let b = Build {
+            shards,
+            binner: &binner,
+            layout,
+            lossy: None,
+        };
+        let dir = build_store(&format!("fanout-k{shards}-{layout:?}"), b);
         let engine = open(&dir, None);
         let queries = battery(ROWS as u64);
-        let before = (counter("shard.query.fanout"), counter("shard.query.pruned"));
+        let before = (
+            counter("shard.query.fanout"),
+            counter("shard.query.pruned"),
+            counter(segments),
+        );
         for req in &queries {
             engine.run(req).unwrap();
         }
@@ -650,10 +692,24 @@ fn fanout_and_pruned_account_for_every_shard_of_every_query() {
             (shards * queries.len()) as u64,
             "k={shards}"
         );
-        // every query visits at least one shard; only regions prune, and
-        // one shard leaves nothing to prune
+        // every query visits at least one shard; only regions prune, one
+        // shard leaves nothing to prune, and scattered rows reach them all
         assert!(fanout >= queries.len() as u64, "k={shards}: {fanout}");
-        assert_eq!(pruned > 0, shards > 1, "k={shards}: {pruned}");
+        let prunes = shards > 1 && layout == Layout::Identity;
+        assert_eq!(pruned > 0, prunes, "k={shards} {layout:?}: {pruned}");
+        // under a permutation every region is resolved through the
+        // segments, once a query — there is no other resolver
+        let regions = queries.iter().filter(|req| has_region(req)).count() as u64;
+        let mapped = if layout == Layout::Identity {
+            0
+        } else {
+            regions
+        };
+        assert_eq!(
+            counter(segments) - before.2,
+            mapped,
+            "k={shards} {layout:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,16 +1,12 @@
 //! Multivariate bitmap-only analysis on the ocean dataset: the Section 2.2
-//! capabilities — correlation queries, subgroup discovery, approximate
-//! aggregation, and incomplete-data imputation — all computed from indices
-//! after the raw fields are gone.
+//! capabilities — correlation queries and approximate aggregation with
+//! guaranteed bounds — computed from indices after the raw fields are gone.
 //!
 //! ```text
 //! cargo run --release --example multivariate_analysis
 //! ```
 
-use ibis::analysis::{
-    aggregate, correlation_query, discover_subgroups, impute_from, ImputeStrategy, MaskedIndex,
-    SubgroupConfig, SubsetQuery,
-};
+use ibis::analysis::{aggregate, correlation_query, SubsetQuery};
 use ibis::core::{Binner, BitmapIndex};
 use ibis::datagen::{OceanConfig, OceanModel};
 
@@ -68,63 +64,15 @@ fn main() {
         warm.mutual_information, warm.selected
     );
 
-    // --- subgroup discovery: where is oxygen anomalously low? ---
-    let sg = discover_subgroups(
-        &[&indices[0], &indices[3]], // descriptors: temperature, nitrate
-        &indices[2],                 // target: oxygen
-        &SubgroupConfig {
-            bins_per_condition: 6,
-            top_k: 3,
-            ..Default::default()
-        },
-    );
-    let pop_o2 = aggregate::mean(&indices[2]).unwrap();
-    println!(
-        "subgroups with anomalous oxygen (population mean {:.2}):",
-        pop_o2.value
-    );
-    for s in &sg {
-        let desc: Vec<String> = s
-            .conditions
-            .iter()
-            .map(|c| {
-                let d = &indices[[0, 3][c.var.min(1)]];
-                let name = [vars[0], vars[3]][c.var.min(1)];
-                let (lo, _) = d.binner().bin_range(c.bin_lo);
-                let (_, hi) = d.binner().bin_range(c.bin_hi);
-                format!("{name}∈[{lo:.1},{hi:.1})")
-            })
-            .collect();
+    // --- approximate aggregation: bin midpoints, with a hard error bound ---
+    println!("approximate means (true mean must lie inside the bound):");
+    for (name, (data, index)) in vars.iter().zip(raw.iter().zip(&indices)) {
+        let mean = aggregate::mean(index).expect("non-empty field");
+        let truth = data.iter().sum::<f64>() / data.len() as f64;
         println!(
-            "  {:<46} coverage {:>6}  mean O2 {:>5.2}  quality {:.3}",
-            desc.join(" ∧ "),
-            s.coverage,
-            s.target_mean,
-            s.quality
+            "  {name:<12} {:>8.3} ± {:.3}   (true {truth:.3})",
+            mean.value, mean.bound
         );
+        assert!(mean.contains(truth), "{name}: bound must hold");
     }
-
-    // --- incomplete data: drop 25% of salinity, rebuild it from temperature ---
-    let n = raw[1].len();
-    let present: Vec<bool> = (0..n)
-        .map(|i| (i.wrapping_mul(2654435761) >> 11) % 4 != 0)
-        .collect();
-    let masked = MaskedIndex::build(&raw[1], &present, Binner::fit(&raw[1], 48));
-    let imputed = impute_from(&masked, &indices[0], ImputeStrategy::ConditionalMean);
-    let mut err = 0.0;
-    for im in &imputed {
-        err += (im.value - raw[1][im.position as usize]).powi(2);
-    }
-    let rmse = (err / imputed.len() as f64).sqrt();
-    let spread = {
-        let mean = raw[1].iter().sum::<f64>() / n as f64;
-        (raw[1].iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n as f64).sqrt()
-    };
-    println!(
-        "\nimputed {} missing salinity cells from temperature: RMSE {:.3} psu (field σ = {:.3})",
-        imputed.len(),
-        rmse,
-        spread
-    );
-    assert!(rmse < spread, "imputation must beat the field's own spread");
 }

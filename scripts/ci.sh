@@ -27,6 +27,10 @@ echo "==> cargo clippy (ibis-insitu non-test code: no unwrap/expect)"
 # crates/insitu/src/lib.rs gates exactly the non-test code.
 cargo clippy -p ibis-insitu --lib -- -D warnings
 
+echo "==> cargo doc (workspace, broken intra-doc links are errors)"
+# A deletion must not leave a [`link`] to what it deleted.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
+
 # The observability differential harness accumulates per-config digests
 # under target/obs_differential; start from a clean slate so the digests
 # compared below both come from this CI run.
@@ -34,6 +38,10 @@ rm -rf target/obs_differential
 
 echo "==> cargo test (workspace, instrumented: obs on by default)"
 cargo test -q --workspace
+
+echo "==> cargo test (rayon shim: install/width semantics the pool-width regressions rest on)"
+# vendor/ is outside the workspace; the shim is tested as the dependency it is.
+cargo test -q -p rayon
 
 echo "==> cargo test (observability layer with obs feature off: no-op build)"
 cargo test -q -p ibis-obs --no-default-features

@@ -89,12 +89,12 @@ USAGE:
               [--machine xeon|mic] [--method bitmaps|full|sample:<pct>]
               [--allocation shared|auto|<simcores>:<bmcores>] [--out DIR]
               [--shards K] [--lossy-fpr X]
-              [--row-order identity|zorder|hilbert|graybin|histsorted|auto]
+              [--row-order identity|graybin|auto]
   ibis mine   [--grid LONxLATxDEPTH] [--bins N] [--t1 X] [--t2 Y]
               [--unit N] [--top N]
   ibis query  --var-a NAME --var-b NAME [--value-a LO:HI] [--value-b LO:HI]
               [--region LO:HI] [--grid LONxLATxDEPTH]
-              [--row-order identity|zorder|hilbert|graybin|histsorted]
+              [--row-order identity|graybin]
   ibis query  --store DIR --batch FILE [--cache-mb N] [--json-out PATH]
               [--lossy-fpr X]
   ibis serve  --store DIR [--addr HOST:PORT] [--workers N] [--queue N]
@@ -194,9 +194,8 @@ fn get_row_order(flags: &Flags, allow_auto: bool) -> Result<Option<RowOrder>, St
         None => Ok(Some(RowOrder::Identity)),
         Some("auto") if allow_auto => Ok(None),
         Some(name) => RowOrder::parse(name).map(Some).ok_or_else(|| {
-            format!(
-                "--row-order: unknown order {name:?} (identity|zorder|hilbert|graybin|histsorted)"
-            )
+            let auto = if allow_auto { "|auto" } else { "" };
+            format!("--row-order: unknown order {name:?} (identity|graybin{auto})")
         }),
     }
 }
@@ -318,14 +317,13 @@ fn cmd_insitu(flags: &Flags) -> Result<(), String> {
         Some(order) => order,
         None => {
             // `auto`: probe one step of a fresh simulation and keep the
-            // order under which the store comes out smallest.
+            // order under which the store comes out smaller.
             let mut probe: Box<dyn Simulation> = match sim_name {
                 "heat3d" => Box::new(Heat3D::new(Heat3DConfig::default())),
                 _ => Box::new(MiniLulesh::new(LuleshConfig::default())),
             };
-            let dims = probe.grid_dims();
             let out = probe.step();
-            let order = suggest_row_order(&out, &binners, dims);
+            let order = suggest_row_order(&out, &binners);
             println!("row order (auto): {}", order.name());
             order
         }
@@ -382,14 +380,13 @@ fn cmd_insitu(flags: &Flags) -> Result<(), String> {
             "heat3d" => Box::new(Heat3D::new(Heat3DConfig::default())),
             _ => Box::new(MiniLulesh::new(LuleshConfig::default())),
         };
-        let dims: Vec<usize> = sim2.grid_dims().map(|d| d.to_vec()).unwrap_or_default();
         for step in 0..steps {
             let out = sim2.step();
             if !report.selected.contains(&step) {
                 continue;
             }
             // the per-step permutation the pipeline applied
-            let perm = step_permutation(&out, row_order, &dims, &binners[0]);
+            let perm = step_permutation(&out, row_order, &binners[0]);
             if let Some(p) = &perm {
                 // before the indices it permutes (`StoreWriter::put_order`)
                 store
@@ -495,7 +492,7 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
     // identical to identity order (region predicates map through the
     // inverse), only the index sizes change.
     let order = get_row_order(flags, false)?.unwrap_or(RowOrder::Identity);
-    let perm = order.permutation(&[ndepth, nlat, nlon], &ba, &a);
+    let perm = order.permutation(&[], &ba, &a);
     let (ia, ib) = match &perm {
         Some(p) => (
             BitmapIndex::build_permuted(&a, ba, p),

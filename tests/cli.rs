@@ -33,6 +33,16 @@ fn bad_flag_value_fails_cleanly() {
         .expect("spawn");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--steps"));
+    // the retired row orders are unknown names, and say what is left
+    for retired in ["zorder", "hilbert", "histsorted"] {
+        let out = ibis()
+            .args(["insitu", "--row-order", retired])
+            .output()
+            .expect("spawn");
+        assert!(!out.status.success(), "{retired}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("(identity|graybin|auto)"), "{retired}: {err}");
+    }
 }
 
 #[test]

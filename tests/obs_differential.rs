@@ -35,10 +35,10 @@ fn pipeline_cfg() -> PipelineConfig {
         metric: Metric::ConditionalEntropy,
         binners: Vec::new(),
         per_step_precision: Some(0),
-        // A data-dependent order keeps the run on the reorder path, so the
+        // A sorting order keeps the run on the reorder path, so the
         // differential also proves reordering itself has no observer effect
         // (and populates the `reorder.*` family below).
-        row_order: RowOrder::HistogramSorted,
+        row_order: RowOrder::GrayBin,
         queue_capacity: 2,
         sim_scaling: ScalingModel::heat3d(),
         robustness: RobustnessConfig::default(),
