@@ -9,6 +9,7 @@
 //! its bin midpoint by at most half the bin width, so sums/means carry a
 //! guaranteed interval.
 
+use crate::entropy::JointCells;
 use ibis_core::{Binner, BitmapIndex};
 
 /// An aggregate estimate with its guaranteed absolute error bound.
@@ -122,12 +123,8 @@ pub fn variance(index: &BitmapIndex) -> Option<Estimate> {
 /// joint bin counts with midpoint values. Returns `None` when either
 /// variable is (approximately) constant.
 pub fn pearson(a: &BitmapIndex, b: &BitmapIndex) -> Option<f64> {
-    pearson_from_joint_counts(
-        a.binner(),
-        b.binner(),
-        &crate::histogram::joint_counts(a, b, None),
-        a.len(),
-    )
+    let joint = crate::histogram::joint_counts(a, b);
+    pearson_from_joint_counts(a.binner(), b.binner(), &joint, a.len())
 }
 
 /// The Pearson finisher: joint `(bin_a, bin_b)` counts to an approximate
@@ -141,6 +138,18 @@ pub fn pearson_from_joint_counts(
     joint: &[u64],
     n: u64,
 ) -> Option<f64> {
+    let cells = JointCells::scan(joint, binner_a.nbins(), binner_b.nbins());
+    pearson_from_cells(binner_a, binner_b, &cells, n)
+}
+
+/// [`pearson_from_joint_counts`] over a table already scanned: one term per
+/// non-zero cell, in row-major order.
+pub(crate) fn pearson_from_cells(
+    binner_a: &Binner,
+    binner_b: &Binner,
+    cells: &JointCells,
+    n: u64,
+) -> Option<f64> {
     if n < 2 {
         return None;
     }
@@ -149,21 +158,14 @@ pub fn pearson_from_joint_counts(
         let (lo, hi) = binner.bin_range(bin);
         (lo + hi) / 2.0
     };
-    let nb = binner_b.nbins();
     let (mut sx, mut sy, mut sxx, mut syy, mut sxy) = (0.0, 0.0, 0.0, 0.0, 0.0);
-    for j in 0..binner_a.nbins() {
-        for k in 0..nb {
-            let c = joint[j * nb + k] as f64;
-            if c == 0.0 {
-                continue;
-            }
-            let (x, y) = (mid(binner_a, j), mid(binner_b, k));
-            sx += c * x;
-            sy += c * y;
-            sxx += c * x * x;
-            syy += c * y * y;
-            sxy += c * x * y;
-        }
+    for &(j, k, c) in &cells.cells {
+        let (c, x, y) = (c as f64, mid(binner_a, j), mid(binner_b, k));
+        sx += c * x;
+        sy += c * y;
+        sxx += c * x * x;
+        syy += c * y * y;
+        sxy += c * x * y;
     }
     let cov = sxy / nf - (sx / nf) * (sy / nf);
     let vx = sxx / nf - (sx / nf).powi(2);

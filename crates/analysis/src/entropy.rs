@@ -6,7 +6,7 @@
 //! popcounts + compressed ANDs) produces bit-identical values to the
 //! full-data path under the same binning.
 
-use crate::histogram::{histogram, joint_counts, joint_histogram, marginal_a, marginal_b};
+use crate::histogram::{histogram, joint_counts, joint_histogram};
 use ibis_core::{Binner, BitmapIndex};
 
 /// Shannon entropy (bits) of a count vector — Equation 4.
@@ -26,39 +26,52 @@ pub fn shannon_entropy_from_counts(counts: &[u64]) -> f64 {
     h
 }
 
+/// The non-zero cells `(bin_a, bin_b, count)` of a flattened joint count
+/// table, in row-major order, with its marginals: what every joint
+/// finisher reads, collected in one scan. The marginals come from the
+/// table itself, so the three distributions are always consistent.
+pub(crate) struct JointCells {
+    pub(crate) cells: Vec<(usize, usize, u64)>,
+    pub(crate) pa: Vec<u64>,
+    pub(crate) pb: Vec<u64>,
+}
+
+impl JointCells {
+    pub(crate) fn scan(joint: &[u64], na: usize, nb: usize) -> Self {
+        assert_eq!(joint.len(), na * nb);
+        let (mut cells, mut pa, mut pb) = (Vec::new(), vec![0u64; na], vec![0u64; nb]);
+        for (i, &c) in joint.iter().enumerate().filter(|(_, &c)| c != 0) {
+            cells.push((i / nb, i % nb, c));
+            pa[i / nb] += c;
+            pb[i % nb] += c;
+        }
+        JointCells { cells, pa, pb }
+    }
+
+    /// Equation 5, one term per non-zero cell: the row-major order and the
+    /// per-cell expression are what make the float repeat bit for bit.
+    pub(crate) fn mutual_information(&self) -> f64 {
+        let n = self.pa.iter().sum::<u64>() as f64;
+        let mut mi = 0.0;
+        for &(j, k, c) in &self.cells {
+            let pjk = c as f64 / n;
+            let (pj, pk) = (self.pa[j] as f64 / n, self.pb[k] as f64 / n);
+            mi += pjk * (pjk / (pj * pk)).log2();
+        }
+        mi.max(0.0) // guard tiny negative rounding
+    }
+}
+
 /// Mutual information (bits) from a flattened joint count table —
-/// Equation 5. Marginals are derived from the table itself, so the three
-/// distributions are always consistent.
+/// Equation 5; `0.0` for an empty table.
 pub fn mutual_information_from_counts(joint: &[u64], na: usize, nb: usize) -> f64 {
-    let total: u64 = joint.iter().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let pa = marginal_a(joint, na, nb);
-    let pb = marginal_b(joint, na, nb);
-    let n = total as f64;
-    let mut mi = 0.0;
-    for j in 0..na {
-        if pa[j] == 0 {
-            continue;
-        }
-        for k in 0..nb {
-            let c = joint[j * nb + k];
-            if c > 0 {
-                let pjk = c as f64 / n;
-                let pj = pa[j] as f64 / n;
-                let pk = pb[k] as f64 / n;
-                mi += pjk * (pjk / (pj * pk)).log2();
-            }
-        }
-    }
-    mi.max(0.0) // guard tiny negative rounding
+    JointCells::scan(joint, na, nb).mutual_information()
 }
 
 /// Conditional entropy `H(A|B) = H(A) − I(A;B)` from counts — Equation 6.
 pub fn conditional_entropy_from_counts(joint: &[u64], na: usize, nb: usize) -> f64 {
-    let pa = marginal_a(joint, na, nb);
-    shannon_entropy_from_counts(&pa) - mutual_information_from_counts(joint, na, nb)
+    let cells = JointCells::scan(joint, na, nb);
+    shannon_entropy_from_counts(&cells.pa) - cells.mutual_information()
 }
 
 // ---------------------------------------------------------------------------
@@ -98,13 +111,13 @@ pub fn shannon_entropy_index(index: &BitmapIndex) -> f64 {
 /// distribution the bitmaps alone give ([`joint_counts`]; the paper's
 /// Figure 5 gets it from `m × n` compressed ANDs).
 pub fn mutual_information_index(a: &BitmapIndex, b: &BitmapIndex) -> f64 {
-    let joint = joint_counts(a, b, None);
+    let joint = joint_counts(a, b);
     mutual_information_from_counts(&joint, a.nbins(), b.nbins())
 }
 
 /// Conditional entropy `H(A|B)` of two indexed variables.
 pub fn conditional_entropy_index(a: &BitmapIndex, b: &BitmapIndex) -> f64 {
-    let joint = joint_counts(a, b, None);
+    let joint = joint_counts(a, b);
     conditional_entropy_from_counts(&joint, a.nbins(), b.nbins())
 }
 

@@ -13,6 +13,7 @@
 use ibis_core::wah::LITERAL_MASK;
 use ibis_core::{Binner, BitmapIndex, CodecVec, Ones, OnesCursor, RoaringVec, WahVec};
 use ibis_obs::LazyCounter;
+use std::ops::Range;
 
 /// Per-bin counts of `data` under `binner` (sequential scan).
 pub fn histogram(data: &[f64], binner: &Binner) -> Vec<u64> {
@@ -48,12 +49,16 @@ static OBS_CHUNKS_SKIPPED: LazyCounter = LazyCounter::new("query.joint.chunks.sk
 
 /// Rows per WAH segment.
 const SEG: usize = 31;
-/// Rows [`joint_counts`] labels at a time: 512 segments, so both operands'
-/// labels (2 × 31 KB by row + 2 × 1 KB by segment) stay L2-resident.
+/// Rows [`joint_counts_where`] labels at a time: 512 segments, so both
+/// operands' labels (2 × 31 KB by row + 2 × 3 KB by segment) stay
+/// L2-resident.
 pub const CHUNK_ROWS: u64 = (SEG * 512) as u64;
-/// Segment label: the segment's rows sit in several bins — read the row
-/// labels. Also why a bin id must stay below it.
+/// Segment label: the segment's rows sit in several bins, or some in no
+/// admitted one — read the row labels, under the segment's mask.
 const MIXED: u16 = u16::MAX;
+/// Segment label: no admitted bin holds a row of the segment. With
+/// [`MIXED`], why a bin id must stay below it.
+const NONE: u16 = u16::MAX - 1;
 
 /// The rows of one bin, walked on the form the bin is held in.
 enum BinRows<'a> {
@@ -61,44 +66,120 @@ enum BinRows<'a> {
     Roaring(&'a RoaringVec),
 }
 
-/// One operand's bin labels over the chunk being counted.
+/// One operand's bin labels over the stretch of rows being counted.
 struct Labels<'a> {
-    /// The rows of each non-empty bin, with the bin's id.
+    /// The rows of each non-empty admitted bin, with the bin's id.
     bins: Vec<(u16, BinRows<'a>)>,
-    /// Per 31-row segment: the one bin holding all its rows, or [`MIXED`].
+    /// Per 31-row segment: the one bin holding all its rows, [`NONE`] or
+    /// [`MIXED`].
     seg: Vec<u16>,
-    /// Per row; current inside [`MIXED`] segments only.
+    /// Per [`MIXED`] segment: the rows an admitted bin labelled in this
+    /// stretch. No row label outside it is read, so a stale one never is.
+    /// Neither reset nor read when `total`.
+    mask: Vec<u32>,
+    /// Every non-empty bin is admitted, so every row of a stretch is
+    /// relabelled: no segment is [`NONE`] and no row label is stale.
+    total: bool,
+    /// Per row; current under `mask` only.
     row: Vec<u16>,
 }
 
 impl<'a> Labels<'a> {
-    fn new(index: &'a BitmapIndex, rows: usize) -> Self {
-        let live = (0..index.nbins()).filter(|&id| index.counts()[id] != 0);
+    fn new(index: &'a BitmapIndex, admitted: Range<usize>, rows: usize) -> Self {
+        let live = admitted.filter(|&id| index.counts().get(id).is_some_and(|&c| c != 0));
         let rows_of = |id| match index.stored_bin(id) {
             CodecVec::Wah(v) => BinRows::Wah(v.ones_cursor()),
             CodecVec::Roaring(v) => BinRows::Roaring(v),
         };
+        let bins: Vec<_> = live.map(|id| (id as u16, rows_of(id))).collect();
         Labels {
-            bins: live.map(|id| (id as u16, rows_of(id))).collect(),
-            seg: vec![MIXED; rows.div_ceil(SEG)],
+            total: bins.len() == index.counts().iter().filter(|&&c| c != 0).count(),
+            bins,
+            seg: vec![NONE; rows.div_ceil(SEG)],
+            mask: vec![0; rows.div_ceil(SEG)],
             row: vec![0; rows],
         }
     }
 
     /// Labels rows `[lo, hi)`, `lo` a multiple of 31. The bins partition
-    /// them, so every segment is either inside one bin's run of rows — a
-    /// WAH 1-fill, or the whole segments a Roaring run covers — or made of
-    /// pieces that between them name every row.
+    /// the rows, so a segment inside one bin's run of rows — a WAH 1-fill,
+    /// or the whole segments a Roaring run covers — is in no other bin, and
+    /// any other segment is made of pieces that between them name every row
+    /// an admitted bin holds.
     fn label(&mut self, lo: u64, hi: u64) {
-        for (id, rows) in &mut self.bins {
+        let segs = ((hi - lo) as usize).div_ceil(SEG);
+        if !self.total {
+            self.seg[..segs].fill(NONE);
+            self.mask[..segs].fill(0);
+        }
+        let mut bins = std::mem::take(&mut self.bins);
+        for (id, rows) in &mut bins {
             match rows {
-                BinRows::Wah(ones) => label_wah(&mut self.seg, &mut self.row, *id, ones, lo, hi),
-                BinRows::Roaring(v) => label_roaring(&mut self.seg, &mut self.row, *id, v, lo, hi),
+                BinRows::Wah(ones) => self.label_wah(*id, ones, lo, hi),
+                BinRows::Roaring(v) => self.label_roaring(*id, v, lo, hi),
+            }
+        }
+        self.bins = bins;
+    }
+
+    /// [`Labels::label`] for a bin held as WAH: one label per segment under
+    /// a 1-fill, one per row inside literal words. (A function of its own,
+    /// like its Roaring twin: inlined into one loop the two arms slow each
+    /// other.)
+    fn label_wah(&mut self, id: u16, ones: &mut OnesCursor, lo: u64, hi: u64) {
+        // as slices: the stores below cannot move what the fields point at
+        let (seg, mask, row) = (&mut self.seg[..], &mut self.mask[..], &mut self.row[..]);
+        let (at, total) = (|r: u64| (r - lo) as usize, self.total);
+        ones.skip_to(lo);
+        while let Some(run) = ones.next_before(hi) {
+            match run {
+                Ones::Fill(start, end) => seg[at(start) / SEG..at(end) / SEG].fill(id),
+                Ones::Literal(base, bits) => {
+                    seg[at(base) / SEG] = MIXED;
+                    if !total {
+                        mask[at(base) / SEG] |= bits;
+                    }
+                    run.for_each(|r| row[at(r)] = id);
+                }
             }
         }
     }
 
-    /// The bin of chunk row `r`, which lies in segment `s`.
+    /// [`Labels::label`] for a bin held as Roaring, read where it lies: a
+    /// scattered bit is one row label, a run labels the whole segments it
+    /// covers and its rows in the segment at either end.
+    fn label_roaring(&mut self, id: u16, v: &RoaringVec, lo: u64, hi: u64) {
+        let (seg, mask, row) = (&mut self.seg[..], &mut self.mask[..], &mut self.row[..]);
+        let total = self.total;
+        v.for_each_run_in(lo..hi, |start, end| {
+            let (mut start, end) = ((start - lo) as usize, (end - lo) as usize);
+            if end - start == 1 {
+                seg[start / SEG] = MIXED;
+                if !total {
+                    mask[start / SEG] |= 1 << (start % SEG);
+                }
+                row[start] = id;
+                return;
+            }
+            while start < end {
+                let (s, whole) = (start / SEG, end / SEG);
+                if start % SEG == 0 && s < whole {
+                    seg[s..whole].fill(id);
+                    start = whole * SEG;
+                } else {
+                    let stop = end.min((s + 1) * SEG);
+                    seg[s] = MIXED;
+                    if !total {
+                        mask[s] |= segment_bits(start, stop);
+                    }
+                    row[start..stop].fill(id);
+                    start = stop;
+                }
+            }
+        });
+    }
+
+    /// The bin of labelled row `r`, which lies in segment `s`.
     #[inline]
     fn bin_of(&self, s: usize, r: u64) -> usize {
         match self.seg[s] {
@@ -108,129 +189,127 @@ impl<'a> Labels<'a> {
     }
 }
 
-/// [`Labels::label`] for a bin held as WAH: one label per segment under a
-/// 1-fill, one per row inside literal words. (A function of its own, like
-/// its Roaring twin: inlined into one loop the two arms slow each other.)
-fn label_wah(seg: &mut [u16], row: &mut [u16], id: u16, ones: &mut OnesCursor, lo: u64, hi: u64) {
-    let at = |r: u64| (r - lo) as usize;
-    ones.skip_to(lo);
-    while let Some(run) = ones.next_before(hi) {
-        match run {
-            Ones::Fill(start, end) => seg[at(start) / SEG..at(end) / SEG].fill(id),
-            Ones::Literal(base, _) => {
-                seg[at(base) / SEG] = MIXED;
-                run.for_each(|r| row[at(r)] = id);
-            }
-        }
-    }
+/// Rows `[from, to)` of one segment as that segment's literal bits.
+#[inline]
+fn segment_bits(from: usize, to: usize) -> u32 {
+    (LITERAL_MASK >> (SEG - (to - from))) << (from % SEG)
 }
 
-/// [`Labels::label`] for a bin held as Roaring, read where it lies: a
-/// scattered bit is one row label, a run labels the whole segments it
-/// covers and its rows in the segment at either end.
-fn label_roaring(seg: &mut [u16], row: &mut [u16], id: u16, v: &RoaringVec, lo: u64, hi: u64) {
-    let at = |r: u64| (r - lo) as usize;
-    v.for_each_run_in(lo..hi, |mut start, end| {
-        if end - start == 1 {
-            let r = at(start);
-            seg[r / SEG] = MIXED;
-            row[r] = id;
-            return;
-        }
-        while start < end {
-            let (s, whole) = (at(start) / SEG, at(end) / SEG);
-            if at(start) % SEG == 0 && s < whole {
-                seg[s..whole].fill(id);
-                start = lo + (whole * SEG) as u64;
-            } else {
-                let stop = end.min(lo + ((s + 1) * SEG) as u64);
-                seg[s] = MIXED;
-                row[at(start)..at(stop)].fill(id);
-                start = stop;
-            }
-        }
-    });
+/// Joint bin counts of two indices, flattened like [`joint_histogram`] and
+/// exactly equal to it on the underlying data — from the bitmaps alone:
+/// [`joint_counts_where`] over every bin and row, or, for operands it
+/// cannot label, [`joint_counts_and_table`].
+pub fn joint_counts(a: &BitmapIndex, b: &BitmapIndex) -> Vec<u64> {
+    joint_counts_where(a, b, 0..a.nbins(), 0..b.nbins(), None)
+        .unwrap_or_else(|| joint_counts_and_table(a, b, None))
 }
 
-/// Joint bin counts of two indices over the rows `sel` keeps (`None`: all
-/// of them), flattened like [`joint_histogram`] and exactly equal to it on
-/// the underlying data — from the bitmaps alone.
+/// The joint table of the rows that lie in `ranges` — sorted, disjoint
+/// ranges of the indices' rows; `None` is every row — and in an admitted
+/// bin of each operand (a span past the last bin admits nothing there): a
+/// correlation's table with no selection built. `None` when an operand does
+/// not partition its rows (a lossy superset) or has more bins than labels.
 ///
-/// The bins of an index built from data *partition* its rows, so each row
-/// lands in exactly one cell and the table costs one pass, not the
-/// `m × n` ANDs of [`joint_counts_and_table`]: rows are walked in chunks
-/// of [`CHUNK_ROWS`]; a chunk the selection misses is skipped; in any
-/// other, every non-empty bin writes its id over the rows it holds — one
-/// label per 31-row segment under a 1-fill (sorted rows: O(runs)), one per
-/// row inside literal words — and the selection's runs are counted against
-/// the two label sets, whole stretches of equally-labelled segments at a
-/// time. O(words(a) + words(b) + words(sel) + rows in mixed segments of
-/// the chunks touched); `a` and `b` being one index labels once. An operand
-/// that does not partition (a lossy superset index) or has more bins than
-/// a label can name takes the AND table instead.
-pub fn joint_counts(a: &BitmapIndex, b: &BitmapIndex, sel: Option<&WahVec>) -> Vec<u64> {
+/// The bins of an index built from data *partition* its rows, so "the row
+/// passes the value predicate" is "the row's label is an admitted bin",
+/// each row lands in at most one cell, and the table costs one pass, not
+/// the `m × n` ANDs of [`joint_counts_and_table`]: rows are walked in
+/// chunks of [`CHUNK_ROWS`]; a chunk no range meets is skipped; in any
+/// other, over the stretch the ranges' hull covers, every non-empty
+/// admitted bin writes its id over the rows it holds — one label per
+/// 31-row segment under a 1-fill (sorted rows: O(runs)), one per row
+/// inside literal words — and the ranges are counted against the two label
+/// sets, whole stretches of equally-labelled segments at a time. O(words
+/// of the admitted bins + rows in mixed segments of the stretches
+/// touched); `a` and `b` being one index labels once.
+pub fn joint_counts_where(
+    a: &BitmapIndex,
+    b: &BitmapIndex,
+    bins_a: Range<usize>,
+    bins_b: Range<usize>,
+    ranges: Option<&[Range<u64>]>,
+) -> Option<Vec<u64>> {
     assert_eq!(a.len(), b.len(), "indexes cover different element counts");
     let (n, nb) = (a.len(), b.nbins());
-    if !(a.partitions() && b.partitions()) || a.nbins().max(nb) > MIXED as usize {
-        return joint_counts_and_table(a, b, sel);
+    if !(a.partitions() && b.partitions()) || a.nbins().max(nb) > NONE as usize {
+        return None;
     }
     OBS_JOINT_PARTITION.inc();
-    let all = WahVec::ones(n);
-    let sel = sel.unwrap_or(&all);
-    assert_eq!(sel.len(), n, "selection length mismatch");
+    let whole = 0..n;
+    let ranges = ranges.unwrap_or(std::slice::from_ref(&whole));
+    debug_assert!(ranges.windows(2).all(|w| w[0].end <= w[1].start));
     let mut joint = vec![0u64; a.nbins() * nb];
     let rows = CHUNK_ROWS.min(n) as usize;
-    let mut labels_a = Labels::new(a, rows);
-    let mut labels_b = (!std::ptr::eq(a, b)).then(|| Labels::new(b, rows));
-    let mut selected = sel.ones_cursor();
+    // One index against itself: a row's two labels are one, so it passes
+    // both predicates iff that bin lies in both spans — label once.
+    let shared = std::ptr::eq(a, b);
+    let both = bins_a.start.max(bins_b.start)..bins_a.end.min(bins_b.end);
+    let mut labels_a = Labels::new(a, if shared { both } else { bins_a }, rows);
+    let mut labels_b = (!shared).then(|| Labels::new(b, bins_b, rows));
+    let mut next = 0; // the first range that ends past the chunk's first row
     for lo in (0..n).step_by(CHUNK_ROWS as usize) {
         let hi = (lo + CHUNK_ROWS).min(n);
-        let mut probe = selected.clone();
-        if probe.next_before(hi).is_none() {
-            selected = probe;
+        next += ranges[next..].partition_point(|r| r.end <= lo);
+        let met = &ranges[next..];
+        let met = &met[..met.partition_point(|r| r.start < hi)];
+        let (Some(first), Some(last)) = (met.first(), met.last()) else {
             OBS_CHUNKS_SKIPPED.inc();
             continue;
-        }
+        };
         OBS_CHUNKS_LABELLED.inc();
-        labels_a.label(lo, hi);
+        // the ranges' hull inside the chunk, widened to segment edges
+        let from = first.start.max(lo) / SEG as u64 * SEG as u64;
+        let to = (last.end.div_ceil(SEG as u64) * SEG as u64).min(hi);
+        labels_a.label(from, to);
         if let Some(labels_b) = &mut labels_b {
-            labels_b.label(lo, hi);
+            labels_b.label(from, to);
         }
         let (la, lb) = (&labels_a, labels_b.as_ref().unwrap_or(&labels_a));
-        // the selected rows `bits` of segment `s`
+        // the rows `bits` of the stretch's segment `s`, kept by a range
         let count_segment = |joint: &mut [u64], s: usize, bits: u32| {
-            if la.seg[s] != MIXED && lb.seg[s] != MIXED {
-                joint[la.seg[s] as usize * nb + lb.seg[s] as usize] += bits.count_ones() as u64;
-                return;
+            let (ja, kb) = (la.seg[s], lb.seg[s]);
+            if ja.max(kb) < NONE {
+                joint[ja as usize * nb + kb as usize] += bits.count_ones() as u64;
+            } else if ja != NONE && kb != NONE {
+                let labelled = |l: &Labels| match l.seg[s] {
+                    MIXED if !l.total => l.mask[s],
+                    _ => bits,
+                };
+                Ones::Literal((s * SEG) as u64, bits & labelled(la) & labelled(lb))
+                    .for_each(|r| joint[la.bin_of(s, r) * nb + lb.bin_of(s, r)] += 1);
             }
-            Ones::Literal((s * SEG) as u64, bits)
-                .for_each(|r| joint[la.bin_of(s, r) * nb + lb.bin_of(s, r)] += 1);
         };
-        while let Some(run) = selected.next_before(hi) {
-            match run {
-                Ones::Literal(base, bits) => {
-                    count_segment(&mut joint, (base - lo) as usize / SEG, bits)
+        for r in met {
+            let mut at = (r.start.max(from) - from) as usize;
+            let end = (r.end.min(to) - from) as usize;
+            while at < end {
+                let (mut s, whole) = (at / SEG, end / SEG);
+                if !at.is_multiple_of(SEG) || s == whole {
+                    let stop = end.min((s + 1) * SEG);
+                    count_segment(&mut joint, s, segment_bits(at, stop));
+                    at = stop;
+                    continue;
                 }
-                Ones::Fill(start, end) => {
-                    let (mut s, end) = ((start - lo) as usize / SEG, (end - lo) as usize / SEG);
-                    while s < end {
-                        let cell = (la.seg[s], lb.seg[s]);
-                        if cell.0 == MIXED || cell.1 == MIXED {
-                            count_segment(&mut joint, s, LITERAL_MASK);
-                            s += 1;
-                            continue;
-                        }
-                        let same = (s..end)
-                            .take_while(|&t| (la.seg[t], lb.seg[t]) == cell)
-                            .count();
-                        joint[cell.0 as usize * nb + cell.1 as usize] += (same * SEG) as u64;
-                        s += same;
+                while s < whole {
+                    let cell = (la.seg[s], lb.seg[s]);
+                    if cell.0 == MIXED || cell.1 == MIXED {
+                        count_segment(&mut joint, s, LITERAL_MASK);
+                        s += 1;
+                        continue;
                     }
+                    let same = (s..whole)
+                        .take_while(|&t| (la.seg[t], lb.seg[t]) == cell)
+                        .count();
+                    if cell.0.max(cell.1) < NONE {
+                        joint[cell.0 as usize * nb + cell.1 as usize] += (same * SEG) as u64;
+                    }
+                    s += same;
                 }
+                at = whole * SEG;
             }
         }
     }
-    joint
+    Some(joint)
 }
 
 /// The paper's Figure 5 kernel: one compressed `AND` + popcount per pair
@@ -253,22 +332,6 @@ pub fn joint_counts_and_table(a: &BitmapIndex, b: &BitmapIndex, sel: Option<&Wah
         }
     }
     joint
-}
-
-/// Row sums of a flattened joint table (marginal of the first variable).
-pub fn marginal_a(joint: &[u64], na: usize, nb: usize) -> Vec<u64> {
-    assert_eq!(joint.len(), na * nb);
-    (0..na)
-        .map(|j| joint[j * nb..(j + 1) * nb].iter().sum())
-        .collect()
-}
-
-/// Column sums of a flattened joint table (marginal of the second variable).
-pub fn marginal_b(joint: &[u64], na: usize, nb: usize) -> Vec<u64> {
-    assert_eq!(joint.len(), na * nb);
-    (0..nb)
-        .map(|k| (0..na).map(|j| joint[j * nb + k]).sum())
-        .collect()
 }
 
 #[cfg(test)]
@@ -295,8 +358,9 @@ mod tests {
         let ba = Binner::fixed_width(0.0, 100.0, 12);
         let bb = Binner::fixed_width(0.0, 90.0, 9);
         let j = joint_histogram(&data_a(), &data_b(), &ba, &bb);
-        assert_eq!(marginal_a(&j, 12, 9), histogram(&data_a(), &ba));
-        assert_eq!(marginal_b(&j, 12, 9), histogram(&data_b(), &bb));
+        let cells = crate::entropy::JointCells::scan(&j, 12, 9);
+        assert_eq!(cells.pa, histogram(&data_a(), &ba));
+        assert_eq!(cells.pb, histogram(&data_b(), &bb));
     }
 
     #[test]
@@ -306,7 +370,7 @@ mod tests {
         let ia = BitmapIndex::build(&data_a(), ba.clone());
         let ib = BitmapIndex::build(&data_b(), bb.clone());
         let want = joint_histogram(&data_a(), &data_b(), &ba, &bb);
-        assert_eq!(joint_counts(&ia, &ib, None), want);
+        assert_eq!(joint_counts(&ia, &ib), want);
         assert_eq!(joint_counts_and_table(&ia, &ib, None), want);
     }
 
@@ -320,7 +384,7 @@ mod tests {
             let ia = BitmapIndex::build(&a, binner.clone());
             let ib = BitmapIndex::build(&b, binner.clone());
             assert_eq!(
-                joint_counts(&ia, &ib, None),
+                joint_counts(&ia, &ib),
                 joint_histogram(&a, &b, &binner, &binner),
                 "nbins={nbins}"
             );
@@ -335,19 +399,72 @@ mod tests {
         let binner = Binner::fixed_width(0.0, 10.0, 100);
         let ia = BitmapIndex::build(&a, binner.clone());
         let ib = BitmapIndex::build(&b, binner);
-        let dense: Vec<u64> = (100..2900).collect();
-        for sel in [
-            WahVec::ones(n as u64),
-            WahVec::zeros(n as u64),
-            WahVec::from_ones(&dense, n as u64),
-            WahVec::from_ones(&[5, 700, 2999], n as u64), // sparse
-            WahVec::from_bits((0..n).map(|i| i % 2 == 0)), // incompressible
+        let scattered: Vec<Range<u64>> = (0..n as u64).step_by(2).map(|i| i..i + 1).collect();
+        for ranges in [
+            None,
+            Some(vec![]),
+            Some(vec![100..1500, 1500..2900]),
+            Some(vec![5..6, 700..701, 2999..3000]), // sparse
+            Some(scattered),                        // incompressible
         ] {
-            assert_eq!(
-                joint_counts(&ia, &ib, Some(&sel)),
-                joint_counts_and_table(&ia, &ib, Some(&sel))
-            );
+            for (bins_a, bins_b) in [
+                (0..100, 0..100),
+                (10..60, 0..100),
+                (3..4, 20..90),
+                (0..0, 0..100),
+            ] {
+                // the selection the predicate stands for, materialised
+                let mask = ranges.as_deref().map(|r| crate::shard_mask(r, 0..n as u64));
+                let sel = (ia.or_bins(bins_a.clone())).and(&ib.or_bins(bins_b.clone()));
+                let sel = mask.map_or(sel.clone(), |m| sel.and(&m));
+                let got = joint_counts_where(&ia, &ib, bins_a, bins_b, ranges.as_deref());
+                assert_eq!(got.unwrap(), joint_counts_and_table(&ia, &ib, Some(&sel)));
+            }
         }
+    }
+
+    /// Several chunks, the last segment partial: an operand with every live
+    /// bin admitted keeps no mask and resets nothing between chunks, beside
+    /// one that does both.
+    #[test]
+    fn all_admitted_and_restricted_operands_across_chunks() {
+        let n = 2 * CHUNK_ROWS as usize + 1000;
+        // `a` runs in long fills with literal stretches between, `b` scatters
+        let a: Vec<f64> = (0..n)
+            .map(|i| {
+                if i % 700 < 400 {
+                    (i / 700 % 9) as f64
+                } else {
+                    (i % 9) as f64
+                }
+            })
+            .collect();
+        let b: Vec<f64> = (0..n).map(|i| ((i * 13 + 5) % 9) as f64).collect();
+        let binner = Binner::distinct_ints(0, 11); // bins 9..12 stay empty
+        let ia = BitmapIndex::build(&a, binner.clone());
+        let ib = BitmapIndex::build(&b, binner);
+        let ranges = [40..CHUNK_ROWS + 7, CHUNK_ROWS + 500..n as u64 - 3];
+        for (bins_a, bins_b) in [(0..12, 0..12), (0..9, 2..5), (3..7, 0..12), (0..12, 0..9)] {
+            for ranges in [None, Some(&ranges[..])] {
+                let sel = ia.or_bins(bins_a.clone()).and(&ib.or_bins(bins_b.clone()));
+                let mask = ranges.map(|r| crate::shard_mask(r, 0..n as u64));
+                let sel = mask.map_or(sel.clone(), |m| sel.and(&m));
+                let want = joint_counts_and_table(&ia, &ib, Some(&sel));
+                let got = joint_counts_where(&ia, &ib, bins_a.clone(), bins_b.clone(), ranges);
+                assert_eq!(got.unwrap(), want, "{bins_a:?} {bins_b:?} {ranges:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_span_past_the_last_bin_admits_nothing_there() {
+        let ba = Binner::fixed_width(0.0, 100.0, 12);
+        let ia = BitmapIndex::build(&data_a(), ba.clone());
+        let ib = BitmapIndex::build(&data_b(), ba);
+        let inside = joint_counts_where(&ia, &ib, 8..12, 0..12, None);
+        assert_eq!(joint_counts_where(&ia, &ib, 8..40, 0..99, None), inside);
+        let none = joint_counts_where(&ia, &ib, 12..40, 0..12, None).unwrap();
+        assert!(none.iter().all(|&c| c == 0));
     }
 
     #[test]
@@ -365,14 +482,8 @@ mod tests {
         let bb = Binner::distinct_ints(0, 19);
         let ia = BitmapIndex::build(&a, ba.clone());
         let ib = BitmapIndex::build(&b, bb.clone());
-        assert_eq!(
-            joint_counts(&ia, &ib, None),
-            joint_histogram(&a, &b, &ba, &bb)
-        );
-        assert_eq!(
-            joint_counts(&ib, &ia, None),
-            joint_histogram(&b, &a, &bb, &ba)
-        );
+        assert_eq!(joint_counts(&ia, &ib), joint_histogram(&a, &b, &ba, &bb));
+        assert_eq!(joint_counts(&ib, &ia), joint_histogram(&b, &a, &bb, &ba));
     }
 
     #[test]

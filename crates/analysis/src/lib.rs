@@ -37,13 +37,13 @@ pub mod summary;
 
 pub use aggregate::Estimate;
 pub use cfp::Cfp;
-pub use histogram::{joint_counts, joint_counts_and_table};
+pub use histogram::{joint_counts, joint_counts_and_table, joint_counts_where};
 pub use mining::{mine_full, mine_index, mine_multilevel, MinedSubset, MiningConfig, MiningResult};
 pub use query::{
-    correlation_partial_ml_shard, correlation_query, correlation_query_mapped,
-    correlation_query_ml, correlation_query_ml_mapped, count_range_plan, execute_range_plan,
-    finish_correlation, plan_value_range, region_mask, shard_mask, shard_ranges, stored_ranges,
-    CorrelationAnswer, CorrelationPartial, QueryError, RangePlan, SubsetQuery,
+    correlation_partial_shard, correlation_query, correlation_query_mapped, correlation_query_ml,
+    correlation_query_ml_mapped, count_range_plan, execute_range_plan, finish_correlation,
+    plan_value_range, region_mask, shard_mask, shard_ranges, stored_ranges, CorrelationAnswer,
+    CorrelationPartial, QueryError, RangePlan, SubsetQuery,
 };
 pub use sampling::{lossy_summaries, sample, SamplingMethod};
 pub use selection::{select_dp, select_greedy, select_greedy_lossy, Partitioning, Selection};

@@ -144,7 +144,7 @@ pub fn mine_index(a: &BitmapIndex, b: &BitmapIndex, cfg: &MiningConfig) -> Minin
         return result;
     }
     // Step 1: the whole joint table, in one pass over the bitmaps.
-    let joint = crate::histogram::joint_counts(a, b, None);
+    let joint = crate::histogram::joint_counts(a, b);
     let nb_bins = b.nbins();
     // Step 2: value pruning — pure float scoring of the joint table, cheap
     // and serial. Survivors are grouped by row for the spatial fan-out.

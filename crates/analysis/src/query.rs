@@ -42,8 +42,8 @@
 //! popcounts add: no vector is built to answer "how many".
 
 use crate::aggregate::{self, Estimate};
-use crate::entropy::{conditional_entropy_from_counts, mutual_information_from_counts};
-use crate::histogram::{joint_counts, marginal_a, marginal_b};
+use crate::entropy::{shannon_entropy_from_counts, JointCells};
+use crate::histogram::{joint_counts_and_table, joint_counts_where};
 use ibis_core::{BitmapIndex, MultiLevelIndex, RowPermutation, WahVec};
 use ibis_obs::LazyCounter;
 use std::fmt;
@@ -58,6 +58,9 @@ static OBS_PLAN_EMPTY: LazyCounter = LazyCounter::new("query.plan.empty");
 // How a subset count was answered (the second: a non-partitioning index).
 static OBS_SUBSET_COUNTED: LazyCounter = LazyCounter::new("query.subset.counted");
 static OBS_SUBSET_MATERIALIZED: LazyCounter = LazyCounter::new("query.subset.materialized");
+// How a correlation's shard partial was counted (likewise).
+static OBS_CORR_SELECTION_FREE: LazyCounter = LazyCounter::new("query.corr.selection_free");
+static OBS_CORR_MATERIALIZED: LazyCounter = LazyCounter::new("query.corr.materialized");
 // Region predicates resolved against a row permutation (family `reorder`,
 // see DESIGN.md §6j).
 static OBS_REGION_SEGMENTS: LazyCounter = LazyCounter::new("reorder.query.region_mapped.segments");
@@ -92,6 +95,10 @@ pub enum QueryError {
         /// Elements of variable B.
         len_b: u64,
     },
+    /// Two shards of one store hold a variable under different binnings —
+    /// the two bin counts, equal when only the edges differ: their counts
+    /// name different bins and cannot be summed.
+    BinningMismatch(usize, usize),
 }
 
 impl fmt::Display for QueryError {
@@ -105,6 +112,9 @@ impl fmt::Display for QueryError {
             }
             QueryError::LengthMismatch { len_a, len_b } => {
                 write!(f, "variables cover {len_a} vs {len_b} elements")
+            }
+            QueryError::BinningMismatch(a, b) => {
+                write!(f, "shards disagree on a binning: {a} vs {b} bins or edges")
             }
         }
     }
@@ -179,23 +189,13 @@ impl SubsetQuery {
         self.evaluate_whole(index.low(), Some(index), None)
     }
 
-    /// [`SubsetQuery::evaluate`] against an index built under a row
+    /// [`SubsetQuery::evaluate_ml`] against an index built under a row
     /// reordering: value predicates are order-invariant, and the position
     /// predicate — still expressed in *original* row ids — is mapped
     /// through the inverse permutation before intersecting, so the
     /// selection covers exactly the rows the identity-order index would
     /// select (at their stored positions). Map it back with
     /// [`RowPermutation::map_selection_to_original`].
-    pub fn evaluate_mapped(
-        &self,
-        index: &BitmapIndex,
-        perm: &RowPermutation,
-    ) -> Result<WahVec, QueryError> {
-        self.evaluate_whole(index, None, Some(perm))
-    }
-
-    /// [`SubsetQuery::evaluate_ml`] under a row reordering (see
-    /// [`SubsetQuery::evaluate_mapped`]).
     pub fn evaluate_ml_mapped(
         &self,
         index: &MultiLevelIndex,
@@ -291,11 +291,20 @@ impl SubsetQuery {
             index.counts()[b] > 0 && ranges.is_none_or(|r| index.stored_bin(b).intersects_ranges(r))
         };
         match self.value_range {
-            Some((lo, hi)) if lo.is_nan() || hi.is_nan() => Err(QueryError::NanBound { lo, hi }),
-            Some((lo, hi)) => Ok(index
-                .bin_span(lo, hi)
-                .is_some_and(|(b0, b1)| (b0..=b1).any(hit))),
+            Some(_) => Ok(self.admitted_bins(index)?.any(hit)),
             None => Ok(ranges.map_or(index.len(), rows_in) > 0),
+        }
+    }
+
+    /// The bins the value predicate admits — the span every plan covers
+    /// ([`BitmapIndex::bin_span`]): all of them without a predicate, none
+    /// for an inverted or empty interval. A NaN bound is the planner's
+    /// typed error.
+    fn admitted_bins(&self, index: &BitmapIndex) -> Result<Range<usize>, QueryError> {
+        match self.value_range {
+            Some((lo, hi)) if lo.is_nan() || hi.is_nan() => Err(QueryError::NanBound { lo, hi }),
+            Some((lo, hi)) => Ok(index.bin_span(lo, hi).map_or(0..0, |(b0, b1)| b0..b1 + 1)),
+            None => Ok(0..index.nbins()),
         }
     }
 }
@@ -601,7 +610,7 @@ pub fn correlation_query(
     query_a: &SubsetQuery,
     query_b: &SubsetQuery,
 ) -> Result<CorrelationAnswer, QueryError> {
-    correlation_query_with(a, None, b, None, query_a, query_b, None)
+    correlation_query_with(a, b, query_a, query_b, None)
 }
 
 /// [`correlation_query`] over two single-level indices built under the
@@ -614,19 +623,19 @@ pub fn correlation_query_mapped(
     query_b: &SubsetQuery,
     perm: &RowPermutation,
 ) -> Result<CorrelationAnswer, QueryError> {
-    correlation_query_with(a, None, b, None, query_a, query_b, Some(perm))
+    correlation_query_with(a, b, query_a, query_b, Some(perm))
 }
 
-/// [`correlation_query`] over two-level indices: value predicates may plan
-/// the high-level covering strategy. Metrics are computed on the low level
-/// and are identical to the single-level result.
+/// [`correlation_query`] over two-level indices: the low levels' answer. A
+/// value predicate is the span of low bins it admits, so no high bin is
+/// read, or built.
 pub fn correlation_query_ml(
     a: &MultiLevelIndex,
     b: &MultiLevelIndex,
     query_a: &SubsetQuery,
     query_b: &SubsetQuery,
 ) -> Result<CorrelationAnswer, QueryError> {
-    correlation_query_with(a.low(), Some(a), b.low(), Some(b), query_a, query_b, None)
+    correlation_query_with(a.low(), b.low(), query_a, query_b, None)
 }
 
 /// [`correlation_query_ml`] over two indices built under the *same* row
@@ -642,15 +651,7 @@ pub fn correlation_query_ml_mapped(
     query_b: &SubsetQuery,
     perm: &RowPermutation,
 ) -> Result<CorrelationAnswer, QueryError> {
-    correlation_query_with(
-        a.low(),
-        Some(a),
-        b.low(),
-        Some(b),
-        query_a,
-        query_b,
-        Some(perm),
-    )
+    correlation_query_with(a.low(), b.low(), query_a, query_b, Some(perm))
 }
 
 /// The four public entry points above are the `rows = 0..n` case of the
@@ -658,16 +659,14 @@ pub fn correlation_query_ml_mapped(
 /// set of finishers, whatever the shard count.
 fn correlation_query_with(
     a: &BitmapIndex,
-    ml_a: Option<&MultiLevelIndex>,
     b: &BitmapIndex,
-    ml_b: Option<&MultiLevelIndex>,
     query_a: &SubsetQuery,
     query_b: &SubsetQuery,
     perm: Option<&RowPermutation>,
 ) -> Result<CorrelationAnswer, QueryError> {
     let n = a.len();
     let ranges = stored_ranges(&[query_a, query_b], n, perm)?;
-    let partial = correlation_partial(a, ml_a, b, ml_b, query_a, query_b, 0..n, ranges.as_deref())?;
+    let partial = correlation_partial_shard(a, b, query_a, query_b, 0..n, ranges.as_deref())?;
     Ok(finish_correlation(a.binner(), b.binner(), &partial))
 }
 
@@ -709,13 +708,6 @@ fn evaluate_shard(
     rows: Range<u64>,
     ranges: Option<&[Range<u64>]>,
 ) -> Result<WahVec, QueryError> {
-    let n = index.len();
-    if rows.end.saturating_sub(rows.start) != n {
-        return Err(QueryError::LengthMismatch {
-            len_a: n,
-            len_b: rows.end.saturating_sub(rows.start),
-        });
-    }
     let mask = ranges.map(|r| shard_mask(r, rows));
     query.evaluate_masked(index, ml, mask.as_ref())
 }
@@ -753,14 +745,13 @@ impl CorrelationPartial {
 
     /// Accumulates another shard's partial (elementwise integer sums —
     /// associative and commutative, so any reduction order at the
-    /// coordinator yields the same totals).
-    ///
-    /// # Panics
-    /// Panics when the partials' shapes differ.
-    pub fn merge(&mut self, other: &CorrelationPartial) {
-        assert_eq!(self.joint.len(), other.joint.len(), "joint shape mismatch");
-        assert_eq!(self.counts_a.len(), other.counts_a.len());
-        assert_eq!(self.counts_b.len(), other.counts_b.len());
+    /// coordinator yields the same totals). A partial of another shape was
+    /// counted under another binning: a typed error, nothing is summed.
+    pub fn merge(&mut self, other: &CorrelationPartial) -> Result<(), QueryError> {
+        let shapes = |p: &CorrelationPartial| [p.counts_a.len(), p.counts_b.len(), p.joint.len()];
+        if let Some((&x, &y)) = (shapes(self).iter().zip(&shapes(other))).find(|(x, y)| x != y) {
+            return Err(QueryError::BinningMismatch(x, y));
+        }
         self.selected += other.selected;
         for (s, o) in self.joint.iter_mut().zip(&other.joint) {
             *s += o;
@@ -771,67 +762,60 @@ impl CorrelationPartial {
         for (s, o) in self.counts_b.iter_mut().zip(&other.counts_b) {
             *s += o;
         }
+        Ok(())
     }
 }
 
-/// Computes one shard's [`CorrelationPartial`] for a correlation query
-/// over stored rows `[rows.start, rows.end)`; `ranges` is
-/// [`stored_ranges`] of both queries over the whole store.
-pub fn correlation_partial_ml_shard(
-    a: &MultiLevelIndex,
-    b: &MultiLevelIndex,
-    query_a: &SubsetQuery,
-    query_b: &SubsetQuery,
-    rows: Range<u64>,
-    ranges: Option<&[Range<u64>]>,
-) -> Result<CorrelationPartial, QueryError> {
-    correlation_partial(
-        a.low(),
-        Some(a),
-        b.low(),
-        Some(b),
-        query_a,
-        query_b,
-        rows,
-        ranges,
-    )
-}
-
-/// The one place the query path builds a selected joint table. Both
-/// selections are taken under the one joint region `ranges`: they are
-/// ANDed, so a row outside either query's region is dropped either way.
-#[allow(clippy::too_many_arguments)]
-fn correlation_partial(
+/// One shard's [`CorrelationPartial`] for a correlation query over stored
+/// rows `[rows.start, rows.end)` — the one place the query path builds a
+/// selected joint table. Both value predicates are taken under the one
+/// joint region `ranges` ([`stored_ranges`] of both queries over the whole
+/// store): a row outside either query's region is dropped either way.
+/// Operands that partition their rows materialise nothing — a predicate is
+/// the bin span it admits, the region the shard's share of `ranges`, inside
+/// the one label walk; otherwise (a lossy superset) both selections are
+/// built and ANDed.
+pub fn correlation_partial_shard(
     a: &BitmapIndex,
-    ml_a: Option<&MultiLevelIndex>,
     b: &BitmapIndex,
-    ml_b: Option<&MultiLevelIndex>,
     query_a: &SubsetQuery,
     query_b: &SubsetQuery,
     rows: Range<u64>,
     ranges: Option<&[Range<u64>]>,
 ) -> Result<CorrelationPartial, QueryError> {
-    if a.len() != b.len() {
-        return Err(QueryError::LengthMismatch {
-            len_a: a.len(),
-            len_b: b.len(),
-        });
+    // the operands cover the same rows: those the layout gives the shard
+    let (len_a, shard) = (a.len(), rows.end.saturating_sub(rows.start));
+    if let Some(&len_b) = [b.len(), shard].iter().find(|&&len| len != len_a) {
+        return Err(QueryError::LengthMismatch { len_a, len_b });
     }
-    let sel = evaluate_shard(query_a, a, ml_a, rows.clone(), ranges)?
-        .and(&evaluate_shard(query_b, b, ml_b, rows, ranges)?);
-    let joint = joint_counts(a, b, Some(&sel));
-    let (na, nb) = (a.nbins(), b.nbins());
-    // A row of the table sums to `bin ∧ sel` when the *other* operand's
-    // bins partition the rows; only a lossy superset index's do not.
-    let counts = |idx: &BitmapIndex, other: &BitmapIndex, marginal| match other.partitions() {
-        true => marginal,
-        false => idx.bins().map(|bin| bin.and_count(&sel)).collect(),
-    };
+    let local = ranges.map(|r| shard_ranges(r, rows.clone()));
+    let (bins_a, bins_b) = (query_a.admitted_bins(a)?, query_b.admitted_bins(b)?);
+    let walked = joint_counts_where(a, b, bins_a.clone(), bins_b.clone(), local.as_deref());
+    if let Some(joint) = walked {
+        OBS_CORR_SELECTION_FREE.inc();
+        // every counted cell lies in the admitted rectangle: its sums are
+        // the per-bin counts, with no strided pass over the whole table
+        let mut counted = CorrelationPartial::zero(a.nbins(), b.nbins());
+        for j in bins_a {
+            let row = &joint[j * b.nbins()..][bins_b.clone()];
+            counted.counts_a[j] = row.iter().sum();
+            for (sum, c) in counted.counts_b[bins_b.clone()].iter_mut().zip(row) {
+                *sum += c;
+            }
+        }
+        counted.selected = counted.counts_a.iter().sum();
+        counted.joint = joint;
+        return Ok(counted);
+    }
+    OBS_CORR_MATERIALIZED.inc();
+    let sel = evaluate_shard(query_a, a, None, rows.clone(), ranges)?
+        .and(&evaluate_shard(query_b, b, None, rows, ranges)?);
+    // a lossy superset's bins overlap: no table's margin is `bin ∧ sel`
     Ok(CorrelationPartial {
         selected: sel.count_ones(),
-        counts_a: counts(a, b, marginal_a(&joint, na, nb)),
-        counts_b: counts(b, a, marginal_b(&joint, na, nb)),
-        joint,
+        joint: joint_counts_and_table(a, b, Some(&sel)),
+        counts_a: a.bins().map(|bin| bin.and_count(&sel)).collect(),
+        counts_b: b.bins().map(|bin| bin.and_count(&sel)).collect(),
     })
 }
 
@@ -844,12 +828,15 @@ pub fn finish_correlation(
     binner_b: &ibis_core::Binner,
     p: &CorrelationPartial,
 ) -> CorrelationAnswer {
-    let (na, nb) = (binner_a.nbins(), binner_b.nbins());
+    // one scan of the table; every finisher then reads its non-zero cells
+    // in the same row-major order
+    let cells = JointCells::scan(&p.joint, binner_a.nbins(), binner_b.nbins());
+    let mutual_information = cells.mutual_information();
     CorrelationAnswer {
         selected: p.selected,
-        mutual_information: mutual_information_from_counts(&p.joint, na, nb),
-        conditional_entropy: conditional_entropy_from_counts(&p.joint, na, nb),
-        pearson: aggregate::pearson_from_joint_counts(binner_a, binner_b, &p.joint, p.selected),
+        mutual_information,
+        conditional_entropy: shannon_entropy_from_counts(&cells.pa) - mutual_information,
+        pearson: aggregate::pearson_from_cells(binner_a, binner_b, &cells, p.selected),
         mean_a: aggregate::mean_from_sum(
             aggregate::sum_from_bin_counts(binner_a, &p.counts_a),
             p.selected,
@@ -1217,10 +1204,16 @@ mod tests {
                 let mut acc = CorrelationPartial::zero(48, 48);
                 let joint = stored_ranges(&[qa, qb], n as u64, None).unwrap();
                 for (r, sa, sb) in &shards {
-                    let p =
-                        correlation_partial_ml_shard(sa, sb, qa, qb, r.clone(), joint.as_deref())
-                            .unwrap();
-                    acc.merge(&p);
+                    let p = correlation_partial_shard(
+                        sa.low(),
+                        sb.low(),
+                        qa,
+                        qb,
+                        r.clone(),
+                        joint.as_deref(),
+                    )
+                    .unwrap();
+                    acc.merge(&p).unwrap();
                 }
                 let merged = finish_correlation(&binner, &binner, &acc);
                 assert_eq!(merged, oracle, "finished partials {qa:?}/{qb:?}");
@@ -1257,22 +1250,26 @@ mod tests {
             let r = w[0]..w[1];
             let sa = MultiLevelIndex::from_low(ia.low().slice_rows(r.clone()), 6);
             let sb = MultiLevelIndex::from_low(ib.low().slice_rows(r.clone()), 6);
-            let p = correlation_partial_ml_shard(&sa, &sb, &qa, &qb, r, joint.as_deref()).unwrap();
-            acc.merge(&p);
+            let p = correlation_partial_shard(sa.low(), sb.low(), &qa, &qb, r, joint.as_deref())
+                .unwrap();
+            acc.merge(&p).unwrap();
         }
         assert_eq!(finish_correlation(&binner, &binner, &acc), oracle);
     }
 
     #[test]
     fn shard_evaluation_rejects_malformed_input() {
-        use ibis_core::MultiLevelIndex;
         let data: Vec<f64> = (0..100).map(|i| i as f64 / 10.0).collect();
-        let ml = MultiLevelIndex::build(&data, Binner::fixed_width(0.0, 10.0, 10), 2);
+        let idx = BitmapIndex::build(&data, Binner::fixed_width(0.0, 10.0, 10));
         // shard range length must match the shard index
-        assert!(matches!(
-            evaluate_shard(&SubsetQuery::all(), ml.low(), Some(&ml), 0..50, None),
-            Err(QueryError::LengthMismatch { .. })
-        ));
+        let all = SubsetQuery::all();
+        assert_eq!(
+            correlation_partial_shard(&idx, &idx, &all, &all, 0..50, None),
+            Err(QueryError::LengthMismatch {
+                len_a: 100,
+                len_b: 50
+            })
+        );
         // region bounds validate against the global length, as unsharded
         assert!(matches!(
             stored_ranges(&[&SubsetQuery::region(150..250)], 200, None),

@@ -3,19 +3,26 @@
 //! the bitmap and full-data paths on arbitrary inputs (the paper's central
 //! claim, tested adversarially rather than on hand-picked data).
 
+use ibis_analysis::aggregate::pearson_from_joint_counts;
 use ibis_analysis::emd::{
     emd_counts_full, emd_counts_index, emd_from_counts, emd_spatial_full, emd_spatial_index,
 };
 use ibis_analysis::entropy::{
-    conditional_entropy_full, conditional_entropy_index, mutual_information_full,
-    mutual_information_index, shannon_entropy_full, shannon_entropy_index,
+    conditional_entropy_from_counts, conditional_entropy_full, conditional_entropy_index,
+    mutual_information_from_counts, mutual_information_full, mutual_information_index,
+    shannon_entropy_full, shannon_entropy_index,
 };
 use ibis_analysis::histogram::histogram;
 use ibis_analysis::mining::indicator_mi;
 use ibis_analysis::selection::{select_greedy, Partitioning};
-use ibis_analysis::{mine_full, mine_index, Metric, MiningConfig, StepSummary, VarSummary};
+use ibis_analysis::{
+    finish_correlation, mine_full, mine_index, CorrelationPartial, Metric, MiningConfig,
+    StepSummary, VarSummary,
+};
 use ibis_core::{Binner, BitmapIndex};
 use proptest::prelude::*;
+
+mod before_fusing;
 
 /// Arbitrary data in a fixed range plus a binner over that range.
 fn data_and_binner() -> impl Strategy<Value = (Vec<f64>, Binner)> {
@@ -34,6 +41,119 @@ fn two_arrays() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Binner)> {
             Just(Binner::fixed_width(-50.0, 50.0, nbins)),
         )
     })
+}
+
+/// Joint tables of the shapes the finishers meet: all-zero, one cell, a
+/// single row or column (a constant variable), sparse rectangular ones
+/// with all-zero rows and columns, a diagonal-heavy 103 × 103 (Heat3D
+/// against itself) and a dense 64 × 64 (the ocean fields).
+fn joint_table() -> impl Strategy<Value = (usize, usize, Vec<u64>)> {
+    let mix = |i: usize, seed: u64| (i as u64 ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+    let sparse =
+        (1usize..40, 1usize..40, any::<u64>(), 1u64..12).prop_map(move |(na, nb, seed, gap)| {
+            let cell = |i| {
+                if mix(i, seed) % gap == 0 {
+                    mix(i, !seed) % 5000
+                } else {
+                    0
+                }
+            };
+            // every third row and fifth column left empty
+            let keep = |i: usize| (i / nb) % 3 != 1 && (i % nb) % 5 != 2;
+            (
+                na,
+                nb,
+                (0..na * nb)
+                    .map(|i| if keep(i) { cell(i) } else { 0 })
+                    .collect(),
+            )
+        });
+    let one_cell =
+        (1usize..30, 1usize..30, any::<u64>(), 1u64..9000).prop_map(|(na, nb, at, c)| {
+            let mut joint = vec![0; na * nb];
+            joint[at as usize % (na * nb)] = c;
+            (na, nb, joint)
+        });
+    let constant = (1usize..50, any::<bool>(), any::<u64>()).prop_map(move |(n, row, seed)| {
+        let cells = (0..n).map(|i| mix(i, seed) % 300).collect();
+        if row {
+            (1, n, cells)
+        } else {
+            (n, 1, cells)
+        }
+    });
+    let diagonal = any::<u64>().prop_map(move |seed| {
+        let cell = |i: usize| match (i / 103).abs_diff(i % 103) {
+            0 => 2000 + mix(i, seed) % 9000,
+            1 | 2 => mix(i, seed) % 700,
+            _ => u64::from(mix(i, seed) % 97 == 0),
+        };
+        (103, 103, (0..103 * 103).map(cell).collect())
+    });
+    let dense = any::<u64>().prop_map(move |seed| {
+        (
+            64,
+            64,
+            (0..64 * 64).map(|i| 1 + mix(i, seed) % 60).collect(),
+        )
+    });
+    prop_oneof![
+        (0usize..12, 0usize..12).prop_map(|(na, nb)| (na, nb, vec![0; na * nb])),
+        one_cell,
+        constant,
+        sparse,
+        diagonal,
+        dense,
+    ]
+}
+
+proptest! {
+    /// The fused finisher — one scan of the table, then MI, H(A|B) and
+    /// Pearson over its non-zero cells — gives the floats the three
+    /// separate finishers gave, bit for bit; so do the functions that kept
+    /// their names and now call it.
+    #[test]
+    fn fused_finisher_is_bit_identical_to_the_separate_finishers(
+        (na, nb, joint) in joint_table(),
+        (lo_a, lo_b) in (-80.0f64..40.0, -3.0f64..3.0),
+    ) {
+        let binner_a = Binner::fixed_width(lo_a, lo_a + 50.0, na.max(1));
+        let binner_b = Binner::fixed_width(lo_b, lo_b + 0.5, nb.max(1));
+        // a 0-bin side cannot come from a binner: the functions alone
+        if na == 0 || nb == 0 {
+            prop_assert_eq!(mutual_information_from_counts(&joint, na, nb).to_bits(), 0f64.to_bits());
+            prop_assert_eq!(conditional_entropy_from_counts(&joint, na, nb).to_bits(), 0f64.to_bits());
+            return Ok(());
+        }
+        let p = CorrelationPartial {
+            selected: joint.iter().sum(),
+            counts_a: before_fusing::marginal_a(&joint, na, nb),
+            counts_b: before_fusing::marginal_b(&joint, na, nb),
+            joint,
+        };
+        let want_mi = before_fusing::mutual_information_from_counts(&p.joint, na, nb);
+        let want_ce = before_fusing::conditional_entropy_from_counts(&p.joint, na, nb);
+        let want_r = before_fusing::pearson_from_joint_counts(&binner_a, &binner_b, &p.joint, p.selected);
+        let got = finish_correlation(&binner_a, &binner_b, &p);
+        prop_assert_eq!(got.mutual_information.to_bits(), want_mi.to_bits());
+        prop_assert_eq!(got.conditional_entropy.to_bits(), want_ce.to_bits());
+        prop_assert_eq!(got.pearson.map(f64::to_bits), want_r.map(f64::to_bits));
+        prop_assert_eq!(mutual_information_from_counts(&p.joint, na, nb).to_bits(), want_mi.to_bits());
+        prop_assert_eq!(conditional_entropy_from_counts(&p.joint, na, nb).to_bits(), want_ce.to_bits());
+        let r = pearson_from_joint_counts(&binner_a, &binner_b, &p.joint, p.selected);
+        prop_assert_eq!(r.map(f64::to_bits), want_r.map(f64::to_bits));
+        if p.selected == 0 {
+            prop_assert_eq!((got.mutual_information.to_bits(), got.conditional_entropy.to_bits()), (0, 0));
+            prop_assert_eq!(got.pearson, None);
+        }
+        // a constant variable has no correlation (under integer midpoints,
+        // where its variance is exactly zero and not a rounding residue)
+        let varies = |counts: &[u64]| counts.iter().filter(|&&c| c != 0).count() > 1;
+        if !(varies(&p.counts_a) && varies(&p.counts_b)) {
+            let odd = |n: usize| Binner::fixed_width(0.0, 2.0 * n as f64, n);
+            prop_assert_eq!(finish_correlation(&odd(na), &odd(nb), &p).pearson, None);
+        }
+    }
 }
 
 proptest! {

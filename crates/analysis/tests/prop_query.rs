@@ -4,22 +4,24 @@
 //! every binner kind — plus the guarantee that multi-level evaluation and
 //! every planner strategy produce byte-identical selections, that the
 //! one-pass joint table equals the AND table and the scan on every chunk
-//! and 31-bit edge, that `correlation_query` is the pure finisher over the
-//! counts a scan fills, that counting a plan (`SubsetQuery::count`,
+//! and 31-bit edge, that a correlation's selection-free shard partial
+//! equals the one counted over the materialised selection and a scan, that
+//! `correlation_query` is the pure finisher over the counts a scan fills, that counting a plan (`SubsetQuery::count`,
 //! `count_range_plan`, `intersects`) equals materialising it and counting,
 //! and a scan, under every plan variant forced,
 //! and that no generated query (inverted, empty, NaN, out-of-range) ever
 //! panics.
 
-use ibis_analysis::histogram::{marginal_a, marginal_b, CHUNK_ROWS};
+use ibis_analysis::histogram::CHUNK_ROWS;
 use ibis_analysis::{
-    correlation_query, correlation_query_mapped, correlation_query_ml, count_range_plan,
-    execute_range_plan, finish_correlation, joint_counts, joint_counts_and_table, plan_value_range,
-    shard_mask, shard_ranges, stored_ranges, CorrelationPartial, QueryError, RangePlan,
-    SubsetQuery,
+    correlation_partial_shard, correlation_query, correlation_query_mapped, correlation_query_ml,
+    count_range_plan, execute_range_plan, finish_correlation, joint_counts, joint_counts_and_table,
+    joint_counts_where, plan_value_range, shard_mask, shard_ranges, stored_ranges,
+    CorrelationPartial, QueryError, RangePlan, SubsetQuery,
 };
 use ibis_core::{
-    build_lossy_index, Binner, BitmapIndex, MultiLevelIndex, RowOrder, RowPermutation, WahVec,
+    build_lossy_index, Binner, BitmapIndex, CodecId, CodecVec, MultiLevelIndex, RowOrder,
+    RowPermutation, WahVec,
 };
 use proptest::prelude::*;
 use std::ops::Range;
@@ -203,6 +205,48 @@ fn edge_selections(n: u64) -> Vec<Option<WahVec>> {
     ]
 }
 
+/// A selection as the sorted, disjoint ranges of its rows — what the joint
+/// kernel takes in place of a vector.
+fn runs_of(sel: &WahVec) -> Vec<Range<u64>> {
+    let mut runs: Vec<Range<u64>> = Vec::new();
+    for row in sel.iter_ones() {
+        match runs.last_mut() {
+            Some(run) if run.end == row => run.end = row + 1,
+            _ => runs.push(row..row + 1),
+        }
+    }
+    runs
+}
+
+/// `idx` with every bin held as WAH (0), as Roaring (1), or alternately (2).
+fn held(idx: &BitmapIndex, how: usize) -> BitmapIndex {
+    let bins = idx.bins().enumerate().map(|(b, v)| match (how, b % 2) {
+        (0, _) | (2, 0) => CodecVec::with_codec(v, CodecId::Wah),
+        _ => CodecVec::with_codec(v, CodecId::Roaring),
+    });
+    BitmapIndex::from_codec_bins(idx.binner().clone(), bins.collect())
+}
+
+/// A correlation's shard partial the way the parent commit built it, and
+/// the fallback still does: both selections materialised under the
+/// shard's share of `ranges`, ANDed, counted by the AND table and per bin.
+fn materialised_partial(
+    (a, qa): (&BitmapIndex, &SubsetQuery),
+    (b, qb): (&BitmapIndex, &SubsetQuery),
+    rows: Range<u64>,
+    ranges: Option<&[Range<u64>]>,
+) -> CorrelationPartial {
+    let mask = ranges.map(|r| shard_mask(r, rows));
+    let sel = (qa.evaluate_masked(a, None, mask.as_ref()).unwrap())
+        .and(&qb.evaluate_masked(b, None, mask.as_ref()).unwrap());
+    CorrelationPartial {
+        selected: sel.count_ones(),
+        joint: joint_counts_and_table(a, b, Some(&sel)),
+        counts_a: a.bins().map(|bin| bin.and_count(&sel)).collect(),
+        counts_b: b.bins().map(|bin| bin.and_count(&sel)).collect(),
+    }
+}
+
 /// The gather of the first stride from `stride` up that is coprime to `n`
 /// — about that many short ascending segments, so a region scatters over
 /// many stored ranges — and the stride taken. `None` below three rows.
@@ -349,6 +393,7 @@ proptest! {
         let start = (start_frac * n as f64) as u64;
         let end = start + (len_frac * (n as u64 - start) as f64) as u64;
         let sel = SubsetQuery::region(start..end).evaluate(&ia).unwrap();
+        let all = (0..ia.nbins(), 0..ib.nbins());
 
         // the oracle joint histogram, built straight from the raw pairs
         let mut want = vec![0u64; ia.nbins() * ib.nbins()];
@@ -357,7 +402,10 @@ proptest! {
             let jb = ib.binner().bin_of(b[i as usize]) as usize;
             want[ja * ib.nbins() + jb] += 1;
         }
-        prop_assert_eq!(&joint_counts(&ia, &ib, Some(&sel)), &want);
+        let region = start..end;
+        let region = Some(std::slice::from_ref(&region));
+        let got = joint_counts_where(&ia, &ib, all.0, all.1, region).unwrap();
+        prop_assert_eq!(&got, &want);
         prop_assert_eq!(&joint_counts_and_table(&ia, &ib, Some(&sel)), &want);
     }
 
@@ -614,20 +662,30 @@ proptest! {
                 let sel = sel.as_ref();
                 let all = WahVec::ones(n as u64);
                 let kept: Vec<usize> = sel.unwrap_or(&all).iter_ones().map(|row| row as usize).collect();
+                let ranges = sel.map(runs_of);
                 for (ix, iy, same) in [(&ia, &ib, false), (&ia, &ia, true)] {
                     let ny = iy.nbins();
                     let mut scan = vec![0u64; ix.nbins() * ny];
                     for &(ja, kb) in kept.iter().map(|&row| &bins[row]) {
                         scan[ja * ny + if same { ja } else { kb }] += 1;
                     }
-                    let got = joint_counts(ix, iy, sel);
+                    let got = joint_counts_where(ix, iy, 0..ix.nbins(), 0..ny, ranges.as_deref()).unwrap();
                     prop_assert_eq!(&got, &scan, "{} n={} same={} sel={:?}", layout, n, same, sel);
                     prop_assert_eq!(&got, &joint_counts_and_table(ix, iy, sel));
+                    if sel.is_none() {
+                        prop_assert_eq!(&got, &joint_counts(ix, iy));
+                    }
                     let per_bin = |idx: &BitmapIndex| -> Vec<u64> {
                         idx.bins().map(|bin| bin.and_count(sel.unwrap_or(&all))).collect()
                     };
-                    prop_assert_eq!(marginal_a(&got, ix.nbins(), ny), per_bin(ix));
-                    prop_assert_eq!(marginal_b(&got, ix.nbins(), ny), per_bin(iy));
+                    // the table's margins are the per-bin selected counts: what a
+                    // correlation's partial carries, read off the same walk
+                    let (qx, rows) = (SubsetQuery::all(), 0..n as u64);
+                    let partial = correlation_partial_shard(ix, iy, &qx, &qx, rows, ranges.as_deref()).unwrap();
+                    prop_assert_eq!(&partial.joint, &got);
+                    prop_assert_eq!(partial.counts_a, per_bin(ix));
+                    prop_assert_eq!(partial.counts_b, per_bin(iy));
+                    prop_assert_eq!(partial.selected, kept.len() as u64);
                 }
             }
         }
@@ -663,22 +721,161 @@ proptest! {
             if x.partitions() && y.partitions() && x.nbins().max(y.nbins()) <= u16::MAX as usize {
                 continue; // nothing was promoted: the lossy index is exact
             }
-            for sel in [None, Some(sel)] {
-                let before = counter("query.joint.and_table");
-                let got = joint_counts(x, y, sel);
-                // other tests only ever add to the process-wide counter
-                prop_assert!(!cfg!(feature = "obs") || counter("query.joint.and_table") > before);
-                prop_assert_eq!(got, joint_counts_and_table(x, y, sel));
-                fallbacks += 1;
-            }
+            // the label kernel declines, with and without a predicate...
+            let (all, some) = (0..x.nbins(), 0..y.nbins().div_ceil(2));
+            let ranges = runs_of(sel);
+            prop_assert!(joint_counts_where(x, y, all.clone(), some.clone(), None).is_none());
+            prop_assert!(joint_counts_where(x, y, all, some.clone(), Some(&ranges)).is_none());
+            // ...the whole table comes from the AND table...
+            let before = counter("query.joint.and_table");
+            let got = joint_counts(x, y);
+            // other tests only ever add to the process-wide counters
+            prop_assert!(!cfg!(feature = "obs") || counter("query.joint.and_table") > before);
+            prop_assert_eq!(got, joint_counts_and_table(x, y, None));
+            // ...and a correlation materialises its selections as before
+            let (qx, qy) = (SubsetQuery::all(), SubsetQuery::value(-60.0, 0.0));
+            let rows = 0..x.len();
+            let before = (counter("query.joint.and_table"), counter("query.corr.materialized"));
+            let got = correlation_partial_shard(x, y, &qx, &qy, rows.clone(), Some(&ranges)).unwrap();
+            prop_assert!(!cfg!(feature = "obs") || counter("query.joint.and_table") > before.0);
+            prop_assert!(!cfg!(feature = "obs") || counter("query.corr.materialized") > before.1);
+            prop_assert_eq!(got, materialised_partial((x, &qx), (y, &qy), rows, Some(&ranges)));
+            fallbacks += 1;
         }
-        prop_assert!(fallbacks >= 4, "the over-wide pairs always fall back");
+        prop_assert!(fallbacks >= 2, "the over-wide pairs always fall back");
         // the wide table against the raw values: no id was truncated
         let mut scan = vec![0u64; wide.nbins() * narrow.nbins()];
         for &v in short {
             scan[wide_binner.bin_of(v) as usize * narrow.nbins() + binner.bin_of(v) as usize] += 1;
         }
-        prop_assert_eq!(joint_counts(&wide, &narrow, None), scan);
+        prop_assert_eq!(joint_counts(&wide, &narrow), scan);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A correlation's shard partial, counted with no selection built —
+    /// value predicates as admitted bins, the region as the shard's stored
+    /// ranges — equals the partial counted over the materialised
+    /// selection by the AND table, and a scan of the raw rows: under every
+    /// kind of value range and region, every layout and shard cut, both
+    /// operands one index or two, bins held as WAH, Roaring or both.
+    #[test]
+    fn selection_free_partial_equals_materialised_and_scan(
+        (binner_a, binner_b) in (small_binner(), small_binner()),
+        (regime_a, regime_b) in (0usize..4, 0usize..4),
+        (held_a, held_b) in (0usize..3, 0usize..3),
+        seed in any::<u64>(),
+        n in 40usize..2 * CHUNK_ROWS as usize + 700,
+        picks in proptest::collection::vec((-50.0f64..50.0, 0.0f64..1.0), 4),
+        cuts in proptest::collection::vec(0.0f64..1.0, 3),
+    ) {
+        let a = regime_data(regime_a, n, seed);
+        let b = regime_data(regime_b, n, seed.rotate_left(23));
+        let len = n as u64;
+        // value ranges: absent, one bin edge to edge (the upper bound on a
+        // bin boundary), the whole span, inverted, empty, and a drawn one
+        let one_bin = |binner: &Binner, v: f64| binner.bin_range(binner.bin_of(v) as usize);
+        let values = |binner: &Binner| -> Vec<Option<(f64, f64)>> {
+            vec![
+                None,
+                Some(one_bin(binner, picks[0].0)),
+                Some((-60.0, 60.0)),
+                Some((picks[1].0.max(picks[2].0) + 1.0, picks[1].0.min(picks[2].0))),
+                Some((picks[1].0, picks[1].0)),
+                Some((picks[2].0.min(picks[3].0), picks[2].0.max(picks[3].0))),
+                Some((one_bin(binner, picks[3].0).0, 55.0)),
+            ]
+        };
+        let (values_a, values_b) = (values(&binner_a), values(&binner_b));
+        let mut at: Vec<u64> = cuts.iter().map(|c| (c * len as f64) as u64).chain([0, len]).collect();
+        at.sort_unstable(); // repeated cuts make empty shards, on purpose
+        // regions: absent, inside one 31-row segment, across the first chunk
+        // edge, across a shard cut, a few rows (fewer than a scattered
+        // layout has segments), everything, nothing
+        let clip = |r: Range<u64>| r.start.min(len)..r.end.min(len);
+        let spot = (picks[0].1 * len as f64) as u64;
+        let regions = [
+            None,
+            Some(clip(spot / 31 * 31 + 3..spot / 31 * 31 + 19)),
+            Some(clip(CHUNK_ROWS - 40..CHUNK_ROWS + 40)),
+            Some(clip(at[2].saturating_sub(5)..at[2] + 5)),
+            Some(clip(spot..spot + 4)),
+            Some(0..len),
+            Some(spot..spot),
+        ];
+        for (layout, perm) in layouts(&a, &binner_a, 333) {
+            let perm = perm.as_ref();
+            let build = |data: &[f64], binner: &Binner| match perm {
+                Some(perm) => BitmapIndex::build_permuted(data, binner.clone(), perm),
+                None => BitmapIndex::build(data, binner.clone()),
+            };
+            let (ia, ib) = (build(&a, &binner_a), build(&b, &binner_b));
+            let original = |row: u64| perm.map_or(row as usize, |p| p.perm()[row as usize] as usize);
+            for cuts in [vec![0, len], at.clone()] {
+                let shards: Vec<(Range<u64>, BitmapIndex, BitmapIndex)> = cuts
+                    .windows(2)
+                    .map(|w| {
+                        let of = |idx: &BitmapIndex, how| held(&idx.slice_rows(w[0]..w[1]), how);
+                        (w[0]..w[1], of(&ia, held_a), of(&ib, held_b))
+                    })
+                    .collect();
+                for (i, region) in regions.iter().enumerate() {
+                    let query = |value: &[Option<(f64, f64)>], k: usize| SubsetQuery {
+                        value_range: value[(seed as usize % 7 + k) % 7],
+                        position_range: region.clone(),
+                    };
+                    // a region on either side, or both, is the one joint region
+                    let (mut qa, mut qb) = (query(&values_a, i), query(&values_b, 2 * i + 1));
+                    match i % 3 {
+                        0 => qa.position_range = None,
+                        1 => qb.position_range = None,
+                        _ => {}
+                    }
+                    for (x, y, qx, qy) in [(0, 1, &qa, &qb), (0, 0, &qa, &qa), (1, 1, &qa, &qb)] {
+                        let ranges = stored_ranges(&[qx, qy], len, perm).unwrap();
+                        let ranges = ranges.as_deref();
+                        let (data, binners) = ([&a, &b], [&binner_a, &binner_b]);
+                        let (in_x, in_y) = (
+                            scan_selection(data[x], [&ia, &ib][x], qx),
+                            scan_selection(data[y], [&ia, &ib][y], qy),
+                        );
+                        let (nx, ny) = (binners[x].nbins(), binners[y].nbins());
+                        for (rows, sa, sb) in &shards {
+                            let (sx, sy) = ([sa, sb][x], [sa, sb][y]);
+                            let mut scan = CorrelationPartial::zero(nx, ny);
+                            for row in rows.clone().map(original).filter(|&r| in_x[r] && in_y[r]) {
+                                let j = binners[x].bin_of(data[x][row]) as usize;
+                                let k = binners[y].bin_of(data[y][row]) as usize;
+                                scan.selected += 1;
+                                scan.joint[j * ny + k] += 1;
+                                scan.counts_a[j] += 1;
+                                scan.counts_b[k] += 1;
+                            }
+                            let before = counter("query.corr.selection_free");
+                            let got = correlation_partial_shard(sx, sy, qx, qy, rows.clone(), ranges).unwrap();
+                            // other tests only ever add to the process-wide counter
+                            prop_assert!(!cfg!(feature = "obs") || counter("query.corr.selection_free") > before);
+                            let tag = format!("{layout} rows={rows:?} x={x} y={y} {qx:?} {qy:?}");
+                            prop_assert_eq!(&got, &scan, "{}", tag);
+                            let slow = materialised_partial((sx, qx), (sy, qy), rows.clone(), ranges);
+                            prop_assert_eq!(&got, &slow, "{}", tag);
+                        }
+                    }
+                }
+            }
+        }
+        // a NaN bound is the planner's typed error on this path too
+        let ia = BitmapIndex::build(&a, binner_a);
+        for q in [SubsetQuery::value(f64::NAN, 1.0), SubsetQuery::value(1.0, f64::NAN)] {
+            for (qa, qb) in [(&q, &SubsetQuery::all()), (&SubsetQuery::all(), &q)] {
+                let err = correlation_partial_shard(&ia, &ia, qa, qb, 0..len, None).unwrap_err();
+                prop_assert!(matches!(err, QueryError::NanBound { .. }));
+            }
+        }
+        let short = correlation_partial_shard(&ia, &ia, &SubsetQuery::all(), &SubsetQuery::all(), 0..len - 1, None);
+        prop_assert!(matches!(short, Err(QueryError::LengthMismatch { .. })));
     }
 }
 

@@ -313,7 +313,7 @@ fn bench_joint(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("partition", regime.name),
             &regime,
-            |bch, r| bch.iter(|| black_box(joint_counts(black_box(&r.a), black_box(&r.b), None))),
+            |bch, r| bch.iter(|| black_box(joint_counts(black_box(&r.a), black_box(&r.b)))),
         );
     }
     g.finish();

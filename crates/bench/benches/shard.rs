@@ -8,11 +8,18 @@
 //! 1. identity: every sharded answer (k ∈ {1, 2, 4}, cold and warm) is
 //!    asserted equal to the flat single-store engine before anything is
 //!    timed — the numbers below are only meaningful for a correct tier;
-//! 2. scaling: warm region-local throughput at 1, 2 and 4 shards. On
-//!    this single-core host the win is *pruning*, not parallelism: a
-//!    region query only evaluates the shards whose row ranges overlap
-//!    it, so WAH work shrinks with the shard span. Asserts
-//!    qps(4) / qps(1) >= 2.5;
+//! 2. pruning, then scaling: a region query only evaluates the shards
+//!    whose row ranges overlap it, and every catalog region is one slot
+//!    inside one shard, so each query of phase 1 is also asserted to
+//!    visit exactly one shard and prune the other `K - 1`
+//!    (`shard.query.{fanout,pruned}`; skipped when `obs` is compiled
+//!    out) — deterministic, so it holds at smoke size too. Throughput
+//!    cannot show pruning: a subset count reads only the region's ranges
+//!    and the joint kernel labels only the rows under them, so one shard
+//!    pays for the region too and 4 shards run ~1.1x one. What warm
+//!    region-local throughput at 1, 2 and 4 shards has to show is that
+//!    sharding does not *cost* such a query: qps(4) / qps(1) >= 0.8
+//!    (with pruning patched out it measures 0.12x, 0.02x at smoke size);
 //! 3. over-budget serving: the 4-shard store is fronted by
 //!    `QueryServer` with a cache budget *half* the decoded dataset (so
 //!    each shard's slice cannot stay resident). Asserts eviction churn
@@ -39,7 +46,7 @@ use std::time::Instant;
 
 const NBINS: usize = 64;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-const SCALING_TARGET: f64 = 2.5;
+const SCALING_TARGET: f64 = 0.8;
 const INTERACTIVE_P99_MS: f64 = 150.0;
 
 /// Ocean-like field: a large-scale gradient along the row axis (regions
@@ -215,17 +222,31 @@ fn main() {
     ));
 
     // --- phase 1 + 2: identity, then warm region-local throughput ---
+    let counter = |name: &str| match ibis_obs::global().snapshot().get(name) {
+        Some(ibis_obs::MetricValue::Counter(v)) => *v,
+        _ => 0,
+    };
+    let visits = || (counter("shard.query.fanout"), counter("shard.query.pruned"));
     let mut identity_checked = 0usize;
+    let mut pruning_checked = 0usize;
     let mut throughput: Vec<(usize, f64)> = Vec::new();
     for (k, dir) in &shard_dirs {
         let engine = ShardedEngine::open(dir, u64::MAX).expect("open sharded engine");
         // identity first — cold pass, then warm pass (the pruned path)
         for pass in 0..2 {
             for req in &cat {
+                let was = visits();
                 let got = engine.run(req).expect("sharded answer");
+                let now = visits();
                 let want = oracle.run(req).expect("oracle answer");
                 assert_eq!(got, want, "k={k} pass={pass} diverged on {req:?}");
                 identity_checked += 1;
+                // one slot lies inside one shard: only that shard is visited
+                if ibis_obs::ENABLED {
+                    let moved = (now.0 - was.0, now.1 - was.1);
+                    assert_eq!(moved, (1, *k as u64 - 1), "k={k} visited/pruned on {req:?}");
+                    pruning_checked += 1;
+                }
             }
         }
         // timed warm loop: zipf-picked region-local queries, single thread
@@ -244,16 +265,12 @@ fn main() {
     let qps4 = throughput[throughput.len() - 1].1;
     let speedup = qps4 / qps1;
     let scaling_met = speedup >= SCALING_TARGET;
-    // At smoke size the per-query dispatch overhead dwarfs the WAH work
-    // pruning saves, so the full 2.5x gate only binds on the real run;
-    // the smoke run still catches a pruning regression outright.
-    let enforced_target = if smoke { 1.2 } else { SCALING_TARGET };
     assert!(
-        speedup >= enforced_target,
-        "4-shard region-local throughput must be >= {enforced_target}x the 1-shard \
+        scaling_met,
+        "4-shard region-local throughput must be >= {SCALING_TARGET}x the 1-shard \
          baseline, got {speedup:.2}x ({qps4:.0} vs {qps1:.0} q/s)"
     );
-    println!("shard: pruning speedup 4 shards over 1 = {speedup:.2}x (target {SCALING_TARGET}x)");
+    println!("shard: 4 shards over 1 = {speedup:.2}x (floor {SCALING_TARGET}x)");
 
     // --- phase 3: over-budget dataset behind the serving tier ---
     // Budget = half the decoded dataset: each shard's slice cannot stay
@@ -369,6 +386,7 @@ fn main() {
          \"scaling_target\": {SCALING_TARGET},\n  \
          \"scaling_target_met\": {scaling_met},\n  \
          \"identity_checked\": {identity_checked},\n  \
+         \"pruning_checked\": {pruning_checked},\n  \
          \"ocean_rows\": {n},\n  \
          \"ocean_decoded_mib\": {:.2},\n  \
          \"ocean_budget_mib\": {:.2},\n  \

@@ -15,6 +15,7 @@
 
 pub mod ablations;
 pub mod figures;
+pub mod parent;
 
 use ibis_core::{Binner, BitmapIndex, RowOrder, RowPermutation, WahVec};
 use ibis_datagen::{
@@ -183,30 +184,65 @@ pub fn span_holding(counts: &[u64], share: f64) -> (usize, usize) {
         .expect("an index has bins")
 }
 
+/// What a correlation query brings to the joint table: the bins of the
+/// first operand its value range admits and the stored rows its region
+/// keeps (`None`: all of them).
+pub type JointPredicate = (std::ops::Range<usize>, Option<Vec<std::ops::Range<u64>>>);
+
 impl JointRegime {
-    /// The selections a correlation query brings: every row, the value
-    /// ranges of `a` (runs of adjacent bins) holding closest to 70 % and
-    /// 10 % of the rows, and one spatial block of 1/64 of the grid.
-    pub fn selections(&self) -> Vec<(&'static str, Option<WahVec>)> {
-        let n = self.a.len();
+    /// The predicates a correlation query brings, by name: every row, the
+    /// value ranges of `a` (runs of adjacent bins) holding closest to 70 %
+    /// and 10 % of the rows, and one spatial block of 1/64 of the grid.
+    pub fn predicates(&self) -> Vec<(&'static str, JointPredicate)> {
+        let (n, all) = (self.a.len(), 0..self.a.nbins());
         let value_range = |share: f64| {
             let (lo, hi) = span_holding(self.a.counts(), share);
-            self.a.query_bins(lo..=hi)
+            lo..hi + 1
         };
         let block = ibis_analysis::SubsetQuery::region(n / 2..n / 2 + n / 64);
-        let region = match &self.perm {
-            Some(perm) => block.evaluate_mapped(&self.a, perm),
-            None => block.evaluate(&self.a),
-        };
+        let region = ibis_analysis::stored_ranges(&[&block], n, self.perm.as_ref());
         vec![
-            ("all", None),
-            ("70pct", Some(value_range(0.7))),
-            ("10pct", Some(value_range(0.1))),
+            ("all", (all.clone(), None)),
+            ("70pct", (value_range(0.7), None)),
+            ("10pct", (value_range(0.1), None)),
             (
                 "region_1_64",
-                Some(region.expect("block lies inside the grid")),
+                (all, region.expect("block lies inside the grid")),
             ),
         ]
+    }
+
+    /// The selection a predicate stands for, materialised: what the AND
+    /// table and the parent's label kernel walk. `None` for every row.
+    pub fn selection(&self, (bins, ranges): &JointPredicate) -> Option<WahVec> {
+        let n = self.a.len();
+        let value = (bins.len() < self.a.nbins()).then(|| self.a.or_bins(bins.clone()));
+        let region = ranges
+            .as_deref()
+            .map(|r| ibis_analysis::shard_mask(r, 0..n));
+        match (value, region) {
+            (Some(v), Some(r)) => Some(v.and(&r)),
+            (v, r) => v.or(r),
+        }
+    }
+
+    /// Both operands as a store hands them back: through the codec, every
+    /// bin in the form the per-bin selector keeps it in (Roaring where it
+    /// is the smaller), not transcoded. Also the number of Roaring bins.
+    pub fn as_stored(&self) -> (JointRegime, usize) {
+        let reload = |idx: &BitmapIndex| {
+            let (payload, _) = ibis_insitu::codec::encode_index_auto(idx);
+            ibis_insitu::codec::decode_index(&payload).expect("own encoding decodes")
+        };
+        let (a, b) = (reload(&self.a), reload(&self.b));
+        let roaring = |idx: &BitmapIndex| {
+            let held = (0..idx.nbins()).filter(|&bin| idx.resident_bin(bin).is_none());
+            held.count()
+        };
+        let n = roaring(&a) + roaring(&b);
+        let perm = self.perm.clone();
+        let name = self.name;
+        (JointRegime { name, a, b, perm }, n)
     }
 }
 

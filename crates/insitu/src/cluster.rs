@@ -148,7 +148,7 @@ impl LocalSummary {
     /// Joint bin counts of (self = candidate, prev) over this node's slab.
     fn joint_counts(&self, prev: &LocalSummary, binner: &Binner) -> Vec<u64> {
         match (self, prev) {
-            (LocalSummary::Bitmap(a), LocalSummary::Bitmap(b)) => joint_counts(a, b, None),
+            (LocalSummary::Bitmap(a), LocalSummary::Bitmap(b)) => joint_counts(a, b),
             (LocalSummary::Full(a), LocalSummary::Full(b)) => joint_histogram(a, b, binner, binner),
             _ => unreachable!("a run uses one reduction throughout"),
         }

@@ -66,10 +66,10 @@ use crate::shard::{
 };
 use crate::store::LossyCompanion;
 use ibis_analysis::{
-    correlation_partial_ml_shard, finish_correlation, shard_mask, shard_ranges, stored_ranges,
+    correlation_partial_shard, finish_correlation, shard_mask, shard_ranges, stored_ranges,
     CorrelationAnswer, QueryError, SubsetQuery,
 };
-use ibis_core::{MultiLevelIndex, WahBuilder, WahVec};
+use ibis_core::{Binner, MultiLevelIndex, WahBuilder, WahVec};
 use ibis_obs::LazyCounter;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -500,15 +500,23 @@ impl QueryEngine {
         let ranges = ranges.as_deref();
         let wanted = self.wanted(&layout.cuts, ranges);
         let counts = self.fanout(&wanted, |i| {
-            match self.shard_operand(i, step, variable, query, &layout, ranges, deadline)? {
-                Some((ml, local)) => query
-                    .count(ml.low(), local.as_deref())
-                    .map_err(IbisError::Query),
-                None => Ok(0),
-            }
+            let hit = self.shard_operand(i, step, variable, query, &layout, ranges, deadline)?;
+            let Some((ml, local)) = hit else {
+                return Ok(None);
+            };
+            let count = query.count(ml.low(), local.as_deref());
+            // the binner, not the index: the gather pins nothing the cache may evict
+            let binner = ml.low().binner().clone();
+            Ok(Some((count.map_err(IbisError::Query)?, binner)))
         });
+        let (mut selected, mut first) = (0, None);
+        for counted in counts.into_iter().filter_map(Result::transpose) {
+            let (count, binner) = counted?;
+            same_binning(first.get_or_insert_with(|| binner.clone()), &binner)?;
+            selected += count;
+        }
         Ok(QueryAnswer::Subset {
-            selected: counts.into_iter().sum::<Result<u64>>()?,
+            selected,
             of: layout.global_len(),
         })
     }
@@ -552,8 +560,8 @@ impl QueryEngine {
                 None => Arc::clone(&a),
             };
             let rows = layout_a.rows(i);
-            correlation_partial_ml_shard(&a, &b, query_a, query_b, rows, ranges)
-                .map(|p| (p, a, b))
+            correlation_partial_shard(a.low(), b.low(), query_a, query_b, rows, ranges)
+                .map(|p| (p, a.low().binner().clone(), b.low().binner().clone()))
                 .map_err(IbisError::Query)
         });
         // Gather: merge integer partials in ascending shard order, then
@@ -565,13 +573,12 @@ impl QueryEngine {
         };
         let (mut total, a, b) = first?;
         for part in parts {
-            total.merge(&part?.0);
+            let (part, shard_a, shard_b) = part?;
+            same_binning(&a, &shard_a)?;
+            same_binning(&b, &shard_b)?;
+            total.merge(&part).map_err(IbisError::Query)?;
         }
-        Ok(QueryAnswer::Correlation(finish_correlation(
-            a.low().binner(),
-            b.low().binner(),
-            &total,
-        )))
+        Ok(QueryAnswer::Correlation(finish_correlation(&a, &b, &total)))
     }
 
     /// The full canonical selection for a subset query, concatenated from
@@ -641,6 +648,14 @@ impl QueryEngine {
         OBS_MAINT_EVICTED.add(report.evicted_bytes);
         Ok(report)
     }
+}
+
+/// Per-shard counts add only when both shards name the same bins — equal
+/// bin counts *and* edges. Each blob is CRC-valid on its own, so nothing
+/// before the gather has compared them.
+fn same_binning(x: &Binner, y: &Binner) -> Result<()> {
+    let differ = QueryError::BinningMismatch(x.nbins(), y.nbins());
+    (x == y).then_some(()).ok_or(IbisError::Query(differ))
 }
 
 /// Fails fast when a request's wall-clock budget has expired; `site`

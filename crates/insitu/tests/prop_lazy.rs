@@ -5,7 +5,8 @@
 //! it was encoded from answers — and must encode back to the same bytes.
 
 use ibis_analysis::{
-    execute_range_plan, joint_counts, plan_value_range, shard_mask, RangePlan, SubsetQuery,
+    execute_range_plan, joint_counts, joint_counts_where, plan_value_range, shard_mask, RangePlan,
+    SubsetQuery,
 };
 use ibis_core::{Binner, BitmapIndex, CodecId, MultiLevelIndex, WahVec};
 use ibis_insitu::codec;
@@ -130,11 +131,16 @@ proptest! {
 
         // the label walk and the OR read Roaring bins where they lie
         let (_, _, other) = reload(&build(&ids.iter().rev().copied().collect::<Vec<_>>()));
-        let sel = idx.query_bins(0..=NBINS / 2);
-        for sel in [None, Some(&sel)] {
-            prop_assert_eq!(joint_counts(&back, &other, sel), joint_counts(&idx, &other, sel));
-            prop_assert_eq!(joint_counts(&back, &back, sel), joint_counts(&idx, &idx, sel));
+        prop_assert_eq!(joint_counts(&back, &other), joint_counts(&idx, &other));
+        for ranges in range_lists(n, &picks) {
+            // every row, and the rows a value predicate over half the bins keeps
+            for bins in [0..NBINS, 0..NBINS / 2 + 1] {
+                let walk = |a, b| joint_counts_where(a, b, bins.clone(), 0..NBINS, ranges.as_deref());
+                prop_assert_eq!(walk(&back, &other), walk(&idx, &other), "{:?} {:?}", &bins, &ranges);
+                prop_assert_eq!(walk(&back, &back), walk(&idx, &idx), "{:?} {:?}", &bins, &ranges);
+            }
         }
+        prop_assert_eq!(back.resident_bytes(), back.size_bytes(), "the label walk transcoded a bin");
         let (lo, hi) = ((picks[0] % NBINS as u64) as usize, NBINS - 1);
         let ored = back.query_bins(lo..=hi);
         prop_assert_eq!(&ored, &idx.query_bins(lo..=hi));

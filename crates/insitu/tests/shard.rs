@@ -11,12 +11,15 @@
 use ibis_analysis::{finish_correlation, CorrelationPartial, QueryError, SubsetQuery};
 use ibis_core::{Binner, BitmapIndex, MultiLevelIndex, RowOrder, RowPermutation, WahVec};
 use ibis_insitu::{
-    IbisError, MaintenanceConfig, QueryAnswer, QueryEngine, QueryRequest, ShardedStore,
-    ShardedWriter, StoreWriter,
+    IbisError, MaintenanceConfig, QueryAnswer, QueryEngine, QueryRequest, QueryServer, ServeConfig,
+    ShardedStore, ShardedWriter, SocketServer, StoreWriter,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const ROWS: usize = 2500;
 const BUDGET: u64 = 256 << 20;
@@ -339,6 +342,23 @@ fn battery(rows: u64) -> Vec<QueryRequest> {
             var_b: "salinity".into(),
             query_a: SubsetQuery::value(3.0, 9.0).with_region(11..rows / 3),
             query_b: SubsetQuery::value(0.0, 5.0).with_region(5..rows / 4),
+        },
+        // one variable against itself under two value ranges, inside a
+        // region shorter than a 31-row segment
+        QueryRequest::Correlation {
+            step: 1,
+            var_a: "salinity".into(),
+            var_b: "salinity".into(),
+            query_a: SubsetQuery::value(2.0, 8.0).with_region(rows / 2 - 9..rows / 2 + 9),
+            query_b: SubsetQuery::value(4.0, 9.5),
+        },
+        // an inverted range admits no bin: the empty answer, from every shard
+        QueryRequest::Correlation {
+            step: 0,
+            var_a: "salinity".into(),
+            var_b: "temperature".into(),
+            query_a: SubsetQuery::value(6.0, 2.0),
+            query_b: SubsetQuery::all(),
         },
     ]
 }
@@ -682,8 +702,36 @@ fn fanout_and_pruned_account_for_every_shard_of_every_query() {
             counter("shard.query.pruned"),
             counter(segments),
         );
+        // an exact store's correlation counts each visited shard's partial
+        // inside the label walk and builds no selection, so it plans no
+        // value range either; a subset query never reaches that path
+        let walked = || {
+            let materialised =
+                counter("query.corr.materialized") + counter("query.joint.and_table");
+            let planned: u64 = ["or_bins", "complement", "multilevel", "empty"]
+                .iter()
+                .map(|plan| counter(&format!("query.plan.{plan}")))
+                .sum();
+            (
+                counter("query.corr.selection_free"),
+                counter("shard.query.fanout"),
+                materialised,
+                planned,
+            )
+        };
         for req in &queries {
+            let was = walked();
             engine.run(req).unwrap();
+            let now = walked();
+            let visited = now.1 - was.1;
+            match req {
+                QueryRequest::Correlation { .. } => {
+                    assert_eq!(now.0 - was.0, visited, "k={shards} {layout:?} {req:?}");
+                    assert_eq!(now.3, was.3, "a correlation planned a selection: {req:?}");
+                }
+                QueryRequest::Subset { .. } => assert_eq!(now.0, was.0, "{req:?}"),
+            }
+            assert_eq!(now.2, was.2, "k={shards} {layout:?} {req:?} materialised");
         }
         let fanout = counter("shard.query.fanout") - before.0;
         let pruned = counter("shard.query.pruned") - before.1;
@@ -710,6 +758,110 @@ fn fanout_and_pruned_account_for_every_shard_of_every_query() {
             mapped,
             "k={shards} {layout:?}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A 2-shard store of the dataset whose `shard-001` was written by a
+/// second writer under `other`: every blob CRC-valid, the store
+/// inconsistent.
+fn store_binned_twice(name: &str, binner: &Binner, other: &Binner) -> PathBuf {
+    let dir = plain_store(name, 2, binner);
+    let donor = plain_store(&format!("{name}-donor"), 2, other);
+    let (into, from) = (dir.join("shard-001"), donor.join("shard-001"));
+    std::fs::remove_dir_all(&into).unwrap();
+    std::fs::create_dir(&into).unwrap();
+    for (file, bytes) in dir_files(&from) {
+        std::fs::write(into.join(file), bytes).unwrap();
+    }
+    std::fs::remove_dir_all(&donor).ok();
+    dir
+}
+
+/// Nothing but the gather can notice that two shards bin a variable
+/// differently: it must say so — a typed error, the same through every
+/// front end — where it used to panic a worker (different bin counts) or
+/// sum counts of different bins into a wrong answer (different edges).
+#[test]
+fn shards_that_disagree_on_the_binning_are_a_typed_error() {
+    let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
+    let binner = Binner::fixed_width(0.0, 10.0, 48);
+    let others = [
+        ("nbins", Binner::fixed_width(0.0, 10.0, 32)),
+        ("edges", Binner::fixed_width(0.0, 12.0, 48)),
+    ];
+    let rows = ROWS as u64;
+    for (what, other) in &others {
+        let dir = store_binned_twice(&format!("binned-twice-{what}"), &binner, other);
+        let engine = open(&dir, None);
+        let correlation = |query_b: SubsetQuery| QueryRequest::Correlation {
+            step: 0,
+            var_a: "temperature".into(),
+            var_b: "salinity".into(),
+            query_a: SubsetQuery::value(1.0, 9.0),
+            query_b,
+        };
+        let subset = |query: SubsetQuery| QueryRequest::Subset {
+            step: 1,
+            variable: "salinity".into(),
+            query,
+        };
+        let expected = QueryError::BinningMismatch(48, other.nbins());
+        for req in [
+            correlation(SubsetQuery::all()),
+            subset(SubsetQuery::value(2.0, 6.0)),
+        ] {
+            match engine.run(&req) {
+                Err(IbisError::Query(e)) => assert_eq!(e, expected, "{what} {req:?}"),
+                other => panic!("{what} {req:?}: {other:?}"),
+            }
+        }
+        // a query that stays inside shard 0 never sees the disagreement
+        let model = Model::of_fields(&binner);
+        for req in [
+            correlation(SubsetQuery::region(10..rows / 3)),
+            subset(SubsetQuery::value(2.0, 6.0).with_region(0..rows / 4)),
+        ] {
+            assert_eq!(
+                engine.run(&req).unwrap(),
+                model.run(&req).unwrap(),
+                "{what}"
+            );
+        }
+
+        // the same message inline in a batch, and over the socket — whose
+        // worker survives to answer the next frame
+        let batch = r#"{"queries": [
+            {"kind": "correlation", "var_a": "temperature", "var_b": "salinity", "value_a": [1, 9]},
+            {"kind": "subset", "step": 1, "variable": "salinity", "value_range": [2, 6]},
+            {"kind": "subset", "variable": "salinity", "region": [0, 100]}]}"#
+            .replace('\n', " ");
+        let message = format!("\"error\": \"{}\"", IbisError::Query(expected));
+        let check = |reply: &str, via: &str| {
+            assert_eq!(
+                reply.matches(&message).count(),
+                2,
+                "{what} via {via}: {reply}"
+            );
+            assert_eq!(
+                reply.matches("\"ok\"").count(),
+                1,
+                "{what} via {via}: {reply}"
+            );
+        };
+        check(&engine.run_batch_json(&batch).unwrap(), "run_batch_json");
+        let server = Arc::new(QueryServer::start(engine, ServeConfig::default()).unwrap());
+        let socket = SocketServer::bind(Arc::clone(&server), "127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(socket.local_addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        for _frame in 0..2 {
+            stream.write_all(format!("{batch}\n").as_bytes()).unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            check(&reply, "SocketServer");
+        }
+        socket.stop();
+        server.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
 }

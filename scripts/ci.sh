@@ -87,6 +87,11 @@ bench_smoke generation IBIS_GEN_SMOKE '"samples"' \
 bench_smoke query IBIS_QUERY_SMOKE '"warm_over_cold_speedup"' \
     '"warm_over_5x_target"' '"joint_partition_s"' '"joint_and_table_s"' \
     '"partition_over_and_table_speedup"' '"partition_never_slower"' \
+    '"correlation"' '"partial_selection_free_s"' '"partial_materialized_s"' \
+    '"selection_free_never_slower"' '"selection_free_min_speedup"' \
+    '"selection_free_equals_materialized": true' \
+    '"finish_fused_us"' '"finish_separate_us"' \
+    '"fused_finisher_bit_identical": true' \
     '"subset_count_s"' '"subset_materialize_s"' \
     '"count_over_materialize_speedup"' '"count_never_slower"' \
     '"count_equals_materialized"' '"lazy_equals_eager": true' '"miss_path"' \
@@ -109,7 +114,8 @@ bench_smoke serving IBIS_SERVE_SMOKE '"samples"' '"fault_free_p99_ms"' \
     '"coalesce_hits"' '"coalesce_decodes"' '"queue_peak"' \
     '"queue_bound_respected"' '"socket_rtt_p50_ms"'
 bench_smoke shard IBIS_SHARD_SMOKE '"samples"' '"shards"' '"throughput_qps"' \
-    '"speedup_4x_over_1"' '"scaling_target_met"' '"identity_checked"' \
+    '"speedup_4x_over_1"' '"scaling_target_met": true' '"identity_checked"' \
+    '"pruning_checked"' \
     '"ocean_over_budget"' '"ocean_p99_ms"' '"ocean_p99_interactive"' \
     '"cache_evictions"' '"nodekill_resumed"'
 
