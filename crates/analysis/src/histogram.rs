@@ -80,7 +80,7 @@ struct Labels<'a> {
     /// Every non-empty bin is admitted, so every row of a stretch is
     /// relabelled: no segment is [`NONE`] and no row label is stale.
     total: bool,
-    /// Per row; current under `mask` only.
+    /// Per row, whole segments long; current under `mask` only.
     row: Vec<u16>,
 }
 
@@ -97,7 +97,7 @@ impl<'a> Labels<'a> {
             bins,
             seg: vec![NONE; rows.div_ceil(SEG)],
             mask: vec![0; rows.div_ceil(SEG)],
-            row: vec![0; rows],
+            row: vec![0; rows.div_ceil(SEG) * SEG],
         }
     }
 
@@ -139,7 +139,12 @@ impl<'a> Labels<'a> {
                     if !total {
                         mask[at(base) / SEG] |= bits;
                     }
-                    run.for_each(|r| row[at(r)] = id);
+                    // all 31 rows, each kept or overwritten: no branch on
+                    // how many bits are set (a bit loop mispredicts)
+                    for (i, r) in row[at(base)..][..SEG].iter_mut().enumerate() {
+                        let keep = (((bits >> i) & 1) as u16).wrapping_sub(1);
+                        *r = (*r & keep) | (id & !keep);
+                    }
                 }
             }
         }
@@ -207,8 +212,41 @@ pub fn joint_counts(a: &BitmapIndex, b: &BitmapIndex) -> Vec<u64> {
 /// The joint table of the rows that lie in `ranges` — sorted, disjoint
 /// ranges of the indices' rows; `None` is every row — and in an admitted
 /// bin of each operand (a span past the last bin admits nothing there): a
-/// correlation's table with no selection built. `None` when an operand does
-/// not partition its rows (a lossy superset) or has more bins than labels.
+/// correlation's table with no selection built: [`joint_counts_per_range`]
+/// summed into one table. `None` when an operand does not partition its
+/// rows (a lossy superset) or has more bins than labels.
+pub fn joint_counts_where(
+    a: &BitmapIndex,
+    b: &BitmapIndex,
+    bins_a: Range<usize>,
+    bins_b: Range<usize>,
+    ranges: Option<&[Range<u64>]>,
+) -> Option<Vec<u64>> {
+    let nb = b.nbins();
+    let mut joint = vec![0u64; a.nbins() * nb];
+    let cells = &mut joint[..];
+    let labelled = joint_counts_per_range(a, b, bins_a, bins_b, ranges, move |_, j, k, c| {
+        cells[j * nb + k] += c
+    })?;
+    let skipped = a.len().div_ceil(CHUNK_ROWS) - labelled;
+    OBS_JOINT_PARTITION.inc();
+    if labelled > 0 {
+        OBS_CHUNKS_LABELLED.add(labelled);
+    }
+    if skipped > 0 {
+        OBS_CHUNKS_SKIPPED.add(skipped);
+    }
+    Some(joint)
+}
+
+/// The joint counts of [`joint_counts_where`], each handed to `sink` as
+/// `(range, bin_a, bin_b, rows)` — `range` the index in `ranges` of the
+/// range the rows lie in (0 for `None`), in non-decreasing order, a cell
+/// of one range possibly in several calls: the correlation miner's
+/// spatial stage, with its units as the ranges. Returns the chunks it
+/// labelled; `None`, and nothing counted, when an operand does not
+/// partition its rows or has more bins than labels. (The `query.joint.*`
+/// counters tick once per table, in [`joint_counts_where`].)
 ///
 /// The bins of an index built from data *partition* its rows, so "the row
 /// passes the value predicate" is "the row's label is an admitted bin",
@@ -222,23 +260,22 @@ pub fn joint_counts(a: &BitmapIndex, b: &BitmapIndex) -> Vec<u64> {
 /// sets, whole stretches of equally-labelled segments at a time. O(words
 /// of the admitted bins + rows in mixed segments of the stretches
 /// touched); `a` and `b` being one index labels once.
-pub fn joint_counts_where(
+pub fn joint_counts_per_range<F: FnMut(usize, usize, usize, u64)>(
     a: &BitmapIndex,
     b: &BitmapIndex,
     bins_a: Range<usize>,
     bins_b: Range<usize>,
     ranges: Option<&[Range<u64>]>,
-) -> Option<Vec<u64>> {
+    mut sink: F,
+) -> Option<u64> {
     assert_eq!(a.len(), b.len(), "indexes cover different element counts");
-    let (n, nb) = (a.len(), b.nbins());
-    if !(a.partitions() && b.partitions()) || a.nbins().max(nb) > NONE as usize {
+    if !(a.partitions() && b.partitions()) || a.nbins().max(b.nbins()) > NONE as usize {
         return None;
     }
-    OBS_JOINT_PARTITION.inc();
+    let n = a.len();
     let whole = 0..n;
     let ranges = ranges.unwrap_or(std::slice::from_ref(&whole));
     debug_assert!(ranges.windows(2).all(|w| w[0].end <= w[1].start));
-    let mut joint = vec![0u64; a.nbins() * nb];
     let rows = CHUNK_ROWS.min(n) as usize;
     // One index against itself: a row's two labels are one, so it passes
     // both predicates iff that bin lies in both spans — label once.
@@ -247,16 +284,16 @@ pub fn joint_counts_where(
     let mut labels_a = Labels::new(a, if shared { both } else { bins_a }, rows);
     let mut labels_b = (!shared).then(|| Labels::new(b, bins_b, rows));
     let mut next = 0; // the first range that ends past the chunk's first row
+    let mut labelled = 0;
     for lo in (0..n).step_by(CHUNK_ROWS as usize) {
         let hi = (lo + CHUNK_ROWS).min(n);
         next += ranges[next..].partition_point(|r| r.end <= lo);
         let met = &ranges[next..];
         let met = &met[..met.partition_point(|r| r.start < hi)];
         let (Some(first), Some(last)) = (met.first(), met.last()) else {
-            OBS_CHUNKS_SKIPPED.inc();
             continue;
         };
-        OBS_CHUNKS_LABELLED.inc();
+        labelled += 1;
         // the ranges' hull inside the chunk, widened to segment edges
         let from = first.start.max(lo) / SEG as u64 * SEG as u64;
         let to = (last.end.div_ceil(SEG as u64) * SEG as u64).min(hi);
@@ -265,35 +302,21 @@ pub fn joint_counts_where(
             labels_b.label(from, to);
         }
         let (la, lb) = (&labels_a, labels_b.as_ref().unwrap_or(&labels_a));
-        // the rows `bits` of the stretch's segment `s`, kept by a range
-        let count_segment = |joint: &mut [u64], s: usize, bits: u32| {
-            let (ja, kb) = (la.seg[s], lb.seg[s]);
-            if ja.max(kb) < NONE {
-                joint[ja as usize * nb + kb as usize] += bits.count_ones() as u64;
-            } else if ja != NONE && kb != NONE {
-                let labelled = |l: &Labels| match l.seg[s] {
-                    MIXED if !l.total => l.mask[s],
-                    _ => bits,
-                };
-                Ones::Literal((s * SEG) as u64, bits & labelled(la) & labelled(lb))
-                    .for_each(|r| joint[la.bin_of(s, r) * nb + lb.bin_of(s, r)] += 1);
-            }
-        };
-        for r in met {
+        for (i, r) in (next..).zip(met) {
             let mut at = (r.start.max(from) - from) as usize;
             let end = (r.end.min(to) - from) as usize;
             while at < end {
                 let (mut s, whole) = (at / SEG, end / SEG);
                 if !at.is_multiple_of(SEG) || s == whole {
                     let stop = end.min((s + 1) * SEG);
-                    count_segment(&mut joint, s, segment_bits(at, stop));
+                    count_segment(&mut sink, la, lb, i, s, segment_bits(at, stop));
                     at = stop;
                     continue;
                 }
                 while s < whole {
                     let cell = (la.seg[s], lb.seg[s]);
                     if cell.0 == MIXED || cell.1 == MIXED {
-                        count_segment(&mut joint, s, LITERAL_MASK);
+                        count_segment(&mut sink, la, lb, i, s, LITERAL_MASK);
                         s += 1;
                         continue;
                     }
@@ -301,7 +324,7 @@ pub fn joint_counts_where(
                         .take_while(|&t| (la.seg[t], lb.seg[t]) == cell)
                         .count();
                     if cell.0.max(cell.1) < NONE {
-                        joint[cell.0 as usize * nb + cell.1 as usize] += (same * SEG) as u64;
+                        sink(i, cell.0 as usize, cell.1 as usize, (same * SEG) as u64);
                     }
                     s += same;
                 }
@@ -309,7 +332,30 @@ pub fn joint_counts_where(
             }
         }
     }
-    Some(joint)
+    Some(labelled)
+}
+
+/// The rows `bits` of the stretch's segment `s`, kept by range `i`.
+#[inline(never)]
+fn count_segment<F: FnMut(usize, usize, usize, u64)>(
+    sink: &mut F,
+    la: &Labels,
+    lb: &Labels,
+    i: usize,
+    s: usize,
+    bits: u32,
+) {
+    let (ja, kb) = (la.seg[s], lb.seg[s]);
+    if ja.max(kb) < NONE {
+        sink(i, ja as usize, kb as usize, bits.count_ones() as u64);
+    } else if ja != NONE && kb != NONE {
+        let labelled = |l: &Labels| match l.seg[s] {
+            MIXED if !l.total => l.mask[s],
+            _ => bits,
+        };
+        Ones::Literal((s * SEG) as u64, bits & labelled(la) & labelled(lb))
+            .for_each(|r| sink(i, la.bin_of(s, r), lb.bin_of(s, r), 1));
+    }
 }
 
 /// The paper's Figure 5 kernel: one compressed `AND` + popcount per pair
@@ -323,8 +369,7 @@ pub fn joint_counts_and_table(a: &BitmapIndex, b: &BitmapIndex, sel: Option<&Wah
     let mut joint = vec![0u64; a.nbins() * nb];
     for j in (0..a.nbins()).filter(|&j| a.counts()[j] != 0) {
         let masked = sel.map(|sel| a.bin(j).and(sel));
-        // prepared once: a dense row pays its decode a single time
-        let row = masked.as_ref().unwrap_or(a.bin(j)).prepare();
+        let row = masked.as_ref().unwrap_or(a.bin(j));
         for (k, cell) in joint[j * nb..(j + 1) * nb].iter_mut().enumerate() {
             if b.counts()[k] != 0 {
                 *cell = row.and_count(b.bin(k));

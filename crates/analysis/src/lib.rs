@@ -37,7 +37,9 @@ pub mod summary;
 
 pub use aggregate::Estimate;
 pub use cfp::Cfp;
-pub use histogram::{joint_counts, joint_counts_and_table, joint_counts_where};
+pub use histogram::{
+    joint_counts, joint_counts_and_table, joint_counts_per_range, joint_counts_where,
+};
 pub use mining::{mine_full, mine_index, mine_multilevel, MinedSubset, MiningConfig, MiningResult};
 pub use query::{
     correlation_partial_shard, correlation_query, correlation_query_mapped, correlation_query_ml,

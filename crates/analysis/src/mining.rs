@@ -4,13 +4,25 @@
 //! two variables are strongly related, using mutual information as the
 //! indicator:
 //!
-//! 1. **Joint step** — AND every bitvector of `A` with every bitvector of
-//!    `B`, counting 1-bits.
+//! 1. **Joint step** — the rows of every bin of `A` that lie in every bin
+//!    of `B`: the whole joint table
+//!    ([`joint_counts`](crate::histogram::joint_counts)).
 //! 2. **Value pruning** — score each joint pair; pairs below threshold `T`
 //!    are uncorrelated and never touched again.
-//! 3. **Spatial step** — partition each surviving joint bitvector into basic
-//!    spatial units (contiguous Z-order ranges) and keep units scoring at
-//!    least `T'`.
+//! 3. **Spatial step** — count each surviving pair inside each basic
+//!    spatial unit (a contiguous Z-order range of rows) and keep units
+//!    scoring at least `T'`.
+//!
+//! A spatial unit is a row range, so step 3 is one more walk of the
+//! partition-label kernel ([`joint_counts_per_range`]) with the units as its
+//! ranges, run only when a pair survives: it reads each bin once, where it
+//! lies (WAH or Roaring), and each count it makes lands in its unit's
+//! marginals and, for a surviving pair, in that pair's per-unit count. The
+//! units split into contiguous groups across the rayon pool; integer sums
+//! over disjoint rows make the result byte-identical at every width. An
+//! operand whose bins do not partition its rows (a lossy superset) cannot
+//! be labelled, and counts each surviving pair per unit on the materialised
+//! `AND` instead.
 //!
 //! The per-pair score is the mutual information between the two *indicator*
 //! variables "value of A falls in bin j" / "value of B falls in bin k" —
@@ -23,8 +35,10 @@
 //! filter (coarsening can mask a fine-grained correlation); the stats report
 //! how much work it pruned.
 
-use ibis_core::{Binner, BitmapIndex, MultiLevelIndex};
+use crate::histogram::{joint_counts, joint_counts_per_range};
+use ibis_core::{Binner, BitmapIndex, MultiLevelIndex, WahVec};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Thresholds and spatial granularity for a mining run.
 #[derive(Debug, Clone, Copy)]
@@ -81,10 +95,14 @@ pub struct MiningResult {
 /// and "in bin k of B", from the four counts: total `n`, marginals `c_a`,
 /// `c_b`, and joint `c_ab`. Always ≥ 0.
 pub fn indicator_mi(n: u64, c_a: u64, c_b: u64, c_ab: u64) -> f64 {
-    debug_assert!(c_ab <= c_a && c_ab <= c_b && c_a <= n && c_b <= n);
     if n == 0 {
         return 0.0;
     }
+    // clamped and saturating: bins that overlap yet sum to the row count (a
+    // corrupt but well-formed index) pass for a partition, and the label
+    // walk can hand in counts no data has; they score, and never panic
+    let (c_a, c_b) = (c_a.min(n), c_b.min(n));
+    let c_ab = c_ab.min(c_a).min(c_b);
     // MI is symmetric; canonicalize the argument order so the float
     // summation order — and therefore the result — is bit-exactly
     // symmetric too.
@@ -94,7 +112,7 @@ pub fn indicator_mi(n: u64, c_a: u64, c_b: u64, c_ab: u64) -> f64 {
     let p11 = p(c_ab);
     let p10 = p(c_a - c_ab);
     let p01 = p(c_b - c_ab);
-    let p00 = p(n + c_ab - c_a - c_b);
+    let p00 = p((n + c_ab).saturating_sub(c_a + c_b));
     let pa1 = p(c_a);
     let pb1 = p(c_b);
     let term = |pxy: f64, px: f64, py: f64| {
@@ -128,102 +146,180 @@ fn unit_len(u: usize, unit_size: u64, n: u64) -> u64 {
     unit_size.min(n - start)
 }
 
-/// Algorithm 2 on bitmap indices, with the spatial stage fanned out over
-/// the rayon pool. Rows of the pair table are scored independently; each
-/// row [`prepare`](ibis_core::WahVec::prepare)s its bitvector once so a
-/// dense row pays the decode a single time across all its ANDs. Per-row
-/// outputs are concatenated in row order, so the result — subsets, ordering
-/// and work counters — is byte-identical at every pool width (tested
-/// against a one-thread pool, which runs every drive inline).
+/// A value pair that survived pruning: its bin of `A`, its bin of `B` and
+/// its indicator MI over the whole domain.
+type Survivor = (usize, usize, f64);
+
+impl MiningResult {
+    /// Step 2 over the pairs of non-empty bins in `bins_a × bins_b`: each
+    /// counted as evaluated and, scoring below `T` on `joint`, as pruned;
+    /// the others join `survivors`.
+    fn value_step(
+        &mut self,
+        (a, b, joint): (&BitmapIndex, &BitmapIndex, &[u64]),
+        (bins_a, bins_b): (Range<usize>, Range<usize>),
+        t: f64,
+        survivors: &mut Vec<Survivor>,
+    ) {
+        let (n, nb) = (a.len(), b.nbins());
+        for j in bins_a.filter(|&j| a.counts()[j] != 0) {
+            for k in bins_b.clone().filter(|&k| b.counts()[k] != 0) {
+                self.pairs_evaluated += 1;
+                let value_mi = joint_pair_score(n, a.counts()[j], b.counts()[k], joint[j * nb + k]);
+                match value_mi < t {
+                    true => self.pairs_pruned += 1,
+                    false => survivors.push((j, k, value_mi)),
+                }
+            }
+        }
+    }
+}
+
+/// Algorithm 2 on bitmap indices: the joint table from one label walk,
+/// value pruning on it, and the survivors scored unit by unit on a second
+/// walk (see the module docs). The result — subsets, ordering and work
+/// counters — equals [`mine_full`]'s and is byte-identical at every pool
+/// width (tested against a one-thread pool, which runs every drive inline).
 pub fn mine_index(a: &BitmapIndex, b: &BitmapIndex, cfg: &MiningConfig) -> MiningResult {
     assert_eq!(a.len(), b.len(), "variables must cover the same elements");
     assert!(cfg.unit_size > 0, "unit_size must be positive");
-    let n = a.len();
     let mut result = MiningResult::default();
-    if n == 0 {
+    if a.is_empty() {
         return result;
     }
-    // Step 1: the whole joint table, in one pass over the bitmaps.
-    let joint = crate::histogram::joint_counts(a, b);
-    let nb_bins = b.nbins();
-    // Step 2: value pruning — pure float scoring of the joint table, cheap
-    // and serial. Survivors are grouped by row for the spatial fan-out.
-    let mut rows: Vec<(usize, Vec<(usize, f64)>)> = Vec::new();
-    for j in 0..a.nbins() {
-        let ca = a.counts()[j];
-        if ca == 0 {
-            continue;
-        }
-        let mut survivors = Vec::new();
-        for k in 0..nb_bins {
-            let cb = b.counts()[k];
-            if cb == 0 {
-                continue;
-            }
-            result.pairs_evaluated += 1;
-            let value_mi = joint_pair_score(n, ca, cb, joint[j * nb_bins + k]);
-            if value_mi < cfg.value_threshold {
-                result.pairs_pruned += 1;
-                continue;
-            }
-            survivors.push((k, value_mi));
-        }
-        if !survivors.is_empty() {
-            rows.push((j, survivors));
-        }
+    let joint = joint_counts(a, b);
+    let mut survivors = Vec::new();
+    let bins = (0..a.nbins(), 0..b.nbins());
+    result.value_step((a, b, &joint), bins, cfg.value_threshold, &mut survivors);
+    spatial_step(a, b, &survivors, joint, cfg, &mut result);
+    result
+}
+
+/// `0..count` (`count` ≥ 1) in contiguous groups, one per pool thread
+/// (fewer when `count` is smaller), in order.
+fn split(count: usize) -> Vec<Range<usize>> {
+    let per = count.div_ceil(rayon::current_num_threads().clamp(1, count));
+    (0..count)
+        .step_by(per)
+        .map(|s| s..(s + per).min(count))
+        .collect()
+}
+
+/// Step 3: every surviving pair scored in every spatial unit; the subsets
+/// at or above `T'` join `result`, sorted. `joint`, step 1's table, is
+/// spent: it is reused as the walk's map from cell to surviving pair.
+fn spatial_step(
+    a: &BitmapIndex,
+    b: &BitmapIndex,
+    pairs: &[Survivor],
+    joint: Vec<u64>,
+    cfg: &MiningConfig,
+    result: &mut MiningResult,
+) {
+    if pairs.is_empty() {
+        return;
     }
-    // Per-unit marginals of every B bin that appears in a surviving pair,
-    // computed once up front (in parallel) and shared across rows.
-    let mut needed_b: Vec<usize> = rows
-        .iter()
-        .flat_map(|(_, s)| s.iter().map(|&(k, _)| k))
-        .collect();
-    needed_b.sort_unstable();
-    needed_b.dedup();
-    let computed: Vec<Vec<u64>> = needed_b
-        .par_iter()
-        .map(|&k| b.bin(k).count_ones_per_unit(cfg.unit_size))
-        .collect();
-    let mut units_b: Vec<Option<Vec<u64>>> = vec![None; nb_bins];
-    for (k, v) in needed_b.into_iter().zip(computed) {
-        units_b[k] = Some(v);
+    result.units_evaluated += pairs.len() * a.len().div_ceil(cfg.unit_size) as usize;
+    let found =
+        walk_units(a, b, pairs, joint, cfg).unwrap_or_else(|| and_per_unit(a, b, pairs, cfg));
+    result.subsets.extend(found);
+    sort_subsets(&mut result.subsets);
+}
+
+/// Pair `(bin_a, bin_b, value_mi)` in `unit`, from the unit's rows in
+/// `bin_a`, in `bin_b` and in both — a subset if it scores at least `T'`.
+fn subset(
+    (bin_a, bin_b, value_mi): Survivor,
+    unit: usize,
+    [c_a, c_b, c_ab]: [u64; 3],
+    n: u64,
+    cfg: &MiningConfig,
+) -> Option<MinedSubset> {
+    let spatial_mi = indicator_mi(unit_len(unit, cfg.unit_size, n), c_a, c_b, c_ab);
+    (spatial_mi >= cfg.spatial_threshold).then_some(MinedSubset {
+        bin_a,
+        bin_b,
+        unit,
+        value_mi,
+        spatial_mi,
+    })
+}
+
+/// [`spatial_step`] on the label walk: one [`joint_counts_per_range`] per
+/// group of contiguous units, the units its ranges, the groups split across
+/// the pool. Each count lands in its unit's rows per bin and, for a
+/// surviving pair, in the pair's; a unit is scored once the walk has moved
+/// past it. `None` for operands the walk cannot label. (The `query.joint.*`
+/// counters count tables, so only step 1 ticks them, whatever the width.)
+fn walk_units(
+    a: &BitmapIndex,
+    b: &BitmapIndex,
+    pairs: &[Survivor],
+    mut slot: Vec<u64>,
+    cfg: &MiningConfig,
+) -> Option<Vec<MinedSubset>> {
+    let (n, na, nb) = (a.len(), a.nbins(), b.nbins());
+    // cell `j * nb + k` -> its pair's index in `pairs`, if it survived
+    slot.fill(u64::MAX);
+    for (p, &(j, k, _)) in pairs.iter().enumerate() {
+        slot[j * nb + k] = p as u64;
     }
-    // Step 3: spatial stage, one task per surviving row (fused AND +
-    // per-unit popcount; the intersection is never materialized).
-    let row_results: Vec<(usize, Vec<MinedSubset>)> = rows
+    let groups: Option<Vec<Vec<MinedSubset>>> = split(n.div_ceil(cfg.unit_size) as usize)
         .into_par_iter()
-        .map(|(j, survivors)| {
-            let row = a.bin(j).prepare();
-            let per_unit_a = a.bin(j).count_ones_per_unit(cfg.unit_size);
-            let mut units_evaluated = 0usize;
-            let mut subsets = Vec::new();
-            for (k, value_mi) in survivors {
-                let per_unit_ab = row.and_count_per_unit(b.bin(k), cfg.unit_size);
-                let per_unit_b = units_b[k].as_ref().expect("marginal precomputed");
-                for (u, &c_ab_u) in per_unit_ab.iter().enumerate() {
-                    units_evaluated += 1;
-                    let nu = unit_len(u, cfg.unit_size, n);
-                    let spatial_mi = indicator_mi(nu, per_unit_a[u], per_unit_b[u], c_ab_u);
-                    if spatial_mi >= cfg.spatial_threshold {
-                        subsets.push(MinedSubset {
-                            bin_a: j,
-                            bin_b: k,
-                            unit: u,
-                            value_mi,
-                            spatial_mi,
-                        });
-                    }
+        .map(|units| {
+            let first = units.start;
+            let rows = |u: usize| u as u64 * cfg.unit_size..((u as u64 + 1) * cfg.unit_size).min(n);
+            let ranges: Vec<Range<u64>> = units.map(rows).collect();
+            let (mut unit_a, mut unit_b, mut unit_ab) =
+                (vec![0; na], vec![0; nb], vec![0; pairs.len()]);
+            let (mut found, mut scored) = (Vec::new(), 0);
+            let mut score = |unit: usize, a: &mut [u64], b: &mut [u64], ab: &mut [u64]| {
+                for (&pair @ (j, k, _), &c_ab) in pairs.iter().zip(&*ab) {
+                    found.extend(subset(pair, unit, [a[j], b[k], c_ab], n, cfg));
                 }
+                a.fill(0);
+                b.fill(0);
+                ab.fill(0);
+            };
+            let labelled =
+                joint_counts_per_range(a, b, 0..na, 0..nb, Some(&ranges), |i, j, k, c| {
+                    while scored < i {
+                        score(first + scored, &mut unit_a, &mut unit_b, &mut unit_ab);
+                        scored += 1;
+                    }
+                    unit_a[j] += c;
+                    unit_b[k] += c;
+                    if let Some(ab) = unit_ab.get_mut(slot[j * nb + k] as usize) {
+                        *ab += c;
+                    }
+                });
+            for unit in scored..ranges.len() {
+                score(first + unit, &mut unit_a, &mut unit_b, &mut unit_ab);
             }
-            (units_evaluated, subsets)
+            labelled.map(|_| found)
         })
         .collect();
-    for (units_evaluated, subsets) in row_results {
-        result.units_evaluated += units_evaluated;
-        result.subsets.extend(subsets);
+    groups.map(|found| found.concat())
+}
+
+/// [`spatial_step`] for operands the walk cannot label: each surviving
+/// pair's bins and their materialised `AND` counted per unit.
+fn and_per_unit(
+    a: &BitmapIndex,
+    b: &BitmapIndex,
+    pairs: &[Survivor],
+    cfg: &MiningConfig,
+) -> Vec<MinedSubset> {
+    let per_unit = |v: &WahVec| v.count_ones_per_unit(cfg.unit_size);
+    let mut found = Vec::new();
+    for &pair @ (j, k, _) in pairs {
+        let (va, vb) = (a.bin(j), b.bin(k));
+        let units = (per_unit(va).into_iter().zip(per_unit(vb))).zip(per_unit(&va.and(vb)));
+        for (u, ((c_a, c_b), c_ab)) in units.enumerate() {
+            found.extend(subset(pair, u, [c_a, c_b, c_ab], a.len(), cfg));
+        }
     }
-    sort_subsets(&mut result.subsets);
-    result
+    found
 }
 
 /// The full-data comparator: identical semantics via raw scans — bin the
@@ -328,86 +424,68 @@ pub struct MultiLevelStats {
 }
 
 /// Multi-level mining: score high-level pairs first, descend only into the
-/// children of pairs passing `T` (Section 4.2, optimization 2).
+/// children of pairs passing `T` (Section 4.2, optimization 2), then the
+/// spatial step of [`mine_index`] over the fine pairs that survive.
+///
+/// Both levels are read off the one fine joint table: a coarse pair's
+/// count is the table's block under `children(hj) × children(hk)`, which,
+/// bins partitioning rows, is `|H_a ∧ H_b|` exactly — no high bin is built.
+/// An operand that does not partition (a lossy superset) has no such
+/// identity, and ANDs its high bins instead.
 pub fn mine_multilevel(
     a: &MultiLevelIndex,
     b: &MultiLevelIndex,
     cfg: &MiningConfig,
 ) -> (MiningResult, MultiLevelStats) {
+    let (low_a, low_b) = (a.low(), b.low());
     assert_eq!(
-        a.low().len(),
-        b.low().len(),
+        low_a.len(),
+        low_b.len(),
         "variables must cover the same elements"
     );
-    let n = a.low().len();
+    assert!(cfg.unit_size > 0, "unit_size must be positive");
     let mut result = MiningResult::default();
     let mut stats = MultiLevelStats::default();
-    if n == 0 {
+    if low_a.is_empty() {
         return (result, stats);
     }
-    let mut units_a: Vec<Option<Vec<u64>>> = vec![None; a.low().nbins()];
-    let mut units_b: Vec<Option<Vec<u64>>> = vec![None; b.low().nbins()];
-    for hj in 0..a.high().nbins() {
-        if a.high().counts()[hj] == 0 {
-            continue;
-        }
-        // Coarse row decoded (if dense) once, shared across all hk ANDs.
-        let high_row = a.high().bin(hj).prepare();
-        for hk in 0..b.high().nbins() {
-            if b.high().counts()[hk] == 0 {
-                continue;
-            }
+    let joint = joint_counts(low_a, low_b);
+    let (n, nb) = (low_a.len(), low_b.nbins());
+    let partitions = low_a.partitions() && low_b.partitions();
+    // the non-empty high bins, with their rows
+    let high = |ml: &MultiLevelIndex| -> Vec<(usize, u64)> {
+        let rows = |h| match partitions {
+            true => ml.children(h).map(|j| ml.low().counts()[j]).sum(),
+            false => ml.high_bin(h).count_ones(),
+        };
+        let nhigh = ml.low().nbins().div_ceil(ml.group());
+        (0..nhigh)
+            .map(|h| (h, rows(h)))
+            .filter(|&(_, c)| c != 0)
+            .collect()
+    };
+    let (high_a, high_b) = (high(a), high(b));
+    let mut survivors = Vec::new();
+    for &(hj, c_hj) in &high_a {
+        for &(hk, c_hk) in &high_b {
             stats.high_pairs_evaluated += 1;
-            let c_hjk = high_row.and_count(b.high().bin(hk));
-            let high_mi = joint_pair_score(n, a.high().counts()[hj], b.high().counts()[hk], c_hjk);
-            if high_mi < cfg.value_threshold {
+            let c_hjk = match partitions {
+                true => (a.children(hj))
+                    .map(|j| joint[j * nb..][b.children(hk)].iter().sum::<u64>())
+                    .sum(),
+                false => a.high_bin(hj).and_count(b.high_bin(hk)),
+            };
+            if joint_pair_score(n, c_hj, c_hk, c_hjk) < cfg.value_threshold {
                 stats.high_pairs_pruned += 1;
                 continue;
             }
-            for j in a.children(hj) {
-                let ca = a.low().counts()[j];
-                if ca == 0 {
-                    continue;
-                }
-                // Decoded (if dense) once per row, shared by all its ANDs.
-                let row = a.low().bin(j).prepare();
-                for k in b.children(hk) {
-                    let cb = b.low().counts()[k];
-                    if cb == 0 {
-                        continue;
-                    }
-                    stats.low_pairs_evaluated += 1;
-                    result.pairs_evaluated += 1;
-                    let c_ab = row.and_count(b.low().bin(k));
-                    let value_mi = joint_pair_score(n, ca, cb, c_ab);
-                    if value_mi < cfg.value_threshold {
-                        result.pairs_pruned += 1;
-                        continue;
-                    }
-                    let per_unit_ab = row.and_count_per_unit(b.low().bin(k), cfg.unit_size);
-                    let per_unit_a = units_a[j]
-                        .get_or_insert_with(|| a.low().bin(j).count_ones_per_unit(cfg.unit_size));
-                    let per_unit_b = units_b[k]
-                        .get_or_insert_with(|| b.low().bin(k).count_ones_per_unit(cfg.unit_size));
-                    for (u, &c_ab_u) in per_unit_ab.iter().enumerate() {
-                        result.units_evaluated += 1;
-                        let nu = unit_len(u, cfg.unit_size, n);
-                        let spatial_mi = indicator_mi(nu, per_unit_a[u], per_unit_b[u], c_ab_u);
-                        if spatial_mi >= cfg.spatial_threshold {
-                            result.subsets.push(MinedSubset {
-                                bin_a: j,
-                                bin_b: k,
-                                unit: u,
-                                value_mi,
-                                spatial_mi,
-                            });
-                        }
-                    }
-                }
-            }
+            let children = (a.children(hj), b.children(hk));
+            let t = cfg.value_threshold;
+            result.value_step((low_a, low_b, &joint), children, t, &mut survivors);
         }
     }
-    sort_subsets(&mut result.subsets);
+    stats.low_pairs_evaluated = result.pairs_evaluated;
+    spatial_step(low_a, low_b, &survivors, joint, cfg, &mut result);
     (result, stats)
 }
 

@@ -998,7 +998,7 @@ mod tests {
             // force the multilevel covering too, whatever the planner chose
             let mut high = Vec::new();
             let mut low_edges = Vec::new();
-            for h in 0..ml.high().nbins() {
+            for h in 0..ml.low().nbins().div_ceil(ml.group()) {
                 let ch = ml.children(h);
                 if ch.start > b1 || ch.end <= b0 {
                     continue;

@@ -12,14 +12,14 @@ use ibis_analysis::entropy::{
     mutual_information_from_counts, mutual_information_full, mutual_information_index,
     shannon_entropy_full, shannon_entropy_index,
 };
-use ibis_analysis::histogram::histogram;
-use ibis_analysis::mining::indicator_mi;
+use ibis_analysis::histogram::{histogram, joint_histogram};
+use ibis_analysis::mining::{indicator_mi, joint_pair_score};
 use ibis_analysis::selection::{select_greedy, Partitioning};
 use ibis_analysis::{
-    finish_correlation, mine_full, mine_index, CorrelationPartial, Metric, MiningConfig,
-    StepSummary, VarSummary,
+    finish_correlation, joint_counts_and_table, mine_full, mine_index, mine_multilevel,
+    CorrelationPartial, Metric, MinedSubset, MiningConfig, MiningResult, StepSummary, VarSummary,
 };
-use ibis_core::{Binner, BitmapIndex};
+use ibis_core::{Binner, BitmapIndex, MultiLevelIndex, WahVec};
 use proptest::prelude::*;
 
 mod before_fusing;
@@ -284,5 +284,241 @@ proptest! {
         prop_assert_eq!(rb.subsets, rf.subsets);
         prop_assert_eq!(rb.pairs_pruned, rf.pairs_pruned);
         prop_assert_eq!(rb.units_evaluated, rf.units_evaluated);
+    }
+}
+
+/// Two integer-valued variables under `distinct_ints` bins (so `coarsen`
+/// groups them exactly), the second a copy of the first over a leading
+/// stretch of rows, so that pairs survive pruning and subsets turn up.
+fn mining_arrays() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Binner)> {
+    (1usize..400, 1u32..20)
+        .prop_flat_map(|(n, nbins)| {
+            (
+                proptest::collection::vec(0..nbins, n),
+                proptest::collection::vec(0..nbins, n),
+                0..n + 1,
+                Just(nbins),
+            )
+        })
+        .prop_map(|(a, mut b, copied, nbins)| {
+            b[..copied].copy_from_slice(&a[..copied]);
+            let values = |v: Vec<u32>| v.into_iter().map(f64::from).collect();
+            (
+                values(a),
+                values(b),
+                Binner::distinct_ints(0, nbins as i64 - 1),
+            )
+        })
+}
+
+fn mining_cfg(unit_size: u64, value_threshold: f64) -> MiningConfig {
+    MiningConfig {
+        value_threshold,
+        spatial_threshold: 0.05,
+        unit_size,
+    }
+}
+
+/// What a mining run found and the work it counted.
+fn found(r: MiningResult) -> (Vec<MinedSubset>, [usize; 3]) {
+    let work = [r.pairs_evaluated, r.pairs_pruned, r.units_evaluated];
+    (r.subsets, work)
+}
+
+/// `subsets` in the miners' order: by spatial MI, highest first.
+fn sorted(mut subsets: Vec<MinedSubset>) -> Vec<MinedSubset> {
+    subsets.sort_by(|x, y| {
+        (y.spatial_mi.partial_cmp(&x.spatial_mi).unwrap())
+            .then((x.bin_a, x.bin_b, x.unit).cmp(&(y.bin_a, y.bin_b, y.unit)))
+    });
+    subsets
+}
+
+/// [`mine_multilevel`] by raw scans: coarse pairs scored on
+/// `joint_histogram` under `coarsen(group)`, the fine pairs under each
+/// coarse survivor on the fine one, their units counted row by row. Also
+/// returns the three `MultiLevelStats`.
+fn mine_multilevel_scan(
+    (a, b, binner): (&[f64], &[f64], &Binner),
+    group: usize,
+    cfg: &MiningConfig,
+) -> (MiningResult, [usize; 3]) {
+    let (n, nf, coarse) = (a.len() as u64, binner.nbins(), binner.coarsen(group));
+    let nh = coarse.nbins();
+    let fine_joint = joint_histogram(a, b, binner, binner);
+    let coarse_joint = joint_histogram(a, b, &coarse, &coarse);
+    let (ca, cb) = (histogram(a, binner), histogram(b, binner));
+    let (ha, hb) = (histogram(a, &coarse), histogram(b, &coarse));
+    let children = |h: usize| h * group..((h + 1) * group).min(nf);
+    let (mut r, mut stats) = (MiningResult::default(), [0; 3]);
+    let mut survivors = Vec::new();
+    for hj in (0..nh).filter(|&h| ha[h] != 0) {
+        for hk in (0..nh).filter(|&h| hb[h] != 0) {
+            stats[0] += 1;
+            let c_hjk = coarse_joint[hj * nh + hk];
+            if joint_pair_score(n, ha[hj], hb[hk], c_hjk) < cfg.value_threshold {
+                stats[1] += 1;
+                continue;
+            }
+            for j in children(hj).filter(|&j| ca[j] != 0) {
+                for k in children(hk).filter(|&k| cb[k] != 0) {
+                    r.pairs_evaluated += 1;
+                    let value_mi = joint_pair_score(n, ca[j], cb[k], fine_joint[j * nf + k]);
+                    match value_mi < cfg.value_threshold {
+                        true => r.pairs_pruned += 1,
+                        false => survivors.push((j, k, value_mi)),
+                    }
+                }
+            }
+        }
+    }
+    stats[2] = r.pairs_evaluated;
+    let size = cfg.unit_size as usize;
+    for (bin_a, bin_b, value_mi) in survivors {
+        for (unit, start) in (0..a.len()).step_by(size).enumerate() {
+            let rows = start..(start + size).min(a.len());
+            let [mut c_a, mut c_b, mut c_ab] = [0u64; 3];
+            for i in rows.clone() {
+                let in_a = binner.bin_of(a[i]) as usize == bin_a;
+                let in_b = binner.bin_of(b[i]) as usize == bin_b;
+                (c_a, c_b, c_ab) = (
+                    c_a + in_a as u64,
+                    c_b + in_b as u64,
+                    c_ab + (in_a && in_b) as u64,
+                );
+            }
+            r.units_evaluated += 1;
+            let spatial_mi = indicator_mi(rows.len() as u64, c_a, c_b, c_ab);
+            if spatial_mi >= cfg.spatial_threshold {
+                r.subsets.push(MinedSubset {
+                    bin_a,
+                    bin_b,
+                    unit,
+                    value_mi,
+                    spatial_mi,
+                });
+            }
+        }
+    }
+    r.subsets = sorted(r.subsets);
+    (r, stats)
+}
+
+/// [`mine_index`] counting each surviving pair per unit on its materialised
+/// `AND` — the oracle the fused per-unit kernels were tested against, and
+/// what an operand that does not partition its rows takes.
+fn mine_materialized(a: &BitmapIndex, b: &BitmapIndex, cfg: &MiningConfig) -> MiningResult {
+    let (n, nb) = (a.len(), b.nbins());
+    let joint = joint_counts_and_table(a, b, None);
+    let per_unit = |v: &WahVec| v.count_ones_per_unit(cfg.unit_size);
+    let mut r = MiningResult::default();
+    for bin_a in (0..a.nbins()).filter(|&j| a.counts()[j] != 0) {
+        for bin_b in (0..nb).filter(|&k| b.counts()[k] != 0) {
+            r.pairs_evaluated += 1;
+            let (c_a, c_b) = (a.counts()[bin_a], b.counts()[bin_b]);
+            let value_mi = joint_pair_score(n, c_a, c_b, joint[bin_a * nb + bin_b]);
+            if value_mi < cfg.value_threshold {
+                r.pairs_pruned += 1;
+                continue;
+            }
+            let (va, vb) = (a.bin(bin_a), b.bin(bin_b));
+            let (unit_a, unit_b, unit_ab) = (per_unit(va), per_unit(vb), per_unit(&va.and(vb)));
+            for unit in 0..unit_ab.len() {
+                r.units_evaluated += 1;
+                let rows = cfg.unit_size.min(n - unit as u64 * cfg.unit_size);
+                let spatial_mi = indicator_mi(rows, unit_a[unit], unit_b[unit], unit_ab[unit]);
+                if spatial_mi >= cfg.spatial_threshold {
+                    r.subsets.push(MinedSubset {
+                        bin_a,
+                        bin_b,
+                        unit,
+                        value_mi,
+                        spatial_mi,
+                    });
+                }
+            }
+        }
+    }
+    r.subsets = sorted(r.subsets);
+    r
+}
+
+proptest! {
+    /// The multi-level miner, which scores coarse pairs from block sums of
+    /// the fine joint table, equals a scan that bins the data under the
+    /// coarsened binner — subsets, work counters and the three stats — at
+    /// groupings that do and do not divide the bin count.
+    #[test]
+    fn mine_multilevel_equals_a_scan_at_every_grouping(
+        (a, b, binner) in mining_arrays(),
+        unit in 8u64..64,
+        t in 0.001f64..0.05,
+    ) {
+        let cfg = mining_cfg(unit, t);
+        let ia = BitmapIndex::build(&a, binner.clone());
+        let ib = BitmapIndex::build(&b, binner.clone());
+        for group in [1, 2, 3, 8] {
+            let ml = |idx: &BitmapIndex| MultiLevelIndex::from_low(idx.clone(), group);
+            let (got, stats) = mine_multilevel(&ml(&ia), &ml(&ib), &cfg);
+            let (want, want_stats) = mine_multilevel_scan((&a, &b, &binner), group, &cfg);
+            prop_assert_eq!(found(got), found(want), "group {}", group);
+            let got_stats = [stats.high_pairs_evaluated, stats.high_pairs_pruned, stats.low_pairs_evaluated];
+            prop_assert_eq!(got_stats, want_stats, "group {}", group);
+        }
+    }
+
+    /// The label walk's spatial stage equals the materialised per-pair one
+    /// on operands that partition their rows; a lossy superset, which does
+    /// not, takes the materialised one and mines without a panic, alone or
+    /// beside an exact operand, flat or multi-level.
+    #[test]
+    fn mining_walk_equals_the_materialized_fallback(
+        (a, b, binner) in mining_arrays(),
+        unit in 8u64..64,
+        fpr in 1e-3f64..1e-1,
+    ) {
+        let cfg = mining_cfg(unit, 0.01);
+        let ia = BitmapIndex::build(&a, binner.clone());
+        let ib = BitmapIndex::build(&b, binner.clone());
+        let walked = mine_index(&ia, &ib, &cfg);
+        prop_assert_eq!(found(walked), found(mine_materialized(&ia, &ib, &cfg)));
+        let (la, lb) = (ia.lossy(fpr).0, ib.lossy(fpr).0);
+        for (x, y) in [(&la, &lb), (&ia, &lb), (&la, &ib)] {
+            let lossy = mine_index(x, y, &cfg);
+            prop_assert_eq!(found(lossy), found(mine_materialized(x, y, &cfg)));
+            for group in [1, 3] {
+                let ml = |idx: &BitmapIndex| MultiLevelIndex::from_low(idx.clone(), group);
+                mine_multilevel(&ml(x), &ml(y), &cfg);
+            }
+        }
+    }
+}
+
+/// Bins that overlap yet sum to the row count — a CRC-valid but corrupt
+/// blob — claim to partition their rows; the miners score whatever the
+/// walk counts of them and never panic.
+#[test]
+fn overlapping_bins_that_sum_to_the_row_count_never_panic() {
+    let n = 4000u64;
+    let every = |step: u64| (0..n).step_by(step as usize).collect::<Vec<u64>>();
+    // bin 0 every other row, bin 1 every fourth (all in bin 0 too), bin 2
+    // the first 1000 rows: 2000 + 1000 + 1000 = n, odd rows past 1000 in
+    // no bin
+    let bins = vec![
+        WahVec::from_ones(&every(2), n),
+        WahVec::from_ones(&every(4), n),
+        WahVec::from_bits((0..n).map(|r| r < 1000)),
+    ];
+    let bad = BitmapIndex::from_bins(Binner::distinct_ints(0, 2), bins);
+    assert!(bad.partitions(), "the counts sum to the row count");
+    let data: Vec<f64> = (0..n).map(|r| (r % 3) as f64).collect();
+    let good = BitmapIndex::build(&data, Binner::distinct_ints(0, 2));
+    let cfg = mining_cfg(64, 0.0);
+    for (x, y) in [(&bad, &bad), (&bad, &good), (&good, &bad)] {
+        mine_index(x, y, &cfg);
+        for group in [1, 2] {
+            let ml = |idx: &BitmapIndex| MultiLevelIndex::from_low(idx.clone(), group);
+            mine_multilevel(&ml(x), &ml(y), &cfg);
+        }
     }
 }

@@ -292,7 +292,7 @@ fn counter(name: &str) -> u64 {
 /// covering (high bins for whole groups, low bins for the ragged edges).
 fn forced_plans(ml: &MultiLevelIndex, b0: usize, b1: usize) -> [RangePlan; 3] {
     let (mut high, mut low_edges) = (Vec::new(), Vec::new());
-    for h in 0..ml.high().nbins() {
+    for h in 0..ml.low().nbins().div_ceil(ml.group()) {
         let ch = ml.children(h);
         if ch.start >= b0 && ch.end <= b1 + 1 {
             high.push(h);

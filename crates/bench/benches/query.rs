@@ -2,12 +2,7 @@
 //! repeated correlation queries vs the cold `load_series`-per-query
 //! baseline, the one-pass partition joint table vs the paper's AND table
 //! (three data regimes × four predicates, results asserted equal before
-//! either is timed), a correlation's shard partial counted with no
-//! selection built vs the path before it (`ibis_bench::parent`: both value
-//! selections materialised, ANDed and walked) and the fused finisher vs
-//! the three separate ones (four regimes × bins as built and as stored ×
-//! four value widths × three regions, partials and answers asserted equal
-//! before timing), counting a subset query's plan vs materialising its
+//! either is timed), counting a subset query's plan vs materialising its
 //! selection and counting that (four regimes — a strided layout's thousands
 //! of stored ranges among them — × three regions × three widths, equality
 //! asserted before timing), the layers of a cache miss on the ocean fields
@@ -25,11 +20,10 @@
 //! report without clobbering the committed full-size numbers.
 
 use ibis_analysis::{
-    correlation_partial_shard, correlation_query, finish_correlation, joint_counts_and_table,
-    joint_counts_where, plan_value_range, shard_mask, shard_ranges, stored_ranges, RangePlan,
-    SubsetQuery,
+    correlation_query, joint_counts_and_table, joint_counts_where, plan_value_range, shard_mask,
+    shard_ranges, stored_ranges, RangePlan, SubsetQuery,
 };
-use ibis_bench::{count_regimes, joint_regimes, parent, span_holding};
+use ibis_bench::{count_regimes, joint_regimes, span_holding};
 use ibis_core::{Binner, BitmapIndex, MultiLevelIndex, WahVec};
 use ibis_insitu::{
     codec, CachedStore, QueryAnswer, QueryEngine, QueryRequest, ShardedStore, ShardedWriter, Store,
@@ -54,30 +48,6 @@ fn measure<O>(mut f: impl FnMut() -> O) -> f64 {
         total += t0.elapsed().as_secs_f64() / iters as f64;
     }
     total / samples as f64
-}
-
-/// Seconds per call of `f` and of `g`, each the minimum over interleaved
-/// rounds: for two ways to the same result that may cost the same, where a
-/// mean's few percent of scheduling noise would decide who "won".
-fn measure_pair<A, B>(mut f: impl FnMut() -> A, mut g: impl FnMut() -> B) -> (f64, f64) {
-    let t0 = Instant::now();
-    black_box(f());
-    let one = t0.elapsed().as_secs_f64().max(1e-9);
-    let iters = ((0.01 / one).round() as u64).clamp(1, 1_000_000_000);
-    let (mut best_f, mut best_g) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..11 {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        best_f = best_f.min(t0.elapsed().as_secs_f64() / iters as f64);
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            black_box(g());
-        }
-        best_g = best_g.min(t0.elapsed().as_secs_f64() / iters as f64);
-    }
-    (best_f, best_g)
 }
 
 /// A smooth simulation-like field: long same-bin runs, WAH-friendly.
@@ -145,6 +115,12 @@ fn miss_path(nshards: usize, ocean: [usize; 3]) -> String {
             let payload = &framed[12..framed.len() - 4];
             let decode = || codec::decode_index(payload).expect("stored payload");
             let group = (eager.nbins() as f64).sqrt().ceil() as usize;
+            // every high bin derived
+            let high_level = |ml: MultiLevelIndex| {
+                (0..ml.low().nbins().div_ceil(group))
+                    .map(|h| ml.high_bin(h).len())
+                    .sum::<u64>()
+            };
             // the plan of record: the value range holding 40 % of the rows,
             // inside the first quarter of them
             let rows = eager.len();
@@ -185,16 +161,9 @@ fn miss_path(nshards: usize, ocean: [usize; 3]) -> String {
                         assert_eq!(idx.bins().count(), idx.nbins());
                         MultiLevelIndex::from_low(idx, group)
                     },
-                    |ml| ml.high().nbins(),
+                    high_level,
                 ),
-                floor_us(
-                    || MultiLevelIndex::from_low(decode(), group),
-                    |ml| {
-                        (0..ml.low().nbins().div_ceil(group))
-                            .map(|h| ml.high_bin(h).len())
-                            .sum::<u64>()
-                    },
-                ),
+                floor_us(|| MultiLevelIndex::from_low(decode(), group), high_level),
             ];
             for (total, layer) in us.iter_mut().zip(layers) {
                 *total += layer;
@@ -384,119 +353,14 @@ fn main() {
         and_table_s += slow_s;
     }
 
-    // --- a correlation's partial with no selection built vs the parent's
-    // path, and the fused finisher vs the three separate ones: the
-    // identical inputs, equal partials and answers asserted before timing ---
+    // --- subset count: count the plan vs materialise-then-count, the
+    // identical per-shard step (the region's stored ranges resolved once,
+    // outside both), equal results asserted before either is timed ---
     let regimes = if smoke {
         count_regimes(32, [32, 24, 8])
     } else {
         count_regimes(96, [96, 64, 16])
     };
-    let mut corr_samples = Vec::new();
-    let (mut selection_free_s, mut materialized_s) = (0.0, 0.0);
-    let (mut fused_us, mut separate_us) = (0.0, 0.0);
-    let mut selection_free_never_slower = true;
-    let mut selection_free_min_speedup = f64::INFINITY;
-    for built in &regimes {
-        let (stored, roaring_bins) = built.as_stored();
-        for (bins, regime, roaring) in [("wah", built, 0), ("stored", &stored, roaring_bins)] {
-            let a = MultiLevelIndex::from_low(regime.a.clone(), 8);
-            let b = MultiLevelIndex::from_low(regime.b.clone(), 8);
-            let rows = a.low().len();
-            let (mut fast_s, mut slow_s) = (0.0, 0.0);
-            for (region_name, region) in [
-                ("none", None),
-                ("1_64", Some(0..rows / 64)),
-                ("1_4", Some(0..rows / 4)),
-            ] {
-                let block = region.map_or(SubsetQuery::all(), SubsetQuery::region);
-                let ranges = stored_ranges(&[&block], rows, regime.perm.as_ref());
-                let ranges = ranges.expect("the block lies inside the grid");
-                let ranges = ranges.as_deref();
-                for width in [0.05, 0.4, 0.7, 1.0] {
-                    // the value range of each operand holding that share of its rows
-                    let value = |idx: &BitmapIndex| {
-                        let (b0, b1) = span_holding(idx.counts(), width);
-                        let (lo, hi) = (idx.binner().bin_range(b0).0, idx.binner().bin_range(b1).1);
-                        match width < 1.0 {
-                            true => SubsetQuery::value(lo, hi),
-                            false => SubsetQuery::all(),
-                        }
-                    };
-                    let (qa, qb) = (value(a.low()), value(b.low()));
-                    let walk =
-                        || correlation_partial_shard(a.low(), b.low(), &qa, &qb, 0..rows, ranges);
-                    let partial = walk().expect("finite bounds");
-                    assert_eq!(
-                        partial,
-                        parent::correlation_partial(&a, &b, &qa, &qb, ranges),
-                        "{}/{bins}/{region_name}/{width}: the selection-free partial diverged",
-                        regime.name
-                    );
-                    let (binner_a, binner_b) = (a.low().binner(), b.low().binner());
-                    let answer = finish_correlation(binner_a, binner_b, &partial);
-                    let before = parent::finish_correlation(binner_a, binner_b, &partial);
-                    assert_eq!(answer, before, "{}/{bins}: finisher diverged", regime.name);
-                    let bits = |x: f64| x.to_bits();
-                    assert_eq!(
-                        (
-                            bits(answer.mutual_information),
-                            bits(answer.conditional_entropy)
-                        ),
-                        (
-                            bits(before.mutual_information),
-                            bits(before.conditional_entropy)
-                        )
-                    );
-                    assert_eq!(answer.pearson.map(bits), before.pearson.map(bits));
-                    let (fast, slow) = measure_pair(&walk, || {
-                        parent::correlation_partial(&a, &b, &qa, &qb, ranges)
-                    });
-                    let fused = 1e6 * measure(|| finish_correlation(binner_a, binner_b, &partial));
-                    let separate =
-                        1e6 * measure(|| parent::finish_correlation(binner_a, binner_b, &partial));
-                    // without a predicate the two do the same work, so "never
-                    // slower" is decided at the resolution of the pair on a
-                    // shared host: 5 % (the least ratio is reported beside it)
-                    selection_free_never_slower &= fast <= slow * 1.05;
-                    selection_free_min_speedup = selection_free_min_speedup.min(slow / fast);
-                    fast_s += fast;
-                    slow_s += slow;
-                    fused_us += fused;
-                    separate_us += separate;
-                    corr_samples.push(format!(
-                        "    {{\"regime\": \"{}\", \"bins\": \"{bins}\", \"roaring_bins\": {roaring}, \
-                         \"region\": \"{region_name}\", \"width\": {width}, \"rows\": {rows}, \
-                         \"stored_ranges\": {}, \"selected\": {}, \
-                         \"partial_selection_free_s\": {fast:e}, \"partial_materialized_s\": {slow:e}, \
-                         \"speedup\": {:.3}, \"finish_fused_us\": {fused:.3}, \
-                         \"finish_separate_us\": {separate:.3}}}",
-                        regime.name,
-                        ranges.map_or(0, <[_]>::len),
-                        partial.selected,
-                        slow / fast
-                    ));
-                }
-            }
-            println!(
-                "query: correlation partial {:9} {bins:6} {rows} rows  materialised {:.3} ms  selection-free {:.3} ms  ({:.1}x)",
-                regime.name,
-                slow_s * 1e3,
-                fast_s * 1e3,
-                slow_s / fast_s
-            );
-            selection_free_s += fast_s;
-            materialized_s += slow_s;
-        }
-    }
-    println!(
-        "query: correlation finish  separate {separate_us:.0} us  fused {fused_us:.0} us  ({:.1}x)  selection-free never slower: {selection_free_never_slower} (least {selection_free_min_speedup:.3}x)",
-        separate_us / fused_us
-    );
-
-    // --- subset count: count the plan vs materialise-then-count, the
-    // identical per-shard step (the region's stored ranges resolved once,
-    // outside both), equal results asserted before either is timed ---
     let mut count_samples = Vec::new();
     let (mut subset_count_s, mut subset_materialize_s) = (0.0, 0.0);
     let mut count_speedup = f64::INFINITY;
@@ -626,16 +490,6 @@ fn main() {
          \"partition_over_and_table_speedup\": {joint_speedup:.3},\n  \
          \"partition_never_slower\": {never_slower},\n  \
          \"joint\": [\n{}\n  ],\n  \
-         \"partial_selection_free_s\": {selection_free_s:e},\n  \
-         \"partial_materialized_s\": {materialized_s:e},\n  \
-         \"selection_free_over_materialized_speedup\": {:.3},\n  \
-         \"selection_free_never_slower\": {selection_free_never_slower},\n  \
-         \"selection_free_min_speedup\": {selection_free_min_speedup:.3},\n  \
-         \"selection_free_equals_materialized\": true,\n  \
-         \"finish_fused_us\": {fused_us:.3},\n  \
-         \"finish_separate_us\": {separate_us:.3},\n  \
-         \"fused_finisher_bit_identical\": true,\n  \
-         \"correlation\": [\n{}\n  ],\n  \
          \"subset_count_s\": {subset_count_s:e},\n  \
          \"subset_materialize_s\": {subset_materialize_s:e},\n  \
          \"count_over_materialize_speedup\": {count_speedup:.3},\n  \
@@ -651,8 +505,6 @@ fn main() {
         stats.hits,
         stats.misses,
         joint_samples.join(",\n"),
-        materialized_s / selection_free_s,
-        corr_samples.join(",\n"),
         count_samples.join(",\n"),
         miss_samples.join(",\n"),
     );

@@ -15,7 +15,6 @@
 
 pub mod ablations;
 pub mod figures;
-pub mod parent;
 
 use ibis_core::{Binner, BitmapIndex, RowOrder, RowPermutation, WahVec};
 use ibis_datagen::{
@@ -213,7 +212,7 @@ impl JointRegime {
     }
 
     /// The selection a predicate stands for, materialised: what the AND
-    /// table and the parent's label kernel walk. `None` for every row.
+    /// table masks its rows with. `None` for every row.
     pub fn selection(&self, (bins, ranges): &JointPredicate) -> Option<WahVec> {
         let n = self.a.len();
         let value = (bins.len() < self.a.nbins()).then(|| self.a.or_bins(bins.clone()));

@@ -10,13 +10,14 @@
 //! outnumber the `u64` words of the verbatim form, `words > len/64`
 //! ([`WahVec::is_dense`]). Where the cutover applies:
 //!
-//! - **Counting ops** (`and_count`/`xor_count`) never decode for a single
-//!   call — their compressed kernels batch literal stretches as packed
-//!   `u64` words and already run at near-verbatim speed on dense inputs,
-//!   so a per-call decode is a pure extra pass. The decode pays off only
-//!   under reuse, which is [`PreparedOperand`]'s job: `prepare()` unpacks
-//!   a vector above the cutover once, and op fan-outs (m×n joint counts,
-//!   wide ORs, the miner's per-unit spatial stage) stream against it.
+//! - **Counting ops** (`and_count`/`xor_count`) never decode — their
+//!   compressed kernels batch literal stretches as packed `u64` words and
+//!   already run at near-verbatim speed on dense inputs, so a decode is a
+//!   pure extra pass. (A fan-out of counts over many bins — a joint table,
+//!   the miner's spatial stage — is one label walk in `ibis-analysis`, not
+//!   a fan-out of ops.)
+//! - **Wide ORs** accumulate into one packed buffer when the inputs'
+//!   words together outnumber it ([`WahVec::or_many`]).
 //! - **Materializing ops** decode both sides, combine word-parallel, and
 //!   re-encode when both are above the word cutover *and* genuinely dense
 //!   in bits ([`MATERIALIZE_DENSITY_CUTOVER`]) — the round trip only wins
@@ -32,8 +33,6 @@ use ibis_obs::{LazyCounter, LazyHistogram};
 static OBS_DENSE_PATH: LazyCounter = LazyCounter::new("kernels.materialize.dense_path");
 static OBS_RUN_PATH: LazyCounter = LazyCounter::new("kernels.materialize.run_path");
 static OBS_DECODE_WORDS: LazyCounter = LazyCounter::new("kernels.decode.words");
-static OBS_PREPARE_DENSE: LazyCounter = LazyCounter::new("kernels.prepare.dense");
-static OBS_PREPARE_COMPRESSED: LazyCounter = LazyCounter::new("kernels.prepare.compressed");
 static OBS_COUNT_OPS: LazyCounter = LazyCounter::new("kernels.count.ops");
 static OBS_FILL_RUN_BITS: LazyHistogram =
     LazyHistogram::new("kernels.fill_run.bits", ibis_obs::RUN_BITS_BOUNDS);
@@ -124,41 +123,13 @@ pub(crate) fn lit_mask(width: u8) -> u32 {
     }
 }
 
-/// Scatters a literal word's set bits into per-unit buckets.
-#[inline]
-pub(crate) fn add_literal_per_unit(
-    payload: u32,
-    width: u8,
-    pos: u64,
-    unit_bits: u64,
-    out: &mut [u64],
-) {
-    let mut payload = payload;
-    let mut p = pos;
-    let mut rem = width as u64;
-    while rem > 0 {
-        let u = (p / unit_bits) as usize;
-        let in_unit = (u as u64 + 1) * unit_bits - p;
-        let take = in_unit.min(rem) as u32;
-        let mask = if take == 32 {
-            u32::MAX
-        } else {
-            (1u32 << take) - 1
-        };
-        out[u] += (payload & mask).count_ones() as u64;
-        payload = if take == 32 { 0 } else { payload >> take };
-        p += take as u64;
-        rem -= take as u64;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // DenseBits: the packed-u64 verbatim execution form
 // ---------------------------------------------------------------------------
 
 /// A bitvector unpacked into `u64` words (LSB-first within each word) —
-/// the verbatim execution form used above the density cutover and for
-/// decoded-operand reuse across op fan-outs.
+/// the verbatim execution form used above the density cutover and as the
+/// accumulator of wide ORs.
 ///
 /// Invariant: bits at positions `>= len()` are zero.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -210,26 +181,6 @@ impl DenseBits {
     /// Total 1-bits (word-parallel popcount).
     pub fn count_ones(&self) -> u64 {
         self.words.iter().map(|w| w.count_ones() as u64).sum()
-    }
-
-    /// 1-bits in the half-open bit range `[start, end)`.
-    pub fn count_ones_in_range(&self, start: u64, end: u64) -> u64 {
-        debug_assert!(start <= end && end <= self.len_bits, "range out of bounds");
-        if start == end {
-            return 0;
-        }
-        let sw = (start / 64) as usize;
-        let ew = ((end - 1) / 64) as usize;
-        let smask = u64::MAX << (start % 64);
-        let emask = u64::MAX >> (63 - (end - 1) % 64);
-        if sw == ew {
-            return (self.words[sw] & smask & emask).count_ones() as u64;
-        }
-        let mut total = (self.words[sw] & smask).count_ones() as u64;
-        for &w in &self.words[sw + 1..ew] {
-            total += w.count_ones() as u64;
-        }
-        total + (self.words[ew] & emask).count_ones() as u64
     }
 
     /// ORs a same-length compressed vector into the buffer — the
@@ -344,126 +295,6 @@ impl DenseBits {
         }
         b.finish()
     }
-
-    /// `popcount(self AND other)` for two dense buffers.
-    pub fn and_count(&self, other: &DenseBits) -> u64 {
-        assert_eq!(
-            self.len_bits, other.len_bits,
-            "binary op on different-length vectors"
-        );
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones() as u64)
-            .sum()
-    }
-
-    /// `popcount(self XOR other)` for two dense buffers.
-    pub fn xor_count(&self, other: &DenseBits) -> u64 {
-        assert_eq!(
-            self.len_bits, other.len_bits,
-            "binary op on different-length vectors"
-        );
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a ^ b).count_ones() as u64)
-            .sum()
-    }
-
-    /// `popcount(self AND other)` streaming the compressed side against the
-    /// buffer: 0-fills are skipped, 1-fills become range popcounts, literal
-    /// words AND against an extracted segment.
-    pub fn and_count_wah(&self, other: &WahVec) -> u64 {
-        assert_eq!(
-            self.len_bits,
-            other.len(),
-            "binary op on different-length vectors"
-        );
-        let mut total = 0u64;
-        let mut pos = 0u64;
-        for run in other.runs() {
-            match run {
-                Run::Fill(false, n) => pos += n,
-                Run::Fill(true, n) => {
-                    total += self.count_ones_in_range(pos, pos + n);
-                    pos += n;
-                }
-                Run::Literal(p, w) => {
-                    total += (p & self.seg_at(pos, w)).count_ones() as u64;
-                    pos += w as u64;
-                }
-            }
-        }
-        total
-    }
-
-    /// `popcount(self XOR other)` streaming the compressed side against the
-    /// buffer.
-    pub fn xor_count_wah(&self, other: &WahVec) -> u64 {
-        assert_eq!(
-            self.len_bits,
-            other.len(),
-            "binary op on different-length vectors"
-        );
-        let mut total = 0u64;
-        let mut pos = 0u64;
-        for run in other.runs() {
-            match run {
-                Run::Fill(false, n) => {
-                    total += self.count_ones_in_range(pos, pos + n);
-                    pos += n;
-                }
-                Run::Fill(true, n) => {
-                    total += n - self.count_ones_in_range(pos, pos + n);
-                    pos += n;
-                }
-                Run::Literal(p, w) => {
-                    total += (p ^ self.seg_at(pos, w)).count_ones() as u64;
-                    pos += w as u64;
-                }
-            }
-        }
-        total
-    }
-
-    /// Per-unit 1-bit counts of `self AND other` (unit `u` covers bits
-    /// `[u*unit_bits, (u+1)*unit_bits)`), streaming the compressed side.
-    pub fn and_count_per_unit_wah(&self, other: &WahVec, unit_bits: u64) -> Vec<u64> {
-        assert_eq!(
-            self.len_bits,
-            other.len(),
-            "binary op on different-length vectors"
-        );
-        assert!(unit_bits > 0, "unit_bits must be positive");
-        let nunits = self.len_bits.div_ceil(unit_bits) as usize;
-        let mut out = vec![0u64; nunits];
-        let mut pos = 0u64;
-        for run in other.runs() {
-            match run {
-                Run::Fill(false, n) => pos += n,
-                Run::Fill(true, n) => {
-                    let end = pos + n;
-                    let mut p = pos;
-                    while p < end {
-                        let u = (p / unit_bits) as usize;
-                        let stop = ((u as u64 + 1) * unit_bits).min(end);
-                        out[u] += self.count_ones_in_range(p, stop);
-                        p = stop;
-                    }
-                    pos = end;
-                }
-                Run::Literal(pl, w) => {
-                    let v = pl & self.seg_at(pos, w);
-                    if v != 0 {
-                        add_literal_per_unit(v, w, pos, unit_bits, &mut out);
-                    }
-                    pos += w as u64;
-                }
-            }
-        }
-        out
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -525,8 +356,12 @@ macro_rules! packed_literal_arm {
 /// `popcount(a AND b)` on the compressed words. Literal stretches combine
 /// as batched `u64`-packed words (no run decoding, no closure, no per-word
 /// flag checks); fill×fill stretches gallop in O(1) per overlapping pair.
+/// Counts never pay a decode: the batching already runs at near-verbatim
+/// speed on dense inputs, so a `DenseBits::from_wah` (a full extra pass
+/// over the output buffer) can only lose.
 pub(crate) fn and_count_compressed(a: &WahVec, b: &WahVec) -> u64 {
-    debug_assert_eq!(a.len(), b.len());
+    assert_eq!(a.len(), b.len(), "binary op on different-length vectors");
+    OBS_COUNT_OPS.inc();
     let (aw, bw) = (a.words(), b.words());
     let (mut i, mut j) = (0usize, 0usize);
     let (mut fa, mut fb) = (0u64, 0u64); // bits left in an active fill
@@ -612,7 +447,8 @@ pub(crate) fn and_count_compressed(a: &WahVec, b: &WahVec) -> u64 {
 /// `popcount(a XOR b)` on the compressed words; same structure as
 /// [`and_count_compressed`].
 pub(crate) fn xor_count_compressed(a: &WahVec, b: &WahVec) -> u64 {
-    debug_assert_eq!(a.len(), b.len());
+    assert_eq!(a.len(), b.len(), "binary op on different-length vectors");
+    OBS_COUNT_OPS.inc();
     let (aw, bw) = (a.words(), b.words());
     let (mut i, mut j) = (0usize, 0usize);
     let (mut fa, mut fb) = (0u64, 0u64);
@@ -684,36 +520,6 @@ pub(crate) fn xor_count_compressed(a: &WahVec, b: &WahVec) -> u64 {
         }
     }
     total
-}
-
-/// One-shot `and_count`. Counts never pay a decode: the compressed kernel's
-/// u64-packed literal batching already runs at near-verbatim speed on dense
-/// inputs, so a per-call `DenseBits::from_wah` (a full extra pass over the
-/// output buffer) can only lose. The decoded path wins when its cost is
-/// amortized across many ops — that is [`PreparedOperand`]'s job, and the
-/// density cutover decides it there (see [`WahVec::prepare`]).
-pub(crate) fn and_count_adaptive(a: &WahVec, b: &WahVec) -> u64 {
-    assert_eq!(a.len(), b.len(), "binary op on different-length vectors");
-    OBS_COUNT_OPS.inc();
-    and_count_compressed(a, b)
-}
-
-/// One-shot `xor_count`; see [`and_count_adaptive`].
-pub(crate) fn xor_count_adaptive(a: &WahVec, b: &WahVec) -> u64 {
-    assert_eq!(a.len(), b.len(), "binary op on different-length vectors");
-    OBS_COUNT_OPS.inc();
-    xor_count_compressed(a, b)
-}
-
-/// Adaptive per-unit AND counts; see [`and_count_adaptive`].
-pub(crate) fn and_count_per_unit_adaptive(a: &WahVec, b: &WahVec, unit_bits: u64) -> Vec<u64> {
-    debug_assert_eq!(a.len(), b.len());
-    let (dense, sparse) = if a.words().len() >= b.words().len() {
-        (a, b)
-    } else {
-        (b, a)
-    };
-    DenseBits::from_wah(dense).and_count_per_unit_wah(sparse, unit_bits)
 }
 
 // ---------------------------------------------------------------------------
@@ -931,96 +737,6 @@ pub(crate) fn not_kernel(a: &WahVec) -> WahVec {
     out.finish()
 }
 
-// ---------------------------------------------------------------------------
-// PreparedOperand: decode-once reuse across op fan-outs
-// ---------------------------------------------------------------------------
-
-/// A decode-once operand for op fan-outs: when one vector (a histogram row,
-/// a mining unit mask, …) participates in many ops, preparing it pays the
-/// density cutover's decode cost a single time.
-pub enum PreparedOperand<'a> {
-    /// Below the cutover — ops run on the compressed form.
-    Compressed(&'a WahVec),
-    /// Above the cutover — ops stream the other side against the unpacked
-    /// buffer.
-    Dense {
-        /// The original compressed vector.
-        source: &'a WahVec,
-        /// Its unpacked form.
-        bits: DenseBits,
-    },
-}
-
-impl<'a> PreparedOperand<'a> {
-    /// The original compressed vector.
-    #[inline]
-    pub fn source(&self) -> &'a WahVec {
-        match self {
-            PreparedOperand::Compressed(v) => v,
-            PreparedOperand::Dense { source, .. } => source,
-        }
-    }
-
-    /// Number of bits.
-    #[inline]
-    pub fn len(&self) -> u64 {
-        self.source().len()
-    }
-
-    /// `true` if the operand holds zero bits.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `true` if the operand was unpacked (above the cutover).
-    #[inline]
-    pub fn is_dense(&self) -> bool {
-        matches!(self, PreparedOperand::Dense { .. })
-    }
-
-    /// `popcount(self AND other)` reusing the decoded form.
-    pub fn and_count(&self, other: &WahVec) -> u64 {
-        match self {
-            PreparedOperand::Compressed(v) => and_count_adaptive(v, other),
-            PreparedOperand::Dense { bits, .. } => bits.and_count_wah(other),
-        }
-    }
-
-    /// `popcount(self XOR other)` reusing the decoded form.
-    pub fn xor_count(&self, other: &WahVec) -> u64 {
-        match self {
-            PreparedOperand::Compressed(v) => xor_count_adaptive(v, other),
-            PreparedOperand::Dense { bits, .. } => bits.xor_count_wah(other),
-        }
-    }
-
-    /// Per-unit 1-bit counts of `self AND other`, reusing the decoded form.
-    pub fn and_count_per_unit(&self, other: &WahVec, unit_bits: u64) -> Vec<u64> {
-        match self {
-            PreparedOperand::Compressed(v) => v.and_count_per_unit(other, unit_bits),
-            PreparedOperand::Dense { bits, .. } => bits.and_count_per_unit_wah(other, unit_bits),
-        }
-    }
-}
-
-impl WahVec {
-    /// Prepares this vector for reuse across many ops: unpacks it once if
-    /// it is above the density cutover, otherwise borrows it as-is.
-    pub fn prepare(&self) -> PreparedOperand<'_> {
-        if self.is_dense() {
-            OBS_PREPARE_DENSE.inc();
-            PreparedOperand::Dense {
-                source: self,
-                bits: DenseBits::from_wah(self),
-            }
-        } else {
-            OBS_PREPARE_COMPRESSED.inc();
-            PreparedOperand::Compressed(self)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1074,18 +790,10 @@ mod tests {
                 }
                 let a = WahVec::from_bits(a_bits.iter().copied());
                 let b = WahVec::from_bits(b_bits.iter().copied());
-                let da = DenseBits::from_wah(&a);
-                let db = DenseBits::from_wah(&b);
                 let want_and = a_bits.iter().zip(b_bits).filter(|(&x, &y)| x & y).count() as u64;
                 let want_xor = a_bits.iter().zip(b_bits).filter(|(&x, &y)| x ^ y).count() as u64;
-                assert_eq!(da.and_count_wah(&b), want_and);
-                assert_eq!(da.xor_count_wah(&b), want_xor);
-                assert_eq!(da.and_count(&db), want_and);
-                assert_eq!(da.xor_count(&db), want_xor);
                 assert_eq!(and_count_compressed(&a, &b), want_and);
                 assert_eq!(xor_count_compressed(&a, &b), want_xor);
-                assert_eq!(and_count_adaptive(&a, &b), want_and);
-                assert_eq!(xor_count_adaptive(&a, &b), want_xor);
             }
         }
     }
@@ -1112,42 +820,5 @@ mod tests {
         // Alternating bits are incompressible literals: above it.
         let v = WahVec::from_bits((0..10_000).map(|i| i % 2 == 0));
         assert!(v.is_dense());
-    }
-
-    #[test]
-    fn prepared_operand_reuses_decode() {
-        let dense = WahVec::from_bits((0..5000).map(|i| i % 2 == 0));
-        let sparse = WahVec::from_ones(&[3, 500, 4999], 5000);
-        let p = dense.prepare();
-        assert!(p.is_dense());
-        assert_eq!(p.and_count(&sparse), dense.and_count(&sparse));
-        assert_eq!(p.xor_count(&sparse), dense.xor_count(&sparse));
-        assert_eq!(
-            p.and_count_per_unit(&sparse, 64),
-            dense.and_count_per_unit(&sparse, 64)
-        );
-        let q = sparse.prepare();
-        assert!(!q.is_dense());
-        assert_eq!(q.and_count(&dense), dense.and_count(&sparse));
-        assert_eq!(q.source().len(), 5000);
-    }
-
-    #[test]
-    fn per_unit_hybrid_matches_materialized() {
-        for bits in patterns() {
-            let n = bits.len();
-            let other: Vec<bool> = (0..n).map(|i| (i * 5) % 9 < 4).collect();
-            let a = WahVec::from_bits(bits.iter().copied());
-            let b = WahVec::from_bits(other.iter().copied());
-            let da = DenseBits::from_wah(&a);
-            let joint = a.and(&b);
-            for unit in [1u64, 31, 64, 100] {
-                assert_eq!(
-                    da.and_count_per_unit_wah(&b, unit),
-                    joint.count_ones_per_unit(unit),
-                    "len {n} unit {unit}"
-                );
-            }
-        }
     }
 }

@@ -47,7 +47,7 @@ pub use binning::{Binner, BinnerSpec};
 pub use builder::{MultiWahBuilder, WahBuilder};
 pub use codec::{select_codec, Codec, CodecId, CodecVec};
 pub use index::{BitmapIndex, RangeQueryError};
-pub use kernels::{DenseBits, PreparedOperand, WahStats};
+pub use kernels::{DenseBits, WahStats};
 pub use lossy::{build_lossy_index, valid_fpr, LossyStats, FPR_MAX, FPR_MIN};
 pub use multilevel::MultiLevelIndex;
 pub use parallel::{aligned_partition, build_index_parallel, build_index_parallel_permuted};

@@ -3,7 +3,7 @@
 //! AND for joint value distributions, XOR for the spatial Earth Mover's
 //! Distance, OR for range queries and high-level index construction.
 
-use crate::kernels::{self, add_literal_per_unit, lit_mask, DenseBits};
+use crate::kernels::{self, DenseBits};
 use crate::wah::WahVec;
 
 impl WahVec {
@@ -35,98 +35,17 @@ impl WahVec {
     }
 
     /// Number of positions where the vectors differ: `popcount(a XOR b)`
-    /// without materializing the XOR. Adaptive: runs the batched
-    /// compressed kernel below the density cutover, decodes once and runs
-    /// word-parallel above it.
+    /// without materializing the XOR, on the compressed words (literal
+    /// stretches batched as packed `u64`s: near verbatim speed when dense).
     pub fn xor_count(&self, other: &WahVec) -> u64 {
-        kernels::xor_count_adaptive(self, other)
+        kernels::xor_count_compressed(self, other)
     }
 
-    /// `popcount(a AND b)` without materializing the AND — the joint-bin
-    /// counting kernel of conditional entropy and correlation mining.
-    /// Adaptive like [`WahVec::xor_count`].
+    /// `popcount(a AND b)` without materializing the AND — the paper's
+    /// joint-bin kernel, what a joint table of bins that do not partition
+    /// their rows is counted with. Runs like [`WahVec::xor_count`].
     pub fn and_count(&self, other: &WahVec) -> u64 {
-        kernels::and_count_adaptive(self, other)
-    }
-
-    /// Per-unit 1-bit counts of `self AND other` without materializing the
-    /// intersection — the correlation miner's spatial stage in one fused
-    /// pass (unit `u` covers bits `[u*unit_bits, (u+1)*unit_bits)`).
-    pub fn and_count_per_unit(&self, other: &WahVec, unit_bits: u64) -> Vec<u64> {
-        assert_eq!(
-            self.len(),
-            other.len(),
-            "binary op on different-length vectors"
-        );
-        assert!(unit_bits > 0, "unit_bits must be positive");
-        if self.is_dense() || other.is_dense() {
-            return kernels::and_count_per_unit_adaptive(self, other, unit_bits);
-        }
-        let nunits = self.len().div_ceil(unit_bits) as usize;
-        let mut out = vec![0u64; nunits];
-        let mut pos = 0u64;
-        let mut ra = self.runs();
-        let mut rb = other.runs();
-        let mut run_a = ra.next();
-        let mut run_b = rb.next();
-        let bump = |pos: u64, n: u64, out: &mut [u64]| {
-            // add a run of n one-bits at pos, split across unit boundaries
-            let mut p = pos;
-            let mut rem = n;
-            while rem > 0 {
-                let u = (p / unit_bits) as usize;
-                let in_unit = (u as u64 + 1) * unit_bits - p;
-                let take = in_unit.min(rem);
-                out[u] += take;
-                p += take;
-                rem -= take;
-            }
-        };
-        loop {
-            match (run_a, run_b) {
-                (None, None) => break,
-                (Some(x), Some(y)) => {
-                    use crate::runs::Run::*;
-                    match (x, y) {
-                        (Fill(fa, na), Fill(fb, nb)) => {
-                            let n = na.min(nb);
-                            if fa && fb {
-                                bump(pos, n, &mut out);
-                            }
-                            pos += n;
-                            run_a = shrink_fill(fa, na, n, &mut ra);
-                            run_b = shrink_fill(fb, nb, n, &mut rb);
-                        }
-                        (Fill(fa, na), Literal(p, w)) | (Literal(p, w), Fill(fa, na)) => {
-                            if fa {
-                                add_literal_per_unit(p, w, pos, unit_bits, &mut out);
-                            }
-                            pos += w as u64;
-                            // shrink whichever side was the fill
-                            if matches!(x, Fill(..)) {
-                                run_a = shrink_fill(fa, na, w as u64, &mut ra);
-                                run_b = rb.next();
-                            } else {
-                                run_a = ra.next();
-                                run_b = shrink_fill(fa, na, w as u64, &mut rb);
-                            }
-                        }
-                        (Literal(pa, wa), Literal(pb, wb)) => {
-                            debug_assert_eq!(wa, wb);
-                            let v = pa & pb & lit_mask(wa);
-                            if v != 0 {
-                                add_literal_per_unit(v, wa, pos, unit_bits, &mut out);
-                            }
-                            pos += wa as u64;
-                            run_a = ra.next();
-                            run_b = rb.next();
-                        }
-                    }
-                }
-                _ => unreachable!("cursors of equal-length vectors end together"),
-            }
-        }
-        out
+        kernels::and_count_compressed(self, other)
     }
 
     /// OR of many vectors (all the same length); used for high-level index
@@ -250,23 +169,6 @@ impl crate::codec::CodecVec {
             (Roaring(a), Wah(b)) => Roaring(roaring_op(a, &crate::RoaringVec::from_wah(b))),
             (Wah(a), Roaring(b)) => Roaring(roaring_op(&crate::RoaringVec::from_wah(a), b)),
         }
-    }
-}
-
-/// Consumes `take` bits from a fill run of `n`, returning the remainder (or
-/// the next run when exhausted).
-#[inline]
-fn shrink_fill(
-    bit: bool,
-    n: u64,
-    take: u64,
-    iter: &mut crate::runs::RunIter<'_>,
-) -> Option<crate::runs::Run> {
-    debug_assert!(take <= n);
-    if take == n {
-        iter.next()
-    } else {
-        Some(crate::runs::Run::Fill(bit, n - take))
     }
 }
 
@@ -409,35 +311,6 @@ mod tests {
         assert_eq!(WahVec::or_many(std::iter::empty()).len(), 0);
         let single = WahVec::or_many(std::iter::once(&vs[0]));
         assert_eq!(single, vs[0]);
-    }
-
-    #[test]
-    fn and_count_per_unit_matches_materialized() {
-        for (a_bits, b_bits) in cases() {
-            let a = WahVec::from_bits(a_bits.iter().copied());
-            let b = WahVec::from_bits(b_bits.iter().copied());
-            let joint = a.and(&b);
-            for unit in [1u64, 7, 31, 64, 1000] {
-                assert_eq!(
-                    a.and_count_per_unit(&b, unit),
-                    joint.count_ones_per_unit(unit),
-                    "len {} unit {unit}",
-                    a.len()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn and_count_per_unit_fill_heavy() {
-        let mut a_bits = vec![true; 31 * 40];
-        a_bits.extend(vec![false; 31 * 40]);
-        let b_bits = vec![true; 31 * 80];
-        let a = WahVec::from_bits(a_bits.iter().copied());
-        let b = WahVec::from_bits(b_bits.iter().copied());
-        let per = a.and_count_per_unit(&b, 500);
-        assert_eq!(per.iter().sum::<u64>(), 31 * 40);
-        assert_eq!(per, a.and(&b).count_ones_per_unit(500));
     }
 
     #[test]

@@ -104,19 +104,8 @@ proptest! {
         let mut xor_o = oracle(&a_bits);
         xor_o.xor_assign(&oracle(&b_bits));
 
-        // Adaptive entry points (pick their own path by density)…
         prop_assert_eq!(a.and_count(&b), and_o.count_ones());
         prop_assert_eq!(a.xor_count(&b), xor_o.count_ones());
-
-        // …and the dense path forced explicitly, regardless of cutover.
-        let da = DenseBits::from_wah(&a);
-        let db = DenseBits::from_wah(&b);
-        prop_assert_eq!(da.and_count(&db), and_o.count_ones());
-        prop_assert_eq!(da.xor_count(&db), xor_o.count_ones());
-        prop_assert_eq!(da.and_count_wah(&b), and_o.count_ones());
-        prop_assert_eq!(da.xor_count_wah(&b), xor_o.count_ones());
-        prop_assert_eq!(db.and_count_wah(&a), and_o.count_ones());
-        prop_assert_eq!(db.xor_count_wah(&a), xor_o.count_ones());
     }
 
     #[test]
@@ -143,23 +132,6 @@ proptest! {
         prop_assert_eq!(n.not(), v);
         for (i, &b) in bits.iter().enumerate() {
             prop_assert_eq!(n.get(i as u64), !b);
-        }
-    }
-
-    #[test]
-    fn prepared_operand_matches_direct((a_bits, b_bits) in kernel_pair()) {
-        let a = WahVec::from_bits(a_bits.iter().copied());
-        let b = WahVec::from_bits(b_bits.iter().copied());
-        let p = a.prepare();
-        prop_assert_eq!(p.is_dense(), a.is_dense());
-        prop_assert_eq!(p.and_count(&b), a.and_count(&b));
-        prop_assert_eq!(p.xor_count(&b), a.xor_count(&b));
-        for unit in [1u64, 31, 64] {
-            prop_assert_eq!(
-                p.and_count_per_unit(&b, unit),
-                a.and(&b).count_ones_per_unit(unit),
-                "unit {}", unit
-            );
         }
     }
 

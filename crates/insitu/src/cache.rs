@@ -577,7 +577,7 @@ mod tests {
         // budget and the least recently used neighbour goes
         let forced = held[0].low().bins().count();
         assert_eq!(forced, held[0].low().nbins());
-        held[0].high();
+        held[0].check_consistent().unwrap(); // derives every high bin
         cache.get("temperature", 0).unwrap();
         let st = cache.stats();
         assert!(st.evictions >= 1, "growth past the budget evicts: {st:?}");

@@ -87,11 +87,6 @@ bench_smoke generation IBIS_GEN_SMOKE '"samples"' \
 bench_smoke query IBIS_QUERY_SMOKE '"warm_over_cold_speedup"' \
     '"warm_over_5x_target"' '"joint_partition_s"' '"joint_and_table_s"' \
     '"partition_over_and_table_speedup"' '"partition_never_slower"' \
-    '"correlation"' '"partial_selection_free_s"' '"partial_materialized_s"' \
-    '"selection_free_never_slower"' '"selection_free_min_speedup"' \
-    '"selection_free_equals_materialized": true' \
-    '"finish_fused_us"' '"finish_separate_us"' \
-    '"fused_finisher_bit_identical": true' \
     '"subset_count_s"' '"subset_materialize_s"' \
     '"count_over_materialize_speedup"' '"count_never_slower"' \
     '"count_equals_materialized"' '"lazy_equals_eager": true' '"miss_path"' \
@@ -118,6 +113,16 @@ bench_smoke shard IBIS_SHARD_SMOKE '"samples"' '"shards"' '"throughput_qps"' \
     '"pruning_checked"' \
     '"ocean_over_budget"' '"ocean_p99_ms"' '"ocean_p99_interactive"' \
     '"cache_evictions"' '"nodekill_resumed"'
+
+echo "==> mining at Figure 14 scale (both obs configs)"
+# The spatial stage on the label walk, at the sizes the paper plots:
+# fig14 asserts the bitmap miner equal to the full-data miner, the
+# multi-level ablation that group-2 pruning keeps >= 0.8 of the strong
+# subsets. Each runs in about a second.
+for obs in "" "--no-default-features"; do
+    # shellcheck disable=SC2086
+    cargo bench -q -p ibis-bench $obs --bench fig14_mining --bench ablation_multilevel
+done
 
 echo "==> ibis-e2e smoke: every reply of every workload against the full-data-scan oracle"
 # The end-to-end harness (its own workspace under benchmark/) refuses to

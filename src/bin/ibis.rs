@@ -213,6 +213,11 @@ fn get_grid(
     }
     let dims: Result<Vec<usize>, _> = parts.iter().map(|p| p.parse()).collect();
     let dims = dims.map_err(|_| format!("--grid: bad dimensions {v:?}"))?;
+    if dims.contains(&0) {
+        return Err(format!(
+            "--grid: every dimension must be positive, got {v:?}"
+        ));
+    }
     Ok((dims[0], dims[1], dims[2]))
 }
 
@@ -414,12 +419,25 @@ fn cmd_insitu(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// The most bins `ibis mine` takes: its one joint table (reused by the
+/// spatial stage) holds `bins²` `u64` cells, 128 MiB at this cap.
+const MAX_MINE_BINS: usize = 4096;
+
 fn cmd_mine(flags: &Flags) -> Result<(), String> {
     let (nlon, nlat, ndepth) = get_grid(flags, (128, 96, 2))?;
     let bins = get_usize(flags, "bins", 32)?;
-    let t1 = get_f64(flags, "t1", 0.002)?;
-    let t2 = get_f64(flags, "t2", 0.08)?;
+    if !(1..=MAX_MINE_BINS).contains(&bins) {
+        return Err(format!("--bins: {bins} outside [1, {MAX_MINE_BINS}]"));
+    }
+    let threshold = |name: &str, default| match get_f64(flags, name, default)? {
+        t if t.is_finite() => Ok(t),
+        t => Err(format!("--{name}: {t} is not a finite number")),
+    };
+    let (t1, t2) = (threshold("t1", 0.002)?, threshold("t2", 0.08)?);
     let unit = get_usize(flags, "unit", 512)? as u64;
+    if unit == 0 {
+        return Err("--unit: a spatial unit holds at least one element".into());
+    }
     let top = get_usize(flags, "top", 10)?;
 
     let cfg = OceanConfig {

@@ -97,6 +97,46 @@ fn mine_subcommand_finds_subsets() {
     assert!(text.contains("subsets"));
 }
 
+/// `ibis mine` with `args` fails as a usage error naming `flag`: exit 1,
+/// `error:` and the usage, never a panic or an abort.
+fn mine_rejects(args: &[&str], flag: &str) {
+    let out = ibis().arg("mine").args(args).output().expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+    assert!(
+        err.starts_with(&format!("error: {flag}")),
+        "{args:?}: {err}"
+    );
+    assert!(err.contains("USAGE"), "{args:?}: {err}");
+}
+
+#[test]
+fn mine_rejects_a_zero_unit() {
+    mine_rejects(&["--unit", "0"], "--unit");
+}
+
+#[test]
+fn mine_rejects_zero_bins() {
+    mine_rejects(&["--bins", "0"], "--bins");
+}
+
+#[test]
+fn mine_rejects_a_zero_grid_dimension() {
+    mine_rejects(&["--grid", "0x48x1"], "--grid");
+}
+
+#[test]
+fn mine_rejects_a_joint_table_past_its_bound() {
+    mine_rejects(&["--bins", "70000"], "--bins");
+    mine_rejects(&["--bins", "4097"], "--bins");
+}
+
+#[test]
+fn mine_rejects_a_nan_threshold() {
+    mine_rejects(&["--t1", "nan"], "--t1");
+    mine_rejects(&["--t2", "inf"], "--t2");
+}
+
 #[test]
 fn insitu_subcommand_persists_reloadable_indices() {
     let dir = std::env::temp_dir().join("ibis-cli-test-out");
