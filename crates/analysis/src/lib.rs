@@ -44,7 +44,7 @@ pub use mining::{mine_full, mine_index, mine_multilevel, MinedSubset, MiningConf
 pub use query::{
     correlation_partial_shard, correlation_query, correlation_query_mapped, correlation_query_ml,
     correlation_query_ml_mapped, count_range_plan, execute_range_plan, finish_correlation,
-    plan_value_range, region_mask, shard_mask, shard_ranges, stored_ranges, CorrelationAnswer,
+    plan_value_range, shard_mask, shard_ranges, stored_ranges, CorrelationAnswer,
     CorrelationPartial, QueryError, RangePlan, SubsetQuery,
 };
 pub use sampling::{lossy_summaries, sample, SamplingMethod};

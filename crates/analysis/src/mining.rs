@@ -431,7 +431,8 @@ pub struct MultiLevelStats {
 /// count is the table's block under `children(hj) × children(hk)`, which,
 /// bins partitioning rows, is `|H_a ∧ H_b|` exactly — no high bin is built.
 /// An operand that does not partition (a lossy superset) has no such
-/// identity, and ANDs its high bins instead.
+/// identity: its high bins are built here, once per call, as the OR of
+/// their children, and ANDed.
 pub fn mine_multilevel(
     a: &MultiLevelIndex,
     b: &MultiLevelIndex,
@@ -452,19 +453,29 @@ pub fn mine_multilevel(
     let joint = joint_counts(low_a, low_b);
     let (n, nb) = (low_a.len(), low_b.nbins());
     let partitions = low_a.partitions() && low_b.partitions();
+    let nhigh = |ml: &MultiLevelIndex| ml.low().nbins().div_ceil(ml.group());
+    // the high bins, built only where block sums cannot stand in for them
+    let built = |ml: &MultiLevelIndex| -> Vec<WahVec> {
+        match partitions {
+            true => Vec::new(),
+            false => (0..nhigh(ml))
+                .map(|h| ml.low().or_bins(ml.children(h)))
+                .collect(),
+        }
+    };
+    let (built_a, built_b) = (built(a), built(b));
     // the non-empty high bins, with their rows
-    let high = |ml: &MultiLevelIndex| -> Vec<(usize, u64)> {
-        let rows = |h| match partitions {
-            true => ml.children(h).map(|j| ml.low().counts()[j]).sum(),
-            false => ml.high_bin(h).count_ones(),
+    let high = |ml: &MultiLevelIndex, built: &[WahVec]| -> Vec<(usize, u64)> {
+        let rows = |h| match built.get(h) {
+            None => ml.children(h).map(|j| ml.low().counts()[j]).sum(),
+            Some(v) => v.count_ones(),
         };
-        let nhigh = ml.low().nbins().div_ceil(ml.group());
-        (0..nhigh)
+        (0..nhigh(ml))
             .map(|h| (h, rows(h)))
             .filter(|&(_, c)| c != 0)
             .collect()
     };
-    let (high_a, high_b) = (high(a), high(b));
+    let (high_a, high_b) = (high(a, &built_a), high(b, &built_b));
     let mut survivors = Vec::new();
     for &(hj, c_hj) in &high_a {
         for &(hk, c_hk) in &high_b {
@@ -473,7 +484,7 @@ pub fn mine_multilevel(
                 true => (a.children(hj))
                     .map(|j| joint[j * nb..][b.children(hk)].iter().sum::<u64>())
                     .sum(),
-                false => a.high_bin(hj).and_count(b.high_bin(hk)),
+                false => built_a[hj].and_count(&built_b[hk]),
             };
             if joint_pair_score(n, c_hj, c_hk, c_hjk) < cfg.value_threshold {
                 stats.high_pairs_pruned += 1;

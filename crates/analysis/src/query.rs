@@ -19,8 +19,8 @@
 //! # The range planner
 //!
 //! A `value_range` predicate touches a contiguous span of bins; which bins
-//! it touches dominates query cost, so [`plan_value_range`] chooses among
-//! three strategies that produce byte-identical selections:
+//! it touches dominates query cost, so [`plan_value_range`] chooses between
+//! two strategies that produce byte-identical selections:
 //!
 //! * **`OrBins`** — OR the touched bins directly (the naive fan-in, always
 //!   correct, optimal for narrow ranges).
@@ -28,10 +28,6 @@
 //!   (`not()`): wide ranges touch most bins, so the smaller side is the
 //!   bins outside the span. Valid because an index built from data
 //!   partitions positions across bins.
-//! * **`MultiLevel`** — cover interior bins with their high-level group
-//!   vectors ([`MultiLevelIndex`]) and only the ragged edges with low
-//!   bins: each high vector is the precomputed OR of its children, so wide
-//!   spans collapse to a handful of operands.
 //!
 //! The planner costs each strategy by the bytes it would read under each
 //! bin's at-rest codec plan ([`BitmapIndex::bin_cost_bytes`]) — a WAH bin
@@ -39,7 +35,9 @@
 //! picks the cheapest. [`execute_range_plan`] *materialises* a plan into a
 //! selection vector; [`SubsetQuery::count`] *counts* it — the bins
 //! partition the rows, so a plan's operands are disjoint and their
-//! popcounts add: no vector is built to answer "how many".
+//! popcounts add: no vector is built to answer "how many". A count reads
+//! cached cardinalities, so a precomputed OR of a group of bins (Figure
+//! 1's high level) would save it nothing; no plan uses one.
 
 use crate::aggregate::{self, Estimate};
 use crate::entropy::{shannon_entropy_from_counts, JointCells};
@@ -53,7 +51,6 @@ use std::ops::Range;
 // without `obs`.
 static OBS_PLAN_OR: LazyCounter = LazyCounter::new("query.plan.or_bins");
 static OBS_PLAN_COMPLEMENT: LazyCounter = LazyCounter::new("query.plan.complement");
-static OBS_PLAN_MULTILEVEL: LazyCounter = LazyCounter::new("query.plan.multilevel");
 static OBS_PLAN_EMPTY: LazyCounter = LazyCounter::new("query.plan.empty");
 // How a subset count was answered (the second: a non-partitioning index).
 static OBS_SUBSET_COUNTED: LazyCounter = LazyCounter::new("query.subset.counted");
@@ -177,61 +174,28 @@ impl SubsetQuery {
         self
     }
 
-    /// Evaluates to a selection vector over the index's positions, planning
-    /// the value predicate with the single-level strategies.
-    pub fn evaluate(&self, index: &BitmapIndex) -> Result<WahVec, QueryError> {
-        self.evaluate_whole(index, None, None)
-    }
-
-    /// Evaluates against a two-level index: wide value ranges additionally
-    /// consider the high-level covering strategy.
-    pub fn evaluate_ml(&self, index: &MultiLevelIndex) -> Result<WahVec, QueryError> {
-        self.evaluate_whole(index.low(), Some(index), None)
-    }
-
-    /// [`SubsetQuery::evaluate_ml`] against an index built under a row
-    /// reordering: value predicates are order-invariant, and the position
-    /// predicate — still expressed in *original* row ids — is mapped
-    /// through the inverse permutation before intersecting, so the
-    /// selection covers exactly the rows the identity-order index would
-    /// select (at their stored positions). Map it back with
-    /// [`RowPermutation::map_selection_to_original`].
-    pub fn evaluate_ml_mapped(
-        &self,
-        index: &MultiLevelIndex,
-        perm: &RowPermutation,
-    ) -> Result<WahVec, QueryError> {
-        self.evaluate_whole(index.low(), Some(index), Some(perm))
-    }
-
-    /// A whole index is the one shard covering rows `0..n` of an `n`-row
+    /// Evaluates to a selection vector over the index's positions: the
+    /// whole index is the one shard covering rows `0..n` of an `n`-row
     /// domain.
-    fn evaluate_whole(
-        &self,
-        index: &BitmapIndex,
-        ml: Option<&MultiLevelIndex>,
-        perm: Option<&RowPermutation>,
-    ) -> Result<WahVec, QueryError> {
+    pub fn evaluate(&self, index: &BitmapIndex) -> Result<WahVec, QueryError> {
         let n = index.len();
-        let ranges = stored_ranges(&[self], n, perm)?;
-        evaluate_shard(self, index, ml, 0..n, ranges.as_deref())
+        let ranges = stored_ranges(&[self], n, None)?;
+        evaluate_shard(self, index, 0..n, ranges.as_deref())
     }
 
     /// The selection over `index` given the shard's prebuilt region
     /// `mask` ([`shard_mask`]): the planned value predicate
     /// intersected with it. Split from the mask so a caller evaluating
-    /// several indices over the same rows — a lossy companion, then the
-    /// exact index — builds the mask once.
+    /// several indices over the same rows builds the mask once.
     pub fn evaluate_masked(
         &self,
         index: &BitmapIndex,
-        ml: Option<&MultiLevelIndex>,
         mask: Option<&WahVec>,
     ) -> Result<WahVec, QueryError> {
         let sel = match self.value_range {
             Some((lo, hi)) => {
-                let plan = plan_value_range(index, ml, lo, hi)?;
-                execute_range_plan(index, ml, &plan)
+                let plan = plan_value_range(index, None, lo, hi)?;
+                execute_range_plan(index, None, &plan)
             }
             None => WahVec::ones(index.len()),
         };
@@ -248,11 +212,10 @@ impl SubsetQuery {
     /// How many rows of `index` inside `ranges` — sorted, disjoint ranges
     /// of its rows ([`shard_ranges`]); `None` is every row — pass the value
     /// predicate: `evaluate_masked(..).count_ones()` without the selection.
-    /// The predicate is planned over the low level alone
-    /// ([`plan_value_range`]) and the plan counted ([`count_range_plan`])
-    /// on each bin in the form it is held in — a count needs no high
-    /// level: it reads a cached cardinality or searches a bin's rows, where
-    /// an OR reads every word — on the precondition that the bins
+    /// The predicate is planned ([`plan_value_range`]) and the plan counted
+    /// ([`count_range_plan`]) on each bin in the form it is held in — a
+    /// cached cardinality, or a search of a bin's rows under a region,
+    /// where an OR reads every word — on the precondition that the bins
     /// partition the rows; an index whose bins do not (a lossy superset)
     /// materialises its value selection and counts that.
     pub fn count(
@@ -263,14 +226,14 @@ impl SubsetQuery {
         check_ranges(index, ranges)?;
         if !index.partitions() {
             OBS_SUBSET_MATERIALIZED.inc();
-            let sel = self.evaluate_masked(index, None, None)?;
+            let sel = self.evaluate_masked(index, None)?;
             return Ok(ranges.map_or_else(|| sel.count_ones(), |r| sel.count_ones_in_ranges(r)));
         }
         OBS_SUBSET_COUNTED.inc();
         match self.value_range {
             Some((lo, hi)) => {
                 let plan = plan_value_range(index, None, lo, hi)?;
-                Ok(count_range_plan(index, None, &plan, ranges))
+                Ok(count_range_plan(index, &plan, ranges))
             }
             None => Ok(ranges.map_or(index.len(), rows_in)),
         }
@@ -411,13 +374,6 @@ pub fn shard_mask(ranges: &[Range<u64>], rows: Range<u64>) -> WahVec {
     b.finish()
 }
 
-/// A compressed mask with ones exactly in `range`, or a typed error when
-/// the range is inverted or exceeds `len`.
-pub fn region_mask(range: Range<u64>, len: u64) -> Result<WahVec, QueryError> {
-    let ranges = stored_ranges(&[&SubsetQuery::region(range)], len, None)?;
-    Ok(shard_mask(&ranges.unwrap_or_default(), 0..len))
-}
-
 // ---------------------------------------------------------------------------
 // The value-range planner
 // ---------------------------------------------------------------------------
@@ -443,14 +399,6 @@ pub enum RangePlan {
         /// Last touched bin (inclusive).
         hi: usize,
     },
-    /// Cover interior bins with high-level group vectors, edges with low
-    /// bins.
-    MultiLevel {
-        /// High bins whose children all lie inside the span.
-        high: Vec<usize>,
-        /// Low bins inside the span not covered by `high`.
-        low_edges: Vec<usize>,
-    },
 }
 
 /// Chooses the cheapest strategy for a `[lo, hi)` value query. NaN bounds
@@ -462,13 +410,15 @@ pub enum RangePlan {
 /// complement trick is only considered when the index
 /// partitions positions across bins (true for any index built from
 /// data), since `OR(outside).not() == OR(inside)` needs every position
-/// set in exactly one bin. With `ml`, a group of low bins wholly inside
-/// the span is costed as its high bin, which is built then if it never
-/// was ([`MultiLevelIndex::high_bin`]): plans do not depend on what has
-/// been asked of the index before.
+/// set in exactly one bin. The plan depends on nothing but the index's
+/// at-rest form, so it does not depend on what has been asked of it
+/// before.
+///
+/// `_ml` is ignored: no plan reads a high level. The parameter stays
+/// because the `ibis-e2e` harness spells this signature (ROADMAP item 2b).
 pub fn plan_value_range(
     index: &BitmapIndex,
-    ml: Option<&MultiLevelIndex>,
+    _ml: Option<&MultiLevelIndex>,
     lo: f64,
     hi: f64,
 ) -> Result<RangePlan, QueryError> {
@@ -480,56 +430,26 @@ pub fn plan_value_range(
         return Ok(RangePlan::Empty);
     };
     let inside = index.bins_cost_bytes(b0..b1 + 1);
-    let mut best_cost = inside;
-    let mut best = RangePlan::OrBins { lo: b0, hi: b1 };
-
-    // Complement: valid only when bins partition the positions.
-    if index.partitions() {
-        let outside = index.bins_cost_bytes(0..index.nbins()) - inside;
-        // The complement pass re-reads its OR result once; weight it 3/2.
-        let cost = outside + outside / 2;
-        if cost < best_cost {
-            best_cost = cost;
-            best = RangePlan::Complement { lo: b0, hi: b1 };
-        }
+    // Complement: valid only when bins partition the positions. The
+    // complement pass re-reads its OR result once; weight it 3/2.
+    let outside = index.bins_cost_bytes(0..index.nbins()) - inside;
+    if index.partitions() && outside + outside / 2 < inside {
+        OBS_PLAN_COMPLEMENT.inc();
+        return Ok(RangePlan::Complement { lo: b0, hi: b1 });
     }
-
-    if let Some(ml) = ml {
-        let mut high = Vec::new();
-        let mut low_edges = Vec::new();
-        let mut cost = 0u64;
-        // only the groups the span reaches
-        for h in b0 / ml.group()..=b1 / ml.group() {
-            let ch = ml.children(h);
-            let edge = ch.start.max(b0)..ch.end.min(b1 + 1);
-            if edge == ch {
-                cost += ml.high_bin(h).at_rest_bytes();
-                high.push(h);
-            } else {
-                cost += index.bins_cost_bytes(edge.clone());
-                low_edges.extend(edge);
-            }
-        }
-        if cost < best_cost && !high.is_empty() {
-            best = RangePlan::MultiLevel { high, low_edges };
-        }
-    }
-
-    match &best {
-        RangePlan::OrBins { .. } => OBS_PLAN_OR.inc(),
-        RangePlan::Complement { .. } => OBS_PLAN_COMPLEMENT.inc(),
-        RangePlan::MultiLevel { .. } => OBS_PLAN_MULTILEVEL.inc(),
-        RangePlan::Empty => {}
-    }
-    Ok(best)
+    OBS_PLAN_OR.inc();
+    Ok(RangePlan::OrBins { lo: b0, hi: b1 })
 }
 
 /// Runs a plan produced by [`plan_value_range`] against the same index.
 /// Every strategy returns the canonical compressed selection — byte-
 /// identical across strategies (property-tested and asserted in-bench).
+///
+/// `_ml` is ignored, as in [`plan_value_range`], and stays for the same
+/// reason.
 pub fn execute_range_plan(
     index: &BitmapIndex,
-    ml: Option<&MultiLevelIndex>,
+    _ml: Option<&MultiLevelIndex>,
     plan: &RangePlan,
 ) -> WahVec {
     match plan {
@@ -537,11 +457,6 @@ pub fn execute_range_plan(
         RangePlan::OrBins { lo, hi } => index.query_bins(*lo..=*hi),
         RangePlan::Complement { lo, hi } => {
             index.or_bins((0..*lo).chain(hi + 1..index.nbins())).not()
-        }
-        RangePlan::MultiLevel { high, low_edges } => {
-            let edges = index.or_bins(low_edges.iter().copied());
-            let high = high.iter().filter_map(|&h| ml.map(|ml| ml.high_bin(h)));
-            WahVec::or_many(high.chain([&edges]))
         }
     }
 }
@@ -555,7 +470,6 @@ pub fn execute_range_plan(
 /// `rows in ranges − Σ outside`.
 pub fn count_range_plan(
     index: &BitmapIndex,
-    ml: Option<&MultiLevelIndex>,
     plan: &RangePlan,
     ranges: Option<&[Range<u64>]>,
 ) -> u64 {
@@ -569,12 +483,6 @@ pub fn count_range_plan(
         RangePlan::Complement { lo, hi } => {
             let outside = (0..*lo).chain(hi + 1..index.nbins());
             ranges.map_or(index.len(), rows_in) - outside.map(ones).sum::<u64>()
-        }
-        RangePlan::MultiLevel { high, low_edges } => {
-            let high = high.iter().filter_map(|&h| ml.map(|ml| ml.high_bin(h)));
-            let high =
-                high.map(|v| ranges.map_or_else(|| v.count_ones(), |r| v.count_ones_in_ranges(r)));
-            high.chain(low_edges.iter().map(|&b| ones(b))).sum()
         }
     }
 }
@@ -683,8 +591,7 @@ fn correlation_query_with(
 //    operations distribute over row slices, and the canonical WAH encoding
 //    of a bit string is unique — so evaluating a query on a shard yields
 //    exactly the `[lo, hi)` slice of the global canonical selection, and
-//    concatenating per-shard selections in shard order reproduces the
-//    global vector word for word.
+//    what a shard counts of it is the global count's share of the shard.
 // 2. *Counts are additive.* Selected counts, joint `(bin_a, bin_b)` tables,
 //    and per-bin selection counts are integers summed over disjoint row
 //    ranges; u64 addition is associative, so coordinator sums equal the
@@ -698,18 +605,16 @@ fn correlation_query_with(
 
 /// Evaluates a query against one spatial shard covering stored rows
 /// `[rows.start, rows.end)`. The returned selection is exactly
-/// `global_selection.slice(rows)` — the shard-local canonical piece a
-/// coordinator concatenates (or counts) per shard. `ranges` is the
-/// query's region over the whole store ([`stored_ranges`]).
+/// `global_selection.slice(rows)`. `ranges` is the query's region over the
+/// whole store ([`stored_ranges`]).
 fn evaluate_shard(
     query: &SubsetQuery,
     index: &BitmapIndex,
-    ml: Option<&MultiLevelIndex>,
     rows: Range<u64>,
     ranges: Option<&[Range<u64>]>,
 ) -> Result<WahVec, QueryError> {
     let mask = ranges.map(|r| shard_mask(r, rows));
-    query.evaluate_masked(index, ml, mask.as_ref())
+    query.evaluate_masked(index, mask.as_ref())
 }
 
 /// One shard's additive contribution to a correlation query: every term
@@ -808,8 +713,8 @@ pub fn correlation_partial_shard(
         return Ok(counted);
     }
     OBS_CORR_MATERIALIZED.inc();
-    let sel = evaluate_shard(query_a, a, None, rows.clone(), ranges)?
-        .and(&evaluate_shard(query_b, b, None, rows, ranges)?);
+    let sel = evaluate_shard(query_a, a, rows.clone(), ranges)?
+        .and(&evaluate_shard(query_b, b, rows, ranges)?);
     // a lossy superset's bins overlap: no table's margin is `bin ∧ sel`
     Ok(CorrelationPartial {
         selected: sel.count_ones(),
@@ -901,23 +806,29 @@ mod tests {
         assert_eq!(sel.count_ones(), want);
     }
 
+    /// The mask of one region over a whole `len`-row index.
+    fn mask(range: Range<u64>, len: u64) -> Result<WahVec, QueryError> {
+        let ranges = stored_ranges(&[&SubsetQuery::region(range)], len, None)?;
+        Ok(shard_mask(&ranges.unwrap_or_default(), 0..len))
+    }
+
     #[test]
     fn region_mask_edges() {
-        let m = region_mask(0..0, 10).unwrap();
+        let m = mask(0..0, 10).unwrap();
         assert_eq!(m.count_ones(), 0);
         // an empty block is the canonical zeros wherever it sits
         for at in [0, 31, 40, 100] {
-            assert_eq!(region_mask(at..at, 100).unwrap(), WahVec::zeros(100));
+            assert_eq!(mask(at..at, 100).unwrap(), WahVec::zeros(100));
         }
-        let m = region_mask(0..10, 10).unwrap();
+        let m = mask(0..10, 10).unwrap();
         assert_eq!(m.count_ones(), 10);
-        let m = region_mask(3..7, 10).unwrap();
+        let m = mask(3..7, 10).unwrap();
         assert_eq!(m.iter_ones().collect::<Vec<_>>(), vec![3, 4, 5, 6]);
     }
 
     #[test]
     fn region_out_of_range_is_error_not_panic() {
-        let err = region_mask(5..20, 10).unwrap_err();
+        let err = mask(5..20, 10).unwrap_err();
         assert_eq!(
             err,
             QueryError::RegionOutOfRange {
@@ -929,7 +840,7 @@ mod tests {
         // inverted region is malformed too
         let inverted = Range { start: 7, end: 3 };
         assert!(matches!(
-            region_mask(inverted, 10),
+            mask(inverted, 10),
             Err(QueryError::RegionOutOfRange { .. })
         ));
         // ...and the same through a SubsetQuery against a live index
@@ -974,8 +885,7 @@ mod tests {
         let data: Vec<f64> = (0..4000)
             .map(|i| ((i * 37) % 100) as f64 / 10.0 + ((i / 800) as f64).min(0.9))
             .collect();
-        let ml = MultiLevelIndex::build(&data, Binner::fixed_width(0.0, 11.0, 64), 8);
-        let idx = ml.low();
+        let idx = &BitmapIndex::build(&data, Binner::fixed_width(0.0, 11.0, 64));
         for (lo, hi) in [
             (0.0, 11.0),
             (0.5, 10.5),
@@ -990,43 +900,26 @@ mod tests {
             };
             let by_or = execute_range_plan(idx, None, &RangePlan::OrBins { lo: b0, hi: b1 });
             let by_not = execute_range_plan(idx, None, &RangePlan::Complement { lo: b0, hi: b1 });
-            let plan = plan_value_range(idx, Some(&ml), lo, hi).unwrap();
-            let planned = execute_range_plan(idx, Some(&ml), &plan);
+            let plan = plan_value_range(idx, None, lo, hi).unwrap();
+            let planned = execute_range_plan(idx, None, &plan);
             assert_eq!(by_or, naive, "[{lo},{hi}) OrBins");
             assert_eq!(by_not, naive, "[{lo},{hi}) Complement");
             assert_eq!(planned, naive, "[{lo},{hi}) planned {plan:?}");
-            // force the multilevel covering too, whatever the planner chose
-            let mut high = Vec::new();
-            let mut low_edges = Vec::new();
-            for h in 0..ml.low().nbins().div_ceil(ml.group()) {
-                let ch = ml.children(h);
-                if ch.start > b1 || ch.end <= b0 {
-                    continue;
-                }
-                if ch.start >= b0 && ch.end <= b1 + 1 {
-                    high.push(h);
-                } else {
-                    low_edges.extend(ch.filter(|b| (b0..=b1).contains(b)));
-                }
-            }
-            let by_ml =
-                execute_range_plan(idx, Some(&ml), &RangePlan::MultiLevel { high, low_edges });
-            assert_eq!(by_ml, naive, "[{lo},{hi}) MultiLevel");
         }
     }
 
     #[test]
     fn wide_range_plans_away_from_naive_or() {
-        // Nearly the whole domain: complement or multilevel must win.
+        // Nearly the whole domain: the complement must win.
         let data: Vec<f64> = (0..20000).map(|i| ((i * 13) % 100) as f64 / 10.0).collect();
-        let ml = MultiLevelIndex::build(&data, Binner::fixed_width(0.0, 10.0, 64), 8);
-        let plan = plan_value_range(ml.low(), Some(&ml), 0.0, 9.9).unwrap();
+        let idx = BitmapIndex::build(&data, Binner::fixed_width(0.0, 10.0, 64));
+        let plan = plan_value_range(&idx, None, 0.0, 9.9).unwrap();
         assert!(
-            !matches!(plan, RangePlan::OrBins { .. }),
+            matches!(plan, RangePlan::Complement { .. }),
             "wide span must not fan in every bin: {plan:?}"
         );
         // A one-bin span stays naive.
-        let plan = plan_value_range(ml.low(), Some(&ml), 5.0, 5.05).unwrap();
+        let plan = plan_value_range(&idx, None, 5.0, 5.05).unwrap();
         assert!(matches!(plan, RangePlan::OrBins { .. }), "{plan:?}");
     }
 
@@ -1182,20 +1075,17 @@ mod tests {
                 })
                 .collect();
             for (qa, qb) in &queries {
-                // selections concatenate to the global canonical vector
+                // a shard's selection is its slice of the global one
                 let global_sel = qa
-                    .evaluate_ml(&ia)
+                    .evaluate(ia.low())
                     .unwrap()
-                    .and(&qb.evaluate_ml(&ib).unwrap());
+                    .and(&qb.evaluate(ib.low()).unwrap());
                 let mut bld = ibis_core::WahBuilder::new();
                 for (r, sa, sb) in &shards {
                     let of = |q| stored_ranges(&[q], n as u64, None).unwrap();
-                    let s = evaluate_shard(qa, sa.low(), Some(sa), r.clone(), of(qa).as_deref())
+                    let s = evaluate_shard(qa, sa.low(), r.clone(), of(qa).as_deref())
                         .unwrap()
-                        .and(
-                            &evaluate_shard(qb, sb.low(), Some(sb), r.clone(), of(qb).as_deref())
-                                .unwrap(),
-                        );
+                        .and(&evaluate_shard(qb, sb.low(), r.clone(), of(qb).as_deref()).unwrap());
                     bld.append_wah(&s);
                 }
                 assert_eq!(bld.finish(), global_sel, "selection concat {qa:?}/{qb:?}");

@@ -1,8 +1,8 @@
 //! Property tests for the query layer: the planner and the joint-table
 //! kernel against a full-data scan oracle (filter raw values by range and
 //! positions, build the joint histogram directly from data pairs), across
-//! every binner kind — plus the guarantee that multi-level evaluation and
-//! every planner strategy produce byte-identical selections, that the
+//! every binner kind — plus the guarantee that every planner strategy
+//! produces the same selection, that the
 //! one-pass joint table equals the AND table and the scan on every chunk
 //! and 31-bit edge, that a correlation's selection-free shard partial
 //! equals the one counted over the materialised selection and a scan, that
@@ -237,8 +237,8 @@ fn materialised_partial(
     ranges: Option<&[Range<u64>]>,
 ) -> CorrelationPartial {
     let mask = ranges.map(|r| shard_mask(r, rows));
-    let sel = (qa.evaluate_masked(a, None, mask.as_ref()).unwrap())
-        .and(&qb.evaluate_masked(b, None, mask.as_ref()).unwrap());
+    let sel = (qa.evaluate_masked(a, mask.as_ref()).unwrap())
+        .and(&qb.evaluate_masked(b, mask.as_ref()).unwrap());
     CorrelationPartial {
         selected: sel.count_ones(),
         joint: joint_counts_and_table(a, b, Some(&sel)),
@@ -288,22 +288,11 @@ fn counter(name: &str) -> u64 {
 }
 
 /// Every way to evaluate the bin span `b0..=b1`, whatever the planner
-/// would choose: the naive OR, the complement, and the multi-level
-/// covering (high bins for whole groups, low bins for the ragged edges).
-fn forced_plans(ml: &MultiLevelIndex, b0: usize, b1: usize) -> [RangePlan; 3] {
-    let (mut high, mut low_edges) = (Vec::new(), Vec::new());
-    for h in 0..ml.low().nbins().div_ceil(ml.group()) {
-        let ch = ml.children(h);
-        if ch.start >= b0 && ch.end <= b1 + 1 {
-            high.push(h);
-        } else {
-            low_edges.extend(ch.filter(|b| (b0..=b1).contains(b)));
-        }
-    }
+/// would choose: the naive OR and the complement.
+fn forced_plans(b0: usize, b1: usize) -> [RangePlan; 2] {
     [
         RangePlan::OrBins { lo: b0, hi: b1 },
         RangePlan::Complement { lo: b0, hi: b1 },
-        RangePlan::MultiLevel { high, low_edges },
     ]
 }
 
@@ -358,24 +347,6 @@ proptest! {
         for (i, &w) in want.iter().enumerate() {
             prop_assert_eq!(sel.get(i as u64), w, "position {}", i);
         }
-    }
-
-    #[test]
-    fn multilevel_evaluation_is_byte_identical(
-        (data, binner) in data_and_binner(),
-        group in 1usize..9,
-        lo in -55.0f64..55.0,
-        hi in -55.0f64..55.0,
-    ) {
-        let ml = MultiLevelIndex::build(&data, binner, group);
-        let q = SubsetQuery::value(lo, hi);
-        let flat = q.evaluate(ml.low()).unwrap();
-        let planned = q.evaluate_ml(&ml).unwrap();
-        // byte-identical, not just equal-cardinality
-        prop_assert_eq!(&flat, &planned);
-        prop_assert_eq!(flat.words(), planned.words());
-        // and identical to the pre-planner naive per-bin OR
-        prop_assert_eq!(&flat, &ml.low().query_range(lo, hi));
     }
 
     #[test]
@@ -884,22 +855,20 @@ proptest! {
 
     /// Counting a plan equals materialising it and counting, and a scan of
     /// the raw values — for the planner's own choice and for every plan
-    /// variant forced, with and without the high level, on every binner
-    /// kind and data regime (NaN and ±inf rows included), under every kind
-    /// of range list; the probe agrees with the count.
+    /// variant forced, on every binner kind and data regime (NaN and ±inf
+    /// rows included), under every kind of range list; the probe agrees
+    /// with the count.
     #[test]
     fn count_equals_materialise_then_count_and_scan(
         binner in any_binner(),
         regime in 0usize..4,
         seed in any::<u64>(),
         n in 1usize..700,
-        group in 1usize..9,
         value in (-55.0f64..55.0, -55.0f64..55.0),
         picks in proptest::collection::vec((0u64..200, 0u64..150), 0..6),
     ) {
         let data = regime_data(regime, n, seed);
-        let ml = MultiLevelIndex::build(&data, binner, group);
-        let idx = ml.low();
+        let idx = &BitmapIndex::build(&data, binner);
         let queries = [
             SubsetQuery::all(),
             SubsetQuery::value(value.0, value.1),
@@ -918,23 +887,21 @@ proptest! {
             for q in &queries {
                 let scan = scan_selection(&data, idx, q);
                 let want = (0..n).filter(|&row| scan[row] && kept(row)).count() as u64;
-                for ml in [None, Some(&ml)] {
-                    let sel = q.evaluate_masked(idx, ml, mask.as_ref()).unwrap();
-                    prop_assert_eq!(sel.count_ones(), want, "{:?} {:?}", q, ranges);
-                }
+                let sel = q.evaluate_masked(idx, mask.as_ref()).unwrap();
+                prop_assert_eq!(sel.count_ones(), want, "{:?} {:?}", q, ranges);
                 prop_assert_eq!(q.count(idx, ranges), Ok(want), "{:?} {:?}", q, ranges);
                 prop_assert_eq!(q.intersects(idx, ranges), Ok(want > 0), "{:?}", q);
                 let Some((lo, hi)) = q.value_range else { continue };
                 let Some((b0, b1)) = idx.bin_span(lo, hi) else {
-                    let plan = plan_value_range(idx, Some(&ml), lo, hi).unwrap();
+                    let plan = plan_value_range(idx, None, lo, hi).unwrap();
                     prop_assert_eq!(&plan, &RangePlan::Empty);
-                    prop_assert_eq!(count_range_plan(idx, Some(&ml), &plan, ranges), 0);
+                    prop_assert_eq!(count_range_plan(idx, &plan, ranges), 0);
                     continue;
                 };
-                for plan in forced_plans(&ml, b0, b1) {
-                    let got = count_range_plan(idx, Some(&ml), &plan, ranges);
+                for plan in forced_plans(b0, b1) {
+                    let got = count_range_plan(idx, &plan, ranges);
                     prop_assert_eq!(got, want, "{:?} {:?}", &plan, ranges);
-                    let sel = execute_range_plan(idx, Some(&ml), &plan);
+                    let sel = execute_range_plan(idx, None, &plan);
                     let sel = mask.as_ref().map_or(sel.clone(), |m| sel.and(m));
                     prop_assert_eq!(sel.count_ones(), want, "{:?} {:?}", &plan, ranges);
                 }
@@ -943,7 +910,7 @@ proptest! {
             // on every path
             for (lo, hi) in [(f64::NAN, 1.0), (1.0, f64::NAN)] {
                 let q = SubsetQuery::value(lo, hi);
-                let err = q.evaluate_masked(idx, Some(&ml), mask.as_ref()).unwrap_err();
+                let err = q.evaluate_masked(idx, mask.as_ref()).unwrap_err();
                 prop_assert!(matches!(err, QueryError::NanBound { .. }));
                 let counted = q.count(idx, ranges).unwrap_err();
                 let probed = q.intersects(idx, ranges).unwrap_err();
@@ -991,7 +958,7 @@ proptest! {
         for ranges in range_lists(n, &picks) {
             let ranges = ranges.as_deref();
             let mask = ranges.map(|r| shard_mask(r, 0..n));
-            let want = q.evaluate_masked(&lossy, None, mask.as_ref()).unwrap().count_ones();
+            let want = q.evaluate_masked(&lossy, mask.as_ref()).unwrap().count_ones();
             let before = counter(path);
             prop_assert_eq!(q.count(&lossy, ranges), Ok(want));
             // other tests only ever add to the process-wide counters

@@ -7,10 +7,10 @@
 //! of stored ranges among them — × three regions × three widths, equality
 //! asserted before timing), the layers of a cache miss on the ocean fields
 //! stored flat and in four shards (read, CRC, verify, then what a lazily
-//! materialised index pays for a plan against what forcing every bin and
-//! deriving the whole high level costs; the lazy index asserted equal to
-//! the forced one first), and an in-bench byte-identity sweep of every
-//! planner strategy against the naive per-bin OR. Written to
+//! materialised index pays for a plan against what forcing every bin
+//! costs; the lazy index asserted equal to the forced one first), and an
+//! in-bench byte-identity sweep of both planner strategies against the
+//! naive per-bin OR. Written to
 //! `BENCH_query.json` at the repository root.
 //!
 //!     cargo bench -p ibis-bench --bench query
@@ -24,7 +24,7 @@ use ibis_analysis::{
     shard_ranges, stored_ranges, RangePlan, SubsetQuery,
 };
 use ibis_bench::{count_regimes, joint_regimes, span_holding};
-use ibis_core::{Binner, BitmapIndex, MultiLevelIndex, WahVec};
+use ibis_core::{Binner, BitmapIndex, WahVec};
 use ibis_insitu::{
     codec, CachedStore, QueryAnswer, QueryEngine, QueryRequest, ShardedStore, ShardedWriter, Store,
     StoreWriter,
@@ -89,8 +89,8 @@ fn floor_us<S, O>(mut setup: impl FnMut() -> S, mut f: impl FnMut(S) -> O) -> f6
 /// for a ranged count (`count_touched_us`) and an OR where the bins lie for
 /// a selection (`select_touched_us`); `transcode_touched_us` is what
 /// asking the same plan's bins for their WAH form costs, `transcode_all_us`
-/// and `high_level_us` what forcing every bin and deriving every high bin
-/// do — together the eager miss this bench is the record of.
+/// what forcing every bin does — with read, CRC and verify, the eager miss
+/// this bench is the record of.
 fn miss_path(nshards: usize, ocean: [usize; 3]) -> String {
     let regime = joint_regimes(8, ocean).swap_remove(1);
     assert_eq!(regime.name, "ocean");
@@ -102,7 +102,7 @@ fn miss_path(nshards: usize, ocean: [usize; 3]) -> String {
     w.put(0, "salinity", &regime.b).expect("put salinity");
     w.finish().expect("finish miss store");
 
-    let mut us = [0.0f64; 9];
+    let mut us = [0.0f64; 7];
     let (mut blobs, mut bytes, mut bins, mut roaring) = (0, 0, 0, 0);
     for store in ShardedStore::open(&dir)
         .expect("open miss store")
@@ -114,13 +114,6 @@ fn miss_path(nshards: usize, ocean: [usize; 3]) -> String {
             let framed = std::fs::read(&file).expect("read blob");
             let payload = &framed[12..framed.len() - 4];
             let decode = || codec::decode_index(payload).expect("stored payload");
-            let group = (eager.nbins() as f64).sqrt().ceil() as usize;
-            // every high bin derived
-            let high_level = |ml: MultiLevelIndex| {
-                (0..ml.low().nbins().div_ceil(group))
-                    .map(|h| ml.high_bin(h).len())
-                    .sum::<u64>()
-            };
             // the plan of record: the value range holding 40 % of the rows,
             // inside the first quarter of them
             let rows = eager.len();
@@ -142,7 +135,7 @@ fn miss_path(nshards: usize, ocean: [usize; 3]) -> String {
                 "re-encode moved a byte"
             );
 
-            let layers: [f64; 9] = [
+            let layers: [f64; 7] = [
                 floor_us(|| (), |()| std::fs::read(&file).expect("read blob")),
                 floor_us(
                     || (),
@@ -155,15 +148,6 @@ fn miss_path(nshards: usize, ocean: [usize; 3]) -> String {
                     (b0..=b1).map(|b| idx.bin(b).len()).sum::<u64>()
                 }),
                 floor_us(decode, |idx| idx.bins().count()),
-                floor_us(
-                    || {
-                        let idx = decode();
-                        assert_eq!(idx.bins().count(), idx.nbins());
-                        MultiLevelIndex::from_low(idx, group)
-                    },
-                    high_level,
-                ),
-                floor_us(|| MultiLevelIndex::from_low(decode(), group), high_level),
             ];
             for (total, layer) in us.iter_mut().zip(layers) {
                 *total += layer;
@@ -180,7 +164,7 @@ fn miss_path(nshards: usize, ocean: [usize; 3]) -> String {
     }
     std::fs::remove_dir_all(&dir).ok();
     let per_blob = |k: usize| us[k] / blobs as f64;
-    let eager_miss = (0..3).chain(6..8).map(per_blob).sum::<f64>();
+    let eager_miss = (0..3).chain([6]).map(per_blob).sum::<f64>();
     let lazy_miss = (0..4).map(per_blob).sum::<f64>();
     println!(
         "query: miss path k={nshards}  {blobs} blobs x {:.0} B, {roaring}/{bins} bins roaring  eager {eager_miss:.1} us  verify-only + count {lazy_miss:.1} us  ({:.1}x)",
@@ -191,7 +175,6 @@ fn miss_path(nshards: usize, ocean: [usize; 3]) -> String {
         "    {{\"shards\": {nshards}, \"blobs\": {blobs}, \"blob_bytes\": {:.0}, \"bins\": {bins}, \"roaring_bins\": {roaring}, \
          \"read_us\": {:.3}, \"crc_us\": {:.3}, \"verify_us\": {:.3}, \"count_touched_us\": {:.3}, \
          \"select_touched_us\": {:.3}, \"transcode_touched_us\": {:.3}, \"transcode_all_us\": {:.3}, \
-         \"high_level_us\": {:.3}, \"high_level_where_bins_lie_us\": {:.3}, \
          \"eager_miss_us\": {eager_miss:.3}, \"lazy_miss_us\": {lazy_miss:.3}, \"eager_over_lazy\": {:.3}}}",
         bytes as f64 / blobs as f64,
         per_blob(0),
@@ -201,8 +184,6 @@ fn miss_path(nshards: usize, ocean: [usize; 3]) -> String {
         per_blob(4),
         per_blob(5),
         per_blob(6),
-        per_blob(7),
-        per_blob(8),
         eager_miss / lazy_miss,
     )
 }
@@ -366,8 +347,7 @@ fn main() {
     let mut count_speedup = f64::INFINITY;
     let mut count_never_slower = true;
     for regime in &regimes {
-        let ml = MultiLevelIndex::from_low(regime.a.clone(), 8);
-        let (idx, rows) = (ml.low(), ml.low().len());
+        let (idx, rows) = (&regime.a, regime.a.len());
         let (mut fast_s, mut slow_s) = (0.0, 0.0);
         // blocks from row 0: Heat3D's heated face, where its values vary
         for (region_name, region) in [
@@ -395,7 +375,7 @@ fn main() {
                 };
                 let materialize = || {
                     let mask = ranges.map(|r| shard_mask(r, 0..rows));
-                    q.evaluate_masked(idx, Some(&ml), mask.as_ref())
+                    q.evaluate_masked(idx, mask.as_ref())
                         .map(|sel| sel.count_ones())
                 };
                 let selected = count().expect("finite bounds");
@@ -439,42 +419,32 @@ fn main() {
 
     // --- planner byte-identity sweep: every strategy == naive per-bin OR ---
     let ia = BitmapIndex::build(&temperature(0, n), binner.clone());
-    let ml = MultiLevelIndex::from_low(ia.clone(), 8);
-    let mut plan_counts = [0usize; 4]; // empty, or_bins, complement, multilevel
+    let mut plan_counts = [0usize; 3]; // empty, or_bins, complement
     let mut identity_checks = 0usize;
     for lo_bin in (0..NBINS).step_by(3) {
         for width in [0usize, 1, 2, 7, 19, 40, NBINS] {
             let lo = lo_bin as f64 * 66.0 / NBINS as f64 + 0.01;
             let hi = lo + width as f64 * 66.0 / NBINS as f64;
-            let plan = plan_value_range(&ia, Some(&ml), lo, hi).expect("finite bounds");
+            let plan = plan_value_range(&ia, None, lo, hi).expect("finite bounds");
             plan_counts[match plan {
                 RangePlan::Empty => 0,
                 RangePlan::OrBins { .. } => 1,
                 RangePlan::Complement { .. } => 2,
-                RangePlan::MultiLevel { .. } => 3,
             }] += 1;
             let naive = ia.query_range(lo, hi);
-            let flat = SubsetQuery::value(lo, hi).evaluate(&ia).expect("planned");
-            let multi = SubsetQuery::value(lo, hi)
-                .evaluate_ml(&ml)
-                .expect("planned");
+            let planned = SubsetQuery::value(lo, hi).evaluate(&ia).expect("planned");
             assert_eq!(
-                flat.words(),
+                planned.words(),
                 naive.words(),
-                "flat plan diverged at [{lo}, {hi})"
-            );
-            assert_eq!(
-                multi.words(),
-                naive.words(),
-                "ml plan diverged at [{lo}, {hi})"
+                "{plan:?} diverged at [{lo}, {hi})"
             );
             identity_checks += 1;
         }
     }
     let all_strategies_used = plan_counts.iter().all(|&c| c > 0);
     println!(
-        "query: planner identity {identity_checks} ranges byte-identical; plans empty={} or_bins={} complement={} multilevel={} (all used: {all_strategies_used})",
-        plan_counts[0], plan_counts[1], plan_counts[2], plan_counts[3],
+        "query: planner identity {identity_checks} ranges byte-identical; plans empty={} or_bins={} complement={} (all used: {all_strategies_used})",
+        plan_counts[0], plan_counts[1], plan_counts[2],
     );
 
     let out = format!(

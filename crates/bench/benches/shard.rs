@@ -204,7 +204,8 @@ fn main() {
         let mut total = 0u64;
         for (step, vars) in indexes.iter().enumerate() {
             for (var, _) in vars {
-                total += probe.get(var, step).expect("decode probe").resident_bytes() as u64;
+                let entry = probe.get(var, step).expect("decode probe");
+                total += entry.low().resident_bytes() as u64;
             }
         }
         total

@@ -284,7 +284,11 @@ proptest! {
     #[test]
     fn multilevel_consistent(data in proptest::collection::vec(0.0f64..10.0, 1..300), group in 1usize..8) {
         let ml = MultiLevelIndex::build(&data, Binner::fixed_width(0.0, 10.0, 17), group);
-        ml.check_consistent().unwrap();
+        ml.low().check_consistent().unwrap();
+        // the groups tile the low bins, in order
+        let nhigh = ml.low().nbins().div_ceil(group);
+        let tiled: Vec<usize> = (0..nhigh).flat_map(|h| ml.children(h)).collect();
+        prop_assert_eq!(tiled, (0..ml.low().nbins()).collect::<Vec<_>>());
     }
 
     #[test]

@@ -10,24 +10,26 @@
 //!   a Roaring bin — deserialized with all of its checks, so a malformed
 //!   payload is a typed error from [`CachedStore::get`] and never from a
 //!   later query. What the entry then holds is each bin in its at-rest
-//!   form. Counts, probes, the joint table's label walk and the OR behind
-//!   a selection read a Roaring bin where it lies; it is transcoded to WAH
-//!   only for a caller that asks for that form
+//!   form. Counts, probes and the joint table's label walk — everything
+//!   a reply reads — take a Roaring bin where it lies; it is transcoded to
+//!   WAH only for a caller that asks for that form
 //!   ([`ibis_core::BitmapIndex::bin`]), the first time, and no other bin
-//!   with it;
-//! * each entry is an `Arc<MultiLevelIndex>` at `⌈√nbins⌉` grouping whose
-//!   high level starts empty: a high bin is built — one OR over its
-//!   children as they are held — the first time a plan's span holds its
-//!   whole group ([`ibis_core::MultiLevelIndex::high_bin`]), so a miss
-//!   pays for none of it and a plan never depends on what was asked
-//!   before. Concurrent readers share one copy and one materialisation;
-//! * an entry is charged what it holds — every bin's at-rest form, the
-//!   WAH forms made so far, the high bins built so far
-//!   ([`MultiLevelIndex::resident_bytes`]) — so it *grows* while it is
-//!   used. The accounting catches up whenever the cache looks: a hit
-//!   re-measures the entry it returns, a miss and [`CachedStore::stats`]
-//!   re-measure the whole lock shard, and `resident_bytes` is then exactly
-//!   the sum of the resident entries' sizes;
+//!   with it. Concurrent readers share one copy and one materialisation;
+//! * each entry is an `Arc<MultiLevelIndex>` around the decoded index with
+//!   no grouping (`group` 1): nothing reads a cached entry's high level,
+//!   and the wrapper stays only because the `ibis-e2e` harness spells the
+//!   return type (ROADMAP item 2b);
+//! * an entry is charged what its index holds — every bin's at-rest form
+//!   plus the WAH forms made so far
+//!   ([`ibis_core::BitmapIndex::resident_bytes`]). No reply transcodes a
+//!   bin of an index whose bins partition its rows, but the materialising
+//!   fallbacks for one whose bins do not — [`ibis_analysis::SubsetQuery::count`]
+//!   and the AND-table path of [`ibis_analysis::correlation_partial_shard`]
+//!   — can, so an entry may still *grow* while it is used. The accounting
+//!   catches up whenever the cache looks: a hit re-measures the entry it
+//!   returns, a miss and [`CachedStore::stats`] re-measure the whole lock
+//!   shard, and `resident_bytes` is then exactly the sum of the resident
+//!   entries' sizes;
 //! * entries are spread over fixed shards (key-hashed), each behind its own
 //!   [`parking_lot::Mutex`] — readers of different shards never contend,
 //!   and the underlying catalog is an `Arc<Store>` that is never mutated;
@@ -97,13 +99,13 @@ impl Entry {
     /// Charges the entry what it holds now and returns the growth since
     /// it was last measured (bins are materialised, never dropped).
     fn remeasure(&mut self) -> u64 {
-        let grown = self.index.resident_bytes() as u64 - self.bytes;
+        let grown = self.index.low().resident_bytes() as u64 - self.bytes;
         self.bytes += grown;
         grown
     }
 }
 
-/// A read-through cache of decoded two-level indices over a [`Store`],
+/// A read-through cache of decoded indices over a [`Store`],
 /// safe to share across threads (`&self` everywhere, clone-cheap via the
 /// inner `Arc`s).
 pub struct CachedStore {
@@ -306,8 +308,7 @@ impl CachedStore {
         // Read and verify with no lock held: a cold blob stalls only this
         // reader.
         let low = self.store.get(step, variable)?;
-        let group = (low.nbins() as f64).sqrt().ceil().max(1.0) as usize;
-        let ml = Arc::new(MultiLevelIndex::from_low(low, group));
+        let ml = Arc::new(MultiLevelIndex::from_low(low, 1));
 
         let mut s = shard.lock();
         if let Some(index) = hit(&mut s) {
@@ -315,7 +316,7 @@ impl CachedStore {
             // already shared — drop ours.
             return Ok(index);
         }
-        let bytes = ml.resident_bytes() as u64;
+        let bytes = ml.low().resident_bytes() as u64;
         let grown: u64 = s.map.values_mut().map(Entry::remeasure).sum();
         s.map.insert(
             key.clone(),
@@ -550,22 +551,13 @@ mod tests {
             .map(|s| cache.get("temperature", s).unwrap())
             .collect();
         let sum = |held: &[Arc<MultiLevelIndex>]| -> u64 {
-            held.iter().map(|ml| ml.resident_bytes() as u64).sum()
+            held.iter().map(|ml| ml.low().resident_bytes() as u64).sum()
         };
         assert_eq!(cache.stats().resident_bytes, cold);
         assert_eq!(sum(&held), cold, "a miss materialises nothing");
 
-        // a plan over step 1 builds a high bin — from its children as they
-        // are held — and something else asks two of its bins for their WAH
-        // form
-        held[1].high_bin(0);
-        let low = held[1].low();
-        assert_eq!(
-            low.resident_bytes(),
-            low.size_bytes(),
-            "no child was transcoded"
-        );
-        for b in held[1].children(1).take(2) {
+        // something asks two of step 1's bins for their WAH form
+        for b in 0..2 {
             held[1].low().bin(b);
         }
         let st = cache.stats();
@@ -577,7 +569,6 @@ mod tests {
         // budget and the least recently used neighbour goes
         let forced = held[0].low().bins().count();
         assert_eq!(forced, held[0].low().nbins());
-        held[0].check_consistent().unwrap(); // derives every high bin
         cache.get("temperature", 0).unwrap();
         let st = cache.stats();
         assert!(st.evictions >= 1, "growth past the budget evicts: {st:?}");

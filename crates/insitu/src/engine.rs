@@ -2,17 +2,16 @@
 //! store of `K ≥ 1` spatial shards through per-shard [`CachedStore`]s,
 //! with a JSON batch protocol for the `ibis query` CLI (DESIGN.md §6k).
 //!
-//! There is one engine and one query path — scatter, evaluate per shard,
+//! There is one engine and one query path — scatter, count per shard,
 //! gather. A flat run directory is the 1-shard store rooted at the
 //! directory itself ([`QueryEngine::new`], or [`QueryEngine::open`] on a
 //! directory without a `SHARDS` file); a sharded one fans the same
-//! per-shard step out over its `shard-NNN/` stores. Answers are
-//! **byte-identical** for every `K`:
+//! per-shard step out over its `shard-NNN/` stores. The engine counts: no
+//! reply needs a selection vector, so none is built or concatenated.
+//! Answers are **byte-identical** for every `K`:
 //!
-//! * a shard's canonical WAH selection is exactly
-//!   `global_selection.slice(rows)` (canonical-form uniqueness), so
-//!   selection *counts* sum and selections *concatenate* to the global
-//!   vector word-for-word ([`QueryEngine::selection`]);
+//! * a subset answer is a count of the rows a shard holds, and the
+//!   shards' rows are disjoint, so per-shard counts sum to the global one;
 //! * correlation metrics reduce over additive integer partials
 //!   ([`ibis_analysis::CorrelationPartial`], merged in ascending shard
 //!   order) and finish through the same pure float finishers — the merged
@@ -66,10 +65,10 @@ use crate::shard::{
 };
 use crate::store::LossyCompanion;
 use ibis_analysis::{
-    correlation_partial_shard, finish_correlation, shard_mask, shard_ranges, stored_ranges,
-    CorrelationAnswer, QueryError, SubsetQuery,
+    correlation_partial_shard, finish_correlation, shard_ranges, stored_ranges, CorrelationAnswer,
+    QueryError, SubsetQuery,
 };
-use ibis_core::{Binner, MultiLevelIndex, WahBuilder, WahVec};
+use ibis_core::{Binner, MultiLevelIndex};
 use ibis_obs::LazyCounter;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -133,11 +132,6 @@ pub enum QueryAnswer {
 /// Memoized prefix row cuts, keyed by `(step, variable)`: `cuts[i]` is
 /// shard `i`'s first global row, `cuts[K]` the global length.
 type CutsMemo = Mutex<HashMap<(usize, String), Arc<Vec<u64>>>>;
-
-/// What a subset query is counted (or materialised) over on one shard:
-/// the shard's exact index and the region's ranges as that shard sees them
-/// ([`shard_ranges`]; `None` without a region).
-type ShardOperand = (Arc<MultiLevelIndex>, Option<Vec<Range<u64>>>);
 
 /// Where `(step, variable)`'s rows sit across the shards, plus whatever
 /// exact indices had to be decoded to learn it: the evaluation that
@@ -411,45 +405,6 @@ impl QueryEngine {
         hit
     }
 
-    /// The one place a subset query meets a shard, whatever is asked of
-    /// it: clip the region's `ranges` to the shard's rows, probe the lossy
-    /// companion when the ceiling admits it — no row there proves the
-    /// shard's answer empty, `None`, and the exact index is never touched
-    /// — then fetch the exact index under the deadline and check it holds
-    /// the rows the layout says. [`QueryEngine::run_subset`] counts on the
-    /// result; only [`QueryEngine::selection`] materialises.
-    #[allow(clippy::too_many_arguments)]
-    fn shard_operand(
-        &self,
-        shard: usize,
-        step: usize,
-        variable: &str,
-        query: &SubsetQuery,
-        layout: &Layout,
-        ranges: Option<&[Range<u64>]>,
-        deadline: Option<Instant>,
-    ) -> Result<Option<ShardOperand>> {
-        let rows = layout.rows(shard);
-        let nrows = rows.end - rows.start;
-        let local = ranges.map(|r| shard_ranges(r, rows));
-        if let Some(companion) = self.filter_of(shard, variable, step)? {
-            OBS_LOSSY_FILTER_USED.inc();
-            let probe = query.intersects(&companion.index, local.as_deref());
-            if !probe.map_err(IbisError::Query)? {
-                OBS_LOSSY_FILTER_EMPTY.inc();
-                return Ok(None);
-            }
-        }
-        let ml = self.exact(layout, shard, variable, step, deadline)?;
-        if ml.low().len() != nrows {
-            return Err(IbisError::Query(QueryError::LengthMismatch {
-                len_a: ml.low().len(),
-                len_b: nrows,
-            }));
-        }
-        Ok(Some((ml, local)))
-    }
-
     /// Answers one query. Total: every malformed or unanswerable request
     /// is a structured error.
     pub fn run(&self, request: &QueryRequest) -> Result<QueryAnswer> {
@@ -488,6 +443,12 @@ impl QueryEngine {
         result
     }
 
+    /// Counts a subset query shard by shard. On each visited shard: clip
+    /// the region's `ranges` to the shard's rows, probe the lossy companion
+    /// when the ceiling admits it — no row there proves the shard's count
+    /// zero, and the exact index is never touched — then fetch the exact
+    /// index under the deadline, check it holds the rows the layout says,
+    /// and count.
     fn run_subset(
         &self,
         step: usize,
@@ -500,10 +461,24 @@ impl QueryEngine {
         let ranges = ranges.as_deref();
         let wanted = self.wanted(&layout.cuts, ranges);
         let counts = self.fanout(&wanted, |i| {
-            let hit = self.shard_operand(i, step, variable, query, &layout, ranges, deadline)?;
-            let Some((ml, local)) = hit else {
-                return Ok(None);
-            };
+            let rows = layout.rows(i);
+            let nrows = rows.end - rows.start;
+            let local = ranges.map(|r| shard_ranges(r, rows));
+            if let Some(companion) = self.filter_of(i, variable, step)? {
+                OBS_LOSSY_FILTER_USED.inc();
+                let probe = query.intersects(&companion.index, local.as_deref());
+                if !probe.map_err(IbisError::Query)? {
+                    OBS_LOSSY_FILTER_EMPTY.inc();
+                    return Ok(None);
+                }
+            }
+            let ml = self.exact(&layout, i, variable, step, deadline)?;
+            if ml.low().len() != nrows {
+                return Err(IbisError::Query(QueryError::LengthMismatch {
+                    len_a: ml.low().len(),
+                    len_b: nrows,
+                }));
+            }
             let count = query.count(ml.low(), local.as_deref());
             // the binner, not the index: the gather pins nothing the cache may evict
             let binner = ml.low().binner().clone();
@@ -579,30 +554,6 @@ impl QueryEngine {
             total.merge(&part).map_err(IbisError::Query)?;
         }
         Ok(QueryAnswer::Correlation(finish_correlation(&a, &b, &total)))
-    }
-
-    /// The full canonical selection for a subset query, concatenated from
-    /// the per-shard canonical pieces in shard order — word-identical for
-    /// every shard count (the byte-identity witness tests and benches
-    /// assert against).
-    pub fn selection(&self, step: usize, variable: &str, query: &SubsetQuery) -> Result<WahVec> {
-        let layout = self.layout(step, variable, None)?;
-        let ranges = self.ranges_of(step, &[query], layout.global_len())?;
-        let ranges = ranges.as_deref();
-        let mut b = WahBuilder::new();
-        for i in 0..self.caches.len() {
-            let rows = layout.rows(i);
-            let nrows = rows.end - rows.start;
-            match self.shard_operand(i, step, variable, query, &layout, ranges, None)? {
-                Some((ml, local)) => {
-                    let mask = local.map(|r| shard_mask(&r, 0..nrows));
-                    let sel = query.evaluate_masked(ml.low(), Some(&ml), mask.as_ref());
-                    b.append_wah(&sel.map_err(IbisError::Query)?);
-                }
-                None => b.append_run(false, nrows),
-            }
-        }
-        Ok(b.finish())
     }
 
     /// Answers every query of a batch, in order. Failures are per-request;

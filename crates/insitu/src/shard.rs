@@ -469,7 +469,7 @@ mod tests {
     use crate::cache::CachedStore;
     use crate::engine::QueryRequest;
     use ibis_analysis::SubsetQuery;
-    use ibis_core::{Binner, MultiLevelIndex};
+    use ibis_core::Binner;
 
     fn tmp(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("ibis-shard-{name}"));
@@ -636,28 +636,6 @@ mod tests {
             std::fs::remove_dir_all(&flat).ok();
             std::fs::remove_dir_all(&sharded).ok();
         }
-    }
-
-    #[test]
-    fn selection_concatenates_byte_identically() {
-        let rows = 2500;
-        let (flat, sharded) = twin_stores("ident", rows, 4);
-        let store = Store::open(&flat).expect("open flat");
-        let engine = QueryEngine::open(&sharded, 64 << 20).expect("open sharded");
-        let query = SubsetQuery {
-            value_range: Some((1.5, 7.0)),
-            position_range: Some(100..2100),
-        };
-        let ml = {
-            let low = store.get(0, "temperature").expect("flat index");
-            let group = (low.nbins() as f64).sqrt().ceil().max(1.0) as usize;
-            MultiLevelIndex::from_low(low, group)
-        };
-        let want = query.evaluate_ml(&ml).expect("oracle selection");
-        let got = engine.selection(0, "temperature", &query).expect("sharded");
-        assert_eq!(got, want, "concatenated selection must be word-identical");
-        std::fs::remove_dir_all(&flat).ok();
-        std::fs::remove_dir_all(&sharded).ok();
     }
 
     #[test]

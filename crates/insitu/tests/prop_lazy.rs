@@ -6,7 +6,7 @@
 
 use ibis_analysis::{
     execute_range_plan, joint_counts, joint_counts_where, mine_full, mine_index, mine_multilevel,
-    plan_value_range, shard_mask, MiningConfig, MiningResult, RangePlan, SubsetQuery,
+    plan_value_range, shard_mask, MiningConfig, MiningResult, SubsetQuery,
 };
 use ibis_core::{Binner, BitmapIndex, CodecId, MultiLevelIndex, WahVec};
 use ibis_insitu::codec;
@@ -151,8 +151,8 @@ proptest! {
         for ranges in range_lists(n, &picks) {
             let mask = ranges.as_deref().map(|r| shard_mask(r, 0..n));
             for q in queries(&picks) {
-                let want = q.evaluate_masked(&idx, None, mask.as_ref()).unwrap();
-                let got = q.evaluate_masked(&back, None, mask.as_ref()).unwrap();
+                let want = q.evaluate_masked(&idx, mask.as_ref()).unwrap();
+                let got = q.evaluate_masked(&back, mask.as_ref()).unwrap();
                 prop_assert_eq!(got.words(), want.words(), "{:?} {:?}", &q, &ranges);
             }
         }
@@ -220,41 +220,31 @@ proptest! {
     ) {
         let idx = build(&ids);
         let n = idx.len();
-        let group = (NBINS as f64).sqrt().ceil() as usize;
-        let built = MultiLevelIndex::from_low(idx.clone(), group);
-        let copy = || MultiLevelIndex::from_low(reload(&idx).2, group);
-        let (cold, half, forced) = (copy(), copy(), copy());
+        let (cold, half, forced) = (reload(&idx).2, reload(&idx).2, reload(&idx).2);
         for b in (0..NBINS).step_by(2) {
-            half.low().bin(b);
+            half.bin(b);
         }
-        half.high_bin(0);
-        prop_assert_eq!(forced.low().bins().count(), NBINS);
-        forced.check_consistent().unwrap(); // every high bin derived
+        prop_assert_eq!(forced.bins().count(), NBINS);
         let all_wah = reload(&idx).1.iter().all(|&c| c == CodecId::Wah);
 
         for q in queries(&picks) {
             let Some((lo, hi)) = q.value_range else { continue };
-            let plan = plan_value_range(forced.low(), Some(&forced), lo, hi).unwrap();
+            let plan = plan_value_range(&forced, None, lo, hi).unwrap();
             let want = idx.query_range(lo, hi);
-            for ml in [&cold, &half, &forced] {
-                let got = plan_value_range(ml.low(), Some(ml), lo, hi).unwrap();
+            for copy in [&cold, &half, &forced] {
+                let got = plan_value_range(copy, None, lo, hi).unwrap();
                 prop_assert_eq!(&got, &plan, "{:?}", &q);
-                let sel = execute_range_plan(ml.low(), Some(ml), &got);
+                let sel = execute_range_plan(copy, None, &got);
                 prop_assert_eq!(sel.words(), want.words(), "{:?} {:?}", &q, &got);
                 for ranges in range_lists(n, &picks) {
                     let ranges = ranges.as_deref();
                     let rows = ranges.map_or(want.count_ones(), |r| want.count_ones_in_ranges(r));
-                    prop_assert_eq!(q.count(ml.low(), ranges), Ok(rows), "{:?} {:?}", &q, ranges);
+                    prop_assert_eq!(q.count(copy, ranges), Ok(rows), "{:?} {:?}", &q, ranges);
                 }
             }
             if all_wah {
-                let todays = plan_value_range(built.low(), Some(&built), lo, hi).unwrap();
+                let todays = plan_value_range(&idx, None, lo, hi).unwrap();
                 prop_assert_eq!(&plan, &todays, "{:?}", &q);
-            }
-            if let RangePlan::MultiLevel { high, .. } = &plan {
-                for &h in high {
-                    prop_assert_eq!(cold.high_bin(h).words(), built.high_bin(h).words());
-                }
             }
         }
     }
@@ -276,7 +266,7 @@ fn racing_threads_share_one_materialisation() {
         deferred.len() > NBINS / 2,
         "the noise must store as Roaring"
     );
-    let back = Arc::new(MultiLevelIndex::from_low(back, 5));
+    let back = Arc::new(back);
     let start = Arc::new(Barrier::new(8));
     let handles: Vec<_> = (0..8)
         .map(|t| {
@@ -284,13 +274,10 @@ fn racing_threads_share_one_materialisation() {
             std::thread::spawn(move || {
                 start.wait();
                 // every thread in its own order, all of them at once
-                let mut seen = vec![(0usize, 0usize); NBINS + 5];
+                let mut seen = vec![0usize; NBINS];
                 for k in 0..NBINS {
                     let b = (k * 7 + t * 3) % NBINS;
-                    seen[b] = (back.low().bin(b) as *const WahVec as usize, 0);
-                }
-                for h in 0..5 {
-                    seen[NBINS + h] = (back.high_bin(h) as *const WahVec as usize, 0);
+                    seen[b] = back.bin(b) as *const WahVec as usize;
                 }
                 seen
             })
@@ -304,15 +291,12 @@ fn racing_threads_share_one_materialisation() {
         assert_eq!(other, &seen[0], "two threads saw two materialisations");
     }
     let grown: usize = deferred.iter().map(|&b| idx.bin(b).size_bytes()).sum();
-    let low = back.low();
     assert_eq!(
-        low.resident_bytes(),
-        low.size_bytes() + grown,
+        back.resident_bytes(),
+        back.size_bytes() + grown,
         "each transcode charged once"
     );
-    let high: usize = (0..5).map(|h| back.high_bin(h).size_bytes()).sum();
-    assert_eq!(back.resident_bytes(), low.resident_bytes() + high);
     for b in 0..NBINS {
-        assert_eq!(low.bin(b), idx.bin(b));
+        assert_eq!(back.bin(b), idx.bin(b));
     }
 }

@@ -1,18 +1,18 @@
 //! Integration tests for the sharded distributed store: scatter-gather
 //! answers must be indistinguishable from a verbatim scan of the raw data
 //! (the reference model — it shares no code with the engine) across shard
-//! counts, bin widths, stored row layouts and lossy companions; a
-//! 1-shard run must be the flat store byte for byte; a corrupted shard
-//! must quarantine locally — the *other* shards' selections stay
-//! byte-identical — and repair through the normal resume + re-put path;
-//! a writer killed mid-ingest must resume from whatever each shard made
-//! durable.
+//! counts, bin widths, stored row layouts and lossy companions — counted
+//! from every cached index in its at-rest form; a 1-shard run must be the
+//! flat store byte for byte; a corrupted shard must quarantine locally —
+//! the *other* shards' answers stay the model's — and repair through the
+//! normal resume + re-put path; a writer killed mid-ingest must resume
+//! from whatever each shard made durable.
 
 use ibis_analysis::{finish_correlation, CorrelationPartial, QueryError, SubsetQuery};
-use ibis_core::{Binner, BitmapIndex, MultiLevelIndex, RowOrder, RowPermutation, WahVec};
+use ibis_core::{Binner, BitmapIndex, RowOrder, RowPermutation};
 use ibis_insitu::{
-    IbisError, MaintenanceConfig, QueryAnswer, QueryEngine, QueryRequest, QueryServer, ServeConfig,
-    ShardedStore, ShardedWriter, SocketServer, StoreWriter,
+    CacheStats, IbisError, MaintenanceConfig, QueryAnswer, QueryEngine, QueryRequest, QueryServer,
+    ServeConfig, ShardedStore, ShardedWriter, SocketServer, StoreWriter,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -27,9 +27,16 @@ const STEPS: [usize; 2] = [0, 1];
 const VARS: [&str; 2] = ["temperature", "salinity"];
 
 /// The obs counters are process-wide and the tests of this binary run in
-/// parallel: every test that runs queries holds this for reading, the one
-/// that asserts exact counter deltas for writing.
+/// parallel: every test that runs queries holds this for reading, those
+/// that assert exact counter deltas for writing.
 static COUNTERS: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+fn counter(name: &str) -> u64 {
+    match ibis_obs::global().snapshot().get(name) {
+        Some(ibis_obs::MetricValue::Counter(v)) => *v,
+        _ => 0,
+    }
+}
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ibis-shard-it-{}-{name}", std::process::id()));
@@ -167,12 +174,6 @@ impl Model {
                 )))
             }
         }
-    }
-
-    /// The canonical selection over original rows.
-    fn selection(&self, step: usize, variable: &str, q: &SubsetQuery) -> WahVec {
-        let admitted = self.admitted(q, self.values(step, variable).unwrap());
-        WahVec::from_bits(admitted.unwrap())
     }
 }
 
@@ -365,7 +366,8 @@ fn battery(rows: u64) -> Vec<QueryRequest> {
 
 #[test]
 fn sharded_equals_oracle_across_shards_bins_and_row_orders() {
-    let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
+    // alone: no other test may transcode while the sweep watches the counter
+    let _alone = COUNTERS.write().unwrap_or_else(|e| e.into_inner());
     // Bin counts pick different container codecs downstream; row layouts
     // exercise region mapping and pruning under a permutation — the
     // scattered one spreads a region over hundreds of stored ranges; the lossy
@@ -390,29 +392,27 @@ fn sharded_equals_oracle_across_shards_bins_and_row_orders() {
                         std::fs::remove_dir_all(&flat).ok();
                     }
                     let engine = open(&dir, lossy);
+                    let transcoded = counter("codec.decode.transcoded_bins");
                     // two passes: the second finds the cuts memoized
+                    let mut held = Vec::new();
                     for pass in 0..2 {
                         for req in battery(ROWS as u64) {
-                            let answer = engine.run(&req).unwrap();
                             assert_eq!(
-                                answer,
+                                engine.run(&req).unwrap(),
                                 model.run(&req).unwrap(),
                                 "{tag} pass={pass} {req:?}"
                             );
-                            assert_counts_the_selection(&engine, &req, &answer, &tag);
                         }
+                        held.push(engine.shard_caches().iter().map(|c| c.stats()).collect());
                     }
+                    assert_eq!(
+                        counter("codec.decode.transcoded_bins"),
+                        transcoded,
+                        "{tag}: a reply transcoded a bin"
+                    );
+                    assert_entries_at_rest(&engine, &held, &tag);
                     if layout == Layout::Sorted && shards == 4 {
                         assert_prunes_under_permutation(&engine, &model, b, &tag);
-                    }
-                    // raw selections are byte-identical, not just equinumerous
-                    if layout == Layout::Identity {
-                        let q = SubsetQuery::value(2.0, 7.5).with_region(100..ROWS as u64 - 50);
-                        let sel = engine.selection(0, "temperature", &q).unwrap();
-                        assert_eq!(sel, model.selection(0, "temperature", &q), "{tag}");
-                        let whole = BitmapIndex::build(&field(ROWS, 0, 0), binner.clone());
-                        let ml = MultiLevelIndex::from_low(whole, 8);
-                        assert_eq!(sel, q.evaluate_ml(&ml).unwrap(), "{tag}");
                     }
                     std::fs::remove_dir_all(&dir).ok();
                 }
@@ -421,30 +421,38 @@ fn sharded_equals_oracle_across_shards_bins_and_row_orders() {
     }
 }
 
-/// A subset count never built a selection: it must still be the size of
-/// the one the engine can build.
-fn assert_counts_the_selection(
-    engine: &QueryEngine,
-    req: &QueryRequest,
-    answer: &QueryAnswer,
-    tag: &str,
-) {
-    let QueryRequest::Subset {
-        step,
-        variable,
-        query,
-    } = req
-    else {
-        return;
-    };
-    let sel = engine.selection(*step, variable, query).unwrap();
-    let of = sel.len();
-    let selected = sel.count_ones();
-    assert_eq!(
-        answer,
-        &QueryAnswer::Subset { selected, of },
-        "{tag} {req:?}"
-    );
+/// Every entry the battery left in a shard cache is in its at-rest form:
+/// the cache holds exactly the stored size of its resident entries, and
+/// the second pass (`held[1]`, per shard) neither loaded nor grew one.
+fn assert_entries_at_rest(engine: &QueryEngine, held: &[Vec<CacheStats>], tag: &str) {
+    for (i, cache) in engine.shard_caches().iter().enumerate() {
+        let (first, second) = (held[0][i], held[1][i]);
+        assert_eq!(
+            second.resident_bytes, first.resident_bytes,
+            "{tag} shard {i}"
+        );
+        assert_eq!(
+            (second.misses, second.evictions),
+            (first.misses, 0),
+            "{tag} shard {i}"
+        );
+        // a probe that hits is a resident entry; one that misses loads an
+        // entry the battery never did, and is left out
+        let mut at_rest = 0;
+        for step in STEPS {
+            for var in VARS {
+                let misses = cache.stats().misses;
+                let ml = cache.get(var, step).unwrap();
+                if cache.stats().misses == misses {
+                    at_rest += ml.low().size_bytes() as u64;
+                }
+            }
+        }
+        assert_eq!(
+            second.resident_bytes, at_rest,
+            "{tag} shard {i}: grown entry"
+        );
+    }
 }
 
 /// A block of original rows lands, under a sorting order, in the few
@@ -473,10 +481,7 @@ fn assert_prunes_under_permutation(engine: &QueryEngine, model: &Model, b: Build
         let stats = caches.iter().map(|c| c.stats());
         stats.map(|s| s.hits + s.misses).collect()
     };
-    let pruned = || match ibis_obs::global().snapshot().get("shard.query.pruned") {
-        Some(ibis_obs::MetricValue::Counter(v)) => *v,
-        _ => 0,
-    };
+    let pruned = || counter("shard.query.pruned");
     let (reads_before, pruned_before) = (reads(), pruned());
     let req = QueryRequest::Subset {
         step: 0,
@@ -581,22 +586,27 @@ fn corrupt_shard_quarantines_locally_and_repairs() {
     assert_eq!(reports[1].quarantined.len(), 1);
     assert!(blob.with_extension("ibis.quarantined").exists());
 
-    // the damaged pair is now a structured miss; every other pair's
-    // selection is byte-identical to the model's
+    // the damaged pair is now a structured miss; every other pair answers
+    // like the model
     let engine = QueryEngine::from_store(store, BUDGET);
-    let dead = QueryRequest::Subset {
-        step: 1,
-        variable: "temperature".into(),
-        query: SubsetQuery::all(),
+    let subset = |step: usize, var: &str, query: SubsetQuery| QueryRequest::Subset {
+        step,
+        variable: var.into(),
+        query,
     };
+    let dead = subset(1, "temperature", SubsetQuery::all());
     assert!(matches!(
         engine.run(&dead).unwrap_err(),
         IbisError::NotFound { .. }
     ));
     for (step, var) in [(0usize, "temperature"), (0, "salinity"), (1, "salinity")] {
         let q = SubsetQuery::value(1.5, 8.0).with_region(40..(ROWS as u64) - 9);
-        let sel = engine.selection(step, var, &q).unwrap();
-        assert_eq!(sel, model.selection(step, var, &q), "step {step} {var}");
+        let req = subset(step, var, q);
+        assert_eq!(
+            engine.run(&req).unwrap(),
+            model.run(&req).unwrap(),
+            "{req:?}"
+        );
     }
     drop(engine);
 
@@ -671,10 +681,6 @@ fn fanout_and_pruned_account_for_every_shard_of_every_query() {
         return; // metrics compiled out in this configuration
     }
     let _alone = COUNTERS.write().unwrap_or_else(|e| e.into_inner());
-    let counter = |name: &str| match ibis_obs::global().snapshot().get(name) {
-        Some(ibis_obs::MetricValue::Counter(v)) => *v,
-        _ => 0,
-    };
     let binner = Binner::fixed_width(0.0, 10.0, 48);
     let has_region = |req: &QueryRequest| match req {
         QueryRequest::Subset { query, .. } => query.position_range.is_some(),
@@ -708,7 +714,7 @@ fn fanout_and_pruned_account_for_every_shard_of_every_query() {
         let walked = || {
             let materialised =
                 counter("query.corr.materialized") + counter("query.joint.and_table");
-            let planned: u64 = ["or_bins", "complement", "multilevel", "empty"]
+            let planned: u64 = ["or_bins", "complement", "empty"]
                 .iter()
                 .map(|plan| counter(&format!("query.plan.{plan}")))
                 .sum();

@@ -92,7 +92,7 @@ bench_smoke query IBIS_QUERY_SMOKE '"warm_over_cold_speedup"' \
     '"count_equals_materialized"' '"lazy_equals_eager": true' '"miss_path"' \
     '"read_us"' '"crc_us"' '"verify_us"' '"count_touched_us"' \
     '"select_touched_us"' '"transcode_touched_us"' '"transcode_all_us"' \
-    '"high_level_us"' '"eager_over_lazy"' '"planner_identity_ranges_checked"' \
+    '"eager_over_lazy"' '"planner_identity_ranges_checked"' \
     '"planner_strategies_all_byte_identical"' '"planner_all_strategies_exercised"'
 bench_smoke codecs IBIS_CODEC_SMOKE '"samples"' '"bytes_per_bitmap"' \
     '"auto_selected"' '"roaring_over_wah_speedup"' '"auto_over_best_ratio"' \
@@ -139,12 +139,16 @@ echo "==> ibis serve + loadgen end-to-end smoke (1 and 4 shards, both obs config
 # --row-order graybin with --lossy-fpr companions, so the served store
 # carries inverse permutations the engine must apply and filters it must
 # refine, at either shard count, with background maintenance running.
+# The instrumented legs also pin that serving is count-only: every subset
+# counts its plan, and nothing builds a selection or transcodes a bin.
 serve_smoke() {
     local shards="$1"
     shift
     local features=("$@")
     local store="target/ci_serve_store_k$shards"
-    rm -rf "$store"
+    local obs=()
+    if [ "${#features[@]}" -eq 0 ]; then obs=(--obs-json "$store.obs.json"); fi
+    rm -rf "$store" "$store.obs.json"
     cargo run -q --release "${features[@]}" --bin ibis -- insitu \
         --sim heat3d --steps 2 --select 2 --cores 2 --row-order graybin \
         --lossy-fpr 1e-2 --shards "$shards" --out "$store" >/dev/null
@@ -157,7 +161,7 @@ serve_smoke() {
     cargo run -q --release "${features[@]}" --bin ibis -- serve \
         --store "$store" --shards "$shards" --lossy-fpr 1e-2 \
         --addr "127.0.0.1:$port" --workers 2 --queue 16 --maintain-ms 200 \
-        --conns 2 &
+        --conns 2 "${obs[@]}" &
     local serve_pid=$!
     # Wait for the listener to come up before pointing the clients at it.
     for _ in $(seq 1 100); do
@@ -170,6 +174,18 @@ serve_smoke() {
         --addr "127.0.0.1:$port" --store "$store" --requests 300 \
         --clients 1 --deadline-ms 2000 --seed 7
     wait "$serve_pid"
+    if [ "${#obs[@]}" -gt 0 ]; then
+        grep -q '"query.subset.counted"' "$store.obs.json" || {
+            echo "error: ibis serve (k=$shards) counted no subset" >&2
+            exit 1
+        }
+        for name in query.subset.materialized query.corr.materialized codec.decode.transcoded_bins; do
+            if grep -q "\"$name\"" "$store.obs.json"; then
+                echo "error: ibis serve (k=$shards) ticked $name" >&2
+                exit 1
+            fi
+        done
+    fi
 }
 for shards in 1 4; do
     serve_smoke "$shards"

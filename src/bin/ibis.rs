@@ -561,8 +561,10 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
 /// decoded-index cache, with the lossy filter enabled by `--lossy-fpr`.
 fn open_engine(flags: &Flags, dir: &str) -> Result<QueryEngine, String> {
     let cache_mb = get_usize(flags, "cache-mb", 256)? as u64;
-    let engine =
-        QueryEngine::open(dir, cache_mb << 20).map_err(|e| format!("--store {dir}: {e}"))?;
+    let budget = cache_mb
+        .checked_mul(1 << 20)
+        .ok_or_else(|| format!("--cache-mb: {cache_mb} MiB is more bytes than a u64 holds"))?;
+    let engine = QueryEngine::open(dir, budget).map_err(|e| format!("--store {dir}: {e}"))?;
     Ok(engine.with_lossy_fpr(get_lossy_fpr(flags)?))
 }
 

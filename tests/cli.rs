@@ -137,6 +137,37 @@ fn mine_rejects_a_nan_threshold() {
     mine_rejects(&["--t2", "inf"], "--t2");
 }
 
+/// `--cache-mb` past what a byte count can hold is a usage error before
+/// any store is opened, not a budget wrapped to a few bytes.
+fn cache_mb_overflows(args: &[&str]) {
+    let (first_over, next) = ("17592186044416", "17592186044417"); // 2^44, 2^44 + 1
+    for mb in [first_over, next] {
+        let out = ibis()
+            .args(args)
+            .args(["--cache-mb", mb])
+            .output()
+            .expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?} {mb}: {err}");
+        assert!(err.starts_with("error: --cache-mb"), "{args:?} {mb}: {err}");
+        assert!(err.contains("USAGE"), "{args:?} {mb}: {err}");
+    }
+}
+
+#[test]
+fn query_rejects_a_cache_mb_that_overflows() {
+    let batch = std::env::temp_dir().join(format!("ibis-cli-cache-mb-{}.json", std::process::id()));
+    std::fs::write(&batch, r#"{"queries": []}"#).expect("write batch");
+    let batch = batch.to_str().expect("utf-8 temp path").to_string();
+    cache_mb_overflows(&["query", "--store", "no-such-store", "--batch", &batch]);
+    std::fs::remove_file(&batch).ok();
+}
+
+#[test]
+fn serve_rejects_a_cache_mb_that_overflows() {
+    cache_mb_overflows(&["serve", "--store", "no-such-store", "--addr", "127.0.0.1:0"]);
+}
+
 #[test]
 fn insitu_subcommand_persists_reloadable_indices() {
     let dir = std::env::temp_dir().join("ibis-cli-test-out");
