@@ -10,10 +10,16 @@
 //! * **Spatial** — per bin, count *positions* whose membership differs
 //!   between the two steps ("for each bin pair … find if there is a match at
 //!   the same position"), then accumulate the paper's CFP sum. From bitmaps
-//!   this is one compressed XOR + popcount per bin pair (Figure 4).
+//!   this is the cardinality identity `|A_j ⊕ B_j| = |A_j| + |B_j| −
+//!   2·|A_j ∧ B_j|`: the cached bin counts plus one intersection count per
+//!   bin pair, on each bin's stored codec ([`CodecVec::and_count`]), so a
+//!   Roaring-held bin is never transcoded. The paper's Figure 4 kernel is
+//!   the XOR popcount; the identity gives the same counts.
 //!
 //! Both variants are pure functions of per-bin integers, so the bitmap and
 //! full-data paths agree exactly under the same binning.
+//!
+//! [`CodecVec::and_count`]: ibis_core::CodecVec::and_count
 
 use ibis_core::{Binner, BitmapIndex};
 use rayon::prelude::*;
@@ -82,9 +88,12 @@ pub fn emd_spatial_full(a: &[f64], b: &[f64], binner: &Binner) -> f64 {
     emd_spatial_from_diffs(&diffs)
 }
 
-/// Spatial EMD of two indexed time-steps: `m` compressed XOR popcounts, one
-/// per bin pair — Figure 4's kernel. The per-bin XORs are independent and
-/// run on the rayon pool; the diffs are exact `u64` counts collected in bin
+/// Spatial EMD of two indexed time-steps: per bin pair, the positions in
+/// exactly one of the two bins, `|A_j| + |B_j| − 2·|A_j ∧ B_j|` — the
+/// cached counts and one intersection count on the bins' stored codecs.
+/// The identity holds for any two bit sets (lossy supersets and
+/// overlapping bins included). The per-bin counts are independent and run
+/// on the rayon pool; the diffs are exact `u64` counts collected in bin
 /// order, so the cumulative sum (and the result) is identical to a serial
 /// evaluation.
 pub fn emd_spatial_index(a: &BitmapIndex, b: &BitmapIndex) -> f64 {
@@ -92,9 +101,14 @@ pub fn emd_spatial_index(a: &BitmapIndex, b: &BitmapIndex) -> f64 {
     assert_eq!(a.len(), b.len(), "spatial EMD needs equal element counts");
     let diffs: Vec<u64> = (0..a.nbins())
         .into_par_iter()
-        .map(|j| a.bin(j).xor_count(b.bin(j)))
+        .map(|j| bin_diff(a, j, b, j))
         .collect();
     emd_spatial_from_diffs(&diffs)
+}
+
+/// `|a_j ⊕ b_k|` from the cached counts and the stored bins' `and_count`.
+fn bin_diff(a: &BitmapIndex, j: usize, b: &BitmapIndex, k: usize) -> u64 {
+    a.counts()[j] + b.counts()[k] - 2 * a.stored_bin(j).and_count(b.stored_bin(k))
 }
 
 // ---------------------------------------------------------------------------
@@ -133,9 +147,10 @@ pub fn emd_counts_index_aligned(a: &BitmapIndex, b: &BitmapIndex) -> Option<f64>
     Some(emd_from_counts(&ca, &cb))
 }
 
-/// Spatial EMD between lattice-aligned indices: per union bin, the XOR
-/// popcount of the corresponding bitvectors, with a bin absent from one
-/// side contributing all of the other side's members.
+/// Spatial EMD between lattice-aligned indices: per union bin, the
+/// positions in exactly one of the corresponding bins (counted as in
+/// [`emd_spatial_index`]), with a bin absent from one side contributing
+/// all of the other side's members.
 pub fn emd_spatial_index_aligned(a: &BitmapIndex, b: &BitmapIndex) -> Option<f64> {
     assert_eq!(a.len(), b.len(), "spatial EMD needs equal element counts");
     let (oa, ob, len) = union_space(a.binner(), b.binner())?;
@@ -145,7 +160,7 @@ pub fn emd_spatial_index_aligned(a: &BitmapIndex, b: &BitmapIndex) -> Option<f64
             let ja = g.checked_sub(oa).filter(|&j| j < a.nbins());
             let kb = g.checked_sub(ob).filter(|&k| k < b.nbins());
             match (ja, kb) {
-                (Some(j), Some(k)) => a.bin(j).xor_count(b.bin(k)),
+                (Some(j), Some(k)) => bin_diff(a, j, b, k),
                 (Some(j), None) => a.counts()[j],
                 (None, Some(k)) => b.counts()[k],
                 (None, None) => 0,
@@ -367,14 +382,18 @@ mod tests {
 
     #[test]
     fn spatial_diffs_relate_to_xor() {
-        // Each differing position contributes to exactly two bins' diffs.
+        // Each bin's diff is its XOR popcount, and each differing position
+        // contributes to exactly two bins' diffs.
         let a = [0.0, 1.0, 2.0, 2.0];
         let b = [1.0, 1.0, 2.0, 0.0];
         let binner = Binner::distinct_ints(0, 2);
         let ia = BitmapIndex::build(&a, binner.clone());
         let ib = BitmapIndex::build(&b, binner.clone());
-        let total_xor: u64 = (0..3).map(|j| ia.bin(j).xor_count(ib.bin(j))).sum();
+        let diffs: Vec<u64> = (0..3).map(|j| bin_diff(&ia, j, &ib, j)).collect();
+        for (j, &d) in diffs.iter().enumerate() {
+            assert_eq!(d, ia.bin(j).xor(ib.bin(j)).count_ones());
+        }
         let differing = a.iter().zip(&b).filter(|(x, y)| x != y).count() as u64;
-        assert_eq!(total_xor, 2 * differing);
+        assert_eq!(diffs.iter().sum::<u64>(), 2 * differing);
     }
 }

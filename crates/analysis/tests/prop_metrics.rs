@@ -5,7 +5,8 @@
 
 use ibis_analysis::aggregate::pearson_from_joint_counts;
 use ibis_analysis::emd::{
-    emd_counts_full, emd_counts_index, emd_from_counts, emd_spatial_full, emd_spatial_index,
+    emd_counts_full, emd_counts_index, emd_from_counts, emd_spatial_from_diffs, emd_spatial_full,
+    emd_spatial_full_aligned, emd_spatial_index, emd_spatial_index_aligned,
 };
 use ibis_analysis::entropy::{
     conditional_entropy_from_counts, conditional_entropy_full, conditional_entropy_index,
@@ -19,7 +20,7 @@ use ibis_analysis::{
     finish_correlation, joint_counts_and_table, mine_full, mine_index, mine_multilevel,
     CorrelationPartial, Metric, MinedSubset, MiningConfig, MiningResult, StepSummary, VarSummary,
 };
-use ibis_core::{Binner, BitmapIndex, MultiLevelIndex, WahVec};
+use ibis_core::{Binner, BitmapIndex, CodecVec, MultiLevelIndex, RoaringVec, WahVec};
 use proptest::prelude::*;
 
 mod before_fusing;
@@ -284,6 +285,86 @@ proptest! {
         prop_assert_eq!(rb.subsets, rf.subsets);
         prop_assert_eq!(rb.pairs_pruned, rf.pairs_pruned);
         prop_assert_eq!(rb.units_evaluated, rf.units_evaluated);
+    }
+}
+
+/// Two equal-length steps long enough to cross a Roaring container edge
+/// (a random prefix tiled up to ~90k rows, so dense bins fill bitset
+/// containers; the first step's prefix sometimes sorted, so its bins form
+/// runs), plus a codec mask.
+fn two_long_steps() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, u64)> {
+    (1usize..300, 1usize..300).prop_flat_map(|(n, tiles)| {
+        let tiled = move |v: Vec<f64>| v.iter().copied().cycle().take(n * tiles).collect();
+        let sorted = |(mut v, sort): (Vec<f64>, bool)| {
+            if sort {
+                v.sort_by(f64::total_cmp);
+            }
+            v
+        };
+        (
+            (proptest::collection::vec(-5.0f64..5.0, n), any::<bool>())
+                .prop_map(move |p| tiled(sorted(p))),
+            (proptest::collection::vec(-5.0f64..5.0, n), -3.0f64..3.0)
+                .prop_map(move |(v, shift)| tiled(v.iter().map(|x| x + shift).collect())),
+            any::<u64>(),
+        )
+    })
+}
+
+/// `idx` with each bin held as WAH or Roaring by bit `j % 64` of `mask`,
+/// checked to count what it stores (the spatial identity reads `counts()`
+/// in place of each bin's popcount).
+fn codec_mix(idx: &BitmapIndex, mask: u64) -> BitmapIndex {
+    let bins = (0..idx.nbins())
+        .map(|j| match mask >> (j % 64) & 1 {
+            1 => CodecVec::Roaring(RoaringVec::from_wah(idx.bin(j))),
+            _ => CodecVec::Wah(idx.bin(j).clone()),
+        })
+        .collect();
+    let mixed = BitmapIndex::from_codec_bins(idx.binner().clone(), bins);
+    for j in 0..mixed.nbins() {
+        assert_eq!(
+            mixed.counts()[j],
+            mixed.stored_bin(j).count_ones(),
+            "bin {j}"
+        );
+    }
+    mixed
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Spatial EMD over any mix of stored codecs equals the full-data
+    /// value, under a shared binner and under per-step anchored binners.
+    #[test]
+    fn spatial_emd_is_exact_over_every_codec_mix((a, b, mask) in two_long_steps()) {
+        let shared = Binner::fixed_width(-8.0, 8.0, 8);
+        let ia = codec_mix(&BitmapIndex::build(&a, shared.clone()), mask);
+        let ib = codec_mix(&BitmapIndex::build(&b, shared.clone()), !mask);
+        prop_assert_eq!(emd_spatial_index(&ia, &ib), emd_spatial_full(&a, &b, &shared));
+
+        let (ba, bb) = (Binner::fit_precision_anchored(&a, 1), Binner::fit_precision_anchored(&b, 1));
+        let ia = codec_mix(&BitmapIndex::build(&a, ba.clone()), mask);
+        let ib = codec_mix(&BitmapIndex::build(&b, bb.clone()), mask.rotate_left(7));
+        prop_assert_eq!(
+            emd_spatial_index_aligned(&ia, &ib),
+            emd_spatial_full_aligned(&a, &b, &ba, &bb)
+        );
+    }
+
+    /// Lossy supersets (overlapping bins) have no full-data oracle; their
+    /// spatial EMD equals the CFP sum of per-bin XORs of the decoded bits.
+    #[test]
+    fn spatial_emd_of_lossy_supersets_is_the_xor_of_their_bits((a, b, mask) in two_long_steps()) {
+        let shared = Binner::fixed_width(-8.0, 8.0, 8);
+        let la = BitmapIndex::build(&a, shared.clone()).lossy(1e-2).0;
+        let lb = BitmapIndex::build(&b, shared).lossy(1e-2).0;
+        let diffs: Vec<u64> = (0..la.nbins())
+            .map(|j| la.bin(j).xor(lb.bin(j)).count_ones())
+            .collect();
+        let (ma, mb) = (codec_mix(&la, mask), codec_mix(&lb, mask.rotate_right(3)));
+        prop_assert_eq!(emd_spatial_index(&ma, &mb), emd_spatial_from_diffs(&diffs));
     }
 }
 

@@ -63,7 +63,7 @@ fn pattern_bits(name: &str, density: f64, seed: u64, n: usize) -> Vec<bool> {
     }
 }
 
-const KERNELS: [&str; 6] = ["and_count", "xor_count", "and", "or", "xor", "andnot"];
+const KERNELS: [&str; 5] = ["and_count", "and", "or", "xor", "andnot"];
 
 /// Asserts one materialized result equals the oracle bits — canonical
 /// form first, then word-for-word against the oracle's own encoding (so
@@ -159,13 +159,12 @@ fn main() {
                 &format!("{pattern}/auto/{k}"),
             );
         }
-        for (codec, and_n, xor_n) in [
-            ("wah", wa.and_count(&wb), wa.xor_count(&wb)),
-            ("roaring", ra.and_count(&rb), ra.xor_count(&rb)),
-            ("auto", aa.and_count(&ab), aa.xor_count(&ab)),
+        for (codec, and_n) in [
+            ("wah", wa.and_count(&wb)),
+            ("roaring", ra.and_count(&rb)),
+            ("auto", aa.and_count(&ab)),
         ] {
             assert_eq!(and_n, count_of("and"), "{pattern}/{codec}/and_count");
-            assert_eq!(xor_n, count_of("xor"), "{pattern}/{codec}/xor_count");
         }
         println!("codecs: {pattern} identity checks passed");
 
@@ -183,21 +182,18 @@ fn main() {
             });
         };
         push("wah_adaptive", "and_count", measure(|| wa.and_count(&wb)));
-        push("wah_adaptive", "xor_count", measure(|| wa.xor_count(&wb)));
         push("wah_adaptive", "and", measure(|| wa.and(&wb)));
         push("wah_adaptive", "or", measure(|| wa.or(&wb)));
         push("wah_adaptive", "xor", measure(|| wa.xor(&wb)));
         push("wah_adaptive", "andnot", measure(|| wa.andnot(&wb)));
 
         push("roaring", "and_count", measure(|| ra.and_count(&rb)));
-        push("roaring", "xor_count", measure(|| ra.xor_count(&rb)));
         push("roaring", "and", measure(|| ra.and(&rb)));
         push("roaring", "or", measure(|| ra.or(&rb)));
         push("roaring", "xor", measure(|| ra.xor(&rb)));
         push("roaring", "andnot", measure(|| ra.andnot(&rb)));
 
         push("auto", "and_count", measure(|| aa.and_count(&ab)));
-        push("auto", "xor_count", measure(|| aa.xor_count(&ab)));
         push("auto", "and", measure(|| aa.and(&ab)));
         push("auto", "or", measure(|| aa.or(&ab)));
         push("auto", "xor", measure(|| aa.xor(&ab)));
@@ -304,7 +300,7 @@ fn write_json(samples: &[Sample], bytes_rows: &str, auto_rows: &str, n: usize, s
 
     // Per-bin auto-selection must ride the best fixed codec: a selection
     // is fixed before any particular kernel runs, so it is scored on the
-    // pattern's total time across all six kernels — flag any pattern
+    // pattern's total time across all five kernels — flag any pattern
     // where auto is >10% slower than the better of WAH and Roaring.
     out.push_str("  },\n  \"auto_within_10pct_of_best\": {\n");
     for (pi, p) in patterns.iter().enumerate() {

@@ -119,7 +119,6 @@ fn kernel_sweep() {
         };
         // WAH, adaptive dense-path kernels.
         push("wah_adaptive", "and_count", measure(|| wa.and_count(&wb)));
-        push("wah_adaptive", "xor_count", measure(|| wa.xor_count(&wb)));
         push("wah_adaptive", "and", measure(|| wa.and(&wb)));
         push("wah_adaptive", "xor", measure(|| wa.xor(&wb)));
         push("wah_adaptive", "or", measure(|| wa.or(&wb)));
@@ -205,9 +204,6 @@ fn bench_ops(c: &mut Criterion) {
     g.bench_function("xor_1M", |bch| bch.iter(|| black_box(a.xor(&b))));
     g.bench_function("and_count_1M", |bch| {
         bch.iter(|| black_box(a.and_count(&b)))
-    });
-    g.bench_function("xor_count_1M", |bch| {
-        bch.iter(|| black_box(a.xor_count(&b)))
     });
     g.bench_function("count_ones_1M", |bch| {
         bch.iter(|| black_box(a.count_ones()))

@@ -66,10 +66,6 @@ fn run_workload() -> Vec<(&'static str, f64)> {
             "and_count_sparse",
             measure(|| sparse_a.and_count(&sparse_b)),
         ),
-        (
-            "xor_count_sparse",
-            measure(|| sparse_a.xor_count(&sparse_b)),
-        ),
         ("and_count_dense", measure(|| dense_a.and_count(&dense_b))),
         ("and_dense", measure(|| dense_a.and(&dense_b))),
         ("or_sparse", measure(|| sparse_a.or(&sparse_b))),

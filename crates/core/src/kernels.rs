@@ -10,12 +10,13 @@
 //! outnumber the `u64` words of the verbatim form, `words > len/64`
 //! ([`WahVec::is_dense`]). Where the cutover applies:
 //!
-//! - **Counting ops** (`and_count`/`xor_count`) never decode — their
-//!   compressed kernels batch literal stretches as packed `u64` words and
-//!   already run at near-verbatim speed on dense inputs, so a decode is a
-//!   pure extra pass. (A fan-out of counts over many bins — a joint table,
-//!   the miner's spatial stage — is one label walk in `ibis-analysis`, not
-//!   a fan-out of ops.)
+//! - **Counting ops** are `and_count` only (a XOR count is the identity
+//!   `|a| + |b| − 2·|a ∧ b|` over the cached counts). It never decodes —
+//!   its compressed kernel batches literal stretches as packed `u64` words
+//!   and already runs at near-verbatim speed on dense inputs, so a decode
+//!   is a pure extra pass. (A fan-out of counts over many bins — a joint
+//!   table, the miner's spatial stage — is one label walk in
+//!   `ibis-analysis`, not a fan-out of ops.)
 //! - **Wide ORs** accumulate into one packed buffer when the inputs'
 //!   words together outnumber it ([`WahVec::or_many`]).
 //! - **Materializing ops** decode both sides, combine word-parallel, and
@@ -327,32 +328,6 @@ fn popcount_words(w: &[u32]) -> u64 {
     total
 }
 
-/// Expands to the literal×literal arm of a count kernel: a fused loop that
-/// combines word pairs as packed `u64`s (one popcount per two segments)
-/// with inline fill checks — a single pass, no separate stretch scan — and
-/// a word-wise mop-up for odd stretch lengths. `$op` is `&` or `^`.
-macro_rules! packed_literal_arm {
-    ($aw:ident, $bw:ident, $i:ident, $j:ident, $total:ident, $op:tt) => {{
-        while $i + 1 < $aw.len() && $j + 1 < $bw.len() {
-            let (a0, a1) = ($aw[$i], $aw[$i + 1]);
-            let (b0, b1) = ($bw[$j], $bw[$j + 1]);
-            if is_fill(a0) || is_fill(a1) || is_fill(b0) || is_fill(b1) {
-                break;
-            }
-            let x = a0 as u64 | (a1 as u64) << 32;
-            let y = b0 as u64 | (b1 as u64) << 32;
-            $total += (x $op y).count_ones() as u64;
-            $i += 2;
-            $j += 2;
-        }
-        while $i < $aw.len() && $j < $bw.len() && !is_fill($aw[$i]) && !is_fill($bw[$j]) {
-            $total += ($aw[$i] $op $bw[$j]).count_ones() as u64;
-            $i += 1;
-            $j += 1;
-        }
-    }};
-}
-
 /// `popcount(a AND b)` on the compressed words. Literal stretches combine
 /// as batched `u64`-packed words (no run decoding, no closure, no per-word
 /// flag checks); fill×fill stretches gallop in O(1) per overlapping pair.
@@ -436,86 +411,27 @@ pub(crate) fn and_count_compressed(a: &WahVec, b: &WahVec) -> u64 {
                 }
             }
             (false, false) => {
-                // literal × literal — the dense hot path.
-                packed_literal_arm!(aw, bw, i, j, total, &);
-            }
-        }
-    }
-    total
-}
-
-/// `popcount(a XOR b)` on the compressed words; same structure as
-/// [`and_count_compressed`].
-pub(crate) fn xor_count_compressed(a: &WahVec, b: &WahVec) -> u64 {
-    assert_eq!(a.len(), b.len(), "binary op on different-length vectors");
-    OBS_COUNT_OPS.inc();
-    let (aw, bw) = (a.words(), b.words());
-    let (mut i, mut j) = (0usize, 0usize);
-    let (mut fa, mut fb) = (0u64, 0u64);
-    let (mut ba, mut bb) = (false, false);
-    let mut total = 0u64;
-    loop {
-        if fa == 0 {
-            match aw.get(i) {
-                None => break,
-                Some(&w) if is_fill(w) => {
-                    fa = fill_bits(w);
-                    ba = is_one_fill(w);
-                    i += 1;
+                // literal × literal — the dense hot path: word pairs
+                // combine as packed `u64`s (one popcount per two segments)
+                // with inline fill checks, then a word-wise mop-up for odd
+                // stretch lengths.
+                while i + 1 < aw.len() && j + 1 < bw.len() {
+                    let (a0, a1) = (aw[i], aw[i + 1]);
+                    let (b0, b1) = (bw[j], bw[j + 1]);
+                    if is_fill(a0) || is_fill(a1) || is_fill(b0) || is_fill(b1) {
+                        break;
+                    }
+                    let x = a0 as u64 | (a1 as u64) << 32;
+                    let y = b0 as u64 | (b1 as u64) << 32;
+                    total += (x & y).count_ones() as u64;
+                    i += 2;
+                    j += 2;
                 }
-                _ => {}
-            }
-        }
-        if fb == 0 {
-            match bw.get(j) {
-                None => break,
-                Some(&w) if is_fill(w) => {
-                    fb = fill_bits(w);
-                    bb = is_one_fill(w);
+                while i < aw.len() && j < bw.len() && !is_fill(aw[i]) && !is_fill(bw[j]) {
+                    total += (aw[i] & bw[j]).count_ones() as u64;
+                    i += 1;
                     j += 1;
                 }
-                _ => {}
-            }
-        }
-        match (fa > 0, fb > 0) {
-            (true, true) => {
-                let n = fa.min(fb);
-                if ba != bb {
-                    total += n;
-                }
-                fa -= n;
-                fb -= n;
-            }
-            (true, false) => {
-                if fa > SEG_BITS {
-                    let k = literal_stretch_end(bw, j, (fa / SEG_BITS) as usize) - j;
-                    let ones = popcount_words(&bw[j..j + k]);
-                    total += if ba { k as u64 * SEG_BITS - ones } else { ones };
-                    j += k;
-                    fa -= k as u64 * SEG_BITS;
-                } else {
-                    let ones = bw[j].count_ones() as u64;
-                    total += if ba { SEG_BITS - ones } else { ones };
-                    j += 1;
-                    fa = 0;
-                }
-            }
-            (false, true) => {
-                if fb > SEG_BITS {
-                    let k = literal_stretch_end(aw, i, (fb / SEG_BITS) as usize) - i;
-                    let ones = popcount_words(&aw[i..i + k]);
-                    total += if bb { k as u64 * SEG_BITS - ones } else { ones };
-                    i += k;
-                    fb -= k as u64 * SEG_BITS;
-                } else {
-                    let ones = aw[i].count_ones() as u64;
-                    total += if bb { SEG_BITS - ones } else { ones };
-                    i += 1;
-                    fb = 0;
-                }
-            }
-            (false, false) => {
-                packed_literal_arm!(aw, bw, i, j, total, ^);
             }
         }
     }
@@ -791,9 +707,7 @@ mod tests {
                 let a = WahVec::from_bits(a_bits.iter().copied());
                 let b = WahVec::from_bits(b_bits.iter().copied());
                 let want_and = a_bits.iter().zip(b_bits).filter(|(&x, &y)| x & y).count() as u64;
-                let want_xor = a_bits.iter().zip(b_bits).filter(|(&x, &y)| x ^ y).count() as u64;
                 assert_eq!(and_count_compressed(&a, &b), want_and);
-                assert_eq!(xor_count_compressed(&a, &b), want_xor);
             }
         }
     }

@@ -1,7 +1,8 @@
 //! Logical operations on WAH vectors, executed directly on the compressed
 //! form — the fast bitwise kernels behind every bitmap-only analysis:
-//! AND for joint value distributions, XOR for the spatial Earth Mover's
-//! Distance, OR for range queries and high-level index construction.
+//! AND (and its count) for joint value distributions and the spatial Earth
+//! Mover's Distance, OR for range queries and high-level index
+//! construction.
 
 use crate::kernels::{self, DenseBits};
 use crate::wah::WahVec;
@@ -34,16 +35,11 @@ impl WahVec {
         kernels::not_kernel(self)
     }
 
-    /// Number of positions where the vectors differ: `popcount(a XOR b)`
-    /// without materializing the XOR, on the compressed words (literal
-    /// stretches batched as packed `u64`s: near verbatim speed when dense).
-    pub fn xor_count(&self, other: &WahVec) -> u64 {
-        kernels::xor_count_compressed(self, other)
-    }
-
-    /// `popcount(a AND b)` without materializing the AND — the paper's
-    /// joint-bin kernel, what a joint table of bins that do not partition
-    /// their rows is counted with. Runs like [`WahVec::xor_count`].
+    /// `popcount(a AND b)` without materializing the AND, on the compressed
+    /// words (literal stretches batched as packed `u64`s: near verbatim
+    /// speed when dense) — the paper's joint-bin kernel, what a joint table
+    /// of bins that do not partition their rows and the spatial EMD's
+    /// per-bin differences are counted with.
     pub fn and_count(&self, other: &WahVec) -> u64 {
         kernels::and_count_compressed(self, other)
     }
@@ -142,20 +138,6 @@ impl crate::codec::CodecVec {
         }
     }
 
-    /// `popcount(self XOR other)` without materializing. Same-codec WAH and
-    /// Roaring pairs run native; everything else uses the cardinality
-    /// identity `|a| + |b| - 2·|a∩b|` over [`CodecVec::and_count`].
-    ///
-    /// [`CodecVec::and_count`]: crate::codec::CodecVec::and_count
-    pub fn xor_count(&self, other: &Self) -> u64 {
-        use crate::codec::CodecVec::*;
-        match (self, other) {
-            (Wah(a), Wah(b)) => a.xor_count(b),
-            (Roaring(a), Roaring(b)) => a.xor_count(b),
-            (a, b) => a.count_ones() + b.count_ones() - 2 * a.and_count(b),
-        }
-    }
-
     fn binary_dispatch(
         &self,
         other: &Self,
@@ -224,7 +206,6 @@ mod tests {
             let a = WahVec::from_bits(a_bits.iter().copied());
             let b = WahVec::from_bits(b_bits.iter().copied());
             assert_eq!(a.and_count(&b), a.and(&b).count_ones());
-            assert_eq!(a.xor_count(&b), a.xor(&b).count_ones());
         }
     }
 
@@ -246,7 +227,6 @@ mod tests {
                 assert_eq!(ca.xor(&cb).to_wah(), wa.xor(&wb), "xor {label}");
                 assert_eq!(ca.andnot(&cb).to_wah(), wa.andnot(&wb), "andnot {label}");
                 assert_eq!(ca.and_count(&cb), wa.and_count(&wb), "and_count {label}");
-                assert_eq!(ca.xor_count(&cb), wa.xor_count(&wb), "xor_count {label}");
                 // result codec rule: Roaring wins, else WAH
                 let want = if ia == CodecId::Roaring || ib == CodecId::Roaring {
                     CodecId::Roaring
@@ -294,7 +274,7 @@ mod tests {
             a.xor(&b).to_bools(),
             naive_op(&a_bits, &b_bits, |x, y| x ^ y)
         );
-        assert_eq!(a.xor_count(&b), (31 * 20 + 31 * 30) as u64);
+        assert_eq!(a.xor(&b).count_ones(), (31 * 20 + 31 * 30) as u64);
     }
 
     #[test]
@@ -317,7 +297,7 @@ mod tests {
     fn ops_on_empty_vectors() {
         let e = WahVec::new();
         assert_eq!(e.and(&e).len(), 0);
-        assert_eq!(e.xor_count(&e), 0);
+        assert_eq!(e.and_count(&e), 0);
         assert_eq!(e.not().len(), 0);
     }
 

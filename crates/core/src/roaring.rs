@@ -482,12 +482,6 @@ impl RoaringVec {
             .sum()
     }
 
-    /// `popcount(self XOR other)` via the cardinality identity
-    /// `|a| + |b| - 2·|a∩b|` (one intersection pass, no materialization).
-    pub fn xor_count(&self, other: &RoaringVec) -> u64 {
-        self.count_ones() + other.count_ones() - 2 * self.and_count(other)
-    }
-
     /// Visits the set bits inside the half-open `rows` in order, as
     /// half-open `(start, end)` stretches: the intervals of a run
     /// container clipped to `rows`, the bits of any other container one
@@ -1174,9 +1168,7 @@ mod tests {
         check(&a.xor(&b), naive(|x, y| x ^ y), "xor");
         check(&a.andnot(&b), naive(|x, y| x & !y), "andnot");
         let and_ones = naive(|x, y| x & y).iter().filter(|&&v| v).count() as u64;
-        let xor_ones = naive(|x, y| x ^ y).iter().filter(|&&v| v).count() as u64;
         assert_eq!(a.and_count(&b), and_ones);
-        assert_eq!(a.xor_count(&b), xor_ones);
     }
 
     #[test]

@@ -104,7 +104,6 @@ proptest! {
                 let label = |op: &str| format!("{} {} {}", ca.name(), op, cb.name());
 
                 prop_assert_eq!(a.and_count(&b), want_and.count_ones(), "{}", label("and_count"));
-                prop_assert_eq!(a.xor_count(&b), want_xor.count_ones(), "{}", label("xor_count"));
 
                 for (op, got, want) in [
                     ("and", a.and(&b), &want_and),

@@ -181,7 +181,6 @@ proptest! {
         xor.check_canonical().unwrap();
         andnot.check_canonical().unwrap();
         prop_assert_eq!(a.and_count(&b), and.count_ones());
-        prop_assert_eq!(a.xor_count(&b), xor.count_ones());
     }
 
     #[test]

@@ -6,15 +6,31 @@
 
 use ibis_analysis::{
     execute_range_plan, joint_counts, joint_counts_where, mine_full, mine_index, mine_multilevel,
-    plan_value_range, shard_mask, MiningConfig, MiningResult, SubsetQuery,
+    plan_value_range, shard_mask, Metric, MiningConfig, MiningResult, SubsetQuery, VarSummary,
 };
 use ibis_core::{Binner, BitmapIndex, CodecId, MultiLevelIndex, WahVec};
+use ibis_datagen::{OceanConfig, OceanModel};
 use ibis_insitu::codec;
 use proptest::prelude::*;
 use std::ops::Range;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, RwLock};
 
 const NBINS: usize = 24;
+
+/// The obs counters are process-wide and the tests of this binary run in
+/// parallel: a test that transcodes holds this for reading, one that
+/// asserts a counter unmoved holds it for writing.
+static COUNTERS: RwLock<()> = RwLock::new(());
+
+fn transcoded() -> u64 {
+    match ibis_obs::global()
+        .snapshot()
+        .get("codec.decode.transcoded_bins")
+    {
+        Some(ibis_obs::MetricValue::Counter(v)) => *v,
+        _ => 0,
+    }
+}
 
 /// Per-row bin ids under the codec plans `prop_codecs` exercises bin by
 /// bin: long runs (every bin WAH), scattered noise (every bin Roaring), and
@@ -97,6 +113,7 @@ proptest! {
         ids in bin_ids(),
         picks in proptest::collection::vec(any::<u64>(), 8..9),
     ) {
+        let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
         let idx = build(&ids);
         let n = idx.len();
         let (payload, plan, back) = reload(&idx);
@@ -209,6 +226,40 @@ proptest! {
         prop_assert_eq!(work(&got), work(&want));
     }
 
+    /// The selector's spatial EMD reads two stored ocean steps' bins where
+    /// they lie — none is transcoded — and equals the full-data value,
+    /// under the shared 64-bin scale the ocean store uses and under
+    /// per-step anchored binners.
+    #[test]
+    fn spatial_emd_of_decoded_ocean_steps_reads_bins_where_they_lie(seed in any::<u64>()) {
+        let _alone = COUNTERS.write().unwrap_or_else(|e| e.into_inner());
+        let steps: Vec<Vec<f64>> = (0..2)
+            .map(|i| {
+                let cfg = OceanConfig { nlon: 32, nlat: 24, ndepth: 8, seed: seed.wrapping_add(i), ..OceanConfig::default() };
+                OceanModel::new(cfg).variable("temperature")
+            })
+            .collect();
+        let (lo, hi) = steps.iter().flatten().fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+        let shared = Binner::fit(&[lo, hi], 64);
+        let anchored = |s: &[f64]| Binner::fit_precision_anchored(s, 1);
+        for (ba, bb) in [(shared.clone(), shared), (anchored(&steps[0]), anchored(&steps[1]))] {
+            let full = |data: &[f64], b: &Binner| VarSummary::full(data.to_vec(), b.clone());
+            let want = full(&steps[0], &ba).metric(&full(&steps[1], &bb), Metric::EmdSpatial);
+            let stored = |data: &[f64], b: &Binner| {
+                let (_, plan, back) = reload(&BitmapIndex::build(data, b.clone()));
+                (plan.contains(&CodecId::Roaring), VarSummary::Bitmap(back))
+            };
+            let ((ra, a), (rb, b)) = (stored(&steps[0], &ba), stored(&steps[1], &bb));
+            prop_assert!(ra && rb, "ocean noise must store some bins as Roaring");
+            let before = transcoded();
+            let got = a.metric(&b, Metric::EmdSpatial);
+            if ibis_obs::ENABLED {
+                prop_assert_eq!(transcoded(), before, "spatial EMD transcoded a bin");
+            }
+            prop_assert_eq!(got, want);
+        }
+    }
+
     /// A cold copy, a half-touched copy and a fully forced copy of one
     /// stored index plan every value range the same way and count and
     /// select the same rows; where the payload holds no Roaring bin the
@@ -218,6 +269,7 @@ proptest! {
         ids in bin_ids(),
         picks in proptest::collection::vec(any::<u64>(), 8..9),
     ) {
+        let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
         let idx = build(&ids);
         let n = idx.len();
         let (cold, half, forced) = (reload(&idx).2, reload(&idx).2, reload(&idx).2);
@@ -254,6 +306,7 @@ proptest! {
 /// materialisation of each: the same allocation, charged once.
 #[test]
 fn racing_threads_share_one_materialisation() {
+    let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
     let ids: Vec<u32> = (0..9000u64)
         .map(|i| ((i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33) % NBINS as u64) as u32)
         .collect();

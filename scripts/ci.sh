@@ -114,14 +114,17 @@ bench_smoke shard IBIS_SHARD_SMOKE '"samples"' '"shards"' '"throughput_qps"' \
     '"ocean_over_budget"' '"ocean_p99_ms"' '"ocean_p99_interactive"' \
     '"cache_evictions"' '"nodekill_resumed"'
 
-echo "==> mining at Figure 14 scale (both obs configs)"
+echo "==> mining at Figure 14 scale, EMD selection at Figure 9 scale (both obs configs)"
 # The spatial stage on the label walk, at the sizes the paper plots:
 # fig14 asserts the bitmap miner equal to the full-data miner, the
 # multi-level ablation that group-2 pruning keeps >= 0.8 of the strong
-# subsets. Each runs in about a second.
+# subsets. Each runs in about a second. fig09 asserts that the bitmap and
+# full-data LULESH runs select the same steps under the spatial EMD
+# (about ten seconds).
 for obs in "" "--no-default-features"; do
     # shellcheck disable=SC2086
-    cargo bench -q -p ibis-bench $obs --bench fig14_mining --bench ablation_multilevel
+    cargo bench -q -p ibis-bench $obs --bench fig14_mining --bench ablation_multilevel \
+        --bench fig09_lulesh_xeon
 done
 
 echo "==> ibis-e2e smoke: every reply of every workload against the full-data-scan oracle"

@@ -22,6 +22,7 @@ use ibis::datagen::{
     Heat3D, Heat3DConfig, LuleshConfig, MiniLulesh, OceanConfig, OceanModel, Simulation,
 };
 use ibis::insitu::pipeline::step_permutation;
+use ibis::insitu::shard::MAX_SHARDS;
 use ibis::insitu::{
     auto_allocate, run_pipeline, suggest_row_order, CoreAllocation, LocalDisk, MachineModel,
     MaintenanceConfig, PipelineConfig, QueryEngine, QueryServer, Reduction, RobustnessConfig,
@@ -221,10 +222,53 @@ fn get_grid(
     Ok((dims[0], dims[1], dims[2]))
 }
 
+/// `--allocation shared|auto|S:B` checked against the core budget; `None`
+/// is `auto`, which needs the simulation to calibrate on.
+fn get_allocation(flags: &Flags, cores: usize) -> Result<Option<CoreAllocation>, String> {
+    let split = match flags.get("allocation").map(String::as_str) {
+        None | Some("shared") => return Ok(Some(CoreAllocation::Shared)),
+        Some("auto") if cores < 2 => return Err("--allocation auto needs at least 2 cores".into()),
+        Some("auto") => return Ok(None),
+        Some(split) => split,
+    };
+    let (s, b) = split
+        .split_once(':')
+        .ok_or_else(|| format!("--allocation: expected shared|auto|S:B, got {split:?}"))?;
+    let count = |n: &str| match n.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "--allocation: bad core count {n:?} (need 1 or more)"
+        )),
+    };
+    let (sim_cores, bitmap_cores) = (count(s)?, count(b)?);
+    if sim_cores + bitmap_cores > cores {
+        return Err(format!(
+            "--allocation: {sim_cores}+{bitmap_cores} cores exceed --cores {cores}"
+        ));
+    }
+    Ok(Some(CoreAllocation::Separate {
+        sim_cores,
+        bitmap_cores,
+    }))
+}
+
 fn cmd_insitu(flags: &Flags) -> Result<(), String> {
     let sim_name = flags.get("sim").map(String::as_str).unwrap_or("heat3d");
     let steps = get_usize(flags, "steps", 40)?;
+    if steps == 0 {
+        return Err("--steps: need at least one step".into());
+    }
     let select_k = get_usize(flags, "select", (steps / 4).max(1))?;
+    if !(1..=steps).contains(&select_k) {
+        return Err(format!(
+            "--select: cannot select {select_k} of {steps} steps"
+        ));
+    }
+    let shards = get_usize(flags, "shards", 1)?;
+    if !(1..=MAX_SHARDS).contains(&shards) {
+        return Err(format!("--shards: {shards} outside 1..={MAX_SHARDS}"));
+    }
+    let lossy_fpr = get_lossy_fpr(flags)?;
     let machine = match flags.get("machine").map(String::as_str).unwrap_or("xeon") {
         "xeon" => MachineModel::xeon32(),
         "mic" => MachineModel::mic60(),
@@ -234,6 +278,7 @@ fn cmd_insitu(flags: &Flags) -> Result<(), String> {
     if cores == 0 || cores > machine.total_cores {
         return Err(format!("--cores must be 1..={}", machine.total_cores));
     }
+    let allocation = get_allocation(flags, cores)?;
 
     let reduction = match flags.get("method").map(String::as_str).unwrap_or("bitmaps") {
         "bitmaps" => Reduction::Bitmaps,
@@ -252,6 +297,9 @@ fn cmd_insitu(flags: &Flags) -> Result<(), String> {
         }
         other => return Err(format!("--method: unknown method {other:?}")),
     };
+    if flags.contains_key("out") && !matches!(reduction, Reduction::Bitmaps) {
+        return Err("--out requires --method bitmaps".into());
+    }
 
     // Build the simulation + per-field binners + scaling profile.
     let (mut sim, binners, metric, scaling): (
@@ -289,34 +337,8 @@ fn cmd_insitu(flags: &Flags) -> Result<(), String> {
         other => return Err(format!("--sim: unknown simulation {other:?}")),
     };
 
-    let allocation = match flags
-        .get("allocation")
-        .map(String::as_str)
-        .unwrap_or("shared")
-    {
-        "shared" => CoreAllocation::Shared,
-        "auto" => {
-            if cores < 2 {
-                return Err("--allocation auto needs at least 2 cores".into());
-            }
-            auto_allocate(&mut sim, &binners, &machine, cores, 2)
-        }
-        split => {
-            let (s, b) = split
-                .split_once(':')
-                .ok_or_else(|| format!("--allocation: expected shared|auto|S:B, got {split:?}"))?;
-            let s: usize = s
-                .parse()
-                .map_err(|_| "--allocation: bad core count".to_string())?;
-            let b: usize = b
-                .parse()
-                .map_err(|_| "--allocation: bad core count".to_string())?;
-            CoreAllocation::Separate {
-                sim_cores: s,
-                bitmap_cores: b,
-            }
-        }
-    };
+    let allocation =
+        allocation.unwrap_or_else(|| auto_allocate(&mut sim, &binners, &machine, cores, 2));
 
     let row_order = match get_row_order(flags, true)? {
         Some(order) => order,
@@ -373,11 +395,6 @@ fn cmd_insitu(flags: &Flags) -> Result<(), String> {
     // split into K spatial shards (each its own durable store; K = 1 is
     // the flat store).
     if let Some(dir) = flags.get("out") {
-        if !matches!(cfg.reduction, Reduction::Bitmaps) {
-            return Err("--out requires --method bitmaps".into());
-        }
-        let shards = get_usize(flags, "shards", 1)?;
-        let lossy_fpr = get_lossy_fpr(flags)?;
         let mut store = ShardedWriter::create(dir, shards).map_err(|e| format!("--out: {e}"))?;
         // re-simulate the selected steps to materialize their indices
         // (the pipeline freed them after writing the modeled bytes)

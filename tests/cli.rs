@@ -269,3 +269,98 @@ fn lossy_companions_compose_with_shards_and_row_order() {
     }
     std::fs::remove_dir_all(&root).ok();
 }
+
+/// `ibis insitu` with `args` fails as a usage error naming `flag` before
+/// it runs anything: exit 1, `error:` and the usage, no `selected steps:`.
+fn insitu_rejects(args: &[&str], flag: &str) {
+    let out = ibis().arg("insitu").args(args).output().expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+    assert!(
+        err.starts_with(&format!("error: {flag}")),
+        "{args:?}: {err}"
+    );
+    assert!(err.contains("USAGE"), "{args:?}: {err}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(!text.contains("selected steps:"), "{args:?}: {text}");
+}
+
+#[test]
+fn insitu_rejects_a_shard_count_before_running() {
+    let dir = std::env::temp_dir().join(format!("ibis-cli-shards-{}", std::process::id()));
+    let dir = dir.to_str().expect("utf-8 temp dir");
+    for k in ["0", "257", "100000"] {
+        insitu_rejects(
+            &["--steps", "4", "--select", "2", "--out", dir, "--shards", k],
+            "--shards",
+        );
+    }
+    assert!(
+        !std::path::Path::new(dir).exists(),
+        "a rejected run wrote {dir}"
+    );
+}
+
+#[test]
+fn insitu_rejects_a_lossy_fpr_before_running() {
+    let dir = std::env::temp_dir().join(format!("ibis-cli-fpr-{}", std::process::id()));
+    let dir = dir.to_str().expect("utf-8 temp dir");
+    for fpr in ["NaN", "5", "-1"] {
+        insitu_rejects(
+            &[
+                "--steps",
+                "4",
+                "--select",
+                "2",
+                "--out",
+                dir,
+                "--lossy-fpr",
+                fpr,
+            ],
+            "--lossy-fpr",
+        );
+        insitu_rejects(
+            &["--steps", "4", "--select", "2", "--lossy-fpr", fpr],
+            "--lossy-fpr",
+        );
+    }
+}
+
+#[test]
+fn insitu_rejects_a_selection_before_running() {
+    insitu_rejects(&["--steps", "4", "--select", "0"], "--select");
+    insitu_rejects(&["--steps", "4", "--select", "5"], "--select");
+    insitu_rejects(&["--steps", "0"], "--steps");
+}
+
+#[test]
+fn insitu_rejects_an_allocation_before_running() {
+    for split in ["0:2", "2:0", "3:x", "9:9", "2-2"] {
+        insitu_rejects(
+            &[
+                "--steps",
+                "4",
+                "--select",
+                "2",
+                "--cores",
+                "4",
+                "--allocation",
+                split,
+            ],
+            "--allocation",
+        );
+    }
+    insitu_rejects(
+        &[
+            "--steps",
+            "4",
+            "--select",
+            "2",
+            "--cores",
+            "1",
+            "--allocation",
+            "auto",
+        ],
+        "--allocation",
+    );
+}
