@@ -2,19 +2,22 @@
 //! codec × kernel, persisted to `BENCH_codecs.json` at the repository
 //! root. Compares WAH (adaptive kernels), the Roaring-style container
 //! codec, the per-bin auto-selected [`CodecVec`], and the uncompressed
-//! verbatim baseline — with
+//! verbatim baseline on the reads a stored bin answers — the AND count,
+//! the count over row ranges and the OR into a dense accumulator — with
 //! bytes-per-bitmap for the compression side of the trade and every
 //! timed operation asserted identical to the verbatim oracle before it
-//! is measured.
+//! is measured. Materialised set operations run on WAH only; the kernel
+//! sweep in `micro_kernels.rs` times them.
 //!
 //! `IBIS_CODEC_SMOKE=1` shrinks the element count and writes to
 //! `target/BENCH_codecs.smoke.json` instead, so CI can schema-check the
 //! report without paying for the full sweep.
 
-use ibis_core::{Bitset, CodecVec, RoaringVec, WahVec};
+use ibis_core::{Bitset, CodecId, CodecVec, DenseBits, WahVec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Mean seconds per iteration (same calibration scheme as the kernel
@@ -63,16 +66,25 @@ fn pattern_bits(name: &str, density: f64, seed: u64, n: usize) -> Vec<bool> {
     }
 }
 
-const KERNELS: [&str; 5] = ["and_count", "and", "or", "xor", "andnot"];
+/// The reads a stored bin answers, each timed on one operand pair.
+const KERNELS: [&str; 3] = ["and_count", "count_in_ranges", "dense_or"];
 
-/// Asserts one materialized result equals the oracle bits — canonical
-/// form first, then word-for-word against the oracle's own encoding (so
-/// equality is byte-level, not merely population-level).
-fn assert_identity(got: &WahVec, want: &[bool], label: &str) {
-    got.check_canonical().expect(label);
-    let want = WahVec::from_bits(want.iter().copied());
-    assert_eq!(got.len(), want.len(), "{label}: length");
-    assert_eq!(got.words(), want.words(), "{label}: words");
+/// Both operands ORed into one dense accumulator, each from the form it
+/// is held in (what `BitmapIndex::or_bins` does for a heavy range).
+fn dense_or(a: &CodecVec, b: &CodecVec) -> DenseBits {
+    let mut acc = DenseBits::zeros(a.len());
+    acc.or_stored(a);
+    acc.or_stored(b);
+    acc
+}
+
+/// One kernel on one operand pair, reduced to a count.
+fn run_kernel(kernel: &str, a: &CodecVec, b: &CodecVec, ranges: &[Range<u64>]) -> u64 {
+    match kernel {
+        "and_count" => a.and_count(b),
+        "count_in_ranges" => a.count_ones_in_ranges(ranges) + b.count_ones_in_ranges(ranges),
+        _ => dense_or(a, b).count_ones(),
+    }
 }
 
 #[allow(clippy::too_many_lines)]
@@ -86,6 +98,13 @@ fn main() {
         ("dense30_random", 0.30),
         ("dense50_random", 0.50),
     ];
+    // 64 strided windows of n/256 rows: a region spread over the vector
+    let ranges: Vec<Range<u64>> = (0..64u64)
+        .map(|k| {
+            let start = k * n as u64 / 64;
+            start..start + n as u64 / 256
+        })
+        .collect();
     let mut samples: Vec<Sample> = Vec::new();
     let mut bytes_rows = String::new();
     let mut auto_rows = String::new();
@@ -94,83 +113,57 @@ fn main() {
         let bits_b = pattern_bits(pattern, density, 2, n);
         let wa = WahVec::from_bits(bits_a.iter().copied());
         let wb = WahVec::from_bits(bits_b.iter().copied());
-        let ra = RoaringVec::from_wah(&wa);
-        let rb = RoaringVec::from_wah(&wb);
         let va = Bitset::from_bits(bits_a.iter().copied());
         let vb = Bitset::from_bits(bits_b.iter().copied());
-        let aa = CodecVec::from_wah_auto(&wa);
-        let ab = CodecVec::from_wah_auto(&wb);
+        let codecs = [
+            (
+                "wah_adaptive",
+                CodecVec::Wah(wa.clone()),
+                CodecVec::Wah(wb.clone()),
+            ),
+            (
+                "roaring",
+                CodecVec::with_codec(&wa, CodecId::Roaring),
+                CodecVec::with_codec(&wb, CodecId::Roaring),
+            ),
+            (
+                "auto",
+                CodecVec::from_wah_auto(&wa),
+                CodecVec::from_wah_auto(&wb),
+            ),
+        ];
 
         // -- identity gate: every codec must agree with the verbatim
         // oracle on every kernel before anything is timed --
-        let want: Vec<(&str, Vec<bool>)> = vec![
-            (
-                "and",
-                bits_a.iter().zip(&bits_b).map(|(&x, &y)| x && y).collect(),
-            ),
-            (
-                "or",
-                bits_a.iter().zip(&bits_b).map(|(&x, &y)| x || y).collect(),
-            ),
-            (
-                "xor",
-                bits_a.iter().zip(&bits_b).map(|(&x, &y)| x != y).collect(),
-            ),
-            (
-                "andnot",
-                bits_a.iter().zip(&bits_b).map(|(&x, &y)| x && !y).collect(),
-            ),
-        ];
-        let count_of = |k: &str| {
-            want.iter()
-                .find(|(name, _)| *name == k)
-                .map(|(_, bits)| bits.iter().filter(|&&x| x).count() as u64)
-                .expect("kernel oracle")
+        let in_ranges = |bits: &[bool]| {
+            let rows = ranges.iter().flat_map(|r| r.start as usize..r.end as usize);
+            rows.filter(|&i| bits[i]).count() as u64
         };
-        for (k, bits) in &want {
-            assert_identity(
-                &match *k {
-                    "and" => wa.and(&wb),
-                    "or" => wa.or(&wb),
-                    "xor" => wa.xor(&wb),
-                    _ => wa.andnot(&wb),
-                },
-                bits,
-                &format!("{pattern}/wah/{k}"),
+        let pairs = || bits_a.iter().zip(&bits_b);
+        let want_or = WahVec::from_bits(pairs().map(|(&x, &y)| x || y));
+        let want = |kernel: &str| match kernel {
+            "and_count" => pairs().filter(|&(&x, &y)| x && y).count() as u64,
+            "count_in_ranges" => in_ranges(&bits_a) + in_ranges(&bits_b),
+            _ => want_or.count_ones(),
+        };
+        for (codec, a, b) in &codecs {
+            for k in KERNELS {
+                let label = format!("{pattern}/{codec}/{k}");
+                assert_eq!(run_kernel(k, a, b, &ranges), want(k), "{label}");
+            }
+            let or = dense_or(a, b).to_wah();
+            or.check_canonical().expect(codec);
+            assert_eq!(
+                or.words(),
+                want_or.words(),
+                "{pattern}/{codec}/dense_or: words"
             );
-            assert_identity(
-                &match *k {
-                    "and" => ra.and(&rb).to_wah(),
-                    "or" => ra.or(&rb).to_wah(),
-                    "xor" => ra.xor(&rb).to_wah(),
-                    _ => ra.andnot(&rb).to_wah(),
-                },
-                bits,
-                &format!("{pattern}/roaring/{k}"),
-            );
-            assert_identity(
-                &match *k {
-                    "and" => aa.and(&ab).to_wah(),
-                    "or" => aa.or(&ab).to_wah(),
-                    "xor" => aa.xor(&ab).to_wah(),
-                    _ => aa.andnot(&ab).to_wah(),
-                },
-                bits,
-                &format!("{pattern}/auto/{k}"),
-            );
-        }
-        for (codec, and_n) in [
-            ("wah", wa.and_count(&wb)),
-            ("roaring", ra.and_count(&rb)),
-            ("auto", aa.and_count(&ab)),
-        ] {
-            assert_eq!(and_n, count_of("and"), "{pattern}/{codec}/and_count");
         }
         println!("codecs: {pattern} identity checks passed");
 
         let mut push = |codec, kernel, mean_s| {
             println!(
-                "codecs: {pattern}/{codec}/{kernel:<10} mean {:>10.3} us",
+                "codecs: {pattern}/{codec}/{kernel:<15} mean {:>10.3} us",
                 mean_s * 1e6
             );
             samples.push(Sample {
@@ -181,24 +174,11 @@ fn main() {
                 mean_s,
             });
         };
-        push("wah_adaptive", "and_count", measure(|| wa.and_count(&wb)));
-        push("wah_adaptive", "and", measure(|| wa.and(&wb)));
-        push("wah_adaptive", "or", measure(|| wa.or(&wb)));
-        push("wah_adaptive", "xor", measure(|| wa.xor(&wb)));
-        push("wah_adaptive", "andnot", measure(|| wa.andnot(&wb)));
-
-        push("roaring", "and_count", measure(|| ra.and_count(&rb)));
-        push("roaring", "and", measure(|| ra.and(&rb)));
-        push("roaring", "or", measure(|| ra.or(&rb)));
-        push("roaring", "xor", measure(|| ra.xor(&rb)));
-        push("roaring", "andnot", measure(|| ra.andnot(&rb)));
-
-        push("auto", "and_count", measure(|| aa.and_count(&ab)));
-        push("auto", "and", measure(|| aa.and(&ab)));
-        push("auto", "or", measure(|| aa.or(&ab)));
-        push("auto", "xor", measure(|| aa.xor(&ab)));
-        push("auto", "andnot", measure(|| aa.andnot(&ab)));
-
+        for (codec, a, b) in &codecs {
+            for k in KERNELS {
+                push(*codec, k, measure(|| run_kernel(k, a, b, &ranges)));
+            }
+        }
         push(
             "verbatim",
             "and_count",
@@ -210,15 +190,19 @@ fn main() {
         );
 
         let sep = if pi + 1 == patterns.len() { "" } else { "," };
+        let [(_, wah, _), (_, roaring, _), (_, auto, _)] = &codecs;
         bytes_rows.push_str(&format!(
             "    \"{pattern}\": {{\"wah_adaptive\": {}, \"roaring\": {}, \
              \"auto\": {}, \"verbatim\": {}}}{sep}\n",
-            wa.size_bytes(),
-            ra.size_bytes(),
-            aa.size_bytes(),
+            wah.size_bytes(),
+            roaring.size_bytes(),
+            auto.size_bytes(),
             va.size_bytes(),
         ));
-        auto_rows.push_str(&format!("    \"{pattern}\": \"{}\"{sep}\n", aa.id().name()));
+        auto_rows.push_str(&format!(
+            "    \"{pattern}\": \"{}\"{sep}\n",
+            auto.id().name()
+        ));
     }
     write_json(&samples, &bytes_rows, &auto_rows, n, smoke);
 }
@@ -300,7 +284,7 @@ fn write_json(samples: &[Sample], bytes_rows: &str, auto_rows: &str, n: usize, s
 
     // Per-bin auto-selection must ride the best fixed codec: a selection
     // is fixed before any particular kernel runs, so it is scored on the
-    // pattern's total time across all five kernels — flag any pattern
+    // pattern's total time across all the kernels — flag any pattern
     // where auto is >10% slower than the better of WAH and Roaring.
     out.push_str("  },\n  \"auto_within_10pct_of_best\": {\n");
     for (pi, p) in patterns.iter().enumerate() {

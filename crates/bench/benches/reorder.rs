@@ -4,7 +4,9 @@
 //! [`RowOrder`] builds the (re)ordered index, every codec reports bytes for
 //! the resulting bins, and the serving-side kernels are timed: the
 //! value-range OR (the core of a range/count query — order-invariant, no
-//! inverse mapping needed), the region AND against a stored-order region
+//! inverse mapping needed; WAH bins fold pairwise, Roaring and auto bins
+//! are ORed into one dense accumulator from the form each is held in), the
+//! region AND against a stored-order region
 //! bitmap, and the inverse mapping back to original row ids (the
 //! translation a selection query pays, reported separately so the cost is
 //! visible rather than buried).
@@ -27,7 +29,9 @@
 //! still run).
 
 use ibis_analysis::{shard_mask, stored_ranges, SubsetQuery};
-use ibis_core::{Binner, BitmapIndex, CodecVec, RoaringVec, RowOrder, RowPermutation, WahVec};
+use ibis_core::{
+    Binner, BitmapIndex, CodecId, CodecVec, DenseBits, RowOrder, RowPermutation, WahVec,
+};
 use ibis_datagen::{
     Heat3D, Heat3DConfig, LuleshConfig, MiniLulesh, OceanConfig, OceanModel, Simulation,
 };
@@ -247,40 +251,31 @@ fn main() {
 
             // per-codec encodings of the stored bins
             let wah: Vec<WahVec> = (0..nbins).map(|b| idx.bin(b).clone()).collect();
-            let roaring: Vec<RoaringVec> = wah.iter().map(RoaringVec::from_wah).collect();
+            let roaring: Vec<CodecVec> = wah
+                .iter()
+                .map(|v| CodecVec::with_codec(v, CodecId::Roaring))
+                .collect();
             let auto: Vec<CodecVec> = wah.iter().map(CodecVec::from_wah_auto).collect();
-            // cross-codec identity on one representative OR
-            let want = wah[blo].or(&wah[blo + 1]);
-            assert_eq!(
-                roaring[blo].or(&roaring[blo + 1]).to_wah(),
-                want,
-                "roaring OR diverged"
-            );
-            assert_eq!(
-                auto[blo].or(&auto[blo + 1]).to_wah(),
-                want,
-                "auto OR diverged"
-            );
+            // a stored bin is read where it lies: the value range's bins
+            // are ORed into one dense accumulator from their own forms
+            let dense_or = |bins: &[CodecVec]| {
+                let mut acc = DenseBits::zeros(n as u64);
+                for v in &bins[blo..bhi] {
+                    acc.or_stored(v);
+                }
+                acc.to_wah()
+            };
+            // cross-codec identity on the timed OR
+            assert_eq!(dense_or(&roaring), stored_or, "roaring OR diverged");
+            assert_eq!(dense_or(&auto), stored_or, "auto OR diverged");
 
             let wah_or = measure(|| {
                 (blo..bhi)
                     .fold(WahVec::zeros(n as u64), |acc, b| acc.or(&wah[b]))
                     .count_ones()
             });
-            let roaring_or = measure(|| {
-                let first = roaring[blo].clone();
-                (blo + 1..bhi)
-                    .fold(first, |acc, b| acc.or(&roaring[b]))
-                    .to_wah()
-                    .count_ones()
-            });
-            let auto_or = measure(|| {
-                let first = auto[blo].clone();
-                (blo + 1..bhi)
-                    .fold(first, |acc, b| acc.or(&auto[b]))
-                    .to_wah()
-                    .count_ones()
-            });
+            let roaring_or = measure(|| dense_or(&roaring).count_ones());
+            let auto_or = measure(|| dense_or(&auto).count_ones());
             let region_and = measure(|| stored_or.and_count(&region));
             let auto_bytes: usize = auto.iter().map(CodecVec::size_bytes).sum();
             let order_payload_bytes = perm.as_ref().map_or(0, |p| order_blob_bytes(order, p));
@@ -331,7 +326,7 @@ fn main() {
             );
             push(
                 "roaring",
-                roaring.iter().map(RoaringVec::size_bytes).sum(),
+                roaring.iter().map(CodecVec::size_bytes).sum(),
                 Some(roaring_or),
                 None,
                 None,

@@ -10,8 +10,8 @@
 
 use crate::binning::Binner;
 use crate::wah::{
-    fill_bits, is_fill, is_one_fill, make_fill, WahVec, FLAG_MASK, LITERAL_MASK, MAX_FILL_BITS,
-    ONE_FILL, SEG_BITS, ZERO_FILL,
+    fill_bits, is_fill, make_fill, WahVec, FLAG_MASK, LITERAL_MASK, MAX_FILL_BITS, ONE_FILL,
+    SEG_BITS, ZERO_FILL,
 };
 use ibis_obs::{LazyCounter, LazyHistogram};
 
@@ -206,19 +206,6 @@ impl WahBuilder {
         }
     }
 
-    /// The last *committed* bit (ignoring any pending partial segment),
-    /// or `None` when no whole segment has been committed. Callers on a
-    /// segment boundary (`pending_bits == 0`) get the true last bit; the
-    /// fused lossy pass uses this to check a zero-gap is flanked by a 1.
-    pub(crate) fn last_committed_bit(&self) -> Option<bool> {
-        let &w = self.words.last()?;
-        Some(if is_fill(w) {
-            is_one_fill(w)
-        } else {
-            w >> (SEG_BITS - 1) & 1 == 1
-        })
-    }
-
     /// Appends the contents of a compressed vector (used to concatenate the
     /// per-sub-block results of parallel generation). O(words of `other`)
     /// even when the receiver sits off a segment boundary: unaligned
@@ -307,21 +294,6 @@ pub struct MultiWahBuilder {
     global_segs: u64,
     /// Total elements consumed.
     total_bits: u64,
-    /// Fused lossy-superset state (see [`MultiWahBuilder::set_lossy_fpr`]).
-    lossy: Option<LossyFused>,
-}
-
-/// Streaming state of the fused lossy pass: per-bin exact-one and
-/// flipped-bit tallies, so each absorption decision can be budget-checked
-/// against the zeros seen *so far* (the running budget only grows, which
-/// is what makes the final measured FPR provably ≤ the target).
-#[derive(Debug)]
-struct LossyFused {
-    fpr: f64,
-    /// Exact (pre-flip) 1-bits appended per bin.
-    ones_exact: Vec<u64>,
-    /// Zero bits flipped to 1 per bin.
-    dropped: Vec<u64>,
 }
 
 impl MultiWahBuilder {
@@ -335,43 +307,7 @@ impl MultiWahBuilder {
             pos_in_seg: 0,
             global_segs: 0,
             total_bits: 0,
-            lossy: None,
         }
-    }
-
-    /// Arms the *fused* lossy-superset pass (DESIGN.md §6l): while
-    /// ingesting, a bin's lazy zero-deficit that (a) is flanked by a 1 on
-    /// both sides — the builder's last committed bit is 1 and the incoming
-    /// run is a 1-fill — and (b) fits the running FPR budget
-    /// (`dropped + gap ≤ fpr × zeros_seen_so_far`) is absorbed into the
-    /// surrounding 1-fill instead of settling as a 0-fill. Only `0 → 1`
-    /// flips happen, so every produced bin is a superset of the exact bin
-    /// with measured FPR ≤ `fpr` — same guarantees as the offline
-    /// [`WahVec::lossy_superset`] pass, though not byte-identical to it
-    /// (the streaming pass cannot see the final run-length histogram, so
-    /// its threshold is implicit in the running budget).
-    ///
-    /// # Panics
-    /// Panics when data was already consumed, or `fpr` is not 0 or within
-    /// [`crate::lossy::FPR_MIN`]`..=`[`crate::lossy::FPR_MAX`].
-    pub fn set_lossy_fpr(&mut self, fpr: f64) {
-        assert!(self.is_empty(), "set_lossy_fpr after data was consumed");
-        assert!(
-            crate::lossy::valid_fpr(fpr),
-            "lossy fpr {fpr} outside the supported range"
-        );
-        let nbins = self.nbins();
-        self.lossy = (fpr > 0.0).then(|| LossyFused {
-            fpr,
-            ones_exact: vec![0; nbins],
-            dropped: vec![0; nbins],
-        });
-    }
-
-    /// Total zero bits the fused lossy pass has flipped so far, across
-    /// all bins (0 when the pass is not armed).
-    pub fn lossy_bits_dropped(&self) -> u64 {
-        self.lossy.as_ref().map_or(0, |l| l.dropped.iter().sum())
     }
 
     /// Number of bins.
@@ -557,35 +493,16 @@ impl MultiWahBuilder {
     /// Merges `segs` consecutive all-`bin` segments in O(1): one deficit
     /// settle plus one (possibly merging) 1-fill extension on that bin's
     /// builder; every other bin's zero-deficit grows lazily. Byte-identical
-    /// to `segs` scalar segment flushes with only `bin` touched — except
-    /// when the fused lossy pass is armed and absorbs the deficit (see
-    /// [`MultiWahBuilder::set_lossy_fpr`]).
+    /// to `segs` scalar segment flushes with only `bin` touched.
     fn flush_const_run(&mut self, bin: u32, segs: u64) {
         debug_assert_eq!(self.pos_in_seg, 0);
         debug_assert!(segs > 0);
         let b = bin as usize;
         let deficit = self.global_segs - self.appended_segs[b];
         if deficit > 0 {
-            // The gap is interior (last committed bit 1, incoming a
-            // 1-fill): absorb it when the running FPR budget allows.
-            let absorb = self.lossy.as_mut().is_some_and(|l| {
-                let gap = deficit * SEG_BITS;
-                let zeros = self.global_segs * SEG_BITS - l.ones_exact[b];
-                let fits = (l.dropped[b] + gap) as f64 <= l.fpr * zeros as f64;
-                let flanked = self.builders[b].last_committed_bit() == Some(true);
-                if fits && flanked {
-                    l.dropped[b] += gap;
-                    true
-                } else {
-                    false
-                }
-            });
-            self.builders[b].append_fill_aligned(absorb, deficit * SEG_BITS);
+            self.builders[b].append_fill_aligned(false, deficit * SEG_BITS);
         }
         self.builders[b].append_fill_aligned(true, segs * SEG_BITS);
-        if let Some(l) = self.lossy.as_mut() {
-            l.ones_exact[b] += segs * SEG_BITS;
-        }
         self.global_segs += segs;
         self.appended_segs[b] = self.global_segs;
         self.total_bits += segs * SEG_BITS;
@@ -620,16 +537,9 @@ impl MultiWahBuilder {
             let b = b as usize;
             let deficit = self.global_segs - self.appended_segs[b];
             if deficit > 0 {
-                // Mixed segments settle deficits exactly: the incoming
-                // literal may start with a 0, so the gap is not known to
-                // be flanked — the fused lossy pass only absorbs gaps
-                // ahead of constant 1-fill runs (`flush_const_run`).
                 self.builders[b].append_fill_aligned(false, deficit * SEG_BITS);
             }
             self.builders[b].append_seg31(self.segbuf[b]);
-            if let Some(l) = self.lossy.as_mut() {
-                l.ones_exact[b] += self.segbuf[b].count_ones() as u64;
-            }
             self.appended_segs[b] = self.global_segs + 1;
             self.segbuf[b] = 0;
         }
@@ -656,12 +566,6 @@ impl MultiWahBuilder {
         self.pos_in_seg = 0;
         self.global_segs = 0;
         self.total_bits = 0;
-        if let Some(l) = self.lossy.as_mut() {
-            l.ones_exact.clear();
-            l.ones_exact.resize(nbins, 0);
-            l.dropped.clear();
-            l.dropped.resize(nbins, 0);
-        }
     }
 
     /// Finalizes all bins and resets the builder in place (see
@@ -705,18 +609,6 @@ impl MultiWahBuilder {
     /// elements consumed.
     pub fn finish(mut self) -> Vec<WahVec> {
         self.finish_reset()
-    }
-
-    /// [`MultiWahBuilder::finish_reset`], with each bin handed to its
-    /// auto-selected codec ([`crate::select_codec`]) on the way out. The
-    /// selection reads the stats the finalization already computes, so
-    /// batched ingestion pays nothing extra to decide; bins that stay WAH
-    /// are moved, not cloned.
-    pub fn finish_codecs_reset(&mut self) -> Vec<crate::codec::CodecVec> {
-        self.finish_reset()
-            .into_iter()
-            .map(crate::codec::CodecVec::from_wah_auto_owned)
-            .collect()
     }
 }
 
@@ -1043,92 +935,5 @@ mod tests {
     #[should_panic(expected = "overflows the 30-bit counter")]
     fn make_fill_rejects_overflow_in_release_too() {
         let _ = make_fill(true, 1u64 << 30);
-    }
-
-    #[test]
-    fn fused_lossy_produces_superset_within_budget() {
-        use crate::binning::Binner;
-        // Smooth field with whole-segment excursions: the hot bin's
-        // absence gaps are deficits flanked by its own 1-fills — the
-        // fused pass's absorption point.
-        let data: Vec<f64> = (0..31 * 2000)
-            .map(|i| if (i / 31) % 20 == 19 { 3.0 } else { 1.0 })
-            .collect();
-        let binner = Binner::fixed_width(0.0, 4.0, 4);
-        let mut exact_b = MultiWahBuilder::new(4);
-        exact_b.extend_binned(&binner, &data);
-        let exact = exact_b.finish();
-        for fpr in [1e-4, 1e-2, 1e-1] {
-            let mut mb = MultiWahBuilder::new(4);
-            mb.set_lossy_fpr(fpr);
-            mb.extend_binned(&binner, &data);
-            let dropped = mb.lossy_bits_dropped();
-            let lossy = mb.finish();
-            let mut total_zeros = 0u64;
-            for (b, (e, l)) in exact.iter().zip(&lossy).enumerate() {
-                l.check_canonical().unwrap();
-                assert_eq!(e.and(l), *e, "fpr {fpr} bin {b} superset");
-                let zeros = e.len() - e.count_ones();
-                let bin_dropped = l.count_ones() - e.count_ones();
-                assert!(
-                    bin_dropped as f64 <= fpr * zeros as f64,
-                    "fpr {fpr} bin {b}: dropped {bin_dropped} of {zeros} zeros"
-                );
-                total_zeros += zeros;
-            }
-            let total_dropped: u64 = exact
-                .iter()
-                .zip(&lossy)
-                .map(|(e, l)| l.count_ones() - e.count_ones())
-                .sum();
-            assert_eq!(dropped, total_dropped, "fpr {fpr} stats agree");
-            assert!(total_dropped as f64 <= fpr * total_zeros as f64);
-        }
-        // at the top FPR the hot bin actually absorbed something
-        let mut mb = MultiWahBuilder::new(4);
-        mb.set_lossy_fpr(0.1);
-        mb.extend_binned(&binner, &data);
-        assert!(mb.lossy_bits_dropped() > 0, "no gap was absorbed");
-    }
-
-    #[test]
-    fn fused_lossy_zero_fpr_is_exact() {
-        use crate::binning::Binner;
-        let data: Vec<f64> = (0..3100).map(|i| ((i / 17) % 5) as f64).collect();
-        let binner = Binner::fixed_width(0.0, 5.0, 5);
-        let mut a = MultiWahBuilder::new(5);
-        a.set_lossy_fpr(0.0);
-        a.extend_binned(&binner, &data);
-        let mut b = MultiWahBuilder::new(5);
-        b.extend_binned(&binner, &data);
-        let (va, vb) = (a.finish(), b.finish());
-        for (x, y) in va.iter().zip(&vb) {
-            assert_eq!(x.words(), y.words());
-        }
-    }
-
-    #[test]
-    fn fused_lossy_survives_reset() {
-        use crate::binning::Binner;
-        let data: Vec<f64> = (0..31 * 100)
-            .map(|i| if (i / 31) % 4 == 3 { 1.0 } else { 0.0 })
-            .collect();
-        let binner = Binner::fixed_width(0.0, 2.0, 2);
-        let mut mb = MultiWahBuilder::new(2);
-        mb.set_lossy_fpr(0.1);
-        mb.extend_binned(&binner, &data);
-        let first = mb.lossy_bits_dropped();
-        assert!(first > 0, "no gap was absorbed");
-        let bins1 = mb.finish_reset();
-        // tallies cleared, config kept: a second identical stream drops
-        // the same bits and yields the same words
-        assert_eq!(mb.lossy_bits_dropped(), 0);
-        mb.reset(2);
-        mb.extend_binned(&binner, &data);
-        assert_eq!(mb.lossy_bits_dropped(), first);
-        let bins2 = mb.finish_reset();
-        for (x, y) in bins1.iter().zip(&bins2) {
-            assert_eq!(x.words(), y.words());
-        }
     }
 }

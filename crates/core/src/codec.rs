@@ -1,15 +1,16 @@
-//! One roof over the two bitmap codecs — WAH ([`WahVec`]) and Roaring
-//! ([`RoaringVec`]) — plus the per-bin selection policy the index uses to
-//! pick between them.
+//! The two bitmap codecs a bin can be stored in — WAH ([`WahVec`]) and
+//! Roaring ([`RoaringVec`]) — plus the per-bin selection policy the index
+//! uses to pick between them.
 //!
-//! The [`Codec`] trait is **sealed**: the codec set is part of the on-disk
-//! blob format (each codec owns a stable wire tag via [`CodecId`]), so new
-//! codecs are an explicit format revision, not an extension point.
-//! [`CodecVec`] is the dynamic side of the same roof — a tagged union the
-//! index, store, and query layers pass around when the codec is a runtime
-//! (per-bin) decision, with cross-codec set operations that dispatch to
-//! native kernels when both operands share a codec and convert through WAH
-//! otherwise (see `ops.rs`).
+//! [`CodecVec`] is a bin in whichever codec it is stored in: a closed
+//! two-variant enum, because the codec set is part of the on-disk blob
+//! format (each codec owns a stable wire tag via [`CodecId`]), so a new
+//! codec is a format revision, not an extension point. WAH is the working
+//! form: every materialised set operation runs on it, and a Roaring bin
+//! converts to it exactly. A stored Roaring bin is only ever read — counted,
+//! intersected by cardinality ([`CodecVec::and_count`], in `ops.rs`),
+//! probed over row ranges, walked for labels, ORed into a dense
+//! accumulator — never combined into a new Roaring vector.
 //!
 //! [`select_codec`] is the policy: a pure function of the [`WahStats`] the
 //! adaptive kernels already cache per bitvector, so batched ingestion pays
@@ -29,12 +30,6 @@ use std::ops::Range;
 // Const-folded to no-ops when ibis-obs is built without its `obs` feature.
 static OBS_SELECT_WAH: LazyCounter = LazyCounter::new("codec.select.wah");
 static OBS_SELECT_ROARING: LazyCounter = LazyCounter::new("codec.select.roaring");
-
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for crate::wah::WahVec {}
-    impl Sealed for crate::roaring::RoaringVec {}
-}
 
 /// Identity of a bitmap codec — the unit of per-bin selection and the
 /// stable wire tag written ahead of each bin of a v2 index payload.
@@ -72,63 +67,6 @@ impl CodecId {
             CodecId::Wah => "wah",
             CodecId::Roaring => "roaring",
         }
-    }
-}
-
-/// The sealed common surface of the codecs. WAH is the interchange
-/// form: every codec converts to and from it exactly (round-trip identity
-/// is property-tested in `prop_codecs.rs`), which is what makes cross-codec
-/// operations and the v2-compatible store format possible.
-pub trait Codec: sealed::Sealed {
-    /// This codec's identity.
-    const ID: CodecId;
-    /// Exact conversion from canonical WAH.
-    fn from_wah(v: &WahVec) -> Self;
-    /// Exact conversion to canonical WAH.
-    fn to_wah(&self) -> WahVec;
-    /// Number of bits.
-    fn len_bits(&self) -> u64;
-    /// Number of set bits.
-    fn ones(&self) -> u64;
-    /// At-rest size in bytes.
-    fn bytes(&self) -> usize;
-}
-
-impl Codec for WahVec {
-    const ID: CodecId = CodecId::Wah;
-    fn from_wah(v: &WahVec) -> Self {
-        v.clone()
-    }
-    fn to_wah(&self) -> WahVec {
-        self.clone()
-    }
-    fn len_bits(&self) -> u64 {
-        self.len()
-    }
-    fn ones(&self) -> u64 {
-        self.count_ones()
-    }
-    fn bytes(&self) -> usize {
-        self.size_bytes()
-    }
-}
-
-impl Codec for RoaringVec {
-    const ID: CodecId = CodecId::Roaring;
-    fn from_wah(v: &WahVec) -> Self {
-        RoaringVec::from_wah(v)
-    }
-    fn to_wah(&self) -> WahVec {
-        self.to_wah()
-    }
-    fn len_bits(&self) -> u64 {
-        self.len()
-    }
-    fn ones(&self) -> u64 {
-        self.count_ones()
-    }
-    fn bytes(&self) -> usize {
-        self.size_bytes()
     }
 }
 
@@ -194,8 +132,8 @@ impl WahVec {
     }
 }
 
-/// A bitvector in whichever codec its bin selected — the runtime side of
-/// the sealed [`Codec`] roof. Set operations live in `ops.rs`.
+/// A bitvector in whichever codec its bin selected. Its one cross-codec
+/// kernel, [`CodecVec::and_count`], lives in `ops.rs`.
 #[derive(Debug, Clone)]
 pub enum CodecVec {
     /// WAH-coded.
@@ -206,22 +144,9 @@ pub enum CodecVec {
 
 impl CodecVec {
     /// Converts a WAH vector into the codec [`select_codec`] picks from its
-    /// cached stats. The conversion is exact; all-WAH selections are free.
+    /// cached stats. The conversion is exact.
     pub fn from_wah_auto(v: &WahVec) -> CodecVec {
-        match select_codec(v.stats(), v.len()) {
-            CodecId::Wah => CodecVec::Wah(v.clone()),
-            CodecId::Roaring => CodecVec::Roaring(RoaringVec::from_wah(v)),
-        }
-    }
-
-    /// Owned variant of [`CodecVec::from_wah_auto`]: all-WAH selections
-    /// move the vector instead of cloning (the batched-ingestion path,
-    /// [`crate::MultiWahBuilder::finish_codecs_reset`]).
-    pub fn from_wah_auto_owned(v: WahVec) -> CodecVec {
-        match select_codec(v.stats(), v.len()) {
-            CodecId::Wah => CodecVec::Wah(v),
-            CodecId::Roaring => CodecVec::Roaring(RoaringVec::from_wah(&v)),
-        }
+        Self::with_codec(v, select_codec(v.stats(), v.len()))
     }
 
     /// Converts a WAH vector into an explicitly chosen codec.
@@ -301,14 +226,6 @@ impl CodecVec {
             _ => None,
         }
     }
-
-    /// Borrows the Roaring payload when this vector is Roaring-coded.
-    pub fn as_roaring(&self) -> Option<&RoaringVec> {
-        match self {
-            CodecVec::Roaring(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -377,16 +294,22 @@ mod tests {
     }
 
     #[test]
-    fn sealed_trait_surface_agrees() {
-        fn probe<C: Codec>(v: &C, w: &WahVec) {
-            assert!(CodecId::from_tag(C::ID.tag()) == Some(C::ID));
-            assert_eq!(v.len_bits(), w.len());
-            assert_eq!(v.ones(), w.count_ones());
-            assert!(v.bytes() > 0);
-            assert_eq!(v.to_wah(), *w);
-        }
+    fn codec_vec_surface_agrees() {
         let w = wah_of((0..100_000).map(|i| i % 97 == 0));
-        probe(&WahVec::from_wah(&w), &w);
-        probe(&RoaringVec::from_wah(&w), &w);
+        let ranges = [0..1, 96..98, 65_000..70_000];
+        for id in [CodecId::Wah, CodecId::Roaring] {
+            let v = CodecVec::with_codec(&w, id);
+            assert_eq!(CodecId::from_tag(v.id().tag()), Some(id));
+            assert_eq!(v.len(), w.len());
+            assert_eq!(v.count_ones(), w.count_ones());
+            assert!(v.size_bytes() > 0);
+            assert_eq!(
+                v.count_ones_in_ranges(&ranges),
+                w.count_ones_in_ranges(&ranges)
+            );
+            assert!(v.intersects_ranges(&ranges));
+            assert_eq!(v.as_wah().is_some(), id == CodecId::Wah);
+            assert_eq!(v.to_wah(), w, "{}", id.name());
+        }
     }
 }

@@ -4,8 +4,9 @@
 //! The index doubles as the paper's data summary: its cached per-bin 1-bit
 //! counts *are* the value histogram, so Shannon entropy and count-based EMD
 //! come for free, while joint distributions (conditional entropy, mutual
-//! information) and spatial differences (spatial EMD) are bitwise AND / XOR
-//! away. After the index is built the original data can be discarded.
+//! information) and spatial differences (spatial EMD) are an AND count per
+//! bin pair away. After the index is built the original data can be
+//! discarded.
 
 use crate::binning::Binner;
 use crate::builder::MultiWahBuilder;
@@ -320,13 +321,6 @@ impl BitmapIndex {
         self.cost_prefix[bins.end] - self.cost_prefix[bins.start]
     }
 
-    /// Converts every bin into its auto-selected codec (exact; all-WAH
-    /// plans just clone). This is what `CachedStore` serves and the store
-    /// persists under per-blob codec tags.
-    pub fn to_codec_bins(&self) -> Vec<CodecVec> {
-        self.bins().map(CodecVec::from_wah_auto).collect()
-    }
-
     /// The inclusive range of bins a `[lo, hi)` value query touches, or
     /// `None` when the interval selects nothing (inverted, empty, or a NaN
     /// bound — every comparison with NaN is false, so the span is empty).
@@ -393,10 +387,7 @@ impl BitmapIndex {
         } else {
             let mut acc = DenseBits::zeros(self.len);
             for &b in &bins {
-                match self.stored_bin(b) {
-                    CodecVec::Wah(v) => acc.or_wah(v),
-                    CodecVec::Roaring(v) => acc.or_roaring(v),
-                }
+                acc.or_stored(self.stored_bin(b));
             }
             acc.to_wah()
         };
@@ -580,7 +571,8 @@ mod tests {
         assert!(idx.codec_plan().iter().all(|&c| c == CodecId::Roaring));
 
         // The conversion is exact and the costs are per selected codec.
-        for (b, cv) in idx.to_codec_bins().into_iter().enumerate() {
+        for b in 0..idx.nbins() {
+            let cv = CodecVec::from_wah_auto(idx.bin(b));
             assert_eq!(cv.id(), idx.bin_codec(b));
             assert_eq!(cv.to_wah(), *idx.bin(b));
             assert!(idx.bin_cost_bytes(b) > 0);

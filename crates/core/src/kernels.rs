@@ -208,15 +208,21 @@ impl DenseBits {
         }
     }
 
-    /// ORs a same-length Roaring vector into the buffer, read where it
-    /// lies: [`DenseBits::or_wah`] for an operand held in the other codec.
-    pub fn or_roaring(&mut self, v: &crate::RoaringVec) {
-        assert_eq!(
-            self.len_bits,
-            v.len(),
-            "binary op on different-length vectors"
-        );
-        v.or_into(&mut self.words);
+    /// ORs a same-length stored bin into the buffer from the form it is
+    /// held in: a Roaring bin straight from its containers, never
+    /// transcoded, a WAH bin through [`DenseBits::or_wah`].
+    pub fn or_stored(&mut self, v: &crate::CodecVec) {
+        match v {
+            crate::CodecVec::Wah(v) => self.or_wah(v),
+            crate::CodecVec::Roaring(v) => {
+                assert_eq!(
+                    self.len_bits,
+                    v.len(),
+                    "binary op on different-length vectors"
+                );
+                v.or_into(&mut self.words);
+            }
+        }
     }
 
     /// Sets `n` consecutive bits starting at `pos`.

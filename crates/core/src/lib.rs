@@ -23,9 +23,10 @@
 //! * [`ZOrderLayout`] — Morton-order traversal so contiguous bit ranges are
 //!   compact spatial blocks (the miner's spatial units).
 //! * [`Bitset`] — uncompressed oracle/baseline.
-//! * [`RoaringVec`] and the sealed [`Codec`] roof — Roaring-style container
-//!   bitmaps plus per-bin codec auto-selection ([`select_codec`]), for the
-//!   scattered-bit patterns where WAH degenerates to literal words.
+//! * [`RoaringVec`] and [`CodecVec`] — a read-only Roaring-style container
+//!   form for stored bins plus per-bin codec auto-selection
+//!   ([`select_codec`]), for the scattered-bit patterns where WAH
+//!   degenerates to literal words.
 
 mod binning;
 mod builder;
@@ -45,7 +46,7 @@ pub mod zorder;
 
 pub use binning::{Binner, BinnerSpec};
 pub use builder::{MultiWahBuilder, WahBuilder};
-pub use codec::{select_codec, Codec, CodecId, CodecVec};
+pub use codec::{select_codec, CodecId, CodecVec};
 pub use index::{BitmapIndex, RangeQueryError};
 pub use kernels::{DenseBits, WahStats};
 pub use lossy::{build_lossy_index, valid_fpr, LossyStats, FPR_MAX, FPR_MIN};

@@ -9,28 +9,29 @@
 //! * **Runs** — sorted `(start, end)` inclusive intervals, for coherent
 //!   chunks where a few runs cover everything (4 bytes per run).
 //!
-//! Containers upgrade and downgrade **in place on mutation**: inserting the
-//! 4097th element of an array converts it to a bitset, deleting down to
-//! [`ARRAY_MAX`] converts back, and mutating a run container re-forms it by
-//! cardinality first. Set operations dispatch per container pair on the
-//! natural kernels — array×array galloping intersection, array×bitset
-//! probes, bitset×bitset `u64` loops — which is what makes this codec win
-//! on the scattered-bit patterns where WAH degenerates to literal words
-//! (see `BENCH_codecs.json`).
+//! It is a **read-only stored form**: a vector is made once, from canonical
+//! WAH ([`RoaringVec::from_wah`], each chunk taking the smallest of the
+//! three forms) or from its verified bytes ([`RoaringVec::deserialize`]),
+//! and is never edited or combined into a new vector afterwards. What the
+//! system asks of a stored bin is answered where it lies: cardinalities,
+//! intersection counts per container pair on the natural kernels
+//! (array×array galloping, array×bitset probes, bitset×bitset `u64`
+//! loops), counts and probes over row ranges, run walks for the label
+//! walk, an OR into a dense accumulator, and the exact WAH form for
+//! whatever needs one.
 
 use crate::runs::{Run, RunIter};
 use crate::wah::WahVec;
 use crate::WahBuilder;
-use std::cell::RefCell;
 use std::ops::Range;
 
 /// Bits covered by one container.
 pub const CONTAINER_BITS: u64 = 1 << 16;
 /// Words in a bitset container.
 const BITS_WORDS: usize = (CONTAINER_BITS / 64) as usize;
-/// Maximum cardinality of an array container; one past this upgrades to a
-/// bitset (the classic Roaring 4096 threshold: above it the 8 KiB bitset is
-/// smaller than the `u16` list).
+/// Maximum cardinality of an array container; a chunk with more set bits
+/// is held as a bitset (the classic Roaring 4096 threshold: above it the
+/// 8 KiB bitset is smaller than the `u16` list).
 pub const ARRAY_MAX: usize = 4096;
 
 /// The storage form a container currently uses (introspection for tests,
@@ -174,17 +175,6 @@ impl Container {
             }
         }
     }
-
-    /// Expands into a packed scratch bitset (scratch is fully overwritten).
-    fn write_bits(&self, out: &mut [u64; BITS_WORDS]) {
-        match self {
-            Container::Bits { words, .. } => out.copy_from_slice(words.as_ref()),
-            _ => {
-                out.fill(0);
-                self.for_each_run(|s, e| set_bits_range(out, s, e));
-            }
-        }
-    }
 }
 
 /// Sets inclusive bit range `[s, e]` in a packed word buffer.
@@ -282,29 +272,18 @@ fn normalize(words: &[u64; BITS_WORDS], ones: u64) -> Container {
     }
 }
 
-/// One heap-allocated bitset-sized word buffer (the scratch unit).
-type ScratchWords = Box<[u64; BITS_WORDS]>;
-
-thread_local! {
-    /// Reusable scratch for the generic container-op fallback, so op
-    /// fan-outs do not allocate 8 KiB buffers per container pair. Each use
-    /// fully overwrites the buffer ([`Container::write_bits`] zero-fills
-    /// first), so a dirty scratch left by a previous op never leaks into a
-    /// result — property-tested in `prop_codecs.rs`.
-    static OP_SCRATCH: RefCell<(ScratchWords, ScratchWords)> =
-        RefCell::new((Box::new([0; BITS_WORDS]), Box::new([0; BITS_WORDS])));
-}
-
 /// A Roaring-style compressed bitvector over a dense position domain
-/// (positions `0..len`, one container per 64Ki chunk).
+/// (positions `0..len`, one container per 64Ki chunk), read-only once
+/// made.
 ///
 /// ```
-/// use ibis_core::RoaringVec;
+/// use ibis_core::{RoaringVec, WahVec};
 ///
-/// let mut v = RoaringVec::from_bits((0..100_000u64).map(|i| i % 97 == 0));
+/// let w = WahVec::from_bits((0..100_000u64).map(|i| i % 97 == 0));
+/// let v = RoaringVec::from_wah(&w);
 /// assert_eq!(v.count_ones(), 1031);
-/// v.set(1, true);
-/// assert!(v.get(1));
+/// assert!(v.get(97) && !v.get(1));
+/// assert_eq!(v.to_wah(), w);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RoaringVec {
@@ -313,15 +292,6 @@ pub struct RoaringVec {
 }
 
 impl RoaringVec {
-    /// The empty vector of a given length (all zeros).
-    pub fn zeros(len_bits: u64) -> Self {
-        let nchunks = len_bits.div_ceil(CONTAINER_BITS) as usize;
-        RoaringVec {
-            containers: (0..nchunks).map(|_| Container::empty()).collect(),
-            len_bits,
-        }
-    }
-
     /// Builds from an iterator of bits.
     pub fn from_bits<I: IntoIterator<Item = bool>>(bits: I) -> Self {
         let mut b = RoaringAppender::new();
@@ -400,75 +370,6 @@ impl RoaringVec {
     pub fn get(&self, i: u64) -> bool {
         assert!(i < self.len_bits, "bit {i} out of range {}", self.len_bits);
         self.containers[(i / CONTAINER_BITS) as usize].get((i % CONTAINER_BITS) as u16)
-    }
-
-    /// Writes bit `i`, upgrading or downgrading the touched container in
-    /// place: an array past [`ARRAY_MAX`] becomes a bitset, a bitset at
-    /// [`ARRAY_MAX`] becomes an array, and a run container re-forms by
-    /// cardinality before the edit.
-    ///
-    /// # Panics
-    /// If `i >= len`.
-    pub fn set(&mut self, i: u64, value: bool) {
-        assert!(i < self.len_bits, "bit {i} out of range {}", self.len_bits);
-        let c = &mut self.containers[(i / CONTAINER_BITS) as usize];
-        let lo = (i % CONTAINER_BITS) as u16;
-        if let Container::Runs(_) = c {
-            if c.get(lo) == value {
-                return;
-            }
-            // Mutating a run container: re-form by cardinality, then edit.
-            let ones = c.ones();
-            let mut words = Box::new([0u64; BITS_WORDS]);
-            c.write_bits(&mut words);
-            *c = if ones as usize <= ARRAY_MAX {
-                normalize_as_array(&words, ones)
-            } else {
-                Container::Bits {
-                    words,
-                    ones: ones as u32,
-                }
-            };
-        }
-        match c {
-            Container::Array(a) => match (a.binary_search(&lo), value) {
-                (Ok(_), true) | (Err(_), false) => {}
-                (Err(at), true) => {
-                    a.insert(at, lo);
-                    if a.len() > ARRAY_MAX {
-                        // upgrade: the 4097th element tips to a bitset
-                        let mut words = Box::new([0u64; BITS_WORDS]);
-                        let ones = a.len() as u32;
-                        for &v in a.iter() {
-                            words[v as usize >> 6] |= 1u64 << (v & 63);
-                        }
-                        *c = Container::Bits { words, ones };
-                    }
-                }
-                (Ok(at), false) => {
-                    a.remove(at);
-                }
-            },
-            Container::Bits { words, ones } => {
-                let (w, m) = (lo as usize >> 6, 1u64 << (lo & 63));
-                match (words[w] & m != 0, value) {
-                    (false, true) => {
-                        words[w] |= m;
-                        *ones += 1;
-                    }
-                    (true, false) => {
-                        words[w] &= !m;
-                        *ones -= 1;
-                        if *ones as usize <= ARRAY_MAX {
-                            // downgrade: back under the array threshold
-                            *c = normalize_as_array(words, *ones as u64);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            Container::Runs(_) => unreachable!("run containers re-form before mutation"),
-        }
     }
 
     /// `popcount(self AND other)` without materializing — container-pair
@@ -704,88 +605,6 @@ impl RoaringVec {
             len_bits,
         })
     }
-
-    /// Bitwise AND.
-    pub fn and(&self, other: &RoaringVec) -> RoaringVec {
-        self.binary(other, |a, b| a & b)
-    }
-
-    /// Bitwise OR.
-    pub fn or(&self, other: &RoaringVec) -> RoaringVec {
-        self.binary(other, |a, b| a | b)
-    }
-
-    /// Bitwise XOR.
-    pub fn xor(&self, other: &RoaringVec) -> RoaringVec {
-        self.binary(other, |a, b| a ^ b)
-    }
-
-    /// Bitwise AND-NOT (`self & !other`).
-    pub fn andnot(&self, other: &RoaringVec) -> RoaringVec {
-        self.binary(other, |a, b| a & !b)
-    }
-
-    /// Generic container-wise binary op. Array×array AND and intersections
-    /// short-circuit on the sorted lists; everything else runs the packed
-    /// scratch kernel (two expands + one `u64` loop per container), with
-    /// the result re-normalized to its canonical form. The final partial
-    /// container is masked so bits past `len` never materialize.
-    fn binary(&self, other: &RoaringVec, f: impl Fn(u64, u64) -> u64) -> RoaringVec {
-        assert_eq!(self.len_bits, other.len_bits, "length mismatch");
-        let containers = OP_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            let (sa, sb) = &mut *scratch;
-            self.containers
-                .iter()
-                .zip(&other.containers)
-                .enumerate()
-                .map(|(ci, (a, b))| {
-                    a.write_bits(sa);
-                    b.write_bits(sb);
-                    let mut ones = 0u64;
-                    for (x, y) in sa.iter_mut().zip(sb.iter()) {
-                        *x = f(*x, *y);
-                        ones += x.count_ones() as u64;
-                    }
-                    let tail = self.len_bits - ci as u64 * CONTAINER_BITS;
-                    if tail < CONTAINER_BITS {
-                        // mask the partial final chunk
-                        let last = (tail / 64) as usize;
-                        if !tail.is_multiple_of(64) {
-                            let keep = !0u64 >> (64 - tail % 64);
-                            ones -= (sa[last] & !keep).count_ones() as u64;
-                            sa[last] &= keep;
-                        }
-                        for w in &mut sa[last + usize::from(!tail.is_multiple_of(64))..] {
-                            ones -= w.count_ones() as u64;
-                            *w = 0;
-                        }
-                    }
-                    normalize(sa, ones)
-                })
-                .collect()
-        });
-        RoaringVec {
-            containers,
-            len_bits: self.len_bits,
-        }
-    }
-}
-
-/// Array extraction without the form heuristics (used by downgrades, which
-/// must land on Array by contract).
-fn normalize_as_array(words: &[u64; BITS_WORDS], ones: u64) -> Container {
-    debug_assert!(ones as usize <= ARRAY_MAX);
-    let mut a = Vec::with_capacity(ones as usize);
-    for (wi, &w) in words.iter().enumerate() {
-        let mut word = w;
-        while word != 0 {
-            let b = word.trailing_zeros();
-            a.push((wi * 64) as u16 + b as u16);
-            word &= word - 1;
-        }
-    }
-    Container::Array(a)
 }
 
 /// Intersection cardinality of one container pair — the per-pair kernel
@@ -1055,31 +874,17 @@ mod tests {
 
     #[test]
     fn array_bitset_threshold_updown() {
-        let mut v = RoaringVec::zeros(CONTAINER_BITS);
-        for i in 0..ARRAY_MAX as u64 {
-            v.set(i * 2, true);
-        }
-        assert_eq!(v.container_forms(), vec![ContainerForm::Array]);
-        v.set(60_001, true); // 4097th: upgrade
-        assert_eq!(v.container_forms(), vec![ContainerForm::Bits]);
-        v.set(60_001, false); // back to 4096: downgrade
-        assert_eq!(v.container_forms(), vec![ContainerForm::Array]);
-        assert_eq!(v.count_ones(), ARRAY_MAX as u64);
-    }
-
-    #[test]
-    fn run_container_mutation_reforms() {
-        let mut v = RoaringVec::from_bits((0..65_536u32).map(|i| i < 30_000));
-        assert_eq!(v.container_forms(), vec![ContainerForm::Runs]);
-        v.set(40_000, true);
-        assert!(v.get(40_000));
-        assert!(v.get(29_999));
-        assert_eq!(v.count_ones(), 30_001);
-        assert_eq!(v.container_forms(), vec![ContainerForm::Bits]);
-        // setting an already-set bit in a Runs container is a no-op
-        let mut w = RoaringVec::from_bits((0..65_536u32).map(|i| i < 30_000));
-        w.set(5, true);
-        assert_eq!(w.container_forms(), vec![ContainerForm::Runs]);
+        // `n` isolated ones (every other bit): too many runs for a run
+        // container, so the chunk's cardinality alone picks the form
+        let scattered =
+            |n: u64| RoaringVec::from_bits((0..CONTAINER_BITS).map(|i| i % 2 == 0 && i / 2 < n));
+        let at = scattered(ARRAY_MAX as u64);
+        assert_eq!(at.container_forms(), vec![ContainerForm::Array]);
+        assert_eq!(at.count_ones(), ARRAY_MAX as u64);
+        let over = scattered(ARRAY_MAX as u64 + 1); // the 4097th tips to a bitset
+        assert_eq!(over.container_forms(), vec![ContainerForm::Bits]);
+        assert_eq!(over.count_ones(), ARRAY_MAX as u64 + 1);
+        assert_eq!(at.and_count(&over), ARRAY_MAX as u64);
     }
 
     #[test]
@@ -1138,10 +943,9 @@ mod tests {
         assert_eq!(w.count_ones(), 1);
         assert!(w.get(CONTAINER_BITS - 1));
 
-        let mut dense = RoaringVec::from_bits(
-            (0..CONTAINER_BITS).map(|i| i < CONTAINER_BITS - 1 && i.wrapping_mul(97) % 5 < 3),
+        let dense = RoaringVec::from_bits(
+            (0..CONTAINER_BITS).map(|i| i == CONTAINER_BITS - 1 || i.wrapping_mul(97) % 5 < 3),
         );
-        dense.set(CONTAINER_BITS - 1, true);
         assert_eq!(dense.container_forms(), vec![ContainerForm::Bits]);
         assert!(dense.get(CONTAINER_BITS - 1));
         let w = dense.to_wah();
@@ -1150,25 +954,43 @@ mod tests {
 
     #[test]
     fn ops_match_naive() {
+        // every read a stored bin answers, against the plain bits
         let a_bits: Vec<bool> = (0..150_000).map(|i| (i * 7) % 11 < 4).collect();
         let b_bits: Vec<bool> = (0..150_000).map(|i| i % 2 == 0 || i > 100_000).collect();
         let a = RoaringVec::from_bits(a_bits.iter().copied());
         let b = RoaringVec::from_bits(b_bits.iter().copied());
-        let naive = |f: fn(bool, bool) -> bool| -> Vec<bool> {
-            a_bits.iter().zip(&b_bits).map(|(&x, &y)| f(x, y)).collect()
+        let both = a_bits.iter().zip(&b_bits).filter(|&(&x, &y)| x && y);
+        assert_eq!(a.and_count(&b), both.count() as u64);
+
+        let ranges = [0..1, 65_530..65_540, 70_000..131_072, 149_999..150_000];
+        let in_ranges = |bits: &[bool]| -> u64 {
+            let rows = ranges.iter().flat_map(|r| r.start as usize..r.end as usize);
+            rows.filter(|&i| bits[i]).count() as u64
         };
-        let check = |got: &RoaringVec, want: Vec<bool>, label: &str| {
-            assert_eq!(got.len(), want.len() as u64);
-            for (i, &w) in want.iter().enumerate() {
-                assert_eq!(got.get(i as u64), w, "{label} bit {i}");
-            }
-        };
-        check(&a.and(&b), naive(|x, y| x & y), "and");
-        check(&a.or(&b), naive(|x, y| x | y), "or");
-        check(&a.xor(&b), naive(|x, y| x ^ y), "xor");
-        check(&a.andnot(&b), naive(|x, y| x & !y), "andnot");
-        let and_ones = naive(|x, y| x & y).iter().filter(|&&v| v).count() as u64;
-        assert_eq!(a.and_count(&b), and_ones);
+        assert_eq!(a.count_ones_in_ranges(&ranges), in_ranges(&a_bits));
+        assert_eq!(b.intersects_ranges(&ranges), in_ranges(&b_bits) > 0);
+        assert!(!b.intersects_ranges(&[]));
+
+        let window = 60_000..140_000u64;
+        let mut visited = vec![false; a_bits.len()];
+        a.for_each_run_in(window.clone(), |s, e| {
+            visited[s as usize..e as usize].fill(true)
+        });
+        for (i, &bit) in a_bits.iter().enumerate() {
+            let want = bit && window.contains(&(i as u64));
+            assert_eq!(visited[i], want, "run walk bit {i}");
+        }
+
+        let mut words = vec![0u64; a_bits.len().div_ceil(64)];
+        a.or_into(&mut words);
+        b.or_into(&mut words);
+        for (i, (&x, &y)) in a_bits.iter().zip(&b_bits).enumerate() {
+            assert_eq!(
+                words[i >> 6] >> (i & 63) & 1 == 1,
+                x || y,
+                "dense OR bit {i}"
+            );
+        }
     }
 
     #[test]
@@ -1193,14 +1015,41 @@ mod tests {
 
     #[test]
     fn partial_tail_chunk_is_masked() {
-        let len = CONTAINER_BITS + 100;
-        let a = RoaringVec::from_bits((0..len).map(|_| true));
-        let b = RoaringVec::from_bits((0..len).map(|i| i % 2 == 0));
-        let o = a.or(&b);
-        assert_eq!(o.count_ones(), len);
-        let x = a.andnot(&b);
-        assert_eq!(x.count_ones(), len - len.div_ceil(2));
-        assert_eq!(a.to_wah().len(), len);
+        // a final chunk shorter than 64Ki bits: readers stop at the
+        // length, and a stored bit at or past it is refused in any form
+        let len = 2 * CONTAINER_BITS - 100;
+        let forms = [
+            (
+                ContainerForm::Runs,
+                RoaringVec::from_bits((0..len).map(|_| true)),
+            ),
+            (
+                ContainerForm::Bits,
+                RoaringVec::from_bits((0..len).map(|i| i % 2 == 1)),
+            ),
+            (
+                ContainerForm::Array,
+                RoaringVec::from_bits((0..len).map(|i| i == len - 1)),
+            ),
+        ];
+        for (form, v) in &forms {
+            assert_eq!(v.container_forms()[1], *form);
+            assert!(v.get(len - 1));
+            let want = v.to_wah();
+            assert_eq!(want.len(), len);
+            let every_row = 0..len;
+            let in_range = v.count_ones_in_ranges(std::slice::from_ref(&every_row));
+            assert_eq!(in_range, want.count_ones());
+            let mut words = vec![0u64; len.div_ceil(64) as usize];
+            v.or_into(&mut words);
+            let ones: u64 = words.iter().map(|w| w.count_ones() as u64).sum();
+            assert_eq!(ones, want.count_ones(), "{form:?}");
+            // the same containers under a length one bit shorter
+            let mut blob = v.serialize();
+            blob[..8].copy_from_slice(&(len - 1).to_le_bytes());
+            let err = RoaringVec::deserialize(&blob).unwrap_err();
+            assert!(err.contains("past length"), "{form:?}: {err}");
+        }
     }
 
     #[test]
@@ -1253,6 +1102,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn length_mismatch_panics() {
-        let _ = RoaringVec::zeros(10).and_count(&RoaringVec::zeros(11));
+        let zeros = |n: u64| RoaringVec::from_wah(&WahVec::zeros(n));
+        let _ = zeros(10).and_count(&zeros(11));
     }
 }

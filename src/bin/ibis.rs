@@ -186,6 +186,26 @@ fn get_range(flags: &Flags, name: &str) -> Result<Option<(f64, f64)>, String> {
     Ok(Some((lo, hi)))
 }
 
+/// `--name LO:HI` as a half-open range of row ids: whole non-negative
+/// numbers, so a NaN, negative or fractional bound is a usage error.
+fn get_rows(flags: &Flags, name: &str) -> Result<Option<(u64, u64)>, String> {
+    let Some(v) = flags.get(name) else {
+        return Ok(None);
+    };
+    let row = |s: &str| {
+        s.parse::<u64>()
+            .map_err(|_| format!("--{name}: expected row ids LO:HI, got {v:?}"))
+    };
+    let (lo, hi) = v
+        .split_once(':')
+        .ok_or_else(|| format!("--{name}: expected LO:HI, got {v:?}"))?;
+    let (lo, hi) = (row(lo)?, row(hi)?);
+    if hi <= lo {
+        return Err(format!("--{name}: empty range {v:?}"));
+    }
+    Ok(Some((lo, hi)))
+}
+
 /// `--row-order NAME`: the compression-aware row ordering applied before
 /// bitmap generation. `auto` is only meaningful where a probe simulation
 /// exists (`ibis insitu`); callers that can't probe pass `allow_auto =
@@ -544,9 +564,8 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
     if let Some((lo, hi)) = get_range(flags, "value-b")? {
         qb = qb.with_value(lo, hi);
     }
-    if let Some((lo, hi)) = get_range(flags, "region")? {
-        let n = ia.len();
-        let (lo, hi) = (lo as u64, (hi as u64).min(n));
+    if let Some((lo, hi)) = get_rows(flags, "region")? {
+        let hi = hi.min(ia.len());
         if lo >= hi {
             return Err("--region: empty after clamping".into());
         }

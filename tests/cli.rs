@@ -137,6 +137,24 @@ fn mine_rejects_a_nan_threshold() {
     mine_rejects(&["--t2", "inf"], "--t2");
 }
 
+/// A `--region` is a range of row ids: a NaN, negative or fractional
+/// bound is a usage error, not a float cast to some other rows.
+#[test]
+fn query_rejects_a_region_that_is_not_row_ids() {
+    for region in ["NaN:900", "-50:900", "100.7:900.2", "100:", "900:100"] {
+        let out = ibis()
+            .args(["query", "--var-a", "temperature", "--var-b", "salinity"])
+            .args(["--grid", "32x24x4", "--region", region])
+            .output()
+            .expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{region}: {err}");
+        assert!(err.starts_with("error: --region"), "{region}: {err}");
+        assert!(err.contains("USAGE"), "{region}: {err}");
+        assert!(out.stdout.is_empty(), "{region}: answered anyway");
+    }
+}
+
 /// `--cache-mb` past what a byte count can hold is a usage error before
 /// any store is opened, not a budget wrapped to a few bytes.
 fn cache_mb_overflows(args: &[&str]) {
