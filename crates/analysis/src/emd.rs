@@ -391,7 +391,8 @@ mod tests {
         let ib = BitmapIndex::build(&b, binner.clone());
         let diffs: Vec<u64> = (0..3).map(|j| bin_diff(&ia, j, &ib, j)).collect();
         for (j, &d) in diffs.iter().enumerate() {
-            assert_eq!(d, ia.bin(j).xor(ib.bin(j)).count_ones());
+            let (x, y) = (ia.bin(j).to_bools(), ib.bin(j).to_bools());
+            assert_eq!(d, x.iter().zip(&y).filter(|(p, q)| p != q).count() as u64);
         }
         let differing = a.iter().zip(&b).filter(|(x, y)| x != y).count() as u64;
         assert_eq!(diffs.iter().sum::<u64>(), 2 * differing);

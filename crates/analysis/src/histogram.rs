@@ -3,12 +3,20 @@
 //!
 //! Every metric in this crate is a pure function of (joint) bin counts. The
 //! bitmap path obtains the same counts from cached popcounts and, for joint
-//! tables, from [`joint_counts`] — one pass over the compressed bins, or the
-//! paper's AND + popcount per bin pair; the full-data path obtains them by
+//! tables, from [`joint_counts`] — one pass over the compressed bins that
+//! labels every row with its bin; the full-data path obtains them by
 //! scanning the raw arrays. Because both paths feed identical counts into
 //! identical scoring code, the bitmap results match the full-data results
 //! *exactly* (the paper's no-accuracy-loss claim), which the tests assert
 //! bit-for-bit.
+//!
+//! The label walk rests on Algorithm 1's partition — every row in exactly
+//! one bin — and names a bin in a `u16`, which every binning fits
+//! ([`Binner::MAX_BINS`]). An operand whose bins do not partition its rows
+//! (a lossy superset) is a caller's error: the walk panics, and the query
+//! layer answers `QueryError::NotAPartition` before it gets there. The
+//! paper's Figure 5 kernel, one AND count per bin pair
+//! ([`joint_counts_and_table`]), assumes nothing and stays as the oracle.
 
 use ibis_core::wah::LITERAL_MASK;
 use ibis_core::{Binner, BitmapIndex, CodecVec, Ones, OnesCursor, RoaringVec, WahVec};
@@ -40,10 +48,9 @@ pub fn joint_histogram(a: &[f64], b: &[f64], binner_a: &Binner, binner_b: &Binne
     h
 }
 
-// Which joint-table kernel ran, and how many chunks the partition kernel
-// labelled or skipped (family `query`, DESIGN.md §6g). No-ops without `obs`.
+// Joint tables the label walk counted, and how many chunks it labelled or
+// skipped (family `query`, DESIGN.md §6g). No-ops without `obs`.
 static OBS_JOINT_PARTITION: LazyCounter = LazyCounter::new("query.joint.partition");
-static OBS_JOINT_AND_TABLE: LazyCounter = LazyCounter::new("query.joint.and_table");
 static OBS_CHUNKS_LABELLED: LazyCounter = LazyCounter::new("query.joint.chunks.labelled");
 static OBS_CHUNKS_SKIPPED: LazyCounter = LazyCounter::new("query.joint.chunks.skipped");
 
@@ -53,12 +60,12 @@ const SEG: usize = 31;
 /// operands' labels (2 × 31 KB by row + 2 × 3 KB by segment) stay
 /// L2-resident.
 pub const CHUNK_ROWS: u64 = (SEG * 512) as u64;
+/// Segment label: no admitted bin holds a row of the segment. The first id
+/// past every bin's ([`Binner::MAX_BINS`]).
+const NONE: u16 = Binner::MAX_BINS as u16;
 /// Segment label: the segment's rows sit in several bins, or some in no
 /// admitted one — read the row labels, under the segment's mask.
-const MIXED: u16 = u16::MAX;
-/// Segment label: no admitted bin holds a row of the segment. With
-/// [`MIXED`], why a bin id must stay below it.
-const NONE: u16 = u16::MAX - 1;
+const MIXED: u16 = NONE + 1;
 
 /// The rows of one bin, walked on the form the bin is held in.
 enum BinRows<'a> {
@@ -202,32 +209,36 @@ fn segment_bits(from: usize, to: usize) -> u32 {
 
 /// Joint bin counts of two indices, flattened like [`joint_histogram`] and
 /// exactly equal to it on the underlying data — from the bitmaps alone:
-/// [`joint_counts_where`] over every bin and row, or, for operands it
-/// cannot label, [`joint_counts_and_table`].
+/// [`joint_counts_where`] over every bin and row.
+///
+/// # Panics
+/// When the indices cover different element counts, or an index's bins do
+/// not partition its rows ([`BitmapIndex::partitions`]).
 pub fn joint_counts(a: &BitmapIndex, b: &BitmapIndex) -> Vec<u64> {
     joint_counts_where(a, b, 0..a.nbins(), 0..b.nbins(), None)
-        .unwrap_or_else(|| joint_counts_and_table(a, b, None))
 }
 
 /// The joint table of the rows that lie in `ranges` — sorted, disjoint
 /// ranges of the indices' rows; `None` is every row — and in an admitted
 /// bin of each operand (a span past the last bin admits nothing there): a
 /// correlation's table with no selection built: [`joint_counts_per_range`]
-/// summed into one table. `None` when an operand does not partition its
-/// rows (a lossy superset) or has more bins than labels.
+/// summed into one table.
+///
+/// # Panics
+/// As [`joint_counts_per_range`].
 pub fn joint_counts_where(
     a: &BitmapIndex,
     b: &BitmapIndex,
     bins_a: Range<usize>,
     bins_b: Range<usize>,
     ranges: Option<&[Range<u64>]>,
-) -> Option<Vec<u64>> {
+) -> Vec<u64> {
     let nb = b.nbins();
     let mut joint = vec![0u64; a.nbins() * nb];
     let cells = &mut joint[..];
     let labelled = joint_counts_per_range(a, b, bins_a, bins_b, ranges, move |_, j, k, c| {
         cells[j * nb + k] += c
-    })?;
+    });
     let skipped = a.len().div_ceil(CHUNK_ROWS) - labelled;
     OBS_JOINT_PARTITION.inc();
     if labelled > 0 {
@@ -236,7 +247,7 @@ pub fn joint_counts_where(
     if skipped > 0 {
         OBS_CHUNKS_SKIPPED.add(skipped);
     }
-    Some(joint)
+    joint
 }
 
 /// The joint counts of [`joint_counts_where`], each handed to `sink` as
@@ -244,9 +255,8 @@ pub fn joint_counts_where(
 /// range the rows lie in (0 for `None`), in non-decreasing order, a cell
 /// of one range possibly in several calls: the correlation miner's
 /// spatial stage, with its units as the ranges. Returns the chunks it
-/// labelled; `None`, and nothing counted, when an operand does not
-/// partition its rows or has more bins than labels. (The `query.joint.*`
-/// counters tick once per table, in [`joint_counts_where`].)
+/// labelled. (The `query.joint.*` counters tick once per table, in
+/// [`joint_counts_where`].)
 ///
 /// The bins of an index built from data *partition* its rows, so "the row
 /// passes the value predicate" is "the row's label is an admitted bin",
@@ -260,6 +270,10 @@ pub fn joint_counts_where(
 /// sets, whole stretches of equally-labelled segments at a time. O(words
 /// of the admitted bins + rows in mixed segments of the stretches
 /// touched); `a` and `b` being one index labels once.
+///
+/// # Panics
+/// When the indices cover different element counts, or an index's bins do
+/// not partition its rows: a row in two bins, or in none, has no label.
 pub fn joint_counts_per_range<F: FnMut(usize, usize, usize, u64)>(
     a: &BitmapIndex,
     b: &BitmapIndex,
@@ -267,11 +281,12 @@ pub fn joint_counts_per_range<F: FnMut(usize, usize, usize, u64)>(
     bins_b: Range<usize>,
     ranges: Option<&[Range<u64>]>,
     mut sink: F,
-) -> Option<u64> {
+) -> u64 {
     assert_eq!(a.len(), b.len(), "indexes cover different element counts");
-    if !(a.partitions() && b.partitions()) || a.nbins().max(b.nbins()) > NONE as usize {
-        return None;
-    }
+    assert!(
+        a.partitions() && b.partitions(),
+        "the label walk needs bins that partition their rows"
+    );
     let n = a.len();
     let whole = 0..n;
     let ranges = ranges.unwrap_or(std::slice::from_ref(&whole));
@@ -332,7 +347,7 @@ pub fn joint_counts_per_range<F: FnMut(usize, usize, usize, u64)>(
             }
         }
     }
-    Some(labelled)
+    labelled
 }
 
 /// The rows `bits` of the stretch's segment `s`, kept by range `i`.
@@ -360,11 +375,10 @@ fn count_segment<F: FnMut(usize, usize, usize, u64)>(
 
 /// The paper's Figure 5 kernel: one compressed `AND` + popcount per pair
 /// of non-empty bins (each row of the table first masked by `sel`).
-/// Assumes nothing about the bins, so it is what [`joint_counts`] falls
-/// back to, and its oracle.
+/// Assumes nothing about the bins: [`joint_counts`]'s oracle, and the
+/// label walk's comparator in the `query` bench.
 pub fn joint_counts_and_table(a: &BitmapIndex, b: &BitmapIndex, sel: Option<&WahVec>) -> Vec<u64> {
     assert_eq!(a.len(), b.len(), "indexes cover different element counts");
-    OBS_JOINT_AND_TABLE.inc();
     let nb = b.nbins();
     let mut joint = vec![0u64; a.nbins() * nb];
     for j in (0..a.nbins()).filter(|&j| a.counts()[j] != 0) {
@@ -463,7 +477,7 @@ mod tests {
                 let sel = (ia.or_bins(bins_a.clone())).and(&ib.or_bins(bins_b.clone()));
                 let sel = mask.map_or(sel.clone(), |m| sel.and(&m));
                 let got = joint_counts_where(&ia, &ib, bins_a, bins_b, ranges.as_deref());
-                assert_eq!(got.unwrap(), joint_counts_and_table(&ia, &ib, Some(&sel)));
+                assert_eq!(got, joint_counts_and_table(&ia, &ib, Some(&sel)));
             }
         }
     }
@@ -496,7 +510,7 @@ mod tests {
                 let sel = mask.map_or(sel.clone(), |m| sel.and(&m));
                 let want = joint_counts_and_table(&ia, &ib, Some(&sel));
                 let got = joint_counts_where(&ia, &ib, bins_a.clone(), bins_b.clone(), ranges);
-                assert_eq!(got.unwrap(), want, "{bins_a:?} {bins_b:?} {ranges:?}");
+                assert_eq!(got, want, "{bins_a:?} {bins_b:?} {ranges:?}");
             }
         }
     }
@@ -508,7 +522,7 @@ mod tests {
         let ib = BitmapIndex::build(&data_b(), ba);
         let inside = joint_counts_where(&ia, &ib, 8..12, 0..12, None);
         assert_eq!(joint_counts_where(&ia, &ib, 8..40, 0..99, None), inside);
-        let none = joint_counts_where(&ia, &ib, 12..40, 0..12, None).unwrap();
+        let none = joint_counts_where(&ia, &ib, 12..40, 0..12, None);
         assert!(none.iter().all(|&c| c == 0));
     }
 

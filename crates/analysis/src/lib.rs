@@ -2,10 +2,13 @@
 //! # ibis-analysis — online and offline analytics on bitmaps
 //!
 //! Every analysis in the paper, in both its *full data* form (scans over raw
-//! arrays) and its *bitmaps* form (popcounts + compressed AND/XOR on
-//! [`ibis_core::BitmapIndex`]) — with **exactly equal results** under the
-//! same binning scale, the paper's central no-accuracy-loss claim (asserted
-//! bit-for-bit by this crate's tests):
+//! arrays) and its *bitmaps* form (popcounts, AND counts and one-pass
+//! label walks on [`ibis_core::BitmapIndex`]) — with **exactly equal
+//! results** under the same binning scale, the paper's central
+//! no-accuracy-loss claim (asserted bit-for-bit by this crate's tests).
+//! Every bitmap statistic is a sum of label counts, so each one reads
+//! indices whose bins partition their rows, as every index built from data
+//! does; a lossy superset is a filter for `SubsetQuery::intersects` only:
 //!
 //! * [`entropy`] — Shannon entropy, mutual information, conditional entropy
 //!   (Equations 4–6).
@@ -47,6 +50,6 @@ pub use query::{
     plan_value_range, shard_mask, shard_ranges, stored_ranges, CorrelationAnswer,
     CorrelationPartial, QueryError, RangePlan, SubsetQuery,
 };
-pub use sampling::{lossy_summaries, sample, SamplingMethod};
-pub use selection::{select_dp, select_greedy, select_greedy_lossy, Partitioning, Selection};
+pub use sampling::{sample, SamplingMethod};
+pub use selection::{select_dp, select_greedy, Partitioning, Selection};
 pub use summary::{Metric, StepSummary, VarSummary};

@@ -19,10 +19,9 @@
 //! lies (WAH or Roaring), and each count it makes lands in its unit's
 //! marginals and, for a surviving pair, in that pair's per-unit count. The
 //! units split into contiguous groups across the rayon pool; integer sums
-//! over disjoint rows make the result byte-identical at every width. An
-//! operand whose bins do not partition its rows (a lossy superset) cannot
-//! be labelled, and counts each surviving pair per unit on the materialised
-//! `AND` instead.
+//! over disjoint rows make the result byte-identical at every width. Both
+//! walks label rows, so both operands' bins must partition their rows, as
+//! every index built from data does.
 //!
 //! The per-pair score is the mutual information between the two *indicator*
 //! variables "value of A falls in bin j" / "value of B falls in bin k" —
@@ -36,7 +35,7 @@
 //! how much work it pruned.
 
 use crate::histogram::{joint_counts, joint_counts_per_range};
-use ibis_core::{Binner, BitmapIndex, MultiLevelIndex, WahVec};
+use ibis_core::{Binner, BitmapIndex, MultiLevelIndex};
 use rayon::prelude::*;
 use std::ops::Range;
 
@@ -180,6 +179,10 @@ impl MiningResult {
 /// walk (see the module docs). The result — subsets, ordering and work
 /// counters — equals [`mine_full`]'s and is byte-identical at every pool
 /// width (tested against a one-thread pool, which runs every drive inline).
+///
+/// # Panics
+/// When the indices cover different element counts, `cfg.unit_size` is 0,
+/// or an index's bins do not partition its rows (a lossy superset).
 pub fn mine_index(a: &BitmapIndex, b: &BitmapIndex, cfg: &MiningConfig) -> MiningResult {
     assert_eq!(a.len(), b.len(), "variables must cover the same elements");
     assert!(cfg.unit_size > 0, "unit_size must be positive");
@@ -220,9 +223,7 @@ fn spatial_step(
         return;
     }
     result.units_evaluated += pairs.len() * a.len().div_ceil(cfg.unit_size) as usize;
-    let found =
-        walk_units(a, b, pairs, joint, cfg).unwrap_or_else(|| and_per_unit(a, b, pairs, cfg));
-    result.subsets.extend(found);
+    result.subsets.extend(walk_units(a, b, pairs, joint, cfg));
     sort_subsets(&mut result.subsets);
 }
 
@@ -249,22 +250,22 @@ fn subset(
 /// group of contiguous units, the units its ranges, the groups split across
 /// the pool. Each count lands in its unit's rows per bin and, for a
 /// surviving pair, in the pair's; a unit is scored once the walk has moved
-/// past it. `None` for operands the walk cannot label. (The `query.joint.*`
-/// counters count tables, so only step 1 ticks them, whatever the width.)
+/// past it. (The `query.joint.*` counters count tables, so only step 1
+/// ticks them, whatever the width.)
 fn walk_units(
     a: &BitmapIndex,
     b: &BitmapIndex,
     pairs: &[Survivor],
     mut slot: Vec<u64>,
     cfg: &MiningConfig,
-) -> Option<Vec<MinedSubset>> {
+) -> Vec<MinedSubset> {
     let (n, na, nb) = (a.len(), a.nbins(), b.nbins());
     // cell `j * nb + k` -> its pair's index in `pairs`, if it survived
     slot.fill(u64::MAX);
     for (p, &(j, k, _)) in pairs.iter().enumerate() {
         slot[j * nb + k] = p as u64;
     }
-    let groups: Option<Vec<Vec<MinedSubset>>> = split(n.div_ceil(cfg.unit_size) as usize)
+    let groups: Vec<Vec<MinedSubset>> = split(n.div_ceil(cfg.unit_size) as usize)
         .into_par_iter()
         .map(|units| {
             let first = units.start;
@@ -281,45 +282,24 @@ fn walk_units(
                 b.fill(0);
                 ab.fill(0);
             };
-            let labelled =
-                joint_counts_per_range(a, b, 0..na, 0..nb, Some(&ranges), |i, j, k, c| {
-                    while scored < i {
-                        score(first + scored, &mut unit_a, &mut unit_b, &mut unit_ab);
-                        scored += 1;
-                    }
-                    unit_a[j] += c;
-                    unit_b[k] += c;
-                    if let Some(ab) = unit_ab.get_mut(slot[j * nb + k] as usize) {
-                        *ab += c;
-                    }
-                });
+            joint_counts_per_range(a, b, 0..na, 0..nb, Some(&ranges), |i, j, k, c| {
+                while scored < i {
+                    score(first + scored, &mut unit_a, &mut unit_b, &mut unit_ab);
+                    scored += 1;
+                }
+                unit_a[j] += c;
+                unit_b[k] += c;
+                if let Some(ab) = unit_ab.get_mut(slot[j * nb + k] as usize) {
+                    *ab += c;
+                }
+            });
             for unit in scored..ranges.len() {
                 score(first + unit, &mut unit_a, &mut unit_b, &mut unit_ab);
             }
-            labelled.map(|_| found)
+            found
         })
         .collect();
-    groups.map(|found| found.concat())
-}
-
-/// [`spatial_step`] for operands the walk cannot label: each surviving
-/// pair's bins and their materialised `AND` counted per unit.
-fn and_per_unit(
-    a: &BitmapIndex,
-    b: &BitmapIndex,
-    pairs: &[Survivor],
-    cfg: &MiningConfig,
-) -> Vec<MinedSubset> {
-    let per_unit = |v: &WahVec| v.count_ones_per_unit(cfg.unit_size);
-    let mut found = Vec::new();
-    for &pair @ (j, k, _) in pairs {
-        let (va, vb) = (a.bin(j), b.bin(k));
-        let units = (per_unit(va).into_iter().zip(per_unit(vb))).zip(per_unit(&va.and(vb)));
-        for (u, ((c_a, c_b), c_ab)) in units.enumerate() {
-            found.extend(subset(pair, u, [c_a, c_b, c_ab], a.len(), cfg));
-        }
-    }
-    found
+    groups.concat()
 }
 
 /// The full-data comparator: identical semantics via raw scans — bin the
@@ -430,9 +410,9 @@ pub struct MultiLevelStats {
 /// Both levels are read off the one fine joint table: a coarse pair's
 /// count is the table's block under `children(hj) × children(hk)`, which,
 /// bins partitioning rows, is `|H_a ∧ H_b|` exactly — no high bin is built.
-/// An operand that does not partition (a lossy superset) has no such
-/// identity: its high bins are built here, once per call, as the OR of
-/// their children, and ANDed.
+///
+/// # Panics
+/// As [`mine_index`].
 pub fn mine_multilevel(
     a: &MultiLevelIndex,
     b: &MultiLevelIndex,
@@ -452,40 +432,22 @@ pub fn mine_multilevel(
     }
     let joint = joint_counts(low_a, low_b);
     let (n, nb) = (low_a.len(), low_b.nbins());
-    let partitions = low_a.partitions() && low_b.partitions();
-    let nhigh = |ml: &MultiLevelIndex| ml.low().nbins().div_ceil(ml.group());
-    // the high bins, built only where block sums cannot stand in for them
-    let built = |ml: &MultiLevelIndex| -> Vec<WahVec> {
-        match partitions {
-            true => Vec::new(),
-            false => (0..nhigh(ml))
-                .map(|h| ml.low().or_bins(ml.children(h)))
-                .collect(),
-        }
-    };
-    let (built_a, built_b) = (built(a), built(b));
     // the non-empty high bins, with their rows
-    let high = |ml: &MultiLevelIndex, built: &[WahVec]| -> Vec<(usize, u64)> {
-        let rows = |h| match built.get(h) {
-            None => ml.children(h).map(|j| ml.low().counts()[j]).sum(),
-            Some(v) => v.count_ones(),
-        };
-        (0..nhigh(ml))
+    let high = |ml: &MultiLevelIndex| -> Vec<(usize, u64)> {
+        let rows = |h| ml.children(h).map(|j| ml.low().counts()[j]).sum();
+        (0..ml.low().nbins().div_ceil(ml.group()))
             .map(|h| (h, rows(h)))
             .filter(|&(_, c)| c != 0)
             .collect()
     };
-    let (high_a, high_b) = (high(a, &built_a), high(b, &built_b));
+    let (high_a, high_b) = (high(a), high(b));
     let mut survivors = Vec::new();
     for &(hj, c_hj) in &high_a {
         for &(hk, c_hk) in &high_b {
             stats.high_pairs_evaluated += 1;
-            let c_hjk = match partitions {
-                true => (a.children(hj))
-                    .map(|j| joint[j * nb..][b.children(hk)].iter().sum::<u64>())
-                    .sum(),
-                false => built_a[hj].and_count(&built_b[hk]),
-            };
+            let c_hjk = (a.children(hj))
+                .map(|j| joint[j * nb..][b.children(hk)].iter().sum::<u64>())
+                .sum();
             if joint_pair_score(n, c_hj, c_hk, c_hjk) < cfg.value_threshold {
                 stats.high_pairs_pruned += 1;
                 continue;
@@ -677,6 +639,18 @@ mod tests {
         if stats.high_pairs_pruned > 0 {
             assert!(stats.low_pairs_evaluated < flat.pairs_evaluated);
         }
+    }
+
+    /// A lossy superset's bins overlap: no row has one label to walk.
+    #[test]
+    #[should_panic(expected = "partition their rows")]
+    fn mining_bins_that_are_no_partition_panics() {
+        let (a, _) = planted(512);
+        let ia = BitmapIndex::build(&a, binner());
+        let mut bins: Vec<_> = ia.bins().cloned().collect();
+        bins[0] = bins[0].or(&bins[1]);
+        let overlapping = BitmapIndex::from_bins(binner(), bins);
+        let _ = mine_index(&ia, &overlapping, &cfg());
     }
 
     #[test]

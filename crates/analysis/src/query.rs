@@ -16,6 +16,14 @@
 //! variables) is a typed [`QueryError`], never a panic, and inverted or
 //! empty value intervals are well-defined empty selections.
 //!
+//! Every statistic here — a subset count, a correlation's joint table —
+//! is a sum of label counts, so it reads an index whose bins *partition*
+//! its rows ([`BitmapIndex::partitions`]), as every index built from data
+//! does. [`SubsetQuery::count`] and [`correlation_partial_shard`] check
+//! that first and answer [`QueryError::NotAPartition`] for an operand that
+//! breaks it (a lossy superset); only [`SubsetQuery::intersects`], an
+//! emptiness probe, reads such an index.
+//!
 //! # The range planner
 //!
 //! A `value_range` predicate touches a contiguous span of bins; which bins
@@ -41,7 +49,7 @@
 
 use crate::aggregate::{self, Estimate};
 use crate::entropy::{shannon_entropy_from_counts, JointCells};
-use crate::histogram::{joint_counts_and_table, joint_counts_where};
+use crate::histogram::joint_counts_where;
 use ibis_core::{BitmapIndex, MultiLevelIndex, RowPermutation, WahVec};
 use ibis_obs::LazyCounter;
 use std::fmt;
@@ -52,12 +60,9 @@ use std::ops::Range;
 static OBS_PLAN_OR: LazyCounter = LazyCounter::new("query.plan.or_bins");
 static OBS_PLAN_COMPLEMENT: LazyCounter = LazyCounter::new("query.plan.complement");
 static OBS_PLAN_EMPTY: LazyCounter = LazyCounter::new("query.plan.empty");
-// How a subset count was answered (the second: a non-partitioning index).
+// Subset counts and correlation shard partials answered.
 static OBS_SUBSET_COUNTED: LazyCounter = LazyCounter::new("query.subset.counted");
-static OBS_SUBSET_MATERIALIZED: LazyCounter = LazyCounter::new("query.subset.materialized");
-// How a correlation's shard partial was counted (likewise).
 static OBS_CORR_SELECTION_FREE: LazyCounter = LazyCounter::new("query.corr.selection_free");
-static OBS_CORR_MATERIALIZED: LazyCounter = LazyCounter::new("query.corr.materialized");
 // Region predicates resolved against a row permutation (family `reorder`,
 // see DESIGN.md §6j).
 static OBS_REGION_SEGMENTS: LazyCounter = LazyCounter::new("reorder.query.region_mapped.segments");
@@ -96,6 +101,15 @@ pub enum QueryError {
     /// the two bin counts, equal when only the edges differ: their counts
     /// name different bins and cannot be summed.
     BinningMismatch(usize, usize),
+    /// A statistic's operand does not partition its rows (a lossy
+    /// superset): its bins hold `counted` rows of its `rows`, so no count
+    /// read off them is a count of rows.
+    NotAPartition {
+        /// Rows the operand covers.
+        rows: u64,
+        /// Rows its bins hold, summed.
+        counted: u64,
+    },
 }
 
 impl fmt::Display for QueryError {
@@ -113,11 +127,25 @@ impl fmt::Display for QueryError {
             QueryError::BinningMismatch(a, b) => {
                 write!(f, "shards disagree on a binning: {a} vs {b} bins or edges")
             }
+            QueryError::NotAPartition { rows, counted } => {
+                write!(f, "bins hold {counted} rows of {rows}: not a partition")
+            }
         }
     }
 }
 
 impl std::error::Error for QueryError {}
+
+/// [`QueryError::NotAPartition`] unless `index`'s bins partition its rows.
+fn check_partition(index: &BitmapIndex) -> Result<(), QueryError> {
+    match index.partitions() {
+        true => Ok(()),
+        false => Err(QueryError::NotAPartition {
+            rows: index.len(),
+            counted: index.counts().iter().sum(),
+        }),
+    }
+}
 
 impl From<ibis_core::RangeQueryError> for QueryError {
     fn from(e: ibis_core::RangeQueryError) -> Self {
@@ -180,7 +208,8 @@ impl SubsetQuery {
     pub fn evaluate(&self, index: &BitmapIndex) -> Result<WahVec, QueryError> {
         let n = index.len();
         let ranges = stored_ranges(&[self], n, None)?;
-        evaluate_shard(self, index, 0..n, ranges.as_deref())
+        let mask = ranges.map(|r| shard_mask(&r, 0..n));
+        self.evaluate_masked(index, mask.as_ref())
     }
 
     /// The selection over `index` given the shard's prebuilt region
@@ -215,20 +244,15 @@ impl SubsetQuery {
     /// The predicate is planned ([`plan_value_range`]) and the plan counted
     /// ([`count_range_plan`]) on each bin in the form it is held in — a
     /// cached cardinality, or a search of a bin's rows under a region,
-    /// where an OR reads every word — on the precondition that the bins
-    /// partition the rows; an index whose bins do not (a lossy superset)
-    /// materialises its value selection and counts that.
+    /// where an OR reads every word. An index whose bins do not partition
+    /// its rows (a lossy superset) is [`QueryError::NotAPartition`].
     pub fn count(
         &self,
         index: &BitmapIndex,
         ranges: Option<&[Range<u64>]>,
     ) -> Result<u64, QueryError> {
         check_ranges(index, ranges)?;
-        if !index.partitions() {
-            OBS_SUBSET_MATERIALIZED.inc();
-            let sel = self.evaluate_masked(index, None)?;
-            return Ok(ranges.map_or_else(|| sel.count_ones(), |r| sel.count_ones_in_ranges(r)));
-        }
+        check_partition(index)?;
         OBS_SUBSET_COUNTED.inc();
         match self.value_range {
             Some((lo, hi)) => {
@@ -603,20 +627,6 @@ fn correlation_query_with(
 //    [`crate::aggregate::sum_from_bin_counts`]) — summed counts through the
 //    same finisher give bit-identical floats.
 
-/// Evaluates a query against one spatial shard covering stored rows
-/// `[rows.start, rows.end)`. The returned selection is exactly
-/// `global_selection.slice(rows)`. `ranges` is the query's region over the
-/// whole store ([`stored_ranges`]).
-fn evaluate_shard(
-    query: &SubsetQuery,
-    index: &BitmapIndex,
-    rows: Range<u64>,
-    ranges: Option<&[Range<u64>]>,
-) -> Result<WahVec, QueryError> {
-    let mask = ranges.map(|r| shard_mask(r, rows));
-    query.evaluate_masked(index, mask.as_ref())
-}
-
 /// One shard's additive contribution to a correlation query: every term
 /// the coordinator needs, as exact integers. Merge partials with
 /// [`CorrelationPartial::merge`] and finish with [`finish_correlation`].
@@ -628,12 +638,10 @@ pub struct CorrelationPartial {
     /// row-major over `nbins_a × nbins_b`.
     pub joint: Vec<u64>,
     /// Per-bin selection counts of variable A (`bin ∧ selection`), the sum
-    /// finisher's input. They are `joint`'s row sums whenever B's bins
-    /// partition the rows — every index built from data — and carried
-    /// explicitly because a lossy superset B breaks that.
+    /// finisher's input: `joint`'s row sums, both operands partitioning
+    /// their rows.
     pub counts_a: Vec<u64>,
-    /// Per-bin selection counts of variable B (`joint`'s column sums when
-    /// A partitions).
+    /// Per-bin selection counts of variable B (`joint`'s column sums).
     pub counts_b: Vec<u64>,
 }
 
@@ -676,10 +684,10 @@ impl CorrelationPartial {
 /// selected joint table. Both value predicates are taken under the one
 /// joint region `ranges` ([`stored_ranges`] of both queries over the whole
 /// store): a row outside either query's region is dropped either way.
-/// Operands that partition their rows materialise nothing — a predicate is
-/// the bin span it admits, the region the shard's share of `ranges`, inside
-/// the one label walk; otherwise (a lossy superset) both selections are
-/// built and ANDed.
+/// Nothing is materialised — a predicate is the bin span it admits, the
+/// region the shard's share of `ranges`, inside the one label walk — so an
+/// operand whose bins do not partition its rows is
+/// [`QueryError::NotAPartition`].
 pub fn correlation_partial_shard(
     a: &BitmapIndex,
     b: &BitmapIndex,
@@ -693,35 +701,25 @@ pub fn correlation_partial_shard(
     if let Some(&len_b) = [b.len(), shard].iter().find(|&&len| len != len_a) {
         return Err(QueryError::LengthMismatch { len_a, len_b });
     }
-    let local = ranges.map(|r| shard_ranges(r, rows.clone()));
+    let local = ranges.map(|r| shard_ranges(r, rows));
     let (bins_a, bins_b) = (query_a.admitted_bins(a)?, query_b.admitted_bins(b)?);
-    let walked = joint_counts_where(a, b, bins_a.clone(), bins_b.clone(), local.as_deref());
-    if let Some(joint) = walked {
-        OBS_CORR_SELECTION_FREE.inc();
-        // every counted cell lies in the admitted rectangle: its sums are
-        // the per-bin counts, with no strided pass over the whole table
-        let mut counted = CorrelationPartial::zero(a.nbins(), b.nbins());
-        for j in bins_a {
-            let row = &joint[j * b.nbins()..][bins_b.clone()];
-            counted.counts_a[j] = row.iter().sum();
-            for (sum, c) in counted.counts_b[bins_b.clone()].iter_mut().zip(row) {
-                *sum += c;
-            }
+    check_partition(a)?;
+    check_partition(b)?;
+    OBS_CORR_SELECTION_FREE.inc();
+    let joint = joint_counts_where(a, b, bins_a.clone(), bins_b.clone(), local.as_deref());
+    // every counted cell lies in the admitted rectangle: its sums are the
+    // per-bin counts, with no strided pass over the whole table
+    let mut counted = CorrelationPartial::zero(a.nbins(), b.nbins());
+    for j in bins_a {
+        let row = &joint[j * b.nbins()..][bins_b.clone()];
+        counted.counts_a[j] = row.iter().sum();
+        for (sum, c) in counted.counts_b[bins_b.clone()].iter_mut().zip(row) {
+            *sum += c;
         }
-        counted.selected = counted.counts_a.iter().sum();
-        counted.joint = joint;
-        return Ok(counted);
     }
-    OBS_CORR_MATERIALIZED.inc();
-    let sel = evaluate_shard(query_a, a, rows.clone(), ranges)?
-        .and(&evaluate_shard(query_b, b, rows, ranges)?);
-    // a lossy superset's bins overlap: no table's margin is `bin ∧ sel`
-    Ok(CorrelationPartial {
-        selected: sel.count_ones(),
-        joint: joint_counts_and_table(a, b, Some(&sel)),
-        counts_a: a.bins().map(|bin| bin.and_count(&sel)).collect(),
-        counts_b: b.bins().map(|bin| bin.and_count(&sel)).collect(),
-    })
+    counted.selected = counted.counts_a.iter().sum();
+    counted.joint = joint;
+    Ok(counted)
 }
 
 /// Runs the metric finishers over merged shard partials. Feeding the sum
@@ -1082,10 +1080,12 @@ mod tests {
                     .and(&qb.evaluate(ib.low()).unwrap());
                 let mut bld = ibis_core::WahBuilder::new();
                 for (r, sa, sb) in &shards {
-                    let of = |q| stored_ranges(&[q], n as u64, None).unwrap();
-                    let s = evaluate_shard(qa, sa.low(), r.clone(), of(qa).as_deref())
-                        .unwrap()
-                        .and(&evaluate_shard(qb, sb.low(), r.clone(), of(qb).as_deref()).unwrap());
+                    let on = |q: &SubsetQuery, shard: &MultiLevelIndex| {
+                        let ranges = stored_ranges(&[q], n as u64, None).unwrap();
+                        let mask = ranges.map(|ranges| shard_mask(&ranges, r.clone()));
+                        q.evaluate_masked(shard.low(), mask.as_ref()).unwrap()
+                    };
+                    let s = on(qa, sa).and(&on(qb, sb));
                     bld.append_wah(&s);
                 }
                 assert_eq!(bld.finish(), global_sel, "selection concat {qa:?}/{qb:?}");
@@ -1165,6 +1165,37 @@ mod tests {
             stored_ranges(&[&SubsetQuery::region(150..250)], 200, None),
             Err(QueryError::RegionOutOfRange { len: 200, .. })
         ));
+    }
+
+    /// Bins that hold a row twice (a lossy superset's overlap) make no
+    /// partition: a count or a correlation over them is a typed error, while
+    /// the probe, which needs none, still answers.
+    #[test]
+    fn a_statistic_over_no_partition_is_an_error_not_a_count() {
+        let n = 100;
+        let overlapping = BitmapIndex::from_bins(
+            Binner::fixed_width(0.0, 10.0, 2),
+            vec![WahVec::ones(n), WahVec::from_bits((0..n).map(|r| r < 40))],
+        );
+        let exact = index(&(0..n).map(|i| i as f64 / 10.0).collect::<Vec<_>>());
+        let refused = QueryError::NotAPartition {
+            rows: n,
+            counted: 140,
+        };
+        let (q, all) = (SubsetQuery::value(0.0, 5.0), SubsetQuery::all());
+        assert_eq!(q.count(&overlapping, None), Err(refused.clone()));
+        let some = Some(std::slice::from_ref(&(3..9)));
+        assert_eq!(q.count(&overlapping, some), Err(refused.clone()));
+        assert_eq!(q.intersects(&overlapping, some), Ok(true));
+        for (a, b) in [(&overlapping, &exact), (&exact, &overlapping)] {
+            let got = correlation_partial_shard(a, b, &q, &all, 0..n, None);
+            assert_eq!(got, Err(refused.clone()));
+            let got = correlation_query(a, b, &q, &all).unwrap_err();
+            assert_eq!(
+                got.to_string(),
+                "bins hold 140 rows of 100: not a partition"
+            );
+        }
     }
 
     #[test]

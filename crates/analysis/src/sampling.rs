@@ -9,7 +9,7 @@
 
 use crate::cfp::Cfp;
 use crate::summary::{Metric, StepSummary, VarSummary};
-use ibis_core::{Binner, LossyStats};
+use ibis_core::Binner;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -73,25 +73,6 @@ pub fn sampled_summary(
             .map(|(data, binner)| VarSummary::full(sample(data, percent, method), binner.clone()))
             .collect(),
     }
-}
-
-/// The bitmap-side counterpart of [`sampled_summary`]: every step's bitmap
-/// summaries mapped through their [lossy supersets](StepSummary::lossy) at
-/// `fpr`, with the drop accounting merged. The result plugs straight into
-/// [`pairwise_metric_loss`] / [`loss_cfp`] in place of sampled summaries,
-/// so the lossy-bitmap information loss is measured on exactly the same
-/// footing as the sampling baseline.
-pub fn lossy_summaries(steps: &[StepSummary], fpr: f64) -> (Vec<StepSummary>, LossyStats) {
-    let mut stats = LossyStats::default();
-    let out = steps
-        .iter()
-        .map(|s| {
-            let (l, st) = s.lossy(fpr);
-            stats.merge(&st);
-            l
-        })
-        .collect();
-    (out, stats)
 }
 
 /// Per-pair absolute metric differences between full-data steps and their
@@ -237,57 +218,5 @@ mod tests {
         assert!(losses.iter().all(|&l| l == 0.0));
         let cfp = loss_cfp(&full, &sampled, Metric::ConditionalEntropy);
         assert_eq!(cfp.mean(), 0.0);
-    }
-
-    fn bitmap_summaries(fields: &[(Vec<f64>, Binner)]) -> Vec<StepSummary> {
-        fields
-            .iter()
-            .enumerate()
-            .map(|(s, (d, b))| StepSummary {
-                step: s,
-                vars: vec![VarSummary::bitmap(d, b.clone())],
-            })
-            .collect()
-    }
-
-    #[test]
-    fn lossy_loss_measured_on_the_sampling_footing() {
-        // The lossy-bitmap counterpart of the Figure 16 measurement:
-        // lossy summaries plug into the same per-pair loss machinery, the
-        // loss grows with FPR, and at a mid FPR the information loss
-        // undercuts an aggressive sampling baseline while both reduce
-        // resident bytes.
-        let fields = steps(6);
-        let full = bitmap_summaries(&fields);
-        let mut means = Vec::new();
-        for fpr in [1e-4, 1e-2, 1e-1] {
-            let (lossy, stats) = lossy_summaries(&full, fpr);
-            assert_eq!(lossy.len(), full.len());
-            assert!(stats.measured_fpr() <= fpr, "fpr {fpr}");
-            let losses = pairwise_relative_loss(&full, &lossy, Metric::ConditionalEntropy);
-            assert!(!losses.is_empty());
-            means.push(losses.iter().sum::<f64>() / losses.len() as f64);
-        }
-        assert!(
-            means[0] <= means[2],
-            "1e-4 loss {} should not exceed 1e-1 loss {}",
-            means[0],
-            means[2]
-        );
-
-        // sampling baseline at 2%: on this smooth field the lossy-bitmap
-        // loss at FPR 1e-2 stays below it
-        let sampled: Vec<StepSummary> = (0..fields.len())
-            .map(|s| sampled_summary(s, &fields[s..s + 1], 2.0, SamplingMethod::Stride))
-            .collect();
-        let full_raw = full_summaries(&fields);
-        let sampling_losses =
-            pairwise_relative_loss(&full_raw, &sampled, Metric::ConditionalEntropy);
-        let sampling_mean = sampling_losses.iter().sum::<f64>() / sampling_losses.len() as f64;
-        assert!(
-            means[1] < sampling_mean,
-            "lossy@1e-2 loss {} should undercut 2% sampling loss {sampling_mean}",
-            means[1]
-        );
     }
 }

@@ -132,38 +132,6 @@ pub fn select_greedy(
     Selection { selected }
 }
 
-/// Greedy selection over *lossy* step summaries: every bitmap summary is
-/// first mapped through its [`lossy superset`](StepSummary::lossy) at
-/// `fpr`, then [`select_greedy`] runs on the shrunken summaries. The
-/// selection is approximate exactly as far as the FPR lets the per-bin
-/// histograms drift — at tight FPRs it reproduces the exact selection
-/// (tested) while holding a fraction of the resident bytes during the
-/// O(N·K) metric evaluation. Returns the selection plus the merged drop
-/// accounting across every summary.
-///
-/// # Panics
-/// Panics if any summary is full-data (lossiness is a bitmap-side notion),
-/// if `fpr` is outside the supported range, or on the [`select_greedy`]
-/// preconditions.
-pub fn select_greedy_lossy(
-    steps: &[StepSummary],
-    k: usize,
-    metric: Metric,
-    partitioning: Partitioning,
-    fpr: f64,
-) -> (Selection, ibis_core::LossyStats) {
-    let mut stats = ibis_core::LossyStats::default();
-    let lossy: Vec<StepSummary> = steps
-        .iter()
-        .map(|s| {
-            let (l, st) = s.lossy(fpr);
-            stats.merge(&st);
-            l
-        })
-        .collect();
-    (select_greedy(&lossy, k, metric, partitioning), stats)
-}
-
 /// Shared interval computation for the greedy selectors.
 fn partition(steps: &[StepSummary], k: usize, partitioning: Partitioning) -> Vec<Range<usize>> {
     let n = steps.len();
@@ -422,75 +390,5 @@ mod tests {
     fn rejects_k_too_large() {
         let steps = make_steps(3, true);
         let _ = select_dp(&steps, 4, Metric::Emd);
-    }
-
-    #[test]
-    fn lossy_selection_matches_exact_at_tight_fpr_and_shrinks() {
-        let steps = make_steps(20, true);
-        let exact = select_greedy(
-            &steps,
-            5,
-            Metric::ConditionalEntropy,
-            Partitioning::FixedLength,
-        );
-        for fpr in [1e-4, 1e-3] {
-            let (lossy, stats) = select_greedy_lossy(
-                &steps,
-                5,
-                Metric::ConditionalEntropy,
-                Partitioning::FixedLength,
-                fpr,
-            );
-            assert_eq!(lossy, exact, "fpr {fpr} drifted the selection");
-            assert!(stats.measured_fpr() <= fpr);
-        }
-        // at the loose end the summaries must actually shrink — needs a
-        // field with short 0-runs: a drifting ramp with single-element
-        // excursions pokes one-bit holes into each bin's occupancy run
-        let noisy: Vec<StepSummary> = (0..6)
-            .map(|s| {
-                let data: Vec<f64> = (0..2000)
-                    .map(|i| {
-                        if (i + s) % 40 == 0 {
-                            0.9
-                        } else {
-                            -1.0 + i as f64 * 0.001
-                        }
-                    })
-                    .collect();
-                StepSummary {
-                    step: s,
-                    vars: vec![VarSummary::bitmap(&data, binner())],
-                }
-            })
-            .collect();
-        let (_, stats) = select_greedy_lossy(
-            &noisy,
-            3,
-            Metric::ConditionalEntropy,
-            Partitioning::FixedLength,
-            1e-1,
-        );
-        assert!(stats.bits_dropped > 0);
-        assert!(stats.measured_fpr() <= 1e-1);
-        let lossy_bytes: usize = noisy.iter().map(|s| s.lossy(1e-1).0.size_bytes()).sum();
-        let exact_bytes: usize = noisy.iter().map(StepSummary::size_bytes).sum();
-        assert!(
-            lossy_bytes < exact_bytes,
-            "lossy {lossy_bytes} vs exact {exact_bytes} resident bytes"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "bitmap summaries only")]
-    fn lossy_selection_rejects_full_summaries() {
-        let steps = make_steps(4, false);
-        let _ = select_greedy_lossy(
-            &steps,
-            2,
-            Metric::ConditionalEntropy,
-            Partitioning::FixedLength,
-            1e-2,
-        );
     }
 }

@@ -14,7 +14,7 @@ use crate::entropy::{
     conditional_entropy_full, conditional_entropy_index, shannon_entropy_from_counts,
     shannon_entropy_full, shannon_entropy_index,
 };
-use ibis_core::{Binner, BitmapIndex, LossyStats};
+use ibis_core::{Binner, BitmapIndex};
 use ibis_obs::LazyCounter;
 
 static OBS_STEP_METRIC_EVALS: LazyCounter = LazyCounter::new("analysis.metric.step_evals");
@@ -88,7 +88,9 @@ impl VarSummary {
     ///
     /// # Panics
     /// Panics when mixing a full summary with a bitmap summary — a run uses
-    /// one method throughout, as in the paper.
+    /// one method throughout, as in the paper — and, for conditional
+    /// entropy, on bitmap summaries whose bins do not partition their rows
+    /// ([`crate::histogram::joint_counts`]).
     pub fn metric(&self, other: &VarSummary, metric: Metric) -> f64 {
         match (self, other) {
             (
@@ -121,26 +123,6 @@ impl VarSummary {
                 }
             },
             _ => panic!("cannot mix full-data and bitmap summaries in one metric"),
-        }
-    }
-
-    /// The lossy superset view of a bitmap summary (see
-    /// [`BitmapIndex::lossy`]): per-bin 0-runs shorter than the FPR-derived
-    /// threshold absorbed into surrounding 1-fills. Metrics over lossy
-    /// summaries are approximate; selection and loss measurements use them
-    /// to trade exactness for resident bytes.
-    ///
-    /// # Panics
-    /// Panics on a full-data summary — lossiness is a bitmap-side notion.
-    pub fn lossy(&self, fpr: f64) -> (VarSummary, LossyStats) {
-        match self {
-            VarSummary::Bitmap(idx) => {
-                let (lossy, stats) = idx.lossy(fpr);
-                (VarSummary::Bitmap(lossy), stats)
-            }
-            VarSummary::Full { .. } => {
-                panic!("lossy summaries apply to bitmap summaries only")
-            }
         }
     }
 }
@@ -179,28 +161,6 @@ impl StepSummary {
             .zip(&other.vars)
             .map(|(a, b)| a.metric(b, metric))
             .sum()
-    }
-
-    /// Every variable's lossy superset view (see [`VarSummary::lossy`]),
-    /// with the per-variable drop accounting merged.
-    pub fn lossy(&self, fpr: f64) -> (StepSummary, LossyStats) {
-        let mut stats = LossyStats::default();
-        let vars = self
-            .vars
-            .iter()
-            .map(|v| {
-                let (lossy, s) = v.lossy(fpr);
-                stats.merge(&s);
-                lossy
-            })
-            .collect();
-        (
-            StepSummary {
-                step: self.step,
-                vars,
-            },
-            stats,
-        )
     }
 }
 

@@ -8,9 +8,9 @@
 //! equals the one counted over the materialised selection and a scan, that
 //! `correlation_query` is the pure finisher over the counts a scan fills, that counting a plan (`SubsetQuery::count`,
 //! `count_range_plan`, `intersects`) equals materialising it and counting,
-//! and a scan, under every plan variant forced,
-//! and that no generated query (inverted, empty, NaN, out-of-range) ever
-//! panics.
+//! and a scan, under every plan variant forced, that a lossy operand is
+//! refused as no partition, and that no generated query (inverted, empty,
+//! NaN, out-of-range) ever panics.
 
 use ibis_analysis::histogram::CHUNK_ROWS;
 use ibis_analysis::{
@@ -227,9 +227,9 @@ fn held(idx: &BitmapIndex, how: usize) -> BitmapIndex {
     BitmapIndex::from_codec_bins(idx.binner().clone(), bins.collect())
 }
 
-/// A correlation's shard partial the way the parent commit built it, and
-/// the fallback still does: both selections materialised under the
-/// shard's share of `ranges`, ANDed, counted by the AND table and per bin.
+/// A correlation's shard partial over materialised selections, the
+/// label walk's oracle: both selections materialised under the shard's
+/// share of `ranges`, ANDed, counted by the AND table and per bin.
 fn materialised_partial(
     (a, qa): (&BitmapIndex, &SubsetQuery),
     (b, qb): (&BitmapIndex, &SubsetQuery),
@@ -375,7 +375,7 @@ proptest! {
         }
         let region = start..end;
         let region = Some(std::slice::from_ref(&region));
-        let got = joint_counts_where(&ia, &ib, all.0, all.1, region).unwrap();
+        let got = joint_counts_where(&ia, &ib, all.0, all.1, region);
         prop_assert_eq!(&got, &want);
         prop_assert_eq!(&joint_counts_and_table(&ia, &ib, Some(&sel)), &want);
     }
@@ -640,7 +640,7 @@ proptest! {
                     for &(ja, kb) in kept.iter().map(|&row| &bins[row]) {
                         scan[ja * ny + if same { ja } else { kb }] += 1;
                     }
-                    let got = joint_counts_where(ix, iy, 0..ix.nbins(), 0..ny, ranges.as_deref()).unwrap();
+                    let got = joint_counts_where(ix, iy, 0..ix.nbins(), 0..ny, ranges.as_deref());
                     prop_assert_eq!(&got, &scan, "{} n={} same={} sel={:?}", layout, n, same, sel);
                     prop_assert_eq!(&got, &joint_counts_and_table(ix, iy, sel));
                     if sel.is_none() {
@@ -660,66 +660,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// An operand the labels cannot describe — a lossy superset index
-    /// (overlapping bins) or more bins than a label can name — gets the AND
-    /// table's answer, from the AND table.
-    #[test]
-    fn joint_counts_fall_back_to_the_and_table(
-        binner in small_binner(),
-        seed in any::<u64>(),
-        n in 1usize..3000,
-    ) {
-        let a = regime_data(0, n, seed);
-        let b = regime_data(1, n, seed);
-        let exact = BitmapIndex::build(&b, binner.clone());
-        let (lossy, _) = build_lossy_index(&a, binner.clone(), 0.1);
-        let wide_binner = Binner::distinct_ints(0, u16::MAX as i64 + 7);
-        let short = &a[..n.min(40)];
-        let wide = BitmapIndex::build(short, wide_binner.clone());
-        let narrow = BitmapIndex::build(short, binner.clone());
-        let sel = WahVec::from_bits((0..n).map(|i| i % 5 != 0));
-        let short_sel = sel.slice(0..short.len() as u64);
-        let mut fallbacks = 0;
-        for (x, y, sel) in [
-            (&lossy, &exact, &sel),
-            (&exact, &lossy, &sel),
-            (&lossy, &lossy, &sel),
-            (&wide, &narrow, &short_sel),
-            (&narrow, &wide, &short_sel),
-        ] {
-            if x.partitions() && y.partitions() && x.nbins().max(y.nbins()) <= u16::MAX as usize {
-                continue; // nothing was promoted: the lossy index is exact
-            }
-            // the label kernel declines, with and without a predicate...
-            let (all, some) = (0..x.nbins(), 0..y.nbins().div_ceil(2));
-            let ranges = runs_of(sel);
-            prop_assert!(joint_counts_where(x, y, all.clone(), some.clone(), None).is_none());
-            prop_assert!(joint_counts_where(x, y, all, some.clone(), Some(&ranges)).is_none());
-            // ...the whole table comes from the AND table...
-            let before = counter("query.joint.and_table");
-            let got = joint_counts(x, y);
-            // other tests only ever add to the process-wide counters
-            prop_assert!(!cfg!(feature = "obs") || counter("query.joint.and_table") > before);
-            prop_assert_eq!(got, joint_counts_and_table(x, y, None));
-            // ...and a correlation materialises its selections as before
-            let (qx, qy) = (SubsetQuery::all(), SubsetQuery::value(-60.0, 0.0));
-            let rows = 0..x.len();
-            let before = (counter("query.joint.and_table"), counter("query.corr.materialized"));
-            let got = correlation_partial_shard(x, y, &qx, &qy, rows.clone(), Some(&ranges)).unwrap();
-            prop_assert!(!cfg!(feature = "obs") || counter("query.joint.and_table") > before.0);
-            prop_assert!(!cfg!(feature = "obs") || counter("query.corr.materialized") > before.1);
-            prop_assert_eq!(got, materialised_partial((x, &qx), (y, &qy), rows, Some(&ranges)));
-            fallbacks += 1;
-        }
-        prop_assert!(fallbacks >= 2, "the over-wide pairs always fall back");
-        // the wide table against the raw values: no id was truncated
-        let mut scan = vec![0u64; wide.nbins() * narrow.nbins()];
-        for &v in short {
-            scan[wide_binner.bin_of(v) as usize * narrow.nbins() + binner.bin_of(v) as usize] += 1;
-        }
-        prop_assert_eq!(joint_counts(&wide, &narrow), scan);
     }
 }
 
@@ -926,13 +866,13 @@ proptest! {
         prop_assert_eq!(SubsetQuery::all().intersects(idx, Some(&past)), Err(err));
     }
 
-    /// A lossy superset index does not partition its rows: `count` takes
-    /// the materialising fallback and still equals materialise-then-count,
-    /// and the probe — which needs no partition — agrees with it. On the
-    /// exact index, per-shard counts over [`shard_ranges`] add up to the
-    /// whole.
+    /// A lossy superset index does not partition its rows: a count or a
+    /// correlation partial over it is `NotAPartition`, never a number, while
+    /// the probe — which needs no partition — agrees with its materialised
+    /// selection and never hides an exact row. On the exact index, per-shard
+    /// counts over [`shard_ranges`] add up to the whole.
     #[test]
-    fn lossy_index_counts_through_the_fallback(
+    fn a_lossy_operand_is_not_a_partition(
         binner in small_binner(),
         seed in any::<u64>(),
         n in 64usize..3000,
@@ -950,23 +890,29 @@ proptest! {
         let exact = BitmapIndex::build(&data, binner);
         let n = n as u64;
         let q = SubsetQuery::value(value.0, value.0 + value.1);
-        // which path a count of the lossy index must take, by its counter
-        let path = match lossy.partitions() {
-            true => "query.subset.counted",
-            false => "query.subset.materialized",
-        };
+        // nothing absorbed leaves the lossy index exact, and it counts
+        let refused = QueryError::NotAPartition { rows: n, counted: lossy.counts().iter().sum() };
+        let refused = (!lossy.partitions()).then_some(refused);
+        let all = SubsetQuery::all();
+        for (x, y) in [(&lossy, &exact), (&exact, &lossy), (&lossy, &lossy)] {
+            let got = correlation_partial_shard(x, y, &all, &q, 0..n, None);
+            match &refused {
+                Some(e) => prop_assert_eq!(got, Err(e.clone())),
+                None => prop_assert!(got.is_ok()),
+            }
+        }
         for ranges in range_lists(n, &picks) {
             let ranges = ranges.as_deref();
             let mask = ranges.map(|r| shard_mask(r, 0..n));
-            let want = q.evaluate_masked(&lossy, mask.as_ref()).unwrap().count_ones();
-            let before = counter(path);
-            prop_assert_eq!(q.count(&lossy, ranges), Ok(want));
-            // other tests only ever add to the process-wide counters
-            prop_assert!(!cfg!(feature = "obs") || counter(path) > before, "{}", path);
-            prop_assert_eq!(q.intersects(&lossy, ranges), Ok(want > 0));
-            // the superset never hides an exact row from the probe
+            let superset = q.evaluate_masked(&lossy, mask.as_ref()).unwrap().count_ones();
             let exact_rows = q.count(&exact, ranges).unwrap();
-            prop_assert!(exact_rows <= want);
+            match &refused {
+                Some(e) => prop_assert_eq!(q.count(&lossy, ranges), Err(e.clone())),
+                None => prop_assert_eq!(q.count(&lossy, ranges), Ok(exact_rows)),
+            }
+            prop_assert_eq!(q.intersects(&lossy, ranges), Ok(superset > 0));
+            // the superset never hides an exact row from the probe
+            prop_assert!(exact_rows <= superset);
             // each shard's share, counted in its own row numbers
             let Some(r) = ranges else { continue };
             let at = (cut * n as f64) as u64;

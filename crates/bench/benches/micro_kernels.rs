@@ -1,11 +1,9 @@
 //! Criterion micro-benchmarks for the compute kernels — WAH construction,
 //! logical operations, metric kernels, the mining inner loop — plus the
 //! **kernel sweep**: density × codec × kernel, written to
-//! `target/BENCH_kernels.sweep.json`. The committed `BENCH_kernels.json`
-//! at the repository root is the historical record of this sweep from
-//! when the pre-adaptive closure-generic kernels still existed (its
-//! `wah_legacy` rows and `adaptive_over_legacy_speedup` table); the sweep
-//! never overwrites it.
+//! `target/BENCH_kernels.sweep.json`. EXPERIMENTS.md keeps the sweep's
+//! first record, from when the pre-adaptive closure-generic kernels still
+//! existed.
 //!
 //! Run with `IBIS_SWEEP_ONLY=1` to emit the JSON without the (slower)
 //! criterion groups.
@@ -120,7 +118,6 @@ fn kernel_sweep() {
         // WAH, adaptive dense-path kernels.
         push("wah_adaptive", "and_count", measure(|| wa.and_count(&wb)));
         push("wah_adaptive", "and", measure(|| wa.and(&wb)));
-        push("wah_adaptive", "xor", measure(|| wa.xor(&wb)));
         push("wah_adaptive", "or", measure(|| wa.or(&wb)));
         // Uncompressed baseline (clone + in-place AND + popcount).
         push(
@@ -201,15 +198,11 @@ fn bench_ops(c: &mut Criterion) {
     let mut g = c.benchmark_group("wah_ops");
     g.sample_size(20).measurement_time(Duration::from_secs(2));
     g.bench_function("and_1M", |bch| bch.iter(|| black_box(a.and(&b))));
-    g.bench_function("xor_1M", |bch| bch.iter(|| black_box(a.xor(&b))));
     g.bench_function("and_count_1M", |bch| {
         bch.iter(|| black_box(a.and_count(&b)))
     });
     g.bench_function("count_ones_1M", |bch| {
         bch.iter(|| black_box(a.count_ones()))
-    });
-    g.bench_function("count_per_unit_1M", |bch| {
-        bch.iter(|| black_box(a.count_ones_per_unit(4096)))
     });
     g.finish();
 }

@@ -205,7 +205,7 @@ fn main() {
         for (step, vars) in indexes.iter().enumerate() {
             for (var, _) in vars {
                 let entry = probe.get(var, step).expect("decode probe");
-                total += entry.low().resident_bytes() as u64;
+                total += entry.low().size_bytes() as u64;
             }
         }
         total

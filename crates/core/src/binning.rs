@@ -9,6 +9,10 @@
 //! Two analyses agree exactly if and only if they use the same binning scale
 //! — the root of the paper's "no accuracy loss" claim — so the [`Binner`] is
 //! carried inside every index and compared when metrics combine two of them.
+//!
+//! A binning holds at most [`Binner::MAX_BINS`] bins, checked by every
+//! constructor: the one-pass joint table labels each row with its bin id in
+//! a `u16`, so every statistic reads a partition it can label.
 
 /// Maps `f64` values to bin ids in `0..nbins`.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,15 +48,32 @@ enum Kind {
     Edges(Vec<f64>),
 }
 
+/// Panics unless `nbins` — counted in `f64`, so no arithmetic before it
+/// can wrap — is 1 to [`Binner::MAX_BINS`]; returns it as a count.
+fn checked_nbins(nbins: f64) -> usize {
+    assert!(
+        (1.0..=Binner::MAX_BINS as f64).contains(&nbins),
+        "{nbins} bins: a binning holds 1 to {} bins",
+        Binner::MAX_BINS
+    );
+    nbins as usize
+}
+
 impl Binner {
+    /// The most bins a binning may have: the label walk's id space, a `u16`
+    /// less the two labels it reserves for segments (see
+    /// `ibis_analysis::histogram`).
+    pub const MAX_BINS: usize = 65_534;
+
     /// `nbins` equal-width bins covering `[min, max]`.
     ///
     /// # Panics
-    /// Panics if `max <= min`, `nbins == 0`, or either bound is not finite.
+    /// Panics if `max <= min`, `nbins` is 0 or above [`Binner::MAX_BINS`],
+    /// or either bound is not finite.
     pub fn fixed_width(min: f64, max: f64, nbins: usize) -> Self {
         assert!(min.is_finite() && max.is_finite(), "bounds must be finite");
         assert!(max > min, "max must exceed min");
-        assert!(nbins > 0, "need at least one bin");
+        let nbins = checked_nbins(nbins as f64);
         Binner {
             kind: Kind::Width {
                 min,
@@ -67,17 +88,14 @@ impl Binner {
     /// `digits = 1`, values 3.13 and 3.18 share a bin; 3.13 and 3.24 do not.
     ///
     /// # Panics
-    /// Panics if the range would need more than 2^22 bins (that means the
-    /// precision is wrong for the data range, and the index would be huge).
+    /// Panics if the range would need more than [`Binner::MAX_BINS`] bins
+    /// (the precision is wrong for the data range; a `10^-digits` that
+    /// underflows to 0 needs infinitely many).
     pub fn precision(min: f64, max: f64, digits: i32) -> Self {
         assert!(min.is_finite() && max.is_finite(), "bounds must be finite");
         assert!(max >= min, "max must not be below min");
         let width = 10f64.powi(-digits);
-        let nbins = ((max - min) / width).floor() as usize + 1;
-        assert!(
-            nbins <= 1 << 22,
-            "precision {digits} over [{min}, {max}] needs {nbins} bins"
-        );
+        let nbins = checked_nbins(((max - min) / width).floor() + 1.0);
         Binner {
             kind: Kind::Width { min, width, nbins },
         }
@@ -85,9 +103,13 @@ impl Binner {
 
     /// One bin per integer in `[min, max]` — the low-level index of Figure 1,
     /// where each bitvector corresponds to one distinct value.
+    ///
+    /// # Panics
+    /// Panics if `max < min` or the range holds more than
+    /// [`Binner::MAX_BINS`] integers.
     pub fn distinct_ints(min: i64, max: i64) -> Self {
         assert!(max >= min, "max must not be below min");
-        let nbins = (max - min) as usize + 1;
+        let nbins = checked_nbins(max.abs_diff(min) as f64 + 1.0);
         Binner {
             kind: Kind::Width {
                 min: min as f64,
@@ -101,9 +123,11 @@ impl Binner {
     /// `[edges[i], edges[i+1])`, out-of-range values clamp.
     ///
     /// # Panics
-    /// Panics with fewer than two edges or non-increasing edges.
+    /// Panics with fewer than two edges, non-increasing edges, or more than
+    /// [`Binner::MAX_BINS`] bins.
     pub fn from_edges(edges: Vec<f64>) -> Self {
         assert!(edges.len() >= 2, "need at least two edges");
+        checked_nbins(edges.len() as f64 - 1.0);
         assert!(
             edges.windows(2).all(|w| w[0] < w[1]),
             "edges must be strictly increasing"
@@ -115,8 +139,11 @@ impl Binner {
 
     /// Equal-width bins fitted to the observed data range. Empty data or a
     /// constant value yields a single bin.
+    ///
+    /// # Panics
+    /// Panics if `nbins` is 0 or above [`Binner::MAX_BINS`].
     pub fn fit(data: &[f64], nbins: usize) -> Self {
-        assert!(nbins > 0, "need at least one bin");
+        checked_nbins(nbins as f64);
         let (min, max) = min_max(data);
         if max <= min {
             return Binner {
@@ -243,14 +270,13 @@ impl Binner {
     /// Reconstructs a binner from its description (exact round-trip).
     ///
     /// # Panics
-    /// Panics on invalid specs (zero bins / width, non-increasing edges).
+    /// Panics on invalid specs (zero width, non-increasing edges, 0 or more
+    /// than [`Binner::MAX_BINS`] bins).
     pub fn from_spec(spec: BinnerSpec) -> Binner {
         match spec {
             BinnerSpec::Width { min, width, nbins } => {
-                assert!(
-                    min.is_finite() && width > 0.0 && nbins > 0,
-                    "invalid width spec"
-                );
+                assert!(min.is_finite() && width > 0.0, "invalid width spec");
+                let nbins = checked_nbins(nbins as f64);
                 Binner {
                     kind: Kind::Width { min, width, nbins },
                 }
@@ -476,6 +502,48 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn rejects_bad_edges() {
         let _ = Binner::from_edges(vec![0.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn max_bins_is_the_largest_binning() {
+        let top = Binner::MAX_BINS;
+        assert_eq!(Binner::fixed_width(0.0, 1.0, top).nbins(), top);
+        assert_eq!(Binner::distinct_ints(-1, top as i64 - 2).nbins(), top);
+        assert_eq!(Binner::precision(0.0, (top - 1) as f64, 0).nbins(), top);
+        let edges: Vec<f64> = (0..=top).map(|e| e as f64).collect();
+        assert_eq!(Binner::from_edges(edges).nbins(), top);
+    }
+
+    /// `10^-400` is 0: the bin count is infinite, not `usize::MAX + 1`.
+    #[test]
+    #[should_panic(expected = "a binning holds")]
+    fn precision_below_the_smallest_width_panics() {
+        let _ = Binner::precision(0.0, 1.0, 400);
+    }
+
+    /// `i64::MAX - i64::MIN` overflows `i64`: no zero-bin binner.
+    #[test]
+    #[should_panic(expected = "a binning holds")]
+    fn distinct_ints_over_every_i64_panics() {
+        let _ = Binner::distinct_ints(i64::MIN, i64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "a binning holds")]
+    fn fixed_width_one_past_the_cap_panics() {
+        let _ = Binner::fixed_width(0.0, 1.0, Binner::MAX_BINS + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a binning holds")]
+    fn from_edges_one_past_the_cap_panics() {
+        let _ = Binner::from_edges((0..=Binner::MAX_BINS + 1).map(|e| e as f64).collect());
+    }
+
+    #[test]
+    #[should_panic(expected = "a binning holds")]
+    fn precision_one_past_the_cap_panics() {
+        let _ = Binner::precision(0.0, Binner::MAX_BINS as f64, 0);
     }
 
     #[test]

@@ -15,7 +15,6 @@ use crate::kernels::DenseBits;
 use crate::wah::WahVec;
 use ibis_obs::LazyCounter;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 // Roaring bins an index transcoded to WAH because something asked for them
@@ -71,8 +70,6 @@ pub struct BitmapIndex {
     cost_prefix: Vec<u64>,
     /// [`BitmapIndex::size_bytes`], summed once.
     size: usize,
-    /// Bytes of the WAH forms made since ([`BitmapIndex::resident_bytes`]).
-    grown: Tally,
 }
 
 /// One bin: the form it arrived in and, for a bin that arrived as Roaring
@@ -82,17 +79,6 @@ pub struct BitmapIndex {
 struct Bin {
     stored: CodecVec,
     wah: OnceLock<WahVec>,
-}
-
-/// A byte count that grows behind `&self`. It publishes nothing but
-/// itself, hence relaxed.
-#[derive(Debug, Default)]
-struct Tally(AtomicUsize);
-
-impl Clone for Tally {
-    fn clone(&self) -> Self {
-        Tally(AtomicUsize::new(self.0.load(Ordering::Relaxed)))
-    }
 }
 
 impl BitmapIndex {
@@ -211,7 +197,6 @@ impl BitmapIndex {
             len,
             cost_prefix,
             size,
-            grown: Tally::default(),
         }
     }
 
@@ -243,9 +228,7 @@ impl BitmapIndex {
             CodecVec::Wah(v) => v,
             CodecVec::Roaring(r) => bin.wah.get_or_init(|| {
                 OBS_TRANSCODED.inc();
-                let v = r.to_wah();
-                self.grown.0.fetch_add(v.size_bytes(), Ordering::Relaxed);
-                v
+                r.to_wah()
             }),
         }
     }
@@ -275,24 +258,21 @@ impl BitmapIndex {
 
     /// Whether the bins partition the rows — every row set in exactly one
     /// bin — as any index built from data does and a lossy superset index
-    /// (overlapping bins) does not. Tested as `Σ counts == len`: the
-    /// complement plan and the one-pass joint table both rest on it.
+    /// (overlapping bins) does not. Tested as `Σ counts == len`: every
+    /// statistic rests on it (the complement plan, subset counts, the
+    /// one-pass joint table), and the store refuses an exact index that
+    /// fails it.
     pub fn partitions(&self) -> bool {
         self.partitions
     }
 
     /// Compressed size in bytes of all bitvectors, each in the form it
-    /// arrived in — what the in-situ pipeline charges to memory and writes
-    /// to storage instead of the raw data. Fixed for the index's life.
+    /// arrived in — what the in-situ pipeline charges to memory, a cache
+    /// charges an entry, and storage holds instead of the raw data. Fixed
+    /// for the index's life: no statistic asks a stored bin for its WAH
+    /// form.
     pub fn size_bytes(&self) -> usize {
         self.size
-    }
-
-    /// Bytes held right now: [`BitmapIndex::size_bytes`] plus the WAH form
-    /// of every Roaring bin [`BitmapIndex::bin`] has been asked for — what
-    /// a cache charges the index, and it grows as the index is used.
-    pub fn resident_bytes(&self) -> usize {
-        self.size + self.grown.0.load(Ordering::Relaxed)
     }
 
     /// The codec [`select_codec`] picks for bin `b` from its cached

@@ -1,6 +1,6 @@
 //! Adaptive dense-path kernels for WAH execution.
 //!
-//! Monomorphized AND/OR/XOR/ANDNOT and popcount kernels replace the
+//! Monomorphized AND/OR and popcount kernels replace the
 //! closure-generic segment loops of the original implementation, and an
 //! explicit density cutover decodes incompressible operands once into a
 //! packed-`u64` form ([`DenseBits`]) so the op runs at verbatim speed.
@@ -468,8 +468,6 @@ enum FillAction {
     Emit(bool),
     /// Copy the other side's segment through unchanged.
     Copy,
-    /// Copy the other side's segment complemented.
-    CopyNot,
 }
 
 /// A run cursor supporting partial consumption of fills; literal runs are
@@ -523,7 +521,6 @@ fn fill_step(
     match action {
         FillAction::Emit(bit) => out.append_run(bit, SEG_BITS),
         FillAction::Copy => out.append_seg31(p),
-        FillAction::CopyNot => out.append_seg31(!p & LITERAL_MASK),
     }
     filled.consume(SEG_BITS);
     other.consume(w as u64);
@@ -531,13 +528,12 @@ fn fill_step(
 
 /// Defines one monomorphized materializing kernel. `$wexpr` is the word
 /// combine (used for `u32` literals, `u64` dense words, and fill bits
-/// alike); the fill arms absorb one-sided fills at run granularity instead
-/// of expanding them to segments.
+/// alike); `$fact` absorbs a one-sided fill of bit `$fb`, on either side,
+/// at run granularity instead of expanding it to segments.
 macro_rules! binary_kernel {
     ($(#[$doc:meta])* $name:ident,
      ($x:ident, $y:ident) => $wexpr:expr,
-     left_fill: ($lb:ident) => $lact:expr,
-     right_fill: ($rb:ident) => $ract:expr) => {
+     fill: ($fb:ident) => $fact:expr) => {
         $(#[$doc])*
         pub(crate) fn $name(a: &WahVec, b: &WahVec) -> WahVec {
             assert_eq!(a.len(), b.len(), "binary op on different-length vectors");
@@ -570,12 +566,12 @@ macro_rules! binary_kernel {
                         cb.consume(n);
                     }
                     (Some(Run::Fill(bit, _)), Some(_)) => {
-                        let $lb = bit;
-                        fill_step($lact, &mut ca, &mut cb, &mut out);
+                        let $fb = bit;
+                        fill_step($fact, &mut ca, &mut cb, &mut out);
                     }
                     (Some(_), Some(Run::Fill(bit, _))) => {
-                        let $rb = bit;
-                        fill_step($ract, &mut cb, &mut ca, &mut out);
+                        let $fb = bit;
+                        fill_step($fact, &mut cb, &mut ca, &mut out);
                     }
                     (Some(Run::Literal(p, w)), Some(Run::Literal(q, w2))) => {
                         debug_assert_eq!(w, w2, "equal-length vectors stay aligned");
@@ -604,8 +600,7 @@ binary_kernel!(
     /// other side; a 1-fill copies the other side through.
     and_kernel,
     (x, y) => x & y,
-    left_fill: (bit) => if bit { FillAction::Copy } else { FillAction::Emit(false) },
-    right_fill: (bit) => if bit { FillAction::Copy } else { FillAction::Emit(false) }
+    fill: (bit) => if bit { FillAction::Copy } else { FillAction::Emit(false) }
 );
 
 binary_kernel!(
@@ -613,28 +608,7 @@ binary_kernel!(
     /// other side through.
     or_kernel,
     (x, y) => x | y,
-    left_fill: (bit) => if bit { FillAction::Emit(true) } else { FillAction::Copy },
-    right_fill: (bit) => if bit { FillAction::Emit(true) } else { FillAction::Copy }
-);
-
-binary_kernel!(
-    /// Materializing XOR: a 0-fill copies the other side, a 1-fill copies
-    /// its complement.
-    xor_kernel,
-    (x, y) => x ^ y,
-    left_fill: (bit) => if bit { FillAction::CopyNot } else { FillAction::Copy },
-    right_fill: (bit) => if bit { FillAction::CopyNot } else { FillAction::Copy }
-);
-
-binary_kernel!(
-    /// Materializing AND-NOT (`a & !b`). Asymmetric: a 0-fill on the left
-    /// or a 1-fill on the right zeroes the result; a 1-fill on the left
-    /// copies the right side complemented; a 0-fill on the right copies
-    /// the left side through.
-    andnot_kernel,
-    (x, y) => x & !y,
-    left_fill: (bit) => if bit { FillAction::CopyNot } else { FillAction::Emit(false) },
-    right_fill: (bit) => if bit { FillAction::Emit(false) } else { FillAction::Copy }
+    fill: (bit) => if bit { FillAction::Emit(true) } else { FillAction::Copy }
 );
 
 /// Direct complement over runs: fills flip their bit, literals complement

@@ -5,7 +5,7 @@
 //! Generation and Efficient Data Analysis based on Bitmaps"*:
 //!
 //! * [`WahVec`] — a WAH-compressed bitvector (31-bit segments, bit-counted
-//!   fills) supporting AND/OR/XOR and popcounts directly on the compressed
+//!   fills) supporting AND/OR/NOT and popcounts directly on the compressed
 //!   words.
 //! * [`WahBuilder`] / [`MultiWahBuilder`] — the paper's Algorithm 1:
 //!   streaming, in-place compression with O(bins) working state, suitable
@@ -14,8 +14,8 @@
 //!   segments are binned branchlessly, constant segments collapse into O(1)
 //!   fill extensions, and concatenation splices literals word-at-a-time.
 //! * [`Binner`] — value-to-bin mapping (distinct integers, fixed width,
-//!   decimal precision, explicit edges) plus [`Binner::coarsen`] for
-//!   multi-level indices.
+//!   decimal precision, explicit edges; at most [`Binner::MAX_BINS`] bins)
+//!   plus [`Binner::coarsen`] for multi-level indices.
 //! * [`BitmapIndex`] / [`MultiLevelIndex`] — per-variable per-time-step
 //!   indices; cached bin popcounts double as exact histograms.
 //! * [`parallel`] — sub-block-parallel generation with 31-aligned seams

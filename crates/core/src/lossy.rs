@@ -203,10 +203,11 @@ impl BitmapIndex {
     /// range-query selection — is a superset of its exact counterpart
     /// with measured FPR ≤ `fpr`.
     ///
-    /// The returned index's cached counts are the *lossy* ones counts
-    /// (consistent with its own bitmaps); note a lossy index no longer
-    /// partitions rows across bins, which the range planner detects and
-    /// handles by never planning the complement strategy on it.
+    /// The returned index's cached counts are the *lossy* ones (consistent
+    /// with its own bitmaps). A lossy index no longer partitions rows
+    /// across bins ([`BitmapIndex::partitions`]), so it is a filter and
+    /// nothing more: an emptiness probe may read it, every statistic
+    /// refuses it, and the range planner never plans a complement on it.
     pub fn lossy(&self, fpr: f64) -> (BitmapIndex, LossyStats) {
         let mut stats = LossyStats::default();
         let bins: Vec<WahVec> = self

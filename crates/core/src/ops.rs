@@ -1,8 +1,9 @@
 //! Logical operations on WAH vectors, executed directly on the compressed
-//! form — the fast bitwise kernels behind every bitmap-only analysis:
-//! AND (and its count) for joint value distributions and the spatial Earth
-//! Mover's Distance, OR for range queries and high-level index
-//! construction.
+//! form: the AND count behind the spatial Earth Mover's Distance and the
+//! paper's Figure 5 joint table (the label walk's oracle), OR for
+//! value-range selections, NOT for a complement plan, and a materialised
+//! AND to mask a selection. No statistic needs XOR or AND-NOT: a spatial
+//! difference is counted as `|A| + |B| − 2·|A ∧ B|`.
 
 use crate::kernels::{self, DenseBits};
 use crate::wah::WahVec;
@@ -16,17 +17,6 @@ impl WahVec {
     /// Bitwise OR.
     pub fn or(&self, other: &WahVec) -> WahVec {
         kernels::or_kernel(self, other)
-    }
-
-    /// Bitwise XOR — the element-difference kernel of the spatial EMD
-    /// (Section 3.2 of the paper).
-    pub fn xor(&self, other: &WahVec) -> WahVec {
-        kernels::xor_kernel(self, other)
-    }
-
-    /// Bitwise AND-NOT (`self & !other`).
-    pub fn andnot(&self, other: &WahVec) -> WahVec {
-        kernels::andnot_kernel(self, other)
     }
 
     /// Bitwise complement — a direct one-pass complement over the runs
@@ -140,7 +130,7 @@ mod tests {
     }
 
     #[test]
-    fn and_or_xor_andnot_match_naive() {
+    fn and_or_match_naive() {
         for (a_bits, b_bits) in cases() {
             let a = WahVec::from_bits(a_bits.iter().copied());
             let b = WahVec::from_bits(b_bits.iter().copied());
@@ -152,17 +142,8 @@ mod tests {
                 a.or(&b).to_bools(),
                 naive_op(&a_bits, &b_bits, |x, y| x | y)
             );
-            assert_eq!(
-                a.xor(&b).to_bools(),
-                naive_op(&a_bits, &b_bits, |x, y| x ^ y)
-            );
-            assert_eq!(
-                a.andnot(&b).to_bools(),
-                naive_op(&a_bits, &b_bits, |x, y| x & !y)
-            );
             a.and(&b).check_canonical().unwrap();
             a.or(&b).check_canonical().unwrap();
-            a.xor(&b).check_canonical().unwrap();
         }
     }
 
@@ -234,11 +215,13 @@ mod tests {
         b_bits.extend(vec![false; 31 * 60]);
         let a = WahVec::from_bits(a_bits.iter().copied());
         let b = WahVec::from_bits(b_bits.iter().copied());
-        assert_eq!(
-            a.xor(&b).to_bools(),
-            naive_op(&a_bits, &b_bits, |x, y| x ^ y)
-        );
-        assert_eq!(a.xor(&b).count_ones(), (31 * 20 + 31 * 30) as u64);
+        for (got, op) in [
+            (a.and(&b), (|x, y| x & y) as fn(bool, bool) -> bool),
+            (a.or(&b), |x, y| x | y),
+        ] {
+            assert_eq!(got.to_bools(), naive_op(&a_bits, &b_bits, op));
+        }
+        assert_eq!(a.or(&b).count_ones(), (31 * 20 + 31 * 30) as u64);
     }
 
     #[test]

@@ -164,7 +164,7 @@ impl std::error::Error for RawWahError {}
 ///
 /// `WahVec` is the compressed bitvector produced by the paper's streaming
 /// Algorithm 1 and consumed by every bitmap-only analysis: logical
-/// AND/OR/XOR run directly on the compressed words, and 1-bit counts are
+/// AND/OR/NOT run directly on the compressed words, and 1-bit counts are
 /// computed without decompression.
 ///
 /// ```
@@ -435,51 +435,6 @@ impl WahVec {
             }
         }
         total
-    }
-
-    /// 1-bit counts per consecutive unit of `unit_bits` bits (the last unit
-    /// may be shorter). One decoding pass; used by the correlation miner's
-    /// spatial-unit stage.
-    pub fn count_ones_per_unit(&self, unit_bits: u64) -> Vec<u64> {
-        assert!(unit_bits > 0, "unit_bits must be positive");
-        let nunits = self.len_bits.div_ceil(unit_bits) as usize;
-        let mut out = vec![0u64; nunits];
-        let mut pos = 0u64;
-        for run in self.runs() {
-            let mut rem = run.len();
-            match run {
-                Run::Fill(false, _) => pos += rem,
-                Run::Fill(true, _) => {
-                    while rem > 0 {
-                        let unit = (pos / unit_bits) as usize;
-                        let in_unit = (unit as u64 + 1) * unit_bits - pos;
-                        let take = in_unit.min(rem);
-                        out[unit] += take;
-                        pos += take;
-                        rem -= take;
-                    }
-                }
-                Run::Literal(payload, nbits) => {
-                    let mut payload = payload;
-                    let mut rem = nbits as u64;
-                    while rem > 0 {
-                        let unit = (pos / unit_bits) as usize;
-                        let in_unit = (unit as u64 + 1) * unit_bits - pos;
-                        let take = in_unit.min(rem) as u32;
-                        let mask = if take == 32 {
-                            u32::MAX
-                        } else {
-                            (1u32 << take) - 1
-                        };
-                        out[unit] += (payload & mask).count_ones() as u64;
-                        payload = if take == 32 { 0 } else { payload >> take };
-                        pos += take as u64;
-                        rem -= take as u64;
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// `rank(i)`: number of 1-bits in `[0, i)` — equivalent to
@@ -822,22 +777,6 @@ mod tests {
         assert_eq!(v.count_ones_in_range(100, 400), 300);
         assert_eq!(v.count_ones_in_range(50, 150), 50);
         assert_eq!(v.count_ones_in_range(350, 500), 50);
-    }
-
-    #[test]
-    fn count_per_unit_matches_ranges() {
-        let bits: Vec<bool> = (0..1000).map(|i| (i * 7) % 13 < 4).collect();
-        let v = WahVec::from_bits(bits.iter().copied());
-        for unit in [1u64, 7, 31, 64, 100, 999, 1000, 2000] {
-            let per = v.count_ones_per_unit(unit);
-            let nunits = (1000u64).div_ceil(unit) as usize;
-            assert_eq!(per.len(), nunits);
-            for (u, &c) in per.iter().enumerate() {
-                let lo = u as u64 * unit;
-                let hi = (lo + unit).min(1000);
-                assert_eq!(c, v.count_ones_in_range(lo, hi), "unit {u} size {unit}");
-            }
-        }
     }
 
     #[test]

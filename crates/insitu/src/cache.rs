@@ -12,34 +12,29 @@
 //!   later query. What the entry then holds is each bin in its at-rest
 //!   form. Counts, probes and the joint table's label walk — everything
 //!   a reply reads — take a Roaring bin where it lies; it is transcoded to
-//!   WAH only for a caller that asks for that form
-//!   ([`ibis_core::BitmapIndex::bin`]), the first time, and no other bin
-//!   with it. Concurrent readers share one copy and one materialisation;
+//!   WAH only for a caller outside the engine that asks for that form
+//!   ([`ibis_core::BitmapIndex::bin`]). Concurrent readers share one copy;
 //! * each entry is an `Arc<MultiLevelIndex>` around the decoded index with
 //!   no grouping (`group` 1): nothing reads a cached entry's high level,
 //!   and the wrapper stays only because the `ibis-e2e` harness spells the
 //!   return type (ROADMAP item 2b);
-//! * an entry is charged what its index holds — every bin's at-rest form
-//!   plus the WAH forms made so far
-//!   ([`ibis_core::BitmapIndex::resident_bytes`]). No reply transcodes a
-//!   bin of an index whose bins partition its rows, but the materialising
-//!   fallbacks for one whose bins do not — [`ibis_analysis::SubsetQuery::count`]
-//!   and the AND-table path of [`ibis_analysis::correlation_partial_shard`]
-//!   — can, so an entry may still *grow* while it is used. The accounting
-//!   catches up whenever the cache looks: a hit re-measures the entry it
-//!   returns, a miss and [`CachedStore::stats`] re-measure the whole lock
-//!   shard, and `resident_bytes` is then exactly the sum of the resident
-//!   entries' sizes;
+//! * an entry is charged its index's at-rest bytes
+//!   ([`ibis_core::BitmapIndex::size_bytes`]), once, on arrival. Every
+//!   statistic a reply computes reads a partition where its bins lie
+//!   ([`ibis_analysis::SubsetQuery::count`],
+//!   [`ibis_analysis::correlation_partial_shard`]), so no reply transcodes
+//!   a bin and an entry never grows while it is used: `resident_bytes` is
+//!   the sum of the resident entries' sizes;
 //! * entries are spread over fixed shards (key-hashed), each behind its own
 //!   [`parking_lot::Mutex`] — readers of different shards never contend,
 //!   and the underlying catalog is an `Arc<Store>` that is never mutated;
 //! * the read happens *outside* any lock (a slow blob read stalls only the
 //!   requesting thread), with a double-check on insert so a racing thread's
 //!   copy wins and the loser's work is dropped;
-//! * the byte budget is enforced per shard by last-used eviction, on a
-//!   miss and on a hit that finds its entry grown; the entry being
-//!   returned is never evicted, so a single oversized index still serves
-//!   (the budget is a high-water target, not a hard allocator).
+//! * the byte budget is enforced per shard by last-used eviction on a
+//!   miss; the entry being returned is never evicted, so a single
+//!   oversized index still serves (the budget is a high-water target, not
+//!   a hard allocator).
 //!
 //! Counters (family `query.cache`, see DESIGN.md §6g):
 //! `query.cache.{hits,misses,evictions}` and the gauge
@@ -93,16 +88,6 @@ type LossyMemo = HashMap<(String, usize), Option<Arc<LossyCompanion>>>;
 struct Shard {
     map: HashMap<Key, Entry>,
     resident: u64,
-}
-
-impl Entry {
-    /// Charges the entry what it holds now and returns the growth since
-    /// it was last measured (bins are materialised, never dropped).
-    fn remeasure(&mut self) -> u64 {
-        let grown = self.index.low().resident_bytes() as u64 - self.bytes;
-        self.bytes += grown;
-        grown
-    }
 }
 
 /// A read-through cache of decoded indices over a [`Store`],
@@ -280,23 +265,15 @@ impl CachedStore {
 
     /// Reads `(variable, step)` through the cache: a resident entry is
     /// shared via `Arc`, a miss reads and verifies outside the shard lock
-    /// and then inserts (first racer wins). Either way the shard's
-    /// accounting catches up with what its entries have grown to, and
-    /// least-recently-used entries past the byte budget are evicted.
+    /// and then inserts (first racer wins), evicting least-recently-used
+    /// entries past the byte budget.
     pub fn get(&self, variable: &str, step: usize) -> Result<Arc<MultiLevelIndex>> {
         let key = (step, variable.to_string());
         let shard = &self.shards[shard_of(step, variable, self.shards.len())];
-        // a hit re-measures the entry it returns and nothing else
         let hit = |s: &mut Shard| {
             let e = s.map.get_mut(&key)?;
             e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-            let (index, grown) = (Arc::clone(&e.index), e.remeasure());
-            if grown > 0 {
-                s.resident += grown;
-                let freed = self.evict_lru(s, self.shard_budget, Some(&key));
-                OBS_CACHE_RESIDENT.add(grown as i64 - freed as i64);
-            }
-            Some(index)
+            Some(Arc::clone(&e.index))
         };
         if let Some(index) = hit(&mut shard.lock()) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -316,8 +293,7 @@ impl CachedStore {
             // already shared — drop ours.
             return Ok(index);
         }
-        let bytes = ml.low().resident_bytes() as u64;
-        let grown: u64 = s.map.values_mut().map(Entry::remeasure).sum();
+        let bytes = ml.low().size_bytes() as u64;
         s.map.insert(
             key.clone(),
             Entry {
@@ -326,9 +302,9 @@ impl CachedStore {
                 last_used: self.tick.fetch_add(1, Ordering::Relaxed),
             },
         );
-        s.resident += grown + bytes;
+        s.resident += bytes;
         let freed = self.evict_lru(&mut s, self.shard_budget, Some(&key));
-        OBS_CACHE_RESIDENT.add((grown + bytes) as i64 - freed as i64);
+        OBS_CACHE_RESIDENT.add(bytes as i64 - freed as i64);
         Ok(ml)
     }
 
@@ -374,22 +350,13 @@ impl CachedStore {
     }
 
     /// This instance's counters (independent of the global obs registry,
-    /// so tests running in parallel see only their own cache). Every entry
-    /// is re-measured first, so `resident_bytes` is what the entries hold
-    /// now, not what they held when last read through the cache.
+    /// so tests running in parallel see only their own cache).
     pub fn stats(&self) -> CacheStats {
-        let resident = |shard: &Mutex<Shard>| {
-            let mut s = shard.lock();
-            let grown: u64 = s.map.values_mut().map(Entry::remeasure).sum();
-            s.resident += grown;
-            OBS_CACHE_RESIDENT.add(grown as i64);
-            s.resident
-        };
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            resident_bytes: self.shards.iter().map(resident).sum(),
+            resident_bytes: self.shards.iter().map(|s| s.lock().resident).sum(),
         }
     }
 
@@ -482,7 +449,7 @@ mod tests {
     fn byte_budget_evicts_least_recently_used() {
         let (dir, store) = store_with("evict", &[0, 1, 2, 3], &["temperature"]);
         // what an entry is charged on arrival: its bins as they are stored
-        let one = store.get(0, "temperature").unwrap().resident_bytes() as u64;
+        let one = store.get(0, "temperature").unwrap().size_bytes() as u64;
         // one shard, room for ~2 entries
         let cache = CachedStore::with_shards(store, 2 * one + one / 2, 1);
         for s in [0usize, 1, 2, 3] {
@@ -540,42 +507,22 @@ mod tests {
     }
 
     #[test]
-    fn a_growing_entry_is_charged_and_evicts_its_neighbours() {
-        let (dir, store) = store_with("grow", &[0, 1, 2], &["temperature"]);
-        let cold: u64 = (0..3)
-            .map(|s| store.get(s, "temperature").unwrap().resident_bytes() as u64)
-            .sum();
-        // one lock shard, room for the three entries as they arrive
-        let cache = CachedStore::with_shards(store, cold + cold / 6, 1);
+    fn an_entry_is_charged_its_at_rest_bytes() {
+        let (dir, store) = store_with("at-rest", &[0, 1, 2], &["temperature"]);
+        let at_rest: Vec<u64> = (0..3)
+            .map(|s| store.get(s, "temperature").unwrap().size_bytes() as u64)
+            .collect();
+        let cache = CachedStore::with_shards(store, 64 << 20, 1);
         let held: Vec<_> = (0..3)
             .map(|s| cache.get("temperature", s).unwrap())
             .collect();
-        let sum = |held: &[Arc<MultiLevelIndex>]| -> u64 {
-            held.iter().map(|ml| ml.low().resident_bytes() as u64).sum()
-        };
-        assert_eq!(cache.stats().resident_bytes, cold);
-        assert_eq!(sum(&held), cold, "a miss materialises nothing");
-
-        // something asks two of step 1's bins for their WAH form
-        for b in 0..2 {
-            held[1].low().bin(b);
-        }
-        let st = cache.stats();
-        assert!(st.resident_bytes > cold, "{st:?}");
-        assert_eq!(st.resident_bytes, sum(&held), "charged what is held");
-        assert_eq!(st.evictions, 0, "still inside the budget");
-
-        // step 0 is forced whole: on the next access the shard is over
-        // budget and the least recently used neighbour goes
-        let forced = held[0].low().bins().count();
-        assert_eq!(forced, held[0].low().nbins());
-        cache.get("temperature", 0).unwrap();
-        let st = cache.stats();
-        assert!(st.evictions >= 1, "growth past the budget evicts: {st:?}");
-        assert!(st.resident_bytes <= cache.budget_bytes().max(sum(&held[..1])));
-        let hits = st.hits;
-        cache.get("temperature", 0).unwrap();
-        assert_eq!(cache.stats().hits, hits + 1, "the grown entry stays");
+        assert_eq!(cache.stats().resident_bytes, at_rest.iter().sum::<u64>());
+        // what a caller asks of an entry is not charged to it
+        assert_eq!(held[1].low().bins().count(), held[1].low().nbins());
+        cache.get("temperature", 1).unwrap();
+        assert_eq!(cache.stats().resident_bytes, at_rest.iter().sum::<u64>());
+        let freed = cache.evict_retain(|step| step != 1);
+        assert_eq!(freed, at_rest[1], "an entry frees what it was charged");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -327,6 +327,20 @@ pub mod codec {
         Ok(BitmapIndex::from_codec_bins(binner, bins))
     }
 
+    /// `index` if its bins partition its rows, as an exact index's do —
+    /// else why not. A CRC-valid payload can still count some rows twice
+    /// or none; an exact index read back is checked here, so every
+    /// statistic reads a partition.
+    pub(crate) fn exact(index: BitmapIndex) -> Result<BitmapIndex, String> {
+        let (counted, rows) = (index.counts().iter().sum::<u64>(), index.len());
+        match index.partitions() {
+            true => Ok(index),
+            false => Err(format!(
+                "bins hold {counted} rows of {rows}: not a partition"
+            )),
+        }
+    }
+
     /// The element count an index blob declares, from its header alone.
     pub(crate) fn index_rows(bytes: &[u8]) -> Result<u64, DecodeError> {
         Ok(read_index_header(&mut Reader::new(bytes))?.2)
@@ -350,7 +364,7 @@ pub mod codec {
             },
             1 => {
                 let count = r.u64()? as usize;
-                if count < 2 || count > r.bytes.len() / 8 + 2 {
+                if !(2..=Binner::MAX_BINS + 1).contains(&count) || count > r.bytes.len() / 8 + 2 {
                     return Err(DecodeError::BadBinner);
                 }
                 let mut edges = Vec::with_capacity(count);
@@ -367,7 +381,7 @@ pub mod codec {
         // from_spec panics on garbage; validate the width variant first
         if let BinnerSpec::Width { min, width, nbins } = &spec {
             let width_ok = width.is_finite() && *width > 0.0;
-            if !min.is_finite() || !width_ok || *nbins == 0 {
+            if !min.is_finite() || !width_ok || !(1..=Binner::MAX_BINS).contains(nbins) {
                 return Err(DecodeError::BadBinner);
             }
         }
@@ -738,6 +752,33 @@ mod tests {
         assert!(matches!(
             codec::decode_index(&tagged),
             Err(DecodeError::BadCodec { bin: 0, .. })
+        ));
+    }
+
+    /// A binner past [`Binner::MAX_BINS`] is refused from the header, as a
+    /// width spec and as edges, before a bin is read or `from_spec` panics.
+    #[test]
+    fn index_codec_rejects_more_bins_than_a_binning_holds() {
+        use crate::error::DecodeError;
+        use ibis_core::{Binner, BitmapIndex};
+        let too_many = (Binner::MAX_BINS as u64 + 1).to_le_bytes();
+        let idx = BitmapIndex::build(&[1.0, 2.0, 3.0], Binner::fixed_width(0.0, 4.0, 4));
+        let mut blob = codec::encode_index(&idx);
+        // magic, version, tag, min, width: then the spec's bin count, and
+        // after the element count the index's own
+        blob[25..33].copy_from_slice(&too_many);
+        blob[41..49].copy_from_slice(&too_many);
+        assert!(matches!(
+            codec::decode_index(&blob),
+            Err(DecodeError::BadBinner)
+        ));
+        let edges = BitmapIndex::build(&[1.0, 2.0], Binner::from_edges(vec![0.0, 1.5, 4.0]));
+        let mut blob = codec::encode_index(&edges);
+        // magic, version, tag: then the edge count, one more than the bins
+        blob[9..17].copy_from_slice(&(Binner::MAX_BINS as u64 + 2).to_le_bytes());
+        assert!(matches!(
+            codec::decode_index(&blob),
+            Err(DecodeError::BadBinner)
         ));
     }
 

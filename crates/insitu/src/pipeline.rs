@@ -1287,6 +1287,7 @@ fn read_summary(r: &mut codec::Reader) -> Result<Held> {
     let mut rows = None;
     for _ in 0..nvars {
         let idx = codec::decode_index(r.blob()?).map_err(|e| bad("index", &e))?;
+        let idx = codec::exact(idx).map_err(|e| bad("index", &e))?;
         rows = Some(idx.len());
         vars.push(VarSummary::Bitmap(idx));
     }
@@ -1785,6 +1786,36 @@ mod tests {
         let disk = LocalDisk::new(1e9);
         let err = run_pipeline(Heat3D::new(heat_cfg()), &cfg, &disk).unwrap_err();
         assert_eq!(err, IbisError::Killed { step: 7 });
+    }
+
+    /// A buffered summary whose bins count a row twice is no exact index:
+    /// the checkpoint that embeds it is refused, not resumed from.
+    #[test]
+    fn a_checkpoint_embedding_no_partition_is_refused() {
+        let n = 200;
+        let bins = vec![ibis_core::WahVec::ones(n), ibis_core::WahVec::ones(n)];
+        let overlapping = ibis_core::BitmapIndex::from_bins(Binner::distinct_ints(0, 1), bins);
+        let summary = StepSummary {
+            step: 1,
+            vars: vec![VarSummary::Bitmap(overlapping)],
+        };
+        let mut selector = StreamingSelector::new(4, 2, Metric::ConditionalEntropy);
+        selector.buffer = vec![(1, summary, false, None)];
+        let totals = RunTotals {
+            output_modeled: 0.0,
+            bytes_written: 0,
+            summary_bytes_total: 0,
+            raw_bytes_per_step: 0,
+        };
+        let outcomes = [StepOutcome::Completed, StepOutcome::Completed];
+        let bytes = encode_checkpoint(2, &selector, &outcomes, &totals).unwrap();
+        match parse_checkpoint(&bytes) {
+            Err(IbisError::BadCheckpoint(msg)) => assert!(msg.contains("not a partition"), "{msg}"),
+            other => panic!(
+                "expected BadCheckpoint, got {:?}",
+                other.map(|s| s.next_step)
+            ),
+        }
     }
 
     #[test]

@@ -772,7 +772,9 @@ impl Store {
 
     /// Loads one index, verifying framing and checksum on the way — the
     /// per-blob read the query cache ([`crate::cache::CachedStore`]) builds
-    /// on.
+    /// on. An exact index is a partition of its rows; one whose bins do not
+    /// count every row once is [`IbisError::Corrupt`], so no statistic ever
+    /// reads one.
     pub fn get(&self, step: usize, variable: &str) -> Result<BitmapIndex> {
         let meta = self
             .entries
@@ -783,9 +785,13 @@ impl Store {
                 variable: variable.to_string(),
             })?;
         let (bytes, payload) = self.verified_payload(meta, Kind::Index)?;
-        codec::decode_index(&bytes[payload]).map_err(|source| IbisError::Decode {
+        let index = codec::decode_index(&bytes[payload]).map_err(|source| IbisError::Decode {
             file: Some(meta.file.clone()),
             source,
+        })?;
+        codec::exact(index).map_err(|detail| IbisError::Corrupt {
+            file: meta.file.clone(),
+            detail,
         })
     }
 
@@ -1037,7 +1043,7 @@ fn parse_manifest(manifest: &str) -> Result<BTreeMap<(usize, String), EntryMeta>
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
-    use ibis_core::Binner;
+    use ibis_core::{Binner, WahVec};
 
     fn sample_index(seed: usize) -> BitmapIndex {
         let data: Vec<f64> = (0..500).map(|i| ((i * (seed + 3)) % 40) as f64).collect();
@@ -1181,6 +1187,35 @@ mod tests {
         assert_eq!(series[0].1.counts(), sample_index(0).counts());
 
         // a second pass finds nothing left to quarantine
+        assert!(store.fsck().is_clean());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A CRC-valid exact blob whose bins count a row twice — an index no
+    /// build makes — is refused on read and set aside by fsck.
+    #[test]
+    fn an_exact_blob_that_is_no_partition_is_corrupt_and_quarantined() {
+        let dir = tmp("no-partition");
+        let n = sample_index(0).len();
+        let mut bins = vec![WahVec::zeros(n); sample_index(0).nbins()];
+        bins[0] = WahVec::ones(n);
+        bins[1] = WahVec::from_bits((0..n).map(|r| r % 3 == 0));
+        let overlapping = BitmapIndex::from_bins(sample_index(0).binner().clone(), bins);
+        let mut w = StoreWriter::create(&dir).unwrap();
+        w.put(0, "temperature", &sample_index(0)).unwrap();
+        w.put(1, "temperature", &overlapping).unwrap();
+        w.finish().unwrap();
+
+        let mut store = Store::open(&dir).unwrap();
+        assert!(store.get(0, "temperature").is_ok());
+        match store.get(1, "temperature").unwrap_err() {
+            IbisError::Corrupt { detail, .. } => assert!(detail.contains("not a partition")),
+            other => panic!("expected Corrupt, got {other}"),
+        }
+        let report = store.fsck();
+        assert_eq!(report.quarantined.len(), 1);
+        assert_eq!(report.quarantined[0].step, 1);
+        assert!(dir.join("s000001_temperature.ibis.quarantined").exists());
         assert!(store.fsck().is_clean());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1814,8 +1849,10 @@ mod tests {
         // nothing but the payload's own checks stands between it and a
         // query. Verification is eager and total, so whatever is wrong
         // with a Roaring bin is a typed error from `CachedStore::get` —
-        // never from the first `bin(b)`, which cannot fail — and a payload
-        // `get` accepts answers, forced or not, for the counts it declared.
+        // never from the first `bin(b)`, which cannot fail — a payload whose
+        // counts no longer sum to its rows is no partition, and refused as
+        // corrupt, and a payload `get` accepts answers, forced or not, for
+        // the counts it declared.
         let noise: Vec<f64> = (0..200).map(|i| ((i * 7) % 16) as f64).collect();
         let idx = BitmapIndex::build(&noise, Binner::distinct_ints(0, 19));
         let (clean, plan) = codec::encode_index_auto(&idx);
@@ -1843,6 +1880,10 @@ mod tests {
                     refused += 1;
                     continue;
                 }
+                Err(IbisError::Corrupt { detail, .. }) if detail.contains("not a partition") => {
+                    refused += 1;
+                    continue;
+                }
                 Err(other) => panic!("step {step}: {other}"),
             };
             served += 1;
@@ -1859,10 +1900,11 @@ mod tests {
             let forced = codec::decode_index(&codec::encode_index_auto(low).0).unwrap();
             assert_eq!(forced.counts(), low.counts(), "step {step}");
         }
-        // a bit flipped inside an array container moves a row and is
-        // served; one in a tag, a length or a count is refused
+        // a bit flipped inside an array container moves a row within its
+        // bin and is served; one in a tag, a length or a count, or one
+        // that adds or drops a row, is refused
         assert!(
-            refused > steps / 3 && served > steps / 10,
+            refused > steps / 3 && served > steps / 20,
             "{refused} / {served}"
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -147,6 +147,39 @@ fn adversarial_corpus_returns_structured_errors() {
     assert!(out.contains("\"error\""), "{out}");
     assert!(out.contains(&format!("\"selected\": {N}")), "{out}");
     std::fs::remove_dir_all(&dir).ok();
+
+    // --- a CRC-valid exact blob whose bins are no partition: step 1's
+    // temperature sets every row in two bins. Each query that reads it is
+    // a per-query error; the rest of the batch answers ---
+    let dir = std::env::temp_dir().join("ibis-qe-adversarial-overlap");
+    std::fs::remove_dir_all(&dir).ok();
+    let mut w = StoreWriter::create(&dir).unwrap();
+    let binner = Binner::fixed_width(0.0, 40.0, 64);
+    let mut bins = vec![ibis_core::WahVec::zeros(N as u64); 64];
+    bins[3] = ibis_core::WahVec::ones(N as u64);
+    bins[9] = ibis_core::WahVec::ones(N as u64);
+    w.put(
+        1,
+        "temperature",
+        &BitmapIndex::from_bins(binner.clone(), bins),
+    )
+    .unwrap();
+    w.put(1, "salinity", &BitmapIndex::build(&field(1, 1), binner))
+        .unwrap();
+    w.finish().unwrap();
+    let engine = QueryEngine::new(CachedStore::new(Store::open(&dir).unwrap(), 64 << 20));
+    let out = engine
+        .run_batch_json(
+            r#"{"queries": [
+                {"kind": "subset", "step": 1, "variable": "temperature", "value_range": [0, 10]},
+                {"kind": "correlation", "step": 1, "var_a": "salinity", "var_b": "temperature"},
+                {"kind": "subset", "step": 1, "variable": "salinity"}
+            ]}"#,
+        )
+        .unwrap();
+    assert_eq!(out.matches("not a partition").count(), 2, "{out}");
+    assert!(out.contains(&format!("\"selected\": {N}")), "{out}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Same data as [`build_store`], stored under a non-identity row order
@@ -612,7 +645,7 @@ fn concurrent_readers_share_one_cache_safely() {
         .get("temperature", 0)
         .unwrap()
         .low()
-        .resident_bytes() as u64;
+        .size_bytes() as u64;
     let engine = Arc::new(QueryEngine::new(CachedStore::with_shards(
         store,
         3 * one,
