@@ -119,16 +119,10 @@ pub fn variance(index: &BitmapIndex) -> Option<Estimate> {
     })
 }
 
-/// Approximate Pearson correlation of two indexed variables, from the
-/// joint bin counts with midpoint values. Returns `None` when either
-/// variable is (approximately) constant.
-pub fn pearson(a: &BitmapIndex, b: &BitmapIndex) -> Option<f64> {
-    let joint = crate::histogram::joint_counts(a, b);
-    pearson_from_joint_counts(a.binner(), b.binner(), &joint, a.len())
-}
-
 /// The Pearson finisher: joint `(bin_a, bin_b)` counts to an approximate
-/// correlation with bin-midpoint values. Pure in the integer counts, the
+/// correlation with bin-midpoint values (of two whole indices it is
+/// [`crate::correlation_query`] with no predicate); `None` when either
+/// variable is (approximately) constant. Pure in the integer counts, the
 /// two binning scales, and `n`, with a fixed accumulation order — so a
 /// coordinator summing per-shard joint tables reproduces the unsharded
 /// correlation float for float.
@@ -179,7 +173,13 @@ pub(crate) fn pearson_from_cells(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::{correlation_query, SubsetQuery};
     use ibis_core::Binner;
+
+    fn pearson(a: &BitmapIndex, b: &BitmapIndex) -> Option<f64> {
+        let all = SubsetQuery::all();
+        correlation_query(a, b, &all, &all).unwrap().pearson
+    }
 
     fn linear_data(n: usize) -> Vec<f64> {
         (0..n).map(|i| i as f64 / 10.0).collect()

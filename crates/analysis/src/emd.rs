@@ -1,28 +1,27 @@
 //! Earth Mover's Distance (Section 3.1 Equation 3, Section 3.2 and
-//! Figure 4): the distance between the value distributions of two
-//! time-steps, in two variants.
+//! Figure 4) between the value distributions of two time-steps, in two
+//! variants, each a finisher over per-bin integers:
 //!
-//! * **Count-based** — per bin, compare element counts between the two
-//!   steps. We use the signed cumulative form (the classic 1-D EMD): the
-//!   running sum of `count_A(j) − count_B(j)` is the mass that must flow
-//!   past bin boundary `j`, and the EMD is the sum of its absolute values.
-//!   From bitmaps this needs only the cached bin popcounts.
-//! * **Spatial** — per bin, count *positions* whose membership differs
-//!   between the two steps ("for each bin pair … find if there is a match at
-//!   the same position"), then accumulate the paper's CFP sum. From bitmaps
-//!   this is the cardinality identity `|A_j ⊕ B_j| = |A_j| + |B_j| −
-//!   2·|A_j ∧ B_j|`: the cached bin counts plus one intersection count per
-//!   bin pair, on each bin's stored codec ([`CodecVec::and_count`]), so a
-//!   Roaring-held bin is never transcoded. The paper's Figure 4 kernel is
-//!   the XOR popcount; the identity gives the same counts.
+//! * **Count-based** — the signed cumulative form (the classic 1-D EMD):
+//!   the running sum of `count_A(j) − count_B(j)` is the mass that must
+//!   flow past bin boundary `j`, and the EMD sums its absolute values.
+//! * **Spatial** — per bin, the *positions* whose membership differs
+//!   between the steps, accumulated as the paper's CFP sum. That count is
+//!   `|A_j ⊕ B_j| = |A_j| + |B_j| − 2·|A_j ∧ B_j|`: the per-bin counts and
+//!   the *diagonal*, one intersection count per matched bin pair — on
+//!   bitmaps an `and_count` on the stored codecs, so no Roaring bin is
+//!   transcoded (the paper's Figure 4 kernel is the XOR popcount; the
+//!   identity gives the same counts).
 //!
-//! Both variants are pure functions of per-bin integers, so the bitmap and
-//! full-data paths agree exactly under the same binning.
-//!
-//! [`CodecVec::and_count`]: ibis_core::CodecVec::and_count
+//! Per-step precision binning gives each step its own bin range on a
+//! shared lattice, so both variants compare two steps in the union of
+//! their ranges; a shared binning is its offset-0 case
+//! ([`Binner::alignment_offset`]).
 
+use crate::query::CorrelationPartial;
 use ibis_core::{Binner, BitmapIndex};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Count-based EMD from per-bin counts (shared scoring kernel).
 pub fn emd_from_counts(counts_a: &[u64], counts_b: &[u64]) -> f64 {
@@ -53,176 +52,126 @@ pub fn emd_spatial_from_diffs(diffs: &[u64]) -> f64 {
     emd as f64
 }
 
-/// Count-based EMD of two raw arrays under a shared binning scale.
-pub fn emd_counts_full(a: &[f64], b: &[f64], binner: &Binner) -> f64 {
-    let ha = crate::histogram::histogram(a, binner);
-    let hb = crate::histogram::histogram(b, binner);
-    emd_from_counts(&ha, &hb)
+/// Two binners' bins placed in the union of their ranges on the lattice
+/// they share: `a`'s bin `j` at union position `j + off_a`, `b`'s bin `k`
+/// at `k + off_b`; `matched` the union positions both of them cover.
+struct Lattice {
+    off_a: usize,
+    off_b: usize,
+    len: usize,
+    matched: Range<usize>,
 }
 
-/// Count-based EMD of two indexed time-steps: read straight off the cached
-/// bin counts — zero bitwise work.
+impl Lattice {
+    /// # Panics
+    /// When the binners do not share a lattice.
+    fn of(a: &Binner, b: &Binner) -> Self {
+        // b's low edge, in bins, relative to a's
+        let off = a
+            .alignment_offset(b)
+            .expect("EMD needs a shared binning lattice");
+        let (lo, na, nb) = (off.min(0), a.nbins(), b.nbins());
+        let (off_a, off_b) = ((-lo) as usize, (off - lo) as usize);
+        let (start, end) = (off_a.max(off_b), (off_a + na).min(off_b + nb));
+        Lattice {
+            off_a,
+            off_b,
+            len: (off_a + na).max(off_b + nb),
+            matched: start..end.max(start), // empty for disjoint ranges
+        }
+    }
+
+    /// `counts` placed at `off` in the union space.
+    fn widen(&self, counts: &[u64], off: usize) -> Vec<u64> {
+        let mut union = vec![0u64; self.len];
+        union[off..off + counts.len()].copy_from_slice(counts);
+        union
+    }
+}
+
+/// The diagonal of two indices: one `and_count` on the stored codecs per
+/// matched bin pair, the pairs on the rayon pool, collected in bin order.
+pub(crate) fn diagonal(a: &BitmapIndex, b: &BitmapIndex) -> Vec<u64> {
+    assert_eq!(a.len(), b.len(), "spatial EMD needs equal element counts");
+    let l = Lattice::of(a.binner(), b.binner());
+    let pair = |g: usize| {
+        a.stored_bin(g - l.off_a)
+            .and_count(b.stored_bin(g - l.off_b))
+    };
+    l.matched.clone().into_par_iter().map(pair).collect()
+}
+
+/// A spatial EMD partial of two raw arrays: the per-bin counts and the
+/// diagonal in one pass over the rows.
+pub(crate) fn scan_spatial(a: &[f64], b: &[f64], ba: &Binner, bb: &Binner) -> CorrelationPartial {
+    assert_eq!(a.len(), b.len(), "spatial EMD needs equal-length arrays");
+    let l = Lattice::of(ba, bb);
+    let mut p = CorrelationPartial::zero(0, 0);
+    p.counts_a = vec![0; ba.nbins()];
+    p.counts_b = vec![0; bb.nbins()];
+    p.diagonal = vec![0; l.matched.len()];
+    for (&x, &y) in a.iter().zip(b) {
+        let (j, k) = (ba.bin_of(x) as usize, bb.bin_of(y) as usize);
+        p.counts_a[j] += 1;
+        p.counts_b[k] += 1;
+        if j + l.off_a == k + l.off_b {
+            p.diagonal[j + l.off_a - l.matched.start] += 1;
+        }
+    }
+    p
+}
+
+/// The EMD finisher over a partial's per-bin counts (and, for the spatial
+/// variant, its diagonal), in the union space of the two binners.
 ///
 /// # Panics
-/// Panics if the indices were built with different binning scales.
-pub fn emd_counts_index(a: &BitmapIndex, b: &BitmapIndex) -> f64 {
-    assert_eq!(a.binner(), b.binner(), "EMD needs the same binning scale");
-    emd_from_counts(a.counts(), b.counts())
-}
-
-/// Spatial EMD of two raw arrays: per bin, count positions in exactly one of
-/// the two steps' bins (a full scan per pair — the cost the bitmap path
-/// avoids).
-pub fn emd_spatial_full(a: &[f64], b: &[f64], binner: &Binner) -> f64 {
-    assert_eq!(a.len(), b.len(), "spatial EMD needs equal-length arrays");
-    let mut diffs = vec![0u64; binner.nbins()];
-    for (&x, &y) in a.iter().zip(b) {
-        let bx = binner.bin_of(x);
-        let by = binner.bin_of(y);
-        if bx != by {
-            // position is in bin bx of A but not of B, and vice versa
-            diffs[bx as usize] += 1;
-            diffs[by as usize] += 1;
-        }
+/// When the binners do not share a lattice, or the partial was counted
+/// under other binnings.
+pub(crate) fn finish(spatial: bool, ba: &Binner, bb: &Binner, p: &CorrelationPartial) -> f64 {
+    let l = Lattice::of(ba, bb);
+    // count EMD reads no diagonal
+    let diagonal = if spatial {
+        l.matched.len()
+    } else {
+        p.diagonal.len()
+    };
+    let shape = [p.counts_a.len(), p.counts_b.len(), p.diagonal.len()];
+    let binnings = [ba.nbins(), bb.nbins(), diagonal];
+    assert_eq!(shape, binnings, "EMD partial counted under other binnings");
+    let (ua, ub) = (l.widen(&p.counts_a, l.off_a), l.widen(&p.counts_b, l.off_b));
+    if !spatial {
+        return emd_from_counts(&ua, &ub);
+    }
+    let mut diffs: Vec<u64> = ua.iter().zip(&ub).map(|(x, y)| x + y).collect();
+    for (d, c) in diffs[l.matched].iter_mut().zip(&p.diagonal) {
+        *d -= 2 * c;
     }
     emd_spatial_from_diffs(&diffs)
-}
-
-/// Spatial EMD of two indexed time-steps: per bin pair, the positions in
-/// exactly one of the two bins, `|A_j| + |B_j| − 2·|A_j ∧ B_j|` — the
-/// cached counts and one intersection count on the bins' stored codecs.
-/// The identity holds for any two bit sets (lossy supersets and
-/// overlapping bins included). The per-bin counts are independent and run
-/// on the rayon pool; the diffs are exact `u64` counts collected in bin
-/// order, so the cumulative sum (and the result) is identical to a serial
-/// evaluation.
-pub fn emd_spatial_index(a: &BitmapIndex, b: &BitmapIndex) -> f64 {
-    assert_eq!(a.binner(), b.binner(), "EMD needs the same binning scale");
-    assert_eq!(a.len(), b.len(), "spatial EMD needs equal element counts");
-    let diffs: Vec<u64> = (0..a.nbins())
-        .into_par_iter()
-        .map(|j| bin_diff(a, j, b, j))
-        .collect();
-    emd_spatial_from_diffs(&diffs)
-}
-
-/// `|a_j ⊕ b_k|` from the cached counts and the stored bins' `and_count`.
-fn bin_diff(a: &BitmapIndex, j: usize, b: &BitmapIndex, k: usize) -> u64 {
-    a.counts()[j] + b.counts()[k] - 2 * a.stored_bin(j).and_count(b.stored_bin(k))
-}
-
-// ---------------------------------------------------------------------------
-// Lattice-aligned variants: the paper's per-step precision binning gives each
-// time-step its own bin *range* (64–206 bitvectors in their Heat3D runs) on a
-// shared bin lattice; EMD between two such steps maps both sides into the
-// union bin space first.
-// ---------------------------------------------------------------------------
-
-/// Maps two lattice-aligned binners into a union bin space: returns
-/// `(offset_a, offset_b, union_len)` such that `a` bin `j` sits at union
-/// position `j + offset_a` and `b` bin `k` at `k + offset_b`. `None` when
-/// the binners do not share a lattice.
-fn union_space(a: &Binner, b: &Binner) -> Option<(usize, usize, usize)> {
-    let off = a.alignment_offset(b)?; // b's low edge, in bins, relative to a's
-    let a_start = 0i64;
-    let b_start = off;
-    let lo = a_start.min(b_start);
-    let hi = (a.nbins() as i64).max(off + b.nbins() as i64);
-    Some((
-        (a_start - lo) as usize,
-        (b_start - lo) as usize,
-        (hi - lo) as usize,
-    ))
-}
-
-/// Count-based EMD between indices whose binners share a lattice but may
-/// cover different ranges. Equals [`emd_counts_index`] when the binners are
-/// identical; `None` when the lattices differ.
-pub fn emd_counts_index_aligned(a: &BitmapIndex, b: &BitmapIndex) -> Option<f64> {
-    let (oa, ob, len) = union_space(a.binner(), b.binner())?;
-    let mut ca = vec![0u64; len];
-    let mut cb = vec![0u64; len];
-    ca[oa..oa + a.nbins()].copy_from_slice(a.counts());
-    cb[ob..ob + b.nbins()].copy_from_slice(b.counts());
-    Some(emd_from_counts(&ca, &cb))
-}
-
-/// Spatial EMD between lattice-aligned indices: per union bin, the
-/// positions in exactly one of the corresponding bins (counted as in
-/// [`emd_spatial_index`]), with a bin absent from one side contributing
-/// all of the other side's members.
-pub fn emd_spatial_index_aligned(a: &BitmapIndex, b: &BitmapIndex) -> Option<f64> {
-    assert_eq!(a.len(), b.len(), "spatial EMD needs equal element counts");
-    let (oa, ob, len) = union_space(a.binner(), b.binner())?;
-    let diffs: Vec<u64> = (0..len)
-        .into_par_iter()
-        .map(|g| {
-            let ja = g.checked_sub(oa).filter(|&j| j < a.nbins());
-            let kb = g.checked_sub(ob).filter(|&k| k < b.nbins());
-            match (ja, kb) {
-                (Some(j), Some(k)) => bin_diff(a, j, b, k),
-                (Some(j), None) => a.counts()[j],
-                (None, Some(k)) => b.counts()[k],
-                (None, None) => 0,
-            }
-        })
-        .collect();
-    Some(emd_spatial_from_diffs(&diffs))
-}
-
-/// Full-data comparator for [`emd_counts_index_aligned`] (exactness oracle).
-pub fn emd_counts_full_aligned(
-    a: &[f64],
-    b: &[f64],
-    binner_a: &Binner,
-    binner_b: &Binner,
-) -> Option<f64> {
-    let (oa, ob, len) = union_space(binner_a, binner_b)?;
-    let mut ca = vec![0u64; len];
-    let mut cb = vec![0u64; len];
-    for &v in a {
-        ca[binner_a.bin_of(v) as usize + oa] += 1;
-    }
-    for &v in b {
-        cb[binner_b.bin_of(v) as usize + ob] += 1;
-    }
-    Some(emd_from_counts(&ca, &cb))
-}
-
-/// Full-data comparator for [`emd_spatial_index_aligned`].
-pub fn emd_spatial_full_aligned(
-    a: &[f64],
-    b: &[f64],
-    binner_a: &Binner,
-    binner_b: &Binner,
-) -> Option<f64> {
-    assert_eq!(a.len(), b.len(), "spatial EMD needs equal-length arrays");
-    let (oa, ob, len) = union_space(binner_a, binner_b)?;
-    let mut diffs = vec![0u64; len];
-    for (&x, &y) in a.iter().zip(b) {
-        let ga = binner_a.bin_of(x) as usize + oa;
-        let gb = binner_b.bin_of(y) as usize + ob;
-        if ga != gb {
-            diffs[ga] += 1;
-            diffs[gb] += 1;
-        }
-    }
-    Some(emd_spatial_from_diffs(&diffs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summary::{Metric, VarSummary};
+    use std::panic::AssertUnwindSafe;
+
+    fn emd(a: &[f64], b: &[f64], binner: &Binner, metric: Metric) -> f64 {
+        let (fa, fb) = (
+            VarSummary::full(a.to_vec(), binner.clone()),
+            VarSummary::full(b.to_vec(), binner.clone()),
+        );
+        fa.metric(&fb, metric)
+    }
 
     #[test]
     fn identical_steps_have_zero_emd() {
         let data: Vec<f64> = (0..500).map(|i| ((i * 7) % 20) as f64).collect();
         let b = Binner::distinct_ints(0, 19);
-        assert_eq!(emd_counts_full(&data, &data, &b), 0.0);
-        assert_eq!(emd_spatial_full(&data, &data, &b), 0.0);
-        let idx = BitmapIndex::build(&data, b);
-        assert_eq!(emd_counts_index(&idx, &idx), 0.0);
-        assert_eq!(emd_spatial_index(&idx, &idx), 0.0);
+        let bm = VarSummary::bitmap(&data, b.clone());
+        for m in [Metric::Emd, Metric::EmdSpatial] {
+            assert_eq!(emd(&data, &data, &b, m), 0.0);
+            assert_eq!(bm.metric(&bm, m), 0.0);
+        }
     }
 
     #[test]
@@ -247,10 +196,8 @@ mod tests {
         let near: Vec<f64> = vec![1.0; 10];
         let far: Vec<f64> = vec![3.0; 10];
         let binner = Binner::distinct_ints(0, 3);
-        let e_near = emd_counts_full(&base, &near, &binner);
-        let e_far = emd_counts_full(&base, &far, &binner);
-        assert_eq!(e_near, 10.0);
-        assert_eq!(e_far, 30.0);
+        assert_eq!(emd(&base, &near, &binner, Metric::Emd), 10.0);
+        assert_eq!(emd(&base, &far, &binner, Metric::Emd), 30.0);
     }
 
     #[test]
@@ -258,14 +205,9 @@ mod tests {
         let a: Vec<f64> = (0..300).map(|i| ((i * 3) % 11) as f64).collect();
         let b: Vec<f64> = (0..300).map(|i| ((i * 5) % 11) as f64).collect();
         let binner = Binner::distinct_ints(0, 10);
-        assert_eq!(
-            emd_counts_full(&a, &b, &binner),
-            emd_counts_full(&b, &a, &binner)
-        );
-        assert_eq!(
-            emd_spatial_full(&a, &b, &binner),
-            emd_spatial_full(&b, &a, &binner)
-        );
+        for m in [Metric::Emd, Metric::EmdSpatial] {
+            assert_eq!(emd(&a, &b, &binner, m), emd(&b, &a, &binner, m));
+        }
     }
 
     #[test]
@@ -275,8 +217,8 @@ mod tests {
         let a = [0.0, 0.0, 1.0, 1.0];
         let b = [1.0, 1.0, 0.0, 0.0];
         let binner = Binner::distinct_ints(0, 1);
-        assert_eq!(emd_counts_full(&a, &b, &binner), 0.0);
-        assert!(emd_spatial_full(&a, &b, &binner) > 0.0);
+        assert_eq!(emd(&a, &b, &binner, Metric::Emd), 0.0);
+        assert!(emd(&a, &b, &binner, Metric::EmdSpatial) > 0.0);
     }
 
     #[test]
@@ -286,38 +228,47 @@ mod tests {
             .map(|i| (i as f64 * 0.002 + 0.4).sin() * 20.0)
             .collect();
         let binner = Binner::fixed_width(-21.0, 21.0, 40);
-        let ia = BitmapIndex::build(&a, binner.clone());
-        let ib = BitmapIndex::build(&b, binner.clone());
-        assert_eq!(emd_counts_index(&ia, &ib), emd_counts_full(&a, &b, &binner));
-        assert_eq!(
-            emd_spatial_index(&ia, &ib),
-            emd_spatial_full(&a, &b, &binner)
+        let (ia, ib) = (
+            BitmapIndex::build(&a, binner.clone()),
+            BitmapIndex::build(&b, binner.clone()),
         );
+        // the bitmap producer counts what the one-pass scan counts
+        let p = scan_spatial(&a, &b, &binner, &binner);
+        assert_eq!(
+            (ia.counts(), ib.counts()),
+            (&p.counts_a[..], &p.counts_b[..])
+        );
+        assert_eq!(diagonal(&ia, &ib), p.diagonal);
+        let (sa, sb) = (VarSummary::Bitmap(ia), VarSummary::Bitmap(ib));
+        for m in [Metric::Emd, Metric::EmdSpatial] {
+            assert_eq!(sa.metric(&sb, m), emd(&a, &b, &binner, m), "{m:?}");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "same binning scale")]
+    #[should_panic(expected = "shared binning lattice")]
     fn different_binners_rejected() {
-        let a = BitmapIndex::build(&[1.0], Binner::fixed_width(0.0, 2.0, 2));
-        let b = BitmapIndex::build(&[1.0], Binner::fixed_width(0.0, 2.0, 4));
-        let _ = emd_counts_index(&a, &b);
+        let a = VarSummary::bitmap(&[1.0], Binner::fixed_width(0.0, 2.0, 2));
+        let b = VarSummary::bitmap(&[1.0], Binner::fixed_width(0.0, 2.0, 4));
+        let _ = a.metric(&b, Metric::Emd);
     }
 
     #[test]
     fn aligned_emd_reduces_to_plain_when_binners_match() {
-        let a: Vec<f64> = (0..400).map(|i| ((i * 3) % 30) as f64 / 3.0).collect();
-        let b: Vec<f64> = (0..400).map(|i| ((i * 7) % 30) as f64 / 3.0).collect();
+        // a shared binning is the offset-0 union: the counts as they are
         let binner = Binner::fixed_width(0.0, 10.0, 20);
-        let ia = BitmapIndex::build(&a, binner.clone());
-        let ib = BitmapIndex::build(&b, binner.clone());
-        assert_eq!(
-            emd_counts_index_aligned(&ia, &ib),
-            Some(emd_counts_index(&ia, &ib))
-        );
-        assert_eq!(
-            emd_spatial_index_aligned(&ia, &ib),
-            Some(emd_spatial_index(&ia, &ib))
-        );
+        let l = Lattice::of(&binner, &binner);
+        assert_eq!((l.off_a, l.off_b, l.len, l.matched), (0, 0, 20, 0..20));
+        // b starts 3 bins above a and ends 2 above it
+        let b = Binner::fixed_width(1.5, 11.0, 19);
+        let l = Lattice::of(&binner, &b);
+        assert_eq!((l.off_a, l.off_b, l.len, l.matched), (0, 3, 22, 3..20));
+        let l = Lattice::of(&b, &binner);
+        assert_eq!((l.off_a, l.off_b, l.len, l.matched), (3, 0, 22, 3..20));
+        // disjoint ranges match no bin
+        let far = Binner::fixed_width(20.0, 21.0, 2);
+        let l = Lattice::of(&binner, &far);
+        assert_eq!((l.len, l.matched.len()), (42, 0));
     }
 
     #[test]
@@ -333,34 +284,29 @@ mod tests {
         let ba = Binner::fit_precision_anchored(&a, 1);
         let bb = Binner::fit_precision_anchored(&b, 1);
         assert_ne!(ba.nbins(), bb.nbins(), "per-step bin counts should differ");
-        let ia = BitmapIndex::build(&a, ba.clone());
-        let ib = BitmapIndex::build(&b, bb.clone());
-        // bitmap path == full-data path, exactly
-        assert_eq!(
-            emd_counts_index_aligned(&ia, &ib).unwrap(),
-            emd_counts_full_aligned(&a, &b, &ba, &bb).unwrap()
+        let (ia, ib) = (
+            BitmapIndex::build(&a, ba.clone()),
+            BitmapIndex::build(&b, bb.clone()),
         );
-        assert_eq!(
-            emd_spatial_index_aligned(&ia, &ib).unwrap(),
-            emd_spatial_full_aligned(&a, &b, &ba, &bb).unwrap()
-        );
-        // and both are symmetric
-        assert_eq!(
-            emd_counts_index_aligned(&ia, &ib),
-            emd_counts_index_aligned(&ib, &ia)
-        );
-        assert_eq!(
-            emd_spatial_index_aligned(&ia, &ib),
-            emd_spatial_index_aligned(&ib, &ia)
-        );
+        // bitmap counts == full-data counts, exactly
+        assert_eq!(diagonal(&ia, &ib), scan_spatial(&a, &b, &ba, &bb).diagonal);
+        let (sa, sb) = (VarSummary::Bitmap(ia), VarSummary::Bitmap(ib));
+        let (fa, fb) = (VarSummary::full(a, ba), VarSummary::full(b, bb));
+        for m in [Metric::Emd, Metric::EmdSpatial] {
+            assert_eq!(sa.metric(&sb, m), fa.metric(&fb, m), "{m:?}");
+            // and both are symmetric
+            assert_eq!(sa.metric(&sb, m), sb.metric(&sa, m), "{m:?}");
+        }
     }
 
     #[test]
     fn aligned_emd_rejects_different_lattices() {
-        let a = BitmapIndex::build(&[1.0], Binner::fixed_width(0.0, 2.0, 2));
-        let b = BitmapIndex::build(&[1.0], Binner::fixed_width(0.0, 2.0, 3));
-        assert_eq!(emd_counts_index_aligned(&a, &b), None);
-        assert_eq!(emd_spatial_index_aligned(&a, &b), None);
+        let a = VarSummary::bitmap(&[1.0], Binner::fixed_width(0.0, 2.0, 2));
+        let b = VarSummary::bitmap(&[1.0], Binner::fixed_width(0.0, 2.0, 3));
+        for m in [Metric::Emd, Metric::EmdSpatial] {
+            let run = std::panic::catch_unwind(AssertUnwindSafe(|| a.metric(&b, m)));
+            assert!(run.is_err(), "{m:?}");
+        }
     }
 
     #[test]
@@ -370,14 +316,11 @@ mod tests {
         let b = vec![9.05; 62];
         let ba = Binner::fit_precision_anchored(&a, 1);
         let bb = Binner::fit_precision_anchored(&b, 1);
-        let ia = BitmapIndex::build(&a, ba);
-        let ib = BitmapIndex::build(&b, bb);
+        let (ia, ib) = (VarSummary::bitmap(&a, ba), VarSummary::bitmap(&b, bb));
         // spatial: each of the 62 positions differs in both bins
-        let d = emd_spatial_index_aligned(&ia, &ib).unwrap();
-        assert!(d > 0.0);
-        let c = emd_counts_index_aligned(&ia, &ib).unwrap();
+        assert!(ia.metric(&ib, Metric::EmdSpatial) > 0.0);
         // all 62 elements must travel 80 lattice cells: EMD = 62 * 80
-        assert_eq!(c, 62.0 * 80.0);
+        assert_eq!(ia.metric(&ib, Metric::Emd), 62.0 * 80.0);
     }
 
     #[test]
@@ -389,7 +332,10 @@ mod tests {
         let binner = Binner::distinct_ints(0, 2);
         let ia = BitmapIndex::build(&a, binner.clone());
         let ib = BitmapIndex::build(&b, binner.clone());
-        let diffs: Vec<u64> = (0..3).map(|j| bin_diff(&ia, j, &ib, j)).collect();
+        let diag = diagonal(&ia, &ib);
+        let diffs: Vec<u64> = (0..3)
+            .map(|j| ia.counts()[j] + ib.counts()[j] - 2 * diag[j])
+            .collect();
         for (j, &d) in diffs.iter().enumerate() {
             let (x, y) = (ia.bin(j).to_bools(), ib.bin(j).to_bools());
             assert_eq!(d, x.iter().zip(&y).filter(|(p, q)| p != q).count() as u64);

@@ -1,13 +1,14 @@
 //! Information-theoretic metrics (Section 3.1, Equations 4–6): Shannon's
-//! entropy, mutual information and conditional entropy — each available from
-//! a full-data scan or purely from bitmap indices.
+//! entropy, mutual information and conditional entropy, as finishers over
+//! counts.
 //!
-//! All scoring is a pure function of counts, so the bitmap path (cached bin
-//! popcounts + compressed ANDs) produces bit-identical values to the
-//! full-data path under the same binning.
-
-use crate::histogram::{histogram, joint_counts, joint_histogram};
-use ibis_core::{Binner, BitmapIndex};
+//! Each is a pure function of a histogram or a joint table. Bitmaps give
+//! those counts from cached bin popcounts and the one-pass label walk
+//! ([`crate::histogram::joint_counts`]), full data from a scan
+//! ([`crate::histogram::histogram`], [`crate::histogram::joint_histogram`]),
+//! and the same counts through the same finisher are the same float: the
+//! bitmap method is exact under the same binning. `VarSummary::metric` and
+//! `correlation_query` are the entry points that produce the counts.
 
 /// Shannon entropy (bits) of a count vector — Equation 4.
 pub fn shannon_entropy_from_counts(counts: &[u64]) -> f64 {
@@ -74,56 +75,23 @@ pub fn conditional_entropy_from_counts(joint: &[u64], na: usize, nb: usize) -> f
     shannon_entropy_from_counts(&cells.pa) - cells.mutual_information()
 }
 
-// ---------------------------------------------------------------------------
-// Full-data path
-// ---------------------------------------------------------------------------
-
-/// Shannon entropy of raw data under a binning scale (full-data method: one
-/// scan to build the histogram).
-pub fn shannon_entropy_full(data: &[f64], binner: &Binner) -> f64 {
-    shannon_entropy_from_counts(&histogram(data, binner))
-}
-
-/// Mutual information of two raw arrays (full-data method: one joint scan).
-pub fn mutual_information_full(a: &[f64], b: &[f64], binner_a: &Binner, binner_b: &Binner) -> f64 {
-    let joint = joint_histogram(a, b, binner_a, binner_b);
-    mutual_information_from_counts(&joint, binner_a.nbins(), binner_b.nbins())
-}
-
-/// Conditional entropy `H(A|B)` of two raw arrays.
-pub fn conditional_entropy_full(a: &[f64], b: &[f64], binner_a: &Binner, binner_b: &Binner) -> f64 {
-    let joint = joint_histogram(a, b, binner_a, binner_b);
-    conditional_entropy_from_counts(&joint, binner_a.nbins(), binner_b.nbins())
-}
-
-// ---------------------------------------------------------------------------
-// Bitmap path
-// ---------------------------------------------------------------------------
-
-/// Shannon entropy straight from an index's cached bin counts — no data, no
-/// scan (the individual value distribution "is already generated during the
-/// bitmaps generation process").
-pub fn shannon_entropy_index(index: &BitmapIndex) -> f64 {
-    shannon_entropy_from_counts(index.counts())
-}
-
-/// Mutual information of two indexed variables, from the joint
-/// distribution the bitmaps alone give ([`joint_counts`]; the paper's
-/// Figure 5 gets it from `m × n` compressed ANDs).
-pub fn mutual_information_index(a: &BitmapIndex, b: &BitmapIndex) -> f64 {
-    let joint = joint_counts(a, b);
-    mutual_information_from_counts(&joint, a.nbins(), b.nbins())
-}
-
-/// Conditional entropy `H(A|B)` of two indexed variables.
-pub fn conditional_entropy_index(a: &BitmapIndex, b: &BitmapIndex) -> f64 {
-    let joint = joint_counts(a, b);
-    conditional_entropy_from_counts(&joint, a.nbins(), b.nbins())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::histogram::{histogram, joint_counts, joint_histogram};
+    use ibis_core::{Binner, BitmapIndex};
+
+    fn h(data: &[f64], b: &Binner) -> f64 {
+        shannon_entropy_from_counts(&histogram(data, b))
+    }
+
+    fn mi(a: &[f64], b: &[f64], ba: &Binner, bb: &Binner) -> f64 {
+        mutual_information_from_counts(&joint_histogram(a, b, ba, bb), ba.nbins(), bb.nbins())
+    }
+
+    fn ce(a: &[f64], b: &[f64], ba: &Binner, bb: &Binner) -> f64 {
+        conditional_entropy_from_counts(&joint_histogram(a, b, ba, bb), ba.nbins(), bb.nbins())
+    }
 
     #[test]
     fn entropy_of_uniform_and_constant() {
@@ -143,12 +111,10 @@ mod tests {
     fn mi_of_identical_equals_entropy() {
         let data: Vec<f64> = (0..1000).map(|i| ((i * 37) % 10) as f64).collect();
         let b = Binner::distinct_ints(0, 9);
-        let h = shannon_entropy_full(&data, &b);
-        let mi = mutual_information_full(&data, &data, &b, &b);
+        let (h, mi) = (h(&data, &b), mi(&data, &data, &b, &b));
         assert!((mi - h).abs() < 1e-10, "I(A;A) = H(A): {mi} vs {h}");
         // ...and H(A|A) = 0.
-        let ce = conditional_entropy_full(&data, &data, &b, &b);
-        assert!(ce.abs() < 1e-10);
+        assert!(ce(&data, &data, &b, &b).abs() < 1e-10);
     }
 
     #[test]
@@ -166,7 +132,7 @@ mod tests {
             }
         }
         let binner = Binner::distinct_ints(0, 3);
-        let mi = mutual_information_full(&a, &b, &binner, &binner);
+        let mi = mi(&a, &b, &binner, &binner);
         assert!(
             mi.abs() < 1e-12,
             "independent vars must have zero MI, got {mi}"
@@ -179,9 +145,7 @@ mod tests {
         let b: Vec<f64> = (0..500).map(|i| ((i * 11 + 2) % 13) as f64).collect();
         let ba = Binner::distinct_ints(0, 16);
         let bb = Binner::distinct_ints(0, 12);
-        let ab = mutual_information_full(&a, &b, &ba, &bb);
-        let ba_ = mutual_information_full(&b, &a, &bb, &ba);
-        assert!((ab - ba_).abs() < 1e-12);
+        assert!((mi(&a, &b, &ba, &bb) - mi(&b, &a, &bb, &ba)).abs() < 1e-12);
     }
 
     #[test]
@@ -190,8 +154,7 @@ mod tests {
         let b: Vec<f64> = (0..800).map(|i| ((i / 13) % 9) as f64).collect();
         let ba = Binner::distinct_ints(0, 11);
         let bb = Binner::distinct_ints(0, 8);
-        let h = shannon_entropy_full(&a, &ba);
-        let ce = conditional_entropy_full(&a, &b, &ba, &bb);
+        let (h, ce) = (h(&a, &ba), ce(&a, &b, &ba, &bb));
         assert!(
             ce >= -1e-12 && ce <= h + 1e-12,
             "0 <= H(A|B) <= H(A): {ce} vs {h}"
@@ -200,7 +163,8 @@ mod tests {
 
     #[test]
     fn bitmap_path_is_exact() {
-        // The paper's central claim: same binning scale ⇒ identical results.
+        // The paper's central claim: same binning scale ⇒ identical counts,
+        // so identical results through the one finisher.
         let a: Vec<f64> = (0..3000).map(|i| (i as f64 * 0.01).sin() * 40.0).collect();
         let b: Vec<f64> = (0..3000)
             .map(|i| (i as f64 * 0.013).cos() * 35.0 + 5.0)
@@ -209,16 +173,8 @@ mod tests {
         let bb = Binner::fixed_width(-36.0, 41.0, 24);
         let ia = BitmapIndex::build(&a, ba.clone());
         let ib = BitmapIndex::build(&b, bb.clone());
-
-        assert_eq!(shannon_entropy_index(&ia), shannon_entropy_full(&a, &ba));
-        assert_eq!(
-            mutual_information_index(&ia, &ib),
-            mutual_information_full(&a, &b, &ba, &bb)
-        );
-        assert_eq!(
-            conditional_entropy_index(&ia, &ib),
-            conditional_entropy_full(&a, &b, &ba, &bb)
-        );
+        assert_eq!(ia.counts(), histogram(&a, &ba));
+        assert_eq!(joint_counts(&ia, &ib), joint_histogram(&a, &b, &ba, &bb));
     }
 
     #[test]
@@ -226,6 +182,6 @@ mod tests {
         let narrow: Vec<f64> = vec![5.0; 100];
         let wide: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let b = Binner::fixed_width(0.0, 100.0, 20);
-        assert!(shannon_entropy_full(&wide, &b) > shannon_entropy_full(&narrow, &b));
+        assert!(h(&wide, &b) > h(&narrow, &b));
     }
 }

@@ -5,15 +5,20 @@
 //! arrays) and its *bitmaps* form (popcounts, AND counts and one-pass
 //! label walks on [`ibis_core::BitmapIndex`]) — with **exactly equal
 //! results** under the same binning scale, the paper's central
-//! no-accuracy-loss claim (asserted bit-for-bit by this crate's tests).
+//! no-accuracy-loss claim. The two forms differ only in how they produce
+//! integer counts: a step metric is one additive [`CorrelationPartial`]
+//! ([`VarSummary::partial`]) and one finisher ([`Metric::finish`]), and the
+//! tests hold both forms to a per-row scan bit for bit.
 //! Every bitmap statistic is a sum of label counts, so each one reads
 //! indices whose bins partition their rows, as every index built from data
 //! does; a lossy superset is a filter for `SubsetQuery::intersects` only:
 //!
+//! * [`summary`] — the per-step summaries (full data or bitmaps), the
+//!   partial each metric reads and the metrics' finishers.
 //! * [`entropy`] — Shannon entropy, mutual information, conditional entropy
-//!   (Equations 4–6).
+//!   over counts (Equations 4–6).
 //! * [`emd`] — Earth Mover's Distance, count-based and spatial/XOR variants
-//!   (Equation 3, Figure 4).
+//!   (Equation 3, Figure 4), on a shared or lattice-aligned binning.
 //! * [`selection`] — greedy importance-driven time-steps selection with
 //!   fixed-length and information-volume partitioning, plus a
 //!   dynamic-programming selector (Section 3).

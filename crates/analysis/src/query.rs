@@ -627,9 +627,11 @@ fn correlation_query_with(
 //    [`crate::aggregate::sum_from_bin_counts`]) — summed counts through the
 //    same finisher give bit-identical floats.
 
-/// One shard's additive contribution to a correlation query: every term
-/// the coordinator needs, as exact integers. Merge partials with
-/// [`CorrelationPartial::merge`] and finish with [`finish_correlation`].
+/// The additive integers a statistic of two variables is finished from:
+/// one shard's share of a correlation query ([`finish_correlation`]), or
+/// what a step metric reads ([`crate::Metric::finish`]), the fields it
+/// does not read left empty. Partials of disjoint rows
+/// [`merge`](CorrelationPartial::merge) into the partial of their union.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorrelationPartial {
     /// Elements of the combined selection inside this shard.
@@ -643,6 +645,9 @@ pub struct CorrelationPartial {
     pub counts_a: Vec<u64>,
     /// Per-bin selection counts of variable B (`joint`'s column sums).
     pub counts_b: Vec<u64>,
+    /// Spatial EMD's `|A_j ∧ B_k|` for each bin pair the binnings' lattice
+    /// matches, in bin order.
+    pub diagonal: Vec<u64>,
 }
 
 impl CorrelationPartial {
@@ -653,6 +658,7 @@ impl CorrelationPartial {
             joint: vec![0; nbins_a * nbins_b],
             counts_a: vec![0; nbins_a],
             counts_b: vec![0; nbins_b],
+            diagonal: Vec::new(),
         }
     }
 
@@ -661,20 +667,19 @@ impl CorrelationPartial {
     /// coordinator yields the same totals). A partial of another shape was
     /// counted under another binning: a typed error, nothing is summed.
     pub fn merge(&mut self, other: &CorrelationPartial) -> Result<(), QueryError> {
-        let shapes = |p: &CorrelationPartial| [p.counts_a.len(), p.counts_b.len(), p.joint.len()];
-        if let Some((&x, &y)) = (shapes(self).iter().zip(&shapes(other))).find(|(x, y)| x != y) {
-            return Err(QueryError::BinningMismatch(x, y));
+        let pairs = [
+            (&mut self.counts_a, &other.counts_a),
+            (&mut self.counts_b, &other.counts_b),
+            (&mut self.joint, &other.joint),
+            (&mut self.diagonal, &other.diagonal),
+        ];
+        if let Some((x, y)) = pairs.iter().find(|(x, y)| x.len() != y.len()) {
+            return Err(QueryError::BinningMismatch(x.len(), y.len()));
+        }
+        for (sums, terms) in pairs {
+            sums.iter_mut().zip(terms).for_each(|(s, t)| *s += t);
         }
         self.selected += other.selected;
-        for (s, o) in self.joint.iter_mut().zip(&other.joint) {
-            *s += o;
-        }
-        for (s, o) in self.counts_a.iter_mut().zip(&other.counts_a) {
-            *s += o;
-        }
-        for (s, o) in self.counts_b.iter_mut().zip(&other.counts_b) {
-            *s += o;
-        }
         Ok(())
     }
 }

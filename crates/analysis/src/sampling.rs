@@ -7,7 +7,6 @@
 //! of per-pair metric differences (Figures 16 and 17). This module provides
 //! the samplers and the loss measurements.
 
-use crate::cfp::Cfp;
 use crate::summary::{Metric, StepSummary, VarSummary};
 use ibis_core::Binner;
 use rand::rngs::StdRng;
@@ -117,11 +116,6 @@ pub fn pairwise_relative_loss(
     out
 }
 
-/// CFP of the absolute per-pair losses at a given sampling level.
-pub fn loss_cfp(full: &[StepSummary], sampled: &[StepSummary], metric: Metric) -> Cfp {
-    Cfp::from_values(pairwise_metric_loss(full, sampled, metric))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,7 +210,7 @@ mod tests {
             .collect();
         let losses = pairwise_metric_loss(&full, &sampled, Metric::ConditionalEntropy);
         assert!(losses.iter().all(|&l| l == 0.0));
-        let cfp = loss_cfp(&full, &sampled, Metric::ConditionalEntropy);
+        let cfp = crate::cfp::Cfp::from_values(losses);
         assert_eq!(cfp.mean(), 0.0);
     }
 }

@@ -1,19 +1,17 @@
 //! Time-step summaries: the unit the online (in-situ) analysis operates on.
 //!
 //! The *full data* method keeps each step's raw arrays in memory; the
-//! *bitmaps* method keeps only the compressed indices (Figure 3). Both
-//! support the same correlation metrics — with identical results under the
-//! same binning — but at very different memory and compute cost, which is
-//! the paper's whole argument.
+//! *bitmaps* method keeps only the compressed indices (Figure 3). The two
+//! differ only in how they produce the integers a metric reads, one
+//! additive [`CorrelationPartial`] ([`VarSummary::partial`]); each metric
+//! is one finisher over it ([`Metric::finish`]). So both methods give
+//! identical results under the same binning, at very different memory and
+//! compute cost, which is the paper's whole argument.
 
-use crate::emd::{
-    emd_counts_full, emd_counts_full_aligned, emd_counts_index, emd_counts_index_aligned,
-    emd_spatial_full, emd_spatial_full_aligned, emd_spatial_index, emd_spatial_index_aligned,
-};
-use crate::entropy::{
-    conditional_entropy_full, conditional_entropy_index, shannon_entropy_from_counts,
-    shannon_entropy_full, shannon_entropy_index,
-};
+use crate::emd;
+use crate::entropy::{conditional_entropy_from_counts, shannon_entropy_from_counts};
+use crate::histogram::{histogram, joint_counts, joint_histogram};
+use crate::query::CorrelationPartial;
 use ibis_core::{Binner, BitmapIndex};
 use ibis_obs::LazyCounter;
 
@@ -28,6 +26,24 @@ pub enum Metric {
     Emd,
     /// Spatial (XOR-based) Earth Mover's Distance (LULESH experiments).
     EmdSpatial,
+}
+
+impl Metric {
+    /// The metric from the integers [`VarSummary::partial`] gives it (or a
+    /// merge of such partials): a pure, fixed-order function of them, so
+    /// equal counts give the same float bit for bit.
+    ///
+    /// # Panics
+    /// For an EMD whose binners share no lattice, or a partial counted
+    /// under other binnings.
+    pub fn finish(self, binner_a: &Binner, binner_b: &Binner, p: &CorrelationPartial) -> f64 {
+        match self {
+            Metric::ConditionalEntropy => {
+                conditional_entropy_from_counts(&p.joint, binner_a.nbins(), binner_b.nbins())
+            }
+            _ => emd::finish(self == Metric::EmdSpatial, binner_a, binner_b, p),
+        }
+    }
 }
 
 /// Summary of one variable of one time-step.
@@ -68,61 +84,65 @@ impl VarSummary {
 
     /// Shannon entropy of this variable (the importance measure).
     pub fn entropy(&self) -> f64 {
-        match self {
-            VarSummary::Full { data, binner } => shannon_entropy_full(data, binner),
-            VarSummary::Bitmap(idx) => shannon_entropy_index(idx),
-        }
+        shannon_entropy_from_counts(&self.counts())
     }
 
     /// The value histogram under the summary's binning.
     pub fn counts(&self) -> Vec<u64> {
         match self {
-            VarSummary::Full { data, binner } => crate::histogram::histogram(data, binner),
+            VarSummary::Full { data, binner } => histogram(data, binner),
             VarSummary::Bitmap(idx) => idx.counts().to_vec(),
         }
     }
 
-    /// Dissimilarity of `self` (the candidate) from `other` (the previously
-    /// selected step): larger means more new information. Both summaries
-    /// must be of the same kind.
+    /// What `metric` reads of `self` (variable A) against `other`, the
+    /// other fields left empty: the joint table for conditional entropy
+    /// (the label walk, or one scan of full data); both per-bin counts for
+    /// count EMD, and for spatial EMD the diagonal too (one `and_count`
+    /// per matched bin pair, or the same single scan). No EMD builds a
+    /// joint table.
     ///
     /// # Panics
-    /// Panics when mixing a full summary with a bitmap summary — a run uses
-    /// one method throughout, as in the paper — and, for conditional
-    /// entropy, on bitmap summaries whose bins do not partition their rows
-    /// ([`crate::histogram::joint_counts`]).
-    pub fn metric(&self, other: &VarSummary, metric: Metric) -> f64 {
+    /// When mixing a full summary with a bitmap summary (a run uses one
+    /// method throughout, as in the paper), as [`joint_counts`] for
+    /// conditional entropy, and for a spatial EMD of different lengths or
+    /// binners on different lattices.
+    pub fn partial(&self, other: &VarSummary, metric: Metric) -> CorrelationPartial {
+        use VarSummary::{Bitmap, Full};
+        let mut p = CorrelationPartial::zero(0, 0);
         match (self, other) {
-            (
-                VarSummary::Full {
-                    data: a,
-                    binner: ba,
-                },
-                VarSummary::Full {
-                    data: b,
-                    binner: bb,
-                },
-            ) => match metric {
-                Metric::ConditionalEntropy => conditional_entropy_full(a, b, ba, bb),
-                Metric::Emd if ba == bb => emd_counts_full(a, b, ba),
-                Metric::Emd => emd_counts_full_aligned(a, b, ba, bb)
-                    .expect("EMD needs a shared binning lattice"),
-                Metric::EmdSpatial if ba == bb => emd_spatial_full(a, b, ba),
-                Metric::EmdSpatial => emd_spatial_full_aligned(a, b, ba, bb)
-                    .expect("EMD needs a shared binning lattice"),
+            (Full { data: x, binner: a }, Full { data: y, binner: b }) => match metric {
+                Metric::ConditionalEntropy => p.joint = joint_histogram(x, y, a, b),
+                Metric::Emd => (p.counts_a, p.counts_b) = (histogram(x, a), histogram(y, b)),
+                Metric::EmdSpatial => p = emd::scan_spatial(x, y, a, b),
             },
-            (VarSummary::Bitmap(a), VarSummary::Bitmap(b)) => match metric {
-                Metric::ConditionalEntropy => conditional_entropy_index(a, b),
-                Metric::Emd if a.binner() == b.binner() => emd_counts_index(a, b),
-                Metric::Emd => {
-                    emd_counts_index_aligned(a, b).expect("EMD needs a shared binning lattice")
+            (Bitmap(a), Bitmap(b)) if metric == Metric::ConditionalEntropy => {
+                p.joint = joint_counts(a, b)
+            }
+            (Bitmap(a), Bitmap(b)) => {
+                (p.counts_a, p.counts_b) = (a.counts().to_vec(), b.counts().to_vec());
+                if metric == Metric::EmdSpatial {
+                    p.diagonal = emd::diagonal(a, b);
                 }
-                Metric::EmdSpatial if a.binner() == b.binner() => emd_spatial_index(a, b),
-                Metric::EmdSpatial => {
-                    emd_spatial_index_aligned(a, b).expect("EMD needs a shared binning lattice")
-                }
-            },
+            }
             _ => panic!("cannot mix full-data and bitmap summaries in one metric"),
+        }
+        p
+    }
+
+    /// Dissimilarity of `self` (the candidate) from `other` (the previously
+    /// selected step): larger means more new information.
+    ///
+    /// # Panics
+    /// As [`VarSummary::partial`] and [`Metric::finish`].
+    pub fn metric(&self, other: &VarSummary, metric: Metric) -> f64 {
+        metric.finish(self.binner(), other.binner(), &self.partial(other, metric))
+    }
+
+    fn binner(&self) -> &Binner {
+        match self {
+            VarSummary::Full { binner, .. } => binner,
+            VarSummary::Bitmap(idx) => idx.binner(),
         }
     }
 }
@@ -162,11 +182,6 @@ impl StepSummary {
             .map(|(a, b)| a.metric(b, metric))
             .sum()
     }
-}
-
-/// Entropy straight from a precomputed histogram (shared helper).
-pub fn entropy_of_counts(counts: &[u64]) -> f64 {
-    shannon_entropy_from_counts(counts)
 }
 
 #[cfg(test)]
@@ -260,6 +275,32 @@ mod tests {
         let bmb = VarSummary::bitmap(&b, bb);
         for m in [Metric::ConditionalEntropy, Metric::Emd, Metric::EmdSpatial] {
             assert_eq!(fa.metric(&fb, m), bma.metric(&bmb, m), "{m:?}");
+        }
+    }
+
+    #[test]
+    fn partials_hold_only_what_their_metric_reads() {
+        let (a, b) = (wave(2000, 0.0), wave(2000, 1.0));
+        let shape = |p: &CorrelationPartial| {
+            let lens = [p.joint.len(), p.counts_a.len(), p.counts_b.len()];
+            (p.selected, lens, p.diagonal.len())
+        };
+        for bitmap in [false, true] {
+            let summary = |d: &[f64]| match bitmap {
+                true => VarSummary::bitmap(d, binner()),
+                false => VarSummary::full(d.to_vec(), binner()),
+            };
+            let (sa, sb) = (summary(&a), summary(&b));
+            let ce = sa.partial(&sb, Metric::ConditionalEntropy);
+            assert_eq!(shape(&ce), (0, [22 * 22, 0, 0], 0));
+            assert_eq!(ce.joint.iter().sum::<u64>(), 2000);
+            let emd = sa.partial(&sb, Metric::Emd);
+            assert_eq!(shape(&emd), (0, [0, 22, 22], 0));
+            let spatial = sa.partial(&sb, Metric::EmdSpatial);
+            assert_eq!(shape(&spatial), (0, [0, 22, 22], 22));
+            // the diagonal is the joint table's
+            let diag: Vec<u64> = (0..22).map(|j| ce.joint[j * 22 + j]).collect();
+            assert_eq!(spatial.diagonal, diag);
         }
     }
 

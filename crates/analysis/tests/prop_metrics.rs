@@ -1,24 +1,23 @@
 //! Property-based tests for the analysis layer: information-theoretic
-//! invariants, metric laws, and — above all — bit-exact agreement between
-//! the bitmap and full-data paths on arbitrary inputs (the paper's central
-//! claim, tested adversarially rather than on hand-picked data).
+//! invariants, metric laws, and — above all — bit-exact agreement of every
+//! metric, from full data and from bitmaps, with a per-row scan of the raw
+//! arrays written out here (the paper's central claim, tested
+//! adversarially rather than on hand-picked data). Both kinds of summary
+//! share one finisher per metric, so each is checked against the scan, not
+//! against the other.
 
 use ibis_analysis::aggregate::pearson_from_joint_counts;
-use ibis_analysis::emd::{
-    emd_counts_full, emd_counts_index, emd_from_counts, emd_spatial_from_diffs, emd_spatial_full,
-    emd_spatial_full_aligned, emd_spatial_index, emd_spatial_index_aligned,
-};
+use ibis_analysis::emd::{emd_from_counts, emd_spatial_from_diffs};
 use ibis_analysis::entropy::{
-    conditional_entropy_from_counts, conditional_entropy_full, conditional_entropy_index,
-    mutual_information_from_counts, mutual_information_full, mutual_information_index,
-    shannon_entropy_full, shannon_entropy_index,
+    conditional_entropy_from_counts, mutual_information_from_counts, shannon_entropy_from_counts,
 };
 use ibis_analysis::histogram::{histogram, joint_histogram};
 use ibis_analysis::mining::{indicator_mi, joint_pair_score};
 use ibis_analysis::selection::{select_greedy, Partitioning};
 use ibis_analysis::{
-    finish_correlation, joint_counts_and_table, mine_full, mine_index, mine_multilevel,
-    CorrelationPartial, Metric, MinedSubset, MiningConfig, MiningResult, StepSummary, VarSummary,
+    correlation_query, finish_correlation, joint_counts_and_table, mine_full, mine_index,
+    mine_multilevel, CorrelationPartial, Metric, MinedSubset, MiningConfig, MiningResult,
+    QueryError, StepSummary, SubsetQuery, VarSummary,
 };
 use ibis_core::{Binner, BitmapIndex, CodecVec, MultiLevelIndex, RoaringVec, WahVec};
 use proptest::prelude::*;
@@ -108,6 +107,76 @@ fn joint_table() -> impl Strategy<Value = (usize, usize, Vec<u64>)> {
     ]
 }
 
+/// Two equal-length arrays under two binners of one lattice: the same
+/// bin width, `b`'s range starting whole bins away from `a`'s and holding
+/// its own number of bins (the paper's per-step binning).
+fn two_arrays_aligned() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Binner, Binner)> {
+    (two_arrays(), -6i64..6, 1usize..20).prop_map(|((a, b, ba), shift, nbins_b)| {
+        let width = 100.0 / ba.nbins() as f64;
+        let lo = -50.0 + shift as f64 * width;
+        let bb = Binner::fixed_width(lo, lo + nbins_b as f64 * width, nbins_b);
+        (a, b, ba, bb)
+    })
+}
+
+const METRICS: [Metric; 3] = [Metric::ConditionalEntropy, Metric::Emd, Metric::EmdSpatial];
+
+/// `a` and `b` summarised both ways: full data, then bitmaps.
+fn summaries(a: &[f64], b: &[f64], ba: &Binner, bb: &Binner) -> [(VarSummary, VarSummary); 2] {
+    [
+        (
+            VarSummary::full(a.to_vec(), ba.clone()),
+            VarSummary::full(b.to_vec(), bb.clone()),
+        ),
+        (
+            VarSummary::bitmap(a, ba.clone()),
+            VarSummary::bitmap(b, bb.clone()),
+        ),
+    ]
+}
+
+/// The joint table of two arrays, row by row.
+fn scan_joint(a: &[f64], b: &[f64], ba: &Binner, bb: &Binner) -> Vec<u64> {
+    let nb = bb.nbins();
+    let mut joint = vec![0u64; ba.nbins() * nb];
+    for (&x, &y) in a.iter().zip(b) {
+        joint[ba.bin_of(x) as usize * nb + bb.bin_of(y) as usize] += 1;
+    }
+    joint
+}
+
+/// `metric` by a scan of the raw rows, in the union of the two binners'
+/// ranges on their lattice: conditional entropy by the pre-fusion
+/// finisher over the scanned joint table, count EMD over the two scanned
+/// histograms, spatial EMD over the positions whose union bin differs
+/// (each counted in both of its bins).
+fn metric_scan(metric: Metric, a: &[f64], b: &[f64], ba: &Binner, bb: &Binner) -> f64 {
+    if metric == Metric::ConditionalEntropy {
+        let joint = scan_joint(a, b, ba, bb);
+        return before_fusing::conditional_entropy_from_counts(&joint, ba.nbins(), bb.nbins());
+    }
+    let off = ba.alignment_offset(bb).expect("binners of one lattice");
+    let lo = off.min(0);
+    let len = ((ba.nbins() as i64).max(off + bb.nbins() as i64) - lo) as usize;
+    let union_a = |x: f64| (ba.bin_of(x) as i64 - lo) as usize;
+    let union_b = |y: f64| (bb.bin_of(y) as i64 + off - lo) as usize;
+    let mut counts = [vec![0u64; len], vec![0u64; len]];
+    let mut diffs = vec![0u64; len];
+    a.iter().for_each(|&x| counts[0][union_a(x)] += 1);
+    b.iter().for_each(|&y| counts[1][union_b(y)] += 1);
+    for (&x, &y) in a.iter().zip(b) {
+        let (ga, gb) = (union_a(x), union_b(y));
+        if ga != gb {
+            diffs[ga] += 1;
+            diffs[gb] += 1;
+        }
+    }
+    match metric {
+        Metric::Emd => emd_from_counts(&counts[0], &counts[1]),
+        _ => emd_spatial_from_diffs(&diffs),
+    }
+}
+
 proptest! {
     /// The fused finisher — one scan of the table, then MI, H(A|B) and
     /// Pearson over its non-zero cells — gives the floats the three
@@ -131,6 +200,7 @@ proptest! {
             counts_a: before_fusing::marginal_a(&joint, na, nb),
             counts_b: before_fusing::marginal_b(&joint, na, nb),
             joint,
+            diagonal: Vec::new(),
         };
         let want_mi = before_fusing::mutual_information_from_counts(&p.joint, na, nb);
         let want_ce = before_fusing::conditional_entropy_from_counts(&p.joint, na, nb);
@@ -160,53 +230,96 @@ proptest! {
 proptest! {
     #[test]
     fn entropy_bitmap_exact((data, binner) in data_and_binner()) {
-        let idx = BitmapIndex::build(&data, binner.clone());
-        prop_assert_eq!(shannon_entropy_index(&idx), shannon_entropy_full(&data, &binner));
+        let mut counts = vec![0u64; binner.nbins()];
+        data.iter().for_each(|&v| counts[binner.bin_of(v) as usize] += 1);
+        let want = shannon_entropy_from_counts(&counts);
+        for s in [VarSummary::full(data.clone(), binner.clone()), VarSummary::bitmap(&data, binner)] {
+            prop_assert_eq!(s.entropy().to_bits(), want.to_bits());
+        }
     }
 
     #[test]
     fn entropy_bounds((data, binner) in data_and_binner()) {
-        let h = shannon_entropy_full(&data, &binner);
+        let h = VarSummary::full(data, binner.clone()).entropy();
         prop_assert!(h >= 0.0);
         prop_assert!(h <= (binner.nbins() as f64).log2() + 1e-9, "H exceeds log2(bins)");
     }
 
     #[test]
     fn mi_and_ce_bitmap_exact((a, b, binner) in two_arrays()) {
-        let ia = BitmapIndex::build(&a, binner.clone());
-        let ib = BitmapIndex::build(&b, binner.clone());
-        prop_assert_eq!(
-            mutual_information_index(&ia, &ib),
-            mutual_information_full(&a, &b, &binner, &binner)
-        );
-        prop_assert_eq!(
-            conditional_entropy_index(&ia, &ib),
-            conditional_entropy_full(&a, &b, &binner, &binner)
-        );
+        let n = binner.nbins();
+        let want_mi = before_fusing::mutual_information_from_counts(&scan_joint(&a, &b, &binner, &binner), n, n);
+        let want_ce = metric_scan(Metric::ConditionalEntropy, &a, &b, &binner, &binner);
+        let all = SubsetQuery::all();
+        let (ia, ib) = (BitmapIndex::build(&a, binner.clone()), BitmapIndex::build(&b, binner.clone()));
+        let got = correlation_query(&ia, &ib, &all, &all).unwrap();
+        prop_assert_eq!(got.mutual_information.to_bits(), want_mi.to_bits());
+        prop_assert_eq!(got.conditional_entropy.to_bits(), want_ce.to_bits());
+        for (sa, sb) in summaries(&a, &b, &binner, &binner) {
+            prop_assert_eq!(sa.metric(&sb, Metric::ConditionalEntropy).to_bits(), want_ce.to_bits());
+        }
     }
 
     #[test]
     fn mi_bounded_by_entropies((a, b, binner) in two_arrays()) {
-        let mi = mutual_information_full(&a, &b, &binner, &binner);
-        let ha = shannon_entropy_full(&a, &binner);
-        let hb = shannon_entropy_full(&b, &binner);
+        let n = binner.nbins();
+        let mi = mutual_information_from_counts(&joint_histogram(&a, &b, &binner, &binner), n, n);
+        let ha = VarSummary::full(a, binner.clone()).entropy();
+        let hb = VarSummary::full(b, binner).entropy();
         prop_assert!(mi >= 0.0);
         prop_assert!(mi <= ha.min(hb) + 1e-9, "MI {mi} exceeds min(H)={}", ha.min(hb));
     }
 
     #[test]
     fn ce_bounds((a, b, binner) in two_arrays()) {
-        let ce = conditional_entropy_full(&a, &b, &binner, &binner);
-        let ha = shannon_entropy_full(&a, &binner);
-        prop_assert!(ce >= -1e-9 && ce <= ha + 1e-9);
+        let [(fa, fb), _] = summaries(&a, &b, &binner, &binner);
+        let ce = fa.metric(&fb, Metric::ConditionalEntropy);
+        prop_assert!(ce >= -1e-9 && ce <= fa.entropy() + 1e-9);
     }
 
     #[test]
     fn emd_bitmap_exact((a, b, binner) in two_arrays()) {
-        let ia = BitmapIndex::build(&a, binner.clone());
-        let ib = BitmapIndex::build(&b, binner.clone());
-        prop_assert_eq!(emd_counts_index(&ia, &ib), emd_counts_full(&a, &b, &binner));
-        prop_assert_eq!(emd_spatial_index(&ia, &ib), emd_spatial_full(&a, &b, &binner));
+        for (sa, sb) in summaries(&a, &b, &binner, &binner) {
+            for metric in [Metric::Emd, Metric::EmdSpatial] {
+                let want = metric_scan(metric, &a, &b, &binner, &binner);
+                prop_assert_eq!(sa.metric(&sb, metric).to_bits(), want.to_bits(), "{:?}", metric);
+            }
+        }
+    }
+
+    /// Every step metric, from full data and from bitmaps, under binners
+    /// of one lattice that cover different ranges, equals the row scan.
+    #[test]
+    fn every_step_metric_equals_a_row_scan((a, b, ba, bb) in two_arrays_aligned()) {
+        for (sa, sb) in summaries(&a, &b, &ba, &bb) {
+            for metric in METRICS {
+                let want = metric_scan(metric, &a, &b, &ba, &bb);
+                prop_assert_eq!(sa.metric(&sb, metric).to_bits(), want.to_bits(), "{:?}", metric);
+            }
+        }
+    }
+
+    /// Partials counted under different binnings do not merge: a typed
+    /// error, and nothing is summed.
+    #[test]
+    fn merging_partials_of_different_shapes_is_a_binning_mismatch(
+        data in proptest::collection::vec(-50.0f64..50.0, 1..200),
+        (n1, n2) in (1usize..30, 1usize..30),
+    ) {
+        prop_assume!(n1 != n2);
+        let summary = |nbins| VarSummary::bitmap(&data, Binner::fixed_width(-50.0, 50.0, nbins));
+        let (s1, s2) = (summary(n1), summary(n2));
+        for metric in METRICS {
+            let mut p = s1.partial(&s1, metric);
+            let before = p.clone();
+            let merged = p.merge(&s2.partial(&s2, metric));
+            prop_assert!(matches!(merged, Err(QueryError::BinningMismatch(_, _))), "{:?}", metric);
+            prop_assert_eq!(&p, &before);
+        }
+        // a partial of another metric holds other fields
+        let mut ce = s1.partial(&s1, Metric::ConditionalEntropy);
+        let other = ce.merge(&s1.partial(&s1, Metric::EmdSpatial));
+        prop_assert!(matches!(other, Err(QueryError::BinningMismatch(_, _))));
     }
 
     #[test]
@@ -229,8 +342,8 @@ proptest! {
     #[test]
     fn emd_zero_iff_same_histogram((a, b, binner) in two_arrays()) {
         let same = histogram(&a, &binner) == histogram(&b, &binner);
-        let emd = emd_counts_full(&a, &b, &binner);
-        prop_assert_eq!(emd == 0.0, same);
+        let [(fa, fb), _] = summaries(&a, &b, &binner, &binner);
+        prop_assert_eq!(fa.metric(&fb, Metric::Emd) == 0.0, same);
     }
 
     #[test]
@@ -335,22 +448,21 @@ fn codec_mix(idx: &BitmapIndex, mask: u64) -> BitmapIndex {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Spatial EMD over any mix of stored codecs equals the full-data
-    /// value, under a shared binner and under per-step anchored binners.
+    /// Spatial EMD over any mix of stored codecs equals the row scan,
+    /// under a shared binner and under per-step anchored binners.
     #[test]
     fn spatial_emd_is_exact_over_every_codec_mix((a, b, mask) in two_long_steps()) {
         let shared = Binner::fixed_width(-8.0, 8.0, 8);
-        let ia = codec_mix(&BitmapIndex::build(&a, shared.clone()), mask);
-        let ib = codec_mix(&BitmapIndex::build(&b, shared.clone()), !mask);
-        prop_assert_eq!(emd_spatial_index(&ia, &ib), emd_spatial_full(&a, &b, &shared));
-
-        let (ba, bb) = (Binner::fit_precision_anchored(&a, 1), Binner::fit_precision_anchored(&b, 1));
-        let ia = codec_mix(&BitmapIndex::build(&a, ba.clone()), mask);
-        let ib = codec_mix(&BitmapIndex::build(&b, bb.clone()), mask.rotate_left(7));
-        prop_assert_eq!(
-            emd_spatial_index_aligned(&ia, &ib),
-            emd_spatial_full_aligned(&a, &b, &ba, &bb)
-        );
+        let per_step = (Binner::fit_precision_anchored(&a, 1), Binner::fit_precision_anchored(&b, 1));
+        for (ba, bb) in [(shared.clone(), shared), per_step] {
+            let want = metric_scan(Metric::EmdSpatial, &a, &b, &ba, &bb);
+            let ia = codec_mix(&BitmapIndex::build(&a, ba.clone()), mask);
+            let ib = codec_mix(&BitmapIndex::build(&b, bb.clone()), mask.rotate_left(7));
+            let got = VarSummary::Bitmap(ia).metric(&VarSummary::Bitmap(ib), Metric::EmdSpatial);
+            prop_assert_eq!(got.to_bits(), want.to_bits());
+            let full = VarSummary::full(a.clone(), ba).metric(&VarSummary::full(b.clone(), bb), Metric::EmdSpatial);
+            prop_assert_eq!(full.to_bits(), want.to_bits());
+        }
     }
 
     /// Lossy supersets (overlapping bins) have no full-data oracle; their
@@ -366,7 +478,43 @@ proptest! {
         };
         let diffs: Vec<u64> = (0..la.nbins()).map(|j| differ(la.bin(j), lb.bin(j))).collect();
         let (ma, mb) = (codec_mix(&la, mask), codec_mix(&lb, mask.rotate_right(3)));
-        prop_assert_eq!(emd_spatial_index(&ma, &mb), emd_spatial_from_diffs(&diffs));
+        let got = VarSummary::Bitmap(ma).metric(&VarSummary::Bitmap(mb), Metric::EmdSpatial);
+        prop_assert_eq!(got.to_bits(), emd_spatial_from_diffs(&diffs).to_bits());
+    }
+
+    /// Step metrics are additive over rows: cut both steps at arbitrary
+    /// rows, hold each slice's bins as WAH or Roaring, merge the slices'
+    /// partials and finish — the whole index's metric, bit for bit, for
+    /// every metric under a shared binner and under per-step binners.
+    #[test]
+    fn merged_slice_partials_finish_to_the_whole_index_metric(
+        (a, b, mask) in two_long_steps(),
+        cuts in proptest::collection::vec(0.0f64..1.0, 0..4),
+    ) {
+        let n = a.len() as u64;
+        let mut bounds: Vec<u64> = cuts.iter().map(|c| (c * n as f64) as u64).collect();
+        bounds.extend([0, n]);
+        bounds.sort_unstable();
+        let shared = Binner::fixed_width(-8.0, 8.0, 8);
+        let per_step = (Binner::fit_precision_anchored(&a, 1), Binner::fit_precision_anchored(&b, 1));
+        for (ba, bb) in [(shared.clone(), shared), per_step] {
+            let (ia, ib) = (BitmapIndex::build(&a, ba.clone()), BitmapIndex::build(&b, bb.clone()));
+            let mixed = |idx: &BitmapIndex, mask| VarSummary::Bitmap(codec_mix(idx, mask));
+            for metric in METRICS {
+                let whole = mixed(&ia, mask).metric(&mixed(&ib, !mask), metric);
+                let mut merged: Option<CorrelationPartial> = None;
+                for w in bounds.windows(2) {
+                    let (sa, sb) = (ia.slice_rows(w[0]..w[1]), ib.slice_rows(w[0]..w[1]));
+                    let p = mixed(&sa, mask).partial(&mixed(&sb, !mask), metric);
+                    match merged.as_mut() {
+                        None => merged = Some(p),
+                        Some(m) => m.merge(&p).unwrap(),
+                    }
+                }
+                let got = metric.finish(&ba, &bb, &merged.unwrap());
+                prop_assert_eq!(got.to_bits(), whole.to_bits(), "{:?}", metric);
+            }
+        }
     }
 }
 

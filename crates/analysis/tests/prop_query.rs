@@ -244,6 +244,7 @@ fn materialised_partial(
         joint: joint_counts_and_table(a, b, Some(&sel)),
         counts_a: a.bins().map(|bin| bin.and_count(&sel)).collect(),
         counts_b: b.bins().map(|bin| bin.and_count(&sel)).collect(),
+        diagonal: Vec::new(),
     }
 }
 

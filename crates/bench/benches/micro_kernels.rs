@@ -9,11 +9,9 @@
 //! criterion groups.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use ibis_analysis::emd::{emd_spatial_full, emd_spatial_index};
-use ibis_analysis::entropy::{conditional_entropy_full, conditional_entropy_index};
 use ibis_analysis::{
-    aggregate, correlation_query, joint_counts, mine_full, mine_index, stored_ranges, MiningConfig,
-    SubsetQuery,
+    aggregate, correlation_query, joint_counts, mine_full, mine_index, stored_ranges, Metric,
+    MiningConfig, SubsetQuery, VarSummary,
 };
 use ibis_core::{Binner, BitmapIndex, Bitset, MultiWahBuilder, WahVec};
 use ibis_datagen::{OceanConfig, OceanModel};
@@ -211,21 +209,25 @@ fn bench_metrics(c: &mut Criterion) {
     let a = smooth_field(0.0);
     let b = smooth_field(0.9);
     let binner = Binner::fixed_width(-51.0, 51.0, 100);
-    let ia = BitmapIndex::build(&a, binner.clone());
-    let ib = BitmapIndex::build(&b, binner.clone());
+    let sa = VarSummary::bitmap(&a, binner.clone());
+    let sb = VarSummary::bitmap(&b, binner.clone());
+    let (fa, fb) = (
+        VarSummary::full(a, binner.clone()),
+        VarSummary::full(b, binner),
+    );
     let mut g = c.benchmark_group("metrics");
     g.sample_size(10).measurement_time(Duration::from_secs(2));
     g.bench_function("cond_entropy_fulldata_1M", |bch| {
-        bch.iter(|| black_box(conditional_entropy_full(&a, &b, &binner, &binner)))
+        bch.iter(|| black_box(fa.metric(&fb, Metric::ConditionalEntropy)))
     });
     g.bench_function("cond_entropy_bitmaps_1M", |bch| {
-        bch.iter(|| black_box(conditional_entropy_index(&ia, &ib)))
+        bch.iter(|| black_box(sa.metric(&sb, Metric::ConditionalEntropy)))
     });
     g.bench_function("emd_spatial_fulldata_1M", |bch| {
-        bch.iter(|| black_box(emd_spatial_full(&a, &b, &binner)))
+        bch.iter(|| black_box(fa.metric(&fb, Metric::EmdSpatial)))
     });
     g.bench_function("emd_spatial_bitmaps_1M", |bch| {
-        bch.iter(|| black_box(emd_spatial_index(&ia, &ib)))
+        bch.iter(|| black_box(sa.metric(&sb, Metric::EmdSpatial)))
     });
     g.finish();
 }
@@ -283,8 +285,9 @@ fn bench_queries(c: &mut Criterion) {
     g.bench_function("approx_mean_1M", |bch| {
         bch.iter(|| black_box(aggregate::mean(&ia)))
     });
+    let all = SubsetQuery::all();
     g.bench_function("approx_pearson_1M", |bch| {
-        bch.iter(|| black_box(aggregate::pearson(&ia, &ib)))
+        bch.iter(|| black_box(correlation_query(&ia, &ib, &all, &all)))
     });
     let region = SubsetQuery::region(100_000..500_000);
     g.bench_function("correlation_query_region_1M", |bch| {

@@ -5,10 +5,13 @@
 //! time-steps selection.
 //!
 //! Global selection works because every quantity the conditional-entropy
-//! metric needs is **additive across nodes**: each node computes the joint
-//! bin counts of (candidate, previously-selected) over its own slab, a
-//! coordinator sums them and evaluates the metric on the global counts —
-//! bit-identical to a single-node run over the whole mesh.
+//! metric needs is **additive across nodes**: each node holds its slab's
+//! [`VarSummary`] per step and votes its [`VarSummary::partial`] of each
+//! candidate against the previously selected step (the joint bin counts
+//! over its slab); a coordinator [`CorrelationPartial::merge`]s the votes
+//! and scores the global counts with [`Metric::finish`] — the same
+//! finisher `select_greedy` runs, so the selection is bit-identical to a
+//! single-node run over the whole mesh.
 //!
 //! Output goes either to node-local disks (independent, parallel) or to one
 //! shared remote data server whose link serializes all writers
@@ -36,10 +39,9 @@ use crate::pipeline::RobustnessConfig;
 use crate::report::PhaseTimes;
 use crate::retry::write_with_retry;
 use crossbeam::channel::{bounded, Receiver, Sender};
-use ibis_analysis::entropy::conditional_entropy_from_counts;
-use ibis_analysis::histogram::{joint_counts, joint_histogram};
 use ibis_analysis::selection::fixed_intervals;
-use ibis_core::{Binner, BitmapIndex};
+use ibis_analysis::{CorrelationPartial, Metric, VarSummary};
+use ibis_core::Binner;
 use ibis_datagen::{Heat3DConfig, Heat3DPartition};
 use ibis_obs::{LazyCounter, LazyHistogram, TIME_NS_BOUNDS};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -131,35 +133,10 @@ pub struct ClusterReport {
     pub fault_events: Vec<String>,
 }
 
-/// One node's local summary of a step.
-enum LocalSummary {
-    Bitmap(BitmapIndex),
-    Full(Vec<f64>),
-}
-
-impl LocalSummary {
-    fn size_bytes(&self) -> u64 {
-        match self {
-            LocalSummary::Bitmap(idx) => idx.size_bytes() as u64,
-            LocalSummary::Full(d) => (d.len() * 8) as u64,
-        }
-    }
-
-    /// Joint bin counts of (self = candidate, prev) over this node's slab.
-    fn joint_counts(&self, prev: &LocalSummary, binner: &Binner) -> Vec<u64> {
-        match (self, prev) {
-            (LocalSummary::Bitmap(a), LocalSummary::Bitmap(b)) => joint_counts(a, b),
-            (LocalSummary::Full(a), LocalSummary::Full(b)) => joint_histogram(a, b, binner, binner),
-            _ => unreachable!("a run uses one reduction throughout"),
-        }
-    }
-}
-
-/// Per-interval message from a node: local joint counts per candidate step.
-struct NodeVote {
-    /// `(step index, flattened joint counts vs prev)` per buffered candidate.
-    candidates: Vec<(usize, Vec<u64>)>,
-}
+/// Per-interval message from a node: `(step index, partial)` per buffered
+/// candidate, its slab's conditional-entropy partial (the joint table)
+/// against the previously selected step.
+type NodeVote = Vec<(usize, CorrelationPartial)>;
 
 /// A node aborted because a peer it depends on went away.
 fn disconnected(waiting_for: &str) -> IbisError {
@@ -185,7 +162,6 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterReport> {
     cfg.robustness.retry.validate()?;
     OBS_CLUSTER_RUNS.inc();
     let injector = Arc::new(FaultInjector::new(cfg.robustness.faults.clone()));
-    let nbins = cfg.binner.nbins();
     // the partitions' source clock must tick with this run's sweep count
     let mut heat = cfg.heat.clone();
     heat.sweeps_per_step = cfg.sweeps_per_step;
@@ -263,8 +239,8 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterReport> {
                         let mut select_t = Duration::ZERO;
                         let mut output_modeled = 0.0f64;
                         let mut bytes = 0u64;
-                        let mut prev: Option<LocalSummary> = None;
-                        let mut buffer: Vec<(usize, LocalSummary)> = Vec::new();
+                        let mut prev: Option<VarSummary> = None;
+                        let mut buffer: Vec<(usize, VarSummary)> = Vec::new();
                         let mut selected = Vec::new();
                         let mut cur_interval = 0usize;
 
@@ -278,8 +254,10 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterReport> {
                                     select_t: Duration,
                                     output_modeled: &mut f64|
                          -> Result<()> {
-                            let now =
-                                node_time(sim_t, reduce_t, select_t, *output_modeled, threads, cfg);
+                            let output = *output_modeled;
+                            let phases =
+                                modeled_phases(sim_t, reduce_t, select_t, output, threads, cfg);
+                            let now = phases.sum();
                             let receipt = write_with_retry(
                                 storage,
                                 &injector,
@@ -338,19 +316,21 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterReport> {
 
                             // --- reduce ---
                             let (summary, d) = timed_in_pool(&pool, || match cfg.reduction {
-                                ClusterReduction::Bitmaps => LocalSummary::Bitmap(
+                                ClusterReduction::Bitmaps => VarSummary::Bitmap(
                                     ibis_core::build_index_parallel(&data, cfg.binner.clone()),
                                 ),
-                                ClusterReduction::FullData => LocalSummary::Full(data),
+                                ClusterReduction::FullData => {
+                                    VarSummary::full(data, cfg.binner.clone())
+                                }
                             });
                             reduce_t += d;
 
                             // --- select (global, coordinated) ---
                             if step == 0 {
                                 selected.push(0);
-                                bytes += summary.size_bytes();
+                                bytes += summary.size_bytes() as u64;
                                 ship(
-                                    summary.size_bytes(),
+                                    summary.size_bytes() as u64,
                                     sim_t,
                                     reduce_t,
                                     select_t,
@@ -371,14 +351,14 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterReport> {
                             let Some(p) = prev.as_ref() else {
                                 unreachable!("seeded at step 0");
                             };
-                            let candidates: Vec<(usize, Vec<u64>)> = buffer
+                            let candidates = buffer
                                 .iter()
-                                .map(|(idx, s)| (*idx, s.joint_counts(p, &cfg.binner)))
+                                .map(|(idx, s)| (*idx, s.partial(p, Metric::ConditionalEntropy)))
                                 .collect();
                             select_t += clock.elapsed();
                             OBS_CLUSTER_VOTES.inc();
                             vote_tx
-                                .send(NodeVote { candidates })
+                                .send(candidates)
                                 .map_err(|_| disconnected("coordinator (vote)"))?;
                             let winner = my_decisions
                                 .recv()
@@ -395,9 +375,9 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterReport> {
                                     "coordinator picked step {winner} outside the interval"
                                 )));
                             };
-                            bytes += kept.size_bytes();
+                            bytes += kept.size_bytes() as u64;
                             ship(
-                                kept.size_bytes(),
+                                kept.size_bytes() as u64,
                                 sim_t,
                                 reduce_t,
                                 select_t,
@@ -406,46 +386,8 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterReport> {
                             prev = Some(kept);
                         }
 
-                        // CPU-time clocks (one-thread pools, node-thread
-                        // work) need no correction; wall-measured wide
-                        // pools do.
-                        let active = cfg.nodes * threads;
-                        let sim_t = if threads == 1 {
-                            sim_t
-                        } else {
-                            decontend(sim_t, active)
-                        };
-                        let reduce_t = if threads == 1 {
-                            reduce_t
-                        } else {
-                            decontend(reduce_t, active)
-                        };
-                        let select_t = select_t; // always node-thread CPU time
-                        let speed = cfg.machine.core_speed;
-                        let phases = PhaseTimes {
-                            simulate: modeled_seconds(
-                                sim_t,
-                                threads,
-                                cfg.cores_per_node,
-                                &cfg.sim_scaling,
-                                speed,
-                            ),
-                            reduce: modeled_seconds(
-                                reduce_t,
-                                threads,
-                                cfg.cores_per_node,
-                                &ScalingModel::bitmap_gen(),
-                                speed,
-                            ),
-                            select: modeled_seconds(
-                                select_t,
-                                threads,
-                                cfg.cores_per_node,
-                                &ScalingModel::selection(),
-                                speed,
-                            ),
-                            output: output_modeled,
-                        };
+                        let phases =
+                            modeled_phases(sim_t, reduce_t, select_t, output_modeled, threads, cfg);
                         Ok(NodeResult {
                             total: phases.sum(),
                             phases,
@@ -469,8 +411,8 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterReport> {
             }
             drop(vote_tx);
 
-            // Coordinator: sum each interval's joint counts across nodes,
-            // evaluate conditional entropy on the *global* counts, broadcast
+            // Coordinator: merge each interval's partials across nodes,
+            // finish conditional entropy on the *global* counts, broadcast
             // the winner. Each vote wait is bounded: if a node can no longer
             // vote (died mid-interval while its peers already voted and
             // still hold their vote senders), the timeout fires, the
@@ -490,17 +432,20 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterReport> {
                         }
                     }
                 }
-                let candidates = &pending[0].candidates;
                 let mut best: Option<(usize, f64)> = None;
-                for (c, (step_idx, _)) in candidates.iter().enumerate() {
-                    let mut global = vec![0u64; nbins * nbins];
-                    for vote in &pending {
-                        debug_assert_eq!(vote.candidates[c].0, *step_idx);
-                        for (g, v) in global.iter_mut().zip(&vote.candidates[c].1) {
-                            *g += v;
+                for (c, (step_idx, first)) in pending[0].iter().enumerate() {
+                    let mut global = first.clone();
+                    for vote in &pending[1..] {
+                        debug_assert_eq!(vote[c].0, *step_idx);
+                        if let Err(e) = global.merge(&vote[c].1) {
+                            coordinator_err = Some(IbisError::Coordination(format!(
+                                "merging votes for step {step_idx}: {e}"
+                            )));
+                            break 'intervals;
                         }
                     }
-                    let score = conditional_entropy_from_counts(&global, nbins, nbins);
+                    let score =
+                        Metric::ConditionalEntropy.finish(&cfg.binner, &cfg.binner, &global);
                     if best.is_none_or(|(_, b)| score > b) {
                         best = Some((*step_idx, score));
                     }
@@ -534,9 +479,11 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterReport> {
         });
 
     // Fold per-node results. Root-cause failures (panics, storage
-    // exhaustion) are reported; pure cascade errors (Disconnected /
-    // Coordination) are kept only when no root cause exists, so the report
-    // is deterministic for a deterministic fault plan.
+    // exhaustion) are reported first, then the coordinator's own error (a
+    // vote timeout, or votes counted under different binnings), whose
+    // cascade is every node released from its decision wait; pure cascade
+    // errors (Disconnected / Coordination) are kept only when no root cause
+    // exists, so the report is deterministic for a deterministic fault plan.
     let mut failures: Vec<(usize, String)> = Vec::new();
     let mut cascades: Vec<(usize, String)> = Vec::new();
     let mut oks: Vec<NodeResult> = Vec::new();
@@ -556,11 +503,11 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterReport> {
     if !failures.is_empty() {
         return Err(IbisError::NodeFailure { failures });
     }
-    if !cascades.is_empty() {
-        return Err(IbisError::NodeFailure { failures: cascades });
-    }
     if let Some(e) = coordinator_err {
         return Err(e);
+    }
+    if !cascades.is_empty() {
+        return Err(IbisError::NodeFailure { failures: cascades });
     }
 
     // Parallel nodes: the cluster finishes when the slowest node does.
@@ -590,50 +537,48 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterReport> {
     })
 }
 
-/// A node's modeled elapsed time so far (used as the arrival time for
-/// contended remote writes).
-fn node_time(
+/// A node's modeled phase times from its measured clocks. CPU-time clocks
+/// (one-thread pools, node-thread work such as selection) need no
+/// correction; wall-measured wide pools do. Their sum so far is the
+/// node's arrival time for contended remote writes.
+fn modeled_phases(
     sim_t: Duration,
     reduce_t: Duration,
     select_t: Duration,
-    output_so_far: f64,
+    output: f64,
     threads: usize,
     cfg: &ClusterConfig,
-) -> f64 {
+) -> PhaseTimes {
     let active = cfg.nodes * threads;
-    let sim_t = if threads == 1 {
-        sim_t
-    } else {
-        decontend(sim_t, active)
+    let wall = |t: Duration| {
+        if threads == 1 {
+            t
+        } else {
+            decontend(t, active)
+        }
     };
-    let reduce_t = if threads == 1 {
-        reduce_t
-    } else {
-        decontend(reduce_t, active)
-    };
-    let speed = cfg.machine.core_speed;
-    modeled_seconds(sim_t, threads, cfg.cores_per_node, &cfg.sim_scaling, speed)
-        + modeled_seconds(
-            reduce_t,
+    let model = |t: Duration, scaling: &ScalingModel| {
+        modeled_seconds(
+            t,
             threads,
             cfg.cores_per_node,
-            &ScalingModel::bitmap_gen(),
-            speed,
+            scaling,
+            cfg.machine.core_speed,
         )
-        + modeled_seconds(
-            select_t,
-            threads,
-            cfg.cores_per_node,
-            &ScalingModel::selection(),
-            speed,
-        )
-        + output_so_far
+    };
+    PhaseTimes {
+        simulate: model(wall(sim_t), &cfg.sim_scaling),
+        reduce: model(wall(reduce_t), &ScalingModel::bitmap_gen()),
+        select: model(select_t, &ScalingModel::selection()),
+        output,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use ibis_analysis::{select_greedy, Partitioning, StepSummary};
 
     fn base(nodes: usize, reduction: ClusterReduction, io: ClusterIo) -> ClusterConfig {
         ClusterConfig {
@@ -671,11 +616,32 @@ mod tests {
 
     #[test]
     fn nodes_agree_and_match_single_node_selection() {
-        // additive joint counts ⇒ the 3-node global selection equals the
-        // 1-node selection over the same mesh
-        let r1 = run_cluster(&base(1, ClusterReduction::Bitmaps, ClusterIo::Local)).unwrap();
-        let r3 = run_cluster(&base(3, ClusterReduction::Bitmaps, ClusterIo::Local)).unwrap();
-        assert_eq!(r1.selected, r3.selected);
+        // additive partials ⇒ the global selection at every node count and
+        // reduction is `select_greedy`'s over the whole mesh
+        let cfg = base(1, ClusterReduction::Bitmaps, ClusterIo::Local);
+        let mut heat = cfg.heat.clone();
+        heat.sweeps_per_step = cfg.sweeps_per_step;
+        let mut whole = ibis_datagen::Heat3D::new(heat);
+        let summaries: Vec<StepSummary> = (0..cfg.steps)
+            .map(|step| {
+                let out = ibis_datagen::Simulation::step(&mut whole);
+                let data = &out.fields[0].data;
+                let vars = vec![VarSummary::bitmap(data, cfg.binner.clone())];
+                StepSummary { step, vars }
+            })
+            .collect();
+        let want = select_greedy(
+            &summaries,
+            cfg.select_k,
+            Metric::ConditionalEntropy,
+            Partitioning::FixedLength,
+        );
+        for nodes in 1..=3 {
+            for reduction in [ClusterReduction::Bitmaps, ClusterReduction::FullData] {
+                let r = run_cluster(&base(nodes, reduction, ClusterIo::Local)).unwrap();
+                assert_eq!(r.selected, want.selected, "{nodes} node(s), {reduction:?}");
+            }
+        }
     }
 
     #[test]

@@ -12,10 +12,8 @@
 //! cargo run --release --example offline_postanalysis
 //! ```
 
-use ibis::analysis::aggregate;
-use ibis::analysis::emd::emd_spatial_index;
-use ibis::analysis::entropy::{conditional_entropy_index, shannon_entropy_index};
-use ibis::analysis::Metric;
+use ibis::analysis::entropy::shannon_entropy_from_counts;
+use ibis::analysis::{aggregate, correlation_query, Metric, SubsetQuery, VarSummary};
 use ibis::core::{Binner, BitmapIndex, RowOrder};
 use ibis::datagen::{Heat3D, Heat3DConfig, Simulation};
 use ibis::insitu::{
@@ -86,14 +84,18 @@ fn main() {
         "{:<10} {:>10} {:>14} {:>12} {:>16}",
         "step", "entropy", "mean(±bound)", "hot cells", "Δ vs previous"
     );
+    let all = SubsetQuery::all();
     let mut prev: Option<&BitmapIndex> = None;
     for (name, idx) in &indices {
-        let h = shannon_entropy_index(idx);
+        let h = shannon_entropy_from_counts(idx.counts());
         let mean = aggregate::mean(idx).unwrap();
         // range query: how much of the mesh is hotter than 50 degrees?
         let hot = idx.query_range(50.0, 101.0).count_ones();
         let delta = match prev {
-            Some(p) => format!("{:.4}", conditional_entropy_index(idx, p)),
+            Some(p) => {
+                let h_given_prev = correlation_query(idx, p, &all, &all).unwrap();
+                format!("{:.4}", h_given_prev.conditional_entropy)
+            }
             None => "-".into(),
         };
         println!(
@@ -104,13 +106,13 @@ fn main() {
     }
 
     // spatial EMD between the first and last selected steps
-    let first = &indices.first().unwrap().1;
-    let last = &indices.last().unwrap().1;
+    let first = VarSummary::Bitmap(indices.first().unwrap().1.clone());
+    let last = VarSummary::Bitmap(indices.last().unwrap().1.clone());
     println!(
         "\nspatial EMD between first and last selected step: {:.0}",
-        emd_spatial_index(first, last)
+        first.metric(&last, Metric::EmdSpatial)
     );
-    assert!(shannon_entropy_index(last) > 0.0);
+    assert!(last.entropy() > 0.0);
     std::fs::remove_dir_all(&dir).ok();
     println!("(demo directory cleaned up)");
 }

@@ -5,9 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use ibis::analysis::entropy::{
-    conditional_entropy_full, conditional_entropy_index, shannon_entropy_index,
-};
+use ibis::analysis::{Metric, VarSummary};
 use ibis::core::{Binner, BitmapIndex};
 
 fn main() {
@@ -46,10 +44,16 @@ fn main() {
         n
     );
 
-    // …and supports the paper's analyses without the data.
-    let h = shannon_entropy_index(&index_a);
-    let ce_bitmaps = conditional_entropy_index(&index_b, &index_a);
-    let ce_full = conditional_entropy_full(&step_b, &step_a, &binner, &binner);
+    // …and supports the paper's analyses without the data: the same
+    // metric from the bitmaps and from the raw arrays.
+    let (bitmap_a, bitmap_b) = (VarSummary::Bitmap(index_a), VarSummary::Bitmap(index_b));
+    let (full_a, full_b) = (
+        VarSummary::full(step_a, binner.clone()),
+        VarSummary::full(step_b, binner),
+    );
+    let h = bitmap_a.entropy();
+    let ce_bitmaps = bitmap_b.metric(&bitmap_a, Metric::ConditionalEntropy);
+    let ce_full = full_b.metric(&full_a, Metric::ConditionalEntropy);
     println!("Shannon entropy of step A: {h:.4} bits");
     println!("H(B|A) from bitmaps:   {ce_bitmaps:.6} bits");
     println!("H(B|A) from full data: {ce_full:.6} bits");

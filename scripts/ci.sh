@@ -50,10 +50,11 @@ echo "==> obs differential: no-op build must match the instrumented run byte-for
 cargo test -q -p ibis --no-default-features --test obs_differential
 cmp target/obs_differential/instrumented.digest target/obs_differential/noop.digest
 
-echo "==> no-op observability build: query and mining/CE/EMD properties, ibis-insitu unit tests (frame corruption table, CRC32-C kernel differential), fault-injection, every-step crash/resume, query, lazy-materialisation, shard and serving suites"
+echo "==> no-op observability build: query and mining/CE/EMD properties, bitmap-vs-full-data exactness, ibis-insitu unit tests (frame corruption table, CRC32-C kernel differential), fault-injection, every-step crash/resume, query, lazy-materialisation, shard and serving suites"
 # The workspace run above covers the instrumented config; neither config
 # may panic or diverge with the obs counters const-folded away.
 cargo test -q -p ibis-analysis --no-default-features --test prop_query --test prop_metrics
+cargo test -q -p ibis --no-default-features --test exactness
 cargo test -q -p ibis-insitu --no-default-features --lib --test fault_injection \
     --test crash_resume --test query_engine --test prop_lazy --test shard --test serving
 
@@ -173,10 +174,18 @@ serve_smoke() {
         fi
         sleep 0.1
     done
-    cargo run -q --release "${features[@]}" --bin ibis -- loadgen \
+    local summary outcomes
+    summary=$(cargo run -q --release "${features[@]}" --bin ibis -- loadgen \
         --addr "127.0.0.1:$port" --store "$store" --requests 300 \
-        --clients 1 --deadline-ms 2000 --seed 7
+        --clients 1 --deadline-ms 2000 --seed 7)
+    echo "$summary"
     wait "$serve_pid"
+    # every request answered ok: the summary's only outcome line
+    outcomes=$(grep -E '^  [a-z]+: [0-9]+$' <<<"$summary" || true)
+    if [ "$outcomes" != "  ok: 300" ]; then
+        echo "error: ibis loadgen (k=$shards) outcomes are not all ok: $outcomes" >&2
+        exit 1
+    fi
     if [ "${#obs[@]}" -gt 0 ]; then
         grep -q '"query.subset.counted"' "$store.obs.json" || {
             echo "error: ibis serve (k=$shards) counted no subset" >&2

@@ -774,10 +774,20 @@ fn loadgen_catalog(store: &ShardedStore) -> Result<Vec<String>, String> {
     Ok(frames)
 }
 
+/// An I/O error that means the server closed the connection (after its
+/// `max-conns` shed line, a read timeout or an oversized frame), as an end
+/// of file does.
+fn peer_closed(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset};
+    matches!(e.kind(), BrokenPipe | ConnectionAborted | ConnectionReset)
+}
+
 /// `ibis loadgen --addr HOST:PORT --store DIR`: closed-loop TCP load
 /// generator with a zipf-skewed query mix over the store's catalog (the
 /// store is only read to enumerate steps/variables — all queries go over
-/// the wire). Prints latency percentiles and typed outcome counts.
+/// the wire). Prints latency percentiles over the answered requests and
+/// typed outcome counts; a client whose connection the server closes
+/// stops, and counts its unanswered requests as `closed`.
 fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
     let addr = flags.get("addr").ok_or("--addr HOST:PORT is required")?;
     let dir = flags.get("store").ok_or("--store DIR is required")?;
@@ -829,34 +839,38 @@ fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
                 let mut writer = stream;
                 let mut rng = Mix64(seed ^ (c as u64).wrapping_mul(0x9E37));
                 let mut line = String::new();
-                for _ in 0..share {
+                for asked in 0..share {
                     let pick = rng.unit() * total;
                     let idx = cum.partition_point(|&x| x < pick).min(frames.len() - 1);
                     let sent = Instant::now();
-                    writeln!(writer, "{}", frames[idx]).map_err(|e| format!("send: {e}"))?;
                     line.clear();
-                    reader
-                        .read_line(&mut line)
-                        .map_err(|e| format!("recv: {e}"))?;
+                    let reply = writeln!(writer, "{}", frames[idx])
+                        .map_err(|e| ("send", e))
+                        .and_then(|()| reader.read_line(&mut line).map_err(|e| ("recv", e)));
                     let ns = sent.elapsed().as_nanos() as u64;
+                    let kind = match reply {
+                        Ok(0) => "closed",
+                        Err((_, e)) if peer_closed(&e) => "closed",
+                        Err((what, e)) => return Err(format!("{what}: {e}")),
+                        Ok(_) if line.contains("\"ok\"") => "ok",
+                        Ok(_) if line.contains("\"kind\": \"shed\"") => "shed",
+                        Ok(_) if line.contains("\"kind\": \"deadline\"") => "deadline",
+                        Ok(_) => "error",
+                    };
+                    let mut tally = counts
+                        .lock()
+                        .map_err(|_| "count lock poisoned".to_string())?;
+                    if kind == "closed" {
+                        // the server hung up: this request and the rest of
+                        // the share go unanswered, and nothing more is sent
+                        *tally.entry(kind.to_string()).or_insert(0) += (share - asked) as u64;
+                        break;
+                    }
+                    *tally.entry(kind.to_string()).or_insert(0) += 1;
                     latencies
                         .lock()
                         .map_err(|_| "latency lock poisoned".to_string())?
                         .push(ns);
-                    let kind = if line.contains("\"ok\"") {
-                        "ok"
-                    } else if line.contains("\"kind\": \"shed\"") {
-                        "shed"
-                    } else if line.contains("\"kind\": \"deadline\"") {
-                        "deadline"
-                    } else {
-                        "error"
-                    };
-                    *counts
-                        .lock()
-                        .map_err(|_| "count lock poisoned".to_string())?
-                        .entry(kind.to_string())
-                        .or_insert(0) += 1;
                 }
                 Ok(())
             }));
@@ -884,7 +898,7 @@ fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
         .into_inner()
         .map_err(|_| "count lock poisoned".to_string())?;
     println!(
-        "{} requests over {clients} clients in {wall:.2}s ({:.0} req/s)",
+        "{} requests answered over {clients} clients in {wall:.2}s ({:.0} req/s)",
         lat.len(),
         lat.len() as f64 / wall.max(1e-9)
     );

@@ -382,3 +382,51 @@ fn insitu_rejects_an_allocation_before_running() {
         "--allocation",
     );
 }
+
+#[test]
+fn loadgen_counts_requests_after_the_server_closes_as_closed() {
+    use std::io::{BufRead, BufReader, Write};
+    let dir = std::env::temp_dir().join(format!("ibis-cli-loadgen-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let data: Vec<f64> = (0..500).map(|i| (i % 50) as f64).collect();
+    let index = ibis::core::BitmapIndex::build(&data, ibis::core::Binner::fit(&data, 8));
+    let mut writer = ibis::insitu::StoreWriter::create(&dir).expect("create store");
+    writer.put(0, "temperature", &index).expect("put");
+    writer.finish().expect("finish");
+    // a server that answers one request and hangs up on the next; it
+    // reads that one first, so the client sees an end of file, not a reset
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut requests = BufReader::new(&stream).lines();
+        requests.next().expect("first request").expect("read");
+        writeln!(&stream, r#"{{"answers": [{{"ok": 1}}]}}"#).expect("reply");
+        requests.next().expect("second request").expect("read");
+    });
+    let out = ibis()
+        .args([
+            "loadgen",
+            "--addr",
+            &addr,
+            "--requests",
+            "5",
+            "--clients",
+            "1",
+        ])
+        .arg("--store")
+        .arg(&dir)
+        .output()
+        .expect("spawn");
+    server.join().expect("server thread");
+    std::fs::remove_dir_all(&dir).ok();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{text}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(text.contains("1 requests answered"), "{text}");
+    let outcomes: Vec<&str> = text.lines().filter(|l| l.starts_with("  ")).collect();
+    assert_eq!(outcomes, ["  closed: 4", "  ok: 1"], "{text}");
+}

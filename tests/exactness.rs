@@ -3,17 +3,22 @@
 //! analysis must equal its full-data counterpart bit-for-bit under the same
 //! binning, and persisted bitmaps must survive a disk round-trip.
 
-use ibis::analysis::emd::{emd_counts_full, emd_counts_index, emd_spatial_full, emd_spatial_index};
-use ibis::analysis::entropy::{
-    conditional_entropy_full, conditional_entropy_index, mutual_information_full,
-    mutual_information_index, shannon_entropy_full, shannon_entropy_index,
+use ibis::analysis::entropy::mutual_information_from_counts;
+use ibis::analysis::histogram::joint_histogram;
+use ibis::analysis::{
+    correlation_query, mine_full, mine_index, Metric, MiningConfig, SubsetQuery, VarSummary,
 };
-use ibis::analysis::{mine_full, mine_index, MiningConfig};
 use ibis::core::{Binner, BitmapIndex, ZOrderLayout};
 use ibis::datagen::{
     Heat3D, Heat3DConfig, LuleshConfig, MiniLulesh, OceanConfig, OceanModel, Simulation,
 };
 use ibis::insitu::codec;
+
+/// `data` summarised both ways: from the bitmaps, and from the raw array.
+fn both(data: &[f64], binner: &Binner) -> (VarSummary, VarSummary) {
+    let bitmap = VarSummary::bitmap(data, binner.clone());
+    (bitmap, VarSummary::full(data.to_vec(), binner.clone()))
+}
 
 #[test]
 fn heat3d_metrics_exact() {
@@ -21,37 +26,40 @@ fn heat3d_metrics_exact() {
     let steps = sim.run(6);
     let binner = Binner::precision(-1.0, 101.0, 1);
     let arrays: Vec<&[f64]> = steps.iter().map(|s| s.fields[0].data.as_slice()).collect();
-    let indexes: Vec<BitmapIndex> = arrays
-        .iter()
-        .map(|a| BitmapIndex::build(a, binner.clone()))
-        .collect();
+    let summaries: Vec<(VarSummary, VarSummary)> =
+        arrays.iter().map(|a| both(a, &binner)).collect();
+    let all = SubsetQuery::all();
+    let nbins = binner.nbins();
     for i in 0..arrays.len() {
-        assert_eq!(
-            shannon_entropy_index(&indexes[i]),
-            shannon_entropy_full(arrays[i], &binner),
-            "entropy step {i}"
-        );
+        let (bitmap_i, full_i) = &summaries[i];
+        assert_eq!(bitmap_i.entropy(), full_i.entropy(), "entropy step {i}");
         for j in 0..arrays.len() {
+            let (bitmap_j, full_j) = &summaries[j];
+            let VarSummary::Bitmap(index_i) = bitmap_i else {
+                unreachable!()
+            };
+            let VarSummary::Bitmap(index_j) = bitmap_j else {
+                unreachable!()
+            };
+            let joint = joint_histogram(arrays[i], arrays[j], &binner, &binner);
             assert_eq!(
-                mutual_information_index(&indexes[i], &indexes[j]),
-                mutual_information_full(arrays[i], arrays[j], &binner, &binner),
+                correlation_query(index_i, index_j, &all, &all)
+                    .unwrap()
+                    .mutual_information,
+                mutual_information_from_counts(&joint, nbins, nbins),
                 "MI {i}-{j}"
             );
-            assert_eq!(
-                conditional_entropy_index(&indexes[i], &indexes[j]),
-                conditional_entropy_full(arrays[i], arrays[j], &binner, &binner),
-                "CE {i}-{j}"
-            );
-            assert_eq!(
-                emd_counts_index(&indexes[i], &indexes[j]),
-                emd_counts_full(arrays[i], arrays[j], &binner),
-                "EMD {i}-{j}"
-            );
-            assert_eq!(
-                emd_spatial_index(&indexes[i], &indexes[j]),
-                emd_spatial_full(arrays[i], arrays[j], &binner),
-                "spatial EMD {i}-{j}"
-            );
+            for (metric, name) in [
+                (Metric::ConditionalEntropy, "CE"),
+                (Metric::Emd, "EMD"),
+                (Metric::EmdSpatial, "spatial EMD"),
+            ] {
+                assert_eq!(
+                    bitmap_i.metric(bitmap_j, metric),
+                    full_i.metric(full_j, metric),
+                    "{name} {i}-{j}"
+                );
+            }
         }
     }
 }
@@ -67,20 +75,18 @@ fn lulesh_all_twelve_arrays_exact() {
             .flat_map(|s| s.fields[f].data.iter().copied())
             .collect();
         let binner = Binner::fit(&all, 32);
-        let a = &steps[0].fields[f].data;
-        let b = &steps[2].fields[f].data;
-        let ia = BitmapIndex::build(a, binner.clone());
-        let ib = BitmapIndex::build(b, binner.clone());
+        let (bitmap_a, full_a) = both(&steps[0].fields[f].data, &binner);
+        let (bitmap_b, full_b) = both(&steps[2].fields[f].data, &binner);
         assert_eq!(
-            emd_spatial_index(&ia, &ib),
-            emd_spatial_full(a, b, &binner),
+            bitmap_a.metric(&bitmap_b, Metric::EmdSpatial),
+            full_a.metric(&full_b, Metric::EmdSpatial),
             "field {} ({})",
             f,
             steps[0].fields[f].name
         );
         assert_eq!(
-            conditional_entropy_index(&ia, &ib),
-            conditional_entropy_full(a, b, &binner, &binner)
+            bitmap_a.metric(&bitmap_b, Metric::ConditionalEntropy),
+            full_a.metric(&full_b, Metric::ConditionalEntropy)
         );
     }
 }
@@ -139,9 +145,13 @@ fn persisted_bitmaps_round_trip_and_stay_exact() {
     let ib2 = BitmapIndex::from_bins(binner.clone(), reloaded);
 
     // post-analysis on reloaded bitmaps equals the in-memory result
+    let (reloaded, step0) = (VarSummary::Bitmap(ib2), VarSummary::Bitmap(ia));
     assert_eq!(
-        conditional_entropy_index(&ib2, &ia),
-        conditional_entropy_full(b, a, &binner, &binner)
+        reloaded.metric(&step0, Metric::ConditionalEntropy),
+        VarSummary::full(b.clone(), binner.clone()).metric(
+            &VarSummary::full(a.clone(), binner),
+            Metric::ConditionalEntropy
+        )
     );
     std::fs::remove_dir_all(&dir).ok();
 }
