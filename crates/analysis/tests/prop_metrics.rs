@@ -1,10 +1,10 @@
 //! Property-based tests for the analysis layer: information-theoretic
 //! invariants, metric laws, and — above all — bit-exact agreement of every
 //! metric, from full data and from bitmaps, with a per-row scan of the raw
-//! arrays written out here (the paper's central claim, tested
-//! adversarially rather than on hand-picked data). Both kinds of summary
-//! share one finisher per metric, so each is checked against the scan, not
-//! against the other.
+//! arrays by the reference model (`ibis_testkit`; the paper's central
+//! claim, tested adversarially rather than on hand-picked data). Both
+//! kinds of summary share one finisher per metric, so each is checked
+//! against the scan, not against the other.
 
 use ibis_analysis::aggregate::pearson_from_joint_counts;
 use ibis_analysis::emd::{emd_from_counts, emd_spatial_from_diffs};
@@ -20,9 +20,8 @@ use ibis_analysis::{
     QueryError, StepSummary, SubsetQuery, VarSummary,
 };
 use ibis_core::{Binner, BitmapIndex, CodecVec, MultiLevelIndex, RoaringVec, WahVec};
+use ibis_testkit::{before_fusing, Column};
 use proptest::prelude::*;
-
-mod before_fusing;
 
 /// Arbitrary data in a fixed range plus a binner over that range.
 fn data_and_binner() -> impl Strategy<Value = (Vec<f64>, Binner)> {
@@ -135,46 +134,9 @@ fn summaries(a: &[f64], b: &[f64], ba: &Binner, bb: &Binner) -> [(VarSummary, Va
     ]
 }
 
-/// The joint table of two arrays, row by row.
-fn scan_joint(a: &[f64], b: &[f64], ba: &Binner, bb: &Binner) -> Vec<u64> {
-    let nb = bb.nbins();
-    let mut joint = vec![0u64; ba.nbins() * nb];
-    for (&x, &y) in a.iter().zip(b) {
-        joint[ba.bin_of(x) as usize * nb + bb.bin_of(y) as usize] += 1;
-    }
-    joint
-}
-
-/// `metric` by a scan of the raw rows, in the union of the two binners'
-/// ranges on their lattice: conditional entropy by the pre-fusion
-/// finisher over the scanned joint table, count EMD over the two scanned
-/// histograms, spatial EMD over the positions whose union bin differs
-/// (each counted in both of its bins).
-fn metric_scan(metric: Metric, a: &[f64], b: &[f64], ba: &Binner, bb: &Binner) -> f64 {
-    if metric == Metric::ConditionalEntropy {
-        let joint = scan_joint(a, b, ba, bb);
-        return before_fusing::conditional_entropy_from_counts(&joint, ba.nbins(), bb.nbins());
-    }
-    let off = ba.alignment_offset(bb).expect("binners of one lattice");
-    let lo = off.min(0);
-    let len = ((ba.nbins() as i64).max(off + bb.nbins() as i64) - lo) as usize;
-    let union_a = |x: f64| (ba.bin_of(x) as i64 - lo) as usize;
-    let union_b = |y: f64| (bb.bin_of(y) as i64 + off - lo) as usize;
-    let mut counts = [vec![0u64; len], vec![0u64; len]];
-    let mut diffs = vec![0u64; len];
-    a.iter().for_each(|&x| counts[0][union_a(x)] += 1);
-    b.iter().for_each(|&y| counts[1][union_b(y)] += 1);
-    for (&x, &y) in a.iter().zip(b) {
-        let (ga, gb) = (union_a(x), union_b(y));
-        if ga != gb {
-            diffs[ga] += 1;
-            diffs[gb] += 1;
-        }
-    }
-    match metric {
-        Metric::Emd => emd_from_counts(&counts[0], &counts[1]),
-        _ => emd_spatial_from_diffs(&diffs),
-    }
+/// `metric` from `a` to `b` by the model's row scan.
+fn scanned(metric: Metric, a: &[f64], b: &[f64], ba: &Binner, bb: &Binner) -> f64 {
+    Column::new(a, ba.clone()).metric(&Column::new(b, bb.clone()), metric)
 }
 
 proptest! {
@@ -230,9 +192,7 @@ proptest! {
 proptest! {
     #[test]
     fn entropy_bitmap_exact((data, binner) in data_and_binner()) {
-        let mut counts = vec![0u64; binner.nbins()];
-        data.iter().for_each(|&v| counts[binner.bin_of(v) as usize] += 1);
-        let want = shannon_entropy_from_counts(&counts);
+        let want = shannon_entropy_from_counts(&Column::new(&data, binner.clone()).counts());
         for s in [VarSummary::full(data.clone(), binner.clone()), VarSummary::bitmap(&data, binner)] {
             prop_assert_eq!(s.entropy().to_bits(), want.to_bits());
         }
@@ -248,8 +208,9 @@ proptest! {
     #[test]
     fn mi_and_ce_bitmap_exact((a, b, binner) in two_arrays()) {
         let n = binner.nbins();
-        let want_mi = before_fusing::mutual_information_from_counts(&scan_joint(&a, &b, &binner, &binner), n, n);
-        let want_ce = metric_scan(Metric::ConditionalEntropy, &a, &b, &binner, &binner);
+        let joint = Column::new(&a, binner.clone()).joint(&Column::new(&b, binner.clone()));
+        let want_mi = before_fusing::mutual_information_from_counts(&joint, n, n);
+        let want_ce = scanned(Metric::ConditionalEntropy, &a, &b, &binner, &binner);
         let all = SubsetQuery::all();
         let (ia, ib) = (BitmapIndex::build(&a, binner.clone()), BitmapIndex::build(&b, binner.clone()));
         let got = correlation_query(&ia, &ib, &all, &all).unwrap();
@@ -281,7 +242,7 @@ proptest! {
     fn emd_bitmap_exact((a, b, binner) in two_arrays()) {
         for (sa, sb) in summaries(&a, &b, &binner, &binner) {
             for metric in [Metric::Emd, Metric::EmdSpatial] {
-                let want = metric_scan(metric, &a, &b, &binner, &binner);
+                let want = scanned(metric, &a, &b, &binner, &binner);
                 prop_assert_eq!(sa.metric(&sb, metric).to_bits(), want.to_bits(), "{:?}", metric);
             }
         }
@@ -293,7 +254,7 @@ proptest! {
     fn every_step_metric_equals_a_row_scan((a, b, ba, bb) in two_arrays_aligned()) {
         for (sa, sb) in summaries(&a, &b, &ba, &bb) {
             for metric in METRICS {
-                let want = metric_scan(metric, &a, &b, &ba, &bb);
+                let want = scanned(metric, &a, &b, &ba, &bb);
                 prop_assert_eq!(sa.metric(&sb, metric).to_bits(), want.to_bits(), "{:?}", metric);
             }
         }
@@ -455,7 +416,7 @@ proptest! {
         let shared = Binner::fixed_width(-8.0, 8.0, 8);
         let per_step = (Binner::fit_precision_anchored(&a, 1), Binner::fit_precision_anchored(&b, 1));
         for (ba, bb) in [(shared.clone(), shared), per_step] {
-            let want = metric_scan(Metric::EmdSpatial, &a, &b, &ba, &bb);
+            let want = scanned(Metric::EmdSpatial, &a, &b, &ba, &bb);
             let ia = codec_mix(&BitmapIndex::build(&a, ba.clone()), mask);
             let ib = codec_mix(&BitmapIndex::build(&b, bb.clone()), mask.rotate_left(7));
             let got = VarSummary::Bitmap(ia).metric(&VarSummary::Bitmap(ib), Metric::EmdSpatial);
@@ -566,7 +527,7 @@ fn sorted(mut subsets: Vec<MinedSubset>) -> Vec<MinedSubset> {
 }
 
 /// [`mine_multilevel`] by raw scans: coarse pairs scored on
-/// `joint_histogram` under `coarsen(group)`, the fine pairs under each
+/// the model's joint table under `coarsen(group)`, the fine pairs under each
 /// coarse survivor on the fine one, their units counted row by row. Also
 /// returns the three `MultiLevelStats`.
 fn mine_multilevel_scan(
@@ -576,10 +537,11 @@ fn mine_multilevel_scan(
 ) -> (MiningResult, [usize; 3]) {
     let (n, nf, coarse) = (a.len() as u64, binner.nbins(), binner.coarsen(group));
     let nh = coarse.nbins();
-    let fine_joint = joint_histogram(a, b, binner, binner);
-    let coarse_joint = joint_histogram(a, b, &coarse, &coarse);
-    let (ca, cb) = (histogram(a, binner), histogram(b, binner));
-    let (ha, hb) = (histogram(a, &coarse), histogram(b, &coarse));
+    let column = |data: &[f64], binner: &Binner| Column::new(data, binner.clone());
+    let (fa, fb) = (column(a, binner), column(b, binner));
+    let (ga, gb) = (column(a, &coarse), column(b, &coarse));
+    let (fine_joint, coarse_joint) = (fa.joint(&fb), ga.joint(&gb));
+    let (ca, cb, ha, hb) = (fa.counts(), fb.counts(), ga.counts(), gb.counts());
     let children = |h: usize| h * group..((h + 1) * group).min(nf);
     let (mut r, mut stats) = (MiningResult::default(), [0; 3]);
     let mut survivors = Vec::new();

@@ -1,6 +1,7 @@
 //! Property tests for the query layer: the planner and the joint-table
-//! kernel against a full-data scan oracle (filter raw values by range and
-//! positions, build the joint histogram directly from data pairs), across
+//! kernel against the reference model's scan of the raw values
+//! (`ibis_testkit`: admit rows by bin span and region, count bin pairs row
+//! by row), across
 //! every binner kind — plus the guarantee that every planner strategy
 //! produces the same selection, that the
 //! one-pass joint table equals the AND table and the scan on every chunk
@@ -15,14 +16,15 @@
 use ibis_analysis::histogram::CHUNK_ROWS;
 use ibis_analysis::{
     correlation_partial_shard, correlation_query, correlation_query_mapped, correlation_query_ml,
-    count_range_plan, execute_range_plan, finish_correlation, joint_counts, joint_counts_and_table,
-    joint_counts_where, plan_value_range, shard_mask, shard_ranges, stored_ranges,
-    CorrelationPartial, QueryError, RangePlan, SubsetQuery,
+    count_range_plan, execute_range_plan, joint_counts, joint_counts_and_table, joint_counts_where,
+    plan_value_range, shard_mask, shard_ranges, stored_ranges, CorrelationPartial, QueryError,
+    RangePlan, SubsetQuery,
 };
 use ibis_core::{
     build_lossy_index, Binner, BitmapIndex, CodecId, CodecVec, MultiLevelIndex, RowOrder,
     RowPermutation, WahVec,
 };
+use ibis_testkit::Column;
 use proptest::prelude::*;
 use std::ops::Range;
 
@@ -77,33 +79,6 @@ fn subset_query(n: usize) -> impl Strategy<Value = SubsetQuery> {
             }
             q
         })
-}
-
-/// The scan oracle: an element is selected iff its bin lies in the span
-/// the value interval touches and its position is inside the region.
-/// (Value predicates are bin-granular by definition — the index can only
-/// answer at bin resolution — so the oracle maps each raw value through
-/// `bin_of` and checks span membership, scanning the data directly.)
-fn scan_selection(data: &[f64], index: &BitmapIndex, q: &SubsetQuery) -> Vec<bool> {
-    let span = q.value_range.map(|(lo, hi)| index.bin_span(lo, hi));
-    data.iter()
-        .enumerate()
-        .map(|(i, &v)| {
-            let value_ok = match span {
-                None => true,
-                Some(None) => false,
-                Some(Some((b0, b1))) => {
-                    let b = index.binner().bin_of(v) as usize;
-                    (b0..=b1).contains(&b)
-                }
-            };
-            let region_ok = q
-                .position_range
-                .as_ref()
-                .is_none_or(|r| r.contains(&(i as u64)));
-            value_ok && region_ok
-        })
-        .collect()
 }
 
 /// The region mask as the query path built it before stored ranges —
@@ -335,7 +310,7 @@ proptest! {
         start_frac in 0.0f64..1.0,
         len_frac in 0.0f64..1.0,
     ) {
-        let index = BitmapIndex::build(&data, binner);
+        let index = BitmapIndex::build(&data, binner.clone());
         // derive the region from the data length so it stays in range
         let n = data.len() as u64;
         let start = (start_frac * n as f64) as u64;
@@ -343,7 +318,7 @@ proptest! {
         let query = SubsetQuery::value(lo, hi).with_region(start..end);
 
         let sel = query.evaluate(&index).unwrap();
-        let want = scan_selection(&data, &index, &query);
+        let want = Column::new(&data, binner).admitted(&query).unwrap();
         prop_assert_eq!(sel.count_ones(), want.iter().filter(|&&b| b).count() as u64);
         for (i, &w) in want.iter().enumerate() {
             prop_assert_eq!(sel.get(i as u64), w, "position {}", i);
@@ -360,20 +335,16 @@ proptest! {
         let n = data_a.len().min(data_b.len());
         let a: Vec<f64> = data_a[..n].to_vec();
         let b: Vec<f64> = data_b[..n].to_vec();
-        let ia = BitmapIndex::build(&a, binner_a);
-        let ib = BitmapIndex::build(&b, binner_b);
+        let ia = BitmapIndex::build(&a, binner_a.clone());
+        let ib = BitmapIndex::build(&b, binner_b.clone());
         let start = (start_frac * n as f64) as u64;
         let end = start + (len_frac * (n as u64 - start) as f64) as u64;
         let sel = SubsetQuery::region(start..end).evaluate(&ia).unwrap();
         let all = (0..ia.nbins(), 0..ib.nbins());
 
-        // the oracle joint histogram, built straight from the raw pairs
-        let mut want = vec![0u64; ia.nbins() * ib.nbins()];
-        for i in start..end {
-            let ja = ia.binner().bin_of(a[i as usize]) as usize;
-            let jb = ib.binner().bin_of(b[i as usize]) as usize;
-            want[ja * ib.nbins() + jb] += 1;
-        }
+        // the model's joint histogram, straight from the raw pairs
+        let (ca, cb) = (Column::new(&a, binner_a), Column::new(&b, binner_b));
+        let want = ca.partial(&cb, start as usize..end as usize).joint;
         let region = start..end;
         let region = Some(std::slice::from_ref(&region));
         let got = joint_counts_where(&ia, &ib, all.0, all.1, region);
@@ -426,18 +397,10 @@ proptest! {
         let ia = BitmapIndex::build(a, binner_a.clone());
         let ib = BitmapIndex::build(b, binner_b.clone());
 
-        // the partial a scan of the raw pairs fills, in original row order
-        let (in_a, in_b) = (scan_selection(a, &ia, &qa), scan_selection(b, &ib, &qb));
-        let (na, nb) = (ia.nbins(), ib.nbins());
-        let mut p = CorrelationPartial::zero(na, nb);
-        for row in (0..n).filter(|&row| in_a[row] && in_b[row]) {
-            let (ja, jb) = (binner_a.bin_of(a[row]) as usize, binner_b.bin_of(b[row]) as usize);
-            p.selected += 1;
-            p.joint[ja * nb + jb] += 1;
-            p.counts_a[ja] += 1;
-            p.counts_b[jb] += 1;
-        }
-        let want = finish_correlation(&binner_a, &binner_b, &p);
+        // the model's answer: a scanned partial, in original row order,
+        // through the pure finisher...
+        let (ca, cb) = (Column::new(a, binner_a.clone()), Column::new(b, binner_b.clone()));
+        let want = ca.correlation(&cb, &qa, &qb).unwrap();
 
         // ...equals the bitmap answer bit for bit — Pearson and both
         // means included — in stored order too: every metric is
@@ -576,7 +539,8 @@ proptest! {
     ) {
         // Every generated query either evaluates (and matches the scan
         // oracle) or returns a typed error — total behavior end to end.
-        let index = BitmapIndex::build(&data, binner);
+        let index = BitmapIndex::build(&data, binner.clone());
+        let column = Column::new(&data, binner);
         for q in &queries {
             let mut q = q.clone();
             // regions were drawn against n=200; clamp into this data's range
@@ -586,7 +550,7 @@ proptest! {
             }
             match q.evaluate(&index) {
                 Ok(sel) => {
-                    let want = scan_selection(&data, &index, &q);
+                    let want = column.admitted(&q).unwrap();
                     prop_assert_eq!(
                         sel.count_ones(),
                         want.iter().filter(|&&b| b).count() as u64
@@ -625,22 +589,17 @@ proptest! {
                 None => BitmapIndex::build(data, binner.clone()),
             };
             let (ia, ib) = (build(&a, &binner_a), build(&b, &binner_b));
-            // every stored row's pair of bins, from the raw values
-            let stored = |row: usize| perm.as_ref().map_or(row, |p| p.perm()[row] as usize);
-            let bins: Vec<(usize, usize)> = (0..n)
-                .map(|row| (binner_a.bin_of(a[stored(row)]) as usize, binner_b.bin_of(b[stored(row)]) as usize))
-                .collect();
+            let (ca, cb) = (Column::new(&a, binner_a.clone()), Column::new(&b, binner_b.clone()));
+            // the original row a stored row holds
+            let original = |row: usize| perm.as_ref().map_or(row, |p| p.perm()[row] as usize);
             for sel in edge_selections(n as u64) {
                 let sel = sel.as_ref();
                 let all = WahVec::ones(n as u64);
                 let kept: Vec<usize> = sel.unwrap_or(&all).iter_ones().map(|row| row as usize).collect();
                 let ranges = sel.map(runs_of);
-                for (ix, iy, same) in [(&ia, &ib, false), (&ia, &ia, true)] {
+                for (ix, iy, cy, same) in [(&ia, &ib, &cb, false), (&ia, &ia, &ca, true)] {
                     let ny = iy.nbins();
-                    let mut scan = vec![0u64; ix.nbins() * ny];
-                    for &(ja, kb) in kept.iter().map(|&row| &bins[row]) {
-                        scan[ja * ny + if same { ja } else { kb }] += 1;
-                    }
+                    let scan = ca.partial(cy, kept.iter().map(|&row| original(row))).joint;
                     let got = joint_counts_where(ix, iy, 0..ix.nbins(), 0..ny, ranges.as_deref());
                     prop_assert_eq!(&got, &scan, "{} n={} same={} sel={:?}", layout, n, same, sel);
                     prop_assert_eq!(&got, &joint_counts_and_table(ix, iy, sel));
@@ -701,6 +660,7 @@ proptest! {
             ]
         };
         let (values_a, values_b) = (values(&binner_a), values(&binner_b));
+        let columns = [Column::new(&a, binner_a.clone()), Column::new(&b, binner_b.clone())];
         let mut at: Vec<u64> = cuts.iter().map(|c| (c * len as f64) as u64).chain([0, len]).collect();
         at.sort_unstable(); // repeated cuts make empty shards, on purpose
         // regions: absent, inside one 31-row segment, across the first chunk
@@ -748,23 +708,12 @@ proptest! {
                     for (x, y, qx, qy) in [(0, 1, &qa, &qb), (0, 0, &qa, &qa), (1, 1, &qa, &qb)] {
                         let ranges = stored_ranges(&[qx, qy], len, perm).unwrap();
                         let ranges = ranges.as_deref();
-                        let (data, binners) = ([&a, &b], [&binner_a, &binner_b]);
-                        let (in_x, in_y) = (
-                            scan_selection(data[x], [&ia, &ib][x], qx),
-                            scan_selection(data[y], [&ia, &ib][y], qy),
-                        );
-                        let (nx, ny) = (binners[x].nbins(), binners[y].nbins());
+                        let (cx, cy) = (&columns[x], &columns[y]);
+                        let (in_x, in_y) = (cx.admitted(qx).unwrap(), cy.admitted(qy).unwrap());
                         for (rows, sa, sb) in &shards {
                             let (sx, sy) = ([sa, sb][x], [sa, sb][y]);
-                            let mut scan = CorrelationPartial::zero(nx, ny);
-                            for row in rows.clone().map(original).filter(|&r| in_x[r] && in_y[r]) {
-                                let j = binners[x].bin_of(data[x][row]) as usize;
-                                let k = binners[y].bin_of(data[y][row]) as usize;
-                                scan.selected += 1;
-                                scan.joint[j * ny + k] += 1;
-                                scan.counts_a[j] += 1;
-                                scan.counts_b[k] += 1;
-                            }
+                            let admitted = rows.clone().map(original).filter(|&r| in_x[r] && in_y[r]);
+                            let scan = cx.partial(cy, admitted);
                             let before = counter("query.corr.selection_free");
                             let got = correlation_partial_shard(sx, sy, qx, qy, rows.clone(), ranges).unwrap();
                             // other tests only ever add to the process-wide counter
@@ -809,7 +758,8 @@ proptest! {
         picks in proptest::collection::vec((0u64..200, 0u64..150), 0..6),
     ) {
         let data = regime_data(regime, n, seed);
-        let idx = &BitmapIndex::build(&data, binner);
+        let idx = &BitmapIndex::build(&data, binner.clone());
+        let column = Column::new(&data, binner);
         let queries = [
             SubsetQuery::all(),
             SubsetQuery::value(value.0, value.1),
@@ -826,7 +776,7 @@ proptest! {
                 ranges.is_none_or(|r| r.iter().any(|r| r.contains(&(row as u64))))
             };
             for q in &queries {
-                let scan = scan_selection(&data, idx, q);
+                let scan = column.admitted(q).unwrap();
                 let want = (0..n).filter(|&row| scan[row] && kept(row)).count() as u64;
                 let sel = q.evaluate_masked(idx, mask.as_ref()).unwrap();
                 prop_assert_eq!(sel.count_ones(), want, "{:?} {:?}", q, ranges);

@@ -410,16 +410,15 @@ mod tests {
     use super::*;
     use crate::store::StoreWriter;
     use ibis_core::{Binner, BitmapIndex};
-    use std::path::PathBuf;
+    use ibis_testkit::TempDir;
 
     fn sample_index(seed: usize) -> BitmapIndex {
         let data: Vec<f64> = (0..2000).map(|i| ((i * (seed + 3)) % 40) as f64).collect();
         BitmapIndex::build(&data, Binner::distinct_ints(0, 39))
     }
 
-    fn store_with(name: &str, steps: &[usize], vars: &[&str]) -> (PathBuf, Store) {
-        let dir = std::env::temp_dir().join(format!("ibis-cache-{name}"));
-        std::fs::remove_dir_all(&dir).ok();
+    fn store_with(name: &str, steps: &[usize], vars: &[&str]) -> (TempDir, Store) {
+        let dir = TempDir::new(&format!("cache-{name}"));
         let mut w = StoreWriter::create(&dir).unwrap();
         for &s in steps {
             for (i, v) in vars.iter().enumerate() {
@@ -433,7 +432,7 @@ mod tests {
 
     #[test]
     fn hit_returns_shared_decoded_index() {
-        let (dir, store) = store_with("hit", &[0, 1], &["temperature"]);
+        let (_dir, store) = store_with("hit", &[0, 1], &["temperature"]);
         let cache = CachedStore::new(store, 64 << 20);
         let a = cache.get("temperature", 0).unwrap();
         let b = cache.get("temperature", 0).unwrap();
@@ -442,12 +441,11 @@ mod tests {
         let st = cache.stats();
         assert_eq!((st.hits, st.misses), (1, 1));
         assert!(st.resident_bytes > 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn byte_budget_evicts_least_recently_used() {
-        let (dir, store) = store_with("evict", &[0, 1, 2, 3], &["temperature"]);
+        let (_dir, store) = store_with("evict", &[0, 1, 2, 3], &["temperature"]);
         // what an entry is charged on arrival: its bins as they are stored
         let one = store.get(0, "temperature").unwrap().size_bytes() as u64;
         // one shard, room for ~2 entries
@@ -468,12 +466,11 @@ mod tests {
         // step 0 was evicted: a second read is a miss, but still correct
         let again = cache.get("temperature", 0).unwrap();
         assert_eq!(again.low().counts(), sample_index(0).counts());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn publish_obs_exports_stats_as_gauges() {
-        let (dir, store) = store_with("publish", &[0, 1], &["temperature"]);
+        let (_dir, store) = store_with("publish", &[0, 1], &["temperature"]);
         let cache = CachedStore::new(store, 64 << 20);
         cache.get("temperature", 0).unwrap();
         cache.get("temperature", 0).unwrap();
@@ -494,21 +491,19 @@ mod tests {
             assert!(gauge("query.cache.stat.resident_bytes") > 0);
             assert_eq!(gauge("query.cache.hit_ratio_pct"), 33);
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn oversized_entry_still_serves() {
-        let (dir, store) = store_with("oversize", &[0], &["temperature"]);
+        let (_dir, store) = store_with("oversize", &[0], &["temperature"]);
         let cache = CachedStore::with_shards(store, 1, 1); // 1-byte budget
         let idx = cache.get("temperature", 0).unwrap();
         assert_eq!(idx.low().counts(), sample_index(0).counts());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn an_entry_is_charged_its_at_rest_bytes() {
-        let (dir, store) = store_with("at-rest", &[0, 1, 2], &["temperature"]);
+        let (_dir, store) = store_with("at-rest", &[0, 1, 2], &["temperature"]);
         let at_rest: Vec<u64> = (0..3)
             .map(|s| store.get(s, "temperature").unwrap().size_bytes() as u64)
             .collect();
@@ -523,7 +518,6 @@ mod tests {
         assert_eq!(cache.stats().resident_bytes, at_rest.iter().sum::<u64>());
         let freed = cache.evict_retain(|step| step != 1);
         assert_eq!(freed, at_rest[1], "an entry frees what it was charged");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -531,8 +525,7 @@ mod tests {
         // Scattered data stores as a tagged v2 payload (per-bin
         // Roaring/mixed plans), smooth data as the untagged all-WAH v1
         // payload — the cache's decode path must serve both transparently.
-        let dir = std::env::temp_dir().join("ibis-cache-codecs");
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TempDir::new("cache-codecs");
         let scattered = sample_index(0);
         let smooth = {
             let data: Vec<f64> = (0..20_000).map(|i| (i / 500) as f64).collect();
@@ -561,13 +554,11 @@ mod tests {
             &cache.get("temperature", 0).unwrap(),
             &cache.get("temperature", 0).unwrap()
         ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn get_order_memoizes_presence_and_absence() {
-        let dir = std::env::temp_dir().join("ibis-cache-order");
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TempDir::new("cache-order");
         let data: Vec<f64> = (0..2000).map(|i| ((i * 3) % 40) as f64).collect();
         let binner = Binner::distinct_ints(0, 39);
         let order = RowOrder::GrayBin;
@@ -591,12 +582,11 @@ mod tests {
         assert_eq!(a.1, perm);
         assert_eq!(cache.get_order(1).unwrap(), None);
         assert_eq!(cache.get_order(1).unwrap(), None);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn evict_retain_drops_only_unkept_steps() {
-        let (dir, store) = store_with("retain", &[0, 1, 2], &["temperature"]);
+        let (_dir, store) = store_with("retain", &[0, 1, 2], &["temperature"]);
         let cache = CachedStore::new(store, 64 << 20);
         for s in [0usize, 1, 2] {
             cache.get("temperature", s).unwrap();
@@ -610,12 +600,11 @@ mod tests {
         // step 1 kept: still a hit; steps 0 and 2 re-decode
         cache.get("temperature", 1).unwrap();
         assert_eq!(cache.stats().hits, 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn evict_to_squeezes_below_target() {
-        let (dir, store) = store_with("squeeze", &[0, 1, 2, 3], &["temperature"]);
+        let (_dir, store) = store_with("squeeze", &[0, 1, 2, 3], &["temperature"]);
         let cache = CachedStore::with_shards(store, 64 << 20, 1);
         for s in [0usize, 1, 2, 3] {
             cache.get("temperature", s).unwrap();
@@ -632,12 +621,11 @@ mod tests {
             cache.get("temperature", 2).unwrap().low().counts(),
             sample_index(2).counts()
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn labeled_instance_publishes_per_instance_gauges() {
-        let (dir, store) = store_with("label", &[0], &["temperature"]);
+        let (_dir, store) = store_with("label", &[0], &["temperature"]);
         let cache = CachedStore::new(store, 64 << 20).with_label("shard007");
         assert_eq!(cache.label(), Some("shard007"));
         cache.get("temperature", 0).unwrap();
@@ -654,15 +642,13 @@ mod tests {
             assert_eq!(gauge("query.cache.shard007.misses"), 1);
             assert!(gauge("query.cache.shard007.resident_bytes") > 0);
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_entry_surfaces_not_found() {
-        let (dir, store) = store_with("miss", &[0], &["temperature"]);
+        let (_dir, store) = store_with("miss", &[0], &["temperature"]);
         let cache = CachedStore::new(store, 1 << 20);
         let err = cache.get("salinity", 0).unwrap_err();
         assert!(matches!(err, crate::error::IbisError::NotFound { .. }));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

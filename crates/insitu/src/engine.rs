@@ -793,11 +793,10 @@ mod tests {
     use super::*;
     use crate::store::{Store, StoreWriter};
     use ibis_core::{Binner, BitmapIndex};
-    use std::path::PathBuf;
+    use ibis_testkit::TempDir;
 
-    fn test_store(name: &str) -> (PathBuf, Store) {
-        let dir = std::env::temp_dir().join(format!("ibis-engine-{name}"));
-        std::fs::remove_dir_all(&dir).ok();
+    fn test_store(name: &str) -> (TempDir, Store) {
+        let dir = TempDir::new(&format!("engine-{name}"));
         let mut w = StoreWriter::create(&dir).unwrap();
         for step in [0usize, 2] {
             let temp: Vec<f64> = (0..3000)
@@ -828,7 +827,7 @@ mod tests {
 
     #[test]
     fn subset_and_correlation_round_trip() {
-        let (dir, store) = test_store("roundtrip");
+        let (_dir, store) = test_store("roundtrip");
         let e = engine(store);
         let ans = e
             .run(&QueryRequest::Subset {
@@ -857,12 +856,11 @@ mod tests {
         };
         assert_eq!(c.selected, 3000);
         assert!(c.pearson.unwrap() > 0.9, "salinity tracks temperature");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn repeated_queries_hit_the_cache() {
-        let (dir, store) = test_store("warm");
+        let (_dir, store) = test_store("warm");
         let e = engine(store);
         let req = QueryRequest::Correlation {
             step: 0,
@@ -878,12 +876,11 @@ mod tests {
         let st = e.cache_stats();
         assert_eq!(st.misses, 2, "one decode per variable");
         assert_eq!(st.hits, 10, "every repeat served warm");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn json_batch_end_to_end() {
-        let (dir, store) = test_store("batch");
+        let (_dir, store) = test_store("batch");
         let e = engine(store);
         let out = e
             .run_batch_json(
@@ -906,12 +903,11 @@ mod tests {
         assert_eq!(corr.get("selected").unwrap().as_num(), Some(3000.0));
         let err = answers[2].get("error").unwrap().as_str().unwrap();
         assert!(err.contains("no_such_var"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn malformed_batches_are_typed_errors() {
-        let (dir, store) = test_store("badbatch");
+        let (_dir, store) = test_store("badbatch");
         let e = engine(store);
         for bad in [
             "not json at all",
@@ -932,12 +928,11 @@ mod tests {
                 "{bad:?} → {err}"
             );
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn expired_deadline_stops_before_the_next_load() {
-        let (dir, store) = test_store("deadline");
+        let (_dir, store) = test_store("deadline");
         let e = engine(store);
         let past = Instant::now() - std::time::Duration::from_millis(5);
         let err = e
@@ -950,12 +945,11 @@ mod tests {
         let far = Instant::now() + std::time::Duration::from_secs(60);
         e.run_with_deadline(&region_request(0, "temperature", 0..10), Some(far))
             .unwrap();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn query_errors_flow_through_ibis_error() {
-        let (dir, store) = test_store("flow");
+        let (_dir, store) = test_store("flow");
         let e = engine(store);
         // out-of-range region against a live store: Err, not panic (the
         // regression the panic-free rewrite exists for)
@@ -984,6 +978,5 @@ mod tests {
         // unknown step/variable
         let err = e.run(&region_request(99, "temperature", 0..1)).unwrap_err();
         assert!(matches!(err, IbisError::NotFound { step: 99, .. }));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -535,6 +535,7 @@ pub mod codec {
 mod tests {
     use super::*;
     use ibis_core::WahVec;
+    use ibis_testkit::TempDir;
 
     #[test]
     fn local_disk_time_is_linear() {
@@ -785,7 +786,7 @@ mod tests {
     #[test]
     fn index_codec_file_round_trip() {
         use ibis_core::{Binner, BitmapIndex};
-        let dir = std::env::temp_dir().join("ibis-test-index-sink");
+        let dir = TempDir::new("index-sink");
         std::fs::create_dir_all(&dir).unwrap();
         let data: Vec<f64> = (0..500).map(|i| (i % 40) as f64).collect();
         let idx = BitmapIndex::build(&data, Binner::fixed_width(0.0, 40.0, 40));
@@ -793,6 +794,5 @@ mod tests {
         std::fs::write(&path, codec::encode_index(&idx)).unwrap();
         let back = codec::decode_index(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(back.counts(), idx.counts());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1507,6 +1507,7 @@ mod tests {
     use crate::fault::FaultPlan;
     use crate::io::LocalDisk;
     use ibis_datagen::{Heat3D, Heat3DConfig};
+    use ibis_testkit::TempDir;
 
     fn heat_cfg() -> Heat3DConfig {
         Heat3DConfig {
@@ -1940,8 +1941,7 @@ mod tests {
         );
 
         // reloading the named winner: from the store, in field order
-        let dir = std::env::temp_dir().join(format!("ibis-ckpt-prev-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TempDir::new("ckpt-prev");
         let names = ["temperature".to_string(), "salinity".to_string()];
         let persist = |with_order: bool| {
             let mut w = StoreWriter::create(&dir).unwrap();
@@ -1992,7 +1992,6 @@ mod tests {
                 lost(StoreWriter::resume(&dir).unwrap().durable_view(), entry);
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Every way one stored file can be damaged in place: each byte flipped
@@ -2013,8 +2012,7 @@ mod tests {
 
     #[test]
     fn every_corruption_of_every_frame_kind_is_a_typed_error() {
-        let dir = std::env::temp_dir().join(format!("ibis-frame-fuzz-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TempDir::new("frame-fuzz");
         // one small blob of each kind: an all-WAH index, a mixed-plan index
         // with its lossy companion, a sorted row order (few long runs) and
         // a scattered one (every run a single row) — and a checkpoint
@@ -2099,6 +2097,5 @@ mod tests {
                 "checkpoint, {damage}"
             );
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1179,11 +1179,10 @@ mod tests {
     use crate::store::{Store, StoreWriter};
     use ibis_analysis::SubsetQuery;
     use ibis_core::{Binner, BitmapIndex};
-    use std::path::PathBuf;
+    use ibis_testkit::TempDir;
 
-    fn test_store(name: &str) -> (PathBuf, Store) {
-        let dir = std::env::temp_dir().join(format!("ibis-serving-unit-{name}"));
-        std::fs::remove_dir_all(&dir).ok();
+    fn test_store(name: &str) -> (TempDir, Store) {
+        let dir = TempDir::new(&format!("serving-unit-{name}"));
         let mut w = StoreWriter::create(&dir).unwrap();
         let temp: Vec<f64> = (0..2000).map(|i| ((i * 7) % 300) as f64 / 10.0).collect();
         w.put(
@@ -1211,19 +1210,18 @@ mod tests {
 
     #[test]
     fn submit_answers_and_counts() {
-        let (dir, store) = test_store("basic");
+        let (_dir, store) = test_store("basic");
         let s = server(store, ServeConfig::default());
         let ans = s.submit(&subset_req(), None).unwrap();
         assert!(matches!(ans, QueryAnswer::Subset { of: 2000, .. }));
         let st = s.stats();
         assert_eq!((st.admitted, st.ok, st.shed), (1, 1, 0));
         s.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn zero_budget_deadlines_at_admission() {
-        let (dir, store) = test_store("admission");
+        let (_dir, store) = test_store("admission");
         let s = server(store, ServeConfig::default());
         let err = s.submit(&subset_req(), Some(Duration::ZERO)).unwrap_err();
         assert_eq!(
@@ -1233,21 +1231,19 @@ mod tests {
             }
         );
         assert_eq!(s.stats().deadline_admission, 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn closed_server_rejects_submissions() {
-        let (dir, store) = test_store("closed");
+        let (_dir, store) = test_store("closed");
         let s = server(store, ServeConfig::default());
         s.shutdown();
         assert_eq!(s.submit(&subset_req(), None), Err(ServeError::Closed));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn bad_frames_are_typed_responses_not_panics() {
-        let (dir, store) = test_store("frames");
+        let (_dir, store) = test_store("frames");
         let s = server(store, ServeConfig::default());
         for bad in [
             "not json",
@@ -1269,16 +1265,14 @@ mod tests {
             s.handle_frame(r#"{"queries": [{"kind": "subset", "variable": "no_such_var"}]}"#);
         assert!(resp.contains("\"answers\"") && resp.contains("\"kind\": \"query\""));
         json::parse(&resp).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn retry_after_scales_with_backlog() {
-        let (dir, store) = test_store("retry");
+        let (_dir, store) = test_store("retry");
         let s = server(store, ServeConfig::default());
         let hint = s.core.retry_after_ms();
         assert!((1..=10_000).contains(&hint));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1287,7 +1281,7 @@ mod tests {
         // workers silently dropped each other's samples. The packed
         // sample counter is carried through the same atomic word, so a
         // lost EWMA update is a lost count: exact count == no loss.
-        let (dir, store) = test_store("ewma_race");
+        let (_dir, store) = test_store("ewma_race");
         let s = server(store, ServeConfig::default());
         let core = Arc::clone(&s.core);
         const THREADS: u64 = 8;
@@ -1307,7 +1301,6 @@ mod tests {
         let ewma = core.service_ns.load(Ordering::Relaxed) & u32::MAX as u64;
         assert!((1_000_000..1_001_000).contains(&ewma), "ewma {ewma}");
         drop(s);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

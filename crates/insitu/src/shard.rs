@@ -470,12 +470,7 @@ mod tests {
     use crate::engine::QueryRequest;
     use ibis_analysis::SubsetQuery;
     use ibis_core::Binner;
-
-    fn tmp(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("ibis-shard-{name}"));
-        std::fs::remove_dir_all(&d).ok();
-        d
-    }
+    use ibis_testkit::TempDir;
 
     /// Two correlated variables with spatial structure: values drift with
     /// the row index so region queries have non-trivial answers.
@@ -500,9 +495,9 @@ mod tests {
 
     /// Builds the same data as one flat store and one K-sharded store,
     /// returning `(flat_dir, sharded_dir)`.
-    fn twin_stores(name: &str, rows: usize, k: usize) -> (PathBuf, PathBuf) {
-        let flat = tmp(&format!("{name}-flat"));
-        let sharded = tmp(&format!("{name}-sharded"));
+    fn twin_stores(name: &str, rows: usize, k: usize) -> (TempDir, TempDir) {
+        let flat = TempDir::new(&format!("{name}-flat"));
+        let sharded = TempDir::new(&format!("{name}-sharded"));
         let mut wf = StoreWriter::create(&flat).expect("flat writer");
         let mut ws = ShardedWriter::create(&sharded, k).expect("sharded writer");
         for step in [0usize, 1] {
@@ -578,7 +573,7 @@ mod tests {
 
     #[test]
     fn shards_file_round_trips_and_detects_corruption() {
-        let dir = tmp("shards-file");
+        let dir = TempDir::new("shards-file");
         std::fs::create_dir_all(&dir).expect("mkdir");
         write_shards_file(&dir, 7).expect("write");
         assert!(is_sharded(&dir));
@@ -593,12 +588,11 @@ mod tests {
         // a 1-shard run created over it is flat: the stale file is gone
         ShardedWriter::create(&dir, 1).expect("flat writer");
         assert!(!is_sharded(&dir));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_shard_directory_is_a_hard_error() {
-        let dir = tmp("missing-shard");
+        let dir = TempDir::new("missing-shard");
         let mut w = ShardedWriter::create(&dir, 3).expect("writer");
         let (a, _) = sample_data(600, 1);
         w.put(0, "temperature", &BitmapIndex::build(&a, binner()))
@@ -610,7 +604,6 @@ mod tests {
         // reads as a flat store, whose root holds no MANIFEST
         std::fs::remove_file(dir.join(SHARDS_FILE)).expect("drop SHARDS");
         assert!(ShardedStore::open(&dir).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -633,8 +626,6 @@ mod tests {
                     assert_eq!(got, want, "k={k} req={req:?}");
                 }
             }
-            std::fs::remove_dir_all(&flat).ok();
-            std::fs::remove_dir_all(&sharded).ok();
         }
     }
 
@@ -679,8 +670,6 @@ mod tests {
                 );
             }
         }
-        std::fs::remove_dir_all(&flat).ok();
-        std::fs::remove_dir_all(&sharded).ok();
     }
 
     #[test]
@@ -707,12 +696,11 @@ mod tests {
         let warm = engine.cache_stats();
         assert_eq!(warm.misses, 4, "pruned shards must not be loaded");
         assert_eq!(warm.hits, cold.hits + 1, "only shard 0 evaluates");
-        std::fs::remove_dir_all(&sharded).ok();
     }
 
     #[test]
     fn resume_survives_a_killed_shard_writer() {
-        let dir = tmp("kill-resume");
+        let dir = TempDir::new("kill-resume");
         let rows = 900;
         let (a0, _) = sample_data(rows, 1);
         let index = BitmapIndex::build(&a0, binner());
@@ -735,12 +723,11 @@ mod tests {
         w.finish().expect("finish");
         let store = ShardedStore::open(&dir).expect("open");
         assert_eq!(store.steps(), vec![0]);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn compact_removes_quarantine_and_stale_journal_debris() {
-        let dir = tmp("compact");
+        let dir = TempDir::new("compact");
         let rows = 600;
         let (a0, _) = sample_data(rows, 5);
         let mut w = ShardedWriter::create(&dir, 2).expect("writer");
@@ -761,7 +748,6 @@ mod tests {
         assert!(!dir.join("shard-001").join("JOURNAL").exists());
         // second pass: nothing left
         assert_eq!(store.compact().expect("compact"), CompactReport::default());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -800,7 +786,6 @@ mod tests {
         assert_eq!(rep.debris_files, 0);
         assert!(rep.evicted_bytes >= mid);
         assert_eq!(engine.cache_stats().resident_bytes, 0);
-        std::fs::remove_dir_all(&sharded).ok();
     }
 
     #[test]
@@ -837,7 +822,5 @@ mod tests {
         shard.maintenance_once(&compact).expect("runs");
         assert!(single.cache_stats().misses >= 1);
         assert!(shard.cache_stats().misses >= 2);
-        std::fs::remove_dir_all(&flat).ok();
-        std::fs::remove_dir_all(&sharded).ok();
     }
 }

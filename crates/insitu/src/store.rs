@@ -1044,21 +1044,16 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use ibis_core::{Binner, WahVec};
+    use ibis_testkit::TempDir;
 
     fn sample_index(seed: usize) -> BitmapIndex {
         let data: Vec<f64> = (0..500).map(|i| ((i * (seed + 3)) % 40) as f64).collect();
         BitmapIndex::build(&data, Binner::distinct_ints(0, 39))
     }
 
-    fn tmp(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("ibis-store-{name}"));
-        std::fs::remove_dir_all(&d).ok();
-        d
-    }
-
     #[test]
     fn round_trip_store() {
-        let dir = tmp("roundtrip");
+        let dir = TempDir::new("roundtrip");
         let mut w = StoreWriter::create(&dir).unwrap();
         for step in [0usize, 5, 9] {
             w.put(step, "temperature", &sample_index(step)).unwrap();
@@ -1078,32 +1073,29 @@ mod tests {
             !dir.join("JOURNAL").exists(),
             "finish() must retire the journal"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn open_without_manifest_fails() {
-        let dir = tmp("nomanifest");
+        let dir = TempDir::new("nomanifest");
         std::fs::create_dir_all(&dir).unwrap();
         assert!(Store::open(&dir).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_entry_is_not_found() {
-        let dir = tmp("missing");
+        let dir = TempDir::new("missing");
         let mut w = StoreWriter::create(&dir).unwrap();
         w.put(1, "temperature", &sample_index(1)).unwrap();
         w.finish().unwrap();
         let store = Store::open(&dir).unwrap();
         let err = store.get(1, "salinity").unwrap_err();
         assert!(matches!(err, IbisError::NotFound { step: 1, .. }), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn truncated_blob_is_corrupt() {
-        let dir = tmp("corrupt");
+        let dir = TempDir::new("corrupt");
         let mut w = StoreWriter::create(&dir).unwrap();
         w.put(2, "temperature", &sample_index(2)).unwrap();
         let finished = w.finish().unwrap();
@@ -1113,12 +1105,11 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         let err = store.get(2, "temperature").unwrap_err();
         assert!(matches!(err, IbisError::Corrupt { .. }), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn single_flipped_byte_is_detected() {
-        let dir = tmp("bitflip");
+        let dir = TempDir::new("bitflip");
         let mut w = StoreWriter::create(&dir).unwrap();
         // a mixed codec plan: the blob whose frame used to keep a codec
         // tag at byte 4, outside the CRC, where only fsck looked
@@ -1149,12 +1140,11 @@ mod tests {
             assert_eq!(store.fsck().quarantined.len(), 1, "byte {at}");
             std::fs::remove_file(f.with_extension("ibis.quarantined")).unwrap();
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn fsck_quarantines_corrupt_blob_and_series_skips_it() {
-        let dir = tmp("fsck");
+        let dir = TempDir::new("fsck");
         let mut w = StoreWriter::create(&dir).unwrap();
         for step in [0usize, 1, 2] {
             w.put(step, "temperature", &sample_index(step)).unwrap();
@@ -1188,14 +1178,13 @@ mod tests {
 
         // a second pass finds nothing left to quarantine
         assert!(store.fsck().is_clean());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A CRC-valid exact blob whose bins count a row twice — an index no
     /// build makes — is refused on read and set aside by fsck.
     #[test]
     fn an_exact_blob_that_is_no_partition_is_corrupt_and_quarantined() {
-        let dir = tmp("no-partition");
+        let dir = TempDir::new("no-partition");
         let n = sample_index(0).len();
         let mut bins = vec![WahVec::zeros(n); sample_index(0).nbins()];
         bins[0] = WahVec::ones(n);
@@ -1217,12 +1206,11 @@ mod tests {
         assert_eq!(report.quarantined[0].step, 1);
         assert!(dir.join("s000001_temperature.ibis.quarantined").exists());
         assert!(store.fsck().is_clean());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn resume_of_finished_store_keeps_manifest_entries() {
-        let dir = tmp("resume-finished");
+        let dir = TempDir::new("resume-finished");
         let mut w = StoreWriter::create(&dir).unwrap();
         w.put(0, "temperature", &sample_index(0)).unwrap();
         w.put(1, "temperature", &sample_index(1)).unwrap();
@@ -1242,12 +1230,11 @@ mod tests {
             store.get(1, "temperature").unwrap().counts(),
             sample_index(1).counts()
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn resume_after_quarantine_drops_bad_entry_and_reput_repairs() {
-        let dir = tmp("resume-repair");
+        let dir = TempDir::new("resume-repair");
         let mut w = StoreWriter::create(&dir).unwrap();
         for step in [0usize, 1] {
             w.put(step, "temperature", &sample_index(step)).unwrap();
@@ -1276,12 +1263,11 @@ mod tests {
             store.get(1, "temperature").unwrap().counts(),
             sample_index(1).counts()
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn tampered_manifest_fails_footer_crc() {
-        let dir = tmp("tamper");
+        let dir = TempDir::new("tamper");
         let mut w = StoreWriter::create(&dir).unwrap();
         w.put(0, "temperature", &sample_index(0)).unwrap();
         w.finish().unwrap();
@@ -1295,12 +1281,11 @@ mod tests {
         let upto = text.rfind("#END").unwrap();
         std::fs::write(&path, &text[..upto]).unwrap();
         assert!(Store::open(&dir).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn resume_recovers_journaled_blobs_and_ignores_torn_tail() {
-        let dir = tmp("resume");
+        let dir = TempDir::new("resume");
         let mut w = StoreWriter::create(&dir).unwrap();
         w.put(0, "temperature", &sample_index(0)).unwrap();
         w.put(1, "temperature", &sample_index(1)).unwrap();
@@ -1326,12 +1311,11 @@ mod tests {
             store.get(1, "temperature").unwrap().counts(),
             sample_index(1).counts()
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn resume_drops_journal_entries_whose_blob_is_bad() {
-        let dir = tmp("resumebad");
+        let dir = TempDir::new("resumebad");
         let mut w = StoreWriter::create(&dir).unwrap();
         w.put(0, "temperature", &sample_index(0)).unwrap();
         w.put(1, "temperature", &sample_index(1)).unwrap();
@@ -1348,12 +1332,11 @@ mod tests {
             vec![0],
             "bad blob must not count as durable"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn torn_write_fault_retries_and_leaves_no_partial_blob() {
-        let dir = tmp("tornfault");
+        let dir = TempDir::new("tornfault");
         let inj = Arc::new(FaultInjector::new(
             FaultPlan::none().with_torn_write_at(0).with_io_error_at(1),
         ));
@@ -1373,12 +1356,11 @@ mod tests {
             sample_index(1).counts()
         );
         assert_eq!(inj.events().len(), 2, "both faults must be recorded");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn persistent_write_fault_exhausts_attempts() {
-        let dir = tmp("exhaust");
+        let dir = TempDir::new("exhaust");
         let inj = Arc::new(FaultInjector::new(
             FaultPlan::none()
                 .with_io_error_at(0)
@@ -1390,12 +1372,11 @@ mod tests {
             matches!(err, IbisError::StorageExhausted { attempts: 4, .. }),
             "{err}"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn hostile_manifest_rejected() {
-        let dir = tmp("hostile");
+        let dir = TempDir::new("hostile");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("MANIFEST"), "0\ttemp\t../../etc/passwd\n").unwrap();
         assert!(Store::open(&dir).is_err());
@@ -1403,12 +1384,11 @@ mod tests {
         assert!(Store::open(&dir).is_err());
         std::fs::write(dir.join("MANIFEST"), "0\ttemp\n").unwrap();
         assert!(Store::open(&dir).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn headerless_manifest_and_unframed_blob_are_refused() {
-        let dir = tmp("unchecked");
+        let dir = TempDir::new("unchecked");
         let mut w = StoreWriter::create(&dir).unwrap();
         w.put(4, "temperature", &sample_index(4)).unwrap();
         w.finish().unwrap();
@@ -1488,7 +1468,6 @@ mod tests {
                 .contains(4, "temperature"));
             assert_eq!(store.fsck().quarantined.len(), 1);
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Long smooth runs: every bin's codec plan stays WAH.
@@ -1499,7 +1478,7 @@ mod tests {
 
     #[test]
     fn blob_is_the_documented_frame_around_its_payload() {
-        let dir = tmp("wahframe");
+        let dir = TempDir::new("wahframe");
         let idx = smooth_index();
         let mut w = StoreWriter::create(&dir).unwrap();
         w.put(0, "temperature", &idx).unwrap();
@@ -1518,12 +1497,11 @@ mod tests {
         assert_eq!(bytes.len(), payload.len() + 16, "16 bytes of framing");
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.get(0, "temperature").unwrap().counts(), idx.counts());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn non_wah_blobs_round_trip_and_pass_fsck() {
-        let dir = tmp("tagframe");
+        let dir = TempDir::new("tagframe");
         let mut w = StoreWriter::create(&dir).unwrap();
         // seed 0: every residue mod 40 hit, all bins scattered → uniform
         // Roaring plan; seed 1: only residues 0,4,…,36 hit, so 30 empty
@@ -1541,12 +1519,11 @@ mod tests {
             );
         }
         assert!(store.fsck().is_clean());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn order_blob_round_trips_and_stays_hidden() {
-        let dir = tmp("orderblob");
+        let dir = TempDir::new("orderblob");
         let data: Vec<f64> = (0..500).map(|i| ((i * 7) % 40) as f64).collect();
         let binner = Binner::distinct_ints(0, 39);
         let order = ibis_core::RowOrder::GrayBin;
@@ -1582,12 +1559,11 @@ mod tests {
         assert_eq!(got_perm, perm);
         assert_eq!(store.load_order(4).unwrap(), None);
         assert!(store.fsck().is_clean());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn fsck_quarantines_corrupt_order_blob() {
-        let dir = tmp("orderfsck");
+        let dir = TempDir::new("orderfsck");
         let data: Vec<f64> = (0..400).map(|i| ((i * 3) % 40) as f64).collect();
         let binner = Binner::distinct_ints(0, 39);
         let order = ibis_core::RowOrder::GrayBin;
@@ -1646,7 +1622,6 @@ mod tests {
             store.get(1, "temperature").unwrap().counts(),
             sample_index(1).counts()
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Varint-encodes `fields` behind a GrayBin order tag.
@@ -1696,7 +1671,7 @@ mod tests {
         let perm = order.permutation(&[], &binner, &data).unwrap();
         let index = BitmapIndex::build_permuted(&data, binner, &perm);
         for tag in [1u8, 2, 4, 0x7E] {
-            let dir = tmp(&format!("retiredtag{tag}"));
+            let dir = TempDir::new(&format!("retiredtag{tag}"));
             let mut w = StoreWriter::create(&dir).unwrap();
             let mut payload = vec![tag];
             put_perm_payload(&mut payload, &perm);
@@ -1727,16 +1702,14 @@ mod tests {
             assert!(report.quarantined[0]
                 .reason
                 .contains("unknown row-order tag"));
-            std::fs::remove_dir_all(&dir).ok();
         }
         // the tag every stored blob carries still opens
-        let dir = tmp("retiredtag-graybin");
+        let dir = TempDir::new("retiredtag-graybin");
         let mut w = StoreWriter::create(&dir).unwrap();
         w.put_order(0, order, &perm).unwrap();
         w.finish().unwrap();
         let loaded = Store::open(&dir).unwrap().load_order(0).unwrap();
         assert_eq!(loaded, Some((order, perm)));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1820,7 +1793,7 @@ mod tests {
             // `rows:u64le | inv:u32le[rows]` reads as 6 rows in 0 runs
             ("the PR-17 layout", pr17, "trailing"),
         ];
-        let dir = tmp("orderhostile");
+        let dir = TempDir::new("orderhostile");
         let mut w = StoreWriter::create(&dir).unwrap();
         for (step, (_, payload, _)) in table.iter().enumerate() {
             w.commit(step, ORDER_VARIABLE, payload).unwrap();
@@ -1839,7 +1812,6 @@ mod tests {
                 other => panic!("{what}: {other:?}"),
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1859,7 +1831,7 @@ mod tests {
         assert!(
             plan.contains(&ibis_core::CodecId::Roaring) && plan.contains(&ibis_core::CodecId::Wah)
         );
-        let dir = tmp("indexhostile");
+        let dir = TempDir::new("indexhostile");
         let mut w = StoreWriter::create(&dir).unwrap();
         let mut steps = 0;
         for at in 0..clean.len() {
@@ -1907,7 +1879,6 @@ mod tests {
             refused > steps / 3 && served > steps / 20,
             "{refused} / {served}"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1927,7 +1898,7 @@ mod tests {
             ("too few", order_payload(&[10, 2, zz(5), 5, zz(-10), 5])),
             ("as many", order_payload(&[400, 2, zz(5), 395, zz(-400), 5])),
         ];
-        let dir = tmp("orderrows");
+        let dir = TempDir::new("orderrows");
         let mut w = StoreWriter::create(&dir).unwrap();
         for (step, (_, payload)) in table.iter().enumerate() {
             w.commit(step, ORDER_VARIABLE, payload).unwrap();
@@ -1969,7 +1940,6 @@ mod tests {
                 other => panic!("{what}: {other:?}"),
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1977,7 +1947,7 @@ mod tests {
         // The writer's rule is order first: the crash window between the
         // two puts holds an order nothing uses yet, never a permuted index
         // that reads as if it were unpermuted.
-        let dir = tmp("orderresume");
+        let dir = TempDir::new("orderresume");
         let data: Vec<f64> = (0..400).map(|i| ((i * 3) % 40) as f64).collect();
         let binner = Binner::distinct_ints(0, 39);
         let order = ibis_core::RowOrder::GrayBin;
@@ -2001,12 +1971,11 @@ mod tests {
             index.counts()
         );
         assert!(store.fsck().is_clean());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn reserved_order_variable_and_identity_rejected() {
-        let dir = tmp("orderreserved");
+        let dir = TempDir::new("orderreserved");
         let mut w = StoreWriter::create(&dir).unwrap();
         let err = w.put(0, ORDER_VARIABLE, &sample_index(0)).unwrap_err();
         assert!(matches!(err, IbisError::Config(_)), "{err}");
@@ -2015,22 +1984,20 @@ mod tests {
             .put_order(0, ibis_core::RowOrder::GrayBin, &identity)
             .unwrap_err();
         assert!(matches!(err, IbisError::Config(_)), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn hostile_variable_name_rejected() {
-        let dir = tmp("hostilevar");
+        let dir = TempDir::new("hostilevar");
         let mut w = StoreWriter::create(&dir).unwrap();
         let err = w.put(0, "../evil", &sample_index(0)).unwrap_err();
         assert!(matches!(err, IbisError::Config(_)), "{err}");
         assert!(w.put(0, "", &sample_index(0)).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn lossy_companion_round_trip() {
-        let dir = tmp("lossyroundtrip");
+        let dir = TempDir::new("lossyroundtrip");
         let exact = sample_index(7);
         let (lossy, stats) = exact.lossy(1e-2);
         let mut w = StoreWriter::create(&dir).unwrap();
@@ -2058,12 +2025,11 @@ mod tests {
             );
         }
         assert_eq!(store.load_lossy(0, "salinity").unwrap().map(|_| ()), None);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn lossy_reserved_prefix_and_bad_fpr_rejected() {
-        let dir = tmp("lossyreserved");
+        let dir = TempDir::new("lossyreserved");
         let mut w = StoreWriter::create(&dir).unwrap();
         let err = w
             .put(0, "__lossy_temperature", &sample_index(0))
@@ -2076,12 +2042,11 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, IbisError::Config(_)), "fpr {bad}: {err}");
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn fsck_quarantines_corrupt_lossy_companion() {
-        let dir = tmp("lossytag");
+        let dir = TempDir::new("lossytag");
         let exact = sample_index(3);
         let (lossy, stats) = exact.lossy(1e-1);
         let mut w = StoreWriter::create(&dir).unwrap();
@@ -2109,6 +2074,5 @@ mod tests {
             store.get(0, "temperature").unwrap().counts(),
             exact.counts()
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

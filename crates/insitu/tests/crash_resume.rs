@@ -1,18 +1,22 @@
 //! Crash/resume regression for the durable pipeline, on the Ocean model:
-//! a run killed mid-flight and resumed must leave a store byte-identical
-//! to an uninterrupted run's, and corruption on disk must be detected,
-//! quarantined, and excluded from analysis.
+//! a run killed mid-flight — at any step, or at any blob write — and
+//! resumed must leave a store byte-identical to an uninterrupted run's
+//! that answers like the data it was fed, and corruption on disk must be
+//! detected, quarantined, and excluded from analysis.
 
-use ibis_analysis::Metric;
-use ibis_core::RowOrder;
-use ibis_datagen::{OceanConfig, OceanModel};
+mod support;
+
+use ibis_analysis::{Metric, SubsetQuery};
+use ibis_core::{Binner, RowOrder};
+use ibis_datagen::{OceanConfig, OceanModel, Simulation};
 use ibis_insitu::{
     codec, crc::crc32c_append, pipeline::pending_checkpoint, resume_durable, run_durable,
-    CoreAllocation, FaultPlan, IbisError, MachineModel, PipelineConfig, Reduction,
-    RobustnessConfig, ScalingModel, Store, ORDER_VARIABLE,
+    CoreAllocation, FaultPlan, IbisError, MachineModel, PipelineConfig, QueryEngine, QueryRequest,
+    Reduction, RobustnessConfig, ScalingModel, Store, ORDER_VARIABLE,
 };
+use ibis_testkit::{Model, TempDir};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 fn ocean() -> OceanConfig {
     OceanConfig::tiny()
@@ -34,12 +38,6 @@ fn cfg() -> PipelineConfig {
         sim_scaling: ScalingModel::heat3d(),
         robustness: RobustnessConfig::default(),
     }
-}
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ibis-crash-resume-{}-{name}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
 }
 
 /// Every durable artifact in the directory, name → bytes. A finished run
@@ -146,7 +144,7 @@ fn killed_run_resumes_to_byte_identical_store() {
         (RowOrder::GrayBin, 0x10f2_13bc, 0x0d26_42bb),
     ] {
         // the uninterrupted reference run
-        let clean_dir = tmp(&format!("clean-{}", order.name()));
+        let clean_dir = TempDir::new(&format!("clean-{}", order.name()));
         let clean = run_through_kills(order, CoreAllocation::Shared, &[], &clean_dir);
         assert_eq!(clean.selected.len(), 4);
         let reference = dir_contents(&clean_dir);
@@ -185,7 +183,8 @@ fn killed_run_resumes_to_byte_identical_store() {
             .collect();
         for allocation in [CoreAllocation::Shared, SEPARATE] {
             for kills in &kill_plans {
-                let crash_dir = tmp(&format!("crash-{}-{allocation:?}-{kills:?}", order.name()));
+                let crash_dir =
+                    TempDir::new(&format!("crash-{}-{allocation:?}-{kills:?}", order.name()));
                 let resumed = run_through_kills(order, allocation, kills, &crash_dir);
                 assert_eq!(
                     resumed.selected, clean.selected,
@@ -200,32 +199,153 @@ fn killed_run_resumes_to_byte_identical_store() {
                     "{order:?}, {allocation:?}, killed at {kills:?}: the store must be \
                      byte-identical to the uninterrupted Shared-Cores one"
                 );
-                std::fs::remove_dir_all(&crash_dir).ok();
             }
         }
 
         let store = Store::open(&clean_dir).unwrap();
         assert_eq!(store.steps(), clean.selected);
-        std::fs::remove_dir_all(&clean_dir).ok();
+    }
+}
+
+/// The Ocean steps the run simulates, each binned as the run bins it:
+/// one anchored binner per step and variable (`per_step_precision` is
+/// `Some(0)`).
+fn ocean_model() -> Model {
+    let steps = OceanModel::new(ocean()).run(cfg().steps);
+    let fields = steps
+        .into_iter()
+        .flat_map(|out| out.fields.into_iter().map(move |f| (out.step, f)));
+    fields.fold(Model::new(), |model, (step, f)| {
+        let binner = Binner::fit_precision_anchored(&f.data, 0);
+        model.with(step, f.name, binner, &f.data)
+    })
+}
+
+/// Per stored step: every variable over its middle bins, inside a region
+/// and not, and the first two variables' correlation under those queries.
+fn battery(model: &Model, steps: &[usize]) -> Vec<QueryRequest> {
+    let mut out = Vec::new();
+    for &step in steps {
+        let queries = |var| {
+            let (b, n) = (
+                model.column(step, var).binner(),
+                model.column(step, var).rows(),
+            );
+            let mid = SubsetQuery::value(
+                b.bin_range(b.nbins() / 4).0,
+                b.bin_range(b.nbins() * 3 / 4).1,
+            );
+            [mid.clone(), mid.with_region(n / 5..n * 3 / 4)]
+        };
+        let vars = model.variables(step);
+        for (variable, query) in vars.iter().flat_map(|&v| queries(v).map(|q| (v.into(), q))) {
+            out.push(QueryRequest::Subset {
+                step,
+                variable,
+                query,
+            });
+        }
+        let ([_, query_a], [query_b, _]) = (queries(vars[0]), queries(vars[1]));
+        let (var_a, var_b) = (vars[0].into(), vars[1].into());
+        out.push(QueryRequest::Correlation {
+            step,
+            var_a,
+            var_b,
+            query_a,
+            query_b,
+        });
+    }
+    out
+}
+
+/// Every blob write of the clean run is a crash point. A run whose write
+/// `k` fails on every attempt stops with `StorageExhausted`; resuming it
+/// leaves the clean run's directory byte for byte, and the store answers
+/// like the simulated data. Every write is torn under Shared cores; under
+/// Separate cores each write of the second winner's group is torn, then
+/// failed with an I/O error.
+fn every_blob_write_is_a_crash_point(order: RowOrder) {
+    let clean_dir = TempDir::new(&format!("points-clean-{}", order.name()));
+    let clean = run_through_kills(order, CoreAllocation::Shared, &[], &clean_dir);
+    let reference = dir_contents(&clean_dir);
+    let content = content_digest(&clean_dir);
+    let writes = reference.keys().filter(|f| f.ends_with(".ibis")).count() as u64;
+    let model = ocean_model();
+    let battery = battery(&model, &clean.selected);
+    let config = |allocation, faults| {
+        let mut c = cfg();
+        (c.row_order, c.allocation, c.robustness.faults) = (order, allocation, faults);
+        c
+    };
+    let crash_at = |allocation, faults: FaultPlan| {
+        let tag = format!("{order:?} {allocation:?} {faults:?}");
+        let dir = TempDir::new(&format!("point-{}", order.name()));
+        let faults = faults.with_persistent_write_faults();
+        let err = run_durable(OceanModel::new(ocean()), &config(allocation, faults), &dir);
+        assert!(
+            matches!(err, Err(IbisError::StorageExhausted { .. })),
+            "{tag}: {err:?}"
+        );
+        let c = config(allocation, FaultPlan::none());
+        let resumed = resume_durable(OceanModel::new(ocean()), &c, &dir).unwrap();
+        assert_eq!(resumed.selected, clean.selected, "{tag}");
+        assert!(
+            dir_contents(&dir) == reference,
+            "{tag}: not the clean store"
+        );
+        assert_eq!(content_digest(&dir), content, "{tag}");
+        let engine = QueryEngine::open(&dir, 64 << 20).unwrap();
+        for req in &battery {
+            let want = support::answer(&model, req).unwrap();
+            assert_eq!(engine.run(req).unwrap(), want, "{tag} {req:?}");
+        }
+    };
+    for op in 0..writes {
+        crash_at(
+            CoreAllocation::Shared,
+            FaultPlan::none().with_torn_write_at(op),
+        );
+    }
+    // a fault one past the last write never fires: `writes` counts them all
+    let past = FaultPlan::none().with_torn_write_at(writes);
+    let dir = TempDir::new(&format!("points-past-{}", order.name()));
+    run_durable(
+        OceanModel::new(ocean()),
+        &config(CoreAllocation::Shared, past),
+        &dir,
+    )
+    .unwrap();
+    let group = writes / clean.selected.len() as u64;
+    for op in group..2 * group {
+        crash_at(SEPARATE, FaultPlan::none().with_torn_write_at(op));
+        crash_at(SEPARATE, FaultPlan::none().with_io_error_at(op));
     }
 }
 
 #[test]
+fn every_blob_write_is_a_crash_point_in_ingest_order() {
+    every_blob_write_is_a_crash_point(RowOrder::Identity);
+}
+
+#[test]
+fn every_blob_write_is_a_crash_point_under_graybin() {
+    every_blob_write_is_a_crash_point(RowOrder::GrayBin);
+}
+
+#[test]
 fn resume_on_fresh_directory_is_a_fresh_run() {
-    let a = tmp("fresh-a");
-    let b = tmp("fresh-b");
+    let a = TempDir::new("fresh-a");
+    let b = TempDir::new("fresh-b");
     let r1 = run_durable(OceanModel::new(ocean()), &cfg(), &a).unwrap();
     // no checkpoint in `b`, so resume falls back to a clean start
     let r2 = resume_durable(OceanModel::new(ocean()), &cfg(), &b).unwrap();
     assert_eq!(r1.selected, r2.selected);
     assert_eq!(dir_contents(&a), dir_contents(&b));
-    std::fs::remove_dir_all(&a).ok();
-    std::fs::remove_dir_all(&b).ok();
 }
 
 #[test]
 fn flipped_byte_is_quarantined_and_excluded_from_series() {
-    let dir = tmp("fsck");
+    let dir = TempDir::new("fsck");
     let report = run_durable(OceanModel::new(ocean()), &cfg(), &dir).unwrap();
     let victim = report.selected[1];
 
@@ -261,6 +381,4 @@ fn flipped_byte_is_quarantined_and_excluded_from_series() {
     ));
     // untouched variables are unaffected
     assert_eq!(store.load_series("salinity").unwrap().len(), 4);
-
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -5,6 +5,7 @@ use ibis_insitu::{
     codec, CachedStore, Calibration, CoreAllocation, LocalDisk, MemoryTracker, RemoteLink,
     ScalingModel, Storage, Store, StoreWriter,
 };
+use ibis_testkit::TempDir;
 use proptest::prelude::*;
 
 proptest! {
@@ -138,14 +139,11 @@ proptest! {
         let idx = ibis_core::BitmapIndex::build(&data, binner);
         let (lossy, stats) = idx.lossy(fpr);
 
-        let dir = std::env::temp_dir().join(format!(
-            "ibis-prop-lossy-{}-{case}", std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TempDir::new(&format!("prop-lossy-{case}"));
         let mut w = StoreWriter::create(&dir).expect("create store");
         w.put(3, "field", &idx).expect("put exact");
         w.put_lossy(3, "field", &lossy, fpr, &stats).expect("put lossy");
-        let dir = w.finish().expect("finish");
+        w.finish().expect("finish");
 
         let mut store = Store::open(&dir).expect("reopen");
         let report = store.fsck();
@@ -168,7 +166,6 @@ proptest! {
         // memoized path returns the same companion
         let again = cache.get_lossy("field", 3).unwrap().unwrap();
         prop_assert!(std::sync::Arc::ptr_eq(&companion, &again));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

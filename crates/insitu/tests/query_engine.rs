@@ -5,16 +5,14 @@
 //! region regression the panic-free rewrite exists for, and a
 //! multi-threaded stress test of the sharded cache.
 
-use ibis_analysis::{Metric, QueryError, SubsetQuery};
-use ibis_core::{Binner, BitmapIndex, RowOrder};
-use ibis_datagen::{OceanConfig, OceanModel};
+use ibis_analysis::{QueryError, SubsetQuery};
+use ibis_core::{Binner, BitmapIndex};
 use ibis_insitu::engine::parse_batch;
 use ibis_insitu::{
-    pipeline::pending_checkpoint, resume_durable, run_durable, CachedStore, CoreAllocation,
-    FaultPlan, IbisError, MachineModel, PipelineConfig, QueryAnswer, QueryEngine, QueryRequest,
-    Reduction, RobustnessConfig, ScalingModel, ShardedWriter, Store, StoreWriter, ORDER_VARIABLE,
+    CachedStore, IbisError, QueryAnswer, QueryEngine, QueryRequest, ShardedWriter, Store,
+    StoreWriter,
 };
-use std::path::PathBuf;
+use ibis_testkit::TempDir;
 use std::sync::Arc;
 
 const N: usize = 4096;
@@ -26,9 +24,8 @@ fn field(step: usize, phase: usize) -> Vec<f64> {
 }
 
 /// Builds a real durable store: 3 steps × 2 variables.
-fn build_store(name: &str) -> (PathBuf, Store) {
-    let dir = std::env::temp_dir().join(format!("ibis-qe-{name}"));
-    std::fs::remove_dir_all(&dir).ok();
+fn build_store(name: &str) -> (TempDir, Store) {
+    let dir = TempDir::new(name);
     let mut w = StoreWriter::create(&dir).unwrap();
     for step in [0usize, 4, 9] {
         for (phase, var) in ["temperature", "salinity"].iter().enumerate() {
@@ -43,7 +40,7 @@ fn build_store(name: &str) -> (PathBuf, Store) {
 
 #[test]
 fn out_of_range_region_on_live_store_is_err_not_panic() {
-    let (dir, store) = build_store("oob-region");
+    let (_dir, store) = build_store("oob-region");
     let engine = QueryEngine::new(CachedStore::new(store, 64 << 20));
     let err = engine
         .run(&QueryRequest::Subset {
@@ -58,12 +55,11 @@ fn out_of_range_region_on_live_store_is_err_not_panic() {
         }
         other => panic!("expected RegionOutOfRange, got {other}"),
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn adversarial_corpus_returns_structured_errors() {
-    let (dir, store) = build_store("adversarial");
+    let (_dir, store) = build_store("adversarial");
     let engine = QueryEngine::new(CachedStore::new(store, 64 << 20));
 
     // --- typed API corpus: NaN bounds (inexpressible in strict JSON) ---
@@ -146,13 +142,11 @@ fn adversarial_corpus_returns_structured_errors() {
         .unwrap();
     assert!(out.contains("\"error\""), "{out}");
     assert!(out.contains(&format!("\"selected\": {N}")), "{out}");
-    std::fs::remove_dir_all(&dir).ok();
 
     // --- a CRC-valid exact blob whose bins are no partition: step 1's
     // temperature sets every row in two bins. Each query that reads it is
     // a per-query error; the rest of the batch answers ---
-    let dir = std::env::temp_dir().join("ibis-qe-adversarial-overlap");
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = TempDir::new("adversarial-overlap");
     let mut w = StoreWriter::create(&dir).unwrap();
     let binner = Binner::fixed_width(0.0, 40.0, 64);
     let mut bins = vec![ibis_core::WahVec::zeros(N as u64); 64];
@@ -179,88 +173,13 @@ fn adversarial_corpus_returns_structured_errors() {
         .unwrap();
     assert_eq!(out.matches("not a partition").count(), 2, "{out}");
     assert!(out.contains(&format!("\"selected\": {N}")), "{out}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Same data as [`build_store`], stored under a non-identity row order
-/// with the inverse permutation persisted per step.
-fn build_reordered_store(name: &str, order: RowOrder) -> (PathBuf, Store) {
-    let dir = std::env::temp_dir().join(format!("ibis-qe-{name}"));
-    std::fs::remove_dir_all(&dir).ok();
-    let mut w = StoreWriter::create(&dir).unwrap();
-    let binner = Binner::fixed_width(0.0, 40.0, 64);
-    for step in [0usize, 4, 9] {
-        // one permutation per step, derived from the first variable
-        let p = order
-            .permutation(&[], &binner, &field(step, 0))
-            .expect("non-trivial data must yield a real permutation");
-        for (phase, var) in ["temperature", "salinity"].iter().enumerate() {
-            let idx = BitmapIndex::build_permuted(&field(step, phase), binner.clone(), &p);
-            w.put(step, var, &idx).unwrap();
-        }
-        w.put_order(step, order, &p).unwrap();
-    }
-    w.finish().unwrap();
-    let store = Store::open(&dir).unwrap();
-    (dir, store)
-}
-
-#[test]
-fn reordered_store_matches_identity_store_through_engine() {
-    let (dir_i, store_i) = build_store("order-identity");
-    let (dir_r, store_r) = build_reordered_store("order-graybin", RowOrder::GrayBin);
-    let identity = QueryEngine::new(CachedStore::new(store_i, 64 << 20));
-    let reordered = QueryEngine::new(CachedStore::new(store_r, 64 << 20));
-
-    for step in [0usize, 4, 9] {
-        // engine answers — value, region, and combined predicates, plus a
-        // correlation — must be indistinguishable from the identity store
-        let queries = [
-            SubsetQuery::value(3.0, 17.0),
-            SubsetQuery::region(100..2000),
-            SubsetQuery::value(5.0, 30.0).with_region(7..3001),
-        ];
-        for (phase, var) in ["temperature", "salinity"].iter().enumerate() {
-            let _ = phase;
-            for q in &queries {
-                let req = QueryRequest::Subset {
-                    step,
-                    variable: (*var).into(),
-                    query: q.clone(),
-                };
-                assert_eq!(
-                    reordered.run(&req).unwrap(),
-                    identity.run(&req).unwrap(),
-                    "step {step} {var} diverged"
-                );
-            }
-        }
-        let corr = QueryRequest::Correlation {
-            step,
-            var_a: "temperature".into(),
-            var_b: "salinity".into(),
-            query_a: SubsetQuery::value(2.0, 25.0),
-            query_b: SubsetQuery::region(0..(N as u64 / 2)),
-        };
-        assert_eq!(reordered.run(&corr).unwrap(), identity.run(&corr).unwrap());
-
-        // the answers came through the persisted order
-        let loaded = reordered.shard_caches()[0]
-            .get_order(step)
-            .unwrap()
-            .expect("order blob");
-        assert_eq!(loaded.0, RowOrder::GrayBin);
-    }
-    std::fs::remove_dir_all(&dir_i).ok();
-    std::fs::remove_dir_all(&dir_r).ok();
 }
 
 /// Builds a durable store like [`build_store`], split over `shards`
 /// shards, plus a lossy superset companion for every `(step, variable)`,
 /// and opens an engine over it with FPR ceiling `ceiling`.
-fn lossy_engine(name: &str, shards: usize, fpr: f64, ceiling: f64) -> (PathBuf, QueryEngine) {
-    let dir = std::env::temp_dir().join(format!("ibis-qe-{name}-k{shards}"));
-    std::fs::remove_dir_all(&dir).ok();
+fn lossy_engine(name: &str, shards: usize, fpr: f64, ceiling: f64) -> (TempDir, QueryEngine) {
+    let dir = TempDir::new(&format!("{name}-k{shards}"));
     let mut w = ShardedWriter::create(&dir, shards).unwrap();
     for step in [0usize, 4, 9] {
         for (phase, var) in ["temperature", "salinity"].iter().enumerate() {
@@ -281,46 +200,9 @@ fn lossy_engine(name: &str, shards: usize, fpr: f64, ceiling: f64) -> (PathBuf, 
 const LOSSY_SHARDS: [usize; 2] = [1, 4];
 
 #[test]
-fn lossy_filtered_engine_is_byte_identical_to_exact_engine() {
-    let (dir_e, store_e) = build_store("lossy-oracle-exact");
-    let exact = QueryEngine::new(CachedStore::new(store_e, 64 << 20));
-    let queries = [
-        SubsetQuery::value(3.0, 17.0),
-        SubsetQuery::value(0.0, 40.0),
-        SubsetQuery::value(39.9, 40.0),
-        SubsetQuery::value(17.0, 3.0), // inverted → empty
-        SubsetQuery::region(100..2000),
-        SubsetQuery::value(5.0, 30.0).with_region(7..3001),
-        SubsetQuery::value(12.25, 12.5).with_region(0..64),
-    ];
-    for shards in LOSSY_SHARDS {
-        let (dir_l, lossy) = lossy_engine("lossy-oracle", shards, 1e-2, 1e-2);
-        assert_eq!(lossy.lossy_fpr(), Some(1e-2));
-        for step in [0usize, 4, 9] {
-            for var in ["temperature", "salinity"] {
-                for q in &queries {
-                    let req = QueryRequest::Subset {
-                        step,
-                        variable: var.into(),
-                        query: q.clone(),
-                    };
-                    assert_eq!(
-                        lossy.run(&req).unwrap(),
-                        exact.run(&req).unwrap(),
-                        "k={shards} step {step} {var} {q:?} diverged"
-                    );
-                }
-            }
-        }
-        std::fs::remove_dir_all(&dir_l).ok();
-    }
-    std::fs::remove_dir_all(&dir_e).ok();
-}
-
-#[test]
 fn empty_lossy_filter_skips_the_exact_load() {
     for shards in LOSSY_SHARDS {
-        let (dir, engine) = lossy_engine("lossy-shortcircuit", shards, 1e-2, 1e-2);
+        let (_dir, engine) = lossy_engine("lossy-shortcircuit", shards, 1e-2, 1e-2);
         // a predicate no row can match: every shard's companion proves
         // its share of the answer empty
         let answer = engine
@@ -353,7 +235,6 @@ fn empty_lossy_filter_skips_the_exact_load() {
             })
             .unwrap();
         assert_eq!(engine.cache_stats().misses, shards as u64);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -405,7 +286,7 @@ fn malformed_subset_queries_keep_their_typed_errors_and_messages() {
     ];
     for shards in LOSSY_SHARDS {
         for ceiling in [0.0, 1e-2] {
-            let (dir, engine) = lossy_engine("typed-errors", shards, 1e-2, ceiling);
+            let (_dir, engine) = lossy_engine("typed-errors", shards, 1e-2, ceiling);
             for (request, message) in &corpus {
                 let err = engine.run(request).unwrap_err();
                 assert_eq!(&err.to_string(), message, "k={shards} ceiling={ceiling}");
@@ -437,7 +318,6 @@ fn malformed_subset_queries_keep_their_typed_errors_and_messages() {
                 misses,
                 "expired before the load"
             );
-            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }
@@ -445,8 +325,7 @@ fn malformed_subset_queries_keep_their_typed_errors_and_messages() {
 #[test]
 fn self_correlation_reads_each_shard_once_and_answers_like_two_names() {
     for shards in LOSSY_SHARDS {
-        let dir = std::env::temp_dir().join(format!("ibis-qe-selfcorr-k{shards}"));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TempDir::new(&format!("selfcorr-k{shards}"));
         let mut w = ShardedWriter::create(&dir, shards).unwrap();
         let idx = BitmapIndex::build(&field(0, 0), Binner::fixed_width(0.0, 40.0, 64));
         for var in ["temperature", "twin"] {
@@ -474,7 +353,6 @@ fn self_correlation_reads_each_shard_once_and_answers_like_two_names() {
         // the same bitmaps under a second name take the two-operand path
         assert_eq!(engine.run(&request("twin")).unwrap(), cold, "k={shards}");
         assert_eq!(reads(), 4 * shards as u64, "k={shards} two names");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -483,7 +361,7 @@ fn lossy_engine_ignores_companions_above_its_fpr_ceiling() {
     for shards in LOSSY_SHARDS {
         // engine ceiling 1e-3 < stored 1e-1: the companions must be
         // ignored, every answer comes from the exact path
-        let (dir, engine) = lossy_engine("lossy-ceiling", shards, 1e-1, 1e-3);
+        let (_dir, engine) = lossy_engine("lossy-ceiling", shards, 1e-1, 1e-3);
         engine
             .run(&QueryRequest::Subset {
                 step: 0,
@@ -496,131 +374,12 @@ fn lossy_engine_ignores_companions_above_its_fpr_ceiling() {
             shards as u64,
             "k={shards}: an over-ceiling companion must not filter"
         );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-#[test]
-fn reordered_durable_run_resumes_byte_identical_and_answers_like_identity() {
-    let cfg = |row_order: RowOrder| PipelineConfig {
-        machine: MachineModel::xeon32(),
-        cores: 4,
-        allocation: CoreAllocation::Shared,
-        reduction: Reduction::Bitmaps,
-        steps: 11,
-        select_k: 4,
-        metric: Metric::ConditionalEntropy,
-        binners: Vec::new(),
-        per_step_precision: Some(0),
-        row_order,
-        queue_capacity: 2,
-        sim_scaling: ScalingModel::heat3d(),
-        robustness: RobustnessConfig::default(),
-    };
-    let tmp = |name: &str| {
-        let dir = std::env::temp_dir().join(format!("ibis-qe-{}-{name}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        dir
-    };
-    let contents = |dir: &PathBuf| {
-        let mut out = std::collections::BTreeMap::new();
-        for entry in std::fs::read_dir(dir).unwrap() {
-            let entry = entry.unwrap();
-            out.insert(
-                entry.file_name().to_string_lossy().into_owned(),
-                std::fs::read(entry.path()).unwrap(),
-            );
-        }
-        out
-    };
-
-    let clean_dir = tmp("ord-clean");
-    let crash_dir = tmp("ord-crash");
-    let ident_dir = tmp("ord-ident");
-    let order = RowOrder::GrayBin;
-
-    let clean = run_durable(
-        OceanModel::new(OceanConfig::tiny()),
-        &cfg(order),
-        &clean_dir,
-    )
-    .unwrap();
-    assert_eq!(clean.selected.len(), 4);
-    // the reorder pass actually persisted inverse permutations
-    assert!(
-        contents(&clean_dir)
-            .keys()
-            .any(|f| f.contains(ORDER_VARIABLE)),
-        "a sorting order must leave permutation blobs behind"
-    );
-
-    // killed mid-run, then resumed: byte-identical, order blobs included —
-    // this crosses the checkpoint, which must carry buffered permutations
-    let mut killed = cfg(order);
-    killed.robustness.faults = FaultPlan::none().with_kill_at_step(6);
-    let err = run_durable(OceanModel::new(OceanConfig::tiny()), &killed, &crash_dir).unwrap_err();
-    assert_eq!(err, IbisError::Killed { step: 6 });
-    assert!(pending_checkpoint(&crash_dir).is_some());
-    let resumed = resume_durable(
-        OceanModel::new(OceanConfig::tiny()),
-        &cfg(order),
-        &crash_dir,
-    )
-    .unwrap();
-    assert_eq!(resumed.selected, clean.selected);
-    assert_eq!(contents(&clean_dir), contents(&crash_dir));
-
-    // and the reordered store answers exactly like an identity-order run
-    let ident = run_durable(
-        OceanModel::new(OceanConfig::tiny()),
-        &cfg(RowOrder::Identity),
-        &ident_dir,
-    )
-    .unwrap();
-    assert_eq!(ident.selected, clean.selected);
-    let reordered = QueryEngine::new(CachedStore::new(Store::open(&crash_dir).unwrap(), 64 << 20));
-    let identity = QueryEngine::new(CachedStore::new(Store::open(&ident_dir).unwrap(), 64 << 20));
-    for &step in &clean.selected {
-        let vars: Vec<String> = identity.shard_caches()[0]
-            .store()
-            .variables(step)
-            .iter()
-            .map(|v| v.to_string())
-            .collect();
-        for var in &vars {
-            let n = identity.shard_caches()[0]
-                .get(var, step)
-                .unwrap()
-                .low()
-                .len();
-            for q in [
-                SubsetQuery::value(1.0, 20.0),
-                SubsetQuery::region(0..n / 2),
-                SubsetQuery::value(3.0, 40.0).with_region(n / 4..n - 1),
-            ] {
-                let req = QueryRequest::Subset {
-                    step,
-                    variable: var.clone(),
-                    query: q,
-                };
-                assert_eq!(
-                    reordered.run(&req).unwrap(),
-                    identity.run(&req).unwrap(),
-                    "step {step} {var}"
-                );
-            }
-        }
-    }
-
-    for d in [&clean_dir, &crash_dir, &ident_dir] {
-        std::fs::remove_dir_all(d).ok();
     }
 }
 
 #[test]
 fn empty_store_rejects_queries_cleanly() {
-    let dir = std::env::temp_dir().join("ibis-qe-empty");
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = TempDir::new("empty");
     let w = StoreWriter::create(&dir).unwrap();
     w.finish().unwrap();
     let store = Store::open(&dir).unwrap();
@@ -634,7 +393,6 @@ fn empty_store_rejects_queries_cleanly() {
         })
         .unwrap_err();
     assert!(matches!(err, IbisError::NotFound { .. }));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -716,5 +474,4 @@ fn concurrent_readers_share_one_cache_safely() {
         "every cache access accounted for: {st:?}"
     );
     assert!(st.evictions > 0, "tiny budget must churn: {st:?}");
-    std::fs::remove_dir_all(&dir).ok();
 }

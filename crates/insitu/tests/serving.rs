@@ -22,15 +22,14 @@ use ibis_insitu::{
     CachedStore, DeadlineStage, FaultPlan, QueryEngine, QueryRequest, QueryServer, ServeConfig,
     ServeError, SocketServer, Store, StoreWriter,
 };
+use ibis_testkit::TempDir;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-fn make_store(name: &str) -> (PathBuf, Store) {
-    let dir = std::env::temp_dir().join(format!("ibis-serving-test-{name}"));
-    std::fs::remove_dir_all(&dir).ok();
+fn make_store(name: &str) -> (TempDir, Store) {
+    let dir = TempDir::new(&format!("serving-test-{name}"));
     let mut w = StoreWriter::create(&dir).unwrap();
     for step in [0usize, 1] {
         let temp: Vec<f64> = (0..3000)
@@ -84,7 +83,7 @@ const FRAME: &str =
 
 #[test]
 fn socket_answers_frames_split_and_packed_arbitrarily() {
-    let (dir, store) = make_store("split");
+    let (_dir, store) = make_store("split");
     let server = start(store, ServeConfig::default());
     let socket = SocketServer::bind(Arc::clone(&server), "127.0.0.1:0").unwrap();
 
@@ -130,12 +129,11 @@ fn socket_answers_frames_split_and_packed_arbitrarily() {
 
     socket.stop();
     server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn socket_rejects_garbage_lines_but_keeps_serving_the_connection() {
-    let (dir, store) = make_store("garbage");
+    let (_dir, store) = make_store("garbage");
     let server = start(store, ServeConfig::default());
     let socket = SocketServer::bind(Arc::clone(&server), "127.0.0.1:0").unwrap();
 
@@ -164,12 +162,11 @@ fn socket_rejects_garbage_lines_but_keeps_serving_the_connection() {
 
     socket.stop();
     server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn socket_closes_connections_that_exceed_the_frame_size_cap() {
-    let (dir, store) = make_store("oversize");
+    let (_dir, store) = make_store("oversize");
     let cfg = ServeConfig {
         max_frame_bytes: 256,
         ..ServeConfig::default()
@@ -201,12 +198,11 @@ fn socket_closes_connections_that_exceed_the_frame_size_cap() {
 
     socket.stop();
     server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn socket_survives_mid_request_disconnects() {
-    let (dir, store) = make_store("disconnect");
+    let (_dir, store) = make_store("disconnect");
     let server = start(store, ServeConfig::default());
     let socket = SocketServer::bind(Arc::clone(&server), "127.0.0.1:0").unwrap();
 
@@ -226,12 +222,11 @@ fn socket_survives_mid_request_disconnects() {
 
     socket.stop();
     server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn injected_stalled_client_is_reaped_while_others_are_served() {
-    let (dir, store) = make_store("stall");
+    let (_dir, store) = make_store("stall");
     let cfg = ServeConfig {
         read_timeout: Duration::from_millis(200),
         faults: FaultPlan::none().with_stalled_client(0),
@@ -267,7 +262,6 @@ fn injected_stalled_client_is_reaped_while_others_are_served() {
 
     socket.stop();
     server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------
@@ -276,7 +270,7 @@ fn injected_stalled_client_is_reaped_while_others_are_served() {
 
 #[test]
 fn thundering_herd_on_a_cold_cache_decodes_exactly_once() {
-    let (dir, store) = make_store("coalesce");
+    let (_dir, store) = make_store("coalesce");
     // slow the leader so all followers overlap its execution window
     let cfg = ServeConfig {
         faults: FaultPlan::none().with_slow_request(0, 150),
@@ -318,7 +312,6 @@ fn thundering_herd_on_a_cold_cache_decodes_exactly_once() {
     );
 
     server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------
@@ -340,7 +333,7 @@ fn tag(outcome: &Result<ibis_insitu::QueryAnswer, ServeError>) -> String {
 #[test]
 fn same_fault_seed_gives_an_identical_serving_report() {
     let run = |seed: u64| {
-        let (dir, store) = make_store(&format!("seed{seed}"));
+        let (_dir, store) = make_store(&format!("seed{seed}"));
         let cfg = ServeConfig {
             workers: 2,
             faults: FaultPlan::seeded_serving(seed, 40),
@@ -355,7 +348,6 @@ fn same_fault_seed_gives_an_identical_serving_report() {
         let stats = server.stats();
         let events = server.fault_events();
         server.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
         (outcomes, stats, events)
     };
     for seed in [7u64, 23, 1234] {
@@ -374,7 +366,7 @@ fn same_fault_seed_gives_an_identical_serving_report() {
 #[test]
 fn scripted_overload_burst_is_fully_deterministic() {
     let run = || {
-        let (dir, store) = make_store("burst");
+        let (_dir, store) = make_store("burst");
         let cfg = ServeConfig {
             workers: 1,
             queue_capacity: 2,
@@ -426,7 +418,6 @@ fn scripted_overload_burst_is_fully_deterministic() {
         ];
         let stats = server.stats();
         server.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
         (report, stats)
     };
     let (r1, s1) = run();
@@ -453,7 +444,7 @@ fn scripted_overload_burst_is_fully_deterministic() {
 
 #[test]
 fn worker_death_poisons_only_its_request_and_the_pool_respawns() {
-    let (dir, store) = make_store("death");
+    let (_dir, store) = make_store("death");
     let cfg = ServeConfig {
         workers: 2,
         faults: FaultPlan::none().with_worker_death_at(0),
@@ -487,7 +478,6 @@ fn worker_death_poisons_only_its_request_and_the_pool_respawns() {
         .any(|e| e.contains("injected worker death")));
 
     server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------
@@ -496,7 +486,7 @@ fn worker_death_poisons_only_its_request_and_the_pool_respawns() {
 
 #[test]
 fn deadlines_surface_with_their_stage() {
-    let (dir, store) = make_store("stages");
+    let (_dir, store) = make_store("stages");
     let cfg = ServeConfig {
         workers: 1,
         faults: FaultPlan::none().with_slow_request(1, 400),
@@ -533,12 +523,11 @@ fn deadlines_surface_with_their_stage() {
         stats.deadline_execution <= 1,
         "slowed leader resolves as at most one execution drop: {stats:?}"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn queue_occupancy_never_exceeds_the_configured_bound() {
-    let (dir, store) = make_store("bound");
+    let (_dir, store) = make_store("bound");
     let cfg = ServeConfig {
         workers: 2,
         queue_capacity: 4,
@@ -574,5 +563,4 @@ fn queue_occupancy_never_exceeds_the_configured_bound() {
     );
     assert!(stats.admitted > 0);
     server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }

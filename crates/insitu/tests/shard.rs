@@ -8,18 +8,22 @@
 //! normal resume + re-put path; a writer killed mid-ingest must resume
 //! from whatever each shard made durable.
 
-use ibis_analysis::{finish_correlation, CorrelationPartial, QueryError, SubsetQuery};
+mod support;
+
+use ibis_analysis::{QueryError, SubsetQuery};
 use ibis_core::{Binner, BitmapIndex, RowOrder, RowPermutation};
 use ibis_insitu::{
-    CacheStats, IbisError, MaintenanceConfig, QueryAnswer, QueryEngine, QueryRequest, QueryServer,
-    ServeConfig, ShardedStore, ShardedWriter, SocketServer, StoreWriter,
+    CacheStats, IbisError, MaintenanceConfig, QueryEngine, QueryRequest, QueryServer, ServeConfig,
+    ShardedStore, ShardedWriter, SocketServer, StoreWriter,
 };
+use ibis_testkit::{Model, TempDir};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
+use support::answer;
 
 const ROWS: usize = 2500;
 const BUDGET: u64 = 256 << 20;
@@ -38,12 +42,6 @@ fn counter(name: &str) -> u64 {
     }
 }
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ibis-shard-it-{}-{name}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
-
 /// Spatially structured field: a slow drift along the row axis (so region
 /// predicates correlate with values) plus a deterministic wiggle.
 fn field(rows: usize, step: usize, phase: usize) -> Vec<f64> {
@@ -56,125 +54,17 @@ fn field(rows: usize, step: usize, phase: usize) -> Vec<f64> {
         .collect()
 }
 
-/// The reference model: the raw values, in original row order, answered
-/// by scanning them. It knows nothing of bitmaps, shards, permutations or
-/// companions — only the [`Binner`] that defines a bin and the pure
-/// [`finish_correlation`] finisher over scan-built integer counts (the
-/// construction `benchmark/src/oracle.rs` uses).
-struct Model {
-    binner: Binner,
-    raw: BTreeMap<(usize, String), Vec<f64>>,
-}
-
-impl Model {
-    fn of_fields(binner: &Binner) -> Model {
-        let mut raw = BTreeMap::new();
-        for step in STEPS {
-            for (phase, var) in VARS.iter().enumerate() {
-                raw.insert((step, var.to_string()), field(ROWS, step, phase));
-            }
-        }
-        Model {
-            binner: binner.clone(),
-            raw,
-        }
-    }
-
-    fn values(&self, step: usize, variable: &str) -> Result<&[f64], IbisError> {
-        self.raw
-            .get(&(step, variable.to_string()))
-            .map(Vec::as_slice)
-            .ok_or_else(|| IbisError::NotFound {
-                step,
-                variable: variable.to_string(),
-            })
-    }
-
-    /// Row-by-row admission under `q`: the region names original rows; a
-    /// value is admitted when its bin's range intersects `[lo, hi)`.
-    fn admitted(&self, q: &SubsetQuery, values: &[f64]) -> Result<Vec<bool>, IbisError> {
-        let n = values.len() as u64;
-        let region = match &q.position_range {
-            Some(r) if r.start > r.end || r.end > n => {
-                return Err(IbisError::Query(QueryError::RegionOutOfRange {
-                    start: r.start,
-                    end: r.end,
-                    len: n,
-                }))
-            }
-            Some(r) => r.clone(),
-            None => 0..n,
-        };
-        let bins = match q.value_range {
-            Some((lo, hi)) if lo.is_nan() || hi.is_nan() => {
-                return Err(IbisError::Query(QueryError::NanBound { lo, hi }))
-            }
-            Some((lo, hi)) if hi > lo => {
-                let b0 = self.binner.bin_of(lo);
-                let mut b1 = self.binner.bin_of(hi);
-                // hi is exclusive: a bin starting at hi is not touched
-                if b1 > b0 && self.binner.bin_range(b1 as usize).0 >= hi {
-                    b1 -= 1;
-                }
-                Some(b0..=b1)
-            }
-            Some(_) => None, // inverted or empty interval selects nothing
-            None => Some(0..=u32::MAX),
-        };
-        Ok((0u64..)
-            .zip(values)
-            .map(|(row, &v)| {
-                region.contains(&row)
-                    && bins
-                        .as_ref()
-                        .is_some_and(|b| b.contains(&self.binner.bin_of(v)))
-            })
-            .collect())
-    }
-
-    fn run(&self, request: &QueryRequest) -> Result<QueryAnswer, IbisError> {
-        match request {
-            QueryRequest::Subset {
-                step,
-                variable,
-                query,
-            } => {
-                let values = self.values(*step, variable)?;
-                let admitted = self.admitted(query, values)?;
-                Ok(QueryAnswer::Subset {
-                    selected: admitted.iter().filter(|&&a| a).count() as u64,
-                    of: values.len() as u64,
-                })
-            }
-            QueryRequest::Correlation {
-                step,
-                var_a,
-                var_b,
-                query_a,
-                query_b,
-            } => {
-                let (a, b) = (self.values(*step, var_a)?, self.values(*step, var_b)?);
-                let (in_a, in_b) = (self.admitted(query_a, a)?, self.admitted(query_b, b)?);
-                let nbins = self.binner.nbins();
-                let mut p = CorrelationPartial::zero(nbins, nbins);
-                for row in (0..a.len()).filter(|&row| in_a[row] && in_b[row]) {
-                    let (ja, jb) = (
-                        self.binner.bin_of(a[row]) as usize,
-                        self.binner.bin_of(b[row]) as usize,
-                    );
-                    p.selected += 1;
-                    p.joint[ja * nbins + jb] += 1;
-                    p.counts_a[ja] += 1;
-                    p.counts_b[jb] += 1;
-                }
-                Ok(QueryAnswer::Correlation(finish_correlation(
-                    &self.binner,
-                    &self.binner,
-                    &p,
-                )))
-            }
-        }
-    }
+/// The reference model of the dataset: every field, in original row
+/// order, under `binner`.
+fn model_of_fields(binner: &Binner) -> Model {
+    let fields = STEPS.into_iter().flat_map(|step| {
+        (0..)
+            .zip(VARS)
+            .map(move |(phase, var)| (step, var, field(ROWS, step, phase)))
+    });
+    fields.fold(Model::new(), |model, (step, var, values)| {
+        model.with(step, var, binner.clone(), &values)
+    })
 }
 
 /// How a step's rows are laid out in the store.
@@ -247,8 +137,8 @@ fn dataset(b: Build<'_>) -> Vec<StepData> {
 
 /// Builds the dataset as a `b.shards`-shard store and returns its
 /// directory.
-fn build_store(name: &str, b: Build<'_>) -> PathBuf {
-    let dir = tmp(name);
+fn build_store(name: &str, b: Build<'_>) -> TempDir {
+    let dir = TempDir::new(name);
     let mut w = ShardedWriter::create(&dir, b.shards).unwrap();
     for s in dataset(b) {
         if let Some(p) = &s.perm {
@@ -267,8 +157,8 @@ fn build_store(name: &str, b: Build<'_>) -> PathBuf {
 
 /// The same dataset through a bare [`StoreWriter`] — what a 1-shard
 /// [`ShardedWriter`] must reproduce file for file.
-fn build_flat_store(name: &str, b: Build<'_>) -> PathBuf {
-    let dir = tmp(name);
+fn build_flat_store(name: &str, b: Build<'_>) -> TempDir {
+    let dir = TempDir::new(name);
     let mut w = StoreWriter::create(&dir).unwrap();
     for s in dataset(b) {
         if let Some(p) = &s.perm {
@@ -308,59 +198,63 @@ fn open(dir: &Path, lossy: Option<f64>) -> QueryEngine {
 
 /// The query battery: every request shape the engine serves.
 fn battery(rows: u64) -> Vec<QueryRequest> {
+    let subset = |step, variable: &str, query| QueryRequest::Subset {
+        step,
+        variable: variable.into(),
+        query,
+    };
+    let corr = |step, (var_a, query_a): (&str, _), (var_b, query_b): (&str, _)| {
+        QueryRequest::Correlation {
+            step,
+            var_a: var_a.into(),
+            var_b: var_b.into(),
+            query_a,
+            query_b,
+        }
+    };
+    let (t, s) = ("temperature", "salinity");
     vec![
-        QueryRequest::Subset {
-            step: 0,
-            variable: "temperature".into(),
-            query: SubsetQuery::value(2.0, 7.5),
-        },
-        QueryRequest::Subset {
-            step: 1,
-            variable: "salinity".into(),
-            query: SubsetQuery::region(rows / 5..rows / 2),
-        },
-        QueryRequest::Subset {
-            step: 0,
-            variable: "salinity".into(),
-            query: SubsetQuery::value(1.0, 6.0).with_region(7..rows - 3),
-        },
-        QueryRequest::Subset {
-            step: 1,
-            variable: "temperature".into(),
-            // nothing lives up there: an empty lossy filter short-circuits
-            query: SubsetQuery::value(11.0, 12.0).with_region(0..rows / 3),
-        },
-        QueryRequest::Correlation {
-            step: 1,
-            var_a: "temperature".into(),
-            var_b: "salinity".into(),
-            query_a: SubsetQuery::value(0.5, 8.0),
-            query_b: SubsetQuery::region(0..rows / 2),
-        },
-        QueryRequest::Correlation {
-            step: 0,
-            var_a: "temperature".into(),
-            var_b: "salinity".into(),
-            query_a: SubsetQuery::value(3.0, 9.0).with_region(11..rows / 3),
-            query_b: SubsetQuery::value(0.0, 5.0).with_region(5..rows / 4),
-        },
+        subset(0, t, SubsetQuery::value(2.0, 7.5)),
+        subset(1, s, SubsetQuery::region(rows / 5..rows / 2)),
+        subset(0, s, SubsetQuery::value(1.0, 6.0).with_region(7..rows - 3)),
+        // nothing lives up there: an empty lossy filter short-circuits
+        subset(
+            1,
+            t,
+            SubsetQuery::value(11.0, 12.0).with_region(0..rows / 3),
+        ),
+        // the top bin alone, the whole binned range, an inverted range and
+        // a quarter bin inside the first 64 rows
+        subset(0, t, SubsetQuery::value(9.9, 10.0)),
+        subset(1, s, SubsetQuery::value(0.0, 10.0)),
+        subset(1, t, SubsetQuery::value(7.5, 2.0)),
+        subset(0, s, SubsetQuery::value(3.0, 3.25).with_region(0..64)),
+        corr(
+            1,
+            (t, SubsetQuery::value(0.5, 8.0)),
+            (s, SubsetQuery::region(0..rows / 2)),
+        ),
+        corr(
+            0,
+            (t, SubsetQuery::value(3.0, 9.0).with_region(11..rows / 3)),
+            (s, SubsetQuery::value(0.0, 5.0).with_region(5..rows / 4)),
+        ),
         // one variable against itself under two value ranges, inside a
         // region shorter than a 31-row segment
-        QueryRequest::Correlation {
-            step: 1,
-            var_a: "salinity".into(),
-            var_b: "salinity".into(),
-            query_a: SubsetQuery::value(2.0, 8.0).with_region(rows / 2 - 9..rows / 2 + 9),
-            query_b: SubsetQuery::value(4.0, 9.5),
-        },
+        corr(
+            1,
+            (
+                s,
+                SubsetQuery::value(2.0, 8.0).with_region(rows / 2 - 9..rows / 2 + 9),
+            ),
+            (s, SubsetQuery::value(4.0, 9.5)),
+        ),
         // an inverted range admits no bin: the empty answer, from every shard
-        QueryRequest::Correlation {
-            step: 0,
-            var_a: "salinity".into(),
-            var_b: "temperature".into(),
-            query_a: SubsetQuery::value(6.0, 2.0),
-            query_b: SubsetQuery::all(),
-        },
+        corr(
+            0,
+            (s, SubsetQuery::value(6.0, 2.0)),
+            (t, SubsetQuery::all()),
+        ),
     ]
 }
 
@@ -374,7 +268,7 @@ fn sharded_equals_oracle_across_shards_bins_and_row_orders() {
     // dimension puts a probe in front of every shard's exact index.
     for nbins in [16usize, 64] {
         let binner = Binner::fixed_width(0.0, 10.0, nbins);
-        let model = Model::of_fields(&binner);
+        let model = model_of_fields(&binner);
         for layout in [Layout::Identity, Layout::Sorted, Layout::Scattered] {
             for lossy in [None, Some(1e-2)] {
                 for shards in [1usize, 2, 3, 4] {
@@ -389,9 +283,9 @@ fn sharded_equals_oracle_across_shards_bins_and_row_orders() {
                     if shards == 1 {
                         let flat = build_flat_store(&format!("oracle-flat-{tag}"), b);
                         assert_eq!(dir_files(&dir), dir_files(&flat), "{tag}");
-                        std::fs::remove_dir_all(&flat).ok();
                     }
                     let engine = open(&dir, lossy);
+                    assert_eq!(engine.lossy_fpr(), lossy, "{tag}");
                     let transcoded = counter("codec.decode.transcoded_bins");
                     // two passes: the second finds the cuts memoized
                     let mut held = Vec::new();
@@ -399,7 +293,7 @@ fn sharded_equals_oracle_across_shards_bins_and_row_orders() {
                         for req in battery(ROWS as u64) {
                             assert_eq!(
                                 engine.run(&req).unwrap(),
-                                model.run(&req).unwrap(),
+                                answer(&model, &req).unwrap(),
                                 "{tag} pass={pass} {req:?}"
                             );
                         }
@@ -411,10 +305,19 @@ fn sharded_equals_oracle_across_shards_bins_and_row_orders() {
                         "{tag}: a reply transcoded a bin"
                     );
                     assert_entries_at_rest(&engine, &held, &tag);
+                    // every shard holds each step's permutation under its tag
+                    let want = (layout != Layout::Identity).then_some(RowOrder::GrayBin);
+                    for (cache, step) in engine
+                        .shard_caches()
+                        .iter()
+                        .flat_map(|c| STEPS.map(|s| (c, s)))
+                    {
+                        let order = cache.get_order(step).unwrap().map(|o| o.0);
+                        assert_eq!(order, want, "{tag} step {step}");
+                    }
                     if layout == Layout::Sorted && shards == 4 {
                         assert_prunes_under_permutation(&engine, &model, b, &tag);
                     }
-                    std::fs::remove_dir_all(&dir).ok();
                 }
             }
         }
@@ -488,7 +391,11 @@ fn assert_prunes_under_permutation(engine: &QueryEngine, model: &Model, b: Build
         variable: "temperature".into(),
         query: SubsetQuery::region(region),
     };
-    assert_eq!(engine.run(&req).unwrap(), model.run(&req).unwrap(), "{tag}");
+    assert_eq!(
+        engine.run(&req).unwrap(),
+        answer(model, &req).unwrap(),
+        "{tag}"
+    );
     let reads_after = reads();
     let visited: Vec<usize> = (0..caches.len())
         .filter(|&i| reads_after[i] != reads_before[i])
@@ -509,7 +416,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
     /// Randomised oracle check: arbitrary data, shard count, value bounds
     /// and region — the scatter-gather answer always matches the scan
-    /// model, including when both return errors.
+    /// model, errors included, to the variant and its fields.
     #[test]
     fn random_queries_match_oracle(
         data in proptest::collection::vec(0.0f64..10.0, 64..400),
@@ -520,7 +427,7 @@ proptest! {
         rlen in 0u64..400,
     ) {
         let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
-        let dir = tmp(&format!("prop-{k}-{}", data.len()));
+        let dir = TempDir::new(&format!("prop-{k}-{}", data.len()));
         let binner = Binner::fixed_width(0.0, 10.0, 24);
         let idx = BitmapIndex::build(&data, binner.clone());
         let mut sw = ShardedWriter::create(&dir, k).unwrap();
@@ -528,31 +435,20 @@ proptest! {
         sw.finish().unwrap();
 
         let engine = open(&dir, None);
-        let model = Model {
-            binner,
-            raw: BTreeMap::from([((0, "v".to_string()), data)]),
-        };
+        let model = Model::new().with(0, "v", binner, &data);
         let req = QueryRequest::Subset {
             step: 0,
             variable: "v".into(),
             query: SubsetQuery::value(lo, lo + span).with_region(r0..r0 + rlen),
         };
         for _pass in 0..2 {
-            match (engine.run(&req), model.run(&req)) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-                (Err(a), Err(b)) => prop_assert_eq!(
-                    std::mem::discriminant(&a),
-                    std::mem::discriminant(&b)
-                ),
-                (a, b) => prop_assert!(false, "diverged: {a:?} vs {b:?}"),
-            }
+            prop_assert_eq!(engine.run(&req), answer(&model, &req));
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
 /// An exact, identity-order store of the dataset over `shards` shards.
-fn plain_store(name: &str, shards: usize, binner: &Binner) -> PathBuf {
+fn plain_store(name: &str, shards: usize, binner: &Binner) -> TempDir {
     let b = Build {
         shards,
         binner,
@@ -567,7 +463,7 @@ fn corrupt_shard_quarantines_locally_and_repairs() {
     let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
     let binner = Binner::fixed_width(0.0, 10.0, 48);
     let sd = plain_store("fsck", 3, &binner);
-    let model = Model::of_fields(&binner);
+    let model = model_of_fields(&binner);
 
     // flip bytes in the middle of shard-001's step-1 temperature blob
     let blob = sd.join("shard-001").join("s000001_temperature.ibis");
@@ -604,7 +500,7 @@ fn corrupt_shard_quarantines_locally_and_repairs() {
         let req = subset(step, var, q);
         assert_eq!(
             engine.run(&req).unwrap(),
-            model.run(&req).unwrap(),
+            answer(&model, &req).unwrap(),
             "{req:?}"
         );
     }
@@ -624,51 +520,91 @@ fn corrupt_shard_quarantines_locally_and_repairs() {
     assert!(!blob.with_extension("ibis.quarantined").exists());
     let engine = QueryEngine::from_store(store, BUDGET);
     for req in battery(ROWS as u64) {
-        assert_eq!(engine.run(&req).unwrap(), model.run(&req).unwrap());
+        assert_eq!(engine.run(&req).unwrap(), answer(&model, &req).unwrap());
     }
-    std::fs::remove_dir_all(&sd).ok();
 }
 
+/// A copy of the directory tree at `from` (files and subdirectories).
+fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for e in std::fs::read_dir(from).unwrap().map(|e| e.unwrap()) {
+        let target = to.join(e.file_name());
+        match e.file_type().unwrap().is_dir() {
+            true => copy_tree(&e.path(), &target),
+            false => drop(std::fs::copy(e.path(), &target).unwrap()),
+        }
+    }
+}
+
+/// A writer killed after step 0 is durable and step 1 partially so, whose
+/// shard-002 journal is then torn at every byte offset in turn: resume
+/// keeps exactly the shard's entries whose lines are whole, re-putting
+/// what is missing completes the run, and the store answers like the data
+/// it was fed.
 #[test]
 fn killed_writer_resumes_from_each_shards_durable_state() {
     let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
-    let dir = tmp("nodekill");
     let binner = Binner::fixed_width(0.0, 10.0, 48);
     let step_idx =
         |step: usize, phase: usize| BitmapIndex::build(&field(ROWS, step, phase), binner.clone());
-
-    // the "node" dies after step 0 is fully durable and step 1 partially so
+    let killed = TempDir::new("nodekill");
     {
-        let mut w = ShardedWriter::create(&dir, 3).unwrap();
+        let mut w = ShardedWriter::create(&killed, 3).unwrap();
         for (phase, var) in VARS.iter().enumerate() {
             w.put(0, var, &step_idx(0, phase)).unwrap();
         }
         w.put(1, "temperature", &step_idx(1, 0)).unwrap();
         // no finish(): the process is gone
     }
-    // …and shard-002 additionally tore its journal tail on the way down
-    let journal = dir.join("shard-002").join("JOURNAL");
-    let bytes = std::fs::read(&journal).unwrap();
-    std::fs::write(&journal, &bytes[..bytes.len() - 3]).unwrap();
-
-    // resume sees exactly what every shard can prove durable
-    let mut w = ShardedWriter::resume(&dir).unwrap();
-    assert_eq!(w.durable_steps(), vec![0]);
-    assert!(!w.contains(1, "temperature"), "torn shard-002 lost step 1");
-
-    // idempotent re-put repairs the stragglers, then the run completes
-    for (phase, var) in VARS.iter().enumerate() {
-        w.put(1, var, &step_idx(1, phase)).unwrap();
+    let journal = std::fs::read_to_string(killed.join("shard-002").join("JOURNAL")).unwrap();
+    // each journal line's entry and the offset its text ends at
+    let mut lines = Vec::new();
+    for line in journal.split_inclusive('\n') {
+        let at = lines
+            .last()
+            .map_or(0, |(_, _, end): &(usize, String, usize)| end + 1);
+        let mut fields = line.split('\t');
+        let step = fields.next().unwrap().parse().unwrap();
+        lines.push((
+            step,
+            fields.next().unwrap().to_string(),
+            at + line.trim_end().len(),
+        ));
     }
-    w.finish().unwrap();
-
-    // the recovered store answers exactly like the data it was fed
-    let engine = open(&dir, None);
-    let model = Model::of_fields(&binner);
-    for req in battery(ROWS as u64) {
-        assert_eq!(engine.run(&req).unwrap(), model.run(&req).unwrap());
+    assert_eq!(lines.len(), 3, "{journal}");
+    let model = model_of_fields(&binner);
+    for cut in 0..=journal.len() {
+        let dir = TempDir::new(&format!("nodekill-{cut}"));
+        copy_tree(&killed, &dir);
+        std::fs::write(dir.join("shard-002").join("JOURNAL"), &journal[..cut]).unwrap();
+        let mut w = ShardedWriter::resume(&dir).unwrap();
+        let whole = |&&(_, _, end): &&(usize, String, usize)| cut >= end;
+        for (step, var, end) in &lines {
+            assert_eq!(
+                w.contains(*step, var),
+                cut >= *end,
+                "cut {cut}: {step} {var}"
+            );
+        }
+        let mut durable: Vec<usize> = lines.iter().filter(whole).map(|l| l.0).collect();
+        durable.dedup();
+        assert_eq!(w.durable_steps(), durable, "cut {cut}");
+        // re-putting what some shard lost completes the run
+        for (step, (phase, var)) in STEPS
+            .into_iter()
+            .flat_map(|s| VARS.iter().enumerate().map(move |v| (s, v)))
+        {
+            if !w.contains(step, var) {
+                w.put(step, var, &step_idx(step, phase)).unwrap();
+            }
+        }
+        w.finish().unwrap();
+        let engine = open(&dir, None);
+        for req in battery(ROWS as u64) {
+            let want = answer(&model, &req).unwrap();
+            assert_eq!(engine.run(&req).unwrap(), want, "cut {cut}");
+        }
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Every query either visits or prunes each of the `K` shards, and says
@@ -760,14 +696,13 @@ fn fanout_and_pruned_account_for_every_shard_of_every_query() {
             mapped,
             "k={shards} {layout:?}"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
 /// A 2-shard store of the dataset whose `shard-001` was written by a
 /// second writer under `other`: every blob CRC-valid, the store
 /// inconsistent.
-fn store_binned_twice(name: &str, binner: &Binner, other: &Binner) -> PathBuf {
+fn store_binned_twice(name: &str, binner: &Binner, other: &Binner) -> TempDir {
     let dir = plain_store(name, 2, binner);
     let donor = plain_store(&format!("{name}-donor"), 2, other);
     let (into, from) = (dir.join("shard-001"), donor.join("shard-001"));
@@ -776,7 +711,6 @@ fn store_binned_twice(name: &str, binner: &Binner, other: &Binner) -> PathBuf {
     for (file, bytes) in dir_files(&from) {
         std::fs::write(into.join(file), bytes).unwrap();
     }
-    std::fs::remove_dir_all(&donor).ok();
     dir
 }
 
@@ -819,14 +753,14 @@ fn shards_that_disagree_on_the_binning_are_a_typed_error() {
             }
         }
         // a query that stays inside shard 0 never sees the disagreement
-        let model = Model::of_fields(&binner);
+        let model = model_of_fields(&binner);
         for req in [
             correlation(SubsetQuery::region(10..rows / 3)),
             subset(SubsetQuery::value(2.0, 6.0).with_region(0..rows / 4)),
         ] {
             assert_eq!(
                 engine.run(&req).unwrap(),
-                model.run(&req).unwrap(),
+                answer(&model, &req).unwrap(),
                 "{what}"
             );
         }
@@ -864,7 +798,6 @@ fn shards_that_disagree_on_the_binning_are_a_typed_error() {
         }
         socket.stop();
         server.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -921,5 +854,4 @@ fn per_shard_cache_gauges_reach_the_registry() {
         rep.evicted_bytes > 0,
         "cache_target 0 must evict everything"
     );
-    std::fs::remove_dir_all(&sd).ok();
 }

@@ -43,6 +43,22 @@ echo "==> cargo test (rayon shim: install/width semantics the pool-width regress
 # vendor/ is outside the workspace; the shim is tested as the dependency it is.
 cargo test -q -p rayon
 
+echo "==> test kit: both obs configurations, and it never switches obs on"
+# The reference model and TempDir (crates/testkit) depend on ibis-core and
+# ibis-analysis without default features. A dev-dependency that turned
+# `obs` on would make every `--no-default-features` suite below an
+# instrumented one, so each crate that dev-depends on the kit is checked.
+cargo test -q -p ibis-testkit --features ibis-analysis/obs
+cargo test -q -p ibis-testkit --no-default-features
+for manifest in $(grep -l '^ibis-testkit.workspace' Cargo.toml crates/*/Cargo.toml); do
+    crate=$(sed -n 's/^name = "\(.*\)"$/\1/p' "$manifest" | head -n 1)
+    if cargo tree --offline --locked -p "$crate" --no-default-features -e features,normal,dev \
+        -i ibis-obs | grep -q 'ibis-obs feature "obs"'; then
+        echo "error: $crate --no-default-features builds ibis-obs with obs on" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo test (observability layer with obs feature off: no-op build)"
 cargo test -q -p ibis-obs --no-default-features
 
@@ -50,7 +66,7 @@ echo "==> obs differential: no-op build must match the instrumented run byte-for
 cargo test -q -p ibis --no-default-features --test obs_differential
 cmp target/obs_differential/instrumented.digest target/obs_differential/noop.digest
 
-echo "==> no-op observability build: query and mining/CE/EMD properties, bitmap-vs-full-data exactness, ibis-insitu unit tests (frame corruption table, CRC32-C kernel differential), fault-injection, every-step crash/resume, query, lazy-materialisation, shard and serving suites"
+echo "==> no-op observability build: query and mining/CE/EMD properties, bitmap-vs-full-data exactness, ibis-insitu unit tests (frame corruption table, CRC32-C kernel differential), fault-injection, every-step and every-blob-write crash/resume, query, lazy-materialisation, shard and serving suites"
 # The workspace run above covers the instrumented config; neither config
 # may panic or diverge with the obs counters const-folded away.
 cargo test -q -p ibis-analysis --no-default-features --test prop_query --test prop_metrics

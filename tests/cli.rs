@@ -1,5 +1,6 @@
 //! End-to-end tests of the `ibis` command-line interface.
 
+use ibis_testkit::TempDir;
 use std::process::Command;
 
 fn ibis() -> Command {
@@ -174,11 +175,12 @@ fn cache_mb_overflows(args: &[&str]) {
 
 #[test]
 fn query_rejects_a_cache_mb_that_overflows() {
-    let batch = std::env::temp_dir().join(format!("ibis-cli-cache-mb-{}.json", std::process::id()));
+    let dir = TempDir::new("cli-cache-mb");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let batch = dir.join("batch.json");
     std::fs::write(&batch, r#"{"queries": []}"#).expect("write batch");
     let batch = batch.to_str().expect("utf-8 temp path").to_string();
     cache_mb_overflows(&["query", "--store", "no-such-store", "--batch", &batch]);
-    std::fs::remove_file(&batch).ok();
 }
 
 #[test]
@@ -188,13 +190,12 @@ fn serve_rejects_a_cache_mb_that_overflows() {
 
 #[test]
 fn insitu_subcommand_persists_reloadable_indices() {
-    let dir = std::env::temp_dir().join("ibis-cli-test-out");
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = TempDir::new("cli-test-out");
     let out = ibis()
         .args([
             "insitu", "--sim", "heat3d", "--steps", "8", "--select", "2", "--cores", "4", "--out",
         ])
-        .arg(&dir)
+        .arg(dir.path())
         .output()
         .expect("spawn");
     assert!(
@@ -212,7 +213,6 @@ fn insitu_subcommand_persists_reloadable_indices() {
         let idx = store.get(step, "temperature").expect("valid index");
         assert!(!idx.is_empty());
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -229,8 +229,7 @@ fn insitu_rejects_out_without_bitmaps() {
 
 #[test]
 fn lossy_companions_compose_with_shards_and_row_order() {
-    let root = std::env::temp_dir().join(format!("ibis-cli-lossy-k-{}", std::process::id()));
-    std::fs::remove_dir_all(&root).ok();
+    let root = TempDir::new("cli-lossy-k");
     std::fs::create_dir_all(&root).expect("mkdir");
     let batch = root.join("batch.json");
     std::fs::write(
@@ -285,7 +284,6 @@ fn lossy_companions_compose_with_shards_and_row_order() {
             "reply {i} differs from the 4-shard lossy one"
         );
     }
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// `ibis insitu` with `args` fails as a usage error naming `flag` before
@@ -305,8 +303,8 @@ fn insitu_rejects(args: &[&str], flag: &str) {
 
 #[test]
 fn insitu_rejects_a_shard_count_before_running() {
-    let dir = std::env::temp_dir().join(format!("ibis-cli-shards-{}", std::process::id()));
-    let dir = dir.to_str().expect("utf-8 temp dir");
+    let tmp = TempDir::new("cli-shards");
+    let dir = tmp.to_str().expect("utf-8 temp dir");
     for k in ["0", "257", "100000"] {
         insitu_rejects(
             &["--steps", "4", "--select", "2", "--out", dir, "--shards", k],
@@ -321,8 +319,8 @@ fn insitu_rejects_a_shard_count_before_running() {
 
 #[test]
 fn insitu_rejects_a_lossy_fpr_before_running() {
-    let dir = std::env::temp_dir().join(format!("ibis-cli-fpr-{}", std::process::id()));
-    let dir = dir.to_str().expect("utf-8 temp dir");
+    let tmp = TempDir::new("cli-fpr");
+    let dir = tmp.to_str().expect("utf-8 temp dir");
     for fpr in ["NaN", "5", "-1"] {
         insitu_rejects(
             &[
@@ -386,8 +384,7 @@ fn insitu_rejects_an_allocation_before_running() {
 #[test]
 fn loadgen_counts_requests_after_the_server_closes_as_closed() {
     use std::io::{BufRead, BufReader, Write};
-    let dir = std::env::temp_dir().join(format!("ibis-cli-loadgen-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = TempDir::new("cli-loadgen");
     let data: Vec<f64> = (0..500).map(|i| (i % 50) as f64).collect();
     let index = ibis::core::BitmapIndex::build(&data, ibis::core::Binner::fit(&data, 8));
     let mut writer = ibis::insitu::StoreWriter::create(&dir).expect("create store");
@@ -415,11 +412,10 @@ fn loadgen_counts_requests_after_the_server_closes_as_closed() {
             "1",
         ])
         .arg("--store")
-        .arg(&dir)
+        .arg(dir.path())
         .output()
         .expect("spawn");
     server.join().expect("server thread");
-    std::fs::remove_dir_all(&dir).ok();
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),

@@ -1,10 +1,10 @@
 //! Cross-crate exactness tests: the paper's central no-accuracy-loss claim,
 //! checked end-to-end on real simulation output — every bitmap-only
-//! analysis must equal its full-data counterpart bit-for-bit under the same
-//! binning, and persisted bitmaps must survive a disk round-trip.
+//! analysis must equal the reference model's row scan bit for bit under
+//! the same binning (so the bitmaps' counts and the one finisher per
+//! metric are both checked, against the pre-fusion finishers), and
+//! persisted bitmaps must survive a disk round-trip.
 
-use ibis::analysis::entropy::mutual_information_from_counts;
-use ibis::analysis::histogram::joint_histogram;
 use ibis::analysis::{
     correlation_query, mine_full, mine_index, Metric, MiningConfig, SubsetQuery, VarSummary,
 };
@@ -13,11 +13,30 @@ use ibis::datagen::{
     Heat3D, Heat3DConfig, LuleshConfig, MiniLulesh, OceanConfig, OceanModel, Simulation,
 };
 use ibis::insitu::codec;
+use ibis_testkit::{before_fusing, Column, TempDir};
 
-/// `data` summarised both ways: from the bitmaps, and from the raw array.
-fn both(data: &[f64], binner: &Binner) -> (VarSummary, VarSummary) {
-    let bitmap = VarSummary::bitmap(data, binner.clone());
-    (bitmap, VarSummary::full(data.to_vec(), binner.clone()))
+const METRICS: [Metric; 3] = [Metric::ConditionalEntropy, Metric::Emd, Metric::EmdSpatial];
+
+/// `data` under `binner`: its bitmap index and the model's column.
+fn both(data: &[f64], binner: &Binner) -> (BitmapIndex, Column) {
+    let index = BitmapIndex::build(data, binner.clone());
+    (index, Column::new(data, binner.clone()))
+}
+
+/// Every step metric from `a` to `b`, from the bitmaps, equals the scan.
+fn assert_metrics_exact(a: &(BitmapIndex, Column), b: &(BitmapIndex, Column), what: &str) {
+    let (sa, sb) = (
+        VarSummary::Bitmap(a.0.clone()),
+        VarSummary::Bitmap(b.0.clone()),
+    );
+    for metric in METRICS {
+        let want = a.1.metric(&b.1, metric);
+        assert_eq!(
+            sa.metric(&sb, metric).to_bits(),
+            want.to_bits(),
+            "{what} {metric:?}"
+        );
+    }
 }
 
 #[test]
@@ -25,41 +44,28 @@ fn heat3d_metrics_exact() {
     let mut sim = Heat3D::new(Heat3DConfig::tiny());
     let steps = sim.run(6);
     let binner = Binner::precision(-1.0, 101.0, 1);
-    let arrays: Vec<&[f64]> = steps.iter().map(|s| s.fields[0].data.as_slice()).collect();
-    let summaries: Vec<(VarSummary, VarSummary)> =
-        arrays.iter().map(|a| both(a, &binner)).collect();
+    let columns: Vec<_> = steps
+        .iter()
+        .map(|s| both(&s.fields[0].data, &binner))
+        .collect();
     let all = SubsetQuery::all();
     let nbins = binner.nbins();
-    for i in 0..arrays.len() {
-        let (bitmap_i, full_i) = &summaries[i];
-        assert_eq!(bitmap_i.entropy(), full_i.entropy(), "entropy step {i}");
-        for j in 0..arrays.len() {
-            let (bitmap_j, full_j) = &summaries[j];
-            let VarSummary::Bitmap(index_i) = bitmap_i else {
-                unreachable!()
-            };
-            let VarSummary::Bitmap(index_j) = bitmap_j else {
-                unreachable!()
-            };
-            let joint = joint_histogram(arrays[i], arrays[j], &binner, &binner);
-            assert_eq!(
-                correlation_query(index_i, index_j, &all, &all)
-                    .unwrap()
-                    .mutual_information,
-                mutual_information_from_counts(&joint, nbins, nbins),
-                "MI {i}-{j}"
-            );
-            for (metric, name) in [
-                (Metric::ConditionalEntropy, "CE"),
-                (Metric::Emd, "EMD"),
-                (Metric::EmdSpatial, "spatial EMD"),
-            ] {
-                assert_eq!(
-                    bitmap_i.metric(bitmap_j, metric),
-                    full_i.metric(full_j, metric),
-                    "{name} {i}-{j}"
-                );
-            }
+    for (i, step_i) in columns.iter().enumerate() {
+        let counts = step_i.1.counts();
+        let entropy = ibis::analysis::entropy::shannon_entropy_from_counts(&counts);
+        let bitmap_entropy = VarSummary::Bitmap(step_i.0.clone()).entropy();
+        assert_eq!(
+            bitmap_entropy.to_bits(),
+            entropy.to_bits(),
+            "entropy step {i}"
+        );
+        for (j, step_j) in columns.iter().enumerate() {
+            let joint = step_i.1.joint(&step_j.1);
+            let got = correlation_query(&step_i.0, &step_j.0, &all, &all).unwrap();
+            let mi = before_fusing::mutual_information_from_counts(&joint, nbins, nbins);
+            assert_eq!(got.mutual_information.to_bits(), mi.to_bits(), "MI {i}-{j}");
+            assert_eq!(got, step_i.1.correlation(&step_j.1, &all, &all).unwrap());
+            assert_metrics_exact(step_i, step_j, &format!("{i}-{j}"));
         }
     }
 }
@@ -75,19 +81,9 @@ fn lulesh_all_twelve_arrays_exact() {
             .flat_map(|s| s.fields[f].data.iter().copied())
             .collect();
         let binner = Binner::fit(&all, 32);
-        let (bitmap_a, full_a) = both(&steps[0].fields[f].data, &binner);
-        let (bitmap_b, full_b) = both(&steps[2].fields[f].data, &binner);
-        assert_eq!(
-            bitmap_a.metric(&bitmap_b, Metric::EmdSpatial),
-            full_a.metric(&full_b, Metric::EmdSpatial),
-            "field {} ({})",
-            f,
-            steps[0].fields[f].name
-        );
-        assert_eq!(
-            bitmap_a.metric(&bitmap_b, Metric::ConditionalEntropy),
-            full_a.metric(&full_b, Metric::ConditionalEntropy)
-        );
+        let a = both(&steps[0].fields[f].data, &binner);
+        let b = both(&steps[2].fields[f].data, &binner);
+        assert_metrics_exact(&a, &b, steps[0].fields[f].name);
     }
 }
 
@@ -119,21 +115,43 @@ fn ocean_mining_exact_in_zorder() {
     );
 }
 
+/// Ocean steps binned as the durable pipeline bins them — one anchored
+/// binner per step, on one lattice — for every variable: step metrics
+/// across steps, and correlations of temperature with every variable.
+#[test]
+fn ocean_per_step_binnings_exact() {
+    let steps = OceanModel::new(OceanConfig::tiny()).run(3);
+    let binned = |step: usize, f: usize| {
+        let data = &steps[step].fields[f].data;
+        both(data, &Binner::fit_precision_anchored(data, 0))
+    };
+    let q = SubsetQuery::value(5.0, 25.0).with_region(100..700);
+    for f in 0..steps[0].fields.len() {
+        let what = steps[0].fields[f].name;
+        assert_metrics_exact(&binned(0, f), &binned(2, f), what);
+        let (t, v) = (binned(1, 0), binned(1, f));
+        let got = correlation_query(&t.0, &v.0, &q, &SubsetQuery::all()).unwrap();
+        assert_eq!(
+            got,
+            t.1.correlation(&v.1, &q, &SubsetQuery::all()).unwrap(),
+            "{what}"
+        );
+    }
+}
+
 #[test]
 fn persisted_bitmaps_round_trip_and_stay_exact() {
     let mut sim = Heat3D::new(Heat3DConfig::tiny());
     let steps = sim.run(2);
     let binner = Binner::precision(-1.0, 101.0, 1);
-    let a = &steps[0].fields[0].data;
-    let b = &steps[1].fields[0].data;
-    let ia = BitmapIndex::build(a, binner.clone());
-    let ib = BitmapIndex::build(b, binner.clone());
+    let a = both(&steps[0].fields[0].data, &binner);
+    let b = both(&steps[1].fields[0].data, &binner);
 
     // write every bitvector of step 1's index, then reload the index
-    let dir = std::env::temp_dir().join("ibis-integration-sink");
+    let dir = TempDir::new("integration-sink");
     std::fs::create_dir_all(&dir).unwrap();
     let mut paths = Vec::new();
-    for (bin, vec) in ib.bins().enumerate() {
+    for (bin, vec) in b.0.bins().enumerate() {
         let path = dir.join(format!("step1_bin{bin}.wah"));
         std::fs::write(&path, codec::encode(vec)).unwrap();
         paths.push(path);
@@ -142,16 +160,8 @@ fn persisted_bitmaps_round_trip_and_stay_exact() {
         .iter()
         .map(|p| codec::decode(&std::fs::read(p).unwrap()).expect("valid blob"))
         .collect();
-    let ib2 = BitmapIndex::from_bins(binner.clone(), reloaded);
+    let reloaded = (BitmapIndex::from_bins(binner, reloaded), b.1.clone());
 
-    // post-analysis on reloaded bitmaps equals the in-memory result
-    let (reloaded, step0) = (VarSummary::Bitmap(ib2), VarSummary::Bitmap(ia));
-    assert_eq!(
-        reloaded.metric(&step0, Metric::ConditionalEntropy),
-        VarSummary::full(b.clone(), binner.clone()).metric(
-            &VarSummary::full(a.clone(), binner),
-            Metric::ConditionalEntropy
-        )
-    );
-    std::fs::remove_dir_all(&dir).ok();
+    // post-analysis on reloaded bitmaps equals the scan of the data
+    assert_metrics_exact(&reloaded, &a, "reloaded step 1 against step 0");
 }

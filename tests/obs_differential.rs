@@ -20,6 +20,7 @@ use ibis::insitu::{
     run_cluster, run_durable, ClusterConfig, ClusterIo, ClusterReduction, CoreAllocation,
     MachineModel, PipelineConfig, Reduction, RobustnessConfig, ScalingModel,
 };
+use ibis_testkit::TempDir;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -126,11 +127,7 @@ fn instrumentation_has_no_observer_effect() {
         "instrumented"
     };
 
-    let store_dir = std::env::temp_dir().join(format!(
-        "ibis-obs-differential-{config}-{}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&store_dir).ok();
+    let store_dir = TempDir::new(&format!("obs-differential-{config}"));
 
     // The workload: an Ocean durable end-to-end run (simulate → compress →
     // select → store) plus a small Heat3D cluster run.
@@ -146,7 +143,6 @@ fn instrumentation_has_no_observer_effect() {
     assert!(!contents.is_empty(), "store must hold blobs + manifest");
 
     let mine = digest(&contents, &report.selected, &cluster.selected);
-    std::fs::remove_dir_all(&store_dir).ok();
 
     // In the instrumented build the run above must have populated every
     // metric family the issue names — proof the layer actually observed
