@@ -306,7 +306,7 @@ impl Binner {
     /// fixed-width arm is branchless (Rust's saturating `f64 as usize` cast
     /// sends NaN and negatives to 0, exactly matching [`Binner::bin_of`]'s
     /// clamp-and-NaN convention), which is what lets the fused generation
-    /// loop in `MultiWahBuilder::extend_binned` stay tight.
+    /// loop in `MultiCodecBuilder::extend_binned` stay tight.
     #[inline]
     pub(crate) fn bin_slice_into(&self, data: &[f64], out: &mut [u32]) {
         debug_assert_eq!(data.len(), out.len());

@@ -12,13 +12,14 @@
 //! probed over row ranges, walked for labels, ORed into a dense
 //! accumulator — never combined into a new Roaring vector.
 //!
-//! [`select_codec`] is the policy: a pure function of the [`WahStats`] the
-//! adaptive kernels already cache per bitvector, so batched ingestion pays
-//! nothing extra to decide. Coherent bins (long mean fill runs that WAH
-//! actually compresses) stay WAH; scattered sparse bins and dense noise —
-//! where WAH degenerates to one literal word per 31 bits — go to Roaring,
-//! whose array/bitset containers are exactly the forms those populations
-//! want.
+//! [`select_codec`] is the policy: a pure function of a bin's
+//! [`WahStats`] (counted from a Roaring vector's runs), applied where a bin
+//! is made — at finish by the index builder, so a Roaring-bound bin never
+//! exists as WAH, and per slice by `slice_rows`; the store writes each bin
+//! as it is held. Coherent bins (long mean fill runs that WAH actually
+//! compresses) stay WAH; scattered sparse bins and dense noise — where WAH
+//! degenerates to one literal word per 31 bits — go to Roaring, whose
+//! array/bitset containers are exactly the forms those populations want.
 
 use crate::kernels::WahStats;
 use crate::roaring::RoaringVec;
@@ -147,6 +148,27 @@ impl CodecVec {
     /// cached stats. The conversion is exact.
     pub fn from_wah_auto(v: &WahVec) -> CodecVec {
         Self::with_codec(v, select_codec(v.stats(), v.len()))
+    }
+
+    /// This vector in the codec [`select_codec`] picks from its exact
+    /// [`CodecVec::wah_stats`]: returned as it is when already in that
+    /// codec, converted exactly otherwise. Where a bin's held form is
+    /// chosen — once per built bin, once per sliced one.
+    pub fn selected(self) -> CodecVec {
+        match (select_codec(&self.wah_stats(), self.len()), self) {
+            (CodecId::Roaring, CodecVec::Wah(v)) => CodecVec::Roaring(RoaringVec::from_wah(&v)),
+            (CodecId::Wah, CodecVec::Roaring(r)) => CodecVec::Wah(r.to_wah()),
+            (_, v) => v,
+        }
+    }
+
+    /// The [`WahStats`] of the vector's canonical WAH form, read off the
+    /// form it is in: a Roaring vector counts them from its runs.
+    pub fn wah_stats(&self) -> WahStats {
+        match self {
+            CodecVec::Wah(v) => *v.stats(),
+            CodecVec::Roaring(v) => v.wah_stats(),
+        }
     }
 
     /// Converts a WAH vector into an explicitly chosen codec.

@@ -7,12 +7,14 @@
 //! * [`WahVec`] — a WAH-compressed bitvector (31-bit segments, bit-counted
 //!   fills) supporting AND/OR/NOT and popcounts directly on the compressed
 //!   words.
-//! * [`WahBuilder`] / [`MultiWahBuilder`] — the paper's Algorithm 1:
-//!   streaming, in-place compression with O(bins) working state, suitable
-//!   for memory-constrained in-situ generation. Ingestion runs a fused
-//!   bin+compress fast path ([`MultiWahBuilder::extend_binned`]): 31-element
-//!   segments are binned branchlessly, constant segments collapse into O(1)
-//!   fill extensions, and concatenation splices literals word-at-a-time.
+//! * [`MultiCodecBuilder`] — the paper's Algorithm 1: streaming, in-place
+//!   compression in O(bins + one 64Ki-row chunk) working state, each bin
+//!   made in the codec it is stored in. Ingestion runs a fused bin+compress
+//!   fast path ([`MultiCodecBuilder::extend_binned`]): 31-element segments
+//!   are binned branchlessly, constant segments collapse into runs, and the
+//!   rows of mixed segments land in Roaring array containers.
+//!   [`WahBuilder`] / [`MultiWahBuilder`] build WAH an element at a time
+//!   (the reference the fast path is tested against).
 //! * [`Binner`] — value-to-bin mapping (distinct integers, fixed width,
 //!   decimal precision, explicit edges; at most [`Binner::MAX_BINS`] bins)
 //!   plus [`Binner::coarsen`] for multi-level indices.
@@ -45,7 +47,7 @@ pub mod wah;
 pub mod zorder;
 
 pub use binning::{Binner, BinnerSpec};
-pub use builder::{MultiWahBuilder, WahBuilder};
+pub use builder::{MultiCodecBuilder, MultiWahBuilder, WahBuilder};
 pub use codec::{select_codec, CodecId, CodecVec};
 pub use index::{BitmapIndex, RangeQueryError};
 pub use kernels::{DenseBits, WahStats};

@@ -1,8 +1,10 @@
 //! Property tests for the codec layer: every codec round-trips a WAH
 //! vector exactly (including its serialized byte form), every cross-codec
 //! operand pairing counts the same AND as the uncompressed oracle, each
-//! codec answers range counts, range probes and the dense OR exactly, and
-//! a Roaring chunk takes the form the documented thresholds give it.
+//! codec answers range counts, range probes and the dense OR exactly, a
+//! Roaring chunk takes the form the documented thresholds give it, every
+//! container-form pair counts its AND exactly at equal and skewed sizes,
+//! and a Roaring vector's counted `WahStats` are its WAH form's.
 
 use ibis_core::{
     Bitset, CodecId, CodecVec, ContainerForm, DenseBits, RoaringVec, WahVec, ARRAY_MAX,
@@ -72,6 +74,7 @@ proptest! {
 
         // byte-level round-trip
         let r = RoaringVec::from_wah(&wah);
+        prop_assert_eq!(&r.wah_stats(), wah.stats());
         let r2 = RoaringVec::deserialize(&r.serialize()).unwrap();
         let r2w = r2.to_wah();
         prop_assert_eq!(r2w.words(), wah.words());
@@ -150,6 +153,7 @@ proptest! {
         let wah = WahVec::from_bits(bits);
         let vw = v.to_wah();
         prop_assert_eq!(vw.words(), wah.words());
+        prop_assert_eq!(&v.wah_stats(), wah.stats());
         let v2 = RoaringVec::deserialize(&v.serialize()).unwrap();
         let v2w = v2.to_wah();
         prop_assert_eq!(v2w.words(), wah.words());
@@ -164,4 +168,55 @@ proptest! {
             }
         }
     }
+
+    /// `and_count` over every container-form pair — array, bitset and run
+    /// containers, two chunks each — at equal sizes and at the ≥ 16× skew
+    /// where array × array gallops instead of merging, equals the WAH
+    /// `and_count` of the same bits.
+    #[test]
+    fn and_count_over_every_container_form_pair(
+        a in form_bits(),
+        b in form_bits(),
+        skew in prop_oneof![Just(1usize), Just(2), Just(16), Just(64)],
+    ) {
+        let ((fa, a), (fb, mut b)) = (a, b);
+        // thin b's rows `skew`-fold: an array stays an array, 16× smaller
+        if skew > 1 && fb == ContainerForm::Array {
+            for (seen, bit) in b.iter_mut().filter(|bit| **bit).enumerate() {
+                *bit = seen.is_multiple_of(skew);
+            }
+        }
+        let (ra, rb) = (RoaringVec::from_bits(a.iter().copied()), RoaringVec::from_bits(b.iter().copied()));
+        prop_assert_eq!(ra.container_forms(), vec![fa; 2]);
+        prop_assert!(rb.container_forms().iter().all(|&f| f == fb || f == ContainerForm::Array));
+        let (wa, wb) = (WahVec::from_bits(a.iter().copied()), WahVec::from_bits(b.iter().copied()));
+        let want = wa.and_count(&wb);
+        prop_assert_eq!(ra.and_count(&rb), want, "{:?} x {:?} skew {}", fa, fb, skew);
+        prop_assert_eq!(rb.and_count(&ra), want);
+    }
+}
+
+/// Two chunks' worth of bits whose every chunk takes one container form:
+/// scattered rows (an array, below [`ARRAY_MAX`] a chunk), dense noise (a
+/// bitset) or a few long runs (runs).
+fn form_bits() -> impl Strategy<Value = (ContainerForm, Vec<bool>)> {
+    let n = 2 * CONTAINER_BITS;
+    let hash = |i: u64, seed: u64| (i ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+    prop_oneof![
+        // isolated rows: every other row at most, so no run forms
+        (1u64..3000, any::<u64>()).prop_map(move |(per_chunk, seed)| {
+            let keep = (CONTAINER_BITS / 2) / per_chunk;
+            let bits = (0..n).map(|i| i % 2 == 0 && hash(i, seed) % keep == 0);
+            (ContainerForm::Array, bits.collect())
+        }),
+        (any::<u64>(), 20u64..80).prop_map(move |(seed, pct)| {
+            let bits = (0..n).map(|i| hash(i, seed) % 100 < pct);
+            (ContainerForm::Bits, bits.collect())
+        }),
+        (any::<u64>(), 1u64..40).prop_map(move |(seed, runs)| {
+            let period = CONTAINER_BITS / runs;
+            let bits = (0..n).map(|i| (i + seed % period) % period < period / 2);
+            (ContainerForm::Runs, bits.collect())
+        }),
+    ]
 }

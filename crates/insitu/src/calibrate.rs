@@ -12,7 +12,7 @@
 
 use crate::machine::MachineModel;
 use crate::pipeline::{step_permutation, CoreAllocation, Reduction};
-use ibis_core::{Binner, BitmapIndex, RowOrder};
+use ibis_core::{Binner, BitmapIndex, RowOrder, WahVec};
 use ibis_datagen::{Simulation, StepOutput};
 use std::time::{Duration, Instant};
 
@@ -94,7 +94,8 @@ pub fn default_reduction() -> Reduction {
 /// [`step_permutation`]) and in ingest order. Sorting the first field
 /// always shrinks that field; it wins only if it pays for its permutation
 /// and for what it does to the others. [`RowOrder::Identity`] wins ties
-/// (nothing extra to persist or map at query time).
+/// (nothing extra to persist or map at query time). An index is sized as
+/// its bins' WAH form, counted from the form each is held in.
 pub fn suggest_row_order(out: &StepOutput, binners: &[Binner]) -> RowOrder {
     let first = binners.first();
     let Some(perm) = first.and_then(|b| step_permutation(out, RowOrder::GrayBin, b)) else {
@@ -103,9 +104,13 @@ pub fn suggest_row_order(out: &StepOutput, binners: &[Binner]) -> RowOrder {
     let mut order_blob = Vec::new();
     crate::store::put_perm_payload(&mut order_blob, &perm);
     let (mut sorted, mut ingest) = (order_blob.len(), 0);
+    let wah_bytes = |idx: BitmapIndex| -> usize {
+        let bin = |b| 4 * idx.stored_bin(b).wah_stats().words + size_of::<WahVec>();
+        (0..idx.nbins()).map(bin).sum()
+    };
     for (f, b) in out.fields.iter().zip(binners) {
-        sorted += BitmapIndex::build_permuted(&f.data, b.clone(), &perm).size_bytes();
-        ingest += BitmapIndex::build(&f.data, b.clone()).size_bytes();
+        sorted += wah_bytes(BitmapIndex::build_permuted(&f.data, b.clone(), &perm));
+        ingest += wah_bytes(BitmapIndex::build(&f.data, b.clone()));
     }
     if sorted < ingest {
         RowOrder::GrayBin

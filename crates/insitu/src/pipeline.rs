@@ -1149,10 +1149,11 @@ fn produce_ahead<S: Simulation>(
 
 /// Checkpoint payload version — the payload's first `u32 LE`; the file is
 /// that payload in a [`Kind::Checkpoint`] frame. It embeds only the
-/// undecided `buffer` (each summary with its row permutation, run-coded
-/// as the store's order blobs are since v4 — data-dependent orders cannot
-/// recompute it after resume, the raw step data is gone, and a buffered
-/// step may still win its interval). The previous winner is named, not
+/// undecided `buffer` (each summary's indices as the store's index
+/// payloads, every bin in the form it is held in, and its row permutation,
+/// run-coded as the store's order blobs are since v4 — data-dependent
+/// orders cannot recompute it after resume, the raw step data is gone, and
+/// a buffered step may still win its interval). The previous winner is named, not
 /// embedded: `persist_winner` made it durable in the store before the
 /// step's checkpoint was written, so resume reloads it from there.
 const CHECKPOINT_VERSION: u32 = 4;
@@ -1213,7 +1214,9 @@ fn put_summary(
                 "durable runs persist bitmap summaries only".into(),
             ));
         };
-        codec::put_blob(buf, |buf| codec::encode_index_into(buf, idx));
+        codec::put_blob(buf, |buf| {
+            codec::encode_index_auto_into(buf, idx);
+        });
     }
     match perm {
         Some(p) => {

@@ -10,15 +10,23 @@
 //! Both invariants read the process-wide registry, so they live in one
 //! serial `#[test]` — ordering between the two runs matters (the
 //! high-water mark is cumulative).
+//!
+//! A durable Ocean ingest (build → score → checkpoint → put) holds every
+//! bin in the form it is stored in: it never transcodes one to WAH. That
+//! reads the registry too, so the two tests take turns.
 
 use ibis_analysis::Metric;
 use ibis_core::{Binner, RowOrder};
-use ibis_datagen::{Heat3D, Heat3DConfig};
+use ibis_datagen::{Heat3D, Heat3DConfig, OceanConfig, OceanModel};
 use ibis_insitu::{
-    run_pipeline, CoreAllocation, LocalDisk, MachineModel, PipelineConfig, Reduction,
+    run_durable, run_pipeline, CoreAllocation, LocalDisk, MachineModel, PipelineConfig, Reduction,
     RobustnessConfig, ScalingModel,
 };
 use ibis_obs::MetricValue;
+use std::sync::Mutex;
+
+/// Held by each test of this binary: they read the process-wide registry.
+static REGISTRY: Mutex<()> = Mutex::new(());
 
 fn cfg(queue_capacity: usize) -> PipelineConfig {
     PipelineConfig {
@@ -67,6 +75,7 @@ fn gauge(name: &str) -> (i64, i64) {
 
 #[test]
 fn queue_gauge_bounded_and_stalls_zero_when_consumer_keeps_up() {
+    let _alone = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     if !ibis_obs::ENABLED {
         let disk = LocalDisk::new(1e9);
         run_pipeline(heat(), &cfg(2), &disk).unwrap();
@@ -108,4 +117,44 @@ fn queue_gauge_bounded_and_stalls_zero_when_consumer_keeps_up() {
         stall_ns_before,
         "stall time accrued although the queue could never fill"
     );
+}
+
+#[test]
+fn durable_ocean_ingest_transcodes_no_bin() {
+    let _alone = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    // two 64Ki-row chunks of noisy fields: most bins are built as Roaring
+    let ocean = OceanConfig {
+        nlon: 96,
+        nlat: 64,
+        ndepth: 16,
+        ..OceanConfig::default()
+    };
+    let cfg = PipelineConfig {
+        cores: 1,
+        allocation: CoreAllocation::Shared,
+        steps: 6,
+        select_k: 3,
+        metric: Metric::EmdSpatial,
+        binners: Vec::new(),
+        per_step_precision: Some(1),
+        queue_capacity: 1,
+        ..cfg(1)
+    };
+    let dir = ibis_testkit::TempDir::new("ocean-ingest-form");
+    let (transcoded, roaring) = (
+        counter("codec.decode.transcoded_bins"),
+        counter("codec.select.roaring"),
+    );
+    run_durable(OceanModel::new(ocean), &cfg, &dir).unwrap();
+    assert_eq!(
+        counter("codec.decode.transcoded_bins"),
+        transcoded,
+        "the ingest asked a Roaring-held bin for its WAH form"
+    );
+    if ibis_obs::ENABLED {
+        assert!(
+            counter("codec.select.roaring") > roaring,
+            "no bin was built as Roaring"
+        );
+    }
 }

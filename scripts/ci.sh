@@ -43,6 +43,16 @@ echo "==> cargo test (rayon shim: install/width semantics the pool-width regress
 # vendor/ is outside the workspace; the shim is tested as the dependency it is.
 cargo test -q -p rayon
 
+echo "==> proptest shim, then the generation, codec and kernel properties under two more seeds"
+# Every property draws from its name-derived seed, so the workspace run
+# above sees the same cases each time. PROPTEST_SEED mixes a seed in; these
+# two fixed ones add cases where run boundaries, chunk seams and the fill
+# counter move. A failure prints the seed that replays it.
+cargo test -q -p proptest
+for seed in 1 2; do
+    PROPTEST_SEED=$seed cargo test -q -p ibis-core --test prop_generation --test prop_codecs --test prop_kernels
+done
+
 echo "==> test kit: both obs configurations, and it never switches obs on"
 # The reference model and TempDir (crates/testkit) depend on ibis-core and
 # ibis-analysis without default features. A dev-dependency that turned

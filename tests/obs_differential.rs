@@ -147,7 +147,8 @@ fn instrumentation_has_no_observer_effect() {
     // In the instrumented build the run above must have populated every
     // metric family the issue names — proof the layer actually observed
     // kernels, pipeline, store, cluster, the per-bin codec selection
-    // (`codec.select.*` / `codec.encode.bins` tick on every store put), and
+    // (`codec.select.*` tick per built bin, `codec.encode.bins` per store
+    // put), and
     // the row-reorder pass (`reorder.perm.built` / `reorder.pipeline.steps`
     // tick because the run above uses a data-dependent order).
     if ibis::obs::ENABLED {
