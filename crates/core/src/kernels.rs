@@ -30,7 +30,8 @@ use crate::wah::{fill_bits, is_fill, is_one_fill, WahVec, LITERAL_MASK, SEG_BITS
 use ibis_obs::{LazyCounter, LazyHistogram};
 
 // Kernel-dispatch metrics (family `kernels`, see DESIGN.md §6e). All
-// no-ops when ibis-obs is built without its `obs` feature.
+// no-ops when ibis-obs is built without its `obs` feature. The fill-run
+// histogram sees only stats scanned from words: no Roaring-held bin.
 static OBS_DENSE_PATH: LazyCounter = LazyCounter::new("kernels.materialize.dense_path");
 static OBS_RUN_PATH: LazyCounter = LazyCounter::new("kernels.materialize.run_path");
 static OBS_DECODE_WORDS: LazyCounter = LazyCounter::new("kernels.decode.words");

@@ -21,11 +21,14 @@
 //! longer runs, which is where the size reduction comes from.
 
 use crate::binning::Binner;
+use crate::codec::CodecVec;
 use crate::index::BitmapIndex;
 use crate::runs::Run;
 use crate::wah::WahVec;
 use crate::WahBuilder;
 use ibis_obs::LazyCounter;
+use std::borrow::Cow;
+use std::ops::Range;
 
 // Lossy-pass metrics (family `lossy`, see DESIGN.md §6l). No-ops without
 // the `obs` feature.
@@ -209,11 +212,24 @@ impl BitmapIndex {
     /// nothing more: an emptiness probe may read it, every statistic
     /// refuses it, and the range planner never plans a complement on it.
     pub fn lossy(&self, fpr: f64) -> (BitmapIndex, LossyStats) {
+        self.lossy_rows(0..self.len(), fpr)
+    }
+
+    /// [`BitmapIndex::lossy`] of the half-open `rows` alone (a shard's
+    /// companion; row `rows.start` becomes row 0). Each bin's WAH form of
+    /// those rows is made from its held form and dropped once passed: not
+    /// cached, and no codec is picked for it. Panics as `slice_rows` does.
+    pub fn lossy_rows(&self, rows: Range<u64>, fpr: f64) -> (BitmapIndex, LossyStats) {
+        let whole = rows == (0..self.len());
         let mut stats = LossyStats::default();
-        let bins: Vec<WahVec> = self
-            .bins()
-            .map(|bin| {
-                let (lossy, s) = bin.lossy_superset(fpr);
+        let bins: Vec<WahVec> = (0..self.nbins())
+            .map(|b| {
+                let wah = match self.stored_bin(b) {
+                    CodecVec::Wah(v) if whole => Cow::Borrowed(v),
+                    CodecVec::Wah(v) => Cow::Owned(v.slice(rows.clone())),
+                    CodecVec::Roaring(r) => Cow::Owned(r.slice(rows.clone()).to_wah()),
+                };
+                let (lossy, s) = wah.lossy_superset(fpr);
                 stats.merge(&s);
                 lossy
             })

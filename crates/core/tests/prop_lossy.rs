@@ -88,6 +88,37 @@ proptest! {
     }
 
     #[test]
+    fn lossy_rows_is_the_lossy_index_of_the_slice(
+        data in field(), binner in binner(), fpr in fpr(), a in 0.0f64..1.0, b in 0.0f64..1.0
+    ) {
+        // Both held forms: the field as built, and its bins forced into
+        // the other codec each.
+        let built = BitmapIndex::build(&data, binner.clone());
+        let flipped = BitmapIndex::from_codec_bins(
+            binner.clone(),
+            (0..built.nbins())
+                .map(|b| match built.stored_bin(b) {
+                    CodecVec::Wah(v) => CodecVec::with_codec(v, CodecId::Roaring),
+                    CodecVec::Roaring(r) => CodecVec::Wah(r.to_wah()),
+                })
+                .collect(),
+        );
+        let n = data.len() as f64;
+        let (lo, hi) = ((a.min(b) * n) as u64, (a.max(b) * n) as u64);
+        for exact in [&built, &flipped] {
+            for rows in [lo..hi, 0..exact.len()] {
+                let (got, got_stats) = exact.lossy_rows(rows.clone(), fpr);
+                let (want, want_stats) = exact.slice_rows(rows.clone()).lossy(fpr);
+                prop_assert_eq!(got_stats, want_stats);
+                prop_assert_eq!(got.len(), rows.end - rows.start);
+                for bin in 0..exact.nbins() {
+                    prop_assert_eq!(got.bin(bin), want.bin(bin), "rows {:?} bin {}", rows, bin);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn set_op_pairings_preserve_the_one_sided_guarantee(
         a in field(), binner in binner(), fpr in fpr()
     ) {

@@ -274,8 +274,8 @@ impl ShardedWriter {
     }
 
     /// Persists `variable`'s lossy superset companion in every shard,
-    /// each derived from the shard's own slice of the `exact` index
-    /// (`slice.lossy(fpr)`): the FPR bound — and the budget check on
+    /// each derived from the shard's own rows of the `exact` index
+    /// ([`BitmapIndex::lossy_rows`]): the FPR bound — and the budget check on
     /// decode — then hold per shard, which is what the per-shard filter
     /// relies on. See [`StoreWriter::put_lossy`] for the blob itself.
     pub fn put_lossy(
@@ -294,7 +294,7 @@ impl ShardedWriter {
         }
         let cuts = shard_cuts(exact.len(), self.writers.len());
         for (i, w) in self.writers.iter_mut().enumerate() {
-            let (lossy, stats) = exact.slice_rows(cuts[i]..cuts[i + 1]).lossy(fpr);
+            let (lossy, stats) = exact.lossy_rows(cuts[i]..cuts[i + 1], fpr);
             w.put_lossy(step, variable, &lossy, fpr, &stats)?;
         }
         Ok(())
