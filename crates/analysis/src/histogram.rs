@@ -19,7 +19,7 @@
 //! ([`joint_counts_and_table`]), assumes nothing and stays as the oracle.
 
 use ibis_core::wah::LITERAL_MASK;
-use ibis_core::{Binner, BitmapIndex, CodecVec, Ones, OnesCursor, RoaringVec, WahVec};
+use ibis_core::{Binner, BitmapIndex, CodecVec, Ones, OnesCursor, Piece, RoaringVec, WahVec};
 use ibis_obs::LazyCounter;
 use std::ops::Range;
 
@@ -133,6 +133,7 @@ impl<'a> Labels<'a> {
     /// a 1-fill, one per row inside literal words. (A function of its own,
     /// like its Roaring twin: inlined into one loop the two arms slow each
     /// other.)
+    #[inline(never)]
     fn label_wah(&mut self, id: u16, ones: &mut OnesCursor, lo: u64, hi: u64) {
         // as slices: the stores below cannot move what the fields point at
         let (seg, mask, row) = (&mut self.seg[..], &mut self.mask[..], &mut self.row[..]);
@@ -142,62 +143,75 @@ impl<'a> Labels<'a> {
             match run {
                 Ones::Fill(start, end) => seg[at(start) / SEG..at(end) / SEG].fill(id),
                 Ones::Literal(base, bits) => {
-                    seg[at(base) / SEG] = MIXED;
-                    if !total {
-                        mask[at(base) / SEG] |= bits;
-                    }
-                    // all 31 rows, each kept or overwritten: no branch on
-                    // how many bits are set (a bit loop mispredicts)
-                    for (i, r) in row[at(base)..][..SEG].iter_mut().enumerate() {
-                        let keep = (((bits >> i) & 1) as u16).wrapping_sub(1);
-                        *r = (*r & keep) | (id & !keep);
-                    }
+                    label_literal((seg, mask, row), total, id, at(base), bits)
                 }
             }
         }
     }
 
-    /// [`Labels::label`] for a bin held as Roaring, read where it lies: a
-    /// scattered bit is one row label, a run labels the whole segments it
-    /// covers and its rows in the segment at either end.
+    /// [`Labels::label`] for a bin held as Roaring, each container read by
+    /// its form: a bitset segment is written as a WAH literal is, an array
+    /// element is one row label, and a run labels the whole segments it
+    /// covers and its rows in the segment at either end. A segment across
+    /// a container edge comes in two pieces; each keeps the other's rows.
     fn label_roaring(&mut self, id: u16, v: &RoaringVec, lo: u64, hi: u64) {
         let (seg, mask, row) = (&mut self.seg[..], &mut self.mask[..], &mut self.row[..]);
-        let total = self.total;
-        v.for_each_run_in(lo..hi, |start, end| {
-            let (mut start, end) = ((start - lo) as usize, (end - lo) as usize);
-            if end - start == 1 {
-                seg[start / SEG] = MIXED;
-                if !total {
-                    mask[start / SEG] |= 1 << (start % SEG);
+        let (at, total) = (|r: u64| (r - lo) as usize, self.total);
+        // the closure inlined into each container's loop: a call per piece
+        // costs what reading containers by form saves
+        v.for_each_piece_in(
+            lo..hi,
+            #[inline(always)]
+            |piece| match piece {
+                Piece::Bits(base, bits) => {
+                    label_literal((seg, mask, row), total, id, at(base), bits)
                 }
-                row[start] = id;
-                return;
-            }
-            while start < end {
-                let (s, whole) = (start / SEG, end / SEG);
-                if start % SEG == 0 && s < whole {
-                    seg[s..whole].fill(id);
-                    start = whole * SEG;
-                } else {
-                    let stop = end.min((s + 1) * SEG);
-                    seg[s] = MIXED;
+                Piece::Row(r) => {
+                    let r = at(r);
+                    seg[r / SEG] = MIXED;
                     if !total {
-                        mask[s] |= segment_bits(start, stop);
+                        mask[r / SEG] |= 1 << (r % SEG);
                     }
-                    row[start..stop].fill(id);
-                    start = stop;
+                    row[r] = id;
                 }
-            }
-        });
+                Piece::Run(start, end) => {
+                    let (start, end) = (at(start), at(end));
+                    // the segments it covers whole, then its rows in the
+                    // segment at either end (none when it starts or ends on
+                    // an edge), as literals
+                    let (first, last) = (start.div_ceil(SEG), end / SEG);
+                    if first < last {
+                        seg[first..last].fill(id);
+                    }
+                    let ends = [(start, end.min(first * SEG)), (last.max(first) * SEG, end)];
+                    for (from, to) in ends.into_iter().filter(|(from, to)| from < to) {
+                        let bits = segment_bits(from, to);
+                        label_literal((seg, mask, row), total, id, from / SEG * SEG, bits);
+                    }
+                }
+            },
+        );
     }
+}
 
-    /// The bin of labelled row `r`, which lies in segment `s`.
-    #[inline]
-    fn bin_of(&self, s: usize, r: u64) -> usize {
-        match self.seg[s] {
-            MIXED => self.row[r as usize] as usize,
-            id => id as usize,
-        }
+/// Labels the rows `bits` of the segment starting at stretch row `at` as
+/// bin `id`, the segment [`MIXED`]: all 31 rows, each kept or overwritten
+/// — no branch on how many bits are set (a bit loop mispredicts).
+#[inline(always)]
+fn label_literal(
+    (seg, mask, row): (&mut [u16], &mut [u32], &mut [u16]),
+    total: bool,
+    id: u16,
+    at: usize,
+    bits: u32,
+) {
+    seg[at / SEG] = MIXED;
+    if !total {
+        mask[at / SEG] |= bits;
+    }
+    for (i, r) in row[at..][..SEG].iter_mut().enumerate() {
+        let keep = (((bits >> i) & 1) as u16).wrapping_sub(1);
+        *r = (*r & keep) | (id & !keep);
     }
 }
 
@@ -368,8 +382,15 @@ fn count_segment<F: FnMut(usize, usize, usize, u64)>(
             MIXED if !l.total => l.mask[s],
             _ => bits,
         };
-        Ones::Literal((s * SEG) as u64, bits & labelled(la) & labelled(lb))
-            .for_each(|r| sink(i, la.bin_of(s, r), lb.bin_of(s, r), 1));
+        // which side reads row labels is settled once per segment
+        let (ra, rb) = (&la.row[s * SEG..][..SEG], &lb.row[s * SEG..][..SEG]);
+        let rows = Ones::Literal(0, bits & labelled(la) & labelled(lb));
+        let mut count = |j: u16, k: u16| sink(i, j as usize, k as usize, 1);
+        match (ja, kb) {
+            (MIXED, MIXED) => rows.for_each(|o| count(ra[o as usize], rb[o as usize])),
+            (MIXED, k) => rows.for_each(|o| count(ra[o as usize], k)),
+            (j, _) => rows.for_each(|o| count(j, rb[o as usize])),
+        }
     }
 }
 

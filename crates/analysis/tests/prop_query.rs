@@ -13,7 +13,7 @@
 //! refused as no partition, and that no generated query (inverted, empty,
 //! NaN, out-of-range) ever panics.
 
-use ibis_analysis::histogram::CHUNK_ROWS;
+use ibis_analysis::histogram::{joint_counts_per_range, CHUNK_ROWS};
 use ibis_analysis::{
     correlation_partial_shard, correlation_query, correlation_query_mapped, correlation_query_ml,
     count_range_plan, execute_range_plan, joint_counts, joint_counts_and_table, joint_counts_where,
@@ -21,8 +21,8 @@ use ibis_analysis::{
     RangePlan, SubsetQuery,
 };
 use ibis_core::{
-    build_lossy_index, Binner, BitmapIndex, CodecId, CodecVec, MultiLevelIndex, RowOrder,
-    RowPermutation, WahVec,
+    build_lossy_index, Binner, BitmapIndex, CodecId, CodecVec, ContainerForm, MultiLevelIndex,
+    RowOrder, RowPermutation, WahVec, CONTAINER_BITS,
 };
 use ibis_testkit::Column;
 use proptest::prelude::*;
@@ -872,6 +872,100 @@ proptest! {
                 q.count(&exact.slice_rows(rows), Some(&local)).unwrap()
             });
             prop_assert_eq!(shares[0] + shares[1], exact_rows, "cut at {}", at);
+        }
+    }
+}
+
+/// `n` integer values in `0..10` whose bins, held as Roaring, take every
+/// container form, read from row `shift` on (wrapping): plateaus of bins
+/// 4–8 up to row 30 000 (run containers), noise over bins 0–3 from there
+/// across the first container edge to row 100 000 (bitset containers, so
+/// segments straddle the edge), then bin 9 salted with lone rows of every
+/// other bin (array containers, and bin 9's runs).
+fn mixed_forms(n: usize, seed: u64, shift: usize) -> Vec<f64> {
+    let hash = |i: usize| (i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+    let plateau = 40 + seed as usize % 400;
+    (0..n)
+        .map(|i| match (i + shift) % n {
+            r if r < 30_000 => 4 + (r / plateau) % 5,
+            r if r < 100_000 => hash(r) as usize % 4,
+            r if hash(r) % 37 == 0 => hash(r + 1) as usize % 9,
+            _ => 9,
+        } as f64)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The label walk reads a Roaring bin container by container, each in
+    /// its own form: on indices whose bins mix array, bitset and run
+    /// containers across the 65 536-row container edges and every chunk
+    /// edge, the table and the per-range counts are the same on the
+    /// Roaring-held index, on its WAH-held copy, and from the reference
+    /// model's scan — over every bin and restricted spans, every row, one
+    /// region and scattered single rows, two operands and one.
+    #[test]
+    fn the_walk_reads_every_container_form(
+        seed in any::<u64>(),
+        extra in 0usize..20_000,
+        shift in 0usize..40_000,
+        span in (0usize..5, 5usize..11),
+        region in (0u64..60_000, 10_000u64..80_000),
+        stride in (20u64..200, 0u64..20),
+    ) {
+        let n = 2 * CONTAINER_BITS as usize + extra;
+        let (a, b) = (mixed_forms(n, seed, 0), mixed_forms(n, seed.rotate_left(17), shift));
+        let binner = Binner::distinct_ints(0, 9);
+        let (ia, ib) = (BitmapIndex::build(&a, binner.clone()), BitmapIndex::build(&b, binner.clone()));
+        let roaring = [held(&ia, 1), held(&ib, 1)];
+        let wah = [held(&ia, 0), held(&ib, 0)];
+        let forms: Vec<ContainerForm> = roaring.iter().flat_map(|idx| {
+            (0..idx.nbins()).flat_map(move |bin| match idx.stored_bin(bin) {
+                CodecVec::Roaring(v) => v.container_forms(),
+                CodecVec::Wah(_) => Vec::new(),
+            })
+        }).collect();
+        for form in [ContainerForm::Array, ContainerForm::Bits, ContainerForm::Runs] {
+            prop_assert!(forms.contains(&form), "no {:?} container", form);
+        }
+        let len = n as u64;
+        let one = region.0..(region.0 + region.1).min(len);
+        let scattered: Vec<Range<u64>> = (stride.1..len).step_by(stride.0 as usize).map(|r| r..r + 1).collect();
+        let columns = [Column::new(&a, binner.clone()), Column::new(&b, binner.clone())];
+        let values = [&a, &b];
+        for ranges in [None, Some(vec![one]), Some(scattered)] {
+            let ranges = ranges.as_deref();
+            let whole = 0..len;
+            let stretches = ranges.unwrap_or(std::slice::from_ref(&whole));
+            for (bins_x, bins_y) in [(0..10, 0..10), (span.0..span.1, 0..10), (3..9, span.0..span.1)] {
+                for (x, y) in [(0, 1), (0, 0)] {
+                    let admits = |row: usize| {
+                        bins_x.contains(&(binner.bin_of(values[x][row]) as usize))
+                            && bins_y.contains(&(binner.bin_of(values[y][row]) as usize))
+                    };
+                    // the model's table of each range, and of all of them
+                    let per_range: Vec<Vec<u64>> = stretches.iter().map(|r| {
+                        let rows = (r.start as usize..r.end as usize).filter(|&row| admits(row));
+                        columns[x].partial(&columns[y], rows).joint
+                    }).collect();
+                    let table = per_range.iter().fold(vec![0; 100], |mut sum, t| {
+                        sum.iter_mut().zip(t).for_each(|(s, c)| *s += c);
+                        sum
+                    });
+                    for (held, pair) in [("roaring", &roaring), ("wah", &wah)] {
+                        let (ix, iy) = (&pair[x], &pair[y]);
+                        let tag = format!("{held} x={x} y={y} {bins_x:?} {bins_y:?} ranges={}", stretches.len());
+                        let got = joint_counts_where(ix, iy, bins_x.clone(), bins_y.clone(), ranges);
+                        prop_assert_eq!(&got, &table, "{}", tag);
+                        let mut got = vec![vec![0u64; 100]; stretches.len()];
+                        joint_counts_per_range(ix, iy, bins_x.clone(), bins_y.clone(), ranges, |i, j, k, c| {
+                            got[i][j * 10 + k] += c
+                        });
+                        prop_assert_eq!(&got, &per_range, "{}", tag);
+                    }
+                }
+            }
         }
     }
 }

@@ -1,8 +1,10 @@
 //! Query-serving sweep for the cached engine and the planner: warm-cache
 //! repeated correlation queries vs the cold `load_series`-per-query
 //! baseline, the one-pass partition joint table vs the paper's AND table
-//! (three data regimes × four predicates, results asserted equal before
-//! either is timed), counting a subset query's plan vs materialising its
+//! and vs itself on a WAH-held copy of its operands (three data regimes ×
+//! four predicates, results asserted equal before any is timed;
+//! `roaring_walk_no_slower` is the ocean whole-table walk as built against
+//! its WAH-held copy), counting a subset query's plan vs materialising its
 //! selection and counting that (four regimes — a strided layout's thousands
 //! of stored ranges among them — × three regions × three widths, equality
 //! asserted before timing), the layers of a cache miss on the ocean fields
@@ -293,29 +295,48 @@ fn main() {
     let (mut partition_s, mut and_table_s) = (0.0, 0.0);
     let mut joint_speedup = f64::INFINITY;
     let mut never_slower = true;
+    let mut roaring_no_slower = true;
     for regime in &regimes {
         let (a, b) = (&regime.a, &regime.b);
+        // the same bins, every one held as WAH: what the walk costs on the
+        // other codec
+        let wah_held = |idx: &BitmapIndex| {
+            BitmapIndex::from_bins(idx.binner().clone(), idx.bins().cloned().collect())
+        };
+        let (wa, wb) = (wah_held(a), wah_held(b));
         let (mut fast_s, mut slow_s) = (0.0, 0.0);
         for (name, predicate) in regime.predicates() {
             let sel = regime.selection(&predicate);
             let sel = sel.as_ref();
             let (bins, ranges) = (predicate.0.clone(), predicate.1.as_deref());
             let walk = || joint_counts_where(a, b, bins.clone(), 0..b.nbins(), ranges);
+            let wah_walk = || joint_counts_where(&wa, &wb, bins.clone(), 0..b.nbins(), ranges);
             assert_eq!(
                 walk(),
                 joint_counts_and_table(a, b, sel),
                 "{}/{name}: partition kernel diverged from the AND table",
                 regime.name
             );
+            assert_eq!(
+                walk(),
+                wah_walk(),
+                "{}/{name}: the walk diverged between Roaring- and WAH-held bins",
+                regime.name
+            );
             let fast = measure(&walk);
+            let wah = measure(&wah_walk);
             let slow = measure(|| joint_counts_and_table(black_box(a), black_box(b), sel));
             never_slower &= fast <= slow;
+            // the gate: ocean's bins are nearly all Roaring as built
+            if (regime.name, name) == ("ocean", "all") {
+                roaring_no_slower = fast <= wah;
+            }
             fast_s += fast;
             slow_s += slow;
             let share = sel.map_or(1.0, |s| s.count_ones() as f64 / a.len().max(1) as f64);
             joint_samples.push(format!(
                 "    {{\"regime\": \"{}\", \"selection\": \"{name}\", \"rows\": {}, \"selected_share\": {share:.4}, \
-                 \"partition_s\": {fast:e}, \"and_table_s\": {slow:e}, \"speedup\": {:.3}}}",
+                 \"partition_s\": {fast:e}, \"wah_held_partition_s\": {wah:e}, \"and_table_s\": {slow:e}, \"speedup\": {:.3}}}",
                 regime.name,
                 a.len(),
                 slow / fast
@@ -459,6 +480,7 @@ fn main() {
          \"joint_and_table_s\": {and_table_s:e},\n  \
          \"partition_over_and_table_speedup\": {joint_speedup:.3},\n  \
          \"partition_never_slower\": {never_slower},\n  \
+         \"roaring_walk_no_slower\": {roaring_no_slower},\n  \
          \"joint\": [\n{}\n  ],\n  \
          \"subset_count_s\": {subset_count_s:e},\n  \
          \"subset_materialize_s\": {subset_materialize_s:e},\n  \

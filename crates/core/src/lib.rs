@@ -54,7 +54,7 @@ pub use kernels::{DenseBits, WahStats};
 pub use lossy::{build_lossy_index, valid_fpr, LossyStats, FPR_MAX, FPR_MIN};
 pub use multilevel::MultiLevelIndex;
 pub use parallel::{aligned_partition, build_index_parallel, build_index_parallel_permuted};
-pub use roaring::{ContainerForm, RoaringVec, ARRAY_MAX, CONTAINER_BITS};
+pub use roaring::{ContainerForm, Piece, RoaringVec, ARRAY_MAX, CONTAINER_BITS};
 pub use roworder::{RowOrder, RowPermutation};
 pub use runs::{Ones, OnesCursor};
 pub use verbatim::{build_index_two_phase, Bitset};

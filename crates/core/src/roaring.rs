@@ -17,12 +17,13 @@
 //! where it lies: cardinalities, the [`WahStats`] of its WAH form (counted
 //! from its runs), intersection counts per container pair (array×array
 //! merge or gallop, array×bitset probes, bitset×bitset `u64` loops), counts
-//! and probes over row ranges, run walks for the label walk, an OR into a
-//! dense accumulator, and the exact WAH form for whatever needs one.
+//! and probes over row ranges, each container's set bits in its own form
+//! for the label walk ([`Piece`]), an OR into a dense accumulator, and the
+//! exact WAH form for whatever needs one.
 
 use crate::kernels::WahStats;
-use crate::runs::{Run, RunIter};
-use crate::wah::{WahVec, MAX_FILL_BITS, SEG_BITS};
+use crate::runs::{Ones, Run, RunIter};
+use crate::wah::{WahVec, LITERAL_MASK, MAX_FILL_BITS, SEG_BITS};
 use crate::WahBuilder;
 use std::ops::Range;
 
@@ -45,6 +46,19 @@ pub enum ContainerForm {
     Bits,
     /// Sorted inclusive `(start, end)` intervals.
     Runs,
+}
+
+/// A stretch of set bits as [`RoaringVec::for_each_piece_in`] reads it
+/// off a container, in the container's own form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Piece {
+    /// From a bitset: the set bits (non-zero, LSB-first) of the 31-row
+    /// segment starting at row `.0`, a multiple of 31 — a WAH literal.
+    Bits(u64, u32),
+    /// From an array: one set row.
+    Row(u64),
+    /// From a run container: every row of `[.0, .1)`.
+    Run(u64, u64),
 }
 
 #[derive(Debug, Clone)]
@@ -122,40 +136,39 @@ impl Container {
         }
     }
 
-    /// Visits the set bits inside `[lo, hi]` in order, as inclusive
-    /// stretches: a run container's intervals clipped to the window, any
-    /// other container's bits one at a time — by selection they are
-    /// scattered, and a caller that wants maximal runs has
-    /// [`Container::for_each_run`]. Starts at `lo`, not at the container's
-    /// first bit.
-    fn for_each_run_in(&self, lo: u16, hi: u16, mut f: impl FnMut(u16, u16)) {
+    /// Visits the set bits inside `[lo, hi]` of the chunk starting at row
+    /// `base`, in order, as [`Piece`]s of the container's form.
+    #[inline]
+    fn for_each_piece(&self, base: u64, lo: u16, hi: u16, f: &mut impl FnMut(Piece)) {
         match self {
             Container::Array(a) => {
                 let from = a.partition_point(|&v| v < lo);
                 for &v in &a[from..a.partition_point(|&v| v <= hi)] {
-                    f(v, v);
+                    f(Piece::Row(base + v as u64));
                 }
             }
             Container::Bits { words, .. } => {
-                for wi in lo as usize >> 6..=hi as usize >> 6 {
-                    let mut w = words[wi];
-                    if wi == lo as usize >> 6 {
-                        w &= !0u64 << (lo & 63);
+                let (first, last) = (base + lo as u64, base + hi as u64);
+                for k in first / SEG_BITS..=last / SEG_BITS {
+                    let at = k * SEG_BITS;
+                    let mut bits = segment_at(&words[..], at as i64 - base as i64);
+                    if at < first {
+                        bits &= LITERAL_MASK << (first - at);
                     }
-                    if wi == hi as usize >> 6 {
-                        w &= !0u64 >> (63 - (hi & 63));
+                    if last - at < SEG_BITS - 1 {
+                        bits &= LITERAL_MASK >> (SEG_BITS - 1 - (last - at));
                     }
-                    while w != 0 {
-                        let v = (wi * 64) as u16 + w.trailing_zeros() as u16;
-                        f(v, v);
-                        w &= w - 1;
+                    if bits != 0 {
+                        f(Piece::Bits(at, bits));
                     }
                 }
             }
             Container::Runs(rs) => {
-                let from = rs.partition_point(|&(_, e)| e < lo);
-                for &(s, e) in rs[from..].iter().take_while(|&&(s, _)| s <= hi) {
-                    f(s.max(lo), e.min(hi));
+                for &(s, e) in runs_meeting(rs, lo, hi) {
+                    f(Piece::Run(
+                        base + s.max(lo) as u64,
+                        base + e.min(hi) as u64 + 1,
+                    ));
                 }
             }
         }
@@ -169,11 +182,9 @@ impl Container {
                 (a.partition_point(|&v| v <= hi) - a.partition_point(|&v| v < lo)) as u64
             }
             Container::Bits { words, .. } => count_range(words.as_ref(), lo, hi),
-            Container::Runs(_) => {
-                let mut total = 0;
-                self.for_each_run_in(lo, hi, |s, e| total += (e - s) as u64 + 1);
-                total
-            }
+            Container::Runs(rs) => runs_meeting(rs, lo, hi)
+                .map(|&(s, e)| (e.min(hi) - s.max(lo)) as u64 + 1)
+                .sum(),
         }
     }
 }
@@ -193,6 +204,23 @@ fn set_bits_range(words: &mut [u64], s: u16, e: u16) {
         }
         words[we] |= tail;
     }
+}
+
+/// The intervals of a run container that meet `[lo, hi]`, unclipped.
+fn runs_meeting(rs: &[(u16, u16)], lo: u16, hi: u16) -> impl Iterator<Item = &(u16, u16)> {
+    let from = rs.partition_point(|&(_, e)| e < lo);
+    rs[from..].iter().take_while(move |&&(s, _)| s <= hi)
+}
+
+/// The 31 bits of a packed word buffer from bit `p` on, LSB-first: one
+/// shift of two words. Bits before the buffer (`p` down to −31) or past
+/// its end read 0.
+#[inline]
+fn segment_at(words: &[u64], p: i64) -> u32 {
+    // word −1 wraps to an index past the end: both edges read as 0
+    let word = |i: i64| words.get(i as usize).map_or(0, |&w| w as u128);
+    let pair = word((p >> 6) + 1) << 64 | word(p >> 6);
+    (pair >> (p & 63)) as u32 & LITERAL_MASK
 }
 
 /// Visits the maximal 1-runs of a packed word buffer.
@@ -612,7 +640,11 @@ impl RoaringVec {
         assert!(rows.start <= rows.end, "range out of bounds");
         let mut w = RoaringWriter::default();
         let at = rows.start;
-        self.for_each_run_in(rows.clone(), |s, e| w.push_run(s - at, e - at));
+        self.for_each_piece_in(rows.clone(), |piece| match piece {
+            Piece::Bits(base, bits) => Ones::Literal(base, bits).for_each(|r| w.push_row(r - at)),
+            Piece::Row(r) => w.push_row(r - at),
+            Piece::Run(s, e) => w.push_run(s - at, e - at),
+        });
         w.finish(rows.end - at)
     }
 
@@ -701,16 +733,17 @@ impl RoaringVec {
             .sum()
     }
 
-    /// Visits the set bits inside the half-open `rows` in order, as
-    /// half-open `(start, end)` stretches: the intervals of a run
-    /// container clipped to `rows`, the bits of any other container one
-    /// at a time.
+    /// Visits the set bits inside the half-open `rows` in order, each
+    /// container read by its form ([`Piece`]): a bitset by 31-row
+    /// segment, an array element by element, a run container by its
+    /// intervals clipped to `rows`. Nothing is merged across pieces: a
+    /// segment that straddles a container edge comes as two.
     ///
     /// # Panics
     /// Panics when `rows` ends past the vector's length.
-    pub fn for_each_run_in(&self, rows: Range<u64>, mut f: impl FnMut(u64, u64)) {
+    pub fn for_each_piece_in(&self, rows: Range<u64>, mut f: impl FnMut(Piece)) {
         for (base, c, lo, hi) in self.windows(&rows) {
-            c.for_each_run_in(lo, hi, |s, e| f(base + s as u64, base + e as u64 + 1));
+            c.for_each_piece(base, lo, hi, &mut f);
         }
     }
 
@@ -1191,14 +1224,42 @@ mod tests {
         assert_eq!(b.intersects_ranges(&ranges), in_ranges(&b_bits) > 0);
         assert!(!b.intersects_ranges(&[]));
 
-        let window = 60_000..140_000u64;
-        let mut visited = vec![false; a_bits.len()];
-        a.for_each_run_in(window.clone(), |s, e| {
-            visited[s as usize..e as usize].fill(true)
-        });
-        for (i, &bit) in a_bits.iter().enumerate() {
-            let want = bit && window.contains(&(i as u64));
-            assert_eq!(visited[i], want, "run walk bit {i}");
+        // windows on and off segment and container edges, each container
+        // form: the pieces name every set bit inside, once, in order
+        let c_bits: Vec<bool> = (0..a_bits.len())
+            .map(|i| if i < 131_072 { a_bits[i] } else { i < 140_000 })
+            .collect();
+        let c = RoaringVec::from_bits(c_bits.iter().copied());
+        assert_eq!(
+            c.container_forms()[1..],
+            [ContainerForm::Bits, ContainerForm::Runs]
+        );
+        let scatter: Vec<bool> = (0..150_000).map(|i| i % 97 == 0).collect();
+        let sparse = RoaringVec::from_bits(scatter.iter().copied());
+        for (v, bits) in [(&a, &a_bits), (&c, &c_bits), (&sparse, &scatter)] {
+            for window in [
+                0..150_000u64,
+                62 * 31..140_000,
+                60_001..65_540,
+                65_536..65_537,
+            ] {
+                let mut visited = Vec::new();
+                v.for_each_piece_in(window.clone(), |piece| match piece {
+                    Piece::Bits(base, bits) => {
+                        assert!(base % 31 == 0 && bits != 0 && bits >> 31 == 0);
+                        (0..31)
+                            .filter(|i| bits >> i & 1 == 1)
+                            .for_each(|i| visited.push(base + i));
+                    }
+                    Piece::Row(r) => visited.push(r),
+                    Piece::Run(s, e) => visited.extend(s..e),
+                });
+                let want: Vec<u64> = window.clone().filter(|&i| bits[i as usize]).collect();
+                assert_eq!(visited, want, "pieces in {window:?}");
+                let slice = v.slice(window.clone());
+                assert_eq!(slice.count_ones(), want.len() as u64);
+                assert!(want.iter().all(|&i| slice.get(i - window.start)));
+            }
         }
 
         let mut words = vec![0u64; a_bits.len().div_ceil(64)];

@@ -114,6 +114,7 @@ bench_smoke generation IBIS_GEN_SMOKE '"samples"' \
 bench_smoke query IBIS_QUERY_SMOKE '"warm_over_cold_speedup"' \
     '"warm_over_5x_target"' '"joint_partition_s"' '"joint_and_table_s"' \
     '"partition_over_and_table_speedup"' '"partition_never_slower"' \
+    '"roaring_walk_no_slower"' '"wah_held_partition_s"' \
     '"subset_count_s"' '"subset_materialize_s"' \
     '"count_over_materialize_speedup"' '"count_never_slower"' \
     '"count_equals_materialized"' '"lazy_equals_eager": true' '"miss_path"' \
