@@ -13,7 +13,7 @@
 //! The label walk rests on Algorithm 1's partition — every row in exactly
 //! one bin — and names a bin in a `u16`, which every binning fits
 //! ([`Binner::MAX_BINS`]). An operand whose bins do not partition its rows
-//! (a lossy superset) is a caller's error: the walk panics, and the query
+//! (bins that overlap) is a caller's error: the walk panics, and the query
 //! layer answers `QueryError::NotAPartition` before it gets there. The
 //! paper's Figure 5 kernel, one AND count per bin pair
 //! ([`joint_counts_and_table`]), assumes nothing and stays as the oracle.

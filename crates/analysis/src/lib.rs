@@ -11,7 +11,7 @@
 //! tests hold both forms to a per-row scan bit for bit.
 //! Every bitmap statistic is a sum of label counts, so each one reads
 //! indices whose bins partition their rows, as every index built from data
-//! does; a lossy superset is a filter for `SubsetQuery::intersects` only:
+//! does:
 //!
 //! * [`summary`] — the per-step summaries (full data or bitmaps), the
 //!   partial each metric reads and the metrics' finishers.

@@ -182,7 +182,7 @@ impl MiningResult {
 ///
 /// # Panics
 /// When the indices cover different element counts, `cfg.unit_size` is 0,
-/// or an index's bins do not partition its rows (a lossy superset).
+/// or an index's bins do not partition its rows (they overlap).
 pub fn mine_index(a: &BitmapIndex, b: &BitmapIndex, cfg: &MiningConfig) -> MiningResult {
     assert_eq!(a.len(), b.len(), "variables must cover the same elements");
     assert!(cfg.unit_size > 0, "unit_size must be positive");
@@ -641,7 +641,7 @@ mod tests {
         }
     }
 
-    /// A lossy superset's bins overlap: no row has one label to walk.
+    /// Overlapping bins: no row has one label to walk.
     #[test]
     #[should_panic(expected = "partition their rows")]
     fn mining_bins_that_are_no_partition_panics() {

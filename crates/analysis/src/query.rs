@@ -21,8 +21,7 @@
 //! its rows ([`BitmapIndex::partitions`]), as every index built from data
 //! does. [`SubsetQuery::count`] and [`correlation_partial_shard`] check
 //! that first and answer [`QueryError::NotAPartition`] for an operand that
-//! breaks it (a lossy superset); only [`SubsetQuery::intersects`], an
-//! emptiness probe, reads such an index.
+//! breaks it (bins that overlap).
 //!
 //! # The range planner
 //!
@@ -101,9 +100,9 @@ pub enum QueryError {
     /// the two bin counts, equal when only the edges differ: their counts
     /// name different bins and cannot be summed.
     BinningMismatch(usize, usize),
-    /// A statistic's operand does not partition its rows (a lossy
-    /// superset): its bins hold `counted` rows of its `rows`, so no count
-    /// read off them is a count of rows.
+    /// A statistic's operand does not partition its rows (its bins
+    /// overlap): they hold `counted` rows of its `rows`, so no count read
+    /// off them is a count of rows.
     NotAPartition {
         /// Rows the operand covers.
         rows: u64,
@@ -245,7 +244,7 @@ impl SubsetQuery {
     /// ([`count_range_plan`]) on each bin in the form it is held in — a
     /// cached cardinality, or a search of a bin's rows under a region,
     /// where an OR reads every word. An index whose bins do not partition
-    /// its rows (a lossy superset) is [`QueryError::NotAPartition`].
+    /// its rows (bins that overlap) is [`QueryError::NotAPartition`].
     pub fn count(
         &self,
         index: &BitmapIndex,
@@ -260,26 +259,6 @@ impl SubsetQuery {
                 Ok(count_range_plan(index, &plan, ranges))
             }
             None => Ok(ranges.map_or(index.len(), rows_in)),
-        }
-    }
-
-    /// Whether *any* row of `index` inside `ranges` passes the value
-    /// predicate: some touched bin has a 1 there. An OR is non-empty iff
-    /// an operand is, so this needs no partition — on a lossy superset
-    /// index `false` proves the exact answer empty — and it stops at the
-    /// first row found.
-    pub fn intersects(
-        &self,
-        index: &BitmapIndex,
-        ranges: Option<&[Range<u64>]>,
-    ) -> Result<bool, QueryError> {
-        check_ranges(index, ranges)?;
-        let hit = |b: usize| {
-            index.counts()[b] > 0 && ranges.is_none_or(|r| index.stored_bin(b).intersects_ranges(r))
-        };
-        match self.value_range {
-            Some(_) => Ok(self.admitted_bins(index)?.any(hit)),
-            None => Ok(ranges.map_or(index.len(), rows_in) > 0),
         }
     }
 
@@ -1172,9 +1151,8 @@ mod tests {
         ));
     }
 
-    /// Bins that hold a row twice (a lossy superset's overlap) make no
-    /// partition: a count or a correlation over them is a typed error, while
-    /// the probe, which needs none, still answers.
+    /// Bins that hold a row twice make no partition: a count or a
+    /// correlation over them is a typed error.
     #[test]
     fn a_statistic_over_no_partition_is_an_error_not_a_count() {
         let n = 100;
@@ -1191,7 +1169,6 @@ mod tests {
         assert_eq!(q.count(&overlapping, None), Err(refused.clone()));
         let some = Some(std::slice::from_ref(&(3..9)));
         assert_eq!(q.count(&overlapping, some), Err(refused.clone()));
-        assert_eq!(q.intersects(&overlapping, some), Ok(true));
         for (a, b) in [(&overlapping, &exact), (&exact, &overlapping)] {
             let got = correlation_partial_shard(a, b, &q, &all, 0..n, None);
             assert_eq!(got, Err(refused.clone()));

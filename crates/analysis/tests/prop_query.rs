@@ -8,9 +8,9 @@
 //! and 31-bit edge, that a correlation's selection-free shard partial
 //! equals the one counted over the materialised selection and a scan, that
 //! `correlation_query` is the pure finisher over the counts a scan fills, that counting a plan (`SubsetQuery::count`,
-//! `count_range_plan`, `intersects`) equals materialising it and counting,
-//! and a scan, under every plan variant forced, that a lossy operand is
-//! refused as no partition, and that no generated query (inverted, empty,
+//! `count_range_plan`) equals materialising it and counting,
+//! and a scan, under every plan variant forced, that an operand of
+//! overlapping bins is refused as no partition, and that no generated query (inverted, empty,
 //! NaN, out-of-range) ever panics.
 
 use ibis_analysis::histogram::{joint_counts_per_range, CHUNK_ROWS};
@@ -21,8 +21,8 @@ use ibis_analysis::{
     RangePlan, SubsetQuery,
 };
 use ibis_core::{
-    build_lossy_index, Binner, BitmapIndex, CodecId, CodecVec, ContainerForm, MultiLevelIndex,
-    RowOrder, RowPermutation, WahVec, CONTAINER_BITS,
+    Binner, BitmapIndex, CodecId, CodecVec, ContainerForm, MultiLevelIndex, RowOrder,
+    RowPermutation, WahVec, CONTAINER_BITS,
 };
 use ibis_testkit::Column;
 use proptest::prelude::*;
@@ -746,8 +746,7 @@ proptest! {
     /// Counting a plan equals materialising it and counting, and a scan of
     /// the raw values — for the planner's own choice and for every plan
     /// variant forced, on every binner kind and data regime (NaN and ±inf
-    /// rows included), under every kind of range list; the probe agrees
-    /// with the count.
+    /// rows included), under every kind of range list.
     #[test]
     fn count_equals_materialise_then_count_and_scan(
         binner in any_binner(),
@@ -781,7 +780,6 @@ proptest! {
                 let sel = q.evaluate_masked(idx, mask.as_ref()).unwrap();
                 prop_assert_eq!(sel.count_ones(), want, "{:?} {:?}", q, ranges);
                 prop_assert_eq!(q.count(idx, ranges), Ok(want), "{:?} {:?}", q, ranges);
-                prop_assert_eq!(q.intersects(idx, ranges), Ok(want > 0), "{:?}", q);
                 let Some((lo, hi)) = q.value_range else { continue };
                 let Some((b0, b1)) = idx.bin_span(lo, hi) else {
                     let plan = plan_value_range(idx, None, lo, hi).unwrap();
@@ -804,24 +802,21 @@ proptest! {
                 let err = q.evaluate_masked(idx, mask.as_ref()).unwrap_err();
                 prop_assert!(matches!(err, QueryError::NanBound { .. }));
                 let counted = q.count(idx, ranges).unwrap_err();
-                let probed = q.intersects(idx, ranges).unwrap_err();
                 prop_assert_eq!(counted.to_string(), err.to_string());
-                prop_assert_eq!(probed.to_string(), err.to_string());
             }
         }
         // ranges past the index's rows are a typed error, not a panic
         let n = n as u64;
         let err = QueryError::RegionOutOfRange { start: 1, end: n + 1, len: n };
         let past = [0..1, 1..n + 1];
-        prop_assert_eq!(SubsetQuery::all().count(idx, Some(&past)), Err(err.clone()));
-        prop_assert_eq!(SubsetQuery::all().intersects(idx, Some(&past)), Err(err));
+        prop_assert_eq!(SubsetQuery::all().count(idx, Some(&past)), Err(err));
     }
 
-    /// A lossy superset index does not partition its rows: a count or a
-    /// correlation partial over it is `NotAPartition`, never a number, while
-    /// the probe — which needs no partition — agrees with its materialised
-    /// selection and never hides an exact row. On the exact index, per-shard
-    /// counts over [`shard_ranges`] add up to the whole.
+    /// An index of overlapping bins does not partition its rows: a count
+    /// or a correlation partial over it is `NotAPartition`, never a number,
+    /// while its materialised selection never hides an exact row. On the
+    /// exact index, per-shard counts over [`shard_ranges`] add up to the
+    /// whole.
     #[test]
     fn a_lossy_operand_is_not_a_partition(
         binner in small_binner(),
@@ -831,21 +826,20 @@ proptest! {
         picks in proptest::collection::vec((0u64..400, 0u64..300), 0..6),
         cut in 0.0f64..1.0,
     ) {
-        // plateaus behind a stretch of one value broken by lone rows of
-        // another: short interior 0-runs, which the lossy pass absorbs
-        let mut data = regime_data(0, n, seed);
-        for (i, v) in data.iter_mut().enumerate().take(n / 2) {
-            *v = if i % 13 == 5 { 20.0 } else { -20.0 };
-        }
-        let (lossy, _) = build_lossy_index(&data, binner.clone(), 0.1);
-        let exact = BitmapIndex::build(&data, binner);
+        // every exact bin, one of them widened by rows it does not hold
+        let data = regime_data(0, n, seed);
+        let exact = BitmapIndex::build(&data, binner.clone());
+        let mut bins: Vec<WahVec> = exact.bins().cloned().collect();
+        let k = seed as usize % bins.len();
+        bins[k] = bins[k].or(&WahVec::from_bits((0..n).map(|i| i % 13 == 5)));
+        let widened = BitmapIndex::from_bins(binner, bins);
         let n = n as u64;
         let q = SubsetQuery::value(value.0, value.0 + value.1);
-        // nothing absorbed leaves the lossy index exact, and it counts
-        let refused = QueryError::NotAPartition { rows: n, counted: lossy.counts().iter().sum() };
-        let refused = (!lossy.partitions()).then_some(refused);
+        // a widening that adds no row leaves a partition, and it counts
+        let refused = QueryError::NotAPartition { rows: n, counted: widened.counts().iter().sum() };
+        let refused = (!widened.partitions()).then_some(refused);
         let all = SubsetQuery::all();
-        for (x, y) in [(&lossy, &exact), (&exact, &lossy), (&lossy, &lossy)] {
+        for (x, y) in [(&widened, &exact), (&exact, &widened), (&widened, &widened)] {
             let got = correlation_partial_shard(x, y, &all, &q, 0..n, None);
             match &refused {
                 Some(e) => prop_assert_eq!(got, Err(e.clone())),
@@ -855,14 +849,13 @@ proptest! {
         for ranges in range_lists(n, &picks) {
             let ranges = ranges.as_deref();
             let mask = ranges.map(|r| shard_mask(r, 0..n));
-            let superset = q.evaluate_masked(&lossy, mask.as_ref()).unwrap().count_ones();
+            let superset = q.evaluate_masked(&widened, mask.as_ref()).unwrap().count_ones();
             let exact_rows = q.count(&exact, ranges).unwrap();
             match &refused {
-                Some(e) => prop_assert_eq!(q.count(&lossy, ranges), Err(e.clone())),
-                None => prop_assert_eq!(q.count(&lossy, ranges), Ok(exact_rows)),
+                Some(e) => prop_assert_eq!(q.count(&widened, ranges), Err(e.clone())),
+                None => prop_assert_eq!(q.count(&widened, ranges), Ok(exact_rows)),
             }
-            prop_assert_eq!(q.intersects(&lossy, ranges), Ok(superset > 0));
-            // the superset never hides an exact row from the probe
+            // the widened selection never hides an exact row
             prop_assert!(exact_rows <= superset);
             // each shard's share, counted in its own row numbers
             let Some(r) = ranges else { continue };

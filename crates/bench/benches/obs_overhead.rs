@@ -77,7 +77,8 @@ fn run_workload() -> Vec<(&'static str, f64)> {
 }
 
 /// Family coverage for the embedded snapshot: a durable Ocean pipeline
-/// (kernels + pipeline + store) and a small cluster run (cluster).
+/// (pipeline + store) and a small cluster run (cluster); the timed
+/// kernels fill `kernels`.
 fn populate_families() {
     let store_dir = std::env::temp_dir().join(format!("ibis-obs-overhead-{}", std::process::id()));
     std::fs::remove_dir_all(&store_dir).ok();

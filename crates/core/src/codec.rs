@@ -225,14 +225,6 @@ impl CodecVec {
         }
     }
 
-    /// Whether any set bit lies inside `ranges`.
-    pub fn intersects_ranges(&self, ranges: &[Range<u64>]) -> bool {
-        match self {
-            CodecVec::Wah(v) => v.intersects_ranges(ranges),
-            CodecVec::Roaring(v) => v.intersects_ranges(ranges),
-        }
-    }
-
     /// Exact conversion to canonical WAH (the interchange form).
     pub fn to_wah(&self) -> WahVec {
         match self {
@@ -329,7 +321,6 @@ mod tests {
                 v.count_ones_in_ranges(&ranges),
                 w.count_ones_in_ranges(&ranges)
             );
-            assert!(v.intersects_ranges(&ranges));
             assert_eq!(v.as_wah().is_some(), id == CodecId::Wah);
             assert_eq!(v.to_wah(), w, "{}", id.name());
         }

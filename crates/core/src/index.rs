@@ -270,8 +270,8 @@ impl BitmapIndex {
     }
 
     /// Whether the bins partition the rows — every row set in exactly one
-    /// bin — as any index built from data does and a lossy superset index
-    /// (overlapping bins) does not. Tested as `Σ counts == len`: every
+    /// bin — as any index built from data does and an index of
+    /// overlapping bins does not. Tested as `Σ counts == len`: every
     /// statistic rests on it (the complement plan, subset counts, the
     /// one-pass joint table), and the store refuses an exact index that
     /// fails it.
@@ -428,6 +428,21 @@ impl BitmapIndex {
         }
         Ok(())
     }
+
+    /// A no-op left of the retired lossy companions: builds nothing and
+    /// drops no bit. Exists only for `benchmark/src/fixture.rs`; ROADMAP
+    /// item 4's `[benchmark]` PR deletes it.
+    #[doc(hidden)]
+    pub fn lossy(&self, _fpr: f64) -> ((), RetiredLossyPass) {
+        ((), RetiredLossyPass { bits_dropped: 0 })
+    }
+}
+
+/// What [`BitmapIndex::lossy`] reports: always 0 bits.
+#[doc(hidden)]
+pub struct RetiredLossyPass {
+    /// Always 0.
+    pub bits_dropped: u64,
 }
 
 #[cfg(test)]

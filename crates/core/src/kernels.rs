@@ -27,17 +27,14 @@
 use crate::builder::WahBuilder;
 use crate::runs::{Run, RunIter};
 use crate::wah::{fill_bits, is_fill, is_one_fill, WahVec, LITERAL_MASK, SEG_BITS};
-use ibis_obs::{LazyCounter, LazyHistogram};
+use ibis_obs::LazyCounter;
 
 // Kernel-dispatch metrics (family `kernels`, see DESIGN.md §6e). All
-// no-ops when ibis-obs is built without its `obs` feature. The fill-run
-// histogram sees only stats scanned from words: no Roaring-held bin.
+// no-ops when ibis-obs is built without its `obs` feature.
 static OBS_DENSE_PATH: LazyCounter = LazyCounter::new("kernels.materialize.dense_path");
 static OBS_RUN_PATH: LazyCounter = LazyCounter::new("kernels.materialize.run_path");
 static OBS_DECODE_WORDS: LazyCounter = LazyCounter::new("kernels.decode.words");
 static OBS_COUNT_OPS: LazyCounter = LazyCounter::new("kernels.count.ops");
-static OBS_FILL_RUN_BITS: LazyHistogram =
-    LazyHistogram::new("kernels.fill_run.bits", ibis_obs::RUN_BITS_BOUNDS);
 
 /// Cached per-vector statistics, computed in one pass over the compressed
 /// words. Feeds the adaptive cutover and makes repeated
@@ -72,20 +69,10 @@ pub(crate) fn compute_stats(words: &[u32], len_bits: u64) -> WahStats {
     let mut ones = 0u64;
     let mut runs = 0usize;
     let mut in_literals = false;
-    // Fill-run lengths are bucketed locally and flushed once: this loop is
-    // the hot path of every stats computation, so it cannot afford one
-    // atomic histogram record per word. `ENABLED` is const, so the no-op
-    // build compiles the accumulation away entirely.
-    let mut fill_buckets = [0u64; ibis_obs::RUN_BITS_BOUNDS.len() + 1];
-    let mut fill_sum = 0u64;
     for &w in words {
         if is_fill(w) {
             runs += 1;
             in_literals = false;
-            if ibis_obs::ENABLED {
-                fill_buckets[ibis_obs::bucket_index(ibis_obs::RUN_BITS_BOUNDS, fill_bits(w))] += 1;
-                fill_sum = fill_sum.wrapping_add(fill_bits(w));
-            }
             if is_one_fill(w) {
                 ones += fill_bits(w);
             }
@@ -98,9 +85,6 @@ pub(crate) fn compute_stats(words: &[u32], len_bits: u64) -> WahStats {
             // popcount is exact.
             ones += w.count_ones() as u64;
         }
-    }
-    if ibis_obs::ENABLED {
-        OBS_FILL_RUN_BITS.merge_counts(&fill_buckets, fill_sum);
     }
     let density = if len_bits == 0 {
         0.0

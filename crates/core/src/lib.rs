@@ -35,7 +35,6 @@ mod builder;
 pub mod codec;
 mod index;
 mod kernels;
-pub mod lossy;
 mod multilevel;
 mod ops;
 pub mod parallel;
@@ -51,7 +50,6 @@ pub use builder::{MultiCodecBuilder, MultiWahBuilder, WahBuilder};
 pub use codec::{select_codec, CodecId, CodecVec};
 pub use index::{BitmapIndex, RangeQueryError};
 pub use kernels::{DenseBits, WahStats};
-pub use lossy::{build_lossy_index, valid_fpr, LossyStats, FPR_MAX, FPR_MIN};
 pub use multilevel::MultiLevelIndex;
 pub use parallel::{aligned_partition, build_index_parallel, build_index_parallel_permuted};
 pub use roaring::{ContainerForm, Piece, RoaringVec, ARRAY_MAX, CONTAINER_BITS};

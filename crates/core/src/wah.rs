@@ -386,18 +386,6 @@ impl WahVec {
     /// # Panics
     /// Panics when the last range ends past the vector's length.
     pub fn count_ones_in_ranges(&self, ranges: &[Range<u64>]) -> u64 {
-        self.ones_in_ranges::<false>(ranges)
-    }
-
-    /// Whether any 1-bit lies inside `ranges`:
-    /// [`WahVec::count_ones_in_ranges`] stopping at the first one it meets.
-    pub fn intersects_ranges(&self, ranges: &[Range<u64>]) -> bool {
-        self.ones_in_ranges::<true>(ranges) > 0
-    }
-
-    /// The one range-count kernel; `PROBE` returns at the first non-zero
-    /// total instead of finishing the pass.
-    fn ones_in_ranges<const PROBE: bool>(&self, ranges: &[Range<u64>]) -> u64 {
         let inside = ranges.last().is_none_or(|r| r.end <= self.len_bits);
         assert!(inside, "range out of bounds");
         debug_assert!(
@@ -409,7 +397,7 @@ impl WahVec {
         // after the current word.
         let (mut total, mut k, mut end) = (0u64, 0usize, 0u64);
         for &w in &self.words {
-            if k == ranges.len() || (PROBE && total > 0) {
+            if k == ranges.len() {
                 break;
             }
             let pos = end;

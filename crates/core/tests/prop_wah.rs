@@ -202,7 +202,6 @@ proptest! {
                 let rows = ranges.iter().flat_map(|r| r.clone());
                 let want = rows.filter(|&i| oracle.get(i)).count() as u64;
                 prop_assert_eq!(v.count_ones_in_ranges(&ranges), want, "{:?}", &ranges);
-                prop_assert_eq!(v.intersects_ranges(&ranges), want > 0, "{:?}", &ranges);
                 if let [r] = &ranges[..] {
                     prop_assert_eq!(v.count_ones_in_range(r.start, r.end), want);
                     prop_assert_eq!(v.rank(r.end) - v.rank(r.start), want);
@@ -365,14 +364,12 @@ proptest! {
             let rows = ranges.iter().flat_map(|r| r.clone());
             let want = rows.filter(|&i| bits[i as usize]).count() as u64;
             prop_assert_eq!(v.count_ones_in_ranges(&ranges), want);
-            prop_assert_eq!(v.intersects_ranges(&ranges), want > 0);
-            // a probe over ranges that hold no 1 at all is false
+            // ranges that hold no 1 at all count none
             let zeros: Vec<Range<u64>> = ranges
                 .iter()
                 .filter(|&r| r.clone().all(|i| !bits[i as usize]))
                 .cloned()
                 .collect();
-            prop_assert!(!v.intersects_ranges(&zeros));
             prop_assert_eq!(v.count_ones_in_ranges(&zeros), 0);
         }
     }

@@ -42,7 +42,7 @@
 //! tests and the CLI don't depend on global observability state.
 
 use crate::error::Result;
-use crate::store::{LossyCompanion, Store};
+use crate::store::Store;
 use ibis_core::{MultiLevelIndex, RowOrder, RowPermutation};
 use ibis_obs::{LazyCounter, LazyGauge};
 use parking_lot::Mutex;
@@ -80,10 +80,6 @@ struct Entry {
 /// permutation to map stored rows back to original rows.
 pub type StoredOrder = Arc<(RowOrder, RowPermutation)>;
 
-/// Memoized lossy companions, keyed by `(variable, step)` (`None` = no
-/// companion stored for that entry).
-type LossyMemo = HashMap<(String, usize), Option<Arc<LossyCompanion>>>;
-
 #[derive(Default)]
 struct Shard {
     map: HashMap<Key, Entry>,
@@ -113,12 +109,6 @@ pub struct CachedStore {
     // step resolves against it, and evicting it would break in-flight
     // queries' row mapping.
     orders: Mutex<HashMap<usize, Option<StoredOrder>>>,
-    // Lossy superset companions, memoized per (variable, step) exactly
-    // like `orders` (`None` = no companion stored, also memoized). Outside
-    // the byte budget: a companion is a filter the engine consults before
-    // the (much larger) exact index, so evicting it would defeat its
-    // purpose precisely when the cache is under pressure.
-    lossy: Mutex<LossyMemo>,
 }
 
 impl std::fmt::Debug for CachedStore {
@@ -170,7 +160,6 @@ impl CachedStore {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             orders: Mutex::new(HashMap::new()),
-            lossy: Mutex::new(HashMap::new()),
         }
     }
 
@@ -331,22 +320,6 @@ impl CachedStore {
         // Load outside the lock; a racing thread's copy wins below.
         let loaded = self.store.load_order_over(step, rows)?.map(Arc::new);
         Ok(self.orders.lock().entry(step).or_insert(loaded).clone())
-    }
-
-    /// The lossy superset companion stored for `(variable, step)`, or
-    /// `None` when the run wrote none, memoized across calls (see the
-    /// `lossy` field note on why companions sit outside the byte budget).
-    /// A corrupt companion blob surfaces as
-    /// [`crate::error::IbisError::Corrupt`] on every call rather than
-    /// being cached.
-    pub fn get_lossy(&self, variable: &str, step: usize) -> Result<Option<Arc<LossyCompanion>>> {
-        let key = (variable.to_string(), step);
-        if let Some(cached) = self.lossy.lock().get(&key) {
-            return Ok(cached.clone());
-        }
-        // Load outside the lock; a racing thread's copy wins below.
-        let loaded = self.store.load_lossy(step, variable)?.map(Arc::new);
-        Ok(self.lossy.lock().entry(key).or_insert(loaded).clone())
     }
 
     /// This instance's counters (independent of the global obs registry,

@@ -38,7 +38,7 @@
 //!
 //! Counters: `query.engine.{ok,rejected}`, `shard.query.{fanout,pruned}`
 //! (shards visited / skipped: they sum to `K` per query),
-//! `lossy.filter.{used,empty}`, `shard.maintenance.{runs,evicted_bytes}`;
+//! `shard.maintenance.{runs,evicted_bytes}`;
 //! each shard's cache publishes per-instance `query.cache.shard<i>.{…}`
 //! gauges next to the summed `query.cache.stat.*` family.
 //!
@@ -63,7 +63,6 @@ use crate::json::{self, Json};
 use crate::shard::{
     compact_dirs, CompactReport, MaintenanceConfig, MaintenanceReport, ShardedStore,
 };
-use crate::store::LossyCompanion;
 use ibis_analysis::{
     correlation_partial_shard, finish_correlation, shard_ranges, stored_ranges, CorrelationAnswer,
     QueryError, SubsetQuery,
@@ -81,10 +80,6 @@ static OBS_QUERIES_OK: LazyCounter = LazyCounter::new("query.engine.ok");
 static OBS_QUERIES_REJECTED: LazyCounter = LazyCounter::new("query.engine.rejected");
 static OBS_SHARD_FANOUT: LazyCounter = LazyCounter::new("shard.query.fanout");
 static OBS_SHARD_PRUNED: LazyCounter = LazyCounter::new("shard.query.pruned");
-// Lossy emptiness probe in front of the exact index (family `lossy`, see
-// DESIGN.md §6l).
-static OBS_LOSSY_FILTER_USED: LazyCounter = LazyCounter::new("lossy.filter.used");
-static OBS_LOSSY_FILTER_EMPTY: LazyCounter = LazyCounter::new("lossy.filter.empty");
 static OBS_MAINT_RUNS: LazyCounter = LazyCounter::new("shard.maintenance.runs");
 static OBS_MAINT_EVICTED: LazyCounter = LazyCounter::new("shard.maintenance.evicted_bytes");
 
@@ -166,9 +161,6 @@ pub struct QueryEngine {
     /// Per-`(step, variable)` prefix row cuts, learned on first touch —
     /// later region queries prune shards without touching them.
     cuts: CutsMemo,
-    /// Largest companion FPR subset queries may consult as a pre-filter;
-    /// `None` answers everything from the exact indices alone.
-    lossy_fpr: Option<f64>,
 }
 
 impl QueryEngine {
@@ -205,33 +197,15 @@ impl QueryEngine {
             caches,
             parallel: std::thread::available_parallelism().is_ok_and(|n| n.get() > 1),
             cuts: Mutex::new(HashMap::new()),
-            lossy_fpr: None,
         }
     }
 
-    /// Lets subset queries probe each shard's stored lossy superset
-    /// companion (of FPR at most `fpr`) before the exact index. Answers
-    /// stay byte-identical to the exact engine: the companion only ever
-    /// *admits* extra rows, so finding none of the query's rows in it
-    /// proves the shard's exact answer empty without loading its exact
-    /// index at all; any other outcome is answered by the exact index
-    /// alone.
-    ///
-    /// # Panics
-    /// When `fpr` is outside the supported range (see
-    /// [`ibis_core::valid_fpr`]); `0.0` disables the filter.
-    pub fn with_lossy_fpr(mut self, fpr: f64) -> Self {
-        assert!(
-            ibis_core::valid_fpr(fpr),
-            "lossy FPR {fpr} outside the supported range"
-        );
-        self.lossy_fpr = (fpr > 0.0).then_some(fpr);
+    /// A no-op left of the retired lossy companions: the engine is
+    /// unchanged. Exists only for `benchmark/src/fixture.rs`; ROADMAP item
+    /// 4's `[benchmark]` PR deletes it.
+    #[doc(hidden)]
+    pub fn with_lossy_fpr(self, _fpr: f64) -> Self {
         self
-    }
-
-    /// The FPR ceiling set by [`QueryEngine::with_lossy_fpr`], if any.
-    pub fn lossy_fpr(&self) -> Option<f64> {
-        self.lossy_fpr
     }
 
     /// The shard count.
@@ -302,39 +276,25 @@ impl QueryEngine {
     /// regions arrive in *original* row ids and are resolved, once per
     /// query, against the step's stored row permutation — shared by every
     /// shard (each holds the same global copy; shard 0's is
-    /// authoritative). Value ranges are order-invariant.
+    /// authoritative). Value ranges are order-invariant, so a request
+    /// without a region never loads the permutation.
     fn ranges_of(
         &self,
         step: usize,
         queries: &[&SubsetQuery],
         global_len: u64,
     ) -> Result<Option<Vec<Range<u64>>>> {
-        let order = self.caches[0].get_order_over(step, Some(global_len))?;
+        let order = match queries.iter().any(|q| q.position_range.is_some()) {
+            true => self.caches[0].get_order_over(step, Some(global_len))?,
+            false => None,
+        };
         let perm = order.as_deref().map(|(_, p)| p);
         stored_ranges(queries, global_len, perm).map_err(IbisError::Query)
     }
 
-    /// Shard `shard`'s lossy companion for `(variable, step)`, when the
-    /// engine has a ceiling and the companion's FPR is at or below it.
-    fn filter_of(
-        &self,
-        shard: usize,
-        variable: &str,
-        step: usize,
-    ) -> Result<Option<Arc<LossyCompanion>>> {
-        let Some(ceiling) = self.lossy_fpr else {
-            return Ok(None);
-        };
-        Ok(self.caches[shard]
-            .get_lossy(variable, step)?
-            .filter(|c| c.fpr <= ceiling))
-    }
-
     /// The prefix row cuts of `(step, variable)`: memoized, else learned
-    /// from every shard's row count. A shard whose lossy companion the
-    /// ceiling admits reports its row count from the companion, so a
-    /// filter that then comes back empty never decodes the exact index;
-    /// every other shard decodes it and hands it on in [`Layout::loaded`].
+    /// from every shard's row count — each shard decodes its exact index
+    /// and hands it on in [`Layout::loaded`].
     fn layout(&self, step: usize, variable: &str, deadline: Option<Instant>) -> Result<Layout> {
         let key = (step, variable.to_string());
         if let Some(cuts) = self.cuts.lock().get(&key).cloned() {
@@ -347,9 +307,6 @@ impl QueryEngine {
         let mut cuts = vec![0u64];
         let mut loaded = Vec::with_capacity(ids.len());
         for shard in self.fanout(&ids, |i| {
-            if let Some(companion) = self.filter_of(i, variable, step)? {
-                return Ok((companion.index.len(), None));
-            }
             deadline_check(deadline, "shard load")?;
             let ml = self.caches[i].get(variable, step)?;
             Ok((ml.low().len(), Some(ml)))
@@ -444,11 +401,9 @@ impl QueryEngine {
     }
 
     /// Counts a subset query shard by shard. On each visited shard: clip
-    /// the region's `ranges` to the shard's rows, probe the lossy companion
-    /// when the ceiling admits it — no row there proves the shard's count
-    /// zero, and the exact index is never touched — then fetch the exact
-    /// index under the deadline, check it holds the rows the layout says,
-    /// and count.
+    /// the region's `ranges` to the shard's rows, fetch the exact index
+    /// under the deadline, check it holds the rows the layout says, and
+    /// count.
     fn run_subset(
         &self,
         step: usize,
@@ -464,14 +419,6 @@ impl QueryEngine {
             let rows = layout.rows(i);
             let nrows = rows.end - rows.start;
             let local = ranges.map(|r| shard_ranges(r, rows));
-            if let Some(companion) = self.filter_of(i, variable, step)? {
-                OBS_LOSSY_FILTER_USED.inc();
-                let probe = query.intersects(&companion.index, local.as_deref());
-                if !probe.map_err(IbisError::Query)? {
-                    OBS_LOSSY_FILTER_EMPTY.inc();
-                    return Ok(None);
-                }
-            }
             let ml = self.exact(&layout, i, variable, step, deadline)?;
             if ml.low().len() != nrows {
                 return Err(IbisError::Query(QueryError::LengthMismatch {
@@ -482,10 +429,10 @@ impl QueryEngine {
             let count = query.count(ml.low(), local.as_deref());
             // the binner, not the index: the gather pins nothing the cache may evict
             let binner = ml.low().binner().clone();
-            Ok(Some((count.map_err(IbisError::Query)?, binner)))
+            Ok((count.map_err(IbisError::Query)?, binner))
         });
         let (mut selected, mut first) = (0, None);
-        for counted in counts.into_iter().filter_map(Result::transpose) {
+        for counted in counts {
             let (count, binner) = counted?;
             same_binning(first.get_or_insert_with(|| binner.clone()), &binner)?;
             selected += count;

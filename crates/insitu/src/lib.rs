@@ -26,8 +26,8 @@
 //!   1-shard case); the lock-sharded byte-budgeted LRU read cache; and the
 //!   one panic-free query engine over them — scatter-gather
 //!   subset/correlation queries with byte-identical answers for every `K`,
-//!   region-based shard pruning, lossy filter + exact refine, background
-//!   compaction/eviction maintenance, and the JSON batch protocol for
+//!   region-based shard pruning, background compaction/eviction
+//!   maintenance, and the JSON batch protocol for
 //!   `ibis query`.
 //! * [`serving`] — the overload-control shell around the engine: bounded
 //!   admission with typed sheds, per-request deadlines, duplicate
@@ -76,6 +76,4 @@ pub use shard::{
     is_sharded, shard_cuts, CompactReport, EngineBackend, MaintenanceConfig, MaintenanceReport,
     ShardedEngine, ShardedStore, ShardedWriter, SHARDS_FILE,
 };
-pub use store::{
-    FsckReport, LossyCompanion, QuarantinedBlob, Store, StoreWriter, LOSSY_PREFIX, ORDER_VARIABLE,
-};
+pub use store::{FsckReport, QuarantinedBlob, Store, StoreWriter, LOSSY_PREFIX, ORDER_VARIABLE};

@@ -2016,9 +2016,9 @@ mod tests {
     #[test]
     fn every_corruption_of_every_frame_kind_is_a_typed_error() {
         let dir = TempDir::new("frame-fuzz");
-        // one small blob of each kind: an all-WAH index, a mixed-plan index
-        // with its lossy companion, a sorted row order (few long runs) and
-        // a scattered one (every run a single row) — and a checkpoint
+        // one small blob of each kind: an all-WAH index, a mixed-plan index,
+        // a sorted row order (few long runs) and a scattered one (every run
+        // a single row) — and a checkpoint
         let runs: Vec<f64> = (0..496).map(|i| (i / 124) as f64).collect();
         let smooth = ibis_core::BitmapIndex::build(&runs, Binner::distinct_ints(0, 3));
         let noise: Vec<f64> = (0..64).map(|i| ((i * 4) % 8) as f64).collect();
@@ -2028,7 +2028,6 @@ mod tests {
         assert!(plan(&smooth).iter().all(|&c| c == ibis_core::CodecId::Wah));
         assert!(plan(&mixed).contains(&ibis_core::CodecId::Wah));
         assert!(plan(&mixed).contains(&ibis_core::CodecId::Roaring));
-        let (lossy, stats) = mixed.lossy(1e-1);
         let order = RowOrder::GrayBin;
         let perm = order.permutation(&[], &binner, &noise).unwrap();
         let scattered = RowPermutation::from_gather((0..64).map(|s| s * 27 % 64).collect());
@@ -2036,18 +2035,16 @@ mod tests {
         let mut w = StoreWriter::create(&dir).unwrap();
         w.put(0, "smooth", &smooth).unwrap();
         w.put(0, "mixed", &mixed).unwrap();
-        w.put_lossy(0, "mixed", &lossy, 1e-1, &stats).unwrap();
         w.put_order(0, order, &perm).unwrap();
         w.put_order(1, order, &scattered).unwrap();
         w.finish().unwrap();
 
         type Read = fn(&Store) -> Result<()>;
-        let blobs: [(usize, &str, Read); 5] = [
+        let blobs: [(usize, &str, Read); 4] = [
             (0, "smooth", |s| s.get(0, "smooth").map(drop)),
             (0, "mixed", |s| s.get(0, "mixed").map(drop)),
             (0, ORDER_VARIABLE, |s| s.load_order(0).map(drop)),
             (1, ORDER_VARIABLE, |s| s.load_order(1).map(drop)),
-            (0, "__lossy_mixed", |s| s.load_lossy(0, "mixed").map(drop)),
         ];
         for (step, entry, read) in blobs {
             let file = dir.join(format!("s{step:06}_{entry}.ibis"));

@@ -34,7 +34,7 @@ use crate::engine::QueryEngine;
 use crate::error::{IbisError, Result};
 use crate::io::write_atomic;
 use crate::store::{FsckReport, Store, StoreWriter};
-use ibis_core::{valid_fpr, BitmapIndex, RowOrder, RowPermutation};
+use ibis_core::{BitmapIndex, RowOrder, RowPermutation};
 use ibis_obs::LazyCounter;
 use std::path::{Path, PathBuf};
 
@@ -269,33 +269,6 @@ impl ShardedWriter {
         let cuts = shard_cuts(index.len(), self.writers.len());
         for (i, w) in self.writers.iter_mut().enumerate() {
             w.put(step, variable, &index.slice_rows(cuts[i]..cuts[i + 1]))?;
-        }
-        Ok(())
-    }
-
-    /// Persists `variable`'s lossy superset companion in every shard,
-    /// each derived from the shard's own rows of the `exact` index
-    /// ([`BitmapIndex::lossy_rows`]): the FPR bound — and the budget check on
-    /// decode — then hold per shard, which is what the per-shard filter
-    /// relies on. See [`StoreWriter::put_lossy`] for the blob itself.
-    pub fn put_lossy(
-        &mut self,
-        step: usize,
-        variable: &str,
-        exact: &BitmapIndex,
-        fpr: f64,
-    ) -> Result<()> {
-        // `BitmapIndex::lossy` asserts the range; outside input gets a
-        // typed error instead.
-        if !valid_fpr(fpr) || fpr == 0.0 {
-            return Err(IbisError::Config(format!(
-                "lossy FPR {fpr} outside the supported range"
-            )));
-        }
-        let cuts = shard_cuts(exact.len(), self.writers.len());
-        for (i, w) in self.writers.iter_mut().enumerate() {
-            let (lossy, stats) = exact.lossy_rows(cuts[i]..cuts[i + 1], fpr);
-            w.put_lossy(step, variable, &lossy, fpr, &stats)?;
         }
         Ok(())
     }

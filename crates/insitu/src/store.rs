@@ -10,11 +10,10 @@
 //!   payload len (u64 LE) | payload | CRC32-C (u32 LE) of kind, len and
 //!   payload` — written via temp-file + rename, so a crashed writer never
 //!   leaves a half-written blob under its final name. The kind says what
-//!   the payload is (index, row order, lossy companion; the pipeline's
-//!   `CHECKPOINT` is a fourth), and nothing a reader acts on sits outside
-//!   the CRC: per-bin codec tags live in the index payload, the
-//!   [`RowOrder`] tag is the first byte of the order payload, the FPR the
-//!   first field of the lossy payload;
+//!   the payload is (index 1, row order 2, the pipeline's `CHECKPOINT` 4;
+//!   kind 3 held the retired lossy companions), and nothing a reader acts
+//!   on sits outside the CRC: per-bin codec tags live in the index payload,
+//!   and the [`RowOrder`] tag is the first byte of the order payload;
 //! * a `JOURNAL` records each durable blob as it lands (each line carries
 //!   its own CRC, so a torn journal tail is detected and ignored) — an
 //!   interrupted run can [`StoreWriter::resume`] and re-put idempotently;
@@ -45,7 +44,7 @@ use crate::crc::crc32c;
 use crate::error::{IbisError, Result};
 use crate::fault::{FaultInjector, WriteFault};
 use crate::io::{codec, write_atomic};
-use ibis_core::{valid_fpr, BitmapIndex, LossyStats, RowOrder, RowPermutation};
+use ibis_core::{BitmapIndex, RowOrder, RowPermutation};
 use ibis_obs::LazyCounter;
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -62,11 +61,10 @@ const FRAME_OVERHEAD: usize = 3 + 1 + 8 + 4;
 /// manifest machinery, but is hidden from [`Store::variables`] and refused
 /// by [`StoreWriter::put`], so no data variable can collide with it.
 pub const ORDER_VARIABLE: &str = "__order";
-/// Reserved name prefix a variable's lossy companion index stores under
-/// (`__lossy_<variable>`). Like [`ORDER_VARIABLE`] it passes
-/// [`check_variable_name`] so the blob rides the ordinary entry / journal /
-/// manifest machinery, but is hidden from [`Store::variables`] and refused
-/// by [`StoreWriter::put`].
+/// Reserved name prefix of the retired lossy companions
+/// (`__lossy_<variable>`, frame kind 3). [`StoreWriter::put`] refuses it,
+/// and opening a store written with companions skips their entries
+/// (`store.manifest.retired_skipped`): nothing reads them.
 pub const LOSSY_PREFIX: &str = "__lossy_";
 /// First line of a v2 manifest.
 const MANIFEST_HEADER: &str = "#IBIS-STORE v2";
@@ -78,8 +76,6 @@ pub(crate) enum Kind {
     Index = 1,
     /// A row permutation: `RowOrder` tag (u8), then [`put_perm_payload`].
     Order = 2,
-    /// A lossy companion ([`encode_lossy_payload`]).
-    Lossy = 3,
     /// The durable pipeline's selector checkpoint.
     Checkpoint = 4,
 }
@@ -89,8 +85,6 @@ impl Kind {
     fn of(entry: &str) -> Kind {
         if entry == ORDER_VARIABLE {
             Kind::Order
-        } else if entry.starts_with(LOSSY_PREFIX) {
-            Kind::Lossy
         } else {
             Kind::Index
         }
@@ -116,14 +110,11 @@ static OBS_CRC_FAILED: LazyCounter = LazyCounter::new("store.crc.failed");
 static OBS_FSCK_RUNS: LazyCounter = LazyCounter::new("store.fsck.runs");
 static OBS_FSCK_QUARANTINED: LazyCounter = LazyCounter::new("store.fsck.quarantined");
 static OBS_MANIFEST_WRITES: LazyCounter = LazyCounter::new("store.manifest.writes");
+static OBS_RETIRED_SKIPPED: LazyCounter = LazyCounter::new("store.manifest.retired_skipped");
 // Row-permutation blobs written and read back (family `reorder`, see
 // DESIGN.md §6j).
 static OBS_ORDER_PUT: LazyCounter = LazyCounter::new("reorder.store.put");
 static OBS_ORDER_LOADED: LazyCounter = LazyCounter::new("reorder.store.loaded");
-// Lossy companion blobs written and read back (family `lossy`, see
-// DESIGN.md §6l).
-static OBS_LOSSY_PUT: LazyCounter = LazyCounter::new("lossy.store.put");
-static OBS_LOSSY_LOADED: LazyCounter = LazyCounter::new("lossy.store.loaded");
 
 /// Wraps a payload in the one frame — `"IBF" | kind | payload len (u64
 /// LE) | payload | CRC32-C (u32 LE)` with the CRC over kind, length and
@@ -177,37 +168,6 @@ pub(crate) fn unframe(bytes: &[u8], want: Kind) -> std::result::Result<(&[u8], u
         ));
     }
     Ok((&sealed[9..], actual))
-}
-
-/// Serializes a lossy companion: `fpr (f64 LE) | bits dropped (u64 LE) |
-/// zeros of the exact index (u64 LE) | encoded index`.
-fn encode_lossy_payload(fpr: f64, stats: &LossyStats, index_payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + index_payload.len());
-    out.extend_from_slice(&fpr.to_le_bytes());
-    out.extend_from_slice(&stats.bits_dropped.to_le_bytes());
-    out.extend_from_slice(&stats.zeros.to_le_bytes());
-    out.extend_from_slice(index_payload);
-    out
-}
-
-/// Parses a lossy payload into `(fpr, bits dropped, zeros, encoded
-/// index)`, or a description of what is wrong.
-fn decode_lossy_payload(payload: &[u8]) -> std::result::Result<(f64, u64, u64, &[u8]), String> {
-    if payload.len() < 24 {
-        return Err(format!("lossy payload too short ({} bytes)", payload.len()));
-    }
-    let fpr = f64::from_bits(crate::crc::le_u64(&payload[..8]));
-    if !valid_fpr(fpr) || fpr == 0.0 {
-        return Err(format!("lossy FPR {fpr} outside the supported range"));
-    }
-    let dropped = crate::crc::le_u64(&payload[8..16]);
-    let zeros = crate::crc::le_u64(&payload[16..24]);
-    if zeros > 0 && dropped as f64 > fpr * zeros as f64 {
-        return Err(format!(
-            "recorded {dropped} dropped bits exceed the FPR {fpr} budget over {zeros} zeros"
-        ));
-    }
-    Ok((fpr, dropped, zeros, &payload[24..]))
 }
 
 /// Appends a permutation as its gather order's runs of consecutive
@@ -461,10 +421,10 @@ impl StoreWriter {
     /// → same bytes, entry overwritten).
     pub fn put(&mut self, step: usize, variable: &str, index: &BitmapIndex) -> Result<()> {
         check_variable_name(variable)?;
-        if Kind::of(variable) != Kind::Index {
+        if Kind::of(variable) != Kind::Index || variable.starts_with(LOSSY_PREFIX) {
             return Err(IbisError::Config(format!(
                 "variable name {variable:?} is reserved ({ORDER_VARIABLE:?} holds row \
-                 permutations, {LOSSY_PREFIX:?}… lossy companions)"
+                 permutations, {LOSSY_PREFIX:?}… held retired lossy companions)"
             )));
         }
         let (payload, _) = codec::encode_index_auto(index);
@@ -502,32 +462,11 @@ impl StoreWriter {
         Ok(())
     }
 
-    /// Persists `variable`'s lossy superset companion for `step` under
-    /// the reserved `__lossy_<variable>` entry: the lossy index (encoded
-    /// under its codec plan) prefixed by its FPR and drop accounting,
-    /// framed, CRC-checked, written atomically and journaled exactly like
-    /// an index blob — so crash/resume and fsck cover it. The companion is
-    /// self-describing; it does not require the exact entry to exist
-    /// first, but readers only ever use it as a filter in front of the
-    /// exact index.
-    pub fn put_lossy(
-        &mut self,
-        step: usize,
-        variable: &str,
-        lossy: &BitmapIndex,
-        fpr: f64,
-        stats: &LossyStats,
-    ) -> Result<()> {
-        check_variable_name(variable)?;
-        if !valid_fpr(fpr) || fpr == 0.0 {
-            return Err(IbisError::Config(format!(
-                "lossy FPR {fpr} outside the supported range"
-            )));
-        }
-        let (index_payload, _) = codec::encode_index_auto(lossy);
-        let payload = encode_lossy_payload(fpr, stats, &index_payload);
-        self.commit(step, &format!("{LOSSY_PREFIX}{variable}"), &payload)?;
-        OBS_LOSSY_PUT.inc();
+    /// A no-op left of the retired lossy companions: writes nothing.
+    /// Exists only for `benchmark/src/fixture.rs`; ROADMAP item 4's
+    /// `[benchmark]` PR deletes it.
+    #[doc(hidden)]
+    pub fn put_lossy<L, S>(&mut self, _: usize, _: &str, _: &L, _: f64, _: &S) -> Result<()> {
         Ok(())
     }
 
@@ -655,34 +594,6 @@ fn parse_entry_fields(body: &str) -> Option<(usize, String, EntryMeta)> {
     ))
 }
 
-/// A variable's lossy superset companion, as loaded from its blob.
-///
-/// The index admits every row the exact index admits (plus at most
-/// `fpr × zeros` false positives), so readers use it as a cheap filter in
-/// front of the exact index and refine on the admitted rows.
-#[derive(Debug, Clone)]
-pub struct LossyCompanion {
-    /// The lossy superset index.
-    pub index: BitmapIndex,
-    /// The FPR the companion was built for.
-    pub fpr: f64,
-    /// 0-bits flipped to 1 when the companion was built.
-    pub bits_dropped: u64,
-    /// 0-bits of the exact index (the FPR denominator).
-    pub zeros: u64,
-}
-
-impl LossyCompanion {
-    /// The companion's measured false-positive rate.
-    pub fn measured_fpr(&self) -> f64 {
-        if self.zeros == 0 {
-            0.0
-        } else {
-            self.bits_dropped as f64 / self.zeros as f64
-        }
-    }
-}
-
 /// One blob [`Store::fsck`] had to quarantine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantinedBlob {
@@ -760,8 +671,7 @@ impl Store {
     }
 
     /// Variables present for `step` — data variables only; the reserved
-    /// [`ORDER_VARIABLE`] permutation and [`LOSSY_PREFIX`] companion
-    /// entries are hidden.
+    /// [`ORDER_VARIABLE`] permutation entry is hidden.
     pub fn variables(&self, step: usize) -> Vec<&str> {
         self.entries
             .iter()
@@ -880,52 +790,19 @@ impl Store {
         Ok(Some((order, perm)))
     }
 
-    /// Loads `step`/`variable`'s lossy superset companion, or `None` when
-    /// the run stored no companion for it. Verifies framing, kind and CRC
-    /// like any blob, that the FPR is in the supported range, and that the
-    /// recorded drop accounting respects the FPR budget — a corrupt
-    /// companion would silently widen or (worse) narrow the filter, so
-    /// every failure is a typed [`IbisError::Corrupt`].
-    pub fn load_lossy(&self, step: usize, variable: &str) -> Result<Option<LossyCompanion>> {
-        let entry = format!("{LOSSY_PREFIX}{variable}");
-        let Some(meta) = self.entries.get(&(step, entry)) else {
-            return Ok(None);
-        };
-        let (bytes, payload) = self.verified_payload(meta, Kind::Lossy)?;
-        let (fpr, bits_dropped, zeros, index_payload) = decode_lossy_payload(&bytes[payload])
-            .map_err(|detail| IbisError::Corrupt {
-                file: meta.file.clone(),
-                detail,
-            })?;
-        let index = codec::decode_index(index_payload).map_err(|source| IbisError::Decode {
-            file: Some(meta.file.clone()),
-            source,
-        })?;
-        OBS_LOSSY_LOADED.inc();
-        Ok(Some(LossyCompanion {
-            index,
-            fpr,
-            bits_dropped,
-            zeros,
-        }))
-    }
-
     /// Verifies every blob end-to-end by running its entry's ordinary
     /// typed load (framing, kind, CRC, decode and the payload's own
     /// checks) and quarantines the ones that fail: the file is renamed to
     /// `<file>.quarantined` and the entry removed, so subsequent reads see
     /// only intact data. A step that loses its [`ORDER_VARIABLE`] entry
-    /// loses its indices and companions with it — they are permuted, and
-    /// read as if they were not they would answer in the wrong row space.
+    /// loses its indices with it — they are permuted, and read as if they
+    /// were not they would answer in the wrong row space.
     pub fn fsck(&mut self) -> FsckReport {
         OBS_FSCK_RUNS.inc();
         let mut bad: BTreeMap<(usize, String), String> = BTreeMap::new();
         for ((step, variable), meta) in &self.entries {
             let verdict = match Kind::of(variable) {
                 Kind::Order => self.load_order(*step).map(|_| ()),
-                Kind::Lossy => self
-                    .load_lossy(*step, &variable[LOSSY_PREFIX.len()..])
-                    .map(|_| ()),
                 // a query may never ask an index for a bin's WAH form;
                 // fsck asks for every one
                 _ => self.get(*step, variable).and_then(|index| {
@@ -1036,6 +913,10 @@ fn parse_manifest(manifest: &str) -> Result<BTreeMap<(usize, String), EntryMeta>
             reason: format!("{} entries != footer's count {count}", entries.len()),
         });
     }
+    // the retired lossy companions (frame kind 3): nothing reads them
+    let listed = entries.len();
+    entries.retain(|(_, var), _| !var.starts_with(LOSSY_PREFIX));
+    OBS_RETIRED_SKIPPED.add((listed - entries.len()) as u64);
     Ok(entries)
 }
 
@@ -1996,83 +1877,98 @@ mod tests {
     }
 
     #[test]
-    fn lossy_companion_round_trip() {
-        let dir = TempDir::new("lossyroundtrip");
-        let exact = sample_index(7);
-        let (lossy, stats) = exact.lossy(1e-2);
-        let mut w = StoreWriter::create(&dir).unwrap();
-        w.put(0, "temperature", &exact).unwrap();
-        w.put_lossy(0, "temperature", &lossy, 1e-2, &stats).unwrap();
-        w.finish().unwrap();
-
-        let store = Store::open(&dir).unwrap();
-        // the companion entry is hidden from the data-variable catalog
-        assert_eq!(store.variables(0), vec!["temperature"]);
-        assert!(matches!(
-            store.get(0, "__lossy_temperature").unwrap_err(),
-            IbisError::NotFound { .. }
-        ));
-        let companion = store.load_lossy(0, "temperature").unwrap().unwrap();
-        assert!((companion.fpr - 1e-2).abs() < 1e-12);
-        assert_eq!(companion.bits_dropped, stats.bits_dropped);
-        assert_eq!(companion.zeros, stats.zeros);
-        assert!(companion.measured_fpr() <= 1e-2);
-        for b in 0..exact.nbins() {
-            assert_eq!(
-                exact.bin(b).and(companion.index.bin(b)),
-                *exact.bin(b),
-                "bin {b} superset"
-            );
-        }
-        assert_eq!(store.load_lossy(0, "salinity").unwrap().map(|_| ()), None);
-    }
-
-    #[test]
-    fn lossy_reserved_prefix_and_bad_fpr_rejected() {
+    fn lossy_prefix_stays_reserved() {
         let dir = TempDir::new("lossyreserved");
         let mut w = StoreWriter::create(&dir).unwrap();
         let err = w
             .put(0, "__lossy_temperature", &sample_index(0))
             .unwrap_err();
         assert!(matches!(err, IbisError::Config(_)), "{err}");
+        // the facade left of `put_lossy` writes nothing
         let (lossy, stats) = sample_index(0).lossy(1e-2);
-        for bad in [0.0, 1e-5, 0.5, f64::NAN] {
-            let err = w
-                .put_lossy(0, "temperature", &lossy, bad, &stats)
-                .unwrap_err();
-            assert!(matches!(err, IbisError::Config(_)), "fpr {bad}: {err}");
-        }
+        w.put_lossy(0, "temperature", &lossy, 1e-2, &stats).unwrap();
+        assert_eq!(stats.bits_dropped, 0);
+        assert!(w.durable_steps().is_empty());
+        w.finish().unwrap();
+        let files = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(files, 1, "only the MANIFEST");
     }
 
+    /// A store written when lossy companions existed still opens: each
+    /// `__lossy_*` entry (a frame of the retired kind 3) is skipped with a
+    /// count — never listed, loaded, quarantined or reported — and the
+    /// store answers every query as the same store without it.
     #[test]
-    fn fsck_quarantines_corrupt_lossy_companion() {
-        let dir = TempDir::new("lossytag");
-        let exact = sample_index(3);
-        let (lossy, stats) = exact.lossy(1e-1);
-        let mut w = StoreWriter::create(&dir).unwrap();
-        w.put(0, "temperature", &exact).unwrap();
-        w.put_lossy(0, "temperature", &lossy, 1e-1, &stats).unwrap();
-        let finished = w.finish().unwrap();
+    fn a_retired_lossy_blob_is_skipped_and_changes_no_answer() {
+        let write = |name: &str, companion: bool| {
+            let dir = TempDir::new(name);
+            let mut w = StoreWriter::create(&dir).unwrap();
+            for step in [0, 1] {
+                w.put(step, "temperature", &sample_index(step)).unwrap();
+                w.put(step, "salinity", &sample_index(step + 5)).unwrap();
+            }
+            if companion {
+                // the retired payload: fpr | bits dropped | zeros | index
+                let mut payload = 1e-2f64.to_le_bytes().to_vec();
+                payload.extend_from_slice(&[0; 16]);
+                payload.extend(codec::encode_index(&sample_index(0)));
+                let mut framed = b"IBF\x03".to_vec();
+                framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+                framed.extend_from_slice(&payload);
+                let crc = crc32c(&framed[FRAME_MAGIC.len()..]);
+                framed.extend_from_slice(&crc.to_le_bytes());
+                let file = "s000000___lossy_temperature.ibis".to_string();
+                std::fs::write(dir.join(&file), &framed).unwrap();
+                let len = framed.len() as u64;
+                let meta = EntryMeta { file, len, crc };
+                w.entries.insert((0, "__lossy_temperature".into()), meta);
+            }
+            w.finish().unwrap();
+            dir
+        };
+        let (with, without) = (write("retired-with", true), write("retired-without", false));
+        let manifest = std::fs::read_to_string(with.join("MANIFEST")).unwrap();
+        assert!(manifest.contains("__lossy_temperature"));
 
-        // claim a stricter FPR than the companion was built for: the FPR is
-        // the payload's first field, inside the CRC
-        let f = finished.join("s000000___lossy_temperature.ibis");
-        let mut bytes = std::fs::read(&f).unwrap();
-        assert_eq!(bytes[3], Kind::Lossy as u8);
-        bytes[12..20].copy_from_slice(&1e-3f64.to_le_bytes());
-        std::fs::write(&f, &bytes).unwrap();
-
-        let mut store = Store::open(&dir).unwrap();
-        let err = store.load_lossy(0, "temperature").unwrap_err();
-        assert!(matches!(err, IbisError::Corrupt { .. }), "{err}");
+        let skipped = || match ibis_obs::global()
+            .snapshot()
+            .get("store.manifest.retired_skipped")
+        {
+            Some(ibis_obs::MetricValue::Counter(v)) => *v,
+            _ => 0,
+        };
+        let before = skipped();
+        let mut store = Store::open(&with).unwrap();
+        assert_eq!(skipped() > before, ibis_obs::ENABLED);
+        assert_eq!(store.variables(0), ["salinity", "temperature"]);
+        assert!(matches!(
+            store.get(0, "__lossy_temperature").unwrap_err(),
+            IbisError::NotFound { .. }
+        ));
         let report = store.fsck();
-        assert_eq!(report.quarantined.len(), 1);
-        assert_eq!(report.quarantined[0].variable, "__lossy_temperature");
-        // after quarantine the companion is simply absent; data survives
-        assert!(store.load_lossy(0, "temperature").unwrap().is_none());
-        assert_eq!(
-            store.get(0, "temperature").unwrap().counts(),
-            exact.counts()
-        );
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(report.checked, 4);
+        assert!(with.join("s000000___lossy_temperature.ibis").exists());
+        assert!(!StoreWriter::resume(&with)
+            .unwrap()
+            .contains(0, "__lossy_temperature"));
+
+        let batch = r#"{"queries": [
+            {"kind": "subset", "step": 0, "variable": "temperature", "value_range": [3.0, 20.0]},
+            {"kind": "subset", "step": 0, "variable": "temperature", "region": [10, 300]},
+            {"kind": "subset", "step": 0, "variable": "__lossy_temperature"},
+            {"kind": "correlation", "step": 0, "var_a": "temperature", "var_b": "salinity",
+             "value_a": [0.0, 30.0], "region": [50, 450]},
+            {"kind": "correlation", "step": 1, "var_a": "temperature", "var_b": "salinity"}
+        ]}"#;
+        let answers = |dir: &Path| {
+            let cache = crate::cache::CachedStore::new(Store::open(dir).unwrap(), 1 << 20);
+            crate::engine::QueryEngine::new(cache)
+                .run_batch_json(batch)
+                .unwrap()
+        };
+        let got = answers(&with);
+        assert_eq!(got, answers(&without));
+        assert_eq!(got.matches("\"error\"").count(), 1, "{got}");
     }
 }

@@ -2,10 +2,8 @@
 //! scaling/calibration math, codec robustness, memory accounting.
 
 use ibis_insitu::{
-    codec, CachedStore, Calibration, CoreAllocation, LocalDisk, MemoryTracker, RemoteLink,
-    ScalingModel, Storage, Store, StoreWriter,
+    codec, Calibration, CoreAllocation, LocalDisk, MemoryTracker, RemoteLink, ScalingModel, Storage,
 };
-use ibis_testkit::TempDir;
 use proptest::prelude::*;
 
 proptest! {
@@ -118,54 +116,6 @@ proptest! {
         for cut in [1usize, blob.len() / 2, blob.len() - 1] {
             prop_assert!(codec::decode_index(&blob[..cut]).is_err(), "cut at {cut}");
         }
-    }
-
-    #[test]
-    fn lossy_companion_survives_store_fsck_and_cache(
-        data in proptest::collection::vec((-8.0f64..8.0, 1usize..30), 1..40),
-        nbins in 2usize..16,
-        fpr in prop_oneof![Just(1e-4), Just(1e-2), Just(1e-1), 1e-4f64..1e-1],
-        case in 0u64..1_000_000,
-    ) {
-        // Round trip: put + put_lossy → finish → reopen → fsck (clean) →
-        // CachedStore::get_lossy — the companion comes back with its FPR
-        // and drop accounting intact and still a per-bin superset of the
-        // exact index.
-        let data: Vec<f64> = data
-            .into_iter()
-            .flat_map(|(v, n)| std::iter::repeat_n(v, n))
-            .collect();
-        let binner = ibis_core::Binner::fixed_width(-8.0, 8.0, nbins);
-        let idx = ibis_core::BitmapIndex::build(&data, binner);
-        let (lossy, stats) = idx.lossy(fpr);
-
-        let dir = TempDir::new(&format!("prop-lossy-{case}"));
-        let mut w = StoreWriter::create(&dir).expect("create store");
-        w.put(3, "field", &idx).expect("put exact");
-        w.put_lossy(3, "field", &lossy, fpr, &stats).expect("put lossy");
-        w.finish().expect("finish");
-
-        let mut store = Store::open(&dir).expect("reopen");
-        let report = store.fsck();
-        prop_assert!(report.quarantined.is_empty(), "fsck quarantined a healthy companion");
-        prop_assert!(report.checked >= 2, "fsck skipped the companion");
-
-        let cache = CachedStore::new(store, 1 << 20);
-        let companion = cache
-            .get_lossy("field", 3)
-            .expect("load companion")
-            .expect("companion must exist");
-        prop_assert_eq!(companion.fpr, fpr);
-        prop_assert_eq!(companion.bits_dropped, stats.bits_dropped);
-        prop_assert_eq!(companion.zeros, stats.zeros);
-        prop_assert_eq!(companion.index.nbins(), idx.nbins());
-        for b in 0..idx.nbins() {
-            let (e, l) = (idx.bin(b), companion.index.bin(b));
-            prop_assert_eq!(&e.and(l), e, "bin {} lost a set bit in the round trip", b);
-        }
-        // memoized path returns the same companion
-        let again = cache.get_lossy("field", 3).unwrap().unwrap();
-        prop_assert!(std::sync::Arc::ptr_eq(&companion, &again));
     }
 
     #[test]

@@ -176,72 +176,29 @@ fn adversarial_corpus_returns_structured_errors() {
 }
 
 /// Builds a durable store like [`build_store`], split over `shards`
-/// shards, plus a lossy superset companion for every `(step, variable)`,
-/// and opens an engine over it with FPR ceiling `ceiling`.
-fn lossy_engine(name: &str, shards: usize, fpr: f64, ceiling: f64) -> (TempDir, QueryEngine) {
+/// shards, and opens an engine over it.
+fn sharded_engine(name: &str, shards: usize) -> (TempDir, QueryEngine) {
     let dir = TempDir::new(&format!("{name}-k{shards}"));
     let mut w = ShardedWriter::create(&dir, shards).unwrap();
     for step in [0usize, 4, 9] {
         for (phase, var) in ["temperature", "salinity"].iter().enumerate() {
             let idx = BitmapIndex::build(&field(step, phase), Binner::fixed_width(0.0, 40.0, 64));
             w.put(step, var, &idx).unwrap();
-            w.put_lossy(step, var, &idx, fpr).unwrap();
         }
     }
     w.finish().unwrap();
-    let engine = QueryEngine::open(&dir, 64 << 20)
-        .unwrap()
-        .with_lossy_fpr(ceiling);
+    let engine = QueryEngine::open(&dir, 64 << 20).unwrap();
     (dir, engine)
 }
 
-/// The shard counts the lossy tests run over: the flat store and a
+/// The shard counts the engine tests run over: the flat store and a
 /// sharded one.
-const LOSSY_SHARDS: [usize; 2] = [1, 4];
-
-#[test]
-fn empty_lossy_filter_skips_the_exact_load() {
-    for shards in LOSSY_SHARDS {
-        let (_dir, engine) = lossy_engine("lossy-shortcircuit", shards, 1e-2, 1e-2);
-        // a predicate no row can match: every shard's companion proves
-        // its share of the answer empty
-        let answer = engine
-            .run(&QueryRequest::Subset {
-                step: 0,
-                variable: "temperature".into(),
-                query: SubsetQuery::value(17.0, 3.0), // inverted → empty
-            })
-            .unwrap();
-        assert_eq!(
-            answer,
-            QueryAnswer::Subset {
-                selected: 0,
-                of: N as u64
-            }
-        );
-        let stats = engine.cache_stats();
-        assert_eq!(
-            (stats.hits, stats.misses),
-            (0, 0),
-            "k={shards}: exact index must never be loaded for a provably-empty answer"
-        );
-        // a matching predicate then loads each shard's exact index
-        // exactly once
-        engine
-            .run(&QueryRequest::Subset {
-                step: 0,
-                variable: "temperature".into(),
-                query: SubsetQuery::value(3.0, 17.0),
-            })
-            .unwrap();
-        assert_eq!(engine.cache_stats().misses, shards as u64);
-    }
-}
+const SHARDS: [usize; 2] = [1, 4];
 
 /// The counting path keeps the materialising path's failures: the same
-/// variant and the same message for every malformed subset query, on the
-/// exact engine and behind the lossy probe, flat and sharded — and an
-/// expired deadline still stops before the exact load.
+/// variant and the same message for every malformed subset query, flat
+/// and sharded — and an expired deadline still stops before the exact
+/// load.
 #[test]
 fn malformed_subset_queries_keep_their_typed_errors_and_messages() {
     let subset = |step: usize, var: &str, query: SubsetQuery| QueryRequest::Subset {
@@ -284,47 +241,44 @@ fn malformed_subset_queries_keep_their_typed_errors_and_messages() {
             "no entry for step 3 variable \"temperature\"",
         ),
     ];
-    for shards in LOSSY_SHARDS {
-        for ceiling in [0.0, 1e-2] {
-            let (_dir, engine) = lossy_engine("typed-errors", shards, 1e-2, ceiling);
-            for (request, message) in &corpus {
-                let err = engine.run(request).unwrap_err();
-                assert_eq!(&err.to_string(), message, "k={shards} ceiling={ceiling}");
-                let typed = matches!(
-                    &err,
-                    IbisError::NotFound { .. }
-                        | IbisError::Query(QueryError::NanBound { .. })
-                        | IbisError::Query(QueryError::RegionOutOfRange { len: 4096, .. })
-                );
-                assert!(typed, "{err:?}");
-            }
-            // nothing above decoded an exact index it did not need: a
-            // region error is raised before any shard is visited, and a
-            // NaN bound by the probe when there is one
-            let past = std::time::Instant::now() - std::time::Duration::from_millis(5);
-            let fresh = subset(
-                9,
-                "salinity",
-                SubsetQuery::value(3.0, 17.0).with_region(7..3001),
+    for shards in SHARDS {
+        let (_dir, engine) = sharded_engine("typed-errors", shards);
+        for (request, message) in &corpus {
+            let err = engine.run(request).unwrap_err();
+            assert_eq!(&err.to_string(), message, "k={shards}");
+            let typed = matches!(
+                &err,
+                IbisError::NotFound { .. }
+                    | IbisError::Query(QueryError::NanBound { .. })
+                    | IbisError::Query(QueryError::RegionOutOfRange { len: 4096, .. })
             );
-            let misses = engine.cache_stats().misses;
-            let err = engine.run_with_deadline(&fresh, Some(past)).unwrap_err();
-            assert!(
-                matches!(&err, IbisError::DeadlineExceeded { site, .. } if site == "shard load"),
-                "k={shards} ceiling={ceiling}: {err}"
-            );
-            assert_eq!(
-                engine.cache_stats().misses,
-                misses,
-                "expired before the load"
-            );
+            assert!(typed, "{err:?}");
         }
+        // nothing above decoded an exact index it did not need: a
+        // region error is raised before any shard is visited
+        let past = std::time::Instant::now() - std::time::Duration::from_millis(5);
+        let fresh = subset(
+            9,
+            "salinity",
+            SubsetQuery::value(3.0, 17.0).with_region(7..3001),
+        );
+        let misses = engine.cache_stats().misses;
+        let err = engine.run_with_deadline(&fresh, Some(past)).unwrap_err();
+        assert!(
+            matches!(&err, IbisError::DeadlineExceeded { site, .. } if site == "shard load"),
+            "k={shards}: {err}"
+        );
+        assert_eq!(
+            engine.cache_stats().misses,
+            misses,
+            "expired before the load"
+        );
     }
 }
 
 #[test]
 fn self_correlation_reads_each_shard_once_and_answers_like_two_names() {
-    for shards in LOSSY_SHARDS {
+    for shards in SHARDS {
         let dir = TempDir::new(&format!("selfcorr-k{shards}"));
         let mut w = ShardedWriter::create(&dir, shards).unwrap();
         let idx = BitmapIndex::build(&field(0, 0), Binner::fixed_width(0.0, 40.0, 64));
@@ -353,27 +307,6 @@ fn self_correlation_reads_each_shard_once_and_answers_like_two_names() {
         // the same bitmaps under a second name take the two-operand path
         assert_eq!(engine.run(&request("twin")).unwrap(), cold, "k={shards}");
         assert_eq!(reads(), 4 * shards as u64, "k={shards} two names");
-    }
-}
-
-#[test]
-fn lossy_engine_ignores_companions_above_its_fpr_ceiling() {
-    for shards in LOSSY_SHARDS {
-        // engine ceiling 1e-3 < stored 1e-1: the companions must be
-        // ignored, every answer comes from the exact path
-        let (_dir, engine) = lossy_engine("lossy-ceiling", shards, 1e-1, 1e-3);
-        engine
-            .run(&QueryRequest::Subset {
-                step: 0,
-                variable: "temperature".into(),
-                query: SubsetQuery::value(-10.0, -5.0),
-            })
-            .unwrap();
-        assert_eq!(
-            engine.cache_stats().misses,
-            shards as u64,
-            "k={shards}: an over-ceiling companion must not filter"
-        );
     }
 }
 

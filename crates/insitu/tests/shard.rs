@@ -1,8 +1,9 @@
 //! Integration tests for the sharded distributed store: scatter-gather
 //! answers must be indistinguishable from a verbatim scan of the raw data
 //! (the reference model — it shares no code with the engine) across shard
-//! counts, bin widths, stored row layouts and lossy companions — counted
-//! from every cached index in its at-rest form; a 1-shard run must be the
+//! counts, bin widths and stored row layouts — counted from every cached
+//! index in its at-rest form; a request without a region never loads the
+//! row order; a 1-shard run must be the
 //! flat store byte for byte; a corrupted shard must quarantine locally —
 //! the *other* shards' answers stay the model's — and repair through the
 //! normal resume + re-put path; a writer killed mid-ingest must resume
@@ -101,8 +102,6 @@ struct Build<'a> {
     shards: usize,
     binner: &'a Binner,
     layout: Layout,
-    /// FPR of the lossy companions stored next to every exact index.
-    lossy: Option<f64>,
 }
 
 /// One step of the 2-steps × 2-variables dataset as the writers see it:
@@ -136,8 +135,7 @@ fn dataset(b: Build<'_>) -> Vec<StepData> {
 }
 
 /// Builds the dataset as a `b.shards`-shard store and returns its
-/// directory, and the bins `ShardedWriter::put` and `put_lossy`
-/// transcoded to WAH (a registry delta: exact only for a caller that holds
+/// directory, and the bins `ShardedWriter::put` transcoded to WAH (a registry delta: exact only for a caller that holds
 /// `COUNTERS` alone).
 fn build_store(name: &str, b: Build<'_>) -> (TempDir, u64) {
     let dir = TempDir::new(name);
@@ -150,9 +148,6 @@ fn build_store(name: &str, b: Build<'_>) -> (TempDir, u64) {
         for (var, idx) in &s.vars {
             let before = counter("codec.decode.transcoded_bins");
             w.put(s.step, var, idx).unwrap();
-            if let Some(fpr) = b.lossy {
-                w.put_lossy(s.step, var, idx, fpr).unwrap();
-            }
             transcoded += counter("codec.decode.transcoded_bins") - before;
         }
     }
@@ -171,10 +166,6 @@ fn build_flat_store(name: &str, b: Build<'_>) -> TempDir {
         }
         for (var, idx) in &s.vars {
             w.put(s.step, var, idx).unwrap();
-            if let Some(fpr) = b.lossy {
-                let (lossy, stats) = idx.lossy(fpr);
-                w.put_lossy(s.step, var, &lossy, fpr, &stats).unwrap();
-            }
         }
     }
     w.finish().unwrap();
@@ -195,10 +186,8 @@ fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
         .collect()
 }
 
-fn open(dir: &Path, lossy: Option<f64>) -> QueryEngine {
-    QueryEngine::open(dir, BUDGET)
-        .unwrap()
-        .with_lossy_fpr(lossy.unwrap_or(0.0))
+fn open(dir: &Path) -> QueryEngine {
+    QueryEngine::open(dir, BUDGET).unwrap()
 }
 
 /// The query battery: every request shape the engine serves.
@@ -222,7 +211,7 @@ fn battery(rows: u64) -> Vec<QueryRequest> {
         subset(0, t, SubsetQuery::value(2.0, 7.5)),
         subset(1, s, SubsetQuery::region(rows / 5..rows / 2)),
         subset(0, s, SubsetQuery::value(1.0, 6.0).with_region(7..rows - 3)),
-        // nothing lives up there: an empty lossy filter short-circuits
+        // nothing lives up there
         subset(
             1,
             t,
@@ -269,68 +258,124 @@ fn sharded_equals_oracle_across_shards_bins_and_row_orders() {
     let _alone = COUNTERS.write().unwrap_or_else(|e| e.into_inner());
     // Bin counts pick different container codecs downstream; row layouts
     // exercise region mapping and pruning under a permutation — the
-    // scattered one spreads a region over hundreds of stored ranges; the lossy
-    // dimension puts a probe in front of every shard's exact index.
+    // scattered one spreads a region over hundreds of stored ranges.
     for nbins in [16usize, 64] {
         let binner = Binner::fixed_width(0.0, 10.0, nbins);
         let model = model_of_fields(&binner);
         for layout in [Layout::Identity, Layout::Sorted, Layout::Scattered] {
-            for lossy in [None, Some(1e-2)] {
-                for shards in [1usize, 2, 3, 4] {
-                    let b = Build {
-                        shards,
-                        binner: &binner,
-                        layout,
-                        lossy,
-                    };
-                    let tag = format!("b{nbins}-{layout:?}-l{}-k{shards}", lossy.is_some());
-                    let (dir, put_transcoded) = build_store(&format!("oracle-{tag}"), b);
-                    // each shard's slice is cut and written in the form its
-                    // bins are held in
-                    assert_eq!(
-                        put_transcoded, 0,
-                        "{tag}: ShardedWriter::put or put_lossy transcoded a bin"
-                    );
-                    if shards == 1 {
-                        let flat = build_flat_store(&format!("oracle-flat-{tag}"), b);
-                        assert_eq!(dir_files(&dir), dir_files(&flat), "{tag}");
+            for shards in [1usize, 2, 3, 4] {
+                let b = Build {
+                    shards,
+                    binner: &binner,
+                    layout,
+                };
+                let tag = format!("b{nbins}-{layout:?}-k{shards}");
+                let (dir, put_transcoded) = build_store(&format!("oracle-{tag}"), b);
+                // each shard's slice is cut and written in the form its
+                // bins are held in
+                assert_eq!(
+                    put_transcoded, 0,
+                    "{tag}: ShardedWriter::put transcoded a bin"
+                );
+                if shards == 1 {
+                    let flat = build_flat_store(&format!("oracle-flat-{tag}"), b);
+                    assert_eq!(dir_files(&dir), dir_files(&flat), "{tag}");
+                }
+                let engine = open(&dir);
+                let transcoded = counter("codec.decode.transcoded_bins");
+                // two passes: the second finds the cuts memoized
+                let mut held = Vec::new();
+                for pass in 0..2 {
+                    for req in battery(ROWS as u64) {
+                        assert_eq!(
+                            engine.run(&req).unwrap(),
+                            answer(&model, &req).unwrap(),
+                            "{tag} pass={pass} {req:?}"
+                        );
                     }
-                    let engine = open(&dir, lossy);
-                    assert_eq!(engine.lossy_fpr(), lossy, "{tag}");
-                    let transcoded = counter("codec.decode.transcoded_bins");
-                    // two passes: the second finds the cuts memoized
-                    let mut held = Vec::new();
-                    for pass in 0..2 {
-                        for req in battery(ROWS as u64) {
-                            assert_eq!(
-                                engine.run(&req).unwrap(),
-                                answer(&model, &req).unwrap(),
-                                "{tag} pass={pass} {req:?}"
-                            );
-                        }
-                        held.push(engine.shard_caches().iter().map(|c| c.stats()).collect());
-                    }
-                    assert_eq!(
-                        counter("codec.decode.transcoded_bins"),
-                        transcoded,
-                        "{tag}: a reply transcoded a bin"
-                    );
-                    assert_entries_at_rest(&engine, &held, &tag);
-                    // every shard holds each step's permutation under its tag
-                    let want = (layout != Layout::Identity).then_some(RowOrder::GrayBin);
-                    for (cache, step) in engine
-                        .shard_caches()
-                        .iter()
-                        .flat_map(|c| STEPS.map(|s| (c, s)))
-                    {
-                        let order = cache.get_order(step).unwrap().map(|o| o.0);
-                        assert_eq!(order, want, "{tag} step {step}");
-                    }
-                    if layout == Layout::Sorted && shards == 4 {
-                        assert_prunes_under_permutation(&engine, &model, b, &tag);
-                    }
+                    held.push(engine.shard_caches().iter().map(|c| c.stats()).collect());
+                }
+                assert_eq!(
+                    counter("codec.decode.transcoded_bins"),
+                    transcoded,
+                    "{tag}: a reply transcoded a bin"
+                );
+                assert_entries_at_rest(&engine, &held, &tag);
+                // every shard holds each step's permutation under its tag
+                let want = (layout != Layout::Identity).then_some(RowOrder::GrayBin);
+                for (cache, step) in engine
+                    .shard_caches()
+                    .iter()
+                    .flat_map(|c| STEPS.map(|s| (c, s)))
+                {
+                    let order = cache.get_order(step).unwrap().map(|o| o.0);
+                    assert_eq!(order, want, "{tag} step {step}");
+                }
+                if layout == Layout::Sorted && shards == 4 {
+                    assert_prunes_under_permutation(&engine, &model, b, &tag);
                 }
             }
+        }
+    }
+}
+
+/// A request without a region never loads a step's row order; one with a
+/// region loads it with every check. Every `__order` blob of a GrayBin
+/// store is damaged after it is written: the battery's region-free
+/// requests still answer as the model does, while a region request is
+/// `Corrupt`. On the intact store, region answers are the model's whether
+/// or not region-free requests ran first.
+#[test]
+fn requests_without_a_region_never_load_the_row_order() {
+    let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
+    let binner = Binner::fixed_width(0.0, 10.0, 64);
+    let model = model_of_fields(&binner);
+    let (region_free, with_region): (Vec<_>, Vec<_>) =
+        battery(ROWS as u64).into_iter().partition(|req| match req {
+            QueryRequest::Subset { query, .. } => query.position_range.is_none(),
+            QueryRequest::Correlation {
+                query_a, query_b, ..
+            } => query_a.position_range.is_none() && query_b.position_range.is_none(),
+        });
+    assert!(region_free
+        .iter()
+        .any(|r| matches!(r, QueryRequest::Correlation { .. })));
+    for shards in [1usize, 4] {
+        let b = Build {
+            shards,
+            binner: &binner,
+            layout: Layout::Sorted,
+        };
+        let (dir, _) = build_store(&format!("orderless-k{shards}"), b);
+        let engine = open(&dir);
+        for req in region_free.iter().chain(&with_region) {
+            assert_eq!(engine.run(req).unwrap(), answer(&model, req).unwrap());
+        }
+        let shard_dirs = match shards {
+            1 => vec![dir.to_path_buf()],
+            _ => (0..shards)
+                .map(|i| dir.join(format!("shard-{i:03}")))
+                .collect(),
+        };
+        for step in STEPS {
+            for shard in &shard_dirs {
+                let blob = shard.join(format!("s{step:06}___order.ibis"));
+                let mut bytes = std::fs::read(&blob).unwrap();
+                let last = bytes.len() - 1;
+                bytes[last] ^= 0x5a;
+                std::fs::write(&blob, bytes).unwrap();
+            }
+        }
+        let engine = open(&dir);
+        for req in &region_free {
+            assert_eq!(engine.run(req).unwrap(), answer(&model, req).unwrap());
+        }
+        for req in &with_region {
+            let err = engine.run(req).unwrap_err();
+            assert!(
+                matches!(err, IbisError::Corrupt { .. }),
+                "k={shards}: {err}"
+            );
         }
     }
 }
@@ -445,7 +490,7 @@ proptest! {
         sw.put(0, "v", &idx).unwrap();
         sw.finish().unwrap();
 
-        let engine = open(&dir, None);
+        let engine = open(&dir);
         let model = Model::new().with(0, "v", binner, &data);
         let req = QueryRequest::Subset {
             step: 0,
@@ -464,7 +509,6 @@ fn plain_store(name: &str, shards: usize, binner: &Binner) -> TempDir {
         shards,
         binner,
         layout: Layout::Identity,
-        lossy: None,
     };
     build_store(name, b).0
 }
@@ -610,7 +654,7 @@ fn killed_writer_resumes_from_each_shards_durable_state() {
             }
         }
         w.finish().unwrap();
-        let engine = open(&dir, None);
+        let engine = open(&dir);
         for req in battery(ROWS as u64) {
             let want = answer(&model, &req).unwrap();
             assert_eq!(engine.run(&req).unwrap(), want, "cut {cut}");
@@ -645,10 +689,9 @@ fn fanout_and_pruned_account_for_every_shard_of_every_query() {
             shards,
             binner: &binner,
             layout,
-            lossy: None,
         };
         let (dir, _) = build_store(&format!("fanout-k{shards}-{layout:?}"), b);
-        let engine = open(&dir, None);
+        let engine = open(&dir);
         let queries = battery(ROWS as u64);
         let before = (
             counter("shard.query.fanout"),
@@ -740,7 +783,7 @@ fn shards_that_disagree_on_the_binning_are_a_typed_error() {
     let rows = ROWS as u64;
     for (what, other) in &others {
         let dir = store_binned_twice(&format!("binned-twice-{what}"), &binner, other);
-        let engine = open(&dir, None);
+        let engine = open(&dir);
         let correlation = |query_b: SubsetQuery| QueryRequest::Correlation {
             step: 0,
             var_a: "temperature".into(),
@@ -820,7 +863,7 @@ fn per_shard_cache_gauges_reach_the_registry() {
     }
     let binner = Binner::fixed_width(0.0, 10.0, 48);
     let sd = plain_store("obs", 2, &binner);
-    let engine = open(&sd, None);
+    let engine = open(&sd);
     for req in battery(ROWS as u64) {
         engine.run(&req).unwrap();
     }

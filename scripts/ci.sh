@@ -88,9 +88,8 @@ cargo test -q -p ibis-insitu --no-default-features --lib --test fault_injection 
 # both obs configs and checks that its report carries every key.
 # ENV_VAR=1 makes the bench write target/BENCH_<bench>.smoke.json, never
 # the frozen full-size BENCH_<bench>.json at the root. Every sweep asserts
-# its identity gates (codec × kernel vs the verbatim oracle, lossy superset
-# and FPR bound, reordered bins vs identity order, sharded answers vs flat,
-# the serving SLO) before it times anything, so a pass is also a
+# its identity gates (codec × kernel vs the verbatim oracle, reordered bins
+# vs identity order, sharded answers vs flat, the serving SLO) before it times anything, so a pass is also a
 # correctness gate.
 bench_smoke() {
     local bench="$1" var="$2" report="target/BENCH_$1.smoke.json" obs key
@@ -125,9 +124,6 @@ bench_smoke query IBIS_QUERY_SMOKE '"warm_over_cold_speedup"' \
 bench_smoke codecs IBIS_CODEC_SMOKE '"samples"' '"bytes_per_bitmap"' \
     '"auto_selected"' '"roaring_over_wah_speedup"' '"auto_over_best_ratio"' \
     '"auto_within_10pct_of_best"' '"identity_checked"'
-bench_smoke lossy IBIS_LOSSY_SMOKE '"samples"' '"identity_checked"' \
-    '"size_reduction"' '"measured_fpr"' '"fpr_bound_met"' '"bits_dropped"' \
-    '"size_reduction_ge_1p5x_at_fpr_le_1e-2"' '"all_fpr_bounds_met": true'
 bench_smoke reorder IBIS_ORDER_SMOKE '"samples"' '"elements"' '"vs_identity"' \
     '"criterion"' '"identity_checked"' '"size_ratio"' '"latency_ratio"' \
     '"size_win_15pct_within_latency_10pct"' '"order_payload_bytes"' \
@@ -167,9 +163,9 @@ done
 echo "==> ibis serve + loadgen end-to-end smoke (1 and 4 shards, both obs configs)"
 # Build a tiny store, then drive a live server with the zipf load
 # generator for a few hundred requests. Every leg ingests under
-# --row-order graybin with --lossy-fpr companions, so the served store
-# carries inverse permutations the engine must apply and filters it must
-# refine, at either shard count, with background maintenance running.
+# --row-order graybin, so the served store carries the permutations the
+# engine must apply to every region, at either shard count, with
+# background maintenance running.
 # The instrumented legs also pin that serving is count-only: every subset
 # counts its plan, and nothing transcodes a bin.
 serve_smoke() {
@@ -182,7 +178,7 @@ serve_smoke() {
     rm -rf "$store" "$store.obs.json"
     cargo run -q --release "${features[@]}" --bin ibis -- insitu \
         --sim heat3d --steps 2 --select 2 --cores 2 --row-order graybin \
-        --lossy-fpr 1e-2 --shards "$shards" --out "$store" >/dev/null
+        --shards "$shards" --out "$store" >/dev/null
     # one shard is the flat layout; more live under a SHARDS file
     if [ "$shards" -gt 1 ]; then test -f "$store/SHARDS"; else test -f "$store/MANIFEST"; fi
     local port=$((20000 + RANDOM % 20000))
@@ -190,7 +186,7 @@ serve_smoke() {
     # connection, the load generator's single client is the second; the
     # server exits cleanly once both have disconnected.
     cargo run -q --release "${features[@]}" --bin ibis -- serve \
-        --store "$store" --shards "$shards" --lossy-fpr 1e-2 \
+        --store "$store" --shards "$shards" \
         --addr "127.0.0.1:$port" --workers 2 --queue 16 --maintain-ms 200 \
         --conns 2 "${obs[@]}" &
     local serve_pid=$!

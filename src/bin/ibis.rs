@@ -40,7 +40,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(rest) {
+    let flags = match parse_flags(cmd, rest) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -89,15 +89,13 @@ USAGE:
   ibis insitu [--sim heat3d|lulesh] [--steps N] [--select K] [--cores C]
               [--machine xeon|mic] [--method bitmaps|full|sample:<pct>]
               [--allocation shared|auto|<simcores>:<bmcores>] [--out DIR]
-              [--shards K] [--lossy-fpr X]
-              [--row-order identity|graybin|auto]
+              [--shards K] [--row-order identity|graybin|auto]
   ibis mine   [--grid LONxLATxDEPTH] [--bins N] [--t1 X] [--t2 Y]
               [--unit N] [--top N]
   ibis query  --var-a NAME --var-b NAME [--value-a LO:HI] [--value-b LO:HI]
               [--region LO:HI] [--grid LONxLATxDEPTH]
               [--row-order identity|graybin]
   ibis query  --store DIR --batch FILE [--cache-mb N] [--json-out PATH]
-              [--lossy-fpr X]
   ibis serve  --store DIR [--addr HOST:PORT] [--workers N] [--queue N]
               [--cache-mb N] [--deadline-ms N] [--max-conns N] [--conns N]
               [--shards K] [--maintain-ms N]
@@ -112,23 +110,41 @@ directory and run the same scatter-gather execution for any K.
 `serve --shards K` asserts the expected shard count; `--maintain-ms N`
 runs background compaction/eviction maintenance every N ms.
 
-`--lossy-fpr X` (X in [1e-4, 1e-1]): on `insitu --out`, also persist each
-variable's lossy superset companion; on `query --store` and `serve`,
-answer subset queries as cheap lossy filter + exact refine when a
-companion at or below X is present — answers stay byte-identical.
-
 Any command also accepts --obs-json PATH to dump the run's metrics
-snapshot (empty when built with --no-default-features).";
+snapshot (empty when built with --no-default-features); any other flag
+a command does not read is an error.";
 
 type Flags = HashMap<String, String>;
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// The flags verb `cmd` reads besides `--obs-json`, space-separated, or
+/// `None` for a name that is no verb (the dispatch reports it).
+fn verb_flags(cmd: &str) -> Option<&'static str> {
+    Some(match cmd {
+        "insitu" => "sim steps select cores machine method allocation out shards row-order",
+        "mine" => "grid bins t1 t2 unit top",
+        "query" => {
+            "var-a var-b value-a value-b region grid row-order store batch cache-mb json-out"
+        }
+        "serve" => {
+            "store addr workers queue cache-mb deadline-ms max-conns conns shards maintain-ms"
+        }
+        "loadgen" => "addr store requests clients deadline-ms seed",
+        "help" | "--help" | "-h" => "",
+        _ => return None,
+    })
+}
+
+fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(name) = a.strip_prefix("--") else {
             return Err(format!("expected a --flag, got {a:?}"));
         };
+        let known = verb_flags(cmd).is_none_or(|verb| verb.split(' ').any(|f| f == name));
+        if !known && name != "obs-json" {
+            return Err(format!("unknown flag --{name}"));
+        }
         let value = it
             .next()
             .ok_or_else(|| format!("--{name} needs a value"))?
@@ -150,21 +166,6 @@ fn get_f64(flags: &Flags, name: &str, default: f64) -> Result<f64, String> {
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("--{name}: bad number {v:?}")),
     }
-}
-
-/// `--lossy-fpr X`: the false-positive-rate bound for lossy superset
-/// companions. 0.0 (the default) means "off"; anything else must sit in
-/// the supported `[FPR_MIN, FPR_MAX]` band.
-fn get_lossy_fpr(flags: &Flags) -> Result<f64, String> {
-    let fpr = get_f64(flags, "lossy-fpr", 0.0)?;
-    if fpr != 0.0 && !ibis::core::valid_fpr(fpr) {
-        return Err(format!(
-            "--lossy-fpr: {fpr} outside [{:e}, {:e}]",
-            ibis::core::FPR_MIN,
-            ibis::core::FPR_MAX
-        ));
-    }
-    Ok(fpr)
 }
 
 fn get_range(flags: &Flags, name: &str) -> Result<Option<(f64, f64)>, String> {
@@ -288,7 +289,6 @@ fn cmd_insitu(flags: &Flags) -> Result<(), String> {
     if !(1..=MAX_SHARDS).contains(&shards) {
         return Err(format!("--shards: {shards} outside 1..={MAX_SHARDS}"));
     }
-    let lossy_fpr = get_lossy_fpr(flags)?;
     let machine = match flags.get("machine").map(String::as_str).unwrap_or("xeon") {
         "xeon" => MachineModel::xeon32(),
         "mic" => MachineModel::mic60(),
@@ -443,11 +443,6 @@ fn cmd_insitu(flags: &Flags) -> Result<(), String> {
                 store
                     .put(step, f.name, &idx)
                     .map_err(|e| format!("--out: {e}"))?;
-                if lossy_fpr > 0.0 {
-                    store
-                        .put_lossy(step, f.name, &idx, lossy_fpr)
-                        .map_err(|e| format!("--out: {e}"))?;
-                }
             }
         }
         let dir = store.finish().map_err(|e| format!("--out: {e}"))?;
@@ -594,14 +589,13 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
 }
 
 /// Opens run directory `dir` (any shard count) behind `--cache-mb` of
-/// decoded-index cache, with the lossy filter enabled by `--lossy-fpr`.
+/// decoded-index cache.
 fn open_engine(flags: &Flags, dir: &str) -> Result<QueryEngine, String> {
     let cache_mb = get_usize(flags, "cache-mb", 256)? as u64;
     let budget = cache_mb
         .checked_mul(1 << 20)
         .ok_or_else(|| format!("--cache-mb: {cache_mb} MiB is more bytes than a u64 holds"))?;
-    let engine = QueryEngine::open(dir, budget).map_err(|e| format!("--store {dir}: {e}"))?;
-    Ok(engine.with_lossy_fpr(get_lossy_fpr(flags)?))
+    QueryEngine::open(dir, budget).map_err(|e| format!("--store {dir}: {e}"))
 }
 
 /// `ibis query --store DIR --batch FILE`: run a JSON batch of

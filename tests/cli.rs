@@ -228,8 +228,8 @@ fn insitu_rejects_out_without_bitmaps() {
 }
 
 #[test]
-fn lossy_companions_compose_with_shards_and_row_order() {
-    let root = TempDir::new("cli-lossy-k");
+fn shards_and_row_order_answer_alike() {
+    let root = TempDir::new("cli-graybin-k");
     std::fs::create_dir_all(&root).expect("mkdir");
     let batch = root.join("batch.json");
     std::fs::write(
@@ -248,41 +248,25 @@ fn lossy_companions_compose_with_shards_and_row_order() {
         let dir = root.join(format!("k{shards}"));
         let out = ibis()
             .args(["insitu", "--sim", "heat3d", "--steps", "4", "--select", "2"])
-            .args([
-                "--cores",
-                "2",
-                "--row-order",
-                "graybin",
-                "--lossy-fpr",
-                "1e-2",
-            ])
+            .args(["--cores", "2", "--row-order", "graybin"])
             .args(["--shards", shards, "--out"])
             .arg(&dir)
             .output()
             .expect("spawn");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "insitu --shards {shards}: {err}");
-        for lossy in [Some("1e-2"), None] {
-            let mut query = ibis();
-            query.args(["query", "--store"]).arg(&dir);
-            query.arg("--batch").arg(&batch);
-            if let Some(fpr) = lossy {
-                query.args(["--lossy-fpr", fpr]);
-            }
-            let out = query.output().expect("spawn");
-            let err = String::from_utf8_lossy(&out.stderr);
-            assert!(out.status.success(), "query --shards {shards}: {err}");
-            replies.push(out.stdout);
-        }
+        let mut query = ibis();
+        query.args(["query", "--store"]).arg(&dir);
+        let out = query.arg("--batch").arg(&batch).output().expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "query --shards {shards}: {err}");
+        replies.push(out.stdout);
     }
     let text = String::from_utf8_lossy(&replies[0]);
     assert_eq!(text.matches("\"ok\"").count(), 3, "{text}");
     assert_eq!(text.matches("\"error\"").count(), 1, "{text}");
     for (i, reply) in replies.iter().enumerate() {
-        assert_eq!(
-            reply, &replies[0],
-            "reply {i} differs from the 4-shard lossy one"
-        );
+        assert_eq!(reply, &replies[0], "reply {i} differs from the 4-shard one");
     }
 }
 
@@ -317,29 +301,47 @@ fn insitu_rejects_a_shard_count_before_running() {
     );
 }
 
+/// Every verb refuses a flag it does not read — a typo, or the retired
+/// `--lossy-fpr` — as a usage error before it runs anything.
 #[test]
-fn insitu_rejects_a_lossy_fpr_before_running() {
-    let tmp = TempDir::new("cli-fpr");
+fn every_verb_refuses_a_flag_it_does_not_read() {
+    let tmp = TempDir::new("cli-unknown-flag");
     let dir = tmp.to_str().expect("utf-8 temp dir");
-    for fpr in ["NaN", "5", "-1"] {
-        insitu_rejects(
-            &[
-                "--steps",
-                "4",
-                "--select",
-                "2",
-                "--out",
-                dir,
-                "--lossy-fpr",
-                fpr,
-            ],
-            "--lossy-fpr",
+    let insitu = "insitu --sim heat3d --steps 1 --select 1";
+    let cases = [
+        (format!("{insitu} --shard 4 --out {dir}"), "shard"),
+        (format!("{insitu} --shards 4 --bogus 7"), "bogus"),
+        (
+            format!("{insitu} --out {dir} --lossy-fpr 1e-2"),
+            "lossy-fpr",
+        ),
+        (
+            format!("query --store {dir} --batch b.json --lossy-fpr 1e-2"),
+            "lossy-fpr",
+        ),
+        (format!("serve --store {dir} --lossy-fpr 1e-2"), "lossy-fpr"),
+        ("mine --grid 8x8x1 --bin 4".to_string(), "bin"),
+        (
+            format!("loadgen --addr 127.0.0.1:1 --store {dir} --client 2"),
+            "client",
+        ),
+    ];
+    for (args, flag) in cases {
+        let args: Vec<&str> = args.split(' ').collect();
+        let out = ibis().args(&args).output().expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.starts_with(&format!("error: unknown flag --{flag}\n")),
+            "{args:?}: {err}"
         );
-        insitu_rejects(
-            &["--steps", "4", "--select", "2", "--lossy-fpr", fpr],
-            "--lossy-fpr",
-        );
+        assert!(err.contains("USAGE"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran");
     }
+    assert!(
+        !std::path::Path::new(dir).exists(),
+        "a rejected run wrote {dir}"
+    );
 }
 
 #[test]
