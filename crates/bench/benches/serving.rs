@@ -14,8 +14,9 @@
 //!    is the saturation throughput;
 //! 3. open-loop overload with slow-worker faults (every 4th request
 //!    +10 ms): arrivals at a fixed schedule regardless of completion, a
-//!    per-request deadline of ~3x the fault-free p99 — asserts the
-//!    SLO + typed-shed + queue-bound properties;
+//!    per-request deadline of ~3x the fault-free p99 (at least 2 ms) —
+//!    asserts the SLO (faulted p99 within the deadline plus twice the
+//!    fault-free p99) + typed-shed + queue-bound properties;
 //! 4. coalescing proof: 8 concurrent identical queries on a cold cache
 //!    with a slowed leader — exactly one store decode, 7 coalesce hits;
 //! 5. socket round-trip p50 over the TCP front end.
@@ -329,7 +330,13 @@ fn main() {
     } else {
         0.0
     };
-    let within_5x = faulted_over <= 5.0;
+    // What the deadline guarantees an admitted request: a queue wait the
+    // dequeue re-check caps at the deadline, its own execution (one
+    // fault-free p99) and one more p99 of slack. Where the 2 ms floor does
+    // not bind this is 5x the fault-free p99; where it does, the floor
+    // itself is what an admitted request may wait.
+    let bound_ms = deadline.as_secs_f64() * 1e3 + 2.0 * free_p99;
+    let within_bound = faulted_p99 <= bound_ms;
     let queue_peak = st.queue_peak;
     let mut queue_bound_respected = queue_peak <= QUEUE_CAP as u64;
     // The obs gauge is the zero-collapse witness: its max watermark over
@@ -348,14 +355,15 @@ fn main() {
         }
     }
     assert!(
-        within_5x,
-        "faulted p99 {faulted_p99:.3} ms exceeds 5x fault-free p99 {free_p99:.3} ms"
+        within_bound,
+        "faulted p99 {faulted_p99:.3} ms exceeds the deadline's bound {bound_ms:.3} ms \
+         (fault-free p99 {free_p99:.3} ms)"
     );
     assert!(shed > 0, "overload phase must shed (typed), got zero sheds");
     assert!(queue_bound_respected, "queue exceeded its configured bound");
     println!(
         "serving: overload p50 {faulted_p50:.3} ms  p99 {faulted_p99:.3} ms \
-         ({faulted_over:.2}x fault-free, <=5x: {within_5x})  shed {shed}  \
+         ({faulted_over:.2}x fault-free, <= {bound_ms:.3} ms: {within_bound})  shed {shed}  \
          deadline {deadline_drops}  queue peak {queue_peak}/{QUEUE_CAP}"
     );
     server.shutdown();
@@ -457,7 +465,8 @@ fn main() {
          \"faulted_p50_ms\": {faulted_p50:.4},\n  \
          \"faulted_p99_ms\": {faulted_p99:.4},\n  \
          \"faulted_over_fault_free_p99\": {faulted_over:.3},\n  \
-         \"faulted_p99_within_5x\": {within_5x},\n  \
+         \"faulted_p99_bound_ms\": {bound_ms:.4},\n  \
+         \"faulted_p99_within_bound\": {within_bound},\n  \
          \"shed\": {shed},\n  \
          \"deadline_drops\": {deadline_drops},\n  \
          \"coalesce_hits\": 7,\n  \

@@ -303,21 +303,22 @@ impl Binner {
     }
 
     /// Fills `out[i] = self.bin_of(data[i])` for equal-length slices. The
-    /// fixed-width arm is branchless (Rust's saturating `f64 as usize` cast
-    /// sends NaN and negatives to 0, exactly matching [`Binner::bin_of`]'s
-    /// clamp-and-NaN convention), which is what lets the fused generation
-    /// loop in `MultiCodecBuilder::extend_binned` stay tight.
+    /// fixed-width arm is branchless: the quotient is clamped to `[0, top]`
+    /// in `f64` (`max` drops a NaN for the 0), matching
+    /// [`Binner::bin_of`]'s clamp-and-NaN convention, so the subtract,
+    /// divide and clamps run as packed SIMD and only the cast is scalar —
+    /// which is what lets the fused generation loop in
+    /// `MultiCodecBuilder::extend_binned` stay tight.
     #[inline]
     pub(crate) fn bin_slice_into(&self, data: &[f64], out: &mut [u32]) {
         debug_assert_eq!(data.len(), out.len());
         match &self.kind {
             Kind::Width { min, width, nbins } => {
-                let top = *nbins - 1;
+                let top = (*nbins - 1) as f64;
                 for (o, &v) in out.iter_mut().zip(data) {
-                    // `as usize` saturates: NaN -> 0, negative -> 0,
-                    // +inf/huge -> usize::MAX (then clamped) — byte-identical
-                    // to the branchy bin_of for every input.
-                    *o = (((v - *min) / *width) as usize).min(top) as u32;
+                    // NaN and negatives -> 0, +inf/huge -> top: byte-identical
+                    // to the branchy bin_of for every input
+                    *o = ((v - *min) / *width).max(0.0).min(top) as u32;
                 }
             }
             Kind::Edges(_) => {
@@ -612,5 +613,44 @@ mod tests {
         let b = Binner::fixed_width(0.0, 1.0, 4);
         let data = [0.1, 0.3, 0.6, 0.9];
         assert_eq!(b.bin_all(&data), vec![0, 1, 2, 3]);
+    }
+
+    /// The branchless kernel clamps in `f64` before its cast; it must agree
+    /// with `bin_of` on signed zeros, subnormals, every bin edge, quotients
+    /// past 2^32 and 2^64 (a width of 1e-300), and the widest binning.
+    #[test]
+    fn the_binning_kernel_matches_bin_of_on_hostile_values() {
+        let narrow = |nbins| {
+            Binner::from_spec(BinnerSpec::Width {
+                min: -1e-298,
+                width: 1e-300,
+                nbins,
+            })
+        };
+        let binners = [
+            Binner::fixed_width(-100.0, 100.0, 37),
+            Binner::fixed_width(0.0, 1.0, Binner::MAX_BINS),
+            narrow(3),
+            narrow(Binner::MAX_BINS),
+        ];
+        for b in &binners {
+            let (lo, hi) = b.bin_range(0);
+            let w = hi - lo;
+            let mut data = vec![0.0, -0.0, 5e-324, -5e-324, f64::MIN_POSITIVE / 2.0];
+            data.extend((0..b.nbins()).map(|k| b.bin_range(k).0));
+            data.push(b.bin_range(b.nbins() - 1).1);
+            for q in [2f64.powi(32), 2f64.powi(32) + 1.0, 2f64.powi(64), 1e300] {
+                data.extend([lo + q * w, lo - q * w, q, -q]);
+            }
+            data.extend([1.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+            let want: Vec<u32> = data.iter().map(|&v| b.bin_of(v)).collect();
+            assert_eq!(b.bin_all(&data), want, "{b:?}");
+        }
+        // quotients past 2^32 clamp to the top bin, far below to bin 0, and
+        // a signed zero or a subnormal bins as 0.0 does
+        let b = narrow(Binner::MAX_BINS);
+        let (top, zero) = (Binner::MAX_BINS as u32 - 1, b.bin_of(0.0));
+        let ids = b.bin_all(&[1.0, 1e-290, -1.0, -0.0, 5e-324]);
+        assert_eq!(ids, [top, top, 0, zero, zero]);
     }
 }

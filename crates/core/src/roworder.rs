@@ -96,7 +96,7 @@ impl RowOrder {
         );
         let perm = match self {
             RowOrder::Identity => return None,
-            RowOrder::GrayBin => RowPermutation::from_gather(gray_bin_perm(binner, data)),
+            RowOrder::GrayBin => gray_bin_perm(binner, data),
         };
         if perm.is_identity() {
             return None;
@@ -108,31 +108,62 @@ impl RowOrder {
 }
 
 /// Stable sort of the rows by the Gray code of their bin, as a counting
-/// sort: one binning pass gives every row's bin and the histogram, the
-/// histogram gives each bin's first stored position, and one placement
-/// pass fills the gather order. O(n + m), and the rows of one bin stay in
-/// ascending original order.
-fn gray_bin_perm(binner: &Binner, data: &[f64]) -> Vec<u32> {
+/// sort over runs of equal bins: the runs give the histogram, the
+/// histogram gives each bin's first stored position, and each run is
+/// placed as one block — `perm[s..s+len] = i..i+len`, `inv[i..i+len] =
+/// s..s+len`, both sequential fills. O(n + bins), and the rows of one bin
+/// stay in ascending original order.
+fn gray_bin_perm(binner: &Binner, data: &[f64]) -> RowPermutation {
     let ids = binner.bin_all(data);
+    let runs = || ids.chunk_by(|a, b| a == b);
     let mut counts = vec![0u32; binner.nbins()];
-    for &b in &ids {
-        counts[b as usize] += 1;
+    for run in runs() {
+        counts[run[0] as usize] += run.len() as u32;
     }
     let mut bins: Vec<usize> = (0..counts.len()).collect();
     bins.sort_unstable_by_key(|&b| b ^ (b >> 1));
-    let mut next = vec![0u32; counts.len()];
+    let mut starts = vec![0u32; counts.len()];
     let mut start = 0;
-    for b in bins {
-        next[b] = start;
+    for &b in &bins {
+        starts[b] = start;
         start += counts[b];
     }
-    let mut perm = vec![0u32; data.len()];
-    for (i, &b) in ids.iter().enumerate() {
-        let slot = &mut next[b as usize];
-        perm[*slot as usize] = i as u32;
-        *slot += 1;
+    let (mut perm, mut inv) = (vec![0u32; ids.len()], vec![0u32; ids.len()]);
+    let (mut next, mut original) = (starts.clone(), 0u32);
+    for run in runs() {
+        let (slot, len) = (&mut next[run[0] as usize], run.len());
+        fill_ascending(&mut perm[*slot as usize..][..len], original);
+        fill_ascending(&mut inv[original as usize..][..len], *slot);
+        *slot += len as u32;
+        original += len as u32;
     }
-    perm
+    // every bin's block ends where the next one in Gray order starts (the
+    // last at `n`): the blocks tile `0..n`, so each stored position is
+    // written once, and `perm` is a bijection
+    let ends = bins.iter().skip(1).map(|&b| starts[b]);
+    let ends = ends.chain([ids.len() as u32]);
+    assert!(
+        bins.iter().zip(ends).all(|(&b, end)| next[b] == end),
+        "GrayBin blocks do not tile the rows"
+    );
+    // rows ascend within a block, so a maximal ascending run can start
+    // only at a non-empty bin's first stored position
+    let segments = bins.iter().filter(|&&b| counts[b] > 0).map(|&b| starts[b]);
+    let segments = segments
+        .filter(|&s| s == 0 || perm[s as usize] < perm[s as usize - 1])
+        .collect();
+    RowPermutation {
+        perm,
+        inv,
+        segments,
+    }
+}
+
+/// `out[k] = first + k`.
+fn fill_ascending(out: &mut [u32], first: u32) {
+    for (k, o) in out.iter_mut().enumerate() {
+        *o = first + k as u32;
+    }
 }
 
 /// A checked bijection between original row ids and stored positions.
@@ -152,11 +183,11 @@ pub struct RowPermutation {
 }
 
 impl RowPermutation {
-    /// Builds from the gather order (`perm[stored] = original`).
+    /// Builds from an arbitrary gather order (`perm[stored] = original`),
+    /// checking every row — strided gathers in tests and benches.
     ///
     /// # Panics
-    /// When `perm` is not a permutation of `0..len` — only reachable from
-    /// a bug in an order implementation, which the property suite pins.
+    /// When `perm` is not a permutation of `0..len`.
     pub fn from_gather(perm: Vec<u32>) -> Self {
         let mut inv = vec![u32::MAX; perm.len()];
         let mut segments = Vec::new();
@@ -194,11 +225,7 @@ impl RowPermutation {
         let mut segments = Vec::new();
         for &(first, len) in runs {
             let stored = perm.len() as u32;
-            let slots = &mut inv[first as usize..][..len as usize];
-            slots
-                .iter_mut()
-                .zip(stored..)
-                .for_each(|(slot, s)| *slot = s);
+            fill_ascending(&mut inv[first as usize..][..len as usize], stored);
             if perm.last().is_none_or(|&last| first < last) {
                 segments.push(stored);
             }

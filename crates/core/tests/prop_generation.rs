@@ -7,8 +7,8 @@
 //! `RoaringVec::from_wah(..).serialize()` or the WAH words.
 
 use ibis_core::{
-    Binner, BitmapIndex, CodecId, CodecVec, MultiCodecBuilder, MultiWahBuilder, RoaringVec,
-    RowOrder, RowPermutation, WahBuilder, WahVec,
+    Binner, BinnerSpec, BitmapIndex, CodecId, CodecVec, MultiCodecBuilder, MultiWahBuilder,
+    RoaringVec, RowOrder, RowPermutation, WahBuilder, WahVec,
 };
 use proptest::prelude::*;
 
@@ -289,8 +289,29 @@ proptest! {
         prop_assert_eq!(held(&second), oracle(&binner, &b), "reused builder leaked state");
     }
 
+    /// The branchless kernel against `bin_of`, on the field laced with
+    /// signed zeros, subnormals, every bin edge and quotients past 2^32 and
+    /// 2^64 — over the usual binners, the widest one, and a width of 1e-300.
     #[test]
-    fn bin_into_matches_bin_of(data in field(), binner in binner()) {
+    fn bin_into_matches_bin_of(
+        field in field(),
+        binner in prop_oneof![
+            binner(),
+            binner(),
+            Just(Binner::fixed_width(-100.0, 100.0, Binner::MAX_BINS)),
+            (1usize..Binner::MAX_BINS + 1).prop_map(|nbins| {
+                Binner::from_spec(BinnerSpec::Width { min: -1e-298, width: 1e-300, nbins })
+            }),
+        ],
+    ) {
+        let (lo, hi) = binner.bin_range(0);
+        let mut data = vec![0.0, -0.0, 5e-324, -5e-324, f64::MIN_POSITIVE / 2.0];
+        data.extend((0..binner.nbins()).map(|b| binner.bin_range(b).0));
+        data.push(binner.bin_range(binner.nbins() - 1).1);
+        for q in [2f64.powi(32), 2f64.powi(32) + 1.0, 2f64.powi(64)] {
+            data.extend([lo + q * (hi - lo), lo - q * (hi - lo), q, -q]);
+        }
+        data.extend(field);
         let mut ids = vec![7u32; 3]; // junk that must be overwritten
         binner.bin_into(&data, &mut ids);
         prop_assert_eq!(ids.len(), data.len());

@@ -128,26 +128,43 @@ proptest! {
         }
     }
 
-    /// `GrayBin` is built by a counting sort; the comparison sort it
-    /// replaced — written here as the *stable* sort by key it always was —
-    /// stays the oracle, over every binner kind and over data that is
-    /// noisy (NaN and ±inf included), constant, already sorted, or empty.
+    /// `GrayBin` is built by a counting sort over runs of equal bins; the
+    /// comparison sort it replaced — written here as the *stable* sort by
+    /// key it always was — stays the oracle, over every binner kind and
+    /// over data that is noisy (NaN and ±inf included), constant, already
+    /// sorted, empty, piecewise constant with runs that revisit a bin, and
+    /// that piecewise field tiled past 2^16 rows.
     #[test]
     fn counting_sort_equals_the_stable_sort_by_key(
         noisy in proptest::collection::vec(value(), 0..300),
+        pieces in proptest::collection::vec((value(), 1usize..200), 0..10),
+        long in 65_537usize..70_000,
         binner in binner(),
     ) {
         let mut sorted: Vec<f64> = noisy.iter().copied().filter(|v| !v.is_nan()).collect();
         sorted.sort_by(f64::total_cmp);
         let constant = vec![noisy.first().copied().unwrap_or(0.0); noisy.len()];
-        for data in [noisy, sorted, constant, vec![]] {
+        let piecewise: Vec<f64> = pieces
+            .iter()
+            .flat_map(|&(v, n)| std::iter::repeat_n(v, n))
+            .collect();
+        let tile = if piecewise.is_empty() { &noisy } else { &piecewise };
+        let tiled = tile.iter().copied().cycle().take(long).collect();
+        for data in [noisy, sorted, constant, vec![], piecewise, tiled] {
             let bins: Vec<usize> = data.iter().map(|&v| binner.bin_of(v) as usize).collect();
             let mut perm: Vec<u32> = (0..data.len() as u32).collect();
             perm.sort_by_key(|&i| bins[i as usize] ^ (bins[i as usize] >> 1));
             let oracle = RowPermutation::from_gather(perm);
-            let built = RowOrder::GrayBin.permutation(&[], &binner, &data);
             // an identity result normalizes to `None`
-            prop_assert_eq!(built, (!oracle.is_identity()).then_some(oracle));
+            let Some(p) = RowOrder::GrayBin.permutation(&[], &binner, &data) else {
+                prop_assert!(oracle.is_identity(), "{} rows", data.len());
+                continue;
+            };
+            prop_assert_eq!(p.perm(), oracle.perm(), "{} rows", data.len());
+            prop_assert_eq!(p.inv(), oracle.inv());
+            prop_assert_eq!(p.segments(), oracle.segments());
+            let runs: Vec<(u32, u32)> = p.runs().collect();
+            prop_assert_eq!(&RowPermutation::from_runs(&runs), &p);
         }
     }
 

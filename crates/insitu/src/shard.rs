@@ -33,7 +33,7 @@ use crate::crc::crc32c;
 use crate::engine::QueryEngine;
 use crate::error::{IbisError, Result};
 use crate::io::write_atomic;
-use crate::store::{FsckReport, Store, StoreWriter};
+use crate::store::{FsckReport, Store, StoreWriter, LOSSY_PREFIX};
 use ibis_core::{BitmapIndex, RowOrder, RowPermutation};
 use ibis_obs::LazyCounter;
 use std::path::{Path, PathBuf};
@@ -122,8 +122,9 @@ pub struct CompactReport {
 }
 
 /// Removes one directory's durable debris: quarantined blobs
-/// (`*.quarantined`), orphaned atomic-write temp files (`.*.tmp`), and a
-/// stale `JOURNAL` shadowed by a finished `MANIFEST`. Only call on a
+/// (`*.quarantined`), orphaned atomic-write temp files (`.*.tmp`), and —
+/// once a `MANIFEST` finishes the store — a stale `JOURNAL` and the blobs
+/// of retired lossy companions, which no reader opens. Only call on a
 /// quiesced directory — a writer mid-append owns its journal.
 fn compact_dir(dir: &Path, report: &mut CompactReport) -> Result<()> {
     let entries = std::fs::read_dir(dir)
@@ -135,7 +136,7 @@ fn compact_dir(dir: &Path, report: &mut CompactReport) -> Result<()> {
         let Some(name) = name.to_str() else { continue };
         let debris = name.ends_with(".quarantined")
             || (name.starts_with('.') && name.ends_with(".tmp"))
-            || (name == "JOURNAL" && manifest_done);
+            || ((name == "JOURNAL" || is_retired_lossy_blob(name)) && manifest_done);
         if !debris {
             continue;
         }
@@ -148,6 +149,18 @@ fn compact_dir(dir: &Path, report: &mut CompactReport) -> Result<()> {
         OBS_COMPACT_BYTES.add(bytes);
     }
     Ok(())
+}
+
+/// A retired lossy companion's blob, `s<step>___lossy_<variable>.ibis`.
+fn is_retired_lossy_blob(name: &str) -> bool {
+    let Some(rest) = name.strip_prefix('s') else {
+        return false;
+    };
+    let var = rest.trim_start_matches(|c: char| c.is_ascii_digit());
+    var.len() < rest.len()
+        && var
+            .strip_prefix('_')
+            .is_some_and(|v| v.starts_with(LOSSY_PREFIX) && v.ends_with(".ibis"))
 }
 
 /// [`compact_dir`] over a run directory and its shard directories. The

@@ -1970,5 +1970,20 @@ mod tests {
         let got = answers(&with);
         assert_eq!(got, answers(&without));
         assert_eq!(got.matches("\"error\"").count(), 1, "{got}");
+
+        // compaction of the finished store reclaims the retired blob (and
+        // the journal the resume above left), and the answers stay the same
+        let debris = [
+            with.join("s000000___lossy_temperature.ibis"),
+            with.join("JOURNAL"),
+        ];
+        let bytes: u64 = debris.iter().map(|f| f.metadata().unwrap().len()).sum();
+        let store = crate::shard::ShardedStore::open(&with).unwrap();
+        let report = store.compact().unwrap();
+        assert_eq!(report.files_removed, 2);
+        assert_eq!(report.bytes_reclaimed, bytes);
+        assert!(debris.iter().all(|f| !f.exists()));
+        assert_eq!(answers(&with), got);
+        assert_eq!(store.compact().unwrap(), Default::default());
     }
 }

@@ -43,14 +43,16 @@ echo "==> cargo test (rayon shim: install/width semantics the pool-width regress
 # vendor/ is outside the workspace; the shim is tested as the dependency it is.
 cargo test -q -p rayon
 
-echo "==> proptest shim, then the generation, codec and kernel properties under two more seeds"
+echo "==> proptest shim, then the generation, codec, kernel and row-order properties under two more seeds"
 # Every property draws from its name-derived seed, so the workspace run
 # above sees the same cases each time. PROPTEST_SEED mixes a seed in; these
 # two fixed ones add cases where run boundaries, chunk seams and the fill
-# counter move. A failure prints the seed that replays it.
+# counter move, and where the row-order sort places its runs of equal bins.
+# A failure prints the seed that replays it.
 cargo test -q -p proptest
 for seed in 1 2; do
-    PROPTEST_SEED=$seed cargo test -q -p ibis-core --test prop_generation --test prop_codecs --test prop_kernels
+    PROPTEST_SEED=$seed cargo test -q -p ibis-core --test prop_generation --test prop_codecs \
+        --test prop_kernels --test prop_roworder
 done
 
 echo "==> test kit: both obs configurations, and it never switches obs on"
@@ -129,7 +131,7 @@ bench_smoke reorder IBIS_ORDER_SMOKE '"samples"' '"elements"' '"vs_identity"' \
     '"size_win_15pct_within_latency_10pct"' '"order_payload_bytes"' \
     '"bytes_with_order"' '"perm_build_s"' '"region_mask_s"'
 bench_smoke serving IBIS_SERVE_SMOKE '"samples"' '"fault_free_p99_ms"' \
-    '"saturation_qps"' '"faulted_p99_ms"' '"faulted_p99_within_5x"' '"shed"' \
+    '"saturation_qps"' '"faulted_p99_ms"' '"faulted_p99_within_bound"' '"shed"' \
     '"coalesce_hits"' '"coalesce_decodes"' '"queue_peak"' \
     '"queue_bound_respected"' '"socket_rtt_p50_ms"'
 bench_smoke shard IBIS_SHARD_SMOKE '"samples"' '"shards"' '"throughput_qps"' \

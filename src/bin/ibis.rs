@@ -117,14 +117,19 @@ a command does not read is an error.";
 type Flags = HashMap<String, String>;
 
 /// The flags verb `cmd` reads besides `--obs-json`, space-separated, or
-/// `None` for a name that is no verb (the dispatch reports it).
-fn verb_flags(cmd: &str) -> Option<&'static str> {
+/// `None` for a name that is no verb (the dispatch reports it). Each mode
+/// of `query` has its own: the store mode, when `--store` or `--batch` is
+/// one of the flags in `args`, and the grid mode otherwise.
+fn verb_flags(cmd: &str, args: &[String]) -> Option<&'static str> {
+    let store_mode = args
+        .iter()
+        .step_by(2)
+        .any(|a| a == "--store" || a == "--batch");
     Some(match cmd {
         "insitu" => "sim steps select cores machine method allocation out shards row-order",
         "mine" => "grid bins t1 t2 unit top",
-        "query" => {
-            "var-a var-b value-a value-b region grid row-order store batch cache-mb json-out"
-        }
+        "query" if store_mode => "store batch cache-mb json-out",
+        "query" => "var-a var-b value-a value-b region grid row-order",
         "serve" => {
             "store addr workers queue cache-mb deadline-ms max-conns conns shards maintain-ms"
         }
@@ -141,7 +146,7 @@ fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, String> {
         let Some(name) = a.strip_prefix("--") else {
             return Err(format!("expected a --flag, got {a:?}"));
         };
-        let known = verb_flags(cmd).is_none_or(|verb| verb.split(' ').any(|f| f == name));
+        let known = verb_flags(cmd, args).is_none_or(|verb| verb.split(' ').any(|f| f == name));
         if !known && name != "obs-json" {
             return Err(format!("unknown flag --{name}"));
         }

@@ -319,6 +319,15 @@ fn every_verb_refuses_a_flag_it_does_not_read() {
             format!("query --store {dir} --batch b.json --lossy-fpr 1e-2"),
             "lossy-fpr",
         ),
+        // each mode of `query` refuses the other mode's flags
+        (
+            format!("query --store {dir} --batch b.json --region 5:1"),
+            "region",
+        ),
+        (
+            "query --var-a temperature --var-b salinity --cache-mb 8".to_string(),
+            "cache-mb",
+        ),
         (format!("serve --store {dir} --lossy-fpr 1e-2"), "lossy-fpr"),
         ("mine --grid 8x8x1 --bin 4".to_string(), "bin"),
         (
