@@ -334,7 +334,7 @@ fn bench_count(c: &mut Criterion) {
     g.finish();
 }
 
-/// CRC32-C, the checksum every store blob, journal line and checkpoint
+/// CRC32-C, the checksum every store frame, record header and checkpoint
 /// goes through: the dispatching entry point (the SSE4.2 `crc32`
 /// instruction where the host has it) against the portable slicing-by-8
 /// path, on buffers inside L1, inside L2 and beyond it.

@@ -112,8 +112,9 @@ fn miss_path(nshards: usize, ocean: [usize; 3]) -> String {
     {
         for var in ["temperature", "salinity"] {
             let eager = store.get(0, var).expect("stored index");
-            let file = store.dir().join(format!("s000000_{var}.ibis"));
-            let framed = std::fs::read(&file).expect("read blob");
+            let (file, at) = store.locate(0, var).expect("stored entry");
+            let segment = std::fs::read(&file).expect("read segment");
+            let framed = &segment[at.start as usize..at.end as usize];
             let payload = &framed[12..framed.len() - 4];
             let decode = || codec::decode_index(payload).expect("stored payload");
             // the plan of record: the value range holding 40 % of the rows,

@@ -35,7 +35,7 @@ use ibis_core::{
 use ibis_datagen::{
     Heat3D, Heat3DConfig, LuleshConfig, MiniLulesh, OceanConfig, OceanModel, Simulation,
 };
-use ibis_insitu::StoreWriter;
+use ibis_insitu::{Store, StoreWriter, ORDER_VARIABLE};
 use std::hint::black_box;
 use std::ops::Range;
 use std::time::Instant;
@@ -156,9 +156,10 @@ fn order_blob_bytes(order: RowOrder, perm: &RowPermutation) -> u64 {
     std::fs::remove_dir_all(&dir).ok();
     let mut w = StoreWriter::create(&dir).expect("create scratch store");
     w.put_order(0, order, perm).expect("put order");
-    let bytes = std::fs::metadata(dir.join("s000000___order.ibis"))
-        .expect("order blob")
-        .len();
+    w.finish().expect("finish the order store");
+    let store = Store::open(&dir).expect("open the order store");
+    let (_, at) = store.locate(0, ORDER_VARIABLE).expect("order blob");
+    let bytes = at.end - at.start;
     std::fs::remove_dir_all(&dir).ok();
     bytes
 }

@@ -26,7 +26,7 @@
 //!    actually happened and p99 stays interactive (<= 150 ms, ~5x the
 //!    PR 7 fault-free serving p99);
 //! 4. node-kill: a sharded writer dies mid-ingest (one shard with a
-//!    torn journal tail), resumes from each shard's durable state,
+//!    torn last append), resumes from each shard's durable state,
 //!    repairs by idempotent re-put, and the recovered tier answers
 //!    exactly like a never-killed flat store.
 //!
@@ -339,9 +339,9 @@ fn main() {
             .expect("put step 1 half");
         // killed here: no finish()
     }
-    let journal = kill_dir.join("shard-002").join("JOURNAL");
-    let bytes = std::fs::read(&journal).expect("read journal");
-    std::fs::write(&journal, &bytes[..bytes.len() - 3]).expect("tear journal");
+    let segment = kill_dir.join("shard-002").join("s000001.ibis");
+    let bytes = std::fs::read(&segment).expect("read segment");
+    std::fs::write(&segment, &bytes[..bytes.len() - 3]).expect("tear last append");
     let t0 = Instant::now();
     let mut w = ShardedWriter::resume(&kill_dir).expect("resume killed writer");
     assert_eq!(

@@ -22,7 +22,7 @@
 //! exact WAH form for whatever needs one.
 
 use crate::kernels::WahStats;
-use crate::runs::{Ones, Run, RunIter};
+use crate::runs::{Run, RunIter};
 use crate::wah::{WahVec, LITERAL_MASK, MAX_FILL_BITS, SEG_BITS};
 use crate::WahBuilder;
 use std::ops::Range;
@@ -326,8 +326,8 @@ fn union(pieces: &mut Vec<Container>) -> Container {
 /// chunk at a time: a chunk's rows land in a `u16` list (one store per row
 /// — the array container itself), its runs in an interval list, and the
 /// chunk is sealed into its [`canonical`] form once the stream leaves it.
-/// The index builder keeps one per bin; [`RoaringVec::from_wah`],
-/// [`RoaringVec::slice`] and [`RoaringVec::from_bits`] feed one too.
+/// The index builder keeps one per bin; [`RoaringVec::from_wah`] and
+/// [`RoaringVec::from_bits`] feed one too.
 #[derive(Debug, Default)]
 pub(crate) struct RoaringWriter {
     containers: Vec<Container>,
@@ -632,20 +632,42 @@ impl RoaringVec {
     }
 
     /// The half-open `rows` as a vector of their own (row `rows.start`
-    /// becoming row 0), re-chunked into canonical containers.
+    /// becoming row 0), chunk by chunk: the stretch of the one or two
+    /// containers a chunk covers, list elements moved and intervals
+    /// clipped, sealed in the canonical form the writer gives those bits.
     ///
     /// # Panics
     /// When `rows` is inverted or ends past the vector's length.
     pub fn slice(&self, rows: Range<u64>) -> RoaringVec {
         assert!(rows.start <= rows.end, "range out of bounds");
-        let mut w = RoaringWriter::default();
-        let at = rows.start;
-        self.for_each_piece_in(rows.clone(), |piece| match piece {
-            Piece::Bits(base, bits) => Ones::Literal(base, bits).for_each(|r| w.push_row(r - at)),
-            Piece::Row(r) => w.push_row(r - at),
-            Piece::Run(s, e) => w.push_run(s - at, e - at),
+        let (mut list, mut runs) = (Vec::new(), Vec::new());
+        let chunks = (rows.start..rows.end).step_by(CONTAINER_BITS as usize);
+        let containers = chunks.map(|from| {
+            let to = rows.end.min(from + CONTAINER_BITS);
+            for (base, c, lo, hi) in self.windows(&(from..to)) {
+                // row `base + v` of the vector is row `moved(v)` of the chunk
+                let moved = |v: u16| (v as u64 + base - from) as u16;
+                match c {
+                    Container::Array(a) => {
+                        let at = a.partition_point(|&v| v < lo)..a.partition_point(|&v| v <= hi);
+                        list.extend(a[at].iter().map(|&v| moved(v)));
+                    }
+                    c => c.for_each_run(|s, e| {
+                        if s <= hi && e >= lo {
+                            runs.push((moved(s.max(lo)), moved(e.min(hi))));
+                        }
+                    }),
+                }
+            }
+            let c = canonical(&list, &runs);
+            list.clear();
+            runs.clear();
+            c
         });
-        w.finish(rows.end - at)
+        RoaringVec {
+            containers: containers.collect(),
+            len_bits: rows.end - rows.start,
+        }
     }
 
     /// The [`WahStats`] of this vector's canonical WAH form, counted from

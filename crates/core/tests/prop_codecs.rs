@@ -219,3 +219,51 @@ fn form_bits() -> impl Strategy<Value = (ContainerForm, Vec<bool>)> {
         }),
     ]
 }
+
+/// A cut of a vector of `len` rows: on a 2^16 container edge or a 31-row
+/// segment edge (or one row either side of one), or anywhere.
+fn cut(len: u64) -> impl Strategy<Value = u64> {
+    let near = move |edge: u64| (0..len / edge + 1, -1i64..2).prop_map(move |(k, d)| (k * edge, d));
+    prop_oneof![
+        near(CONTAINER_BITS).prop_map(|(at, d)| at as i64 + d),
+        near(31).prop_map(|(at, d)| at as i64 + d),
+        (0..len + 1).prop_map(|at| at as i64),
+    ]
+    .prop_map(move |at| at.clamp(0, len as i64) as u64)
+}
+
+proptest! {
+    /// `slice` of a vector whose chunks take all three container forms
+    /// (two draws of [`form_bits`] end to end, so a seam can join two
+    /// forms), cut on and off the 2^16 container edges and the 31-row
+    /// segment edges, holds the reference's bits — and as the canonical
+    /// vector of those bits: its serialization is that of the vector
+    /// built from them. `clustered` cuts 3 000 rows at `a` and lays runs
+    /// of three over them, so a list container can slice into a run one.
+    #[test]
+    fn slice_equals_the_bit_reference_at_every_kind_of_cut(
+        ((_, head), (_, tail)) in (form_bits(), form_bits()),
+        (a, b) in (cut(4 * CONTAINER_BITS), cut(4 * CONTAINER_BITS)),
+        clustered in any::<bool>(),
+    ) {
+        let mut bits = [head, tail].concat();
+        let rows = match clustered {
+            true => a..(a + 3000).min(bits.len() as u64),
+            false => a.min(b)..a.max(b),
+        };
+        for i in rows.clone().filter(|i| clustered && (i - a) % 4 != 3) {
+            bits[i as usize] = true;
+        }
+        let v = RoaringVec::from_bits(bits.iter().copied());
+        let want = &bits[rows.start as usize..rows.end as usize];
+        let part = v.slice(rows.clone());
+        prop_assert_eq!(part.len(), want.len() as u64);
+        prop_assert_eq!(part.count_ones(), want.iter().filter(|&&b| b).count() as u64);
+        for (i, &bit) in want.iter().enumerate() {
+            prop_assert_eq!(part.get(i as u64), bit, "row {} of {:?}", i, rows);
+        }
+        let built = RoaringVec::from_bits(want.iter().copied());
+        prop_assert_eq!(part.container_forms(), built.container_forms(), "{:?}", rows);
+        prop_assert_eq!(part.serialize(), built.serialize(), "{:?}", rows);
+    }
+}

@@ -510,9 +510,15 @@ mod tests {
         w.finish().unwrap();
         // the payload's layout version sits behind the 12-byte frame
         // header and the payload's own 4-byte magic
-        let version = |file: &str| std::fs::read(dir.join(file)).unwrap()[16];
-        assert_eq!(version("s000000_temperature.ibis"), 2, "scattered → tagged");
-        assert_eq!(version("s000001_temperature.ibis"), 1, "smooth → untagged");
+        let version = |step: usize| {
+            let (file, at) = Store::open(&dir)
+                .unwrap()
+                .locate(step, "temperature")
+                .unwrap();
+            std::fs::read(file).unwrap()[at.start as usize + 16]
+        };
+        assert_eq!(version(0), 2, "scattered → tagged");
+        assert_eq!(version(1), 1, "smooth → untagged");
 
         let cache = CachedStore::new(Store::open(&dir).unwrap(), 64 << 20);
         assert_eq!(

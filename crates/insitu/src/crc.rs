@@ -4,8 +4,8 @@
 //! and most storage systems (iSCSI, ext4, Btrfs) compute, so stored
 //! checksums remain meaningful to external tooling.
 //!
-//! Every blob write, blob read, journal line and checkpoint goes through
-//! [`crc32c_append`], which picks its kernel from what the CPU reports at
+//! Every frame written and read, segment record header and checkpoint goes
+//! through [`crc32c_append`], which picks its kernel from what the CPU reports at
 //! run time: the SSE4.2 `crc32` instruction (8 bytes per step) on x86-64
 //! hosts that have it, the portable slicing-by-8 tables ([`crc32c_sw`])
 //! everywhere else. Both compute the same function — the differential

@@ -131,15 +131,22 @@ impl Storage for RemoteLink {
     }
 }
 
-/// Writes `bytes` to `tmp`, syncs, and renames onto `path` — the atomic
-/// write primitive behind every blob, manifest and checkpoint. On any
+/// Writes `bytes` to `tmp`, syncs, renames onto `path` and syncs the
+/// directory, so the new name survives a crash too — the atomic write
+/// primitive behind every manifest, checkpoint and `SHARDS` file. On any
 /// failure the final name is untouched.
 pub(crate) fn write_atomic(tmp: &Path, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut f = std::fs::File::create(tmp)?;
     f.write_all(bytes)?;
     f.sync_all()?;
     drop(f);
-    std::fs::rename(tmp, path)
+    std::fs::rename(tmp, path)?;
+    sync_dir(path.parent().unwrap_or(Path::new(".")))
+}
+
+/// Syncs directory `dir`, so the names made or removed in it survive.
+pub(crate) fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    std::fs::File::open(dir)?.sync_all()
 }
 
 /// Serializes a WAH bitvector into a portable byte blob (little-endian

@@ -45,19 +45,21 @@
 //!
 //! ## Durable ordering
 //!
-//! Within one step the durable sink makes the winner's blobs durable
-//! (`write` + `fsync` + `rename` each — the row permutation before the
-//! indices built under it, which mean nothing without it), then their
-//! journal lines (`fsync`ed), and only then rewrites the `CHECKPOINT`
-//! (`fsync` + `rename`) that names the winner. A checkpoint on disk
-//! therefore implies the journal lines of everything it names, which
-//! imply the blobs; a crash in between leaves the older checkpoint, and
-//! the re-run step re-puts its winner idempotently. Resume replays the
-//! checkpoint's completed prefix into a fresh simulation — a
+//! Within one step the durable sink makes the winner's entries durable
+//! (one append + `fdatasync` each to the step's segment — the row
+//! permutation before the indices built under it, which mean nothing
+//! without it), and only then rewrites the `CHECKPOINT` (`fsync` +
+//! `rename` + directory `fsync`, a fault-injected write op like an
+//! append) that names the winner. A checkpoint on disk therefore implies
+//! the records of everything it names; a crash in between leaves the
+//! older checkpoint, and the re-run step re-puts its winner idempotently
+//! (a record already durable byte for byte is not appended again, so the
+//! resumed store is the uninterrupted one's byte for byte). Resume
+//! replays the checkpoint's completed prefix into a fresh simulation — a
 //! Separate-Cores producer's run-ahead is never persisted.
 use crate::error::{panic_message, IbisError, Result, WorkerRole};
 use crate::fault::{FaultInjector, FaultSite};
-use crate::io::{codec, write_atomic, Storage};
+use crate::io::{codec, Storage};
 use crate::machine::{
     decontend, modeled_seconds, timed_in_pool, MachineModel, PhaseClock, ScalingModel,
 };
@@ -919,14 +921,9 @@ impl Sink<'_> {
     /// crash between here and the next step resumes exactly at
     /// `next_step`.
     fn close_step(&mut self, next_step: usize, lp: &StepLoop<'_>) -> Result<()> {
-        if let Sink::Durable { dir, .. } = self {
+        if let Sink::Durable { writer, .. } = self {
             let bytes = encode_checkpoint(next_step, &lp.selector, &lp.outcomes, &lp.totals)?;
-            write_atomic(
-                &dir.join(".CHECKPOINT.tmp"),
-                &dir.join("CHECKPOINT"),
-                &bytes,
-            )
-            .map_err(|e| IbisError::io("write CHECKPOINT", &e))?;
+            writer.write_file("CHECKPOINT", &bytes)?;
         }
         Ok(())
     }
@@ -1275,7 +1272,9 @@ fn encode_checkpoint(
     put_u64(&mut buf, totals.bytes_written);
     put_u64(&mut buf, totals.summary_bytes_total);
     put_u64(&mut buf, totals.raw_bytes_per_step);
-    Ok(frame(Kind::Checkpoint, &buf).0)
+    let mut framed = Vec::with_capacity(buf.len() + 16);
+    frame(&mut framed, Kind::Checkpoint, &buf);
+    Ok(framed)
 }
 
 /// One buffered step as [`put_summary`] wrote it.
@@ -1884,7 +1883,11 @@ mod tests {
         // damage under a recomputed frame CRC reaches the parser proper (the
         // frame's own defences are `every_corruption_of_every_frame_kind…`):
         // a cut payload is always an error, a flipped one never a panic
-        let reseal = |payload: &[u8]| frame(Kind::Checkpoint, payload).0;
+        let reseal = |payload: &[u8]| {
+            let mut framed = Vec::new();
+            frame(&mut framed, Kind::Checkpoint, payload);
+            framed
+        };
         let payload = &bytes[12..bytes.len() - 4];
         assert_eq!(reseal(payload), bytes);
         for cut in 0..payload.len() {
@@ -1966,7 +1969,7 @@ mod tests {
 
         // a winner the store cannot produce intact is a typed error naming
         // the entry — never persisted, torn, bit-flipped or gone, seen
-        // both through the live writer and through a journal-verifying
+        // both through the live writer and through a segment-scanning
         // `StoreWriter::resume` (which drops the damaged entry)
         let lost = |store: Store, entry: &str| {
             let err = reload_prev(&store, prev, &names).unwrap_err();
@@ -1977,18 +1980,20 @@ mod tests {
         };
         lost(persist(false).durable_view(), ORDER_VARIABLE);
         for entry in ["salinity", ORDER_VARIABLE] {
-            let file = dir.join(format!("s000003_{entry}.ibis"));
             for damage in 0..3 {
                 let writer = persist(true);
+                let (file, at) = writer.durable_view().locate(3, entry).unwrap();
+                let (start, mid) = (at.start as usize, (at.start + at.end) as usize / 2);
                 let clean = std::fs::read(&file).unwrap();
                 match damage {
-                    0 => std::fs::write(&file, &clean[..clean.len() / 2]).unwrap(),
+                    // torn halfway, and gone: the segment ends there
+                    0 => std::fs::write(&file, &clean[..mid]).unwrap(),
                     1 => {
                         let mut flipped = clean.clone();
-                        flipped[clean.len() / 2] ^= 0x10;
+                        flipped[mid] ^= 0x10;
                         std::fs::write(&file, &flipped).unwrap();
                     }
-                    _ => std::fs::remove_file(&file).unwrap(),
+                    _ => std::fs::write(&file, &clean[..start]).unwrap(),
                 }
                 lost(writer.durable_view(), entry);
                 drop(writer);
@@ -2046,11 +2051,24 @@ mod tests {
             (0, ORDER_VARIABLE, |s| s.load_order(0).map(drop)),
             (1, ORDER_VARIABLE, |s| s.load_order(1).map(drop)),
         ];
-        for (step, entry, read) in blobs {
-            let file = dir.join(format!("s{step:06}_{entry}.ibis"));
+        let store = Store::open(&dir).unwrap();
+        let located = blobs.map(|(step, entry, _)| store.locate(step, entry).unwrap());
+        for ((step, entry, read), (file, at)) in blobs.into_iter().zip(located.clone()) {
+            let frame = at.start as usize..at.end as usize;
             let clean = std::fs::read(&file).unwrap();
-            for (damage, bad) in corruptions(&clean) {
-                std::fs::write(&file, &bad).unwrap();
+            for (damage, bad) in corruptions(&clean[frame.clone()]) {
+                // the damaged frame in its place in the segment: a cut one
+                // ends it, and a longer one — a byte appended to a frame
+                // the segment delimits — is a byte inserted ahead of it
+                let mut bytes = clean[..frame.start].to_vec();
+                match bad.len() > frame.len() {
+                    true => bytes.extend([&[0][..], &clean[frame.clone()]].concat()),
+                    false => bytes.extend_from_slice(&bad),
+                }
+                if bad.len() >= frame.len() {
+                    bytes.extend_from_slice(&clean[frame.end..]);
+                }
+                std::fs::write(&file, &bytes).unwrap();
                 let err = read(&Store::open(&dir).unwrap()).expect_err(&damage);
                 assert!(
                     matches!(err, IbisError::Corrupt { .. }),
@@ -2066,11 +2084,16 @@ mod tests {
                     want_corrupt,
                     "{entry}, {damage}: {cached}"
                 );
+                // resume drops the damaged entry; past a frame that is cut
+                // or shifted, no record of its segment is whole any more
                 let resumed = StoreWriter::resume(&dir).unwrap();
-                for (at, other, _) in blobs {
+                let ends_segment = bad.len() != frame.len();
+                for ((at, other, _), (in_file, range)) in blobs.into_iter().zip(&located) {
+                    let behind =
+                        ends_segment && *in_file == file && range.start > frame.start as u64;
                     assert_eq!(
                         resumed.contains(at, other),
-                        (at, other) != (step, entry),
+                        (at, other) != (step, entry) && !behind,
                         "{entry}, {damage}"
                     );
                 }

@@ -4,7 +4,7 @@
 //!
 //! One step's index is split into `K` spatial shards over contiguous
 //! stored-row ranges. Each shard is a first-class durable [`Store`]: its
-//! own journal, CRC'd blobs, fsck/repair, and crash-resume — a killed
+//! own segments, CRC'd frames, fsck/repair, and crash-resume — a killed
 //! node resumes from *its* shard directory alone.
 //!
 //! Row split: shard `i` of `K` covers stored rows
@@ -22,9 +22,10 @@
 //! file still fails hard: its root holds no `MANIFEST`.
 //!
 //! Background maintenance ([`QueryEngine::maintenance_once`]) compacts
-//! durable debris (quarantined blobs, orphaned temp files, stale
-//! journals) and applies tiered cache eviction — drop steps that fell out
-//! of the hot set, then squeeze to an idle byte target — per shard.
+//! durable debris (quarantined blobs, orphaned temp files, the journals
+//! of an earlier format) and applies tiered cache eviction — drop steps
+//! that fell out of the hot set, then squeeze to an idle byte target — per
+//! shard.
 //!
 //! Counters (family `shard`): `shard.compact.{files,bytes}` here; the
 //! engine owns `shard.query.*` and `shard.maintenance.*`.
@@ -32,11 +33,13 @@
 use crate::crc::crc32c;
 use crate::engine::QueryEngine;
 use crate::error::{IbisError, Result};
+use crate::fault::FaultInjector;
 use crate::io::write_atomic;
-use crate::store::{FsckReport, Store, StoreWriter, LOSSY_PREFIX};
+use crate::store::{stored_file, FsckReport, Store, StoreWriter, LOSSY_PREFIX};
 use ibis_core::{BitmapIndex, RowOrder, RowPermutation};
 use ibis_obs::LazyCounter;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 static OBS_COMPACT_FILES: LazyCounter = LazyCounter::new("shard.compact.files");
 static OBS_COMPACT_BYTES: LazyCounter = LazyCounter::new("shard.compact.bytes");
@@ -122,10 +125,10 @@ pub struct CompactReport {
 }
 
 /// Removes one directory's durable debris: quarantined blobs
-/// (`*.quarantined`), orphaned atomic-write temp files (`.*.tmp`), and —
-/// once a `MANIFEST` finishes the store — a stale `JOURNAL` and the blobs
-/// of retired lossy companions, which no reader opens. Only call on a
-/// quiesced directory — a writer mid-append owns its journal.
+/// (`*.quarantined`), orphaned atomic-write temp files (`.*.tmp`), a
+/// `JOURNAL` (what stores kept before segments; nothing reads one) and —
+/// once a `MANIFEST` finishes the store — the blobs of retired lossy
+/// companions, which no reader opens. Only call on a quiesced directory.
 fn compact_dir(dir: &Path, report: &mut CompactReport) -> Result<()> {
     let entries = std::fs::read_dir(dir)
         .map_err(|e| IbisError::io(format!("read dir {}", dir.display()), &e))?;
@@ -136,7 +139,9 @@ fn compact_dir(dir: &Path, report: &mut CompactReport) -> Result<()> {
         let Some(name) = name.to_str() else { continue };
         let debris = name.ends_with(".quarantined")
             || (name.starts_with('.') && name.ends_with(".tmp"))
-            || ((name == "JOURNAL" || is_retired_lossy_blob(name)) && manifest_done);
+            || name == "JOURNAL"
+            || (manifest_done
+                && stored_file(name).is_some_and(|(_, e)| e.starts_with(LOSSY_PREFIX)));
         if !debris {
             continue;
         }
@@ -149,18 +154,6 @@ fn compact_dir(dir: &Path, report: &mut CompactReport) -> Result<()> {
         OBS_COMPACT_BYTES.add(bytes);
     }
     Ok(())
-}
-
-/// A retired lossy companion's blob, `s<step>___lossy_<variable>.ibis`.
-fn is_retired_lossy_blob(name: &str) -> bool {
-    let Some(rest) = name.strip_prefix('s') else {
-        return false;
-    };
-    let var = rest.trim_start_matches(|c: char| c.is_ascii_digit());
-    var.len() < rest.len()
-        && var
-            .strip_prefix('_')
-            .is_some_and(|v| v.starts_with(LOSSY_PREFIX) && v.ends_with(".ibis"))
 }
 
 /// [`compact_dir`] over a run directory and its shard directories. The
@@ -200,9 +193,9 @@ fn common_steps(mut per_shard: impl Iterator<Item = Vec<usize>>) -> Vec<usize> {
 }
 
 /// Writes one logical run as `K ≥ 1` spatial shards, each a fully durable
-/// [`StoreWriter`]: journaled blobs, atomic writes, per-shard
-/// crash-resume. [`ShardedWriter::put`] slices the step's index on the
-/// deterministic even-split row cuts; the global row permutation (if any)
+/// [`StoreWriter`]: one synced append a put into the step's segment,
+/// per-shard crash-resume. [`ShardedWriter::put`] slices the step's index
+/// on the deterministic even-split row cuts; the global row permutation (if any)
 /// is stored whole in every shard so each one can answer region queries
 /// independently. `K = 1` writes the flat store, byte for byte what a
 /// bare [`StoreWriter`] writes (module docs).
@@ -242,7 +235,7 @@ impl ShardedWriter {
 
     /// Reopens an interrupted (or finished) run: reads the shard count
     /// back from `SHARDS` (absent: the one flat shard) and crash-resumes
-    /// every shard from its own journal/manifest — the whole point of
+    /// every shard from its own segments/manifest — the whole point of
     /// per-shard durability is that a killed node recovers from its shard
     /// directory alone.
     pub fn resume(dir: impl AsRef<Path>) -> Result<Self> {
@@ -252,6 +245,16 @@ impl ShardedWriter {
             .map(StoreWriter::resume)
             .collect::<Result<Vec<_>>>()?;
         Ok(ShardedWriter { dir, writers })
+    }
+
+    /// Routes every shard's writes through one injector: one op count.
+    pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
+        self.writers = self
+            .writers
+            .into_iter()
+            .map(|w| w.with_fault_injector(Arc::clone(&injector)))
+            .collect();
+        self
     }
 
     /// The run directory.
@@ -270,7 +273,7 @@ impl ShardedWriter {
     }
 
     /// Steps durable in every shard, ascending — a step some shard lost
-    /// (torn journal, killed node) is not globally durable until re-put.
+    /// (torn append, killed node) is not globally durable until re-put.
     pub fn durable_steps(&self) -> Vec<usize> {
         common_steps(self.writers.iter().map(StoreWriter::durable_steps))
     }
@@ -297,8 +300,8 @@ impl ShardedWriter {
         Ok(())
     }
 
-    /// Finishes every shard (checksummed manifest, journal retired) and
-    /// returns the run directory.
+    /// Finishes every shard (checksummed manifest) and returns the run
+    /// directory.
     pub fn finish(self) -> Result<PathBuf> {
         for w in self.writers {
             w.finish()?;
@@ -367,7 +370,8 @@ impl ShardedStore {
     }
 
     /// Compacts durable debris (quarantined blobs, orphaned temp files,
-    /// stale journals) in the run directory and every shard.
+    /// journals of an earlier format) in the run directory and every
+    /// shard.
     pub fn compact(&self) -> Result<CompactReport> {
         let mut report = CompactReport::default();
         compact_dirs(&self.dir, self.shards.iter().map(Store::dir), &mut report)?;
@@ -384,7 +388,7 @@ impl ShardedStore {
 /// What [`QueryEngine::maintenance_once`] should do.
 #[derive(Debug, Clone, Default)]
 pub struct MaintenanceConfig {
-    /// Remove durable debris (quarantined/temp/stale-journal files).
+    /// Remove durable debris (quarantined, temp and journal files).
     /// Off by default: the serving loop opts in once it owns the
     /// directory exclusively.
     pub compact: bool,
@@ -692,12 +696,12 @@ mod tests {
         let index = BitmapIndex::build(&a0, binner());
         let mut w = ShardedWriter::create(&dir, 3).expect("writer");
         w.put(0, "temperature", &index).expect("put");
-        // Simulate a node kill mid-run: drop the writer (journals remain,
-        // no manifests), then tear shard 1's journal mid-line.
+        // Simulate a node kill mid-run: drop the writer (segments remain,
+        // no manifests), then tear shard 1's append mid-record.
         drop(w);
-        let j = dir.join("shard-001").join("JOURNAL");
-        let bytes = std::fs::read(&j).expect("journal");
-        std::fs::write(&j, &bytes[..bytes.len() - 3]).expect("tear");
+        let seg = dir.join("shard-001").join("s000000.ibis");
+        let bytes = std::fs::read(&seg).expect("segment");
+        std::fs::write(&seg, &bytes[..bytes.len() - 3]).expect("tear");
         let mut w = ShardedWriter::resume(&dir).expect("resume");
         assert!(
             !w.contains(0, "temperature"),

@@ -1,53 +1,37 @@
 //! A durable on-disk store for the in-situ phase's output: one directory
-//! holding the selected time-steps' indices (one `.ibis` file per step per
-//! variable) plus a manifest — the artifact a post-analysis session opens
-//! instead of the raw simulation output.
+//! holding the selected time-steps' indices plus a manifest — the artifact
+//! post-analysis opens instead of the raw simulation output.
 //!
 //! Because this store *replaces* the raw data, format v2 treats silent
-//! corruption and partial writes as first-class failure modes:
+//! corruption and partial writes as first-class failure modes (DESIGN.md
+//! §6d; the bytes are §6m):
 //!
-//! * every blob is one CRC-sealed frame — `"IBF" | kind (u8) |
-//!   payload len (u64 LE) | payload | CRC32-C (u32 LE) of kind, len and
-//!   payload` — written via temp-file + rename, so a crashed writer never
-//!   leaves a half-written blob under its final name. The kind says what
-//!   the payload is (index 1, row order 2, the pipeline's `CHECKPOINT` 4;
-//!   kind 3 held the retired lossy companions), and nothing a reader acts
-//!   on sits outside the CRC: per-bin codec tags live in the index payload,
-//!   and the [`RowOrder`] tag is the first byte of the order payload;
-//! * a `JOURNAL` records each durable blob as it lands (each line carries
-//!   its own CRC, so a torn journal tail is detected and ignored) — an
-//!   interrupted run can [`StoreWriter::resume`] and re-put idempotently;
-//! * the `MANIFEST` carries a format header, per-entry length + CRC, and
-//!   a whole-file CRC footer, all written atomically; [`Store::open`]
-//!   refuses a manifest whose footer does not check out;
-//! * [`Store::fsck`] runs every entry's ordinary typed load — framing,
-//!   kind, CRC, decode — and quarantines the ones that fail (renamed to
-//!   `*.quarantined`), so [`Store::load_series`] afterwards returns exactly
-//!   the uncorrupted steps.
+//! * every entry is one CRC-sealed frame (`"IBF" | kind | len | payload |
+//!   CRC32-C`), and nothing a reader acts on sits outside the CRC;
+//! * a step's frames are records of one append-only segment,
+//!   `s<step>.ibis`, each behind a header with a CRC of its own: a
+//!   [`StoreWriter::put`] is one append and one `fdatasync`, durable when
+//!   it returns, and [`StoreWriter::resume`] scans the segments, keeping
+//!   the whole records and cutting a torn tail off;
+//! * the `MANIFEST` records each entry's file, offset, length and CRC
+//!   under a whole-file CRC footer, and is written atomically;
+//! * [`Store::fsck`] quarantines every entry whose ordinary typed load
+//!   fails, so reads afterwards see exactly the uncorrupted steps.
 //!
-//! Layout:
-//!
-//! ```text
-//! run-dir/
-//!   MANIFEST            # "#IBIS-STORE v2", entry lines, "#END n crc"
-//!   JOURNAL             # only while a run is in flight
-//!   s000000_temperature.ibis
-//!   s000005_temperature.ibis
-//!   …
-//! ```
-//!
-//! There is no unchecked read path: a manifest without the v2 header and a
-//! blob without a frame are refused with a typed error, never opened on
-//! trust.
+//! A store written before segments — one `s<step>_<variable>.ibis` file a
+//! frame, five-field manifest lines — opens, verifies, compacts and
+//! resumes as it is. There is no unchecked read path: a manifest without
+//! the v2 header and a blob without a frame are typed errors.
 
-use crate::crc::crc32c;
+use crate::crc::{crc32c, le_u32, le_u64};
 use crate::error::{IbisError, Result};
 use crate::fault::{FaultInjector, WriteFault};
-use crate::io::{codec, write_atomic};
+use crate::io::{codec, sync_dir, write_atomic};
 use ibis_core::{BitmapIndex, RowOrder, RowPermutation};
 use ibis_obs::LazyCounter;
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::fs::{File, OpenOptions};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::{Range, RangeInclusive};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -56,8 +40,10 @@ use std::sync::Arc;
 const FRAME_MAGIC: &[u8; 3] = b"IBF";
 /// Framing overhead: magic + kind + u64 length + u32 CRC.
 const FRAME_OVERHEAD: usize = 3 + 1 + 8 + 4;
+/// Magic prefix of every segment record header.
+const RECORD_MAGIC: &[u8; 3] = b"IBR";
 /// Reserved variable name a step's row permutation stores under. Passes
-/// [`check_variable_name`] so the blob rides the ordinary entry / journal /
+/// [`check_variable_name`] so the blob rides the ordinary entry / segment /
 /// manifest machinery, but is hidden from [`Store::variables`] and refused
 /// by [`StoreWriter::put`], so no data variable can collide with it.
 pub const ORDER_VARIABLE: &str = "__order";
@@ -91,11 +77,16 @@ impl Kind {
     }
 }
 
-/// What the store knows about one blob.
+/// A store's `(step, variable) -> entry`, ordered by step then variable.
+type Entries = BTreeMap<(usize, String), EntryMeta>;
+
+/// What the store knows about one entry's frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct EntryMeta {
     file: String,
-    /// On-disk (framed) length.
+    /// Where in its segment the frame starts; `None`: it is the whole file.
+    at: Option<u64>,
+    /// Framed length.
     len: u64,
     /// The frame's CRC32-C.
     crc: u32,
@@ -116,20 +107,19 @@ static OBS_RETIRED_SKIPPED: LazyCounter = LazyCounter::new("store.manifest.retir
 static OBS_ORDER_PUT: LazyCounter = LazyCounter::new("reorder.store.put");
 static OBS_ORDER_LOADED: LazyCounter = LazyCounter::new("reorder.store.loaded");
 
-/// Wraps a payload in the one frame — `"IBF" | kind | payload len (u64
-/// LE) | payload | CRC32-C (u32 LE)` with the CRC over kind, length and
-/// payload — and returns the frame together with that CRC, so a put
-/// checksums its bytes once for both the frame and the entry's
-/// journal/manifest record.
-pub(crate) fn frame(kind: Kind, payload: &[u8]) -> (Vec<u8>, u32) {
-    let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
+/// Appends the one frame around a payload to `out` — `"IBF" | kind |
+/// payload len (u64 LE) | payload | CRC32-C (u32 LE)` with the CRC over
+/// kind, length and payload — and returns that CRC, so a put checksums
+/// its bytes once for both the frame and the entry's manifest record.
+pub(crate) fn frame(out: &mut Vec<u8>, kind: Kind, payload: &[u8]) -> u32 {
+    let at = out.len() + FRAME_MAGIC.len();
     out.extend_from_slice(FRAME_MAGIC);
     out.push(kind as u8);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
-    let crc = crc32c(&out[FRAME_MAGIC.len()..]);
+    let crc = crc32c(&out[at..]);
     out.extend_from_slice(&crc.to_le_bytes());
-    (out, crc)
+    crc
 }
 
 /// Validates a frame that must hold a `want` payload and returns the
@@ -143,7 +133,7 @@ pub(crate) fn unframe(bytes: &[u8], want: Kind) -> std::result::Result<(&[u8], u
         return Err(format!("framed blob too short ({} bytes)", bytes.len()));
     }
     let payload_len = bytes.len() - FRAME_OVERHEAD;
-    let declared = crate::crc::le_u64(&bytes[4..12]);
+    let declared = le_u64(&bytes[4..12]);
     if payload_len as u64 != declared {
         return Err(format!(
             "framed length {} != declared payload {declared} + {FRAME_OVERHEAD}",
@@ -152,7 +142,7 @@ pub(crate) fn unframe(bytes: &[u8], want: Kind) -> std::result::Result<(&[u8], u
     }
     // everything the CRC covers: kind (1) | len (8) | payload
     let (sealed, stored) = bytes[FRAME_MAGIC.len()..].split_at(9 + payload_len);
-    let stored = crate::crc::le_u32(stored);
+    let stored = le_u32(stored);
     let actual = crc32c(sealed);
     if stored != actual {
         OBS_CRC_FAILED.inc();
@@ -168,6 +158,44 @@ pub(crate) fn unframe(bytes: &[u8], want: Kind) -> std::result::Result<(&[u8], u
         ));
     }
     Ok((&sealed[9..], actual))
+}
+
+/// Appends a record header: `"IBR" | name len (u8) | name | frame len
+/// (u64 LE) | CRC32-C (u32 LE) of name len, name and frame len`.
+fn put_record_header(out: &mut Vec<u8>, entry: &str, frame_len: usize) {
+    let at = out.len() + RECORD_MAGIC.len();
+    out.extend_from_slice(RECORD_MAGIC);
+    out.push(entry.len() as u8);
+    out.extend_from_slice(entry.as_bytes());
+    out.extend_from_slice(&(frame_len as u64).to_le_bytes());
+    let crc = crc32c(&out[at..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// The whole, intact record header at the start of `bytes`, if any: the
+/// entry it names, its own length and the length of the frame behind it.
+fn record_header(bytes: &[u8]) -> Option<(&str, usize, u64)> {
+    let name_len = *bytes.strip_prefix(RECORD_MAGIC)?.first()? as usize;
+    let header = bytes.get(RECORD_MAGIC.len()..RECORD_MAGIC.len() + 1 + name_len + 12)?;
+    let (sealed, crc) = header.split_at(header.len() - 4);
+    (crc32c(sealed) == le_u32(crc)).then_some(())?;
+    let (name, len) = sealed[1..].split_at(name_len);
+    let name = std::str::from_utf8(name).ok()?;
+    check_variable_name(name).ok()?;
+    Some((name, RECORD_MAGIC.len() + header.len(), le_u64(len)))
+}
+
+/// The segment file holding `step`'s records.
+fn segment_file(step: usize) -> String {
+    format!("s{step:06}.ibis")
+}
+
+/// The step and entry of a store file: `(step, "")` for a segment, and
+/// for a blob file from before segments, `s<step>_<entry>.ibis`, its entry.
+pub(crate) fn stored_file(name: &str) -> Option<(usize, &str)> {
+    let rest = name.strip_prefix('s')?.strip_suffix(".ibis")?;
+    let (digits, entry) = rest.split_once('_').unwrap_or((rest, ""));
+    Some((digits.parse().ok()?, entry))
 }
 
 /// Appends a permutation as its gather order's runs of consecutive
@@ -256,12 +284,13 @@ pub(crate) fn decode_perm_payload(
 
 fn check_variable_name(variable: &str) -> Result<()> {
     if variable.is_empty()
+        || variable.len() > u8::MAX as usize
         || !variable
             .chars()
             .all(|c| c.is_ascii_alphanumeric() || c == '_')
     {
         return Err(IbisError::Config(format!(
-            "variable name {variable:?} must be non-empty [A-Za-z0-9_] for safe file names"
+            "variable name {variable:?} must be 1 to 255 of [A-Za-z0-9_], for safe file names"
         )));
     }
     Ok(())
@@ -274,114 +303,208 @@ fn check_file_name(file: &str) -> std::result::Result<(), String> {
     Ok(())
 }
 
-/// One journal/manifest entry line (without the journal's own line CRC).
+/// One manifest entry line: `step \t var \t file \t offset \t len \t crc`,
+/// without the offset for an entry written before segments.
 fn entry_line(step: usize, var: &str, meta: &EntryMeta) -> String {
-    format!(
-        "{step}\t{var}\t{}\t{}\t{:08x}",
-        meta.file, meta.len, meta.crc
-    )
+    let EntryMeta { file, at, len, crc } = meta;
+    let at = at.map_or(String::new(), |at| format!("\t{at}"));
+    format!("{step}\t{var}\t{file}{at}\t{len}\t{crc:08x}")
+}
+
+/// Reads `meta`'s frame — a range of a segment, or a whole blob file —
+/// and checks framing, both CRCs and that it holds a `kind` payload:
+/// returns the frame and where its payload sits in it.
+fn read_frame(dir: &Path, meta: &EntryMeta, kind: Kind) -> Result<(Vec<u8>, Range<usize>)> {
+    let corrupt = |detail: String| IbisError::Corrupt {
+        file: meta.file.clone(),
+        detail,
+    };
+    let io = |e: std::io::Error| IbisError::io(format!("read blob {}", meta.file), &e);
+    let mut file = File::open(dir.join(&meta.file)).map_err(io)?;
+    let (size, at) = (file.metadata().map_err(io)?.len(), meta.at.unwrap_or(0));
+    let fits = match meta.at {
+        Some(at) => at.checked_add(meta.len).is_some_and(|end| end <= size),
+        None => size == meta.len,
+    };
+    if !fits {
+        let len = meta.len;
+        return Err(corrupt(format!("no {len}-byte entry at {at} of {size}")));
+    }
+    let mut bytes = Vec::with_capacity(meta.len as usize);
+    file.seek(SeekFrom::Start(at))
+        .and_then(|_| (&mut file).take(meta.len).read_to_end(&mut bytes))
+        .map_err(io)?;
+    let (_, actual) = unframe(&bytes, kind).map_err(corrupt)?;
+    if actual != meta.crc {
+        return Err(corrupt(format!(
+            "frame CRC {actual:08x} != manifest's {:08x}",
+            meta.crc
+        )));
+    }
+    let payload = FRAME_OVERHEAD - 4..bytes.len() - 4; // as unframe checked
+    Ok((bytes, payload))
+}
+
+/// One write op through the fault injector: `attempt(torn)` writes it all
+/// or (`torn`) half; injected faults are retried, real I/O errors are not.
+fn write_op(
+    injector: Option<&FaultInjector>,
+    max_attempts: u32,
+    site: &str,
+    mut attempt: impl FnMut(bool) -> std::io::Result<()>,
+) -> Result<()> {
+    let op = injector.map(FaultInjector::begin_write);
+    let mut last_error = String::new();
+    for n in 0..max_attempts {
+        match injector
+            .zip(op)
+            .and_then(|(inj, op)| inj.write_fault_for(op, n))
+        {
+            Some(WriteFault::IoError) => last_error = format!("injected I/O error writing {site}"),
+            Some(WriteFault::Torn) => {
+                let _ = attempt(true);
+                last_error = format!("injected torn write of {site}");
+            }
+            Some(WriteFault::DelayedAck(_)) | None => {
+                return attempt(false).map_err(|e| IbisError::io(format!("write {site}"), &e))
+            }
+        }
+    }
+    Err(IbisError::StorageExhausted {
+        site: format!("store {site}"),
+        attempts: max_attempts,
+        last_error,
+    })
+}
+
+/// The names of the files in `dir`.
+fn file_names(dir: &Path) -> Result<Vec<String>> {
+    let io = |e: std::io::Error| IbisError::io(format!("read run dir {}", dir.display()), &e);
+    let entries = std::fs::read_dir(dir).map_err(io)?;
+    let names = entries.map(|e| Ok(e.map_err(io)?.file_name().to_string_lossy().into_owned()));
+    names.collect()
+}
+
+/// Scans `step`'s segment `file` into `entries` in append order: a record
+/// whose frame verifies is its entry's latest, one whose frame does not
+/// (damaged, spoiled by fsck) drops its entry, and the first record that
+/// is not whole — a torn append — is cut off with all behind it.
+fn scan_segment(dir: &Path, step: usize, file: &str, entries: &mut Entries) -> Result<()> {
+    let path = dir.join(file);
+    let io = |e: std::io::Error| IbisError::io(format!("scan segment {file}"), &e);
+    let bytes = std::fs::read(&path).map_err(io)?;
+    let mut at = 0;
+    while let Some((entry, header, len)) = record_header(&bytes[at..]) {
+        let start = at + header;
+        let end = usize::try_from(len).ok().and_then(|n| start.checked_add(n));
+        let Some(frame) = end.and_then(|end| bytes.get(start..end)) else {
+            break;
+        };
+        let key = (step, entry.to_string());
+        match unframe(frame, Kind::of(entry)) {
+            Ok((_, crc)) => {
+                let (file, at) = (file.to_string(), Some(start as u64));
+                entries.insert(key, EntryMeta { file, at, len, crc });
+            }
+            Err(_) => drop(entries.remove(&key)),
+        }
+        at = start + frame.len();
+    }
+    // unsynced: a crash brings back a tail a scan cuts again
+    if at < bytes.len() {
+        let f = OpenOptions::new().write(true).open(&path).map_err(io)?;
+        f.set_len(at as u64).map_err(io)?;
+    }
+    Ok(())
+}
+
+/// A segment a writer appends to: its step, its file, and the end of its
+/// last whole record, where the next append goes.
+#[derive(Debug)]
+struct Segment {
+    step: usize,
+    file: File,
+    end: u64,
 }
 
 /// A writer that accumulates selected-step indices into a run directory,
-/// durably: atomic framed blobs, a journaled in-flight state, and a
+/// durably: one synced append a put into the step's segment, and a
 /// checksummed manifest on [`StoreWriter::finish`].
 #[derive(Debug)]
 pub struct StoreWriter {
     dir: PathBuf,
-    entries: BTreeMap<(usize, String), EntryMeta>,
-    journal: std::fs::File,
+    entries: Entries,
+    /// The segment the last append went to.
+    segment: Option<Segment>,
     injector: Option<Arc<FaultInjector>>,
     max_attempts: u32,
 }
 
 impl StoreWriter {
-    /// Creates (if needed) the run directory and starts a fresh journal.
+    /// Creates (if needed) the run directory and starts a fresh run in it.
+    /// A store already there is retired first, durably — its `MANIFEST`,
+    /// then every segment and blob file — so no reader ever serves, and
+    /// no resume ever seeds, an earlier run's entries beside this run's.
     pub fn create(dir: impl AsRef<Path>) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)
             .map_err(|e| IbisError::io(format!("create run dir {}", dir.display()), &e))?;
-        let journal = std::fs::File::create(dir.join("JOURNAL"))
-            .map_err(|e| IbisError::io("create JOURNAL", &e))?;
+        let io =
+            |e: std::io::Error| IbisError::io(format!("retire the store in {}", dir.display()), &e);
+        let mut retired = file_names(&dir)?;
+        retired.retain(|name| name == "MANIFEST" || stored_file(name).is_some());
+        retired.sort_by_key(|name| name != "MANIFEST"); // the manifest goes first
+        for name in &retired {
+            std::fs::remove_file(dir.join(name)).map_err(io)?;
+        }
+        if !retired.is_empty() {
+            sync_dir(&dir).map_err(io)?;
+        }
         Ok(StoreWriter {
             dir,
             entries: BTreeMap::new(),
-            journal,
+            segment: None,
             injector: None,
             max_attempts: 4,
         })
     }
 
     /// Reopens an interrupted *or finished* run directory, recovering
-    /// every blob proven durable. Journal lines are trusted first (line
-    /// CRC valid, blob present, framing, kind and CRC intact; a torn
-    /// tail drops everything after it). A valid v2 `MANIFEST` then seeds
-    /// any entries the journal didn't cover, each re-verified against its
-    /// blob the same way — so resuming a finished store keeps its
-    /// contents instead of silently starting empty (a later
-    /// [`StoreWriter::finish`] would otherwise clobber the manifest down
-    /// to just the re-put entries). Blobs that fail verification are
-    /// dropped; re-`put`ting them is idempotent — which is exactly the
-    /// repair path after [`Store::fsck`] quarantines a corrupt blob.
+    /// every entry proven durable: each segment's scan ([`scan_segment`]),
+    /// then whatever else a valid `MANIFEST` names (a store written before
+    /// segments), each frame re-verified. A dropped entry is repaired by
+    /// re-`put`ting it — the path after [`Store::fsck`] quarantines one.
     pub fn resume(dir: impl AsRef<Path>) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)
             .map_err(|e| IbisError::io(format!("create run dir {}", dir.display()), &e))?;
-        let verify = |var: &str, meta: &EntryMeta| -> bool {
-            std::fs::read(dir.join(&meta.file))
-                .ok()
-                .filter(|bytes| bytes.len() as u64 == meta.len)
-                .is_some_and(|bytes| {
-                    unframe(&bytes, Kind::of(var)).is_ok_and(|(_, crc)| crc == meta.crc)
-                })
-        };
+        let names = file_names(&dir)?.into_iter();
+        let segment = |name: &str| stored_file(name).filter(|(_, e)| e.is_empty()).map(|s| s.0);
+        let mut segments: Vec<_> = names.filter_map(|n| Some((segment(&n)?, n))).collect();
+        segments.sort();
         let mut entries = BTreeMap::new();
-        let journal_path = dir.join("JOURNAL");
-        if let Ok(text) = std::fs::read_to_string(&journal_path) {
-            for line in text.lines() {
-                let Some(entry) = parse_journal_line(line) else {
-                    // malformed or torn line: everything after it is suspect
-                    break;
-                };
-                let (step, var, meta) = entry;
-                if check_file_name(&meta.file).is_err() {
-                    break;
-                }
-                if verify(&var, &meta) {
-                    entries.insert((step, var), meta);
-                }
-            }
+        for (step, file) in &segments {
+            scan_segment(&dir, *step, file, &mut entries)?;
         }
         if let Ok(manifest) = std::fs::read_to_string(dir.join("MANIFEST")) {
-            if let Ok(seed) = parse_manifest(&manifest) {
-                for ((step, var), meta) in seed {
-                    if !entries.contains_key(&(step, var.clone())) && verify(&var, &meta) {
-                        entries.insert((step, var), meta);
-                    }
+            for (key, meta) in parse_manifest(&manifest).unwrap_or_default() {
+                let kind = Kind::of(&key.1);
+                if !entries.contains_key(&key) && read_frame(&dir, &meta, kind).is_ok() {
+                    entries.insert(key, meta);
                 }
             }
         }
-        // Rewrite the journal to exactly the verified entries, so the next
-        // crash-resume cycle starts from a clean (untorn) journal.
-        let mut journal = std::fs::File::create(&journal_path)
-            .map_err(|e| IbisError::io("rewrite JOURNAL", &e))?;
-        for ((step, var), meta) in &entries {
-            let line = entry_line(*step, var, meta);
-            writeln!(journal, "{line}\t{:08x}", crc32c(line.as_bytes()))
-                .map_err(|e| IbisError::io("rewrite JOURNAL", &e))?;
-        }
-        journal
-            .sync_all()
-            .map_err(|e| IbisError::io("sync JOURNAL", &e))?;
         Ok(StoreWriter {
             dir,
             entries,
-            journal,
+            segment: None,
             injector: None,
             max_attempts: 4,
         })
     }
 
-    /// Routes this writer's blob writes through a fault injector.
+    /// Routes this writer's writes through a fault injector: each append
+    /// and each [`StoreWriter::write_file`] is one write op.
     pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
         self.injector = Some(injector);
         self
@@ -405,9 +528,7 @@ impl StoreWriter {
 
     /// Steps with at least one durable entry, ascending.
     pub fn durable_steps(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.entries.keys().map(|(s, _)| *s).collect();
-        v.dedup();
-        v
+        self.durable_view().steps()
     }
 
     /// Whether `(step, variable)` is already durable.
@@ -416,9 +537,10 @@ impl StoreWriter {
     }
 
     /// Persists one step's index for one variable: encoded under its
-    /// per-bin codec plan, framed, checksummed, written atomically, then
-    /// journaled. Re-putting an existing entry is idempotent (same payload
-    /// → same bytes, entry overwritten).
+    /// per-bin codec plan, framed, checksummed, appended to the step's
+    /// segment and synced. Re-putting an existing entry is idempotent:
+    /// the same payload is the same frame, and a frame durable byte for
+    /// byte is not written again.
     pub fn put(&mut self, step: usize, variable: &str, index: &BitmapIndex) -> Result<()> {
         check_variable_name(variable)?;
         if Kind::of(variable) != Kind::Index || variable.starts_with(LOSSY_PREFIX) {
@@ -433,11 +555,10 @@ impl StoreWriter {
 
     /// Persists the step's row permutation under the reserved
     /// [`ORDER_VARIABLE`] entry: `order`'s tag, then the run-coded gather
-    /// order ([`put_perm_payload`]), framed, CRC-checked, written
-    /// atomically and journaled exactly like an index blob — so
-    /// crash/resume and fsck cover it. One permutation per step: every
-    /// variable of the step shares it, keeping cross-variable
-    /// (correlation) bitmaps row-aligned.
+    /// order ([`put_perm_payload`]), framed, CRC-checked and appended
+    /// exactly like an index — so crash/resume and fsck cover it. One
+    /// permutation per step: every variable of the step shares it, keeping
+    /// cross-variable (correlation) bitmaps row-aligned.
     ///
     /// A permuted index read without its permutation answers region
     /// queries and cross-step metrics in the wrong row space, silently.
@@ -470,66 +591,81 @@ impl StoreWriter {
         Ok(())
     }
 
-    /// Lands `payload` under `entry`, framed as the entry's [`Kind`]: the
-    /// atomic blob write first, then the journal line (synced) that
-    /// declares it durable, then the in-memory entry.
+    /// Lands `payload` under `entry`, framed as the entry's [`Kind`]: one
+    /// record — header, then frame — appended to the step's segment and
+    /// synced, then the in-memory entry.
     fn commit(&mut self, step: usize, entry: &str, payload: &[u8]) -> Result<()> {
-        let (framed, crc) = frame(Kind::of(entry), payload);
-        let meta = EntryMeta {
-            file: format!("s{step:06}_{entry}.ibis"),
-            len: framed.len() as u64,
-            crc,
+        let len = payload.len() + FRAME_OVERHEAD;
+        let mut record = Vec::with_capacity(len + RECORD_MAGIC.len() + 13 + entry.len());
+        put_record_header(&mut record, entry, len);
+        let header = record.len();
+        let crc = frame(&mut record, Kind::of(entry), payload);
+        let key = (step, entry.to_string());
+        let same = |m: &&EntryMeta| (m.crc, m.len) == (crc, len as u64);
+        let durable = |m: &EntryMeta| read_frame(&self.dir, m, Kind::of(entry));
+        if let Some(Ok((frame, _))) = self.entries.get(&key).filter(same).map(durable) {
+            if frame == record[header..] {
+                return Ok(());
+            }
+        }
+        let file = segment_file(step);
+        let io = |e: std::io::Error| IbisError::io(format!("open segment {file}"), &e);
+        let segment = match self.segment.take() {
+            Some(open) if open.step == step => open,
+            old => {
+                // cut what a failed append left past the old segment's end
+                if let Some(old) = old {
+                    old.file.set_len(old.end).map_err(io)?;
+                }
+                // an existing segment keeps its records: appends go at its end
+                let mut open = OpenOptions::new();
+                open.write(true).create(true).truncate(false);
+                let f = open.open(self.dir.join(&file)).map_err(io)?;
+                let end = f.metadata().map_err(io)?.len();
+                Segment { step, file: f, end }
+            }
         };
-        self.write_blob_with_faults(&meta.file, &framed)?;
+        let segment = self.segment.insert(segment);
+        let at = segment.end + header as u64;
+        let site = format!("segment {file} ({entry})");
+        // each attempt cuts what a failed one left: no record behind a torn one
+        write_op(self.injector.as_deref(), self.max_attempts, &site, |torn| {
+            let Segment { file, end, .. } = segment;
+            if file.metadata()?.len() != *end {
+                file.set_len(*end)?;
+            }
+            file.seek(SeekFrom::Start(*end))?;
+            file.write_all(&record[..if torn { record.len() / 2 } else { record.len() }])?;
+            if !torn {
+                file.sync_data()?;
+                *end += record.len() as u64;
+            }
+            Ok(())
+        })?;
+        if at == header as u64 {
+            sync_dir(&self.dir).map_err(io)?; // a new segment: after its first sync, cheap
+        }
         OBS_PUT_BLOBS.inc();
-        OBS_PUT_BYTES.add(framed.len() as u64);
-        let line = entry_line(step, entry, &meta);
-        writeln!(self.journal, "{line}\t{:08x}", crc32c(line.as_bytes()))
-            .and_then(|()| self.journal.sync_all())
-            .map_err(|e| IbisError::io("append JOURNAL", &e))?;
-        self.entries.insert((step, entry.to_string()), meta);
+        OBS_PUT_BYTES.add(record.len() as u64);
+        let (at, len) = (Some(at), len as u64);
+        self.entries.insert(key, EntryMeta { file, at, len, crc });
         Ok(())
     }
 
-    /// Atomic blob write with injected-fault retry. A torn write leaves
-    /// partial bytes only in the temp file — the final name either holds
-    /// the complete framed blob or nothing.
-    fn write_blob_with_faults(&self, file: &str, framed: &[u8]) -> Result<()> {
-        let path = self.dir.join(file);
-        let tmp = self.dir.join(format!(".{file}.tmp"));
-        let op = self.injector.as_ref().map(|inj| inj.begin_write());
-        let mut last_error = String::new();
-        for attempt in 0..self.max_attempts {
-            let fault = match (&self.injector, op) {
-                (Some(inj), Some(op)) => inj.write_fault_for(op, attempt),
-                _ => None,
-            };
-            match fault {
-                Some(WriteFault::IoError) => {
-                    last_error = format!("injected I/O error writing {file}");
-                }
-                Some(WriteFault::Torn) => {
-                    // simulate a crash mid-write: half the frame lands in
-                    // the temp file and the rename never happens
-                    let _ = std::fs::write(&tmp, &framed[..framed.len() / 2]);
-                    last_error = format!("injected torn write of {file}");
-                }
-                Some(WriteFault::DelayedAck(_)) | None => {
-                    return write_atomic(&tmp, &path, framed)
-                        .map_err(|e| IbisError::io(format!("write blob {file}"), &e));
-                }
-            }
-        }
-        Err(IbisError::StorageExhausted {
-            site: format!("store blob {file}"),
-            attempts: self.max_attempts,
-            last_error,
-        })
+    /// Writes `name` into the run directory atomically as one fault-injected
+    /// write op: the durable pipeline's `CHECKPOINT` is a crash point too.
+    pub(crate) fn write_file(&self, name: &str, bytes: &[u8]) -> Result<()> {
+        let (tmp, path) = (self.dir.join(format!(".{name}.tmp")), self.dir.join(name));
+        let write = |torn| match torn {
+            true => std::fs::write(&tmp, &bytes[..bytes.len() / 2]),
+            false => write_atomic(&tmp, &path, bytes),
+        };
+        write_op(self.injector.as_deref(), self.max_attempts, name, write)
     }
 
-    /// Writes the checksummed manifest atomically, deletes the journal,
-    /// and finishes the run. Until this is called the directory has no
-    /// manifest and [`Store::open`] will refuse it.
+    /// Writes the checksummed manifest atomically and finishes the run.
+    /// Until this is called the directory has no manifest and
+    /// [`Store::open`] will refuse it.
     pub fn finish(self) -> Result<PathBuf> {
         let mut body = String::new();
         body.push_str(MANIFEST_HEADER);
@@ -551,57 +687,42 @@ impl StoreWriter {
         )
         .map_err(|e| IbisError::io("write MANIFEST", &e))?;
         OBS_MANIFEST_WRITES.inc();
-        match std::fs::remove_file(self.dir.join("JOURNAL")) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(IbisError::io("remove JOURNAL", &e)),
-        }
         Ok(self.dir)
     }
 }
 
-fn parse_journal_line(line: &str) -> Option<(usize, String, EntryMeta)> {
-    let (body, crc_field) = line.rsplit_once('\t')?;
-    let line_crc = u32::from_str_radix(crc_field, 16).ok()?;
-    if crc32c(body.as_bytes()) != line_crc {
-        return None;
-    }
-    let (step, var, meta) = parse_entry_fields(body)?;
-    Some((step, var, meta))
-}
-
-/// Parses `step \t var \t file \t len \t crc` into an entry.
+/// Parses `step \t var \t file [\t offset] \t len \t crc` into an entry;
+/// a line without the offset names a whole file.
 fn parse_entry_fields(body: &str) -> Option<(usize, String, EntryMeta)> {
-    let mut parts = body.split('\t');
-    let (Some(step), Some(var), Some(file), Some(len), Some(crc), None) = (
-        parts.next(),
-        parts.next(),
-        parts.next(),
-        parts.next(),
-        parts.next(),
-        parts.next(),
-    ) else {
-        return None;
+    let mut fields = body.split('\t');
+    let mut field = || fields.next();
+    let (step, var, file, a, b) = (field()?, field()?, field()?, field()?, field()?);
+    let (at, len, crc) = match (field(), field()) {
+        (None, _) => (None, a, b),
+        (Some(crc), None) => (Some(a.parse().ok()?), b, crc),
+        _ => return None,
     };
     Some((
         step.parse().ok()?,
         var.to_string(),
         EntryMeta {
             file: file.to_string(),
+            at,
             len: len.parse().ok()?,
             crc: u32::from_str_radix(crc, 16).ok()?,
         },
     ))
 }
 
-/// One blob [`Store::fsck`] had to quarantine.
+/// One entry [`Store::fsck`] had to quarantine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantinedBlob {
     /// The entry's time-step.
     pub step: usize,
     /// The entry's variable.
     pub variable: String,
-    /// The blob's file name (now renamed to `<file>.quarantined`).
+    /// The file its frame sat in: the step's segment, or the entry's own
+    /// blob file in a store written before segments.
     pub file: String,
     /// What the integrity check found.
     pub reason: String,
@@ -623,12 +744,30 @@ impl FsckReport {
     }
 }
 
+/// Sets `meta`'s frame aside as `s<step>_<variable>.ibis.quarantined`: a
+/// blob file is renamed there; a segment's range is copied there and
+/// spoiled in place (its magic overwritten, synced), so every later read,
+/// scan and resume sees the entry as gone, and a re-put repairs it.
+fn quarantine(dir: &Path, step: usize, variable: &str, meta: &EntryMeta) -> std::io::Result<()> {
+    let aside = dir.join(format!("s{step:06}_{variable}.ibis.quarantined"));
+    let (path, mut bytes) = (dir.join(&meta.file), Vec::new());
+    let Some(at) = meta.at else {
+        return std::fs::rename(path, aside);
+    };
+    let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+    file.seek(SeekFrom::Start(at))?;
+    (&mut file).take(meta.len).read_to_end(&mut bytes)?;
+    std::fs::write(aside, &bytes)?;
+    file.seek(SeekFrom::Start(at))?;
+    file.write_all(&b"IBQ"[..bytes.len().min(3)])?; // no frame's magic
+    file.sync_data()
+}
+
 /// A read-only view of a finished run directory.
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
-    /// `(step, variable) -> entry`, ordered by step then variable.
-    entries: BTreeMap<(usize, String), EntryMeta>,
+    entries: Entries,
     /// One shard of several ([`Store::into_part`]).
     part: bool,
 }
@@ -694,7 +833,7 @@ impl Store {
                 step,
                 variable: variable.to_string(),
             })?;
-        let (bytes, payload) = self.verified_payload(meta, Kind::Index)?;
+        let (bytes, payload) = read_frame(&self.dir, meta, Kind::Index)?;
         let index = codec::decode_index(&bytes[payload]).map_err(|source| IbisError::Decode {
             file: Some(meta.file.clone()),
             source,
@@ -705,34 +844,14 @@ impl Store {
         })
     }
 
-    /// Reads a blob and runs every integrity check — on-disk length and
-    /// CRC against the manifest's, framing, the frame's own CRC, and that
-    /// the frame holds a `kind` payload — returning the file's bytes and
-    /// where in them the (still encoded) payload sits.
-    fn verified_payload(&self, meta: &EntryMeta, kind: Kind) -> Result<(Vec<u8>, Range<usize>)> {
-        let corrupt = |detail: String| IbisError::Corrupt {
-            file: meta.file.clone(),
-            detail,
-        };
-        let bytes = std::fs::read(self.dir.join(&meta.file))
-            .map_err(|e| IbisError::io(format!("read blob {}", meta.file), &e))?;
-        if bytes.len() as u64 != meta.len {
-            return Err(corrupt(format!(
-                "on-disk length {} != manifest's {}",
-                bytes.len(),
-                meta.len
-            )));
-        }
-        let (_, actual) = unframe(&bytes, kind).map_err(corrupt)?;
-        if actual != meta.crc {
-            return Err(corrupt(format!(
-                "frame CRC {actual:08x} != manifest's {:08x}",
-                meta.crc
-            )));
-        }
-        // the frame is `magic kind len | payload | crc`, as unframe checked
-        let payload = FRAME_OVERHEAD - 4..bytes.len() - 4;
-        Ok((bytes, payload))
+    /// The file `(step, variable)`'s frame sits in and the bytes of it the
+    /// frame takes: a range of the step's segment, or the whole blob file
+    /// of a store written before segments. `variable` may be
+    /// [`ORDER_VARIABLE`].
+    pub fn locate(&self, step: usize, variable: &str) -> Option<(PathBuf, Range<u64>)> {
+        let meta = self.entries.get(&(step, variable.to_string()))?;
+        let at = meta.at.unwrap_or(0);
+        Some((self.dir.join(&meta.file), at..at + meta.len))
     }
 
     /// Loads `step`'s row permutation, or `None` when the step was stored
@@ -761,7 +880,7 @@ impl Store {
         let Some(meta) = self.entries.get(&(step, ORDER_VARIABLE.to_string())) else {
             return Ok(None);
         };
-        let (bytes, payload) = self.verified_payload(meta, Kind::Order)?;
+        let (bytes, payload) = read_frame(&self.dir, meta, Kind::Order)?;
         let corrupt = |detail: String| IbisError::Corrupt {
             file: meta.file.clone(),
             detail,
@@ -778,7 +897,7 @@ impl Store {
                 .range((step, String::new())..(step + 1, String::new()))
                 .filter(|(key, _)| Kind::of(&key.1) == Kind::Index);
             let mut rows = indices.filter_map(|(_, index)| {
-                let (bytes, payload) = self.verified_payload(index, Kind::Index).ok()?;
+                let (bytes, payload) = read_frame(&self.dir, index, Kind::Index).ok()?;
                 codec::index_rows(&bytes[payload]).ok()
             });
             rows.next()
@@ -792,9 +911,8 @@ impl Store {
 
     /// Verifies every blob end-to-end by running its entry's ordinary
     /// typed load (framing, kind, CRC, decode and the payload's own
-    /// checks) and quarantines the ones that fail: the file is renamed to
-    /// `<file>.quarantined` and the entry removed, so subsequent reads see
-    /// only intact data. A step that loses its [`ORDER_VARIABLE`] entry
+    /// checks) and quarantines the ones that fail ([`quarantine`]) and
+    /// removes their entries, so subsequent reads see only intact data. A step that loses its [`ORDER_VARIABLE`] entry
     /// loses its indices with it — they are permuted, and read as if they
     /// were not they would answer in the wrong row space.
     pub fn fsck(&mut self) -> FsckReport {
@@ -838,8 +956,7 @@ impl Store {
                 continue;
             };
             OBS_FSCK_QUARANTINED.inc();
-            let from = self.dir.join(&meta.file);
-            let _ = std::fs::rename(&from, self.dir.join(format!("{}.quarantined", meta.file)));
+            let _ = quarantine(&self.dir, step, &variable, &meta);
             report.quarantined.push(QuarantinedBlob {
                 step,
                 variable,
@@ -860,7 +977,7 @@ impl Store {
     }
 }
 
-fn parse_manifest(manifest: &str) -> Result<BTreeMap<(usize, String), EntryMeta>> {
+fn parse_manifest(manifest: &str) -> Result<Entries> {
     if !manifest.starts_with(MANIFEST_HEADER) {
         return Err(IbisError::Manifest {
             line: 1,
@@ -899,7 +1016,7 @@ fn parse_manifest(manifest: &str) -> Result<BTreeMap<(usize, String), EntryMeta>
     for (lineno, line) in body.lines().enumerate().skip(1) {
         let (step, var, meta) = parse_entry_fields(line).ok_or_else(|| IbisError::Manifest {
             line: lineno + 1,
-            reason: "expected 5 tab-separated fields".into(),
+            reason: "expected 5 or 6 tab-separated fields".into(),
         })?;
         check_file_name(&meta.file).map_err(|reason| IbisError::Manifest {
             line: lineno + 1,
@@ -932,6 +1049,13 @@ mod tests {
         BitmapIndex::build(&data, Binner::distinct_ints(0, 39))
     }
 
+    /// [`Store::locate`] of a finished store in `dir`, the range as
+    /// indices into the file's bytes.
+    fn located(dir: &Path, step: usize, variable: &str) -> (PathBuf, Range<usize>) {
+        let (file, at) = Store::open(dir).unwrap().locate(step, variable).unwrap();
+        (file, at.start as usize..at.end as usize)
+    }
+
     #[test]
     fn round_trip_store() {
         let dir = TempDir::new("roundtrip");
@@ -951,8 +1075,8 @@ mod tests {
         assert_eq!(series.len(), 3);
         assert_eq!(series[2].0, 9);
         assert!(
-            !dir.join("JOURNAL").exists(),
-            "finish() must retire the journal"
+            std::fs::read_dir(&dir).unwrap().count() == 4,
+            "three segments and the manifest: nothing in flight is left"
         );
     }
 
@@ -979,10 +1103,10 @@ mod tests {
         let dir = TempDir::new("corrupt");
         let mut w = StoreWriter::create(&dir).unwrap();
         w.put(2, "temperature", &sample_index(2)).unwrap();
-        let finished = w.finish().unwrap();
-        let f = finished.join("s000002_temperature.ibis");
+        w.finish().unwrap();
+        let (f, at) = located(&dir, 2, "temperature");
         let bytes = std::fs::read(&f).unwrap();
-        std::fs::write(&f, &bytes[..bytes.len() / 2]).unwrap();
+        std::fs::write(&f, &bytes[..at.start + at.len() / 2]).unwrap();
         let store = Store::open(&dir).unwrap();
         let err = store.get(2, "temperature").unwrap_err();
         assert!(matches!(err, IbisError::Corrupt { .. }), "{err}");
@@ -995,13 +1119,13 @@ mod tests {
         // a mixed codec plan: the blob whose frame used to keep a codec
         // tag at byte 4, outside the CRC, where only fsck looked
         w.put(3, "temperature", &sample_index(3)).unwrap();
-        let finished = w.finish().unwrap();
-        let f = finished.join("s000003_temperature.ibis");
+        w.finish().unwrap();
+        let (f, frame) = located(&dir, 3, "temperature");
         let clean = std::fs::read(&f).unwrap();
         // byte 4 of the header, and somewhere inside the payload
-        for at in [4, clean.len() / 2] {
+        for at in [4, frame.len() / 2] {
             let mut bytes = clean.clone();
-            bytes[at] ^= 0x01;
+            bytes[frame.start + at] ^= 0x01;
             std::fs::write(&f, &bytes).unwrap();
             let mut store = Store::open(&dir).unwrap();
             let cached = crate::cache::CachedStore::new(Store::open(&dir).unwrap(), 1 << 20);
@@ -1019,7 +1143,7 @@ mod tests {
                 }
             }
             assert_eq!(store.fsck().quarantined.len(), 1, "byte {at}");
-            std::fs::remove_file(f.with_extension("ibis.quarantined")).unwrap();
+            std::fs::remove_file(dir.join("s000003_temperature.ibis.quarantined")).unwrap();
         }
     }
 
@@ -1030,10 +1154,10 @@ mod tests {
         for step in [0usize, 1, 2] {
             w.put(step, "temperature", &sample_index(step)).unwrap();
         }
-        let finished = w.finish().unwrap();
-        let f = finished.join("s000001_temperature.ibis");
+        w.finish().unwrap();
+        let (f, frame) = located(&dir, 1, "temperature");
         let mut bytes = std::fs::read(&f).unwrap();
-        let mid = bytes.len() / 2;
+        let mid = frame.start + frame.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&f, &bytes).unwrap();
 
@@ -1047,7 +1171,19 @@ mod tests {
             dir.join("s000001_temperature.ibis.quarantined").exists(),
             "corrupt blob must be set aside, not deleted"
         );
-        assert!(!f.exists());
+        let quarantined = std::fs::read(dir.join("s000001_temperature.ibis.quarantined")).unwrap();
+        assert_eq!(
+            quarantined,
+            bytes[frame.clone()],
+            "the frame as it was found"
+        );
+        // ...and its range is spoiled where it lies: every later read,
+        // scan and resume sees the entry as gone
+        let spoiled = std::fs::read(&f).unwrap();
+        assert_eq!(&spoiled[frame.start..frame.start + 3], b"IBQ");
+        assert!(!StoreWriter::resume(&dir)
+            .unwrap()
+            .contains(1, "temperature"));
 
         let series = store.load_series("temperature").unwrap();
         assert_eq!(
@@ -1097,7 +1233,7 @@ mod tests {
         w.put(1, "temperature", &sample_index(1)).unwrap();
         w.finish().unwrap();
 
-        // A finished store (MANIFEST, no JOURNAL) must resume with its
+        // A finished store (MANIFEST, whole segments) must resume with its
         // entries intact, so appending and re-finishing loses nothing.
         let mut w = StoreWriter::resume(&dir).unwrap();
         assert!(w.contains(0, "temperature"));
@@ -1113,6 +1249,35 @@ mod tests {
         );
     }
 
+    /// Run 1 writes steps 0 and 1 and finishes; run 2 creates the same
+    /// directory, puts step 0 and dies. Run 1 is retired before run 2's
+    /// first put: no manifest serves run 1's step 1 beside run 2's step 0,
+    /// and resuming run 2 seeds nothing of run 1.
+    #[test]
+    fn create_over_a_finished_store_retires_it_before_the_first_put() {
+        let dir = TempDir::new("create-over");
+        let mut w = StoreWriter::create(&dir).unwrap();
+        w.put(0, "temperature", &sample_index(0)).unwrap();
+        w.put(1, "temperature", &sample_index(1)).unwrap();
+        w.finish().unwrap();
+        let mut w = StoreWriter::create(&dir).unwrap();
+        w.put(0, "temperature", &sample_index(7)).unwrap();
+        drop(w); // run 2 dies here
+        let err = Store::open(&dir).unwrap_err();
+        assert!(matches!(err, IbisError::Io { .. }), "no manifest: {err}");
+        let w = StoreWriter::resume(&dir).unwrap();
+        assert_eq!(w.durable_steps(), vec![0], "run 1's step 1 is not seeded");
+        let step0 = w.durable_view().get(0, "temperature").unwrap();
+        assert_eq!(step0.counts(), sample_index(7).counts());
+        w.finish().unwrap();
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(store.steps(), vec![0]);
+        assert_eq!(
+            store.get(0, "temperature").unwrap().counts(),
+            sample_index(7).counts()
+        );
+    }
+
     #[test]
     fn resume_after_quarantine_drops_bad_entry_and_reput_repairs() {
         let dir = TempDir::new("resume-repair");
@@ -1122,16 +1287,16 @@ mod tests {
         }
         w.finish().unwrap();
         // corrupt step 1's blob, quarantine it
-        let f = dir.join("s000001_temperature.ibis");
+        let (f, frame) = located(&dir, 1, "temperature");
         let mut bytes = std::fs::read(&f).unwrap();
-        let mid = bytes.len() / 2;
+        let mid = frame.start + frame.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&f, &bytes).unwrap();
         let mut store = Store::open(&dir).unwrap();
         assert_eq!(store.fsck().quarantined.len(), 1);
 
-        // resume verifies each manifest entry against its blob: the
-        // quarantined (renamed-away) one is dropped, the intact one kept
+        // resume verifies each entry against its frame: the quarantined
+        // (spoiled) one is dropped, the intact one kept
         let mut w = StoreWriter::resume(&dir).unwrap();
         assert!(w.contains(0, "temperature"));
         assert!(!w.contains(1, "temperature"));
@@ -1165,26 +1330,38 @@ mod tests {
     }
 
     #[test]
-    fn resume_recovers_journaled_blobs_and_ignores_torn_tail() {
+    fn resume_recovers_appended_records_and_cuts_a_torn_tail() {
         let dir = TempDir::new("resume");
         let mut w = StoreWriter::create(&dir).unwrap();
         w.put(0, "temperature", &sample_index(0)).unwrap();
         w.put(1, "temperature", &sample_index(1)).unwrap();
-        // crash: drop the writer without finish(); then tear the journal
+        w.put(2, "temperature", &sample_index(2)).unwrap();
+        // crash: drop the writer without finish(), step 2's append torn
         drop(w);
-        let journal = dir.join("JOURNAL");
-        let mut bytes = std::fs::read(&journal).unwrap();
-        bytes.extend_from_slice(b"2\ttemperature\ts0000"); // torn final line
-        std::fs::write(&journal, &bytes).unwrap();
+        let torn = dir.join("s000002.ibis");
+        let bytes = std::fs::read(&torn).unwrap();
+        std::fs::write(&torn, &bytes[..bytes.len() - 5]).unwrap();
+        let step1 = std::fs::read(dir.join("s000001.ibis")).unwrap();
 
         let mut w = StoreWriter::resume(&dir).unwrap();
         assert_eq!(w.durable_steps(), vec![0, 1]);
         assert!(w.contains(1, "temperature"));
         assert!(!w.contains(2, "temperature"));
+        assert_eq!(
+            std::fs::read(&torn).unwrap(),
+            b"",
+            "the torn tail is cut off"
+        );
         // idempotent re-put of step 1, then the step the crash lost
         w.put(1, "temperature", &sample_index(1)).unwrap();
         w.put(2, "temperature", &sample_index(2)).unwrap();
         w.finish().unwrap();
+        assert_eq!(
+            std::fs::read(dir.join("s000001.ibis")).unwrap(),
+            step1,
+            "a durable frame is not appended again"
+        );
+        assert_eq!(std::fs::read(&torn).unwrap(), bytes);
 
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.steps(), vec![0, 1, 2]);
@@ -1195,16 +1372,16 @@ mod tests {
     }
 
     #[test]
-    fn resume_drops_journal_entries_whose_blob_is_bad() {
+    fn resume_drops_records_whose_frame_is_bad() {
         let dir = TempDir::new("resumebad");
         let mut w = StoreWriter::create(&dir).unwrap();
         w.put(0, "temperature", &sample_index(0)).unwrap();
         w.put(1, "temperature", &sample_index(1)).unwrap();
+        let (f, frame) = w.durable_view().locate(1, "temperature").unwrap();
         drop(w);
-        // blob 1 is journaled but its file got corrupted before the resume
-        let f = dir.join("s000001_temperature.ibis");
+        // record 1 is whole but its frame got corrupted before the resume
         let mut bytes = std::fs::read(&f).unwrap();
-        let mid = bytes.len() / 2;
+        let mid = (frame.start + frame.end) as usize / 2;
         bytes[mid] ^= 0x10;
         std::fs::write(&f, &bytes).unwrap();
         let w = StoreWriter::resume(&dir).unwrap();
@@ -1273,6 +1450,8 @@ mod tests {
         let mut w = StoreWriter::create(&dir).unwrap();
         w.put(4, "temperature", &sample_index(4)).unwrap();
         w.finish().unwrap();
+        // the manifest alone stands for the entry: its segment is gone
+        std::fs::remove_file(dir.join("s000004.ibis")).unwrap();
         let manifest_path = dir.join("MANIFEST");
         let manifest = std::fs::read_to_string(&manifest_path).unwrap();
 
@@ -1295,12 +1474,12 @@ mod tests {
             // a resumed writer does not trust it either
             let resumed = StoreWriter::resume(&dir).unwrap();
             assert!(resumed.durable_steps().is_empty(), "{bad:?}");
-            std::fs::remove_file(dir.join("JOURNAL")).unwrap();
         }
 
         // A blob without the frame — the bare payload, each of the four
         // retired framings around it, and an intact frame of another kind —
-        // under a manifest that records exactly its length and CRC is
+        // under a (blob-file) manifest line that records exactly its length
+        // and CRC is
         // Corrupt on every read path, dropped by resume and quarantined by
         // fsck: never decoded on trust.
         let payload = codec::encode_index(&sample_index(4));
@@ -1314,7 +1493,8 @@ mod tests {
         };
         let blob = "s000004_temperature.ibis";
         let bare_crc = crc32c(&payload);
-        let (foreign, foreign_crc) = frame(Kind::Order, &payload);
+        let mut foreign = Vec::new();
+        let foreign_crc = frame(&mut foreign, Kind::Order, &payload);
         for (what, bytes, crc) in [
             ("framing", payload.clone(), bare_crc),
             ("framing", old_frame(b"IBB2", None), bare_crc),
@@ -1364,18 +1544,31 @@ mod tests {
         let mut w = StoreWriter::create(&dir).unwrap();
         w.put(0, "temperature", &idx).unwrap();
         w.finish().unwrap();
-        let bytes = std::fs::read(dir.join("s000000_temperature.ibis")).unwrap();
+        let bytes = std::fs::read(dir.join("s000000.ibis")).unwrap();
         // the frame grammar, longhand: an all-WAH plan's payload is the
         // untagged layout, and the CRC seals kind, length and payload
         let payload = codec::encode_index(&idx);
         let mut sealed = vec![1u8];
         sealed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         sealed.extend_from_slice(&payload);
-        let mut want = b"IBF".to_vec();
-        want.extend_from_slice(&sealed);
-        want.extend_from_slice(&crc32c(&sealed).to_le_bytes());
+        let mut frame = b"IBF".to_vec();
+        frame.extend_from_slice(&sealed);
+        frame.extend_from_slice(&crc32c(&sealed).to_le_bytes());
+        // the segment record around it: its own CRC seals the name's
+        // length, the name and the frame's length
+        let mut named = vec![11u8];
+        named.extend_from_slice(b"temperature");
+        named.extend_from_slice(&(frame.len() as u64).to_le_bytes());
+        let mut want = b"IBR".to_vec();
+        want.extend_from_slice(&named);
+        want.extend_from_slice(&crc32c(&named).to_le_bytes());
+        assert_eq!(want.len(), 3 + 1 + 11 + 8 + 4, "a 27-byte record header");
+        let header = want.len();
+        want.extend_from_slice(&frame);
         assert_eq!(bytes, want);
-        assert_eq!(bytes.len(), payload.len() + 16, "16 bytes of framing");
+        assert_eq!(frame.len(), payload.len() + 16, "16 bytes of framing");
+        let (_, at) = located(&dir, 0, "temperature");
+        assert_eq!(at, header..bytes.len());
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.get(0, "temperature").unwrap().counts(), idx.counts());
     }
@@ -1419,7 +1612,8 @@ mod tests {
         w.put_order(3, order, &perm).unwrap();
         w.finish().unwrap();
 
-        let bytes = std::fs::read(dir.join("s000003___order.ibis")).unwrap();
+        let (f, at) = located(&dir, 3, ORDER_VARIABLE);
+        let bytes = &std::fs::read(f).unwrap()[at];
         assert_eq!(bytes[3], Kind::Order as u8);
         assert_eq!(
             bytes[12],
@@ -1457,9 +1651,9 @@ mod tests {
 
         // The order tag is the payload's first byte, inside the CRC: an
         // unknown one is caught before anything interprets it.
-        let f = dir.join("s000000___order.ibis");
+        let (f, frame) = located(&dir, 0, ORDER_VARIABLE);
         let clean = std::fs::read(&f).unwrap();
-        let payload_at = 12usize; // IBF + kind + u64 len
+        let payload_at = frame.start + 12; // IBF + kind + u64 len
         let mut bytes = clean.clone();
         bytes[payload_at] = 0x7E;
         std::fs::write(&f, &bytes).unwrap();
@@ -1472,10 +1666,10 @@ mod tests {
         // with it the step's index: it is stored permuted, and read as if
         // it were not it would answer in the wrong row space.
         let mut bytes = clean.clone();
-        let at = bytes.len() - 4;
+        let at = frame.end - 4;
         bytes[at - 1] ^= 1; // the last run's length: the runs miss `rows`
-        let crc = crc32c(&bytes[3..at]);
-        bytes[at..].copy_from_slice(&crc.to_le_bytes());
+        let crc = crc32c(&bytes[frame.start + 3..at]);
+        bytes[at..frame.end].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&f, &bytes).unwrap();
         let mut store = Store::open(&dir).unwrap();
         let report = store.fsck();
@@ -1560,9 +1754,10 @@ mod tests {
             w.put(0, "temperature", &index).unwrap();
             w.finish().unwrap();
 
+            let (segment, _) = located(&dir, 0, ORDER_VARIABLE);
             let refused = |err: IbisError| match err {
                 IbisError::Corrupt { file, detail } => {
-                    assert_eq!(file, "s000000___order.ibis");
+                    assert_eq!(dir.join(file), segment);
                     assert_eq!(detail, format!("unknown row-order tag {tag:#04x}"));
                 }
                 other => panic!("tag {tag}: {other}"),
@@ -1789,9 +1984,10 @@ mod tests {
         let whole = Store::open(&dir).unwrap();
         let part = Store::open(&dir).unwrap().into_part();
         for (step, (what, _)) in table.iter().enumerate() {
+            let (segment, _) = located(&dir, step, ORDER_VARIABLE);
             let wrong = |store: &Store| match store.load_order(step) {
                 Err(IbisError::Corrupt { file, detail }) => {
-                    assert_eq!(file, format!("s{step:06}___order.ibis"), "{what}");
+                    assert_eq!(dir.join(file), segment, "{what}");
                     assert!(
                         detail.contains("rows, the step's index holds 400"),
                         "{detail}"
@@ -1920,7 +2116,12 @@ mod tests {
                 let file = "s000000___lossy_temperature.ibis".to_string();
                 std::fs::write(dir.join(&file), &framed).unwrap();
                 let len = framed.len() as u64;
-                let meta = EntryMeta { file, len, crc };
+                let meta = EntryMeta {
+                    file,
+                    at: None,
+                    len,
+                    crc,
+                };
                 w.entries.insert((0, "__lossy_temperature".into()), meta);
             }
             w.finish().unwrap();
@@ -1971,16 +2172,13 @@ mod tests {
         assert_eq!(got, answers(&without));
         assert_eq!(got.matches("\"error\"").count(), 1, "{got}");
 
-        // compaction of the finished store reclaims the retired blob (and
-        // the journal the resume above left), and the answers stay the same
-        let debris = [
-            with.join("s000000___lossy_temperature.ibis"),
-            with.join("JOURNAL"),
-        ];
+        // compaction of the finished store reclaims the retired blob, and
+        // the answers stay the same
+        let debris = [with.join("s000000___lossy_temperature.ibis")];
         let bytes: u64 = debris.iter().map(|f| f.metadata().unwrap().len()).sum();
         let store = crate::shard::ShardedStore::open(&with).unwrap();
         let report = store.compact().unwrap();
-        assert_eq!(report.files_removed, 2);
+        assert_eq!(report.files_removed, 1);
         assert_eq!(report.bytes_reclaimed, bytes);
         assert!(debris.iter().all(|f| !f.exists()));
         assert_eq!(answers(&with), got);

@@ -1,22 +1,25 @@
 //! Crash/resume regression for the durable pipeline, on the Ocean model:
-//! a run killed mid-flight — at any step, or at any blob write — and
-//! resumed must leave a store byte-identical to an uninterrupted run's
-//! that answers like the data it was fed, and corruption on disk must be
-//! detected, quarantined, and excluded from analysis.
+//! a run killed mid-flight — at any step, at any append, or at any
+//! `CHECKPOINT` write — and resumed must leave a store byte-identical to
+//! an uninterrupted run's that answers like the data it was fed; so must
+//! a sharded ingest whose appends are torn or fail one by one; and
+//! corruption on disk must be detected, quarantined, and excluded from
+//! analysis.
 
 mod support;
 
 use ibis_analysis::{Metric, SubsetQuery};
-use ibis_core::{Binner, RowOrder};
+use ibis_core::{Binner, BitmapIndex, RowOrder};
 use ibis_datagen::{OceanConfig, OceanModel, Simulation};
 use ibis_insitu::{
     codec, crc::crc32c_append, pipeline::pending_checkpoint, resume_durable, run_durable,
-    CoreAllocation, FaultPlan, IbisError, MachineModel, PipelineConfig, QueryEngine, QueryRequest,
-    Reduction, RobustnessConfig, ScalingModel, Store, ORDER_VARIABLE,
+    CoreAllocation, FaultInjector, FaultPlan, IbisError, MachineModel, PipelineConfig, QueryEngine,
+    QueryRequest, Reduction, RobustnessConfig, ScalingModel, ShardedWriter, Store, ORDER_VARIABLE,
 };
 use ibis_testkit::{Model, TempDir};
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 
 fn ocean() -> OceanConfig {
     OceanConfig::tiny()
@@ -40,15 +43,21 @@ fn cfg() -> PipelineConfig {
     }
 }
 
-/// Every durable artifact in the directory, name → bytes. A finished run
-/// leaves only blobs and the manifest; anything else (checkpoint, journal,
-/// temp files) would be a cleanup bug and makes the comparison fail.
+/// Every durable artifact in the directory and the directories under it,
+/// path → bytes. A finished run leaves only segments and the manifest (and
+/// a sharded one its `SHARDS` file); anything else (checkpoint, temp
+/// files) would be a cleanup bug and makes the comparison fail.
 fn dir_contents(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     let mut out = BTreeMap::new();
     for entry in std::fs::read_dir(dir).expect("read store dir") {
         let entry = entry.expect("dir entry");
         let name = entry.file_name().to_string_lossy().into_owned();
-        out.insert(name, std::fs::read(entry.path()).expect("read file"));
+        if entry.file_type().expect("file type").is_dir() {
+            let inner = dir_contents(&entry.path()).into_iter();
+            out.extend(inner.map(|(file, bytes)| (format!("{name}/{file}"), bytes)));
+        } else {
+            out.insert(name, std::fs::read(entry.path()).expect("read file"));
+        }
     }
     out
 }
@@ -131,17 +140,19 @@ fn run_through_kills(
 fn killed_run_resumes_to_byte_identical_store() {
     // Two digests pinned across commits, not only between this commit's
     // own runs. The byte digest is of the uninterrupted Shared-Cores
-    // directory; PR 17 (one `IBF` frame for every blob) re-pinned it, from
-    // 0xd9d6_89c4 / 0x509a_f3ac at commit 00a759e, and PR 18 (run-coded
-    // `__order` payloads) re-pinned GrayBin's once more, from 0x1efe_399d
-    // at commit 12dab24 — Identity's, which stores no order, did not move.
-    // The content digest — what the store decodes to: every index, and
-    // every order's tag and inverse permutation — was recorded at 00a759e
-    // and has moved under neither: the counting sort builds the
-    // permutation the comparison sort built.
+    // directory. It moved when every blob became one `IBF` frame (from
+    // 0xd9d6_89c4 / 0x509a_f3ac at commit 00a759e), when `__order`
+    // payloads became run-coded (GrayBin's alone, from 0x1efe_399d at
+    // 12dab24), and when a step's frames moved into one append-only
+    // segment behind record headers, the manifest lines gaining offsets
+    // (from 0x789d_fa5e / 0x10f2_13bc at ee5ca40). The content digest —
+    // what the store decodes to: every index, and every order's tag and
+    // inverse permutation — was recorded at 00a759e and has moved under
+    // none of them: the counting sort builds the permutation the
+    // comparison sort built, and a segment holds the frames a file did.
     for (order, parent_digest, parent_content) in [
-        (RowOrder::Identity, 0x789d_fa5e_u32, 0x03e3_a341_u32),
-        (RowOrder::GrayBin, 0x10f2_13bc, 0x0d26_42bb),
+        (RowOrder::Identity, 0x381f_ce3e_u32, 0x03e3_a341_u32),
+        (RowOrder::GrayBin, 0xb6ea_5b66, 0x0d26_42bb),
     ] {
         // the uninterrupted reference run
         let clean_dir = TempDir::new(&format!("clean-{}", order.name()));
@@ -162,11 +173,12 @@ fn killed_run_resumes_to_byte_identical_store() {
             reference
                 .keys()
                 .all(|f| f == "MANIFEST" || (f.ends_with(".ibis") && !f.starts_with('.'))),
-            "a finished run leaves only blobs and the manifest: {:?}",
+            "a finished run leaves only segments and the manifest: {:?}",
             reference.keys()
         );
+        let manifest = String::from_utf8_lossy(&reference["MANIFEST"]).into_owned();
         assert_eq!(
-            reference.keys().any(|f| f.contains("__order")),
+            manifest.contains(ORDER_VARIABLE),
             order != RowOrder::Identity,
             "row permutations are persisted exactly under a non-identity order"
         );
@@ -193,7 +205,8 @@ fn killed_run_resumes_to_byte_identical_store() {
                 assert_eq!(resumed.bytes_written, clean.bytes_written);
                 assert_eq!(resumed.step_outcomes, clean.step_outcomes);
                 // the store itself — every file, every byte; a surviving
-                // CHECKPOINT, JOURNAL or temp file fails the comparison
+                // CHECKPOINT or temp file, or a record appended twice,
+                // fails the comparison
                 assert!(
                     dir_contents(&crash_dir) == reference,
                     "{order:?}, {allocation:?}, killed at {kills:?}: the store must be \
@@ -258,18 +271,22 @@ fn battery(model: &Model, steps: &[usize]) -> Vec<QueryRequest> {
     out
 }
 
-/// Every blob write of the clean run is a crash point. A run whose write
-/// `k` fails on every attempt stops with `StorageExhausted`; resuming it
-/// leaves the clean run's directory byte for byte, and the store answers
-/// like the simulated data. Every write is torn under Shared cores; under
-/// Separate cores each write of the second winner's group is torn, then
-/// failed with an I/O error.
+/// Every write of the clean run is a crash point: each append of an entry
+/// to its segment, and each `CHECKPOINT` write. A run whose write `k`
+/// fails on every attempt stops with `StorageExhausted` naming that
+/// write; resuming it leaves the clean run's directory byte for byte, and
+/// the store answers like the simulated data. Every write is torn under
+/// Shared cores; under Separate cores each write of the run's second
+/// quarter is torn, then failed with an I/O error.
 fn every_blob_write_is_a_crash_point(order: RowOrder) {
     let clean_dir = TempDir::new(&format!("points-clean-{}", order.name()));
     let clean = run_through_kills(order, CoreAllocation::Shared, &[], &clean_dir);
     let reference = dir_contents(&clean_dir);
     let content = content_digest(&clean_dir);
-    let writes = reference.keys().filter(|f| f.ends_with(".ibis")).count() as u64;
+    let manifest = String::from_utf8_lossy(&reference["MANIFEST"]).into_owned();
+    let appends = manifest.lines().filter(|l| !l.starts_with('#')).count() as u64;
+    // one append a stored entry, one checkpoint a step
+    let writes = appends + cfg().steps as u64;
     let model = ocean_model();
     let battery = battery(&model, &clean.selected);
     let config = |allocation, faults| {
@@ -282,10 +299,9 @@ fn every_blob_write_is_a_crash_point(order: RowOrder) {
         let dir = TempDir::new(&format!("point-{}", order.name()));
         let faults = faults.with_persistent_write_faults();
         let err = run_durable(OceanModel::new(ocean()), &config(allocation, faults), &dir);
-        assert!(
-            matches!(err, Err(IbisError::StorageExhausted { .. })),
-            "{tag}: {err:?}"
-        );
+        let Err(IbisError::StorageExhausted { site, .. }) = err else {
+            panic!("{tag}: {err:?}");
+        };
         let c = config(allocation, FaultPlan::none());
         let resumed = resume_durable(OceanModel::new(ocean()), &c, &dir).unwrap();
         assert_eq!(resumed.selected, clean.selected, "{tag}");
@@ -299,13 +315,18 @@ fn every_blob_write_is_a_crash_point(order: RowOrder) {
             let want = support::answer(&model, req).unwrap();
             assert_eq!(engine.run(req).unwrap(), want, "{tag} {req:?}");
         }
+        site
     };
-    for op in 0..writes {
-        crash_at(
-            CoreAllocation::Shared,
-            FaultPlan::none().with_torn_write_at(op),
-        );
-    }
+    let sites: Vec<String> = (0..writes)
+        .map(|op| {
+            let torn = FaultPlan::none().with_torn_write_at(op);
+            crash_at(CoreAllocation::Shared, torn)
+        })
+        .collect();
+    // the crash points by name: every checkpoint, and every append
+    let named = |what: &str| sites.iter().filter(|s| s.contains(what)).count() as u64;
+    assert_eq!(named("store CHECKPOINT"), cfg().steps as u64, "{sites:?}");
+    assert_eq!(named("store segment s"), appends, "{sites:?}");
     // a fault one past the last write never fires: `writes` counts them all
     let past = FaultPlan::none().with_torn_write_at(writes);
     let dir = TempDir::new(&format!("points-past-{}", order.name()));
@@ -315,8 +336,8 @@ fn every_blob_write_is_a_crash_point(order: RowOrder) {
         &dir,
     )
     .unwrap();
-    let group = writes / clean.selected.len() as u64;
-    for op in group..2 * group {
+    let quarter = writes / 4;
+    for op in quarter..2 * quarter {
         crash_at(SEPARATE, FaultPlan::none().with_torn_write_at(op));
         crash_at(SEPARATE, FaultPlan::none().with_io_error_at(op));
     }
@@ -350,9 +371,10 @@ fn flipped_byte_is_quarantined_and_excluded_from_series() {
     let victim = report.selected[1];
 
     // corrupt one payload byte of one temperature blob
-    let file = dir.join(format!("s{victim:06}_temperature.ibis"));
-    let mut bytes = std::fs::read(&file).expect("blob exists");
-    let mid = bytes.len() / 2;
+    let located = Store::open(&dir).unwrap().locate(victim, "temperature");
+    let (file, frame) = located.expect("the entry is stored");
+    let mut bytes = std::fs::read(&file).expect("segment exists");
+    let mid = (frame.start + frame.end) as usize / 2;
     bytes[mid] ^= 0x01;
     std::fs::write(&file, &bytes).unwrap();
 
@@ -381,4 +403,101 @@ fn flipped_byte_is_quarantined_and_excluded_from_series() {
     ));
     // untouched variables are unaffected
     assert_eq!(store.load_series("salinity").unwrap().len(), 4);
+}
+
+/// A step's fields: each one's name, binner and values.
+type Fields = Vec<(&'static str, Binner, Vec<f64>)>;
+
+/// The first 8 Ocean steps' temperature and salinity, each binned as the
+/// durable run bins it.
+fn ocean_steps() -> Vec<(usize, Fields)> {
+    let steps = OceanModel::new(ocean()).run(8).into_iter();
+    let fixture = |f: &ibis_datagen::Field| ["temperature", "salinity"].contains(&f.name);
+    let binned =
+        |f: ibis_datagen::Field| (f.name, Binner::fit_precision_anchored(&f.data, 0), f.data);
+    steps
+        .map(|out| {
+            let fields = out.fields.into_iter().filter(fixture);
+            (out.step, fields.map(binned).collect())
+        })
+        .collect()
+}
+
+/// The fixture's shape of a sharded ingest: Ocean's two fields over 8
+/// steps into 4 shards, each step's GrayBin order put before the indices
+/// built under it — 96 appends. Every entry is put, durable or not, so
+/// after a resume the same call is the repair.
+fn sharded_ingest(w: &mut ShardedWriter, steps: &[(usize, Fields)]) -> ibis_insitu::Result<()> {
+    for (step, fields) in steps {
+        let (_, binner, values) = &fields[0];
+        let perm = RowOrder::GrayBin
+            .permutation(&[], binner, values)
+            .expect("ocean fields sort");
+        w.put_order(*step, RowOrder::GrayBin, &perm)?;
+        for (name, binner, values) in fields {
+            w.put(
+                *step,
+                name,
+                &BitmapIndex::build_permuted(values, binner.clone(), &perm),
+            )?;
+        }
+    }
+    Ok(())
+}
+
+/// Every append of a 4-shard ingest is a crash point, torn and failed
+/// with an I/O error in turn, on every attempt: the ingest stops with
+/// `StorageExhausted`, and `ShardedWriter::resume`, the same puts and
+/// `finish` leave the uninterrupted ingest's tree byte for byte, which
+/// answers like the data it was fed. One injector serves every shard, so
+/// op `k` is the `k`-th append of the whole ingest.
+#[test]
+fn every_append_of_a_sharded_ingest_is_a_crash_point() {
+    let steps = ocean_steps();
+    let model = steps.iter().fold(Model::new(), |model, (step, fields)| {
+        let mut model = model;
+        for (name, binner, values) in fields {
+            model = model.with(*step, name, binner.clone(), values);
+        }
+        model
+    });
+    let clean_dir = TempDir::new("sharded-clean");
+    let mut w = ShardedWriter::create(&clean_dir, 4).unwrap();
+    sharded_ingest(&mut w, &steps).unwrap();
+    w.finish().unwrap();
+    let reference = dir_contents(&clean_dir);
+    let appends = 8 * 4 * 3;
+    let stored: Vec<usize> = steps.iter().map(|(step, _)| *step).collect();
+    let battery = battery(&model, &stored);
+    for op in 0..appends + 1 {
+        for fault in [
+            FaultPlan::none().with_torn_write_at(op),
+            FaultPlan::none().with_io_error_at(op),
+        ] {
+            let tag = format!("{fault:?}");
+            let dir = TempDir::new("sharded-point");
+            let injector = Arc::new(FaultInjector::new(fault.with_persistent_write_faults()));
+            let mut w = ShardedWriter::create(&dir, 4)
+                .unwrap()
+                .with_fault_injector(injector);
+            match sharded_ingest(&mut w, &steps) {
+                // a fault one past the last append never fires
+                Ok(()) => assert_eq!(op, appends, "{tag}"),
+                Err(err) => assert!(
+                    matches!(err, IbisError::StorageExhausted { .. }) && op < appends,
+                    "{tag}: {err}"
+                ),
+            }
+            drop(w);
+            let mut w = ShardedWriter::resume(&dir).unwrap();
+            sharded_ingest(&mut w, &steps).unwrap();
+            w.finish().unwrap();
+            assert!(dir_contents(&dir) == reference, "{tag}: not the clean tree");
+            let engine = QueryEngine::open(&dir, 64 << 20).unwrap();
+            for req in &battery {
+                let want = support::answer(&model, req).unwrap();
+                assert_eq!(engine.run(req).unwrap(), want, "{tag} {req:?}");
+            }
+        }
+    }
 }

@@ -7,7 +7,7 @@
 //! flat store byte for byte; a corrupted shard must quarantine locally —
 //! the *other* shards' answers stay the model's — and repair through the
 //! normal resume + re-put path; a writer killed mid-ingest must resume
-//! from whatever each shard made durable.
+//! from whatever each shard made durable, however its last append tore.
 
 mod support;
 
@@ -15,13 +15,14 @@ use ibis_analysis::{QueryError, SubsetQuery};
 use ibis_core::{Binner, BitmapIndex, RowOrder, RowPermutation};
 use ibis_insitu::{
     CacheStats, IbisError, MaintenanceConfig, QueryEngine, QueryRequest, QueryServer, ServeConfig,
-    ShardedStore, ShardedWriter, SocketServer, StoreWriter,
+    ShardedStore, ShardedWriter, SocketServer, Store, StoreWriter, ORDER_VARIABLE,
 };
 use ibis_testkit::{Model, TempDir};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 use support::answer;
@@ -188,6 +189,13 @@ fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 
 fn open(dir: &Path) -> QueryEngine {
     QueryEngine::open(dir, BUDGET).unwrap()
+}
+
+/// [`Store::locate`] in the finished shard (or flat store) at `dir`: the
+/// file an entry's frame sits in and the frame's bytes there.
+fn frame_of(dir: &Path, step: usize, variable: &str) -> (std::path::PathBuf, Range<usize>) {
+    let (file, at) = Store::open(dir).unwrap().locate(step, variable).unwrap();
+    (file, at.start as usize..at.end as usize)
 }
 
 /// The query battery: every request shape the engine serves.
@@ -359,10 +367,9 @@ fn requests_without_a_region_never_load_the_row_order() {
         };
         for step in STEPS {
             for shard in &shard_dirs {
-                let blob = shard.join(format!("s{step:06}___order.ibis"));
+                let (blob, at) = frame_of(shard, step, ORDER_VARIABLE);
                 let mut bytes = std::fs::read(&blob).unwrap();
-                let last = bytes.len() - 1;
-                bytes[last] ^= 0x5a;
+                bytes[at.end - 1] ^= 0x5a;
                 std::fs::write(&blob, bytes).unwrap();
             }
         }
@@ -521,9 +528,12 @@ fn corrupt_shard_quarantines_locally_and_repairs() {
     let model = model_of_fields(&binner);
 
     // flip bytes in the middle of shard-001's step-1 temperature blob
-    let blob = sd.join("shard-001").join("s000001_temperature.ibis");
+    let (blob, at) = frame_of(&sd.join("shard-001"), 1, "temperature");
+    let aside = sd
+        .join("shard-001")
+        .join("s000001_temperature.ibis.quarantined");
     let mut bytes = std::fs::read(&blob).unwrap();
-    let mid = bytes.len() / 2;
+    let mid = (at.start + at.end) / 2;
     for b in &mut bytes[mid..mid + 4] {
         *b ^= 0xFF;
     }
@@ -535,7 +545,7 @@ fn corrupt_shard_quarantines_locally_and_repairs() {
     assert_eq!(reports.len(), 3);
     assert!(reports[0].is_clean() && reports[2].is_clean());
     assert_eq!(reports[1].quarantined.len(), 1);
-    assert!(blob.with_extension("ibis.quarantined").exists());
+    assert!(aside.exists());
 
     // the damaged pair is now a structured miss; every other pair answers
     // like the model
@@ -572,7 +582,7 @@ fn corrupt_shard_quarantines_locally_and_repairs() {
     let store = ShardedStore::open(&sd).unwrap();
     let compacted = store.compact().unwrap();
     assert!(compacted.files_removed >= 1);
-    assert!(!blob.with_extension("ibis.quarantined").exists());
+    assert!(!aside.exists());
     let engine = QueryEngine::from_store(store, BUDGET);
     for req in battery(ROWS as u64) {
         assert_eq!(engine.run(&req).unwrap(), answer(&model, &req).unwrap());
@@ -592,10 +602,13 @@ fn copy_tree(from: &Path, to: &Path) {
 }
 
 /// A writer killed after step 0 is durable and step 1 partially so, whose
-/// shard-002 journal is then torn at every byte offset in turn: resume
-/// keeps exactly the shard's entries whose lines are whole, re-putting
-/// what is missing completes the run, and the store answers like the data
-/// it was fed.
+/// shards' last records — step 1's temperature, the one record of each
+/// shard's `s000001.ibis` — are then torn at every byte in turn, header
+/// included: resume keeps exactly the shard's entries whose records are
+/// whole and cuts the torn tail off. Re-putting what is missing completes
+/// the run, and the store answers like the data it was fed — checked at
+/// every cut through the record header and the frame's first and last
+/// 16 bytes, and at every 16th cut in between.
 #[test]
 fn killed_writer_resumes_from_each_shards_durable_state() {
     let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
@@ -611,53 +624,63 @@ fn killed_writer_resumes_from_each_shards_durable_state() {
         w.put(1, "temperature", &step_idx(1, 0)).unwrap();
         // no finish(): the process is gone
     }
-    let journal = std::fs::read_to_string(killed.join("shard-002").join("JOURNAL")).unwrap();
-    // each journal line's entry and the offset its text ends at
-    let mut lines = Vec::new();
-    for line in journal.split_inclusive('\n') {
-        let at = lines
-            .last()
-            .map_or(0, |(_, _, end): &(usize, String, usize)| end + 1);
-        let mut fields = line.split('\t');
-        let step = fields.next().unwrap().parse().unwrap();
-        lines.push((
-            step,
-            fields.next().unwrap().to_string(),
-            at + line.trim_end().len(),
-        ));
-    }
-    assert_eq!(lines.len(), 3, "{journal}");
     let model = model_of_fields(&binner);
-    for cut in 0..=journal.len() {
-        let dir = TempDir::new(&format!("nodekill-{cut}"));
-        copy_tree(&killed, &dir);
-        std::fs::write(dir.join("shard-002").join("JOURNAL"), &journal[..cut]).unwrap();
-        let mut w = ShardedWriter::resume(&dir).unwrap();
-        let whole = |&&(_, _, end): &&(usize, String, usize)| cut >= end;
-        for (step, var, end) in &lines {
-            assert_eq!(
-                w.contains(*step, var),
-                cut >= *end,
-                "cut {cut}: {step} {var}"
-            );
-        }
-        let mut durable: Vec<usize> = lines.iter().filter(whole).map(|l| l.0).collect();
-        durable.dedup();
-        assert_eq!(w.durable_steps(), durable, "cut {cut}");
-        // re-putting what some shard lost completes the run
-        for (step, (phase, var)) in STEPS
-            .into_iter()
-            .flat_map(|s| VARS.iter().enumerate().map(move |v| (s, v)))
-        {
-            if !w.contains(step, var) {
-                w.put(step, var, &step_idx(step, phase)).unwrap();
+    for shard in 0..3 {
+        let last = killed
+            .join(format!("shard-{shard:03}"))
+            .join("s000001.ibis");
+        let record = std::fs::read(&last).unwrap();
+        let header = 3 + 1 + "temperature".len() + 8 + 4;
+        let work = TempDir::new(&format!("nodekill-{shard}"));
+        copy_tree(&killed, &work);
+        for cut in 0..=record.len() {
+            // the cuts the run is completed from get a copy of their own;
+            // the others only resume, which changes nothing but the torn
+            // segment, rewritten every cut
+            let repair = cut <= header + 16 || cut + 16 >= record.len() || cut % 16 == 0;
+            let fresh = repair.then(|| {
+                let dir = TempDir::new(&format!("nodekill-{shard}-{cut}"));
+                copy_tree(&killed, &dir);
+                dir
+            });
+            let dir: &Path = fresh.as_ref().map_or(work.as_ref(), |d| d.as_ref());
+            let torn = dir.join(format!("shard-{shard:03}")).join("s000001.ibis");
+            std::fs::write(&torn, &record[..cut]).unwrap();
+            let mut w = ShardedWriter::resume(dir).unwrap();
+            let whole = cut == record.len();
+            for var in VARS {
+                assert!(w.contains(0, var), "shard {shard} cut {cut}: step 0 {var}");
             }
-        }
-        w.finish().unwrap();
-        let engine = open(&dir);
-        for req in battery(ROWS as u64) {
-            let want = answer(&model, &req).unwrap();
-            assert_eq!(engine.run(&req).unwrap(), want, "cut {cut}");
+            assert_eq!(
+                w.contains(1, "temperature"),
+                whole,
+                "shard {shard} cut {cut}"
+            );
+            assert!(!w.contains(1, "salinity"));
+            let durable = if whole { vec![0, 1] } else { vec![0] };
+            assert_eq!(w.durable_steps(), durable, "shard {shard} cut {cut}");
+            // the torn tail is cut off, so the repair appends behind whole
+            // records only
+            let kept = std::fs::read(&torn).unwrap();
+            assert_eq!(kept, record[..if whole { cut } else { 0 }], "cut {cut}");
+            if !repair {
+                continue;
+            }
+            // re-putting what some shard lost completes the run
+            for (step, (phase, var)) in STEPS
+                .into_iter()
+                .flat_map(|s| VARS.iter().enumerate().map(move |v| (s, v)))
+            {
+                if !w.contains(step, var) {
+                    w.put(step, var, &step_idx(step, phase)).unwrap();
+                }
+            }
+            w.finish().unwrap();
+            let engine = open(dir);
+            for req in battery(ROWS as u64) {
+                let want = answer(&model, &req).unwrap();
+                assert_eq!(engine.run(&req).unwrap(), want, "shard {shard} cut {cut}");
+            }
         }
     }
 }
