@@ -2002,8 +2002,8 @@ mod tests {
         }
     }
 
-    /// Every way one stored file can be damaged in place: each byte flipped
-    /// under three masks, every strict prefix, and one byte appended.
+    /// Every way one stored frame can be damaged: each byte flipped under
+    /// three masks, every strict prefix, and one byte too many.
     fn corruptions(clean: &[u8]) -> Vec<(String, Vec<u8>)> {
         let mut out = Vec::new();
         for at in 0..clean.len() {
@@ -2084,13 +2084,12 @@ mod tests {
                     want_corrupt,
                     "{entry}, {damage}: {cached}"
                 );
-                // resume drops the damaged entry; past a frame that is cut
-                // or shifted, no record of its segment is whole any more
+                // resume drops exactly the damaged entry, and the records a
+                // cut frame took with it
                 let resumed = StoreWriter::resume(&dir).unwrap();
-                let ends_segment = bad.len() != frame.len();
+                let cut = bad.len() < frame.len();
                 for ((at, other, _), (in_file, range)) in blobs.into_iter().zip(&located) {
-                    let behind =
-                        ends_segment && *in_file == file && range.start > frame.start as u64;
+                    let behind = cut && *in_file == file && range.start > frame.start as u64;
                     assert_eq!(
                         resumed.contains(at, other),
                         (at, other) != (step, entry) && !behind,

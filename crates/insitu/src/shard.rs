@@ -22,10 +22,9 @@
 //! file still fails hard: its root holds no `MANIFEST`.
 //!
 //! Background maintenance ([`QueryEngine::maintenance_once`]) compacts
-//! durable debris (quarantined blobs, orphaned temp files, the journals
-//! of an earlier format) and applies tiered cache eviction — drop steps
-//! that fell out of the hot set, then squeeze to an idle byte target — per
-//! shard.
+//! durable debris (quarantined blobs, orphaned temp files, an earlier
+//! format's journals) and applies tiered cache eviction — drop steps that
+//! fell out of the hot set, then squeeze to an idle byte target — per shard.
 //!
 //! Counters (family `shard`): `shard.compact.{files,bytes}` here; the
 //! engine owns `shard.query.*` and `shard.maintenance.*`.
@@ -249,11 +248,8 @@ impl ShardedWriter {
 
     /// Routes every shard's writes through one injector: one op count.
     pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
-        self.writers = self
-            .writers
-            .into_iter()
-            .map(|w| w.with_fault_injector(Arc::clone(&injector)))
-            .collect();
+        let with = |w: StoreWriter| w.with_fault_injector(Arc::clone(&injector));
+        self.writers = self.writers.into_iter().map(with).collect();
         self
     }
 
@@ -300,8 +296,7 @@ impl ShardedWriter {
         Ok(())
     }
 
-    /// Finishes every shard (checksummed manifest) and returns the run
-    /// directory.
+    /// Finishes every shard (checksummed manifest); returns the run dir.
     pub fn finish(self) -> Result<PathBuf> {
         for w in self.writers {
             w.finish()?;
@@ -369,9 +364,8 @@ impl ShardedStore {
         self.shards.iter_mut().map(|s| s.fsck()).collect()
     }
 
-    /// Compacts durable debris (quarantined blobs, orphaned temp files,
-    /// journals of an earlier format) in the run directory and every
-    /// shard.
+    /// Compacts durable debris (quarantined blobs, orphaned temp files, an
+    /// earlier format's journals) in the run directory and every shard.
     pub fn compact(&self) -> Result<CompactReport> {
         let mut report = CompactReport::default();
         compact_dirs(&self.dir, self.shards.iter().map(Store::dir), &mut report)?;

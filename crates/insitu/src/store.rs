@@ -172,9 +172,9 @@ fn put_record_header(out: &mut Vec<u8>, entry: &str, frame_len: usize) {
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// The whole, intact record header at the start of `bytes`, if any: the
-/// entry it names, its own length and the length of the frame behind it.
-fn record_header(bytes: &[u8]) -> Option<(&str, usize, u64)> {
+/// The whole record at the start of `bytes`, if any: the entry its intact
+/// header names, the header's length and the frame behind it.
+fn whole_record(bytes: &[u8]) -> Option<(&str, usize, &[u8])> {
     let name_len = *bytes.strip_prefix(RECORD_MAGIC)?.first()? as usize;
     let header = bytes.get(RECORD_MAGIC.len()..RECORD_MAGIC.len() + 1 + name_len + 12)?;
     let (sealed, crc) = header.split_at(header.len() - 4);
@@ -182,7 +182,9 @@ fn record_header(bytes: &[u8]) -> Option<(&str, usize, u64)> {
     let (name, len) = sealed[1..].split_at(name_len);
     let name = std::str::from_utf8(name).ok()?;
     check_variable_name(name).ok()?;
-    Some((name, RECORD_MAGIC.len() + header.len(), le_u64(len)))
+    let start = RECORD_MAGIC.len() + header.len();
+    let end = start.checked_add(usize::try_from(le_u64(len)).ok()?)?;
+    Some((name, start, bytes.get(start..end)?))
 }
 
 /// The segment file holding `step`'s records.
@@ -385,35 +387,34 @@ fn file_names(dir: &Path) -> Result<Vec<String>> {
     names.collect()
 }
 
-/// Scans `step`'s segment `file` into `entries` in append order: a record
+/// Scans `step`'s segment `file` into `out` in append order: a record
 /// whose frame verifies is its entry's latest, one whose frame does not
-/// (damaged, spoiled by fsck) drops its entry, and the first record that
-/// is not whole — a torn append — is cut off with all behind it.
-fn scan_segment(dir: &Path, step: usize, file: &str, entries: &mut Entries) -> Result<()> {
+/// (damaged, spoiled by fsck) drops its entry, bytes that begin no whole
+/// record (a damaged header) are stepped over, and a tail with none — a
+/// torn append — is cut off, never below `keep`, a manifest's last frame.
+fn scan_segment(dir: &Path, step: usize, file: &str, keep: u64, out: &mut Entries) -> Result<()> {
     let path = dir.join(file);
     let io = |e: std::io::Error| IbisError::io(format!("scan segment {file}"), &e);
     let bytes = std::fs::read(&path).map_err(io)?;
     let mut at = 0;
-    while let Some((entry, header, len)) = record_header(&bytes[at..]) {
-        let start = at + header;
-        let end = usize::try_from(len).ok().and_then(|n| start.checked_add(n));
-        let Some(frame) = end.and_then(|end| bytes.get(start..end)) else {
-            break;
-        };
+    let whole_from = |at| (at..bytes.len()).find_map(|p| Some((p, whole_record(&bytes[p..])?)));
+    while let Some((next, (entry, header, frame))) = whole_from(at) {
+        let (start, len) = (next + header, frame.len() as u64);
         let key = (step, entry.to_string());
         match unframe(frame, Kind::of(entry)) {
             Ok((_, crc)) => {
                 let (file, at) = (file.to_string(), Some(start as u64));
-                entries.insert(key, EntryMeta { file, at, len, crc });
+                out.insert(key, EntryMeta { file, at, len, crc });
             }
-            Err(_) => drop(entries.remove(&key)),
+            Err(_) => drop(out.remove(&key)),
         }
         at = start + frame.len();
     }
     // unsynced: a crash brings back a tail a scan cuts again
-    if at < bytes.len() {
+    let end = keep.max(at as u64);
+    if end < bytes.len() as u64 {
         let f = OpenOptions::new().write(true).open(&path).map_err(io)?;
-        f.set_len(at as u64).map_err(io)?;
+        f.set_len(end).map_err(io)?;
     }
     Ok(())
 }
@@ -453,12 +454,13 @@ impl StoreWriter {
             |e: std::io::Error| IbisError::io(format!("retire the store in {}", dir.display()), &e);
         let mut retired = file_names(&dir)?;
         retired.retain(|name| name == "MANIFEST" || stored_file(name).is_some());
-        retired.sort_by_key(|name| name != "MANIFEST"); // the manifest goes first
-        for name in &retired {
+        retired.sort_by_key(|name| name != "MANIFEST");
+        for (k, name) in retired.iter().enumerate() {
             std::fs::remove_file(dir.join(name)).map_err(io)?;
-        }
-        if !retired.is_empty() {
-            sync_dir(&dir).map_err(io)?;
+            // the manifest is durably gone before the files it names
+            if name == "MANIFEST" || k + 1 == retired.len() {
+                sync_dir(&dir).map_err(io)?;
+            }
         }
         Ok(StoreWriter {
             dir,
@@ -482,16 +484,18 @@ impl StoreWriter {
         let segment = |name: &str| stored_file(name).filter(|(_, e)| e.is_empty()).map(|s| s.0);
         let mut segments: Vec<_> = names.filter_map(|n| Some((segment(&n)?, n))).collect();
         segments.sort();
+        let text = std::fs::read_to_string(dir.join("MANIFEST")).unwrap_or_default();
+        let manifest = parse_manifest(&text).unwrap_or_default();
         let mut entries = BTreeMap::new();
         for (step, file) in &segments {
-            scan_segment(&dir, *step, file, &mut entries)?;
+            let named = manifest.values().filter(|m| &m.file == file);
+            let keep = named.filter_map(|m| Some(m.at? + m.len)).max();
+            scan_segment(&dir, *step, file, keep.unwrap_or(0), &mut entries)?;
         }
-        if let Ok(manifest) = std::fs::read_to_string(dir.join("MANIFEST")) {
-            for (key, meta) in parse_manifest(&manifest).unwrap_or_default() {
-                let kind = Kind::of(&key.1);
-                if !entries.contains_key(&key) && read_frame(&dir, &meta, kind).is_ok() {
-                    entries.insert(key, meta);
-                }
+        for (key, meta) in manifest {
+            let kind = Kind::of(&key.1);
+            if !entries.contains_key(&key) && read_frame(&dir, &meta, kind).is_ok() {
+                entries.insert(key, meta);
             }
         }
         Ok(StoreWriter {
@@ -528,7 +532,9 @@ impl StoreWriter {
 
     /// Steps with at least one durable entry, ascending.
     pub fn durable_steps(&self) -> Vec<usize> {
-        self.durable_view().steps()
+        let mut v: Vec<usize> = self.entries.keys().map(|(s, _)| *s).collect();
+        v.dedup();
+        v
     }
 
     /// Whether `(step, variable)` is already durable.
@@ -1390,6 +1396,57 @@ mod tests {
             vec![0],
             "bad blob must not count as durable"
         );
+    }
+
+    /// A flipped byte in any record's header costs at most that record's
+    /// entry: the scan steps over it to the next whole record, and cuts
+    /// nothing a valid manifest names. A finished store resumes with every
+    /// entry and its segment's length; an interrupted run loses only that
+    /// entry (the last record's, a torn tail, is cut), and a re-put repairs it.
+    #[test]
+    fn a_damaged_record_header_costs_at_most_its_own_entry() {
+        let dir = TempDir::new("header-flip");
+        let vars = ["a", "b", "c"];
+        let mut w = StoreWriter::create(&dir).unwrap();
+        for (k, var) in vars.iter().enumerate() {
+            w.put(0, var, &sample_index(k)).unwrap();
+        }
+        let frames = vars.map(|var| w.durable_view().locate(0, var).unwrap().1);
+        w.finish().unwrap();
+        let (seg, manifest) = (dir.join("s000000.ibis"), dir.join("MANIFEST"));
+        let (clean, clean_manifest) = (std::fs::read(&seg).unwrap(), std::fs::read(&manifest));
+        for finished in [true, false] {
+            for (k, frame) in frames.iter().enumerate() {
+                let header = k.checked_sub(1).map_or(0, |j| frames[j].end)..frame.start;
+                for at in header {
+                    let case = format!("finished {finished}, record {k}, byte {at}");
+                    let mut bad = clean.clone();
+                    bad[at as usize] ^= 0x01;
+                    std::fs::write(&seg, &bad).unwrap();
+                    match finished {
+                        true => std::fs::write(&manifest, clean_manifest.as_ref().unwrap()),
+                        false => std::fs::remove_file(&manifest),
+                    }
+                    .unwrap();
+                    let mut w = StoreWriter::resume(&dir).unwrap();
+                    let kept = match finished || k + 1 < vars.len() {
+                        true => clean.len(),
+                        false => frames[k - 1].end as usize,
+                    };
+                    assert_eq!(std::fs::read(&seg).unwrap().len(), kept, "{case}");
+                    for (j, var) in vars.iter().enumerate() {
+                        assert_eq!(w.contains(0, var), finished || j != k, "{case}: {var}");
+                    }
+                    w.put(0, vars[k], &sample_index(k)).unwrap();
+                    w.finish().unwrap();
+                    let store = Store::open(&dir).unwrap();
+                    for (j, var) in vars.iter().enumerate() {
+                        let got = store.get(0, var).unwrap();
+                        assert_eq!(got.counts(), sample_index(j).counts(), "{case}: {var}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
