@@ -25,10 +25,10 @@
 //!    each shard's slice cannot stay resident). Asserts eviction churn
 //!    actually happened and p99 stays interactive (<= 150 ms, ~5x the
 //!    PR 7 fault-free serving p99);
-//! 4. node-kill: a sharded writer dies mid-ingest (one shard with a
-//!    torn last append), resumes from each shard's durable state,
-//!    repairs by idempotent re-put, and the recovered tier answers
-//!    exactly like a never-killed flat store.
+//! 4. node-kill: a sharded writer dies mid-ingest (its last append torn
+//!    inside shard 2's record), resumes from what is durable, repairs by
+//!    idempotent re-put, and the recovered tier answers exactly like a
+//!    never-killed flat store.
 //!
 //! `IBIS_SHARD_SMOKE=1` shrinks everything and writes to
 //! `target/BENCH_shard.smoke.json` so CI can schema-check the report
@@ -37,8 +37,8 @@
 use ibis_analysis::SubsetQuery;
 use ibis_core::{Binner, BitmapIndex};
 use ibis_insitu::{
-    CachedStore, QueryEngine, QueryRequest, QueryServer, ServeConfig, ShardedEngine, ShardedWriter,
-    Store, StoreWriter,
+    CachedStore, QueryEngine, QueryRequest, QueryServer, ServeConfig, ShardedEngine, ShardedStore,
+    ShardedWriter, Store, StoreWriter,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -339,9 +339,25 @@ fn main() {
             .expect("put step 1 half");
         // killed here: no finish()
     }
-    let segment = kill_dir.join("shard-002").join("s000001.ibis");
+    // where shard 2's record of the torn append ends, from a finished copy
+    let probe_dir = root.join("bench-shard-nodekill-probe");
+    std::fs::remove_dir_all(&probe_dir).ok();
+    std::fs::create_dir_all(&probe_dir).expect("create probe store");
+    for e in std::fs::read_dir(&kill_dir).expect("list kill store") {
+        let e = e.expect("kill store entry");
+        std::fs::copy(e.path(), probe_dir.join(e.file_name())).expect("copy kill store");
+    }
+    ShardedWriter::resume(&probe_dir)
+        .and_then(ShardedWriter::finish)
+        .expect("finish probe store");
+    let probe = ShardedStore::open(&probe_dir).expect("open probe store");
+    let (located, at) = probe.shards()[2]
+        .locate(1, "temperature")
+        .expect("locate shard 2's record");
+    let segment = kill_dir.join(located.file_name().expect("segment name"));
     let bytes = std::fs::read(&segment).expect("read segment");
-    std::fs::write(&segment, &bytes[..bytes.len() - 3]).expect("tear last append");
+    std::fs::write(&segment, &bytes[..at.end as usize - 3]).expect("tear shard 2's record");
+    std::fs::remove_dir_all(&probe_dir).ok();
     let t0 = Instant::now();
     let mut w = ShardedWriter::resume(&kill_dir).expect("resume killed writer");
     assert_eq!(

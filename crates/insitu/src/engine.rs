@@ -3,11 +3,14 @@
 //! with a JSON batch protocol for the `ibis query` CLI (DESIGN.md §6k).
 //!
 //! There is one engine and one query path — scatter, count per shard,
-//! gather. A flat run directory is the 1-shard store rooted at the
-//! directory itself ([`QueryEngine::new`], or [`QueryEngine::open`] on a
-//! directory without a `SHARDS` file); a sharded one fans the same
-//! per-shard step out over its `shard-NNN/` stores. The engine counts: no
-//! reply needs a selection vector, so none is built or concatenated.
+//! gather. A flat run directory is the 1-shard store ([`QueryEngine::new`],
+//! or [`QueryEngine::open`] on a directory without a `SHARDS` file); a
+//! sharded one is one store too, and the engine fans the same per-shard
+//! step out over one [`CachedStore`] per shard, each over that shard's
+//! view of the store ([`ShardedStore::shards`]): the shard stays the unit
+//! of reading, caching and pruning, so a query loads only the records its
+//! region touches. The engine counts: no reply needs a selection vector,
+//! so none is built or concatenated.
 //! Answers are **byte-identical** for every `K`:
 //!
 //! * a subset answer is a count of the rows a shard holds, and the
@@ -60,9 +63,7 @@
 use crate::cache::{CacheStats, CachedStore};
 use crate::error::{panic_message, IbisError, Result, WorkerRole};
 use crate::json::{self, Json};
-use crate::shard::{
-    compact_dirs, CompactReport, MaintenanceConfig, MaintenanceReport, ShardedStore,
-};
+use crate::shard::{compact, CompactReport, MaintenanceConfig, MaintenanceReport, ShardedStore};
 use ibis_analysis::{
     correlation_partial_shard, finish_correlation, shard_ranges, stored_ranges, CorrelationAnswer,
     QueryError, SubsetQuery,
@@ -170,7 +171,7 @@ impl QueryEngine {
     }
 
     /// Opens the run directory `dir` — `K` shards under a `SHARDS` file,
-    /// or the single shard rooted at `dir` without one — and splits
+    /// or the one flat shard without — and splits
     /// `budget_bytes` of decoded-index cache evenly across the shards.
     pub fn open(dir: impl AsRef<Path>, budget_bytes: u64) -> Result<Self> {
         Ok(Self::from_store(ShardedStore::open(dir)?, budget_bytes))
@@ -274,9 +275,8 @@ impl QueryEngine {
     /// Where the rows passing every region predicate of `queries` sit
     /// among `global_len` stored rows of `step` ([`stored_ranges`]):
     /// regions arrive in *original* row ids and are resolved, once per
-    /// query, against the step's stored row permutation — shared by every
-    /// shard (each holds the same global copy; shard 0's is
-    /// authoritative). Value ranges are order-invariant, so a request
+    /// query, against the step's stored row permutation — one record
+    /// every shard's view reads (asked through shard 0's cache). Value ranges are order-invariant, so a request
     /// without a region never loads the permutation.
     fn ranges_of(
         &self,
@@ -519,16 +519,16 @@ impl QueryEngine {
     }
 
     /// One background-maintenance pass: compact durable debris in the run
-    /// directory and every shard, evict cached steps that left the hot
-    /// set, squeeze residency to an idle target — each tier opt-in via
-    /// [`MaintenanceConfig`], at any shard count.
+    /// directory (and any `shard-NNN/` directory of an older layout),
+    /// evict cached steps that left the hot set, squeeze residency to an
+    /// idle target — each tier opt-in via [`MaintenanceConfig`], at any
+    /// shard count.
     pub fn maintenance_once(&self, cfg: &MaintenanceConfig) -> Result<MaintenanceReport> {
         OBS_MAINT_RUNS.inc();
         let mut report = MaintenanceReport::default();
         if cfg.compact {
             let mut debris = CompactReport::default();
-            let shard_dirs = self.caches.iter().map(|c| c.store().dir());
-            compact_dirs(&self.dir, shard_dirs, &mut debris)?;
+            compact(&self.dir, &mut debris)?;
             report.debris_files = debris.files_removed;
             report.debris_bytes = debris.bytes_reclaimed;
         }

@@ -3,23 +3,30 @@
 //! [`crate::engine::QueryEngine`].
 //!
 //! One step's index is split into `K` spatial shards over contiguous
-//! stored-row ranges. Each shard is a first-class durable [`Store`]: its
-//! own segments, CRC'd frames, fsck/repair, and crash-resume — a killed
-//! node resumes from *its* shard directory alone.
+//! stored-row ranges, and every shard lives in the one store rooted at
+//! the run directory: a step's `K` slices of a variable are `K` records of
+//! the step's one segment, entries `variable@0` … `variable@K−1`, written
+//! by one append and one sync ([`ShardedWriter::put`]). A step's row
+//! order is stored once, for every shard. There is one `MANIFEST`, one
+//! resume scan, one fsck and one compaction. The shard is the unit of
+//! reading, caching and pruning — [`ShardedStore::shards`] gives one
+//! [`Store`] view per shard, and the engine loads only the records a
+//! query's region touches — but not of durability on one node.
 //!
 //! Row split: shard `i` of `K` covers stored rows
 //! `[(i*n)/K, ((i+1)*n)/K)` — a pure function of `(n, K)`, so no per-step
 //! cut manifest is needed; at query time the per-shard index lengths
 //! prefix-sum back into the row ranges.
 //!
-//! Directory layout: a `K > 1` run keeps its shards in `shard-NNN/` under
-//! a top-level `SHARDS` file recording `K` (with a CRC footer), so a
-//! silently-missing shard directory is a hard open error rather than a
-//! plausible-but-wrong answer. The 1-shard run *is* the flat store: no
-//! `SHARDS` file, the single shard rooted at the run directory, the same
-//! bytes [`StoreWriter`] writes — and a directory without a `SHARDS` file
+//! A `K > 1` run has a `SHARDS` file recording `K` (with a CRC footer),
+//! written before its first put, so a resume never has to guess `K`. The
+//! 1-shard run *is* the flat store: no `SHARDS` file, the same bytes
+//! [`StoreWriter`] writes — and a directory without a `SHARDS` file
 //! opens as exactly that. A `K`-shard directory that lost its `SHARDS`
-//! file still fails hard: its root holds no `MANIFEST`.
+//! file still fails hard: its manifest names shards a flat store has not.
+//! A store whose shards each kept a store of their own under
+//! `shard-NNN/` (a `v1` `SHARDS` file) still opens, verifies, resumes and
+//! compacts: its shards' manifests are lifted into the one entry map.
 //!
 //! Background maintenance ([`QueryEngine::maintenance_once`]) compacts
 //! durable debris (quarantined blobs, orphaned temp files, an earlier
@@ -34,18 +41,21 @@ use crate::engine::QueryEngine;
 use crate::error::{IbisError, Result};
 use crate::fault::FaultInjector;
 use crate::io::write_atomic;
-use crate::store::{stored_file, FsckReport, Store, StoreWriter, LOSSY_PREFIX};
+use crate::store::{is_shard_dir, stored_file, FsckReport, Store, StoreWriter, LOSSY_PREFIX};
 use ibis_core::{BitmapIndex, RowOrder, RowPermutation};
 use ibis_obs::LazyCounter;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 static OBS_COMPACT_FILES: LazyCounter = LazyCounter::new("shard.compact.files");
 static OBS_COMPACT_BYTES: LazyCounter = LazyCounter::new("shard.compact.bytes");
 
 /// The top-level file naming the shard count.
 pub const SHARDS_FILE: &str = "SHARDS";
-const SHARDS_HEADER: &str = "#IBIS-SHARDS v1";
+const SHARDS_HEADER: &str = "#IBIS-SHARDS v2";
+/// The header of a `SHARDS` file whose shards each kept a store of their
+/// own under `shard-NNN/`.
+const SHARDS_HEADER_IN_DIRS: &str = "#IBIS-SHARDS v1";
 /// Hard ceiling on the shard count (file-name and sanity bound).
 pub const MAX_SHARDS: usize = 256;
 
@@ -76,7 +86,9 @@ fn write_shards_file(dir: &Path, nshards: usize) -> Result<()> {
     .map_err(|e| IbisError::io("write SHARDS", &e))
 }
 
-fn read_shards_file(dir: &Path) -> Result<usize> {
+/// The shard count a `SHARDS` file records, and whether its shards each
+/// keep a store of their own under `shard-NNN/` (a `v1` file).
+fn read_shards_file(dir: &Path) -> Result<(usize, bool)> {
     let corrupt = |detail: String| IbisError::Corrupt {
         file: SHARDS_FILE.to_string(),
         detail,
@@ -87,9 +99,11 @@ fn read_shards_file(dir: &Path) -> Result<usize> {
         return Err(corrupt("missing #END footer (truncated?)".into()));
     };
     let (body, footer) = text.split_at(footer_at);
-    if !body.starts_with(SHARDS_HEADER) {
-        return Err(corrupt("missing #IBIS-SHARDS header".into()));
-    }
+    let in_dirs = match body.lines().next() {
+        Some(SHARDS_HEADER) => false,
+        Some(SHARDS_HEADER_IN_DIRS) => true,
+        _ => return Err(corrupt("missing #IBIS-SHARDS header".into())),
+    };
     let stored = footer
         .trim_end()
         .strip_prefix("#END ")
@@ -111,7 +125,28 @@ fn read_shards_file(dir: &Path) -> Result<usize> {
             "shard count {nshards} outside 1..={MAX_SHARDS}"
         )));
     }
-    Ok(nshards)
+    Ok((nshards, in_dirs))
+}
+
+/// The shard count of run directory `dir`, and how many of its shards
+/// keep a store of their own whose manifest stands in for a missing
+/// `MANIFEST` ([`read_shards_file`]: all of a `v1` store's, else none);
+/// without a `SHARDS` file, the one flat shard.
+fn shards_of(dir: &Path) -> Result<(usize, usize)> {
+    match is_sharded(dir) {
+        true => read_shards_file(dir).map(|(k, in_dirs)| (k, if in_dirs { k } else { 0 })),
+        false => Ok((1, 0)),
+    }
+}
+
+/// What every list holds, in the first list's order: the steps or
+/// variables every shard holds.
+fn common<T: PartialEq>(mut lists: impl Iterator<Item = Vec<T>>) -> Vec<T> {
+    let mut common = lists.next().unwrap_or_default();
+    for list in lists {
+        common.retain(|x| list.contains(x));
+    }
+    common
 }
 
 /// Debris removed by a compaction pass.
@@ -123,12 +158,14 @@ pub struct CompactReport {
     pub bytes_reclaimed: u64,
 }
 
-/// Removes one directory's durable debris: quarantined blobs
+/// Removes a run directory's durable debris: quarantined blobs
 /// (`*.quarantined`), orphaned atomic-write temp files (`.*.tmp`), a
 /// `JOURNAL` (what stores kept before segments; nothing reads one) and —
 /// once a `MANIFEST` finishes the store — the blobs of retired lossy
-/// companions, which no reader opens. Only call on a quiesced directory.
-fn compact_dir(dir: &Path, report: &mut CompactReport) -> Result<()> {
+/// companions, which no reader opens; and the same in each `shard-NNN/`
+/// directory a store of an earlier layout keeps. Only call on a quiesced
+/// directory.
+pub(crate) fn compact(dir: &Path, report: &mut CompactReport) -> Result<()> {
     let entries = std::fs::read_dir(dir)
         .map_err(|e| IbisError::io(format!("read dir {}", dir.display()), &e))?;
     let manifest_done = dir.join("MANIFEST").is_file();
@@ -136,6 +173,10 @@ fn compact_dir(dir: &Path, report: &mut CompactReport) -> Result<()> {
         let entry = entry.map_err(|e| IbisError::io("read dir entry", &e))?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
+        if is_shard_dir(name) && entry.path().is_dir() {
+            compact(&entry.path(), report)?;
+            continue;
+        }
         let debris = name.ends_with(".quarantined")
             || (name.starts_with('.') && name.ends_with(".tmp"))
             || name == "JOURNAL"
@@ -155,227 +196,185 @@ fn compact_dir(dir: &Path, report: &mut CompactReport) -> Result<()> {
     Ok(())
 }
 
-/// [`compact_dir`] over a run directory and its shard directories. The
-/// 1-shard store is rooted at the run directory itself and is swept once.
-pub(crate) fn compact_dirs<'a>(
-    root: &Path,
-    shards: impl Iterator<Item = &'a Path>,
-    report: &mut CompactReport,
-) -> Result<()> {
-    compact_dir(root, report)?;
-    for dir in shards.filter(|dir| *dir != root) {
-        compact_dir(dir, report)?;
-    }
-    Ok(())
-}
-
-/// The shard directories of run directory `dir`, in shard order: the
-/// `shard-NNN/` children a `SHARDS` file names, or — without one — `dir`
-/// itself, the single shard of a flat store.
-fn shard_dirs(dir: &Path) -> Result<Vec<PathBuf>> {
-    if !is_sharded(dir) {
-        return Ok(vec![dir.to_path_buf()]);
-    }
-    let nshards = read_shards_file(dir)?;
-    Ok((0..nshards)
-        .map(|i| dir.join(format!("shard-{i:03}")))
-        .collect())
-}
-
-/// The steps every shard holds, ascending.
-fn common_steps(mut per_shard: impl Iterator<Item = Vec<usize>>) -> Vec<usize> {
-    let mut common = per_shard.next().unwrap_or_default();
-    for steps in per_shard {
-        common.retain(|s| steps.contains(s));
-    }
-    common
-}
-
-/// Writes one logical run as `K ≥ 1` spatial shards, each a fully durable
-/// [`StoreWriter`]: one synced append a put into the step's segment,
-/// per-shard crash-resume. [`ShardedWriter::put`] slices the step's index
-/// on the deterministic even-split row cuts; the global row permutation (if any)
-/// is stored whole in every shard so each one can answer region queries
-/// independently. `K = 1` writes the flat store, byte for byte what a
-/// bare [`StoreWriter`] writes (module docs).
+/// Writes one logical run as `K ≥ 1` spatial shards of one durable
+/// [`StoreWriter`]: [`ShardedWriter::put`] slices the step's index on the
+/// deterministic even-split row cuts and appends the `K` slices' records
+/// to the step's segment in one write, synced once. The global row
+/// permutation (if any) is stored once, for every shard. `K = 1` writes
+/// the flat store, byte for byte what a bare [`StoreWriter`] writes
+/// (module docs).
 #[derive(Debug)]
 pub struct ShardedWriter {
-    dir: PathBuf,
-    writers: Vec<StoreWriter>,
+    writer: StoreWriter,
+    nshards: usize,
 }
 
 impl ShardedWriter {
-    /// Creates the run directory and `nshards` fresh shard writers — under
-    /// a `SHARDS` file for `nshards > 1`, rooted at `dir` itself for 1.
+    /// Creates the run directory and starts a fresh run of `nshards`
+    /// shards in it — recorded in a `SHARDS` file for `nshards > 1`, the
+    /// flat store for 1.
     pub fn create(dir: impl AsRef<Path>, nshards: usize) -> Result<Self> {
         if nshards == 0 || nshards > MAX_SHARDS {
             return Err(IbisError::Config(format!(
                 "shard count {nshards} outside 1..={MAX_SHARDS}"
             )));
         }
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| IbisError::io(format!("create run dir {}", dir.display()), &e))?;
+        let writer = StoreWriter::create(dir)?;
         if nshards > 1 {
-            write_shards_file(&dir, nshards)?;
-        } else if let Err(e) = std::fs::remove_file(dir.join(SHARDS_FILE)) {
+            write_shards_file(writer.dir(), nshards)?;
+        } else if let Err(e) = std::fs::remove_file(writer.dir().join(SHARDS_FILE)) {
             // a SHARDS file left by an earlier sharded run in this
-            // directory would make readers open its stale shards instead
+            // directory would make readers expect its shards
             if e.kind() != std::io::ErrorKind::NotFound {
                 return Err(IbisError::io("remove stale SHARDS", &e));
             }
         }
-        let writers = shard_dirs(&dir)?
-            .into_iter()
-            .map(StoreWriter::create)
-            .collect::<Result<Vec<_>>>()?;
-        Ok(ShardedWriter { dir, writers })
+        Ok(ShardedWriter { writer, nshards })
     }
 
     /// Reopens an interrupted (or finished) run: reads the shard count
     /// back from `SHARDS` (absent: the one flat shard) and crash-resumes
-    /// every shard from its own segments/manifest — the whole point of
-    /// per-shard durability is that a killed node recovers from its shard
-    /// directory alone.
+    /// the store ([`StoreWriter::resume`]).
     pub fn resume(dir: impl AsRef<Path>) -> Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        let writers = shard_dirs(&dir)?
-            .into_iter()
-            .map(StoreWriter::resume)
-            .collect::<Result<Vec<_>>>()?;
-        Ok(ShardedWriter { dir, writers })
+        let (nshards, lifted) = shards_of(dir.as_ref())?;
+        let writer = StoreWriter::resume_in(dir, lifted)?;
+        Ok(ShardedWriter { writer, nshards })
     }
 
-    /// Routes every shard's writes through one injector: one op count.
+    /// Routes the writes through an injector: each put is one write op.
     pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
-        let with = |w: StoreWriter| w.with_fault_injector(Arc::clone(&injector));
-        self.writers = self.writers.into_iter().map(with).collect();
+        self.writer = self.writer.with_fault_injector(injector);
         self
     }
 
     /// The run directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.writer.dir()
     }
 
     /// The shard count.
     pub fn nshards(&self) -> usize {
-        self.writers.len()
+        self.nshards
     }
 
     /// Whether `(step, variable)` is durable in **every** shard.
     pub fn contains(&self, step: usize, variable: &str) -> bool {
-        self.writers.iter().all(|w| w.contains(step, variable))
+        let shards = self.writer.durable_view().into_shard_views(self.nshards);
+        shards
+            .iter()
+            .all(|shard| shard.locate(step, variable).is_some())
     }
 
     /// Steps durable in every shard, ascending — a step some shard lost
-    /// (torn append, killed node) is not globally durable until re-put.
+    /// (a torn append) is not globally durable until re-put.
     pub fn durable_steps(&self) -> Vec<usize> {
-        common_steps(self.writers.iter().map(StoreWriter::durable_steps))
+        let shards = self.writer.durable_view().into_shard_views(self.nshards);
+        common(shards.iter().map(Store::steps))
     }
 
-    /// Splits `index` on the even-split row cuts and puts each slice into
-    /// its shard. Idempotent like [`StoreWriter::put`] — after a resume,
-    /// re-putting a step repairs whichever shards lost it.
+    /// Splits `index` on the even-split row cuts and lands the slices as
+    /// one append of `K` records, synced once. Idempotent like
+    /// [`StoreWriter::put`] — after a resume, re-putting a step appends
+    /// only the records a torn append lost.
     pub fn put(&mut self, step: usize, variable: &str, index: &BitmapIndex) -> Result<()> {
-        let cuts = shard_cuts(index.len(), self.writers.len());
-        for (i, w) in self.writers.iter_mut().enumerate() {
-            w.put(step, variable, &index.slice_rows(cuts[i]..cuts[i + 1]))?;
+        if self.nshards == 1 {
+            return self.writer.put(step, variable, index); // its one slice is itself
         }
-        Ok(())
+        let cuts = shard_cuts(index.len(), self.nshards);
+        let slices: Vec<_> = (cuts.windows(2))
+            .map(|cut| index.slice_rows(cut[0]..cut[1]))
+            .collect();
+        self.writer.put_slices(step, variable, &slices)
     }
 
-    /// Stores the step's **global** row permutation in every shard (a
-    /// region resolves against it into ranges of global stored rows, which
-    /// each shard clips to its own — see [`ibis_analysis::stored_ranges`]).
-    /// Call it before the step's `put`s ([`StoreWriter::put_order`]).
+    /// Stores the step's **global** row permutation once, for every shard
+    /// (a region resolves against it into ranges of global stored rows,
+    /// which each shard clips to its own — see
+    /// [`ibis_analysis::stored_ranges`]). Call it before the step's `put`s
+    /// ([`StoreWriter::put_order`]).
     pub fn put_order(&mut self, step: usize, order: RowOrder, perm: &RowPermutation) -> Result<()> {
-        for w in &mut self.writers {
-            w.put_order(step, order, perm)?;
-        }
-        Ok(())
+        self.writer.put_order(step, order, perm)
     }
 
-    /// Finishes every shard (checksummed manifest); returns the run dir.
+    /// Finishes the run (one checksummed manifest); returns the run dir.
     pub fn finish(self) -> Result<PathBuf> {
-        for w in self.writers {
-            w.finish()?;
-        }
-        Ok(self.dir)
+        self.writer.finish()
     }
 }
 
-/// A read-only view of a finished run of `K ≥ 1` shards: every shard
-/// directory ([`ShardedWriter`]'s layout) must open as a valid [`Store`]
-/// — a missing shard is a hard error, never a silently partial answer.
+/// A read-only view of a finished run of `K ≥ 1` shards: the one store,
+/// and a [`Store`] view of each shard, built when first asked for.
 #[derive(Debug)]
 pub struct ShardedStore {
-    dir: PathBuf,
-    shards: Vec<Store>,
+    store: Store,
+    nshards: usize,
+    shards: OnceLock<Vec<Store>>,
 }
 
 impl ShardedStore {
     /// Opens a run directory: `K` shards under a `SHARDS` file, the one
     /// flat store without.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        let dirs = shard_dirs(&dir)?;
-        let part = dirs.len() > 1;
-        let shards = dirs
-            .into_iter()
-            .map(|d| Store::open(d).map(|s| if part { s.into_part() } else { s }))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(ShardedStore { dir, shards })
+        let (nshards, lifted) = shards_of(dir.as_ref())?;
+        let store = Store::open_in(dir, nshards, lifted)?;
+        let shards = OnceLock::new();
+        Ok(ShardedStore {
+            store,
+            nshards,
+            shards,
+        })
     }
 
     /// The run directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.store.dir()
     }
 
     /// The shard count.
     pub fn nshards(&self) -> usize {
-        self.shards.len()
+        self.nshards
     }
 
     /// The per-shard stores, in shard order.
     pub fn shards(&self) -> &[Store] {
-        &self.shards
+        let views = || self.store.clone().into_shard_views(self.nshards);
+        self.shards.get_or_init(views)
     }
 
     /// Steps present in **every** shard, ascending.
     pub fn steps(&self) -> Vec<usize> {
-        common_steps(self.shards.iter().map(Store::steps))
+        common(self.shards().iter().map(Store::steps))
     }
 
-    /// Variables present for `step` (from shard 0; [`ShardedWriter::put`]
-    /// writes every shard symmetrically).
+    /// Variables present for `step` in **every** shard.
     pub fn variables(&self, step: usize) -> Vec<&str> {
-        self.shards
-            .first()
-            .map(|s| s.variables(step))
-            .unwrap_or_default()
+        common(self.shards().iter().map(|s| s.variables(step)))
     }
 
-    /// Runs [`Store::fsck`] on every shard, in shard order. Corruption in
-    /// one shard quarantines only that shard's blob; the other shards'
-    /// entries (and their query results) are untouched.
+    /// Verifies every entry once ([`Store::fsck`]) and reports per shard,
+    /// in shard order: each report counts and lists the shard's slices
+    /// and the steps' orders it reads. Corruption in one shard's record
+    /// quarantines only that record; the other shards' entries (and their
+    /// query results) are untouched.
     pub fn fsck(&mut self) -> Vec<FsckReport> {
-        self.shards.iter_mut().map(|s| s.fsck()).collect()
+        self.shards = OnceLock::new();
+        self.store.fsck_by_shard(self.nshards)
     }
 
     /// Compacts durable debris (quarantined blobs, orphaned temp files, an
-    /// earlier format's journals) in the run directory and every shard.
+    /// earlier format's journals) in the run directory and any
+    /// `shard-NNN/` directory of an older layout.
     pub fn compact(&self) -> Result<CompactReport> {
         let mut report = CompactReport::default();
-        compact_dirs(&self.dir, self.shards.iter().map(Store::dir), &mut report)?;
+        compact(self.dir(), &mut report)?;
         Ok(report)
     }
 
     /// Consumes the view into its per-shard stores (shard order) — the
     /// engine wraps each in its own cache.
     pub fn into_shards(self) -> Vec<Store> {
-        self.shards
+        let views = self.shards.into_inner();
+        views.unwrap_or_else(|| self.store.into_shard_views(self.nshards))
     }
 }
 
@@ -561,7 +560,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         write_shards_file(&dir, 7).expect("write");
         assert!(is_sharded(&dir));
-        assert_eq!(read_shards_file(&dir).expect("read"), 7);
+        assert_eq!(read_shards_file(&dir).expect("read"), (7, false));
         // flip the count without updating the CRC
         let text = std::fs::read_to_string(dir.join(SHARDS_FILE)).expect("read text");
         std::fs::write(dir.join(SHARDS_FILE), text.replace('7', "4")).expect("tamper");
@@ -582,12 +581,34 @@ mod tests {
         w.put(0, "temperature", &BitmapIndex::build(&a, binner()))
             .expect("put");
         w.finish().expect("finish");
-        std::fs::remove_dir_all(dir.join("shard-001")).expect("drop a shard");
-        assert!(ShardedStore::open(&dir).is_err());
-        // ...and so is a K-shard directory that lost its SHARDS file: it
-        // reads as a flat store, whose root holds no MANIFEST
+        // a K-shard directory that lost its SHARDS file reads as a flat
+        // store, whose manifest must not name shards
+        let shards = std::fs::read(dir.join(SHARDS_FILE)).expect("SHARDS");
         std::fs::remove_file(dir.join(SHARDS_FILE)).expect("drop SHARDS");
+        assert!(matches!(
+            ShardedStore::open(&dir),
+            Err(IbisError::Manifest { .. })
+        ));
+        // one that claims fewer shards than its manifest names fails; one
+        // that claims more opens with no step every shard holds
+        write_shards_file(&dir, 2).expect("write");
         assert!(ShardedStore::open(&dir).is_err());
+        write_shards_file(&dir, 4).expect("write");
+        assert!(ShardedStore::open(&dir).expect("open").steps().is_empty());
+        std::fs::write(dir.join(SHARDS_FILE), shards).expect("restore");
+        assert_eq!(ShardedStore::open(&dir).expect("open").nshards(), 3);
+        // a store whose shards keep stores of their own under
+        // `shard-NNN/`: a missing shard directory is a hard error
+        let old = TempDir::new("missing-shard-dirs");
+        let text = format!("{SHARDS_HEADER_IN_DIRS}\n2\n");
+        let text = format!("{text}#END {:08x}\n", crc32c(text.as_bytes()));
+        std::fs::create_dir_all(&old).expect("mkdir");
+        std::fs::write(old.join(SHARDS_FILE), text).expect("SHARDS v1");
+        let mut w = StoreWriter::create(old.join("shard-000")).expect("writer");
+        w.put(0, "temperature", &BitmapIndex::build(&a, binner()))
+            .expect("put");
+        w.finish().expect("finish");
+        assert!(ShardedStore::open(&old).is_err());
     }
 
     #[test]
@@ -690,16 +711,16 @@ mod tests {
         let index = BitmapIndex::build(&a0, binner());
         let mut w = ShardedWriter::create(&dir, 3).expect("writer");
         w.put(0, "temperature", &index).expect("put");
-        // Simulate a node kill mid-run: drop the writer (segments remain,
-        // no manifests), then tear shard 1's append mid-record.
+        // Simulate a node kill mid-run: drop the writer (the segment
+        // remains, no manifest), then tear the last shard's record.
         drop(w);
-        let seg = dir.join("shard-001").join("s000000.ibis");
+        let seg = dir.join("s000000.ibis");
         let bytes = std::fs::read(&seg).expect("segment");
         std::fs::write(&seg, &bytes[..bytes.len() - 3]).expect("tear");
         let mut w = ShardedWriter::resume(&dir).expect("resume");
         assert!(
             !w.contains(0, "temperature"),
-            "shard 1's torn entry makes the step non-durable globally"
+            "shard 2's torn entry makes the step non-durable globally"
         );
         assert_eq!(w.durable_steps(), Vec::<usize>::new());
         w.put(0, "temperature", &index).expect("re-put repairs");
@@ -718,18 +739,20 @@ mod tests {
         w.put(0, "temperature", &BitmapIndex::build(&a0, binner()))
             .expect("put");
         w.finish().expect("finish");
-        // plant debris: a quarantined blob, a temp file, a stale journal
-        let s0 = dir.join("shard-000");
-        std::fs::write(s0.join("old.ibis.quarantined"), b"junk").expect("debris");
-        std::fs::write(s0.join(".x.tmp"), b"torn").expect("debris");
-        std::fs::write(dir.join("shard-001").join("JOURNAL"), b"stale").expect("debris");
+        // plant debris: a quarantined blob, a temp file, and a stale
+        // journal in a shard directory of an earlier layout
+        let s1 = dir.join("shard-001");
+        std::fs::create_dir(&s1).expect("mkdir");
+        std::fs::write(dir.join("old.ibis.quarantined"), b"junk").expect("debris");
+        std::fs::write(dir.join(".x.tmp"), b"torn").expect("debris");
+        std::fs::write(s1.join("JOURNAL"), b"stale").expect("debris");
         let store = ShardedStore::open(&dir).expect("open");
         let report = store.compact().expect("compact");
         assert_eq!(report.files_removed, 3);
         assert!(report.bytes_reclaimed >= 13);
-        assert!(!s0.join("old.ibis.quarantined").exists());
-        assert!(!s0.join(".x.tmp").exists());
-        assert!(!dir.join("shard-001").join("JOURNAL").exists());
+        assert!(!dir.join("old.ibis.quarantined").exists());
+        assert!(!dir.join(".x.tmp").exists());
+        assert!(!s1.join("JOURNAL").exists());
         // second pass: nothing left
         assert_eq!(store.compact().expect("compact"), CompactReport::default());
     }

@@ -11,8 +11,10 @@
 //! * a step's frames are records of one append-only segment,
 //!   `s<step>.ibis`, each behind a header with a CRC of its own: a
 //!   [`StoreWriter::put`] is one append and one `fdatasync`, durable when
-//!   it returns, and [`StoreWriter::resume`] scans the segments, keeping
-//!   the whole records and cutting a torn tail off;
+//!   it returns — one append of `K` records in a store of `K` shards
+//!   ([`crate::shard`]), whose entries name their shard (`v@i`) — and
+//!   [`StoreWriter::resume`] scans the segments, keeping the whole
+//!   records and cutting a torn tail off;
 //! * the `MANIFEST` records each entry's file, offset, length and CRC
 //!   under a whole-file CRC footer, and is written atomically;
 //! * [`Store::fsck`] quarantines every entry whose ordinary typed load
@@ -181,7 +183,7 @@ fn whole_record(bytes: &[u8]) -> Option<(&str, usize, &[u8])> {
     (crc32c(sealed) == le_u32(crc)).then_some(())?;
     let (name, len) = sealed[1..].split_at(name_len);
     let name = std::str::from_utf8(name).ok()?;
-    check_variable_name(name).ok()?;
+    entry_parts(name)?;
     let start = RECORD_MAGIC.len() + header.len();
     let end = start.checked_add(usize::try_from(le_u64(len)).ok()?)?;
     Some((name, start, bytes.get(start..end)?))
@@ -298,11 +300,113 @@ fn check_variable_name(variable: &str) -> Result<()> {
     Ok(())
 }
 
+/// Refuses a name [`StoreWriter::put`] may not store an index under: not
+/// a variable's, or reserved.
+fn check_data_name(variable: &str) -> Result<()> {
+    check_variable_name(variable)?;
+    if Kind::of(variable) != Kind::Index || variable.starts_with(LOSSY_PREFIX) {
+        return Err(IbisError::Config(format!(
+            "variable name {variable:?} is reserved ({ORDER_VARIABLE:?} holds row \
+             permutations, {LOSSY_PREFIX:?}… held retired lossy companions)"
+        )));
+    }
+    Ok(())
+}
+
+/// An entry's variable and, for one shard's slice of it, that shard:
+/// `temperature@2` is shard 2's slice of `temperature`. A name without a
+/// shard — every entry of a flat store, and a step's order — is read by
+/// every shard. `None`: not an entry's name.
+fn entry_parts(entry: &str) -> Option<(&str, Option<usize>)> {
+    let (var, shard) = match entry.split_once('@') {
+        None => (entry, None),
+        Some((var, i)) => {
+            let shard = i.parse().ok().filter(|s: &usize| s.to_string() == i);
+            (var, Some(shard.filter(|_| var != ORDER_VARIABLE)?))
+        }
+    };
+    check_variable_name(var).ok()?;
+    Some((var, shard))
+}
+
+/// Whether `name` is shard directory `shard-NNN`, where each shard of a
+/// store written before one store held every shard kept a store of its
+/// own ([`lift_shards`]).
+pub(crate) fn is_shard_dir(name: &str) -> bool {
+    let digits = name.strip_prefix("shard-").unwrap_or("");
+    digits.len() == 3 && digits.bytes().all(|b| b.is_ascii_digit())
+}
+
+/// A manifest's file: a name in the run directory, or in one of its
+/// shard directories — exactly `shard-NNN/<name>`, nothing else.
 fn check_file_name(file: &str) -> std::result::Result<(), String> {
-    if file.is_empty() || file.contains('/') || file.contains('\\') || file.contains("..") {
+    let name = match file.split_once('/') {
+        Some((dir, name)) if is_shard_dir(dir) => name,
+        _ => file,
+    };
+    if name.is_empty() || name.contains('/') || name.contains('\\') || name.contains("..") {
         return Err("file escapes the run directory".into());
     }
     Ok(())
+}
+
+/// The entries of a store whose shards each kept a store of their own
+/// under `shard-NNN/` (the layout before one store held every shard),
+/// lifted from the shards' manifests into one map: shard `i`'s `v` is
+/// `v@i` in `shard-NNN/<file>`, and the first copy of a step's order —
+/// every shard kept one — stands for all. A shard without a valid
+/// manifest is an error if `need`, else it adds nothing.
+fn lift_shards(dir: &Path, nshards: usize, need: bool) -> Result<Entries> {
+    let mut lifted = Entries::new();
+    for i in 0..nshards {
+        let sub = format!("shard-{i:03}");
+        let text = std::fs::read_to_string(dir.join(&sub).join("MANIFEST"))
+            .map_err(|e| IbisError::io(format!("read {sub}/MANIFEST"), &e));
+        let entries = match text.and_then(|text| parse_manifest(&text)) {
+            Ok(entries) => entries,
+            Err(e) if need => return Err(e),
+            Err(_) => continue,
+        };
+        for ((step, var), mut meta) in entries {
+            meta.file = format!("{sub}/{}", meta.file);
+            let entry = match Kind::of(&var) {
+                Kind::Order => var,
+                _ => format!("{var}@{i}"),
+            };
+            lifted.entry((step, entry)).or_insert(meta);
+        }
+    }
+    Ok(lifted)
+}
+
+/// The entries `dir`'s `MANIFEST` names — or, without one, those of the
+/// manifests of its `lifted` shard directories ([`lift_shards`]).
+fn manifest_entries(dir: &Path, lifted: usize, need: bool) -> Result<Entries> {
+    match std::fs::read_to_string(dir.join("MANIFEST")) {
+        Ok(text) => parse_manifest(&text),
+        Err(e) if lifted > 0 && e.kind() == std::io::ErrorKind::NotFound => {
+            lift_shards(dir, lifted, need)
+        }
+        Err(e) => Err(IbisError::io("read MANIFEST", &e)),
+    }
+}
+
+/// Refuses a manifest whose entries do not fit `nshards` shards: a name
+/// that is no entry's, a slice of a shard past the last, a slice in a
+/// flat store, or a whole index in a store of several.
+fn check_shards(entries: &Entries, nshards: usize) -> Result<()> {
+    let fits = |entry: &str| match entry_parts(entry) {
+        Some((_, Some(i))) => nshards > 1 && i < nshards,
+        Some((var, None)) => nshards == 1 || Kind::of(var) == Kind::Order,
+        None => false,
+    };
+    match entries.keys().find(|(_, entry)| !fits(entry)) {
+        Some((step, entry)) => Err(IbisError::Manifest {
+            line: 0,
+            reason: format!("step {step}'s entry {entry:?} is not one of {nshards} shard(s)"),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// One manifest entry line: `step \t var \t file \t offset \t len \t crc`,
@@ -437,6 +541,11 @@ pub struct StoreWriter {
     entries: Entries,
     /// The segment the last append went to.
     segment: Option<Segment>,
+    /// The records an append lands — `(entry, frame offset in the append,
+    /// framed length, CRC)` — kept between puts: a put allocating nothing
+    /// but its bytes read 10 % faster on a cold open later in the process
+    /// (EXPERIMENTS.md, "One store for all K shards").
+    landed: Vec<((usize, String), u64, u64, u32)>,
     injector: Option<Arc<FaultInjector>>,
     max_attempts: u32,
 }
@@ -466,6 +575,7 @@ impl StoreWriter {
             dir,
             entries: BTreeMap::new(),
             segment: None,
+            landed: Vec::new(),
             injector: None,
             max_attempts: 4,
         })
@@ -477,6 +587,13 @@ impl StoreWriter {
     /// segments), each frame re-verified. A dropped entry is repaired by
     /// re-`put`ting it — the path after [`Store::fsck`] quarantines one.
     pub fn resume(dir: impl AsRef<Path>) -> Result<Self> {
+        Self::resume_in(dir, 0)
+    }
+
+    /// [`StoreWriter::resume`] of a store whose `lifted` shards each kept
+    /// a store of their own, whose manifests stand in for a missing
+    /// `MANIFEST` ([`lift_shards`]).
+    pub(crate) fn resume_in(dir: impl AsRef<Path>, lifted: usize) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)
             .map_err(|e| IbisError::io(format!("create run dir {}", dir.display()), &e))?;
@@ -484,8 +601,7 @@ impl StoreWriter {
         let segment = |name: &str| stored_file(name).filter(|(_, e)| e.is_empty()).map(|s| s.0);
         let mut segments: Vec<_> = names.filter_map(|n| Some((segment(&n)?, n))).collect();
         segments.sort();
-        let text = std::fs::read_to_string(dir.join("MANIFEST")).unwrap_or_default();
-        let manifest = parse_manifest(&text).unwrap_or_default();
+        let manifest = manifest_entries(&dir, lifted, false).unwrap_or_default();
         let mut entries = BTreeMap::new();
         for (step, file) in &segments {
             let named = manifest.values().filter(|m| &m.file == file);
@@ -502,6 +618,7 @@ impl StoreWriter {
             dir,
             entries,
             segment: None,
+            landed: Vec::new(),
             injector: None,
             max_attempts: 4,
         })
@@ -548,15 +665,25 @@ impl StoreWriter {
     /// the same payload is the same frame, and a frame durable byte for
     /// byte is not written again.
     pub fn put(&mut self, step: usize, variable: &str, index: &BitmapIndex) -> Result<()> {
-        check_variable_name(variable)?;
-        if Kind::of(variable) != Kind::Index || variable.starts_with(LOSSY_PREFIX) {
-            return Err(IbisError::Config(format!(
-                "variable name {variable:?} is reserved ({ORDER_VARIABLE:?} holds row \
-                 permutations, {LOSSY_PREFIX:?}… held retired lossy companions)"
-            )));
-        }
+        check_data_name(variable)?;
         let (payload, _) = codec::encode_index_auto(index);
-        self.commit(step, variable, &payload)
+        self.commit(step, &[(variable, &payload)])
+    }
+
+    /// Persists one step's index of `variable` as the slices of several
+    /// shards, slice `i` as entry `variable@i`: every slice's record goes
+    /// into one append and one sync ([`StoreWriter::commit`]).
+    pub(crate) fn put_slices(
+        &mut self,
+        step: usize,
+        variable: &str,
+        slices: &[BitmapIndex],
+    ) -> Result<()> {
+        check_data_name(variable)?;
+        let record = |(i, slice)| (format!("{variable}@{i}"), codec::encode_index_auto(slice).0);
+        let named: Vec<_> = (0..).zip(slices).map(record).collect();
+        let records: Vec<_> = named.iter().map(|(e, p)| (e.as_str(), &p[..])).collect();
+        self.commit(step, &records)
     }
 
     /// Persists the step's row permutation under the reserved
@@ -584,7 +711,7 @@ impl StoreWriter {
         }
         let mut payload = vec![order.tag()];
         put_perm_payload(&mut payload, perm);
-        self.commit(step, ORDER_VARIABLE, &payload)?;
+        self.commit(step, &[(ORDER_VARIABLE, &payload)])?;
         OBS_ORDER_PUT.inc();
         Ok(())
     }
@@ -597,23 +724,34 @@ impl StoreWriter {
         Ok(())
     }
 
-    /// Lands `payload` under `entry`, framed as the entry's [`Kind`]: one
-    /// record — header, then frame — appended to the step's segment and
-    /// synced, then the in-memory entry.
-    fn commit(&mut self, step: usize, entry: &str, payload: &[u8]) -> Result<()> {
-        let len = payload.len() + FRAME_OVERHEAD;
-        let mut record = Vec::with_capacity(len + RECORD_MAGIC.len() + 13 + entry.len());
-        put_record_header(&mut record, entry, len);
-        let header = record.len();
-        let crc = frame(&mut record, Kind::of(entry), payload);
-        let key = (step, entry.to_string());
-        let same = |m: &&EntryMeta| (m.crc, m.len) == (crc, len as u64);
-        let durable = |m: &EntryMeta| read_frame(&self.dir, m, Kind::of(entry));
-        if let Some(Ok((frame, _))) = self.entries.get(&key).filter(same).map(durable) {
-            if frame == record[header..] {
-                return Ok(());
+    /// Lands each `(entry, payload)` of `records`, framed as the entry's
+    /// [`Kind`]: one record — header, then frame — each, appended to the
+    /// step's segment in one write and synced once, then the in-memory
+    /// entries. A record durable byte for byte already is left out, so a
+    /// re-put after a torn append writes only what the tear lost.
+    fn commit(&mut self, step: usize, records: &[(&str, &[u8])]) -> Result<()> {
+        let size = records
+            .iter()
+            .map(|(e, p)| p.len() + e.len() + FRAME_OVERHEAD + 16);
+        let mut bytes = Vec::with_capacity(size.sum());
+        let mut landed = std::mem::take(&mut self.landed);
+        for (entry, payload) in records {
+            let (start, len) = (bytes.len(), payload.len() + FRAME_OVERHEAD);
+            put_record_header(&mut bytes, entry, len);
+            let header = bytes.len();
+            let crc = frame(&mut bytes, Kind::of(entry), payload);
+            let key = (step, entry.to_string());
+            let same = |m: &&EntryMeta| (m.crc, m.len) == (crc, len as u64);
+            let durable = |m: &EntryMeta| read_frame(&self.dir, m, Kind::of(entry));
+            match self.entries.get(&key).filter(same).map(durable) {
+                Some(Ok((frame, _))) if frame == bytes[header..] => bytes.truncate(start),
+                _ => landed.push((key, header as u64, len as u64, crc)),
             }
         }
+        let Some(((_, first), ..)) = landed.first() else {
+            self.landed = landed;
+            return Ok(());
+        };
         let file = segment_file(step);
         let io = |e: std::io::Error| IbisError::io(format!("open segment {file}"), &e);
         let segment = match self.segment.take() {
@@ -632,8 +770,8 @@ impl StoreWriter {
             }
         };
         let segment = self.segment.insert(segment);
-        let at = segment.end + header as u64;
-        let site = format!("segment {file} ({entry})");
+        let base = segment.end;
+        let site = format!("segment {file} ({first})");
         // each attempt cuts what a failed one left: no record behind a torn one
         write_op(self.injector.as_deref(), self.max_attempts, &site, |torn| {
             let Segment { file, end, .. } = segment;
@@ -641,20 +779,24 @@ impl StoreWriter {
                 file.set_len(*end)?;
             }
             file.seek(SeekFrom::Start(*end))?;
-            file.write_all(&record[..if torn { record.len() / 2 } else { record.len() }])?;
+            file.write_all(&bytes[..if torn { bytes.len() / 2 } else { bytes.len() }])?;
             if !torn {
                 file.sync_data()?;
-                *end += record.len() as u64;
+                *end += bytes.len() as u64;
             }
             Ok(())
         })?;
-        if at == header as u64 {
+        if base == 0 {
             sync_dir(&self.dir).map_err(io)?; // a new segment: after its first sync, cheap
         }
-        OBS_PUT_BLOBS.inc();
-        OBS_PUT_BYTES.add(record.len() as u64);
-        let (at, len) = (Some(at), len as u64);
-        self.entries.insert(key, EntryMeta { file, at, len, crc });
+        OBS_PUT_BLOBS.add(landed.len() as u64);
+        OBS_PUT_BYTES.add(bytes.len() as u64);
+        let files = std::iter::repeat_n(file, landed.len());
+        for ((key, at, len, crc), file) in landed.drain(..).zip(files) {
+            let at = Some(base + at);
+            self.entries.insert(key, EntryMeta { file, at, len, crc });
+        }
+        self.landed = landed;
         Ok(())
     }
 
@@ -770,11 +912,11 @@ fn quarantine(dir: &Path, step: usize, variable: &str, meta: &EntryMeta) -> std:
 }
 
 /// A read-only view of a finished run directory.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Store {
     dir: PathBuf,
     entries: Entries,
-    /// One shard of several ([`Store::into_part`]).
+    /// Whether its indices are slices of a store of several shards.
     part: bool,
 }
 
@@ -783,24 +925,47 @@ impl Store {
     /// header, and an intact `#END` footer (count + CRC over the header
     /// and entry lines).
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        let manifest = std::fs::read_to_string(dir.join("MANIFEST"))
-            .map_err(|e| IbisError::io("read MANIFEST", &e))?;
-        let entries = parse_manifest(&manifest)?;
-        Ok(Store {
-            dir,
-            entries,
-            part: false,
-        })
+        Self::open_in(dir, 1, 0)
     }
 
-    /// Marks this store as one shard of several: its indices hold a slice
-    /// of each step's rows while its row order is the whole step's, so
-    /// [`Store::load_order`] expects the order to cover *at least* an
-    /// index's rows where a whole store expects exactly them.
-    pub(crate) fn into_part(mut self) -> Self {
-        self.part = true;
-        self
+    /// [`Store::open`] of a store of `nshards` shards, whose `lifted`
+    /// shards each kept a store of their own, whose manifests stand in for
+    /// a missing `MANIFEST` ([`lift_shards`]).
+    pub(crate) fn open_in(dir: impl AsRef<Path>, nshards: usize, lifted: usize) -> Result<Self> {
+        let dir = dir.as_ref().to_path_buf();
+        let entries = manifest_entries(&dir, lifted, true)?;
+        check_shards(&entries, nshards)?;
+        let part = nshards > 1;
+        Ok(Store { dir, entries, part })
+    }
+
+    /// Each of `nshards` shards' part of a store of several, in one pass:
+    /// a shard's slices under their variables' names, beside every step's
+    /// order. Its indices hold a slice of each step's rows while the order
+    /// is the whole step's, so [`Store::load_order`] expects the order to
+    /// cover *at least* an index's rows where a flat store expects exactly
+    /// them.
+    pub(crate) fn into_shard_views(self, nshards: usize) -> Vec<Store> {
+        let mut views = vec![Vec::new(); nshards];
+        for ((step, mut entry), meta) in self.entries {
+            let Some((var, i)) = entry.split_once('@') else {
+                for view in &mut views {
+                    view.push(((step, entry.clone()), meta.clone()));
+                }
+                continue;
+            };
+            let shard = i.parse().ok().filter(|&i: &usize| i < nshards);
+            if let Some(shard) = shard {
+                entry.truncate(var.len());
+                views[shard].push(((step, entry), meta));
+            }
+        }
+        let view = |entries: Vec<_>| Store {
+            dir: self.dir.clone(),
+            entries: entries.into_iter().collect(),
+            part: true,
+        };
+        views.into_iter().map(view).collect()
     }
 
     /// The run directory this store reads from.
@@ -971,6 +1136,30 @@ impl Store {
             });
         }
         report
+    }
+
+    /// [`Store::fsck`] of a store of `nshards` shards, one report a
+    /// shard: each counts and lists the entries the shard reads — its
+    /// slices (`v@i`), and every step's order.
+    pub(crate) fn fsck_by_shard(&mut self, nshards: usize) -> Vec<FsckReport> {
+        let read_by =
+            |entry: &str, i| entry_parts(entry).is_none_or(|p| p.1.is_none_or(|s| s == i));
+        let checked =
+            (0..nshards).map(|i| self.entries.keys().filter(|k| read_by(&k.1, i)).count());
+        let checked: Vec<usize> = checked.collect();
+        let whole = self.fsck();
+        let lost = |i| {
+            whole
+                .quarantined
+                .iter()
+                .filter(move |q| read_by(&q.variable, i))
+                .cloned()
+        };
+        let report = |(i, checked)| FsckReport {
+            checked,
+            quarantined: lost(i).collect(),
+        };
+        checked.into_iter().enumerate().map(report).collect()
     }
 
     /// Loads every step of one variable, in step order.
@@ -1807,7 +1996,7 @@ mod tests {
             let mut w = StoreWriter::create(&dir).unwrap();
             let mut payload = vec![tag];
             put_perm_payload(&mut payload, &perm);
-            w.commit(0, ORDER_VARIABLE, &payload).unwrap();
+            w.commit(0, &[(ORDER_VARIABLE, &payload)]).unwrap();
             w.put(0, "temperature", &index).unwrap();
             w.finish().unwrap();
 
@@ -1929,7 +2118,7 @@ mod tests {
         let dir = TempDir::new("orderhostile");
         let mut w = StoreWriter::create(&dir).unwrap();
         for (step, (_, payload, _)) in table.iter().enumerate() {
-            w.commit(step, ORDER_VARIABLE, payload).unwrap();
+            w.commit(step, &[(ORDER_VARIABLE, payload)]).unwrap();
         }
         w.finish().unwrap();
         let store = Store::open(&dir).unwrap();
@@ -1971,7 +2160,7 @@ mod tests {
             for mask in [0x01, 0x80, 0xFF] {
                 let mut payload = clean.clone();
                 payload[at] ^= mask;
-                w.commit(steps, "noise", &payload).unwrap();
+                w.commit(steps, &[("noise", &payload)]).unwrap();
                 steps += 1;
             }
         }
@@ -2034,12 +2223,15 @@ mod tests {
         let dir = TempDir::new("orderrows");
         let mut w = StoreWriter::create(&dir).unwrap();
         for (step, (_, payload)) in table.iter().enumerate() {
-            w.commit(step, ORDER_VARIABLE, payload).unwrap();
+            w.commit(step, &[(ORDER_VARIABLE, payload)]).unwrap();
             w.put(step, "temperature", &index).unwrap();
         }
         w.finish().unwrap();
         let whole = Store::open(&dir).unwrap();
-        let part = Store::open(&dir).unwrap().into_part();
+        let part = Store {
+            part: true,
+            ..Store::open(&dir).unwrap()
+        };
         for (step, (what, _)) in table.iter().enumerate() {
             let (segment, _) = located(&dir, step, ORDER_VARIABLE);
             let wrong = |store: &Store| match store.load_order(step) {

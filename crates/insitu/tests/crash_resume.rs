@@ -14,7 +14,8 @@ use ibis_datagen::{OceanConfig, OceanModel, Simulation};
 use ibis_insitu::{
     codec, crc::crc32c_append, pipeline::pending_checkpoint, resume_durable, run_durable,
     CoreAllocation, FaultInjector, FaultPlan, IbisError, MachineModel, PipelineConfig, QueryEngine,
-    QueryRequest, Reduction, RobustnessConfig, ScalingModel, ShardedWriter, Store, ORDER_VARIABLE,
+    QueryRequest, Reduction, RobustnessConfig, ScalingModel, ShardedStore, ShardedWriter, Store,
+    ORDER_VARIABLE,
 };
 use ibis_testkit::{Model, TempDir};
 use std::collections::BTreeMap;
@@ -425,7 +426,8 @@ fn ocean_steps() -> Vec<(usize, Fields)> {
 
 /// The fixture's shape of a sharded ingest: Ocean's two fields over 8
 /// steps into 4 shards, each step's GrayBin order put before the indices
-/// built under it — 96 appends. Every entry is put, durable or not, so
+/// built under it — 24 appends: the order, then each field's 4 slices in
+/// one append. Every entry is put, durable or not, so
 /// after a resume the same call is the repair.
 fn sharded_ingest(w: &mut ShardedWriter, steps: &[(usize, Fields)]) -> ibis_insitu::Result<()> {
     for (step, fields) in steps {
@@ -449,8 +451,8 @@ fn sharded_ingest(w: &mut ShardedWriter, steps: &[(usize, Fields)]) -> ibis_insi
 /// with an I/O error in turn, on every attempt: the ingest stops with
 /// `StorageExhausted`, and `ShardedWriter::resume`, the same puts and
 /// `finish` leave the uninterrupted ingest's tree byte for byte, which
-/// answers like the data it was fed. One injector serves every shard, so
-/// op `k` is the `k`-th append of the whole ingest.
+/// answers like the data it was fed. Op `k` is the `k`-th append of the
+/// whole ingest: one a put, whatever the shard count.
 #[test]
 fn every_append_of_a_sharded_ingest_is_a_crash_point() {
     let steps = ocean_steps();
@@ -466,7 +468,7 @@ fn every_append_of_a_sharded_ingest_is_a_crash_point() {
     sharded_ingest(&mut w, &steps).unwrap();
     w.finish().unwrap();
     let reference = dir_contents(&clean_dir);
-    let appends = 8 * 4 * 3;
+    let appends = 8 * 3;
     let stored: Vec<usize> = steps.iter().map(|(step, _)| *step).collect();
     let battery = battery(&model, &stored);
     for op in 0..appends + 1 {
@@ -499,5 +501,64 @@ fn every_append_of_a_sharded_ingest_is_a_crash_point() {
                 assert_eq!(engine.run(req).unwrap(), want, "{tag} {req:?}");
             }
         }
+    }
+}
+
+/// The last put of a 4-shard ingest appends its 4 records in one write.
+/// A crash may leave any prefix of it: the segment is cut at every
+/// record boundary of the last step and a byte either side. Resume keeps
+/// the whole records before the cut, and cuts the rest off; re-running
+/// the same puts appends only what was lost, and `finish` leaves the
+/// uninterrupted ingest's tree byte for byte.
+#[test]
+fn a_cut_through_a_multi_record_append_keeps_the_whole_records() {
+    let steps = ocean_steps();
+    let clean_dir = TempDir::new("multi-record-clean");
+    let mut w = ShardedWriter::create(&clean_dir, 4).unwrap();
+    sharded_ingest(&mut w, &steps).unwrap();
+    w.finish().unwrap();
+    let reference = dir_contents(&clean_dir);
+    let killed = TempDir::new("multi-record-killed");
+    let mut w = ShardedWriter::create(&killed, 4).unwrap();
+    sharded_ingest(&mut w, &steps).unwrap();
+    drop(w); // no finish(): the process is gone
+    let last = steps.last().unwrap().0;
+    let file = format!("s{last:06}.ibis");
+    let segment = std::fs::read(killed.join(&file)).unwrap();
+    // every record's end in the last step's segment, from the clean store
+    let store = ShardedStore::open(&clean_dir).unwrap();
+    let mut ends = vec![0];
+    for (shard, var) in
+        (0..4).flat_map(|s| [ORDER_VARIABLE, "temperature", "salinity"].map(|v| (s, v)))
+    {
+        let (located, at) = store.shards()[shard].locate(last, var).unwrap();
+        assert_eq!(located, clean_dir.join(&file));
+        ends.push(at.end as usize);
+    }
+    ends.sort_unstable();
+    ends.dedup();
+    assert_eq!(*ends.last().unwrap(), segment.len());
+    // the last put's records are the last four
+    let put = &ends[ends.len() - 5..];
+    let cuts = put.iter().flat_map(|&b| [b - 1, b, b + 1]);
+    for cut in cuts.filter(|&cut| cut <= segment.len()) {
+        let dir = TempDir::new("multi-record-cut");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, bytes) in dir_contents(&killed) {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        std::fs::write(dir.join(&file), &segment[..cut]).unwrap();
+        let mut w = ShardedWriter::resume(&dir).unwrap();
+        let whole = *ends.iter().filter(|&&end| end <= cut).max().unwrap();
+        let kept = std::fs::read(dir.join(&file)).unwrap();
+        assert_eq!(kept, segment[..whole], "cut {cut}");
+        assert_eq!(w.contains(last, "salinity"), cut == segment.len());
+        assert_eq!(w.contains(last, "temperature"), cut >= put[0], "cut {cut}");
+        sharded_ingest(&mut w, &steps).unwrap();
+        w.finish().unwrap();
+        assert!(
+            dir_contents(&dir) == reference,
+            "cut {cut}: not the clean tree"
+        );
     }
 }

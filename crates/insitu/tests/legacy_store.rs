@@ -1,9 +1,11 @@
-//! Stores written in the one-file-per-entry layout that came before
-//! segments — a flat one, and a 2-shard one under a GrayBin row order —
-//! are committed under `tests/data/legacy-v2`, written by the writer of
-//! that layout from the fields below. Each must open and answer like the
-//! data it was written from, pass fsck, resume to take a new step in the
-//! current layout beside its old entries, and compact.
+//! Stores written in earlier layouts are committed under `tests/data`,
+//! each written by the writer of its layout from the fields below:
+//! `legacy-v2` holds the one-file-per-entry layout that came before
+//! segments — a flat store, and a 2-shard one under a GrayBin row order —
+//! and `shard-segments` a 2-shard GrayBin store whose shards each kept a
+//! store of segments of their own under `shard-NNN/`. Each must open and
+//! answer like the data it was written from, pass fsck, resume to take a
+//! new step in the current layout beside its old entries, and compact.
 
 mod support;
 
@@ -95,9 +97,15 @@ fn answers_like_the_model(dir: &Path, steps: std::ops::Range<usize>, what: &str)
 
 #[test]
 fn a_store_written_before_segments_serves_verifies_resumes_and_compacts() {
-    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/legacy-v2");
-    for (name, shards) in [("flat", 1usize), ("graybin-k2", 2)] {
-        let dir = TempDir::new(&format!("legacy-{name}"));
+    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    // each store, its shard count, and the fields of its step-1 lines
+    let stores = [
+        ("legacy-v2/flat", 1usize, 5),
+        ("legacy-v2/graybin-k2", 2, 5),
+        ("shard-segments/graybin-k2", 2, 6),
+    ];
+    for (name, shards, old_fields) in stores {
+        let dir = TempDir::new(&format!("legacy-{}", name.replace('/', "-")));
         copy_tree(&data.join(name), &dir);
         answers_like_the_model(&dir, 0..2, name);
 
@@ -125,16 +133,19 @@ fn a_store_written_before_segments_serves_verifies_resumes_and_compacts() {
             w.put(2, var, &index).unwrap();
         }
         w.finish().unwrap();
-        let shard_dir = match shards {
-            1 => dir.to_path_buf(),
-            _ => dir.join("shard-001"),
-        };
-        let manifest = std::fs::read_to_string(shard_dir.join("MANIFEST")).unwrap();
+        // one manifest at the root names the old entries and the new step
+        let manifest = std::fs::read_to_string(dir.join("MANIFEST")).unwrap();
         let fields_of = |step: &str| {
             let line = manifest.lines().find(|l| l.starts_with(step)).unwrap();
             line.split('\t').count()
         };
-        assert_eq!((fields_of("1\t"), fields_of("2\t")), (5, 6), "{manifest}");
+        assert_eq!(
+            (fields_of("1\t"), fields_of("2\t")),
+            (old_fields, 6),
+            "{manifest}"
+        );
+        let orders = manifest.lines().filter(|l| l.starts_with("2\t__order\t"));
+        assert_eq!(orders.count(), usize::from(shards > 1), "{manifest}");
         answers_like_the_model(&dir, 0..3, name);
 
         // compaction sweeps what an interrupted run of the old layout

@@ -4,8 +4,9 @@
 //! counts, bin widths and stored row layouts — counted from every cached
 //! index in its at-rest form; a request without a region never loads the
 //! row order; a 1-shard run must be the
-//! flat store byte for byte; a corrupted shard must quarantine locally —
-//! the *other* shards' answers stay the model's — and repair through the
+//! flat store byte for byte; a put is one append of its `K` records, and
+//! a step one segment; a corrupted shard must quarantine locally — the
+//! *other* shards' answers stay the model's — and repair through the
 //! normal resume + re-put path; a writer killed mid-ingest must resume
 //! from whatever each shard made durable, however its last append tore.
 
@@ -14,8 +15,9 @@ mod support;
 use ibis_analysis::{QueryError, SubsetQuery};
 use ibis_core::{Binner, BitmapIndex, RowOrder, RowPermutation};
 use ibis_insitu::{
-    CacheStats, IbisError, MaintenanceConfig, QueryEngine, QueryRequest, QueryServer, ServeConfig,
-    ShardedStore, ShardedWriter, SocketServer, Store, StoreWriter, ORDER_VARIABLE,
+    crc::crc32c, shard_cuts, CacheStats, FaultInjector, FaultPlan, IbisError, MaintenanceConfig,
+    QueryEngine, QueryRequest, QueryServer, ServeConfig, ShardedStore, ShardedWriter, SocketServer,
+    StoreWriter, ORDER_VARIABLE,
 };
 use ibis_testkit::{Model, TempDir};
 use proptest::prelude::*;
@@ -191,10 +193,16 @@ fn open(dir: &Path) -> QueryEngine {
     QueryEngine::open(dir, BUDGET).unwrap()
 }
 
-/// [`Store::locate`] in the finished shard (or flat store) at `dir`: the
-/// file an entry's frame sits in and the frame's bytes there.
-fn frame_of(dir: &Path, step: usize, variable: &str) -> (std::path::PathBuf, Range<usize>) {
-    let (file, at) = Store::open(dir).unwrap().locate(step, variable).unwrap();
+/// [`ibis_insitu::Store::locate`] in shard `shard` of the finished store
+/// at `dir`: the file an entry's frame sits in and the frame's bytes there.
+fn frame_of(
+    dir: &Path,
+    shard: usize,
+    step: usize,
+    variable: &str,
+) -> (std::path::PathBuf, Range<usize>) {
+    let store = ShardedStore::open(dir).unwrap();
+    let (file, at) = store.shards()[shard].locate(step, variable).unwrap();
     (file, at.start as usize..at.end as usize)
 }
 
@@ -359,19 +367,16 @@ fn requests_without_a_region_never_load_the_row_order() {
         for req in region_free.iter().chain(&with_region) {
             assert_eq!(engine.run(req).unwrap(), answer(&model, req).unwrap());
         }
-        let shard_dirs = match shards {
-            1 => vec![dir.to_path_buf()],
-            _ => (0..shards)
-                .map(|i| dir.join(format!("shard-{i:03}")))
-                .collect(),
-        };
+        // one order a step, whichever shard locates it
         for step in STEPS {
-            for shard in &shard_dirs {
-                let (blob, at) = frame_of(shard, step, ORDER_VARIABLE);
-                let mut bytes = std::fs::read(&blob).unwrap();
-                bytes[at.end - 1] ^= 0x5a;
-                std::fs::write(&blob, bytes).unwrap();
-            }
+            let (blob, at) = frame_of(&dir, shards - 1, step, ORDER_VARIABLE);
+            assert_eq!(
+                (blob.clone(), at.clone()),
+                frame_of(&dir, 0, step, ORDER_VARIABLE)
+            );
+            let mut bytes = std::fs::read(&blob).unwrap();
+            bytes[at.end - 1] ^= 0x5a;
+            std::fs::write(&blob, bytes).unwrap();
         }
         let engine = open(&dir);
         for req in &region_free {
@@ -527,11 +532,9 @@ fn corrupt_shard_quarantines_locally_and_repairs() {
     let sd = plain_store("fsck", 3, &binner);
     let model = model_of_fields(&binner);
 
-    // flip bytes in the middle of shard-001's step-1 temperature blob
-    let (blob, at) = frame_of(&sd.join("shard-001"), 1, "temperature");
-    let aside = sd
-        .join("shard-001")
-        .join("s000001_temperature.ibis.quarantined");
+    // flip bytes in the middle of shard 1's step-1 temperature record
+    let (blob, at) = frame_of(&sd, 1, 1, "temperature");
+    let aside = sd.join("s000001_temperature@1.ibis.quarantined");
     let mut bytes = std::fs::read(&blob).unwrap();
     let mid = (at.start + at.end) / 2;
     for b in &mut bytes[mid..mid + 4] {
@@ -601,14 +604,15 @@ fn copy_tree(from: &Path, to: &Path) {
     }
 }
 
-/// A writer killed after step 0 is durable and step 1 partially so, whose
-/// shards' last records — step 1's temperature, the one record of each
-/// shard's `s000001.ibis` — are then torn at every byte in turn, header
-/// included: resume keeps exactly the shard's entries whose records are
-/// whole and cuts the torn tail off. Re-putting what is missing completes
-/// the run, and the store answers like the data it was fed — checked at
-/// every cut through the record header and the frame's first and last
-/// 16 bytes, and at every 16th cut in between.
+/// A writer killed after step 0 is durable and step 1 partially so: step
+/// 1's segment holds one append, temperature's three shard records. It
+/// is then torn inside each shard's record at every byte in turn, header
+/// included: resume keeps exactly the whole records before the cut and
+/// cuts the torn tail off. Re-putting what is missing appends exactly the
+/// lost records — the segment's first bytes are the killed writer's
+/// again — completes the run, and the store answers like the data it was
+/// fed; checked at every cut through a record header and a frame's first
+/// and last 16 bytes, and at every 16th cut in between.
 #[test]
 fn killed_writer_resumes_from_each_shards_durable_state() {
     let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
@@ -624,30 +628,40 @@ fn killed_writer_resumes_from_each_shards_durable_state() {
         w.put(1, "temperature", &step_idx(1, 0)).unwrap();
         // no finish(): the process is gone
     }
+    // where each shard's record ends, from a finished copy
+    let probe = TempDir::new("nodekill-probe");
+    copy_tree(&killed, &probe);
+    ShardedWriter::resume(&probe).unwrap().finish().unwrap();
+    let ends: Vec<usize> = (0..3)
+        .map(|shard| frame_of(&probe, shard, 1, "temperature").1.end)
+        .collect();
+    let segment = std::fs::read(killed.join("s000001.ibis")).unwrap();
+    assert_eq!(
+        ends[2],
+        segment.len(),
+        "one segment holds the step's append"
+    );
     let model = model_of_fields(&binner);
     for shard in 0..3 {
-        let last = killed
-            .join(format!("shard-{shard:03}"))
-            .join("s000001.ibis");
-        let record = std::fs::read(&last).unwrap();
-        let header = 3 + 1 + "temperature".len() + 8 + 4;
+        let start = if shard == 0 { 0 } else { ends[shard - 1] };
+        let frame = frame_of(&probe, shard, 1, "temperature").1;
         let work = TempDir::new(&format!("nodekill-{shard}"));
         copy_tree(&killed, &work);
-        for cut in 0..=record.len() {
+        for cut in start..=ends[shard] {
             // the cuts the run is completed from get a copy of their own;
             // the others only resume, which changes nothing but the torn
             // segment, rewritten every cut
-            let repair = cut <= header + 16 || cut + 16 >= record.len() || cut % 16 == 0;
+            let repair = cut <= frame.start + 16 || cut + 16 >= frame.end || cut % 16 == 0;
             let fresh = repair.then(|| {
                 let dir = TempDir::new(&format!("nodekill-{shard}-{cut}"));
                 copy_tree(&killed, &dir);
                 dir
             });
             let dir: &Path = fresh.as_ref().map_or(work.as_ref(), |d| d.as_ref());
-            let torn = dir.join(format!("shard-{shard:03}")).join("s000001.ibis");
-            std::fs::write(&torn, &record[..cut]).unwrap();
+            let torn = dir.join("s000001.ibis");
+            std::fs::write(&torn, &segment[..cut]).unwrap();
             let mut w = ShardedWriter::resume(dir).unwrap();
-            let whole = cut == record.len();
+            let whole = cut == segment.len();
             for var in VARS {
                 assert!(w.contains(0, var), "shard {shard} cut {cut}: step 0 {var}");
             }
@@ -662,7 +676,8 @@ fn killed_writer_resumes_from_each_shards_durable_state() {
             // the torn tail is cut off, so the repair appends behind whole
             // records only
             let kept = std::fs::read(&torn).unwrap();
-            assert_eq!(kept, record[..if whole { cut } else { 0 }], "cut {cut}");
+            let whole_to = if cut == ends[shard] { cut } else { start };
+            assert_eq!(kept, segment[..whole_to], "shard {shard} cut {cut}");
             if !repair {
                 continue;
             }
@@ -676,6 +691,12 @@ fn killed_writer_resumes_from_each_shards_durable_state() {
                 }
             }
             w.finish().unwrap();
+            let repaired = std::fs::read(&torn).unwrap();
+            assert_eq!(
+                repaired[..segment.len()],
+                segment,
+                "shard {shard} cut {cut}"
+            );
             let engine = open(dir);
             for req in battery(ROWS as u64) {
                 let want = answer(&model, &req).unwrap();
@@ -683,6 +704,78 @@ fn killed_writer_resumes_from_each_shards_durable_state() {
             }
         }
     }
+}
+
+/// A put is one write op — one append of its `K` records and one sync —
+/// at every shard count; a step is one segment file; and a step's order
+/// is one record, whatever `K`.
+#[test]
+fn a_put_is_one_append_and_a_step_one_segment() {
+    let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
+    let binner = Binner::fixed_width(0.0, 10.0, 48);
+    for shards in 1..=4 {
+        let b = Build {
+            shards,
+            binner: &binner,
+            layout: Layout::Sorted,
+        };
+        let dir = TempDir::new(&format!("one-append-k{shards}"));
+        let injector = Arc::new(FaultInjector::new(FaultPlan::none()));
+        let mut w = ShardedWriter::create(&dir, shards)
+            .unwrap()
+            .with_fault_injector(Arc::clone(&injector));
+        // claiming an op to read the count takes one itself
+        let ops = || injector.begin_write();
+        let files = || std::fs::read_dir(&dir).unwrap().count();
+        for s in dataset(b) {
+            let before = files();
+            let op = ops();
+            w.put_order(s.step, RowOrder::GrayBin, s.perm.as_ref().unwrap())
+                .unwrap();
+            assert_eq!(ops() - op, 2, "k={shards}: put_order");
+            for (var, idx) in &s.vars {
+                let op = ops();
+                w.put(s.step, var, idx).unwrap();
+                assert_eq!(ops() - op, 2, "k={shards}: put {var}");
+            }
+            assert_eq!(files(), before + 1, "k={shards}: step {}", s.step);
+        }
+        w.finish().unwrap();
+        let manifest = std::fs::read_to_string(dir.join("MANIFEST")).unwrap();
+        for step in STEPS {
+            let lines: Vec<&str> = (manifest.lines())
+                .filter(|l| l.starts_with(&format!("{step}\t")))
+                .collect();
+            let orders = lines.iter().filter(|l| l.contains("\t__order\t"));
+            assert_eq!(orders.count(), 1, "k={shards}: {manifest}");
+            assert_eq!(lines.len(), 1 + VARS.len() * shards, "k={shards}");
+        }
+    }
+}
+
+/// A variable of a step is listed only when every shard holds it: fsck
+/// quarantining one shard's record of it takes it off the list, and the
+/// step stays listed while every shard holds another variable of it.
+#[test]
+fn variables_are_those_every_shard_holds() {
+    let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
+    let binner = Binner::fixed_width(0.0, 10.0, 48);
+    let dir = plain_store("every-shard-vars", 3, &binner);
+    let (blob, at) = frame_of(&dir, 2, 0, "temperature");
+    let mut bytes = std::fs::read(&blob).unwrap();
+    bytes[at.end - 1] ^= 0x5a;
+    std::fs::write(&blob, bytes).unwrap();
+    let mut store = ShardedStore::open(&dir).unwrap();
+    assert_eq!(store.variables(0), ["salinity", "temperature"]);
+    let reports = store.fsck();
+    let lost: Vec<usize> = reports.iter().map(|r| r.quarantined.len()).collect();
+    assert_eq!(lost, [0, 0, 1]);
+    assert_eq!(reports[2].quarantined[0].variable, "temperature@2");
+    assert_eq!(store.variables(0), ["salinity"]);
+    assert_eq!(store.variables(1), ["salinity", "temperature"]);
+    assert_eq!(store.steps(), STEPS);
+    assert_eq!(store.shards()[0].variables(0), ["salinity", "temperature"]);
+    assert_eq!(store.shards()[2].variables(0), ["salinity"]);
 }
 
 /// Every query either visits or prunes each of the `K` shards, and says
@@ -776,17 +869,32 @@ fn fanout_and_pruned_account_for_every_shard_of_every_query() {
     }
 }
 
-/// A 2-shard store of the dataset whose `shard-001` was written by a
-/// second writer under `other`: every blob CRC-valid, the store
-/// inconsistent.
+/// A 2-shard store of the dataset whose shard 1 was written under
+/// `other`: every record CRC-valid, the store inconsistent. One writer
+/// cannot write such a store, so it is written in the layout where each
+/// shard kept a store of its own under `shard-NNN/` (a `v1` `SHARDS`
+/// file), each by a writer of its own.
 fn store_binned_twice(name: &str, binner: &Binner, other: &Binner) -> TempDir {
-    let dir = plain_store(name, 2, binner);
-    let donor = plain_store(&format!("{name}-donor"), 2, other);
-    let (into, from) = (dir.join("shard-001"), donor.join("shard-001"));
-    std::fs::remove_dir_all(&into).unwrap();
-    std::fs::create_dir(&into).unwrap();
-    for (file, bytes) in dir_files(&from) {
-        std::fs::write(into.join(file), bytes).unwrap();
+    let dir = TempDir::new(name);
+    std::fs::create_dir_all(&dir).unwrap();
+    let shards = "#IBIS-SHARDS v1\n2\n";
+    let shards = format!("{shards}#END {:08x}\n", crc32c(shards.as_bytes()));
+    std::fs::write(dir.join("SHARDS"), shards).unwrap();
+    for (shard, binner) in [binner, other].into_iter().enumerate() {
+        let b = Build {
+            shards: 1,
+            binner,
+            layout: Layout::Identity,
+        };
+        let mut w = StoreWriter::create(dir.join(format!("shard-{shard:03}"))).unwrap();
+        for s in dataset(b) {
+            for (var, idx) in &s.vars {
+                let cuts = shard_cuts(idx.len(), 2);
+                let slice = idx.slice_rows(cuts[shard]..cuts[shard + 1]);
+                w.put(s.step, var, &slice).unwrap();
+            }
+        }
+        w.finish().unwrap();
     }
     dir
 }

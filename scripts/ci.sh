@@ -182,8 +182,10 @@ serve_smoke() {
     cargo run -q --release "${features[@]}" --bin ibis -- insitu \
         --sim heat3d --steps 2 --select 2 --cores 2 --row-order graybin \
         --shards "$shards" --out "$store" >/dev/null
-    # one shard is the flat layout; more live under a SHARDS file
-    if [ "$shards" -gt 1 ]; then test -f "$store/SHARDS"; else test -f "$store/MANIFEST"; fi
+    # every shard count is one store with one MANIFEST at the root; more
+    # than one shard also writes a SHARDS file
+    test -f "$store/MANIFEST"
+    if [ "$shards" -gt 1 ]; then test -f "$store/SHARDS"; else test ! -e "$store/SHARDS"; fi
     local port=$((20000 + RANDOM % 20000))
     # --conns 2: the readiness probe below counts as one completed
     # connection, the load generator's single client is the second; the

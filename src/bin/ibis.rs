@@ -417,8 +417,8 @@ fn cmd_insitu(flags: &Flags) -> Result<(), String> {
     );
 
     // Optionally persist the selected steps' bitmaps for post-analysis,
-    // split into K spatial shards (each its own durable store; K = 1 is
-    // the flat store).
+    // split into K spatial shards of one durable store (K = 1 is the flat
+    // store).
     if let Some(dir) = flags.get("out") {
         let mut store = ShardedWriter::create(dir, shards).map_err(|e| format!("--out: {e}"))?;
         // re-simulate the selected steps to materialize their indices
