@@ -1,73 +1,67 @@
-//! Cross-codec shootout (CBitmapCompetition-style): pattern × density ×
-//! codec × kernel, persisted to `BENCH_codecs.json` at the repository
-//! root. Compares WAH (adaptive kernels), the Roaring-style container
-//! codec, the per-bin auto-selected [`CodecVec`], and the uncompressed
-//! verbatim baseline on the reads a stored bin answers — the AND count,
-//! the count over row ranges and the OR into a dense accumulator — with
-//! bytes-per-bitmap for the compression side of the trade and every
-//! timed operation asserted identical to the verbatim oracle before it
-//! is measured. Materialised set operations run on WAH only; the kernel
-//! sweep in `micro_kernels.rs` times them.
+//! The codec grid: WAH against Roaring on bitmaps drawn from a two-state
+//! Markov process, over its clustering f (the mean length of a run of
+//! ones) × its density d — the shape of Chambi et al.'s Roaring-vs-WAH
+//! evaluation and of CBitmapCompetition. Per cell it reports each codec's
+//! at-rest bytes, the codec `select_codec` picks, and the time of every
+//! read a stored bin answers, in each codec: the AND count, the count over
+//! row ranges, the OR into a dense accumulator, the label walk (the joint
+//! table of two two-bin indexes {x, ¬x}) and `BitmapIndex::slice_rows` (a
+//! shard's cut). Every one of them is asserted equal to the verbatim
+//! oracle before it is timed. WAH's materialised AND and OR and the
+//! verbatim AND count are timed beside them as baselines; Roaring has no
+//! materialised set operations. Written to `BENCH_codecs.json`.
 //!
-//! `IBIS_CODEC_SMOKE=1` shrinks the element count and writes to
-//! `target/BENCH_codecs.smoke.json` instead, so CI can schema-check the
-//! report without paying for the full sweep.
+//!     cargo bench -p ibis-bench --bench codecs
+//!
+//! `IBIS_BENCH_SMOKE=1` shrinks the bitmaps to 2^16 bits and writes
+//! `target/BENCH_codecs.smoke.json` instead.
 
-use ibis_core::{Bitset, CodecId, CodecVec, DenseBits, WahVec};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::hint::black_box;
+use ibis_analysis::joint_counts;
+use ibis_bench::{measure, smoke, write_report, Mix64};
+use ibis_core::{select_codec, Binner, BitmapIndex, Bitset, CodecId, CodecVec, DenseBits, WahVec};
 use std::ops::Range;
-use std::time::Instant;
 
-/// Mean seconds per iteration (same calibration scheme as the kernel
-/// sweep in `micro_kernels.rs`).
-fn measure<O>(mut f: impl FnMut() -> O) -> f64 {
-    let t0 = Instant::now();
-    black_box(f());
-    let one = t0.elapsed().as_secs_f64().max(1e-9);
-    let iters = ((0.06 / one).round() as u64).clamp(1, 1_000_000_000);
-    let samples = 3;
-    let mut total = 0.0;
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        total += t0.elapsed().as_secs_f64() / iters as f64;
-    }
-    total / samples as f64
+/// Mean 1-run lengths of the grid.
+const CLUSTERING: [f64; 4] = [1.0, 8.0, 64.0, 512.0];
+/// Densities of the grid.
+const DENSITY: [f64; 4] = [0.001, 0.01, 0.1, 0.5];
+const CODECS: [CodecId; 2] = [CodecId::Wah, CodecId::Roaring];
+/// The reads a stored bin answers, each timed in both codecs.
+const KERNELS: [&str; 5] = [
+    "and_count",
+    "count_in_ranges",
+    "dense_or",
+    "label_walk",
+    "slice_rows",
+];
+
+/// `n` bits of a two-state Markov chain whose runs of ones have mean
+/// length `f` (a one stays one with probability 1 − 1/f) and whose
+/// stationary density is `d` (a zero turns one with d / (f (1 − d))).
+fn markov_bits(n: usize, f: f64, d: f64, rng: &mut Mix64) -> Vec<bool> {
+    let (stay_one, turn_one) = (1.0 - 1.0 / f, d / (f * (1.0 - d)));
+    assert!(turn_one <= 1.0, "f={f} is too short a run for d={d}");
+    let mut on = rng.unit() < d;
+    (0..n)
+        .map(|_| {
+            let bit = on;
+            on = rng.unit() < if on { stay_one } else { turn_one };
+            bit
+        })
+        .collect()
 }
 
-/// One timed point of the shootout.
-struct Sample {
-    pattern: &'static str,
-    density: f64,
-    codec: &'static str,
-    kernel: &'static str,
-    mean_s: f64,
+/// One operand in one codec: the two-bin index {x, ¬x}, both bins held
+/// in `codec`. Bin 0 is the bitmap the single-bin kernels read; the label
+/// walk and the shard cut read the index.
+fn operand(bits: &[bool], codec: CodecId) -> BitmapIndex {
+    let wah = WahVec::from_bits(bits.iter().copied());
+    let bins = vec![
+        CodecVec::with_codec(&wah, codec),
+        CodecVec::with_codec(&wah.not(), codec),
+    ];
+    BitmapIndex::from_codec_bins(Binner::fixed_width(0.0, 2.0, 2), bins)
 }
-
-/// Same pattern family as the kernel sweep: `sparse_runs` is the
-/// fill-heavy regime WAH was designed for; the `*_random` patterns are
-/// incompressible noise at increasing density.
-fn pattern_bits(name: &str, density: f64, seed: u64, n: usize) -> Vec<bool> {
-    match name {
-        "sparse_runs" => {
-            let offset = seed as usize * 155;
-            (0..n)
-                .map(|i| ((i + offset) / 310).is_multiple_of(300))
-                .collect()
-        }
-        _ => {
-            let mut rng = StdRng::seed_from_u64(0xB17_5EED ^ seed);
-            (0..n).map(|_| rng.gen_range(0.0..1.0) < density).collect()
-        }
-    }
-}
-
-/// The reads a stored bin answers, each timed on one operand pair.
-const KERNELS: [&str; 3] = ["and_count", "count_in_ranges", "dense_or"];
 
 /// Both operands ORed into one dense accumulator, each from the form it
 /// is held in (what `BitmapIndex::or_bins` does for a heavy range).
@@ -78,239 +72,184 @@ fn dense_or(a: &CodecVec, b: &CodecVec) -> DenseBits {
     acc
 }
 
-/// One kernel on one operand pair, reduced to a count.
-fn run_kernel(kernel: &str, a: &CodecVec, b: &CodecVec, ranges: &[Range<u64>]) -> u64 {
+/// One kernel on one operand pair, reduced to numbers the oracle gives.
+fn run_kernel(
+    kernel: &str,
+    a: &BitmapIndex,
+    b: &BitmapIndex,
+    ranges: &[Range<u64>],
+    cut: &Range<u64>,
+) -> Vec<u64> {
     match kernel {
-        "and_count" => a.and_count(b),
-        "count_in_ranges" => a.count_ones_in_ranges(ranges) + b.count_ones_in_ranges(ranges),
-        _ => dense_or(a, b).count_ones(),
+        "and_count" => vec![a.stored_bin(0).and_count(b.stored_bin(0))],
+        "count_in_ranges" => vec![
+            a.stored_bin(0).count_ones_in_ranges(ranges),
+            b.stored_bin(0).count_ones_in_ranges(ranges),
+        ],
+        "dense_or" => vec![dense_or(a.stored_bin(0), b.stored_bin(0)).count_ones()],
+        "label_walk" => joint_counts(a, b),
+        _ => {
+            let slice = a.slice_rows(cut.clone());
+            vec![slice.len(), slice.counts()[0], slice.counts()[1]]
+        }
     }
 }
 
-#[allow(clippy::too_many_lines)]
+/// What each kernel must answer, counted from the raw bits.
+fn oracle(
+    kernel: &str,
+    a: &[bool],
+    b: &[bool],
+    ranges: &[Range<u64>],
+    cut: &Range<u64>,
+) -> Vec<u64> {
+    let count = |it: &mut dyn Iterator<Item = bool>| it.filter(|&x| x).count() as u64;
+    let pairs = || a.iter().zip(b);
+    let in_ranges = |bits: &[bool]| {
+        let rows = ranges.iter().flat_map(|r| r.start as usize..r.end as usize);
+        count(&mut rows.map(|i| bits[i]))
+    };
+    match kernel {
+        "and_count" => vec![count(&mut pairs().map(|(&x, &y)| x && y))],
+        "count_in_ranges" => vec![in_ranges(a), in_ranges(b)],
+        "dense_or" => vec![count(&mut pairs().map(|(&x, &y)| x || y))],
+        "label_walk" => [(true, true), (true, false), (false, true), (false, false)]
+            .iter()
+            .map(|&(p, q)| count(&mut pairs().map(|(&x, &y)| x == p && y == q)))
+            .collect(),
+        _ => {
+            let ones = count(&mut a[cut.start as usize..cut.end as usize].iter().copied());
+            let rows = cut.end - cut.start;
+            vec![rows, ones, rows - ones]
+        }
+    }
+}
+
+/// A bin's at-rest bytes: WAH's words, Roaring's serialized containers.
+fn at_rest_bytes(bin: &CodecVec) -> usize {
+    match bin {
+        CodecVec::Wah(v) => 4 * v.words().len(),
+        CodecVec::Roaring(v) => v.serialized_bytes(),
+    }
+}
+
 fn main() {
-    let smoke = std::env::var("IBIS_CODEC_SMOKE").is_ok_and(|v| v == "1");
-    let n: usize = if smoke { 1 << 16 } else { 1 << 20 };
-    let patterns: [(&'static str, f64); 5] = [
-        ("sparse_runs", 0.0033),
-        ("sparse_random", 0.01),
-        ("mid_random", 0.10),
-        ("dense30_random", 0.30),
-        ("dense50_random", 0.50),
-    ];
+    let n: usize = if smoke() { 1 << 16 } else { 1 << 20 };
     // 64 strided windows of n/256 rows: a region spread over the vector
     let ranges: Vec<Range<u64>> = (0..64u64)
-        .map(|k| {
-            let start = k * n as u64 / 64;
-            start..start + n as u64 / 256
-        })
+        .map(|k| k * n as u64 / 64..k * n as u64 / 64 + n as u64 / 256)
         .collect();
-    let mut samples: Vec<Sample> = Vec::new();
-    let mut bytes_rows = String::new();
-    let mut auto_rows = String::new();
-    for (pi, (pattern, density)) in patterns.into_iter().enumerate() {
-        let bits_a = pattern_bits(pattern, density, 1, n);
-        let bits_b = pattern_bits(pattern, density, 2, n);
-        let wa = WahVec::from_bits(bits_a.iter().copied());
-        let wb = WahVec::from_bits(bits_b.iter().copied());
-        let va = Bitset::from_bits(bits_a.iter().copied());
-        let vb = Bitset::from_bits(bits_b.iter().copied());
-        let codecs = [
-            (
-                "wah_adaptive",
-                CodecVec::Wah(wa.clone()),
-                CodecVec::Wah(wb.clone()),
-            ),
-            (
-                "roaring",
-                CodecVec::with_codec(&wa, CodecId::Roaring),
-                CodecVec::with_codec(&wb, CodecId::Roaring),
-            ),
-            (
-                "auto",
-                CodecVec::from_wah_auto(&wa),
-                CodecVec::from_wah_auto(&wb),
-            ),
-        ];
-
-        // -- identity gate: every codec must agree with the verbatim
-        // oracle on every kernel before anything is timed --
-        let in_ranges = |bits: &[bool]| {
-            let rows = ranges.iter().flat_map(|r| r.start as usize..r.end as usize);
-            rows.filter(|&i| bits[i]).count() as u64
-        };
-        let pairs = || bits_a.iter().zip(&bits_b);
-        let want_or = WahVec::from_bits(pairs().map(|(&x, &y)| x || y));
-        let want = |kernel: &str| match kernel {
-            "and_count" => pairs().filter(|&(&x, &y)| x && y).count() as u64,
-            "count_in_ranges" => in_ranges(&bits_a) + in_ranges(&bits_b),
-            _ => want_or.count_ones(),
-        };
-        for (codec, a, b) in &codecs {
-            for k in KERNELS {
-                let label = format!("{pattern}/{codec}/{k}");
-                assert_eq!(run_kernel(k, a, b, &ranges), want(k), "{label}");
+    // the middle half: shard 1 of a cut in four, joined with shard 2
+    let cut = n as u64 / 4..3 * n as u64 / 4;
+    let mut rng = Mix64(0xB17_5EED);
+    let mut cells = Vec::new();
+    let (mut picked_smaller, mut picked_faster) = (0, 0);
+    for f in CLUSTERING {
+        for d in DENSITY {
+            let bits_a = markov_bits(n, f, d, &mut rng);
+            let bits_b = markov_bits(n, f, d, &mut rng);
+            let operands: Vec<(BitmapIndex, BitmapIndex)> = CODECS
+                .iter()
+                .map(|&c| (operand(&bits_a, c), operand(&bits_b, c)))
+                .collect();
+            for ((a, b), codec) in operands.iter().zip(CODECS) {
+                let label = |k: &str| format!("f={f} d={d} {}/{k}", codec.name());
+                for k in KERNELS {
+                    let want = oracle(k, &bits_a, &bits_b, &ranges, &cut);
+                    assert_eq!(run_kernel(k, a, b, &ranges, &cut), want, "{}", label(k));
+                }
+                // the shard's cut holds the very rows, not just as many
+                let part = &bits_a[cut.start as usize..cut.end as usize];
+                let want = WahVec::from_bits(part.iter().copied());
+                let slice = a.slice_rows(cut.clone());
+                assert_eq!(slice.bin(0), &want, "{}", label("slice_rows"));
+                assert_eq!(slice.bin(1), &want.not(), "{}", label("slice_rows"));
             }
-            let or = dense_or(a, b).to_wah();
-            or.check_canonical().expect(codec);
-            assert_eq!(
-                or.words(),
-                want_or.words(),
-                "{pattern}/{codec}/dense_or: words"
-            );
-        }
-        println!("codecs: {pattern} identity checks passed");
-
-        let mut push = |codec, kernel, mean_s| {
-            println!(
-                "codecs: {pattern}/{codec}/{kernel:<15} mean {:>10.3} us",
-                mean_s * 1e6
-            );
-            samples.push(Sample {
-                pattern,
-                density,
-                codec,
-                kernel,
-                mean_s,
-            });
-        };
-        for (codec, a, b) in &codecs {
-            for k in KERNELS {
-                push(*codec, k, measure(|| run_kernel(k, a, b, &ranges)));
+            let mut times = Vec::new();
+            for (a, b) in &operands {
+                let t: Vec<f64> = (KERNELS.iter())
+                    .map(|k| measure(|| run_kernel(k, a, b, &ranges, &cut)))
+                    .collect();
+                times.push(t);
             }
-        }
-        push(
-            "verbatim",
-            "and_count",
-            measure(|| {
+            let (wa, wb) = (
+                WahVec::from_bits(bits_a.iter().copied()),
+                WahVec::from_bits(bits_b.iter().copied()),
+            );
+            let (va, vb) = (
+                Bitset::from_bits(bits_a.iter().copied()),
+                Bitset::from_bits(bits_b.iter().copied()),
+            );
+            let both = |op: fn(bool, bool) -> bool| {
+                WahVec::from_bits(bits_a.iter().zip(&bits_b).map(|(&x, &y)| op(x, y)))
+            };
+            assert_eq!(wa.and(&wb), both(|x, y| x && y), "f={f} d={d} wah/and");
+            assert_eq!(wa.or(&wb), both(|x, y| x || y), "f={f} d={d} wah/or");
+            let wah_and = measure(|| wa.and(&wb));
+            let wah_or = measure(|| wa.or(&wb));
+            let verbatim = measure(|| {
                 let mut x = va.clone();
                 x.and_assign(&vb);
                 x.count_ones()
-            }),
-        );
+            });
 
-        let sep = if pi + 1 == patterns.len() { "" } else { "," };
-        let [(_, wah, _), (_, roaring, _), (_, auto, _)] = &codecs;
-        bytes_rows.push_str(&format!(
-            "    \"{pattern}\": {{\"wah_adaptive\": {}, \"roaring\": {}, \
-             \"auto\": {}, \"verbatim\": {}}}{sep}\n",
-            wah.size_bytes(),
-            roaring.size_bytes(),
-            auto.size_bytes(),
-            va.size_bytes(),
-        ));
-        auto_rows.push_str(&format!(
-            "    \"{pattern}\": \"{}\"{sep}\n",
-            auto.id().name()
-        ));
-    }
-    write_json(&samples, &bytes_rows, &auto_rows, n, smoke);
-}
-
-fn time_of(samples: &[Sample], pattern: &str, codec: &str, kernel: &str) -> f64 {
-    samples
-        .iter()
-        .find(|s| s.pattern == pattern && s.codec == codec && s.kernel == kernel)
-        .expect("sample present")
-        .mean_s
-}
-
-fn write_json(samples: &[Sample], bytes_rows: &str, auto_rows: &str, n: usize, smoke: bool) {
-    let patterns: Vec<&str> = {
-        let mut seen = Vec::new();
-        for s in samples {
-            if !seen.contains(&s.pattern) {
-                seen.push(s.pattern);
-            }
-        }
-        seen
-    };
-    let mut out =
-        format!("{{\n  \"bits\": {n},\n  \"identity_checked\": true,\n  \"samples\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"pattern\": \"{}\", \"density\": {}, \"codec\": \"{}\", \
-             \"kernel\": \"{}\", \"mean_s\": {:e}}}{}\n",
-            s.pattern,
-            s.density,
-            s.codec,
-            s.kernel,
-            s.mean_s,
-            if i + 1 == samples.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"bytes_per_bitmap\": {\n");
-    out.push_str(bytes_rows);
-    out.push_str("  },\n  \"auto_selected\": {\n");
-    out.push_str(auto_rows);
-
-    out.push_str("  },\n  \"roaring_over_wah_speedup\": {\n");
-    for (pi, p) in patterns.iter().enumerate() {
-        out.push_str(&format!("    \"{p}\": {{"));
-        for (ki, k) in KERNELS.iter().enumerate() {
-            let sp = time_of(samples, p, "wah_adaptive", k) / time_of(samples, p, "roaring", k);
-            println!("codecs: {p:<16} {k:<10} roaring/wah speedup {sp:.2}x");
-            out.push_str(&format!(
-                "\"{k}\": {sp:.3}{}",
-                if ki + 1 == KERNELS.len() { "" } else { ", " }
+            let bytes: Vec<usize> = operands
+                .iter()
+                .map(|(a, _)| at_rest_bytes(a.stored_bin(0)))
+                .collect();
+            let pick = select_codec(wa.stats(), wa.len());
+            let name = |i: usize| CODECS[i].name();
+            let smaller = name(usize::from(bytes[1] < bytes[0]));
+            let faster_at = |ta: f64, tb: f64| name(usize::from(tb < ta));
+            let total = |t: &[f64]| t.iter().sum::<f64>();
+            let faster = faster_at(total(&times[0]), total(&times[1]));
+            picked_smaller += usize::from(pick.name() == smaller);
+            picked_faster += usize::from(pick.name() == faster);
+            let density = bits_a.iter().filter(|&&x| x).count() as f64 / n as f64;
+            println!(
+                "codecs: f={f:<4} d={d:<6} wah {:>8} B  roaring {:>8} B  picks {:<7} smaller {smaller:<7} faster {faster}",
+                bytes[0],
+                bytes[1],
+                pick.name()
+            );
+            let per_kernel = |t: &[f64]| {
+                let kv = KERNELS
+                    .iter()
+                    .zip(t)
+                    .map(|(k, s)| format!("\"{k}\": {s:e}"));
+                format!("{{{}}}", kv.collect::<Vec<_>>().join(", "))
+            };
+            let winners = (KERNELS.iter().enumerate())
+                .map(|(i, k)| format!("\"{k}\": \"{}\"", faster_at(times[0][i], times[1][i])));
+            cells.push(format!(
+                "    {{\"f\": {f}, \"d\": {d}, \"density\": {density:.5}, \
+                 \"bytes\": {{\"wah\": {}, \"roaring\": {}, \"verbatim\": {}}}, \
+                 \"select_codec\": \"{}\", \"smaller\": \"{smaller}\", \
+                 \"faster\": {{{}, \"total\": \"{faster}\"}}, \
+                 \"wah_s\": {}, \"roaring_s\": {}, \
+                 \"wah_and_s\": {wah_and:e}, \"wah_or_s\": {wah_or:e}, \"verbatim_and_count_s\": {verbatim:e}}}",
+                bytes[0],
+                bytes[1],
+                va.size_bytes(),
+                pick.name(),
+                winners.collect::<Vec<_>>().join(", "),
+                per_kernel(&times[0]),
+                per_kernel(&times[1]),
             ));
         }
-        out.push_str(&format!(
-            "}}{}\n",
-            if pi + 1 == patterns.len() { "" } else { "," }
-        ));
     }
-
-    // Per-kernel ratio of auto over the faster fixed codec (values near
-    // 1.0 mean selection rides the winner; a single kernel can exceed it
-    // when the other codec specializes in just that kernel).
-    out.push_str("  },\n  \"auto_over_best_ratio\": {\n");
-    for (pi, p) in patterns.iter().enumerate() {
-        out.push_str(&format!("    \"{p}\": {{"));
-        for (ki, k) in KERNELS.iter().enumerate() {
-            let best =
-                time_of(samples, p, "wah_adaptive", k).min(time_of(samples, p, "roaring", k));
-            let ratio = time_of(samples, p, "auto", k) / best;
-            out.push_str(&format!(
-                "\"{k}\": {ratio:.3}{}",
-                if ki + 1 == KERNELS.len() { "" } else { ", " }
-            ));
-        }
-        out.push_str(&format!(
-            "}}{}\n",
-            if pi + 1 == patterns.len() { "" } else { "," }
-        ));
-    }
-
-    // Per-bin auto-selection must ride the best fixed codec: a selection
-    // is fixed before any particular kernel runs, so it is scored on the
-    // pattern's total time across all the kernels — flag any pattern
-    // where auto is >10% slower than the better of WAH and Roaring.
-    out.push_str("  },\n  \"auto_within_10pct_of_best\": {\n");
-    for (pi, p) in patterns.iter().enumerate() {
-        let total =
-            |codec: &str| -> f64 { KERNELS.iter().map(|k| time_of(samples, p, codec, k)).sum() };
-        let best = total("wah_adaptive").min(total("roaring"));
-        let ok = total("auto") <= best * 1.10;
-        println!(
-            "codecs: {p:<16} auto/best total ratio {:.3} (within 10%: {ok})",
-            total("auto") / best
-        );
-        out.push_str(&format!(
-            "    \"{p}\": {ok}{}\n",
-            if pi + 1 == patterns.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  }\n}\n");
-
-    let path = if smoke {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../target/BENCH_codecs.smoke.json"
-        )
-    } else {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_codecs.json")
-    };
-    std::fs::write(path, out).expect("write BENCH_codecs report");
-    println!("codecs: wrote {path}");
+    let ncells = cells.len();
+    println!(
+        "codecs: select_codec picks the smaller codec in {picked_smaller}/{ncells} cells, \
+         the faster in {picked_faster}/{ncells}"
+    );
+    let json = format!(
+        "{{\n  \"bits\": {n},\n  \"identity_checked\": true,\n  \
+         \"clustering_f\": {CLUSTERING:?},\n  \"density_d\": {DENSITY:?},\n  \
+         \"kernels\": {KERNELS:?},\n  \
+         \"select_codec_smaller\": {picked_smaller},\n  \"select_codec_faster\": {picked_faster},\n  \
+         \"cells\": [\n{}\n  ]\n}}\n",
+        cells.join(",\n")
+    );
+    write_report("codecs", &json);
 }

@@ -17,48 +17,32 @@
 //!
 //!     cargo bench -p ibis-bench --bench obs_overhead
 //!     cargo bench -p ibis-bench --no-default-features --bench obs_overhead
+//!
+//! `IBIS_BENCH_SMOKE=1` shrinks the workload, keeps its CSVs in
+//! `target/obs_overhead.smoke/` and writes the merged report to
+//! `target/BENCH_observability.smoke.json` instead.
 
 use ibis_analysis::Metric;
+use ibis_bench::{measure, smoke, target_dir, write_report};
 use ibis_core::{Binner, BitmapIndex, RowOrder, WahVec};
 use ibis_datagen::{Heat3DConfig, OceanConfig, OceanModel};
 use ibis_insitu::{
     run_cluster, run_durable, ClusterConfig, ClusterIo, ClusterReduction, CoreAllocation,
     MachineModel, PipelineConfig, Reduction, RobustnessConfig, ScalingModel,
 };
-use std::hint::black_box;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
-
-const N: usize = 1 << 18;
-
-/// Mean seconds per iteration (same calibration scheme as micro_kernels).
-fn measure<O>(mut f: impl FnMut() -> O) -> f64 {
-    let t0 = Instant::now();
-    black_box(f());
-    let one = t0.elapsed().as_secs_f64().max(1e-9);
-    let iters = ((0.06 / one).round() as u64).clamp(1, 1_000_000_000);
-    let samples = 3;
-    let mut total = 0.0;
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        total += t0.elapsed().as_secs_f64() / iters as f64;
-    }
-    total / samples as f64
-}
+use std::time::Duration;
 
 /// The timed workload: every instrumented kernel path (run-path counting,
 /// dense-path materialization, streaming index build with fill-run
 /// recording, operand preparation). Identical source in both builds — the
 /// measured difference is the metrics layer.
-fn run_workload() -> Vec<(&'static str, f64)> {
-    let sparse_a = WahVec::from_bits((0..N).map(|i| (i / 310) % 300 == 0));
-    let sparse_b = WahVec::from_bits((0..N).map(|i| ((i + 155) / 310) % 300 == 0));
-    let dense_a = WahVec::from_bits((0..N).map(|i| (i * 2654435761usize) % 100 < 30));
-    let dense_b = WahVec::from_bits((0..N).map(|i| (i * 2246822519usize) % 100 < 30));
-    let field: Vec<f64> = (0..N).map(|i| (i as f64 * 1e-4).sin() * 50.0).collect();
+fn run_workload(n: usize) -> Vec<(&'static str, f64)> {
+    let sparse_a = WahVec::from_bits((0..n).map(|i| (i / 310) % 300 == 0));
+    let sparse_b = WahVec::from_bits((0..n).map(|i| ((i + 155) / 310) % 300 == 0));
+    let dense_a = WahVec::from_bits((0..n).map(|i| (i * 2654435761usize) % 100 < 30));
+    let dense_b = WahVec::from_bits((0..n).map(|i| (i * 2246822519usize) % 100 < 30));
+    let field: Vec<f64> = (0..n).map(|i| (i as f64 * 1e-4).sin() * 50.0).collect();
     let binner = Binner::fixed_width(-51.0, 51.0, 64);
 
     vec![
@@ -125,10 +109,11 @@ fn populate_families() {
 }
 
 fn state_dir() -> PathBuf {
-    let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    dir.pop();
-    dir.pop();
-    dir.join("target").join("obs_overhead")
+    target_dir().join(if smoke() {
+        "obs_overhead.smoke"
+    } else {
+        "obs_overhead"
+    })
 }
 
 fn read_csv(path: &Path) -> Option<Vec<(String, f64)>> {
@@ -141,7 +126,7 @@ fn read_csv(path: &Path) -> Option<Vec<(String, f64)>> {
     Some(out)
 }
 
-fn merge_report(dir: &Path) {
+fn merge_report(dir: &Path, n: usize) {
     let Some(instrumented) = read_csv(&dir.join("instrumented.csv")) else {
         println!("obs_overhead: no instrumented.csv yet; run the default-features bench too");
         return;
@@ -176,18 +161,13 @@ fn merge_report(dir: &Path) {
     println!("obs_overhead: overall overhead {overall:+.2}% (under 5% target: {under_5})");
 
     let out = format!(
-        "{{\n  \"workload\": \"kernel sweep, {N} bits, instrumented vs no-op build\",\n  \
+        "{{\n  \"workload\": \"kernel sweep, {n} bits, instrumented vs no-op build\",\n  \
          \"samples\": [\n{samples}  ],\n  \
          \"overall_overhead_pct\": {overall:.3},\n  \
          \"under_5pct_target\": {under_5},\n  \
          \"snapshot\": {snapshot}\n}}\n"
     );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_observability.json"
-    );
-    std::fs::write(path, out).expect("write BENCH_observability.json");
-    println!("obs_overhead: wrote {path}");
+    write_report("observability", &out);
 }
 
 fn main() {
@@ -197,7 +177,8 @@ fn main() {
         "noop"
     };
     println!("obs_overhead: timing the {config} build");
-    let samples = run_workload();
+    let n = if smoke() { 1 << 14 } else { 1 << 18 };
+    let samples = run_workload(n);
 
     let dir = state_dir();
     std::fs::create_dir_all(&dir).expect("create state dir");
@@ -220,5 +201,5 @@ fn main() {
         std::fs::write(dir.join("snapshot.json"), snap.to_json(2)).expect("write snapshot");
     }
 
-    merge_report(&dir);
+    merge_report(&dir, n);
 }

@@ -17,15 +17,17 @@
 //!
 //!     cargo bench -p ibis-bench --bench query
 //!
-//! `IBIS_QUERY_SMOKE=1` shrinks the store and writes to
-//! `target/BENCH_query.smoke.json` instead, so CI can schema-check the
-//! report without clobbering the committed full-size numbers.
+//! `IBIS_BENCH_SMOKE=1` shrinks the store and writes to
+//! `target/BENCH_query.smoke.json` instead.
 
 use ibis_analysis::{
     correlation_query, joint_counts_and_table, joint_counts_where, plan_value_range, shard_mask,
     shard_ranges, stored_ranges, RangePlan, SubsetQuery,
 };
-use ibis_bench::{count_regimes, joint_regimes, span_holding};
+use ibis_bench::{
+    count_regimes, joint_regimes, measure, ocean_salinity, ocean_temperature, smoke, span_holding,
+    target_dir, write_report,
+};
 use ibis_core::{Binner, BitmapIndex, WahVec};
 use ibis_insitu::{
     codec, CachedStore, QueryAnswer, QueryEngine, QueryRequest, ShardedStore, ShardedWriter, Store,
@@ -33,42 +35,6 @@ use ibis_insitu::{
 };
 use std::hint::black_box;
 use std::time::Instant;
-
-/// Mean seconds per iteration (same calibration scheme as micro_kernels).
-fn measure<O>(mut f: impl FnMut() -> O) -> f64 {
-    let t0 = Instant::now();
-    black_box(f());
-    let one = t0.elapsed().as_secs_f64().max(1e-9);
-    let iters = ((0.06 / one).round() as u64).clamp(1, 1_000_000_000);
-    let samples = 3;
-    let mut total = 0.0;
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        total += t0.elapsed().as_secs_f64() / iters as f64;
-    }
-    total / samples as f64
-}
-
-/// A smooth simulation-like field: long same-bin runs, WAH-friendly.
-fn temperature(step: usize, n: usize) -> Vec<f64> {
-    (0..n)
-        .map(|i| {
-            let x = i as f64 / n as f64;
-            32.0 + 28.0 * (x * 9.0 + step as f64 * 0.7).sin() + 3.0 * (x * 151.0).sin()
-        })
-        .collect()
-}
-
-/// A second variable that tracks the first, so correlations are non-trivial.
-fn salinity(temp: &[f64]) -> Vec<f64> {
-    temp.iter()
-        .enumerate()
-        .map(|(i, &t)| 20.0 + t * 0.5 + 6.0 * ((i as f64 * 0.013).cos()))
-        .collect()
-}
 
 const NBINS: usize = 64;
 
@@ -96,8 +62,7 @@ fn floor_us<S, O>(mut setup: impl FnMut() -> S, mut f: impl FnMut(S) -> O) -> f6
 fn miss_path(nshards: usize, ocean: [usize; 3]) -> String {
     let regime = joint_regimes(8, ocean).swap_remove(1);
     assert_eq!(regime.name, "ocean");
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join(format!("../../target/bench-query-miss-k{nshards}"));
+    let dir = target_dir().join(format!("bench-query-miss-k{nshards}"));
     std::fs::remove_dir_all(&dir).ok();
     let mut w = ShardedWriter::create(&dir, nshards).expect("create miss store");
     w.put(0, "temperature", &regime.a).expect("put temperature");
@@ -192,19 +157,18 @@ fn miss_path(nshards: usize, ocean: [usize; 3]) -> String {
 }
 
 fn main() {
-    let smoke = std::env::var("IBIS_QUERY_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = smoke();
     let n: usize = if smoke { 1 << 15 } else { 1 << 19 };
     let nsteps: usize = if smoke { 3 } else { 12 };
     let binner = Binner::fixed_width(0.0, 66.0, NBINS);
 
     // --- build a real run directory to serve from ---
-    let dir =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-query-store");
+    let dir = target_dir().join("bench-query-store");
     std::fs::remove_dir_all(&dir).ok();
     let mut w = StoreWriter::create(&dir).expect("create bench store");
     for step in 0..nsteps {
-        let t = temperature(step, n);
-        let s = salinity(&t);
+        let t = ocean_temperature(step, n);
+        let s = ocean_salinity(&t);
         w.put(step, "temperature", &BitmapIndex::build(&t, binner.clone()))
             .expect("put temperature");
         w.put(step, "salinity", &BitmapIndex::build(&s, binner.clone()))
@@ -440,7 +404,7 @@ fn main() {
     let miss_samples = [miss_path(1, ocean), miss_path(4, ocean)];
 
     // --- planner byte-identity sweep: every strategy == naive per-bin OR ---
-    let ia = BitmapIndex::build(&temperature(0, n), binner.clone());
+    let ia = BitmapIndex::build(&ocean_temperature(0, n), binner.clone());
     let mut plan_counts = [0usize; 3]; // empty, or_bins, complement
     let mut identity_checks = 0usize;
     for lo_bin in (0..NBINS).step_by(3) {
@@ -501,15 +465,6 @@ fn main() {
         count_samples.join(",\n"),
         miss_samples.join(",\n"),
     );
-    let path = if smoke {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../target/BENCH_query.smoke.json"
-        )
-    } else {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_query.json")
-    };
-    std::fs::write(path, out).expect("write BENCH_query report");
+    write_report("query", &out);
     std::fs::remove_dir_all(&dir).ok();
-    println!("query: wrote {path}");
 }

@@ -23,12 +23,13 @@
 //! smaller bytes at ≤10% value-query latency regression on a coherent
 //! pattern — is asserted in-process and recorded in the report.
 //!
-//! `IBIS_ORDER_SMOKE=1` shrinks the grids and writes to
+//! `IBIS_BENCH_SMOKE=1` shrinks the grids and writes to
 //! `target/BENCH_reorder.smoke.json` instead (latency ratios are too noisy
 //! to assert at smoke sizes; the size criterion and all identity checks
 //! still run).
 
 use ibis_analysis::{shard_mask, stored_ranges, SubsetQuery};
+use ibis_bench::{measure, smoke, write_report};
 use ibis_core::{
     Binner, BitmapIndex, CodecId, CodecVec, DenseBits, RowOrder, RowPermutation, WahVec,
 };
@@ -36,28 +37,7 @@ use ibis_datagen::{
     Heat3D, Heat3DConfig, LuleshConfig, MiniLulesh, OceanConfig, OceanModel, Simulation,
 };
 use ibis_insitu::{Store, StoreWriter, ORDER_VARIABLE};
-use std::hint::black_box;
 use std::ops::Range;
-use std::time::Instant;
-
-/// Mean seconds per iteration (same calibration scheme as the codec and
-/// kernel sweeps).
-fn measure<O>(mut f: impl FnMut() -> O) -> f64 {
-    let t0 = Instant::now();
-    black_box(f());
-    let one = t0.elapsed().as_secs_f64().max(1e-9);
-    let iters = ((0.06 / one).round() as u64).clamp(1, 1_000_000_000);
-    let samples = 3;
-    let mut total = 0.0;
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        total += t0.elapsed().as_secs_f64() / iters as f64;
-    }
-    total / samples as f64
-}
 
 /// One dataset of the sweep: a simulation field.
 struct Dataset {
@@ -181,7 +161,7 @@ fn find<'a>(samples: &'a [Sample], dataset: &str, order: &str, codec: &str) -> &
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let smoke = std::env::var("IBIS_ORDER_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = smoke();
     let mut samples: Vec<Sample> = Vec::new();
     let mut costs: Vec<OrderCost> = Vec::new();
     let mut elements = String::new();
@@ -487,14 +467,5 @@ fn write_json(
         best.0, best.1, best.2, best_with_order.0, best_with_order.1
     ));
 
-    let path = if smoke {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../target/BENCH_reorder.smoke.json"
-        )
-    } else {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_reorder.json")
-    };
-    std::fs::write(path, out).expect("write BENCH_reorder report");
-    println!("reorder: wrote {path}");
+    write_report("reorder", &out);
 }

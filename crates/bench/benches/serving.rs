@@ -21,11 +21,14 @@
 //!    with a slowed leader — exactly one store decode, 7 coalesce hits;
 //! 5. socket round-trip p50 over the TCP front end.
 //!
-//! `IBIS_SERVE_SMOKE=1` shrinks everything and writes to
-//! `target/BENCH_serving.smoke.json` so CI can schema-check the report
-//! without clobbering the committed full-size numbers.
+//! `IBIS_BENCH_SMOKE=1` shrinks everything and writes to
+//! `target/BENCH_serving.smoke.json` instead.
 
 use ibis_analysis::SubsetQuery;
+use ibis_bench::{
+    ocean_salinity, ocean_temperature, percentile_ms, smoke, target_dir, write_report, zipf_cdf,
+    zipf_pick, Mix64,
+};
 use ibis_core::{Binner, BitmapIndex};
 use ibis_insitu::{
     CachedStore, FaultPlan, QueryEngine, QueryRequest, QueryServer, ServeConfig, ServeError,
@@ -41,40 +44,6 @@ const QUEUE_CAP: usize = 32;
 const WORKERS: usize = 4;
 const SLOW_EVERY: u64 = 4;
 const SLOW_MS: u64 = 10;
-
-/// A smooth simulation-like field (same shape as the query bench).
-fn temperature(step: usize, n: usize) -> Vec<f64> {
-    (0..n)
-        .map(|i| {
-            let x = i as f64 / n as f64;
-            32.0 + 28.0 * (x * 9.0 + step as f64 * 0.7).sin() + 3.0 * (x * 151.0).sin()
-        })
-        .collect()
-}
-
-fn salinity(temp: &[f64]) -> Vec<f64> {
-    temp.iter()
-        .enumerate()
-        .map(|(i, &t)| 20.0 + t * 0.5 + 6.0 * ((i as f64 * 0.013).cos()))
-        .collect()
-}
-
-/// splitmix64, for the zipf pick (the bench must be self-deterministic).
-struct Mix64(u64);
-
-impl Mix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
 
 /// The query catalog: subset drills and correlations per step, ranked so
 /// a zipf pick makes the head entries hot (the coalescing/cache regime)
@@ -105,31 +74,6 @@ fn catalog(nsteps: usize) -> Vec<QueryRequest> {
         }
     }
     out
-}
-
-/// Zipf cumulative weights over the catalog (weight 1/rank).
-fn zipf_cum(len: usize) -> Vec<f64> {
-    let mut acc = 0.0;
-    (0..len)
-        .map(|i| {
-            acc += 1.0 / (i + 1) as f64;
-            acc
-        })
-        .collect()
-}
-
-fn pick<'a>(catalog: &'a [QueryRequest], cum: &[f64], rng: &mut Mix64) -> &'a QueryRequest {
-    let total = cum[cum.len() - 1];
-    let x = rng.unit() * total;
-    &catalog[cum.partition_point(|&c| c < x).min(catalog.len() - 1)]
-}
-
-fn percentile_ms(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let i = ((sorted_ns.len() as f64 - 1.0) * p).round() as usize;
-    sorted_ns[i] as f64 / 1e6
 }
 
 fn open_engine(dir: &std::path::Path) -> QueryEngine {
@@ -168,7 +112,7 @@ fn closed_loop(
             scope.spawn(move || {
                 let mut rng = Mix64(seed ^ (c as u64).wrapping_mul(0xA5A5_1234));
                 for _ in 0..share {
-                    let req = pick(cat, cum, &mut rng);
+                    let req = zipf_pick(cat, cum, &mut rng);
                     if server.submit(req, None).is_ok() {
                         completed.fetch_add(1, Ordering::Relaxed);
                     }
@@ -180,7 +124,7 @@ fn closed_loop(
 }
 
 fn main() {
-    let smoke = std::env::var("IBIS_SERVE_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = smoke();
     let n: usize = if smoke { 1 << 14 } else { 1 << 18 };
     let nsteps: usize = if smoke { 2 } else { 4 };
     let closed_total: usize = if smoke { 240 } else { 2400 };
@@ -188,13 +132,12 @@ fn main() {
     let open_clients: usize = 8;
     let binner = Binner::fixed_width(0.0, 66.0, NBINS);
 
-    let dir =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-serving-store");
+    let dir = target_dir().join("bench-serving-store");
     std::fs::remove_dir_all(&dir).ok();
     let mut w = StoreWriter::create(&dir).expect("create bench store");
     for step in 0..nsteps {
-        let t = temperature(step, n);
-        let s = salinity(&t);
+        let t = ocean_temperature(step, n);
+        let s = ocean_salinity(&t);
         w.put(step, "temperature", &BitmapIndex::build(&t, binner.clone()))
             .expect("put temperature");
         w.put(step, "salinity", &BitmapIndex::build(&s, binner.clone()))
@@ -203,7 +146,7 @@ fn main() {
     w.finish().expect("finish bench store");
 
     let cat = catalog(nsteps);
-    let cum = zipf_cum(cat.len());
+    let cum = zipf_cdf(cat.len());
 
     // --- phase 1: closed-loop fault-free baseline ---
     let server = Arc::new(
@@ -293,9 +236,9 @@ fn main() {
             scope.spawn(move || {
                 let mut rng = Mix64(0xF417 ^ (c as u64).wrapping_mul(0x77));
                 let cat = catalog(nsteps);
-                let cum = zipf_cum(cat.len());
+                let cum = zipf_cdf(cat.len());
                 for _ in 0..open_per_client {
-                    let req = pick(&cat, &cum, &mut rng);
+                    let req = zipf_pick(&cat, &cum, &mut rng);
                     // fire-and-forget: the ticket is dropped, the request
                     // still executes and resolves for coalesced peers
                     match server.submit_async(req, Some(deadline)) {
@@ -479,15 +422,6 @@ fn main() {
         ramp.join(", "),
         deadline.as_secs_f64() * 1e3,
     );
-    let path = if smoke {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../target/BENCH_serving.smoke.json"
-        )
-    } else {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json")
-    };
-    std::fs::write(path, out).expect("write BENCH_serving report");
+    write_report("serving", &out);
     std::fs::remove_dir_all(&dir).ok();
-    println!("serving: wrote {path}");
 }

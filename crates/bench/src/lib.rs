@@ -12,6 +12,13 @@
 //! Workload sizes scale with the `IBIS_SCALE` environment variable
 //! (default 1.0): set e.g. `IBIS_SCALE=2` for larger grids or `0.5` for a
 //! quick pass.
+//!
+//! The benches that write a `BENCH_<name>.json` report (`codecs`, `query`,
+//! `reorder`, `serving`, `obs_overhead`) share this crate's timing loop
+//! ([`measure`]), data, load picker and report writer. `IBIS_BENCH_SMOKE=1`
+//! shrinks each of them and writes its report to
+//! `target/BENCH_<name>.smoke.json` instead ([`write_report`]), so a check
+//! can read the report without touching the committed full-size numbers.
 
 pub mod ablations;
 pub mod figures;
@@ -21,8 +28,10 @@ use ibis_datagen::{
     Heat3D, Heat3DConfig, LuleshConfig, MiniLulesh, OceanConfig, OceanModel, Simulation,
 };
 use std::fmt::Display;
+use std::hint::black_box;
 use std::io::Write;
 use std::path::PathBuf;
+use std::time::Instant;
 
 /// The global size multiplier from `IBIS_SCALE`.
 pub fn scale() -> f64 {
@@ -36,6 +45,136 @@ pub fn scale_from(var: Option<&str>) -> f64 {
     var.and_then(|v| v.parse::<f64>().ok())
         .filter(|&v| v > 0.0)
         .unwrap_or(1.0)
+}
+
+/// Whether `IBIS_BENCH_SMOKE=1` asks for the shrunken run.
+pub fn smoke() -> bool {
+    smoke_from(std::env::var("IBIS_BENCH_SMOKE").ok().as_deref())
+}
+
+/// Parses an `IBIS_BENCH_SMOKE` setting: exactly `1` is on, anything else
+/// (absent included) off. Pure, like [`scale_from`].
+fn smoke_from(var: Option<&str>) -> bool {
+    var == Some("1")
+}
+
+/// Mean seconds per call of `f`: one call sizes the iteration count to
+/// about 60 ms a sample (10 ms under [`smoke`]), then three samples are
+/// averaged. Every bench that reports a time goes through this loop.
+pub fn measure<O>(mut f: impl FnMut() -> O) -> f64 {
+    let target = if smoke() { 0.01 } else { 0.06 };
+    let t0 = Instant::now();
+    black_box(f());
+    let one = t0.elapsed().as_secs_f64().max(1e-9);
+    let iters = ((target / one).round() as u64).clamp(1, 1_000_000_000);
+    let samples = 3;
+    let mut total = 0.0;
+    for _ in 0..samples {
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            black_box(f());
+        }
+        total += t0.elapsed().as_secs_f64() / iters as f64;
+    }
+    total / samples as f64
+}
+
+/// A smooth, ocean-like temperature field of `n` rows at `step`: long
+/// same-bin runs with a fine ripple, over roughly 1..63.
+pub fn ocean_temperature(step: usize, n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|i| {
+            let x = i as f64 / n as f64;
+            32.0 + 28.0 * (x * 9.0 + step as f64 * 0.7).sin() + 3.0 * (x * 151.0).sin()
+        })
+        .collect()
+}
+
+/// A salinity field that tracks `temperature`, so correlations between
+/// the two are not trivial.
+pub fn ocean_salinity(temperature: &[f64]) -> Vec<f64> {
+    temperature
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| 20.0 + t * 0.5 + 6.0 * ((i as f64 * 0.013).cos()))
+        .collect()
+}
+
+/// splitmix64: the benches' seeded generator, so every run draws the same
+/// data and the same load.
+pub struct Mix64(pub u64);
+
+impl Mix64 {
+    /// The next 64 random bits.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A uniform draw from `[0, 1)`.
+    pub fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// The cumulative distribution of a zipf law over `len` ranks (weight
+/// 1/rank): non-decreasing, ending at exactly 1.
+pub fn zipf_cdf(len: usize) -> Vec<f64> {
+    let mut acc = 0.0;
+    let weights: Vec<f64> = (0..len)
+        .map(|i| {
+            acc += 1.0 / (i + 1) as f64;
+            acc
+        })
+        .collect();
+    weights.into_iter().map(|w| w / acc).collect()
+}
+
+/// A zipf-picked item of `items`, whose ranks [`zipf_cdf`] gave `cdf`.
+pub fn zipf_pick<'a, T>(items: &'a [T], cdf: &[f64], rng: &mut Mix64) -> &'a T {
+    let x = rng.unit();
+    &items[cdf.partition_point(|&c| c < x).min(items.len() - 1)]
+}
+
+/// The `p`-quantile (0 to 1, nearest rank) of ascending nanosecond
+/// samples, in milliseconds; 0 for no samples.
+pub fn percentile_ms(sorted_ns: &[u64], p: f64) -> f64 {
+    if sorted_ns.is_empty() {
+        return 0.0;
+    }
+    let i = ((sorted_ns.len() as f64 - 1.0) * p).round() as usize;
+    sorted_ns[i] as f64 / 1e6
+}
+
+/// Writes bench `name`'s JSON report: `BENCH_<name>.json` at the
+/// repository root, or `target/BENCH_<name>.smoke.json` under [`smoke`].
+/// Returns the path written.
+pub fn write_report(name: &str, json: &str) -> PathBuf {
+    let path = match smoke() {
+        true => target_dir().join(format!("BENCH_{name}.smoke.json")),
+        false => repo_root().join(format!("BENCH_{name}.json")),
+    };
+    std::fs::create_dir_all(path.parent().expect("a report has a directory")).ok();
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("{name}: wrote {}", path.display());
+    path
+}
+
+/// The workspace root, whatever the working directory.
+fn repo_root() -> PathBuf {
+    let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    dir.pop(); // crates/
+    dir.pop(); // workspace root
+    dir
+}
+
+/// The workspace's `target/` directory, where benches build their stores
+/// and write smoke reports and figure CSVs.
+pub fn target_dir() -> PathBuf {
+    repo_root().join("target")
 }
 
 /// Scales a linear dimension.
@@ -67,8 +206,7 @@ pub fn heat3d_binner() -> Binner {
 }
 
 /// One operand pair of the joint-table and subset-count benches
-/// (`benches/query.rs`, `micro_kernels`' `joint/partition/*` and
-/// `count_in_ranges/*`).
+/// (`benches/query.rs`).
 pub struct JointRegime {
     /// `heat3d`, `ocean`, `graybin` or `scattered`.
     pub name: &'static str,
@@ -126,11 +264,10 @@ pub fn joint_regimes(heat: usize, ocean: [usize; 3]) -> Vec<JointRegime> {
 }
 
 /// [`joint_regimes`] and `scattered` — the Heat3D steps stored under a
-/// gather of stride [`SCATTER_STRIDE`], that many short ascending segments,
-/// where a spatial block is thousands of stored ranges (what a multi-field
-/// sort will produce): the regimes a subset count has to serve
-/// (`benches/query.rs`' `subset_count` and `micro_kernels`'
-/// `count_in_ranges/*`).
+/// gather of stride 2237, that many short ascending segments, where a
+/// spatial block is thousands of stored ranges (what a multi-field sort
+/// will produce): the regimes a subset count has to serve
+/// (`benches/query.rs`' `subset_count`).
 pub fn count_regimes(heat: usize, ocean: [usize; 3]) -> Vec<JointRegime> {
     regimes(heat, ocean, true)
 }
@@ -337,11 +474,7 @@ impl Figure {
 
 /// Where figure CSVs are collected.
 pub fn figures_dir() -> PathBuf {
-    // target/ relative to the workspace root, regardless of cwd
-    let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    dir.pop(); // crates/
-    dir.pop(); // workspace root
-    dir.join("target").join("figures")
+    target_dir().join("figures")
 }
 
 /// Formats seconds with 3 decimals (table cells).
@@ -373,6 +506,49 @@ mod tests {
         assert_eq!(scale_from(Some("not-a-number")), 1.0, "garbage falls back");
         assert_eq!(scale_from(Some("0")), 1.0, "zero is rejected");
         assert_eq!(scale_from(Some("-3")), 1.0, "negative is rejected");
+    }
+
+    #[test]
+    fn smoke_parsing_covers_every_case() {
+        // pure-function test, like the IBIS_SCALE one above
+        assert!(smoke_from(Some("1")));
+        assert!(!smoke_from(None), "unset is off");
+        assert!(!smoke_from(Some("0")));
+        assert!(!smoke_from(Some("")));
+        assert!(!smoke_from(Some("true")), "only 1 is on");
+        assert!(!smoke_from(Some(" 1")));
+    }
+
+    #[test]
+    fn percentile_picks_the_nearest_rank() {
+        let ns = [1_000_000, 2_000_000, 3_000_000, 4_000_000, 5_000_000];
+        assert_eq!(percentile_ms(&ns, 0.0), 1.0);
+        assert_eq!(percentile_ms(&ns, 0.5), 3.0);
+        assert_eq!(percentile_ms(&ns, 1.0), 5.0);
+        for p in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(percentile_ms(&[7_500_000], p), 7.5, "one sample at p={p}");
+        }
+        assert_eq!(percentile_ms(&[], 0.5), 0.0);
+    }
+
+    #[test]
+    fn zipf_cdf_is_monotone_and_ends_at_one() {
+        for len in [1, 2, 7, 1000] {
+            let cdf = zipf_cdf(len);
+            assert_eq!(cdf.len(), len);
+            assert!(cdf.windows(2).all(|w| w[0] <= w[1]), "len {len}");
+            assert!(cdf[0] > 0.0);
+            assert_eq!(cdf[len - 1], 1.0, "len {len}");
+        }
+        // rank 1 is the most picked, and every pick is an item
+        let items: Vec<usize> = (0..50).collect();
+        let cdf = zipf_cdf(items.len());
+        let mut rng = Mix64(3);
+        let mut hits = [0usize; 50];
+        for _ in 0..5000 {
+            hits[*zipf_pick(&items, &cdf, &mut rng)] += 1;
+        }
+        assert!(hits.iter().all(|&h| h <= hits[0]), "{hits:?}");
     }
 
     #[test]

@@ -83,9 +83,9 @@ const WAH_MAX_COMPRESSION: f64 = 0.5;
 /// auto-selection policy:
 ///
 /// * empty / all-zero bins stay **WAH** (two words, nothing to win);
-/// * bins whose mean 1-run length is at least [`WAH_MIN_MEAN_RUN`] *and*
-///   whose WAH encoding compresses to at most [`WAH_MAX_COMPRESSION`] of
-///   the logical bits stay **WAH** — coherent data is WAH's home turf;
+/// * bins whose mean 1-run length is at least 64 bits *and* whose WAH
+///   encoding compresses to at most half of the logical bits stay
+///   **WAH** — coherent data is WAH's home turf;
 /// * everything else — scattered sparse bins (low-occupancy outer bins →
 ///   array containers) and dense noise (middle bins → bitset containers) —
 ///   goes to **Roaring**.

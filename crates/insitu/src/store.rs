@@ -44,10 +44,11 @@ const FRAME_MAGIC: &[u8; 3] = b"IBF";
 const FRAME_OVERHEAD: usize = 3 + 1 + 8 + 4;
 /// Magic prefix of every segment record header.
 const RECORD_MAGIC: &[u8; 3] = b"IBR";
-/// Reserved variable name a step's row permutation stores under. Passes
-/// [`check_variable_name`] so the blob rides the ordinary entry / segment /
-/// manifest machinery, but is hidden from [`Store::variables`] and refused
-/// by [`StoreWriter::put`], so no data variable can collide with it.
+/// Reserved variable name a step's row permutation stores under. It is a
+/// valid variable name (1 to 255 of `[A-Za-z0-9_]`), so the blob rides the
+/// ordinary entry / segment / manifest machinery, but is hidden from
+/// [`Store::variables`] and refused by [`StoreWriter::put`], so no data
+/// variable can collide with it.
 pub const ORDER_VARIABLE: &str = "__order";
 /// Reserved name prefix of the retired lossy companions
 /// (`__lossy_<variable>`, frame kind 3). [`StoreWriter::put`] refuses it,
@@ -552,9 +553,11 @@ pub struct StoreWriter {
 
 impl StoreWriter {
     /// Creates (if needed) the run directory and starts a fresh run in it.
-    /// A store already there is retired first, durably — its `MANIFEST`,
-    /// then every segment and blob file — so no reader ever serves, and
-    /// no resume ever seeds, an earlier run's entries beside this run's.
+    /// A store already there is retired first, durably — its `MANIFEST`s
+    /// (each `shard-NNN/` one of the layout before one store held every
+    /// shard, then the root's), then every segment and blob file and those
+    /// shard directories — so no reader ever serves, and no resume ever
+    /// seeds, an earlier run's entries beside this run's.
     pub fn create(dir: impl AsRef<Path>) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)
@@ -562,6 +565,19 @@ impl StoreWriter {
         let io =
             |e: std::io::Error| IbisError::io(format!("retire the store in {}", dir.display()), &e);
         let mut retired = file_names(&dir)?;
+        let shard_dirs: Vec<PathBuf> = (retired.iter())
+            .filter(|name| is_shard_dir(name))
+            .map(|name| dir.join(name))
+            .filter(|sub| sub.is_dir())
+            .collect();
+        // a shard's manifest stands in for a missing root one (lift_shards)
+        for sub in &shard_dirs {
+            match std::fs::remove_file(sub.join("MANIFEST")) {
+                Ok(()) => sync_dir(sub).map_err(io)?,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => return Err(io(e)),
+            }
+        }
         retired.retain(|name| name == "MANIFEST" || stored_file(name).is_some());
         retired.sort_by_key(|name| name != "MANIFEST");
         for (k, name) in retired.iter().enumerate() {
@@ -570,6 +586,12 @@ impl StoreWriter {
             if name == "MANIFEST" || k + 1 == retired.len() {
                 sync_dir(&dir).map_err(io)?;
             }
+        }
+        for sub in &shard_dirs {
+            std::fs::remove_dir_all(sub).map_err(io)?;
+        }
+        if !shard_dirs.is_empty() {
+            sync_dir(&dir).map_err(io)?;
         }
         Ok(StoreWriter {
             dir,
@@ -582,10 +604,11 @@ impl StoreWriter {
     }
 
     /// Reopens an interrupted *or finished* run directory, recovering
-    /// every entry proven durable: each segment's scan ([`scan_segment`]),
-    /// then whatever else a valid `MANIFEST` names (a store written before
-    /// segments), each frame re-verified. A dropped entry is repaired by
-    /// re-`put`ting it — the path after [`Store::fsck`] quarantines one.
+    /// every entry proven durable: each segment scanned record by record
+    /// (a torn tail is cut off), then whatever else a valid `MANIFEST`
+    /// names (a store written before segments), each frame re-verified. A
+    /// dropped entry is repaired by re-`put`ting it — the path after
+    /// [`Store::fsck`] quarantines one.
     pub fn resume(dir: impl AsRef<Path>) -> Result<Self> {
         Self::resume_in(dir, 0)
     }
@@ -625,7 +648,8 @@ impl StoreWriter {
     }
 
     /// Routes this writer's writes through a fault injector: each append
-    /// and each [`StoreWriter::write_file`] is one write op.
+    /// and each atomic file write (the durable pipeline's `CHECKPOINT`) is
+    /// one write op.
     pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
         self.injector = Some(injector);
         self
@@ -688,10 +712,10 @@ impl StoreWriter {
 
     /// Persists the step's row permutation under the reserved
     /// [`ORDER_VARIABLE`] entry: `order`'s tag, then the run-coded gather
-    /// order ([`put_perm_payload`]), framed, CRC-checked and appended
-    /// exactly like an index — so crash/resume and fsck cover it. One
-    /// permutation per step: every variable of the step shares it, keeping
-    /// cross-variable (correlation) bitmaps row-aligned.
+    /// order, framed, CRC-checked and appended exactly like an index — so
+    /// crash/resume and fsck cover it. One permutation per step: every variable
+    /// of the step shares it, keeping cross-variable (correlation) bitmaps
+    /// row-aligned.
     ///
     /// A permuted index read without its permutation answers region
     /// queries and cross-step metrics in the wrong row space, silently.
@@ -1025,16 +1049,15 @@ impl Store {
         Some((self.dir.join(&meta.file), at..at + meta.len))
     }
 
-    /// Loads `step`'s row permutation, or `None` when the step was stored
-    /// in its original order. Verifies framing, kind and CRC like any
-    /// blob, that the payload's order tag names a known non-identity
-    /// [`RowOrder`], and that the rest of it is a bijection
-    /// ([`decode_perm_payload`]) over the rows the step's index holds —
-    /// exactly as many, or at least as many in one shard of several (as
+    /// Loads `step`'s row permutation, or `None` when the step was stored in
+    /// its original order. Verifies framing, kind and CRC like any blob, that
+    /// the payload's order tag names a known non-identity [`RowOrder`], and
+    /// that the rest of it is a bijection over the rows the step's index holds
+    /// — exactly as many, or at least as many in one shard of several (as
     /// [`crate::shard::ShardedStore`] opens them); the first index that
-    /// verifies is asked, and a step with none yet has nothing to check
-    /// against — before a row is allocated. A corrupt permutation would
-    /// silently misroute region queries, so every failure is a typed
+    /// verifies is asked, and a step with none yet has nothing to check against
+    /// — before a row is allocated. A corrupt permutation would silently
+    /// misroute region queries, so every failure is a typed
     /// [`IbisError::Corrupt`].
     pub fn load_order(&self, step: usize) -> Result<Option<(RowOrder, RowPermutation)>> {
         self.load_order_over(step, None)
@@ -1080,12 +1103,14 @@ impl Store {
         Ok(Some((order, perm)))
     }
 
-    /// Verifies every blob end-to-end by running its entry's ordinary
-    /// typed load (framing, kind, CRC, decode and the payload's own
-    /// checks) and quarantines the ones that fail ([`quarantine`]) and
-    /// removes their entries, so subsequent reads see only intact data. A step that loses its [`ORDER_VARIABLE`] entry
-    /// loses its indices with it — they are permuted, and read as if they
-    /// were not they would answer in the wrong row space.
+    /// Verifies every blob end-to-end by running its entry's ordinary typed
+    /// load (framing, kind, CRC, decode and the payload's own checks) and
+    /// quarantines the ones that fail (set aside as
+    /// `s<step>_<variable>.ibis.quarantined`; a segment record's frame is also
+    /// spoiled in place) and removes their entries, so subsequent reads see
+    /// only intact data. A step that loses its [`ORDER_VARIABLE`] entry loses
+    /// its indices with it — they are permuted, and read as if they were not
+    /// they would answer in the wrong row space.
     pub fn fsck(&mut self) -> FsckReport {
         OBS_FSCK_RUNS.inc();
         let mut bad: BTreeMap<(usize, String), String> = BTreeMap::new();

@@ -166,3 +166,32 @@ fn a_store_written_before_segments_serves_verifies_resumes_and_compacts() {
         answers_like_the_model(&dir, 0..3, name);
     }
 }
+
+/// A fresh run over a store whose shards each kept a store of their own
+/// retires those too: once `StoreWriter::create` returns, a resume (a
+/// crash before the `SHARDS` file is rewritten leaves the old `v1` one)
+/// finds no earlier entry to lift, and a finished run leaves no
+/// `shard-NNN/` file behind.
+#[test]
+fn a_fresh_run_retires_the_shard_directories_of_the_earlier_layout() {
+    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    let dir = TempDir::new("legacy-retired-by-create");
+    copy_tree(&data.join("shard-segments/graybin-k2"), &dir);
+    ibis_insitu::StoreWriter::create(&dir).unwrap();
+    let w = ShardedWriter::resume(&dir).unwrap();
+    assert_eq!(w.durable_steps(), Vec::<usize>::new());
+
+    copy_tree(&data.join("shard-segments/graybin-k2"), &dir);
+    let mut w = ShardedWriter::create(&dir, 2).unwrap();
+    let index = BitmapIndex::build(&field(0, 0), binner());
+    w.put(0, VARS[0], &index).unwrap();
+    w.finish().unwrap();
+    let left: Vec<_> = std::fs::read_dir(&*dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.starts_with("shard-"))
+        .collect();
+    assert!(left.is_empty(), "{left:?}");
+    let store = ShardedStore::open(&dir).unwrap();
+    assert_eq!(store.steps(), [0]);
+}

@@ -869,6 +869,110 @@ fn fanout_and_pruned_account_for_every_shard_of_every_query() {
     }
 }
 
+/// A query whose region lies inside one shard visits that shard and
+/// prunes the other `K − 1` — a subset, and a correlation whose operands
+/// share the region — at every shard count, and answers like the model:
+/// why sharding does not cost a region-local query.
+#[test]
+fn a_region_inside_one_shard_visits_that_shard_alone() {
+    let _alone = COUNTERS.write().unwrap_or_else(|e| e.into_inner());
+    let binner = Binner::fixed_width(0.0, 10.0, 48);
+    let model = model_of_fields(&binner);
+    let visits = || (counter("shard.query.fanout"), counter("shard.query.pruned"));
+    for shards in 1..=4 {
+        let dir = plain_store(&format!("one-shard-region-k{shards}"), shards, &binner);
+        let engine = open(&dir);
+        let cuts = shard_cuts(ROWS as u64, shards);
+        for (i, cut) in cuts.windows(2).enumerate() {
+            let region = cut[0] + 1..cut[1] - 1;
+            for step in STEPS {
+                let requests = [
+                    QueryRequest::Subset {
+                        step,
+                        variable: "salinity".into(),
+                        query: SubsetQuery::value(2.0, 7.0).with_region(region.clone()),
+                    },
+                    QueryRequest::Correlation {
+                        step,
+                        var_a: "temperature".into(),
+                        var_b: "salinity".into(),
+                        query_a: SubsetQuery::value(1.0, 8.0).with_region(region.clone()),
+                        query_b: SubsetQuery::region(region.clone()),
+                    },
+                ];
+                for req in requests {
+                    let was = visits();
+                    let got = engine.run(&req).unwrap();
+                    let now = visits();
+                    assert_eq!(got, answer(&model, &req).unwrap(), "k={shards} {req:?}");
+                    if ibis_obs::ENABLED {
+                        let moved = (now.0 - was.0, now.1 - was.1);
+                        let want = (1, shards as u64 - 1);
+                        assert_eq!(moved, want, "k={shards} shard {i}: {req:?}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A 4-shard store of eight steps behind the serving tier, with a cache
+/// budget of a quarter of its decoded indexes: entries are evicted, and
+/// every answer, cold or after churn, is still the model's.
+#[test]
+fn a_serving_tier_over_its_cache_budget_evicts_and_answers_like_the_model() {
+    let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
+    let binner = Binner::fixed_width(0.0, 10.0, 48);
+    let steps = 0..8usize;
+    let dir = TempDir::new("over-budget");
+    let mut w = ShardedWriter::create(&dir, 4).unwrap();
+    let mut model = Model::new();
+    for (step, (phase, var)) in steps
+        .clone()
+        .flat_map(|s| (0..).zip(VARS).map(move |v| (s, v)))
+    {
+        let data = field(ROWS, step, phase);
+        w.put(step, var, &BitmapIndex::build(&data, binner.clone()))
+            .unwrap();
+        model = model.with(step, var, binner.clone(), &data);
+    }
+    w.finish().unwrap();
+    let requests: Vec<QueryRequest> = steps
+        .flat_map(|step| {
+            let mut battery = battery(ROWS as u64);
+            for req in &mut battery {
+                match req {
+                    QueryRequest::Subset { step: s, .. }
+                    | QueryRequest::Correlation { step: s, .. } => *s = step,
+                }
+            }
+            battery
+        })
+        .collect();
+    let decoded = {
+        let engine = open(&dir);
+        for req in &requests {
+            engine.run(req).unwrap();
+        }
+        engine.cache_stats().resident_bytes
+    };
+    let engine = QueryEngine::open(&dir, decoded / 4).unwrap();
+    let server = Arc::new(QueryServer::start(engine, ServeConfig::default()).unwrap());
+    for pass in 0..2 {
+        for req in &requests {
+            let want = answer(&model, req).unwrap();
+            assert_eq!(
+                server.submit(req, None).unwrap(),
+                want,
+                "pass {pass}: {req:?}"
+            );
+        }
+    }
+    let stats = server.engine().cache_stats();
+    assert!(stats.evictions > 0, "{stats:?}");
+    server.shutdown();
+}
+
 /// A 2-shard store of the dataset whose shard 1 was written under
 /// `other`: every record CRC-valid, the store inconsistent. One writer
 /// cannot write such a store, so it is written in the layout where each

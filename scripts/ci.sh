@@ -27,9 +27,11 @@ echo "==> cargo clippy (ibis-insitu non-test code: no unwrap/expect)"
 # crates/insitu/src/lib.rs gates exactly the non-test code.
 cargo clippy -p ibis-insitu --lib -- -D warnings
 
-echo "==> cargo doc (workspace, broken intra-doc links are errors)"
-# A deletion must not leave a [`link`] to what it deleted.
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
+echo "==> cargo doc (workspace, broken and private intra-doc links are errors)"
+# A deletion must not leave a [`link`] to what it deleted, and public docs
+# must not point at what their readers cannot see.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --workspace --no-deps --offline
 
 # The observability differential harness accumulates per-config digests
 # under target/obs_differential; start from a clean slate so the digests
@@ -87,33 +89,37 @@ cargo test -q -p ibis-insitu --no-default-features --lib --test fault_injection 
     --test crash_resume --test legacy_store --test query_engine --test prop_lazy --test shard \
     --test serving
 
-# bench_smoke <bench> <ENV_VAR> <keys…>: runs one bench's shrunken sweep in
-# both obs configs and checks that its report carries every key.
-# ENV_VAR=1 makes the bench write target/BENCH_<bench>.smoke.json, never
-# the frozen full-size BENCH_<bench>.json at the root. Every sweep asserts
-# its identity gates (codec × kernel vs the verbatim oracle, reordered bins
-# vs identity order, sharded answers vs flat, the serving SLO) before it times anything, so a pass is also a
-# correctness gate.
+# check_report <report> <keys…>: fails unless the report carries every key.
+check_report() {
+    local report="$1" key
+    shift
+    for key in "$@"; do
+        grep -q "$key" "$report" || {
+            echo "error: $report missing $key" >&2
+            exit 1
+        }
+    done
+}
+
+# bench_smoke <bench> <keys…>: runs one bench's shrunken sweep in both obs
+# configs and checks that its report carries every key.
+# IBIS_BENCH_SMOKE=1 makes the bench write target/BENCH_<bench>.smoke.json,
+# never the frozen full-size BENCH_<bench>.json at the root. Every sweep
+# asserts its identity gates (codec × kernel vs the verbatim oracle,
+# reordered bins vs identity order, the serving SLO) before it times
+# anything, so a pass is also a correctness gate.
 bench_smoke() {
-    local bench="$1" var="$2" report="target/BENCH_$1.smoke.json" obs key
-    shift 2
+    local bench="$1" report="target/BENCH_$1.smoke.json" obs
+    shift
     for obs in "" "--no-default-features"; do
         echo "==> $bench bench smoke (${obs:-instrumented}) + report schema"
         rm -f "$report"
         # shellcheck disable=SC2086
-        env "$var=1" cargo bench -q -p ibis-bench $obs --bench "$bench"
-        for key in "$@"; do
-            grep -q "$key" "$report" || {
-                echo "error: $report missing $key" >&2
-                exit 1
-            }
-        done
+        IBIS_BENCH_SMOKE=1 cargo bench -q -p ibis-bench $obs --bench "$bench"
+        check_report "$report" "$@"
     done
 }
-bench_smoke generation IBIS_GEN_SMOKE '"samples"' \
-    '"batched_over_scalar_speedup"' '"parallel_over_scalar_speedup"' \
-    '"min_coherent_batched_speedup"' '"uniform_random_within_5pct_target"'
-bench_smoke query IBIS_QUERY_SMOKE '"warm_over_cold_speedup"' \
+bench_smoke query '"warm_over_cold_speedup"' \
     '"warm_over_5x_target"' '"joint_partition_s"' '"joint_and_table_s"' \
     '"partition_over_and_table_speedup"' '"partition_never_slower"' \
     '"roaring_walk_no_slower"' '"wah_held_partition_s"' \
@@ -124,22 +130,29 @@ bench_smoke query IBIS_QUERY_SMOKE '"warm_over_cold_speedup"' \
     '"select_touched_us"' '"transcode_touched_us"' '"transcode_all_us"' \
     '"eager_over_lazy"' '"planner_identity_ranges_checked"' \
     '"planner_strategies_all_byte_identical"' '"planner_all_strategies_exercised"'
-bench_smoke codecs IBIS_CODEC_SMOKE '"samples"' '"bytes_per_bitmap"' \
-    '"auto_selected"' '"roaring_over_wah_speedup"' '"auto_over_best_ratio"' \
-    '"auto_within_10pct_of_best"' '"identity_checked"'
-bench_smoke reorder IBIS_ORDER_SMOKE '"samples"' '"elements"' '"vs_identity"' \
+bench_smoke codecs '"identity_checked": true' '"clustering_f": \[1.0, 8.0, 64.0, 512.0\]' \
+    '"density_d": \[0.001, 0.01, 0.1, 0.5\]' '"cells"' '"bytes"' '"select_codec"' \
+    '"smaller"' '"faster"' '"wah_s"' '"roaring_s"' '"label_walk"' '"slice_rows"' \
+    '"dense_or"' '"count_in_ranges"' '"and_count"' '"select_codec_smaller"' \
+    '"select_codec_faster"' '"wah_and_s"' '"verbatim_and_count_s"'
+bench_smoke reorder '"samples"' '"elements"' '"vs_identity"' \
     '"criterion"' '"identity_checked"' '"size_ratio"' '"latency_ratio"' \
     '"size_win_15pct_within_latency_10pct"' '"order_payload_bytes"' \
     '"bytes_with_order"' '"perm_build_s"' '"region_mask_s"'
-bench_smoke serving IBIS_SERVE_SMOKE '"samples"' '"fault_free_p99_ms"' \
+bench_smoke serving '"samples"' '"fault_free_p99_ms"' \
     '"saturation_qps"' '"faulted_p99_ms"' '"faulted_p99_within_bound"' '"shed"' \
     '"coalesce_hits"' '"coalesce_decodes"' '"queue_peak"' \
     '"queue_bound_respected"' '"socket_rtt_p50_ms"'
-bench_smoke shard IBIS_SHARD_SMOKE '"samples"' '"shards"' '"throughput_qps"' \
-    '"speedup_4x_over_1"' '"scaling_target_met": true' '"identity_checked"' \
-    '"pruning_checked"' \
-    '"ocean_over_budget"' '"ocean_p99_ms"' '"ocean_p99_interactive"' \
-    '"cache_evictions"' '"nodekill_resumed"'
+
+echo "==> obs_overhead bench smoke (instrumented, then no-op) + merged report schema"
+# One invocation is one obs config: the instrumented run leaves its CSV and
+# metrics snapshot, the no-op run finds both CSVs and merges the report.
+rm -rf target/obs_overhead.smoke target/BENCH_observability.smoke.json
+IBIS_BENCH_SMOKE=1 cargo bench -q -p ibis-bench --bench obs_overhead
+IBIS_BENCH_SMOKE=1 cargo bench -q -p ibis-bench --no-default-features --bench obs_overhead
+check_report target/BENCH_observability.smoke.json '"samples"' '"instrumented_s"' \
+    '"noop_s"' '"overhead_pct"' '"overall_overhead_pct"' '"under_5pct_target"' \
+    '"snapshot"' '"kernels\.' '"pipeline\.' '"store\.' '"cluster\.'
 
 echo "==> mining at Figure 14 scale, EMD selection at Figure 9 scale (both obs configs)"
 # The spatial stage on the label walk, at the sizes the paper plots:
