@@ -11,7 +11,7 @@
 //! neither starves nor overflows.
 
 use crate::machine::MachineModel;
-use crate::pipeline::{step_permutation, CoreAllocation, Reduction};
+use crate::pipeline::{step_permutation, CoreAllocation};
 use ibis_core::{Binner, BitmapIndex, RowOrder, WahVec};
 use ibis_datagen::{Simulation, StepOutput};
 use std::time::{Duration, Instant};
@@ -80,11 +80,6 @@ pub fn auto_allocate<S: Simulation>(
     probe_steps: usize,
 ) -> CoreAllocation {
     calibrate(sim, binners, machine, total_cores, probe_steps).allocate(total_cores)
-}
-
-/// Sanity helper used by benches: the reduction an allocation is meant for.
-pub fn default_reduction() -> Reduction {
-    Reduction::Bitmaps
 }
 
 /// Suggests the [`RowOrder`] under which the store of the probe step

@@ -10,8 +10,9 @@
 //!
 //! Sites:
 //!
-//! * **storage writes** — transient I/O errors, torn writes (the transfer
-//!   dies midway), delayed acks (a slow remote link);
+//! * **modeled storage writes** — transient I/O errors, torn writes (the
+//!   transfer dies midway), delayed acks (a slow remote link) — only on a
+//!   modeled sink ([`crate::retry::write_with_retry`]);
 //! * **workers** — the producer (simulation), consumer (reduction), or a
 //!   cluster node panics at a chosen time-step;
 //! * **kill** — the whole process "dies" at a chosen step (crash/resume
@@ -26,11 +27,9 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Where a fault can fire.
+/// Where an injected panic can fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// A storage write (modeled disk/link or a real blob write).
-    StorageWrite,
     /// The simulation step of the producer.
     Producer,
     /// The reduction step of the consumer.
@@ -54,9 +53,10 @@ pub enum WriteFault {
 
 /// A deterministic schedule of faults.
 ///
-/// Write faults are keyed by the *operation index*: the n-th storage write
-/// the run performs (0-based, counted by the [`FaultInjector`]). Worker
-/// panics and kills are keyed by time-step.
+/// Write faults are keyed by the *operation index*: the n-th modeled
+/// storage write the run performs (0-based, counted by the
+/// [`FaultInjector`]); they reach only modeled sinks, never a durable
+/// run's files. Worker panics and kills are keyed by time-step.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Write operations that fail with an I/O error.
@@ -248,11 +248,6 @@ impl FaultInjector {
         Self::new(FaultPlan::none())
     }
 
-    /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Claims the next write-operation index and returns the fault (if
     /// any) scheduled for it. `attempt` is 0 for the first try; transient
     /// faults (the default) only fire on attempt 0, persistent faults fire
@@ -299,14 +294,12 @@ impl FaultInjector {
             FaultSite::Producer => self.plan.producer_panic_at == Some(step),
             FaultSite::Consumer => self.plan.consumer_panic_at == Some(step),
             FaultSite::Node(id) => self.plan.node_panic_at == Some((id, step)),
-            FaultSite::StorageWrite => false,
         };
         if fire {
             let who = match site {
                 FaultSite::Producer => "producer".to_string(),
                 FaultSite::Consumer => "consumer".to_string(),
                 FaultSite::Node(id) => format!("node {id}"),
-                FaultSite::StorageWrite => unreachable!("not a panic site"),
             };
             self.record(format!("{who} step {step}: injected panic"));
             panic!("injected fault: {who} panic at step {step}");

@@ -5,15 +5,17 @@
 //! case, and for the cluster's shared remote data server we serialize
 //! transfers through a single contended link ([`RemoteLink`]), which is
 //! what produces the Figure 13 remote-case speedups. Real bytes go to disk
-//! through [`crate::store`], which frames what [`codec`] encodes.
+//! through [`crate::store`], which frames what [`codec`] encodes, and
+//! every change it makes to a run directory goes through [`FileOps`].
 //!
 //! All modeled writes are fallible: [`Storage::write`] returns a typed
 //! [`StorageError`] instead of panicking, and the pipeline routes every
-//! write through [`crate::retry::write_with_retry`].
+//! modeled write through [`crate::retry::write_with_retry`].
 
 use crate::error::DecodeError;
 use parking_lot::Mutex;
-use std::io::Write;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Why a storage target rejected a write.
@@ -131,22 +133,70 @@ impl Storage for RemoteLink {
     }
 }
 
+/// The one door every change to a run directory goes through — appends,
+/// cuts, syncs, renames and unlinks; reads go to `std::fs`. Each operation
+/// is its `std::fs` call, all [`Disk`] does. A crash test passes one that
+/// also logs them ([`crate::pipeline::run_durable_on`],
+/// [`crate::ShardedWriter::create_on`], [`crate::Store::fsck_on`]).
+pub trait FileOps: Send + Sync + std::fmt::Debug {
+    /// Opens `path` for writing: made if missing, emptied if `truncate`.
+    fn open(&self, path: &Path, truncate: bool) -> io::Result<File> {
+        let mut open = OpenOptions::new();
+        open.write(true).create(true).truncate(truncate).open(path)
+    }
+
+    /// Writes all of `bytes` at offset `at` of `file`.
+    fn write_at(&self, file: &mut File, at: u64, bytes: &[u8]) -> io::Result<()> {
+        file.seek(SeekFrom::Start(at))?;
+        file.write_all(bytes)
+    }
+
+    /// Cuts (or extends) `file` to `len` bytes.
+    fn set_len(&self, file: &File, len: u64) -> io::Result<()> {
+        file.set_len(len)
+    }
+
+    /// `fdatasync`s `file`: its bytes and their length survive a crash.
+    fn sync(&self, file: &File) -> io::Result<()> {
+        file.sync_data()
+    }
+
+    /// `fsync`s directory `dir`: the names made or removed in it survive.
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        File::open(dir)?.sync_all()
+    }
+
+    /// Renames `from` to `to`, replacing a file there.
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        std::fs::rename(from, to)
+    }
+
+    /// Removes the file at `path`, or the directory and all under it.
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        match path.is_dir() {
+            true => std::fs::remove_dir_all(path),
+            false => std::fs::remove_file(path),
+        }
+    }
+}
+
+/// The file system itself: every [`FileOps`] operation its `std::fs` call.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Disk;
+
+impl FileOps for Disk {}
+
 /// Writes `bytes` to `tmp`, syncs, renames onto `path` and syncs the
 /// directory, so the new name survives a crash too — the atomic write
 /// primitive behind every manifest, checkpoint and `SHARDS` file. On any
 /// failure the final name is untouched.
-pub(crate) fn write_atomic(tmp: &Path, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(tmp)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
+pub(crate) fn write_atomic(fs: &dyn FileOps, tmp: &Path, path: &Path, b: &[u8]) -> io::Result<()> {
+    let mut f = fs.open(tmp, true)?;
+    fs.write_at(&mut f, 0, b)?;
+    fs.sync(&f)?;
     drop(f);
-    std::fs::rename(tmp, path)?;
-    sync_dir(path.parent().unwrap_or(Path::new(".")))
-}
-
-/// Syncs directory `dir`, so the names made or removed in it survive.
-pub(crate) fn sync_dir(dir: &Path) -> std::io::Result<()> {
-    std::fs::File::open(dir)?.sync_all()
+    fs.rename(tmp, path)?;
+    fs.sync_dir(path.parent().unwrap_or(Path::new(".")))
 }
 
 /// Serializes a WAH bitvector into a portable byte blob (little-endian

@@ -59,12 +59,12 @@ pub use calibrate::{auto_allocate, calibrate, suggest_row_order, Calibration};
 pub use cluster::{run_cluster, ClusterConfig, ClusterIo, ClusterReduction, ClusterReport};
 pub use error::{DecodeError, IbisError, Result, WorkerRole};
 pub use fault::{FaultInjector, FaultPlan, FaultSite, WriteFault};
-pub use io::{codec, LocalDisk, RemoteLink, Storage, StorageError};
+pub use io::{codec, Disk, FileOps, LocalDisk, RemoteLink, Storage, StorageError};
 pub use machine::{host_parallelism, modeled_seconds, MachineModel, ScalingModel};
 pub use memory::MemoryTracker;
 pub use pipeline::{
-    resume_durable, run_durable, run_pipeline, CoreAllocation, FailurePolicy, PipelineConfig,
-    Reduction, RobustnessConfig,
+    resume_durable, run_durable, run_durable_on, run_pipeline, CoreAllocation, FailurePolicy,
+    PipelineConfig, Reduction, RobustnessConfig,
 };
 pub use report::{InsituReport, PhaseTimes, StepOutcome};
 pub use retry::{write_with_retry, RetryPolicy, WriteReceipt};

@@ -59,7 +59,7 @@
 //! Separate-Cores producer's run-ahead is never persisted.
 use crate::error::{panic_message, IbisError, Result, WorkerRole};
 use crate::fault::{FaultInjector, FaultSite};
-use crate::io::{codec, Storage};
+use crate::io::{codec, write_atomic, Disk, FileOps, Storage};
 use crate::machine::{
     decontend, modeled_seconds, timed_in_pool, MachineModel, PhaseClock, ScalingModel,
 };
@@ -865,8 +865,12 @@ enum Sink<'a> {
     Modeled(&'a dyn Storage),
     /// A checksummed run directory: a winner's indices (and row
     /// permutation) are put to the store, and every step ends with an
-    /// atomic `CHECKPOINT` of the selector.
-    Durable { writer: StoreWriter, dir: &'a Path },
+    /// atomic `CHECKPOINT` of the selector, each change made through `fs`.
+    Durable {
+        writer: StoreWriter,
+        dir: &'a Path,
+        fs: &'static dyn FileOps,
+    },
 }
 
 impl Sink<'_> {
@@ -921,9 +925,11 @@ impl Sink<'_> {
     /// crash between here and the next step resumes exactly at
     /// `next_step`.
     fn close_step(&mut self, next_step: usize, lp: &StepLoop<'_>) -> Result<()> {
-        if let Sink::Durable { writer, .. } = self {
+        if let Sink::Durable { dir, fs, .. } = self {
             let bytes = encode_checkpoint(next_step, &lp.selector, &lp.outcomes, &lp.totals)?;
-            writer.write_file("CHECKPOINT", &bytes)?;
+            let (tmp, path) = (dir.join(".CHECKPOINT.tmp"), dir.join("CHECKPOINT"));
+            write_atomic(*fs, &tmp, &path, &bytes)
+                .map_err(|e| IbisError::io("write CHECKPOINT", &e))?;
         }
         Ok(())
     }
@@ -940,11 +946,11 @@ impl Sink<'_> {
     /// Ends the run: the durable sink seals the store with its manifest,
     /// then retires the checkpoint.
     fn finish(self) -> Result<()> {
-        let Sink::Durable { writer, dir } = self else {
+        let Sink::Durable { writer, dir, fs } = self else {
             return Ok(());
         };
         writer.finish()?;
-        match std::fs::remove_file(dir.join("CHECKPOINT")) {
+        match fs.remove(&dir.join("CHECKPOINT")) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(IbisError::io("remove CHECKPOINT", &e)),
@@ -1449,22 +1455,35 @@ pub fn run_durable<S: Simulation>(
     cfg: &PipelineConfig,
     dir: impl AsRef<Path>,
 ) -> Result<InsituReport> {
-    durable_impl(sim, cfg, dir.as_ref(), false)
+    durable_impl(&Disk, sim, cfg, dir.as_ref(), false)
+}
+
+/// [`run_durable`] with every change to the run directory — retirement,
+/// appends, each `CHECKPOINT`, the `MANIFEST` — made through `fs`.
+pub fn run_durable_on<S: Simulation>(
+    fs: &'static dyn FileOps,
+    sim: S,
+    cfg: &PipelineConfig,
+    dir: impl AsRef<Path>,
+) -> Result<InsituReport> {
+    durable_impl(fs, sim, cfg, dir.as_ref(), false)
 }
 
 /// Resumes a durable run that was interrupted. `sim` must be a *fresh*
 /// instance of the same deterministic simulation — the completed prefix is
 /// replayed to restore its state, then the run continues from the
-/// checkpoint. With no checkpoint present this is a fresh run.
+/// checkpoint. With no checkpoint present this is a fresh run, which
+/// retires what store the directory holds as [`run_durable`] does.
 pub fn resume_durable<S: Simulation>(
     sim: S,
     cfg: &PipelineConfig,
     dir: impl AsRef<Path>,
 ) -> Result<InsituReport> {
-    durable_impl(sim, cfg, dir.as_ref(), true)
+    durable_impl(&Disk, sim, cfg, dir.as_ref(), true)
 }
 
 fn durable_impl<S: Simulation>(
+    fs: &'static dyn FileOps,
     sim: S,
     cfg: &PipelineConfig,
     dir: &Path,
@@ -1476,25 +1495,31 @@ fn durable_impl<S: Simulation>(
             "durable runs persist bitmap summaries only".into(),
         ));
     }
-    let (state, writer) = if resume {
-        let state = match std::fs::read(dir.join("CHECKPOINT")) {
-            Ok(bytes) => parse_checkpoint(&bytes)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => CheckpointState::default(),
-            Err(e) => return Err(IbisError::io("read CHECKPOINT", &e)),
-        };
-        if state.next_step > cfg.steps {
+    let checkpoint = match resume.then(|| std::fs::read(dir.join("CHECKPOINT"))) {
+        Some(Ok(bytes)) => Some(parse_checkpoint(&bytes)?),
+        Some(Err(e)) if e.kind() != std::io::ErrorKind::NotFound => {
+            return Err(IbisError::io("read CHECKPOINT", &e))
+        }
+        _ => None,
+    };
+    let (state, writer) = match checkpoint {
+        Some(state) if state.next_step > cfg.steps => {
             return Err(IbisError::BadCheckpoint(format!(
                 "checkpoint is at step {} but the run has only {}",
                 state.next_step, cfg.steps
-            )));
+            )))
         }
-        (state, StoreWriter::resume(dir)?)
-    } else {
-        (CheckpointState::default(), StoreWriter::create(dir)?)
+        Some(state) => (state, StoreWriter::resume_in(fs, dir, 0)?),
+        None => (CheckpointState::default(), StoreWriter::create_on(fs, dir)?),
     };
-    let injector = Arc::new(FaultInjector::new(cfg.robustness.faults.clone()));
-    let writer = writer.with_fault_injector(Arc::clone(&injector));
-    run(sim, cfg, &injector, Sink::Durable { writer, dir }, state)
+    let injector = FaultInjector::new(cfg.robustness.faults.clone());
+    run(
+        sim,
+        cfg,
+        &injector,
+        Sink::Durable { writer, dir, fs },
+        state,
+    )
 }
 
 /// The durable run directory's checkpoint file, if one is pending (i.e.

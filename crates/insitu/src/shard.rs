@@ -39,13 +39,12 @@
 use crate::crc::crc32c;
 use crate::engine::QueryEngine;
 use crate::error::{IbisError, Result};
-use crate::fault::FaultInjector;
-use crate::io::write_atomic;
+use crate::io::{write_atomic, Disk, FileOps};
 use crate::store::{is_shard_dir, stored_file, FsckReport, Store, StoreWriter, LOSSY_PREFIX};
 use ibis_core::{BitmapIndex, RowOrder, RowPermutation};
 use ibis_obs::LazyCounter;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 static OBS_COMPACT_FILES: LazyCounter = LazyCounter::new("shard.compact.files");
 static OBS_COMPACT_BYTES: LazyCounter = LazyCounter::new("shard.compact.bytes");
@@ -75,10 +74,11 @@ pub fn shard_cuts(global_len: u64, nshards: usize) -> Vec<u64> {
         .collect()
 }
 
-fn write_shards_file(dir: &Path, nshards: usize) -> Result<()> {
+fn write_shards_file(fs: &dyn FileOps, dir: &Path, nshards: usize) -> Result<()> {
     let body = format!("{SHARDS_HEADER}\n{nshards}\n");
     let full = format!("{body}#END {:08x}\n", crc32c(body.as_bytes()));
     write_atomic(
+        fs,
         &dir.join(".SHARDS.tmp"),
         &dir.join(SHARDS_FILE),
         full.as_bytes(),
@@ -186,7 +186,7 @@ pub(crate) fn compact(dir: &Path, report: &mut CompactReport) -> Result<()> {
             continue;
         }
         let bytes = entry.metadata().map(|m| m.len()).unwrap_or(0);
-        std::fs::remove_file(entry.path())
+        Disk.remove(&entry.path())
             .map_err(|e| IbisError::io(format!("remove debris {name}"), &e))?;
         report.files_removed += 1;
         report.bytes_reclaimed += bytes;
@@ -212,22 +212,26 @@ pub struct ShardedWriter {
 impl ShardedWriter {
     /// Creates the run directory and starts a fresh run of `nshards`
     /// shards in it — recorded in a `SHARDS` file for `nshards > 1`, the
-    /// flat store for 1.
+    /// flat store for 1 (with no `SHARDS` file: [`StoreWriter::create`]).
     pub fn create(dir: impl AsRef<Path>, nshards: usize) -> Result<Self> {
+        Self::create_on(&Disk, dir, nshards)
+    }
+
+    /// [`ShardedWriter::create`] with every change to the directory, this
+    /// run's puts and `finish` included, made through `fs`.
+    pub fn create_on(
+        fs: &'static dyn FileOps,
+        dir: impl AsRef<Path>,
+        nshards: usize,
+    ) -> Result<Self> {
         if nshards == 0 || nshards > MAX_SHARDS {
             return Err(IbisError::Config(format!(
                 "shard count {nshards} outside 1..={MAX_SHARDS}"
             )));
         }
-        let writer = StoreWriter::create(dir)?;
+        let writer = StoreWriter::create_on(fs, dir)?;
         if nshards > 1 {
-            write_shards_file(writer.dir(), nshards)?;
-        } else if let Err(e) = std::fs::remove_file(writer.dir().join(SHARDS_FILE)) {
-            // a SHARDS file left by an earlier sharded run in this
-            // directory would make readers expect its shards
-            if e.kind() != std::io::ErrorKind::NotFound {
-                return Err(IbisError::io("remove stale SHARDS", &e));
-            }
+            write_shards_file(fs, writer.dir(), nshards)?;
         }
         Ok(ShardedWriter { writer, nshards })
     }
@@ -237,14 +241,8 @@ impl ShardedWriter {
     /// the store ([`StoreWriter::resume`]).
     pub fn resume(dir: impl AsRef<Path>) -> Result<Self> {
         let (nshards, lifted) = shards_of(dir.as_ref())?;
-        let writer = StoreWriter::resume_in(dir, lifted)?;
+        let writer = StoreWriter::resume_in(&Disk, dir.as_ref(), lifted)?;
         Ok(ShardedWriter { writer, nshards })
-    }
-
-    /// Routes the writes through an injector: each put is one write op.
-    pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
-        self.writer = self.writer.with_fault_injector(injector);
-        self
     }
 
     /// The run directory.
@@ -558,7 +556,7 @@ mod tests {
     fn shards_file_round_trips_and_detects_corruption() {
         let dir = TempDir::new("shards-file");
         std::fs::create_dir_all(&dir).expect("mkdir");
-        write_shards_file(&dir, 7).expect("write");
+        write_shards_file(&Disk, &dir, 7).expect("write");
         assert!(is_sharded(&dir));
         assert_eq!(read_shards_file(&dir).expect("read"), (7, false));
         // flip the count without updating the CRC
@@ -591,9 +589,9 @@ mod tests {
         ));
         // one that claims fewer shards than its manifest names fails; one
         // that claims more opens with no step every shard holds
-        write_shards_file(&dir, 2).expect("write");
+        write_shards_file(&Disk, &dir, 2).expect("write");
         assert!(ShardedStore::open(&dir).is_err());
-        write_shards_file(&dir, 4).expect("write");
+        write_shards_file(&Disk, &dir, 4).expect("write");
         assert!(ShardedStore::open(&dir).expect("open").steps().is_empty());
         std::fs::write(dir.join(SHARDS_FILE), shards).expect("restore");
         assert_eq!(ShardedStore::open(&dir).expect("open").nshards(), 3);

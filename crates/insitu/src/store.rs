@@ -27,16 +27,15 @@
 
 use crate::crc::{crc32c, le_u32, le_u64};
 use crate::error::{IbisError, Result};
-use crate::fault::{FaultInjector, WriteFault};
-use crate::io::{codec, sync_dir, write_atomic};
+use crate::io::{codec, write_atomic, Disk, FileOps};
+use crate::shard::SHARDS_FILE;
 use ibis_core::{BitmapIndex, RowOrder, RowPermutation};
 use ibis_obs::LazyCounter;
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom};
 use std::ops::{Range, RangeInclusive};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Magic prefix of every frame.
 const FRAME_MAGIC: &[u8; 3] = b"IBF";
@@ -452,38 +451,6 @@ fn read_frame(dir: &Path, meta: &EntryMeta, kind: Kind) -> Result<(Vec<u8>, Rang
     Ok((bytes, payload))
 }
 
-/// One write op through the fault injector: `attempt(torn)` writes it all
-/// or (`torn`) half; injected faults are retried, real I/O errors are not.
-fn write_op(
-    injector: Option<&FaultInjector>,
-    max_attempts: u32,
-    site: &str,
-    mut attempt: impl FnMut(bool) -> std::io::Result<()>,
-) -> Result<()> {
-    let op = injector.map(FaultInjector::begin_write);
-    let mut last_error = String::new();
-    for n in 0..max_attempts {
-        match injector
-            .zip(op)
-            .and_then(|(inj, op)| inj.write_fault_for(op, n))
-        {
-            Some(WriteFault::IoError) => last_error = format!("injected I/O error writing {site}"),
-            Some(WriteFault::Torn) => {
-                let _ = attempt(true);
-                last_error = format!("injected torn write of {site}");
-            }
-            Some(WriteFault::DelayedAck(_)) | None => {
-                return attempt(false).map_err(|e| IbisError::io(format!("write {site}"), &e))
-            }
-        }
-    }
-    Err(IbisError::StorageExhausted {
-        site: format!("store {site}"),
-        attempts: max_attempts,
-        last_error,
-    })
-}
-
 /// The names of the files in `dir`.
 fn file_names(dir: &Path) -> Result<Vec<String>> {
     let io = |e: std::io::Error| IbisError::io(format!("read run dir {}", dir.display()), &e);
@@ -497,7 +464,14 @@ fn file_names(dir: &Path) -> Result<Vec<String>> {
 /// (damaged, spoiled by fsck) drops its entry, bytes that begin no whole
 /// record (a damaged header) are stepped over, and a tail with none — a
 /// torn append — is cut off, never below `keep`, a manifest's last frame.
-fn scan_segment(dir: &Path, step: usize, file: &str, keep: u64, out: &mut Entries) -> Result<()> {
+fn scan_segment(
+    fs: &dyn FileOps,
+    dir: &Path,
+    step: usize,
+    file: &str,
+    keep: u64,
+    out: &mut Entries,
+) -> Result<()> {
     let path = dir.join(file);
     let io = |e: std::io::Error| IbisError::io(format!("scan segment {file}"), &e);
     let bytes = std::fs::read(&path).map_err(io)?;
@@ -518,8 +492,8 @@ fn scan_segment(dir: &Path, step: usize, file: &str, keep: u64, out: &mut Entrie
     // unsynced: a crash brings back a tail a scan cuts again
     let end = keep.max(at as u64);
     if end < bytes.len() as u64 {
-        let f = OpenOptions::new().write(true).open(&path).map_err(io)?;
-        f.set_len(end).map_err(io)?;
+        fs.set_len(&fs.open(&path, false).map_err(io)?, end)
+            .map_err(io)?;
     }
     Ok(())
 }
@@ -547,59 +521,47 @@ pub struct StoreWriter {
     /// but its bytes read 10 % faster on a cold open later in the process
     /// (EXPERIMENTS.md, "One store for all K shards").
     landed: Vec<((usize, String), u64, u64, u32)>,
-    injector: Option<Arc<FaultInjector>>,
-    max_attempts: u32,
+    fs: &'static dyn FileOps,
 }
 
 impl StoreWriter {
     /// Creates (if needed) the run directory and starts a fresh run in it.
-    /// A store already there is retired first, durably — its `MANIFEST`s
-    /// (each `shard-NNN/` one of the layout before one store held every
-    /// shard, then the root's), then every segment and blob file and those
-    /// shard directories — so no reader ever serves, and no resume ever
-    /// seeds, an earlier run's entries beside this run's.
+    /// A store already there is retired first, durably — its `MANIFEST`,
+    /// then every segment and blob file, its `SHARDS` file and the
+    /// `shard-NNN/` directories of the layout before one store held every
+    /// shard, which nothing reads without a `SHARDS` file — so no reader
+    /// ever serves, and no resume ever seeds, an earlier run's entries
+    /// beside this run's, and the run starts as the flat store.
     pub fn create(dir: impl AsRef<Path>) -> Result<Self> {
+        Self::create_on(&Disk, dir)
+    }
+
+    /// [`StoreWriter::create`] through `fs`.
+    pub(crate) fn create_on(fs: &'static dyn FileOps, dir: impl AsRef<Path>) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)
             .map_err(|e| IbisError::io(format!("create run dir {}", dir.display()), &e))?;
         let io =
             |e: std::io::Error| IbisError::io(format!("retire the store in {}", dir.display()), &e);
         let mut retired = file_names(&dir)?;
-        let shard_dirs: Vec<PathBuf> = (retired.iter())
-            .filter(|name| is_shard_dir(name))
-            .map(|name| dir.join(name))
-            .filter(|sub| sub.is_dir())
-            .collect();
-        // a shard's manifest stands in for a missing root one (lift_shards)
-        for sub in &shard_dirs {
-            match std::fs::remove_file(sub.join("MANIFEST")) {
-                Ok(()) => sync_dir(sub).map_err(io)?,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(io(e)),
-            }
-        }
-        retired.retain(|name| name == "MANIFEST" || stored_file(name).is_some());
+        let retire = |name: &str| ["MANIFEST", SHARDS_FILE].contains(&name) || is_shard_dir(name);
+        retired.retain(|name| retire(name) || stored_file(name).is_some());
         retired.sort_by_key(|name| name != "MANIFEST");
-        for (k, name) in retired.iter().enumerate() {
-            std::fs::remove_file(dir.join(name)).map_err(io)?;
-            // the manifest is durably gone before the files it names
-            if name == "MANIFEST" || k + 1 == retired.len() {
-                sync_dir(&dir).map_err(io)?;
+        for name in &retired {
+            fs.remove(&dir.join(name)).map_err(io)?;
+            if name == "MANIFEST" {
+                fs.sync_dir(&dir).map_err(io)?; // durably gone before the files it names
             }
         }
-        for sub in &shard_dirs {
-            std::fs::remove_dir_all(sub).map_err(io)?;
-        }
-        if !shard_dirs.is_empty() {
-            sync_dir(&dir).map_err(io)?;
+        if !retired.is_empty() {
+            fs.sync_dir(&dir).map_err(io)?;
         }
         Ok(StoreWriter {
             dir,
             entries: BTreeMap::new(),
             segment: None,
             landed: Vec::new(),
-            injector: None,
-            max_attempts: 4,
+            fs,
         })
     }
 
@@ -610,14 +572,14 @@ impl StoreWriter {
     /// dropped entry is repaired by re-`put`ting it — the path after
     /// [`Store::fsck`] quarantines one.
     pub fn resume(dir: impl AsRef<Path>) -> Result<Self> {
-        Self::resume_in(dir, 0)
+        Self::resume_in(&Disk, dir.as_ref(), 0)
     }
 
-    /// [`StoreWriter::resume`] of a store whose `lifted` shards each kept
-    /// a store of their own, whose manifests stand in for a missing
-    /// `MANIFEST` ([`lift_shards`]).
-    pub(crate) fn resume_in(dir: impl AsRef<Path>, lifted: usize) -> Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
+    /// [`StoreWriter::resume`] through `fs` of a store whose `lifted`
+    /// shards each kept a store of their own, whose manifests stand in for
+    /// a missing `MANIFEST` ([`lift_shards`]).
+    pub(crate) fn resume_in(fs: &'static dyn FileOps, dir: &Path, lifted: usize) -> Result<Self> {
+        let dir = dir.to_path_buf();
         std::fs::create_dir_all(&dir)
             .map_err(|e| IbisError::io(format!("create run dir {}", dir.display()), &e))?;
         let names = file_names(&dir)?.into_iter();
@@ -629,7 +591,7 @@ impl StoreWriter {
         for (step, file) in &segments {
             let named = manifest.values().filter(|m| &m.file == file);
             let keep = named.filter_map(|m| Some(m.at? + m.len)).max();
-            scan_segment(&dir, *step, file, keep.unwrap_or(0), &mut entries)?;
+            scan_segment(fs, &dir, *step, file, keep.unwrap_or(0), &mut entries)?;
         }
         for (key, meta) in manifest {
             let kind = Kind::of(&key.1);
@@ -642,17 +604,8 @@ impl StoreWriter {
             entries,
             segment: None,
             landed: Vec::new(),
-            injector: None,
-            max_attempts: 4,
+            fs,
         })
-    }
-
-    /// Routes this writer's writes through a fault injector: each append
-    /// and each atomic file write (the durable pipeline's `CHECKPOINT`) is
-    /// one write op.
-    pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
-        self.injector = Some(injector);
-        self
     }
 
     /// The run directory.
@@ -776,42 +729,35 @@ impl StoreWriter {
             self.landed = landed;
             return Ok(());
         };
-        let file = segment_file(step);
+        let (file, fs) = (segment_file(step), self.fs);
         let io = |e: std::io::Error| IbisError::io(format!("open segment {file}"), &e);
         let segment = match self.segment.take() {
             Some(open) if open.step == step => open,
             old => {
                 // cut what a failed append left past the old segment's end
                 if let Some(old) = old {
-                    old.file.set_len(old.end).map_err(io)?;
+                    fs.set_len(&old.file, old.end).map_err(io)?;
                 }
                 // an existing segment keeps its records: appends go at its end
-                let mut open = OpenOptions::new();
-                open.write(true).create(true).truncate(false);
-                let f = open.open(self.dir.join(&file)).map_err(io)?;
+                let f = fs.open(&self.dir.join(&file), false).map_err(io)?;
                 let end = f.metadata().map_err(io)?.len();
                 Segment { step, file: f, end }
             }
         };
-        let segment = self.segment.insert(segment);
-        let base = segment.end;
-        let site = format!("segment {file} ({first})");
-        // each attempt cuts what a failed one left: no record behind a torn one
-        write_op(self.injector.as_deref(), self.max_attempts, &site, |torn| {
-            let Segment { file, end, .. } = segment;
-            if file.metadata()?.len() != *end {
-                file.set_len(*end)?;
+        let Segment { file: f, end, .. } = self.segment.insert(segment);
+        let base = *end;
+        // cut what a failed append left first: no record behind a torn one
+        let mut append = || {
+            if f.metadata()?.len() != base {
+                fs.set_len(f, base)?;
             }
-            file.seek(SeekFrom::Start(*end))?;
-            file.write_all(&bytes[..if torn { bytes.len() / 2 } else { bytes.len() }])?;
-            if !torn {
-                file.sync_data()?;
-                *end += bytes.len() as u64;
-            }
-            Ok(())
-        })?;
+            fs.write_at(f, base, &bytes)?;
+            fs.sync(f)
+        };
+        append().map_err(|e| IbisError::io(format!("write segment {file} ({first})"), &e))?;
+        *end += bytes.len() as u64;
         if base == 0 {
-            sync_dir(&self.dir).map_err(io)?; // a new segment: after its first sync, cheap
+            fs.sync_dir(&self.dir).map_err(io)?; // a new segment: after its first sync, cheap
         }
         OBS_PUT_BLOBS.add(landed.len() as u64);
         OBS_PUT_BYTES.add(bytes.len() as u64);
@@ -822,17 +768,6 @@ impl StoreWriter {
         }
         self.landed = landed;
         Ok(())
-    }
-
-    /// Writes `name` into the run directory atomically as one fault-injected
-    /// write op: the durable pipeline's `CHECKPOINT` is a crash point too.
-    pub(crate) fn write_file(&self, name: &str, bytes: &[u8]) -> Result<()> {
-        let (tmp, path) = (self.dir.join(format!(".{name}.tmp")), self.dir.join(name));
-        let write = |torn| match torn {
-            true => std::fs::write(&tmp, &bytes[..bytes.len() / 2]),
-            false => write_atomic(&tmp, &path, bytes),
-        };
-        write_op(self.injector.as_deref(), self.max_attempts, name, write)
     }
 
     /// Writes the checksummed manifest atomically and finishes the run.
@@ -853,6 +788,7 @@ impl StoreWriter {
         );
         body.push_str(&footer);
         write_atomic(
+            self.fs,
             &self.dir.join(".MANIFEST.tmp"),
             &self.dir.join("MANIFEST"),
             body.as_bytes(),
@@ -917,22 +853,32 @@ impl FsckReport {
 }
 
 /// Sets `meta`'s frame aside as `s<step>_<variable>.ibis.quarantined`: a
-/// blob file is renamed there; a segment's range is copied there and
-/// spoiled in place (its magic overwritten, synced), so every later read,
-/// scan and resume sees the entry as gone, and a re-put repairs it.
-fn quarantine(dir: &Path, step: usize, variable: &str, meta: &EntryMeta) -> std::io::Result<()> {
-    let aside = dir.join(format!("s{step:06}_{variable}.ibis.quarantined"));
+/// blob file is renamed there; a segment's range is copied there, the
+/// copy and its name synced, and only then spoiled in place (its magic
+/// overwritten, synced), so every later read, scan and resume sees the
+/// entry as gone, a re-put repairs it, and no crash leaves it spoiled
+/// without its whole copy.
+fn quarantine(
+    fs: &dyn FileOps,
+    dir: &Path,
+    key: &(usize, String),
+    meta: &EntryMeta,
+) -> io::Result<()> {
+    let aside = dir.join(format!("s{:06}_{}.ibis.quarantined", key.0, key.1));
     let (path, mut bytes) = (dir.join(&meta.file), Vec::new());
     let Some(at) = meta.at else {
-        return std::fs::rename(path, aside);
+        return fs.rename(&path, &aside);
     };
-    let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+    let mut file = File::open(&path)?;
     file.seek(SeekFrom::Start(at))?;
-    (&mut file).take(meta.len).read_to_end(&mut bytes)?;
-    std::fs::write(aside, &bytes)?;
-    file.seek(SeekFrom::Start(at))?;
-    file.write_all(&b"IBQ"[..bytes.len().min(3)])?; // no frame's magic
-    file.sync_data()
+    file.take(meta.len).read_to_end(&mut bytes)?;
+    let mut copy = fs.open(&aside, true)?;
+    fs.write_at(&mut copy, 0, &bytes)?;
+    fs.sync(&copy)?;
+    fs.sync_dir(dir)?;
+    let mut file = fs.open(&path, false)?;
+    fs.write_at(&mut file, at, &b"IBQ"[..bytes.len().min(3)])?; // no frame's magic
+    fs.sync(&file)
 }
 
 /// A read-only view of a finished run directory.
@@ -1112,6 +1058,11 @@ impl Store {
     /// its indices with it — they are permuted, and read as if they were not
     /// they would answer in the wrong row space.
     pub fn fsck(&mut self) -> FsckReport {
+        self.fsck_on(&Disk)
+    }
+
+    /// [`Store::fsck`], quarantining through `fs`.
+    pub fn fsck_on(&mut self, fs: &dyn FileOps) -> FsckReport {
         OBS_FSCK_RUNS.inc();
         let mut bad: BTreeMap<(usize, String), String> = BTreeMap::new();
         for ((step, variable), meta) in &self.entries {
@@ -1147,12 +1098,13 @@ impl Store {
             checked: self.entries.len(),
             quarantined: Vec::new(),
         };
-        for ((step, variable), reason) in bad {
-            let Some(meta) = self.entries.remove(&(step, variable.clone())) else {
+        for (key, reason) in bad {
+            let Some(meta) = self.entries.remove(&key) else {
                 continue;
             };
             OBS_FSCK_QUARANTINED.inc();
-            let _ = quarantine(&self.dir, step, &variable, &meta);
+            let _ = quarantine(fs, &self.dir, &key, &meta);
+            let (step, variable) = key;
             report.quarantined.push(QuarantinedBlob {
                 step,
                 variable,
@@ -1198,57 +1150,44 @@ impl Store {
 }
 
 fn parse_manifest(manifest: &str) -> Result<Entries> {
-    if !manifest.starts_with(MANIFEST_HEADER) {
-        return Err(IbisError::Manifest {
-            line: 1,
-            reason: format!("missing the {MANIFEST_HEADER:?} header"),
-        });
-    }
-    let footer_start = manifest.rfind("#END ").ok_or(IbisError::Manifest {
-        line: 0,
-        reason: "v2 manifest has no #END footer (truncated?)".into(),
-    })?;
-    let (body, footer) = manifest.split_at(footer_start);
-    let footer = footer.trim_end();
-    let mut fields = footer.strip_prefix("#END ").unwrap_or("").split(' ');
-    let (Some(count), Some(crc), None) = (fields.next(), fields.next(), fields.next()) else {
-        return Err(IbisError::Manifest {
-            line: 0,
-            reason: "malformed #END footer".into(),
-        });
+    let bad = |line, reason: &str| IbisError::Manifest {
+        line,
+        reason: reason.to_string(),
     };
-    let count: usize = count.parse().map_err(|_| IbisError::Manifest {
-        line: 0,
-        reason: "bad entry count in #END footer".into(),
-    })?;
-    let crc = u32::from_str_radix(crc, 16).map_err(|_| IbisError::Manifest {
-        line: 0,
-        reason: "bad CRC in #END footer".into(),
-    })?;
+    if !manifest.starts_with(MANIFEST_HEADER) {
+        return Err(bad(1, &format!("missing the {MANIFEST_HEADER:?} header")));
+    }
+    let no_footer = || bad(0, "v2 manifest has no #END footer (truncated?)");
+    let (body, footer) = manifest.split_at(manifest.rfind("#END ").ok_or_else(no_footer)?);
+    let mut fields = footer
+        .trim_end()
+        .strip_prefix("#END ")
+        .unwrap_or("")
+        .split(' ');
+    let (Some(count), Some(crc), None) = (fields.next(), fields.next(), fields.next()) else {
+        return Err(bad(0, "malformed #END footer"));
+    };
+    let count: usize = count
+        .parse()
+        .map_err(|_| bad(0, "bad entry count in #END footer"))?;
+    let crc = u32::from_str_radix(crc, 16).map_err(|_| bad(0, "bad CRC in #END footer"))?;
     let actual = crc32c(body.as_bytes());
     if actual != crc {
-        return Err(IbisError::Manifest {
-            line: 0,
-            reason: format!("manifest CRC {actual:08x} != footer's {crc:08x}"),
-        });
+        return Err(bad(
+            0,
+            &format!("manifest CRC {actual:08x} != footer's {crc:08x}"),
+        ));
     }
     let mut entries = BTreeMap::new();
     for (lineno, line) in body.lines().enumerate().skip(1) {
-        let (step, var, meta) = parse_entry_fields(line).ok_or_else(|| IbisError::Manifest {
-            line: lineno + 1,
-            reason: "expected 5 or 6 tab-separated fields".into(),
-        })?;
-        check_file_name(&meta.file).map_err(|reason| IbisError::Manifest {
-            line: lineno + 1,
-            reason,
-        })?;
+        let fields = || bad(lineno + 1, "expected 5 or 6 tab-separated fields");
+        let (step, var, meta) = parse_entry_fields(line).ok_or_else(fields)?;
+        check_file_name(&meta.file).map_err(|reason| bad(lineno + 1, &reason))?;
         entries.insert((step, var), meta);
     }
     if entries.len() != count {
-        return Err(IbisError::Manifest {
-            line: 0,
-            reason: format!("{} entries != footer's count {count}", entries.len()),
-        });
+        let reason = format!("{} entries != footer's count {count}", entries.len());
+        return Err(bad(0, &reason));
     }
     // the retired lossy companions (frame kind 3): nothing reads them
     let listed = entries.len();
@@ -1260,7 +1199,6 @@ fn parse_manifest(manifest: &str) -> Result<Entries> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
     use ibis_core::{Binner, WahVec};
     use ibis_testkit::TempDir;
 
@@ -1661,46 +1599,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn torn_write_fault_retries_and_leaves_no_partial_blob() {
-        let dir = TempDir::new("tornfault");
-        let inj = Arc::new(FaultInjector::new(
-            FaultPlan::none().with_torn_write_at(0).with_io_error_at(1),
-        ));
-        let mut w = StoreWriter::create(&dir)
-            .unwrap()
-            .with_fault_injector(Arc::clone(&inj));
-        w.put(0, "temperature", &sample_index(0)).unwrap();
-        w.put(1, "temperature", &sample_index(1)).unwrap();
-        w.finish().unwrap();
-        let store = Store::open(&dir).unwrap();
-        assert_eq!(
-            store.get(0, "temperature").unwrap().counts(),
-            sample_index(0).counts()
-        );
-        assert_eq!(
-            store.get(1, "temperature").unwrap().counts(),
-            sample_index(1).counts()
-        );
-        assert_eq!(inj.events().len(), 2, "both faults must be recorded");
-    }
-
-    #[test]
-    fn persistent_write_fault_exhausts_attempts() {
-        let dir = TempDir::new("exhaust");
-        let inj = Arc::new(FaultInjector::new(
-            FaultPlan::none()
-                .with_io_error_at(0)
-                .with_persistent_write_faults(),
-        ));
-        let mut w = StoreWriter::create(&dir).unwrap().with_fault_injector(inj);
-        let err = w.put(0, "temperature", &sample_index(0)).unwrap_err();
-        assert!(
-            matches!(err, IbisError::StorageExhausted { attempts: 4, .. }),
-            "{err}"
-        );
     }
 
     #[test]

@@ -9,18 +9,24 @@
 mod support;
 
 use ibis_analysis::{Metric, SubsetQuery};
-use ibis_core::{Binner, BitmapIndex, RowOrder};
+use ibis_core::{Binner, BitmapIndex, RowOrder, RowPermutation};
 use ibis_datagen::{OceanConfig, OceanModel, Simulation};
 use ibis_insitu::{
     codec, crc::crc32c_append, pipeline::pending_checkpoint, resume_durable, run_durable,
-    CoreAllocation, FaultInjector, FaultPlan, IbisError, MachineModel, PipelineConfig, QueryEngine,
-    QueryRequest, Reduction, RobustnessConfig, ScalingModel, ShardedStore, ShardedWriter, Store,
-    ORDER_VARIABLE,
+    run_durable_on, CoreAllocation, FaultPlan, IbisError, MachineModel, PipelineConfig,
+    QueryEngine, QueryRequest, Reduction, RobustnessConfig, ScalingModel, ShardedStore,
+    ShardedWriter, Store, StoreWriter, ORDER_VARIABLE,
 };
 use ibis_testkit::{Model, TempDir};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::path::Path;
-use std::sync::Arc;
+// every durable artifact in a directory tree, path → bytes: a finished
+// run leaves only segments and the manifest (and a sharded one its
+// `SHARDS` file); anything else (checkpoint, temp files) would be a
+// cleanup bug and makes a comparison fail
+use ibis_testkit::crash::tree as dir_contents;
+use support::crash::Recorder;
 
 fn ocean() -> OceanConfig {
     OceanConfig::tiny()
@@ -42,25 +48,6 @@ fn cfg() -> PipelineConfig {
         sim_scaling: ScalingModel::heat3d(),
         robustness: RobustnessConfig::default(),
     }
-}
-
-/// Every durable artifact in the directory and the directories under it,
-/// path → bytes. A finished run leaves only segments and the manifest (and
-/// a sharded one its `SHARDS` file); anything else (checkpoint, temp
-/// files) would be a cleanup bug and makes the comparison fail.
-fn dir_contents(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    let mut out = BTreeMap::new();
-    for entry in std::fs::read_dir(dir).expect("read store dir") {
-        let entry = entry.expect("dir entry");
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if entry.file_type().expect("file type").is_dir() {
-            let inner = dir_contents(&entry.path()).into_iter();
-            out.extend(inner.map(|(file, bytes)| (format!("{name}/{file}"), bytes)));
-        } else {
-            out.insert(name, std::fs::read(entry.path()).expect("read file"));
-        }
-    }
-    out
 }
 
 /// CRC32-C over the directory's sorted `(name, bytes)` pairs.
@@ -272,86 +259,99 @@ fn battery(model: &Model, steps: &[usize]) -> Vec<QueryRequest> {
     out
 }
 
-/// Every write of the clean run is a crash point: each append of an entry
-/// to its segment, and each `CHECKPOINT` write. A run whose write `k`
-/// fails on every attempt stops with `StorageExhausted` naming that
-/// write; resuming it leaves the clean run's directory byte for byte, and
-/// the store answers like the simulated data. Every write is torn under
-/// Shared cores; under Separate cores each write of the run's second
-/// quarter is torn, then failed with an I/O error.
-fn every_blob_write_is_a_crash_point(order: RowOrder) {
-    let clean_dir = TempDir::new(&format!("points-clean-{}", order.name()));
-    let clean = run_through_kills(order, CoreAllocation::Shared, &[], &clean_dir);
-    let reference = dir_contents(&clean_dir);
-    let content = content_digest(&clean_dir);
-    let manifest = String::from_utf8_lossy(&reference["MANIFEST"]).into_owned();
-    let appends = manifest.lines().filter(|l| !l.starts_with('#')).count() as u64;
-    // one append a stored entry, one checkpoint a step
-    let writes = appends + cfg().steps as u64;
-    let model = ocean_model();
-    let battery = battery(&model, &clean.selected);
-    let config = |allocation, faults| {
-        let mut c = cfg();
-        (c.row_order, c.allocation, c.robustness.faults) = (order, allocation, faults);
-        c
-    };
-    let crash_at = |allocation, faults: FaultPlan| {
-        let tag = format!("{order:?} {allocation:?} {faults:?}");
-        let dir = TempDir::new(&format!("point-{}", order.name()));
-        let faults = faults.with_persistent_write_faults();
-        let err = run_durable(OceanModel::new(ocean()), &config(allocation, faults), &dir);
-        let Err(IbisError::StorageExhausted { site, .. }) = err else {
-            panic!("{tag}: {err:?}");
+/// Makes in `dir` the change `resume_durable` starts with — the resume
+/// scan, or without a checkpoint a fresh run's retirement, idempotent both
+/// — and digests the tree it leaves: two trees alike resume alike.
+fn settle(dir: &Path) -> u64 {
+    match pending_checkpoint(dir) {
+        Some(_) => drop(StoreWriter::resume(dir).unwrap()),
+        None => drop(StoreWriter::create(dir).unwrap()),
+    }
+    let mut hash = std::collections::hash_map::DefaultHasher::new();
+    dir_contents(dir).hash(&mut hash);
+    hash.finish()
+}
+
+/// Holds the finished store in `dir` to the model: fsck quarantines the
+/// entries `lost` names (a step, and a variable of it) and no other, and
+/// every request of `battery` answers as the model does but those that ask
+/// a lost entry, which fail.
+fn assert_answers(
+    dir: &Path,
+    model: &Model,
+    battery: &[QueryRequest],
+    lost: &[(usize, &str)],
+    tag: &str,
+) {
+    let mut store = ShardedStore::open(dir).unwrap_or_else(|e| panic!("{tag}: {e}"));
+    let fsck = store.fsck().into_iter().flat_map(|r| r.quarantined);
+    let fsck: Vec<_> = fsck.map(|q| (q.step, q.variable)).collect();
+    let named = fsck.iter().map(|(step, v)| (*step, v.as_str()));
+    assert!(named.eq(lost.iter().copied()), "{tag}: lost {fsck:?}");
+    let engine = QueryEngine::open(dir, 64 << 20).unwrap();
+    for req in battery {
+        let asks = |step: &usize, vars: &[&String]| vars.iter().any(|v| lost.contains(&(*step, v)));
+        let want = match req {
+            QueryRequest::Subset { step, variable, .. } if asks(step, &[variable]) => None,
+            QueryRequest::Correlation {
+                step, var_a, var_b, ..
+            } if asks(step, &[var_a, var_b]) => None,
+            _ => Some(support::answer(model, req).unwrap()),
         };
-        let c = config(allocation, FaultPlan::none());
-        let resumed = resume_durable(OceanModel::new(ocean()), &c, &dir).unwrap();
-        assert_eq!(resumed.selected, clean.selected, "{tag}");
-        assert!(
-            dir_contents(&dir) == reference,
-            "{tag}: not the clean store"
-        );
-        assert_eq!(content_digest(&dir), content, "{tag}");
-        let engine = QueryEngine::open(&dir, 64 << 20).unwrap();
-        for req in &battery {
-            let want = support::answer(&model, req).unwrap();
-            assert_eq!(engine.run(req).unwrap(), want, "{tag} {req:?}");
-        }
-        site
+        assert_eq!(engine.run(req).ok(), want, "{tag} {req:?}");
+    }
+}
+
+/// Every state a crash may leave of a durable run (`support::crash`) —
+/// appends and `CHECKPOINT` writes lost, torn or kept, names not yet
+/// synced lost or kept, the `CHECKPOINT` unlink lost — resumes to the
+/// uninterrupted run's directory, under Shared cores and (the second
+/// quarter) Separate cores, unless it [`settle`]s to an earlier state's
+/// tree; one holding the `MANIFEST`, as every one after the run returned,
+/// answers like the data.
+fn every_crash_state_of_a_durable_run_resumes_to_the_clean_store(order: RowOrder) {
+    let dir = TempDir::new(&format!("states-{}", order.name()));
+    let rec = Recorder::new(&dir);
+    let config = |allocation| PipelineConfig {
+        row_order: order,
+        allocation,
+        ..cfg()
     };
-    let sites: Vec<String> = (0..writes)
-        .map(|op| {
-            let torn = FaultPlan::none().with_torn_write_at(op);
-            crash_at(CoreAllocation::Shared, torn)
-        })
-        .collect();
-    // the crash points by name: every checkpoint, and every append
-    let named = |what: &str| sites.iter().filter(|s| s.contains(what)).count() as u64;
-    assert_eq!(named("store CHECKPOINT"), cfg().steps as u64, "{sites:?}");
-    assert_eq!(named("store segment s"), appends, "{sites:?}");
-    // a fault one past the last write never fires: `writes` counts them all
-    let past = FaultPlan::none().with_torn_write_at(writes);
-    let dir = TempDir::new(&format!("points-past-{}", order.name()));
-    run_durable(
-        OceanModel::new(ocean()),
-        &config(CoreAllocation::Shared, past),
-        &dir,
-    )
-    .unwrap();
-    let quarter = writes / 4;
-    for op in quarter..2 * quarter {
-        crash_at(SEPARATE, FaultPlan::none().with_torn_write_at(op));
-        crash_at(SEPARATE, FaultPlan::none().with_io_error_at(op));
+    let shared = config(CoreAllocation::Shared);
+    let clean = run_durable_on(rec, OceanModel::new(ocean()), &shared, &dir).unwrap();
+    let (reference, model) = (dir_contents(&dir), ocean_model());
+    let battery = battery(&model, &clean.selected);
+    let (states, end, mut resumed) = (rec.states(false), rec.len(), HashSet::new());
+    for (i, state) in states.iter().enumerate() {
+        let tag = format!("{order:?}, state {i} of {}: {}", states.len(), state.label);
+        let finished = state.files.contains_key("MANIFEST");
+        assert!(finished || state.last < end, "{tag}: returned unfinished");
+        let second_quarter = (states.len() / 4..states.len() / 2).contains(&i);
+        let allocations = [CoreAllocation::Shared, SEPARATE];
+        for &allocation in &allocations[..1 + usize::from(second_quarter)] {
+            let work = TempDir::new("state");
+            state.materialise(&work);
+            if finished {
+                assert_answers(&work, &model, &battery, &[], &tag);
+            }
+            if resumed.insert((settle(&work), format!("{allocation:?}"))) {
+                let c = config(allocation);
+                let report = resume_durable(OceanModel::new(ocean()), &c, &work).unwrap();
+                assert_eq!(report.selected, clean.selected, "{tag}");
+                assert!(dir_contents(&work) == reference, "{tag}: not clean");
+            }
+        }
     }
 }
 
 #[test]
-fn every_blob_write_is_a_crash_point_in_ingest_order() {
-    every_blob_write_is_a_crash_point(RowOrder::Identity);
+fn every_crash_state_of_a_durable_run_resumes_to_the_clean_store_in_ingest_order() {
+    every_crash_state_of_a_durable_run_resumes_to_the_clean_store(RowOrder::Identity);
 }
 
 #[test]
-fn every_blob_write_is_a_crash_point_under_graybin() {
-    every_blob_write_is_a_crash_point(RowOrder::GrayBin);
+fn every_crash_state_of_a_durable_run_resumes_to_the_clean_store_under_graybin() {
+    every_crash_state_of_a_durable_run_resumes_to_the_clean_store(RowOrder::GrayBin);
 }
 
 #[test]
@@ -365,200 +365,242 @@ fn resume_on_fresh_directory_is_a_fresh_run() {
     assert_eq!(dir_contents(&a), dir_contents(&b));
 }
 
+/// A step's fields: each one's name, binner and values.
+type Fields = Vec<(&'static str, Binner, Vec<f64>)>;
+
+/// The first 8 Ocean steps' temperature and salinity, each binned as the
+/// durable run bins it, and their model.
+fn ocean_steps() -> (Vec<(usize, Fields)>, Model) {
+    let steps = OceanModel::new(ocean()).run(8).into_iter();
+    let fixture = |f: &ibis_datagen::Field| ["temperature", "salinity"].contains(&f.name);
+    let binned =
+        |f: ibis_datagen::Field| (f.name, Binner::fit_precision_anchored(&f.data, 0), f.data);
+    let steps: Vec<(usize, Fields)> = steps
+        .map(|out| {
+            (
+                out.step,
+                out.fields.into_iter().filter(fixture).map(binned).collect(),
+            )
+        })
+        .collect();
+    let fields = steps
+        .iter()
+        .flat_map(|(step, fields)| fields.iter().map(move |f| (*step, f)));
+    let model = fields.fold(Model::new(), |model, (step, (name, binner, values))| {
+        model.with(step, name, binner.clone(), values)
+    });
+    (steps, model)
+}
+
+/// The fixture's shape of a sharded ingest: each step's GrayBin order,
+/// and the indices built under it.
+type Put = (usize, RowPermutation, Vec<(&'static str, BitmapIndex)>);
+
+fn ingest_puts(steps: &[(usize, Fields)]) -> Vec<Put> {
+    let put = |(step, fields): &(usize, Fields)| {
+        let perm = RowOrder::GrayBin
+            .permutation(&[], &fields[0].1, &fields[0].2)
+            .unwrap();
+        let build = |(name, binner, values): &(&'static str, Binner, Vec<f64>)| {
+            (
+                *name,
+                BitmapIndex::build_permuted(values, binner.clone(), &perm),
+            )
+        };
+        (*step, perm.clone(), fields.iter().map(build).collect())
+    };
+    steps.iter().map(put).collect()
+}
+
+/// Puts every step of `puts`, the order first — durable or not, so after
+/// a resume the same call is the repair — calling `landed` with each entry
+/// a put returned for.
+fn ingest(w: &mut ShardedWriter, puts: &[Put], mut landed: impl FnMut(usize, &'static str)) {
+    for (step, perm, indices) in puts {
+        w.put_order(*step, RowOrder::GrayBin, perm).unwrap();
+        landed(*step, ORDER_VARIABLE);
+        for (name, index) in indices {
+            w.put(*step, name, index).unwrap();
+            landed(*step, name);
+        }
+    }
+}
+
+/// Every state a crash may leave of a `k`-shard ingest of [`ocean_steps`]
+/// into `dir`, `create`'s retirement of what `dir` held included. One
+/// holding a `MANIFEST`, old or new, answers like the data. One a crash
+/// before `create_on` returned leaves is created afresh, one a later crash
+/// leaves is resumed and holds every entry a put had returned for; the
+/// same puts and `finish` leave the uninterrupted ingest's tree (once a
+/// tree: a state resumed to one an earlier state's resume left is not).
+fn every_crash_state_of_an_ingest_resumes_to_the_clean_tree(dir: &Path, k: usize, every: bool) {
+    let (steps, model) = ocean_steps();
+    let puts = ingest_puts(&steps);
+    let battery = battery(&model, &steps.iter().map(|s| s.0).collect::<Vec<_>>());
+    let rec = Recorder::new(dir);
+    let mut w = ShardedWriter::create_on(rec, dir, k).unwrap();
+    let (created, mut landed) = (rec.len(), Vec::new());
+    ingest(&mut w, &puts, |step, entry| {
+        landed.push((rec.len(), step, entry))
+    });
+    w.finish().unwrap();
+    let (states, reference) = (rec.states(every), dir_contents(dir));
+    let mut held: HashMap<u64, usize> = HashMap::new(); // tree → the latest crash checked
+    for (i, state) in states.iter().enumerate() {
+        let tag = format!("state {i} of {}: {}", states.len(), state.label);
+        let (before, after) = (state.first < created, state.last >= created);
+        for fresh in [true, false]
+            .into_iter()
+            .filter(|&f| if f { before } else { after })
+        {
+            let work = TempDir::new("ingest-state");
+            state.materialise(&work);
+            if state.files.contains_key("MANIFEST") {
+                assert_answers(&work, &model, &battery, &[], &tag);
+            }
+            let mut w = match fresh {
+                true => ShardedWriter::create(&work, k).unwrap(),
+                false => ShardedWriter::resume(&work).unwrap(),
+            };
+            assert_eq!(w.nshards(), k, "{tag}");
+            let mut hash = std::collections::hash_map::DefaultHasher::new();
+            (fresh, dir_contents(&work)).hash(&mut hash);
+            let checked = held.get(&hash.finish()).copied();
+            if !fresh && checked.is_none_or(|last| last < state.last) {
+                for &(_, step, entry) in landed.iter().filter(|(at, ..)| *at <= state.last) {
+                    assert!(w.contains(step, entry), "{tag}: {step} {entry} was put");
+                }
+            }
+            held.insert(hash.finish(), checked.unwrap_or(0).max(state.last));
+            if checked.is_none() {
+                ingest(&mut w, &puts, |_, _| {});
+                w.finish().unwrap();
+                assert!(dir_contents(&work) == reference, "{tag}: not clean");
+            }
+        }
+    }
+}
+
+/// [`every_crash_state_of_an_ingest_resumes_to_the_clean_tree`] of the
+/// fixture's shape, 4 shards, its last append torn at every byte.
+#[test]
+fn every_crash_state_of_a_sharded_ingest_resumes_to_the_clean_tree() {
+    every_crash_state_of_an_ingest_resumes_to_the_clean_tree(&TempDir::new("sharded"), 4, true);
+}
+
+/// The same, of a flat ingest retiring a finished 4-shard store of the
+/// same data: its `MANIFEST` unlinked and synced, then its segments and
+/// `SHARDS` file, synced.
+#[test]
+fn every_crash_state_of_a_flat_ingest_over_a_sharded_store_resumes_to_the_clean_tree() {
+    let dir = TempDir::new("over-sharded");
+    let mut w = ShardedWriter::create(&dir, 4).unwrap();
+    ingest(&mut w, &ingest_puts(&ocean_steps().0), |_, _| {});
+    w.finish().unwrap();
+    every_crash_state_of_an_ingest_resumes_to_the_clean_tree(&dir, 1, false);
+}
+
+/// A durable run over a finished 4-shard store — or a resume there, with
+/// no checkpoint to resume from — writes the flat store a run into an
+/// empty directory writes: the old store is retired, its `SHARDS` file
+/// too, so the engine opens the new one and answers like the data.
+#[test]
+fn a_run_over_a_finished_sharded_store_writes_the_flat_store() {
+    let fresh = TempDir::new("over-fresh");
+    let clean = run_durable(OceanModel::new(ocean()), &cfg(), &fresh).unwrap();
+    let model = ocean_model();
+    let runs: [fn(&Path) -> ibis_insitu::Result<_>; 2] = [
+        |dir| run_durable(OceanModel::new(ocean()), &cfg(), dir),
+        |dir| resume_durable(OceanModel::new(ocean()), &cfg(), dir),
+    ];
+    for run in runs {
+        let dir = TempDir::new("over-sharded");
+        let mut w = ShardedWriter::create(&dir, 4).unwrap();
+        ingest(&mut w, &ingest_puts(&ocean_steps().0), |_, _| {});
+        w.finish().unwrap();
+        assert_eq!(run(&dir).unwrap().selected, clean.selected);
+        assert_answers(&dir, &model, &battery(&model, &clean.selected), &[], "over");
+        assert!(dir_contents(&dir) == dir_contents(&fresh));
+    }
+}
+
+/// A flipped byte is quarantined — set aside whole, then spoiled in place
+/// — and the series loses that step alone, in every state a crash of the
+/// fsck may leave: its copy, the copy's name and the frame's spoiled magic
+/// each lost, torn or kept as the syncs allow. In every state the damaged
+/// frame is still in place or spoiled with its whole copy beside it, and
+/// an fsck of it reports that entry lost and answers like the data for
+/// every other.
 #[test]
 fn flipped_byte_is_quarantined_and_excluded_from_series() {
     let dir = TempDir::new("fsck");
     let report = run_durable(OceanModel::new(ocean()), &cfg(), &dir).unwrap();
     let victim = report.selected[1];
-
-    // corrupt one payload byte of one temperature blob
-    let located = Store::open(&dir).unwrap().locate(victim, "temperature");
-    let (file, frame) = located.expect("the entry is stored");
-    let mut bytes = std::fs::read(&file).expect("segment exists");
-    let mid = (frame.start + frame.end) as usize / 2;
-    bytes[mid] ^= 0x01;
+    let (file, at) = Store::open(&dir)
+        .unwrap()
+        .locate(victim, "temperature")
+        .unwrap();
+    let (at, mut bytes) = (
+        at.start as usize..at.end as usize,
+        std::fs::read(&file).unwrap(),
+    );
+    bytes[(at.start + at.end) / 2] ^= 0x01;
     std::fs::write(&file, &bytes).unwrap();
-
+    let (damaged, segment) = (
+        &bytes[at.clone()],
+        file.file_name().unwrap().to_str().unwrap(),
+    );
+    let (rec, copy) = (
+        Recorder::new(&dir),
+        format!("s{victim:06}_temperature.ibis.quarantined"),
+    );
     let mut store = Store::open(&dir).unwrap();
-    let fsck = store.fsck();
-    assert_eq!(fsck.quarantined.len(), 1, "exactly the flipped blob");
-    assert_eq!(fsck.quarantined[0].step, victim);
-    assert_eq!(fsck.quarantined[0].variable, "temperature");
-    assert!(dir
-        .join(format!("s{victim:06}_temperature.ibis.quarantined"))
-        .exists());
-
-    // reads now see only intact data
-    let series = store.load_series("temperature").unwrap();
-    let steps: Vec<usize> = series.iter().map(|(s, _)| *s).collect();
-    let expected: Vec<usize> = report
+    let lost = store.fsck_on(rec).quarantined;
+    assert_eq!(
+        lost.iter()
+            .map(|q| (q.step, &q.variable[..]))
+            .collect::<Vec<_>>(),
+        [(victim, "temperature")]
+    );
+    let series = store
+        .load_series("temperature")
+        .unwrap()
+        .into_iter()
+        .map(|(s, _)| s);
+    let kept: Vec<usize> = report
         .selected
         .iter()
         .copied()
         .filter(|&s| s != victim)
         .collect();
-    assert_eq!(steps, expected, "corrupt step must drop out of the series");
-    assert!(matches!(
-        store.get(victim, "temperature"),
-        Err(IbisError::NotFound { .. })
-    ));
-    // untouched variables are unaffected
-    assert_eq!(store.load_series("salinity").unwrap().len(), 4);
-}
-
-/// A step's fields: each one's name, binner and values.
-type Fields = Vec<(&'static str, Binner, Vec<f64>)>;
-
-/// The first 8 Ocean steps' temperature and salinity, each binned as the
-/// durable run bins it.
-fn ocean_steps() -> Vec<(usize, Fields)> {
-    let steps = OceanModel::new(ocean()).run(8).into_iter();
-    let fixture = |f: &ibis_datagen::Field| ["temperature", "salinity"].contains(&f.name);
-    let binned =
-        |f: ibis_datagen::Field| (f.name, Binner::fit_precision_anchored(&f.data, 0), f.data);
-    steps
-        .map(|out| {
-            let fields = out.fields.into_iter().filter(fixture);
-            (out.step, fields.map(binned).collect())
-        })
-        .collect()
-}
-
-/// The fixture's shape of a sharded ingest: Ocean's two fields over 8
-/// steps into 4 shards, each step's GrayBin order put before the indices
-/// built under it — 24 appends: the order, then each field's 4 slices in
-/// one append. Every entry is put, durable or not, so
-/// after a resume the same call is the repair.
-fn sharded_ingest(w: &mut ShardedWriter, steps: &[(usize, Fields)]) -> ibis_insitu::Result<()> {
-    for (step, fields) in steps {
-        let (_, binner, values) = &fields[0];
-        let perm = RowOrder::GrayBin
-            .permutation(&[], binner, values)
-            .expect("ocean fields sort");
-        w.put_order(*step, RowOrder::GrayBin, &perm)?;
-        for (name, binner, values) in fields {
-            w.put(
-                *step,
-                name,
-                &BitmapIndex::build_permuted(values, binner.clone(), &perm),
-            )?;
+    assert_eq!(
+        series.collect::<Vec<_>>(),
+        kept,
+        "the corrupt step drops out of the series"
+    );
+    let (states, model) = (rec.states(false), ocean_model());
+    assert_eq!(
+        states.last().unwrap().files.get(&copy).map(|c| &c[..]),
+        Some(damaged)
+    );
+    for (i, state) in states.iter().enumerate() {
+        let tag = format!("state {i} of {}: {}", states.len(), state.label);
+        let held = &state.files[segment][at.clone()];
+        if held != damaged {
+            assert_eq!(
+                (&held[..3], &held[3..]),
+                (&b"IBQ"[..], &damaged[3..]),
+                "{tag}"
+            );
+            assert_eq!(
+                state.files.get(&copy).map(|c| &c[..]),
+                Some(damaged),
+                "{tag}: no copy"
+            );
         }
-    }
-    Ok(())
-}
-
-/// Every append of a 4-shard ingest is a crash point, torn and failed
-/// with an I/O error in turn, on every attempt: the ingest stops with
-/// `StorageExhausted`, and `ShardedWriter::resume`, the same puts and
-/// `finish` leave the uninterrupted ingest's tree byte for byte, which
-/// answers like the data it was fed. Op `k` is the `k`-th append of the
-/// whole ingest: one a put, whatever the shard count.
-#[test]
-fn every_append_of_a_sharded_ingest_is_a_crash_point() {
-    let steps = ocean_steps();
-    let model = steps.iter().fold(Model::new(), |model, (step, fields)| {
-        let mut model = model;
-        for (name, binner, values) in fields {
-            model = model.with(*step, name, binner.clone(), values);
-        }
-        model
-    });
-    let clean_dir = TempDir::new("sharded-clean");
-    let mut w = ShardedWriter::create(&clean_dir, 4).unwrap();
-    sharded_ingest(&mut w, &steps).unwrap();
-    w.finish().unwrap();
-    let reference = dir_contents(&clean_dir);
-    let appends = 8 * 3;
-    let stored: Vec<usize> = steps.iter().map(|(step, _)| *step).collect();
-    let battery = battery(&model, &stored);
-    for op in 0..appends + 1 {
-        for fault in [
-            FaultPlan::none().with_torn_write_at(op),
-            FaultPlan::none().with_io_error_at(op),
-        ] {
-            let tag = format!("{fault:?}");
-            let dir = TempDir::new("sharded-point");
-            let injector = Arc::new(FaultInjector::new(fault.with_persistent_write_faults()));
-            let mut w = ShardedWriter::create(&dir, 4)
-                .unwrap()
-                .with_fault_injector(injector);
-            match sharded_ingest(&mut w, &steps) {
-                // a fault one past the last append never fires
-                Ok(()) => assert_eq!(op, appends, "{tag}"),
-                Err(err) => assert!(
-                    matches!(err, IbisError::StorageExhausted { .. }) && op < appends,
-                    "{tag}: {err}"
-                ),
-            }
-            drop(w);
-            let mut w = ShardedWriter::resume(&dir).unwrap();
-            sharded_ingest(&mut w, &steps).unwrap();
-            w.finish().unwrap();
-            assert!(dir_contents(&dir) == reference, "{tag}: not the clean tree");
-            let engine = QueryEngine::open(&dir, 64 << 20).unwrap();
-            for req in &battery {
-                let want = support::answer(&model, req).unwrap();
-                assert_eq!(engine.run(req).unwrap(), want, "{tag} {req:?}");
-            }
-        }
-    }
-}
-
-/// The last put of a 4-shard ingest appends its 4 records in one write.
-/// A crash may leave any prefix of it: the segment is cut at every
-/// record boundary of the last step and a byte either side. Resume keeps
-/// the whole records before the cut, and cuts the rest off; re-running
-/// the same puts appends only what was lost, and `finish` leaves the
-/// uninterrupted ingest's tree byte for byte.
-#[test]
-fn a_cut_through_a_multi_record_append_keeps_the_whole_records() {
-    let steps = ocean_steps();
-    let clean_dir = TempDir::new("multi-record-clean");
-    let mut w = ShardedWriter::create(&clean_dir, 4).unwrap();
-    sharded_ingest(&mut w, &steps).unwrap();
-    w.finish().unwrap();
-    let reference = dir_contents(&clean_dir);
-    let killed = TempDir::new("multi-record-killed");
-    let mut w = ShardedWriter::create(&killed, 4).unwrap();
-    sharded_ingest(&mut w, &steps).unwrap();
-    drop(w); // no finish(): the process is gone
-    let last = steps.last().unwrap().0;
-    let file = format!("s{last:06}.ibis");
-    let segment = std::fs::read(killed.join(&file)).unwrap();
-    // every record's end in the last step's segment, from the clean store
-    let store = ShardedStore::open(&clean_dir).unwrap();
-    let mut ends = vec![0];
-    for (shard, var) in
-        (0..4).flat_map(|s| [ORDER_VARIABLE, "temperature", "salinity"].map(|v| (s, v)))
-    {
-        let (located, at) = store.shards()[shard].locate(last, var).unwrap();
-        assert_eq!(located, clean_dir.join(&file));
-        ends.push(at.end as usize);
-    }
-    ends.sort_unstable();
-    ends.dedup();
-    assert_eq!(*ends.last().unwrap(), segment.len());
-    // the last put's records are the last four
-    let put = &ends[ends.len() - 5..];
-    let cuts = put.iter().flat_map(|&b| [b - 1, b, b + 1]);
-    for cut in cuts.filter(|&cut| cut <= segment.len()) {
-        let dir = TempDir::new("multi-record-cut");
-        std::fs::create_dir_all(&dir).unwrap();
-        for (name, bytes) in dir_contents(&killed) {
-            std::fs::write(dir.join(name), bytes).unwrap();
-        }
-        std::fs::write(dir.join(&file), &segment[..cut]).unwrap();
-        let mut w = ShardedWriter::resume(&dir).unwrap();
-        let whole = *ends.iter().filter(|&&end| end <= cut).max().unwrap();
-        let kept = std::fs::read(dir.join(&file)).unwrap();
-        assert_eq!(kept, segment[..whole], "cut {cut}");
-        assert_eq!(w.contains(last, "salinity"), cut == segment.len());
-        assert_eq!(w.contains(last, "temperature"), cut >= put[0], "cut {cut}");
-        sharded_ingest(&mut w, &steps).unwrap();
-        w.finish().unwrap();
-        assert!(
-            dir_contents(&dir) == reference,
-            "cut {cut}: not the clean tree"
-        );
+        let work = TempDir::new("fsck-state");
+        state.materialise(&work);
+        let battery = battery(&model, &report.selected);
+        assert_answers(&work, &model, &battery, &[(victim, "temperature")], &tag);
     }
 }

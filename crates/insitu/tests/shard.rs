@@ -7,27 +7,28 @@
 //! flat store byte for byte; a put is one append of its `K` records, and
 //! a step one segment; a corrupted shard must quarantine locally — the
 //! *other* shards' answers stay the model's — and repair through the
-//! normal resume + re-put path; a writer killed mid-ingest must resume
-//! from whatever each shard made durable, however its last append tore.
+//! normal resume + re-put path. What a crash mid-ingest may leave is
+//! enumerated in `crash_resume.rs`.
 
 mod support;
 
 use ibis_analysis::{QueryError, SubsetQuery};
 use ibis_core::{Binner, BitmapIndex, RowOrder, RowPermutation};
 use ibis_insitu::{
-    crc::crc32c, shard_cuts, CacheStats, FaultInjector, FaultPlan, IbisError, MaintenanceConfig,
-    QueryEngine, QueryRequest, QueryServer, ServeConfig, ShardedStore, ShardedWriter, SocketServer,
-    StoreWriter, ORDER_VARIABLE,
+    crc::crc32c, shard_cuts, CacheStats, IbisError, MaintenanceConfig, QueryEngine, QueryRequest,
+    QueryServer, ServeConfig, ShardedStore, ShardedWriter, SocketServer, StoreWriter,
+    ORDER_VARIABLE,
 };
+use ibis_testkit::crash::tree;
 use ibis_testkit::{Model, TempDir};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 use support::answer;
+use support::crash::Recorder;
 
 const ROWS: usize = 2500;
 const BUDGET: u64 = 256 << 20;
@@ -175,20 +176,6 @@ fn build_flat_store(name: &str, b: Build<'_>) -> TempDir {
     dir
 }
 
-/// Every file of `dir` (non-recursive: a flat store has no
-/// subdirectories), by name.
-fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| e.unwrap())
-        .map(|e| {
-            let name = e.file_name().into_string().unwrap();
-            assert!(e.file_type().unwrap().is_file(), "{name} is not a file");
-            (name, std::fs::read(e.path()).unwrap())
-        })
-        .collect()
-}
-
 fn open(dir: &Path) -> QueryEngine {
     QueryEngine::open(dir, BUDGET).unwrap()
 }
@@ -295,7 +282,7 @@ fn sharded_equals_oracle_across_shards_bins_and_row_orders() {
                 );
                 if shards == 1 {
                     let flat = build_flat_store(&format!("oracle-flat-{tag}"), b);
-                    assert_eq!(dir_files(&dir), dir_files(&flat), "{tag}");
+                    assert_eq!(tree(&dir), tree(&flat), "{tag}");
                 }
                 let engine = open(&dir);
                 let transcoded = counter("codec.decode.transcoded_bins");
@@ -592,123 +579,10 @@ fn corrupt_shard_quarantines_locally_and_repairs() {
     }
 }
 
-/// A copy of the directory tree at `from` (files and subdirectories).
-fn copy_tree(from: &Path, to: &Path) {
-    std::fs::create_dir_all(to).unwrap();
-    for e in std::fs::read_dir(from).unwrap().map(|e| e.unwrap()) {
-        let target = to.join(e.file_name());
-        match e.file_type().unwrap().is_dir() {
-            true => copy_tree(&e.path(), &target),
-            false => drop(std::fs::copy(e.path(), &target).unwrap()),
-        }
-    }
-}
-
-/// A writer killed after step 0 is durable and step 1 partially so: step
-/// 1's segment holds one append, temperature's three shard records. It
-/// is then torn inside each shard's record at every byte in turn, header
-/// included: resume keeps exactly the whole records before the cut and
-/// cuts the torn tail off. Re-putting what is missing appends exactly the
-/// lost records — the segment's first bytes are the killed writer's
-/// again — completes the run, and the store answers like the data it was
-/// fed; checked at every cut through a record header and a frame's first
-/// and last 16 bytes, and at every 16th cut in between.
-#[test]
-fn killed_writer_resumes_from_each_shards_durable_state() {
-    let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
-    let binner = Binner::fixed_width(0.0, 10.0, 48);
-    let step_idx =
-        |step: usize, phase: usize| BitmapIndex::build(&field(ROWS, step, phase), binner.clone());
-    let killed = TempDir::new("nodekill");
-    {
-        let mut w = ShardedWriter::create(&killed, 3).unwrap();
-        for (phase, var) in VARS.iter().enumerate() {
-            w.put(0, var, &step_idx(0, phase)).unwrap();
-        }
-        w.put(1, "temperature", &step_idx(1, 0)).unwrap();
-        // no finish(): the process is gone
-    }
-    // where each shard's record ends, from a finished copy
-    let probe = TempDir::new("nodekill-probe");
-    copy_tree(&killed, &probe);
-    ShardedWriter::resume(&probe).unwrap().finish().unwrap();
-    let ends: Vec<usize> = (0..3)
-        .map(|shard| frame_of(&probe, shard, 1, "temperature").1.end)
-        .collect();
-    let segment = std::fs::read(killed.join("s000001.ibis")).unwrap();
-    assert_eq!(
-        ends[2],
-        segment.len(),
-        "one segment holds the step's append"
-    );
-    let model = model_of_fields(&binner);
-    for shard in 0..3 {
-        let start = if shard == 0 { 0 } else { ends[shard - 1] };
-        let frame = frame_of(&probe, shard, 1, "temperature").1;
-        let work = TempDir::new(&format!("nodekill-{shard}"));
-        copy_tree(&killed, &work);
-        for cut in start..=ends[shard] {
-            // the cuts the run is completed from get a copy of their own;
-            // the others only resume, which changes nothing but the torn
-            // segment, rewritten every cut
-            let repair = cut <= frame.start + 16 || cut + 16 >= frame.end || cut % 16 == 0;
-            let fresh = repair.then(|| {
-                let dir = TempDir::new(&format!("nodekill-{shard}-{cut}"));
-                copy_tree(&killed, &dir);
-                dir
-            });
-            let dir: &Path = fresh.as_ref().map_or(work.as_ref(), |d| d.as_ref());
-            let torn = dir.join("s000001.ibis");
-            std::fs::write(&torn, &segment[..cut]).unwrap();
-            let mut w = ShardedWriter::resume(dir).unwrap();
-            let whole = cut == segment.len();
-            for var in VARS {
-                assert!(w.contains(0, var), "shard {shard} cut {cut}: step 0 {var}");
-            }
-            assert_eq!(
-                w.contains(1, "temperature"),
-                whole,
-                "shard {shard} cut {cut}"
-            );
-            assert!(!w.contains(1, "salinity"));
-            let durable = if whole { vec![0, 1] } else { vec![0] };
-            assert_eq!(w.durable_steps(), durable, "shard {shard} cut {cut}");
-            // the torn tail is cut off, so the repair appends behind whole
-            // records only
-            let kept = std::fs::read(&torn).unwrap();
-            let whole_to = if cut == ends[shard] { cut } else { start };
-            assert_eq!(kept, segment[..whole_to], "shard {shard} cut {cut}");
-            if !repair {
-                continue;
-            }
-            // re-putting what some shard lost completes the run
-            for (step, (phase, var)) in STEPS
-                .into_iter()
-                .flat_map(|s| VARS.iter().enumerate().map(move |v| (s, v)))
-            {
-                if !w.contains(step, var) {
-                    w.put(step, var, &step_idx(step, phase)).unwrap();
-                }
-            }
-            w.finish().unwrap();
-            let repaired = std::fs::read(&torn).unwrap();
-            assert_eq!(
-                repaired[..segment.len()],
-                segment,
-                "shard {shard} cut {cut}"
-            );
-            let engine = open(dir);
-            for req in battery(ROWS as u64) {
-                let want = answer(&model, &req).unwrap();
-                assert_eq!(engine.run(&req).unwrap(), want, "shard {shard} cut {cut}");
-            }
-        }
-    }
-}
-
-/// A put is one write op — one append of its `K` records and one sync —
-/// at every shard count; a step is one segment file; and a step's order
-/// is one record, whatever `K`.
+/// A put is one append of its `K` records and one sync at every shard
+/// count — and a step's first put also names the step's segment and syncs
+/// that name; a step is one segment file; and a step's order is one
+/// record, whatever `K`.
 #[test]
 fn a_put_is_one_append_and_a_step_one_segment() {
     let _shared = COUNTERS.read().unwrap_or_else(|e| e.into_inner());
@@ -720,23 +594,20 @@ fn a_put_is_one_append_and_a_step_one_segment() {
             layout: Layout::Sorted,
         };
         let dir = TempDir::new(&format!("one-append-k{shards}"));
-        let injector = Arc::new(FaultInjector::new(FaultPlan::none()));
-        let mut w = ShardedWriter::create(&dir, shards)
-            .unwrap()
-            .with_fault_injector(Arc::clone(&injector));
-        // claiming an op to read the count takes one itself
-        let ops = || injector.begin_write();
+        let rec = Recorder::new(&dir);
+        let mut w = ShardedWriter::create_on(rec, &dir, shards).unwrap();
         let files = || std::fs::read_dir(&dir).unwrap().count();
         for s in dataset(b) {
             let before = files();
-            let op = ops();
+            let op = rec.len();
             w.put_order(s.step, RowOrder::GrayBin, s.perm.as_ref().unwrap())
                 .unwrap();
-            assert_eq!(ops() - op, 2, "k={shards}: put_order");
+            let first = ["Link", "Write", "Sync", "SyncDir"]; // a new segment, named
+            assert_eq!(rec.kinds_since(op), first, "k={shards}: put_order");
             for (var, idx) in &s.vars {
-                let op = ops();
+                let op = rec.len();
                 w.put(s.step, var, idx).unwrap();
-                assert_eq!(ops() - op, 2, "k={shards}: put {var}");
+                assert_eq!(rec.kinds_since(op), ["Write", "Sync"], "k={shards}: {var}");
             }
             assert_eq!(files(), before + 1, "k={shards}: step {}", s.step);
         }

@@ -1,6 +1,9 @@
 //! The engine's requests put to the reference model (`ibis_testkit`),
 //! answered in the engine's own types — the one adapter the shard matrix
-//! and the crash suite compare every reply through.
+//! and the crash suite compare every reply through — and the crash states
+//! of a recorded run ([`crash`]).
+
+pub mod crash;
 
 use ibis_insitu::{IbisError, QueryAnswer, QueryRequest};
 use ibis_testkit::Model;

@@ -1,5 +1,6 @@
 //! Test support for the workspace's suites: the one reference model every
-//! exactness oracle reads, and a per-test temporary directory.
+//! exactness oracle reads, a per-test temporary directory, and the crash
+//! states of a recorded run ([`crash`]).
 //!
 //! The [`Model`] answers by scanning raw values in original row order. It
 //! knows nothing of bitmaps, codecs, row layouts, shards or lossy
@@ -12,6 +13,7 @@
 //! builds no `BitmapIndex` or `VarSummary`.
 
 pub mod before_fusing;
+pub mod crash;
 
 use ibis_analysis::emd::{emd_from_counts, emd_spatial_from_diffs};
 use ibis_analysis::{

@@ -80,7 +80,7 @@ echo "==> obs differential: no-op build must match the instrumented run byte-for
 cargo test -q -p ibis --no-default-features --test obs_differential
 cmp target/obs_differential/instrumented.digest target/obs_differential/noop.digest
 
-echo "==> no-op observability build: query and mining/CE/EMD properties, bitmap-vs-full-data exactness, ibis-insitu unit tests (frame corruption table, CRC32-C kernel differential), fault-injection, crash/resume at every step, append and checkpoint write and at every append of a 4-shard ingest, the earlier layout's stores, query, lazy-materialisation, shard and serving suites"
+echo "==> no-op observability build: query and mining/CE/EMD properties, bitmap-vs-full-data exactness, ibis-insitu unit tests (frame corruption table, CRC32-C kernel differential), fault-injection, crash/resume at every step and in every crash state (enumerated from a recorded file-operation log) of a durable run, a 4-shard ingest, a flat ingest over a finished store and an fsck, the earlier layout's stores, query, lazy-materialisation, shard and serving suites"
 # The workspace run above covers the instrumented config; neither config
 # may panic or diverge with the obs counters const-folded away.
 cargo test -q -p ibis-analysis --no-default-features --test prop_query --test prop_metrics
