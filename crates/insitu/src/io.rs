@@ -250,13 +250,6 @@ pub mod codec {
     /// again.
     pub fn encode_index_auto(index: &BitmapIndex) -> (Vec<u8>, Vec<CodecId>) {
         let mut out = Vec::with_capacity(index.size_bytes() + 64);
-        let plan = encode_index_auto_into(&mut out, index);
-        (out, plan)
-    }
-
-    /// [`encode_index_auto`], appended to `out` (the checkpoint embeds
-    /// indices in its own buffer).
-    pub(crate) fn encode_index_auto_into(out: &mut Vec<u8>, index: &BitmapIndex) -> Vec<CodecId> {
         let plan = index.codec_plan();
         let tagged = plan.iter().any(|&c| c != CodecId::Wah);
         let version = if tagged {
@@ -264,19 +257,19 @@ pub mod codec {
         } else {
             INDEX_VERSION
         };
-        put_index_header(out, version, index);
+        put_index_header(&mut out, version, index);
         for (b, &codec) in plan.iter().enumerate() {
             OBS_ENCODE_BINS.inc();
             if tagged {
                 out.push(codec.tag());
             }
-            put_blob(out, |out| match (codec, index.stored_bin(b)) {
+            put_blob(&mut out, |out| match (codec, index.stored_bin(b)) {
                 (CodecId::Wah, _) => put_wah(out, index.bin(b)),
                 (CodecId::Roaring, CodecVec::Roaring(r)) => r.serialize_into(out),
                 (CodecId::Roaring, CodecVec::Wah(v)) => RoaringVec::from_wah(v).serialize_into(out),
             });
         }
-        plan
+        (out, plan)
     }
 
     /// The part of an index blob ahead of its bins: magic, layout version,
@@ -305,7 +298,7 @@ pub mod codec {
 
     /// Appends what `body` writes behind its `u64 LE` byte length: the
     /// length slot is reserved first and patched once the size is known.
-    pub(crate) fn put_blob(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    fn put_blob(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
         let slot = out.len();
         out.extend_from_slice(&[0u8; 8]);
         body(out);

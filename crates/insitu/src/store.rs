@@ -498,6 +498,15 @@ fn scan_segment(
     Ok(())
 }
 
+/// Cuts `file` back to `end` when it is longer — what a failed append
+/// leaves — and leaves it alone otherwise.
+fn cut_to(fs: &dyn FileOps, file: &File, end: u64) -> std::io::Result<()> {
+    match file.metadata()?.len() > end {
+        true => fs.set_len(file, end),
+        false => Ok(()),
+    }
+}
+
 /// A segment a writer appends to: its step, its file, and the end of its
 /// last whole record, where the next append goes.
 #[derive(Debug)]
@@ -615,7 +624,7 @@ impl StoreWriter {
 
     /// A read-only view of exactly the entries durable right now; reads
     /// through it verify framing and CRC like any [`Store`] read. A
-    /// resumed run reloads its previous winner through this.
+    /// sharded writer asks it which entries every shard holds.
     pub(crate) fn durable_view(&self) -> Store {
         Store {
             dir: self.dir.clone(),
@@ -736,7 +745,7 @@ impl StoreWriter {
             old => {
                 // cut what a failed append left past the old segment's end
                 if let Some(old) = old {
-                    fs.set_len(&old.file, old.end).map_err(io)?;
+                    cut_to(fs, &old.file, old.end).map_err(io)?;
                 }
                 // an existing segment keeps its records: appends go at its end
                 let f = fs.open(&self.dir.join(&file), false).map_err(io)?;
@@ -748,9 +757,7 @@ impl StoreWriter {
         let base = *end;
         // cut what a failed append left first: no record behind a torn one
         let mut append = || {
-            if f.metadata()?.len() != base {
-                fs.set_len(f, base)?;
-            }
+            cut_to(fs, f, base)?;
             fs.write_at(f, base, &bytes)?;
             fs.sync(f)
         };

@@ -8,14 +8,15 @@
 
 mod support;
 
+use ibis_analysis::sampling::SamplingMethod;
 use ibis_analysis::{Metric, SubsetQuery};
 use ibis_core::{Binner, BitmapIndex, RowOrder, RowPermutation};
 use ibis_datagen::{OceanConfig, OceanModel, Simulation};
 use ibis_insitu::{
     codec, crc::crc32c_append, pipeline::pending_checkpoint, resume_durable, run_durable,
-    run_durable_on, CoreAllocation, FaultPlan, IbisError, MachineModel, PipelineConfig,
-    QueryEngine, QueryRequest, Reduction, RobustnessConfig, ScalingModel, ShardedStore,
-    ShardedWriter, Store, StoreWriter, ORDER_VARIABLE,
+    run_durable_on, CoreAllocation, FailurePolicy, FaultPlan, IbisError, InsituReport,
+    MachineModel, PipelineConfig, QueryEngine, QueryRequest, Reduction, RobustnessConfig,
+    ScalingModel, ShardedStore, ShardedWriter, StepOutcome, Store, StoreWriter, ORDER_VARIABLE,
 };
 use ibis_testkit::{Model, TempDir};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -90,20 +91,23 @@ const SEPARATE: CoreAllocation = CoreAllocation::Separate {
     bitmap_cores: 1,
 };
 
-/// Runs to completion through a kill at each step of `kills` in turn
-/// (each resume carries the next kill), and returns the final report.
-fn run_through_kills(
-    order: RowOrder,
-    allocation: CoreAllocation,
-    kills: &[usize],
-    dir: &Path,
-) -> ibis_insitu::InsituReport {
+/// [`cfg`] under `order` and `allocation`.
+fn config(order: RowOrder, allocation: CoreAllocation) -> PipelineConfig {
+    PipelineConfig {
+        row_order: order,
+        allocation,
+        ..cfg()
+    }
+}
+
+/// Runs `base` to completion through a kill at each step of `kills` in
+/// turn (each resume carries the next kill, added to `base`'s faults), and
+/// returns the final report.
+fn run_through_kills(base: &PipelineConfig, kills: &[usize], dir: &Path) -> InsituReport {
     let cfg_with = |kill: Option<&usize>| {
-        let mut c = cfg();
-        c.row_order = order;
-        c.allocation = allocation;
+        let mut c = base.clone();
         if let Some(&step) = kill {
-            c.robustness.faults = FaultPlan::none().with_kill_at_step(step);
+            c.robustness.faults = c.robustness.faults.clone().with_kill_at_step(step);
         }
         c
     };
@@ -144,7 +148,7 @@ fn killed_run_resumes_to_byte_identical_store() {
     ] {
         // the uninterrupted reference run
         let clean_dir = TempDir::new(&format!("clean-{}", order.name()));
-        let clean = run_through_kills(order, CoreAllocation::Shared, &[], &clean_dir);
+        let clean = run_through_kills(&config(order, CoreAllocation::Shared), &[], &clean_dir);
         assert_eq!(clean.selected.len(), 4);
         let reference = dir_contents(&clean_dir);
         assert_eq!(
@@ -185,7 +189,7 @@ fn killed_run_resumes_to_byte_identical_store() {
             for kills in &kill_plans {
                 let crash_dir =
                     TempDir::new(&format!("crash-{}-{allocation:?}-{kills:?}", order.name()));
-                let resumed = run_through_kills(order, allocation, kills, &crash_dir);
+                let resumed = run_through_kills(&config(order, allocation), kills, &crash_dir);
                 assert_eq!(
                     resumed.selected, clean.selected,
                     "{order:?}, {allocation:?}, killed at {kills:?}: selection must survive the crash"
@@ -312,12 +316,7 @@ fn assert_answers(
 fn every_crash_state_of_a_durable_run_resumes_to_the_clean_store(order: RowOrder) {
     let dir = TempDir::new(&format!("states-{}", order.name()));
     let rec = Recorder::new(&dir);
-    let config = |allocation| PipelineConfig {
-        row_order: order,
-        allocation,
-        ..cfg()
-    };
-    let shared = config(CoreAllocation::Shared);
+    let shared = config(order, CoreAllocation::Shared);
     let clean = run_durable_on(rec, OceanModel::new(ocean()), &shared, &dir).unwrap();
     let (reference, model) = (dir_contents(&dir), ocean_model());
     let battery = battery(&model, &clean.selected);
@@ -335,7 +334,7 @@ fn every_crash_state_of_a_durable_run_resumes_to_the_clean_store(order: RowOrder
                 assert_answers(&work, &model, &battery, &[], &tag);
             }
             if resumed.insert((settle(&work), format!("{allocation:?}"))) {
-                let c = config(allocation);
+                let c = config(order, allocation);
                 let report = resume_durable(OceanModel::new(ocean()), &c, &work).unwrap();
                 assert_eq!(report.selected, clean.selected, "{tag}");
                 assert!(dir_contents(&work) == reference, "{tag}: not clean");
@@ -352,6 +351,122 @@ fn every_crash_state_of_a_durable_run_resumes_to_the_clean_store_in_ingest_order
 #[test]
 fn every_crash_state_of_a_durable_run_resumes_to_the_clean_store_under_graybin() {
     every_crash_state_of_a_durable_run_resumes_to_the_clean_store(RowOrder::GrayBin);
+}
+
+/// Steps whose fallback summary (a 1 % sample) loses, and wins, its
+/// interval of the degraded-step test's run.
+const DEGRADED_LOSES: usize = 1;
+const DEGRADED_WINS: usize = 6;
+
+/// A degraded step — its reduction panicked, and the sampling fallback
+/// summarized it — is rebuilt by that fallback on resume. Killed at every
+/// step, a run whose degraded step loses its interval (it is held while
+/// the interval is open) and one whose degraded step wins it (it is then
+/// the previous winner) resume to the uninterrupted run's store, byte for
+/// byte, with its selection and outcomes.
+#[test]
+fn a_killed_run_with_a_degraded_step_resumes_to_the_uninterrupted_store() {
+    for order in [RowOrder::Identity, RowOrder::GrayBin] {
+        for (degraded, wins) in [(DEGRADED_LOSES, false), (DEGRADED_WINS, true)] {
+            let mut base = config(order, CoreAllocation::Shared);
+            base.robustness.policy = FailurePolicy::FallbackSampling {
+                percent: 1.0,
+                method: SamplingMethod::Stride,
+            };
+            base.robustness.faults = FaultPlan::none().with_consumer_panic_at(degraded);
+            let tag = format!("{order:?}, step {degraded} degraded");
+            let clean_dir = TempDir::new(&format!("degraded-{}-{degraded}", order.name()));
+            let clean = run_through_kills(&base, &[], &clean_dir);
+            assert!(
+                matches!(
+                    clean.step_outcomes[degraded],
+                    StepOutcome::FallbackSampled { .. }
+                ),
+                "{tag}"
+            );
+            assert_eq!(clean.selected.contains(&degraded), wins, "{tag}");
+            let reference = dir_contents(&clean_dir);
+            for kill in 1..base.steps {
+                let dir = TempDir::new(&format!("degraded-{}-{degraded}-{kill}", order.name()));
+                let resumed = run_through_kills(&base, &[kill], &dir);
+                assert_eq!(resumed.selected, clean.selected, "{tag}, killed at {kill}");
+                assert_eq!(
+                    resumed.step_outcomes, clean.step_outcomes,
+                    "{tag}, killed at {kill}"
+                );
+                assert!(
+                    dir_contents(&dir) == reference,
+                    "{tag}, killed at {kill}: not the uninterrupted store"
+                );
+            }
+        }
+    }
+}
+
+/// The record of `entry` in a segment's bytes: where it starts, and the
+/// byte range of its frame.
+fn record_of(segment: &[u8], entry: &str) -> (usize, std::ops::Range<usize>) {
+    let header = [&b"IBR"[..], &[entry.len() as u8], entry.as_bytes()].concat();
+    let start = (segment.windows(header.len()))
+        .position(|w| w == header)
+        .unwrap_or_else(|| panic!("no record of {entry}"));
+    let len_at = start + header.len();
+    let len = u64::from_le_bytes(segment[len_at..len_at + 8].try_into().unwrap());
+    let frame = len_at + 12;
+    (start, frame..frame + len as usize)
+}
+
+/// A resumed run rebuilds its previous winner from the replay, so the
+/// store must still hold it: with the winner's order or one of its fields
+/// torn, flipped or cut off, resuming is refused, naming the step and the
+/// entry.
+#[test]
+fn a_resume_whose_previous_winner_is_not_durable_is_refused() {
+    let (dir, kill) = (TempDir::new("lost-winner"), 9);
+    let resume = config(RowOrder::GrayBin, CoreAllocation::Shared);
+    let mut c = resume.clone();
+    c.robustness.faults = FaultPlan::none().with_kill_at_step(kill);
+    let err = run_durable(OceanModel::new(ocean()), &c, &dir).unwrap_err();
+    assert_eq!(err, IbisError::Killed { step: kill });
+    // the previous winner is the last step whose records landed
+    let winner = *StoreWriter::resume(&dir)
+        .unwrap()
+        .durable_steps()
+        .last()
+        .unwrap();
+    assert!(winner > 0, "a winner after the seed");
+    let killed = dir_contents(&dir);
+    let segment = format!("s{winner:06}.ibis");
+    let fields = OceanModel::new(ocean()).step().fields;
+    let entries = [ORDER_VARIABLE]
+        .into_iter()
+        .chain(fields.iter().map(|f| f.name));
+    for entry in entries {
+        let clean = &killed[&segment];
+        let (start, frame) = record_of(clean, entry);
+        let mid = (frame.start + frame.end) / 2;
+        let mut flipped = clean.clone();
+        flipped[mid] ^= 0x10;
+        let damaged = [
+            ("torn", clean[..mid].to_vec()),
+            ("flipped", flipped),
+            ("cut", clean[..start].to_vec()),
+        ];
+        for (damage, bytes) in damaged {
+            let work = TempDir::new("lost-winner-state");
+            std::fs::create_dir_all(&work).unwrap();
+            for (name, content) in &killed {
+                std::fs::write(work.join(name), content).unwrap();
+            }
+            std::fs::write(work.join(&segment), bytes).unwrap();
+            let err = resume_durable(OceanModel::new(ocean()), &resume, &work).unwrap_err();
+            let IbisError::BadCheckpoint(msg) = &err else {
+                panic!("{entry} {damage}: expected BadCheckpoint, got {err}");
+            };
+            let named = msg.contains(&format!("step {winner}")) && msg.contains(entry);
+            assert!(named, "{entry} {damage}: {msg}");
+        }
+    }
 }
 
 #[test]

@@ -86,11 +86,10 @@ impl FileOps for Recorder {
         })
     }
 
-    /// A cut to the length a file has changes nothing, and is not logged.
     fn set_len(&self, file: &File, len: u64) -> io::Result<()> {
-        let (fd, was) = (file.as_raw_fd(), file.metadata()?.len());
+        let fd = file.as_raw_fd();
         self.log(Disk.set_len(file, len), |_, fds, _| {
-            (was != len).then(|| Op::SetLen(fds[&fd], len))
+            Some(Op::SetLen(fds[&fd], len))
         })
     }
 

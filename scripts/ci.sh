@@ -7,7 +7,24 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> test hygiene: no ignored tests"
+# leg <title>: ends the running leg, printing its wall seconds (bash
+# SECONDS), and starts the next; `leg` with no title ends the last one.
+# The closing summary lists every leg's seconds.
+legs=()
+leg_title=""
+leg_start=$SECONDS
+leg() {
+    if [ -n "$leg_title" ]; then
+        local spent=$((SECONDS - leg_start))
+        echo "    ($spent s)"
+        legs+=("$(printf '%5d s  %.100s' "$spent" "$leg_title")")
+    fi
+    leg_title="${1:-}"
+    leg_start=$SECONDS
+    if [ -n "$leg_title" ]; then echo "==> $leg_title"; fi
+}
+
+leg "test hygiene: no ignored tests"
 # The seed suite has zero #[ignore]d tests; keep it that way. An ignored
 # test silently stops gating and rots — delete it or fix it instead.
 if grep -rn '#\[ignore' --include='*.rs' crates/ src/ tests/ vendor/; then
@@ -15,19 +32,19 @@ if grep -rn '#\[ignore' --include='*.rs' crates/ src/ tests/ vendor/; then
     exit 1
 fi
 
-echo "==> cargo fmt --check"
+leg "cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (workspace, all targets, -D warnings)"
+leg "cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy (ibis-insitu non-test code: no unwrap/expect)"
+leg "cargo clippy (ibis-insitu non-test code: no unwrap/expect)"
 # Lints only the plain lib target: #[cfg(test)] modules are not compiled,
 # so the crate-level deny(clippy::unwrap_used, clippy::expect_used) in
 # crates/insitu/src/lib.rs gates exactly the non-test code.
 cargo clippy -p ibis-insitu --lib -- -D warnings
 
-echo "==> cargo doc (workspace, broken and private intra-doc links are errors)"
+leg "cargo doc (workspace, broken and private intra-doc links are errors)"
 # A deletion must not leave a [`link`] to what it deleted, and public docs
 # must not point at what their readers cannot see.
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
@@ -38,14 +55,14 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_l
 # compared below both come from this CI run.
 rm -rf target/obs_differential
 
-echo "==> cargo test (workspace, instrumented: obs on by default)"
+leg "cargo test (workspace, instrumented: obs on by default)"
 cargo test -q --workspace
 
-echo "==> cargo test (rayon shim: install/width semantics the pool-width regressions rest on)"
+leg "cargo test (rayon shim: install/width semantics the pool-width regressions rest on)"
 # vendor/ is outside the workspace; the shim is tested as the dependency it is.
 cargo test -q -p rayon
 
-echo "==> proptest shim, then the generation, codec, kernel and row-order properties under two more seeds"
+leg "proptest shim, then the generation, codec, kernel and row-order properties under two more seeds"
 # Every property draws from its name-derived seed, so the workspace run
 # above sees the same cases each time. PROPTEST_SEED mixes a seed in; these
 # two fixed ones add cases where run boundaries, chunk seams and the fill
@@ -57,7 +74,7 @@ for seed in 1 2; do
         --test prop_kernels --test prop_roworder
 done
 
-echo "==> test kit: both obs configurations, and it never switches obs on"
+leg "test kit: both obs configurations, and it never switches obs on"
 # The reference model and TempDir (crates/testkit) depend on ibis-core and
 # ibis-analysis without default features. A dev-dependency that turned
 # `obs` on would make every `--no-default-features` suite below an
@@ -73,21 +90,23 @@ for manifest in $(grep -l '^ibis-testkit.workspace' Cargo.toml crates/*/Cargo.to
     fi
 done
 
-echo "==> cargo test (observability layer with obs feature off: no-op build)"
+leg "cargo test (observability layer with obs feature off: no-op build)"
 cargo test -q -p ibis-obs --no-default-features
 
-echo "==> obs differential: no-op build must match the instrumented run byte-for-byte"
+leg "obs differential: no-op build must match the instrumented run byte-for-byte"
 cargo test -q -p ibis --no-default-features --test obs_differential
 cmp target/obs_differential/instrumented.digest target/obs_differential/noop.digest
 
-echo "==> no-op observability build: query and mining/CE/EMD properties, bitmap-vs-full-data exactness, ibis-insitu unit tests (frame corruption table, CRC32-C kernel differential), fault-injection, crash/resume at every step and in every crash state (enumerated from a recorded file-operation log) of a durable run, a 4-shard ingest, a flat ingest over a finished store and an fsck, the earlier layout's stores, query, lazy-materialisation, shard and serving suites"
+leg "no-op observability build: query and mining/CE/EMD properties, bitmap-vs-full-data exactness, ibis-insitu unit tests (frame corruption table, CRC32-C kernel differential), fault-injection, the earlier layout's stores, query, lazy-materialisation, shard and serving suites"
 # The workspace run above covers the instrumented config; neither config
 # may panic or diverge with the obs counters const-folded away.
 cargo test -q -p ibis-analysis --no-default-features --test prop_query --test prop_metrics
 cargo test -q -p ibis --no-default-features --test exactness
 cargo test -q -p ibis-insitu --no-default-features --lib --test fault_injection \
-    --test crash_resume --test legacy_store --test query_engine --test prop_lazy --test shard \
-    --test serving
+    --test legacy_store --test query_engine --test prop_lazy --test shard --test serving
+
+leg "no-op observability build: crash/resume at every step and in every crash state (enumerated from a recorded file-operation log) of a durable run, a 4-shard ingest, a flat ingest over a finished store and an fsck"
+cargo test -q -p ibis-insitu --no-default-features --test crash_resume
 
 # check_report <report> <keys…>: fails unless the report carries every key.
 check_report() {
@@ -112,7 +131,7 @@ bench_smoke() {
     local bench="$1" report="target/BENCH_$1.smoke.json" obs
     shift
     for obs in "" "--no-default-features"; do
-        echo "==> $bench bench smoke (${obs:-instrumented}) + report schema"
+        leg "$bench bench smoke (${obs:-instrumented}) + report schema"
         rm -f "$report"
         # shellcheck disable=SC2086
         IBIS_BENCH_SMOKE=1 cargo bench -q -p ibis-bench $obs --bench "$bench"
@@ -144,7 +163,7 @@ bench_smoke serving '"samples"' '"fault_free_p99_ms"' \
     '"coalesce_hits"' '"coalesce_decodes"' '"queue_peak"' \
     '"queue_bound_respected"' '"socket_rtt_p50_ms"'
 
-echo "==> obs_overhead bench smoke (instrumented, then no-op) + merged report schema"
+leg "obs_overhead bench smoke (instrumented, then no-op) + merged report schema"
 # One invocation is one obs config: the instrumented run leaves its CSV and
 # metrics snapshot, the no-op run finds both CSVs and merges the report.
 rm -rf target/obs_overhead.smoke target/BENCH_observability.smoke.json
@@ -154,7 +173,7 @@ check_report target/BENCH_observability.smoke.json '"samples"' '"instrumented_s"
     '"noop_s"' '"overhead_pct"' '"overall_overhead_pct"' '"under_5pct_target"' \
     '"snapshot"' '"kernels\.' '"pipeline\.' '"store\.' '"cluster\.'
 
-echo "==> mining at Figure 14 scale, EMD selection at Figure 9 scale (both obs configs)"
+leg "mining at Figure 14 scale, EMD selection at Figure 9 scale (both obs configs)"
 # The spatial stage on the label walk, at the sizes the paper plots:
 # fig14 asserts the bitmap miner equal to the full-data miner, the
 # multi-level ablation that group-2 pruning keeps >= 0.8 of the strong
@@ -167,7 +186,7 @@ for obs in "" "--no-default-features"; do
         --bench fig09_lulesh_xeon
 done
 
-echo "==> ibis-e2e smoke: every reply of every workload against the full-data-scan oracle"
+leg "ibis-e2e smoke: every reply of every workload against the full-data-scan oracle"
 # The end-to-end harness (its own workspace under benchmark/) refuses to
 # print a metric unless every catalog reply equals the oracle's, so a
 # kernel that changes an answer fails here. About two seconds in all.
@@ -176,7 +195,7 @@ for workload in heat3d_flat_batch ocean_flat_batch ocean_shard_evict heat3d_reor
         --smoke --workload "$workload" >/dev/null
 done
 
-echo "==> ibis serve + loadgen end-to-end smoke (1 and 4 shards, both obs configs)"
+leg "ibis serve + loadgen end-to-end smoke (1 and 4 shards, both obs configs)"
 # Build a tiny store, then drive a live server with the zipf load
 # generator for a few hundred requests. Every leg ingests under
 # --row-order graybin, so the served store carries the permutations the
@@ -243,4 +262,8 @@ for shards in 1 4; do
     serve_smoke "$shards" --no-default-features
 done
 
+leg
+echo "==> wall seconds per leg"
+printf '%s\n' "${legs[@]}"
+printf '%5d s  total\n' "$SECONDS"
 echo "CI OK"
