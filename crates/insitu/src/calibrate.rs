@@ -86,7 +86,7 @@ pub fn auto_allocate<S: Simulation>(
 /// comes out smaller: does [`RowOrder::GrayBin`] pay for its order blob?
 /// Every field's index is built under the order's one permutation
 /// (computed from the first field, as the pipeline does —
-/// [`step_permutation`]) and in ingest order. Sorting the first field
+/// `step_permutation`) and in ingest order. Sorting the first field
 /// always shrinks that field; it wins only if it pays for its permutation
 /// and for what it does to the others. [`RowOrder::Identity`] wins ties
 /// (nothing extra to persist or map at query time). An index is sized as

@@ -137,7 +137,8 @@ impl Storage for RemoteLink {
 /// cuts, syncs, renames and unlinks; reads go to `std::fs`. Each operation
 /// is its `std::fs` call, all [`Disk`] does. A crash test passes one that
 /// also logs them ([`crate::pipeline::run_durable_on`],
-/// [`crate::ShardedWriter::create_on`], [`crate::Store::fsck_on`]).
+/// [`crate::ShardedWriter::create_on`], [`crate::ShardedWriter::resume_on`],
+/// [`crate::Store::fsck_on`]).
 pub trait FileOps: Send + Sync + std::fmt::Debug {
     /// Opens `path` for writing: made if missing, emptied if `truncate`.
     fn open(&self, path: &Path, truncate: bool) -> io::Result<File> {

@@ -19,11 +19,13 @@
 //!   most dissimilar one is kept and the rest freed) and hand a winner to
 //!   the sink.
 //! * a **sink** writes winners: the modeled [`Storage`] of
-//!   [`run_pipeline`], or the checksummed [`StoreWriter`] directory of
-//!   [`run_durable`] / [`resume_durable`], which also checkpoints the run
-//!   after every step so a killed run resumes to a byte-identical store.
-//!   Nothing in `consume` depends on the producer, so durable runs accept
-//!   either allocation and leave the same bytes.
+//!   [`run_pipeline`], or the checksummed [`ShardedWriter`] directory of
+//!   [`run_durable`] / [`run_durable_on`] / [`resume_durable`] — the one
+//!   place a selected step is written, as `K ≥ 1` shards (`K = 1` is the
+//!   flat store) — which also checkpoints the run after every step so a
+//!   killed run resumes to a byte-identical store. Nothing in `consume`
+//!   depends on the producer, so durable runs accept either allocation
+//!   and leave the same bytes.
 //!
 //! ## Fault tolerance
 //!
@@ -68,7 +70,8 @@ use crate::machine::{
 use crate::memory::MemoryTracker;
 use crate::report::{InsituReport, PhaseTimes, StepOutcome};
 use crate::retry::{write_with_retry, RetryPolicy};
-use crate::store::{frame, unframe, Kind, StoreWriter, ORDER_VARIABLE};
+use crate::shard::ShardedWriter;
+use crate::store::{frame, unframe, Kind, ORDER_VARIABLE};
 use ibis_analysis::sampling::{sample, SamplingMethod};
 use ibis_analysis::selection::fixed_intervals;
 use ibis_analysis::{Metric, StepSummary, VarSummary};
@@ -273,7 +276,7 @@ impl PipelineConfig {
 /// field, so cross-variable correlation bitmaps stay row-aligned — which
 /// needs every field on the same grid, so steps whose fields differ in
 /// length keep their original order. `None` is the identity layout.
-pub fn step_permutation(
+pub(crate) fn step_permutation(
     out: &StepOutput,
     row_order: RowOrder,
     first_binner: &Binner,
@@ -662,6 +665,9 @@ fn field_names_of(out: &StepOutput) -> Vec<String> {
 /// producers do per step. The new raw output is charged to `mem` here and
 /// released by [`StepLoop::consume`]; a contained panic comes back as its
 /// message, for `consume` to resolve per the failure policy.
+/// The injected panic fires after `sim.step()`, so the simulation steps
+/// once per step index, as a resume's replay does; a real panic inside
+/// `sim.step()` leaves its state undefined and cannot resume byte-identically.
 fn produce<S: Simulation>(
     sim: &mut S,
     i: usize,
@@ -672,8 +678,9 @@ fn produce<S: Simulation>(
 ) -> std::result::Result<StepOutput, String> {
     let attempt = catch_unwind(AssertUnwindSafe(|| {
         timed_in_pool(pool, || {
+            let out = sim.step();
             injector.maybe_panic(FaultSite::Producer, i);
-            sim.step()
+            out
         })
     }));
     match attempt {
@@ -898,11 +905,11 @@ enum Sink<'a> {
     /// The modeled platform storage: a winner is its size, shipped through
     /// the retrying write path.
     Modeled(&'a dyn Storage),
-    /// A checksummed run directory: a winner's indices (and row
-    /// permutation) are put to the store, and every step ends with an
-    /// atomic `CHECKPOINT` of the selector, each change made through `fs`.
+    /// A checksummed run directory of `K ≥ 1` shards: a winner's indices
+    /// (and row permutation) are put to the store, and every step ends with
+    /// an atomic `CHECKPOINT` of the selector, each change made through `fs`.
     Durable {
-        writer: StoreWriter,
+        writer: ShardedWriter,
         dir: &'a Path,
         fs: &'static dyn FileOps,
     },
@@ -1338,41 +1345,47 @@ fn parse_checkpoint_payload(payload: &[u8]) -> Result<CheckpointState> {
 }
 
 /// Runs a durable bitmaps pipeline under either core allocation: every
-/// selected summary is persisted to a checksummed store at `dir`, and the
-/// selector state is checkpointed atomically after every step. If the run
-/// dies (crash, kill injection), [`resume_durable`] picks it up where it
-/// stopped and the final store is byte-identical to an uninterrupted
+/// selected summary is persisted to a checksummed flat store at `dir`, and
+/// the selector state is checkpointed atomically after every step. If the
+/// run dies (crash, kill injection), [`resume_durable`] picks it up where
+/// it stopped and the final store is byte-identical to an uninterrupted
 /// run's.
 pub fn run_durable<S: Simulation>(
     sim: S,
     cfg: &PipelineConfig,
     dir: impl AsRef<Path>,
 ) -> Result<InsituReport> {
-    durable_impl(&Disk, sim, cfg, dir.as_ref(), false)
+    durable_impl(&Disk, sim, cfg, dir.as_ref(), 1, false)
 }
 
-/// [`run_durable`] with every change to the run directory — retirement,
-/// appends, each `CHECKPOINT`, the `MANIFEST` — made through `fs`.
+/// [`run_durable`] into a store of `shards` spatial shards (1 is the flat
+/// store, [`ShardedWriter`]), with every change to the run directory —
+/// retirement, `SHARDS`, appends, each `CHECKPOINT`, the `MANIFEST` —
+/// made through `fs`. [`resume_durable`] resumes it, reading the shard
+/// count back from `SHARDS`.
 pub fn run_durable_on<S: Simulation>(
     fs: &'static dyn FileOps,
     sim: S,
     cfg: &PipelineConfig,
     dir: impl AsRef<Path>,
+    shards: usize,
 ) -> Result<InsituReport> {
-    durable_impl(fs, sim, cfg, dir.as_ref(), false)
+    durable_impl(fs, sim, cfg, dir.as_ref(), shards, false)
 }
 
 /// Resumes a durable run that was interrupted. `sim` must be a *fresh*
 /// instance of the same deterministic simulation — the completed prefix is
 /// replayed to restore its state, then the run continues from the
-/// checkpoint. With no checkpoint present this is a fresh run, which
-/// retires what store the directory holds as [`run_durable`] does.
+/// checkpoint, in as many shards as the directory's `SHARDS` file names
+/// (none: the flat store). With no checkpoint present this is a fresh run
+/// into the flat store, which retires what store the directory holds as
+/// [`run_durable`] does.
 pub fn resume_durable<S: Simulation>(
     sim: S,
     cfg: &PipelineConfig,
     dir: impl AsRef<Path>,
 ) -> Result<InsituReport> {
-    durable_impl(&Disk, sim, cfg, dir.as_ref(), true)
+    durable_impl(&Disk, sim, cfg, dir.as_ref(), 1, true)
 }
 
 fn durable_impl<S: Simulation>(
@@ -1380,6 +1393,7 @@ fn durable_impl<S: Simulation>(
     sim: S,
     cfg: &PipelineConfig,
     dir: &Path,
+    shards: usize,
     resume: bool,
 ) -> Result<InsituReport> {
     cfg.validate()?;
@@ -1402,8 +1416,11 @@ fn durable_impl<S: Simulation>(
                 state.next_step, cfg.steps
             )))
         }
-        Some(state) => (state, StoreWriter::resume_in(fs, dir, 0)?),
-        None => (CheckpointState::default(), StoreWriter::create_on(fs, dir)?),
+        Some(state) => (state, ShardedWriter::resume_on(fs, dir)?),
+        None => (
+            CheckpointState::default(),
+            ShardedWriter::create_on(fs, dir, shards)?,
+        ),
     };
     let injector = FaultInjector::new(cfg.robustness.faults.clone());
     run(
@@ -1426,7 +1443,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use crate::io::LocalDisk;
-    use crate::store::Store;
+    use crate::store::{Store, StoreWriter};
     use ibis_datagen::{Heat3D, Heat3DConfig};
     use ibis_testkit::TempDir;
 

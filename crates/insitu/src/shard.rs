@@ -239,9 +239,19 @@ impl ShardedWriter {
     /// Reopens an interrupted (or finished) run: reads the shard count
     /// back from `SHARDS` (absent: the one flat shard) and crash-resumes
     /// the store ([`StoreWriter::resume`]).
+    ///
+    /// Resume only a directory `create` returned for, or resume through
+    /// [`crate::resume_durable`], whose `CHECKPOINT` decides: a crash inside
+    /// `create`'s retirement leaves one this does not know as half-retired.
     pub fn resume(dir: impl AsRef<Path>) -> Result<Self> {
+        Self::resume_on(&Disk, dir)
+    }
+
+    /// [`ShardedWriter::resume`] with every change to the directory, the
+    /// resumed run's puts and `finish` included, made through `fs`.
+    pub fn resume_on(fs: &'static dyn FileOps, dir: impl AsRef<Path>) -> Result<Self> {
         let (nshards, lifted) = shards_of(dir.as_ref())?;
-        let writer = StoreWriter::resume_in(&Disk, dir.as_ref(), lifted)?;
+        let writer = StoreWriter::resume_in(fs, dir.as_ref(), lifted)?;
         Ok(ShardedWriter { writer, nshards })
     }
 

@@ -580,6 +580,10 @@ impl StoreWriter {
     /// names (a store written before segments), each frame re-verified. A
     /// dropped entry is repaired by re-`put`ting it — the path after
     /// [`Store::fsck`] quarantines one.
+    ///
+    /// Resume only a directory `create` returned for, or resume through
+    /// [`crate::resume_durable`], whose `CHECKPOINT` decides: a crash inside
+    /// `create`'s retirement leaves one this does not know as half-retired.
     pub fn resume(dir: impl AsRef<Path>) -> Result<Self> {
         Self::resume_in(&Disk, dir.as_ref(), 0)
     }

@@ -1,10 +1,10 @@
-//! Crash/resume regression for the durable pipeline, on the Ocean model:
-//! a run killed mid-flight — at any step, at any append, or at any
-//! `CHECKPOINT` write — and resumed must leave a store byte-identical to
-//! an uninterrupted run's that answers like the data it was fed; so must
-//! a sharded ingest whose appends are torn or fail one by one; and
-//! corruption on disk must be detected, quarantined, and excluded from
-//! analysis.
+//! Crash/resume regression for the durable pipeline, flat and sharded, on
+//! the Ocean model: a run killed mid-flight — at any step, at any append,
+//! or at any `CHECKPOINT` write — and resumed must leave a store
+//! byte-identical to an uninterrupted run's that answers like the data it
+//! was fed; so must a sharded ingest whose appends are torn or fail one by
+//! one; and corruption on disk must be detected, quarantined, and excluded
+//! from analysis.
 
 mod support;
 
@@ -14,7 +14,7 @@ use ibis_core::{Binner, BitmapIndex, RowOrder, RowPermutation};
 use ibis_datagen::{OceanConfig, OceanModel, Simulation};
 use ibis_insitu::{
     codec, crc::crc32c_append, pipeline::pending_checkpoint, resume_durable, run_durable,
-    run_durable_on, CoreAllocation, FailurePolicy, FaultPlan, IbisError, InsituReport,
+    run_durable_on, CoreAllocation, Disk, FailurePolicy, FaultPlan, IbisError, InsituReport,
     MachineModel, PipelineConfig, QueryEngine, QueryRequest, Reduction, RobustnessConfig,
     ScalingModel, ShardedStore, ShardedWriter, StepOutcome, Store, StoreWriter, ORDER_VARIABLE,
 };
@@ -100,10 +100,16 @@ fn config(order: RowOrder, allocation: CoreAllocation) -> PipelineConfig {
     }
 }
 
-/// Runs `base` to completion through a kill at each step of `kills` in
-/// turn (each resume carries the next kill, added to `base`'s faults), and
-/// returns the final report.
-fn run_through_kills(base: &PipelineConfig, kills: &[usize], dir: &Path) -> InsituReport {
+/// Runs `base` into a store of `shards` shards to completion through a
+/// kill at each step of `kills` in turn (each resume carries the next
+/// kill, added to `base`'s faults, and reads the shard count back from
+/// `SHARDS`), and returns the final report.
+fn run_through_kills(
+    base: &PipelineConfig,
+    kills: &[usize],
+    shards: usize,
+    dir: &Path,
+) -> InsituReport {
     let cfg_with = |kill: Option<&usize>| {
         let mut c = base.clone();
         if let Some(&step) = kill {
@@ -111,21 +117,17 @@ fn run_through_kills(base: &PipelineConfig, kills: &[usize], dir: &Path) -> Insi
         }
         c
     };
+    let sim = || OceanModel::new(ocean());
+    let mut run = run_durable_on(&Disk, sim(), &cfg_with(kills.first()), dir, shards);
     for (n, kill) in kills.iter().enumerate() {
-        let c = cfg_with(Some(kill));
-        let err = if n == 0 {
-            run_durable(OceanModel::new(ocean()), &c, dir)
-        } else {
-            resume_durable(OceanModel::new(ocean()), &c, dir)
-        }
-        .unwrap_err();
-        assert_eq!(err, IbisError::Killed { step: *kill });
+        assert_eq!(run.unwrap_err(), IbisError::Killed { step: *kill });
         assert!(
             pending_checkpoint(dir).is_some(),
             "a run killed at step {kill} must leave its checkpoint behind"
         );
+        run = resume_durable(sim(), &cfg_with(kills.get(n + 1)), dir);
     }
-    resume_durable(OceanModel::new(ocean()), &cfg_with(None), dir).unwrap()
+    run.unwrap()
 }
 
 #[test]
@@ -148,7 +150,7 @@ fn killed_run_resumes_to_byte_identical_store() {
     ] {
         // the uninterrupted reference run
         let clean_dir = TempDir::new(&format!("clean-{}", order.name()));
-        let clean = run_through_kills(&config(order, CoreAllocation::Shared), &[], &clean_dir);
+        let clean = run_through_kills(&config(order, CoreAllocation::Shared), &[], 1, &clean_dir);
         assert_eq!(clean.selected.len(), 4);
         let reference = dir_contents(&clean_dir);
         assert_eq!(
@@ -189,7 +191,7 @@ fn killed_run_resumes_to_byte_identical_store() {
             for kills in &kill_plans {
                 let crash_dir =
                     TempDir::new(&format!("crash-{}-{allocation:?}-{kills:?}", order.name()));
-                let resumed = run_through_kills(&config(order, allocation), kills, &crash_dir);
+                let resumed = run_through_kills(&config(order, allocation), kills, 1, &crash_dir);
                 assert_eq!(
                     resumed.selected, clean.selected,
                     "{order:?}, {allocation:?}, killed at {kills:?}: selection must survive the crash"
@@ -317,7 +319,7 @@ fn every_crash_state_of_a_durable_run_resumes_to_the_clean_store(order: RowOrder
     let dir = TempDir::new(&format!("states-{}", order.name()));
     let rec = Recorder::new(&dir);
     let shared = config(order, CoreAllocation::Shared);
-    let clean = run_durable_on(rec, OceanModel::new(ocean()), &shared, &dir).unwrap();
+    let clean = run_durable_on(rec, OceanModel::new(ocean()), &shared, &dir, 1).unwrap();
     let (reference, model) = (dir_contents(&dir), ocean_model());
     let battery = battery(&model, &clean.selected);
     let (states, end, mut resumed) = (rec.states(false), rec.len(), HashSet::new());
@@ -376,7 +378,7 @@ fn a_killed_run_with_a_degraded_step_resumes_to_the_uninterrupted_store() {
             base.robustness.faults = FaultPlan::none().with_consumer_panic_at(degraded);
             let tag = format!("{order:?}, step {degraded} degraded");
             let clean_dir = TempDir::new(&format!("degraded-{}-{degraded}", order.name()));
-            let clean = run_through_kills(&base, &[], &clean_dir);
+            let clean = run_through_kills(&base, &[], 1, &clean_dir);
             assert!(
                 matches!(
                     clean.step_outcomes[degraded],
@@ -388,7 +390,7 @@ fn a_killed_run_with_a_degraded_step_resumes_to_the_uninterrupted_store() {
             let reference = dir_contents(&clean_dir);
             for kill in 1..base.steps {
                 let dir = TempDir::new(&format!("degraded-{}-{degraded}-{kill}", order.name()));
-                let resumed = run_through_kills(&base, &[kill], &dir);
+                let resumed = run_through_kills(&base, &[kill], 1, &dir);
                 assert_eq!(resumed.selected, clean.selected, "{tag}, killed at {kill}");
                 assert_eq!(
                     resumed.step_outcomes, clean.step_outcomes,
@@ -397,6 +399,68 @@ fn a_killed_run_with_a_degraded_step_resumes_to_the_uninterrupted_store() {
                 assert!(
                     dir_contents(&dir) == reference,
                     "{tag}, killed at {kill}: not the uninterrupted store"
+                );
+            }
+        }
+    }
+}
+
+/// A step whose producer panicked is skipped, and the simulation has
+/// advanced past it all the same, as a resumed run's replay assumes: a
+/// `SkipStep` run whose producer panics at step 3, killed before the
+/// panic (2) or after it (5, 8), resumes to the uninterrupted run's
+/// store, byte for byte, with its selection and outcomes.
+#[test]
+fn a_killed_run_with_a_skipped_step_resumes_to_the_uninterrupted_store() {
+    let panicked = 3;
+    for order in [RowOrder::Identity, RowOrder::GrayBin] {
+        let mut base = config(order, CoreAllocation::Shared);
+        base.robustness.policy = FailurePolicy::SkipStep;
+        base.robustness.faults = FaultPlan::none().with_producer_panic_at(panicked);
+        let clean_dir = TempDir::new(&format!("skipped-{}", order.name()));
+        let clean = run_through_kills(&base, &[], 1, &clean_dir);
+        let skipped = &clean.step_outcomes[panicked];
+        assert!(matches!(skipped, StepOutcome::Skipped { .. }), "{order:?}");
+        let reference = dir_contents(&clean_dir);
+        for kill in [2, 5, 8] {
+            let tag = format!("{order:?}, killed at {kill}");
+            let dir = TempDir::new(&format!("skipped-{}-{kill}", order.name()));
+            let resumed = run_through_kills(&base, &[kill], 1, &dir);
+            assert_eq!(resumed.selected, clean.selected, "{tag}");
+            assert_eq!(resumed.step_outcomes, clean.step_outcomes, "{tag}");
+            assert!(
+                dir_contents(&dir) == reference,
+                "{tag}: not the uninterrupted store"
+            );
+        }
+    }
+}
+
+/// A 4-shard durable run killed at every step in turn resumes through
+/// `resume_durable`, which takes the shard count from `SHARDS`, to the
+/// uninterrupted run's directory, byte for byte, under either order and
+/// either allocation; that directory is one store of 4 shards that
+/// answers like the data.
+#[test]
+fn a_killed_sharded_run_resumes_to_the_uninterrupted_store() {
+    let model = ocean_model();
+    for order in [RowOrder::Identity, RowOrder::GrayBin] {
+        let clean_dir = TempDir::new(&format!("sharded-clean-{}", order.name()));
+        let clean = run_through_kills(&config(order, CoreAllocation::Shared), &[], 4, &clean_dir);
+        let reference = dir_contents(&clean_dir);
+        assert!(reference.contains_key("SHARDS"), "{order:?}");
+        assert_eq!(ShardedStore::open(&clean_dir).unwrap().nshards(), 4);
+        let battery = battery(&model, &clean.selected);
+        assert_answers(&clean_dir, &model, &battery, &[], "sharded");
+        for allocation in [CoreAllocation::Shared, SEPARATE] {
+            for kill in 1..cfg().steps {
+                let tag = format!("{order:?}, {allocation:?}, killed at {kill}");
+                let dir = TempDir::new(&format!("sharded-{}-{kill}", order.name()));
+                let resumed = run_through_kills(&config(order, allocation), &[kill], 4, &dir);
+                assert_eq!(resumed.selected, clean.selected, "{tag}");
+                assert!(
+                    dir_contents(&dir) == reference,
+                    "{tag}: not the uninterrupted store"
                 );
             }
         }

@@ -3,10 +3,12 @@
 //! compressed indices; later (possibly on another machine), analysts reload
 //! those files and keep working *without ever having had the raw data*.
 //!
-//! This example runs the in-situ phase into a real store, then reloads
-//! the `.ibis` files and performs range queries, aggregation with
-//! guaranteed error bounds, and cross-step comparisons on the reloaded
-//! indices.
+//! This example runs the in-situ phase as a durable run (`run_durable`):
+//! the pipeline writes each step it selects to a checkpointed store while
+//! the step's raw data is still in memory, and nothing is simulated twice.
+//! It then reloads the `.ibis` files and performs range queries,
+//! aggregation with guaranteed error bounds, and cross-step comparisons on
+//! the reloaded indices.
 //!
 //! ```text
 //! cargo run --release --example offline_postanalysis
@@ -15,10 +17,10 @@
 use ibis::analysis::entropy::shannon_entropy_from_counts;
 use ibis::analysis::{aggregate, correlation_query, Metric, SubsetQuery, VarSummary};
 use ibis::core::{Binner, BitmapIndex, RowOrder};
-use ibis::datagen::{Heat3D, Heat3DConfig, Simulation};
+use ibis::datagen::{Heat3D, Heat3DConfig};
 use ibis::insitu::{
-    run_pipeline, CoreAllocation, LocalDisk, MachineModel, PipelineConfig, Reduction,
-    RobustnessConfig, ScalingModel, Store, StoreWriter,
+    run_durable, CoreAllocation, MachineModel, PipelineConfig, Reduction, RobustnessConfig,
+    ScalingModel, Store,
 };
 
 fn main() {
@@ -41,27 +43,15 @@ fn main() {
         steps,
         select_k: 6,
         metric: Metric::ConditionalEntropy,
-        binners: vec![binner.clone()],
+        binners: vec![binner],
         per_step_precision: None,
         row_order: RowOrder::Identity,
         queue_capacity: 4,
         sim_scaling: ScalingModel::heat3d(),
         robustness: RobustnessConfig::default(),
     };
-    let disk = LocalDisk::new(MachineModel::xeon32().disk_bw);
-    let report = run_pipeline(Heat3D::new(heat.clone()), &cfg, &disk).expect("run");
+    let report = run_durable(Heat3D::new(heat), &cfg, &dir).expect("run");
     println!("in-situ phase selected steps {:?}", report.selected);
-
-    let mut writer = StoreWriter::create(&dir).expect("create output dir");
-    let mut sim = Heat3D::new(heat);
-    for step in 0..steps {
-        let out = sim.step();
-        if report.selected.contains(&step) {
-            let idx = BitmapIndex::build(&out.fields[0].data, binner.clone());
-            writer.put(step, "temperature", &idx).unwrap();
-        }
-    }
-    writer.finish().unwrap();
     println!(
         "persisted {} indices to {}\n",
         report.selected.len(),

@@ -211,12 +211,18 @@ serve_smoke() {
     local obs=()
     if [ "${#features[@]}" -eq 0 ]; then obs=(--obs-json "$store.obs.json"); fi
     rm -rf "$store" "$store.obs.json"
+    # the sharded legs also calibrate their core split (Separate cores)
+    local allocation=shared
+    if [ "$shards" -gt 1 ]; then allocation=auto; fi
     cargo run -q --release "${features[@]}" --bin ibis -- insitu \
-        --sim heat3d --steps 2 --select 2 --cores 2 --row-order graybin \
-        --shards "$shards" --out "$store" >/dev/null
+        --sim heat3d --steps 2 --select 2 --cores 2 --allocation "$allocation" \
+        --row-order graybin --shards "$shards" --out "$store" >/dev/null
     # every shard count is one store with one MANIFEST at the root; more
-    # than one shard also writes a SHARDS file
+    # than one shard also writes a SHARDS file; the finished durable run
+    # leaves no checkpoint behind
     test -f "$store/MANIFEST"
+    test ! -e "$store/CHECKPOINT"
+    test ! -e "$store/.CHECKPOINT.tmp"
     if [ "$shards" -gt 1 ]; then test -f "$store/SHARDS"; else test ! -e "$store/SHARDS"; fi
     local port=$((20000 + RANDOM % 20000))
     # --conns 2: the readiness probe below counts as one completed

@@ -10,9 +10,11 @@
 //! ibis query  --store DIR --batch FILE [--cache-mb N] [--json-out PATH]
 //! ```
 //!
-//! `insitu --out DIR` persists the selected steps' bitmap indices as
-//! `.ibis` files that `ibis::insitu::codec::decode_index` (and the
-//! `offline_postanalysis` example) can reload.
+//! `insitu --out DIR [--shards K]` makes the run a durable one
+//! (`run_durable_on`): each step the pipeline selects is written, while
+//! its raw data is still in memory, to a checkpointed store of `K` shards
+//! that `query --store`, `serve --store` and `ibis::insitu::Store` reload.
+//! Nothing is simulated twice.
 
 use ibis::analysis::{
     correlation_query, correlation_query_mapped, mine_index, Metric, MiningConfig, SubsetQuery,
@@ -21,12 +23,11 @@ use ibis::core::{Binner, BitmapIndex, RowOrder, ZOrderLayout};
 use ibis::datagen::{
     Heat3D, Heat3DConfig, LuleshConfig, MiniLulesh, OceanConfig, OceanModel, Simulation,
 };
-use ibis::insitu::pipeline::step_permutation;
 use ibis::insitu::shard::MAX_SHARDS;
 use ibis::insitu::{
-    auto_allocate, run_pipeline, suggest_row_order, CoreAllocation, LocalDisk, MachineModel,
-    MaintenanceConfig, PipelineConfig, QueryEngine, QueryServer, Reduction, RobustnessConfig,
-    ScalingModel, ServeConfig, ShardedStore, ShardedWriter, SocketServer,
+    auto_allocate, run_durable_on, run_pipeline, suggest_row_order, CoreAllocation, Disk,
+    LocalDisk, MachineModel, MaintenanceConfig, PipelineConfig, QueryEngine, QueryServer,
+    Reduction, RobustnessConfig, ScalingModel, ServeConfig, ShardedStore, SocketServer,
 };
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -103,8 +104,9 @@ USAGE:
               [--deadline-ms N] [--seed N]
   ibis help
 
-`--out DIR --shards K` persists each selected step as K spatial shards
-(each its own durable store; K = 1, the default, is the flat store);
+`--out DIR --shards K` makes the run durable: each step it selects is
+written as it is selected, as K spatial shards of one checkpointed store
+(K = 1, the default, is the flat store); nothing is simulated twice.
 `query --store` and `serve --store` read the shard count from the
 directory and run the same scatter-gather execution for any K.
 `serve --shards K` asserts the expected shard count; `--maintain-ms N`
@@ -326,23 +328,15 @@ fn cmd_insitu(flags: &Flags) -> Result<(), String> {
         return Err("--out requires --method bitmaps".into());
     }
 
-    // Build the simulation + per-field binners + scaling profile.
-    let (mut sim, binners, metric, scaling): (
-        Box<dyn Simulation>,
-        Vec<Binner>,
-        Metric,
-        ScalingModel,
-    ) = match sim_name {
+    // The per-field binners, step metric and scaling profile.
+    let (binners, metric, scaling) = match sim_name {
         "heat3d" => (
-            Box::new(Heat3D::new(Heat3DConfig::default())),
             vec![Binner::precision(-1.0, 101.0, 0)],
             Metric::ConditionalEntropy,
             ScalingModel::heat3d(),
         ),
         "lulesh" => {
-            let cfg = LuleshConfig::default();
-            let mut probe = MiniLulesh::new(cfg.clone());
-            let probe_steps = probe.run(3);
+            let probe_steps = new_sim(sim_name).run(3);
             let binners = (0..probe_steps[0].fields.len())
                 .map(|f| {
                     let all: Vec<f64> = probe_steps
@@ -352,30 +346,20 @@ fn cmd_insitu(flags: &Flags) -> Result<(), String> {
                     Binner::fit(&all, 48)
                 })
                 .collect();
-            (
-                Box::new(MiniLulesh::new(cfg)),
-                binners,
-                Metric::EmdSpatial,
-                ScalingModel::lulesh(),
-            )
+            (binners, Metric::EmdSpatial, ScalingModel::lulesh())
         }
         other => return Err(format!("--sim: unknown simulation {other:?}")),
     };
 
-    let allocation =
-        allocation.unwrap_or_else(|| auto_allocate(&mut sim, &binners, &machine, cores, 2));
-
+    // `auto` allocation and row order each probe a fresh simulation, so
+    // the run's own starts at its first step.
+    let allocation = allocation
+        .unwrap_or_else(|| auto_allocate(&mut new_sim(sim_name), &binners, &machine, cores, 2));
     let row_order = match get_row_order(flags, true)? {
         Some(order) => order,
         None => {
-            // `auto`: probe one step of a fresh simulation and keep the
-            // order under which the store comes out smaller.
-            let mut probe: Box<dyn Simulation> = match sim_name {
-                "heat3d" => Box::new(Heat3D::new(Heat3DConfig::default())),
-                _ => Box::new(MiniLulesh::new(LuleshConfig::default())),
-            };
-            let out = probe.step();
-            let order = suggest_row_order(&out, &binners);
+            // keep the order under which one step's store comes out smaller
+            let order = suggest_row_order(&new_sim(sim_name).step(), &binners);
             println!("row order (auto): {}", order.name());
             order
         }
@@ -389,19 +373,26 @@ fn cmd_insitu(flags: &Flags) -> Result<(), String> {
         steps,
         select_k,
         metric,
-        binners: binners.clone(),
+        binners,
         per_step_precision: None,
         row_order,
         queue_capacity: 4,
         sim_scaling: scaling,
         robustness: RobustnessConfig::default(),
     };
-    let disk = LocalDisk::new(machine.disk_bw);
     println!(
         "running {sim_name}: {steps} steps, selecting {select_k}, {cores} cores on {} ({:?})",
         machine.name, cfg.allocation
     );
-    let report = run_pipeline(sim, &cfg, &disk).map_err(|e| e.to_string())?;
+    // With `--out` the run is durable: the pipeline puts each step it
+    // selects, checkpointed, to a store of `shards` shards (K = 1 is the
+    // flat store); without, its writes go to the modeled disk.
+    let sim = new_sim(sim_name);
+    let report = match flags.get("out") {
+        Some(dir) => run_durable_on(&Disk, sim, &cfg, dir, shards),
+        None => run_pipeline(sim, &cfg, &LocalDisk::new(machine.disk_bw)),
+    }
+    .map_err(|e| e.to_string())?;
 
     println!("\nselected steps: {:?}", report.selected);
     println!(
@@ -415,45 +406,19 @@ fn cmd_insitu(flags: &Flags) -> Result<(), String> {
         report.peak_memory_bytes as f64 / 1e6,
         report.bytes_written as f64 / 1e6
     );
-
-    // Optionally persist the selected steps' bitmaps for post-analysis,
-    // split into K spatial shards of one durable store (K = 1 is the flat
-    // store).
     if let Some(dir) = flags.get("out") {
-        let mut store = ShardedWriter::create(dir, shards).map_err(|e| format!("--out: {e}"))?;
-        // re-simulate the selected steps to materialize their indices
-        // (the pipeline freed them after writing the modeled bytes)
-        let mut sim2: Box<dyn Simulation> = match sim_name {
-            "heat3d" => Box::new(Heat3D::new(Heat3DConfig::default())),
-            _ => Box::new(MiniLulesh::new(LuleshConfig::default())),
-        };
-        for step in 0..steps {
-            let out = sim2.step();
-            if !report.selected.contains(&step) {
-                continue;
-            }
-            // the per-step permutation the pipeline applied
-            let perm = step_permutation(&out, row_order, &binners[0]);
-            if let Some(p) = &perm {
-                // before the indices it permutes (`StoreWriter::put_order`)
-                store
-                    .put_order(step, row_order, p)
-                    .map_err(|e| format!("--out: {e}"))?;
-            }
-            for (f, binner) in out.fields.iter().zip(&binners) {
-                let idx = match &perm {
-                    Some(p) => BitmapIndex::build_permuted(&f.data, binner.clone(), p),
-                    None => BitmapIndex::build(&f.data, binner.clone()),
-                };
-                store
-                    .put(step, f.name, &idx)
-                    .map_err(|e| format!("--out: {e}"))?;
-            }
-        }
-        let dir = store.finish().map_err(|e| format!("--out: {e}"))?;
-        println!("persisted selected indices to {}", dir.display());
+        println!("persisted selected indices to {dir}");
     }
     Ok(())
+}
+
+/// A fresh instance of the `--sim` named `name` (`heat3d` or `lulesh`):
+/// the run's own, or a probe.
+fn new_sim(name: &str) -> Box<dyn Simulation> {
+    match name {
+        "heat3d" => Box::new(Heat3D::new(Heat3DConfig::default())),
+        _ => Box::new(MiniLulesh::new(LuleshConfig::default())),
+    }
 }
 
 /// The most bins `ibis mine` takes: its one joint table (reused by the

@@ -1,5 +1,6 @@
 //! End-to-end tests of the `ibis` command-line interface.
 
+use ibis_testkit::crash::tree;
 use ibis_testkit::TempDir;
 use std::process::Command;
 
@@ -213,6 +214,50 @@ fn insitu_subcommand_persists_reloadable_indices() {
         let idx = store.get(step, "temperature").expect("valid index");
         assert!(!idx.is_empty());
     }
+}
+
+/// `--allocation auto` calibrates on a probe simulation of its own, so
+/// its run is the run of the split it resolves to: the same `selected`
+/// and `written` lines, and a byte-identical store.
+#[test]
+fn insitu_auto_allocation_stores_what_its_split_stores() {
+    let root = TempDir::new("cli-auto-split");
+    let run = |allocation: &str, dir: &str| {
+        let out = ibis()
+            .args([
+                "insitu", "--sim", "heat3d", "--steps", "12", "--select", "4",
+            ])
+            .args(["--cores", "4", "--allocation", allocation, "--out"])
+            .arg(root.join(dir))
+            .output()
+            .expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "--allocation {allocation}: {err}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let auto = run("auto", "a");
+    // the banner names the split: `(Separate { sim_cores: S, bitmap_cores: B })`
+    let field = |name: &str| {
+        let at = auto
+            .find(name)
+            .unwrap_or_else(|| panic!("no {name} in {auto}"));
+        let digits = auto[at + name.len()..]
+            .chars()
+            .take_while(char::is_ascii_digit);
+        digits.collect::<String>()
+    };
+    let split = format!("{}:{}", field("sim_cores: "), field("bitmap_cores: "));
+    let fixed = run(&split, "b");
+    let value = |text: &str, key| {
+        text.lines()
+            .find_map(|l| Some(l[l.find(key)?..].to_owned()))
+    };
+    for key in ["selected steps:", "written"] {
+        assert!(value(&auto, key).is_some(), "no {key:?} in {auto}");
+        assert_eq!(value(&auto, key), value(&fixed, key), "auto vs {split}");
+    }
+    let (a, b) = (tree(&root.join("a")), tree(&root.join("b")));
+    assert!(a == b, "the auto run's store differs from {split}'s");
 }
 
 #[test]
